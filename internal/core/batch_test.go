@@ -7,22 +7,43 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
+	"repro/internal/trace"
 	"repro/internal/wmm"
 )
 
-// newBatchWCSystem is newWCSystem without a trace log (tracing forces the
-// per-item DLU path), with batching toggled by batch.
-func newBatchWCSystem(t testing.TB, nodes int, batch bool, cfgMut func(*Config)) *System {
+// newUntracedWCSystem is newWCSystem without the full event log, for
+// storms that would only fill it.
+func newUntracedWCSystem(t testing.TB, nodes int, cfgMut func(*Config)) *System {
 	t.Helper()
 	sys, _ := newWCSystem(t, nodes, func(cfg *Config) {
 		cfg.Trace = nil
-		cfg.BatchDLU = batch
 		if cfgMut != nil {
 			cfgMut(cfg)
 		}
 	})
 	return sys
 }
+
+// runWC runs one wordcount request over text to completion.
+func runWC(t *testing.T, sys *System, text string) *Invocation {
+	t.Helper()
+	inv, err := sys.Invoke(map[string][]byte{"start.src": []byte(text)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := inv.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	return inv
+}
+
+// wcStormStats is what a 200-request runWCStorm leaves in the merged sink
+// counters (PeakMemBytes zeroed: it depends on goroutine interleaving), as
+// recorded from the per-item DLU daemon before it was deleted: six puts per
+// request (three FOREACH shards, three MERGE results), each consumed from
+// memory and proactively released.
+var wcStormStats = wmm.Stats{Puts: 1200, MemHits: 1200, ProactiveReleases: 1200}
 
 // runWCStorm drives n concurrent wordcount requests and returns the merged
 // sink stats after every request completed.
@@ -61,46 +82,35 @@ func runWCStorm(t *testing.T, sys *System, n int) wmm.Stats {
 	return sys.SinkStats()
 }
 
-// TestBatchedSinkStateEquivalence runs the same concurrent storm through a
-// batched and an unbatched engine: outputs, cumulative sink counters, and
-// post-completion residue must match exactly — batching may only change how
-// many lock acquisitions the same puts cost, never what was put.
+// TestBatchedSinkStateEquivalence holds the edge-batched daemon to the
+// per-item engine's recorded sink state: outputs (runWCStorm checks each),
+// cumulative sink counters and post-completion residue must match exactly —
+// batching may only change how many lock acquisitions the same puts cost,
+// never what was put.
 func TestBatchedSinkStateEquivalence(t *testing.T) {
 	for _, nodes := range []int{1, 3} {
 		t.Run(fmt.Sprintf("nodes=%d", nodes), func(t *testing.T) {
-			const n = 200
-			plain := newBatchWCSystem(t, nodes, false, nil)
-			plainStats := runWCStorm(t, plain, n)
-			plain.Shutdown()
-			batched := newBatchWCSystem(t, nodes, true, nil)
-			batchStats := runWCStorm(t, batched, n)
-			batched.Shutdown()
-			// Peak occupancy depends on goroutine interleaving (two unbatched
-			// storms differ too); every cumulative counter must match exactly.
-			plainStats.PeakMemBytes, batchStats.PeakMemBytes = 0, 0
-			if plainStats != batchStats {
-				t.Fatalf("sink stats diverged:\nplain   %+v\nbatched %+v", plainStats, batchStats)
+			sys := newUntracedWCSystem(t, nodes, nil)
+			stats := runWCStorm(t, sys, 200)
+			sys.Shutdown()
+			stats.PeakMemBytes = 0
+			if stats != wcStormStats {
+				t.Fatalf("sink stats diverged from the per-item record:\ngot  %+v\nwant %+v", stats, wcStormStats)
 			}
-			if got := batched.PendingInvocations(); got != 0 {
-				t.Fatalf("batched engine left %d pending invocations", got)
+			if got := sys.PendingInvocations(); got != 0 {
+				t.Fatalf("engine left %d pending invocations", got)
 			}
 		})
 	}
 }
 
-// TestBatchFlushOnIdle pins the flush-on-idle rule: a lone request on a
-// batched engine never waits for peers to fill a batch.
+// TestBatchFlushOnIdle pins the flush-on-idle rule: a lone request never
+// waits for peers to fill a batch.
 func TestBatchFlushOnIdle(t *testing.T) {
-	sys := newBatchWCSystem(t, 2, true, nil)
+	sys := newUntracedWCSystem(t, 2, nil)
 	defer sys.Shutdown()
 	start := time.Now()
-	inv, err := sys.Invoke(map[string][]byte{"start.src": []byte("x y x")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := inv.Wait(); err != nil {
-		t.Fatal(err)
-	}
+	inv := runWC(t, sys, "x y x")
 	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
 		t.Fatalf("lone request took %v; batching must flush on idle", elapsed)
 	}
@@ -109,73 +119,58 @@ func TestBatchFlushOnIdle(t *testing.T) {
 	}
 }
 
-// TestBatchedShutdownVsDrainStorm races Shutdown against invokers on a
-// batched engine: a half-drained batch must be shipped (closed queues still
-// deliver buffered tasks), refused late Puts must unwind cleanly, and the
-// run must be race-free (the CI race job runs this at -count=2). As in the
-// per-item storm test, requests abandoned mid-flight stay open; Shutdown
-// itself guarantees quiescence.
+// TestBatchedShutdownVsDrainStorm races Shutdown against invokers of a
+// fan-out workflow: a half-drained batch must be shipped (closed queues
+// still deliver buffered tasks), refused late Puts must unwind cleanly, and
+// the run must be race-free (the CI race job runs this at -count=2). As in
+// TestShutdownDuringInvokeStorm, requests abandoned mid-flight stay open;
+// Shutdown itself guarantees quiescence.
 func TestBatchedShutdownVsDrainStorm(t *testing.T) {
 	for round := 0; round < 4; round++ {
-		sys := newBatchWCSystem(t, 2, true, nil)
-		var wg sync.WaitGroup
-		var invMu sync.Mutex
-		var invs []*Invocation
-		for g := 0; g < 8; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for i := 0; ; i++ {
-					inv, err := sys.Invoke(map[string][]byte{
-						"start.src": []byte(fmt.Sprintf("a%d b%d", g, i)),
-					})
-					if err != nil {
-						return // shutdown observed
-					}
-					invMu.Lock()
-					invs = append(invs, inv)
-					invMu.Unlock()
-				}
-			}(g)
-		}
-		time.Sleep(time.Duration(round+1) * time.Millisecond)
-		sys.Shutdown()
-		wg.Wait()
+		sys := newUntracedWCSystem(t, 2, nil)
+		invs := stormUntilShutdown(sys, time.Duration(round+1)*time.Millisecond, func(g, i int) map[string][]byte {
+			return map[string][]byte{"start.src": []byte(fmt.Sprintf("a%d b%d", g, i))}
+		})
 		// Completed requests resolved with the right answer; abandoned ones
 		// stay open without hanging the engine (Shutdown already drained bg).
-		completed := 0
-		for _, inv := range invs {
-			select {
-			case <-inv.Done():
-				completed++
-				if err := inv.Err(); err == nil {
-					if out, ok := inv.OutputBytes("out"); !ok || len(out) == 0 {
-						t.Fatal("completed request lost its output")
-					}
-				}
-			default:
+		done := completedOf(invs)
+		for _, inv := range done {
+			if inv.Err() != nil {
+				continue
+			}
+			if out, ok := inv.OutputBytes("out"); !ok || len(out) == 0 {
+				t.Fatal("completed request lost its output")
 			}
 		}
-		t.Logf("round %d: %d/%d completed before shutdown", round, completed, len(invs))
+		t.Logf("round %d: %d/%d completed before shutdown", round, len(done), len(invs))
 	}
 }
 
-// TestBatchedWithTraceFallsBackPerItem documents the Config contract:
-// tracing keeps the per-item DLU path so event streams never change shape.
-func TestBatchedWithTraceFallsBackPerItem(t *testing.T) {
-	sys, log := newWCSystem(t, 2, func(cfg *Config) { cfg.BatchDLU = true })
+// TestTraceLogsPerItemEventsFromBatches: the full event log selects no DLU
+// path. A request whose FOREACH emits three items still ships them as one
+// edge batch (the batch-size histogram grows), and the log gets one DataSent
+// and one DataArrived per item, addressed and sized per item, every item
+// sent before it arrived.
+func TestTraceLogsPerItemEventsFromBatches(t *testing.T) {
+	batches := obs.Default().Histogram("core_dlu_batch_items")
+	before := batches.Snapshot().Count
+	sys, log := newWCSystem(t, 2, nil)
 	defer sys.Shutdown()
-	inv, err := sys.Invoke(map[string][]byte{"start.src": []byte("x y x")})
-	if err != nil {
-		t.Fatal(err)
+	inv := runWC(t, sys, "x yy x")
+	if batches.Snapshot().Count <= before {
+		t.Fatal("core_dlu_batch_items did not grow: tracing must not disable batching")
 	}
-	if err := inv.Wait(); err != nil {
-		t.Fatal(err)
+	var got []string
+	for _, e := range log.ForRequest(inv.ReqID) {
+		if e.Kind == trace.DataSent && e.Fn == "start" || e.Kind == trace.DataArrived && e.Fn == "count" {
+			got = append(got, fmt.Sprintf("%s %s[%d] %s", e.Kind, e.Fn, e.Idx, e.Note))
+		}
 	}
-	if out, _ := inv.OutputBytes("out"); string(out) != "x 2\ny 1\n" {
-		t.Fatalf("out = %q", out)
+	want := []string{
+		"data-sent start[0] filelist->count[0] 1B", "data-sent start[0] filelist->count[1] 2B", "data-sent start[0] filelist->count[2] 1B",
+		"data-arrived count[0] file 1B", "data-arrived count[1] file 2B", "data-arrived count[2] file 1B",
 	}
-	if len(log.Events()) == 0 {
-		t.Fatal("trace log empty: tracing must keep working with BatchDLU set")
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("FOREACH edge logged\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

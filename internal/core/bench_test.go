@@ -30,20 +30,9 @@ function b
 
 // newBenchSystem builds the benchmark system: a two-function chain placed
 // round-robin over a 4-node cluster (a and b land on different nodes, so
-// every request crosses the pipe connector path), fast containers, no trace.
-func newBenchSystem(b testing.TB) *System {
-	return newBenchSystemQoS(b, nil)
-}
-
-// newBenchSystemBatched is newBenchSystem with the batched DLU daemon on.
-func newBenchSystemBatched(b testing.TB) *System {
-	sys := newBenchSystemQoS(b, nil, func(cfg *Config) { cfg.BatchDLU = true })
-	return sys
-}
-
-// newBenchSystemQoS is newBenchSystem with an optional QoS plane and
-// optional further Config mutations.
-func newBenchSystemQoS(b testing.TB, qcfg *qos.Config, cfgMut ...func(*Config)) *System {
+// every request crosses the pipe connector path), fast containers, no trace,
+// then whatever cfgMut changes.
+func newBenchSystem(b testing.TB, cfgMut ...func(*Config)) *System {
 	b.Helper()
 	wf, err := workflow.ParseDSLString(benchDSL)
 	if err != nil {
@@ -59,7 +48,6 @@ func newBenchSystemQoS(b testing.TB, qcfg *qos.Config, cfgMut ...func(*Config)) 
 		Workflow:    wf,
 		Cluster:     cl,
 		DefaultSpec: cluster.Spec{MemoryMB: 10 * 1024},
-		QoS:         qcfg,
 	}
 	// BENCH_OBS_SAMPLE=N turns on 1-in-N sampled request tracing for the
 	// metrics-on leg of the bench-gate matrix (0/unset = sampling off; the
@@ -155,8 +143,8 @@ func runInvokeThroughput(b *testing.B, sys *System, g int) {
 //
 // goroutines=G varies client concurrency at whatever GOMAXPROCS the run
 // was launched with (the gated configuration). cores=N is the scaling
-// curve: the engine is rebuilt under GOMAXPROCS=N with the batched DLU
-// daemon on and driven by 8*N closed-loop clients, so the N∈{1,2,4,8}
+// curve: the engine is rebuilt under GOMAXPROCS=N and driven by 8*N
+// closed-loop clients, so the N∈{1,2,4,8}
 // series shows how throughput scales with cores. On a 1-core runner the
 // curve is flat by construction — the committed BENCH_PR8.json records
 // the curve measured on the CI box; see README for multi-core numbers.
@@ -174,7 +162,7 @@ func BenchmarkInvokeThroughput(b *testing.B) {
 			// width is sized off it.
 			prev := runtime.GOMAXPROCS(n)
 			defer runtime.GOMAXPROCS(prev)
-			sys := newBenchSystemBatched(b)
+			sys := newBenchSystem(b)
 			defer sys.Shutdown()
 			runInvokeThroughput(b, sys, 8*n)
 		})
@@ -203,7 +191,7 @@ func TestInvokeAllocsCeilingWithSampling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
 	}
-	sys := newBenchSystemQoS(t, nil, func(cfg *Config) { cfg.Obs.SampleEvery = 1024 })
+	sys := newBenchSystem(t, func(cfg *Config) { cfg.Obs.SampleEvery = 1024 })
 	defer sys.Shutdown()
 	measureInvokeAllocs(t, sys)
 }
@@ -251,11 +239,11 @@ func measureInvokeAllocs(t *testing.T, sys *System) {
 // scheduling noise is ~2x run-to-run on a shared one-core runner.
 func BenchmarkOverloadIsolation(b *testing.B) {
 	payload := []byte("0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef")
-	sys := newBenchSystemQoS(b, &qos.Config{
-		Tenants: map[string]qos.Tenant{
+	sys := newBenchSystem(b, func(cfg *Config) {
+		cfg.QoS = &qos.Config{Tenants: map[string]qos.Tenant{
 			"paying": {Weight: 4},
 			"noisy":  {Weight: 1, MaxInFlight: 4},
-		},
+		}}
 	})
 	defer sys.Shutdown()
 	warm, err := sys.InvokeWith(map[string][]byte{"a.in": payload}, InvokeOpts{Tenant: "paying"})

@@ -87,21 +87,9 @@ type Config struct {
 	TransferLatency time.Duration
 	// ChunkSize overrides the streaming pipe chunk size.
 	ChunkSize int
-	// BatchDLU coalesces DLU shipments: the daemon drains whatever is
-	// already queued into one batch, groups the items per (invocation,
-	// destination-replica) edge and pays one pipe charge, one sink
-	// multi-put and one accounting pass per group — with a flush-on-idle
-	// rule (only queued tasks are drained, never awaited) so a lone request
-	// ships immediately. Off — the default — the daemon is byte-for-byte
-	// the per-item one. Only the legacy full event log (Config.Trace) keeps
-	// the per-item path when set, so its event streams never change shape;
-	// the obs metrics and sampled spans (Config.Obs) coexist with batching
-	// — a sampled request's trace context rides the batch headers.
-	BatchDLU bool
-	// DLUBatchTasks caps how many queued tasks one batch drains
-	// (DefaultDLUBatchTasks when 0).
-	DLUBatchTasks int
-	// Trace receives execution events when non-nil.
+	// Trace receives every execution event when non-nil (the full event
+	// log). It selects no code path: shipments batch per edge either way and
+	// the log gets its per-item events from inside the batch loops.
 	Trace *trace.Log
 	// Obs configures sampled request tracing (obs.go). The zero value
 	// disables sampling; the metric instruments are always on regardless.
@@ -255,7 +243,7 @@ type System struct {
 	// locality-aware routing).
 	allNodes  []*cluster.Node
 	nodeNames []string
-	nodeLoad  map[*cluster.Node]*stripedCounter
+	nodeLoad  map[*cluster.Node]*obs.Counter
 
 	checkLog *pipe.CheckpointLog
 	clk      clock.Clock
@@ -316,19 +304,21 @@ type fnState struct {
 
 	handler atomic.Pointer[Handler]
 
-	// All five accounting counters are striped (see stripes.go): writers
-	// tag by the request's stripe so concurrent cores do not ping a shared
-	// cache line; readers sum the lanes.
-	fluNanos stripedCounter
-	fluCount stripedCounter
+	// All five accounting counters are striped (obs.Counter): writers tag
+	// by the request's stripe so concurrent cores do not ping a shared
+	// cache line; readers sum the lanes. The sums are torn across lanes,
+	// which every consumer tolerates — they feed scaling/pressure
+	// heuristics, not invariants.
+	fluNanos obs.Counter
+	fluCount obs.Counter
 
 	// pending counts instances admitted but not yet completed — the
 	// queue-pressure signal the scaler combines with Eq. 1. putBytes and
 	// putCount accumulate DLU output sizes for the Eq. 1 transfer estimate.
 	// All three are maintained only when the scaler is enabled.
-	pending  stripedCounter
-	putBytes stripedCounter
-	putCount stripedCounter
+	pending  obs.Counter
+	putBytes obs.Counter
+	putCount obs.Counter
 }
 
 // replicaList returns the current replica set (never empty after NewSystem).
@@ -409,12 +399,12 @@ func NewSystem(cfg Config) (*System, error) {
 		fns:      make(map[string]*fnState, len(fns)),
 	}
 	s.invs.init()
-	s.nodeLoad = make(map[*cluster.Node]*stripedCounter)
+	s.nodeLoad = make(map[*cluster.Node]*obs.Counter)
 	for _, name := range cfg.Cluster.Nodes() {
 		if n, ok := cfg.Cluster.Node(name); ok {
 			s.allNodes = append(s.allNodes, n)
 			s.nodeNames = append(s.nodeNames, name)
-			s.nodeLoad[n] = new(stripedCounter)
+			s.nodeLoad[n] = new(obs.Counter)
 			if n.SinkRetains() {
 				s.sinkRetain = true
 			}
@@ -667,12 +657,6 @@ func (s *System) routeFor(inv *Invocation, st *fnState, prefer *cluster.Node) (*
 // now returns time since system epoch (trace/sink timestamps).
 func (s *System) now() time.Duration { return s.clk.Since(s.epoch) }
 
-func (s *System) traceEvent(kind trace.Kind, reqID, fn string, idx int, note string) {
-	if s.cfg.Trace != nil {
-		s.cfg.Trace.Append(trace.Event{At: s.now(), Kind: kind, ReqID: reqID, Fn: fn, Idx: idx, Note: note})
-	}
-}
-
 // Invocation is one in-flight or finished workflow request.
 type Invocation struct {
 	ReqID string
@@ -728,7 +712,7 @@ type Invocation struct {
 	readyBuf   [4]dataflow.InstanceKey
 
 	// stripe tags the request onto one lane of the striped engine
-	// counters (see stripes.go); inherited from the idBlock the request
+	// counters (obs.Counter); inherited from the idBlock the request
 	// number came from, so requests minted on the same P share a lane.
 	stripe uint32
 
@@ -802,8 +786,7 @@ func (inv *Invocation) finishLocked() {
 	}
 	inv.end = inv.sys.clk.Now()
 	close(inv.done)
-	inv.sys.traceEvent(trace.ReqCompleted, inv.ReqID, "", 0, "")
-	inv.sys.spanEvent(inv, trace.ReqCompleted, "", 0)
+	inv.sys.event(inv, trace.ReqCompleted, "", 0, "")
 	obsReqLat.Observe(inv.stripe, int64(inv.end.Sub(inv.start)))
 	if inv.err != nil {
 		obsFailed.Inc(inv.stripe)
@@ -943,7 +926,7 @@ func (s *System) InvokeWith(input map[string][]byte, opts InvokeOpts) (*Invocati
 	// stripe tag routes all of this request's counter updates to one lane.
 	blk, _ := s.idPool.Get().(*idBlock)
 	if blk == nil {
-		blk = &idBlock{stripe: s.stripeSeq.Add(1) & (statStripes - 1)}
+		blk = &idBlock{stripe: s.stripeSeq.Add(1) & (obs.NumStripes - 1)}
 	}
 	if blk.next == blk.end {
 		end := s.reqSeq.Add(idBlockSize)
@@ -973,8 +956,7 @@ func (s *System) InvokeWith(input map[string][]byte, opts InvokeOpts) (*Invocati
 	}
 	s.invs.put(reqID, inv)
 
-	s.traceEvent(trace.ReqArrived, reqID, "", 0, "")
-	s.spanEvent(inv, trace.ReqArrived, "", 0)
+	s.event(inv, trace.ReqArrived, "", 0, "")
 	inv.mu.Lock()
 	newly, err := inv.tracker.StartBytes(input)
 	inv.mu.Unlock()
@@ -996,8 +978,7 @@ func (s *System) InvokeWith(input map[string][]byte, opts InvokeOpts) (*Invocati
 // guard is needed here.
 func (s *System) scheduleReady(inv *Invocation, keys []dataflow.InstanceKey) {
 	for _, key := range keys {
-		s.traceEvent(trace.InstanceTriggered, inv.ReqID, key.Fn, key.Idx, "")
-		s.spanEvent(inv, trace.InstanceTriggered, key.Fn, key.Idx)
+		s.event(inv, trace.InstanceTriggered, key.Fn, key.Idx, "")
 		s.submitInstance(inv, key)
 	}
 }
@@ -1089,8 +1070,7 @@ func (s *System) runInstance(inv *Invocation, key dataflow.InstanceKey) {
 	ctr, warm := node.AcquireIdle(fn)
 	if !warm {
 		ctr = node.StartContainer(fn, st.spec)
-		s.traceEvent(trace.ContainerCold, inv.ReqID, fn, key.Idx, ctr.ID)
-		s.spanEvent(inv, trace.ContainerCold, fn, key.Idx)
+		s.event(inv, trace.ContainerCold, fn, key.Idx, ctr.ID)
 	}
 	defer node.Release(ctr)
 
@@ -1140,17 +1120,16 @@ func (s *System) runInstance(inv *Invocation, key dataflow.InstanceKey) {
 		ctr:      ctr,
 		fst:      st,
 	}
+	note := "" // "redo-N" on the event log once the handler is being ReDone
 	for {
-		s.traceEvent(trace.InstanceStarted, inv.ReqID, fn, key.Idx, "")
-		s.spanEvent(inv, trace.InstanceStarted, fn, key.Idx)
+		s.event(inv, trace.InstanceStarted, fn, key.Idx, note)
 		ctx.started = s.clk.Now()
 		err := h(ctx)
 		d := s.clk.Since(ctx.started)
 		st.observe(inv.stripe, d)
 		obsExecLat.Observe(inv.stripe, int64(d))
 		if err == nil {
-			s.traceEvent(trace.InstanceFinished, inv.ReqID, fn, key.Idx, "")
-			s.spanEvent(inv, trace.InstanceFinished, fn, key.Idx)
+			s.event(inv, trace.InstanceFinished, fn, key.Idx, "")
 			return
 		}
 		inv.mu.Lock()
@@ -1165,7 +1144,7 @@ func (s *System) runInstance(inv *Invocation, key dataflow.InstanceKey) {
 			return
 		}
 		if s.cfg.Trace != nil {
-			s.traceEvent(trace.InstanceStarted, inv.ReqID, fn, key.Idx, fmt.Sprintf("redo-%d", attempts))
+			note = fmt.Sprintf("redo-%d", attempts)
 		}
 	}
 }

@@ -235,12 +235,6 @@ func (s *System) dluEnqueue(ctr *cluster.Container, task cluster.DLUTask) {
 	}
 }
 
-// DefaultDLUBatchTasks caps how many queued tasks one DLU batch drains.
-//
-// Deprecated: the cap moved to the transport layer with the Transport
-// interface; use transport.DefaultBatchTasks.
-const DefaultDLUBatchTasks = transport.DefaultBatchTasks
-
 // remoteBpsFloor returns the lowest observed wire throughput among the
 // remote nodes this Put's items are destined for (0 when none is measured
 // yet). Called only when the cluster has remote nodes, off the bench-gated
@@ -277,85 +271,75 @@ func (s *System) remoteBpsFloor(inv *Invocation, items []dataflow.Item) float64 
 	return floor
 }
 
-// dluDaemon pumps routed items through pipe connectors in FIFO order.
-func (s *System) dluDaemon(ctr *cluster.Container, queue <-chan cluster.DLUTask) {
-	if s.cfg.BatchDLU && s.cfg.Trace == nil {
-		s.dluDaemonBatched(ctr, queue)
-		return
-	}
-	for task := range queue {
-		inv := task.Ref.(*Invocation)
-		for _, it := range task.Items {
-			s.ship(ctr, inv, it)
-			ctr.AddDLUPending(-it.Value.Size)
-		}
-		recycleItems(task)
-	}
-}
-
 // dluGroup is one (invocation, destination-replica) shipment edge of a
 // batch. node is nil for user-destined items, which never touch a sink.
+// items is what ships: the producing task's own backing while the edge has
+// a single run (one Put, one edge — the common case copies nothing), buf
+// once a second run joined it.
 type dluGroup struct {
 	inv   *Invocation
 	node  *cluster.Node
 	items []dataflow.Item
+	buf   []dataflow.Item
 }
 
-// dluBatch is the batched daemon's reusable drain scratch; its backings
-// survive across batches so steady-state batching allocates nothing.
+// dluBatch is the daemon's reusable drain scratch; its backings survive
+// across batches so steady-state shipping allocates nothing.
 type dluBatch struct {
 	tasks  []cluster.DLUTask
 	groups []dluGroup
 	reqs   []wmm.PutReq
 }
 
-// addToGroup files one routed item under its shipment edge. Batches have a
-// handful of edges, so a linear scan beats a map.
-func (b *dluBatch) addToGroup(inv *Invocation, node *cluster.Node, it dataflow.Item) {
+// addRun files a run of one task's items under its shipment edge. Batches
+// have a handful of edges, so a linear scan beats a map.
+func (b *dluBatch) addRun(inv *Invocation, node *cluster.Node, run []dataflow.Item) {
+	if len(run) == 0 {
+		return
+	}
 	for i := range b.groups {
 		g := &b.groups[i]
 		if g.inv == inv && g.node == node {
-			g.items = append(g.items, it)
+			if len(g.buf) == 0 {
+				g.buf = append(g.buf, g.items...)
+			}
+			g.buf = append(g.buf, run...)
+			g.items = g.buf
 			return
 		}
 	}
 	if n := len(b.groups); n < cap(b.groups) {
-		// Reuse the retired group's items backing.
-		b.groups = b.groups[:n+1]
-		g := &b.groups[n]
-		g.inv, g.node = inv, node
-		g.items = append(g.items[:0], it)
-		return
+		b.groups = b.groups[:n+1] // reuse the retired group's buf backing
+	} else {
+		b.groups = append(b.groups, dluGroup{})
 	}
-	b.groups = append(b.groups, dluGroup{inv: inv, node: node, items: []dataflow.Item{it}})
+	g := &b.groups[len(b.groups)-1]
+	g.inv, g.node, g.items = inv, node, run
 }
 
-// dluDaemonBatched is the coalescing DLU daemon (Config.BatchDLU): it
-// drains whatever the queue already holds into one batch and ships per
-// shipment edge. The drain never waits — a batch is whatever accumulated
-// while the previous one shipped — so an idle system flushes every task
-// immediately and a lone request pays no batching latency.
-func (s *System) dluDaemonBatched(ctr *cluster.Container, queue <-chan cluster.DLUTask) {
-	maxTasks := s.cfg.DLUBatchTasks
-	if maxTasks <= 0 {
-		maxTasks = DefaultDLUBatchTasks
-	}
+// dropReqs empties the put scratch, dropping its payload references.
+func (b *dluBatch) dropReqs() {
+	clear(b.reqs)
+	b.reqs = b.reqs[:0]
+}
+
+// dluDaemon is the container's Data Logic Unit (§5.1): it drains whatever
+// the queue already holds into one batch and ships per shipment edge. The
+// drain never waits — a batch is whatever accumulated while the previous
+// one shipped — so an idle system flushes every task immediately and a lone
+// request pays no batching latency.
+func (s *System) dluDaemon(ctr *cluster.Container, queue <-chan cluster.DLUTask) {
 	var b dluBatch
-	for {
-		task, ok := <-queue
-		if !ok {
-			return
-		}
+	for task := range queue {
 		b.tasks = append(b.tasks[:0], task)
 	drain:
-		for len(b.tasks) < maxTasks {
+		for len(b.tasks) < transport.DefaultBatchTasks {
 			select {
 			case task, more := <-queue:
 				if !more {
 					// Closed mid-drain: the buffered tasks all arrived
-					// before the close, so ship what we have and exit.
-					s.shipBatch(ctr, &b)
-					return
+					// before the close, so ship them; the next receive exits.
+					break drain
 				}
 				b.tasks = append(b.tasks, task)
 			default:
@@ -366,33 +350,39 @@ func (s *System) dluDaemonBatched(ctr *cluster.Container, queue <-chan cluster.D
 	}
 }
 
-// shipBatch classifies every item of the drained tasks onto its shipment
+// shipBatch resolves every item of the drained tasks onto its shipment
 // edge, ships each edge with batched pipe/sink/accounting interactions, and
 // unwinds the whole batch's pending bytes in one call.
 func (s *System) shipBatch(ctr *cluster.Container, b *dluBatch) {
 	var pending int64
+	items, stripe := 0, uint32(0)
 	for ti := range b.tasks {
 		task := &b.tasks[ti]
 		inv := task.Ref.(*Invocation)
-		for _, it := range task.Items {
+		items, stripe = items+len(task.Items), inv.stripe
+		// Split the task into runs of consecutive items sharing an edge;
+		// one Put's items almost always form a single run.
+		start := 0
+		var runNode *cluster.Node
+		for i := range task.Items {
+			it := &task.Items[i]
 			pending += it.Value.Size
+			// Replica selection, locality-first: when the destination
+			// function has a replica on the producer's own node the edge
+			// degenerates to the local pipe (no network); otherwise the
+			// request pins the least-loaded replica. The pin is write-once
+			// per request+function, so every item and every instance of the
+			// function agree on the node.
 			var node *cluster.Node
 			if it.To.Fn != workflow.UserSource {
-				var ordinal int
-				node, ordinal = s.routeFor(inv, s.fns[it.To.Fn], ctr.Node)
-				it.Replica = ordinal
+				node, it.Replica = s.routeFor(inv, s.fns[it.To.Fn], ctr.Node)
 			}
-			b.addToGroup(inv, node, it)
+			if node != runNode {
+				b.addRun(inv, runNode, task.Items[start:i])
+				start, runNode = i, node
+			}
 		}
-		// Groups hold by-value copies, so the task backing is free now.
-		recycleItems(*task)
-		*task = cluster.DLUTask{}
-	}
-	b.tasks = b.tasks[:0]
-	items, stripe := 0, uint32(0)
-	for i := range b.groups {
-		items += len(b.groups[i].items)
-		stripe = b.groups[i].inv.stripe
+		b.addRun(inv, runNode, task.Items[start:])
 	}
 	obsBatchItems.Observe(stripe, int64(items))
 	for i := range b.groups {
@@ -400,73 +390,130 @@ func (s *System) shipBatch(ctr *cluster.Container, b *dluBatch) {
 	}
 	for i := range b.groups {
 		g := &b.groups[i]
-		clear(g.items) // drop payload references
-		g.items = g.items[:0]
-		g.inv, g.node = nil, nil
+		clear(g.buf) // drop payload references
+		*g = dluGroup{buf: g.buf[:0]}
 	}
 	b.groups = b.groups[:0]
+	// Groups ship from the task backings, so those are free only now.
+	for ti := range b.tasks {
+		recycleItems(b.tasks[ti])
+		b.tasks[ti] = cluster.DLUTask{}
+	}
 	ctr.AddDLUPending(-pending)
 }
 
-// shipGroup moves one shipment edge's items: user delivery, the local pipe,
-// or — when every payload fits the socket fast path and no failure injector
-// is installed — one latency charge and one batched limiter charge for the
-// whole group. Streaming-sized or injectable payloads fall back to the
-// per-item ship (checkpoints and injection address individual streams).
-// Remote edges always ship whole batches: the socket is the wire, so one
-// frame per edge is exactly the batched amortization the transport exists
-// for (a payload larger than the frame cap fails the request with
-// transport.ErrFrameTooLarge rather than silently splitting).
+// shipGroup moves one shipment edge's items: straight to the user, through
+// the local pipe when src and dst share a node, or across nodes. Remote
+// edges and edges whose every payload fits the socket fast path ship whole
+// (the socket is the wire, so one frame per edge is exactly the batched
+// amortization the transport exists for; a payload larger than the frame
+// cap fails the request with transport.ErrFrameTooLarge rather than
+// silently splitting). Otherwise each item goes alone — through the
+// streaming pipe when it is streaming-sized or a failure injector is
+// installed (checkpoints and injection address individual streams), and
+// lands the moment its own bytes are across, so a consumer never waits for
+// a sibling's stream.
 func (s *System) shipGroup(ctr *cluster.Container, g *dluGroup, b *dluBatch) {
-	if g.node == nil {
-		s.deliverBatch(g.inv, g.items, nil, nil)
-		return
-	}
-	s.spanEvent(g.inv, trace.DataSent, g.items[0].To.Fn, len(g.items))
-	if g.node == ctr.Node {
-		s.landBatch(g.inv, g.items, g.node, b, transport.Pacing{})
-		return
-	}
-	remote := g.node.Remote()
-	small := remote || s.injector.Load() == nil
-	var total int64
-	if small {
+	if s.cfg.Trace != nil || g.inv.span != nil {
 		for i := range g.items {
-			size := g.items[i].Value.Size
-			if !remote && size > pipe.SmallDataThreshold {
-				small = false
-				break
+			it, note := &g.items[i], ""
+			if s.cfg.Trace != nil {
+				note = fmt.Sprintf("%s->%s %dB", it.Output, it.To, it.Value.Size)
 			}
-			total += size
+			s.event(g.inv, trace.DataSent, it.From.Fn, it.From.Idx, note)
 		}
 	}
-	if !small {
-		for _, it := range g.items {
-			s.ship(ctr, g.inv, it)
+	switch {
+	case g.node == nil:
+		s.deliverBatch(g.inv, g.items, nil, nil)
+	case g.node == ctr.Node:
+		// Local pipe connector: pump straight into the local data sink.
+		s.landBatch(g.inv, g.items, g.node, b, transport.Pacing{}, 0)
+	case g.node.Remote() || !s.streams(g.items):
+		s.shipSocket(ctr, g.inv, g.items, g.node, b)
+	default:
+		for i := range g.items {
+			one := g.items[i : i+1]
+			if !s.streams(one) {
+				s.shipSocket(ctr, g.inv, one, g.node, b)
+			} else if s.ship(ctr, g.inv, &one[0], g.node) {
+				s.landBatch(g.inv, one, g.node, b, transport.Pacing{}, 0)
+			}
 		}
-		return
 	}
+}
+
+// streams reports whether any of items must take the streaming pipe to a
+// local node: a streaming-sized payload, or any payload at all while a
+// failure injector is installed.
+func (s *System) streams(items []dataflow.Item) bool {
+	if s.injector.Load() != nil {
+		return true
+	}
+	for i := range items {
+		if items[i].Value.Size > pipe.SmallDataThreshold {
+			return true
+		}
+	}
+	return false
+}
+
+// shipSocket ships items over the socket path: one latency charge here and
+// one limiter charge for the whole edge inside the land (the transport is
+// the wire).
+func (s *System) shipSocket(ctr *cluster.Container, inv *Invocation, items []dataflow.Item, node *cluster.Node, b *dluBatch) {
 	if s.cfg.TransferLatency > 0 {
 		ctr.Node.Clock().Sleep(s.cfg.TransferLatency)
 	}
-	s.landBatch(g.inv, g.items, g.node, b, transport.Pacing{
+	var total int64
+	for i := range items {
+		total += items[i].Value.Size
+	}
+	s.landBatch(inv, items, node, b, transport.Pacing{
 		Src:     ctr.Limiter,
-		Items:   len(g.items),
+		Items:   len(items),
 		Bytes:   total,
-		TraceID: g.inv.span.ID(),
-	})
+		TraceID: inv.span.ID(),
+	}, 0)
+}
+
+// ship pumps one payload through the streaming pipe: chunked through the
+// source container's TC class and the destination node NIC, checkpointing
+// incrementally (payloads at or below the socket threshold reach here only
+// for injection, and record no checkpoints — an interrupted small send is
+// redone whole). It moves the bytes only — the caller lands the item — and
+// reports false after failing the request on an unrecoverable transfer.
+func (s *System) ship(ctr *cluster.Container, inv *Invocation, it *dataflow.Item, dstNode *cluster.Node) bool {
+	payload, _ := it.Value.Payload.([]byte)
+	streamID := streamIDOf(inv.ReqID, *it)
+	var failAfter func() int64
+	if s.injector.Load() != nil {
+		failAfter = func() int64 { return s.failAfter(streamID) }
+	}
+	err := dstNode.Inproc().Stream(transport.StreamSpec{
+		ID:        streamID,
+		Src:       ctr.Limiter,
+		ChunkSize: s.cfg.ChunkSize,
+		Latency:   s.cfg.TransferLatency,
+		Log:       s.checkLog,
+		FailAfter: failAfter,
+		Retries:   s.cfg.RetryLimit,
+		Clock:     ctr.Node.Clock(),
+	}, payload)
+	if err != nil {
+		inv.fail(fmt.Errorf("core: transfer %s failed: %w", streamID, err))
+	}
+	return err == nil
 }
 
 // landBatch caches one edge's items in the destination sink with a single
 // multi-put, then advances the tracker for all of them under one lock hold.
-// pace carries the batch's source-side wire charge (zero for local pipes).
-func (s *System) landBatch(inv *Invocation, items []dataflow.Item, node *cluster.Node, b *dluBatch, pace transport.Pacing) {
-	if s.ft && node.Health() == cluster.Down {
-		// The destination died while the shipment was in flight; repair is
-		// per-item (each pin rewrite may pick a different survivor).
-		for _, it := range items {
-			s.land(inv, it, node, transport.Pacing{})
-		}
+// pace carries the edge's source-side wire charge (zero for local pipes and
+// re-lands); attempt counts the re-lands this shipment already took.
+func (s *System) landBatch(inv *Invocation, items []dataflow.Item, node *cluster.Node, b *dluBatch, pace transport.Pacing, attempt int) {
+	if s.ft && attempt < s.cfg.RetryLimit && node.Health() == cluster.Down {
+		// The destination died while the shipment was in flight.
+		s.reland(inv, items, b, attempt+1)
 		return
 	}
 	b.reqs = b.reqs[:0]
@@ -478,35 +525,57 @@ func (s *System) landBatch(inv *Invocation, items []dataflow.Item, node *cluster
 		})
 	}
 	if err := node.SinkShip(pace, b.reqs); err != nil {
-		clear(b.reqs)
-		b.reqs = b.reqs[:0]
-		if s.noteUnreachable(node, err) {
-			// The edge's destination died under the shipment: repair is
-			// per-item, and the wire charge dies with the connection.
-			for _, it := range items {
-				s.land(inv, it, node, transport.Pacing{})
-			}
+		b.dropReqs()
+		if s.noteUnreachable(node, err) && attempt < s.cfg.RetryLimit {
+			// The destination died under the shipment.
+			s.reland(inv, items, b, attempt+1)
 			return
 		}
-		inv.fail(fmt.Errorf("core: batched ship to %s failed: %w", node.Name, err))
+		inv.fail(fmt.Errorf("core: ship of %d items to %s failed: %w", len(items), node.Name, err))
 		return
 	}
 	inv.sinkResidue.Add(int64(len(items)))
 	if !s.tracked(inv.ReqID) {
-		// Same in-flight-completion rule as the per-item land: the request
-		// may have finished while this batch shipped; the entries must not
-		// outlive it.
+		// The request completed while this shipment was in flight (e.g. the
+		// user-facing item of the same DLU task finished the workflow), so
+		// its teardown ReleaseRequest has already run (or was skipped for
+		// zero residue) — or runs after our Put, in which case this extra
+		// release is a no-op. Either way the just-cached entries must not
+		// outlive the request.
 		node.SinkRelease(inv.ReqID) //nolint:errcheck // best effort: an unreachable sink holds nothing to release
 	}
-	s.spanEvent(inv, trace.DataArrived, items[0].To.Fn, len(items))
+	if s.cfg.Trace != nil || inv.span != nil {
+		for i := range items {
+			it, note := &items[i], ""
+			if s.cfg.Trace != nil {
+				note = fmt.Sprintf("%s %dB", it.Input, it.Value.Size)
+			}
+			s.event(inv, trace.DataArrived, it.To.Fn, it.To.Idx, note)
+		}
+	}
 	s.deliverBatch(inv, items, b.reqs, node)
-	clear(b.reqs) // drop payload references
-	b.reqs = b.reqs[:0]
+	b.dropReqs()
 }
 
-// deliverBatch advances the tracker with every item of one edge under a
-// single inv.mu hold. reqs carries the sink keys the items were cached
-// under, index-aligned with items (nil for user-destined edges).
+// reland re-ships a shipment whose destination died in flight: repair the
+// request's pins and land on the survivors instead. Repair is per item —
+// each pin rewrite may pick a different survivor — and unpaced: the wire
+// charge died with the connection.
+func (s *System) reland(inv *Invocation, items []dataflow.Item, b *dluBatch, attempt int) {
+	for i := range items {
+		var node *cluster.Node
+		node, items[i].Replica = s.relandTarget(inv, items[i].To.Fn)
+		s.landBatch(inv, items[i:i+1], node, b, transport.Pacing{}, attempt)
+	}
+}
+
+// deliverBatch advances the tracker with every item of one edge and reacts
+// to readiness and completion. reqs carries the sink keys the items were
+// cached under, index-aligned with items, and node the node that cached
+// them (both nil for user-destined edges, which never touch a sink). The
+// whole reaction runs under one inv.mu hold — scheduling only hands jobs to
+// the executor, and the single hold lets the newly-ready buffer be reused
+// across deliveries.
 func (s *System) deliverBatch(inv *Invocation, items []dataflow.Item, reqs []wmm.PutReq, node *cluster.Node) {
 	inv.mu.Lock()
 	for i := range items {
@@ -521,9 +590,7 @@ func (s *System) deliverBatch(inv *Invocation, items []dataflow.Item, reqs []wmm
 			inv.fail(err)
 			return
 		}
-		for _, k := range newly {
-			s.submitInstance(inv, k)
-		}
+		s.scheduleReady(inv, newly)
 	}
 	if inv.tracker.Complete() {
 		inv.finishLocked()
@@ -575,82 +642,6 @@ func writeInstanceKey(b *strings.Builder, key dataflow.InstanceKey) {
 	b.WriteByte(']')
 }
 
-// ship moves one item to its destination: straight to the user, through the
-// local pipe when src and dst share a node, or across nodes — the socket
-// fast path for small payloads and every remote destination (one latency
-// charge, one paced land), the streaming pipe for streaming-sized local
-// payloads (chunked, checkpointed, injectable). On arrival the destination
-// sink caches the payload and the tracker is advanced, possibly triggering
-// instances.
-func (s *System) ship(ctr *cluster.Container, inv *Invocation, it dataflow.Item) {
-	if s.cfg.Trace != nil {
-		s.traceEvent(trace.DataSent, inv.ReqID, it.From.Fn, it.From.Idx,
-			fmt.Sprintf("%s->%s %dB", it.Output, it.To, it.Value.Size))
-	}
-	s.spanEvent(inv, trace.DataSent, it.From.Fn, it.From.Idx)
-	if it.To.Fn == workflow.UserSource {
-		s.deliver(inv, it, wmm.Key{}, nil)
-		return
-	}
-	// Replica selection, locality-first: when the destination function has
-	// a replica on the producer's own node the ship degenerates to the
-	// local pipe (no network); otherwise the request pins the least-loaded
-	// replica. The pin is write-once per request+function, so every item
-	// and every instance of the function agree on the node.
-	srcNode := ctr.Node
-	dstNode, ordinal := s.routeFor(inv, s.fns[it.To.Fn], srcNode)
-	it.Replica = ordinal
-	payload, _ := it.Value.Payload.([]byte)
-
-	if dstNode == srcNode {
-		// Local pipe connector: pump straight into the local data sink.
-		s.land(inv, it, dstNode, transport.Pacing{})
-		return
-	}
-	small := int64(len(payload)) <= pipe.SmallDataThreshold
-	injecting := s.injector.Load() != nil
-	if dstNode.Remote() || (small && !injecting) {
-		// Socket path: the latency charge here, the limiter charge inside the
-		// land (the transport is the wire). Remote destinations always take
-		// it — their wire is a real socket, which needs none of the simulated
-		// chunking.
-		if s.cfg.TransferLatency > 0 {
-			srcNode.Clock().Sleep(s.cfg.TransferLatency)
-		}
-		s.land(inv, it, dstNode, transport.Pacing{
-			Src:     ctr.Limiter,
-			Items:   1,
-			Bytes:   it.Value.Size,
-			TraceID: inv.span.ID(),
-		})
-		return
-	}
-	// Streaming pipe: chunked through the source container's TC class and
-	// the destination node NIC, checkpointing incrementally (payloads at or
-	// below the socket threshold reach here only for injection, and record
-	// no checkpoints — an interrupted small send is redone whole).
-	streamID := streamIDOf(inv.ReqID, it)
-	var failAfter func() int64
-	if injecting {
-		failAfter = func() int64 { return s.failAfter(streamID) }
-	}
-	err := dstNode.Inproc().Stream(transport.StreamSpec{
-		ID:        streamID,
-		Src:       ctr.Limiter,
-		ChunkSize: s.cfg.ChunkSize,
-		Latency:   s.cfg.TransferLatency,
-		Log:       s.checkLog,
-		FailAfter: failAfter,
-		Retries:   s.cfg.RetryLimit,
-		Clock:     srcNode.Clock(),
-	}, payload)
-	if err != nil {
-		inv.fail(fmt.Errorf("core: transfer %s failed: %w", streamID, err))
-		return
-	}
-	s.land(inv, it, dstNode, transport.Pacing{})
-}
-
 // streamIDOf formats the cross-node stream identifier
 // (reqID/from.output->to) without the fmt machinery: the ID is needed on
 // every cross-node shipment even when tracing is off (checkpoint log and
@@ -666,51 +657,6 @@ func streamIDOf(reqID string, it dataflow.Item) string {
 	b.WriteString("->")
 	writeInstanceKey(&b, it.To)
 	return b.String()
-}
-
-// land caches the item in the destination node's sink, advances the
-// tracker and schedules newly ready instances. pace carries the item's
-// source-side wire charge (zero for local pipes and replays).
-func (s *System) land(inv *Invocation, it dataflow.Item, dstNode *cluster.Node, pace transport.Pacing) {
-	if s.ft && dstNode.Health() == cluster.Down {
-		// The destination died while the shipment was in flight: repair the
-		// request's pins and land on the survivor instead.
-		dstNode, it.Replica = s.relandTarget(inv, it.To.Fn)
-	}
-	key := sinkKey(inv.ReqID, it)
-	for attempt := 0; ; attempt++ {
-		err := dstNode.SinkLand(pace, wmm.PutReq{Key: key, Val: it.Value, Consumers: 1})
-		if err == nil {
-			break
-		}
-		if s.noteUnreachable(dstNode, err) && attempt < s.cfg.RetryLimit {
-			// The destination died mid-land: repair and retry on the
-			// survivor. The wire charge died with the connection, so the
-			// retry lands unpaced.
-			dstNode, it.Replica = s.relandTarget(inv, it.To.Fn)
-			key = sinkKey(inv.ReqID, it)
-			pace = transport.Pacing{}
-			continue
-		}
-		inv.fail(fmt.Errorf("core: land %s on %s failed: %w", key.Data, dstNode.Name, err))
-		return
-	}
-	inv.sinkResidue.Add(1)
-	if !s.tracked(inv.ReqID) {
-		// The request completed while this shipment was in flight (e.g. the
-		// user-facing item of the same DLU task finished the workflow), so
-		// its teardown ReleaseRequest has already run (or was skipped for
-		// zero residue) — or runs after our Put, in which case this extra
-		// release is a no-op. Either way the just-cached entry must not
-		// outlive the request.
-		dstNode.SinkRelease(inv.ReqID) //nolint:errcheck // best effort: an unreachable sink holds nothing to release
-	}
-	if s.cfg.Trace != nil {
-		s.traceEvent(trace.DataArrived, inv.ReqID, it.To.Fn, it.To.Idx,
-			fmt.Sprintf("%s %dB", it.Input, it.Value.Size))
-	}
-	s.spanEvent(inv, trace.DataArrived, it.To.Fn, it.To.Idx)
-	s.deliver(inv, it, key, dstNode)
 }
 
 // arrivedItem pairs a landed item with the sink key it was cached under and
@@ -760,35 +706,6 @@ func (inv *Invocation) recordArrived(key dataflow.InstanceKey, ai arrivedItem) {
 	inv.arrived = append(inv.arrived, arrivedBucket{key: key})
 	b := &inv.arrived[len(inv.arrived)-1]
 	b.items = append(b.inline[:0], ai)
-}
-
-// deliver advances the tracker with the item and reacts to readiness and
-// completion. key is the sink key the item was cached under and node the
-// node that cached it (zero/nil for user-destined items, which never touch
-// a sink). The whole reaction runs under inv.mu — scheduling only hands
-// jobs to the executor, and the single hold lets the newly-ready buffer be
-// reused across deliveries.
-func (s *System) deliver(inv *Invocation, it dataflow.Item, key wmm.Key, node *cluster.Node) {
-	inv.mu.Lock()
-	if it.To.Fn != workflow.UserSource {
-		inv.recordArrived(storeKeyOf(it), arrivedItem{item: it, key: key, node: node})
-	}
-	newly, err := inv.tracker.DeliverInto(inv.readyScratch[:0], it)
-	inv.readyScratch = newly
-	if err != nil {
-		inv.mu.Unlock()
-		inv.fail(err)
-		return
-	}
-	for _, k := range newly {
-		s.traceEvent(trace.InstanceTriggered, inv.ReqID, k.Fn, k.Idx, "")
-		s.spanEvent(inv, trace.InstanceTriggered, k.Fn, k.Idx)
-		s.submitInstance(inv, k)
-	}
-	if inv.tracker.Complete() {
-		inv.finishLocked()
-	}
-	inv.mu.Unlock()
 }
 
 // storeKeyOf maps an item to the arrived-map key (broadcast items collapse

@@ -74,8 +74,7 @@ func (s *System) repairLocked(inv *Invocation) {
 		inv.replays += n
 		s.replays.Add(int64(n))
 		obsReplays.Add(inv.stripe, int64(n))
-		s.traceEvent(trace.Replay, inv.ReqID, st.name, n, dead.Name+"->"+next.Name)
-		s.spanEvent(inv, trace.Replay, st.name, n)
+		s.event(inv, trace.Replay, st.name, n, dead.Name+"->"+next.Name)
 	}
 }
 

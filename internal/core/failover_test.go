@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/cluster"
+	"repro/internal/trace"
 	"repro/internal/workflow"
 )
 
@@ -38,25 +40,26 @@ func newFaultSystem(t testing.TB, nodes int, gate chan struct{}, cfgMut func(*Co
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := cluster.NewCluster(cluster.RoundRobin{Replicas: 2})
-	for i := 1; i <= nodes; i++ {
-		if err := cl.AddNode(cluster.NewNode(fmt.Sprintf("w%d", i), cluster.Options{
-			// Retain consumed inputs for replay, as the fault-tolerance
-			// plane's deployment story prescribes.
-			SinkRetain: true,
-		})); err != nil {
-			t.Fatal(err)
-		}
-	}
 	cfg := Config{
 		Workflow:      wf,
-		Cluster:       cl,
 		DefaultSpec:   cluster.Spec{MemoryMB: 10 * 1024},
 		FaultTolerant: true,
 	}
 	if cfgMut != nil {
 		cfgMut(&cfg)
 	}
+	cl := cluster.NewCluster(cluster.RoundRobin{Replicas: 2})
+	for i := 1; i <= nodes; i++ {
+		if err := cl.AddNode(cluster.NewNode(fmt.Sprintf("w%d", i), cluster.Options{
+			// Retain consumed inputs for replay, as the fault-tolerance
+			// plane's deployment story prescribes.
+			SinkRetain: true,
+			Clock:      cfg.Clock, // one clock for engine and nodes
+		})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg.Cluster = cl
 	sys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -156,6 +159,80 @@ func TestFailoverReplaysLostShipment(t *testing.T) {
 	}
 }
 
+// hookClock is the wall clock with a callback in front of every Sleep — the
+// seam for acting between a shipment's routing and its land: the socket
+// path sleeps Config.TransferLatency exactly there.
+type hookClock struct {
+	clock.Wall
+	onSleep func(time.Duration)
+}
+
+func (h hookClock) Sleep(d time.Duration) { h.onSleep(d); h.Wall.Sleep(d) }
+
+// TestFailoverRelandsMultiItemEdge fails a's FOREACH destination after the
+// three-item edge was routed and before it lands: the batch must re-land
+// item by item on a survivor — each part arriving exactly once, nothing
+// replayed (nothing had landed) — and the request must complete and drain.
+func TestFailoverRelandsMultiItemEdge(t *testing.T) {
+	const latency = 1234 * time.Microsecond
+	var sys *System
+	var once sync.Once
+	var dead string
+	invCh := make(chan *Invocation, 1)
+	log := trace.NewLog()
+	sys = newFaultSystem(t, 3, nil, func(c *Config) {
+		c.Trace, c.TransferLatency = log, latency
+		c.Clock = hookClock{onSleep: func(d time.Duration) {
+			if d == latency {
+				once.Do(func() {
+					dead, _ = (<-invCh).PinnedNode("b")
+					_ = sys.cfg.Cluster.FailNode(dead)
+				})
+			}
+		}}
+	})
+	defer sys.Shutdown()
+	inv, err := sys.Invoke(map[string][]byte{"a.in": []byte("head")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	invCh <- inv
+	if err := inv.Wait(); err != nil {
+		t.Fatalf("request did not survive the kill between ship and land: %v", err)
+	}
+	if out, _ := inv.OutputBytes("out"); string(out) != "head,mid,tail" {
+		t.Fatalf("out = %q", out)
+	}
+	if pin, _ := inv.PinnedNode("b"); dead == "" || pin == dead {
+		t.Fatalf("b pinned to %q after %q was failed under its shipment", pin, dead)
+	}
+	arrived := map[int]int{}
+	for _, e := range log.ForRequest(inv.ReqID) {
+		if e.Kind == trace.DataArrived && e.Fn == "b" {
+			arrived[e.Idx]++
+		}
+	}
+	if len(arrived) != 3 || arrived[0] != 1 || arrived[1] != 1 || arrived[2] != 1 || inv.Replays() != 0 {
+		t.Fatalf("parts arrived %v with %d replays, want each of 3 once and none replayed", arrived, inv.Replays())
+	}
+	requireSinksDrained(t, sys)
+}
+
+// requireSinksDrained fails the test if a request is still tracked or any
+// node's sink still holds bytes in either tier (resident, retained/spilled).
+func requireSinksDrained(t *testing.T, sys *System) {
+	t.Helper()
+	if got := sys.PendingInvocations(); got != 0 {
+		t.Fatalf("%d invocations still tracked", got)
+	}
+	for _, name := range sys.cfg.Cluster.Nodes() {
+		node, _ := sys.cfg.Cluster.Node(name)
+		if mem, disk := node.Sink.MemBytes(), node.Sink.DiskBytes(); mem != 0 || disk != 0 {
+			t.Fatalf("node %s holds %d mem / %d disk bytes after clean completions", name, mem, disk)
+		}
+	}
+}
+
 // TestRetainingSinksDrainAtCompletion pins the teardown rule for retaining
 // sinks: consumed entries survive their Gets by design, so a clean
 // completion must still run the ReleaseRequest sweep — nothing may outlive
@@ -172,12 +249,7 @@ func TestRetainingSinksDrainAtCompletion(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, name := range sys.cfg.Cluster.Nodes() {
-		node, _ := sys.cfg.Cluster.Node(name)
-		if mem, disk := node.Sink.MemBytes(), node.Sink.DiskBytes(); mem != 0 || disk != 0 {
-			t.Fatalf("node %s retains %d mem / %d disk bytes after clean completions", name, mem, disk)
-		}
-	}
+	requireSinksDrained(t, sys)
 }
 
 // TestFailoverNodeKillMidRun is the availability criterion: with a fleet of

@@ -17,11 +17,10 @@ import (
 // per-System but published to the default registry, so /debug/requests in
 // any process that mounts obs.Handler shows the engine's sampled spans.
 
-// ObsConfig configures the engine's sampled request tracing. Unlike
-// Config.Trace (the full event log, which forces the per-item DLU path so
-// event streams keep their shape), sampling coexists with BatchDLU: a
-// sampled request records coarse stage spans and its trace context rides
-// the batched shipment headers.
+// ObsConfig configures the engine's sampled request tracing: a sampled
+// request records the same stage events Config.Trace logs (without notes)
+// into a bounded ring, and its trace context rides the shipment headers so
+// a remote sink's landing stages correlate.
 type ObsConfig struct {
 	// SampleEvery records spans for one request in every SampleEvery
 	// (request numbers divisible by it). 0 disables sampling; 1 samples
@@ -103,9 +102,15 @@ func publishRing(g *obs.SpanRing) {
 	obs.Default().SetRing(g)
 }
 
-// spanEvent records one stage on the request's sampled span. One nil check
-// when the request is unsampled — the common case.
-func (s *System) spanEvent(inv *Invocation, kind trace.Kind, fn string, idx int) {
+// event records one engine stage of a request on both tracing planes: the
+// full event log (Config.Trace, which alone keeps the note) and the
+// request's sampled span. Two nil checks when neither is on — the common
+// case. Callers format a note only behind their own `s.cfg.Trace != nil`
+// guard (the tracegate analyzer holds hot-path files to that).
+func (s *System) event(inv *Invocation, kind trace.Kind, fn string, idx int, note string) {
+	if s.cfg.Trace != nil {
+		s.cfg.Trace.Append(trace.Event{At: s.now(), Kind: kind, ReqID: inv.ReqID, Fn: fn, Idx: idx, Note: note})
+	}
 	if inv.span != nil {
 		inv.span.Record(kind, s.now(), fn, idx)
 	}

@@ -95,7 +95,7 @@ func (s *System) admit(tenant string) error {
 		obsRejOverload.Inc(0)
 		obsQoSSheds.get(tenant).Inc(0)
 		if s.cfg.Trace != nil {
-			s.traceEvent(trace.Shed, "", "", 0, "tenant "+tenant+": shed")
+			s.cfg.Trace.Append(trace.Event{At: s.now(), Kind: trace.Shed, Note: "tenant " + tenant + ": shed"})
 		}
 		return &qos.ErrOverloaded{Tenant: tenant, Cause: qos.CauseShed, RetryAfter: ra}
 	}
@@ -104,7 +104,7 @@ func (s *System) admit(tenant string) error {
 		obsRejAdmission.Inc(0)
 		obsQoSThrottles.get(tenant).Inc(0)
 		if s.cfg.Trace != nil {
-			s.traceEvent(trace.Shed, "", "", 0, "tenant "+tenant+": admission")
+			s.cfg.Trace.Append(trace.Event{At: s.now(), Kind: trace.Shed, Note: "tenant " + tenant + ": admission"})
 		}
 		return &qos.ErrOverloaded{Tenant: tenant, Cause: qos.CauseAdmission, RetryAfter: ra}
 	}

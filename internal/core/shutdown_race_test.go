@@ -10,12 +10,53 @@ import (
 	"repro/internal/workflow"
 )
 
+// stormUntilShutdown runs eight closed-loop invokers against sys, shuts it
+// down delay after they start — concurrently with the storm — and returns
+// every admitted invocation once the invokers have seen the shutdown.
+func stormUntilShutdown(sys *System, delay time.Duration, input func(g, i int) map[string][]byte) []*Invocation {
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var invs []*Invocation
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				inv, err := sys.Invoke(input(g, i))
+				if err != nil {
+					return // shutdown observed
+				}
+				mu.Lock()
+				invs = append(invs, inv)
+				mu.Unlock()
+			}
+		}(g)
+	}
+	time.Sleep(delay)
+	sys.Shutdown()
+	wg.Wait()
+	return invs
+}
+
+// completedOf counts the invocations that resolved; requests abandoned
+// mid-flight simply stay open.
+func completedOf(invs []*Invocation) (done []*Invocation) {
+	for _, inv := range invs {
+		select {
+		case <-inv.Done():
+			done = append(done, inv)
+		default:
+		}
+	}
+	return done
+}
+
 // TestShutdownDuringInvokeStorm pins the dluEnqueue/Shutdown protocol: a
 // Shutdown issued while a storm of requests is in flight must never panic
 // (the old global channel registry closed channels under a send) and must
 // return with every background goroutine drained. In-flight requests may be
-// abandoned, but every Invocation must still resolve — nothing may hang.
-// Run with -race in CI.
+// abandoned — their Done channels stay open — but nothing may hang: the
+// system itself is quiescent (bg drained by Shutdown). Run with -race in CI.
 func TestShutdownDuringInvokeStorm(t *testing.T) {
 	wf, err := workflow.ParseDSLString(`
 workflow storm
@@ -53,56 +94,13 @@ function b
 			return ctx.Put("out", x)
 		})
 
-		const invokers = 8
-		var wg sync.WaitGroup
-		stop := make(chan struct{})
-		var invMu sync.Mutex
-		var invs []*Invocation
-		for w := 0; w < invokers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					inv, err := sys.Invoke(map[string][]byte{"a.in": []byte("x")})
-					if err != nil {
-						return // shut down
-					}
-					invMu.Lock()
-					invs = append(invs, inv)
-					invMu.Unlock()
-				}
-			}()
-		}
 		// Let the storm build, then shut down concurrently with it.
-		time.Sleep(time.Duration(round) * time.Millisecond)
-		sys.Shutdown()
-		close(stop)
-		wg.Wait()
+		in := map[string][]byte{"a.in": []byte("x")}
+		invs := stormUntilShutdown(sys, time.Duration(round)*time.Millisecond, func(int, int) map[string][]byte { return in })
 		sys.Shutdown() // idempotent
-
-		if _, err := sys.Invoke(map[string][]byte{"a.in": []byte("x")}); err == nil {
+		if _, err := sys.Invoke(in); err == nil {
 			t.Fatal("Invoke accepted after Shutdown")
 		}
-		// Every admitted request must still resolve or be abandoned without
-		// hanging its waiters: Done channels of completed requests are
-		// closed; requests abandoned mid-flight simply stay open, but the
-		// system itself must be quiescent (bg drained by Shutdown).
-		invMu.Lock()
-		completed := 0
-		for _, inv := range invs {
-			select {
-			case <-inv.Done():
-				completed++
-			default:
-			}
-		}
-		total := len(invs)
-		invMu.Unlock()
-		t.Logf("round %d: %d/%d requests completed before shutdown", round, completed, total)
+		t.Logf("round %d: %d/%d requests completed before shutdown", round, len(completedOf(invs)), len(invs))
 	}
 }

@@ -1,65 +1,21 @@
-//repolint:hotpath striped counters back the per-request accounting path
+//repolint:hotpath request-ID blocks are claimed on the Invoke path
 
-// Striped statistics counters and request-ID block allocation.
+// Request-ID block allocation.
 //
-// The Invoke hot path touches a handful of shared atomics per request
-// (the request-ID sequence, the function's pending/put accounting, the
-// node in-flight load). On one core that is free; across cores every
-// Add is a cache-line ping between Ps. Both structures here trade a
-// little memory for making those writes core-local:
-//
-//   - stripedCounter spreads one logical counter over statStripes
-//     cache-line-padded lanes. Writers pick a lane by the request's
-//     stripe tag; readers sum all lanes. Reads are torn across lanes
-//     (no snapshot), which every consumer already tolerates — the
-//     counters feed scaling/pressure heuristics, not invariants.
-//   - idBlock hands each pooled allocator a run of idBlockSize request
-//     numbers from the shared sequence, so the global atomic is touched
-//     once per block instead of once per request. IDs stay unique and
-//     keep the "req-<n>" shape (a fresh system's first request is still
-//     req-1), but numbering is no longer dense: a block dropped by the
-//     pool skips its unused range.
+// The Invoke hot path would touch the shared request-ID sequence once per
+// request; across cores every Add is a cache-line ping between Ps. idBlock
+// hands each pooled allocator a run of idBlockSize request numbers from
+// the shared sequence, so the global atomic is touched once per block
+// instead. IDs stay unique and keep the "req-<n>" shape (a fresh system's
+// first request is still req-1), but numbering is no longer dense: a block
+// dropped by the pool skips its unused range. The block's stripe tag picks
+// the obs.Counter lane every counter update of its requests lands on.
 
 package core
-
-import "sync/atomic"
-
-// statStripes is the lane count for stripedCounter. Must be a power of
-// two (stripe tags are masked with statStripes-1).
-const statStripes = 8
 
 // idBlockSize is the run of request numbers an idBlock claims from the
 // shared sequence at a time.
 const idBlockSize = 256
-
-// paddedInt64 is an atomic counter padded out to its own cache line so
-// neighbouring lanes never false-share.
-type paddedInt64 struct {
-	v atomic.Int64
-	_ [56]byte
-}
-
-// stripedCounter is one logical int64 counter sharded over padded lanes.
-// The zero value is ready to use.
-type stripedCounter struct {
-	lanes [statStripes]paddedInt64
-}
-
-// Add folds d into the lane picked by stripe (masked, any value is safe).
-func (c *stripedCounter) Add(stripe uint32, d int64) {
-	c.lanes[stripe&(statStripes-1)].v.Add(d)
-}
-
-// Load returns the summed value across lanes. Lanes are read one at a
-// time, so concurrent writers can make the sum momentarily skewed by
-// in-flight deltas — fine for the pressure/scaling heuristics it feeds.
-func (c *stripedCounter) Load() int64 {
-	var sum int64
-	for i := range c.lanes {
-		sum += c.lanes[i].v.Load()
-	}
-	return sum
-}
 
 // idBlock is a pooled allocator over [next, end) request numbers. Its
 // stripe tag rides along to every Invocation minted from it, so requests

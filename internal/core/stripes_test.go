@@ -7,41 +7,6 @@ import (
 	"testing"
 )
 
-func TestStripedCounterSumsAcrossLanes(t *testing.T) {
-	var c stripedCounter
-	// Every lane, including masked-out-of-range stripes, lands somewhere
-	// and the sum sees it.
-	for stripe := uint32(0); stripe < 3*statStripes; stripe++ {
-		c.Add(stripe, 2)
-	}
-	if got := c.Load(); got != int64(3*statStripes*2) {
-		t.Fatalf("Load() = %d, want %d", got, 3*statStripes*2)
-	}
-	c.Add(0, -5)
-	if got := c.Load(); got != int64(3*statStripes*2)-5 {
-		t.Fatalf("Load() after negative add = %d", got)
-	}
-}
-
-func TestStripedCounterConcurrentBalancedAddsCancel(t *testing.T) {
-	var c stripedCounter
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				c.Add(uint32(g), 1)
-				c.Add(uint32(g+3), -1) // drain on a different lane
-			}
-		}(g)
-	}
-	wg.Wait()
-	if got := c.Load(); got != 0 {
-		t.Fatalf("balanced adds left Load() = %d", got)
-	}
-}
-
 // TestRequestIDsUniqueAndWellFormed pins the ID contract the block
 // allocator must preserve: the first request on a fresh system is always
 // req-1 (the first block claims the sequence head), every ID keeps the
@@ -51,15 +16,8 @@ func TestStripedCounterConcurrentBalancedAddsCancel(t *testing.T) {
 func TestRequestIDsUniqueAndWellFormed(t *testing.T) {
 	sys, _ := newWCSystem(t, 1, nil)
 	defer sys.Shutdown()
-	inv, err := sys.Invoke(map[string][]byte{"start.src": []byte("a b")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inv.ReqID != "req-1" {
+	if inv := runWC(t, sys, "a b"); inv.ReqID != "req-1" {
 		t.Fatalf("first invoke got ReqID %q, want req-1", inv.ReqID)
-	}
-	if err := inv.Wait(); err != nil {
-		t.Fatal(err)
 	}
 
 	const goroutines, perG = 8, 100

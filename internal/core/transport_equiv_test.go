@@ -62,29 +62,22 @@ func newRemoteWCSystem(t testing.TB, nodes int, cfgMut func(*Config)) *System {
 
 // TestTransportEquivalence: a 200-request wordcount storm produces
 // byte-identical outputs (runWCStorm checks each one) and identical merged
-// sink statistics whether the data plane is the inproc transport (the PR 8
-// hot path) or TCP framing to per-node sink servers. PeakMemBytes is
-// excluded — it depends on scheduling interleavings, not on the op stream.
+// sink statistics whether the data plane is the inproc transport or TCP
+// framing to per-node sink servers. PeakMemBytes is excluded — it depends
+// on scheduling interleavings, not on the op stream.
 func TestTransportEquivalence(t *testing.T) {
 	const requests = 200
-	for _, batch := range []bool{false, true} {
-		batch := batch
-		t.Run(fmt.Sprintf("BatchDLU=%v", batch), func(t *testing.T) {
-			mut := func(cfg *Config) { cfg.BatchDLU = batch }
+	local := newUntracedWCSystem(t, 3, nil)
+	defer local.Shutdown()
+	localStats := runWCStorm(t, local, requests)
+	localStats.PeakMemBytes = 0
 
-			local, _ := newWCSystem(t, 3, mut)
-			defer local.Shutdown()
-			localStats := runWCStorm(t, local, requests)
-			localStats.PeakMemBytes = 0
+	remote := newRemoteWCSystem(t, 3, nil)
+	defer remote.Shutdown()
+	remoteStats := runWCStorm(t, remote, requests)
+	remoteStats.PeakMemBytes = 0
 
-			remote := newRemoteWCSystem(t, 3, mut)
-			defer remote.Shutdown()
-			remoteStats := runWCStorm(t, remote, requests)
-			remoteStats.PeakMemBytes = 0
-
-			if localStats != remoteStats {
-				t.Fatalf("sink stats diverge:\ninproc %+v\ntcp    %+v", localStats, remoteStats)
-			}
-		})
+	if localStats != remoteStats {
+		t.Fatalf("sink stats diverge:\ninproc %+v\ntcp    %+v", localStats, remoteStats)
 	}
 }

@@ -6,10 +6,10 @@
 //
 // # Instruments
 //
-// Counter generalizes internal/core's stripedCounter (PR 8): one logical
-// int64 spread over cache-line-padded lanes so concurrent writers on
-// different Ps never ping the same line. Writers pick a lane with a stripe
-// tag (any value — it is masked); readers sum the lanes. Histogram applies
+// Counter is one logical int64 spread over cache-line-padded lanes so
+// concurrent writers on different Ps never ping the same line. Writers pick
+// a lane with a stripe tag (any value — it is masked); readers sum the
+// lanes. Histogram applies
 // the same striping to a fixed set of log2-spaced buckets (bucket i counts
 // values v with bits.Len64(v) == i, i.e. v < 2^i), so Observe is two
 // atomic adds and snapshots merge by element-wise addition — associative

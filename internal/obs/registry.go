@@ -7,9 +7,9 @@ import (
 )
 
 // NumStripes is the lane count of striped instruments. Must be a power of
-// two (stripe tags are masked with NumStripes-1). It matches
-// internal/core's statStripes so an Invocation's stripe tag maps 1:1 onto
-// obs lanes.
+// two (stripe tags are masked with NumStripes-1). internal/core mints its
+// Invocations' stripe tags modulo it, so a request stays on one lane of
+// every instrument it touches.
 const NumStripes = 8
 
 // paddedInt64 is an atomic counter padded out to its own cache line so
@@ -19,8 +19,9 @@ type paddedInt64 struct {
 	_ [56]byte
 }
 
-// Counter is one logical monotonic int64 sharded over padded lanes. The
-// zero value is ready to use.
+// Counter is one logical int64 sharded over padded lanes. Registered
+// counters only grow; the engine also embeds zero-value Counters as
+// up/down in-flight tallies. The zero value is ready to use.
 type Counter struct {
 	lanes [NumStripes]paddedInt64
 }

@@ -51,6 +51,39 @@ func TestRegistryConcurrentLookup(t *testing.T) {
 	}
 }
 
+// The engine embeds zero-value Counters as up/down tallies (in-flight
+// instances, pending work), so a Counter must sum every lane — masked
+// out-of-range stripes included — and take negative deltas.
+func TestCounterSumsAcrossLanes(t *testing.T) {
+	var c Counter
+	for stripe := uint32(0); stripe < 3*NumStripes; stripe++ {
+		c.Add(stripe, 2)
+	}
+	c.Add(0, -5)
+	if got, want := c.Load(), int64(3*NumStripes*2-5); got != want {
+		t.Fatalf("Load() = %d, want %d", got, want)
+	}
+}
+
+func TestCounterConcurrentBalancedAddsCancel(t *testing.T) {
+	var c Counter
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				c.Add(uint32(g), 1)
+				c.Add(uint32(g+3), -1) // drain on a different lane
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := c.Load(); got != 0 {
+		t.Fatalf("balanced adds left Load() = %d", got)
+	}
+}
+
 func TestSnapshotAndGaugeFuncs(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c_total").Add(0, 2)

@@ -23,8 +23,9 @@ import (
 	"repro/internal/wmm"
 )
 
-// DefaultBatchTasks caps how many queued DLU tasks one batched shipment
-// drains (the engine's Config.DLUBatchTasks default).
+// DefaultBatchTasks caps how many queued DLU tasks the engine's DLU daemon
+// drains into one shipment batch. A constant, not an option: no caller
+// ever needed another value.
 const DefaultBatchTasks = 64
 
 // Pacing is the source-side shaping of one shipment: the producing
