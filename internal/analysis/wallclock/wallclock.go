@@ -27,9 +27,10 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-// banned is the set of time-package functions that read the wall clock or
-// arm real timers. Pure data types (time.Duration, time.Time arithmetic)
-// stay allowed.
+// banned is the set of package-level time functions that read the wall
+// clock or arm real timers. Pure data types (time.Duration, time.Time
+// arithmetic) stay allowed, and so do methods that happen to share a name:
+// time.Time.After is a comparison, not time.After.
 var banned = map[string]bool{
 	"Now":       true,
 	"Sleep":     true,
@@ -62,6 +63,9 @@ func run(pass *analysis.Pass) error {
 			fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
 			if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "time" || !banned[fn.Name()] {
 				return true
+			}
+			if fn.Type().(*types.Signature).Recv() != nil {
+				return true // a method (t.After(u)), not the package-level function
 			}
 			pass.Reportf(sel.Pos(), "time.%s reads the wall clock; inject a clock.Clock so simulation stays deterministic", fn.Name())
 			return true

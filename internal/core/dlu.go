@@ -92,7 +92,8 @@ func (c *Context) InputList(name string) ([][]byte, error) {
 // called in the middle of the function body; the transfer proceeds
 // asynchronously while the FLU keeps computing (§5.1). When backpressure is
 // detected (Eq. 1), Put blocks the calling FLU for the pressure duration
-// (the Callstack blocking signal) and the engine pre-warms a container.
+// (the Callstack blocking signal) and the engine pre-warms a container; the
+// payload is already with the DLU by then, so it ships during the block.
 func (c *Context) Put(output string, payload []byte) error {
 	// Route copies values out without retaining the slice, so the
 	// single-value wrapper stays on this stack.
@@ -152,7 +153,9 @@ func (c *Context) put(output string, values []dataflow.Value, switchCase int) er
 	for _, it := range items {
 		totalSize += it.Value.Size
 	}
-	// Pressure-aware scaling (Eq. 1): Pressure = α·Size/Bw − T_FLU.
+	// Pressure-aware scaling (Eq. 1): Pressure = α·Size/Bw − T_FLU. Computed
+	// before the enqueue, which hands items (and its backing) to the daemon.
+	var pressure time.Duration
 	if !s.cfg.DisablePressure && totalSize > 0 {
 		bw := c.ctr.Limiter.Rate()
 		if s.hasRemote {
@@ -164,14 +167,7 @@ func (c *Context) put(output string, values []dataflow.Value, switchCase int) er
 			}
 		}
 		if bw > 0 {
-			tflu := c.fst.avg()
-			pressure := time.Duration(s.cfg.Alpha*float64(totalSize)/bw*float64(time.Second)) - tflu
-			if pressure > 0 {
-				s.prewarm(c.Instance.Fn, c.ctr.Node)
-				// Callstack blocking: throttle this FLU so its producing
-				// rate matches the DLU's consuming rate.
-				c.ctr.Node.Clock().Sleep(pressure)
-			}
+			pressure = time.Duration(s.cfg.Alpha*float64(totalSize)/bw*float64(time.Second)) - c.fst.avg()
 		}
 	}
 	if s.trackPut {
@@ -180,9 +176,19 @@ func (c *Context) put(output string, values []dataflow.Value, switchCase int) er
 		c.fst.putBytes.Add(c.inv.stripe, totalSize)
 		c.fst.putCount.Add(c.inv.stripe, 1)
 	}
-	// Hand the items to the container's DLU daemon (FIFO).
+	// Hand the items to the container's DLU daemon (FIFO) first: the DLU is
+	// asynchronous (§5.1), so the data ships during the pressure block below
+	// rather than after it.
 	c.ctr.AddDLUPending(totalSize)
-	s.dluEnqueue(c.ctr, cluster.DLUTask{Ref: inv, Items: items, Buf: box})
+	if !s.dluEnqueue(c.ctr, cluster.DLUTask{Ref: inv, Items: items, Buf: box}) {
+		return nil // shutting down: nothing shipped, nothing to throttle for
+	}
+	if pressure > 0 {
+		s.prewarm(c.Instance.Fn, c.ctr.Node)
+		// Callstack blocking: throttle this FLU so its producing rate
+		// matches the DLU's consuming rate.
+		c.ctr.Node.Clock().Sleep(pressure)
+	}
 	return nil
 }
 
@@ -216,15 +222,15 @@ func (s *System) prewarm(fn string, node *cluster.Node) {
 // goroutine (tracked in bg) when the enqueue reports a freshly created
 // queue. A refused enqueue means the DLU plane is shutting down: the task
 // is dropped and its pending-byte accounting unwound so the keep-alive rule
-// stays exact.
-func (s *System) dluEnqueue(ctr *cluster.Container, task cluster.DLUTask) {
+// stays exact. It reports whether the task was accepted.
+func (s *System) dluEnqueue(ctr *cluster.Container, task cluster.DLUTask) bool {
 	queue, ok := ctr.DLUEnqueue(task)
 	if !ok {
 		for _, it := range task.Items {
 			ctr.AddDLUPending(-it.Value.Size)
 		}
 		recycleItems(task)
-		return
+		return false
 	}
 	if queue != nil {
 		s.bg.Add(1)
@@ -233,6 +239,7 @@ func (s *System) dluEnqueue(ctr *cluster.Container, task cluster.DLUTask) {
 			s.dluDaemon(ctr, queue)
 		}()
 	}
+	return true
 }
 
 // remoteBpsFloor returns the lowest observed wire throughput among the

@@ -473,6 +473,14 @@ func TestTenantStormInvokeVsGovernorVsShutdown(t *testing.T) {
 			}()
 		}
 		time.Sleep(25 * time.Millisecond)
+		// The first completion queues behind the whole backlog's first
+		// stages (~64 executions at capacity 3), which on a starved box
+		// outlasts the window: wait for the event, not for the sleep.
+		waitFor(t, 5*time.Second, func() bool {
+			invMu.Lock()
+			defer invMu.Unlock()
+			return len(completedOf(invs)) > 0
+		}, "storm completed nothing")
 		sys.Shutdown() // races in-flight Invokes and the governor
 		close(stop)
 		wg.Wait()

@@ -1,7 +1,11 @@
 package pipe
 
 import (
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"repro/internal/clock"
 )
 
 // BenchmarkStreamingTransfer measures the chunked transfer path with
@@ -36,4 +40,38 @@ func BenchmarkSocketFastPath(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// parkCounter is the wall clock, counting the limiter's timer parks.
+type parkCounter struct {
+	clock.Wall
+	parks atomic.Int64
+}
+
+func (c *parkCounter) Sleep(d time.Duration) {
+	c.parks.Add(1)
+	c.Wall.Sleep(d)
+}
+
+// BenchmarkStreamTransfer measures the paced streaming pipe on the wall
+// clock: back-to-back transfers of one relay hop's payload through a TC
+// class, reporting the rate the limiter actually delivers and how many
+// timer parks a transfer costs (wire time is 0.66 ms; every park adds the
+// box's sleep floor unless deadline pacing earns it back).
+func BenchmarkStreamTransfer(b *testing.B) {
+	b.Run("256KiB@400MBps", func(b *testing.B) {
+		p := payload(256 << 10)
+		clk := &parkCounter{}
+		lims := []*Limiter{NewLimiter(clk, 400e6)}
+		deliver := func(int64, []byte, int64) {}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tr := &Transfer{Payload: p, Limiters: lims, FailAfter: -1, Clock: clk}
+			if _, err := tr.Run(0, deliver); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.N)*float64(len(p))/1e6/b.Elapsed().Seconds(), "MB/s")
+		b.ReportMetric(float64(clk.parks.Load())/float64(b.N), "parks/transfer")
+	})
 }

@@ -17,6 +17,11 @@
 // stream IDs, partitions to per-container streams, and Kafka's offset
 // tracking to the CheckpointLog.
 //
+// Pacing is deadline-based (see Limiter): a chunk waits until the instant
+// the bytes before it have drained at the class rate, not for a sleep of
+// its own length, so a timer that wakes late delays a stream once instead
+// of once per chunk. On a clock that wakes on time the two are the same.
+//
 // The engine no longer calls these primitives directly: ship/land go
 // through internal/transport, whose in-process implementation
 // (transport.Inproc) composes the limiters, the checkpointed streaming
@@ -52,11 +57,29 @@ var ErrInjectedFailure = errors.New("pipe: injected transfer failure")
 // changed mid-stream with SetRate (a TC class re-shape): debt already
 // folded into the bucket keeps its old price, future charges pay the new
 // one.
+//
+// Pacing is by deadline, not by sleep: the bucket deadline (next) advances
+// by exactly bytes/rate per charge, and a taker parks until that deadline.
+// Link time the stream left idle is forgiven (a late charge restarts the
+// bucket at now), but the limiter's own oversleep is not idle time: when a
+// park wakes after its deadline, the stretch between the two stays on the
+// books as credit, and the following charges of the same busy stream draw
+// on it instead of each parking for the timer's floor again. The guarantee
+// is therefore two-sided. From an idle limiter, no prefix of n bytes passes
+// sooner than n/rate - limiterGranularity, on any clock. And a busy stream
+// gets back every park's lateness up to limiterMaxCredit, so only its last
+// park's is lost. On a clock that wakes on time (clock.Manual, the
+// simulation plane) there is no lateness and hence never any credit.
 type Limiter struct {
 	mu   sync.Mutex
 	clk  clock.Clock
 	rate atomic.Uint64 // math.Float64bits(bytes per second)
+	// next is the bucket deadline: the instant the bytes charged so far
+	// have drained at the configured rate.
 	next time.Time
+	// woke is the instant credit was last granted (a late wake-up) or drawn
+	// on; the credit itself is woke - next while that is positive.
+	woke time.Time
 }
 
 // NewLimiter returns a limiter enforcing bytesPerSec on clk. A
@@ -84,42 +107,33 @@ func (l *Limiter) SetRate(bytesPerSec float64) {
 	l.rate.Store(math.Float64bits(bytesPerSec))
 }
 
-// limiterGranularity is the smallest wait Take actually sleeps. Shorter
+// limiterGranularity is the smallest wait a charge actually sleeps. Shorter
 // charges stay accumulated in the bucket (l.next) and are paid once they
 // aggregate past the threshold — the timer-wheel granularity a kernel TC
-// class has. The long-run rate stays exact, but a sub-granularity charge no
-// longer costs a timer park (~tens of microseconds of wall time for a
-// nanosecond-scale debt).
+// class has — so a sub-granularity charge costs no timer park (~tens of
+// microseconds of wall time, at best, for a nanosecond-scale debt). It is
+// also the bound on how far ahead of the configured rate a stream can run
+// (the unparked debt), and the idle gap after which oversleep credit
+// expires.
 const limiterGranularity = 100 * time.Microsecond
 
+// limiterMaxCredit bounds the oversleep a late wake-up leaves as credit:
+// however long a parked taker was stalled, at most this much link time
+// passes unpaced afterwards (the burst a TC class accumulates over one
+// timer tick at HZ=250). Lateness beyond it is lost.
+const limiterMaxCredit = 4 * time.Millisecond
+
 // Take blocks until n bytes may pass.
-func (l *Limiter) Take(n int64) {
-	if l == nil || n <= 0 {
-		return
-	}
-	rate := l.Rate()
-	if rate <= 0 {
-		return
-	}
-	// A charge that rounds to less than one nanosecond cannot advance the
-	// bucket (the duration truncates to zero below), so skip the lock and
-	// clock read entirely. The rate is re-read under the lock: a racing
-	// SetRate may price this charge at either rate, but never corrupts the
-	// bucket.
-	if float64(n)*float64(time.Second) < rate {
-		return
-	}
-	l.charge(n)
-}
+func (l *Limiter) Take(n int64) { l.TakeN(1, n) }
 
 // TakeN charges a batch of count items totalling n bytes in one debt
 // computation: one lock acquisition, one clock read and at most one timer
 // park for the whole batch, where count per-item Takes would pay count of
-// each. The bucket advances by the same total, so the long-run rate is
-// identical to per-item charging — except that TakeN never loses the batch
-// to per-item truncation: items individually under the one-nanosecond
-// charge floor (which Take skips) still pay once their batch total crosses
-// it, so a batch is if anything charged more faithfully than its items.
+// each. The bucket advances by the same total, so the pacing is identical
+// to per-item charging — except that TakeN never loses the batch to
+// per-item truncation: items individually under the one-nanosecond charge
+// floor (which Take skips) still pay once their batch total crosses it, so
+// a batch is if anything charged more faithfully than its items.
 func (l *Limiter) TakeN(count int, n int64) {
 	if l == nil || count <= 0 || n <= 0 {
 		return
@@ -128,15 +142,20 @@ func (l *Limiter) TakeN(count int, n int64) {
 	if rate <= 0 {
 		return
 	}
+	// A charge that rounds to less than one nanosecond cannot advance the
+	// bucket (the duration truncates to zero in charge), so skip the lock
+	// and clock read entirely. The rate is re-read under the lock: a racing
+	// SetRate may price this charge at either rate, but never corrupts the
+	// bucket.
 	if float64(n)*float64(time.Second) < rate {
 		return
 	}
 	l.charge(n)
 }
 
-// charge folds n bytes of debt into the bucket and parks for the
-// accumulated wait once it crosses the granularity. The rate is re-read
-// under the lock (see Take).
+// charge folds n bytes of debt into the bucket and parks until the bucket
+// deadline once the accumulated wait crosses the granularity. The rate is
+// re-read under the lock (see TakeN).
 func (l *Limiter) charge(n int64) {
 	l.mu.Lock()
 	rate := l.Rate()
@@ -146,14 +165,30 @@ func (l *Limiter) charge(n int64) {
 	}
 	now := l.clk.Now()
 	if l.next.Before(now) {
-		l.next = now
+		// The bucket drained before this charge arrived. The time since is
+		// idle link time and is forgiven — except the stretch up to a late
+		// wake-up, which was the timer, not the stream: that much stays as
+		// credit while the stream keeps the limiter busy.
+		credit := l.woke.Sub(l.next)
+		if credit <= 0 || now.Sub(l.woke) >= limiterGranularity {
+			credit = 0
+		} else if credit > limiterMaxCredit {
+			credit = limiterMaxCredit
+		}
+		l.next, l.woke = now.Add(-credit), now
 	}
 	l.next = l.next.Add(time.Duration(float64(n) / rate * float64(time.Second)))
 	wait := l.next.Sub(now)
 	l.mu.Unlock()
-	if wait >= limiterGranularity {
-		l.clk.Sleep(wait)
+	if wait < limiterGranularity {
+		return
 	}
+	l.clk.Sleep(wait)
+	l.mu.Lock()
+	if woke := l.clk.Now(); woke.After(l.next) {
+		l.woke = woke // overslept past every queued deadline: grant credit
+	}
+	l.mu.Unlock()
 }
 
 // Checkpoint is one incremental progress record of a stream.
