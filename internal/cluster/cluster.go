@@ -51,6 +51,18 @@ func (s Spec) BandwidthBps() float64 {
 // MemoryBytes returns the container memory in bytes.
 func (s Spec) MemoryBytes() int64 { return int64(s.MemoryMB) << 20 }
 
+// DefaultAlpha is the transfer loss factor α of Eq. 1.
+const DefaultAlpha = 1.1
+
+// Pressure is Eq. 1, α·Size/Bw − T_FLU: how much longer shipping bytes at
+// bps takes than the FLU takes to produce them. Positive means the function
+// is transfer-bound and its FLU should be throttled by that much. Both
+// planes call it, and the operand order is part of the contract: the
+// simulation's figures are byte-stable only while the float rounding is.
+func Pressure(alpha, bytes, bps float64, tFLU time.Duration) time.Duration {
+	return time.Duration(alpha*bytes/bps*float64(time.Second)) - tFLU
+}
+
 // State is a container lifecycle state.
 type State int
 

@@ -141,6 +141,31 @@ type Rebalancer interface {
 	Rebalance(cur *RoutingSnapshot, functions []string, nodes []string, loads Loads) *RoutingSnapshot
 }
 
+// PickReplica is the replica decision both planes make: among reps that
+// pass routable, prefer itself when it is a member (locality-first — the
+// producer's output skips the network ship), else the lowest load reading
+// (the earlier replica wins a tie). It returns the chosen index, or
+// ok=false when nothing is routable. A fault-oblivious caller passes an
+// always-true predicate; a backfill is a second call over the node
+// universe with N's zero value as prefer.
+func PickReplica[N comparable](reps []N, prefer N, routable func(N) bool, load func(N) int64) (idx int, ok bool) {
+	for i, n := range reps {
+		if n == prefer && routable(n) {
+			return i, true // no load is read when locality answers
+		}
+	}
+	var best int64
+	for i, n := range reps {
+		if !routable(n) {
+			continue
+		}
+		if l := load(n); !ok || l < best {
+			idx, best, ok = i, l, true
+		}
+	}
+	return idx, ok
+}
+
 // replicaSet builds the k-replica set starting at nodes[start], wrapping
 // round-robin and annotating each replica with its load hint.
 func replicaSet(nodes []string, start, k int, loads Loads) []Replica {

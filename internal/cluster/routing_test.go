@@ -176,3 +176,47 @@ func TestClusterReadersDoNotContend(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestPickReplica pins the replica decision both planes share. Nodes are
+// names; down lists the unroutable ones and load their readings.
+func TestPickReplica(t *testing.T) {
+	cases := []struct {
+		name   string
+		reps   []string
+		prefer string
+		down   []string
+		load   map[string]int64
+		want   int
+		wantOK bool
+	}{
+		{name: "preferred member routable wins over lower load",
+			reps: []string{"a", "b", "c"}, prefer: "c", load: map[string]int64{"a": 0, "b": 1, "c": 9}, want: 2, wantOK: true},
+		{name: "preferred member unroutable falls to least loaded",
+			reps: []string{"a", "b", "c"}, prefer: "c", down: []string{"c"}, load: map[string]int64{"a": 5, "b": 1}, want: 1, wantOK: true},
+		{name: "preferred not a member falls to least loaded",
+			reps: []string{"a", "b"}, prefer: "z", load: map[string]int64{"a": 3, "b": 2}, want: 1, wantOK: true},
+		{name: "load tie goes to the first",
+			reps: []string{"a", "b", "c"}, load: map[string]int64{"a": 4, "b": 2, "c": 2}, want: 1, wantOK: true},
+		{name: "least loaded skips the unroutable",
+			reps: []string{"a", "b", "c"}, down: []string{"a"}, load: map[string]int64{"a": 0, "b": 7, "c": 3}, want: 2, wantOK: true},
+		{name: "single replica",
+			reps: []string{"a"}, load: map[string]int64{"a": 100}, want: 0, wantOK: true},
+		{name: "single replica unroutable",
+			reps: []string{"a"}, down: []string{"a"}},
+		{name: "nothing routable",
+			reps: []string{"a", "b"}, prefer: "a", down: []string{"a", "b"}},
+		{name: "empty set"},
+	}
+	for _, tc := range cases {
+		down := map[string]bool{}
+		for _, n := range tc.down {
+			down[n] = true
+		}
+		routable := func(n string) bool { return !down[n] }
+		load := func(n string) int64 { return tc.load[n] }
+		got, ok := PickReplica(tc.reps, tc.prefer, routable, load)
+		if ok != tc.wantOK || (ok && got != tc.want) {
+			t.Errorf("%s: PickReplica = %d, %v; want %d, %v", tc.name, got, ok, tc.want, tc.wantOK)
+		}
+	}
+}

@@ -4,9 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -48,14 +46,6 @@ func newBenchSystem(b testing.TB, cfgMut ...func(*Config)) *System {
 		Workflow:    wf,
 		Cluster:     cl,
 		DefaultSpec: cluster.Spec{MemoryMB: 10 * 1024},
-	}
-	// BENCH_OBS_SAMPLE=N turns on 1-in-N sampled request tracing for the
-	// metrics-on leg of the bench-gate matrix (0/unset = sampling off; the
-	// metric instruments are always on either way).
-	if v := os.Getenv("BENCH_OBS_SAMPLE"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			cfg.Obs.SampleEvery = n
-		}
 	}
 	for _, mut := range cfgMut {
 		mut(&cfg)
@@ -142,12 +132,11 @@ func runInvokeThroughput(b *testing.B, sys *System, g int) {
 // BenchmarkInvokeThroughput measures the runtime-plane control path.
 //
 // goroutines=G varies client concurrency at whatever GOMAXPROCS the run
-// was launched with (the gated configuration). cores=N is the scaling
-// curve: the engine is rebuilt under GOMAXPROCS=N and driven by 8*N
-// closed-loop clients, so the N∈{1,2,4,8}
-// series shows how throughput scales with cores. On a 1-core runner the
-// curve is flat by construction — the committed BENCH_PR8.json records
-// the curve measured on the CI box; see README for multi-core numbers.
+// was launched with. cores=N is the scaling curve: the engine is rebuilt
+// under GOMAXPROCS=N and driven by 8*N closed-loop clients, so the
+// N∈{1,2,4,8} series shows how throughput scales with cores. On a 1-core
+// runner the curve is flat by construction; see README for multi-core
+// numbers.
 func BenchmarkInvokeThroughput(b *testing.B) {
 	for _, g := range []int{1, 8, 16, 64} {
 		b.Run(fmt.Sprintf("goroutines=%d", g), func(b *testing.B) {

@@ -55,9 +55,6 @@ import (
 // emits outputs through the Context (the DLU interface).
 type Handler func(ctx *Context) error
 
-// DefaultAlpha is the transfer loss factor α of Eq. 1.
-const DefaultAlpha = 1.1
-
 // DefaultMaxContainersPerFn bounds auto-scaling per function.
 const DefaultMaxContainersPerFn = 32
 
@@ -74,7 +71,7 @@ type Config struct {
 	// DefaultSpec is used when Spec has no entry (128 MB when zero).
 	DefaultSpec cluster.Spec
 
-	// Alpha is Eq. 1's loss factor (DefaultAlpha when 0).
+	// Alpha is Eq. 1's loss factor (cluster.DefaultAlpha when 0).
 	Alpha float64
 	// DisablePressure turns off pressure-aware scaling (the
 	// DataFlower-Non-aware ablation).
@@ -365,7 +362,7 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	if cfg.Alpha == 0 {
-		cfg.Alpha = DefaultAlpha
+		cfg.Alpha = cluster.DefaultAlpha
 	}
 	if cfg.MaxContainersPerFn == 0 {
 		cfg.MaxContainersPerFn = DefaultMaxContainersPerFn
@@ -591,38 +588,29 @@ type routePin struct {
 	ordinal int // replica ordinal at pin time (stamps Item.Replica)
 }
 
-// selectReplica picks fn's replica for a new pin: prefer, when it hosts a
-// replica (locality-first — the producer's output skips the network ship),
-// else the replica whose node has the lowest load reading (in-flight
-// instances; under QoS, plus the pinning tenant's own in-flight there, so
-// a hot tenant spreads instead of stacking — see replicaLoad). Under the
+// selectReplica picks fn's replica for a new pin: cluster.PickReplica over
+// the replica set with replicaLoad as the reading. Under the
 // fault-tolerance plane only Up nodes are pinnable (a draining node takes
-// no new pins, a dead one nothing), with a fallback to any Up cluster node
-// when the whole replica set is unhealthy — the synchronous counterpart of
-// the scaler's backfill.
-func (s *System) selectReplica(st *fnState, prefer *cluster.Node, tenant string) (*cluster.Node, int) {
+// no new pins, a dead one nothing), and a wholly unhealthy set is
+// backfilled from any Up cluster node — the synchronous counterpart of the
+// scaler's backfill — under an ordinal past the set, which keeps sink keys
+// unique per node. ok=false means nothing is routable at all: a new pin
+// limps on the returned primary until something recovers, a repair leaves
+// its pin alone.
+func (s *System) selectReplica(st *fnState, prefer *cluster.Node, tenant string) (n *cluster.Node, ordinal int, ok bool) {
 	reps := st.replicaList()
+	routable := func(*cluster.Node) bool { return true }
 	if s.ft {
-		return s.selectHealthyReplica(st, reps, prefer, tenant)
+		routable = (*cluster.Node).Routable
 	}
-	if len(reps) == 1 {
-		return reps[0], 0
+	load := func(n *cluster.Node) int64 { return s.replicaLoad(n, tenant) }
+	if i, ok := cluster.PickReplica(reps, prefer, routable, load); ok {
+		return reps[i], i, true
 	}
-	if prefer != nil {
-		for i, n := range reps {
-			if n == prefer {
-				return n, i
-			}
-		}
+	if i, ok := cluster.PickReplica(s.allNodes, nil, routable, load); ok {
+		return s.allNodes[i], len(reps) + i, true
 	}
-	best, bi := reps[0], 0
-	bl := s.replicaLoad(reps[0], tenant)
-	for i := 1; i < len(reps); i++ {
-		if l := s.replicaLoad(reps[i], tenant); l < bl {
-			best, bi, bl = reps[i], i, l
-		}
-	}
-	return best, bi
+	return reps[0], 0, false
 }
 
 // routeFor resolves the node serving fn for this request, pinning the
@@ -648,7 +636,7 @@ func (s *System) routeFor(inv *Invocation, st *fnState, prefer *cluster.Node) (*
 			return n, o
 		}
 	}
-	n, o := s.selectReplica(st, prefer, inv.tenant)
+	n, o, _ := s.selectReplica(st, prefer, inv.tenant)
 	inv.route = append(inv.route, routePin{fn: st.name, node: n, ordinal: o})
 	inv.mu.Unlock()
 	return n, o

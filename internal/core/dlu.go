@@ -167,7 +167,7 @@ func (c *Context) put(output string, values []dataflow.Value, switchCase int) er
 			}
 		}
 		if bw > 0 {
-			pressure = time.Duration(s.cfg.Alpha*float64(totalSize)/bw*float64(time.Second)) - c.fst.avg()
+			pressure = cluster.Pressure(s.cfg.Alpha, float64(totalSize), bw, c.fst.avg())
 		}
 	}
 	if s.trackPut {

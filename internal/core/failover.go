@@ -63,9 +63,10 @@ func (s *System) repairLocked(inv *Invocation) {
 			continue
 		}
 		st := s.fns[inv.route[i].fn]
-		next, ordinal := s.selectReplica(st, nil, inv.tenant)
-		if next == dead {
-			// Nothing healthier exists (whole cluster down); leave the pin.
+		next, ordinal, ok := s.selectReplica(st, nil, inv.tenant)
+		if !ok {
+			// Nothing is routable (whole cluster down): leave the pin rather
+			// than replay into another dead sink.
 			continue
 		}
 		inv.route[i].node = next
@@ -110,50 +111,6 @@ func (s *System) replayLocked(inv *Invocation, fn string, dead, next *cluster.No
 	return replayed
 }
 
-// selectHealthyReplica is selectReplica's fault-tolerant arm: locality
-// first among Up replicas, then least-loaded Up replica, then any Up
-// cluster node (ordinals beyond the replica set keep sink keys unique per
-// node), then — with nothing Up at all — the primary, leaving the request
-// to limp until something recovers.
-func (s *System) selectHealthyReplica(st *fnState, reps []*cluster.Node, prefer *cluster.Node, tenant string) (*cluster.Node, int) {
-	if prefer != nil && prefer.Routable() {
-		for i, n := range reps {
-			if n == prefer {
-				return n, i
-			}
-		}
-	}
-	var best *cluster.Node
-	bi := 0
-	var bl int64
-	for i, n := range reps {
-		if !n.Routable() {
-			continue
-		}
-		l := s.replicaLoad(n, tenant)
-		if best == nil || l < bl {
-			best, bi, bl = n, i, l
-		}
-	}
-	if best != nil {
-		return best, bi
-	}
-	// Whole replica set unhealthy: backfill from the cluster at large.
-	for i, n := range s.allNodes {
-		if !n.Routable() {
-			continue
-		}
-		l := s.replicaLoad(n, tenant)
-		if best == nil || l < bl {
-			best, bi, bl = n, len(reps)+i, l
-		}
-	}
-	if best != nil {
-		return best, bi
-	}
-	return reps[0], 0
-}
-
 // relandTarget resolves where an in-flight shipment for fn must land after
 // its destination died: repair the request's pins, then return fn's (now
 // healthy) pin. A missing pin can only mean the request never pinned fn on
@@ -168,7 +125,7 @@ func (s *System) relandTarget(inv *Invocation, fn string) (*cluster.Node, int) {
 			return inv.route[i].node, inv.route[i].ordinal
 		}
 	}
-	n, o := s.selectReplica(st, nil, inv.tenant)
+	n, o, _ := s.selectReplica(st, nil, inv.tenant)
 	inv.route = append(inv.route, routePin{fn: fn, node: n, ordinal: o})
 	return n, o
 }

@@ -159,6 +159,86 @@ func TestFailoverReplaysLostShipment(t *testing.T) {
 	}
 }
 
+// TestFailoverLeavesPinWhenNothingRoutable pins c on its non-primary
+// replica (w1 of [w3 w1]: w3 drains while the request pins, then recovers),
+// lands a piece there and fails the whole cluster. While nothing is
+// routable a repair has nowhere better to go: the pin must stay put and
+// nothing may be "replayed" into the equally dead primary's sink.
+func TestFailoverLeavesPinWhenNothingRoutable(t *testing.T) {
+	gate := make(chan struct{})
+	sys := newFaultSystem(t, 3, gate, nil)
+	defer sys.Shutdown()
+	cl := sys.cfg.Cluster
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	must(cl.DrainNode("w3"))
+	inv, err := sys.Invoke(map[string][]byte{"a.in": []byte("head")})
+	must(err)
+	if cPin := waitPinned(t, inv, "c"); cPin != "w1" {
+		t.Fatalf("c pinned to %s, want the non-primary w1", cPin)
+	}
+	w1, _ := cl.Node("w1")
+	waitFor(t, 5*time.Second, func() bool { return w1.Sink.MemBytes() > 0 },
+		"piece 0 never landed on c's pin")
+	must(cl.RecoverNode("w3"))
+	w3, _ := cl.Node("w3")
+	putsBefore := w3.Sink.Stats().Puts
+
+	for _, name := range []string{"w1", "w2", "w3"} {
+		must(cl.FailNode(name))
+	}
+	close(gate) // b[1], b[2] ship towards c and touch the dead pin
+
+	// In-process sinks still answer while marked Down, so the request limps
+	// to an end either way; what matters is what the repairs did meanwhile.
+	_ = inv.Wait()
+	if got, _ := inv.PinnedNode("c"); got != "w1" {
+		t.Fatalf("c's pin moved to %s with nothing routable", got)
+	}
+	if n := inv.Replays(); n != 0 {
+		t.Fatalf("%d pieces replayed into a dead sink", n)
+	}
+	if got := w3.Sink.Stats().Puts; got != putsBefore {
+		t.Fatalf("dead primary's sink took %d puts", got-putsBefore)
+	}
+	if sys.Replays() != 0 {
+		t.Fatal("system replay counter advanced")
+	}
+}
+
+// TestSelectReplicaBackfillsPastTheSet fails c's whole replica set ([w3 w4]):
+// the pick backfills from the cluster at large — least loaded, first on a
+// tie — under an ordinal past the set, so the backfilled node's sink keys
+// cannot collide with a member's; the request completes there.
+func TestSelectReplicaBackfillsPastTheSet(t *testing.T) {
+	sys := newFaultSystem(t, 4, nil, nil)
+	defer sys.Shutdown()
+	for _, name := range []string{"w3", "w4"} {
+		if err := sys.cfg.Cluster.FailNode(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n, ordinal, ok := sys.selectReplica(sys.fns["c"], nil, "")
+	if !ok || n.Name != "w1" || ordinal != 2 {
+		t.Fatalf("selectReplica(c) = %s, %d, %v; want w1 under ordinal 2", n.Name, ordinal, ok)
+	}
+	inv, err := sys.Invoke(map[string][]byte{"a.in": []byte("head")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := inv.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if pin, _ := inv.PinnedNode("c"); pin != "w1" && pin != "w2" {
+		t.Fatalf("c pinned to %s, want a live node outside its dead replica set", pin)
+	}
+}
+
 // hookClock is the wall clock with a callback in front of every Sleep — the
 // seam for acting between a shipment's routing and its land: the socket
 // path sleeps Config.TransferLatency exactly there.

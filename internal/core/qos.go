@@ -168,7 +168,7 @@ func (s *System) transferPressure(st *fnState) time.Duration {
 		return 0
 	}
 	avgBytes := float64(st.putBytes.Load()) / float64(n)
-	return time.Duration(s.cfg.Alpha*avgBytes/bw*float64(time.Second)) - st.avg()
+	return cluster.Pressure(s.cfg.Alpha, avgBytes, bw, st.avg())
 }
 
 // ShedSet returns the tenants the governor is currently shedding (nil when

@@ -111,28 +111,22 @@ func (s *System) wantScaleUp(st *fnState, pending int64, k int) bool {
 // Under the fault-tolerance plane, non-Up nodes have zero capacity and are
 // never picked.
 func (s *System) pickNewReplica(reps []*cluster.Node) *cluster.Node {
-	var best *cluster.Node
-	var bestLoad int64
-	for _, n := range s.allNodes {
+	eligible := func(n *cluster.Node) bool {
 		if s.ft && !n.Routable() {
-			continue
+			return false
 		}
-		member := false
 		for _, r := range reps {
 			if r == n {
-				member = true
-				break
+				return false
 			}
 		}
-		if member {
-			continue
-		}
-		l := s.nodeLoad[n].Load()
-		if best == nil || l < bestLoad {
-			best, bestLoad = n, l
-		}
+		return true
 	}
-	return best
+	i, ok := cluster.PickReplica(s.allNodes, nil, eligible, func(n *cluster.Node) int64 { return s.nodeLoad[n].Load() })
+	if !ok {
+		return nil
+	}
+	return s.allNodes[i]
 }
 
 // pruneDeadReplicas removes Down nodes from the function's replica set and

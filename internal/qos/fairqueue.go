@@ -2,68 +2,19 @@ package qos
 
 import "sync"
 
-// FairQueue grants execution slots to tenants, weighted-fair. Up to
-// Capacity grants are outstanding at once; while a slot is free (and the
+// FairQueue is the runtime plane's blocking face of Stride: a mutex makes
+// the scheduler safe for the executor goroutines, and a parked Acquire waits
+// on a channel the granting release closes. While a slot is free (and the
 // tenant is under its in-flight cap) Acquire returns immediately, so an
-// unsaturated engine pays one uncontended mutex per instance. Once the
-// engine saturates, callers park and are granted in stride-scheduled
-// virtual-time order: each grant advances the tenant's virtual finish time
-// by 1/weight, and the earliest finish time is granted next — so over any
-// backlogged interval tenants drain proportionally to their weights,
-// FIFO within a tenant.
+// unsaturated engine pays one uncontended mutex per instance.
 type FairQueue struct {
-	mu       sync.Mutex
-	cfg      *Config
-	capacity int
-	inflight int
-	waiting  int
-	vtime    float64
-	tenants  map[string]*fqTenant
-}
-
-// fqTenant is one tenant's scheduling state. Guarded by FairQueue.mu.
-type fqTenant struct {
-	name        string
-	weight      int
-	maxInFlight int
-	inflight    int
-	vfinish     float64
-	waitq       []chan struct{}
+	mu     sync.Mutex
+	stride *Stride[chan struct{}]
 }
 
 // NewFairQueue returns a queue granting at most cfg.Capacity slots.
 func NewFairQueue(cfg *Config) *FairQueue {
-	return &FairQueue{
-		cfg:      cfg,
-		capacity: cfg.Capacity,
-		tenants:  make(map[string]*fqTenant),
-	}
-}
-
-// tenantLocked resolves (or creates) the tenant's scheduling state.
-func (q *FairQueue) tenantLocked(name string) *fqTenant {
-	t := q.tenants[name]
-	if t == nil {
-		spec := q.cfg.TenantSpec(name)
-		t = &fqTenant{name: name, weight: spec.Weight, maxInFlight: spec.MaxInFlight}
-		q.tenants[name] = t
-	}
-	return t
-}
-
-// grantLocked hands the tenant one slot and advances the virtual clock: the
-// grant starts at max(tenant finish, queue vtime) — an idle tenant joins at
-// the current virtual time rather than collecting credit for its idle past —
-// and finishes 1/weight later.
-func (q *FairQueue) grantLocked(t *fqTenant) {
-	q.inflight++
-	t.inflight++
-	start := t.vfinish
-	if start < q.vtime {
-		start = q.vtime
-	}
-	t.vfinish = start + 1/float64(t.weight)
-	q.vtime = start
+	return &FairQueue{stride: NewStride[chan struct{}](cfg)}
 }
 
 // Acquire blocks until the tenant is granted an execution slot and returns
@@ -72,75 +23,27 @@ func (q *FairQueue) Acquire(tenant string) (release func()) {
 	if q == nil {
 		return func() {} // plane disabled: every slot is free, release is a no-op
 	}
+	var parked chan struct{}
 	q.mu.Lock()
-	t := q.tenantLocked(tenant)
-	// Immediate grant only when no queue jump is possible: a free slot, the
-	// tenant under its cap, and none of the tenant's earlier arrivals still
-	// parked.
-	if q.inflight < q.capacity &&
-		(t.maxInFlight <= 0 || t.inflight < t.maxInFlight) &&
-		len(t.waitq) == 0 {
-		q.grantLocked(t)
-		q.mu.Unlock()
-		return func() { q.release(t) }
-	}
-	ch := make(chan struct{})
-	t.waitq = append(t.waitq, ch)
-	q.waiting++
-	q.mu.Unlock()
-	<-ch
-	return func() { q.release(t) }
-}
-
-// release returns a slot and dispatches parked work. A tenant left fully
-// idle is evicted from the table: scheduling is memoryless across idle
-// gaps anyway (a rejoining tenant starts at the current virtual time), so
-// eviction is lossless, and it keeps the table — which dispatchLocked
-// scans per grant — bounded by the tenants currently active rather than
-// every id ever seen.
-func (q *FairQueue) release(t *fqTenant) {
-	q.mu.Lock()
-	t.inflight--
-	q.inflight--
-	q.dispatchLocked()
-	if t.inflight == 0 && len(t.waitq) == 0 {
-		delete(q.tenants, t.name)
+	if !q.stride.Acquire(tenant) {
+		parked = make(chan struct{})
+		q.stride.Park(tenant, parked)
 	}
 	q.mu.Unlock()
+	if parked != nil {
+		<-parked
+	}
+	return func() { q.release(tenant) }
 }
 
-// dispatchLocked grants free slots to parked tenants in virtual-finish
-// order (deterministic name tie-break), skipping tenants at their in-flight
-// cap — their parked work waits for their own releases, not the engine's.
-func (q *FairQueue) dispatchLocked() {
-	for q.inflight < q.capacity {
-		var best *fqTenant
-		for _, t := range q.tenants {
-			if len(t.waitq) == 0 || (t.maxInFlight > 0 && t.inflight >= t.maxInFlight) {
-				continue
-			}
-			if best == nil || t.vfinish < best.vfinish ||
-				(t.vfinish == best.vfinish && t.name < best.name) {
-				best = t
-			}
-		}
-		if best == nil {
-			return
-		}
-		ch := best.waitq[0]
-		best.waitq[0] = nil
-		best.waitq = best.waitq[1:]
-		q.waiting--
-		q.grantLocked(best)
+// release returns a slot and wakes the parked work it frees room for.
+func (q *FairQueue) release(tenant string) {
+	q.mu.Lock()
+	q.stride.Release(tenant)
+	for ch, ok := q.stride.Next(); ok; ch, ok = q.stride.Next() {
 		close(ch)
 	}
-}
-
-// TenantLoad is one tenant's queue occupancy in a Snapshot.
-type TenantLoad struct {
-	Waiting  int
-	InFlight int
-	Weight   int
+	q.mu.Unlock()
 }
 
 // Snapshot reads the queue's occupancy for the governor: total parked and
@@ -151,14 +54,7 @@ func (q *FairQueue) Snapshot() (waiting, inflight int, perTenant map[string]Tena
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	perTenant = make(map[string]TenantLoad, len(q.tenants))
-	for name, t := range q.tenants {
-		if len(t.waitq) == 0 && t.inflight == 0 {
-			continue
-		}
-		perTenant[name] = TenantLoad{Waiting: len(t.waitq), InFlight: t.inflight, Weight: t.weight}
-	}
-	return q.waiting, q.inflight, perTenant
+	return q.stride.Snapshot()
 }
 
 // Capacity returns the queue's total grant capacity.
@@ -166,7 +62,7 @@ func (q *FairQueue) Capacity() int {
 	if q == nil {
 		return 0
 	}
-	return q.capacity
+	return q.stride.cfg.Capacity
 }
 
 // Waiting returns the number of parked acquisitions.
@@ -176,7 +72,7 @@ func (q *FairQueue) Waiting() int {
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.waiting
+	return q.stride.waiting
 }
 
 // InFlight returns the number of outstanding grants.
@@ -186,5 +82,5 @@ func (q *FairQueue) InFlight() int {
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.inflight
+	return q.stride.inflight
 }

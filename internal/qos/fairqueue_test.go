@@ -159,7 +159,7 @@ func TestFairQueueEvictsIdleTenants(t *testing.T) {
 		rel()
 	}
 	q.mu.Lock()
-	n := len(q.tenants)
+	n := len(q.stride.tenants)
 	q.mu.Unlock()
 	if n != 0 {
 		t.Fatalf("%d idle tenants retained, want 0", n)
@@ -167,14 +167,14 @@ func TestFairQueueEvictsIdleTenants(t *testing.T) {
 	// An active tenant stays until fully idle.
 	rel := q.Acquire("busy")
 	q.mu.Lock()
-	n = len(q.tenants)
+	n = len(q.stride.tenants)
 	q.mu.Unlock()
 	if n != 1 {
 		t.Fatalf("active tenant table size %d, want 1", n)
 	}
 	rel()
 	q.mu.Lock()
-	n = len(q.tenants)
+	n = len(q.stride.tenants)
 	q.mu.Unlock()
 	if n != 0 {
 		t.Fatal("tenant survived going idle")

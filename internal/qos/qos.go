@@ -9,11 +9,12 @@
 //   - Admission (Limiter): a per-tenant token bucket, lock-striped like the
 //     Wait-Match Memory, refuses requests beyond a tenant's provisioned rate
 //     with a typed ErrOverloaded carrying a retry-after hint.
-//   - Scheduling (FairQueue): a weighted-fair queue in front of instance
-//     execution. While the executor pool and container free-lists keep up,
-//     a grant is one uncontended mutex; once they saturate, queued work
-//     drains by tenant weight (stride-scheduled virtual time) instead of
-//     FIFO, with optional per-tenant in-flight caps.
+//   - Scheduling (Stride, behind the runtime plane's blocking FairQueue):
+//     a weighted-fair queue in front of instance execution. While the
+//     executor pool and container free-lists keep up, a grant is one
+//     uncontended mutex; once they saturate, queued work drains by tenant
+//     weight (stride-scheduled virtual time) instead of FIFO, with
+//     optional per-tenant in-flight caps.
 //   - Shedding (Governor): a background governor samples the engine's
 //     overload signals — Eq. 1 transfer pressure, Wait-Match Memory
 //     occupancy, and pending-queue depth — and, while the engine is

@@ -179,7 +179,9 @@ func (s *Sim) killNode(n *node) {
 	sort.Strings(routed)
 	for _, fn := range routed {
 		if s.routing[fn] == n {
-			s.routing[fn] = s.fallbackPrimary(fn)
+			// The first routable replica (a constant load makes every pick a
+			// tie, and the earliest wins), backfilled like any other pick.
+			s.routing[fn] = s.pickNode(fn, nil, func(*node) int64 { return 0 })
 		}
 	}
 
@@ -230,44 +232,6 @@ func sortedFnKeys(fns map[string]*fnState) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// fallbackPrimary returns fn's first routable replica, backfilling a fresh
-// replica on the least busy routable node when the whole set is unhealthy
-// (the scaler-side backfill of the runtime plane). Falls back to the
-// current set's head when nothing in the cluster is routable.
-func (s *Sim) fallbackPrimary(fn string) *node {
-	for _, cand := range s.replicas[fn] {
-		if cand.routable() {
-			return cand
-		}
-	}
-	if cand := s.leastBusyRoutable(); cand != nil {
-		s.ensureReplica(fn, cand)
-		return cand
-	}
-	return s.replicas[fn][0]
-}
-
-// leastBusyRoutable picks the routable node with the least outstanding
-// work, or nil when every node is down/draining.
-func (s *Sim) leastBusyRoutable() *node {
-	var best *node
-	bestLoad := 0
-	for _, n := range s.nodes {
-		if !n.routable() {
-			continue
-		}
-		load := 0
-		for fn, fs := range n.fns {
-			load += fs.workQ.Len() + fs.started - fs.idleQ.Len()
-			_ = fn
-		}
-		if best == nil || load < bestLoad {
-			best, bestLoad = n, load
-		}
-	}
-	return best
 }
 
 // ensureReplica makes sure n hosts a replica of fn (fnState + dispatcher),
@@ -398,49 +362,4 @@ func (s *Sim) markConsumed(req *request, key dataflow.InstanceKey) {
 			rec.consumed = true
 		}
 	}
-}
-
-// replicaForFaulty is replicaFor under the fault plane: pins are honoured
-// as long as they exist (a kill deletes pins to the dead node), new pins
-// select among routable replicas only, and a function whose entire replica
-// set is unhealthy is backfilled onto the least busy routable node.
-func (s *Sim) replicaForFaulty(req *request, fn string, prefer *node) *node {
-	if n, ok := req.pin[fn]; ok {
-		return n
-	}
-	reps := s.replicas[fn]
-	var chosen *node
-	if prefer != nil && prefer.routable() {
-		for _, n := range reps {
-			if n == prefer {
-				chosen = n
-				break
-			}
-		}
-	}
-	if chosen == nil {
-		best := 0
-		for _, n := range reps {
-			if !n.routable() {
-				continue
-			}
-			if l := s.replicaLoad(n, fn); chosen == nil || l < best {
-				chosen, best = n, l
-			}
-		}
-	}
-	if chosen == nil {
-		if n := s.leastBusyRoutable(); n != nil {
-			s.ensureReplica(fn, n)
-			chosen = n
-		}
-	}
-	if chosen == nil {
-		chosen = reps[0] // whole cluster unroutable: limp along
-	}
-	if req.pin == nil {
-		req.pin = make(map[string]*node)
-	}
-	req.pin[fn] = chosen
-	return chosen
 }

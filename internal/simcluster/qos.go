@@ -1,24 +1,22 @@
 package simcluster
 
 import (
-	"sort"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/qos"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
-// This file is the simulation plane's mirror of the runtime plane's
-// admission & QoS plane (core/qos.go). It reuses the same configuration and
-// decision types — qos.Config tenant envelopes, the qos.Limiter token
-// buckets (driven by virtual time), and the qos.Governor shed logic — and
-// substitutes sim-native machinery only where the runtime plane blocks
-// goroutines: the weighted-fair queue parks request processes on sim.Events
-// and grants them in the same stride-scheduled virtual-finish order as
-// qos.FairQueue. Two deliberate differences, both forced by the simulation
-// model:
+// This file drives the admission & QoS plane's own decision code
+// (internal/qos) from virtual time: the qos.Config tenant envelopes, the
+// qos.Limiter token buckets, the qos.Governor shed logic and the qos.Stride
+// weighted-fair scheduler are the objects the runtime plane (core/qos.go)
+// runs. Only the parking is sim-native: where qos.FairQueue blocks a
+// goroutine on a channel, a request process waits on a sim.Event. Two
+// deliberate differences, both forced by the simulation model:
 //
 //   - the unit of fair scheduling is the request, not the function
 //     instance (the sim's dispatchers own instance-level scheduling);
@@ -51,24 +49,12 @@ type TenantResult struct {
 	GoodputRPM float64
 }
 
-// simTenant is one tenant's live QoS state.
+// simTenant is one tenant's accounting (its scheduling state lives in the
+// stride scheduler).
 type simTenant struct {
-	name     string
-	spec     qos.Tenant
-	vfinish  float64
-	inflight int
-	waitq    []*qosWaiter
-
 	issued, admitted, throttled, shed, abandoned int64
 	completed, failed                            int64
 	lat                                          *metrics.Sample
-}
-
-// qosWaiter parks one request process until the fair queue grants it.
-type qosWaiter struct {
-	req     *request
-	ev      *sim.Event
-	granted bool
 }
 
 // simQoS is the assembled plane (nil on the Sim when Config.QoS is).
@@ -76,12 +62,9 @@ type simQoS struct {
 	cfg      qos.Config
 	limiter  *qos.Limiter
 	governor *qos.Governor
-	tenants  map[string]*simTenant
-	order    []string // deterministic iteration for dispatch/results
-	capacity int
-	inflight int
-	waiting  int
-	vtime    float64
+	// stride parks requests; a parked request waits on its qosWake event.
+	stride  *qos.Stride[*request]
+	tenants map[string]*simTenant
 }
 
 // defaultSimQoSCapacity derives the request-level admission capacity from
@@ -94,23 +77,18 @@ func (s *Sim) armQoS() {
 		return
 	}
 	cfg := s.cfg.QoS.WithDefaults(defaultSimQoSCapacity(s.cfg.Workers))
-	s.qos = &simQoS{
-		cfg:      cfg,
-		tenants:  make(map[string]*simTenant),
-		capacity: cfg.Capacity,
-	}
+	s.qos = &simQoS{cfg: cfg, tenants: make(map[string]*simTenant)}
 	s.qos.limiter = qos.NewLimiter(&s.qos.cfg)
 	s.qos.governor = qos.NewGovernor(&s.qos.cfg)
+	s.qos.stride = qos.NewStride[*request](&s.qos.cfg)
 }
 
-// tenantOf resolves (or creates) a tenant's state.
+// tenantOf resolves (or creates) a tenant's accounting.
 func (q *simQoS) tenantOf(name string) *simTenant {
 	t := q.tenants[name]
 	if t == nil {
-		t = &simTenant{name: name, spec: q.cfg.TenantSpec(name), lat: metrics.NewSample()}
+		t = &simTenant{lat: metrics.NewSample()}
 		q.tenants[name] = t
-		q.order = append(q.order, name)
-		sort.Strings(q.order)
 	}
 	return t
 }
@@ -125,32 +103,25 @@ func (s *Sim) qosGovern() {
 	if q.cfg.GovernorInterval < 0 {
 		return
 	}
-	tenants := make(map[string]qos.TenantLoad, len(q.tenants))
-	for name, t := range q.tenants {
-		if t.inflight == 0 && len(t.waitq) == 0 {
-			continue
-		}
-		tenants[name] = qos.TenantLoad{Waiting: len(t.waitq), InFlight: t.inflight, Weight: t.spec.Weight}
-	}
 	var resident int64
 	for _, n := range s.nodes {
 		resident += n.sink.MemBytes() // incl. replay-retained entries
 	}
+	waiting, inflight, tenants := q.stride.Snapshot()
 	q.governor.Update(qos.Sample{
 		At:            s.env.Now(),
 		Pressure:      s.maxTransferPressure(),
 		ResidentBytes: resident,
-		QueueDepth:    q.waiting,
-		InFlight:      q.inflight,
-		Capacity:      q.capacity,
+		QueueDepth:    waiting,
+		InFlight:      inflight,
+		Capacity:      q.cfg.Capacity,
 		Tenants:       tenants,
 	})
 }
 
-// maxTransferPressure is the sim's Eq. 1 estimate: for each function, the
-// average declared output size against the container bandwidth, minus the
-// observed FLU average — the same α·Size/Bw − T_FLU the runtime governor
-// samples from its put-size averages.
+// maxTransferPressure is the governor's Eq. 1 input: the worst
+// cluster.Pressure over the functions, each from its average declared
+// output size, the container bandwidth and its observed FLU average.
 func (s *Sim) maxTransferPressure() time.Duration {
 	bw := s.cfg.containerBps()
 	if bw <= 0 {
@@ -175,7 +146,7 @@ func (s *Sim) maxTransferPressure() time.Duration {
 			continue
 		}
 		avg := float64(total) / float64(n)
-		p := time.Duration(s.cfg.Alpha*avg/bw*float64(time.Second)) - s.fluAvg[fn].avg()
+		p := cluster.Pressure(s.cfg.Alpha, avg, bw, s.fluAvg[fn].avg())
 		if p > max {
 			max = p
 		}
@@ -204,86 +175,34 @@ func (s *Sim) qosAdmit(p *sim.Proc, req *request) bool {
 		req.done.Trigger(&qos.ErrOverloaded{Tenant: req.tenant, Cause: qos.CauseAdmission, RetryAfter: ra})
 		return false
 	}
-	if q.inflight < q.capacity &&
-		(t.spec.MaxInFlight <= 0 || t.inflight < t.spec.MaxInFlight) &&
-		len(t.waitq) == 0 {
-		q.grant(t)
+	if q.stride.Acquire(req.tenant) {
 		t.admitted++
 		req.qosHeld = true
 		return true
 	}
-	w := &qosWaiter{req: req, ev: sim.NewEvent(s.env)}
-	t.waitq = append(t.waitq, w)
-	q.waiting++
-	p.Wait(w.ev)
-	if !w.granted {
-		// Timed out while parked: qosAbandon (or a defensive dispatch skip)
-		// woke us without a slot; done is already triggered.
+	req.qosWake = sim.NewEvent(s.env)
+	q.stride.Park(req.tenant, req)
+	if granted, _ := p.Wait(req.qosWake).(bool); !granted {
+		// Timed out while parked: qosAbandon woke us without a slot; done is
+		// already triggered.
 		return false
 	}
 	t.admitted++
 	return true
 }
 
-// grant hands t one slot and advances the stride-scheduling clock, exactly
-// as qos.FairQueue.grantLocked does.
-func (q *simQoS) grant(t *simTenant) {
-	q.inflight++
-	t.inflight++
-	start := t.vfinish
-	if start < q.vtime {
-		start = q.vtime
-	}
-	t.vfinish = start + 1/float64(t.spec.Weight)
-	q.vtime = start
-}
-
-// qosRelease returns a request's slot (no-op unless it holds one) and
-// dispatches parked requests.
+// qosRelease returns a request's slot (no-op unless it holds one) and wakes
+// the parked requests the stride scheduler grants in its place.
 func (s *Sim) qosRelease(req *request) {
 	if s.qos == nil || !req.qosHeld {
 		return
 	}
 	req.qosHeld = false
-	t := s.qos.tenantOf(req.tenant)
-	t.inflight--
-	s.qos.inflight--
+	s.qos.stride.Release(req.tenant)
 	s.qosGovern()
-	s.qosDispatch()
-}
-
-// qosDispatch grants free slots in virtual-finish order (deterministic name
-// tie-break via the sorted tenant order), skipping tenants at their cap.
-// Waiters whose request already failed are woken ungranted without
-// consuming a slot.
-func (s *Sim) qosDispatch() {
-	q := s.qos
-	for q.inflight < q.capacity {
-		var best *simTenant
-		for _, name := range q.order {
-			t := q.tenants[name]
-			if len(t.waitq) == 0 || (t.spec.MaxInFlight > 0 && t.inflight >= t.spec.MaxInFlight) {
-				continue
-			}
-			if best == nil || t.vfinish < best.vfinish {
-				best = t
-			}
-		}
-		if best == nil {
-			return
-		}
-		w := best.waitq[0]
-		best.waitq[0] = nil
-		best.waitq = best.waitq[1:]
-		q.waiting--
-		if w.req.failed || w.req.done.Triggered() {
-			w.ev.Trigger(nil)
-			continue
-		}
-		q.grant(best)
-		w.granted = true
-		w.req.qosHeld = true
-		w.ev.Trigger(nil)
+	for w, ok := s.qos.stride.Next(); ok; w, ok = s.qos.stride.Next() {
+		w.qosHeld = true
+		w.qosWake.Trigger(true)
 	}
 }
 
@@ -316,20 +235,9 @@ func (s *Sim) qosAbandon(req *request) {
 	if s.qos == nil || req.tenant == "" {
 		return
 	}
-	t := s.qos.tenants[req.tenant]
-	if t == nil {
-		return
-	}
-	for i, w := range t.waitq {
-		if w.req == req {
-			copy(t.waitq[i:], t.waitq[i+1:])
-			t.waitq[len(t.waitq)-1] = nil
-			t.waitq = t.waitq[:len(t.waitq)-1]
-			s.qos.waiting--
-			t.abandoned++
-			w.ev.Trigger(nil)
-			return
-		}
+	if s.qos.stride.Abandon(req.tenant, req) {
+		s.qos.tenants[req.tenant].abandoned++
+		req.qosWake.Trigger(nil)
 	}
 }
 
@@ -339,8 +247,7 @@ func (s *Sim) tenantResults(horizon time.Duration) map[string]*TenantResult {
 		return nil
 	}
 	out := make(map[string]*TenantResult, len(s.qos.tenants))
-	for _, name := range s.qos.order {
-		t := s.qos.tenants[name]
+	for name, t := range s.qos.tenants {
 		tr := &TenantResult{
 			Issued:    t.issued,
 			Admitted:  t.admitted,

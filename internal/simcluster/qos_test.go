@@ -125,8 +125,8 @@ func TestQoSQueueTimeoutAbandons(t *testing.T) {
 	if hot.Abandoned == 0 {
 		t.Fatalf("no queue timeouts for the starved tenant: %+v", hot)
 	}
-	if s.qos.waiting != 0 {
-		t.Fatalf("%d waiters left in the queue after the run", s.qos.waiting)
+	if waiting, _, _ := s.qos.stride.Snapshot(); waiting != 0 {
+		t.Fatalf("%d waiters left in the queue after the run", waiting)
 	}
 }
 

@@ -125,7 +125,7 @@ type Config struct {
 	// bit-for-bit identical to the fault-free engine.
 	Faults []FaultEvent
 
-	// QoS enables the admission & QoS plane mirror (qos.go): the same
+	// QoS enables the admission & QoS plane (qos.go): the same
 	// qos.Config the runtime plane takes — per-tenant token buckets,
 	// weighted-fair request admission, pressure-driven shedding. Nil (the
 	// default) leaves every QoS path unarmed, so the run is event-for-event
@@ -196,7 +196,7 @@ func (c Config) withDefaults() Config {
 		c.ColdStart = 400 * time.Millisecond
 	}
 	if c.Alpha == 0 {
-		c.Alpha = 1.1
+		c.Alpha = cluster.DefaultAlpha
 	}
 	if c.SinkTTL == 0 {
 		c.SinkTTL = 60 * time.Second
@@ -377,9 +377,11 @@ type request struct {
 	recovering   bool
 	recoverStart time.Duration
 	// tenant is the request's QoS attribution (empty when the plane is
-	// off); qosHeld marks a held fair-queue slot (released at completion).
+	// off); qosHeld marks a held fair-queue slot (released at completion);
+	// qosWake is what the request waits on while parked in the fair queue.
 	tenant  string
 	qosHeld bool
+	qosWake *sim.Event
 	// control-flow bookkeeping: remaining instances per function.
 	remaining   map[string]int
 	finished    map[string]bool
@@ -566,40 +568,19 @@ func New(cfg Config) *Sim {
 
 // replicaFor returns the node serving fn for this request under the
 // DataFlower kinds, pinning the choice on first use so every item and
-// instance of the function stays node-local: prefer when it hosts a
-// replica (locality-first — the ship degenerates to the local pipe), else
-// the replica with the least outstanding work. Single-replica functions
-// short-circuit with no per-request state, preserving the classic
-// semantics bit-for-bit.
+// instance of the function stays node-local. Without faults a
+// single-replica function short-circuits with no per-request state,
+// preserving the classic semantics bit-for-bit; under the fault plane
+// every choice is pinned, because a kill repairs requests by deleting
+// their pins to the dead node.
 func (s *Sim) replicaFor(req *request, fn string, prefer *node) *node {
-	if s.faulty {
-		return s.replicaForFaulty(req, fn, prefer)
-	}
-	reps := s.replicas[fn]
-	if len(reps) == 1 {
+	if reps := s.replicas[fn]; !s.faulty && len(reps) == 1 {
 		return reps[0]
 	}
 	if n, ok := req.pin[fn]; ok {
 		return n
 	}
-	var chosen *node
-	if prefer != nil {
-		for _, n := range reps {
-			if n == prefer {
-				chosen = n
-				break
-			}
-		}
-	}
-	if chosen == nil {
-		chosen = reps[0]
-		best := s.replicaLoad(reps[0], fn)
-		for _, n := range reps[1:] {
-			if l := s.replicaLoad(n, fn); l < best {
-				chosen, best = n, l
-			}
-		}
-	}
+	chosen := s.pickNode(fn, prefer, func(n *node) int64 { return n.fns[fn].load() })
 	if req.pin == nil {
 		req.pin = make(map[string]*node)
 	}
@@ -607,11 +588,35 @@ func (s *Sim) replicaFor(req *request, fn string, prefer *node) *node {
 	return chosen
 }
 
-// replicaLoad estimates a replica's outstanding work: queued instances
-// plus containers that are started and not idle.
-func (s *Sim) replicaLoad(n *node, fn string) int {
-	fs := n.fns[fn]
-	return fs.workQ.Len() + fs.started - fs.idleQ.Len()
+// pickNode applies cluster.PickReplica to fn's replica set and, when none of
+// it is routable, backfills a fresh replica on the least busy routable node
+// (the scaler-side backfill of the runtime plane). With nothing routable in
+// the whole cluster the set's head is returned to limp along on. Without
+// faults every node is routable, so the first pick always answers.
+func (s *Sim) pickNode(fn string, prefer *node, load func(*node) int64) *node {
+	reps := s.replicas[fn]
+	if i, ok := cluster.PickReplica(reps, prefer, (*node).routable, load); ok {
+		return reps[i]
+	}
+	if i, ok := cluster.PickReplica(s.nodes, nil, (*node).routable, (*node).busy); ok {
+		s.ensureReplica(fn, s.nodes[i])
+		return s.nodes[i]
+	}
+	return reps[0]
+}
+
+// load estimates a replica's outstanding work: queued instances plus
+// containers that are started and not idle.
+func (fs *fnState) load() int64 {
+	return int64(fs.workQ.Len() + fs.started - fs.idleQ.Len())
+}
+
+// busy is a node's outstanding work summed over every function it hosts.
+func (n *node) busy() (load int64) {
+	for _, fs := range n.fns {
+		load += fs.load()
+	}
+	return load
 }
 
 // execTime scales the function's reference execution time by container size.

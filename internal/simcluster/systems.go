@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/dataflow"
 	"repro/internal/qos"
 	"repro/internal/sim"
@@ -189,7 +190,7 @@ func (s *Sim) dfExecute(p *sim.Proc, c *container, w *work) {
 		// actually backlogged scale out — "even if the containers are
 		// enough in terms of computation ability" (§9.3).
 		if s.cfg.Kind == DataFlower && total > 0 {
-			pressure := time.Duration(s.cfg.Alpha*float64(total)/s.cfg.containerBps()*float64(time.Second)) - s.fluAvg[key.Fn].avg()
+			pressure := cluster.Pressure(s.cfg.Alpha, float64(total), s.cfg.containerBps(), s.fluAvg[key.Fn].avg())
 			if pressure > 0 {
 				if backlog {
 					// Prewarm on the container's own node: the replica this
