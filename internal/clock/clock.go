@@ -30,8 +30,9 @@ func NewWall() Wall { return Wall{} }
 // Now implements Clock.
 func (Wall) Now() time.Time { return time.Now() }
 
-// Sleep implements Clock.
-func (Wall) Sleep(d time.Duration) { time.Sleep(d) }
+// Sleep implements Clock. On Linux it wakes at its deadline whether or not
+// the process is otherwise idle, which time.Sleep does not (park_linux.go).
+func (Wall) Sleep(d time.Duration) { park(d) }
 
 // After implements Clock.
 func (Wall) After(d time.Duration) <-chan time.Time { return time.After(d) }

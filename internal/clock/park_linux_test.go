@@ -1,0 +1,121 @@
+//go:build linux
+
+package clock
+
+import (
+	"bytes"
+	"math/rand"
+	"runtime"
+	"runtime/pprof"
+	"sort"
+	"sync"
+	"sync/atomic"
+	"syscall"
+	"testing"
+	"time"
+)
+
+// These tests hold the wall clock's park (park_linux.go) to what it is for:
+// it never wakes early, it wakes on time in a process with nothing else to
+// do — which time.Sleep does not — and it does so without a thread, a
+// goroutine or an allocation per sleeper.
+
+func TestWallSleepIsNeverEarly(t *testing.T) {
+	for _, d := range []time.Duration{
+		50 * time.Microsecond, 164 * time.Microsecond, 655 * time.Microsecond,
+		1500 * time.Microsecond, 20 * time.Millisecond,
+	} {
+		d := d
+		t.Run(d.String(), func(t *testing.T) {
+			t.Parallel() // the five durations overlap: the heap holds several deadlines
+			for i := 0; i < 100; i++ {
+				start := time.Now()
+				Wall{}.Sleep(d)
+				if got := time.Since(start); got < d {
+					t.Fatalf("sleep %d: Sleep(%v) returned after %v", i, d, got)
+				}
+			}
+		})
+	}
+}
+
+// An idle Go process rounds every timer up to the next whole millisecond of
+// epoll_wait: time.Sleep(200µs) returns after about 1.1 ms here.
+func TestWallSleepWakesOnTimeWhenIdle(t *testing.T) {
+	const d, limit = 200 * time.Microsecond, 600 * time.Microsecond
+	took := make([]time.Duration, 50)
+	for i := range took {
+		start := time.Now()
+		Wall{}.Sleep(d)
+		took[i] = time.Since(start)
+	}
+	sort.Slice(took, func(i, j int) bool { return took[i] < took[j] })
+	if median := took[len(took)/2]; median > limit {
+		t.Fatalf("median Sleep(%v) of an idle process took %v, want at most %v (all: %v)", d, median, limit, took)
+	}
+}
+
+func TestWallSleepStormAddsNoThreadOrGoroutinePerSleeper(t *testing.T) {
+	const sleepers, rounds = 512, 20
+	Wall{}.Sleep(time.Microsecond) // the service is started by the first sleep
+	threads := pprof.Lookup("threadcreate").Count()
+	var early atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < sleepers; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < rounds; i++ {
+				d := 100*time.Microsecond + time.Duration(rng.Int63n(int64(400*time.Microsecond)))
+				start := time.Now()
+				Wall{}.Sleep(d)
+				if time.Since(start) < d {
+					early.Add(1)
+				}
+			}
+		}(int64(g))
+	}
+	wg.Wait() // every sleeper woke
+	if n := early.Load(); n != 0 {
+		t.Errorf("%d of %d sleeps returned early", n, sleepers*rounds)
+	}
+	if grew := pprof.Lookup("threadcreate").Count() - threads; grew > 2 {
+		t.Errorf("%d concurrent sleepers created %d OS threads, want at most 2", sleepers, grew)
+	}
+	var stacks bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&stacks, 2); err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(stacks.Bytes(), []byte("clock.(*parker).serve(")); n != 1 {
+		t.Errorf("%d service goroutines after the storm, want exactly 1", n)
+	}
+}
+
+func TestWallSleepDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	if allocs := testing.AllocsPerRun(200, func() { Wall{}.Sleep(20 * time.Microsecond) }); allocs != 0 {
+		t.Fatalf("Wall.Sleep allocates %v objects per park in steady state, want 0", allocs)
+	}
+}
+
+// A process that may not create a timerfd sleeps on the runtime timer: no
+// parker, no service goroutine, still never early.
+func TestParkFallsBackWhenTimerfdIsRefused(t *testing.T) {
+	before := runtime.NumGoroutine()
+	p := newParker(func() (int, error) { return -1, syscall.ENOSYS })
+	if p != nil {
+		t.Fatal("newParker returned a parker although timerfd_create was refused")
+	}
+	const d = 2 * time.Millisecond
+	start := time.Now()
+	p.sleep(d)
+	if got := time.Since(start); got < d {
+		t.Fatalf("fallback sleep(%v) returned after %v", d, got)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("refused parker left %d goroutines behind", after-before)
+	}
+}

@@ -1111,10 +1111,10 @@ func (s *System) runInstance(inv *Invocation, key dataflow.InstanceKey) {
 	note := "" // "redo-N" on the event log once the handler is being ReDone
 	for {
 		s.event(inv, trace.InstanceStarted, fn, key.Idx, note)
-		ctx.started = s.clk.Now()
+		ctx.started, ctx.blocked = s.clk.Now(), 0
 		err := h(ctx)
 		d := s.clk.Since(ctx.started)
-		st.observe(inv.stripe, d)
+		st.observe(inv.stripe, d-ctx.blocked)
 		obsExecLat.Observe(inv.stripe, int64(d))
 		if err == nil {
 			s.event(inv, trace.InstanceFinished, fn, key.Idx, "")

@@ -34,6 +34,10 @@ type Context struct {
 	ctr     *cluster.Container
 	fst     *fnState
 	started time.Time
+	// blocked is the time this run has spent in Put's Eq. 1 block. It is the
+	// engine's throttle, not the handler's compute, so runInstance keeps it
+	// out of T_FLU: a block that fed its own operand would settle at half.
+	blocked time.Duration
 }
 
 // ctxPool recycles Context records and their input buffers across instance
@@ -186,8 +190,12 @@ func (c *Context) put(output string, values []dataflow.Value, switchCase int) er
 	if pressure > 0 {
 		s.prewarm(c.Instance.Fn, c.ctr.Node)
 		// Callstack blocking: throttle this FLU so its producing rate
-		// matches the DLU's consuming rate.
+		// matches the DLU's consuming rate. The block is timed on the engine
+		// clock, the one runInstance times the handler on, so it is always
+		// a part of that duration.
+		blockStart := s.clk.Now()
 		c.ctr.Node.Clock().Sleep(pressure)
+		c.blocked += s.clk.Since(blockStart)
 	}
 	return nil
 }

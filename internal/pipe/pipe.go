@@ -185,10 +185,13 @@ func (l *Limiter) charge(n int64) {
 	}
 	l.clk.Sleep(wait)
 	l.mu.Lock()
-	if woke := l.clk.Now(); woke.After(l.next) {
+	woke := l.clk.Now()
+	if woke.After(l.next) {
 		l.woke = woke // overslept past every queued deadline: grant credit
 	}
 	l.mu.Unlock()
+	obsParks.Inc(0)
+	obsParkLate.Observe(0, int64(woke.Sub(now)-wait))
 }
 
 // Checkpoint is one incremental progress record of a stream.
