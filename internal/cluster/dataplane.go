@@ -32,11 +32,6 @@ func (n *Node) SinkShip(pace transport.Pacing, reqs []wmm.PutReq) error {
 	return n.dp.ShipBatch(context.Background(), pace, reqs)
 }
 
-// SinkLand lands a single datum with source pacing.
-func (n *Node) SinkLand(pace transport.Pacing, req wmm.PutReq) error {
-	return n.dp.Land(context.Background(), pace, req)
-}
-
 // SinkPut lands a single datum unpaced (local pipes, replay).
 func (n *Node) SinkPut(key wmm.Key, v dataflow.Value, consumers int) error {
 	return n.dp.Land(context.Background(), transport.Pacing{}, wmm.PutReq{Key: key, Val: v, Consumers: consumers})

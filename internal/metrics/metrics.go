@@ -104,17 +104,14 @@ func (s *Sample) Percentile(p float64) float64 {
 	return s.vals[lo]*(1-frac) + s.vals[hi]*frac
 }
 
-// P50, P95, P99 are common percentile shorthands.
+// P50 and P99 are common percentile shorthands.
 func (s *Sample) P50() float64 { return s.Percentile(50) }
-
-// P95 returns the 95th percentile.
-func (s *Sample) P95() float64 { return s.Percentile(95) }
 
 // P99 returns the 99th percentile.
 func (s *Sample) P99() float64 { return s.Percentile(99) }
 
-// Values returns a copy of all observations in insertion order is not
-// guaranteed; the slice is sorted ascending.
+// Values returns a copy of all observations, sorted ascending (insertion
+// order is not kept).
 func (s *Sample) Values() []float64 {
 	s.ensureSorted()
 	out := make([]float64, len(s.vals))

@@ -35,11 +35,6 @@ type Sample struct {
 type Governor struct {
 	cfg  *Config
 	shed atomic.Pointer[map[string]time.Duration]
-
-	// updates and shedTicks are observability counters: samples consumed,
-	// and samples that left at least one tenant shed.
-	updates   atomic.Int64
-	shedTicks atomic.Int64
 }
 
 // NewGovernor returns a governor with an empty shed set.
@@ -110,7 +105,6 @@ func (g *Governor) Update(s Sample) []string {
 	if g == nil {
 		return nil
 	}
-	g.updates.Add(1)
 	if !g.Overloaded(s) {
 		if len(*g.shed.Load()) != 0 {
 			empty := map[string]time.Duration{}
@@ -162,24 +156,5 @@ func (g *Governor) Update(s Sample) []string {
 		}
 	}
 	g.shed.Store(&next)
-	if len(next) > 0 {
-		g.shedTicks.Add(1)
-	}
 	return out
-}
-
-// Updates returns how many samples the governor has consumed.
-func (g *Governor) Updates() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.updates.Load()
-}
-
-// ShedTicks returns how many samples left at least one tenant shed.
-func (g *Governor) ShedTicks() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.shedTicks.Load()
 }

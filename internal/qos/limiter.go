@@ -96,18 +96,3 @@ func (l *Limiter) Allow(now time.Duration, tenant string) (ok bool, retryAfter t
 	}
 	return false, time.Duration((1 - b.tokens) / b.spec.Rate * float64(time.Second))
 }
-
-// Tokens reports the tenant's current token balance without consuming
-// (0 and false when the tenant has no bucket yet).
-func (l *Limiter) Tokens(tenant string) (float64, bool) {
-	if l == nil {
-		return 0, false
-	}
-	st := l.stripe(tenant)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if b := st.buckets[tenant]; b != nil {
-		return b.tokens, true
-	}
-	return 0, false
-}

@@ -492,9 +492,6 @@ func (r *Resource) Capacity() int { return r.capacity }
 // Available returns capacity minus in-use units.
 func (r *Resource) Available() int { return r.capacity - r.inUse }
 
-// QueueLen returns the number of blocked acquirers.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
-
 // TryAcquire takes n units without blocking, reporting success. Acquisition
 // is FIFO: it fails if earlier acquirers are still waiting.
 func (r *Resource) TryAcquire(n int) bool {

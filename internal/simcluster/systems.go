@@ -410,8 +410,6 @@ func (req *request) triggeredCF(fn string) bool {
 	return false
 }
 
-// workloads import is used via invoke's profile parameter.
-
 func isTerminal(wf *workflow.Workflow, fn string) bool {
 	for _, t := range wf.Terminals() {
 		if t.Name == fn {
@@ -449,8 +447,6 @@ func (s *Sim) inputEdges(fn string) []workflow.Edge {
 func (s *Sim) ffExecute(p *sim.Proc, c *container, w *work) {
 	req, key := w.req, w.key
 	s.traceEvent(trace.InstanceStarted, req, key.Fn, key.Idx, "")
-	commStart := time.Duration(0)
-	_ = commStart
 
 	// Get phase.
 	for _, e := range s.inputEdges(key.Fn) {

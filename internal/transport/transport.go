@@ -51,7 +51,8 @@ type Transport interface {
 	// timestamp with one source pacing charge (the batched amortization of
 	// the boundary crossing).
 	ShipBatch(ctx context.Context, pace Pacing, reqs []wmm.PutReq) error
-	// Land lands a single datum (the per-item ship and replay paths).
+	// Land lands a single datum outside a shipment (the failover replay
+	// re-lands retained inputs one at a time).
 	Land(ctx context.Context, pace Pacing, req wmm.PutReq) error
 	// Get consumes one datum (proactive-release accounting applies).
 	Get(ctx context.Context, key wmm.Key) (dataflow.Value, bool, error)

@@ -35,8 +35,8 @@ func TestPutBatchEquivalentToSequentialPuts(t *testing.T) {
 		{TTL: 10 * time.Millisecond},
 		{Shards: 4, RetainInFlight: true, TTL: 10 * time.Millisecond},
 	} {
-		seq := NewSink(opts)
-		bat := NewSink(opts)
+		seq := newSink(t, opts)
+		bat := newSink(t, opts)
 		var reqs []PutReq
 		for i := 0; i < 100; i++ {
 			key := k(fmt.Sprintf("r%d", i%7), fmt.Sprintf("f%d", i%5), fmt.Sprintf("d%d", i))
@@ -73,7 +73,7 @@ func TestPutBatchEquivalentToSequentialPuts(t *testing.T) {
 }
 
 func TestPutBatchEmptyAndSingleton(t *testing.T) {
-	s := NewSink(Options{})
+	s := newSink(t, Options{})
 	s.PutBatch(0, nil)
 	s.PutBatch(0, []PutReq{})
 	if s.Stats().Puts != 0 {
@@ -92,7 +92,7 @@ func TestPutBatchEmptyAndSingleton(t *testing.T) {
 // TestPutBatchLargerThanScratch exercises the heap-spill path for batches
 // beyond the inline index scratch (64 entries).
 func TestPutBatchLargerThanScratch(t *testing.T) {
-	s := NewSink(Options{Shards: 2})
+	s := newSink(t, Options{Shards: 2})
 	var reqs []PutReq
 	for i := 0; i < 300; i++ {
 		reqs = append(reqs, PutReq{Key: k("r1", "f", fmt.Sprintf("d%d", i)), Val: v(1), Consumers: 1})
@@ -110,7 +110,7 @@ func TestPutBatchLargerThanScratch(t *testing.T) {
 // on one shard reuses entry records instead of allocating, and recycled
 // entries never resurrect stale data.
 func TestFreeListRecyclesEntries(t *testing.T) {
-	s := NewSink(Options{Shards: 1})
+	s := newSink(t, Options{Shards: 1})
 	key := k("r1", "f", "x")
 	for i := 0; i < 1000; i++ {
 		s.Put(0, key, v(int64(i+1)), 1)
@@ -134,12 +134,12 @@ func TestFreeListRecyclesEntries(t *testing.T) {
 	}
 }
 
-// TestFreeListSafeAcrossTTLSkeletons churns entries whose expiry-heap
-// skeletons outlive their map residency: recycling must wait for the heap
-// pop, so a reused record can never satisfy a stale skeleton's identity
-// check.
+// TestFreeListSafeAcrossTTLSkeletons churns TTL'd entries that are consumed
+// long before their expiry fires: a record is recycled the moment it is
+// dropped, so it must have left the expiry heap by then — a reused record
+// still queued under its old expiry would spill the wrong datum.
 func TestFreeListSafeAcrossTTLSkeletons(t *testing.T) {
-	s := NewSink(Options{Shards: 1, TTL: time.Millisecond})
+	s := newSink(t, Options{Shards: 1, TTL: time.Millisecond})
 	at := time.Duration(0)
 	for i := 0; i < 500; i++ {
 		key := k("r1", "f", fmt.Sprintf("d%d", i%3))
@@ -150,14 +150,14 @@ func TestFreeListSafeAcrossTTLSkeletons(t *testing.T) {
 		at += 100 * time.Microsecond // every ~10 iters crosses the TTL
 	}
 	// Everything was consumed before its TTL; nothing may be left in either
-	// tier once the remaining skeletons fire.
+	// tier once every TTL of the run has passed.
 	s.ExpireSweep(at + time.Second)
 	if s.Len() != 0 || s.DiskBytes() != 0 {
 		t.Fatalf("len=%d disk=%d after full consumption", s.Len(), s.DiskBytes())
 	}
 	var val dataflow.Value
 	if got, _, ok := s.Get(at, k("r1", "f", "d0")); ok {
-		t.Fatalf("stale skeleton resurrected %v", got)
+		t.Fatalf("recycled record resurrected %v", got)
 	} else if got != val {
 		t.Fatalf("miss returned non-zero value %v", got)
 	}

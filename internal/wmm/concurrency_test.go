@@ -12,7 +12,7 @@ import (
 // data names, per-goroutine requests) and checks that no datum is lost and
 // the accounting drains to zero. Run with -race in CI.
 func TestParallelPutGetPeek(t *testing.T) {
-	s := NewSink(Options{TTL: time.Minute, Shards: 8})
+	s := newSink(t, Options{TTL: time.Minute, Shards: 8})
 	const goroutines = 16
 	const ops = 300
 	var wg sync.WaitGroup
@@ -50,7 +50,7 @@ func TestParallelPutGetPeek(t *testing.T) {
 // Data must never be lost, whichever side wins, and both tiers must drain.
 func TestExpiryRacesConsumers(t *testing.T) {
 	const ttl = 10 * time.Millisecond
-	s := NewSink(Options{TTL: ttl})
+	s := newSink(t, Options{TTL: ttl})
 	const goroutines = 12
 	const ops = 250
 	var wg sync.WaitGroup
@@ -115,7 +115,7 @@ func TestExpiryRacesConsumers(t *testing.T) {
 // exact totals under concurrency: every operation is counted exactly once
 // even though different goroutines land on different stripes.
 func TestStatsMergeConsistency(t *testing.T) {
-	s := NewSink(Options{Shards: 4})
+	s := newSink(t, Options{Shards: 4})
 	const goroutines = 10
 	const puts = 200
 	var wg sync.WaitGroup
@@ -156,7 +156,7 @@ func TestStatsMergeConsistency(t *testing.T) {
 // TestCrossShardAggregates spreads one request across every shard and checks
 // the merged gauges and per-shard integrals against hand-computed values.
 func TestCrossShardAggregates(t *testing.T) {
-	s := NewSink(Options{Shards: 16})
+	s := newSink(t, Options{Shards: 16})
 	const n = 64 // several keys per shard with high probability
 	var total int64
 	for i := 0; i < n; i++ {

@@ -14,7 +14,7 @@ func val(n int) dataflow.Value {
 // With RetainInFlight, the last consumer's Get must not release the entry:
 // it stays readable (the replay source) until ReleaseRequest reclaims it.
 func TestRetainInFlightKeepsConsumedEntries(t *testing.T) {
-	s := NewSink(Options{RetainInFlight: true, Shards: 4})
+	s := newSink(t, Options{RetainInFlight: true, Shards: 4})
 	key := Key{ReqID: "r1", Fn: "f", Data: "x"}
 	s.Put(0, key, val(100), 1)
 
@@ -48,7 +48,7 @@ func TestRetainInFlightKeepsConsumedEntries(t *testing.T) {
 // A retained, fully-consumed entry must spill on TTL (not drop): replay may
 // still need it, and the spill tier is reclaimed at request completion.
 func TestRetainInFlightSpillsConsumedOnTTL(t *testing.T) {
-	s := NewSink(Options{RetainInFlight: true, TTL: time.Second, Shards: 1})
+	s := newSink(t, Options{RetainInFlight: true, TTL: time.Second, Shards: 1})
 	key := Key{ReqID: "r1", Fn: "f", Data: "x"}
 	s.Put(0, key, val(64), 1)
 	if _, _, ok := s.Get(100*time.Millisecond, key); !ok {
@@ -69,7 +69,7 @@ func TestRetainInFlightSpillsConsumedOnTTL(t *testing.T) {
 
 // Without the knob the behaviour is unchanged: last Get proactively releases.
 func TestRetainOffProactiveReleaseUnchanged(t *testing.T) {
-	s := NewSink(Options{Shards: 1})
+	s := newSink(t, Options{Shards: 1})
 	key := Key{ReqID: "r1", Fn: "f", Data: "x"}
 	s.Put(0, key, val(32), 1)
 	if _, _, ok := s.Get(time.Second, key); !ok {
@@ -85,7 +85,7 @@ func TestRetainOffProactiveReleaseUnchanged(t *testing.T) {
 
 // Clear models node failure: both tiers wiped, gauges zeroed, sink usable.
 func TestClearWipesBothTiers(t *testing.T) {
-	s := NewSink(Options{TTL: time.Second, Shards: 4})
+	s := newSink(t, Options{TTL: time.Second, Shards: 4})
 	memKey := Key{ReqID: "r1", Fn: "f", Data: "mem"}
 	spillKey := Key{ReqID: "r1", Fn: "f", Data: "spill"}
 	s.Put(0, spillKey, val(10), 2)

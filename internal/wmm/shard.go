@@ -9,90 +9,102 @@ import (
 	"repro/internal/metrics"
 )
 
+// entry is one cached datum. It sits in exactly one stripe's index and on
+// that stripe's chain for its request from Put until drop; tier says which
+// byte gauge it is charged to, slot where the expiry heap holds it.
 type entry struct {
-	key       Key
-	val       dataflow.Value
-	remaining int // consumers still to fetch
-	expiresAt time.Duration
-	hasTTL    bool
+	key        Key
+	val        dataflow.Value
+	remaining  int // consumers still to fetch
+	expiresAt  time.Duration
+	tier       Tier   // Memory or Disk; a TTL spill flips it in place
+	slot       int    // index in the stripe's expiry heap, -1 when not queued
+	next, prev *entry // the other entries of key.ReqID on this stripe
 }
 
-// expiryHeap is a min-heap of TTL'd entries ordered by expiry time. Entries
-// that leave the shard maps early (consumed, replaced or released) are left
-// in the heap and lazily discarded when popped, so removal stays O(1) and
-// each entry costs one O(log n) push plus one O(log n) pop over its
-// lifetime — never a scan of live entries. Hand-rolled rather than
-// container/heap: the push/pop below run on the Put hot path and the
+// expiryHeap is a min-heap by expiry time of exactly the memory-tier entries
+// that carry a TTL. Every entry records its slot, so one that leaves early
+// (consumed, replaced, released) is taken out on the spot in O(log n) and
+// the heap never holds a dead reference. Hand-rolled rather than
+// container/heap: push and remove run on the Put/Get hot path and the
 // interface indirection is measurable there.
 type expiryHeap []*entry
 
-func (h *expiryHeap) push(e *entry) {
-	q := append(*h, e)
-	i := len(q) - 1
+func (h expiryHeap) set(i int, e *entry) {
+	h[i] = e
+	e.slot = i
+}
+
+// up and down sift the entry at slot i towards the root / the leaves.
+func (h expiryHeap) up(i int) {
+	e := h[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if q[parent].expiresAt <= q[i].expiresAt {
+		if h[parent].expiresAt <= e.expiresAt {
 			break
 		}
-		q[parent], q[i] = q[i], q[parent]
+		h.set(i, h[parent])
 		i = parent
 	}
-	*h = q
+	h.set(i, e)
 }
 
-func (h *expiryHeap) pop() *entry {
+func (h expiryHeap) down(i int) {
+	e := h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1].expiresAt < h[c].expiresAt {
+			c++
+		}
+		if e.expiresAt <= h[c].expiresAt {
+			break
+		}
+		h.set(i, h[c])
+		i = c
+	}
+	h.set(i, e)
+}
+
+func (h *expiryHeap) push(e *entry) {
+	*h = append(*h, e)
+	h.up(len(*h) - 1)
+}
+
+// remove takes the entry at slot i out of the heap (i == 0 is the pop).
+func (h *expiryHeap) remove(i int) {
 	q := *h
 	n := len(q) - 1
-	e := q[0]
-	q[0] = q[n]
-	q[n] = nil // release the entry for GC once processed
+	q[i].slot = -1
+	last := q[n]
+	q[n] = nil
 	q = q[:n]
 	*h = q
-	q.siftDown(0)
-	return e
-}
-
-func (h expiryHeap) siftDown(i int) {
-	n := len(h)
-	for {
-		min, l, r := i, 2*i+1, 2*i+2
-		if l < n && h[l].expiresAt < h[min].expiresAt {
-			min = l
-		}
-		if r < n && h[r].expiresAt < h[min].expiresAt {
-			min = r
-		}
-		if min == i {
-			return
-		}
-		h[i], h[min] = h[min], h[i]
-		i = min
+	if i < n {
+		q.set(i, last)
+		q.down(i)
+		q.up(last.slot)
 	}
 }
 
 // shard is one lock stripe of the sink: a slice of the key space with its
-// own index maps, expiry heap, counters and occupancy integral. Aggregate
+// own index, expiry heap, counters and occupancy integral. Aggregate
 // readers merge the per-shard state; the hot path touches exactly one
 // shard.
 type shard struct {
-	mu   sync.Mutex
-	mem  map[string]map[string]map[string]*entry // reqID -> fn -> data
-	disk map[string]map[Key]*entry               // reqID -> key (spill tier)
-	ttl  expiryHeap
+	mu sync.Mutex
+	// entries indexes both tiers; reqs heads each request's chain through
+	// entry.next/prev, so ReleaseRequest walks only that request's entries.
+	entries map[Key]*entry
+	reqs    map[string]*entry
+	ttl     expiryHeap
 
-	// Free lists recycle the hot-path allocations of a Put: the entry record
-	// and the two inner index maps. All reuse happens under sh.mu, so the
-	// lists need no further synchronization. Bounded so a burst's worth of
-	// garbage does not stay pinned forever.
+	// freeEnts recycles entry records, the hot-path allocation of a Put.
+	// All reuse happens under sh.mu. Bounded so a burst's worth of garbage
+	// does not stay pinned forever.
 	freeEnts []*entry
-	freeData []map[string]*entry
-	freeFn   []map[string]map[string]*entry
-
-	// ttlStale counts heap items whose entry has already left the maps
-	// (consumed, replaced or released before its TTL fired). When stale
-	// items outnumber live ones the heap is compacted, so the skeletons
-	// pinned by lazy deletion stay bounded by the live entry count.
-	ttlStale int
 
 	// stats holds this stripe's counters; PeakMemBytes is tracked globally
 	// on the Sink (per-shard peaks at different times do not sum to the
@@ -107,170 +119,77 @@ type shard struct {
 	obsStripe uint32
 }
 
-// compactMinHeap is the heap size below which compaction is not worth it.
-const compactMinHeap = 64
-
-// Free-list bounds: enough to absorb a steady-state invoke storm's churn,
-// small enough that an idle shard pins only a few KB.
-const (
-	freeEntCap = 256
-	freeMapCap = 64
-)
-
-// newEntry returns an entry initialized to {key, val, consumers}, reusing a
-// recycled record when one is available. Caller holds sh.mu.
-func (sh *shard) newEntry(key Key, v dataflow.Value, consumers int) *entry {
-	if n := len(sh.freeEnts); n > 0 {
-		e := sh.freeEnts[n-1]
-		sh.freeEnts[n-1] = nil
-		sh.freeEnts = sh.freeEnts[:n-1]
-		*e = entry{key: key, val: v, remaining: consumers}
-		return e
-	}
-	return &entry{key: key, val: v, remaining: consumers}
-}
-
-// recycleEntry returns e to the free list. The caller must have removed e
-// from both tier maps and must guarantee no expiry-heap skeleton still
-// points at it: e.hasTTL is false (never pushed, or cleared when the heap
-// item was popped/discarded). An entry whose skeleton is still queued is
-// instead val-zeroed and counted in ttlStale; the heap pop recycles it.
-// Caller holds sh.mu.
-func (sh *shard) recycleEntry(e *entry) {
-	if len(sh.freeEnts) >= freeEntCap {
-		return
-	}
-	*e = entry{}
-	sh.freeEnts = append(sh.freeEnts, e)
-}
-
-// newDataMap returns an empty data-name index map, recycled if possible.
-func (sh *shard) newDataMap() map[string]*entry {
-	if n := len(sh.freeData); n > 0 {
-		m := sh.freeData[n-1]
-		sh.freeData[n-1] = nil
-		sh.freeData = sh.freeData[:n-1]
-		return m
-	}
-	return make(map[string]*entry)
-}
-
-func (sh *shard) recycleDataMap(m map[string]*entry) {
-	if len(sh.freeData) >= freeMapCap {
-		return
-	}
-	clear(m)
-	sh.freeData = append(sh.freeData, m)
-}
-
-// newFnMap returns an empty function index map, recycled if possible.
-func (sh *shard) newFnMap() map[string]map[string]*entry {
-	if n := len(sh.freeFn); n > 0 {
-		m := sh.freeFn[n-1]
-		sh.freeFn[n-1] = nil
-		sh.freeFn = sh.freeFn[:n-1]
-		return m
-	}
-	return make(map[string]map[string]*entry)
-}
-
-func (sh *shard) recycleFnMap(m map[string]map[string]*entry) {
-	if len(sh.freeFn) >= freeMapCap {
-		return
-	}
-	clear(m)
-	sh.freeFn = append(sh.freeFn, m)
-}
-
-// maybeCompactTTL rebuilds the expiry heap without its stale items once
-// they outnumber the live ones. Amortized O(1) per operation: a rebuild
-// costs O(n) but at least n/2 stale items were discarded to earn it.
-func (sh *shard) maybeCompactTTL() {
-	if len(sh.ttl) < compactMinHeap || sh.ttlStale*2 <= len(sh.ttl) {
-		return
-	}
-	q := sh.ttl[:0]
-	for _, e := range sh.ttl {
-		if dm := sh.fnMap(e.key); dm != nil && dm[e.key.Data] == e {
-			q = append(q, e)
-		} else {
-			// Discarded skeleton: the entry left the maps long ago and this
-			// was its last reference.
-			e.hasTTL = false
-			sh.recycleEntry(e)
-		}
-	}
-	for i := len(q); i < len(sh.ttl); i++ {
-		sh.ttl[i] = nil
-	}
-	if len(q)*2 < cap(sh.ttl) {
-		q = append(expiryHeap(nil), q...) // let a burst's backing array go
-	}
-	sh.ttl = q
-	for i := len(q)/2 - 1; i >= 0; i-- {
-		q.siftDown(i)
-	}
-	sh.ttlStale = 0
-}
+// freeEntCap bounds the free list: enough to absorb a steady-state invoke
+// storm's churn, small enough that an idle shard pins only a few KB.
+const freeEntCap = 256
 
 func (sh *shard) init() {
-	sh.mem = make(map[string]map[string]map[string]*entry)
-	sh.disk = make(map[string]map[Key]*entry)
+	sh.entries = make(map[Key]*entry)
+	sh.reqs = make(map[string]*entry)
 	sh.memInt = metrics.NewIntegral()
 }
 
-// fnMap returns the data map for key's (ReqID, Fn), or nil.
-func (sh *shard) fnMap(key Key) map[string]*entry {
-	fnMap := sh.mem[key.ReqID]
-	if fnMap == nil {
-		return nil
+// insert indexes a new memory-tier entry {key, val, consumers} and chains it
+// to its request, reusing a recycled record when one is available. The
+// caller has dropped any previous entry for key and holds sh.mu.
+func (sh *shard) insert(key Key, v dataflow.Value, consumers int) *entry {
+	var e *entry
+	if n := len(sh.freeEnts); n > 0 {
+		e = sh.freeEnts[n-1]
+		sh.freeEnts[n-1] = nil
+		sh.freeEnts = sh.freeEnts[:n-1]
+	} else {
+		e = new(entry)
 	}
-	return fnMap[key.Fn]
+	*e = entry{key: key, val: v, remaining: consumers, tier: Memory, slot: -1}
+	if head := sh.reqs[key.ReqID]; head != nil {
+		e.next, head.prev = head, e
+	}
+	sh.reqs[key.ReqID] = e
+	sh.entries[key] = e
+	return e
 }
 
-// gcEmpty prunes empty inner maps after a removal at key.
-func (sh *shard) gcEmpty(key Key) {
-	fnMap := sh.mem[key.ReqID]
-	if fnMap == nil {
-		return
+// drop removes e from the stripe — index, request chain and, if it is still
+// queued, the expiry heap — settles the byte gauge of the tier it was in and
+// recycles the record, which nothing references any more. Caller holds
+// sh.mu.
+func (s *Sink) drop(sh *shard, at time.Duration, e *entry) {
+	delete(sh.entries, e.key)
+	switch {
+	case e.prev != nil:
+		e.prev.next = e.next
+	case e.next != nil:
+		sh.reqs[e.key.ReqID] = e.next
+	default:
+		delete(sh.reqs, e.key.ReqID)
 	}
-	if dataMap := fnMap[key.Fn]; dataMap != nil && len(dataMap) == 0 {
-		delete(fnMap, key.Fn)
-		sh.recycleDataMap(dataMap)
+	if e.next != nil {
+		e.next.prev = e.prev
 	}
-	if len(fnMap) == 0 {
-		delete(sh.mem, key.ReqID)
-		sh.recycleFnMap(fnMap)
+	if e.slot >= 0 {
+		sh.ttl.remove(e.slot)
 	}
-}
-
-// expireLocked pops TTL-exceeded entries off the shard's heap: live ones
-// move to the spill tier (or are dropped outright when already fully
-// consumed), stale heap items are discarded. Amortized O(log n) per expired
-// entry; O(1) when nothing has expired. Caller holds sh.mu.
-func (s *Sink) expireLocked(sh *shard, at time.Duration) int {
-	if s.opts.TTL <= 0 {
-		return 0
-	}
-	n := 0
-	for len(sh.ttl) > 0 {
-		e := sh.ttl[0]
-		if e.expiresAt > at {
-			break
-		}
-		sh.ttl.pop()
-		e.hasTTL = false // the heap skeleton is gone either way
-		dataMap := sh.fnMap(e.key)
-		if dataMap == nil || dataMap[e.key.Data] != e {
-			sh.ttlStale--
-			// Stale: consumed, replaced or released since insertion — the
-			// heap held the last reference.
-			sh.recycleEntry(e)
-			continue
-		}
-		delete(dataMap, e.key.Data)
-		sh.gcEmpty(e.key)
+	if e.tier == Memory {
 		s.adjustMem(sh, at, -e.val.Size)
+	} else {
+		s.diskBytes.Add(-e.val.Size)
+	}
+	if len(sh.freeEnts) < freeEntCap {
+		*e = entry{}
+		sh.freeEnts = append(sh.freeEnts, e)
+	}
+}
+
+// expireLocked pops the TTL-exceeded entries off the shard's heap and moves
+// each to the spill tier by flipping its tier (or drops it outright when it
+// is already fully consumed). O(log n) per expired entry; O(1) when nothing
+// has expired. Caller holds sh.mu.
+func (s *Sink) expireLocked(sh *shard, at time.Duration) int {
+	n := 0
+	for len(sh.ttl) > 0 && sh.ttl[0].expiresAt <= at {
+		e := sh.ttl[0]
+		sh.ttl.remove(0)
 		sh.stats.Expirations++
 		obsExpired.Inc(sh.obsStripe)
 		n++
@@ -280,15 +199,11 @@ func (s *Sink) expireLocked(sh *shard, at time.Duration) int {
 			// on disk until request teardown — drop it instead. Under
 			// RetainInFlight the entry is a replay source and spills so it
 			// survives until the request completes.
-			sh.recycleEntry(e)
+			s.drop(sh, at, e)
 			continue
 		}
-		reqDisk := sh.disk[e.key.ReqID]
-		if reqDisk == nil {
-			reqDisk = make(map[Key]*entry)
-			sh.disk[e.key.ReqID] = reqDisk
-		}
-		reqDisk[e.key] = e
+		s.adjustMem(sh, at, -e.val.Size)
+		e.tier = Disk
 		s.diskBytes.Add(e.val.Size)
 	}
 	return n

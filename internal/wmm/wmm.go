@@ -22,18 +22,33 @@
 //     tier grows without bound in a long-running system.
 //
 // Internally the sink is sharded: the key is hashed across a power-of-two
-// number of lock stripes, each with its own index, expiry min-heap, and
-// counters. Put/Get/Peek lock exactly one stripe and pop only the entries
-// whose TTL has actually fired (amortized O(log n)), so there is no
-// O(all-entries) sweep and no single serialization point on the hot path
-// under concurrent invocations. Aggregate readers (Stats, MemIntegralMBs,
-// byte gauges) merge the per-shard state; per-stripe integrals sum linearly
-// and the global byte total and peak are maintained atomically. Expiry is
-// applied lazily — on each stripe's own accesses, on every ReleaseRequest
-// and ExpireSweep (which visit all stripes), and at MemIntegralMBs reads —
-// so a past-TTL entry on a quiet stripe is charged to the memory tier for
-// at most the gap between requests, not until its stripe happens to be
-// touched again.
+// number of lock stripes. A stripe holds one index, map[Key]*entry, for both
+// tiers — an entry's tier is a field, and a TTL spill flips it in place and
+// moves its bytes from the memory gauge to the disk gauge; nothing is
+// re-indexed. The entries of one request on a stripe are chained through the
+// entries themselves, so ReleaseRequest walks only that request's entries.
+// Each stripe keeps a min-heap of expiry times in which every entry records
+// its slot, so an entry that leaves early (consumed, replaced, released) is
+// taken out on the spot. The bookkeeping invariants, checked after every
+// step of the model test (checkSink):
+//
+//   - every indexed entry is on exactly its request's chain on its own
+//     stripe, and every chained entry is indexed;
+//   - the expiry heap holds exactly the memory-tier entries that carry a
+//     TTL, each at its recorded slot — never a dead reference, so nothing
+//     it holds can pin a released payload;
+//   - the per-stripe and global byte gauges equal the per-tier size sums.
+//
+// Put/Get/Peek lock exactly one stripe and pop only the entries whose TTL
+// has actually fired (O(log n) each), so there is no O(all-entries) sweep
+// and no single serialization point on the hot path under concurrent
+// invocations. Aggregate readers (Stats, MemIntegralMBs, byte gauges) merge
+// the per-shard state; per-stripe integrals sum linearly and the global
+// byte total and peak are maintained atomically. Expiry is applied lazily —
+// on each stripe's own accesses, on every ReleaseRequest and ExpireSweep
+// (which visit all stripes), and at MemIntegralMBs reads — so a past-TTL
+// entry on a quiet stripe is charged to the memory tier for at most the gap
+// between requests, not until its stripe happens to be touched again.
 //
 // Timestamps are explicit time.Duration values so the same implementation
 // serves both the wall-clock runtime plane and the virtual-time simulation
@@ -175,60 +190,27 @@ func (s *Sink) Put(at time.Duration, key Key, v dataflow.Value, consumers int) {
 	defer sh.mu.Unlock()
 	s.expireLocked(sh, at)
 	s.putLocked(sh, at, key, v, consumers)
-	sh.maybeCompactTTL()
 }
 
 // putLocked is Put's body once the stripe lock is held and pending
-// expirations have been applied; PutBatch amortizes the lock acquisition,
-// expiry pass and compaction check over many keys on the same stripe.
-// Caller holds sh.mu.
+// expirations have been applied; PutBatch amortizes the lock acquisition
+// and expiry pass over many keys on the same stripe. Caller holds sh.mu.
 func (s *Sink) putLocked(sh *shard, at time.Duration, key Key, v dataflow.Value, consumers int) {
 	if consumers < 1 {
 		consumers = 1
 	}
 	sh.stats.Puts++
 	obsPuts.Inc(sh.obsStripe)
-	fnMap := sh.mem[key.ReqID]
-	if fnMap == nil {
-		fnMap = sh.newFnMap()
-		sh.mem[key.ReqID] = fnMap
+	// A previous value for the key is superseded whichever tier it is in:
+	// dropping it first takes its bytes off that tier's gauge.
+	if old := sh.entries[key]; old != nil {
+		s.drop(sh, at, old)
 	}
-	dataMap := fnMap[key.Fn]
-	if dataMap == nil {
-		dataMap = sh.newDataMap()
-		fnMap[key.Fn] = dataMap
-	}
-	if old, ok := dataMap[key.Data]; ok {
-		s.adjustMem(sh, at, -old.val.Size)
-		if old.hasTTL {
-			// The old entry's heap item goes stale and is discarded (and
-			// recycled) when popped or compacted; free its payload now.
-			old.val = dataflow.Value{}
-			sh.ttlStale++
-		} else {
-			sh.recycleEntry(old)
-		}
-	}
-	// A TTL-spilled copy of the same key is superseded too; without this a
-	// re-put would leave the stale value servable from disk (and its bytes
-	// double-counted) until request teardown.
-	if reqDisk := sh.disk[key.ReqID]; reqDisk != nil {
-		if old, ok := reqDisk[key]; ok {
-			delete(reqDisk, key)
-			if len(reqDisk) == 0 {
-				delete(sh.disk, key.ReqID)
-			}
-			s.diskBytes.Add(-old.val.Size)
-			sh.recycleEntry(old) // spilled entries hold no heap skeleton
-		}
-	}
-	e := sh.newEntry(key, v, consumers)
+	e := sh.insert(key, v, consumers)
 	if s.opts.TTL > 0 {
 		e.expiresAt = at + s.opts.TTL
-		e.hasTTL = true
 		sh.ttl.push(e)
 	}
-	dataMap[key.Data] = e
 	s.adjustMem(sh, at, v.Size)
 }
 
@@ -241,10 +223,10 @@ type PutReq struct {
 
 // PutBatch caches every req at time at — the multi-put half of the DLU
 // shipment batcher. Keys are grouped by lock stripe and each stripe is
-// locked exactly once for all of its keys, paying one lock acquisition, one
-// expiry pass and one compaction check where per-item Puts pay one of each
-// per key. Equivalent to calling Put for every req: stripes are
-// independent, and within a stripe the batch's order is preserved.
+// locked exactly once for all of its keys, paying one lock acquisition and
+// one expiry pass where per-item Puts pay one of each per key. Equivalent
+// to calling Put for every req: stripes are independent, and within a
+// stripe the batch's order is preserved.
 func (s *Sink) PutBatch(at time.Duration, reqs []PutReq) {
 	if len(reqs) == 0 {
 		return
@@ -276,7 +258,6 @@ func (s *Sink) PutBatch(at time.Duration, reqs []PutReq) {
 			idx[j] = claimed
 			s.putLocked(sh, at, reqs[j].Key, reqs[j].Val, reqs[j].Consumers)
 		}
-		sh.maybeCompactTTL()
 		sh.mu.Unlock()
 	}
 }
@@ -288,70 +269,41 @@ func (s *Sink) Get(at time.Duration, key Key) (dataflow.Value, Tier, bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	s.expireLocked(sh, at)
-	if dataMap := sh.fnMap(key); dataMap != nil {
-		if e, ok := dataMap[key.Data]; ok {
-			sh.stats.MemHits++
-			obsMemHits.Inc(sh.obsStripe)
-			e.remaining--
-			val := e.val
-			if e.remaining <= 0 && !s.opts.DisableProactive {
-				if s.opts.RetainInFlight {
-					// Replay retention: the entry's consumers are done, but
-					// the request is not — keep the payload resident so a
-					// node failure downstream can re-execute this consumer
-					// from its original inputs. ReleaseRequest reclaims it.
-					if e.remaining == 0 {
-						sh.stats.Retained++
-						obsRetained.Inc(sh.obsStripe)
-					}
-					return val, Memory, true
-				}
-				delete(dataMap, key.Data)
-				s.adjustMem(sh, at, -val.Size)
-				sh.stats.ProactiveReleases++
-				obsProactive.Inc(sh.obsStripe)
-				sh.gcEmpty(key)
-				if e.hasTTL {
-					// The entry sits in the expiry heap until its TTL fires
-					// or a compaction sweeps it; drop the payload now so
-					// only the skeleton (the identity the lazy-discard
-					// check needs) stays pinned. The pop recycles it.
-					e.val = dataflow.Value{}
-					sh.ttlStale++
-				} else {
-					sh.recycleEntry(e)
-				}
-			}
-			return val, Memory, true
-		}
+	e := sh.entries[key]
+	if e == nil {
+		sh.stats.Misses++
+		obsMisses.Inc(sh.obsStripe)
+		return dataflow.Value{}, Miss, false
 	}
-	if reqDisk := sh.disk[key.ReqID]; reqDisk != nil {
-		if e, ok := reqDisk[key]; ok {
-			sh.stats.DiskHits++
-			obsDiskHits.Inc(sh.obsStripe)
-			e.remaining--
-			val := e.val
-			if e.remaining <= 0 && !s.opts.DisableProactive {
-				if s.opts.RetainInFlight {
-					if e.remaining == 0 {
-						sh.stats.Retained++
-						obsRetained.Inc(sh.obsStripe)
-					}
-					return val, Disk, true
-				}
-				delete(reqDisk, key)
-				if len(reqDisk) == 0 {
-					delete(sh.disk, key.ReqID)
-				}
-				s.diskBytes.Add(-val.Size)
-				sh.recycleEntry(e) // spilled entries hold no heap skeleton
-			}
-			return val, Disk, true
-		}
+	val, tier := e.val, e.tier
+	if tier == Memory {
+		sh.stats.MemHits++
+		obsMemHits.Inc(sh.obsStripe)
+	} else {
+		sh.stats.DiskHits++
+		obsDiskHits.Inc(sh.obsStripe)
 	}
-	sh.stats.Misses++
-	obsMisses.Inc(sh.obsStripe)
-	return dataflow.Value{}, Miss, false
+	e.remaining--
+	if e.remaining > 0 || s.opts.DisableProactive {
+		return val, tier, true
+	}
+	if s.opts.RetainInFlight {
+		// Replay retention: the entry's consumers are done, but the request
+		// is not — keep the payload resident so a node failure downstream
+		// can re-execute this consumer from its original inputs.
+		// ReleaseRequest reclaims it.
+		if e.remaining == 0 {
+			sh.stats.Retained++
+			obsRetained.Inc(sh.obsStripe)
+		}
+		return val, tier, true
+	}
+	if tier == Memory { // a spilled entry's release is not a proactive one
+		sh.stats.ProactiveReleases++
+		obsProactive.Inc(sh.obsStripe)
+	}
+	s.drop(sh, at, e)
+	return val, tier, true
 }
 
 // Peek returns the value without consuming it.
@@ -360,15 +312,8 @@ func (s *Sink) Peek(at time.Duration, key Key) (dataflow.Value, Tier, bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	s.expireLocked(sh, at)
-	if dataMap := sh.fnMap(key); dataMap != nil {
-		if e, ok := dataMap[key.Data]; ok {
-			return e.val, Memory, true
-		}
-	}
-	if reqDisk := sh.disk[key.ReqID]; reqDisk != nil {
-		if e, ok := reqDisk[key]; ok {
-			return e.val, Disk, true
-		}
+	if e := sh.entries[key]; e != nil {
+		return e.val, e.tier, true
 	}
 	return dataflow.Value{}, Miss, false
 }
@@ -376,8 +321,8 @@ func (s *Sink) Peek(at time.Duration, key Key) (dataflow.Value, Tier, bool) {
 // ReleaseRequest drops every entry of a request from both tiers (end-of-
 // request cleanup; the control-flow baselines use this as their only release
 // point, and core.Invocation teardown drives it as the spill tier's GC).
-// Cost is O(shards + entries of the request): the spill tier is indexed by
-// request, so other requests' entries are never scanned.
+// Cost is O(shards + entries of the request): each stripe chains a
+// request's entries, so other requests' entries are never scanned.
 func (s *Sink) ReleaseRequest(at time.Duration, reqID string) {
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -387,28 +332,10 @@ func (s *Sink) ReleaseRequest(at time.Duration, reqID string) {
 		// shard can stay charged to the memory tier by the inter-request
 		// gap (sink-wide), not by that shard's own access gap.
 		s.expireLocked(sh, at)
-		if fnMap, ok := sh.mem[reqID]; ok {
-			for _, dataMap := range fnMap {
-				for _, e := range dataMap {
-					s.adjustMem(sh, at, -e.val.Size)
-					if e.hasTTL {
-						e.val = dataflow.Value{} // heap-pinned until popped
-						sh.ttlStale++
-					} else {
-						sh.recycleEntry(e)
-					}
-				}
-				sh.recycleDataMap(dataMap)
-			}
-			delete(sh.mem, reqID)
-			sh.recycleFnMap(fnMap)
-		}
-		if reqDisk, ok := sh.disk[reqID]; ok {
-			for _, e := range reqDisk {
-				s.diskBytes.Add(-e.val.Size)
-				sh.recycleEntry(e) // spilled entries hold no heap skeleton
-			}
-			delete(sh.disk, reqID)
+		for e := sh.reqs[reqID]; e != nil; {
+			next := e.next
+			s.drop(sh, at, e)
+			e = next
 		}
 		sh.mu.Unlock()
 	}
@@ -422,21 +349,9 @@ func (s *Sink) Clear(at time.Duration) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		if sh.memBytes != 0 {
-			s.adjustMem(sh, at, -sh.memBytes)
+		for _, e := range sh.entries {
+			s.drop(sh, at, e)
 		}
-		sh.mem = make(map[string]map[string]map[string]*entry)
-		for _, reqDisk := range sh.disk {
-			for _, e := range reqDisk {
-				s.diskBytes.Add(-e.val.Size)
-			}
-		}
-		sh.disk = make(map[string]map[Key]*entry)
-		for j := range sh.ttl {
-			sh.ttl[j] = nil
-		}
-		sh.ttl = sh.ttl[:0]
-		sh.ttlStale = 0
 		sh.mu.Unlock()
 	}
 }
@@ -496,9 +411,9 @@ func (s *Sink) Len() int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for _, fnMap := range sh.mem {
-			for _, dataMap := range fnMap {
-				n += len(dataMap)
+		for _, e := range sh.entries {
+			if e.tier == Memory {
+				n++
 			}
 		}
 		sh.mu.Unlock()

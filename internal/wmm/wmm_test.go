@@ -15,7 +15,7 @@ func v(size int64) dataflow.Value { return dataflow.Value{Size: size, Payload: s
 func k(req, fn, data string) Key { return Key{ReqID: req, Fn: fn, Data: data} }
 
 func TestPutGetMemory(t *testing.T) {
-	s := NewSink(Options{})
+	s := newSink(t, Options{})
 	s.Put(0, k("r1", "f", "x"), v(100), 1)
 	got, tier, ok := s.Get(time.Second, k("r1", "f", "x"))
 	if !ok || tier != Memory || got.Size != 100 {
@@ -24,7 +24,7 @@ func TestPutGetMemory(t *testing.T) {
 }
 
 func TestGetMiss(t *testing.T) {
-	s := NewSink(Options{})
+	s := newSink(t, Options{})
 	_, tier, ok := s.Get(0, k("r1", "f", "x"))
 	if ok || tier != Miss {
 		t.Fatalf("expected miss, got %v %v", tier, ok)
@@ -35,7 +35,7 @@ func TestGetMiss(t *testing.T) {
 }
 
 func TestProactiveReleaseSingleConsumer(t *testing.T) {
-	s := NewSink(Options{})
+	s := newSink(t, Options{})
 	s.Put(0, k("r1", "f", "x"), v(100), 1)
 	if s.MemBytes() != 100 {
 		t.Fatalf("mem = %d", s.MemBytes())
@@ -57,7 +57,7 @@ func TestProactiveReleaseSingleConsumer(t *testing.T) {
 }
 
 func TestProactiveReleaseMultiConsumer(t *testing.T) {
-	s := NewSink(Options{})
+	s := newSink(t, Options{})
 	s.Put(0, k("r1", "f", "x"), v(100), 3)
 	for i := 0; i < 2; i++ {
 		if _, _, ok := s.Get(0, k("r1", "f", "x")); !ok {
@@ -74,7 +74,7 @@ func TestProactiveReleaseMultiConsumer(t *testing.T) {
 }
 
 func TestDisableProactive(t *testing.T) {
-	s := NewSink(Options{DisableProactive: true})
+	s := newSink(t, Options{DisableProactive: true})
 	s.Put(0, k("r1", "f", "x"), v(100), 1)
 	s.Get(0, k("r1", "f", "x"))
 	if s.MemBytes() != 100 {
@@ -87,7 +87,7 @@ func TestDisableProactive(t *testing.T) {
 }
 
 func TestPassiveExpireSpillsToDisk(t *testing.T) {
-	s := NewSink(Options{TTL: 10 * time.Second})
+	s := newSink(t, Options{TTL: 10 * time.Second})
 	s.Put(0, k("r1", "f", "x"), v(100), 1)
 	s.ExpireSweep(5 * time.Second)
 	if s.MemBytes() != 100 || s.DiskBytes() != 0 {
@@ -107,7 +107,7 @@ func TestPassiveExpireSpillsToDisk(t *testing.T) {
 }
 
 func TestExpireRunsLazilyOnAccess(t *testing.T) {
-	s := NewSink(Options{TTL: time.Second})
+	s := newSink(t, Options{TTL: time.Second})
 	s.Put(0, k("r1", "f", "x"), v(50), 1)
 	// No explicit sweep: the access itself applies the pending expiry, so a
 	// late consumer is served from the spill tier and charged accordingly.
@@ -121,7 +121,7 @@ func TestExpireRunsLazilyOnAccess(t *testing.T) {
 }
 
 func TestNoTTLNeverExpires(t *testing.T) {
-	s := NewSink(Options{})
+	s := newSink(t, Options{})
 	s.Put(0, k("r1", "f", "x"), v(50), 1)
 	s.ExpireSweep(time.Hour)
 	if s.MemBytes() != 50 || s.DiskBytes() != 0 {
@@ -130,7 +130,7 @@ func TestNoTTLNeverExpires(t *testing.T) {
 }
 
 func TestReleaseRequestDropsBothTiers(t *testing.T) {
-	s := NewSink(Options{TTL: time.Second})
+	s := newSink(t, Options{TTL: time.Second})
 	s.Put(0, k("r1", "f", "x"), v(50), 1)
 	s.Put(0, k("r2", "f", "x"), v(70), 1)
 	s.ExpireSweep(2 * time.Second) // both spill
@@ -148,7 +148,7 @@ func TestReleaseRequestDropsBothTiers(t *testing.T) {
 // consumer has fetched them — diskBytes returns to 0 with no explicit
 // sweep or request teardown needed.
 func TestDiskReleasedAfterAllConsumersFetch(t *testing.T) {
-	s := NewSink(Options{TTL: time.Second})
+	s := newSink(t, Options{TTL: time.Second})
 	s.Put(0, k("r1", "f", "x"), v(100), 3)
 	if n := s.ExpireSweep(2 * time.Second); n != 1 {
 		t.Fatalf("expired %d, want 1", n)
@@ -172,7 +172,7 @@ func TestDiskReleasedAfterAllConsumersFetch(t *testing.T) {
 // long-running system that never tears the request down, the spill tier grew
 // without bound. Such entries are dropped at expiry instead.
 func TestFullyConsumedEntryDroppedAtExpiry(t *testing.T) {
-	s := NewSink(Options{TTL: time.Second, DisableProactive: true})
+	s := newSink(t, Options{TTL: time.Second, DisableProactive: true})
 	s.Put(0, k("r1", "f", "x"), v(100), 1)
 	s.Get(0, k("r1", "f", "x")) // last consumer; entry stays (proactive off)
 	if s.MemBytes() != 100 {
@@ -201,7 +201,7 @@ func TestFullyConsumedEntryDroppedAtExpiry(t *testing.T) {
 // well, or the stale value stays servable from disk (and double-counted)
 // after the fresh one is consumed.
 func TestPutSupersedesSpilledCopy(t *testing.T) {
-	s := NewSink(Options{TTL: time.Second})
+	s := newSink(t, Options{TTL: time.Second})
 	s.Put(0, k("r1", "f", "x"), v(100), 1)
 	s.ExpireSweep(2 * time.Second) // v1 spills to disk
 	s.Put(3*time.Second, k("r1", "f", "x"), v(60), 1)
@@ -217,53 +217,38 @@ func TestPutSupersedesSpilledCopy(t *testing.T) {
 	}
 }
 
-// Regression: an entry released from the maps can stay referenced by the
-// expiry heap until its TTL fires; the payload must be dropped at release
-// so only the entry skeleton stays pinned (with a 60s TTL and fast
-// consumers, pinned payloads would otherwise dwarf the reported MemBytes).
+// Regression: an entry that leaves the index early must not stay referenced
+// by the expiry heap until its TTL fires (with a 60s TTL and fast consumers,
+// payloads pinned that way would dwarf the reported MemBytes). The heap is
+// exact: consumed, replaced and released entries leave it on the spot, so
+// after this sequence it holds nothing that could pin a payload.
 func TestReleasedEntryPayloadUnpinned(t *testing.T) {
-	s := NewSink(Options{TTL: time.Hour, Shards: 1})
+	s := newSink(t, Options{TTL: time.Hour, Shards: 1})
 	payload := make([]byte, 1024)
 	key := k("r1", "f", "x")
 	s.Put(0, key, dataflow.Value{Size: 1024, Payload: payload}, 1)
-	s.Get(0, key) // proactive release; heap still holds the entry
+	s.Get(0, key) // proactive release
 	s.Put(0, k("r1", "f", "y"), dataflow.Value{Size: 8, Payload: payload}, 1)
 	s.Put(0, k("r1", "f", "y"), dataflow.Value{Size: 8}, 1) // replace
 	s.ReleaseRequest(0, "r1")                               // drops y
-	sh := &s.shards[0]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if len(sh.ttl) != 3 {
-		t.Fatalf("heap holds %d entries, want all 3 skeletons", len(sh.ttl))
-	}
-	for _, e := range sh.ttl {
-		if e.val.Payload != nil || e.val.Size != 0 {
-			t.Fatalf("entry %v still pins its payload: %+v", e.key, e.val)
-		}
+	if n := len(s.shards[0].ttl); n != 0 {
+		t.Fatalf("heap holds %d entries, want 0", n)
 	}
 }
 
-// Regression: lazy heap deletion must not let stale skeletons accumulate
-// for the whole TTL window — compaction keeps the heap proportional to the
-// live entry count (without it, 200 consumed entries leave 200 skeletons
-// pinned for an hour here).
+// Regression: entries consumed long before their TTL must not accumulate in
+// the expiry heap for the whole TTL window — after 200 put/get rounds it
+// holds exactly the one live entry.
 func TestHeapCompactionBoundsStaleSkeletons(t *testing.T) {
-	s := NewSink(Options{TTL: time.Hour, Shards: 1})
+	s := newSink(t, Options{TTL: time.Hour, Shards: 1})
 	for i := 0; i < 200; i++ {
 		key := k("r", "f", fmt.Sprintf("d%d", i))
 		s.Put(0, key, v(8), 1)
-		s.Get(0, key) // consumed immediately; skeleton left in the heap
+		s.Get(0, key) // consumed immediately
 	}
 	s.Put(0, k("r", "f", "fresh"), v(8), 1)
-	sh := &s.shards[0]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if len(sh.ttl) > compactMinHeap {
-		t.Fatalf("heap holds %d items, want compaction to keep it under %d",
-			len(sh.ttl), compactMinHeap)
-	}
-	if sh.ttlStale > len(sh.ttl) {
-		t.Fatalf("stale counter %d exceeds heap size %d", sh.ttlStale, len(sh.ttl))
+	if n := len(s.shards[0].ttl); n != 1 {
+		t.Fatalf("heap holds %d entries, want exactly the live one", n)
 	}
 }
 
@@ -271,14 +256,14 @@ func TestShardsRounding(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
 		{0, DefaultShards}, {1, 1}, {2, 2}, {5, 8}, {32, 32}, {33, 64},
 	} {
-		if got := NewSink(Options{Shards: tc.in}).Shards(); got != tc.want {
+		if got := newSink(t, Options{Shards: tc.in}).Shards(); got != tc.want {
 			t.Errorf("Shards(%d) = %d, want %d", tc.in, got, tc.want)
 		}
 	}
 }
 
 func TestPeekDoesNotConsume(t *testing.T) {
-	s := NewSink(Options{})
+	s := newSink(t, Options{})
 	s.Put(0, k("r1", "f", "x"), v(100), 1)
 	if _, tier, ok := s.Peek(0, k("r1", "f", "x")); !ok || tier != Memory {
 		t.Fatal("peek failed")
@@ -289,7 +274,7 @@ func TestPeekDoesNotConsume(t *testing.T) {
 }
 
 func TestReplacePutAdjustsAccounting(t *testing.T) {
-	s := NewSink(Options{})
+	s := newSink(t, Options{})
 	s.Put(0, k("r1", "f", "x"), v(100), 1)
 	s.Put(0, k("r1", "f", "x"), v(30), 1)
 	if s.MemBytes() != 30 {
@@ -298,7 +283,7 @@ func TestReplacePutAdjustsAccounting(t *testing.T) {
 }
 
 func TestMemIntegral(t *testing.T) {
-	s := NewSink(Options{})
+	s := newSink(t, Options{})
 	s.Put(0, k("r1", "f", "x"), v(1<<20), 1) // 1 MB
 	s.Get(10*time.Second, k("r1", "f", "x"))
 	got := s.MemIntegralMBs(10 * time.Second)
@@ -308,7 +293,7 @@ func TestMemIntegral(t *testing.T) {
 }
 
 func TestPeakTracking(t *testing.T) {
-	s := NewSink(Options{})
+	s := newSink(t, Options{})
 	s.Put(0, k("r1", "f", "a"), v(100), 1)
 	s.Put(0, k("r1", "f", "b"), v(200), 1)
 	s.Get(0, k("r1", "f", "a"))
@@ -319,7 +304,7 @@ func TestPeakTracking(t *testing.T) {
 }
 
 func TestConcurrentAccess(t *testing.T) {
-	s := NewSink(Options{TTL: time.Minute})
+	s := newSink(t, Options{TTL: time.Minute})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		g := g
@@ -346,7 +331,7 @@ func TestConcurrentAccess(t *testing.T) {
 // full consumption, MemBytes returns to zero and never goes negative.
 func TestAccountingProperty(t *testing.T) {
 	f := func(sizes []uint16) bool {
-		s := NewSink(Options{})
+		s := newSink(t, Options{})
 		at := time.Duration(0)
 		for i, sz := range sizes {
 			key := k("r", "f", fmt.Sprintf("d%d", i))
@@ -374,7 +359,7 @@ func TestAccountingProperty(t *testing.T) {
 func TestNoDataLossProperty(t *testing.T) {
 	f := func(sizes []uint8, ttlMs uint8) bool {
 		ttl := time.Duration(ttlMs%50+1) * time.Millisecond
-		s := NewSink(Options{TTL: ttl})
+		s := newSink(t, Options{TTL: ttl})
 		at := time.Duration(0)
 		for i := range sizes {
 			s.Put(at, k("r", "f", fmt.Sprintf("d%d", i)), v(int64(sizes[i])+1), 1)
