@@ -127,6 +127,10 @@ type Container struct {
 	dluMu     sync.Mutex
 	dluCh     chan DLUTask
 	dluClosed bool
+	// dluTasks counts tasks enqueued and not yet reported shipped. Atomic,
+	// not under dluMu: the daemon reports while a sender may be holding
+	// dluMu across a send into the full queue only the daemon drains.
+	dluTasks atomic.Int32
 }
 
 // DLUEnqueue hands one task to the container's DLU daemon queue. queue is
@@ -145,8 +149,22 @@ func (c *Container) DLUEnqueue(task DLUTask) (queue <-chan DLUTask, ok bool) {
 		c.dluCh = make(chan DLUTask, DLUQueueDepth)
 		queue = c.dluCh
 	}
+	c.dluTasks.Add(1)
 	c.dluCh <- task //repolint:ignore lockheld the close protocol depends on this send staying under dluMu: DLUClose takes the same mutex, so a close can never race the send into a send-on-closed-channel panic
 	return queue, true
+}
+
+// DLUShipped tells the container its daemon finished shipping n tasks.
+func (c *Container) DLUShipped(n int) { c.dluTasks.Add(int32(-n)) }
+
+// DLUQuiet reports whether the DLU plane is open with no task queued or
+// shipping. Only then may the FLU ship an output itself without overtaking
+// one it handed to the daemon earlier (per-container FIFO); a closed plane
+// is never quiet, so a late Put still reaches DLUEnqueue and is refused.
+func (c *Container) DLUQuiet() bool {
+	c.dluMu.Lock()
+	defer c.dluMu.Unlock()
+	return !c.dluClosed && c.dluTasks.Load() == 0
 }
 
 // DLUClose closes the container's DLU queue; the daemon exits once it has

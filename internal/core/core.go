@@ -17,7 +17,10 @@
 //
 //   - computation/communication overlap: Handler.Put hands data to the DLU
 //     and returns; the container can serve the next invocation while the
-//     DLU pumps (§5.1);
+//     DLU pumps (§5.1). A transmission too short to hide — a small datum
+//     landing in-process under no Eq. 1 pressure — the FLU's goroutine
+//     ships itself, and runs the consumer it made ready when its own
+//     measured compute is negligible (run to completion, dlu.go);
 //   - pressure-aware function scaling: Pressure = α·Size/Bw − T_FLU; when
 //     positive the FLU is callstack-blocked for that long and the engine
 //     pre-warms an extra container (§5.2, Eq. 1);
@@ -338,11 +341,18 @@ func (f *fnState) handlerFn() Handler {
 // mutually atomic; T_FLU is a scaling heuristic and tolerates a one-sample
 // skew.
 func (f *fnState) avg() time.Duration {
+	d, _ := f.tflu()
+	return d
+}
+
+// tflu is avg plus whether any execution has been observed yet: an average
+// of zero is a measurement on a virtual clock and the lack of one otherwise.
+func (f *fnState) tflu() (avg time.Duration, sampled bool) {
 	n := f.fluCount.Load()
 	if n == 0 {
-		return 0
+		return 0, false
 	}
-	return time.Duration(f.fluNanos.Load() / n)
+	return time.Duration(f.fluNanos.Load() / n), true
 }
 
 // observe folds one handler execution into the running average, on the
@@ -464,9 +474,13 @@ func NewSystem(cfg Config) (*System, error) {
 			}
 		}
 	}
+	// A worker carries a request from its entry instance to completion when
+	// the chain runs to completion (runChain), so a closed loop of N clients
+	// holds N workers; below that the spawn fallback pays a goroutine and a
+	// fresh stack per request. Idle workers cost a parked goroutine each.
 	workers := 4 * runtime.GOMAXPROCS(0)
-	if workers < 16 {
-		workers = 16
+	if workers < 32 {
+		workers = 32
 	}
 	s.execJobs = make(chan instanceJob, workers)
 	s.execIdle.Store(int64(workers))
@@ -887,7 +901,8 @@ func (s *System) InvokeWith(input map[string][]byte, opts InvokeOpts) (*Invocati
 			}
 		}
 	}
-	admitStart := s.clk.Now()
+	start := s.clk.Now()
+	admitStart := start
 	// The read lock spans request registration and the first instance
 	// spawns, so Shutdown (write side) can only observe a fully admitted
 	// request or reject the next one — never a half-scheduled request whose
@@ -908,6 +923,9 @@ func (s *System) InvokeWith(input map[string][]byte, opts InvokeOpts) (*Invocati
 		if err := s.admit(tenant); err != nil {
 			return nil, err
 		}
+		// Without the plane there is no admission work to time and the
+		// request starts at the reading above.
+		start = s.clk.Now()
 	}
 	// Take the next request number from a pooled idBlock: the shared
 	// sequence is touched once per idBlockSize requests, and the block's
@@ -931,7 +949,7 @@ func (s *System) InvokeWith(input map[string][]byte, opts InvokeOpts) (*Invocati
 		tenant: tenant,
 		stripe: stripe,
 		done:   make(chan struct{}),
-		start:  s.clk.Now(),
+		start:  start,
 	}
 	inv.arrived = inv.arrivedBuf[:0]
 	inv.route = inv.routeBuf[:0]
@@ -956,55 +974,62 @@ func (s *System) InvokeWith(input map[string][]byte, opts InvokeOpts) (*Invocati
 		inv.fail(err)
 		return nil, err
 	}
-	s.scheduleReady(inv, newly)
+	s.scheduleReady(inv, newly, nil)
 	return inv, nil
 }
 
 // scheduleReady triggers newly ready instances. The tracker's ready set
 // (consulted under inv.mu by every deliverAll) hands each instance key out
 // exactly once across the request's lifetime, so no separate double-trigger
-// guard is needed here.
-func (s *System) scheduleReady(inv *Invocation, keys []dataflow.InstanceKey) {
+// guard is needed here. flu is non-nil when the producer itself is shipping
+// (Context.put): if it passed the continuation gate, the first instance is
+// parked in it — accounted like any other — for its goroutine to run next,
+// and only the rest (a fan-out) wake through the executor pool.
+func (s *System) scheduleReady(inv *Invocation, keys []dataflow.InstanceKey, flu *Context) {
 	for _, key := range keys {
 		s.event(inv, trace.InstanceTriggered, key.Fn, key.Idx, "")
-		s.submitInstance(inv, key)
+		if !s.static {
+			// Queue-pressure signal for the scaler: admitted, not yet completed
+			// (runInstance decrements on exit).
+			s.fns[key.Fn].pending.Add(inv.stripe, 1)
+		}
+		s.bg.Add(1)
+		job := instanceJob{inv: inv, key: key}
+		if flu != nil && flu.cont && flu.next.inv == nil {
+			flu.next = job
+			obsContinuations.Inc(inv.stripe)
+			continue
+		}
+		s.submitInstance(job)
 	}
 }
 
-// instanceJob is one instance execution handed to the executor pool.
+// instanceJob is one instance execution handed to the executor pool, or
+// parked in its producer's Context (inv nil = none).
 type instanceJob struct {
 	inv *Invocation
 	key dataflow.InstanceKey
 }
 
-// submitInstance dispatches one instance execution: onto an idle executor
+// submitInstance dispatches one admitted instance: onto an idle executor
 // worker when one is guaranteed to pull it, else onto a fresh goroutine.
 // The pool exists to recycle warm goroutine stacks — the instance call
 // chain (handler -> Put -> ship -> deliver) grows a fresh stack every time
 // otherwise — but it must never make an instance wait behind another, since
 // instances block on each other through semaphores and data dependencies;
 // the spawn fallback preserves the goroutine-per-instance semantics.
-func (s *System) submitInstance(inv *Invocation, key dataflow.InstanceKey) {
-	if !s.static {
-		// Queue-pressure signal for the scaler: admitted, not yet completed
-		// (runInstance decrements on exit).
-		s.fns[key.Fn].pending.Add(inv.stripe, 1)
-	}
-	s.bg.Add(1)
+func (s *System) submitInstance(job instanceJob) {
 	for {
 		n := s.execIdle.Load()
 		if n <= 0 {
-			go func() {
-				defer s.bg.Done()
-				s.runInstance(inv, key)
-			}()
+			go s.runChain(job)
 			return
 		}
 		if s.execIdle.CompareAndSwap(n, n-1) {
 			// Reserved one worker that is (or is about to be) pulling; the
 			// buffered send cannot block and the job cannot wait behind a
 			// blocked instance.
-			s.execJobs <- instanceJob{inv: inv, key: key}
+			s.execJobs <- job
 			return
 		}
 	}
@@ -1015,16 +1040,27 @@ func (s *System) submitInstance(inv *Invocation, key dataflow.InstanceKey) {
 // Shutdown closes the queue (after bg.Wait, so no submitter remains).
 func (s *System) execWorker() {
 	for j := range s.execJobs {
-		s.runInstance(j.inv, j.key)
-		s.bg.Done()
+		s.runChain(j)
 		s.execIdle.Add(1)
+	}
+}
+
+// runChain runs one instance and then, run to completion, every consumer
+// its ships parked for this goroutine: a → b → $USER on one worker.
+func (s *System) runChain(j instanceJob) {
+	for j.inv != nil {
+		next := s.runInstance(j.inv, j.key)
+		s.bg.Done()
+		j = next
 	}
 }
 
 // runInstance executes one function instance: acquire a container, fetch
 // inputs from the local sink, run the handler (ReDo on failure), release
-// the container.
-func (s *System) runInstance(inv *Invocation, key dataflow.InstanceKey) {
+// the container. It returns the consumer an inline ship of the handler
+// parked for this goroutine, if any; the deferred releases have run by the
+// time the caller sees it.
+func (s *System) runInstance(inv *Invocation, key dataflow.InstanceKey) (next instanceJob) {
 	fn := key.Fn
 	st := s.fns[fn]
 	if !s.static {
@@ -1098,16 +1134,10 @@ func (s *System) runInstance(inv *Invocation, key dataflow.InstanceKey) {
 
 	limit := s.cfg.RetryLimit
 	h := st.handlerFn()
-	*ctx = Context{
-		ReqID:    inv.ReqID,
-		Instance: key,
-		inputs:   inputs,
-		valBuf:   valBuf,
-		sys:      s,
-		inv:      inv,
-		ctr:      ctr,
-		fst:      st,
-	}
+	// A pooled Context is zero but for its buffers (releaseCtx).
+	ctx.ReqID, ctx.Instance = inv.ReqID, key
+	ctx.inputs, ctx.valBuf = inputs, valBuf
+	ctx.sys, ctx.inv, ctx.ctr, ctx.fst = s, inv, ctr, st
 	note := "" // "redo-N" on the event log once the handler is being ReDone
 	for {
 		s.event(inv, trace.InstanceStarted, fn, key.Idx, note)
@@ -1118,7 +1148,7 @@ func (s *System) runInstance(inv *Invocation, key dataflow.InstanceKey) {
 		obsExecLat.Observe(inv.stripe, int64(d))
 		if err == nil {
 			s.event(inv, trace.InstanceFinished, fn, key.Idx, "")
-			return
+			return ctx.next
 		}
 		inv.mu.Lock()
 		if inv.attempts == nil {
@@ -1129,7 +1159,7 @@ func (s *System) runInstance(inv *Invocation, key dataflow.InstanceKey) {
 		inv.mu.Unlock()
 		if attempts > limit {
 			inv.fail(fmt.Errorf("core: %s failed after %d attempts: %w", key, attempts, err))
-			return
+			return ctx.next
 		}
 		if s.cfg.Trace != nil {
 			note = fmt.Sprintf("redo-%d", attempts)

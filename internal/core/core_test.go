@@ -204,7 +204,11 @@ func TestConcurrentInvocations(t *testing.T) {
 
 func TestEarlyTriggeringBeforePredecessorCompletes(t *testing.T) {
 	// A producer that Puts early and then keeps computing: the consumer
-	// must be triggered before the producer finishes.
+	// must start — not merely be handed its key by the tracker, which is all
+	// Triggered says — before the producer finishes. Checked on request 1,
+	// where the producer has no T_FLU sample, and again once a hundred runs
+	// have measured its trailing compute: neither may run the consumer to
+	// completion on the producer's goroutine, behind that compute.
 	wf, err := workflow.ParseDSLString(`
 workflow early
 function producer
@@ -229,41 +233,65 @@ function consumer
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer sys.Shutdown()
+	const trailing = 20 * time.Millisecond
 	_ = sys.Register("producer", func(ctx *Context) error {
 		if err := ctx.Put("early", []byte("now")); err != nil {
 			return err
 		}
-		time.Sleep(50 * time.Millisecond) // trailing compute after the Put
+		time.Sleep(trailing) // trailing compute after the Put
 		return nil
 	})
 	_ = sys.Register("consumer", func(ctx *Context) error {
 		return ctx.Put("done", []byte("ok"))
 	})
-	inv, err := sys.Invoke(map[string][]byte{"producer.in": []byte("go")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := inv.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	sys.Shutdown()
-	spans := log.Spans(inv.ReqID)
-	var prod, cons *trace.Span
-	for i := range spans {
-		switch spans[i].Fn {
-		case "producer":
-			prod = &spans[i]
-		case "consumer":
-			cons = &spans[i]
+	checkEarly := func(when string) {
+		t.Helper()
+		inv, err := sys.Invoke(map[string][]byte{"producer.in": []byte("go")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := inv.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		// The request completes when the consumer's output lands, during the
+		// producer's trailing compute; its Finished is logged after that.
+		var prod, cons *trace.Span
+		waitFor(t, 5*time.Second, func() bool {
+			prod, cons = nil, nil
+			spans := log.Spans(inv.ReqID)
+			for i := range spans {
+				switch spans[i].Fn {
+				case "producer":
+					prod = &spans[i]
+				case "consumer":
+					cons = &spans[i]
+				}
+			}
+			return prod != nil && cons != nil && prod.Finished >= trailing
+		}, when+": producer span never finished")
+		if cons.Started >= prod.Finished {
+			t.Fatalf("%s: consumer started at %v, after producer finished at %v (no early triggering)",
+				when, cons.Started, prod.Finished)
 		}
 	}
-	if prod == nil || cons == nil {
-		t.Fatalf("spans missing: %v", spans)
+	checkEarly("request 1")
+	var warm []*Invocation
+	for i := 0; i < 100; i++ {
+		inv, err := sys.Invoke(map[string][]byte{"producer.in": []byte("go")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm = append(warm, inv)
 	}
-	if cons.Triggered >= prod.Finished {
-		t.Fatalf("consumer triggered at %v, after producer finished at %v (no early triggering)",
-			cons.Triggered, prod.Finished)
+	for _, inv := range warm {
+		if err := inv.Wait(); err != nil {
+			t.Fatal(err)
+		}
 	}
+	// Every warm producer has returned (and been observed) before the check.
+	waitFor(t, 5*time.Second, func() bool { return sys.fns["producer"].fluCount.Load() >= 101 }, "warm producers never finished")
+	checkEarly("after 100 warm requests")
 }
 
 func TestHandlerReDoOnFailure(t *testing.T) {

@@ -36,9 +36,38 @@ type Context struct {
 	started time.Time
 	// blocked is the time this run has spent in Put's Eq. 1 block. It is the
 	// engine's throttle, not the handler's compute, so runInstance keeps it
-	// out of T_FLU: a block that fed its own operand would settle at half.
+	// out of T_FLU: a block that fed its own operand would settle at half. A
+	// limiter park taken while shipping inline is booked here as well.
 	blocked time.Duration
+
+	// ship is the scratch batch of an inline ship (put): the DLU daemon's own
+	// drain scratch, kept here so the backings ride the pooled Context.
+	ship dluBatch
+	// cont is set for the span of an inline ship whose producer passed the
+	// continuationMaxTFLU gate; next is the consumer that ship parked here
+	// instead of waking through the executor pool. runInstance returns it.
+	cont bool
+	next instanceJob
 }
+
+// continuationMaxTFLU gates run to completion. A consumer made ready by an
+// inline ship runs on its producer's goroutine, after the producer's handler
+// returns, only while the producer's measured T_FLU is below this; the gate
+// is therefore also the most a continuation can delay a consumer. A producer
+// that keeps computing after its Put, or has no sample yet, wakes its
+// consumer through the pool — the paper's early triggering (§5.1).
+//
+// The value is set by what T_FLU reads for a handler that computes nothing:
+// T_FLU is a wall-clock mean, so under load it carries the box's scheduling
+// stalls — 1.3–1.6 µs with one client, 3–10 µs with sixteen on two vCPUs,
+// 14–19 µs while the consumers wake through the pool (their wake-ups are
+// stalls of their own) and 25–29 µs beside a second busy process. At the
+// 10 µs first tried, 2–5 × the wake-up a continuation saves, the engine was
+// bistable: whichever path the consumers took kept T_FLU on its own side of
+// the gate (README hot-path section). 50 µs clears every one of those
+// readings and is still ten wake-ups and two orders below a handler doing a
+// millisecond of work.
+const continuationMaxTFLU = 50 * time.Microsecond
 
 // ctxPool recycles Context records and their input buffers across instance
 // executions. The pooling contract (see the README hot-path section): a
@@ -53,7 +82,8 @@ func releaseCtx(ctx *Context) {
 	inputs, valBuf := ctx.inputs, ctx.valBuf
 	clear(inputs)
 	clear(valBuf)
-	*ctx = Context{inputs: inputs[:0], valBuf: valBuf[:0]}
+	// shipBatch leaves the scratch batch empty; only its backings survive.
+	*ctx = Context{inputs: inputs[:0], valBuf: valBuf[:0], ship: ctx.ship}
 	ctxPool.Put(ctx)
 }
 
@@ -158,7 +188,8 @@ func (c *Context) put(output string, values []dataflow.Value, switchCase int) er
 		totalSize += it.Value.Size
 	}
 	// Pressure-aware scaling (Eq. 1): Pressure = α·Size/Bw − T_FLU. Computed
-	// before the enqueue, which hands items (and its backing) to the daemon.
+	// before the items (and their backing) are handed on.
+	tflu, sampled := c.fst.tflu()
 	var pressure time.Duration
 	if !s.cfg.DisablePressure && totalSize > 0 {
 		bw := c.ctr.Limiter.Rate()
@@ -171,7 +202,7 @@ func (c *Context) put(output string, values []dataflow.Value, switchCase int) er
 			}
 		}
 		if bw > 0 {
-			pressure = cluster.Pressure(s.cfg.Alpha, float64(totalSize), bw, c.fst.avg())
+			pressure = cluster.Pressure(s.cfg.Alpha, float64(totalSize), bw, tflu)
 		}
 	}
 	if s.trackPut {
@@ -180,11 +211,27 @@ func (c *Context) put(output string, values []dataflow.Value, switchCase int) er
 		c.fst.putBytes.Add(c.inv.stripe, totalSize)
 		c.fst.putCount.Add(c.inv.stripe, 1)
 	}
+	task := cluster.DLUTask{Ref: inv, Items: items, Buf: box}
+	if pressure <= 0 && c.shipsInline(items) {
+		// The DLU is asynchronous so that transmission never blocks compute
+		// (§5.1); a sub-microsecond in-process land blocks it for less than
+		// the hand-off to the daemon costs, so this goroutine ships. The
+		// container stays Busy throughout, hence no pending-byte accounting:
+		// the keep-alive rule cannot fire under it.
+		obsInlineShips.Inc(inv.stripe)
+		c.cont = sampled && tflu < continuationMaxTFLU
+		b := &c.ship
+		b.flu = c
+		b.tasks = append(b.tasks[:0], task)
+		s.shipBatch(c.ctr, b)
+		b.flu, c.cont = nil, false
+		return nil
+	}
 	// Hand the items to the container's DLU daemon (FIFO) first: the DLU is
 	// asynchronous (§5.1), so the data ships during the pressure block below
 	// rather than after it.
 	c.ctr.AddDLUPending(totalSize)
-	if !s.dluEnqueue(c.ctr, cluster.DLUTask{Ref: inv, Items: items, Buf: box}) {
+	if !s.dluEnqueue(c.ctr, task) {
 		return nil // shutting down: nothing shipped, nothing to throttle for
 	}
 	if pressure > 0 {
@@ -198,6 +245,35 @@ func (c *Context) put(output string, values []dataflow.Value, switchCase int) er
 		c.blocked += s.clk.Since(blockStart)
 	}
 	return nil
+}
+
+// shipsInline reports whether a Put under no Eq. 1 pressure may ship on the
+// FLU's own goroutine instead of through the DLU daemon: nothing about the
+// shipment can wait on a wire (every payload fits the socket fast path, no
+// connector latency, no failure injector, no remote sink — an RPC never runs
+// on an FLU's goroutine, nor does a fault-tolerant re-land that might pick a
+// remote survivor), and the daemon holds no earlier task of this container
+// for the shipment to overtake.
+func (c *Context) shipsInline(items []dataflow.Item) bool {
+	s := c.sys
+	if s.cfg.TransferLatency > 0 || s.streams(items) {
+		return false
+	}
+	if s.hasRemote {
+		for i := range items {
+			fn := items[i].To.Fn
+			if fn == workflow.UserSource {
+				continue
+			}
+			if s.ft {
+				return false
+			}
+			if node, _ := s.routeFor(c.inv, s.fns[fn], c.ctr.Node); node.Remote() {
+				return false
+			}
+		}
+	}
+	return c.ctr.DLUQuiet()
 }
 
 // prewarm starts an extra idle container for fn if none is idle, in the
@@ -304,6 +380,9 @@ type dluBatch struct {
 	tasks  []cluster.DLUTask
 	groups []dluGroup
 	reqs   []wmm.PutReq
+	// flu is the producer's Context while it ships this batch on its own
+	// goroutine (Context.put), nil on the daemon's.
+	flu *Context
 }
 
 // addRun files a run of one task's items under its shipment edge. Batches
@@ -361,13 +440,17 @@ func (s *System) dluDaemon(ctr *cluster.Container, queue <-chan cluster.DLUTask)
 				break drain // flush-on-idle
 			}
 		}
+		n := len(b.tasks)
 		s.shipBatch(ctr, &b)
+		ctr.DLUShipped(n)
 	}
 }
 
-// shipBatch resolves every item of the drained tasks onto its shipment
+// shipBatch resolves every item of the batch's tasks onto its shipment
 // edge, ships each edge with batched pipe/sink/accounting interactions, and
-// unwinds the whole batch's pending bytes in one call.
+// unwinds the whole batch's pending bytes in one call. It is the only ship
+// implementation; the DLU daemon calls it with a drained batch and
+// Context.put with a batch of its one task.
 func (s *System) shipBatch(ctr *cluster.Container, b *dluBatch) {
 	var pending int64
 	items, stripe := 0, uint32(0)
@@ -414,7 +497,9 @@ func (s *System) shipBatch(ctr *cluster.Container, b *dluBatch) {
 		recycleItems(b.tasks[ti])
 		b.tasks[ti] = cluster.DLUTask{}
 	}
-	ctr.AddDLUPending(-pending)
+	if b.flu == nil {
+		ctr.AddDLUPending(-pending)
+	}
 }
 
 // shipGroup moves one shipment edge's items: straight to the user, through
@@ -440,7 +525,7 @@ func (s *System) shipGroup(ctr *cluster.Container, g *dluGroup, b *dluBatch) {
 	}
 	switch {
 	case g.node == nil:
-		s.deliverBatch(g.inv, g.items, nil, nil)
+		s.deliverBatch(g.inv, g.items, nil, nil, b.flu)
 	case g.node == ctr.Node:
 		// Local pipe connector: pump straight into the local data sink.
 		s.landBatch(g.inv, g.items, g.node, b, transport.Pacing{}, 0)
@@ -484,12 +569,16 @@ func (s *System) shipSocket(ctr *cluster.Container, inv *Invocation, items []dat
 	for i := range items {
 		total += items[i].Value.Size
 	}
-	s.landBatch(inv, items, node, b, transport.Pacing{
+	pace := transport.Pacing{
 		Src:     ctr.Limiter,
 		Items:   len(items),
 		Bytes:   total,
 		TraceID: inv.span.ID(),
-	}, 0)
+	}
+	if b.flu != nil {
+		pace.Parked = &b.flu.blocked
+	}
+	s.landBatch(inv, items, node, b, pace, 0)
 }
 
 // ship pumps one payload through the streaming pipe: chunked through the
@@ -549,6 +638,16 @@ func (s *System) landBatch(inv *Invocation, items []dataflow.Item, node *cluster
 		inv.fail(fmt.Errorf("core: ship of %d items to %s failed: %w", len(items), node.Name, err))
 		return
 	}
+	if s.ft && attempt < s.cfg.RetryLimit && node.Health() == cluster.Down {
+		// The destination was declared dead between the check above and the
+		// put. Its sink is wiped after it is marked Down, so the put may have
+		// landed behind the wipe, where no repair or teardown would ever look
+		// again: drop whatever this request left there and land elsewhere.
+		b.dropReqs()
+		node.SinkRelease(inv.ReqID) //nolint:errcheck // best effort: an unreachable sink holds nothing to release
+		s.reland(inv, items, b, attempt+1)
+		return
+	}
 	inv.sinkResidue.Add(int64(len(items)))
 	if !s.tracked(inv.ReqID) {
 		// The request completed while this shipment was in flight (e.g. the
@@ -568,7 +667,7 @@ func (s *System) landBatch(inv *Invocation, items []dataflow.Item, node *cluster
 			s.event(inv, trace.DataArrived, it.To.Fn, it.To.Idx, note)
 		}
 	}
-	s.deliverBatch(inv, items, b.reqs, node)
+	s.deliverBatch(inv, items, b.reqs, node, b.flu)
 	b.dropReqs()
 }
 
@@ -590,8 +689,9 @@ func (s *System) reland(inv *Invocation, items []dataflow.Item, b *dluBatch, att
 // them (both nil for user-destined edges, which never touch a sink). The
 // whole reaction runs under one inv.mu hold — scheduling only hands jobs to
 // the executor, and the single hold lets the newly-ready buffer be reused
-// across deliveries.
-func (s *System) deliverBatch(inv *Invocation, items []dataflow.Item, reqs []wmm.PutReq, node *cluster.Node) {
+// across deliveries. flu is the producer's Context when it is the one
+// shipping (scheduleReady may park a consumer in it).
+func (s *System) deliverBatch(inv *Invocation, items []dataflow.Item, reqs []wmm.PutReq, node *cluster.Node, flu *Context) {
 	inv.mu.Lock()
 	for i := range items {
 		it := items[i]
@@ -605,7 +705,7 @@ func (s *System) deliverBatch(inv *Invocation, items []dataflow.Item, reqs []wmm
 			inv.fail(err)
 			return
 		}
-		s.scheduleReady(inv, newly)
+		s.scheduleReady(inv, newly, flu)
 	}
 	if inv.tracker.Complete() {
 		inv.finishLocked()

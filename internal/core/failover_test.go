@@ -298,6 +298,48 @@ func TestFailoverRelandsMultiItemEdge(t *testing.T) {
 	requireSinksDrained(t, sys)
 }
 
+// TestFailoverLandBehindTheWipeIsReclaimed fails a's destination after the
+// land's health check and before its put — inside the limiter park that
+// paces the edge. FailNode marks the node Down and then wipes its sink, so
+// the put lands behind the wipe, on a node no repair or teardown would look
+// at again: the land must notice, reclaim it and land on a survivor.
+func TestFailoverLandBehindTheWipeIsReclaimed(t *testing.T) {
+	var sys *System
+	var once sync.Once
+	var dead string
+	invCh := make(chan *Invocation, 1)
+	sys = newFaultSystem(t, 3, nil, func(c *Config) {
+		c.DefaultSpec = cluster.Spec{MemoryMB: 128} // 5 MB/s: 16 KiB parks the TC class for 3.3 ms
+		c.DisablePressure = true                    // the only sleeper is the limiter
+		c.Clock = hookClock{onSleep: func(time.Duration) {
+			once.Do(func() {
+				dead, _ = (<-invCh).PinnedNode("b")
+				_ = sys.cfg.Cluster.FailNode(dead)
+			})
+		}}
+	})
+	defer sys.Shutdown()
+	head := strings.Repeat("h", 16<<10)
+	inv, err := sys.Invoke(map[string][]byte{"a.in": []byte(head)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	invCh <- inv
+	if err := inv.Wait(); err != nil {
+		t.Fatalf("request did not survive the kill between check and put: %v", err)
+	}
+	if out, _ := inv.OutputBytes("out"); string(out) != head+",mid,tail" {
+		t.Fatalf("out = %d bytes, want the three parts joined", len(out))
+	}
+	if pin, _ := inv.PinnedNode("b"); dead == "" || pin == dead {
+		t.Fatalf("b pinned to %q after %q was failed under its shipment", pin, dead)
+	}
+	if n := inv.Replays(); n != 0 {
+		t.Fatalf("%d replays: the shipment was recorded on the dead node instead of re-landed", n)
+	}
+	requireSinksDrained(t, sys)
+}
+
 // requireSinksDrained fails the test if a request is still tracked or any
 // node's sink still holds bytes in either tier (resident, retained/spilled).
 func requireSinksDrained(t *testing.T, sys *System) {

@@ -1,0 +1,486 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"runtime"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/clock"
+	"repro/internal/cluster"
+	"repro/internal/trace"
+	"repro/internal/workflow"
+)
+
+// These tests pin run to completion (Context.put's inline ship and the
+// continuation scheduleReady parks in the producer's Context): which Puts
+// take it, which fall back to the DLU daemon and the executor pool, and that
+// the fallbacks keep their ordering and shutdown guarantees.
+
+// pathCounts reads the two path counters; tests compare deltas, the series
+// being process-wide.
+func pathCounts() (ships, conts int64) {
+	return obsInlineShips.Load(), obsContinuations.Load()
+}
+
+// goid returns the running goroutine's id, parsed from its stack header.
+func goid() uint64 {
+	var buf [64]byte
+	fields := bytes.Fields(buf[:runtime.Stack(buf[:], false)]) // "goroutine 12 [running]:"
+	id, _ := strconv.ParseUint(string(fields[1]), 10, 64)
+	return id
+}
+
+// virtualChain is newChainSystem with engine and nodes on one virtual clock
+// nobody advances and Eq. 1 off: T_FLU then reads exactly zero, sampled from
+// the second run on, so which path an edge takes is decided by the engine's
+// rules alone and not by how fast the box runs a handler.
+func virtualChain(t *testing.T, nodes int) *System {
+	t.Helper()
+	sys := newChainSystem(t, nodes, nil, func(c *Config) {
+		c.DisablePressure = true
+		c.Clock = clock.NewManual(time.Unix(0, 0))
+	})
+	t.Cleanup(sys.Shutdown)
+	return sys
+}
+
+func invokeChain(t *testing.T, sys *System) {
+	t.Helper()
+	inv, err := sys.Invoke(map[string][]byte{"a.in": []byte("x")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := inv.Wait(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWarmChainCountsItsPaths pins the two series a running system answers
+// "which path do my edges take" with: on the zero-compute chain every Put
+// ships inline (two per request) and, once the producer has a T_FLU sample,
+// every consumer is a continuation (one per request); a producer with
+// trailing compute never continues into its consumer.
+func TestWarmChainCountsItsPaths(t *testing.T) {
+	sys := virtualChain(t, 2)
+	batches := obsBatchItems.Snapshot().Count
+	ships0, conts0 := pathCounts()
+	invokeChain(t, sys) // request 1: no sample yet, the consumer wakes through the pool
+	if ships, conts := pathCounts(); ships-ships0 != 2 || conts != conts0 {
+		t.Fatalf("request 1: %d inline ships and %d continuations, want 2 and 0", ships-ships0, conts-conts0)
+	}
+	const requests = 50
+	ships0, conts0 = pathCounts()
+	for i := 0; i < requests; i++ {
+		invokeChain(t, sys)
+	}
+	ships, conts := pathCounts()
+	if ships-ships0 != 2*requests || conts-conts0 != requests {
+		t.Fatalf("%d warm requests: %d inline ships and %d continuations, want %d and %d",
+			requests, ships-ships0, conts-conts0, 2*requests, requests)
+	}
+	// An inline ship is still a shipment: a batch of its one task.
+	if got := obsBatchItems.Snapshot().Count - batches; got != 2*(requests+1) {
+		t.Fatalf("core_dlu_batch_items observed %d batches, want %d", got, 2*(requests+1))
+	}
+
+	// Trailing compute, on the wall clock and in the default configuration.
+	slow := newChainSystem(t, 2, nil, nil)
+	defer slow.Shutdown()
+	_ = slow.Register("a", func(ctx *Context) error {
+		in, _ := ctx.Input("in")
+		if err := ctx.Put("x", in); err != nil {
+			return err
+		}
+		time.Sleep(time.Millisecond)
+		return nil
+	})
+	// A request completes during a's trailing compute: wait for the run to be
+	// observed, so that the gate and not the missing sample is what decides.
+	invokeChain(t, slow)
+	waitFor(t, 5*time.Second, func() bool { return slow.fns["a"].fluCount.Load() > 0 }, "a's first run was never observed")
+	_, conts0 = pathCounts()
+	for i := 0; i < 20; i++ {
+		invokeChain(t, slow)
+	}
+	if _, conts := pathCounts(); conts != conts0 {
+		t.Fatalf("trailing-compute producer (T_FLU %v): %d continuations, want none", slow.FLUAvg("a"), conts-conts0)
+	}
+}
+
+// TestWarmZeroComputeChainRunsOnOneGoroutine is the mirror of
+// TestEarlyTriggeringBeforePredecessorCompletes, in the default
+// configuration on the wall clock: once the producer's measured T_FLU is
+// under the gate, its consumer runs on the producer's goroutine.
+func TestWarmZeroComputeChainRunsOnOneGoroutine(t *testing.T) {
+	sys := newChainSystem(t, 2, nil, nil)
+	defer sys.Shutdown()
+	// Reading a goroutine's id costs ten microseconds, a good part of the
+	// gate, so only the checked requests do it, on top of a warm average.
+	var probe bool
+	var ga, gb uint64 // requests run one at a time; Wait orders the accesses
+	_ = sys.Register("a", func(ctx *Context) error {
+		if probe {
+			ga = goid()
+		}
+		in, _ := ctx.Input("in")
+		return ctx.Put("x", in)
+	})
+	_ = sys.Register("b", func(ctx *Context) error {
+		if probe {
+			gb = goid()
+		}
+		x, _ := ctx.Input("x")
+		return ctx.Put("out", x)
+	})
+	for i := 0; i < 1000; i++ {
+		invokeChain(t, sys)
+	}
+	probe = true
+	continued := 0
+	for i := 0; i < 20; i++ {
+		// The gate reads the average the producer's earlier runs left, and
+		// no other request is in flight to move it. (A box busy enough to
+		// push a zero-compute handler over the gate takes the pool, rightly.)
+		tflu := sys.FLUAvg("a")
+		want := int64(0)
+		if tflu < continuationMaxTFLU {
+			want = 1
+		}
+		_, conts0 := pathCounts()
+		invokeChain(t, sys)
+		_, conts := pathCounts()
+		if conts-conts0 != want || (want == 1 && ga != gb) {
+			t.Fatalf("T_FLU %v: %d continuations, a on goroutine %d and b on %d, want %d (and one goroutine if continued)",
+				tflu, conts-conts0, ga, gb, want)
+		}
+		continued += int(want)
+	}
+	if continued == 0 {
+		t.Skipf("T_FLU never came under the gate on this box (a=%v)", sys.FLUAvg("a"))
+	}
+}
+
+// TestForeachContinuesOneInstance: a FOREACH×8 fan-out continues one
+// instance on the producer's goroutine and hands seven to the pool — the
+// eight still run side by side (they meet at a barrier), none behind another.
+func TestForeachContinuesOneInstance(t *testing.T) {
+	clk := clock.NewManual(time.Unix(0, 0))
+	wf, err := workflow.ParseDSLString(fanoutDSL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := cluster.NewCluster(nil)
+	for i := 1; i <= 3; i++ {
+		_ = cl.AddNode(cluster.NewNode(fmt.Sprintf("w%d", i), cluster.Options{Clock: clk}))
+	}
+	sys, err := NewSystem(Config{
+		Workflow:        wf,
+		Cluster:         cl,
+		DefaultSpec:     cluster.Spec{MemoryMB: 10 * 1024},
+		DisablePressure: true,
+		Clock:           clk,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Shutdown()
+	const fanout = 8
+	var arrived sync.WaitGroup
+	var all chan struct{}
+	_ = sys.Register("split", func(ctx *Context) error {
+		parts := make([][]byte, fanout)
+		for i := range parts {
+			parts[i] = []byte{byte(i)}
+		}
+		return ctx.PutForeach("parts", parts)
+	})
+	_ = sys.Register("work", func(ctx *Context) error {
+		part, _ := ctx.Input("part")
+		arrived.Done()
+		select {
+		case <-all:
+		case <-time.After(10 * time.Second):
+			return fmt.Errorf("work[%d] is running alone: its siblings wait behind an instance", ctx.Instance.Idx)
+		}
+		return ctx.Put("out", part)
+	})
+	_ = sys.Register("join", func(ctx *Context) error {
+		parts, _ := ctx.InputList("parts")
+		return ctx.Put("result", bytes.Join(parts, nil))
+	})
+	for req := 1; req <= 3; req++ {
+		arrived.Add(fanout)
+		all = make(chan struct{})
+		go func(all chan struct{}) {
+			arrived.Wait()
+			close(all)
+		}(all)
+		_, conts0 := pathCounts()
+		inv, err := sys.Invoke(map[string][]byte{"split.src": []byte("s")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := inv.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		// Request 1 samples split and work; from then on split continues
+		// into one work instance, and the last work to land into join.
+		if _, conts := pathCounts(); req > 1 && conts-conts0 != 2 {
+			t.Fatalf("request %d: %d continuations, want 2", req, conts-conts0)
+		}
+	}
+}
+
+// TestSmallPutLandsBehindStreamingPut: per-container FIFO. A small Put
+// issued while the daemon still holds the handler's earlier streaming-size
+// Put must queue behind it, not ship inline and overtake it.
+func TestSmallPutLandsBehindStreamingPut(t *testing.T) {
+	wf, err := workflow.ParseDSLString(`
+workflow fifo
+function producer
+  input in from $USER
+  output big to sink.x
+  output small to tail.y
+function sink
+  input x
+  output done to $USER
+function tail
+  input y
+  output done to $USER
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := cluster.NewCluster(nil)
+	for _, name := range []string{"w1", "w2"} {
+		_ = cl.AddNode(cluster.NewNode(name, cluster.Options{}))
+	}
+	log := trace.NewLog()
+	sys, err := NewSystem(Config{
+		Workflow:        wf,
+		Cluster:         cl,
+		DefaultSpec:     cluster.Spec{MemoryMB: 128}, // 5 MB/s: the 64 KiB stream takes 13 ms
+		DisablePressure: true,                        // Put(big) returns at once
+		Trace:           log,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Shutdown()
+	_ = sys.Register("producer", func(ctx *Context) error {
+		if err := ctx.Put("big", make([]byte, 64<<10)); err != nil {
+			return err
+		}
+		return ctx.Put("small", []byte("s"))
+	})
+	done := func(ctx *Context) error { return ctx.Put("done", []byte("ok")) }
+	_ = sys.Register("sink", done)
+	_ = sys.Register("tail", done)
+	for req := 1; req <= 3; req++ {
+		ships0, _ := pathCounts()
+		inv, err := sys.Invoke(map[string][]byte{"producer.in": []byte("go")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := inv.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		var order []string
+		for _, e := range log.ForRequest(inv.ReqID) {
+			if e.Kind == trace.DataArrived && e.Fn != workflow.UserSource {
+				order = append(order, strings.Fields(e.Note)[0])
+			}
+		}
+		if len(order) != 2 || order[0] != "x" || order[1] != "y" {
+			t.Fatalf("request %d: the producer's outputs landed in order %v, want [x y]", req, order)
+		}
+		// Only the two consumers' own $USER edges shipped inline.
+		if ships, _ := pathCounts(); ships-ships0 != 2 {
+			t.Fatalf("request %d: %d inline ships, want 2", req, ships-ships0)
+		}
+	}
+}
+
+// TestNothingShipsInlineWhenTheShipMayWait: with a failure injector
+// installed, with a connector latency, and onto a remote sink, every
+// shipment takes the DLU daemon — streams are injected per transfer, a
+// latency is a sleep and an RPC is a wait, none of which belongs on an FLU's
+// goroutine. The $USER edge touches no sink and stays inline.
+func TestNothingShipsInlineWhenTheShipMayWait(t *testing.T) {
+	const requests = 10
+	run := func(t *testing.T, sys *System, invoke func(), want int64) {
+		t.Helper()
+		ships0, conts0 := pathCounts()
+		for i := 0; i < requests; i++ {
+			invoke()
+		}
+		if ships, conts := pathCounts(); ships-ships0 != want || conts != conts0 {
+			t.Fatalf("%d inline ships and %d continuations over %d requests, want %d and 0", ships-ships0, conts-conts0, requests, want)
+		}
+	}
+	t.Run("injector", func(t *testing.T) {
+		sys := virtualChain(t, 2)
+		sys.SetTransferFailureInjector(func(string) int64 { return -1 })
+		run(t, sys, func() { invokeChain(t, sys) }, 0)
+	})
+	t.Run("latency", func(t *testing.T) {
+		// On the wall clock: the latency is slept.
+		sys := newChainSystem(t, 2, nil, func(c *Config) {
+			c.TransferLatency = 50 * time.Microsecond
+			c.DisablePressure = true
+		})
+		defer sys.Shutdown()
+		run(t, sys, func() { invokeChain(t, sys) }, 0)
+	})
+	t.Run("remote", func(t *testing.T) {
+		sys := newRemoteWCSystem(t, 2, func(c *Config) { c.DisablePressure = true })
+		defer sys.Shutdown()
+		run(t, sys, func() { runWC(t, sys, "a b a") }, requests) // merge's $USER edge
+	})
+}
+
+// TestLatePutIsRefusedNotShippedInline: once the container's DLU plane is
+// closed (Shutdown, or the container recycled under a running FLU) a Put
+// that would otherwise ship inline is refused like any other — nothing
+// lands, nothing panics, the request is abandoned.
+func TestLatePutIsRefusedNotShippedInline(t *testing.T) {
+	sys := virtualChain(t, 2)
+	invokeChain(t, sys) // warm: the next Put of a would ship inline and continue
+	putDone := make(chan error, 1)
+	_ = sys.Register("a", func(ctx *Context) error {
+		ctx.ctr.DLUClose()
+		in, _ := ctx.Input("in")
+		err := ctx.Put("x", in)
+		putDone <- err
+		return err
+	})
+	ships0, conts0 := pathCounts()
+	inv, err := sys.Invoke(map[string][]byte{"a.in": []byte("x")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-putDone:
+		if err != nil {
+			t.Fatalf("refused Put = %v, want nil (the request is abandoned, not failed)", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("refused Put never returned")
+	}
+	if ships, conts := pathCounts(); ships != ships0 || conts != conts0 {
+		t.Fatalf("a Put on a closed DLU plane shipped inline (%d ships, %d continuations)", ships-ships0, conts-conts0)
+	}
+	select {
+	case <-inv.Done():
+		t.Fatal("request completed although its only shipment was refused")
+	case <-time.After(20 * time.Millisecond):
+	}
+}
+
+// TestInlineShipStormVsShutdownVsFailNode is the run-to-completion race
+// storm. Fault-tolerant mode, every edge inline and every consumer a
+// continuation (engine and nodes share a virtual clock nobody advances, so
+// T_FLU reads zero however slow the race detector makes a handler), while
+// two nodes flap Down/Up — FailNode wipes their
+// sinks, so re-lands and replays run on FLU goroutines. Phase one waits for
+// every request: nothing may stay tracked, no sink may hold a byte. Phase
+// two shuts down under a fresh storm with the flapping still on: nothing
+// may panic or hang, and every goroutine the system started must exit.
+// Run with -race in CI.
+func TestInlineShipStormVsShutdownVsFailNode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("storm test")
+	}
+	clock.NewWall().Sleep(time.Microsecond) // start the process-wide parker before the baseline
+	baseline := runtime.NumGoroutine()
+	sys := newFaultSystem(t, 4, nil, func(c *Config) {
+		c.DisablePressure = true
+		c.Clock = frozenClock{clock.NewManual(time.Unix(0, 0))}
+	})
+	cl := sys.cfg.Cluster
+
+	stopChaos := make(chan struct{})
+	var chaosWG sync.WaitGroup
+	chaosWG.Add(1)
+	go func() {
+		// w3/w4 flap; w1/w2 stay up so there is always healthy capacity.
+		defer chaosWG.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stopChaos:
+				_ = cl.RecoverNode("w3")
+				_ = cl.RecoverNode("w4")
+				return
+			default:
+			}
+			victim := "w3"
+			if i%2 == 1 {
+				victim = "w4"
+			}
+			_ = cl.FailNode(victim)
+			time.Sleep(time.Millisecond)
+			_ = cl.RecoverNode(victim)
+			time.Sleep(500 * time.Microsecond)
+		}
+	}()
+
+	ships0, conts0 := pathCounts()
+	const goroutines, perG = 8, 60
+	var wg sync.WaitGroup
+	errs := make([]error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				in := fmt.Sprintf("g%d-%d", g, i)
+				inv, err := sys.Invoke(map[string][]byte{"a.in": []byte(in)})
+				if err != nil {
+					errs[g] = err
+					return
+				}
+				if err := inv.Wait(); err != nil {
+					errs[g] = fmt.Errorf("req %s: %w", in, err)
+					return
+				}
+				if out, _ := inv.OutputBytes("out"); string(out) != in+",mid,tail" {
+					errs[g] = fmt.Errorf("req %s: out %q", in, out)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	ships, conts := pathCounts()
+	if ships == ships0 || conts == conts0 {
+		t.Fatalf("the storm took %d inline ships and %d continuations: it did not exercise the path", ships-ships0, conts-conts0)
+	}
+	t.Logf("phase 1: %d requests, %d inline ships, %d continuations, %d replays", goroutines*perG, ships-ships0, conts-conts0, sys.Replays())
+	requireSinksDrained(t, sys)
+
+	invs := stormUntilShutdown(sys, 3*time.Millisecond, func(g, i int) map[string][]byte {
+		return map[string][]byte{"a.in": []byte(fmt.Sprintf("s%d-%d", g, i))}
+	})
+	close(stopChaos)
+	chaosWG.Wait()
+	t.Logf("phase 2: %d/%d requests completed before shutdown", len(completedOf(invs)), len(invs))
+	waitFor(t, 10*time.Second, func() bool { return runtime.NumGoroutine() <= baseline },
+		fmt.Sprintf("goroutines did not return to the baseline of %d", baseline))
+}
+
+// frozenClock is a virtual clock that stands still: a Sleep returns at once
+// instead of parking its goroutine on a clock nobody advances. (The storm's
+// configuration runs no tick loop, so After is never asked.)
+type frozenClock struct{ *clock.Manual }
+
+func (frozenClock) Sleep(time.Duration) {}

@@ -57,6 +57,13 @@ var (
 	// obsBatchItems is the per-shipment DLU batch size (items per drained
 	// batch), the batching-efficacy signal.
 	obsBatchItems = obs.Default().Histogram("core_dlu_batch_items")
+
+	// Which path the edges take: Puts shipped on the FLU's own goroutine
+	// (the rest went through the DLU daemon), and consumers run to
+	// completion on their producer's goroutine (the rest woke through the
+	// executor pool).
+	obsInlineShips   = obs.Default().Counter("core_inline_ships_total")
+	obsContinuations = obs.Default().Counter("core_continuations_total")
 )
 
 // tenantCounterCache lazily resolves per-tenant series ("name{tenant=...}")

@@ -95,3 +95,21 @@ func TestUnsampledRequestsCarryNoSpan(t *testing.T) {
 		t.Fatalf("ring holds %d spans after 20 requests at 1-in-4, want %d", got, want)
 	}
 }
+
+// TestAdmissionLatencyIsZeroWithoutQoS: with the admission plane off there is
+// no admission work, so InvokeWith reads the clock once and the request
+// starts at that reading — core_admission_latency_ns still counts every
+// request, and observes zero for each.
+func TestAdmissionLatencyIsZeroWithoutQoS(t *testing.T) {
+	sys := newUntracedWCSystem(t, 2, nil)
+	defer sys.Shutdown()
+	before := obsAdmissionLat.Snapshot()
+	const requests = 20
+	for i := 0; i < requests; i++ {
+		runWC(t, sys, "a b")
+	}
+	after := obsAdmissionLat.Snapshot()
+	if n, sum := after.Count-before.Count, after.Sum-before.Sum; n != requests || sum != 0 {
+		t.Fatalf("core_admission_latency_ns observed %d requests totalling %d ns, want %d and 0", n, sum, requests)
+	}
+}

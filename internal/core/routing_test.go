@@ -22,26 +22,26 @@ function b
 `
 
 // newChainSystem builds an a->b chain over n nodes with the given policy
-// and config mutation.
+// and config mutation (which must leave Cluster alone: it is built here).
 func newChainSystem(t testing.TB, nodes int, policy cluster.PlacementPolicy, cfgMut func(*Config)) *System {
 	t.Helper()
 	wf, err := workflow.ParseDSLString(chainDSL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := cluster.NewCluster(policy)
-	for i := 1; i <= nodes; i++ {
-		if err := cl.AddNode(cluster.NewNode(fmt.Sprintf("w%d", i), cluster.Options{})); err != nil {
-			t.Fatal(err)
-		}
-	}
 	cfg := Config{
 		Workflow:    wf,
-		Cluster:     cl,
 		DefaultSpec: cluster.Spec{MemoryMB: 10 * 1024},
 	}
 	if cfgMut != nil {
 		cfgMut(&cfg)
+	}
+	cfg.Cluster = cluster.NewCluster(policy)
+	for i := 1; i <= nodes; i++ {
+		// One clock for engine and nodes.
+		if err := cfg.Cluster.AddNode(cluster.NewNode(fmt.Sprintf("w%d", i), cluster.Options{Clock: cfg.Clock})); err != nil {
+			t.Fatal(err)
+		}
 	}
 	sys, err := NewSystem(cfg)
 	if err != nil {

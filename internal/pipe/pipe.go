@@ -133,14 +133,17 @@ func (l *Limiter) Take(n int64) { l.TakeN(1, n) }
 // to per-item charging — except that TakeN never loses the batch to
 // per-item truncation: items individually under the one-nanosecond charge
 // floor (which Take skips) still pay once their batch total crosses it, so
-// a batch is if anything charged more faithfully than its items.
-func (l *Limiter) TakeN(count int, n int64) {
+// a batch is if anything charged more faithfully than its items. It returns
+// how long the charge parked on the limiter's clock (0 for the common charge
+// that does not), so a caller pacing on a goroutine whose time is accounted
+// to someone else — an FLU shipping inline — can book the park as its own.
+func (l *Limiter) TakeN(count int, n int64) time.Duration {
 	if l == nil || count <= 0 || n <= 0 {
-		return
+		return 0
 	}
 	rate := l.Rate()
 	if rate <= 0 {
-		return
+		return 0
 	}
 	// A charge that rounds to less than one nanosecond cannot advance the
 	// bucket (the duration truncates to zero in charge), so skip the lock
@@ -148,20 +151,20 @@ func (l *Limiter) TakeN(count int, n int64) {
 	// SetRate may price this charge at either rate, but never corrupts the
 	// bucket.
 	if float64(n)*float64(time.Second) < rate {
-		return
+		return 0
 	}
-	l.charge(n)
+	return l.charge(n)
 }
 
 // charge folds n bytes of debt into the bucket and parks until the bucket
-// deadline once the accumulated wait crosses the granularity. The rate is
-// re-read under the lock (see TakeN).
-func (l *Limiter) charge(n int64) {
+// deadline once the accumulated wait crosses the granularity, returning the
+// time it was parked. The rate is re-read under the lock (see TakeN).
+func (l *Limiter) charge(n int64) time.Duration {
 	l.mu.Lock()
 	rate := l.Rate()
 	if rate <= 0 {
 		l.mu.Unlock()
-		return
+		return 0
 	}
 	now := l.clk.Now()
 	if l.next.Before(now) {
@@ -181,7 +184,7 @@ func (l *Limiter) charge(n int64) {
 	wait := l.next.Sub(now)
 	l.mu.Unlock()
 	if wait < limiterGranularity {
-		return
+		return 0
 	}
 	l.clk.Sleep(wait)
 	l.mu.Lock()
@@ -192,6 +195,7 @@ func (l *Limiter) charge(n int64) {
 	l.mu.Unlock()
 	obsParks.Inc(0)
 	obsParkLate.Observe(0, int64(woke.Sub(now)-wait))
+	return woke.Sub(now)
 }
 
 // Checkpoint is one incremental progress record of a stream.

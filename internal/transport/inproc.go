@@ -38,8 +38,10 @@ func (t *Inproc) Sink() *wmm.Sink { return t.sink }
 // ShipBatch implements Transport.
 func (t *Inproc) ShipBatch(_ context.Context, pace Pacing, reqs []wmm.PutReq) error {
 	if pace.Bytes > 0 {
-		pace.Src.TakeN(pace.Items, pace.Bytes)
-		t.nic.TakeN(pace.Items, pace.Bytes)
+		parked := pace.Src.TakeN(pace.Items, pace.Bytes) + t.nic.TakeN(pace.Items, pace.Bytes)
+		if pace.Parked != nil {
+			*pace.Parked += parked
+		}
 	}
 	t.sink.PutBatch(t.elapsed(), reqs)
 	return nil

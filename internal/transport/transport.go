@@ -35,12 +35,17 @@ const DefaultBatchTasks = 64
 // transport charges the node NIC limiter, a socket simply is the NIC.
 // TraceID is the shipment's sampled-request trace context (0 = unsampled);
 // the TCP transport propagates it in the frame so the receiving process
-// records its landing stages under the same id.
+// records its landing stages under the same id. Parked, when non-nil, is
+// credited with the time the charge spent parked in a limiter: the engine
+// sets it when it ships on an FLU's own goroutine, where a park is a block
+// the FLU's execution time must not absorb. Only Inproc honours it — a
+// remote shipment never runs on an FLU's goroutine.
 type Pacing struct {
 	Src     *pipe.Limiter
 	Items   int
 	Bytes   int64
 	TraceID uint64
+	Parked  *time.Duration
 }
 
 // Transport is one engine's channel to one node's Wait-Match Memory. All
