@@ -47,7 +47,6 @@ func main() {
 	name := flag.String("name", "w1", "worker: node name to host")
 	listen := flag.String("listen", "127.0.0.1:0", "address to listen on")
 	coord := flag.String("coord", "", "worker: coordinator registration address")
-	retain := flag.Bool("retain", true, "worker: retain in-flight sink entries until release")
 	workers := flag.Int("workers", 2, "coord: registrations to wait for")
 	requests := flag.Int("requests", 200, "coord: wordcount storm size")
 	fanout := flag.Int("fanout", 3, "coord: wordcount fan-out")
@@ -60,7 +59,7 @@ func main() {
 	var err error
 	switch *mode {
 	case "worker":
-		err = runWorker(*name, *listen, *coord, *retain, *httpAddr)
+		err = runWorker(*name, *listen, *coord, *httpAddr)
 	case "coord":
 		err = runCoord(*listen, *workers, *requests, *fanout, *pace, *reqTimeout, *httpAddr, *sample)
 	default:
@@ -75,9 +74,9 @@ func main() {
 
 // runWorker hosts one node's sink over TCP and registers it with the
 // coordinator, then serves until killed.
-func runWorker(name, listen, coord string, retain bool, httpAddr string) error {
+func runWorker(name, listen, coord, httpAddr string) error {
 	srv := transport.NewServer(transport.ServerOptions{})
-	srv.Host(name, wmm.NewSink(wmm.Options{RetainInFlight: retain}))
+	srv.Host(name, wmm.NewSink(wmm.Options{}))
 	addr, err := srv.Listen(listen)
 	if err != nil {
 		return err
@@ -93,7 +92,7 @@ func runWorker(name, listen, coord string, retain bool, httpAddr string) error {
 	}
 	fmt.Printf("worker %s serving on %s\n", name, addr)
 	if coord != "" {
-		if err := register(coord, transport.Register{Node: name, Addr: addr, Retains: retain}); err != nil {
+		if err := register(coord, transport.Register{Node: name, Addr: addr}); err != nil {
 			return err
 		}
 	}
@@ -204,7 +203,7 @@ func runCoord(listen string, workers, requests, fanout int, pace, reqTimeout tim
 			return fmt.Errorf("dial %s: %w", reg.Node, err)
 		}
 		defer c.Close()
-		if err := cl.AddNode(cluster.NewRemoteNode(reg.Node, c, reg.Retains, cluster.Options{
+		if err := cl.AddNode(cluster.NewRemoteNode(reg.Node, c, false, cluster.Options{
 			ColdStart: time.Millisecond,
 		})); err != nil {
 			return err

@@ -229,10 +229,6 @@ type Options struct {
 	// SinkShards is the sink's lock-stripe count (wmm.DefaultShards when
 	// 0); the runtime plane's engines hit the sink from many goroutines.
 	SinkShards int
-	// SinkRetain keeps consumed sink entries until request completion
-	// (wmm.Options.RetainInFlight) — the replay source fault-tolerant
-	// deployments trade memory for.
-	SinkRetain bool
 	// Clock defaults to the wall clock.
 	Clock clock.Clock
 }
@@ -255,11 +251,10 @@ type Node struct {
 	// crosses. For local nodes it is inproc (the direct path, also kept
 	// concretely for the streaming-pipe seam); for remote nodes it is a wire
 	// client and inproc is nil.
-	dp      transport.Transport
-	inproc  *transport.Inproc
-	remote  bool
-	retains bool
-	meter   transport.BpsMeter
+	dp     transport.Transport
+	inproc *transport.Inproc
+	remote bool
+	meter  transport.BpsMeter
 
 	// health is the node's position in the Up/Draining/Down state machine
 	// (health.go); an atomic because the engines consult it on routing hot
@@ -297,7 +292,7 @@ func NewNode(name string, opts Options) *Node {
 		clk:        clk,
 		opts:       opts,
 		NIC:        nic,
-		Sink:       wmm.NewSink(wmm.Options{TTL: opts.SinkTTL, Shards: opts.SinkShards, RetainInFlight: opts.SinkRetain}),
+		Sink:       wmm.NewSink(wmm.Options{TTL: opts.SinkTTL, Shards: opts.SinkShards}),
 		containers: make(map[string][]*Container),
 		idle:       make(map[string][]*Container),
 		memInt:     metrics.NewIntegral(),
@@ -305,17 +300,16 @@ func NewNode(name string, opts Options) *Node {
 	}
 	n.inproc = transport.NewInproc(n.Sink, n.NIC, n.Elapsed)
 	n.dp = n.inproc
-	n.retains = opts.SinkRetain
 	return n
 }
 
 // NewRemoteNode returns a node whose Wait-Match Memory lives in another
 // process, reached through dp. The node still hosts local containers (FLU
-// threads run wherever the engine runs); only the data sink is remote.
-// retains reports the remote sink's retention mode (from the transport
-// handshake). dp implementations that measure throughput (BpsMeter) feed
-// the engine's pressure signal.
-func NewRemoteNode(name string, dp transport.Transport, retains bool, opts Options) *Node {
+// threads run wherever the engine runs); only the data sink is remote. dp
+// implementations that measure throughput (BpsMeter) feed the engine's
+// pressure signal. The bool is unused; ROADMAP item 1 (the bench/-only PR)
+// drops it with bench/workload.go's positional call.
+func NewRemoteNode(name string, dp transport.Transport, _ bool, opts Options) *Node {
 	clk := opts.Clock
 	if clk == nil {
 		clk = clock.NewWall()
@@ -336,7 +330,6 @@ func NewRemoteNode(name string, dp transport.Transport, retains bool, opts Optio
 	}
 	n.dp = dp
 	n.remote = true
-	n.retains = retains
 	n.meter, _ = dp.(transport.BpsMeter)
 	return n
 }

@@ -42,11 +42,6 @@ func (n *Node) SinkGet(key wmm.Key) (dataflow.Value, bool, error) {
 	return n.dp.Get(context.Background(), key)
 }
 
-// SinkPeek reads one datum without consuming it.
-func (n *Node) SinkPeek(key wmm.Key) (dataflow.Value, bool, error) {
-	return n.dp.Peek(context.Background(), key)
-}
-
 // SinkRelease drops every sink entry of the request (teardown).
 func (n *Node) SinkRelease(reqID string) error {
 	return n.dp.Release(context.Background(), reqID)
@@ -65,15 +60,6 @@ func (n *Node) SinkStats() (wmm.Stats, error) {
 // SinkMemBytes returns the sink's resident bytes (remote nodes report the
 // gauge from the last heartbeat).
 func (n *Node) SinkMemBytes() int64 { return n.dp.MemBytes() }
-
-// SinkRetains reports whether the node's sink retains consumed entries for
-// replay (remote nodes report the mode from the transport handshake).
-func (n *Node) SinkRetains() bool {
-	if n.remote {
-		return n.retains
-	}
-	return n.Sink.Retains()
-}
 
 // Ping probes the node's data plane (the liveness prober's primitive).
 func (n *Node) Ping(ctx context.Context) error {

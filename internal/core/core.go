@@ -167,15 +167,14 @@ func (e Elastic) withDefaults(nodes int) Elastic {
 }
 
 // System is one deployed workflow. Its control path is deliberately free of
-// any system-global mutex: per-request state lives in a striped invocation
-// table, per-function state is resolved once at NewSystem into immutable
-// fnState records whose counters are atomics, and each container owns its
-// DLU queue — so concurrent Invokes, handler completions, Puts and DLU
-// shipments never serialize on shared engine locks.
+// any system-global mutex: per-request state lives in the Invocation every
+// caller already holds, per-function state is resolved once at NewSystem
+// into immutable fnState records whose counters are atomics, and each
+// container owns its DLU queue — so concurrent Invokes, handler completions,
+// Puts and DLU shipments never serialize on shared engine locks.
 type System struct {
-	cfg   Config
-	wf    *workflow.Workflow
-	preds map[string][]string
+	cfg Config
+	wf  *workflow.Workflow
 
 	// fns is the per-function control-plane state. The map itself is
 	// immutable after NewSystem (the values carry the mutable atomics), so
@@ -220,11 +219,6 @@ type System struct {
 	rejShutdown  atomic.Int64
 	rejInvalid   atomic.Int64
 
-	// sinkRetain is true when any node's sink retains consumed entries for
-	// replay: a Get then frees nothing, so teardown's zero-residue shortcut
-	// is invalid and every request must run the ReleaseRequest sweep.
-	sinkRetain bool
-
 	// hasRemote is true when any cluster node's sink lives in another
 	// process: the Eq. 1 pressure signal then consults the measured wire
 	// throughput (remoteBpsFloor) alongside the configured TC rate.
@@ -249,7 +243,9 @@ type System struct {
 	clk      clock.Clock
 	epoch    time.Time
 
-	invs invTable // striped reqID -> *Invocation index
+	// pendingInvs counts requests admitted and not yet torn down, moved on
+	// the request's stripe (see PendingInvocations).
+	pendingInvs obs.Counter
 
 	// Request-ID allocation: reqSeq is the shared sequence; idPool hands
 	// out idBlock runs so the hot path touches the shared atomic once per
@@ -295,6 +291,9 @@ type fnState struct {
 	name string
 	spec cluster.Spec
 	sem  chan struct{} // instance concurrency cap
+	// single is true when no FOREACH edge targets the function: exactly one
+	// instance per request, known immediately (dataflow.Tracker.Init's rule).
+	single bool
 
 	// replicas is the function's atomically published replica set (resolved
 	// node pointers, primary first). The scaler swaps in grown/shrunk
@@ -391,30 +390,21 @@ func NewSystem(cfg Config) (*System, error) {
 		fns = append(fns, f.Name)
 	}
 	snap := cfg.Cluster.Place(fns)
-	preds := map[string][]string{}
-	for _, fn := range fns {
-		preds[fn] = cfg.Workflow.Predecessors(fn)
-	}
 	s := &System{
 		cfg:      cfg,
 		wf:       cfg.Workflow,
-		preds:    preds,
 		fnNames:  fns,
 		checkLog: pipe.NewCheckpointLog(),
 		clk:      cfg.Clock,
 		epoch:    cfg.Clock.Now(),
 		fns:      make(map[string]*fnState, len(fns)),
 	}
-	s.invs.init()
 	s.nodeLoad = make(map[*cluster.Node]*obs.Counter)
 	for _, name := range cfg.Cluster.Nodes() {
 		if n, ok := cfg.Cluster.Node(name); ok {
 			s.allNodes = append(s.allNodes, n)
 			s.nodeNames = append(s.nodeNames, name)
 			s.nodeLoad[n] = new(obs.Counter)
-			if n.SinkRetains() {
-				s.sinkRetain = true
-			}
 			if n.Remote() {
 				s.hasRemote = true
 			}
@@ -457,9 +447,10 @@ func NewSystem(cfg Config) (*System, error) {
 			s.static = false
 		}
 		st := &fnState{
-			name: fn,
-			spec: cfg.DefaultSpec,
-			sem:  make(chan struct{}, cfg.MaxContainersPerFn),
+			name:   fn,
+			spec:   cfg.DefaultSpec,
+			sem:    make(chan struct{}, cfg.MaxContainersPerFn),
+			single: true,
 		}
 		st.replicas.Store(&nodes)
 		if sp, ok := cfg.Spec[fn]; ok {
@@ -472,6 +463,11 @@ func NewSystem(cfg Config) (*System, error) {
 				seen[node] = true
 				s.routedNodes = append(s.routedNodes, node)
 			}
+		}
+	}
+	for _, e := range cfg.Workflow.Edges() {
+		if e.Kind == workflow.Foreach && e.To != workflow.UserSource {
+			s.fns[e.To].single = false
 		}
 	}
 	// A worker carries a request from its entry instance to completion when
@@ -678,7 +674,8 @@ type Invocation struct {
 	attempts map[dataflow.InstanceKey]int
 	// arrived records the items that landed for each instance, paired with
 	// the sink key they were cached under so consumers and teardown never
-	// re-derive it; broadcast items are recorded under {Fn, BroadcastIdx}.
+	// re-derive it; an item every instance of a FOREACH-fanned function reads
+	// is recorded under {Fn, BroadcastIdx} (arrivedKey).
 	// A request touches a handful of instance keys, so a scanned slice
 	// beats a map (no per-request map allocation, no hashing).
 	arrived []arrivedBucket
@@ -698,11 +695,17 @@ type Invocation struct {
 
 	// sinkResidue counts sink entries this request may still own: +1 per
 	// landed Put, -1 per consuming Get that found its entry. A clean
-	// completion with zero residue left nothing in any sink (broadcast
-	// entries are only Peeked, TTL spills are only reclaimed by sweeping, so
-	// both keep the count positive) and teardown can skip the per-node
-	// ReleaseRequest sweep entirely.
+	// completion with zero residue left nothing in any sink (shared entries
+	// of a fanned function are fetched by no instance, TTL spills are only
+	// reclaimed by sweeping, so both keep the count positive) and teardown
+	// can skip the per-node ReleaseRequest sweep entirely.
 	sinkResidue atomic.Int64
+
+	// torn is set when teardown starts, before its sweep. A shipment puts,
+	// then reads it: set means the sweep may already be over and the land
+	// cleans up after itself, clear means the sweep is still to come and
+	// covers the late Put.
+	torn atomic.Bool
 
 	// Inline backings for the slices above: a typical request touches a
 	// handful of instance keys, pins, and ready instances, so seeding the
@@ -800,25 +803,23 @@ func (inv *Invocation) finishLocked() {
 	defer func() {
 		obsTeardownLat.Observe(inv.stripe, int64(inv.sys.clk.Since(inv.end)))
 	}()
-	// End-of-request GC: drop the invocation from the system table and
-	// release its leftover sink entries. Proactive release normally empties
-	// the memory tier earlier; this teardown is what reclaims broadcast
-	// entries (Peeked, never consumed), TTL-spilled disk copies and the
-	// invocation bookkeeping, so a long-running system does not grow with
+	// End-of-request GC: stop tracking the invocation and release its
+	// leftover sink entries. Proactive release normally empties the memory
+	// tier earlier; this teardown is what reclaims the shared inputs of
+	// fanned functions (read by every instance, fetched by none) and
+	// TTL-spilled disk copies, so a long-running system does not grow with
 	// request count.
-	inv.sys.invs.delete(inv.ReqID)
-	if inv.err == nil && !inv.sys.sinkRetain {
+	inv.torn.Store(true)
+	inv.sys.pendingInvs.Add(inv.stripe, -1)
+	if inv.err == nil {
 		// Clean completion: the only entries a balanced request leaves
-		// behind are its broadcast items, and we know their exact keys from
+		// behind are those shared inputs, and we know their exact keys from
 		// the arrived log — consume them directly (one stripe lock each)
 		// instead of sweeping every stripe of every routed node. If the
 		// books still don't balance afterwards (an entry TTL-spilled, a
 		// re-put superseded a copy), fall through to the full sweep. A
 		// shipment still in flight self-sweeps when it lands and finds the
-		// request untracked, so skipping the sweep cannot strand it.
-		// (Retaining sinks skip this shortcut entirely: retained entries
-		// outlive their consuming Gets by design, so only the sweep below
-		// reclaims them.)
+		// request torn down, so skipping the sweep cannot strand it.
 		for i := range inv.arrived {
 			b := &inv.arrived[i]
 			if b.key.Idx != dataflow.BroadcastIdx {
@@ -850,18 +851,12 @@ func (inv *Invocation) finishLocked() {
 	}
 }
 
-// tracked reports whether a request is still in the invocation table. A
-// shipment landing for an untracked request must clean up after itself:
-// teardown's table delete happens before its sweep, so "untracked but
-// swept-later" resolves to the sweep covering the late Put.
-func (s *System) tracked(reqID string) bool {
-	return s.invs.contains(reqID)
-}
-
 // PendingInvocations returns the number of requests still tracked by the
-// system (in flight, or failed before their teardown ran).
+// system (in flight, or failed before their teardown ran). The counter's
+// lanes are read one at a time, so the result is exact only once the system
+// is quiescent.
 func (s *System) PendingInvocations() int {
-	return s.invs.count()
+	return int(s.pendingInvs.Load())
 }
 
 // SinkStats merges the Wait-Match Memory counters of every cluster node
@@ -960,7 +955,7 @@ func (s *System) InvokeWith(input map[string][]byte, opts InvokeOpts) (*Invocati
 	if s.sampleEvery > 0 && reqNum%s.sampleEvery == 0 {
 		inv.span = s.ring.Start(s.ring.NewTraceID(), reqID)
 	}
-	s.invs.put(reqID, inv)
+	s.pendingInvs.Add(stripe, 1)
 
 	s.event(inv, trace.ReqArrived, "", 0, "")
 	inv.mu.Lock()
@@ -968,7 +963,7 @@ func (s *System) InvokeWith(input map[string][]byte, opts InvokeOpts) (*Invocati
 	inv.mu.Unlock()
 	if err != nil {
 		// Run the normal teardown so the rejected invocation does not stay
-		// in the table (and its done channel closes for any observer).
+		// counted (and its done channel closes for any observer).
 		s.rejInvalid.Add(1)
 		obsRejInvalid.Inc(0)
 		inv.fail(err)
@@ -1099,35 +1094,29 @@ func (s *System) runInstance(inv *Invocation, key dataflow.InstanceKey) (next in
 	defer node.Release(ctr)
 
 	// Consume the instance's data from the Wait-Match Memory so proactive
-	// release can reclaim it. Broadcast data is peeked, not consumed: it is
-	// shared by all instances and dropped at request completion. Each
-	// arrived item carries the node it landed on (the request's pin for
-	// this function — node, in every normal flow). The sink calls nest
-	// under inv.mu (shard mutexes are leaf locks, the same order teardown
-	// uses), which spares a defensive copy of the arrived lists.
+	// release reclaims it at fetch. The shared inputs of a fanned function
+	// are not the instance's to consume: every instance reads them (from the
+	// tracker) and teardown drops them. Each arrived item carries the node
+	// it landed on (the request's pin for this function — node, in every
+	// normal flow). The sink calls nest under inv.mu (shard mutexes are leaf
+	// locks, the same order teardown uses), which spares a defensive copy of
+	// the arrived list.
 	ctx := ctxPool.Get().(*Context)
 	defer releaseCtx(ctx)
 	inv.mu.Lock()
 	inputs, valBuf := inv.tracker.InputsAppendBacking(ctx.inputs[:0], ctx.valBuf[:0], key)
-	own := inv.arrivedFor(key)
-	shared := inv.arrivedFor(dataflow.InstanceKey{Fn: fn, Idx: dataflow.BroadcastIdx})
-	if len(own)+len(shared) > 0 {
-		for _, ai := range own {
-			// The consuming Get is accounting (proactive release): the input
-			// values themselves come from the tracker, so an unreachable
-			// remote sink costs residue, not correctness.
-			if _, ok, err := ai.node.SinkGet(ai.key); err == nil && ok {
-				inv.sinkResidue.Add(-1)
-			}
-		}
-		for _, ai := range shared {
-			ai.node.SinkPeek(ai.key) //nolint:errcheck // freshness touch only; broadcast data is read from the tracker
+	for _, ai := range inv.arrivedFor(key) {
+		// The consuming Get is accounting (proactive release): the input
+		// values themselves come from the tracker, so an unreachable
+		// remote sink costs residue, not correctness.
+		if _, ok, err := ai.node.SinkGet(ai.key); err == nil && ok {
+			inv.sinkResidue.Add(-1)
 		}
 	}
 	if s.ft {
 		// The instance now holds its inputs: a later death of the node they
-		// were cached on no longer needs them replayed (broadcast buckets
-		// are shared and stay replayable until request completion).
+		// were cached on no longer needs them replayed (the shared buckets
+		// of fanned functions stay replayable until request completion).
 		inv.markConsumed(key)
 	}
 	inv.mu.Unlock()

@@ -11,7 +11,7 @@ import (
 )
 
 // newSystemFromDSL builds a system over n fast nodes.
-func newSystemFromDSL(t *testing.T, dsl string, nodes int) *System {
+func newSystemFromDSL(t *testing.T, dsl string, nodes int, cfgMut ...func(*Config)) *System {
 	t.Helper()
 	wf, err := workflow.ParseDSLString(dsl)
 	if err != nil {
@@ -25,11 +25,15 @@ func newSystemFromDSL(t *testing.T, dsl string, nodes int) *System {
 			t.Fatal(err)
 		}
 	}
-	sys, err := NewSystem(Config{
+	cfg := Config{
 		Workflow:    wf,
 		Cluster:     cl,
 		DefaultSpec: cluster.Spec{MemoryMB: 8 * 1024},
-	})
+	}
+	for _, mut := range cfgMut {
+		mut(&cfg)
+	}
+	sys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -649,7 +649,7 @@ func (s *System) landBatch(inv *Invocation, items []dataflow.Item, node *cluster
 		return
 	}
 	inv.sinkResidue.Add(int64(len(items)))
-	if !s.tracked(inv.ReqID) {
+	if inv.torn.Load() {
 		// The request completed while this shipment was in flight (e.g. the
 		// user-facing item of the same DLU task finished the workflow), so
 		// its teardown ReleaseRequest has already run (or was skipped for
@@ -696,7 +696,7 @@ func (s *System) deliverBatch(inv *Invocation, items []dataflow.Item, reqs []wmm
 	for i := range items {
 		it := items[i]
 		if it.To.Fn != workflow.UserSource {
-			inv.recordArrived(storeKeyOf(it), arrivedItem{item: it, key: reqs[i].Key, node: node})
+			inv.recordArrived(s.arrivedKey(it), arrivedItem{item: it, key: reqs[i].Key, node: node})
 		}
 		newly, err := inv.tracker.DeliverInto(inv.readyScratch[:0], it)
 		inv.readyScratch = newly
@@ -776,7 +776,7 @@ func streamIDOf(reqID string, it dataflow.Item) string {
 
 // arrivedItem pairs a landed item with the sink key it was cached under and
 // the node whose sink holds it, so the consume side (instance Gets,
-// teardown's broadcast reclaim) never rebuilds the key string and never
+// teardown's shared-input reclaim) never rebuilds the key string and never
 // re-derives the routing decision.
 type arrivedItem struct {
 	item dataflow.Item
@@ -787,8 +787,8 @@ type arrivedItem struct {
 // arrivedBucket collects the arrived items of one instance key. consumed is
 // set once the instance has fetched its inputs (fault-tolerant mode only):
 // from then on a death of the caching node loses nothing the instance still
-// needs, so repair skips the bucket. Broadcast buckets are shared by all
-// instances and are never marked consumed.
+// needs, so repair skips the bucket. The {Fn, BroadcastIdx} bucket of a
+// fanned function is shared by all instances and is never marked consumed.
 type arrivedBucket struct {
 	key      dataflow.InstanceKey
 	items    []arrivedItem
@@ -823,11 +823,15 @@ func (inv *Invocation) recordArrived(key dataflow.InstanceKey, ai arrivedItem) {
 	b.items = append(b.inline[:0], ai)
 }
 
-// storeKeyOf maps an item to the arrived-map key (broadcast items collapse
-// onto {Fn, BroadcastIdx}).
-func storeKeyOf(it dataflow.Item) dataflow.InstanceKey {
-	if it.To.Idx == dataflow.BroadcastIdx {
-		return dataflow.InstanceKey{Fn: it.To.Fn, Idx: dataflow.BroadcastIdx}
+// arrivedKey maps an item to the arrived bucket of the instance that fetches
+// it. An item addressed to every instance of a function (BroadcastIdx) has
+// one reader when the function has one instance, so it is filed under that
+// instance and released at its fetch — the paper's proactive release (§7).
+// Only a FOREACH-fanned function's shared input keeps the {Fn, BroadcastIdx}
+// bucket, which no instance consumes and teardown reclaims.
+func (s *System) arrivedKey(it dataflow.Item) dataflow.InstanceKey {
+	if it.To.Idx == dataflow.BroadcastIdx && s.fns[it.To.Fn].single {
+		return dataflow.InstanceKey{Fn: it.To.Fn}
 	}
 	return it.To
 }

@@ -9,11 +9,12 @@ import (
 
 // This file is the runtime plane's fault-tolerance plane (Config.
 // FaultTolerant). The recovery model follows the paper's data-flow
-// argument: because every instance's inputs are retained in a Wait-Match
-// Memory until consumed (and, with wmm.Options.RetainInFlight, until the
-// request completes), losing a node loses only (a) the data cached in that
-// node's sink and (b) the instances pinned there — never the request's
-// history. Recovery is therefore replay, not checkpointing:
+// argument: an instance's inputs wait in a Wait-Match Memory only until it
+// fetches them, and the coordinator's own arrived log (Invocation.arrived)
+// keeps every landed item with its payload until the request completes, so
+// losing a node loses only (a) the unfetched data cached in that node's sink
+// and (b) the instances pinned there — never the request's history.
+// Recovery is therefore replay from that log, not checkpointing:
 //
 //  1. detect — every touch of a route pin (ship's routeFor, land's
 //     destination check, the consume path's routeFor) notices a pin whose
@@ -25,8 +26,9 @@ import (
 //     un-consumed arrived items recorded on the dead node) are re-executed
 //     against the repaired replica. Handlers are deterministic, so the
 //     producer's re-execution would reproduce byte-identical outputs; the
-//     engine exploits that determinism by re-shipping the retained copies
-//     of those outputs instead of burning the producer's FLU time again,
+//     engine exploits that determinism by re-shipping the arrived log's
+//     copies of those outputs instead of burning the producer's FLU time
+//     again,
 //     which is also why only the lost functions' outputs — not their whole
 //     upstream cone — are replayed.
 //

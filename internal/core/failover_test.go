@@ -51,10 +51,7 @@ func newFaultSystem(t testing.TB, nodes int, gate chan struct{}, cfgMut func(*Co
 	cl := cluster.NewCluster(cluster.RoundRobin{Replicas: 2})
 	for i := 1; i <= nodes; i++ {
 		if err := cl.AddNode(cluster.NewNode(fmt.Sprintf("w%d", i), cluster.Options{
-			// Retain consumed inputs for replay, as the fault-tolerance
-			// plane's deployment story prescribes.
-			SinkRetain: true,
-			Clock:      cfg.Clock, // one clock for engine and nodes
+			Clock: cfg.Clock, // one clock for engine and nodes
 		})); err != nil {
 			t.Fatal(err)
 		}
@@ -341,7 +338,7 @@ func TestFailoverLandBehindTheWipeIsReclaimed(t *testing.T) {
 }
 
 // requireSinksDrained fails the test if a request is still tracked or any
-// node's sink still holds bytes in either tier (resident, retained/spilled).
+// node's sink still holds bytes in either tier (resident or spilled).
 func requireSinksDrained(t *testing.T, sys *System) {
 	t.Helper()
 	if got := sys.PendingInvocations(); got != 0 {
@@ -353,25 +350,6 @@ func requireSinksDrained(t *testing.T, sys *System) {
 			t.Fatalf("node %s holds %d mem / %d disk bytes after clean completions", name, mem, disk)
 		}
 	}
-}
-
-// TestRetainingSinksDrainAtCompletion pins the teardown rule for retaining
-// sinks: consumed entries survive their Gets by design, so a clean
-// completion must still run the ReleaseRequest sweep — nothing may outlive
-// the request in either tier.
-func TestRetainingSinksDrainAtCompletion(t *testing.T) {
-	sys := newFaultSystem(t, 3, nil, nil)
-	defer sys.Shutdown()
-	for i := 0; i < 4; i++ {
-		inv, err := sys.Invoke(map[string][]byte{"a.in": []byte("head")})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := inv.Wait(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	requireSinksDrained(t, sys)
 }
 
 // TestFailoverNodeKillMidRun is the availability criterion: with a fleet of
@@ -437,7 +415,7 @@ func TestFailoverKillPinnedReplicaMidTransfer(t *testing.T) {
 	}
 	cl := cluster.NewCluster(cluster.RoundRobin{Replicas: 2})
 	for i := 1; i <= 3; i++ {
-		if err := cl.AddNode(cluster.NewNode(fmt.Sprintf("w%d", i), cluster.Options{SinkRetain: true})); err != nil {
+		if err := cl.AddNode(cluster.NewNode(fmt.Sprintf("w%d", i), cluster.Options{})); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -138,8 +138,7 @@ func (s *System) governTick() {
 	var resident int64
 	for _, n := range s.allNodes {
 		// MemBytes is one atomic load per node (remote sinks report the
-		// heartbeat-piggybacked gauge) and includes any replay-retained
-		// entries (they stay in the memory tier).
+		// heartbeat-piggybacked gauge).
 		resident += n.SinkMemBytes()
 	}
 	waiting, inflight, tenants := s.qos.queue.Snapshot()

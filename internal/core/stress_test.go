@@ -152,3 +152,30 @@ func TestRejectedInvokeDoesNotLeak(t *testing.T) {
 		t.Fatalf("invocation table holds %d entries after rejected Invoke, want 0", n)
 	}
 }
+
+// TestPendingInvocationsAcrossStripes checks the system-level view: a batch
+// of concurrent requests is tracked while in flight and the table returns
+// to empty after completion, with request IDs spanning many stripes.
+func TestPendingInvocationsAcrossStripes(t *testing.T) {
+	sys, _ := newWCSystem(t, 2, nil)
+	defer sys.Shutdown()
+	const n = 40
+	invs := make([]*Invocation, 0, n)
+	for i := 0; i < n; i++ {
+		inv, err := sys.Invoke(map[string][]byte{
+			"start.src": []byte(fmt.Sprintf("w%d w%d w%d", i, i, i)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		invs = append(invs, inv)
+	}
+	for _, inv := range invs {
+		if err := inv.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := sys.PendingInvocations(); got != 0 {
+		t.Fatalf("PendingInvocations = %d after all requests completed", got)
+	}
+}

@@ -15,10 +15,10 @@ type Sample struct {
 	// (α·Size/Bw − T_FLU): positive means some function is transfer-bound.
 	Pressure time.Duration
 	// ResidentBytes is the Wait-Match Memory's memory-tier occupancy summed
-	// over the cluster. Replay-retained entries (wmm RetainInFlight) stay
-	// in the memory tier until their request completes, so straggler
-	// buildup is part of this reading — no separate retained counter (a
-	// per-sink Stats merge) is needed.
+	// over the cluster: the entries still waiting to be matched. Nothing is
+	// kept resident for replay — the runtime plane re-lands lost data from
+	// the coordinator's arrived log — so straggler buildup is exactly the
+	// unfetched inputs this gauge counts.
 	ResidentBytes int64
 	// QueueDepth and InFlight are the fair queue's parked and granted
 	// counts; Capacity its grant capacity; Tenants the per-tenant breakdown.

@@ -130,11 +130,15 @@ func TestReadFrameOversizeLength(t *testing.T) {
 }
 
 func TestReadFrameBadVersion(t *testing.T) {
-	framed := AppendFrame(nil, MsgPut, []byte("v"))
-	framed[4] = FrameVersion + 1
-	var rbuf []byte
-	if _, _, err := ReadFrame(bytes.NewReader(framed), &rbuf, 0); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("err = %v, want ErrBadFrame", err)
+	// The next version, and the previous one: a version-2 peer still sends
+	// Get.Consume and expects HelloAck.Retains, so it is refused outright.
+	for _, v := range []byte{FrameVersion + 1, 2} {
+		framed := AppendFrame(nil, MsgPut, []byte("v"))
+		framed[4] = v
+		var rbuf []byte
+		if _, _, err := ReadFrame(bytes.NewReader(framed), &rbuf, 0); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("version %d: err = %v, want ErrBadFrame", v, err)
+		}
 	}
 }
 
@@ -173,14 +177,11 @@ func TestWireStructRoundTrips(t *testing.T) {
 	if h, err := decodeHello(appendHello(nil, Hello{Node: "n1"})); err != nil || h.Node != "n1" {
 		t.Fatalf("Hello: %+v, %v", h, err)
 	}
-	if a, err := decodeHelloAck(appendHelloAck(nil, HelloAck{Retains: true})); err != nil || !a.Retains {
-		t.Fatalf("HelloAck: %+v, %v", a, err)
-	}
-	reg := Register{Node: "w0", Addr: "127.0.0.1:9", Retains: true}
+	reg := Register{Node: "w0", Addr: "127.0.0.1:9"}
 	if r, err := DecodeRegister(AppendRegister(nil, reg)); err != nil || r != reg {
 		t.Fatalf("Register: %+v, %v", r, err)
 	}
-	g := Get{ReqID: "req-1", Fn: "count", Data: "words@0<-split[0].out", Consume: true}
+	g := Get{ReqID: "req-1", Fn: "count", Data: "words@0<-split[0].out"}
 	if got, err := decodeGet(appendGet(nil, g)); err != nil || got != g {
 		t.Fatalf("Get: %+v, %v", got, err)
 	}
@@ -188,7 +189,7 @@ func TestWireStructRoundTrips(t *testing.T) {
 	if got, err := decodeFound(appendFound(nil, f)); err != nil || !got.Found || !bytes.Equal(got.Payload, f.Payload) {
 		t.Fatalf("Found: %+v, %v", got, err)
 	}
-	sa := StatsAck{Puts: 1, MemHits: 2, DiskHits: 3, Misses: 4, ProactiveReleases: 5, Expirations: 6, Retained: 7, PeakMemBytes: 1 << 30}
+	sa := StatsAck{Puts: 1, MemHits: 2, DiskHits: 3, Misses: 4, ProactiveReleases: 5, Expirations: 6, PeakMemBytes: 1 << 30}
 	if got, err := decodeStatsAck(appendStatsAck(nil, sa)); err != nil || got != sa {
 		t.Fatalf("StatsAck: %+v, %v", got, err)
 	}
@@ -299,7 +300,11 @@ func FuzzReadFrame(f *testing.F) {
 		Val: dataflow.Value{Payload: []byte("p"), Size: 1},
 	}})))
 	f.Add(AppendFrame(nil, MsgGet, appendGet(nil, Get{ReqID: "r", Fn: "f", Data: "d"})))
+	f.Add(AppendFrame(nil, MsgRegister, AppendRegister(nil, Register{Node: "w1", Addr: "127.0.0.1:9"})))
+	f.Add(AppendFrame(nil, MsgStatsAck, appendStatsAck(nil, StatsAck{Puts: 1, MemHits: 1, ProactiveReleases: 1, PeakMemBytes: 64})))
+	f.Add(AppendFrame(nil, MsgHelloAck, nil))
 	f.Add([]byte{0, 0, 0, 2, FrameVersion, byte(MsgClear)})
+	f.Add([]byte{0, 0, 0, 3, 2, byte(MsgHelloAck), 1}) // a version-2 HelloAck{Retains}: refused
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var rbuf []byte
@@ -311,8 +316,6 @@ func FuzzReadFrame(f *testing.F) {
 		switch mt {
 		case MsgHello:
 			decodeHello(body) //nolint:errcheck
-		case MsgHelloAck:
-			decodeHelloAck(body) //nolint:errcheck
 		case MsgRegister:
 			DecodeRegister(body) //nolint:errcheck
 		case MsgPutBatch:

@@ -63,12 +63,6 @@ func (t *Inproc) Get(_ context.Context, key wmm.Key) (dataflow.Value, bool, erro
 	return v, ok, nil
 }
 
-// Peek implements Transport.
-func (t *Inproc) Peek(_ context.Context, key wmm.Key) (dataflow.Value, bool, error) {
-	v, _, ok := t.sink.Peek(t.elapsed(), key)
-	return v, ok, nil
-}
-
 // Release implements Transport.
 func (t *Inproc) Release(_ context.Context, reqID string) error {
 	t.sink.ReleaseRequest(t.elapsed(), reqID)

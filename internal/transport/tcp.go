@@ -189,7 +189,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		WriteFrame(conn, MsgErr, body, s.opts.MaxFrame)
 		return
 	}
-	if err := WriteFrame(conn, MsgHelloAck, appendHelloAck(wbuf[:0], HelloAck{Retains: host.sink.Retains()}), s.opts.MaxFrame); err != nil {
+	if err := WriteFrame(conn, MsgHelloAck, nil, s.opts.MaxFrame); err != nil {
 		return
 	}
 	sink := host.sink
@@ -236,13 +236,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			var g Get
 			g, fail = decodeGet(body)
 			if fail == nil {
-				var v dataflow.Value
-				var ok bool
-				if g.Consume {
-					v, _, ok = sink.Get(at, wmm.Key{ReqID: g.ReqID, Fn: g.Fn, Data: g.Data})
-				} else {
-					v, _, ok = sink.Peek(at, wmm.Key{ReqID: g.ReqID, Fn: g.Fn, Data: g.Data})
-				}
+				v, _, ok := sink.Get(at, wmm.Key{ReqID: g.ReqID, Fn: g.Fn, Data: g.Data})
 				payload, _ := v.Payload.([]byte)
 				respT, resp = MsgFound, appendFound(wbuf[:0], Found{Found: ok, Payload: payload})
 			}
@@ -259,8 +253,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			respT, resp = MsgStatsAck, appendStatsAck(wbuf[:0], StatsAck{
 				Puts: st.Puts, MemHits: st.MemHits, DiskHits: st.DiskHits,
 				Misses: st.Misses, ProactiveReleases: st.ProactiveReleases,
-				Expirations: st.Expirations, Retained: st.Retained,
-				PeakMemBytes: st.PeakMemBytes,
+				Expirations: st.Expirations, PeakMemBytes: st.PeakMemBytes,
 			})
 		case MsgPing:
 			respT, resp = MsgPong, appendPong(wbuf[:0], Pong{MemBytes: sink.MemBytes()})
@@ -360,7 +353,6 @@ type Client struct {
 	ebuf   []byte // body-encoding scratch
 	closed bool
 
-	retains  bool
 	memBytes atomic.Int64
 	bpsBits  atomic.Uint64 // math.Float64bits of the EWMA throughput
 }
@@ -369,9 +361,6 @@ var (
 	_ Transport = (*Client)(nil)
 	_ BpsMeter  = (*Client)(nil)
 )
-
-// Retains reports the remote sink's retention mode (from the handshake).
-func (c *Client) Retains() bool { return c.retains }
 
 // Node returns the hosted node name this client is bound to.
 func (c *Client) Node() string { return c.node }
@@ -409,12 +398,10 @@ func (c *Client) connectLocked(ctx context.Context) error {
 		}
 		return wireErr("hello", c.addr, ErrBadFrame, nil)
 	}
-	ack, err := decodeHelloAck(body)
-	if err != nil || t != MsgHelloAck {
+	if t != MsgHelloAck || len(body) != 0 {
 		conn.Close()
-		return wireErr("hello", c.addr, ErrBadFrame, err)
+		return wireErr("hello", c.addr, ErrBadFrame, nil)
 	}
-	c.retains = ack.Retains
 	c.conn = conn
 	return nil
 }
@@ -577,14 +564,15 @@ func (c *Client) Land(_ context.Context, pace Pacing, req wmm.PutReq) error {
 	return nil
 }
 
-func (c *Client) get(key wmm.Key, consume bool, op string) (dataflow.Value, bool, error) {
+// Get implements Transport.
+func (c *Client) Get(_ context.Context, key wmm.Key) (dataflow.Value, bool, error) {
 	var f Found
-	err := c.rpc(op, MsgGet, func(dst []byte) []byte {
-		return appendGet(dst, Get{ReqID: key.ReqID, Fn: key.Fn, Data: key.Data, Consume: consume})
+	err := c.rpc("get", MsgGet, func(dst []byte) []byte {
+		return appendGet(dst, Get{ReqID: key.ReqID, Fn: key.Fn, Data: key.Data})
 	}, MsgFound, func(body []byte) error {
 		m, derr := decodeFound(body)
 		if derr != nil {
-			return wireErr(op, c.addr, ErrBadFrame, derr)
+			return wireErr("get", c.addr, ErrBadFrame, derr)
 		}
 		f = m // the decoded payload is a copy, safe past the lock
 		return nil
@@ -596,16 +584,6 @@ func (c *Client) get(key wmm.Key, consume bool, op string) (dataflow.Value, bool
 		return dataflow.Value{}, false, nil
 	}
 	return dataflow.Value{Payload: f.Payload, Size: int64(len(f.Payload))}, true, nil
-}
-
-// Get implements Transport.
-func (c *Client) Get(_ context.Context, key wmm.Key) (dataflow.Value, bool, error) {
-	return c.get(key, true, "get")
-}
-
-// Peek implements Transport.
-func (c *Client) Peek(_ context.Context, key wmm.Key) (dataflow.Value, bool, error) {
-	return c.get(key, false, "peek")
 }
 
 // Release implements Transport.
@@ -637,8 +615,7 @@ func (c *Client) Stats(_ context.Context) (wmm.Stats, error) {
 	return wmm.Stats{
 		Puts: m.Puts, MemHits: m.MemHits, DiskHits: m.DiskHits,
 		Misses: m.Misses, ProactiveReleases: m.ProactiveReleases,
-		Expirations: m.Expirations, Retained: m.Retained,
-		PeakMemBytes: m.PeakMemBytes,
+		Expirations: m.Expirations, PeakMemBytes: m.PeakMemBytes,
 	}, nil
 }
 

@@ -44,10 +44,7 @@ func TestTCPSinkOps(t *testing.T) {
 	if err := c.Land(ctx, Pacing{}, wmm.PutReq{Key: key, Val: dataflow.Value{Payload: []byte("hi"), Size: 2}, Consumers: 1}); err != nil {
 		t.Fatalf("Land: %v", err)
 	}
-	if v, ok, err := c.Peek(ctx, key); err != nil || !ok || string(v.Payload.([]byte)) != "hi" {
-		t.Fatalf("Peek: %v %v %v", v, ok, err)
-	}
-	if v, ok, err := c.Get(ctx, key); err != nil || !ok || v.Size != 2 {
+	if v, ok, err := c.Get(ctx, key); err != nil || !ok || string(v.Payload.([]byte)) != "hi" {
 		t.Fatalf("Get: %v %v %v", v, ok, err)
 	}
 	if _, ok, err := c.Get(ctx, key); err != nil || ok {
@@ -87,14 +84,6 @@ func TestTCPSinkOps(t *testing.T) {
 	}
 	if err := c.Clear(ctx); err != nil {
 		t.Fatalf("Clear: %v", err)
-	}
-}
-
-func TestTCPHandshakeRetains(t *testing.T) {
-	_, _, addr := startServer(t, "n1", wmm.Options{RetainInFlight: true})
-	c := dial(t, addr, "n1")
-	if !c.Retains() {
-		t.Fatal("handshake lost the retention mode")
 	}
 }
 

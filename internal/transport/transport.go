@@ -57,12 +57,10 @@ type Transport interface {
 	// the boundary crossing).
 	ShipBatch(ctx context.Context, pace Pacing, reqs []wmm.PutReq) error
 	// Land lands a single datum outside a shipment (the failover replay
-	// re-lands retained inputs one at a time).
+	// re-lands the lost items of the coordinator's arrived log one at a time).
 	Land(ctx context.Context, pace Pacing, req wmm.PutReq) error
 	// Get consumes one datum (proactive-release accounting applies).
 	Get(ctx context.Context, key wmm.Key) (dataflow.Value, bool, error)
-	// Peek reads one datum without consuming it (broadcast data).
-	Peek(ctx context.Context, key wmm.Key) (dataflow.Value, bool, error)
 	// Release drops every entry of the request (teardown).
 	Release(ctx context.Context, reqID string) error
 	// Clear wipes the sink (node failure handling).

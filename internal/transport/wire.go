@@ -11,7 +11,7 @@ import (
 // Bump it whenever any //wire:struct changes shape — the wiregate repolint
 // analyzer enforces that the structs' fingerprint below matches the
 // version, so a silent wire change cannot ship.
-const FrameVersion = 2
+const FrameVersion = 3
 
 // wireVersions pins the fingerprint of the //wire:struct set at each frame
 // version. The wiregate analyzer recomputes the fingerprint from the struct
@@ -21,6 +21,7 @@ const FrameVersion = 2
 var wireVersions = map[int]string{
 	1: "wire:v1:d157a25e4bf1fe36",
 	2: "wire:v2:fa3cbad6787e3042",
+	3: "wire:v3:3cfe0a888072015d",
 }
 
 // fingerprintAt exposes the pinned fingerprint for tests.
@@ -39,22 +40,13 @@ type Hello struct {
 	Node string
 }
 
-// HelloAck accepts a Hello and reports the sink's retention mode, so a
-// remote engine can make the same teardown decisions a local one does.
-//
-//wire:struct
-type HelloAck struct {
-	Retains bool
-}
-
-// Register announces a worker to the coordinator: the node name it hosts,
-// the address its transport server listens on, and its retention mode.
+// Register announces a worker to the coordinator: the node name it hosts
+// and the address its transport server listens on.
 //
 //wire:struct
 type Register struct {
-	Node    string
-	Addr    string
-	Retains bool
+	Node string
+	Addr string
 }
 
 // Put lands one datum in the hosted sink. The replica ordinal of an
@@ -87,15 +79,14 @@ type PutBatch struct {
 	Puts    []Put
 }
 
-// Get fetches (Consume true — proactive-release accounting applies) or
-// peeks (Consume false — broadcast data) one datum.
+// Get fetches one datum, counting one consumer (proactive-release
+// accounting applies).
 //
 //wire:struct
 type Get struct {
-	ReqID   string
-	Fn      string
-	Data    string
-	Consume bool
+	ReqID string
+	Fn    string
+	Data  string
 }
 
 // Found answers a Get.
@@ -123,7 +114,6 @@ type StatsAck struct {
 	Misses            int64
 	ProactiveReleases int64
 	Expirations       int64
-	Retained          int64
 	PeakMemBytes      int64
 }
 
@@ -154,14 +144,11 @@ const (
 
 func appendHello(b []byte, m Hello) []byte { return appendString(b, m.Node) }
 
-func appendHelloAck(b []byte, m HelloAck) []byte { return appendBool(b, m.Retains) }
-
 // AppendRegister encodes a worker registration (exported for cmd/node's
 // coordinator handshake, which speaks raw frames).
 func AppendRegister(b []byte, m Register) []byte {
 	b = appendString(b, m.Node)
-	b = appendString(b, m.Addr)
-	return appendBool(b, m.Retains)
+	return appendString(b, m.Addr)
 }
 
 func appendPut(b []byte, m Put) []byte {
@@ -204,8 +191,7 @@ func appendPutBatch(b []byte, traceID uint64, reqs []wmm.PutReq) []byte {
 func appendGet(b []byte, m Get) []byte {
 	b = appendString(b, m.ReqID)
 	b = appendString(b, m.Fn)
-	b = appendString(b, m.Data)
-	return appendBool(b, m.Consume)
+	return appendString(b, m.Data)
 }
 
 func appendFound(b []byte, m Found) []byte {
@@ -222,7 +208,6 @@ func appendStatsAck(b []byte, m StatsAck) []byte {
 	b = appendVarint(b, m.Misses)
 	b = appendVarint(b, m.ProactiveReleases)
 	b = appendVarint(b, m.Expirations)
-	b = appendVarint(b, m.Retained)
 	return appendVarint(b, m.PeakMemBytes)
 }
 
@@ -241,16 +226,10 @@ func decodeHello(body []byte) (Hello, error) {
 	return m, r.done()
 }
 
-func decodeHelloAck(body []byte) (HelloAck, error) {
-	r := wireReader{b: body}
-	m := HelloAck{Retains: r.boolean()}
-	return m, r.done()
-}
-
 // DecodeRegister decodes a worker registration (exported for cmd/node).
 func DecodeRegister(body []byte) (Register, error) {
 	r := wireReader{b: body}
-	m := Register{Node: r.str(), Addr: r.str(), Retains: r.boolean()}
+	m := Register{Node: r.str(), Addr: r.str()}
 	return m, r.done()
 }
 
@@ -295,7 +274,7 @@ func decodePutBatch(body []byte, dst []wmm.PutReq) ([]wmm.PutReq, uint64, error)
 
 func decodeGet(body []byte) (Get, error) {
 	r := wireReader{b: body}
-	m := Get{ReqID: r.str(), Fn: r.str(), Data: r.str(), Consume: r.boolean()}
+	m := Get{ReqID: r.str(), Fn: r.str(), Data: r.str()}
 	return m, r.done()
 }
 
@@ -320,7 +299,6 @@ func decodeStatsAck(body []byte) (StatsAck, error) {
 		Misses:            r.varint(),
 		ProactiveReleases: r.varint(),
 		Expirations:       r.varint(),
-		Retained:          r.varint(),
 		PeakMemBytes:      r.varint(),
 	}
 	return m, r.done()

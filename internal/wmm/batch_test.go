@@ -33,7 +33,7 @@ func TestPutBatchEquivalentToSequentialPuts(t *testing.T) {
 	for _, opts := range []Options{
 		{},
 		{TTL: 10 * time.Millisecond},
-		{Shards: 4, RetainInFlight: true, TTL: 10 * time.Millisecond},
+		{Shards: 4, TTL: 10 * time.Millisecond},
 	} {
 		seq := newSink(t, opts)
 		bat := newSink(t, opts)

@@ -15,5 +15,4 @@ var (
 	obsMisses    = obs.Default().Counter("wmm_misses_total")
 	obsProactive = obs.Default().Counter("wmm_proactive_releases_total")
 	obsExpired   = obs.Default().Counter("wmm_expirations_total")
-	obsRetained  = obs.Default().Counter("wmm_retained_total")
 )

@@ -193,12 +193,10 @@ func (s *Sink) expireLocked(sh *shard, at time.Duration) int {
 		sh.stats.Expirations++
 		obsExpired.Inc(sh.obsStripe)
 		n++
-		if e.remaining <= 0 && !s.opts.RetainInFlight {
+		if e.remaining <= 0 {
 			// Fully consumed (possible only with DisableProactive): no
 			// consumer will return for it, so spilling would leak the bytes
-			// on disk until request teardown — drop it instead. Under
-			// RetainInFlight the entry is a replay source and spills so it
-			// survives until the request completes.
+			// on disk until request teardown — drop it instead.
 			s.drop(sh, at, e)
 			continue
 		}

@@ -39,7 +39,7 @@
 //     it holds can pin a released payload;
 //   - the per-stripe and global byte gauges equal the per-tier size sums.
 //
-// Put/Get/Peek lock exactly one stripe and pop only the entries whose TTL
+// Put and Get lock exactly one stripe and pop only the entries whose TTL
 // has actually fired (O(log n) each), so there is no O(all-entries) sweep
 // and no single serialization point on the hot path under concurrent
 // invocations. Aggregate readers (Stats, MemIntegralMBs, byte gauges) merge
@@ -103,14 +103,6 @@ type Options struct {
 	// Shards is the number of lock stripes the key space is hashed across,
 	// rounded up to a power of two (DefaultShards when 0).
 	Shards int
-	// RetainInFlight keeps fully-consumed entries resident (payload intact)
-	// until ReleaseRequest instead of dropping them at the last Get — the
-	// fault-tolerance plane's replay source: while a request is in flight,
-	// every input that already fed an instance can still be re-read to
-	// deterministically re-execute that instance after a downstream node
-	// failure. Retained entries still spill to disk on TTL (never dropped)
-	// and are reclaimed by the request's end-of-life ReleaseRequest.
-	RetainInFlight bool
 }
 
 // Stats are cumulative sink counters.
@@ -121,11 +113,7 @@ type Stats struct {
 	Misses            int64
 	ProactiveReleases int64
 	Expirations       int64
-	// Retained counts entries whose last consumer fetched them while
-	// RetainInFlight was set: instead of a proactive release they stayed
-	// resident for replay until request completion.
-	Retained     int64
-	PeakMemBytes int64
+	PeakMemBytes      int64
 }
 
 // Merge adds other's counters into s, taking the larger peak. It aggregates
@@ -137,7 +125,6 @@ func (s *Stats) Merge(other Stats) {
 	s.Misses += other.Misses
 	s.ProactiveReleases += other.ProactiveReleases
 	s.Expirations += other.Expirations
-	s.Retained += other.Retained
 	if other.PeakMemBytes > s.PeakMemBytes {
 		s.PeakMemBytes = other.PeakMemBytes
 	}
@@ -174,12 +161,6 @@ func NewSink(opts Options) *Sink {
 
 // Shards returns the number of lock stripes.
 func (s *Sink) Shards() int { return len(s.shards) }
-
-// Retains reports whether the sink keeps consumed entries for replay
-// (Options.RetainInFlight) — engines consult it at teardown, because a
-// retained request always needs the end-of-life ReleaseRequest sweep (the
-// residue heuristic that skips it assumes consumption frees entries).
-func (s *Sink) Retains() bool { return s.opts.RetainInFlight }
 
 // Put caches v for key at virtual/wall time at. consumers is the number of
 // destination FLUs that will fetch the datum (>=1); once they all have, the
@@ -287,35 +268,12 @@ func (s *Sink) Get(at time.Duration, key Key) (dataflow.Value, Tier, bool) {
 	if e.remaining > 0 || s.opts.DisableProactive {
 		return val, tier, true
 	}
-	if s.opts.RetainInFlight {
-		// Replay retention: the entry's consumers are done, but the request
-		// is not — keep the payload resident so a node failure downstream
-		// can re-execute this consumer from its original inputs.
-		// ReleaseRequest reclaims it.
-		if e.remaining == 0 {
-			sh.stats.Retained++
-			obsRetained.Inc(sh.obsStripe)
-		}
-		return val, tier, true
-	}
 	if tier == Memory { // a spilled entry's release is not a proactive one
 		sh.stats.ProactiveReleases++
 		obsProactive.Inc(sh.obsStripe)
 	}
 	s.drop(sh, at, e)
 	return val, tier, true
-}
-
-// Peek returns the value without consuming it.
-func (s *Sink) Peek(at time.Duration, key Key) (dataflow.Value, Tier, bool) {
-	sh := s.shardOf(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s.expireLocked(sh, at)
-	if e := sh.entries[key]; e != nil {
-		return e.val, e.tier, true
-	}
-	return dataflow.Value{}, Miss, false
 }
 
 // ReleaseRequest drops every entry of a request from both tiers (end-of-

@@ -108,12 +108,12 @@ func TestPassiveExpireSpillsToDisk(t *testing.T) {
 
 func TestExpireRunsLazilyOnAccess(t *testing.T) {
 	s := newSink(t, Options{TTL: time.Second})
-	s.Put(0, k("r1", "f", "x"), v(50), 1)
+	s.Put(0, k("r1", "f", "x"), v(50), 2)
 	// No explicit sweep: the access itself applies the pending expiry, so a
 	// late consumer is served from the spill tier and charged accordingly.
-	got, tier, ok := s.Peek(time.Minute, k("r1", "f", "x"))
+	got, tier, ok := s.Get(time.Minute, k("r1", "f", "x"))
 	if !ok || tier != Disk || got.Size != 50 {
-		t.Fatalf("peek = %v %v %v, want disk hit", got, tier, ok)
+		t.Fatalf("get = %v %v %v, want disk hit", got, tier, ok)
 	}
 	if s.DiskBytes() != 50 || s.MemBytes() != 0 {
 		t.Fatalf("disk = %d mem = %d, want 50/0 (x spilled)", s.DiskBytes(), s.MemBytes())
@@ -262,17 +262,6 @@ func TestShardsRounding(t *testing.T) {
 	}
 }
 
-func TestPeekDoesNotConsume(t *testing.T) {
-	s := newSink(t, Options{})
-	s.Put(0, k("r1", "f", "x"), v(100), 1)
-	if _, tier, ok := s.Peek(0, k("r1", "f", "x")); !ok || tier != Memory {
-		t.Fatal("peek failed")
-	}
-	if s.MemBytes() != 100 {
-		t.Fatal("peek consumed the entry")
-	}
-}
-
 func TestReplacePutAdjustsAccounting(t *testing.T) {
 	s := newSink(t, Options{})
 	s.Put(0, k("r1", "f", "x"), v(100), 1)
@@ -376,5 +365,54 @@ func TestNoDataLossProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The last Get proactively releases: a repeat Get misses.
+func TestRetainOffProactiveReleaseUnchanged(t *testing.T) {
+	s := newSink(t, Options{Shards: 1})
+	key := k("r1", "f", "x")
+	s.Put(0, key, v(32), 1)
+	if _, _, ok := s.Get(time.Second, key); !ok {
+		t.Fatal("consume miss")
+	}
+	if _, _, ok := s.Get(2*time.Second, key); ok {
+		t.Fatal("entry survived its last consumer's Get")
+	}
+	if st := s.Stats(); st.ProactiveReleases != 1 {
+		t.Fatalf("stats = %+v, want 1 proactive release", st)
+	}
+}
+
+// Clear models node failure: both tiers wiped, gauges zeroed, sink usable.
+func TestClearWipesBothTiers(t *testing.T) {
+	s := newSink(t, Options{TTL: time.Second, Shards: 4})
+	memKey := k("r1", "f", "mem")
+	spillKey := k("r1", "f", "spill")
+	s.Put(0, spillKey, v(10), 2)
+	s.ExpireSweep(5 * time.Second) // spillKey -> disk tier
+	s.Put(6*time.Second, memKey, v(20), 2)
+	if s.MemBytes() != 20 || s.DiskBytes() != 10 {
+		t.Fatalf("setup gauges = mem %d disk %d", s.MemBytes(), s.DiskBytes())
+	}
+
+	s.Clear(7 * time.Second)
+	if s.MemBytes() != 0 || s.DiskBytes() != 0 {
+		t.Fatalf("post-Clear gauges = mem %d disk %d, want 0/0", s.MemBytes(), s.DiskBytes())
+	}
+	if _, _, ok := s.Get(8*time.Second, memKey); ok {
+		t.Fatal("memory entry survived Clear")
+	}
+	if _, _, ok := s.Get(8*time.Second, spillKey); ok {
+		t.Fatal("spilled entry survived Clear")
+	}
+	if s.Len() != 0 {
+		t.Fatalf("Len = %d after Clear", s.Len())
+	}
+
+	// The sink keeps working after a Clear (node recovery).
+	s.Put(9*time.Second, memKey, v(8), 1)
+	if _, tier, ok := s.Get(9*time.Second+500*time.Millisecond, memKey); !ok || tier != Memory {
+		t.Fatalf("post-recovery Get = (%v, %v), want memory hit", tier, ok)
 	}
 }
