@@ -6,6 +6,13 @@
 // that map each function to an ordered replica set and publish it as a
 // versioned, immutable RoutingSnapshot consumed lock-free by the per-node
 // engines (see routing.go).
+//
+// A node keeps one FnPool per function: the live containers and a LIFO
+// free-list of the idle ones under the pool's own mutex, so acquiring and
+// releasing a container never takes the node's lock. Invariant: a container
+// is in its pool's free-list iff it is Idle, exactly once. Lock order:
+// Node.mu → FnPool.mu → Container.mu; memory accounting and ReapIdle take
+// Node.mu and so stay exact.
 package cluster
 
 import (
@@ -106,6 +113,7 @@ type Container struct {
 	Fn   string
 	Spec Spec
 	Node *Node
+	pool *FnPool
 
 	// Limiter is the container's TC bandwidth class; DLU transfers pass
 	// through it.
@@ -261,15 +269,10 @@ type Node struct {
 	// paths. The zero value is Up.
 	health atomic.Int32
 
+	// mu guards the pool table, the container ids and the memory accounting.
 	mu         sync.Mutex
-	containers map[string][]*Container // fn -> containers
-	// idle is the per-function free-list of idle containers, kept LIFO so
-	// the most recently used container (warmest caches, freshest keep-alive)
-	// is acquired first. Invariant under mu: a container is in its
-	// function's stack iff its state is Idle, exactly once — so AcquireIdle
-	// is O(1) instead of a scan of all containers.
-	idle       map[string][]*Container
-	dluShut    bool // set by CloseDLUs: containers born afterwards start closed
+	pools      map[string]*FnPool // fn -> its containers on this node
+	dluShut    bool               // set by CloseDLUs: containers born afterwards start closed
 	nextID     int64
 	memInUse   int64
 	memInt     *metrics.Integral
@@ -277,27 +280,30 @@ type Node struct {
 	started    time.Time
 }
 
-// NewNode returns an empty node.
-func NewNode(name string, opts Options) *Node {
+// newNode is what local and remote nodes share: everything but the sink.
+func newNode(name string, opts Options) *Node {
 	clk := opts.Clock
 	if clk == nil {
 		clk = clock.NewWall()
 	}
-	var nic *pipe.Limiter
-	if opts.NICBps > 0 {
-		nic = pipe.NewLimiter(clk, opts.NICBps)
-	}
 	n := &Node{
-		Name:       name,
-		clk:        clk,
-		opts:       opts,
-		NIC:        nic,
-		Sink:       wmm.NewSink(wmm.Options{TTL: opts.SinkTTL, Shards: opts.SinkShards}),
-		containers: make(map[string][]*Container),
-		idle:       make(map[string][]*Container),
-		memInt:     metrics.NewIntegral(),
-		started:    clk.Now(),
+		Name:    name,
+		clk:     clk,
+		opts:    opts,
+		pools:   make(map[string]*FnPool),
+		memInt:  metrics.NewIntegral(),
+		started: clk.Now(),
 	}
+	if opts.NICBps > 0 {
+		n.NIC = pipe.NewLimiter(clk, opts.NICBps)
+	}
+	return n
+}
+
+// NewNode returns an empty node.
+func NewNode(name string, opts Options) *Node {
+	n := newNode(name, opts)
+	n.Sink = wmm.NewSink(wmm.Options{TTL: opts.SinkTTL, Shards: opts.SinkShards})
 	n.inproc = transport.NewInproc(n.Sink, n.NIC, n.Elapsed)
 	n.dp = n.inproc
 	return n
@@ -310,24 +316,7 @@ func NewNode(name string, opts Options) *Node {
 // pressure signal. The bool is unused; ROADMAP item 1 (the bench/-only PR)
 // drops it with bench/workload.go's positional call.
 func NewRemoteNode(name string, dp transport.Transport, _ bool, opts Options) *Node {
-	clk := opts.Clock
-	if clk == nil {
-		clk = clock.NewWall()
-	}
-	var nic *pipe.Limiter
-	if opts.NICBps > 0 {
-		nic = pipe.NewLimiter(clk, opts.NICBps)
-	}
-	n := &Node{
-		Name:       name,
-		clk:        clk,
-		opts:       opts,
-		NIC:        nic,
-		containers: make(map[string][]*Container),
-		idle:       make(map[string][]*Container),
-		memInt:     metrics.NewIntegral(),
-		started:    clk.Now(),
-	}
+	n := newNode(name, opts)
 	n.dp = dp
 	n.remote = true
 	n.meter, _ = dp.(transport.BpsMeter)
@@ -341,33 +330,64 @@ func (n *Node) Clock() clock.Clock { return n.clk }
 // virtual timestamp).
 func (n *Node) Elapsed() time.Duration { return n.clk.Since(n.started) }
 
-// AcquireIdle returns an idle container for fn, marking it busy. ok is
-// false when none is idle. O(1): it pops the function's idle free-list
-// instead of scanning every container.
-func (n *Node) AcquireIdle(fn string) (*Container, bool) {
+// FnPool is one function's containers on one node (see the package doc).
+type FnPool struct {
+	mu sync.Mutex
+	// live is every container not yet recycled. It changes only with the
+	// node's mu held as well, so either lock reads it.
+	live []*Container
+	// idle is the free-list, kept LIFO so the most recently used container
+	// (warmest caches, freshest keep-alive) is acquired first.
+	idle []*Container
+}
+
+// Pool returns fn's container pool on the node, created on first use; the
+// engine resolves it once per function and node.
+func (n *Node) Pool(fn string) *FnPool {
 	n.mu.Lock()
-	stack := n.idle[fn]
-	for len(stack) > 0 {
-		c := stack[len(stack)-1]
-		stack[len(stack)-1] = nil
-		stack = stack[:len(stack)-1]
-		c.mu.Lock()
-		if c.state == Idle {
-			c.state = Busy
-			c.invocations++
-			c.mu.Unlock()
-			n.idle[fn] = stack
-			n.mu.Unlock()
-			return c, true
-		}
-		// Defensive: the free-list invariant says this cannot happen, but a
-		// non-idle entry is simply dropped rather than handed out.
-		c.mu.Unlock()
+	defer n.mu.Unlock()
+	p := n.pools[fn]
+	if p == nil {
+		p = new(FnPool)
+		n.pools[fn] = p
 	}
-	n.idle[fn] = stack
-	n.mu.Unlock()
+	return p
+}
+
+// Acquire pops an idle container, marking it busy. ok is false when none is
+// idle.
+func (p *FnPool) Acquire() (*Container, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for len(p.idle) > 0 {
+		c := p.idle[len(p.idle)-1]
+		p.idle[len(p.idle)-1] = nil
+		p.idle = p.idle[:len(p.idle)-1]
+		c.mu.Lock()
+		if c.state != Idle {
+			// Defensive: the free-list invariant says this cannot happen, but
+			// a non-idle entry is simply dropped rather than handed out.
+			c.mu.Unlock()
+			continue
+		}
+		c.state = Busy
+		c.invocations++
+		c.mu.Unlock()
+		return c, true
+	}
 	return nil, false
 }
+
+// Idle returns how many of the pool's containers are idle.
+func (p *FnPool) Idle() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.idle)
+}
+
+// AcquireIdle returns an idle container for fn, marking it busy. ok is
+// false when none is idle.
+func (n *Node) AcquireIdle(fn string) (*Container, bool) { return n.Pool(fn).Acquire() }
 
 // StartContainer cold-starts a new container for fn with the given spec and
 // returns it in the Busy state. The calling goroutine sleeps for the
@@ -376,6 +396,7 @@ func (n *Node) StartContainer(fn string, spec Spec) *Container {
 	if n.opts.ColdStart > 0 {
 		n.clk.Sleep(n.opts.ColdStart)
 	}
+	pool := n.Pool(fn)
 	n.mu.Lock()
 	n.nextID++
 	c := &Container{
@@ -383,6 +404,7 @@ func (n *Node) StartContainer(fn string, spec Spec) *Container {
 		Fn:      fn,
 		Spec:    spec,
 		Node:    n,
+		pool:    pool,
 		Limiter: pipe.NewLimiter(n.clk, spec.BandwidthBps()),
 		state:   Busy,
 	}
@@ -390,7 +412,9 @@ func (n *Node) StartContainer(fn string, spec Spec) *Container {
 	// A container born after CloseDLUs (engine shutdown racing a cold
 	// start) must never open a DLU queue nobody will drain.
 	c.dluClosed = n.dluShut
-	n.containers[fn] = append(n.containers[fn], c)
+	pool.mu.Lock()
+	pool.live = append(pool.live, c)
+	pool.mu.Unlock()
 	n.coldStarts++
 	obsColdStarts.Inc(0)
 	n.adjustMemLocked(spec.MemoryBytes())
@@ -401,17 +425,18 @@ func (n *Node) StartContainer(fn string, spec Spec) *Container {
 // Release returns a busy container to the idle pool, pushing it onto its
 // function's free-list.
 func (n *Node) Release(c *Container) {
-	n.mu.Lock()
+	p := c.pool
+	p.mu.Lock()
 	c.mu.Lock()
 	if c.state == Busy {
 		c.state = Idle
 		if n.opts.KeepAlive > 0 {
 			c.idleSince = n.clk.Now() // only the reaper reads idleSince
 		}
-		n.idle[c.Fn] = append(n.idle[c.Fn], c)
+		p.idle = append(p.idle, c)
 	}
 	c.mu.Unlock()
-	n.mu.Unlock()
+	p.mu.Unlock()
 }
 
 // CloseDLUs closes every container's DLU queue and marks the node so
@@ -421,8 +446,8 @@ func (n *Node) CloseDLUs() {
 	n.mu.Lock()
 	n.dluShut = true
 	var all []*Container
-	for _, list := range n.containers {
-		all = append(all, list...)
+	for _, p := range n.pools {
+		all = append(all, p.live...)
 	}
 	n.mu.Unlock()
 	// Close outside n.mu: a close can wait on a sender draining a full
@@ -442,17 +467,16 @@ func (n *Node) ReapIdle() int {
 	now := n.clk.Now()
 	n.mu.Lock()
 	var recycled []*Container
-	for fn, list := range n.containers {
-		var keep []*Container
-		reapedFn := 0
-		for _, c := range list {
+	for _, p := range n.pools {
+		p.mu.Lock()
+		keep := p.live[:0]
+		for _, c := range p.live {
 			c.mu.Lock()
 			expired := c.state == Idle &&
 				now.Sub(c.idleSince) >= n.opts.KeepAlive &&
 				c.dluPending == 0
 			if expired {
 				c.state = Recycled
-				reapedFn++
 				recycled = append(recycled, c)
 				n.adjustMemLocked(-c.Spec.MemoryBytes())
 			} else {
@@ -460,23 +484,23 @@ func (n *Node) ReapIdle() int {
 			}
 			c.mu.Unlock()
 		}
-		n.containers[fn] = keep
-		if reapedFn > 0 {
+		if len(keep) < len(p.live) {
+			clear(p.live[len(keep):])
+			p.live = keep
 			// Prune the recycled entries from the free-list, preserving the
 			// LIFO order of the survivors.
-			q := n.idle[fn][:0]
-			for _, c := range n.idle[fn] {
+			q := p.idle[:0]
+			for _, c := range p.idle {
 				c.mu.Lock()
 				if c.state == Idle {
 					q = append(q, c)
 				}
 				c.mu.Unlock()
 			}
-			for i := len(q); i < len(n.idle[fn]); i++ {
-				n.idle[fn][i] = nil
-			}
-			n.idle[fn] = q
+			clear(p.idle[len(q):])
+			p.idle = q
 		}
+		p.mu.Unlock()
 	}
 	n.mu.Unlock()
 	// Stop the recycled containers' DLU daemons outside the locks (the reap
@@ -492,12 +516,11 @@ func (n *Node) ReapIdle() int {
 func (n *Node) Containers(fn string) int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if fn != "" {
-		return len(n.containers[fn])
-	}
 	total := 0
-	for _, l := range n.containers {
-		total += len(l)
+	for name, p := range n.pools {
+		if fn == "" || fn == name {
+			total += len(p.live)
+		}
 	}
 	return total
 }

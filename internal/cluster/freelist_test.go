@@ -171,3 +171,79 @@ func TestDLUCloseRefusesLateEnqueue(t *testing.T) {
 		t.Fatalf("daemon drained %d tasks, %d accepted", drained.Load(), accepted)
 	}
 }
+
+// TestFnPoolStorm drives every entry into the per-function pools at once —
+// Acquire, Release, StartContainer, ReapIdle on a short keep-alive and
+// CloseDLUs, from 16 goroutines over two functions on one node — and then
+// checks the pool invariant directly: every live container sits in exactly
+// one free-list iff it is Idle, Containers counts the live set and MemInUse
+// is the sum of the live specs. Run with -race in CI.
+func TestFnPoolStorm(t *testing.T) {
+	clk := clock.NewManual(time.Unix(0, 0))
+	n := NewNode("w1", Options{KeepAlive: time.Millisecond, Clock: clk})
+	specs := map[string]Spec{"f": {MemoryMB: 128}, "g": {MemoryMB: 256}}
+	var wg sync.WaitGroup
+	for w := 0; w < 16; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			fn := "f"
+			if w%2 == 1 {
+				fn = "g"
+			}
+			pool := n.Pool(fn)
+			for i := 0; i < 300; i++ {
+				c, warm := pool.Acquire()
+				if !warm {
+					c = n.StartContainer(fn, specs[fn])
+				}
+				if c.Fn != fn || c.State() != Busy {
+					t.Errorf("%s acquired %s in state %v", fn, c.ID, c.State())
+					return
+				}
+				if i%5 == 0 {
+					c.AddDLUPending(64) // the reaper must skip it while idle
+				}
+				n.Release(c)
+				if i%5 == 0 {
+					c.AddDLUPending(-64)
+				}
+				switch i % 16 {
+				case w:
+					clk.Advance(time.Millisecond)
+					n.ReapIdle()
+				case (w + 8) % 16:
+					n.CloseDLUs()
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	var mem int64
+	stacked := map[*Container]int{}
+	for fn, spec := range specs {
+		p := n.Pool(fn)
+		for _, c := range p.idle {
+			stacked[c]++
+		}
+		for _, c := range p.live {
+			mem += spec.MemoryBytes()
+			if st := c.State(); (st == Idle) != (stacked[c] == 1) || stacked[c] > 1 || st == Recycled {
+				t.Errorf("%s: state %v, in the free-list %d times", c.ID, st, stacked[c])
+			}
+		}
+		if got := n.Containers(fn); got != len(p.live) {
+			t.Errorf("Containers(%s) = %d, %d live", fn, got, len(p.live))
+		}
+		if got := p.Idle(); got != len(p.live) {
+			t.Errorf("%s: %d idle after the storm, want all %d live", fn, got, len(p.live))
+		}
+	}
+	if len(stacked) != n.Containers("") {
+		t.Errorf("free-lists hold %d containers, %d live", len(stacked), n.Containers(""))
+	}
+	if n.MemInUse() != mem {
+		t.Errorf("MemInUse = %d, want the live specs' %d", n.MemInUse(), mem)
+	}
+}

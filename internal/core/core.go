@@ -310,6 +310,13 @@ type fnState struct {
 	// heuristics, not invariants.
 	fluNanos obs.Counter
 	fluCount obs.Counter
+	// blockedNanos is the time runs spent in the engine's throttle (Eq. 1
+	// blocks, limiter parks), kept out of T_FLU; only a throttled run adds.
+	blockedNanos obs.Counter
+
+	// pools is the function's container pool on every node, immutable after
+	// NewSystem: an instance finds its container with no lookup by name.
+	pools map[*cluster.Node]*cluster.FnPool
 
 	// pending counts instances admitted but not yet completed — the
 	// queue-pressure signal the scaler combines with Eq. 1. putBytes and
@@ -354,11 +361,22 @@ func (f *fnState) tflu() (avg time.Duration, sampled bool) {
 	return time.Duration(f.fluNanos.Load() / n), true
 }
 
-// observe folds one handler execution into the running average, on the
-// observing request's counter stripe.
-func (f *fnState) observe(stripe uint32, d time.Duration) {
-	f.fluNanos.Add(stripe, int64(d))
+// brief reports whether an Invoke caller may run f itself: f has a sample and
+// its mean wall time per run is under continuationMaxTFLU. Wall time, not
+// T_FLU — a function whose Put sleeps out Eq. 1's block computes nothing.
+func (f *fnState) brief() bool {
+	n := f.fluCount.Load()
+	return n > 0 && time.Duration((f.fluNanos.Load()+f.blockedNanos.Load())/n) < continuationMaxTFLU
+}
+
+// observe folds one handler execution of wall time d, blocked of it spent
+// throttled, into the running averages, on the observing request's stripe.
+func (f *fnState) observe(stripe uint32, d, blocked time.Duration) {
+	f.fluNanos.Add(stripe, int64(d-blocked))
 	f.fluCount.Add(stripe, 1)
+	if blocked > 0 {
+		f.blockedNanos.Add(stripe, int64(blocked))
+	}
 }
 
 // NewSystem validates the workflow, places functions on the cluster's nodes
@@ -451,6 +469,10 @@ func NewSystem(cfg Config) (*System, error) {
 			spec:   cfg.DefaultSpec,
 			sem:    make(chan struct{}, cfg.MaxContainersPerFn),
 			single: true,
+			pools:  make(map[*cluster.Node]*cluster.FnPool, len(s.allNodes)),
+		}
+		for _, n := range s.allNodes {
+			st.pools[n] = n.Pool(fn)
 		}
 		st.replicas.Store(&nodes)
 		if sp, ok := cfg.Spec[fn]; ok {
@@ -876,6 +898,16 @@ func (s *System) SinkStats() wmm.Stats {
 // Invoke starts one workflow request. input maps "function.input" to the
 // payload for every user entry input. Traffic invoked this way is untagged:
 // under the QoS plane it is attributed to qos.DefaultTenant.
+//
+// Invoke does not wait for the request, with one bounded exception: with QoS
+// off, a lone entry instance of a brief function (fnState.brief: sampled,
+// under 50 µs of wall time per run on average) runs on the calling goroutine,
+// and so does each consumer an inline ship parks there while its function is
+// brief too — a warm a → b → $USER chain is done when Invoke returns. Invoke
+// never runs an unsampled or non-brief function, so it never sits out an
+// Eq. 1 block, a limiter park or a wire; all else goes to the executor pool.
+// (A cold start, when every container of a brief function is busy, is taken
+// wherever the instance runs.)
 func (s *System) Invoke(input map[string][]byte) (*Invocation, error) {
 	return s.InvokeWith(input, InvokeOpts{})
 }
@@ -903,8 +935,8 @@ func (s *System) InvokeWith(input map[string][]byte, opts InvokeOpts) (*Invocati
 	// request or reject the next one — never a half-scheduled request whose
 	// goroutines escape bg.Wait.
 	s.closeMu.RLock()
-	defer s.closeMu.RUnlock()
 	if s.closed {
+		s.closeMu.RUnlock()
 		s.rejShutdown.Add(1)
 		obsRejShutdown.Inc(0)
 		return nil, errors.New("core: system is shut down")
@@ -916,6 +948,7 @@ func (s *System) InvokeWith(input map[string][]byte, opts InvokeOpts) (*Invocati
 			tenant = qos.DefaultTenant
 		}
 		if err := s.admit(tenant); err != nil {
+			s.closeMu.RUnlock()
 			return nil, err
 		}
 		// Without the plane there is no admission work to time and the
@@ -964,13 +997,36 @@ func (s *System) InvokeWith(input map[string][]byte, opts InvokeOpts) (*Invocati
 	if err != nil {
 		// Run the normal teardown so the rejected invocation does not stay
 		// counted (and its done channel closes for any observer).
+		s.closeMu.RUnlock()
 		s.rejInvalid.Add(1)
 		obsRejInvalid.Inc(0)
 		inv.fail(err)
 		return nil, err
 	}
+	if s.qos == nil && len(newly) == 1 {
+		// The caller finishes a brief entry instance before a worker would
+		// wake for it. The read lock goes first: the instance is in bg, and
+		// its handler may call Invoke while a Shutdown waits to write.
+		job := s.admitInstance(inv, newly[0])
+		s.closeMu.RUnlock()
+		s.runChain(job, true)
+		return inv, nil
+	}
 	s.scheduleReady(inv, newly, nil)
+	s.closeMu.RUnlock()
 	return inv, nil
+}
+
+// admitInstance accounts one triggered instance: from here until its
+// runInstance returns it is pending on its function and held in bg.
+func (s *System) admitInstance(inv *Invocation, key dataflow.InstanceKey) instanceJob {
+	st := s.fns[key.Fn]
+	s.event(inv, trace.InstanceTriggered, key.Fn, key.Idx, "")
+	if !s.static {
+		st.pending.Add(inv.stripe, 1) // the scaler's queue-pressure signal
+	}
+	s.bg.Add(1)
+	return instanceJob{inv: inv, key: key, st: st}
 }
 
 // scheduleReady triggers newly ready instances. The tracker's ready set
@@ -982,14 +1038,7 @@ func (s *System) InvokeWith(input map[string][]byte, opts InvokeOpts) (*Invocati
 // and only the rest (a fan-out) wake through the executor pool.
 func (s *System) scheduleReady(inv *Invocation, keys []dataflow.InstanceKey, flu *Context) {
 	for _, key := range keys {
-		s.event(inv, trace.InstanceTriggered, key.Fn, key.Idx, "")
-		if !s.static {
-			// Queue-pressure signal for the scaler: admitted, not yet completed
-			// (runInstance decrements on exit).
-			s.fns[key.Fn].pending.Add(inv.stripe, 1)
-		}
-		s.bg.Add(1)
-		job := instanceJob{inv: inv, key: key}
+		job := s.admitInstance(inv, key)
 		if flu != nil && flu.cont && flu.next.inv == nil {
 			flu.next = job
 			obsContinuations.Inc(inv.stripe)
@@ -1004,6 +1053,7 @@ func (s *System) scheduleReady(inv *Invocation, keys []dataflow.InstanceKey, flu
 type instanceJob struct {
 	inv *Invocation
 	key dataflow.InstanceKey
+	st  *fnState // key.Fn's record
 }
 
 // submitInstance dispatches one admitted instance: onto an idle executor
@@ -1017,7 +1067,7 @@ func (s *System) submitInstance(job instanceJob) {
 	for {
 		n := s.execIdle.Load()
 		if n <= 0 {
-			go s.runChain(job)
+			go s.runChain(job, false)
 			return
 		}
 		if s.execIdle.CompareAndSwap(n, n-1) {
@@ -1035,16 +1085,25 @@ func (s *System) submitInstance(job instanceJob) {
 // Shutdown closes the queue (after bg.Wait, so no submitter remains).
 func (s *System) execWorker() {
 	for j := range s.execJobs {
-		s.runChain(j)
+		s.runChain(j, false)
 		s.execIdle.Add(1)
 	}
 }
 
 // runChain runs one instance and then, run to completion, every consumer
-// its ships parked for this goroutine: a → b → $USER on one worker.
-func (s *System) runChain(j instanceJob) {
+// its ships parked for this goroutine: a → b → $USER on one worker. An
+// Invoke caller runs only what is brief: its chain ends at the first
+// instance that is not, which goes to the executor pool.
+func (s *System) runChain(j instanceJob, caller bool) {
 	for j.inv != nil {
-		next := s.runInstance(j.inv, j.key)
+		if caller {
+			if !j.st.brief() {
+				s.submitInstance(j)
+				return
+			}
+			obsCallerRuns.Inc(j.inv.stripe)
+		}
+		next := s.runInstance(j)
 		s.bg.Done()
 		j = next
 	}
@@ -1055,9 +1114,9 @@ func (s *System) runChain(j instanceJob) {
 // the container. It returns the consumer an inline ship of the handler
 // parked for this goroutine, if any; the deferred releases have run by the
 // time the caller sees it.
-func (s *System) runInstance(inv *Invocation, key dataflow.InstanceKey) (next instanceJob) {
+func (s *System) runInstance(j instanceJob) (next instanceJob) {
+	inv, key, st := j.inv, j.key, j.st
 	fn := key.Fn
-	st := s.fns[fn]
 	if !s.static {
 		defer st.pending.Add(inv.stripe, -1)
 	}
@@ -1086,7 +1145,7 @@ func (s *System) runInstance(inv *Invocation, key dataflow.InstanceKey) (next in
 	st.sem <- struct{}{}
 	defer func() { <-st.sem }()
 
-	ctr, warm := node.AcquireIdle(fn)
+	ctr, warm := st.pools[node].Acquire()
 	if !warm {
 		ctr = node.StartContainer(fn, st.spec)
 		s.event(inv, trace.ContainerCold, fn, key.Idx, ctr.ID)
@@ -1133,7 +1192,7 @@ func (s *System) runInstance(inv *Invocation, key dataflow.InstanceKey) (next in
 		ctx.started, ctx.blocked = s.clk.Now(), 0
 		err := h(ctx)
 		d := s.clk.Since(ctx.started)
-		st.observe(inv.stripe, d-ctx.blocked)
+		st.observe(inv.stripe, d, ctx.blocked)
 		obsExecLat.Observe(inv.stripe, int64(d))
 		if err == nil {
 			s.event(inv, trace.InstanceFinished, fn, key.Idx, "")

@@ -235,7 +235,7 @@ func (c *Context) put(output string, values []dataflow.Value, switchCase int) er
 		return nil // shutting down: nothing shipped, nothing to throttle for
 	}
 	if pressure > 0 {
-		s.prewarm(c.Instance.Fn, c.ctr.Node)
+		s.prewarm(c.fst, c.ctr.Node)
 		// Callstack blocking: throttle this FLU so its producing rate
 		// matches the DLU's consuming rate. The block is timed on the engine
 		// clock, the one runInstance times the handler on, so it is always
@@ -276,27 +276,19 @@ func (c *Context) shipsInline(items []dataflow.Item) bool {
 	return c.ctr.DLUQuiet()
 }
 
-// prewarm starts an extra idle container for fn if none is idle, in the
+// prewarm starts an extra idle container for st if none is idle, in the
 // background (the engine's reaction to a pressure notification). The
 // container is warmed on the node whose DLU backlog raised the pressure —
 // the replica this request (and every request pinned there) must keep
 // running on — mirroring the simulation plane's prewarm-on-own-node.
-func (s *System) prewarm(fn string, node *cluster.Node) {
-	st, ok := s.fns[fn]
-	if !ok {
-		return
-	}
-	if c, ok := node.AcquireIdle(fn); ok {
-		node.Release(c) // an idle container already exists
-		return
-	}
-	if node.Containers(fn) >= s.cfg.MaxContainersPerFn {
+func (s *System) prewarm(st *fnState, node *cluster.Node) {
+	if st.pools[node].Idle() > 0 || node.Containers(st.name) >= s.cfg.MaxContainersPerFn {
 		return
 	}
 	s.bg.Add(1)
 	go func() {
 		defer s.bg.Done()
-		c := node.StartContainer(fn, st.spec)
+		c := node.StartContainer(st.name, st.spec)
 		node.Release(c)
 	}()
 }

@@ -60,18 +60,21 @@ func invokeChain(t *testing.T, sys *System) {
 	}
 }
 
-// TestWarmChainCountsItsPaths pins the two series a running system answers
+// TestWarmChainCountsItsPaths pins the three series a running system answers
 // "which path do my edges take" with: on the zero-compute chain every Put
-// ships inline (two per request) and, once the producer has a T_FLU sample,
-// every consumer is a continuation (one per request); a producer with
-// trailing compute never continues into its consumer.
+// ships inline (two per request) and, once the functions have a sample,
+// every consumer is a continuation (one per request) and both instances run
+// on the Invoke caller; a producer with trailing compute never continues
+// into its consumer.
 func TestWarmChainCountsItsPaths(t *testing.T) {
 	sys := virtualChain(t, 2)
 	batches := obsBatchItems.Snapshot().Count
 	ships0, conts0 := pathCounts()
-	invokeChain(t, sys) // request 1: no sample yet, the consumer wakes through the pool
-	if ships, conts := pathCounts(); ships-ships0 != 2 || conts != conts0 {
-		t.Fatalf("request 1: %d inline ships and %d continuations, want 2 and 0", ships-ships0, conts-conts0)
+	runs0 := obsCallerRuns.Load()
+	warmChain(t, sys, 1) // request 1: no sample yet, both instances wake through the pool
+	if ships, conts := pathCounts(); ships-ships0 != 2 || conts != conts0 || obsCallerRuns.Load() != runs0 {
+		t.Fatalf("request 1: %d inline ships, %d continuations and %d caller runs, want 2, 0 and 0",
+			ships-ships0, conts-conts0, obsCallerRuns.Load()-runs0)
 	}
 	const requests = 50
 	ships0, conts0 = pathCounts()
@@ -79,9 +82,9 @@ func TestWarmChainCountsItsPaths(t *testing.T) {
 		invokeChain(t, sys)
 	}
 	ships, conts := pathCounts()
-	if ships-ships0 != 2*requests || conts-conts0 != requests {
-		t.Fatalf("%d warm requests: %d inline ships and %d continuations, want %d and %d",
-			requests, ships-ships0, conts-conts0, 2*requests, requests)
+	if runs := obsCallerRuns.Load() - runs0; ships-ships0 != 2*requests || conts-conts0 != requests || runs != 2*requests {
+		t.Fatalf("%d warm requests: %d inline ships, %d continuations and %d caller runs, want %d, %d and %d",
+			requests, ships-ships0, conts-conts0, runs, 2*requests, requests, 2*requests)
 	}
 	// An inline ship is still a shipment: a batch of its one task.
 	if got := obsBatchItems.Snapshot().Count - batches; got != 2*(requests+1) {

@@ -59,11 +59,12 @@ var (
 	obsBatchItems = obs.Default().Histogram("core_dlu_batch_items")
 
 	// Which path the edges take: Puts shipped on the FLU's own goroutine
-	// (the rest went through the DLU daemon), and consumers run to
-	// completion on their producer's goroutine (the rest woke through the
-	// executor pool).
+	// (the rest went through the DLU daemon), consumers run to completion
+	// on their producer's goroutine (the rest woke through the executor
+	// pool), and instances run on the goroutine that called Invoke.
 	obsInlineShips   = obs.Default().Counter("core_inline_ships_total")
 	obsContinuations = obs.Default().Counter("core_continuations_total")
+	obsCallerRuns    = obs.Default().Counter("core_caller_runs_total")
 )
 
 // tenantCounterCache lazily resolves per-tenant series ("name{tenant=...}")
