@@ -330,6 +330,9 @@ func (n *Node) Clock() clock.Clock { return n.clk }
 // virtual timestamp).
 func (n *Node) Elapsed() time.Duration { return n.clk.Since(n.started) }
 
+// ColdStart returns the delay StartContainer sleeps on its caller's goroutine.
+func (n *Node) ColdStart() time.Duration { return n.opts.ColdStart }
+
 // FnPool is one function's containers on one node (see the package doc).
 type FnPool struct {
 	mu sync.Mutex

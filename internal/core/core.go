@@ -1,4 +1,4 @@
-//repolint:hotpath the Invoke/schedule path holds the ~30 allocs/req budget; see tracegate
+//repolint:hotpath the Invoke/schedule path holds the 8 allocs/req ceiling (6 measured on the warm chain, TestInvokeAllocsCeiling); see tracegate
 
 // Package core is the runtime-plane implementation of the DataFlower
 // scheme: the paper's primary contribution as an embeddable Go library.
@@ -290,10 +290,14 @@ type System struct {
 type fnState struct {
 	name string
 	spec cluster.Spec
-	sem  chan struct{} // instance concurrency cap
+	cap  instanceCap
 	// single is true when no FOREACH edge targets the function: exactly one
 	// instance per request, known immediately (dataflow.Tracker.Init's rule).
 	single bool
+	// direct is true when one delivery, and only it, completes an instance's
+	// input set: single, one declared input, neither LIST nor from the user,
+	// fed by one workflow edge (landBatch's direct arm).
+	direct bool
 
 	// replicas is the function's atomically published replica set (resolved
 	// node pointers, primary first). The scaler swaps in grown/shrunk
@@ -313,6 +317,7 @@ type fnState struct {
 	// blockedNanos is the time runs spent in the engine's throttle (Eq. 1
 	// blocks, limiter parks), kept out of T_FLU; only a throttled run adds.
 	blockedNanos obs.Counter
+	isBrief      atomic.Bool // the caller-run gate's verdict, republished by observe
 
 	// pools is the function's container pool on every node, immutable after
 	// NewSystem: an instance finds its container with no lookup by name.
@@ -364,18 +369,43 @@ func (f *fnState) tflu() (avg time.Duration, sampled bool) {
 // brief reports whether an Invoke caller may run f itself: f has a sample and
 // its mean wall time per run is under continuationMaxTFLU. Wall time, not
 // T_FLU — a function whose Put sleeps out Eq. 1's block computes nothing.
-func (f *fnState) brief() bool {
-	n := f.fluCount.Load()
-	return n > 0 && time.Duration((f.fluNanos.Load()+f.blockedNanos.Load())/n) < continuationMaxTFLU
-}
+// The verdict is sampled (observe), so reading it is one load.
+func (f *fnState) brief() bool { return f.isBrief.Load() }
 
 // observe folds one handler execution of wall time d, blocked of it spent
-// throttled, into the running averages, on the observing request's stripe.
+// throttled, into the running averages, on the observing request's stripe,
+// and republishes brief's verdict: on a stripe's first sample and every 16th,
+// and at once after a run that was throttled or alone reached the gate — a
+// function turning slow is seen by its next caller, turning brief in sixteen.
 func (f *fnState) observe(stripe uint32, d, blocked time.Duration) {
 	f.fluNanos.Add(stripe, int64(d-blocked))
-	f.fluCount.Add(stripe, 1)
 	if blocked > 0 {
 		f.blockedNanos.Add(stripe, int64(blocked))
+	}
+	if n := f.fluCount.Add(stripe, 1); n == 1 || n&15 == 0 || blocked > 0 || d >= continuationMaxTFLU {
+		runs := f.fluCount.Load()
+		f.isBrief.Store(time.Duration((f.fluNanos.Load()+f.blockedNanos.Load())/runs) < continuationMaxTFLU)
+	}
+}
+
+// instanceCap bounds a function's running instances (MaxContainersPerFn). n
+// counts holders and waiters, so an acquire under the cap is one atomic add;
+// one past it parks, and a release that leaves a waiter behind wakes one.
+type instanceCap struct {
+	n    atomic.Int64
+	max  int64
+	wake chan struct{}
+}
+
+func (c *instanceCap) acquire() {
+	if c.n.Add(1) > c.max {
+		<-c.wake
+	}
+}
+
+func (c *instanceCap) release() {
+	if c.n.Add(-1) >= c.max {
+		c.wake <- struct{}{} // a waiter has counted itself in: it is at, or on its way to, the receive
 	}
 }
 
@@ -465,11 +495,10 @@ func NewSystem(cfg Config) (*System, error) {
 			s.static = false
 		}
 		st := &fnState{
-			name:   fn,
-			spec:   cfg.DefaultSpec,
-			sem:    make(chan struct{}, cfg.MaxContainersPerFn),
-			single: true,
-			pools:  make(map[*cluster.Node]*cluster.FnPool, len(s.allNodes)),
+			name:  fn,
+			spec:  cfg.DefaultSpec,
+			cap:   instanceCap{max: int64(cfg.MaxContainersPerFn), wake: make(chan struct{})},
+			pools: make(map[*cluster.Node]*cluster.FnPool, len(s.allNodes)),
 		}
 		for _, n := range s.allNodes {
 			st.pools[n] = n.Pool(fn)
@@ -487,10 +516,12 @@ func NewSystem(cfg Config) (*System, error) {
 			}
 		}
 	}
-	for _, e := range cfg.Workflow.Edges() {
-		if e.Kind == workflow.Foreach && e.To != workflow.UserSource {
-			s.fns[e.To].single = false
-		}
+	plan := cfg.Workflow.Plan()
+	for i, f := range cfg.Workflow.Functions {
+		st, fp := s.fnList[i], &plan.Fns[i]
+		st.single = !fp.Fanned
+		st.direct = st.single && len(f.Inputs) == 1 && f.Inputs[0].Kind != workflow.List &&
+			!f.Inputs[0].FromUser && fp.InDegree == 1
 	}
 	// A worker carries a request from its entry instance to completion when
 	// the chain runs to completion (runChain), so a closed loop of N clients
@@ -905,9 +936,8 @@ func (s *System) SinkStats() wmm.Stats {
 // and so does each consumer an inline ship parks there while its function is
 // brief too — a warm a → b → $USER chain is done when Invoke returns. Invoke
 // never runs an unsampled or non-brief function, so it never sits out an
-// Eq. 1 block, a limiter park or a wire; all else goes to the executor pool.
-// (A cold start, when every container of a brief function is busy, is taken
-// wherever the instance runs.)
+// Eq. 1 block, a limiter park, a wire or a container's cold start; all else
+// goes to the executor pool.
 func (s *System) Invoke(input map[string][]byte) (*Invocation, error) {
 	return s.InvokeWith(input, InvokeOpts{})
 }
@@ -983,6 +1013,7 @@ func (s *System) InvokeWith(input map[string][]byte, opts InvokeOpts) (*Invocati
 	inv.route = inv.routeBuf[:0]
 	inv.readyScratch = inv.readyBuf[:0]
 	inv.tracker.Init(s.wf, reqID)
+	var entryBuf [4]dataflow.InstanceKey
 	obsRequests.Inc(stripe)
 	obsAdmissionLat.Observe(stripe, int64(inv.start.Sub(admitStart)))
 	if s.sampleEvery > 0 && reqNum%s.sampleEvery == 0 {
@@ -992,7 +1023,7 @@ func (s *System) InvokeWith(input map[string][]byte, opts InvokeOpts) (*Invocati
 
 	s.event(inv, trace.ReqArrived, "", 0, "")
 	inv.mu.Lock()
-	newly, err := inv.tracker.StartBytes(input)
+	newly, err := inv.tracker.StartBytesInto(entryBuf[:0], input)
 	inv.mu.Unlock()
 	if err != nil {
 		// Run the normal teardown so the rejected invocation does not stay
@@ -1092,18 +1123,19 @@ func (s *System) execWorker() {
 
 // runChain runs one instance and then, run to completion, every consumer
 // its ships parked for this goroutine: a → b → $USER on one worker. An
-// Invoke caller runs only what is brief: its chain ends at the first
-// instance that is not, which goes to the executor pool.
+// Invoke caller runs only what is brief and has a container without a cold
+// start: its chain ends at the first instance that is not, which goes to
+// the executor pool.
 func (s *System) runChain(j instanceJob, caller bool) {
 	for j.inv != nil {
-		if caller {
-			if !j.st.brief() {
-				s.submitInstance(j)
-				return
-			}
-			obsCallerRuns.Inc(j.inv.stripe)
+		next, ran := s.runInstance(j, caller)
+		if !ran {
+			s.submitInstance(j)
+			return
 		}
-		next := s.runInstance(j)
+		if !s.static {
+			j.st.pending.Add(j.inv.stripe, -1)
+		}
 		s.bg.Done()
 		j = next
 	}
@@ -1113,12 +1145,13 @@ func (s *System) runChain(j instanceJob, caller bool) {
 // inputs from the local sink, run the handler (ReDo on failure), release
 // the container. It returns the consumer an inline ship of the handler
 // parked for this goroutine, if any; the deferred releases have run by the
-// time the caller sees it.
-func (s *System) runInstance(j instanceJob) (next instanceJob) {
+// time the caller sees it. ran is false when an Invoke caller may not run it
+// (not brief, or starting its container is a sleep): it stays admitted.
+func (s *System) runInstance(j instanceJob, caller bool) (next instanceJob, ran bool) {
 	inv, key, st := j.inv, j.key, j.st
 	fn := key.Fn
-	if !s.static {
-		defer st.pending.Add(inv.stripe, -1)
+	if caller && !st.brief() {
+		return instanceJob{}, false
 	}
 	if s.qos != nil {
 		// Weighted-fair execution grant: immediate while the engine keeps
@@ -1142,15 +1175,21 @@ func (s *System) runInstance(j instanceJob) (next instanceJob) {
 			defer tc.Add(-1)
 		}
 	}
-	st.sem <- struct{}{}
-	defer func() { <-st.sem }()
+	st.cap.acquire()
+	defer st.cap.release()
 
 	ctr, warm := st.pools[node].Acquire()
 	if !warm {
+		if caller && node.ColdStart() > 0 {
+			return instanceJob{}, false
+		}
 		ctr = node.StartContainer(fn, st.spec)
 		s.event(inv, trace.ContainerCold, fn, key.Idx, ctr.ID)
 	}
 	defer node.Release(ctr)
+	if caller {
+		obsCallerRuns.Inc(inv.stripe)
+	}
 
 	// Consume the instance's data from the Wait-Match Memory so proactive
 	// release reclaims it at fetch. The shared inputs of a fanned function
@@ -1196,7 +1235,7 @@ func (s *System) runInstance(j instanceJob) (next instanceJob) {
 		obsExecLat.Observe(inv.stripe, int64(d))
 		if err == nil {
 			s.event(inv, trace.InstanceFinished, fn, key.Idx, "")
-			return ctx.next
+			return ctx.next, true
 		}
 		inv.mu.Lock()
 		if inv.attempts == nil {
@@ -1207,7 +1246,7 @@ func (s *System) runInstance(j instanceJob) (next instanceJob) {
 		inv.mu.Unlock()
 		if attempts > limit {
 			inv.fail(fmt.Errorf("core: %s failed after %d attempts: %w", key, attempts, err))
-			return ctx.next
+			return ctx.next, true
 		}
 		if s.cfg.Trace != nil {
 			note = fmt.Sprintf("redo-%d", attempts)

@@ -603,7 +603,7 @@ func (s *System) ship(ctr *cluster.Container, inv *Invocation, it *dataflow.Item
 }
 
 // landBatch caches one edge's items in the destination sink with a single
-// multi-put, then advances the tracker for all of them under one lock hold.
+// multi-put (a direct edge skips it), then advances the tracker under one lock hold.
 // pace carries the edge's source-side wire charge (zero for local pipes and
 // re-lands); attempt counts the re-lands this shipment already took.
 func (s *System) landBatch(inv *Invocation, items []dataflow.Item, node *cluster.Node, b *dluBatch, pace transport.Pacing, attempt int) {
@@ -613,12 +613,25 @@ func (s *System) landBatch(inv *Invocation, items []dataflow.Item, node *cluster
 		return
 	}
 	b.reqs = b.reqs[:0]
-	for i := range items {
-		b.reqs = append(b.reqs, wmm.PutReq{
-			Key:       sinkKey(inv.ReqID, items[i]),
-			Val:       items[i].Value,
-			Consumers: 1,
-		})
+	// The direct edge: the producer ships inline as a continuation with nothing
+	// parked yet, and this one item is all its consumer waits for — deliverBatch
+	// makes the consumer this goroutine's next job, so the datum neither waits
+	// nor has anything to match. It pays the wire (a ship with nothing to put)
+	// and skips the sink: no key, no put, no arrived record, no residue, nothing
+	// for the consumer to fetch. Not under QoS: a continuation can wait in the
+	// fair queue, and data that waits belongs in the sink.
+	direct := b.flu != nil && b.flu.cont && b.flu.next.inv == nil && len(items) == 1 &&
+		attempt == 0 && s.qos == nil && s.fns[items[0].To.Fn].direct
+	if direct {
+		obsDirectEdges.Inc(inv.stripe)
+	} else {
+		for i := range items {
+			b.reqs = append(b.reqs, wmm.PutReq{
+				Key:       sinkKey(inv.ReqID, items[i]),
+				Val:       items[i].Value,
+				Consumers: 1,
+			})
+		}
 	}
 	if err := node.SinkShip(pace, b.reqs); err != nil {
 		b.dropReqs()
@@ -640,8 +653,8 @@ func (s *System) landBatch(inv *Invocation, items []dataflow.Item, node *cluster
 		s.reland(inv, items, b, attempt+1)
 		return
 	}
-	inv.sinkResidue.Add(int64(len(items)))
-	if inv.torn.Load() {
+	inv.sinkResidue.Add(int64(len(b.reqs)))
+	if !direct && inv.torn.Load() {
 		// The request completed while this shipment was in flight (e.g. the
 		// user-facing item of the same DLU task finished the workflow), so
 		// its teardown ReleaseRequest has already run (or was skipped for
@@ -678,7 +691,7 @@ func (s *System) reland(inv *Invocation, items []dataflow.Item, b *dluBatch, att
 // deliverBatch advances the tracker with every item of one edge and reacts
 // to readiness and completion. reqs carries the sink keys the items were
 // cached under, index-aligned with items, and node the node that cached
-// them (both nil for user-destined edges, which never touch a sink). The
+// them (reqs is empty for user-destined and direct edges: nothing cached). The
 // whole reaction runs under one inv.mu hold — scheduling only hands jobs to
 // the executor, and the single hold lets the newly-ready buffer be reused
 // across deliveries. flu is the producer's Context when it is the one
@@ -687,7 +700,7 @@ func (s *System) deliverBatch(inv *Invocation, items []dataflow.Item, reqs []wmm
 	inv.mu.Lock()
 	for i := range items {
 		it := items[i]
-		if it.To.Fn != workflow.UserSource {
+		if len(reqs) > 0 {
 			inv.recordArrived(s.arrivedKey(it), arrivedItem{item: it, key: reqs[i].Key, node: node})
 		}
 		newly, err := inv.tracker.DeliverInto(inv.readyScratch[:0], it)

@@ -61,10 +61,13 @@ var (
 	// Which path the edges take: Puts shipped on the FLU's own goroutine
 	// (the rest went through the DLU daemon), consumers run to completion
 	// on their producer's goroutine (the rest woke through the executor
-	// pool), and instances run on the goroutine that called Invoke.
+	// pool), instances run on the goroutine that called Invoke, and items
+	// handed to such a consumer without entering the Wait-Match Memory (the
+	// rest of the sink-bound items are wmm_puts_total).
 	obsInlineShips   = obs.Default().Counter("core_inline_ships_total")
 	obsContinuations = obs.Default().Counter("core_continuations_total")
 	obsCallerRuns    = obs.Default().Counter("core_caller_runs_total")
+	obsDirectEdges   = obs.Default().Counter("core_direct_edges_total")
 )
 
 // tenantCounterCache lazily resolves per-tenant series ("name{tenant=...}")

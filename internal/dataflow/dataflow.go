@@ -53,6 +53,12 @@ type Item struct {
 	// the same replica derives the identical key.
 	Replica int
 	Value   Value
+
+	// toFn and toPos stamp the destination's function index plus one and the
+	// position of Input among its inputs, from the workflow plan where the
+	// item is made (RouteAppend, start): a delivery indexes instead of hashing
+	// names. toFn 0 marks an item built by hand; record resolves it by name.
+	toFn, toPos int32
 }
 
 // Tracker tracks one request's data-flow state. It is not safe for
@@ -60,6 +66,7 @@ type Item struct {
 // runtime engine guards it with a mutex).
 type Tracker struct {
 	wf    *workflow.Workflow
+	plan  *workflow.Plan
 	reqID string
 
 	// fns holds the per-function tracking state, indexed by
@@ -82,6 +89,12 @@ type Tracker struct {
 	// every delivered item, which would otherwise re-walk the graph.
 	expectTotal int
 	expectFinal bool
+
+	// Inline seeds of fns and userItems (and fnTrack.bc0Buf of bc0): a small
+	// request allocates no tracker state, a slice that outgrows its seed
+	// reallocates. An initialized Tracker points into itself: do not copy it.
+	fnsBuf  [4]fnTrack
+	userBuf [1]Item
 }
 
 // fanoutState is the instance count of one function plus whether the count
@@ -105,6 +118,7 @@ type fnTrack struct {
 	// inlined (most functions declare one input), positions >= 1 live in
 	// bcMore, allocated on first such arrival.
 	bc0    []Item
+	bc0Buf [1]Item
 	bcMore [][]Item
 	// arrived[idx][inputPos] holds instance-addressed items; the outer
 	// slice grows with the instance index, inner slices on first arrival.
@@ -145,15 +159,15 @@ func (ft *fnTrack) broadcastAt(pos int) []Item {
 }
 
 // broadcastAppend files a broadcast item under the input at pos.
-func (ft *fnTrack) broadcastAppend(pos int, it Item) {
+func (ft *fnTrack) broadcastAppend(pos int, it *Item) {
 	if pos == 0 {
-		ft.bc0 = append(ft.bc0, it)
+		ft.bc0 = append(ft.bc0, *it)
 		return
 	}
 	if ft.bcMore == nil {
 		ft.bcMore = make([][]Item, len(ft.f.Inputs)-1)
 	}
-	ft.bcMore[pos-1] = append(ft.bcMore[pos-1], it)
+	ft.bcMore[pos-1] = append(ft.bcMore[pos-1], *it)
 }
 
 // arrivedAt returns the instance-addressed items of (instance idx, input
@@ -163,17 +177,6 @@ func (ft *fnTrack) arrivedAt(idx, pos int) []Item {
 		return nil
 	}
 	return ft.arrived[idx][pos]
-}
-
-// inputPos returns the position of the named input in f's declaration, or
-// -1. Functions declare a handful of inputs, so a linear scan beats a map.
-func inputPos(f *workflow.Function, name string) int {
-	for i := range f.Inputs {
-		if f.Inputs[i].Name == name {
-			return i
-		}
-	}
-	return -1
 }
 
 // NewTracker returns a tracker for one request over wf. The workflow must be
@@ -188,23 +191,24 @@ func NewTracker(wf *workflow.Workflow, reqID string) *Tracker {
 // the Tracker allocation, for callers that embed the tracker in a larger
 // per-request record. Any previous state is discarded.
 func (t *Tracker) Init(wf *workflow.Workflow, reqID string) {
-	*t = Tracker{
-		wf:    wf,
-		reqID: reqID,
-		fns:   make([]fnTrack, len(wf.Functions)),
-		// switchChosen and foreachUser allocate lazily on first write; most
-		// requests never touch them.
+	if t.wf != nil { // reused; a tracker never initialized is zero, and clearing 1 KiB again is most of Init
+		*t = Tracker{}
+	}
+	// switchChosen and foreachUser allocate lazily on first write; most
+	// requests never touch them.
+	t.wf, t.plan, t.reqID, t.userItems = wf, wf.Plan(), reqID, t.userBuf[:0]
+	if n := len(wf.Functions); n <= len(t.fnsBuf) {
+		t.fns = t.fnsBuf[:n]
+	} else {
+		t.fns = make([]fnTrack, n)
 	}
 	// Functions not targeted by any FOREACH output have exactly one
 	// instance, known immediately.
 	for i, f := range wf.Functions {
-		t.fns[i] = fnTrack{f: f, fanout: fanoutState{n: 1, known: true}}
-	}
-	for _, e := range wf.Edges() {
-		if e.Kind == workflow.Foreach && e.To != workflow.UserSource {
-			if ft := t.track(e.To); ft != nil {
-				ft.fanout = fanoutState{}
-			}
+		ft := &t.fns[i]
+		ft.f, ft.bc0 = f, ft.bc0Buf[:0]
+		if !t.plan.Fns[i].Fanned {
+			ft.fanout = fanoutState{n: 1, known: true}
 		}
 	}
 	// Switch- and foreach-free workflows deliver a topology-determined item
@@ -236,11 +240,8 @@ func (t *Tracker) Fanout(fn string) (int, bool) {
 }
 
 // setFanout fixes the instance count of a FOREACH-targeted function.
-func (t *Tracker) setFanout(fn string, k int) error {
-	ft := t.track(fn)
-	if ft == nil {
-		return fmt.Errorf("dataflow: unknown function %s", fn)
-	}
+func (ft *fnTrack) setFanout(k int) error {
+	fn := ft.f.Name
 	if ft.fanout.known {
 		if ft.fanout.n != k {
 			return fmt.Errorf("dataflow: conflicting fan-out for %s: %d then %d", fn, ft.fanout.n, k)
@@ -258,49 +259,53 @@ func (t *Tracker) setFanout(fn string, k int) error {
 // became ready. userInput provides a value for every entry input, keyed by
 // "function.input".
 func (t *Tracker) Start(userInput map[string]Value) ([]InstanceKey, error) {
-	return t.start(userInput, nil)
+	return t.start(nil, userInput, nil)
 }
 
 // StartBytes is Start for raw byte payloads keyed by "function.input" — the
 // runtime plane's entry path, spared the intermediate Value map.
 func (t *Tracker) StartBytes(userInput map[string][]byte) ([]InstanceKey, error) {
-	return t.start(nil, userInput)
+	return t.start(nil, nil, userInput)
 }
 
-// start routes the entry inputs from whichever of the two maps is non-nil
-// (two parameters rather than a lookup closure: this runs per request).
-func (t *Tracker) start(vals map[string]Value, bytes map[string][]byte) ([]InstanceKey, error) {
-	var newly []InstanceKey
-	for _, f := range t.wf.Entries() {
-		for _, in := range f.Inputs {
-			if !in.FromUser {
-				continue
-			}
-			key := f.Name + "." + in.Name
-			var v Value
-			var ok bool
-			if bytes != nil {
-				var b []byte
-				b, ok = bytes[key]
-				v = Value{Payload: b, Size: int64(len(b))}
-			} else {
-				v, ok = vals[key]
-			}
-			if !ok {
-				return nil, fmt.Errorf("dataflow: missing user input %s", key)
-			}
-			it := Item{
-				From:   UserKey,
-				Output: "input",
-				To:     InstanceKey{Fn: f.Name, Idx: BroadcastIdx},
-				Input:  in.Name,
-				Value:  v,
-			}
-			if err := t.record(it); err != nil {
-				return nil, err
-			}
-			newly = append(newly, t.checkReady(f.Name)...)
+// StartBytesInto is StartBytes appending the ready instances to the caller's
+// dst. On error dst is returned ungrown.
+func (t *Tracker) StartBytesInto(dst []InstanceKey, userInput map[string][]byte) ([]InstanceKey, error) {
+	return t.start(dst, nil, userInput)
+}
+
+// start routes the plan's entry inputs from whichever of the two maps is
+// non-nil (two parameters, not a lookup closure: this runs per request).
+func (t *Tracker) start(dst []InstanceKey, vals map[string]Value, bytes map[string][]byte) ([]InstanceKey, error) {
+	newly := dst
+	for i := range t.plan.Entries {
+		e := &t.plan.Entries[i]
+		var v Value
+		var ok bool
+		if bytes != nil {
+			var b []byte
+			b, ok = bytes[e.Key]
+			v = Value{Payload: b, Size: int64(len(b))}
+		} else {
+			v, ok = vals[e.Key]
 		}
+		if !ok {
+			return dst, fmt.Errorf("dataflow: missing user input %s", e.Key)
+		}
+		it := Item{
+			From:   UserKey,
+			Output: "input",
+			To:     InstanceKey{Fn: e.Fn.Name, Idx: BroadcastIdx},
+			Input:  e.Fn.Inputs[e.Pos].Name,
+			Value:  v,
+			toFn:   int32(e.Fn.Index() + 1),
+			toPos:  int32(e.Pos),
+		}
+		ft, err := t.record(&it)
+		if err != nil {
+			return dst, err
+		}
+		newly = t.checkReady(newly, ft)
 	}
 	return newly, nil
 }
@@ -341,17 +346,21 @@ func (t *Tracker) RouteAppend(dst []Item, from InstanceKey, output string, value
 	if !ok {
 		return dst, fmt.Errorf("dataflow: unknown function %s", from.Fn)
 	}
-	o, ok := f.Output(output)
-	if !ok {
+	oi := 0
+	for oi < len(f.Outputs) && f.Outputs[oi].Name != output {
+		oi++
+	}
+	if oi == len(f.Outputs) {
 		return dst, fmt.Errorf("dataflow: %s has no output %s", from.Fn, output)
 	}
+	o, refs := &f.Outputs[oi], t.plan.Fns[f.Index()].Dests[oi]
 	items := dst
 	switch o.Kind {
 	case workflow.Foreach:
 		if len(values) == 0 {
 			return dst, fmt.Errorf("dataflow: FOREACH output %s.%s emitted no values", from.Fn, output)
 		}
-		for _, d := range o.Dests {
+		for di, d := range o.Dests {
 			if d.Function == workflow.UserSource {
 				if t.foreachUser == nil {
 					t.foreachUser = make(map[string]int)
@@ -362,7 +371,11 @@ func (t *Tracker) RouteAppend(dst []Item, from InstanceKey, output string, value
 				}
 				continue
 			}
-			if err := t.setFanout(d.Function, len(values)); err != nil {
+			ref := refs[di]
+			if ref.Fn < 0 {
+				return dst, fmt.Errorf("dataflow: unknown function %s", d.Function)
+			}
+			if err := t.fns[ref.Fn].setFanout(len(values)); err != nil {
 				return dst, err
 			}
 			for i, v := range values {
@@ -372,6 +385,8 @@ func (t *Tracker) RouteAppend(dst []Item, from InstanceKey, output string, value
 					To:     InstanceKey{Fn: d.Function, Idx: i},
 					Input:  d.Input,
 					Value:  v,
+					toFn:   int32(ref.Fn + 1),
+					toPos:  int32(ref.Pos),
 				})
 			}
 		}
@@ -386,25 +401,25 @@ func (t *Tracker) RouteAppend(dst []Item, from InstanceKey, output string, value
 			t.switchChosen = make(map[string]int)
 		}
 		t.switchChosen[from.Fn+"."+output] = switchCase
-		d := o.Dests[switchCase]
-		to := InstanceKey{Fn: d.Function, Idx: BroadcastIdx}
-		if d.Function == workflow.UserSource {
-			to = UserKey
-		}
-		items = append(items, Item{From: from, Output: output, To: to, Input: d.Input, Value: values[0]})
+		items = append(items, broadcastItem(from, output, o.Dests[switchCase], refs[switchCase], values[0]))
 	default: // Normal, Merge
 		if len(values) != 1 {
 			return dst, fmt.Errorf("dataflow: output %s.%s needs exactly one value, got %d", from.Fn, output, len(values))
 		}
-		for _, d := range o.Dests {
-			to := InstanceKey{Fn: d.Function, Idx: BroadcastIdx}
-			if d.Function == workflow.UserSource {
-				to = UserKey
-			}
-			items = append(items, Item{From: from, Output: output, To: to, Input: d.Input, Value: values[0]})
+		for di, d := range o.Dests {
+			items = append(items, broadcastItem(from, output, d, refs[di], values[0]))
 		}
 	}
 	return items, nil
+}
+
+// broadcastItem addresses v to every instance of d (resolved as ref), or to the user.
+func broadcastItem(from InstanceKey, output string, d workflow.Dest, ref workflow.DestRef, v Value) Item {
+	to := InstanceKey{Fn: d.Function, Idx: BroadcastIdx}
+	if d.Function == workflow.UserSource {
+		to = UserKey
+	}
+	return Item{From: from, Output: output, To: to, Input: d.Input, Value: v, toFn: int32(ref.Fn + 1), toPos: int32(ref.Pos)}
 }
 
 // Deliver records the arrival of one item at its destination and returns the
@@ -418,13 +433,11 @@ func (t *Tracker) Deliver(it Item) ([]InstanceKey, error) {
 // engine delivering a stream of items can reuse one buffer instead of
 // allocating a slice per arrival.
 func (t *Tracker) DeliverInto(dst []InstanceKey, it Item) ([]InstanceKey, error) {
-	if err := t.record(it); err != nil {
+	ft, err := t.record(&it)
+	if err != nil || ft == nil {
 		return dst, err
 	}
-	if it.To.Fn == workflow.UserSource {
-		return dst, nil
-	}
-	return t.checkReadyInto(dst, it.To.Fn), nil
+	return t.checkReady(dst, ft), nil
 }
 
 func (t *Tracker) deliverAll(items []Item) ([]InstanceKey, error) {
@@ -434,18 +447,19 @@ func (t *Tracker) deliverAll(items []Item) ([]InstanceKey, error) {
 	if len(items) == 1 {
 		return t.DeliverInto(nil, items[0])
 	}
-	touched := map[string]bool{}
-	for _, it := range items {
-		if err := t.record(it); err != nil {
+	touched := map[*fnTrack]bool{}
+	for i := range items {
+		ft, err := t.record(&items[i])
+		if err != nil {
 			return nil, err
 		}
-		if it.To.Fn != workflow.UserSource {
-			touched[it.To.Fn] = true
+		if ft != nil {
+			touched[ft] = true
 		}
 	}
 	var newly []InstanceKey
-	for fn := range touched {
-		newly = append(newly, t.checkReady(fn)...)
+	for ft := range touched {
+		newly = t.checkReady(newly, ft)
 	}
 	sort.Slice(newly, func(i, j int) bool {
 		if newly[i].Fn != newly[j].Fn {
@@ -456,30 +470,42 @@ func (t *Tracker) deliverAll(items []Item) ([]InstanceKey, error) {
 	return newly, nil
 }
 
-// record files one delivered item under its destination slot. Items for
+// record files one delivered item under its destination slot and returns
+// the destination's tracking state (nil for a user item). Items for
 // undeclared inputs are dropped (they could never satisfy a readiness
 // check, matching the previous map-based behaviour where they were stored
 // but never consulted).
-func (t *Tracker) record(it Item) error {
+func (t *Tracker) record(it *Item) (*fnTrack, error) {
 	if it.To.Fn == workflow.UserSource {
-		t.userItems = append(t.userItems, it)
-		return nil
+		t.userItems = append(t.userItems, *it)
+		return nil, nil
 	}
-	ft := t.track(it.To.Fn)
-	if ft == nil {
-		return fmt.Errorf("dataflow: item to unknown function %s", it.To.Fn)
+	fi, pos := int(it.toFn)-1, int(it.toPos)
+	if fi < 0 {
+		// Built by hand (tests), or to a function the plan could not index: by name.
+		f, ok := t.wf.Function(it.To.Fn)
+		if !ok {
+			return nil, fmt.Errorf("dataflow: item to unknown function %s", it.To.Fn)
+		}
+		fi, pos = f.Index(), -1
+		for i := range f.Inputs {
+			if f.Inputs[i].Name == it.Input {
+				pos = i
+				break
+			}
+		}
 	}
-	pos := inputPos(ft.f, it.Input)
+	ft := &t.fns[fi]
 	if pos < 0 {
-		return nil
+		return ft, nil
 	}
 	if it.To.Idx == BroadcastIdx {
 		ft.broadcastAppend(pos, it)
-		return nil
+		return ft, nil
 	}
 	idx := it.To.Idx
 	if idx < 0 {
-		return fmt.Errorf("dataflow: item to invalid instance %s", it.To)
+		return nil, fmt.Errorf("dataflow: item to invalid instance %s", it.To)
 	}
 	for len(ft.arrived) <= idx {
 		ft.arrived = append(ft.arrived, nil)
@@ -487,19 +513,13 @@ func (t *Tracker) record(it Item) error {
 	if ft.arrived[idx] == nil {
 		ft.arrived[idx] = make([][]Item, len(ft.f.Inputs))
 	}
-	ft.arrived[idx][pos] = append(ft.arrived[idx][pos], it)
-	return nil
+	ft.arrived[idx][pos] = append(ft.arrived[idx][pos], *it)
+	return ft, nil
 }
 
-// checkReady scans the instances of fn for newly satisfied input sets.
-func (t *Tracker) checkReady(fn string) []InstanceKey {
-	return t.checkReadyInto(nil, fn)
-}
-
-// checkReadyInto appends newly satisfied instances of fn to dst.
-func (t *Tracker) checkReadyInto(dst []InstanceKey, fn string) []InstanceKey {
-	ft := t.track(fn)
-	if ft == nil || !ft.fanout.known {
+// checkReady appends the newly satisfied instances of ft's function to dst.
+func (t *Tracker) checkReady(dst []InstanceKey, ft *fnTrack) []InstanceKey {
+	if !ft.fanout.known {
 		return dst // fan-out degree not fixed yet: no instance may start
 	}
 	for idx := 0; idx < ft.fanout.n; idx++ {
@@ -508,7 +528,7 @@ func (t *Tracker) checkReadyInto(dst []InstanceKey, fn string) []InstanceKey {
 		}
 		if t.inputsSatisfied(ft, idx) {
 			ft.markReady(idx)
-			dst = append(dst, InstanceKey{Fn: fn, Idx: idx})
+			dst = append(dst, InstanceKey{Fn: ft.f.Name, Idx: idx})
 		}
 	}
 	return dst
@@ -521,7 +541,7 @@ func (t *Tracker) inputsSatisfied(ft *fnTrack, idx int) bool {
 		got := len(ft.arrivedAt(idx, pos)) + len(ft.broadcastAt(pos))
 		switch in.Kind {
 		case workflow.List:
-			want, known := t.expectedListCount(ft.f.Name, in.Name)
+			want, known := t.expectedListCount(ft, pos)
 			if !known || got < want {
 				return false
 			}
@@ -534,20 +554,17 @@ func (t *Tracker) inputsSatisfied(ft *fnTrack, idx int) bool {
 	return true
 }
 
-// expectedListCount returns how many items the List input (fn, input) must
+// expectedListCount returns how many items the List input at pos of ft must
 // collect: the sum of the instance counts of every producer feeding it. The
 // count is unknown until every producer's fan-out degree is known.
-func (t *Tracker) expectedListCount(fn, input string) (int, bool) {
+func (t *Tracker) expectedListCount(ft *fnTrack, pos int) (int, bool) {
 	total := 0
-	for _, e := range t.wf.Edges() {
-		if e.To != fn || e.ToInput != input {
-			continue
-		}
-		ft := t.track(e.From)
-		if ft == nil || !ft.fanout.known {
+	for _, from := range t.plan.Fns[ft.f.Index()].Feeders[pos] {
+		fanout := t.fns[from].fanout
+		if !fanout.known {
 			return 0, false
 		}
-		total += ft.fanout.n
+		total += fanout.n
 	}
 	return total, true
 }

@@ -26,9 +26,10 @@ type Counter struct {
 	lanes [NumStripes]paddedInt64
 }
 
-// Add folds d into the lane picked by stripe (masked, any value is safe).
-func (c *Counter) Add(stripe uint32, d int64) {
-	c.lanes[stripe&(NumStripes-1)].v.Add(d)
+// Add folds d into the lane picked by stripe (masked, any value is safe) and
+// returns the lane's new value: a per-stripe sequence for sampling callers.
+func (c *Counter) Add(stripe uint32, d int64) int64 {
+	return c.lanes[stripe&(NumStripes-1)].v.Add(d)
 }
 
 // Inc adds one on the lane picked by stripe.

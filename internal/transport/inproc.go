@@ -10,13 +10,13 @@ import (
 	"repro/internal/wmm"
 )
 
-// Inproc is the in-process transport: the engine's original direct path to
-// a node's sink, preserved byte-for-byte behind the interface. ShipBatch is
-// one TakeN on the source TC class, one TakeN on the node NIC and one sink
-// multi-put — exactly the PR 8 batched hot path — and Land mirrors the
-// socket fast path's per-limiter Take. No Inproc operation ever returns an
-// error, no context is consulted, and nothing allocates, so the bench-gated
-// allocation budget of the ship path is untouched.
+// Inproc is the in-process transport: a direct call into the node's sink
+// behind the interface. ShipBatch is one TakeN on the source TC class, one on
+// the node NIC and one sink multi-put under one clock read (both skipped when
+// the shipment carries nothing to put); Land mirrors the socket fast path's
+// per-limiter Take. No Inproc operation returns an error or consults a
+// context, and the transport allocates nothing itself (a put allocates its
+// sink entry): the ship path stays inside the engine's 8 allocs/request.
 type Inproc struct {
 	sink    *wmm.Sink
 	nic     *pipe.Limiter
@@ -43,7 +43,9 @@ func (t *Inproc) ShipBatch(_ context.Context, pace Pacing, reqs []wmm.PutReq) er
 			*pace.Parked += parked
 		}
 	}
-	t.sink.PutBatch(t.elapsed(), reqs)
+	if len(reqs) > 0 { // none: the engine's direct edge pays the wire only
+		t.sink.PutBatch(t.elapsed(), reqs)
+	}
 	return nil
 }
 

@@ -167,6 +167,35 @@ type wfIndex struct {
 	entries    []*Function
 	staticUser int
 	staticOK   bool
+	plan       Plan
+}
+
+// Plan is the part of the index a request walks instead of re-deriving it
+// by name. Immutable and shared by every request; do not mutate.
+type Plan struct {
+	Fns     []FnPlan     // indexed by Function.Index
+	Entries []EntryInput // the invoker's inputs, in declaration order
+}
+
+// FnPlan is one function's share of the Plan.
+type FnPlan struct {
+	Fanned   bool        // a FOREACH output targets it: its instance count is fixed at run time
+	InDegree int         // workflow edges into it (the invoker's inputs are not edges)
+	Feeders  [][]int     // Feeders[pos]: the producing function's index, per edge into the input at pos
+	Dests    [][]DestRef // Dests[o][d] resolves Outputs[o].Dests[d]
+}
+
+// DestRef is a resolved Dest: the destination's function index (-1 for $USER
+// and for a function the workflow does not declare) and the position of the
+// input among its declared inputs (-1 when it declares none by that name).
+type DestRef struct{ Fn, Pos int }
+
+// EntryInput is one input the invoker supplies: Fn.Inputs[Pos], under Key
+// ("function.input") in the invoker's input map.
+type EntryInput struct {
+	Fn  *Function
+	Pos int
+	Key string
 }
 
 // New returns an empty workflow with the given name.
@@ -231,6 +260,7 @@ func (w *Workflow) reindex() *wfIndex {
 	}
 	ix.edges = buildEdges(w.Functions, ix.byName)
 	ix.staticUser, ix.staticOK = buildStaticUserItems(w.Functions, ix)
+	ix.plan = buildPlan(w.Functions, ix.byName)
 	w.index.Store(ix)
 	return ix
 }
@@ -248,6 +278,48 @@ func (w *Workflow) Entries() []*Function {
 func (w *Workflow) StaticUserItems() (int, bool) {
 	ix := w.reindex()
 	return ix.staticUser, ix.staticOK
+}
+
+// Plan returns the request plan of the current index snapshot.
+func (w *Workflow) Plan() *Plan { return &w.reindex().plan }
+
+// buildPlan resolves the Plan for a snapshot (Function.idx already set).
+func buildPlan(fns []*Function, byName map[string]*Function) Plan {
+	p := Plan{Fns: make([]FnPlan, len(fns))}
+	for i, f := range fns {
+		p.Fns[i].Feeders = make([][]int, len(f.Inputs))
+		for pos, in := range f.Inputs {
+			if in.FromUser {
+				p.Entries = append(p.Entries, EntryInput{Fn: f, Pos: pos, Key: f.Name + "." + in.Name})
+			}
+		}
+	}
+	for i, f := range fns {
+		p.Fns[i].Dests = make([][]DestRef, len(f.Outputs))
+		for oi, o := range f.Outputs {
+			refs := make([]DestRef, len(o.Dests))
+			for di, d := range o.Dests {
+				refs[di] = DestRef{Fn: -1, Pos: -1}
+				dst, ok := byName[d.Function]
+				if !ok {
+					continue
+				}
+				refs[di].Fn = dst.idx
+				to := &p.Fns[dst.idx]
+				to.Fanned = to.Fanned || o.Kind == Foreach
+				for pos := range dst.Inputs {
+					if dst.Inputs[pos].Name == d.Input {
+						refs[di].Pos = pos
+						to.InDegree++
+						to.Feeders[pos] = append(to.Feeders[pos], i)
+						break
+					}
+				}
+			}
+			p.Fns[i].Dests[oi] = refs
+		}
+	}
+	return p
 }
 
 // buildStaticUserItems computes the StaticUserItems answer for a snapshot.

@@ -315,3 +315,63 @@ func TestFunctionLookups(t *testing.T) {
 		t.Fatal("phantom function found")
 	}
 }
+
+// TestPlanResolvesTheGraph pins what a request walks instead of looking up
+// by name: destinations as (function index, input position), the producers
+// behind each input, the FOREACH-target flag, the in-degree, and the entry
+// inputs with their map keys — also for a graph Validate would refuse (a
+// NORMAL input fed by both arms of a SWITCH, an unknown destination), which
+// the plan must describe rather than trip over.
+func TestPlanResolvesTheGraph(t *testing.T) {
+	w := buildWordCount(t)
+	p := w.Plan()
+	if got, want := p.Entries, []EntryInput{{Fn: w.Functions[0], Pos: 0, Key: "start.src"}}; len(got) != 1 || got[0] != want[0] {
+		t.Fatalf("entries = %+v, want %+v", got, want)
+	}
+	start, count, merge := &p.Fns[0], &p.Fns[1], &p.Fns[2]
+	if start.Fanned || !count.Fanned || merge.Fanned {
+		t.Fatalf("fanned = %v %v %v, want only count", start.Fanned, count.Fanned, merge.Fanned)
+	}
+	if start.InDegree != 0 || count.InDegree != 1 || merge.InDegree != 1 {
+		t.Fatalf("in-degrees = %d %d %d, want 0 1 1", start.InDegree, count.InDegree, merge.InDegree)
+	}
+	if d := start.Dests[0][0]; d != (DestRef{Fn: 1, Pos: 0}) {
+		t.Fatalf("start.filelist resolves to %+v, want count's input 0", d)
+	}
+	if d := merge.Dests[0][0]; d.Fn != -1 {
+		t.Fatalf("merge.out resolves to function %d, want -1 ($USER)", d.Fn)
+	}
+	if f := merge.Feeders[0]; len(f) != 1 || f[0] != 1 {
+		t.Fatalf("merge.counts is fed by %v, want [1] (count)", f)
+	}
+
+	arms := New("arms")
+	for _, f := range []*Function{
+		{Name: "gate", Inputs: []Input{{Name: "in", FromUser: true}, {Name: "cfg", FromUser: true}},
+			Outputs: []Output{{Name: "route", Kind: Switch, Dests: []Dest{{Function: "small", Input: "x"}, {Function: "large", Input: "x"}}}}},
+		{Name: "small", Inputs: []Input{{Name: "x"}},
+			Outputs: []Output{{Name: "o", Dests: []Dest{{Function: "join", Input: "v"}, {Function: "ghost", Input: "x"}}}}},
+		{Name: "large", Inputs: []Input{{Name: "x"}},
+			Outputs: []Output{{Name: "o", Dests: []Dest{{Function: "join", Input: "v"}, {Function: "join", Input: "nope"}}}}},
+		{Name: "join", Inputs: []Input{{Name: "pad"}, {Name: "v"}},
+			Outputs: []Output{{Name: "out", Dests: []Dest{{Function: UserSource}}}}},
+	} {
+		if err := arms.AddFunction(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p = arms.Plan()
+	if len(p.Entries) != 2 || p.Entries[0].Key != "gate.in" || p.Entries[1].Key != "gate.cfg" || p.Entries[1].Pos != 1 {
+		t.Fatalf("entries = %+v", p.Entries)
+	}
+	join := &p.Fns[3]
+	if join.InDegree != 2 || len(join.Feeders[0]) != 0 || len(join.Feeders[1]) != 2 {
+		t.Fatalf("join: in-degree %d, feeders %v; want 2, both on input 1", join.InDegree, join.Feeders)
+	}
+	if d := p.Fns[1].Dests[0]; d[0] != (DestRef{Fn: 3, Pos: 1}) || d[1].Fn != -1 {
+		t.Fatalf("small.o resolves to %+v, want join's input 1 and an unknown function", d)
+	}
+	if d := p.Fns[2].Dests[0][1]; d != (DestRef{Fn: 3, Pos: -1}) {
+		t.Fatalf("large.o -> join.nope resolves to %+v, want join with no input", d)
+	}
+}
