@@ -7,12 +7,14 @@
 // versioned, immutable RoutingSnapshot consumed lock-free by the per-node
 // engines (see routing.go).
 //
-// A node keeps one FnPool per function: the live containers and a LIFO
-// free-list of the idle ones under the pool's own mutex, so acquiring and
-// releasing a container never takes the node's lock. Invariant: a container
-// is in its pool's free-list iff it is Idle, exactly once. Lock order:
-// Node.mu → FnPool.mu → Container.mu; memory accounting and ReapIdle take
-// Node.mu and so stay exact.
+// A node keeps one FnPool per function: the live containers, one hand-back
+// slot per request stripe and, behind the slots, a LIFO free-list under the
+// pool's own mutex, so acquiring and releasing a container never takes the
+// node's lock and a warm request takes no lock at all. Invariant: a live
+// container has exactly one owner — a holder (Busy), one slot or the list
+// (Idle) — and only its owner changes its state. Lock order: Node.mu →
+// FnPool.mu → Container.mu; memory accounting and ReapIdle take Node.mu and
+// so stay exact.
 package cluster
 
 import (
@@ -24,6 +26,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/dataflow"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/pipe"
 	"repro/internal/transport"
 	"repro/internal/wmm"
@@ -119,11 +122,17 @@ type Container struct {
 	// through it.
 	Limiter *pipe.Limiter
 
-	mu          sync.Mutex
-	state       State
+	// state and invocations are written only by the container's owner (see
+	// FnPool) and are atomics for the observers, State and Invocations.
+	// idleSince is plain: written by the releasing holder, read by the reaper
+	// once it owns the container, with the slot's swap or the pool's mutex
+	// between the two.
+	state       atomic.Int32
+	invocations atomic.Int64
 	idleSince   time.Time
-	dluPending  int64 // bytes the DLU still has to pump (consistency rule)
-	invocations int64
+
+	mu         sync.Mutex
+	dluPending int64 // bytes the DLU still has to pump (consistency rule)
 
 	// DLU daemon state. The container owns its queue and lifecycle — started
 	// lazily on first enqueue, closed when the container is recycled or the
@@ -191,18 +200,10 @@ func (c *Container) DLUClose() {
 }
 
 // State returns the container state.
-func (c *Container) State() State {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.state
-}
+func (c *Container) State() State { return State(c.state.Load()) }
 
 // Invocations returns how many FLU invocations the container has served.
-func (c *Container) Invocations() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.invocations
-}
+func (c *Container) Invocations() int64 { return c.invocations.Load() }
 
 // AddDLUPending adjusts the bytes the DLU daemon still has to pump. A
 // container with pending DLU data must not be recycled (§6.2 data
@@ -333,8 +334,22 @@ func (n *Node) Elapsed() time.Duration { return n.clk.Since(n.started) }
 // ColdStart returns the delay StartContainer sleeps on its caller's goroutine.
 func (n *Node) ColdStart() time.Duration { return n.opts.ColdStart }
 
+// poolSlot is one request stripe's hand-back slot, alone on its cache line.
+type poolSlot struct {
+	c atomic.Pointer[Container]
+	_ [56]byte
+}
+
 // FnPool is one function's containers on one node (see the package doc).
 type FnPool struct {
+	// slots hold at most one idle container per request stripe, in front of
+	// the list: the holder that ran a stripe's last instance leaves its
+	// container here and the stripe's next instance takes it with one swap,
+	// so a warm request reads and writes no line another stripe writes. A
+	// resident belongs to whoever swaps it out — its stripe, an acquirer that
+	// found the list empty, or the reaper.
+	slots [obs.NumStripes]poolSlot
+
 	mu sync.Mutex
 	// live is every container not yet recycled. It changes only with the
 	// node's mu held as well, so either lock reads it.
@@ -357,40 +372,100 @@ func (n *Node) Pool(fn string) *FnPool {
 	return p
 }
 
-// Acquire pops an idle container, marking it busy. ok is false when none is
-// idle.
-func (p *FnPool) Acquire() (*Container, bool) {
+// slot returns stripe's hand-back slot.
+func (p *FnPool) slot(stripe uint32) *atomic.Pointer[Container] {
+	return &p.slots[stripe&(obs.NumStripes-1)].c
+}
+
+// hold marks a container busy for the owner that just took it out of a slot
+// or off the list. It reports false for one that is not idle: ownership says
+// that cannot happen, and such an entry is dropped rather than handed out.
+func (c *Container) hold() bool {
+	if !c.state.CompareAndSwap(int32(Idle), int32(Busy)) {
+		return false
+	}
+	c.invocations.Add(1)
+	return true
+}
+
+// handBack marks a busy container idle ahead of its return to the pool. It
+// reports false, and the caller returns nothing, when the container is not
+// busy: a second Release of one hold.
+func (c *Container) handBack() bool {
+	if !c.state.CompareAndSwap(int32(Busy), int32(Idle)) {
+		return false
+	}
+	if n := c.Node; n.opts.KeepAlive > 0 {
+		c.idleSince = n.clk.Now()
+	}
+	return true
+}
+
+// Acquire takes an idle container for a request on stripe, marking it busy:
+// the stripe's own slot with one swap, else the shared list. ok is false
+// when none is idle.
+func (p *FnPool) Acquire(stripe uint32) (*Container, bool) {
+	if c := p.slot(stripe).Swap(nil); c != nil && c.hold() {
+		return c, true
+	}
+	return p.acquireShared()
+}
+
+// acquireShared pops the list and, when it is empty, takes another stripe's
+// resident, so no caller cold-starts beside an idle container. The scan stays
+// under the pool's mutex: the reaper moves residents onto the list under it.
+func (p *FnPool) acquireShared() (*Container, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for len(p.idle) > 0 {
 		c := p.idle[len(p.idle)-1]
 		p.idle[len(p.idle)-1] = nil
 		p.idle = p.idle[:len(p.idle)-1]
-		c.mu.Lock()
-		if c.state != Idle {
-			// Defensive: the free-list invariant says this cannot happen, but
-			// a non-idle entry is simply dropped rather than handed out.
-			c.mu.Unlock()
-			continue
+		if c.hold() {
+			return c, true
 		}
-		c.state = Busy
-		c.invocations++
-		c.mu.Unlock()
-		return c, true
+	}
+	for i := range p.slots {
+		if s := &p.slots[i].c; s.Load() != nil {
+			if c := s.Swap(nil); c != nil && c.hold() {
+				return c, true
+			}
+		}
 	}
 	return nil, false
 }
 
-// Idle returns how many of the pool's containers are idle.
+// Release returns a busy container on stripe: into the stripe's slot when
+// that is empty, else onto the list.
+func (p *FnPool) Release(c *Container, stripe uint32) {
+	if c.handBack() && !p.slot(stripe).CompareAndSwap(nil, c) {
+		p.push(c)
+	}
+}
+
+func (p *FnPool) push(c *Container) {
+	p.mu.Lock()
+	p.idle = append(p.idle, c)
+	p.mu.Unlock()
+}
+
+// Idle returns how many of the pool's containers are idle, slot residents
+// included.
 func (p *FnPool) Idle() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.idle)
+	n := len(p.idle)
+	for i := range p.slots {
+		if p.slots[i].c.Load() != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // AcquireIdle returns an idle container for fn, marking it busy. ok is
 // false when none is idle.
-func (n *Node) AcquireIdle(fn string) (*Container, bool) { return n.Pool(fn).Acquire() }
+func (n *Node) AcquireIdle(fn string) (*Container, bool) { return n.Pool(fn).acquireShared() }
 
 // StartContainer cold-starts a new container for fn with the given spec and
 // returns it in the Busy state. The calling goroutine sleeps for the
@@ -409,9 +484,9 @@ func (n *Node) StartContainer(fn string, spec Spec) *Container {
 		Node:    n,
 		pool:    pool,
 		Limiter: pipe.NewLimiter(n.clk, spec.BandwidthBps()),
-		state:   Busy,
 	}
-	c.invocations = 1
+	c.state.Store(int32(Busy))
+	c.invocations.Store(1)
 	// A container born after CloseDLUs (engine shutdown racing a cold
 	// start) must never open a DLU queue nobody will drain.
 	c.dluClosed = n.dluShut
@@ -425,21 +500,11 @@ func (n *Node) StartContainer(fn string, spec Spec) *Container {
 	return c
 }
 
-// Release returns a busy container to the idle pool, pushing it onto its
-// function's free-list.
+// Release returns a busy container to its function's list.
 func (n *Node) Release(c *Container) {
-	p := c.pool
-	p.mu.Lock()
-	c.mu.Lock()
-	if c.state == Busy {
-		c.state = Idle
-		if n.opts.KeepAlive > 0 {
-			c.idleSince = n.clk.Now() // only the reaper reads idleSince
-		}
-		p.idle = append(p.idle, c)
+	if c.handBack() {
+		c.pool.push(c)
 	}
-	c.mu.Unlock()
-	p.mu.Unlock()
 }
 
 // CloseDLUs closes every container's DLU queue and marks the node so
@@ -472,36 +537,36 @@ func (n *Node) ReapIdle() int {
 	var recycled []*Container
 	for _, p := range n.pools {
 		p.mu.Lock()
-		keep := p.live[:0]
-		for _, c := range p.live {
-			c.mu.Lock()
-			expired := c.state == Idle &&
-				now.Sub(c.idleSince) >= n.opts.KeepAlive &&
-				c.dluPending == 0
-			if expired {
-				c.state = Recycled
+		// The reaper judges only what it owns: the list, under the pool's
+		// mutex, and every slot's resident, moved onto the list first. A
+		// container handed back after this is fresh by construction.
+		for i := range p.slots {
+			if c := p.slots[i].c.Swap(nil); c != nil {
+				p.idle = append(p.idle, c)
+			}
+		}
+		reaped := len(recycled)
+		keep := p.idle[:0]
+		for _, c := range p.idle {
+			if now.Sub(c.idleSince) >= n.opts.KeepAlive && c.DLUPending() == 0 {
+				c.state.Store(int32(Recycled))
 				recycled = append(recycled, c)
 				n.adjustMemLocked(-c.Spec.MemoryBytes())
 			} else {
-				keep = append(keep, c)
+				keep = append(keep, c) // survivors keep their LIFO order
 			}
-			c.mu.Unlock()
 		}
-		if len(keep) < len(p.live) {
-			clear(p.live[len(keep):])
-			p.live = keep
-			// Prune the recycled entries from the free-list, preserving the
-			// LIFO order of the survivors.
-			q := p.idle[:0]
-			for _, c := range p.idle {
-				c.mu.Lock()
-				if c.state == Idle {
-					q = append(q, c)
+		clear(p.idle[len(keep):])
+		p.idle = keep
+		if len(recycled) > reaped {
+			live := p.live[:0]
+			for _, c := range p.live {
+				if c.State() != Recycled {
+					live = append(live, c)
 				}
-				c.mu.Unlock()
 			}
-			clear(p.idle[len(q):])
-			p.idle = q
+			clear(p.live[len(live):])
+			p.live = live
 		}
 		p.mu.Unlock()
 	}

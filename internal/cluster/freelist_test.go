@@ -172,12 +172,28 @@ func TestDLUCloseRefusesLateEnqueue(t *testing.T) {
 	}
 }
 
+// residence counts where each of the pool's idle containers sits: once per
+// slot that holds it plus once per list entry. Quiescent pools only.
+func residence(p *FnPool) map[*Container]int {
+	at := map[*Container]int{}
+	for i := range p.slots {
+		if c := p.slots[i].c.Load(); c != nil {
+			at[c]++
+		}
+	}
+	for _, c := range p.idle {
+		at[c]++
+	}
+	return at
+}
+
 // TestFnPoolStorm drives every entry into the per-function pools at once —
-// Acquire, Release, StartContainer, ReapIdle on a short keep-alive and
-// CloseDLUs, from 16 goroutines over two functions on one node — and then
-// checks the pool invariant directly: every live container sits in exactly
-// one free-list iff it is Idle, Containers counts the live set and MemInUse
-// is the sum of the live specs. Run with -race in CI.
+// Acquire and Release by stripe and by name, StartContainer, ReapIdle on a
+// short keep-alive and CloseDLUs, from 16 goroutines over two functions on
+// one node — and then checks the pool invariant directly: every live
+// container is Idle and sits in exactly one place, a slot or the list,
+// Containers counts the live set and MemInUse is the sum of the live specs.
+// Run with -race in CI.
 func TestFnPoolStorm(t *testing.T) {
 	clk := clock.NewManual(time.Unix(0, 0))
 	n := NewNode("w1", Options{KeepAlive: time.Millisecond, Clock: clk})
@@ -191,9 +207,15 @@ func TestFnPoolStorm(t *testing.T) {
 			if w%2 == 1 {
 				fn = "g"
 			}
-			pool := n.Pool(fn)
+			pool, stripe := n.Pool(fn), uint32(w/2) // two workers to a stripe
 			for i := 0; i < 300; i++ {
-				c, warm := pool.Acquire()
+				var c *Container
+				var warm bool
+				if i%3 == 0 {
+					c, warm = n.AcquireIdle(fn)
+				} else {
+					c, warm = pool.Acquire(stripe)
+				}
 				if !warm {
 					c = n.StartContainer(fn, specs[fn])
 				}
@@ -204,7 +226,11 @@ func TestFnPoolStorm(t *testing.T) {
 				if i%5 == 0 {
 					c.AddDLUPending(64) // the reaper must skip it while idle
 				}
-				n.Release(c)
+				if i%4 == 0 {
+					n.Release(c)
+				} else {
+					pool.Release(c, stripe)
+				}
 				if i%5 == 0 {
 					c.AddDLUPending(-64)
 				}
@@ -221,29 +247,146 @@ func TestFnPoolStorm(t *testing.T) {
 	wg.Wait()
 
 	var mem int64
-	stacked := map[*Container]int{}
+	idle := 0
 	for fn, spec := range specs {
 		p := n.Pool(fn)
-		for _, c := range p.idle {
-			stacked[c]++
-		}
+		at := residence(p)
 		for _, c := range p.live {
 			mem += spec.MemoryBytes()
-			if st := c.State(); (st == Idle) != (stacked[c] == 1) || stacked[c] > 1 || st == Recycled {
-				t.Errorf("%s: state %v, in the free-list %d times", c.ID, st, stacked[c])
+			if st := c.State(); st != Idle || at[c] != 1 {
+				t.Errorf("%s: state %v, in a slot or the list %d times", c.ID, st, at[c])
 			}
 		}
 		if got := n.Containers(fn); got != len(p.live) {
 			t.Errorf("Containers(%s) = %d, %d live", fn, got, len(p.live))
 		}
-		if got := p.Idle(); got != len(p.live) {
-			t.Errorf("%s: %d idle after the storm, want all %d live", fn, got, len(p.live))
+		if got := p.Idle(); got != len(p.live) || len(at) != len(p.live) {
+			t.Errorf("%s: Idle() = %d over %d distinct containers after the storm, want all %d live", fn, got, len(at), len(p.live))
 		}
+		idle += len(at)
 	}
-	if len(stacked) != n.Containers("") {
-		t.Errorf("free-lists hold %d containers, %d live", len(stacked), n.Containers(""))
+	if idle != n.Containers("") {
+		t.Errorf("slots and lists hold %d containers, %d live", idle, n.Containers(""))
 	}
 	if n.MemInUse() != mem {
 		t.Errorf("MemInUse = %d, want the live specs' %d", n.MemInUse(), mem)
 	}
+}
+
+// TestPoolSlotsAndList walks the cases the hand-back slots create, one
+// container at a time on a virtual clock.
+func TestPoolSlotsAndList(t *testing.T) {
+	spec := Spec{MemoryMB: 128}
+	setup := func(keepAlive time.Duration) (*clock.Manual, *Node, *FnPool) {
+		clk := clock.NewManual(time.Unix(0, 0))
+		n := NewNode("w1", Options{KeepAlive: keepAlive, Clock: clk})
+		return clk, n, n.Pool("f")
+	}
+
+	t.Run("a slot resident that expires is cold-missed", func(t *testing.T) {
+		clk, n, p := setup(10 * time.Millisecond)
+		c := n.StartContainer("f", spec)
+		p.Release(c, 3)
+		if p.slots[3].c.Load() != c || len(p.idle) != 0 {
+			t.Fatal("the released container is not in its stripe's slot")
+		}
+		clk.Advance(20 * time.Millisecond)
+		if reaped := n.ReapIdle(); reaped != 1 || c.State() != Recycled {
+			t.Fatalf("reaped %d, state %v: want the slot's resident recycled", reaped, c.State())
+		}
+		if got, ok := p.Acquire(3); ok {
+			t.Fatalf("its stripe was handed %s in state %v", got.ID, got.State())
+		}
+		if got, ok := n.AcquireIdle("f"); ok {
+			t.Fatalf("by name was handed %s in state %v", got.ID, got.State())
+		}
+		if n.MemInUse() != 0 || n.Containers("f") != 0 || p.Idle() != 0 {
+			t.Fatalf("MemInUse %d, Containers %d, Idle %d after the reap, want 0", n.MemInUse(), n.Containers("f"), p.Idle())
+		}
+	})
+
+	t.Run("a resident with pending DLU data survives the reap, on the list", func(t *testing.T) {
+		clk, n, p := setup(10 * time.Millisecond)
+		c := n.StartContainer("f", spec)
+		c.AddDLUPending(64)
+		p.Release(c, 1)
+		clk.Advance(20 * time.Millisecond)
+		if reaped := n.ReapIdle(); reaped != 0 || c.State() != Idle {
+			t.Fatalf("reaped %d, state %v: the consistency rule must keep it", reaped, c.State())
+		}
+		if at := residence(p); at[c] != 1 || len(p.idle) != 1 {
+			t.Fatalf("after the reap the container sits in %d places, list %d long: want once, on the list", at[c], len(p.idle))
+		}
+		if got, ok := p.Acquire(1); !ok || got != c || got.State() != Busy {
+			t.Fatal("the survivor was not handed back out")
+		}
+	})
+
+	t.Run("never in a slot and on the list at once", func(t *testing.T) {
+		_, n, p := setup(0)
+		a, b := n.StartContainer("f", spec), n.StartContainer("f", spec)
+		p.Release(a, 5)
+		p.Release(b, 5) // the slot is taken: b falls through to the list
+		p.Release(b, 5) // a second Release of one hold returns nothing
+		n.Release(a)
+		if p.slots[5].c.Load() != a || len(p.idle) != 1 || p.idle[0] != b {
+			t.Fatalf("slot 5 holds %v and the list %v, want a there and b here", p.slots[5].c.Load(), p.idle)
+		}
+		if got, ok := p.Acquire(5); !ok || got != a {
+			t.Fatal("stripe 5 did not get its slot's resident first")
+		}
+		if got, ok := p.Acquire(5); !ok || got != b {
+			t.Fatal("stripe 5 did not fall through to the list")
+		}
+		if _, ok := p.Acquire(5); ok || p.Idle() != 0 {
+			t.Fatal("a third container appeared")
+		}
+	})
+
+	t.Run("Idle counts residents and no one cold-starts beside one", func(t *testing.T) {
+		_, n, p := setup(0)
+		c := n.StartContainer("f", spec)
+		p.Release(c, 2)
+		if p.Idle() != 1 {
+			t.Fatalf("Idle() = %d with one container in a slot", p.Idle())
+		}
+		if got, ok := p.Acquire(6); !ok || got != c { // another stripe, empty list
+			t.Fatal("stripe 6 missed although stripe 2's slot held an idle container")
+		}
+		p.Release(c, 2)
+		if got, ok := n.AcquireIdle("f"); !ok || got != c {
+			t.Fatal("AcquireIdle missed although a slot held an idle container")
+		}
+		if c.Invocations() != 3 || n.ColdStarts() != 1 {
+			t.Fatalf("%d invocations, %d cold starts, want 3 and 1", c.Invocations(), n.ColdStarts())
+		}
+	})
+
+	t.Run("the list is LIFO and a reap keeps the survivors' order", func(t *testing.T) {
+		clk, n, p := setup(10 * time.Millisecond)
+		var cs []*Container
+		for i := 0; i < 4; i++ {
+			cs = append(cs, n.StartContainer("f", spec))
+		}
+		n.Release(cs[0])
+		clk.Advance(8 * time.Millisecond)
+		for _, c := range cs[1:] {
+			n.Release(c)
+		}
+		clk.Advance(5 * time.Millisecond) // only cs[0] is past its keep-alive
+		if reaped := n.ReapIdle(); reaped != 1 || cs[0].State() != Recycled {
+			t.Fatalf("reaped %d, want the oldest only", reaped)
+		}
+		for i := 3; i >= 1; i-- {
+			if got, ok := n.AcquireIdle("f"); !ok || got != cs[i] {
+				t.Fatalf("pop %d: got %v, want %s (last released first)", 4-i, got, cs[i].ID)
+			}
+		}
+		if _, ok := p.Acquire(0); ok {
+			t.Fatal("the recycled container was handed out")
+		}
+		if want := 3 * spec.MemoryBytes(); n.MemInUse() != want || n.Containers("f") != 3 {
+			t.Fatalf("MemInUse %d, Containers %d, want %d and 3", n.MemInUse(), n.Containers("f"), want)
+		}
+	})
 }

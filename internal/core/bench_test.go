@@ -462,9 +462,8 @@ func BenchmarkSinkKeyFormat(b *testing.B) {
 	}
 }
 
-// BenchmarkFLUStatPath pins the per-completion FLU-stat update plus the
-// pressure-path read (Eq. 1's T_FLU), the two control-plane touches every
-// handler completion and every Context.Put pay.
+// BenchmarkFLUStatPath times the pressure-path read every Context.Put pays:
+// Eq. 1's T_FLU as observe last published it, one load of one word.
 func BenchmarkFLUStatPath(b *testing.B) {
 	sys := newBenchSystem(b)
 	defer sys.Shutdown()
@@ -475,11 +474,13 @@ func BenchmarkFLUStatPath(b *testing.B) {
 	if err := inv.Wait(); err != nil {
 		b.Fatal(err)
 	}
+	a := sys.fns["a"]
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if sys.FLUAvg("a") < 0 {
-				b.Fatal("negative avg")
+			if avg, sampled := a.tfluPublished(); !sampled || avg < 0 {
+				b.Errorf("published T_FLU = %v, sampled %v", avg, sampled)
+				return
 			}
 		}
 	})

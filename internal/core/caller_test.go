@@ -9,6 +9,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/qos"
+	"repro/internal/workflow"
 )
 
 // These tests pin the contract of an Invoke that runs a brief entry chain
@@ -307,4 +308,202 @@ func TestPrewarmProbeDoesNotTouchTheIdleContainer(t *testing.T) {
 	if got := obs.Default().Snapshot().Counters["cluster_cold_starts_total"]; got != colds || c.Node.Containers("a") != 1 {
 		t.Fatalf("the probe started a container: %d cold starts, %d containers of a", got-colds, c.Node.Containers("a"))
 	}
+}
+
+// countingClock counts the readings taken of a virtual clock.
+type countingClock struct {
+	*clock.Manual
+	reads atomic.Int64
+}
+
+func (c *countingClock) Now() time.Time {
+	c.reads.Add(1)
+	return c.Manual.Now()
+}
+
+func (c *countingClock) Since(t time.Time) time.Duration {
+	c.reads.Add(1)
+	return c.Manual.Since(t)
+}
+
+// TestWarmRequestSharesItsClockReadings pins how often a warm caller-run
+// a → b request reads the clock, engine and nodes counted together: Invoke's
+// start, which is also a's, a's end, which is also b's start, the request's
+// end, b's end, and a's TC class charging the one cross-node byte — five where
+// there were eight, and teardown's no-sweep exit none. The readings it shares
+// still measure the right stretch: a computes 10 µs of virtual time and b
+// none, and T_FLU says so exactly.
+func TestWarmRequestSharesItsClockReadings(t *testing.T) {
+	const compute = 10 * time.Microsecond
+	clk := &countingClock{Manual: clock.NewManual(time.Unix(0, 0))}
+	sys := newChainSystem(t, 2, nil, func(c *Config) {
+		c.DisablePressure = true
+		c.Clock = clk
+	})
+	t.Cleanup(sys.Shutdown)
+	_ = sys.Register("a", func(ctx *Context) error {
+		clk.Advance(compute)
+		in, _ := ctx.Input("in")
+		return ctx.Put("x", in)
+	})
+	warmChain(t, sys, 3)
+	a, b := sys.fns["a"], sys.fns["b"]
+	for i := 0; i < 20; i++ {
+		runs0, reads0, na, nb := obsCallerRuns.Load(), clk.reads.Load(), a.fluNanos.Load(), b.fluNanos.Load()
+		inv, err := sys.Invoke(chainIn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reads := clk.reads.Load() - reads0
+		select {
+		case <-inv.Done():
+		default:
+			t.Fatal("the warm chain did not complete inside Invoke")
+		}
+		if runs := obsCallerRuns.Load() - runs0; runs != 2 {
+			t.Fatalf("%d caller runs, want 2: not the warm path", runs)
+		}
+		if reads > 5 {
+			t.Fatalf("request %d read the clock %d times, want at most 5", i, reads)
+		}
+		if da, db := a.fluNanos.Load()-na, b.fluNanos.Load()-nb; da != int64(compute) || db != 0 {
+			t.Fatalf("T_FLU sums moved by %v for a and %v for b, want %v and 0", time.Duration(da), time.Duration(db), compute)
+		}
+		if got := inv.Latency(); got != compute {
+			t.Fatalf("latency %v, want %v", got, compute)
+		}
+	}
+}
+
+// TestCarriedReadingIsDroppedAtAWait: a continuation starts at its producer's
+// end reading only if nothing can have slept in between. Each row parks b, as
+// a's continuation, behind something only the test releases — a cold start, a
+// full instance cap, the fair queue — moves the clock 5 ms meanwhile, and
+// requires that b, which computes nothing, still measures T_FLU = 0.
+func TestCarriedReadingIsDroppedAtAWait(t *testing.T) {
+	const wait = 5 * time.Millisecond
+	// unwaited checks the one run of b the row made.
+	unwaited := func(t *testing.T, sys *System, inv *Invocation, runs int64) {
+		t.Helper()
+		if err := inv.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		b := sys.fns["b"]
+		waitFor(t, 5*time.Second, func() bool { return b.fluCount.Load() == runs+1 }, "b's run was never observed")
+		if got := b.fluNanos.Load(); got != 0 {
+			t.Fatalf("b's T_FLU sum reads %v after a run that only waited: the wait was measured as compute", time.Duration(got))
+		}
+	}
+
+	t.Run("cold start", func(t *testing.T) {
+		clk := clock.NewManual(time.Unix(0, 0))
+		wf, err := workflow.ParseDSLString(chainDSL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl := cluster.NewCluster(nil)
+		for _, name := range []string{"w1", "w2"} {
+			_ = cl.AddNode(cluster.NewNode(name, cluster.Options{Clock: clk, ColdStart: wait}))
+		}
+		sys, err := NewSystem(Config{Workflow: wf, Cluster: cl, DefaultSpec: cluster.Spec{MemoryMB: 10 * 1024}, DisablePressure: true, Clock: clk})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sys.Shutdown()
+		relay(sys, "a", "in", "x")
+		relay(sys, "b", "x", "out")
+		a, b := sys.fns["a"], sys.fns["b"]
+		coldStarted := func(inv *Invocation) {
+			t.Helper()
+			waitFor(t, 10*time.Second, func() bool {
+				select {
+				case <-inv.Done():
+					return true
+				default:
+					if clk.Pending() > 0 {
+						clk.Advance(wait)
+					}
+					return false
+				}
+			}, "the request never completed")
+		}
+		for i := 0; i < 2; i++ {
+			na, nb := a.fluCount.Load(), b.fluCount.Load()
+			coldStarted(invokeReturns(t, sys, chainIn))
+			waitFor(t, 5*time.Second, func() bool { return a.fluCount.Load() > na && b.fluCount.Load() > nb }, "a warm-up run was never observed")
+		}
+		// a keeps T_FLU = 0, so its consumer continues on its goroutine, but
+		// is no longer brief: a pool worker runs the chain, and may cold-start.
+		a.observe(0, 10*time.Millisecond, 10*time.Millisecond)
+		node := b.primary()
+		held, ok := b.pools[node].Acquire(0)
+		if !ok {
+			t.Fatal("b has no idle container after the warm-up")
+		}
+		runs, conts0 := b.fluCount.Load(), obsContinuations.Load()
+		inv := invokeReturns(t, sys, chainIn)
+		waitParked(t, clk, 1, "b's cold start")
+		clk.Advance(wait)
+		unwaited(t, sys, inv, runs)
+		if obsContinuations.Load() == conts0 {
+			t.Fatal("b was not a's continuation: the row tested nothing")
+		}
+		node.Release(held)
+	})
+
+	t.Run("instance cap", func(t *testing.T) {
+		clk := clock.NewManual(time.Unix(0, 0))
+		sys := newChainSystem(t, 2, nil, func(c *Config) {
+			c.DisablePressure = true
+			c.Clock = clk
+			c.MaxContainersPerFn = 1
+		})
+		t.Cleanup(sys.Shutdown)
+		warmChain(t, sys, 3)
+		b := sys.fns["b"]
+		b.cap.acquire() // the test holds b's one slot
+		runs := b.fluCount.Load()
+		done := make(chan *Invocation, 1)
+		go func() {
+			inv, _ := sys.Invoke(chainIn) // runs a, then parks at b's cap on this goroutine
+			done <- inv
+		}()
+		waitFor(t, 10*time.Second, func() bool { return b.cap.n.Load() == 2 }, "b never parked at its cap")
+		clk.Advance(wait)
+		b.cap.release()
+		unwaited(t, sys, <-done, runs)
+	})
+
+	t.Run("QoS grant", func(t *testing.T) {
+		clk := clock.NewManual(time.Unix(0, 0))
+		sys := newChainSystem(t, 2, nil, func(c *Config) {
+			c.DisablePressure = true
+			c.Clock = clk
+			c.QoS = &qos.Config{Capacity: 1, GovernorInterval: -1}
+		})
+		t.Cleanup(sys.Shutdown)
+		warmChain(t, sys, 3)
+		entered, gate := make(chan struct{}), make(chan struct{})
+		_ = sys.Register("a", func(ctx *Context) error {
+			close(entered)
+			<-gate
+			in, _ := ctx.Input("in")
+			return ctx.Put("x", in)
+		})
+		runs := sys.fns["b"].fluCount.Load()
+		inv := invokeReturns(t, sys, chainIn)
+		waitClosed(t, entered, "a to take the one grant")
+		queued := func(n int) func() bool {
+			return func() bool { waiting, _, _ := sys.qos.queue.Snapshot(); return waiting == n }
+		}
+		grabbed := make(chan func(), 1)
+		go func() { grabbed <- sys.qos.queue.Acquire(qos.DefaultTenant) }()
+		waitFor(t, 10*time.Second, queued(1), "the test's waiter never queued behind a")
+		close(gate) // a ends, its grant goes to the waiter, and its continuation b queues
+		release := <-grabbed
+		waitFor(t, 10*time.Second, queued(1), "b never queued for a grant")
+		clk.Advance(wait)
+		release()
+		unwaited(t, sys, inv, runs)
+	})
 }

@@ -318,6 +318,11 @@ type fnState struct {
 	// blocks, limiter parks), kept out of T_FLU; only a throttled run adds.
 	blockedNanos obs.Counter
 	isBrief      atomic.Bool // the caller-run gate's verdict, republished by observe
+	// tfluPub is T_FLU as observe last published it, mean<<1 | 1; zero until
+	// the first sample. Put reads Eq. 1's operand here: one load of a line
+	// that is written once in sixteen runs, where summing fluNanos and
+	// fluCount reads sixteen lines the other cores are writing.
+	tfluPub atomic.Int64
 
 	// pools is the function's container pool on every node, immutable after
 	// NewSystem: an instance finds its container with no lookup by name.
@@ -358,12 +363,21 @@ func (f *fnState) avg() time.Duration {
 
 // tflu is avg plus whether any execution has been observed yet: an average
 // of zero is a measurement on a virtual clock and the lack of one otherwise.
+// It sums the lanes, so it is exact; the scaler, the governor and FLUAvg read
+// it.
 func (f *fnState) tflu() (avg time.Duration, sampled bool) {
 	n := f.fluCount.Load()
 	if n == 0 {
 		return 0, false
 	}
 	return time.Duration(f.fluNanos.Load() / n), true
+}
+
+// tfluPublished is tflu as of observe's last publication: at most fifteen
+// brief, unthrottled runs per stripe behind it.
+func (f *fnState) tfluPublished() (avg time.Duration, sampled bool) {
+	w := f.tfluPub.Load()
+	return time.Duration(w >> 1), w != 0
 }
 
 // brief reports whether an Invoke caller may run f itself: f has a sample and
@@ -374,17 +388,19 @@ func (f *fnState) brief() bool { return f.isBrief.Load() }
 
 // observe folds one handler execution of wall time d, blocked of it spent
 // throttled, into the running averages, on the observing request's stripe,
-// and republishes brief's verdict: on a stripe's first sample and every 16th,
-// and at once after a run that was throttled or alone reached the gate — a
-// function turning slow is seen by its next caller, turning brief in sixteen.
+// and republishes brief's verdict and T_FLU: on a stripe's first sample and
+// every 16th, and at once after a run that was throttled or alone reached the
+// gate — a function turning slow is seen by its next caller and its next Put,
+// turning brief in sixteen.
 func (f *fnState) observe(stripe uint32, d, blocked time.Duration) {
 	f.fluNanos.Add(stripe, int64(d-blocked))
 	if blocked > 0 {
 		f.blockedNanos.Add(stripe, int64(blocked))
 	}
 	if n := f.fluCount.Add(stripe, 1); n == 1 || n&15 == 0 || blocked > 0 || d >= continuationMaxTFLU {
-		runs := f.fluCount.Load()
-		f.isBrief.Store(time.Duration((f.fluNanos.Load()+f.blockedNanos.Load())/runs) < continuationMaxTFLU)
+		runs, nanos := f.fluCount.Load(), f.fluNanos.Load()
+		f.tfluPub.Store(nanos/runs<<1 | 1)
+		f.isBrief.Store(time.Duration((nanos+f.blockedNanos.Load())/runs) < continuationMaxTFLU)
 	}
 }
 
@@ -397,16 +413,22 @@ type instanceCap struct {
 	wake chan struct{}
 }
 
-func (c *instanceCap) acquire() {
+// acquire reports whether it parked.
+func (c *instanceCap) acquire() (parked bool) {
 	if c.n.Add(1) > c.max {
 		<-c.wake
+		return true
 	}
+	return false
 }
 
-func (c *instanceCap) release() {
+// release reports whether it woke a waiter, which may have made it wait.
+func (c *instanceCap) release() (woke bool) {
 	if c.n.Add(-1) >= c.max {
 		c.wake <- struct{}{} // a waiter has counted itself in: it is at, or on its way to, the receive
+		return true
 	}
+	return false
 }
 
 // NewSystem validates the workflow, places functions on the cluster's nodes
@@ -733,10 +755,6 @@ type Invocation struct {
 	// beats a map (no per-request map allocation, no hashing).
 	arrived []arrivedBucket
 
-	// readyScratch is the reusable newly-ready buffer for deliver (always
-	// accessed under mu).
-	readyScratch []dataflow.InstanceKey
-
 	// route holds the request's replica pins (elastic mode only; the static
 	// fast path needs none). A request touches a handful of functions, so a
 	// scanned slice beats a map, like arrived. Accessed under mu.
@@ -761,13 +779,12 @@ type Invocation struct {
 	torn atomic.Bool
 
 	// Inline backings for the slices above: a typical request touches a
-	// handful of instance keys, pins, and ready instances, so seeding the
-	// slices here folds their first growth into the Invocation allocation.
-	// If a slice outgrows its seed, append reallocates and the copied
-	// headers keep the (heap-alive) old backing valid.
+	// handful of instance keys and pins, so seeding the slices here folds
+	// their first growth into the Invocation allocation. If a slice outgrows
+	// its seed, append reallocates and the copied headers keep the
+	// (heap-alive) old backing valid.
 	arrivedBuf [2]arrivedBucket
 	routeBuf   [4]routePin
-	readyBuf   [4]dataflow.InstanceKey
 
 	// stripe tags the request onto one lane of the striped engine
 	// counters (obs.Counter); inherited from the idBlock the request
@@ -851,11 +868,6 @@ func (inv *Invocation) finishLocked() {
 	} else {
 		obsCompleted.Inc(inv.stripe)
 	}
-	// The rest of this function is the teardown sweep; charge its latency
-	// on every exit path.
-	defer func() {
-		obsTeardownLat.Observe(inv.stripe, int64(inv.sys.clk.Since(inv.end)))
-	}()
 	// End-of-request GC: stop tracking the invocation and release its
 	// leftover sink entries. Proactive release normally empties the memory
 	// tier earlier; this teardown is what reclaims the shared inputs of
@@ -887,21 +899,22 @@ func (inv *Invocation) finishLocked() {
 			}
 		}
 		if inv.sinkResidue.Load() == 0 {
-			return
+			return // nothing to sweep, so nothing to time: the histogram counts sweeps
 		}
 	}
 	if inv.sys.static {
 		for _, n := range inv.sys.routedNodes {
 			n.SinkRelease(inv.ReqID) //nolint:errcheck // best effort: an unreachable sink holds nothing to release
 		}
-		return
+	} else {
+		// Elastic mode: every sink Put of this request happened on a pinned
+		// node (land routes through routeFor before touching a sink), so the
+		// sweep covers exactly the request's pins instead of the whole fleet.
+		for i := range inv.route {
+			inv.route[i].node.SinkRelease(inv.ReqID) //nolint:errcheck // best effort: an unreachable sink holds nothing to release
+		}
 	}
-	// Elastic mode: every sink Put of this request happened on a pinned
-	// node (land routes through routeFor before touching a sink), so the
-	// sweep covers exactly the request's pins instead of the whole fleet.
-	for i := range inv.route {
-		inv.route[i].node.SinkRelease(inv.ReqID) //nolint:errcheck // best effort: an unreachable sink holds nothing to release
-	}
+	obsTeardownLat.Observe(inv.stripe, int64(inv.sys.clk.Since(inv.end)))
 }
 
 // PendingInvocations returns the number of requests still tracked by the
@@ -1011,7 +1024,6 @@ func (s *System) InvokeWith(input map[string][]byte, opts InvokeOpts) (*Invocati
 	}
 	inv.arrived = inv.arrivedBuf[:0]
 	inv.route = inv.routeBuf[:0]
-	inv.readyScratch = inv.readyBuf[:0]
 	inv.tracker.Init(s.wf, reqID)
 	var entryBuf [4]dataflow.InstanceKey
 	obsRequests.Inc(stripe)
@@ -1036,11 +1048,13 @@ func (s *System) InvokeWith(input map[string][]byte, opts InvokeOpts) (*Invocati
 	}
 	if s.qos == nil && len(newly) == 1 {
 		// The caller finishes a brief entry instance before a worker would
-		// wake for it. The read lock goes first: the instance is in bg, and
-		// its handler may call Invoke while a Shutdown waits to write.
+		// wake for it. The read lock goes first: the chain is in bg, and its
+		// handler may call Invoke while a Shutdown waits to write. Nothing
+		// since the reading of start can have slept, so it starts the instance.
 		job := s.admitInstance(inv, newly[0])
+		s.bg.Add(1)
 		s.closeMu.RUnlock()
-		s.runChain(job, true)
+		s.runChain(job, true, start)
 		return inv, nil
 	}
 	s.scheduleReady(inv, newly, nil)
@@ -1049,14 +1063,14 @@ func (s *System) InvokeWith(input map[string][]byte, opts InvokeOpts) (*Invocati
 }
 
 // admitInstance accounts one triggered instance: from here until its
-// runInstance returns it is pending on its function and held in bg.
+// runInstance returns it is pending on its function. The caller sees to it
+// that a bg count covers it: its own, or the chain's it is parked in.
 func (s *System) admitInstance(inv *Invocation, key dataflow.InstanceKey) instanceJob {
 	st := s.fns[key.Fn]
 	s.event(inv, trace.InstanceTriggered, key.Fn, key.Idx, "")
 	if !s.static {
 		st.pending.Add(inv.stripe, 1) // the scaler's queue-pressure signal
 	}
-	s.bg.Add(1)
 	return instanceJob{inv: inv, key: key, st: st}
 }
 
@@ -1065,8 +1079,9 @@ func (s *System) admitInstance(inv *Invocation, key dataflow.InstanceKey) instan
 // exactly once across the request's lifetime, so no separate double-trigger
 // guard is needed here. flu is non-nil when the producer itself is shipping
 // (Context.put): if it passed the continuation gate, the first instance is
-// parked in it — accounted like any other — for its goroutine to run next,
-// and only the rest (a fan-out) wake through the executor pool.
+// parked in it for its goroutine to run next, under the bg count that
+// goroutine's chain already holds, and only the rest (a fan-out) take a count
+// of their own and wake through the executor pool.
 func (s *System) scheduleReady(inv *Invocation, keys []dataflow.InstanceKey, flu *Context) {
 	for _, key := range keys {
 		job := s.admitInstance(inv, key)
@@ -1075,6 +1090,7 @@ func (s *System) scheduleReady(inv *Invocation, keys []dataflow.InstanceKey, flu
 			obsContinuations.Inc(inv.stripe)
 			continue
 		}
+		s.bg.Add(1)
 		s.submitInstance(job)
 	}
 }
@@ -1087,8 +1103,9 @@ type instanceJob struct {
 	st  *fnState // key.Fn's record
 }
 
-// submitInstance dispatches one admitted instance: onto an idle executor
-// worker when one is guaranteed to pull it, else onto a fresh goroutine.
+// submitInstance dispatches one admitted instance, and the bg count held for
+// it, onto an idle executor worker when one is guaranteed to pull it, else
+// onto a fresh goroutine.
 // The pool exists to recycle warm goroutine stacks — the instance call
 // chain (handler -> Put -> ship -> deliver) grows a fresh stack every time
 // otherwise — but it must never make an instance wait behind another, since
@@ -1098,7 +1115,7 @@ func (s *System) submitInstance(job instanceJob) {
 	for {
 		n := s.execIdle.Load()
 		if n <= 0 {
-			go s.runChain(job, false)
+			go s.runChain(job, false, time.Time{})
 			return
 		}
 		if s.execIdle.CompareAndSwap(n, n-1) {
@@ -1116,19 +1133,22 @@ func (s *System) submitInstance(job instanceJob) {
 // Shutdown closes the queue (after bg.Wait, so no submitter remains).
 func (s *System) execWorker() {
 	for j := range s.execJobs {
-		s.runChain(j, false)
+		s.runChain(j, false, time.Time{})
 		s.execIdle.Add(1)
 	}
 }
 
 // runChain runs one instance and then, run to completion, every consumer
-// its ships parked for this goroutine: a → b → $USER on one worker. An
-// Invoke caller runs only what is brief and has a container without a cold
-// start: its chain ends at the first instance that is not, which goes to
-// the executor pool.
-func (s *System) runChain(j instanceJob, caller bool) {
+// its ships parked for this goroutine: a → b → $USER on one worker, under the
+// one bg count the chain was started with. An Invoke caller runs only what is
+// brief and has a container without a cold start: its chain ends at the first
+// instance that is not, which goes to the executor pool and takes the count
+// with it. at is a clock reading this goroutine took with nothing that can
+// sleep since (zero: none): the first instance starts at it, and each
+// continuation at its producer's end.
+func (s *System) runChain(j instanceJob, caller bool, at time.Time) {
 	for j.inv != nil {
-		next, ran := s.runInstance(j, caller)
+		next, end, ran := s.runInstance(j, caller, at)
 		if !ran {
 			s.submitInstance(j)
 			return
@@ -1136,9 +1156,9 @@ func (s *System) runChain(j instanceJob, caller bool) {
 		if !s.static {
 			j.st.pending.Add(j.inv.stripe, -1)
 		}
-		s.bg.Done()
-		j = next
+		j, at = next, end
 	}
+	s.bg.Done()
 }
 
 // runInstance executes one function instance: acquire a container, fetch
@@ -1147,11 +1167,17 @@ func (s *System) runChain(j instanceJob, caller bool) {
 // parked for this goroutine, if any; the deferred releases have run by the
 // time the caller sees it. ran is false when an Invoke caller may not run it
 // (not brief, or starting its container is a sleep): it stays admitted.
-func (s *System) runInstance(j instanceJob, caller bool) (next instanceJob, ran bool) {
+//
+// One clock reading serves two neighbours: the handler starts at at when the
+// caller carried one in, and end — the reading that closed its last run — is
+// the next instance's at. A reading is carried only across a stretch that
+// cannot sleep; a QoS grant, a parked instance cap and a cold start each
+// drop it, so T_FLU never contains the wait.
+func (s *System) runInstance(j instanceJob, caller bool, at time.Time) (next instanceJob, end time.Time, ran bool) {
 	inv, key, st := j.inv, j.key, j.st
 	fn := key.Fn
 	if caller && !st.brief() {
-		return instanceJob{}, false
+		return instanceJob{}, time.Time{}, false
 	}
 	if s.qos != nil {
 		// Weighted-fair execution grant: immediate while the engine keeps
@@ -1160,6 +1186,7 @@ func (s *System) runInstance(j instanceJob, caller bool) (next instanceJob, ran 
 		// consume containers.
 		release := s.qos.queue.Acquire(inv.tenant)
 		defer release()
+		at = time.Time{}
 	}
 	// Replica selection: the node the request's data for fn was routed to
 	// (pinned at the first ship), or — for entry functions, which receive
@@ -1175,18 +1202,26 @@ func (s *System) runInstance(j instanceJob, caller bool) (next instanceJob, ran 
 			defer tc.Add(-1)
 		}
 	}
-	st.cap.acquire()
-	defer st.cap.release()
+	if st.cap.acquire() {
+		at = time.Time{}
+	}
+	defer func() {
+		if st.cap.release() {
+			end = time.Time{}
+		}
+	}()
 
-	ctr, warm := st.pools[node].Acquire()
+	pool := st.pools[node]
+	ctr, warm := pool.Acquire(inv.stripe)
 	if !warm {
 		if caller && node.ColdStart() > 0 {
-			return instanceJob{}, false
+			return instanceJob{}, time.Time{}, false
 		}
 		ctr = node.StartContainer(fn, st.spec)
 		s.event(inv, trace.ContainerCold, fn, key.Idx, ctr.ID)
+		at = time.Time{}
 	}
-	defer node.Release(ctr)
+	defer pool.Release(ctr, inv.stripe)
 	if caller {
 		obsCallerRuns.Inc(inv.stripe)
 	}
@@ -1228,15 +1263,20 @@ func (s *System) runInstance(j instanceJob, caller bool) (next instanceJob, ran 
 	note := "" // "redo-N" on the event log once the handler is being ReDone
 	for {
 		s.event(inv, trace.InstanceStarted, fn, key.Idx, note)
-		ctx.started, ctx.blocked = s.clk.Now(), 0
+		if at.IsZero() {
+			at = s.clk.Now()
+		}
+		ctx.blocked = 0
 		err := h(ctx)
-		d := s.clk.Since(ctx.started)
+		end = s.clk.Now()
+		d := end.Sub(at)
 		st.observe(inv.stripe, d, ctx.blocked)
 		obsExecLat.Observe(inv.stripe, int64(d))
 		if err == nil {
 			s.event(inv, trace.InstanceFinished, fn, key.Idx, "")
-			return ctx.next, true
+			return ctx.next, end, true
 		}
+		at = end // the ReDo starts where this run ended
 		inv.mu.Lock()
 		if inv.attempts == nil {
 			inv.attempts = make(map[dataflow.InstanceKey]int)
@@ -1246,7 +1286,7 @@ func (s *System) runInstance(j instanceJob, caller bool) (next instanceJob, ran 
 		inv.mu.Unlock()
 		if attempts > limit {
 			inv.fail(fmt.Errorf("core: %s failed after %d attempts: %w", key, attempts, err))
-			return ctx.next, true
+			return ctx.next, end, true
 		}
 		if s.cfg.Trace != nil {
 			note = fmt.Sprintf("redo-%d", attempts)

@@ -27,13 +27,12 @@ type Context struct {
 	// order; functions declare a handful of inputs, so a linear scan beats
 	// building a map per instance run. valBuf is the shared backing of the
 	// input values; both are recycled with the Context through ctxPool.
-	inputs  []dataflow.InputVals
-	valBuf  []dataflow.Value
-	sys     *System
-	inv     *Invocation
-	ctr     *cluster.Container
-	fst     *fnState
-	started time.Time
+	inputs []dataflow.InputVals
+	valBuf []dataflow.Value
+	sys    *System
+	inv    *Invocation
+	ctr    *cluster.Container
+	fst    *fnState
 	// blocked is the time this run has spent in Put's Eq. 1 block. It is the
 	// engine's throttle, not the handler's compute, so runInstance keeps it
 	// out of T_FLU: a block that fed its own operand would settle at half. A
@@ -189,7 +188,7 @@ func (c *Context) put(output string, values []dataflow.Value, switchCase int) er
 	}
 	// Pressure-aware scaling (Eq. 1): Pressure = α·Size/Bw − T_FLU. Computed
 	// before the items (and their backing) are handed on.
-	tflu, sampled := c.fst.tflu()
+	tflu, sampled := c.fst.tfluPublished()
 	var pressure time.Duration
 	if !s.cfg.DisablePressure && totalSize > 0 {
 		bw := c.ctr.Limiter.Rate()
@@ -693,18 +692,17 @@ func (s *System) reland(inv *Invocation, items []dataflow.Item, b *dluBatch, att
 // cached under, index-aligned with items, and node the node that cached
 // them (reqs is empty for user-destined and direct edges: nothing cached). The
 // whole reaction runs under one inv.mu hold — scheduling only hands jobs to
-// the executor, and the single hold lets the newly-ready buffer be reused
-// across deliveries. flu is the producer's Context when it is the one
-// shipping (scheduleReady may park a consumer in it).
+// the executor. flu is the producer's Context when it is the one shipping
+// (scheduleReady may park a consumer in it).
 func (s *System) deliverBatch(inv *Invocation, items []dataflow.Item, reqs []wmm.PutReq, node *cluster.Node, flu *Context) {
+	var readyBuf [4]dataflow.InstanceKey // on the stack: a delivery readies a handful of instances
 	inv.mu.Lock()
 	for i := range items {
 		it := items[i]
 		if len(reqs) > 0 {
 			inv.recordArrived(s.arrivedKey(it), arrivedItem{item: it, key: reqs[i].Key, node: node})
 		}
-		newly, err := inv.tracker.DeliverInto(inv.readyScratch[:0], it)
-		inv.readyScratch = newly
+		newly, err := inv.tracker.DeliverInto(readyBuf[:0], it)
 		if err != nil {
 			inv.mu.Unlock()
 			inv.fail(err)

@@ -48,7 +48,8 @@ var (
 
 	// Stage latencies, in nanoseconds: admission (InvokeWith entry to
 	// request registration), exec (one handler run), request (end-to-end),
-	// teardown (the post-completion sink reclaim).
+	// teardown (the post-completion sink sweep; a request that left nothing
+	// to sweep records none).
 	obsAdmissionLat = obs.Default().Histogram("core_admission_latency_ns")
 	obsExecLat      = obs.Default().Histogram("core_exec_latency_ns")
 	obsReqLat       = obs.Default().Histogram("core_request_latency_ns")

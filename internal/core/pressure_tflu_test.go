@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/cluster"
+	"repro/internal/obs"
 	"repro/internal/workflow"
 )
 
@@ -143,5 +144,109 @@ func TestLimiterParkOnFLUGoroutineIsNotPartOfTFLU(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool { return sys.fns["producer"].fluCount.Load() == 5 }, "the producer's runs were never observed")
 	if got := sys.FLUAvg("producer"); got != 0 {
 		t.Fatalf("T_FLU = %v after five zero-compute runs that each parked %v in the limiter, want 0", got, wire)
+	}
+}
+
+// TestPublishedTFLUIsAtMostSixteenRunsBehind pins the cadence Put's Eq. 1
+// operand is published on: a stripe's first run and every sixteenth, and at
+// once after a run that was throttled or alone reached the gate. Between
+// publications the word stands still while the exact mean moves.
+func TestPublishedTFLUIsAtMostSixteenRunsBehind(t *testing.T) {
+	const us = time.Microsecond
+	var f fnState
+	published := func(want time.Duration, why string) {
+		t.Helper()
+		got, sampled := f.tfluPublished()
+		if !sampled || got != want {
+			t.Fatalf("%s: published T_FLU = %v (sampled %v), want %v (exact mean %v)", why, got, sampled, want, f.avg())
+		}
+	}
+	if _, sampled := f.tfluPublished(); sampled {
+		t.Fatal("a function nobody ran reads as sampled")
+	}
+	f.observe(3, 10*us, 0)
+	published(10*us, "a stripe's first run")
+	for i := 0; i < 14; i++ {
+		f.observe(3, 40*us, 0)
+	}
+	published(10*us, "runs 2 to 15 of the stripe, all brief and unthrottled")
+	if exact := f.avg(); exact != (10+14*40)*us/15 {
+		t.Fatalf("the exact mean reads %v", exact)
+	}
+	f.observe(3, 40*us, 0)
+	published(f.avg(), "the stripe's sixteenth run")
+	f.observe(5, 0, 0)
+	published(f.avg(), "another stripe's first run")
+	stale := f.avg()
+	f.observe(5, 30*us, 0)
+	published(stale, "the second stripe's second run")
+	if f.avg() == stale {
+		t.Fatal("the exact mean did not move")
+	}
+	f.observe(5, 30*us, 20*us)
+	published(f.avg(), "a throttled run")
+	f.observe(3, 2*us, 0)
+	f.observe(5, continuationMaxTFLU, 0)
+	published(f.avg(), "a run that alone reached the gate")
+}
+
+// TestNextPutSeesAThrottledRunsTFLU is the same through the engine. Every
+// stripe has had its first run (all block, no compute: Invoke must not take
+// the producer for brief), so whichever one a request lands on, nothing but
+// the throttle publishes. A producer that computes 10 ms, then 4 ms, then
+// puts S bytes is blocked α·S/Bw on its first run — T_FLU reads 0 over eight
+// runs — by the new mean of 10/9 ms less on the second and of 14/10 ms less on
+// the third: a throttled run publishes its T_FLU before the next Put can read
+// it, not fourteen runs later.
+func TestNextPutSeesAThrottledRunsTFLU(t *testing.T) {
+	const ms = time.Millisecond
+	clk := clock.NewManual(time.Unix(0, 0))
+	sys := newPressureSystem(t, clk, 2.0)
+	payload := make([]byte, 64<<10)
+	wire := time.Duration(float64(len(payload)) / 5e6 * float64(time.Second))
+	pressure := 2 * wire
+	compute, blocked := make(chan time.Duration, 1), make(chan time.Duration, 1)
+	_ = sys.Register("producer", func(ctx *Context) error {
+		clk.Advance(<-compute) // between requests nothing is parked on the clock
+		start := clk.Now()
+		err := ctx.Put("big", payload)
+		blocked <- clk.Now().Sub(start)
+		return err
+	})
+	_ = sys.Register("sink", func(ctx *Context) error { return ctx.Put("done", []byte("ok")) })
+	producer := sys.fns["producer"]
+	for stripe := uint32(0); stripe < obs.NumStripes; stripe++ {
+		producer.observe(stripe, 10*ms, 10*ms)
+	}
+	for run, step := range []struct{ compute, want time.Duration }{
+		{10 * ms, pressure}, {4 * ms, pressure - 10*ms/9}, {4 * ms, pressure - 14*ms/10},
+	} {
+		want := step.want
+		compute <- step.compute
+		inv, err := sys.Invoke(map[string][]byte{"producer.in": []byte("x")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// TestPressureBlockIsNotPartOfTFLU's protocol: the clock moves only
+		// while the producer sits in its block beside another sleeper — the
+		// daemon pacing the chunk, then the sink in its own block — and the
+		// second step ends exactly where the producer's block does.
+		for _, d := range []time.Duration{wire, want - wire} {
+			waitParked(t, clk, 2, "the producer to sit in its block beside another sleeper")
+			clk.Advance(d)
+		}
+		var got time.Duration
+		select {
+		case got = <-blocked:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("run %d: Put still blocked after %v", run+1, want)
+		}
+		waitFor(t, 5*time.Second, func() bool { return producer.fluCount.Load() == int64(obs.NumStripes+run+1) }, "the producer's run was never observed")
+		if err := inv.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("run %d: Put blocked %v, want %v (T_FLU now %v)", run+1, got, want, sys.FLUAvg("producer"))
+		}
 	}
 }

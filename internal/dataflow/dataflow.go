@@ -105,6 +105,14 @@ type fanoutState struct {
 	known bool
 }
 
+// arrival is what the tracker keeps of a delivered item: the value, and the
+// producer that orders a LIST input. The rest of an Item addresses the
+// delivery, and the slot it is filed under says the same.
+type arrival struct {
+	from InstanceKey
+	val  Value
+}
+
 // fnTrack is one function's per-request tracking state.
 type fnTrack struct {
 	f      *workflow.Function
@@ -117,12 +125,12 @@ type fnTrack struct {
 	// Broadcast items addressed to all instances: input position 0 is
 	// inlined (most functions declare one input), positions >= 1 live in
 	// bcMore, allocated on first such arrival.
-	bc0    []Item
-	bc0Buf [1]Item
-	bcMore [][]Item
+	bc0    []arrival
+	bc0Buf [1]arrival
+	bcMore [][]arrival
 	// arrived[idx][inputPos] holds instance-addressed items; the outer
 	// slice grows with the instance index, inner slices on first arrival.
-	arrived [][][]Item
+	arrived [][][]arrival
 }
 
 // isReady reports whether instance idx has become ready.
@@ -148,7 +156,7 @@ func (ft *fnTrack) markReady(idx int) {
 }
 
 // broadcastAt returns the broadcast items of the input at pos.
-func (ft *fnTrack) broadcastAt(pos int) []Item {
+func (ft *fnTrack) broadcastAt(pos int) []arrival {
 	if pos == 0 {
 		return ft.bc0
 	}
@@ -159,20 +167,20 @@ func (ft *fnTrack) broadcastAt(pos int) []Item {
 }
 
 // broadcastAppend files a broadcast item under the input at pos.
-func (ft *fnTrack) broadcastAppend(pos int, it *Item) {
+func (ft *fnTrack) broadcastAppend(pos int, a arrival) {
 	if pos == 0 {
-		ft.bc0 = append(ft.bc0, *it)
+		ft.bc0 = append(ft.bc0, a)
 		return
 	}
 	if ft.bcMore == nil {
-		ft.bcMore = make([][]Item, len(ft.f.Inputs)-1)
+		ft.bcMore = make([][]arrival, len(ft.f.Inputs)-1)
 	}
-	ft.bcMore[pos-1] = append(ft.bcMore[pos-1], *it)
+	ft.bcMore[pos-1] = append(ft.bcMore[pos-1], a)
 }
 
 // arrivedAt returns the instance-addressed items of (instance idx, input
 // pos).
-func (ft *fnTrack) arrivedAt(idx, pos int) []Item {
+func (ft *fnTrack) arrivedAt(idx, pos int) []arrival {
 	if idx < 0 || idx >= len(ft.arrived) || ft.arrived[idx] == nil {
 		return nil
 	}
@@ -499,8 +507,9 @@ func (t *Tracker) record(it *Item) (*fnTrack, error) {
 	if pos < 0 {
 		return ft, nil
 	}
+	a := arrival{from: it.From, val: it.Value}
 	if it.To.Idx == BroadcastIdx {
-		ft.broadcastAppend(pos, it)
+		ft.broadcastAppend(pos, a)
 		return ft, nil
 	}
 	idx := it.To.Idx
@@ -511,9 +520,9 @@ func (t *Tracker) record(it *Item) (*fnTrack, error) {
 		ft.arrived = append(ft.arrived, nil)
 	}
 	if ft.arrived[idx] == nil {
-		ft.arrived[idx] = make([][]Item, len(ft.f.Inputs))
+		ft.arrived[idx] = make([][]arrival, len(ft.f.Inputs))
 	}
-	ft.arrived[idx][pos] = append(ft.arrived[idx][pos], *it)
+	ft.arrived[idx][pos] = append(ft.arrived[idx][pos], a)
 	return ft, nil
 }
 
@@ -582,31 +591,38 @@ func (t *Tracker) Inputs(key InstanceKey) map[string][]Value {
 	for pos, in := range ft.f.Inputs {
 		own, shared := ft.arrivedAt(key.Idx, pos), ft.broadcastAt(pos)
 		if in.Kind == workflow.List {
-			items := make([]Item, 0, len(own)+len(shared))
-			items = append(append(items, own...), shared...)
-			sort.SliceStable(items, func(i, j int) bool {
-				if items[i].From.Fn != items[j].From.Fn {
-					return items[i].From.Fn < items[j].From.Fn
-				}
-				return items[i].From.Idx < items[j].From.Idx
-			})
+			items := byProducer(own, shared)
 			vals := make([]Value, len(items))
-			for i, it := range items {
-				vals[i] = it.Value
+			for i, a := range items {
+				vals[i] = a.val
 			}
 			out[in.Name] = vals
 			continue
 		}
 		vals := make([]Value, 0, len(own)+len(shared))
-		for _, it := range own {
-			vals = append(vals, it.Value)
+		for _, a := range own {
+			vals = append(vals, a.val)
 		}
-		for _, it := range shared {
-			vals = append(vals, it.Value)
+		for _, a := range shared {
+			vals = append(vals, a.val)
 		}
 		out[in.Name] = vals
 	}
 	return out
+}
+
+// byProducer merges a LIST input's arrivals in branch order: by producing
+// function, then instance, arrival order breaking ties.
+func byProducer(own, shared []arrival) []arrival {
+	items := make([]arrival, 0, len(own)+len(shared))
+	items = append(append(items, own...), shared...)
+	sort.SliceStable(items, func(i, j int) bool {
+		if items[i].from.Fn != items[j].from.Fn {
+			return items[i].from.Fn < items[j].from.Fn
+		}
+		return items[i].from.Idx < items[j].from.Idx
+	})
+	return items
 }
 
 // InputVals is one declared input's collected values, in declaration order
@@ -648,23 +664,15 @@ func (t *Tracker) InputsAppendBacking(dst []InputVals, backing []Value, key Inst
 		own, shared := ft.arrivedAt(key.Idx, pos), ft.broadcastAt(pos)
 		start := len(backing)
 		if in.Kind == workflow.List {
-			items := make([]Item, 0, len(own)+len(shared))
-			items = append(append(items, own...), shared...)
-			sort.SliceStable(items, func(i, j int) bool {
-				if items[i].From.Fn != items[j].From.Fn {
-					return items[i].From.Fn < items[j].From.Fn
-				}
-				return items[i].From.Idx < items[j].From.Idx
-			})
-			for _, it := range items {
-				backing = append(backing, it.Value)
+			for _, a := range byProducer(own, shared) {
+				backing = append(backing, a.val)
 			}
 		} else {
-			for _, it := range own {
-				backing = append(backing, it.Value)
+			for _, a := range own {
+				backing = append(backing, a.val)
 			}
-			for _, it := range shared {
-				backing = append(backing, it.Value)
+			for _, a := range shared {
+				backing = append(backing, a.val)
 			}
 		}
 		dst = append(dst, InputVals{Name: in.Name, Values: backing[start:len(backing):len(backing)]})
