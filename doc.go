@@ -6,8 +6,8 @@
 // (internal/core) runs real workflows with the FLU/DLU abstraction inside
 // one process, and the simulation plane (internal/simcluster +
 // internal/experiments) regenerates every figure of the paper's evaluation.
-// Cross-cutting planes grow the reproduction toward production scale: an
-// elastic routing plane (replica sets + locality-aware pinning), a
+// Cross-cutting planes grow the reproduction toward production scale: a
+// routing plane (replica sets fixed at placement + locality-aware pinning), a
 // fault-tolerance plane (health states + deterministic replay), an
 // admission & QoS plane (internal/qos: per-tenant token buckets,
 // weighted-fair execution queueing, pressure-driven overload shedding —

@@ -2,10 +2,10 @@
 // nodes hosting function containers with memory-proportional CPU and
 // network resources (the paper allocates 0.1 core and 40 Mbps per 128 MB of
 // container memory, enforced with cgroup and TC), container pools with
-// keep-alive recycling, and the elastic routing plane — placement policies
-// that map each function to an ordered replica set and publish it as a
-// versioned, immutable RoutingSnapshot consumed lock-free by the per-node
-// engines (see routing.go).
+// keep-alive recycling, and the routing plane — placement policies that map
+// each function to an ordered replica set, fixed at placement, and publish
+// it as a versioned, immutable RoutingSnapshot read lock-free (see
+// routing.go).
 //
 // A node keeps one FnPool per function: the live containers, one hand-back
 // slot per request stripe and, behind the slots, a LIFO free-list under the
@@ -634,7 +634,7 @@ type Cluster struct {
 	// version assignment and the store so concurrent publishers can never
 	// leave a lower-versioned snapshot current (readers stay lock-free).
 	// desired is the last snapshot handed to Publish before health
-	// filtering — what the policy/scaler wants — so a node recovery can
+	// filtering — what the policy placed — so a node recovery can
 	// republish the full replica sets without re-running placement.
 	snap        atomic.Pointer[RoutingSnapshot]
 	pubMu       sync.Mutex
@@ -691,27 +691,12 @@ func (c *Cluster) nodeList() []*Node {
 	return out
 }
 
-// Policy returns the cluster's placement policy.
-func (c *Cluster) Policy() PlacementPolicy { return c.policy }
-
-// Loads reads every node's live load (container count), the default
-// reading handed to placement policies. Node locks are taken one at a time
-// and the cluster lock is not held across them.
-func (c *Cluster) Loads() Loads {
-	nodes := c.nodeList()
-	loads := make(Loads, len(nodes))
-	for _, n := range nodes {
-		loads[n.Name] = float64(n.Containers(""))
-	}
-	return loads
-}
-
 // Place runs the placement policy over the given functions and publishes
 // the resulting snapshot. The policy callback runs without any cluster
 // lock held, so a policy is free to call back into the cluster (Nodes,
-// Loads, Snapshot) while deciding.
+// Node, Snapshot) while deciding.
 func (c *Cluster) Place(functions []string) *RoutingSnapshot {
-	return c.Publish(c.policy.Place(functions, c.Nodes(), c.Loads()))
+	return c.Publish(c.policy.Place(functions, c.Nodes()))
 }
 
 // Publish stamps the snapshot with the next version and atomically makes
@@ -754,25 +739,6 @@ func (c *Cluster) publishFilteredLocked() *RoutingSnapshot {
 // Snapshot returns the most recently published routing snapshot (nil
 // before the first Place/Publish).
 func (c *Cluster) Snapshot() *RoutingSnapshot { return c.snap.Load() }
-
-// Rebalance offers the policy's Rebalance hook the current snapshot and
-// the given load readings (the cluster's own Loads() when nil). When the
-// policy implements Rebalancer and returns a replacement, the replacement
-// is published; ok reports whether a new snapshot was published.
-func (c *Cluster) Rebalance(functions []string, loads Loads) (snap *RoutingSnapshot, ok bool) {
-	reb, is := c.policy.(Rebalancer)
-	if !is {
-		return c.Snapshot(), false
-	}
-	if loads == nil {
-		loads = c.Loads()
-	}
-	next := reb.Rebalance(c.Snapshot(), functions, c.Nodes(), loads)
-	if next == nil {
-		return c.Snapshot(), false
-	}
-	return c.Publish(next), true
-}
 
 // TotalMemIntegralGBs sums the per-node memory integrals. The node
 // pointers are resolved under the read lock (the map itself must not be

@@ -128,14 +128,14 @@ func TestContainersCount(t *testing.T) {
 }
 
 func TestRoundRobinPlacement(t *testing.T) {
-	rt := RoundRobin{}.Place([]string{"a", "b", "c", "d"}, []string{"n1", "n2", "n3"}, nil).Table()
+	rt := RoundRobin{}.Place([]string{"a", "b", "c", "d"}, []string{"n1", "n2", "n3"}).Table()
 	if rt["a"] != "n1" || rt["b"] != "n2" || rt["c"] != "n3" || rt["d"] != "n1" {
 		t.Fatalf("rt = %v", rt)
 	}
 }
 
 func TestRoundRobinNoNodes(t *testing.T) {
-	snap := RoundRobin{}.Place([]string{"a"}, nil, nil)
+	snap := RoundRobin{}.Place([]string{"a"}, nil)
 	if len(snap.Table()) != 0 {
 		t.Fatalf("rt = %v", snap.Table())
 	}
@@ -145,11 +145,11 @@ func TestRoundRobinNoNodes(t *testing.T) {
 }
 
 func TestSingleNodePlacement(t *testing.T) {
-	rt := SingleNode{Node: "n2"}.Place([]string{"a", "b"}, []string{"n1", "n2"}, nil).Table()
+	rt := SingleNode{Node: "n2"}.Place([]string{"a", "b"}, []string{"n1", "n2"}).Table()
 	if rt["a"] != "n2" || rt["b"] != "n2" {
 		t.Fatalf("rt = %v", rt)
 	}
-	rt = SingleNode{}.Place([]string{"a"}, []string{"n1", "n2"}, nil).Table()
+	rt = SingleNode{}.Place([]string{"a"}, []string{"n1", "n2"}).Table()
 	if rt["a"] != "n1" {
 		t.Fatalf("default single-node rt = %v", rt)
 	}

@@ -8,7 +8,7 @@ import "fmt"
 // it before pinning a request to a replica (and on every touch of an
 // existing pin), and Publish excludes unhealthy replicas from the snapshot
 // it makes current — so a dead node disappears from new placements the
-// moment its failure is recorded, while the policy/scaler-built "desired"
+// moment its failure is recorded, while the policy-built "desired"
 // snapshot is kept so a recovery can restore the full replica sets without
 // re-running placement.
 

@@ -3,49 +3,28 @@ package cluster
 import "sort"
 
 // This file is the cluster's routing plane: the versioned RoutingSnapshot
-// (function -> ordered replica set with per-replica load hints), the
-// placement policies that produce snapshots, and the optional Rebalancer
-// hook a load-driven scaler consults before applying its own heuristics.
+// (function -> ordered replica set), the placement policies that produce
+// it, and the replica pick both planes share. A function's replica set is
+// what its policy returned at placement and never changes afterwards; node
+// health is a per-pick predicate (PickReplica's routable) and a filter on
+// the published snapshot (Cluster.Publish), not an edit of the set.
 //
 // Snapshots are immutable after publication and are distributed through an
-// atomic pointer (Cluster.Publish / Cluster.Snapshot), so routing reads on
-// the engine's hot path never take a lock and never observe a half-written
-// table — the same publish-then-swap discipline disaggregated-memory
-// programming models use for shared metadata.
+// atomic pointer (Cluster.Publish / Cluster.Snapshot), so routing reads
+// never take a lock and never observe a half-written table — the same
+// publish-then-swap discipline disaggregated-memory programming models use
+// for shared metadata.
 
-// Loads carries per-node load readings, keyed by node name. Higher means
-// busier. The reading's unit is caller-defined (the cluster's default is
-// live container count; the runtime engine feeds its in-flight instance
-// counters).
-type Loads map[string]float64
-
-// Clone returns a copy of the load map.
-func (l Loads) Clone() Loads {
-	out := make(Loads, len(l))
-	for k, v := range l {
-		out[k] = v
-	}
-	return out
-}
-
-// Replica is one placement of a function on a node. Load is the hint
-// observed when the snapshot was built — a routing tiebreaker, not a live
-// counter. TenantLoad, when the admission & QoS plane is on, breaks the
-// node's in-flight load down per tenant at build time, so placement
-// policies (and least-loaded pinning) can see which tenant's pressure a
-// node carries; nil otherwise. Snapshots are immutable after publication,
-// and that covers TenantLoad: builders hand over a fresh map per replica.
+// Replica is one placement of a function on a node.
 type Replica struct {
-	Node       string
-	Load       float64
-	TenantLoad map[string]float64
+	Node string
 }
 
 // RoutingSnapshot is one immutable, versioned state of the routing plane:
 // every function's ordered replica set (the first replica is the primary,
-// preserving the pre-elastic single-owner semantics). Snapshots are built
-// by placement policies or scalers, stamped with a monotonically increasing
-// version at publication, and must never be mutated afterwards.
+// preserving the single-owner semantics). Snapshots are built by placement
+// policies, stamped with a monotonically increasing version at
+// publication, and must never be mutated afterwards.
 type RoutingSnapshot struct {
 	// Version is assigned by Cluster.Publish; 0 means unpublished.
 	Version uint64
@@ -124,21 +103,11 @@ func (rt RoutingTable) Clone() RoutingTable {
 }
 
 // PlacementPolicy decides which nodes host each function. DataFlower
-// exposes this interface so custom balancers can plug in (§6.1); loads
-// carries the per-node load readings current at placement time (possibly
-// nil on first placement).
+// exposes this interface so custom balancers can plug in (§6.1).
 type PlacementPolicy interface {
 	// Place assigns every function an ordered, non-empty replica set drawn
 	// from nodes. The returned snapshot is unpublished (Version 0).
-	Place(functions []string, nodes []string, loads Loads) *RoutingSnapshot
-}
-
-// Rebalancer is an optional PlacementPolicy extension: a background scaler
-// offers the policy the current snapshot and fresh load readings, and the
-// policy returns a replacement snapshot — or nil to keep the current one.
-// Policies that do not implement it get the scaler's built-in heuristics.
-type Rebalancer interface {
-	Rebalance(cur *RoutingSnapshot, functions []string, nodes []string, loads Loads) *RoutingSnapshot
+	Place(functions []string, nodes []string) *RoutingSnapshot
 }
 
 // PickReplica is the replica decision both planes make: among reps that
@@ -167,15 +136,14 @@ func PickReplica[N comparable](reps []N, prefer N, routable func(N) bool, load f
 }
 
 // replicaSet builds the k-replica set starting at nodes[start], wrapping
-// round-robin and annotating each replica with its load hint.
-func replicaSet(nodes []string, start, k int, loads Loads) []Replica {
+// round-robin.
+func replicaSet(nodes []string, start, k int) []Replica {
 	if k > len(nodes) {
 		k = len(nodes)
 	}
 	reps := make([]Replica, 0, k)
 	for j := 0; j < k; j++ {
-		name := nodes[(start+j)%len(nodes)]
-		reps = append(reps, Replica{Node: name, Load: loads[name]})
+		reps = append(reps, Replica{Node: nodes[(start+j)%len(nodes)]})
 	}
 	return reps
 }
@@ -190,7 +158,7 @@ type RoundRobin struct {
 }
 
 // Place implements PlacementPolicy.
-func (r RoundRobin) Place(functions []string, nodes []string, loads Loads) *RoutingSnapshot {
+func (r RoundRobin) Place(functions []string, nodes []string) *RoutingSnapshot {
 	sets := make(map[string][]Replica, len(functions))
 	if len(nodes) == 0 {
 		return &RoutingSnapshot{sets: sets}
@@ -200,7 +168,7 @@ func (r RoundRobin) Place(functions []string, nodes []string, loads Loads) *Rout
 		k = 1
 	}
 	for i, fn := range functions {
-		sets[fn] = replicaSet(nodes, i%len(nodes), k, loads)
+		sets[fn] = replicaSet(nodes, i%len(nodes), k)
 	}
 	return &RoutingSnapshot{sets: sets}
 }
@@ -210,77 +178,14 @@ func (r RoundRobin) Place(functions []string, nodes []string, loads Loads) *Rout
 type SingleNode struct{ Node string }
 
 // Place implements PlacementPolicy.
-func (s SingleNode) Place(functions []string, nodes []string, loads Loads) *RoutingSnapshot {
+func (s SingleNode) Place(functions []string, nodes []string) *RoutingSnapshot {
 	sets := make(map[string][]Replica, len(functions))
 	target := s.Node
 	if target == "" && len(nodes) > 0 {
 		target = nodes[0]
 	}
 	for _, fn := range functions {
-		sets[fn] = []Replica{{Node: target, Load: loads[target]}}
+		sets[fn] = []Replica{{Node: target}}
 	}
 	return &RoutingSnapshot{sets: sets}
-}
-
-// LeastLoaded places every function on the k least-loaded nodes (stable
-// tie-break by registration order) and, as a Rebalancer, re-derives that
-// placement whenever the scaler offers fresh loads.
-type LeastLoaded struct {
-	// Replicas is the per-function replica count (1 when <= 1).
-	Replicas int
-}
-
-// Place implements PlacementPolicy.
-func (l LeastLoaded) Place(functions []string, nodes []string, loads Loads) *RoutingSnapshot {
-	sets := make(map[string][]Replica, len(functions))
-	if len(nodes) == 0 {
-		return &RoutingSnapshot{sets: sets}
-	}
-	ranked := append([]string(nil), nodes...)
-	sort.SliceStable(ranked, func(i, j int) bool { return loads[ranked[i]] < loads[ranked[j]] })
-	k := l.Replicas
-	if k < 1 {
-		k = 1
-	}
-	if k > len(ranked) {
-		k = len(ranked)
-	}
-	// Every replica set is drawn from the k least-loaded nodes only; the
-	// start rotates within that prefix so equal-load nodes share the
-	// primaries instead of stacking every function on ranked[0].
-	top := ranked[:k]
-	for i, fn := range functions {
-		sets[fn] = replicaSet(top, i%k, k, loads)
-	}
-	return &RoutingSnapshot{sets: sets}
-}
-
-// Rebalance implements Rebalancer: re-place under the fresh loads and
-// return the new snapshot when it differs from the current one.
-func (l LeastLoaded) Rebalance(cur *RoutingSnapshot, functions []string, nodes []string, loads Loads) *RoutingSnapshot {
-	next := l.Place(functions, nodes, loads)
-	if cur != nil && snapshotsEqual(cur, next) {
-		return nil
-	}
-	return next
-}
-
-// snapshotsEqual compares two snapshots' node assignments (load hints are
-// advisory and excluded from the comparison).
-func snapshotsEqual(a, b *RoutingSnapshot) bool {
-	if len(a.sets) != len(b.sets) {
-		return false
-	}
-	for fn, ra := range a.sets {
-		rb, ok := b.sets[fn]
-		if !ok || len(ra) != len(rb) {
-			return false
-		}
-		for i := range ra {
-			if ra[i].Node != rb[i].Node {
-				return false
-			}
-		}
-	}
-	return true
 }

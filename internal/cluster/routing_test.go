@@ -8,7 +8,7 @@ import (
 
 func TestRoundRobinReplicaSets(t *testing.T) {
 	nodes := []string{"n1", "n2", "n3"}
-	snap := RoundRobin{Replicas: 2}.Place([]string{"a", "b", "c", "d"}, nodes, nil)
+	snap := RoundRobin{Replicas: 2}.Place([]string{"a", "b", "c", "d"}, nodes)
 	want := map[string][]string{
 		"a": {"n1", "n2"},
 		"b": {"n2", "n3"},
@@ -33,7 +33,7 @@ func TestRoundRobinReplicaSets(t *testing.T) {
 }
 
 func TestRoundRobinReplicasClampedToNodeCount(t *testing.T) {
-	snap := RoundRobin{Replicas: 10}.Place([]string{"a"}, []string{"n1", "n2"}, nil)
+	snap := RoundRobin{Replicas: 10}.Place([]string{"a"}, []string{"n1", "n2"})
 	if reps := snap.Replicas("a"); len(reps) != 2 {
 		t.Fatalf("replicas = %v, want clamped to 2 nodes", reps)
 	}
@@ -44,40 +44,12 @@ func TestSingleReplicaMatchesLegacyRoundRobin(t *testing.T) {
 	// exactly: every function exactly one replica, tables identical.
 	fns := []string{"a", "b", "c", "d", "e"}
 	nodes := []string{"n1", "n2", "n3"}
-	snap := RoundRobin{}.Place(fns, nodes, nil)
+	snap := RoundRobin{}.Place(fns, nodes)
 	for i, fn := range fns {
 		reps := snap.Replicas(fn)
 		if len(reps) != 1 || reps[0].Node != nodes[i%len(nodes)] {
 			t.Fatalf("%s replicas = %v, want exactly [%s]", fn, reps, nodes[i%len(nodes)])
 		}
-	}
-}
-
-func TestLeastLoadedPlacementAndRebalance(t *testing.T) {
-	fns := []string{"a", "b"}
-	nodes := []string{"n1", "n2", "n3"}
-	loads := Loads{"n1": 5, "n2": 0, "n3": 1}
-	snap := LeastLoaded{Replicas: 2}.Place(fns, nodes, loads)
-	// Ranked order is n2, n3, n1; every set draws from the 2 least-loaded
-	// nodes only (n1, the busiest, is never placed), rotating the primary.
-	if reps := snap.Replicas("a"); reps[0].Node != "n2" || reps[1].Node != "n3" {
-		t.Fatalf("a replicas = %v", reps)
-	}
-	if reps := snap.Replicas("b"); reps[0].Node != "n3" || reps[1].Node != "n2" {
-		t.Fatalf("b replicas = %v", reps)
-	}
-	// Unchanged loads: Rebalance keeps the snapshot (nil).
-	if next := (LeastLoaded{Replicas: 2}).Rebalance(snap, fns, nodes, loads); next != nil {
-		t.Fatalf("rebalance with unchanged loads returned %v", next.Table())
-	}
-	// Shifted loads: a replacement comes back.
-	flipped := Loads{"n1": 0, "n2": 9, "n3": 1}
-	next := (LeastLoaded{Replicas: 2}).Rebalance(snap, fns, nodes, flipped)
-	if next == nil {
-		t.Fatal("rebalance with shifted loads returned nil")
-	}
-	if reps := next.Replicas("a"); reps[0].Node != "n1" {
-		t.Fatalf("rebalanced a replicas = %v", reps)
 	}
 }
 
@@ -112,13 +84,12 @@ func TestSnapshotImmutableAfterBuild(t *testing.T) {
 // user-supplied policy callback.
 type reentrantPolicy struct{ c *Cluster }
 
-func (p reentrantPolicy) Place(functions, nodes []string, loads Loads) *RoutingSnapshot {
+func (p reentrantPolicy) Place(functions, nodes []string) *RoutingSnapshot {
 	// Any of these would deadlock if Place held c.mu across the callback.
 	_ = p.c.Nodes()
 	_, _ = p.c.Node("n1")
-	_ = p.c.Loads()
 	_ = p.c.TotalMemIntegralGBs()
-	return RoundRobin{}.Place(functions, nodes, loads)
+	return RoundRobin{}.Place(functions, nodes)
 }
 
 func TestPlaceDoesNotHoldClusterLockAcrossPolicy(t *testing.T) {

@@ -99,10 +99,6 @@ type Config struct {
 	// disables the background reaper; callers may still invoke
 	// Node.ReapIdle manually.
 	ReapInterval time.Duration
-	// Elastic configures the load-driven replica scaler. The zero value
-	// disables it, which (with a single-replica placement) preserves the
-	// pre-elastic one-node-per-function behavior exactly.
-	Elastic Elastic
 	// FaultTolerant enables the fault-tolerance plane (failover.go): replica
 	// selection skips non-Up nodes, a dead pinned replica is detected at
 	// ship/land/consume and repaired onto a survivor, and the data the dead
@@ -112,7 +108,7 @@ type Config struct {
 	// fault-oblivious one (health states are simply never consulted).
 	FaultTolerant bool
 	// Clock is the engine's time source: invocation timestamps, the
-	// epoch-relative trace clock and the background reaper/scaler/governor
+	// epoch-relative trace clock and the background reaper/governor
 	// tick loops all go through it, so a test (or the sim plane) can drive
 	// the engine in virtual time with clock.NewManual. Nil means the wall
 	// clock.
@@ -123,47 +119,6 @@ type Config struct {
 	// — keeps every QoS gate off every path; the engine is byte-for-byte
 	// the QoS-less one and Invoke admits unconditionally.
 	QoS *qos.Config
-}
-
-// Elastic configures the background replica scaler: it periodically reads
-// every function's pending-instance count and T_FLU/transfer averages
-// (Eq. 1) and grows or shrinks the function's replica set, republishing the
-// cluster's routing snapshot on every change. If the cluster's placement
-// policy implements cluster.Rebalancer, the policy decides instead of the
-// built-in heuristics.
-type Elastic struct {
-	// Interval is the scaler tick; zero disables the scaler entirely.
-	Interval time.Duration
-	// MaxReplicas caps a function's replica set (cluster node count when 0).
-	MaxReplicas int
-	// ScaleUpPending is the pending-instances-per-replica threshold that
-	// triggers scale-out (DefaultScaleUpPending when 0).
-	ScaleUpPending int64
-	// ScaleDownTicks is how many consecutive idle scaler ticks retire one
-	// replica (DefaultScaleDownTicks when 0).
-	ScaleDownTicks int
-}
-
-// DefaultScaleUpPending is the default pending-per-replica scale-out
-// threshold.
-const DefaultScaleUpPending = 4
-
-// DefaultScaleDownTicks is the default idle-tick count before a replica is
-// retired.
-const DefaultScaleDownTicks = 3
-
-// withDefaults resolves the zero fields against the cluster size.
-func (e Elastic) withDefaults(nodes int) Elastic {
-	if e.MaxReplicas <= 0 || e.MaxReplicas > nodes {
-		e.MaxReplicas = nodes
-	}
-	if e.ScaleUpPending <= 0 {
-		e.ScaleUpPending = DefaultScaleUpPending
-	}
-	if e.ScaleDownTicks <= 0 {
-		e.ScaleDownTicks = DefaultScaleDownTicks
-	}
-	return e
 }
 
 // System is one deployed workflow. Its control path is deliberately free of
@@ -179,18 +134,13 @@ type System struct {
 	// fns is the per-function control-plane state. The map itself is
 	// immutable after NewSystem (the values carry the mutable atomics), so
 	// hot-path lookups are lock-free.
-	fns     map[string]*fnState
-	fnList  []*fnState // declaration order, for deterministic error reporting
-	fnNames []string   // declaration order, for snapshot (re)publication
+	fns    map[string]*fnState
+	fnList []*fnState // declaration order, for deterministic error reporting
 
-	// static marks the pre-elastic fast path: the scaler is disabled and
-	// every function has exactly one replica, so routing decisions are the
-	// frozen primaries and requests need no per-request pin bookkeeping.
-	// Snapshots in this mode are bit-for-bit the old single-owner behavior.
+	// static marks the single-owner fast path: every function has exactly
+	// one replica and the fault-tolerance plane is off, so routing decisions
+	// are the primaries and requests need no per-request pin bookkeeping.
 	static bool
-
-	// elastic is the resolved scaler configuration (Interval 0 = disabled).
-	elastic Elastic
 
 	// ft mirrors Config.FaultTolerant; replays counts replayed shipments
 	// (lost to node deaths, re-landed on the repaired replica).
@@ -204,13 +154,10 @@ type System struct {
 	sampleEvery int64
 
 	// qos is the assembled admission & QoS plane, nil when Config.QoS is —
-	// every QoS gate in the engine is behind a nil check on it. trackPut
-	// keeps the per-function put-size averages flowing when either the
-	// elastic scaler or the QoS governor needs the Eq. 1 pressure estimate.
-	qos      *qosPlane
-	trackPut bool
-	// nodeTenantLoad breaks nodeLoad down per tenant (QoS elastic mode
-	// only): the hints replica selection and snapshot publication read.
+	// every QoS gate in the engine is behind a nil check on it.
+	qos *qosPlane
+	// nodeTenantLoad breaks nodeLoad down per tenant (QoS with per-request
+	// pins only): the pinning tenant's own share, which replicaLoad adds.
 	nodeTenantLoad map[*cluster.Node]*tenantLoads
 
 	// Rejection counters (see Rejections).
@@ -226,18 +173,16 @@ type System struct {
 
 	// routedNodes are the unique nodes hosting at least one function — on
 	// the static path, the only sinks a request can leave residue in, and
-	// therefore the only nodes its teardown needs to sweep. (Elastic
+	// therefore the only nodes its teardown needs to sweep. (Pinned
 	// requests instead sweep exactly the nodes they pinned.)
 	routedNodes []*cluster.Node
 
 	// allNodes is every cluster node known at NewSystem in registration
-	// order (nodeNames holds their names — the node universe offered to a
-	// Rebalancer policy); nodeLoad holds the per-node in-flight instance
-	// counters replica selection and the scaler read (the "load" of
-	// locality-aware routing).
-	allNodes  []*cluster.Node
-	nodeNames []string
-	nodeLoad  map[*cluster.Node]*obs.Counter
+	// order (the backfill universe past a replica set); nodeLoad holds the
+	// per-node in-flight instance counters replica selection reads (the
+	// "load" of locality-aware routing).
+	allNodes []*cluster.Node
+	nodeLoad map[*cluster.Node]*obs.Counter
 
 	checkLog *pipe.CheckpointLog
 	clk      clock.Clock
@@ -278,7 +223,6 @@ type System struct {
 	closed  bool
 
 	stopReaper   chan struct{}
-	stopScaler   chan struct{}
 	stopGovernor chan struct{}
 	bg           sync.WaitGroup
 }
@@ -299,19 +243,19 @@ type fnState struct {
 	// fed by one workflow edge (landBatch's direct arm).
 	direct bool
 
-	// replicas is the function's atomically published replica set (resolved
-	// node pointers, primary first). The scaler swaps in grown/shrunk
-	// slices; the Invoke/ship hot path loads the pointer once per decision,
-	// so replica selection never takes a lock and never sees a torn set.
-	replicas atomic.Pointer[[]*cluster.Node]
+	// replicas is the function's replica set as the placement policy
+	// returned it at NewSystem (resolved node pointers, primary first). It
+	// never changes: health is a per-pick predicate (selectReplica), not an
+	// edit of the set.
+	replicas []*cluster.Node
 
 	handler atomic.Pointer[Handler]
 
 	// All five accounting counters are striped (obs.Counter): writers tag
 	// by the request's stripe so concurrent cores do not ping a shared
 	// cache line; readers sum the lanes. The sums are torn across lanes,
-	// which every consumer tolerates — they feed scaling/pressure
-	// heuristics, not invariants.
+	// which every consumer tolerates — they feed pressure heuristics, not
+	// invariants.
 	fluNanos obs.Counter
 	fluCount obs.Counter
 	// blockedNanos is the time runs spent in the engine's throttle (Eq. 1
@@ -328,22 +272,15 @@ type fnState struct {
 	// NewSystem: an instance finds its container with no lookup by name.
 	pools map[*cluster.Node]*cluster.FnPool
 
-	// pending counts instances admitted but not yet completed — the
-	// queue-pressure signal the scaler combines with Eq. 1. putBytes and
-	// putCount accumulate DLU output sizes for the Eq. 1 transfer estimate.
-	// All three are maintained only when the scaler is enabled.
-	pending  obs.Counter
+	// putBytes and putCount accumulate DLU output sizes for the Eq. 1
+	// transfer estimate the QoS governor reads (transferPressure); they are
+	// maintained only with the QoS plane on.
 	putBytes obs.Counter
 	putCount obs.Counter
 }
 
-// replicaList returns the current replica set (never empty after NewSystem).
-func (f *fnState) replicaList() []*cluster.Node { return *f.replicas.Load() }
-
-// primary returns the function's primary replica node. The built-in
-// scaler grows and shrinks the tail of the set only, so the primary is
-// stable unless a cluster.Rebalancer policy republishes a reordered set.
-func (f *fnState) primary() *cluster.Node { return f.replicaList()[0] }
+// primary returns the function's primary replica node.
+func (f *fnState) primary() *cluster.Node { return f.replicas[0] }
 
 // handlerFn returns the registered handler, or nil.
 func (f *fnState) handlerFn() Handler {
@@ -363,8 +300,7 @@ func (f *fnState) avg() time.Duration {
 
 // tflu is avg plus whether any execution has been observed yet: an average
 // of zero is a measurement on a virtual clock and the lack of one otherwise.
-// It sums the lanes, so it is exact; the scaler, the governor and FLUAvg read
-// it.
+// It sums the lanes, so it is exact; the governor and FLUAvg read it.
 func (f *fnState) tflu() (avg time.Duration, sampled bool) {
 	n := f.fluCount.Load()
 	if n == 0 {
@@ -463,7 +399,6 @@ func NewSystem(cfg Config) (*System, error) {
 	s := &System{
 		cfg:      cfg,
 		wf:       cfg.Workflow,
-		fnNames:  fns,
 		checkLog: pipe.NewCheckpointLog(),
 		clk:      cfg.Clock,
 		epoch:    cfg.Clock.Now(),
@@ -473,30 +408,21 @@ func NewSystem(cfg Config) (*System, error) {
 	for _, name := range cfg.Cluster.Nodes() {
 		if n, ok := cfg.Cluster.Node(name); ok {
 			s.allNodes = append(s.allNodes, n)
-			s.nodeNames = append(s.nodeNames, name)
 			s.nodeLoad[n] = new(obs.Counter)
 			if n.Remote() {
 				s.hasRemote = true
 			}
 		}
 	}
-	s.elastic = cfg.Elastic
-	if s.elastic.Interval > 0 {
-		s.elastic = s.elastic.withDefaults(len(s.allNodes))
-	}
 	s.ft = cfg.FaultTolerant
 	if cfg.Obs.SampleEvery > 0 {
-		size := cfg.Obs.RingSize
-		if size <= 0 {
-			size = obs.DefaultSpanRingSize
-		}
-		s.ring = obs.NewSpanRing(size)
+		s.ring = obs.NewSpanRing(obs.DefaultSpanRingSize)
 		s.sampleEvery = int64(cfg.Obs.SampleEvery)
 		publishRing(s.ring)
 	}
 	// Fault tolerance needs per-request pins (a repair rewrites them), so it
-	// rules out the static fast path even with the scaler off.
-	s.static = s.elastic.Interval <= 0 && !s.ft
+	// rules out the static fast path.
+	s.static = !s.ft
 	seen := make(map[*cluster.Node]bool)
 	for _, fn := range fns {
 		reps := snap.Replicas(fn)
@@ -512,20 +438,18 @@ func NewSystem(cfg Config) (*System, error) {
 			nodes = append(nodes, node)
 		}
 		if len(nodes) > 1 {
-			// A multi-replica placement needs per-request pinning even
-			// without the scaler running.
-			s.static = false
+			s.static = false // a multi-replica placement needs per-request pins
 		}
 		st := &fnState{
-			name:  fn,
-			spec:  cfg.DefaultSpec,
-			cap:   instanceCap{max: int64(cfg.MaxContainersPerFn), wake: make(chan struct{})},
-			pools: make(map[*cluster.Node]*cluster.FnPool, len(s.allNodes)),
+			name:     fn,
+			spec:     cfg.DefaultSpec,
+			cap:      instanceCap{max: int64(cfg.MaxContainersPerFn), wake: make(chan struct{})},
+			replicas: nodes,
+			pools:    make(map[*cluster.Node]*cluster.FnPool, len(s.allNodes)),
 		}
 		for _, n := range s.allNodes {
 			st.pools[n] = n.Pool(fn)
 		}
-		st.replicas.Store(&nodes)
 		if sp, ok := cfg.Spec[fn]; ok {
 			st.spec = sp
 		}
@@ -572,18 +496,10 @@ func NewSystem(cfg Config) (*System, error) {
 			go s.governor()
 		}
 	}
-	// The Eq. 1 put-size averages feed both the elastic scaler and the QoS
-	// governor; maintain them when either consumer exists.
-	s.trackPut = !s.static || s.qos != nil
 	if cfg.ReapInterval > 0 {
 		s.stopReaper = make(chan struct{})
 		s.bg.Add(1)
 		go s.reaper()
-	}
-	if s.elastic.Interval > 0 {
-		s.stopScaler = make(chan struct{})
-		s.bg.Add(1)
-		go s.scaler()
 	}
 	return s, nil
 }
@@ -607,11 +523,8 @@ func (s *System) reaper() {
 	}
 }
 
-// Routing returns the flattened routing table (function -> primary node).
-// The built-in scaler heuristics never reassign primaries (they grow and
-// shrink replica-set tails only), so under them the table is stable for
-// the system's lifetime; a cluster.Rebalancer policy may move primaries,
-// and then the table reflects the latest applied snapshot.
+// Routing returns the flattened routing table (function -> primary node),
+// fixed at placement for the system's lifetime.
 func (s *System) Routing() cluster.RoutingTable {
 	rt := make(cluster.RoutingTable, len(s.fnList))
 	for _, st := range s.fnList {
@@ -621,20 +534,19 @@ func (s *System) Routing() cluster.RoutingTable {
 }
 
 // RoutingSnapshot returns the cluster's most recently published routing
-// snapshot (placement at NewSystem, then every scaler change).
+// snapshot (placement at NewSystem, republished under each health change).
 func (s *System) RoutingSnapshot() *cluster.RoutingSnapshot {
 	return s.cfg.Cluster.Snapshot()
 }
 
-// Replicas returns the node names currently hosting fn, primary first.
+// Replicas returns the node names hosting fn, primary first.
 func (s *System) Replicas(fn string) []string {
 	st, ok := s.fns[fn]
 	if !ok {
 		return nil
 	}
-	reps := st.replicaList()
-	out := make([]string, len(reps))
-	for i, n := range reps {
+	out := make([]string, len(st.replicas))
+	for i, n := range st.replicas {
 		out[i] = n.Name
 	}
 	return out
@@ -677,13 +589,12 @@ type routePin struct {
 // the replica set with replicaLoad as the reading. Under the
 // fault-tolerance plane only Up nodes are pinnable (a draining node takes
 // no new pins, a dead one nothing), and a wholly unhealthy set is
-// backfilled from any Up cluster node — the synchronous counterpart of the
-// scaler's backfill — under an ordinal past the set, which keeps sink keys
-// unique per node. ok=false means nothing is routable at all: a new pin
-// limps on the returned primary until something recovers, a repair leaves
-// its pin alone.
+// backfilled from any Up cluster node under an ordinal past the set, which
+// keeps sink keys unique per node; the set itself never changes. ok=false
+// means nothing is routable at all: a new pin limps on the returned primary
+// until something recovers, a repair leaves its pin alone.
 func (s *System) selectReplica(st *fnState, prefer *cluster.Node, tenant string) (n *cluster.Node, ordinal int, ok bool) {
-	reps := st.replicaList()
+	reps := st.replicas
 	routable := func(*cluster.Node) bool { return true }
 	if s.ft {
 		routable = (*cluster.Node).Routable
@@ -755,8 +666,8 @@ type Invocation struct {
 	// beats a map (no per-request map allocation, no hashing).
 	arrived []arrivedBucket
 
-	// route holds the request's replica pins (elastic mode only; the static
-	// fast path needs none). A request touches a handful of functions, so a
+	// route holds the request's replica pins (none on the static fast
+	// path). A request touches a handful of functions, so a
 	// scanned slice beats a map, like arrived. Accessed under mu.
 	route []routePin
 
@@ -907,7 +818,7 @@ func (inv *Invocation) finishLocked() {
 			n.SinkRelease(inv.ReqID) //nolint:errcheck // best effort: an unreachable sink holds nothing to release
 		}
 	} else {
-		// Elastic mode: every sink Put of this request happened on a pinned
+		// Pinned routing: every sink Put of this request happened on a pinned
 		// node (land routes through routeFor before touching a sink), so the
 		// sweep covers exactly the request's pins instead of the whole fleet.
 		for i := range inv.route {
@@ -1062,16 +973,12 @@ func (s *System) InvokeWith(input map[string][]byte, opts InvokeOpts) (*Invocati
 	return inv, nil
 }
 
-// admitInstance accounts one triggered instance: from here until its
-// runInstance returns it is pending on its function. The caller sees to it
-// that a bg count covers it: its own, or the chain's it is parked in.
+// admitInstance records one triggered instance and makes its job. The caller
+// sees to it that a bg count covers it: its own, or the chain's it is parked
+// in.
 func (s *System) admitInstance(inv *Invocation, key dataflow.InstanceKey) instanceJob {
-	st := s.fns[key.Fn]
 	s.event(inv, trace.InstanceTriggered, key.Fn, key.Idx, "")
-	if !s.static {
-		st.pending.Add(inv.stripe, 1) // the scaler's queue-pressure signal
-	}
-	return instanceJob{inv: inv, key: key, st: st}
+	return instanceJob{inv: inv, key: key, st: s.fns[key.Fn]}
 }
 
 // scheduleReady triggers newly ready instances. The tracker's ready set
@@ -1152,9 +1059,6 @@ func (s *System) runChain(j instanceJob, caller bool, at time.Time) {
 		if !ran {
 			s.submitInstance(j)
 			return
-		}
-		if !s.static {
-			j.st.pending.Add(j.inv.stripe, -1)
 		}
 		j, at = next, end
 	}

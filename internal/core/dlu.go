@@ -204,9 +204,9 @@ func (c *Context) put(output string, values []dataflow.Value, switchCase int) er
 			pressure = cluster.Pressure(s.cfg.Alpha, float64(totalSize), bw, tflu)
 		}
 	}
-	if s.trackPut {
-		// Transfer-size average for the Eq. 1 estimate the elastic scaler
-		// and the QoS governor share (transferPressure).
+	if s.qos != nil {
+		// Transfer-size average for the QoS governor's Eq. 1 estimate
+		// (transferPressure).
 		c.fst.putBytes.Add(c.inv.stripe, totalSize)
 		c.fst.putCount.Add(c.inv.stripe, 1)
 	}
@@ -867,9 +867,6 @@ func (s *System) Shutdown() {
 	s.closeMu.Unlock()
 	if s.stopReaper != nil {
 		close(s.stopReaper)
-	}
-	if s.stopScaler != nil {
-		close(s.stopScaler)
 	}
 	if s.stopGovernor != nil {
 		close(s.stopGovernor)

@@ -558,20 +558,14 @@ func TestDrainUnderLoad(t *testing.T) {
 }
 
 // TestChaosInvokeVsFailRecover is the CI chaos storm: requests stream in
-// while two nodes flap between Down/Up (and an occasional drain) and the
-// scaler republishes snapshots. Every request must complete correctly —
-// replay may not lose or fail a single one. Run under -race.
+// over two-replica sets while two nodes flap between Down/Up (and an
+// occasional drain). Every request must complete correctly — replay may not
+// lose or fail a single one — and every sink must drain. Run under -race.
 func TestChaosInvokeVsFailRecover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("storm test")
 	}
-	sys := newFaultSystem(t, 4, nil, func(c *Config) {
-		c.Elastic = Elastic{
-			Interval:       time.Millisecond,
-			ScaleUpPending: 1,
-			ScaleDownTicks: 1,
-		}
-	})
+	sys := newFaultSystem(t, 4, nil, nil)
 	defer sys.Shutdown()
 	cl := sys.cfg.Cluster
 
@@ -642,4 +636,5 @@ func TestChaosInvokeVsFailRecover(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	requireSinksDrained(t, sys)
 }

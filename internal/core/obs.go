@@ -19,17 +19,14 @@ import (
 
 // ObsConfig configures the engine's sampled request tracing: a sampled
 // request records the same stage events Config.Trace logs (without notes)
-// into a bounded ring, and its trace context rides the shipment headers so
-// a remote sink's landing stages correlate.
+// into a ring of obs.DefaultSpanRingSize records (the oldest is evicted when
+// a new one starts past it), and its trace context rides the shipment
+// headers so a remote sink's landing stages correlate.
 type ObsConfig struct {
 	// SampleEvery records spans for one request in every SampleEvery
 	// (request numbers divisible by it). 0 disables sampling; 1 samples
 	// every request. Unsampled requests allocate nothing for tracing.
 	SampleEvery int
-	// RingSize bounds the span ring (obs.DefaultSpanRingSize when 0); the
-	// oldest sampled request is evicted when a new one starts past the
-	// bound.
-	RingSize int
 }
 
 // Engine instruments. Counters and histograms are striped; callers tag

@@ -38,7 +38,7 @@ func TestBatchedEquivalenceWithSampling(t *testing.T) {
 // instance that started was triggered first, entry or not.
 func TestSampledSpansRecordStages(t *testing.T) {
 	sys := newUntracedWCSystem(t, 2, func(cfg *Config) {
-		cfg.Obs = ObsConfig{SampleEvery: 1, RingSize: 64}
+		cfg.Obs = ObsConfig{SampleEvery: 1}
 	})
 	defer sys.Shutdown()
 	for i := 0; i < 8; i++ {
@@ -81,7 +81,7 @@ func TestSampledSpansRecordStages(t *testing.T) {
 // build's sync.Pool, abandons the rest of its ID block).
 func TestUnsampledRequestsCarryNoSpan(t *testing.T) {
 	sys := newUntracedWCSystem(t, 1, func(cfg *Config) {
-		cfg.Obs = ObsConfig{SampleEvery: 4, RingSize: 64}
+		cfg.Obs = ObsConfig{SampleEvery: 4}
 	})
 	defer sys.Shutdown()
 	want := 0

@@ -155,8 +155,7 @@ func (s *System) governTick() {
 
 // transferPressure estimates fn's Eq. 1 pressure (α·Size/Bw − T_FLU) from
 // its running put-size and FLU-time averages: positive means the function
-// is transfer-bound. Shared by the elastic scaler's scale-up heuristic and
-// the QoS governor's overload detection.
+// is transfer-bound. The QoS governor's overload detection reads it.
 func (s *System) transferPressure(st *fnState) time.Duration {
 	n := st.putCount.Load()
 	if n == 0 {
@@ -226,32 +225,6 @@ func (tl *tenantLoads) load(tenant string) int64 {
 		return 0
 	}
 	return c.Load()
-}
-
-// hints snapshots the non-zero counters into a fresh map for a routing
-// snapshot's Replica.TenantLoad (nil when the node carries nothing).
-func (tl *tenantLoads) hints() map[string]float64 {
-	tl.mu.RLock()
-	defer tl.mu.RUnlock()
-	var out map[string]float64
-	for tenant, c := range tl.m {
-		if v := c.Load(); v != 0 {
-			if out == nil {
-				out = make(map[string]float64)
-			}
-			out[tenant] = float64(v)
-		}
-	}
-	return out
-}
-
-// tenantLoadHints returns n's per-tenant load hints for snapshot
-// publication (nil when QoS is off or the node is idle).
-func (s *System) tenantLoadHints(n *cluster.Node) map[string]float64 {
-	if s.qos == nil || s.nodeTenantLoad == nil {
-		return nil
-	}
-	return s.nodeTenantLoad[n].hints()
 }
 
 // replicaLoad is the load reading replica selection minimizes: the node's

@@ -340,9 +340,12 @@ func TestQoSGovernorShedsHotTenant(t *testing.T) {
 	}
 }
 
-// TestQoSTenantLoadHints exercises the QoS + elastic combination: replica
-// selection and snapshot publication read the per-tenant node loads.
-func TestQoSTenantLoadHints(t *testing.T) {
+// TestQoSTenantLoadSteersReplicaPick: under QoS, the load replica selection
+// minimizes charges a tenant its own in-flight instances on a node on top of
+// the node's total. Two vip instances of a are held executing on w1 (w2
+// drains while they pin, so both land there): w1 reads heavier for vip than
+// for another tenant, and a third vip request pins a's other replica.
+func TestQoSTenantLoadSteersReplicaPick(t *testing.T) {
 	wf, err := workflow.ParseDSLString(qosDSL)
 	if err != nil {
 		t.Fatal(err)
@@ -352,10 +355,10 @@ func TestQoSTenantLoadHints(t *testing.T) {
 	_ = cl.AddNode(cluster.NewNode("w2", cluster.Options{}))
 	block := make(chan struct{})
 	var started sync.WaitGroup
-	started.Add(2)
 	sys, err := NewSystem(Config{
 		Workflow: wf, Cluster: cl,
-		QoS: &qos.Config{GovernorInterval: -1},
+		FaultTolerant: true, // health is consulted at the pick
+		QoS:           &qos.Config{GovernorInterval: -1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -371,35 +374,37 @@ func TestQoSTenantLoadHints(t *testing.T) {
 		x, _ := ctx.Input("x")
 		return ctx.Put("out", x)
 	})
-	in := map[string][]byte{"a.in": []byte("x")}
-	i1, err := sys.InvokeWith(in, InvokeOpts{Tenant: "vip"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	i2, err := sys.InvokeWith(in, InvokeOpts{Tenant: "vip"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	started.Wait()
-	// Two vip instances of a are executing; the published snapshot must
-	// carry vip's load on a's replicas.
-	sys.publishSnapshot()
-	snap := sys.RoutingSnapshot()
-	vip := 0.0
-	for _, fn := range snap.Functions() {
-		for _, r := range snap.Replicas(fn) {
-			vip += r.TenantLoad["vip"]
+	vip := func() *Invocation {
+		t.Helper()
+		started.Add(1)
+		inv, err := sys.InvokeWith(map[string][]byte{"a.in": []byte("x")}, InvokeOpts{Tenant: "vip"})
+		if err != nil {
+			t.Fatal(err)
 		}
+		return inv
 	}
-	if vip == 0 {
-		t.Fatal("published snapshot carries no vip tenant load")
+	if err := cl.DrainNode("w2"); err != nil {
+		t.Fatal(err)
+	}
+	invs := []*Invocation{vip(), vip()}
+	started.Wait()
+	if err := cl.RecoverNode("w2"); err != nil {
+		t.Fatal(err)
+	}
+	w1, _ := cl.Node("w1")
+	if v, o := sys.replicaLoad(w1, "vip"), sys.replicaLoad(w1, "other"); v <= o {
+		t.Fatalf("w1 reads %d for vip and %d for other: vip's own two instances there must weigh on its pick", v, o)
+	}
+	invs = append(invs, vip())
+	started.Wait()
+	if pins := invs[2].PinnedNodes(); len(pins) != 1 || pins[0] != "w2" {
+		t.Fatalf("third vip request pinned a to %v, want a's other replica [w2]", pins)
 	}
 	close(block)
-	if err := i1.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if err := i2.Wait(); err != nil {
-		t.Fatal(err)
+	for _, inv := range invs {
+		if err := inv.Wait(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -202,6 +202,91 @@ func TestReplicaQualifiedSinkKeys(t *testing.T) {
 	}
 }
 
+func TestSnapshotRepublishVsSelectionStorm(t *testing.T) {
+	// The -race storm of the routing plane: one goroutine keeps republishing
+	// the placement's snapshot (as every health transition does) while many
+	// goroutines run replica selection on the Invoke/ship hot path and read
+	// the current snapshot. Versions must only rise, replica sets must stay
+	// those fixed at placement, and every request must complete and drain.
+	if testing.Short() {
+		t.Skip("storm test")
+	}
+	sys := newChainSystem(t, 4, cluster.RoundRobin{Replicas: 2}, nil)
+	defer sys.Shutdown()
+	cl := sys.cfg.Cluster
+	wantA, wantB := sys.Replicas("a"), sys.Replicas("b")
+	startVersion := sys.RoutingSnapshot().Version
+
+	stop := make(chan struct{})
+	pubDone := make(chan struct{})
+	go func() {
+		defer close(pubDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			cl.Publish(cluster.RoundRobin{Replicas: 2}.Place([]string{"a", "b"}, cl.Nodes()))
+		}
+	}()
+
+	var wg sync.WaitGroup
+	errs := make([]error, 8)
+	for g := 0; g < 8; g++ {
+		g := g
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var lastVersion uint64
+			for i := 0; i < 100; i++ {
+				v := sys.RoutingSnapshot().Version
+				if v < lastVersion {
+					errs[g] = fmt.Errorf("snapshot version went back from %d to %d", lastVersion, v)
+					return
+				}
+				lastVersion = v
+				inv, err := sys.Invoke(map[string][]byte{"a.in": []byte("x")})
+				if err != nil {
+					errs[g] = err
+					return
+				}
+				if err := inv.Wait(); err != nil {
+					errs[g] = err
+					return
+				}
+				if out, _ := inv.OutputBytes("out"); string(out) != "x" {
+					errs[g] = fmt.Errorf("out = %q", out)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-pubDone
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if v := sys.RoutingSnapshot().Version; v <= startVersion {
+		t.Fatalf("snapshot version %d did not advance past %d", v, startVersion)
+	}
+	if got := sys.Replicas("a"); fmt.Sprint(got) != fmt.Sprint(wantA) {
+		t.Fatalf("Replicas(a) = %v after republishing, want %v", got, wantA)
+	}
+	if got := sys.Replicas("b"); fmt.Sprint(got) != fmt.Sprint(wantB) {
+		t.Fatalf("Replicas(b) = %v after republishing, want %v", got, wantB)
+	}
+	for _, name := range cl.Nodes() {
+		node, _ := cl.Node(name)
+		if node.Sink.MemBytes() != 0 {
+			t.Fatalf("node %s sink holds %d bytes after the storm", name, node.Sink.MemBytes())
+		}
+	}
+}
+
 // waitFor polls cond until it holds or the deadline expires.
 func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 	t.Helper()
@@ -213,148 +298,4 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatal(msg)
-}
-
-func TestScalerAddsAndRetiresReplicas(t *testing.T) {
-	sys := newChainSystem(t, 4, nil, func(c *Config) {
-		c.Elastic = Elastic{
-			Interval:       time.Millisecond,
-			ScaleUpPending: 1,
-			ScaleDownTicks: 2,
-		}
-	})
-	defer sys.Shutdown()
-	// Slow consumer so b's pending queue builds under concurrent load.
-	if err := sys.Register("b", func(ctx *Context) error {
-		x, err := ctx.Input("x")
-		if err != nil {
-			return err
-		}
-		time.Sleep(3 * time.Millisecond)
-		return ctx.Put("out", x)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	startVersion := sys.RoutingSnapshot().Version
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				inv, err := sys.Invoke(map[string][]byte{"a.in": []byte("x")})
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if err := inv.Wait(); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	waitFor(t, 5*time.Second, func() bool { return len(sys.Replicas("b")) > 1 },
-		"scaler never grew b past one replica under sustained pending load")
-	close(stop)
-	wg.Wait()
-	if v := sys.RoutingSnapshot().Version; v <= startVersion {
-		t.Fatalf("snapshot version %d did not advance past %d", v, startVersion)
-	}
-	// Load is gone: the scaler must retire the extra replicas.
-	waitFor(t, 5*time.Second, func() bool { return len(sys.Replicas("b")) == 1 },
-		"scaler never retired b's idle replicas")
-	if p := sys.Replicas("b")[0]; p != "w2" {
-		t.Fatalf("primary moved to %s; retirement must trim the tail only", p)
-	}
-}
-
-// rebalanceToAll is a Rebalancer policy that places every function on every
-// node once rebalanced (initially single-replica round-robin).
-type rebalanceToAll struct{}
-
-func (rebalanceToAll) Place(functions, nodes []string, loads cluster.Loads) *cluster.RoutingSnapshot {
-	return cluster.RoundRobin{}.Place(functions, nodes, loads)
-}
-
-func (rebalanceToAll) Rebalance(cur *cluster.RoutingSnapshot, functions, nodes []string, loads cluster.Loads) *cluster.RoutingSnapshot {
-	next := cluster.RoundRobin{Replicas: len(nodes)}.Place(functions, nodes, loads)
-	for _, fn := range functions {
-		if len(cur.Replicas(fn)) != len(nodes) {
-			return next
-		}
-	}
-	return nil // already everywhere
-}
-
-func TestRebalancerPolicyDrivesScaler(t *testing.T) {
-	sys := newChainSystem(t, 3, rebalanceToAll{}, func(c *Config) {
-		c.Elastic = Elastic{Interval: time.Millisecond}
-	})
-	defer sys.Shutdown()
-	waitFor(t, 5*time.Second, func() bool { return len(sys.Replicas("b")) == 3 },
-		"scaler never applied the Rebalancer policy's snapshot")
-	inv, err := sys.Invoke(map[string][]byte{"a.in": []byte("x")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := inv.Wait(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSnapshotRepublishVsSelectionStorm(t *testing.T) {
-	// The -race storm of the routing plane: an aggressive scaler (1 ms
-	// ticks, scale-up at 1 pending, scale-down after 1 idle tick) keeps
-	// republishing replica sets while many goroutines run replica selection
-	// on the Invoke/ship hot path.
-	if testing.Short() {
-		t.Skip("storm test")
-	}
-	sys := newChainSystem(t, 4, nil, func(c *Config) {
-		c.Elastic = Elastic{
-			Interval:       time.Millisecond,
-			ScaleUpPending: 1,
-			ScaleDownTicks: 1,
-		}
-	})
-	defer sys.Shutdown()
-	var wg sync.WaitGroup
-	errs := make([]error, 8)
-	for g := 0; g < 8; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				inv, err := sys.Invoke(map[string][]byte{"a.in": []byte("x")})
-				if err != nil {
-					errs[g] = err
-					return
-				}
-				if err := inv.Wait(); err != nil {
-					errs[g] = err
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, name := range sys.cfg.Cluster.Nodes() {
-		node, _ := sys.cfg.Cluster.Node(name)
-		if node.Sink.MemBytes() != 0 {
-			t.Fatalf("node %s sink holds %d bytes after the storm", name, node.Sink.MemBytes())
-		}
-	}
 }

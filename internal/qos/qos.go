@@ -1,10 +1,10 @@
 //repolint:plane optional plane: nil objects must stay inert; see planegate
 
 // Package qos is the admission & QoS plane: multi-tenant overload control
-// for the runtime engine. Under sustained overload the elastic scaler (PR 3)
-// eventually hits MaxReplicas and latency grows without bound for every
-// tenant equally; this package bounds that failure mode per tenant with
-// three cooperating mechanisms, all off unless a deployment opts in:
+// for the runtime engine. Under sustained overload a single hot tenant grows
+// every tenant's latency without bound; this package bounds that failure
+// mode per tenant with three cooperating mechanisms, all off unless a
+// deployment opts in:
 //
 //   - Admission (Limiter): a per-tenant token bucket, lock-striped like the
 //     Wait-Match Memory, refuses requests beyond a tenant's provisioned rate

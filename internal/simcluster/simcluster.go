@@ -534,7 +534,7 @@ func New(cfg Config) *Sim {
 		nodeNames[i] = n.name
 		nodeByName[n.name] = n
 	}
-	snap := pol.Place(fnNames, nodeNames, nil)
+	snap := pol.Place(fnNames, nodeNames)
 	for _, fn := range fnNames {
 		reps := snap.Replicas(fn)
 		if len(reps) == 0 {
@@ -590,7 +590,8 @@ func (s *Sim) replicaFor(req *request, fn string, prefer *node) *node {
 
 // pickNode applies cluster.PickReplica to fn's replica set and, when none of
 // it is routable, backfills a fresh replica on the least busy routable node
-// (the scaler-side backfill of the runtime plane). With nothing routable in
+// (the runtime plane's selectReplica backfills per pin instead and leaves
+// its replica set as placed). With nothing routable in
 // the whole cluster the set's head is returned to limp along on. Without
 // faults every node is routable, so the first pick always answers.
 func (s *Sim) pickNode(fn string, prefer *node, load func(*node) int64) *node {
