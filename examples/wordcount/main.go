@@ -60,7 +60,7 @@ func main() {
 	fmt.Printf("end-to-end latency: %v\n\n", inv.Latency().Round(time.Microsecond))
 
 	fmt.Println("function timeline (data-availability triggering):")
-	spans := events.Spans(inv.ReqID)
+	spans := events.Spans(inv.ReqID())
 	fmt.Print(trace.FormatTimeline(spans))
 	fmt.Println()
 	fmt.Print(trace.Gantt(spans, 60))

@@ -99,10 +99,13 @@ func (s State) String() string {
 const DLUQueueDepth = 256
 
 // DLUTask is one batch of routed items queued to a container's DLU daemon.
-// Ref carries the engine's request handle; it is typed any but always holds
-// a pointer, so enqueuing a task by value never allocates.
+// Ref carries the engine's request state; it is typed any but always holds
+// a pointer, so enqueuing a task by value never allocates. Gen is the
+// generation of Ref the task was made under (the engine recycles request
+// state and checks the two still agree when the task ships).
 type DLUTask struct {
 	Ref   any
+	Gen   uint32
 	Items []dataflow.Item
 	// Buf is the engine's recyclable backing of Items (typed any, always a
 	// pointer when set); the consumer hands it back to its pool once the

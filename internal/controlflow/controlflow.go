@@ -47,8 +47,7 @@ func (c *Context) Input(name string) ([]byte, error) {
 	if len(vals) == 0 {
 		return nil, fmt.Errorf("controlflow: input %q has no data", name)
 	}
-	b, _ := vals[0].Payload.([]byte)
-	return b, nil
+	return vals[0].Payload, nil
 }
 
 // InputList returns all values of a LIST input in producer-instance order.
@@ -59,8 +58,7 @@ func (c *Context) InputList(name string) ([][]byte, error) {
 	}
 	out := make([][]byte, 0, len(vals))
 	for _, v := range vals {
-		b, _ := v.Payload.([]byte)
-		out = append(out, b)
+		out = append(out, v.Payload)
 	}
 	return out, nil
 }
@@ -210,8 +208,7 @@ func (inv *Invocation) OutputBytes(output string) ([]byte, bool) {
 	defer inv.mu.Unlock()
 	for _, it := range inv.tracker.UserItems() {
 		if it.Output == output {
-			b, ok := it.Value.Payload.([]byte)
-			return b, ok
+			return it.Value.Payload, true
 		}
 	}
 	return nil, false
@@ -377,10 +374,9 @@ func (s *System) runInstance(inv *Invocation, key dataflow.InstanceKey) {
 			return
 		}
 		for _, it := range items {
-			payload, _ := it.Value.Payload.([]byte)
 			if it.To.Fn != workflow.UserSource {
 				ctr.Limiter.Take(it.Value.Size)
-				s.cfg.Store.Put(storage.Key(inv.ReqID, it.To.Fn, it.Input+"#"+it.From.String()), payload)
+				s.cfg.Store.Put(storage.Key(inv.ReqID, it.To.Fn, it.Input+"#"+it.From.String()), it.Value.Payload)
 			}
 			inv.mu.Lock()
 			_, derr := inv.tracker.Deliver(it)

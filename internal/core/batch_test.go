@@ -161,7 +161,7 @@ func TestTraceLogsPerItemEventsFromBatches(t *testing.T) {
 		t.Fatal("core_dlu_batch_items did not grow: tracing must not disable batching")
 	}
 	var got []string
-	for _, e := range log.ForRequest(inv.ReqID) {
+	for _, e := range log.ForRequest(inv.ReqID()) {
 		if e.Kind == trace.DataSent && e.Fn == "start" || e.Kind == trace.DataArrived && e.Fn == "count" {
 			got = append(got, fmt.Sprintf("%s %s[%d] %s", e.Kind, e.Fn, e.Idx, e.Note))
 		}

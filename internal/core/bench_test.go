@@ -160,39 +160,69 @@ func BenchmarkInvokeThroughput(b *testing.B) {
 
 // TestInvokeAllocsCeiling gates the pooling work: one complete request on
 // the bench chain must stay within the allocation budget. The warm chain
-// measures 6 objects a request — the request ID, the Invocation (tracker
-// state, pins and arrived log ride in its inline seeds), the done channel and
-// three payloads boxed into Value.Payload (the entry input and one per Put);
-// its one edge is direct, so there is no sink key and no sink entry. The
-// ceiling sits two above that so unrelated noise does not flake it, while a
-// pooling regression (a dropped free-list, a per-request slice reborn, the
-// direct edge lost) trips it immediately.
+// measures 1 object a request — the Invocation handle Invoke returns. The
+// engine state (tracker, pins, arrived log) comes off a per-stripe free-list,
+// Wait needs no channel, payloads travel as byte slices, the request id is
+// never formatted, and the one edge is direct, so there is no sink key and no
+// sink entry. The ceiling sits one above that so unrelated noise does not
+// flake it, while a pooling regression (state no longer recycled, a channel
+// or an id string per request, the direct edge lost) trips it.
 func TestInvokeAllocsCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
 	}
 	sys := newBenchSystem(t)
 	defer sys.Shutdown()
-	measureInvokeAllocs(t, sys)
+	measureInvokeAllocs(t, sys, map[string][]byte{"a.in": benchPayload}, 2)
 }
 
 // TestInvokeAllocsCeilingWithSampling pins the obs plane's alloc claim: the
 // metric instruments plus 1-in-1024 sampled tracing fit the same budget —
 // unsampled requests allocate nothing for observability, and the sampled
-// minority's span records amortize to ~0 per request.
+// minority's id strings and span records amortize to ~0 per request.
 func TestInvokeAllocsCeilingWithSampling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
 	}
 	sys := newBenchSystem(t, func(cfg *Config) { cfg.Obs.SampleEvery = 1024 })
 	defer sys.Shutdown()
-	measureInvokeAllocs(t, sys)
+	measureInvokeAllocs(t, sys, map[string][]byte{"a.in": benchPayload}, 2)
 }
 
-func measureInvokeAllocs(t *testing.T, sys *System) {
+// TestRelayAllocsCeiling pins the streaming shape: a 256 KiB payload relayed
+// a → b → c across nodes, Eq. 1 on, each hop through the DLU daemon, the
+// streaming pipe and a sink entry. It measures 8 objects a request: the
+// handle, the request id (sink keys and stream ids name it), and per hop the
+// sink key's data string, the stream id and the streaming pipe's own record.
+// The ceiling is the 13 the same shape allocated while the engine state was
+// allocated with the handle and payloads were boxed: it may only go down.
+func TestRelayAllocsCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	sys := newSystemFromDSL(t, relayAllocsDSL, 4, func(c *Config) { c.DefaultSpec = cluster.Spec{MemoryMB: 10 * 1024} })
+	relay(sys, "a", "in", "x")
+	relay(sys, "b", "x", "y")
+	relay(sys, "c", "y", "out")
+	defer sys.Shutdown()
+	measureInvokeAllocs(t, sys, map[string][]byte{"a.in": make([]byte, 256<<10)}, 13)
+}
+
+const relayAllocsDSL = `
+workflow relay
+function a
+  input in from $USER
+  output x to b.x
+function b
+  input x
+  output y to c.y
+function c
+  input y
+  output out to $USER
+`
+
+func measureInvokeAllocs(t *testing.T, sys *System, in map[string][]byte, ceiling float64) {
 	t.Helper()
-	const ceiling = 8
-	in := map[string][]byte{"a.in": benchPayload}
 	// Warm containers and pools so the measurement sees steady state.
 	for i := 0; i < 50; i++ {
 		inv, err := sys.Invoke(in)
@@ -213,9 +243,9 @@ func measureInvokeAllocs(t *testing.T, sys *System) {
 		}
 	})
 	if avg > ceiling {
-		t.Fatalf("Invoke allocates %.1f objects/request, ceiling is %d", avg, ceiling)
+		t.Fatalf("Invoke allocates %.1f objects/request, ceiling is %.0f", avg, ceiling)
 	}
-	t.Logf("allocs/request: %.1f (ceiling %d)", avg, ceiling)
+	t.Logf("allocs/request: %.1f (ceiling %.0f)", avg, ceiling)
 }
 
 // BenchmarkOverloadIsolation measures what the admission & QoS plane is

@@ -1,4 +1,4 @@
-//repolint:hotpath the Invoke/schedule path holds the 8 allocs/req ceiling (6 measured on the warm chain, TestInvokeAllocsCeiling); see tracegate
+//repolint:hotpath the Invoke/schedule path holds the 2 allocs/req ceiling (1 measured on the warm chain, TestInvokeAllocsCeiling); see tracegate
 
 // Package core is the runtime-plane implementation of the DataFlower
 // scheme: the paper's primary contribution as an embeddable Go library.
@@ -38,7 +38,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -122,9 +121,10 @@ type Config struct {
 }
 
 // System is one deployed workflow. Its control path is deliberately free of
-// any system-global mutex: per-request state lives in the Invocation every
-// caller already holds, per-function state is resolved once at NewSystem
-// into immutable fnState records whose counters are atomics, and each
+// any system-global mutex: per-request state lives in the request record
+// every engine site working on it holds a reference to (request.go),
+// per-function state is resolved once at NewSystem into immutable fnState
+// records whose counters are atomics, and each
 // container owns its DLU queue — so concurrent Invokes, handler completions,
 // Puts and DLU shipments never serialize on shared engine locks.
 type System struct {
@@ -191,6 +191,10 @@ type System struct {
 	// pendingInvs counts requests admitted and not yet torn down, moved on
 	// the request's stripe (see PendingInvocations).
 	pendingInvs obs.Counter
+
+	// freeReqs holds recycled engine state, one list per request stripe
+	// (request.go).
+	freeReqs [obs.NumStripes]reqFreeList
 
 	// Request-ID allocation: reqSeq is the shared sequence; idPool hands
 	// out idBlock runs so the hot path touches the shared atomic once per
@@ -612,221 +616,34 @@ func (s *System) selectReplica(st *fnState, prefer *cluster.Node, tenant string)
 // routeFor resolves the node serving fn for this request, pinning the
 // replica choice on first use (write-once per request+function). The
 // static fast path short-circuits to the frozen primary with no per-request
-// state. Caller must not hold inv.mu.
-func (s *System) routeFor(inv *Invocation, st *fnState, prefer *cluster.Node) (*cluster.Node, int) {
+// state. Caller must not hold r.mu.
+func (s *System) routeFor(r *request, st *fnState, prefer *cluster.Node) (*cluster.Node, int) {
 	if s.static {
 		return st.primary(), 0
 	}
-	inv.mu.Lock()
-	for i := range inv.route {
-		if inv.route[i].fn == st.name {
-			if s.ft && inv.route[i].node.Health() == cluster.Down {
+	r.mu.Lock()
+	for i := range r.route {
+		if r.route[i].fn == st.name {
+			if s.ft && r.route[i].node.Health() == cluster.Down {
 				// The pinned replica died: repair every dead pin of this
 				// request and replay the data its sink lost, then re-read
 				// the (now healthy) pin. repairLocked updates pins in
 				// place, so index i still addresses this function.
-				s.repairLocked(inv)
+				s.repairLocked(r)
 			}
-			n, o := inv.route[i].node, inv.route[i].ordinal
-			inv.mu.Unlock()
+			n, o := r.route[i].node, r.route[i].ordinal
+			r.mu.Unlock()
 			return n, o
 		}
 	}
-	n, o, _ := s.selectReplica(st, prefer, inv.tenant)
-	inv.route = append(inv.route, routePin{fn: st.name, node: n, ordinal: o})
-	inv.mu.Unlock()
+	n, o, _ := s.selectReplica(st, prefer, r.inv.tenant)
+	r.route = append(r.route, routePin{fn: st.name, node: n, ordinal: o})
+	r.mu.Unlock()
 	return n, o
 }
 
 // now returns time since system epoch (trace/sink timestamps).
 func (s *System) now() time.Duration { return s.clk.Since(s.epoch) }
-
-// Invocation is one in-flight or finished workflow request.
-type Invocation struct {
-	ReqID string
-
-	sys *System
-	// tenant is the request's QoS attribution (empty when the plane is
-	// off). Immutable after InvokeWith.
-	tenant  string
-	tracker dataflow.Tracker // embedded by value: one allocation per request
-	mu      sync.Mutex
-	done    chan struct{}
-	err     error
-	start   time.Time
-	end     time.Time
-	// attempts counts ReDo attempts per instance (allocated on first
-	// failure; the clean path never touches it).
-	attempts map[dataflow.InstanceKey]int
-	// arrived records the items that landed for each instance, paired with
-	// the sink key they were cached under so consumers and teardown never
-	// re-derive it; an item every instance of a FOREACH-fanned function reads
-	// is recorded under {Fn, BroadcastIdx} (arrivedKey).
-	// A request touches a handful of instance keys, so a scanned slice
-	// beats a map (no per-request map allocation, no hashing).
-	arrived []arrivedBucket
-
-	// route holds the request's replica pins (none on the static fast
-	// path). A request touches a handful of functions, so a
-	// scanned slice beats a map, like arrived. Accessed under mu.
-	route []routePin
-
-	// replays counts this request's shipments re-landed after node deaths
-	// (fault-tolerant mode only). Accessed under mu.
-	replays int
-
-	// sinkResidue counts sink entries this request may still own: +1 per
-	// landed Put, -1 per consuming Get that found its entry. A clean
-	// completion with zero residue left nothing in any sink (shared entries
-	// of a fanned function are fetched by no instance, TTL spills are only
-	// reclaimed by sweeping, so both keep the count positive) and teardown
-	// can skip the per-node ReleaseRequest sweep entirely.
-	sinkResidue atomic.Int64
-
-	// torn is set when teardown starts, before its sweep. A shipment puts,
-	// then reads it: set means the sweep may already be over and the land
-	// cleans up after itself, clear means the sweep is still to come and
-	// covers the late Put.
-	torn atomic.Bool
-
-	// Inline backings for the slices above: a typical request touches a
-	// handful of instance keys and pins, so seeding the slices here folds
-	// their first growth into the Invocation allocation. If a slice outgrows
-	// its seed, append reallocates and the copied headers keep the
-	// (heap-alive) old backing valid.
-	arrivedBuf [2]arrivedBucket
-	routeBuf   [4]routePin
-
-	// stripe tags the request onto one lane of the striped engine
-	// counters (obs.Counter); inherited from the idBlock the request
-	// number came from, so requests minted on the same P share a lane.
-	stripe uint32
-
-	// span is the request's sampled trace record (nil for the unsampled
-	// majority — every recording site is behind one nil check). Immutable
-	// after InvokeWith; SpanRec is internally synchronized.
-	span *obs.SpanRec
-}
-
-// Tenant returns the request's QoS tenant attribution ("" when the
-// admission plane is off).
-func (inv *Invocation) Tenant() string { return inv.tenant }
-
-// Done is closed when the request completes (successfully or not).
-func (inv *Invocation) Done() <-chan struct{} { return inv.done }
-
-// Err returns the terminal error, if any. Valid after Done is closed.
-func (inv *Invocation) Err() error {
-	inv.mu.Lock()
-	defer inv.mu.Unlock()
-	return inv.err
-}
-
-// Latency returns the end-to-end latency. Valid after Done is closed.
-func (inv *Invocation) Latency() time.Duration {
-	inv.mu.Lock()
-	defer inv.mu.Unlock()
-	return inv.end.Sub(inv.start)
-}
-
-// Outputs returns the items delivered to the user.
-func (inv *Invocation) Outputs() []dataflow.Item {
-	inv.mu.Lock()
-	defer inv.mu.Unlock()
-	return inv.tracker.UserItems()
-}
-
-// OutputBytes returns the payload of the first user item with the given
-// source function output name, for convenient assertions.
-func (inv *Invocation) OutputBytes(output string) ([]byte, bool) {
-	for _, it := range inv.Outputs() {
-		if it.Output == output {
-			b, ok := it.Value.Payload.([]byte)
-			return b, ok
-		}
-	}
-	return nil, false
-}
-
-// Wait blocks until completion and returns the terminal error.
-func (inv *Invocation) Wait() error {
-	<-inv.done
-	return inv.Err()
-}
-
-// fail terminates the invocation with err (first error wins).
-func (inv *Invocation) fail(err error) {
-	inv.mu.Lock()
-	defer inv.mu.Unlock()
-	if inv.err == nil {
-		inv.err = err
-	}
-	inv.finishLocked()
-}
-
-func (inv *Invocation) finishLocked() {
-	select {
-	case <-inv.done:
-		return
-	default:
-	}
-	inv.end = inv.sys.clk.Now()
-	close(inv.done)
-	inv.sys.event(inv, trace.ReqCompleted, "", 0, "")
-	obsReqLat.Observe(inv.stripe, int64(inv.end.Sub(inv.start)))
-	if inv.err != nil {
-		obsFailed.Inc(inv.stripe)
-	} else {
-		obsCompleted.Inc(inv.stripe)
-	}
-	// End-of-request GC: stop tracking the invocation and release its
-	// leftover sink entries. Proactive release normally empties the memory
-	// tier earlier; this teardown is what reclaims the shared inputs of
-	// fanned functions (read by every instance, fetched by none) and
-	// TTL-spilled disk copies, so a long-running system does not grow with
-	// request count.
-	inv.torn.Store(true)
-	inv.sys.pendingInvs.Add(inv.stripe, -1)
-	if inv.err == nil {
-		// Clean completion: the only entries a balanced request leaves
-		// behind are those shared inputs, and we know their exact keys from
-		// the arrived log — consume them directly (one stripe lock each)
-		// instead of sweeping every stripe of every routed node. If the
-		// books still don't balance afterwards (an entry TTL-spilled, a
-		// re-put superseded a copy), fall through to the full sweep. A
-		// shipment still in flight self-sweeps when it lands and finds the
-		// request torn down, so skipping the sweep cannot strand it.
-		for i := range inv.arrived {
-			b := &inv.arrived[i]
-			if b.key.Idx != dataflow.BroadcastIdx {
-				continue
-			}
-			for _, ai := range b.items {
-				// ai.node is the node the item landed on (the request's
-				// pinned replica for that function).
-				if _, ok, err := ai.node.SinkGet(ai.key); err == nil && ok {
-					inv.sinkResidue.Add(-1)
-				}
-			}
-		}
-		if inv.sinkResidue.Load() == 0 {
-			return // nothing to sweep, so nothing to time: the histogram counts sweeps
-		}
-	}
-	if inv.sys.static {
-		for _, n := range inv.sys.routedNodes {
-			n.SinkRelease(inv.ReqID) //nolint:errcheck // best effort: an unreachable sink holds nothing to release
-		}
-	} else {
-		// Pinned routing: every sink Put of this request happened on a pinned
-		// node (land routes through routeFor before touching a sink), so the
-		// sweep covers exactly the request's pins instead of the whole fleet.
-		for i := range inv.route {
-			inv.route[i].node.SinkRelease(inv.ReqID) //nolint:errcheck // best effort: an unreachable sink holds nothing to release
-		}
-	}
-	obsTeardownLat.Observe(inv.stripe, int64(inv.sys.clk.Since(inv.end)))
-}
 
 // PendingInvocations returns the number of requests still tracked by the
 // system (in flight, or failed before their teardown ran). The counter's
@@ -923,38 +740,32 @@ func (s *System) InvokeWith(input map[string][]byte, opts InvokeOpts) (*Invocati
 	reqNum, stripe := blk.next, blk.stripe
 	blk.next++
 	s.idPool.Put(blk)
-	var idBuf [24]byte
-	reqID := string(strconv.AppendInt(append(idBuf[:0], "req-"...), reqNum, 10))
-	inv := &Invocation{
-		ReqID:  reqID,
-		sys:    s,
-		tenant: tenant,
-		stripe: stripe,
-		done:   make(chan struct{}),
-		start:  start,
-	}
-	inv.arrived = inv.arrivedBuf[:0]
-	inv.route = inv.routeBuf[:0]
-	inv.tracker.Init(s.wf, reqID)
+	// The handle is the request's one allocation: its engine state comes off
+	// the stripe's free-list, and the id is formatted only if asked for.
+	inv := &Invocation{id: reqNum, tenant: tenant}
+	inv.wg.Add(1)
+	r := s.newRequest(inv, stripe, start)
+	inv.req = r
 	var entryBuf [4]dataflow.InstanceKey
 	obsRequests.Inc(stripe)
-	obsAdmissionLat.Observe(stripe, int64(inv.start.Sub(admitStart)))
+	obsAdmissionLat.Observe(stripe, int64(start.Sub(admitStart)))
 	if s.sampleEvery > 0 && reqNum%s.sampleEvery == 0 {
-		inv.span = s.ring.Start(s.ring.NewTraceID(), reqID)
+		r.span = s.ring.Start(s.ring.NewTraceID(), inv.ReqID())
 	}
 	s.pendingInvs.Add(stripe, 1)
 
-	s.event(inv, trace.ReqArrived, "", 0, "")
-	inv.mu.Lock()
-	newly, err := inv.tracker.StartBytesInto(entryBuf[:0], input)
-	inv.mu.Unlock()
+	s.event(r, trace.ReqArrived, "", 0, "")
+	r.mu.Lock()
+	newly, err := r.tracker.StartBytesInto(entryBuf[:0], input)
+	r.mu.Unlock()
 	if err != nil {
 		// Run the normal teardown so the rejected invocation does not stay
-		// counted (and its done channel closes for any observer).
+		// counted (and its waiters are released).
 		s.closeMu.RUnlock()
 		s.rejInvalid.Add(1)
 		obsRejInvalid.Inc(0)
-		inv.fail(err)
+		r.fail(err)
+		r.release()
 		return nil, err
 	}
 	if s.qos == nil && len(newly) == 1 {
@@ -962,39 +773,42 @@ func (s *System) InvokeWith(input map[string][]byte, opts InvokeOpts) (*Invocati
 		// wake for it. The read lock goes first: the chain is in bg, and its
 		// handler may call Invoke while a Shutdown waits to write. Nothing
 		// since the reading of start can have slept, so it starts the instance.
-		job := s.admitInstance(inv, newly[0])
+		job := s.admitInstance(r, newly[0])
+		r.release() // the job's reference covers the request from here
 		s.bg.Add(1)
 		s.closeMu.RUnlock()
 		s.runChain(job, true, start)
 		return inv, nil
 	}
-	s.scheduleReady(inv, newly, nil)
+	s.scheduleReady(r, newly, nil)
+	r.release()
 	s.closeMu.RUnlock()
 	return inv, nil
 }
 
-// admitInstance records one triggered instance and makes its job. The caller
-// sees to it that a bg count covers it: its own, or the chain's it is parked
-// in.
-func (s *System) admitInstance(inv *Invocation, key dataflow.InstanceKey) instanceJob {
-	s.event(inv, trace.InstanceTriggered, key.Fn, key.Idx, "")
-	return instanceJob{inv: inv, key: key, st: s.fns[key.Fn]}
+// admitInstance records one triggered instance and makes its job, which holds
+// a reference to the request until it has run. The caller sees to it that a
+// bg count covers it: its own, or the chain's it is parked in.
+func (s *System) admitInstance(r *request, key dataflow.InstanceKey) instanceJob {
+	s.event(r, trace.InstanceTriggered, key.Fn, key.Idx, "")
+	r.refs.Add(1)
+	return instanceJob{req: r, gen: r.gen.Load(), key: key, st: s.fns[key.Fn]}
 }
 
 // scheduleReady triggers newly ready instances. The tracker's ready set
-// (consulted under inv.mu by every deliverAll) hands each instance key out
+// (consulted under r.mu by every deliverAll) hands each instance key out
 // exactly once across the request's lifetime, so no separate double-trigger
 // guard is needed here. flu is non-nil when the producer itself is shipping
 // (Context.put): if it passed the continuation gate, the first instance is
 // parked in it for its goroutine to run next, under the bg count that
 // goroutine's chain already holds, and only the rest (a fan-out) take a count
 // of their own and wake through the executor pool.
-func (s *System) scheduleReady(inv *Invocation, keys []dataflow.InstanceKey, flu *Context) {
+func (s *System) scheduleReady(r *request, keys []dataflow.InstanceKey, flu *Context) {
 	for _, key := range keys {
-		job := s.admitInstance(inv, key)
-		if flu != nil && flu.cont && flu.next.inv == nil {
+		job := s.admitInstance(r, key)
+		if flu != nil && flu.cont && flu.next.req == nil {
 			flu.next = job
-			obsContinuations.Inc(inv.stripe)
+			obsContinuations.Inc(r.stripe)
 			continue
 		}
 		s.bg.Add(1)
@@ -1003,9 +817,11 @@ func (s *System) scheduleReady(inv *Invocation, keys []dataflow.InstanceKey, flu
 }
 
 // instanceJob is one instance execution handed to the executor pool, or
-// parked in its producer's Context (inv nil = none).
+// parked in its producer's Context (req nil = none). It holds a reference to
+// req, made under generation gen.
 type instanceJob struct {
-	inv *Invocation
+	req *request
+	gen uint32
 	key dataflow.InstanceKey
 	st  *fnState // key.Fn's record
 }
@@ -1050,16 +866,18 @@ func (s *System) execWorker() {
 // one bg count the chain was started with. An Invoke caller runs only what is
 // brief and has a container without a cold start: its chain ends at the first
 // instance that is not, which goes to the executor pool and takes the count
-// with it. at is a clock reading this goroutine took with nothing that can
-// sleep since (zero: none): the first instance starts at it, and each
+// with it. A job that ran drops its request reference here, once runInstance
+// has returned. at is a clock reading this goroutine took with nothing that
+// can sleep since (zero: none): the first instance starts at it, and each
 // continuation at its producer's end.
 func (s *System) runChain(j instanceJob, caller bool, at time.Time) {
-	for j.inv != nil {
+	for j.req != nil {
 		next, end, ran := s.runInstance(j, caller, at)
 		if !ran {
 			s.submitInstance(j)
 			return
 		}
+		j.req.release()
 		j, at = next, end
 	}
 	s.bg.Done()
@@ -1078,7 +896,8 @@ func (s *System) runChain(j instanceJob, caller bool, at time.Time) {
 // cannot sleep; a QoS grant, a parked instance cap and a cold start each
 // drop it, so T_FLU never contains the wait.
 func (s *System) runInstance(j instanceJob, caller bool, at time.Time) (next instanceJob, end time.Time, ran bool) {
-	inv, key, st := j.inv, j.key, j.st
+	r, key, st := j.req, j.key, j.st
+	r.live(j.gen)
 	fn := key.Fn
 	if caller && !st.brief() {
 		return instanceJob{}, time.Time{}, false
@@ -1088,20 +907,20 @@ func (s *System) runInstance(j instanceJob, caller bool, at time.Time) (next ins
 		// up, drained by tenant weight once it saturates. Held for the whole
 		// execution — container acquisition included, so parked work cannot
 		// consume containers.
-		release := s.qos.queue.Acquire(inv.tenant)
+		release := s.qos.queue.Acquire(r.inv.tenant)
 		defer release()
 		at = time.Time{}
 	}
 	// Replica selection: the node the request's data for fn was routed to
 	// (pinned at the first ship), or — for entry functions, which receive
 	// their input straight from the user — the least-loaded replica.
-	node, _ := s.routeFor(inv, st, nil)
+	node, _ := s.routeFor(r, st, nil)
 	if !s.static {
 		ld := s.nodeLoad[node]
-		ld.Add(inv.stripe, 1)
-		defer ld.Add(inv.stripe, -1)
+		ld.Add(r.stripe, 1)
+		defer ld.Add(r.stripe, -1)
 		if s.qos != nil {
-			tc := s.nodeTenantLoad[node].counter(inv.tenant)
+			tc := s.nodeTenantLoad[node].counter(r.inv.tenant)
 			tc.Add(1)
 			defer tc.Add(-1)
 		}
@@ -1116,18 +935,18 @@ func (s *System) runInstance(j instanceJob, caller bool, at time.Time) (next ins
 	}()
 
 	pool := st.pools[node]
-	ctr, warm := pool.Acquire(inv.stripe)
+	ctr, warm := pool.Acquire(r.stripe)
 	if !warm {
 		if caller && node.ColdStart() > 0 {
 			return instanceJob{}, time.Time{}, false
 		}
 		ctr = node.StartContainer(fn, st.spec)
-		s.event(inv, trace.ContainerCold, fn, key.Idx, ctr.ID)
+		s.event(r, trace.ContainerCold, fn, key.Idx, ctr.ID)
 		at = time.Time{}
 	}
-	defer pool.Release(ctr, inv.stripe)
+	defer pool.Release(ctr, r.stripe)
 	if caller {
-		obsCallerRuns.Inc(inv.stripe)
+		obsCallerRuns.Inc(r.stripe)
 	}
 
 	// Consume the instance's data from the Wait-Match Memory so proactive
@@ -1135,38 +954,38 @@ func (s *System) runInstance(j instanceJob, caller bool, at time.Time) (next ins
 	// are not the instance's to consume: every instance reads them (from the
 	// tracker) and teardown drops them. Each arrived item carries the node
 	// it landed on (the request's pin for this function — node, in every
-	// normal flow). The sink calls nest under inv.mu (shard mutexes are leaf
+	// normal flow). The sink calls nest under r.mu (shard mutexes are leaf
 	// locks, the same order teardown uses), which spares a defensive copy of
 	// the arrived list.
 	ctx := ctxPool.Get().(*Context)
 	defer releaseCtx(ctx)
-	inv.mu.Lock()
-	inputs, valBuf := inv.tracker.InputsAppendBacking(ctx.inputs[:0], ctx.valBuf[:0], key)
-	for _, ai := range inv.arrivedFor(key) {
+	r.mu.Lock()
+	inputs, valBuf := r.tracker.InputsAppendBacking(ctx.inputs[:0], ctx.valBuf[:0], key)
+	for _, ai := range r.arrivedFor(key) {
 		// The consuming Get is accounting (proactive release): the input
 		// values themselves come from the tracker, so an unreachable
 		// remote sink costs residue, not correctness.
 		if _, ok, err := ai.node.SinkGet(ai.key); err == nil && ok {
-			inv.sinkResidue.Add(-1)
+			r.sinkResidue.Add(-1)
 		}
 	}
 	if s.ft {
 		// The instance now holds its inputs: a later death of the node they
 		// were cached on no longer needs them replayed (the shared buckets
 		// of fanned functions stay replayable until request completion).
-		inv.markConsumed(key)
+		r.markConsumed(key)
 	}
-	inv.mu.Unlock()
+	r.mu.Unlock()
 
 	limit := s.cfg.RetryLimit
 	h := st.handlerFn()
 	// A pooled Context is zero but for its buffers (releaseCtx).
-	ctx.ReqID, ctx.Instance = inv.ReqID, key
+	ctx.Instance = key
 	ctx.inputs, ctx.valBuf = inputs, valBuf
-	ctx.sys, ctx.inv, ctx.ctr, ctx.fst = s, inv, ctr, st
+	ctx.sys, ctx.req, ctx.gen, ctx.ctr, ctx.fst = s, r, j.gen, ctr, st
 	note := "" // "redo-N" on the event log once the handler is being ReDone
 	for {
-		s.event(inv, trace.InstanceStarted, fn, key.Idx, note)
+		s.event(r, trace.InstanceStarted, fn, key.Idx, note)
 		if at.IsZero() {
 			at = s.clk.Now()
 		}
@@ -1174,22 +993,22 @@ func (s *System) runInstance(j instanceJob, caller bool, at time.Time) (next ins
 		err := h(ctx)
 		end = s.clk.Now()
 		d := end.Sub(at)
-		st.observe(inv.stripe, d, ctx.blocked)
-		obsExecLat.Observe(inv.stripe, int64(d))
+		st.observe(r.stripe, d, ctx.blocked)
+		obsExecLat.Observe(r.stripe, int64(d))
 		if err == nil {
-			s.event(inv, trace.InstanceFinished, fn, key.Idx, "")
+			s.event(r, trace.InstanceFinished, fn, key.Idx, "")
 			return ctx.next, end, true
 		}
 		at = end // the ReDo starts where this run ended
-		inv.mu.Lock()
-		if inv.attempts == nil {
-			inv.attempts = make(map[dataflow.InstanceKey]int)
+		r.mu.Lock()
+		if r.attempts == nil {
+			r.attempts = make(map[dataflow.InstanceKey]int)
 		}
-		inv.attempts[key]++
-		attempts := inv.attempts[key]
-		inv.mu.Unlock()
+		r.attempts[key]++
+		attempts := r.attempts[key]
+		r.mu.Unlock()
 		if attempts > limit {
-			inv.fail(fmt.Errorf("core: %s failed after %d attempts: %w", key, attempts, err))
+			r.fail(fmt.Errorf("core: %s failed after %d attempts: %w", key, attempts, err))
 			return ctx.next, end, true
 		}
 		if s.cfg.Trace != nil {

@@ -265,8 +265,7 @@ function b
 	}
 	got := map[string]bool{}
 	for _, it := range outs {
-		b, _ := it.Value.Payload.([]byte)
-		got[string(b)] = true
+		got[string(it.Value.Payload)] = true
 	}
 	if !got["a:z"] || !got["b:z"] {
 		t.Fatalf("outputs = %v", got)

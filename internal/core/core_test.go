@@ -259,7 +259,7 @@ function consumer
 		var prod, cons *trace.Span
 		waitFor(t, 5*time.Second, func() bool {
 			prod, cons = nil, nil
-			spans := log.Spans(inv.ReqID)
+			spans := log.Spans(inv.ReqID())
 			for i := range spans {
 				switch spans[i].Fn {
 				case "producer":

@@ -20,7 +20,8 @@ import (
 // Context is the FLU's view of its invocation and its interface to the DLU
 // daemon (DataFlower.DLU.Put in the paper's programming model, Fig. 5(a)).
 type Context struct {
-	ReqID    string
+	// Instance is the function instance this run executes; ReqID names its
+	// request.
 	Instance dataflow.InstanceKey
 
 	// inputs holds the collected values per declared input in declaration
@@ -30,7 +31,8 @@ type Context struct {
 	inputs []dataflow.InputVals
 	valBuf []dataflow.Value
 	sys    *System
-	inv    *Invocation
+	req    *request
+	gen    uint32 // req's generation when this run's job was made
 	ctr    *cluster.Container
 	fst    *fnState
 	// blocked is the time this run has spent in Put's Eq. 1 block. It is the
@@ -75,16 +77,25 @@ const continuationMaxTFLU = 50 * time.Microsecond
 // and may be kept.
 var ctxPool = sync.Pool{New: func() any { return new(Context) }}
 
-// releaseCtx zeroes the payload references a finished execution pinned and
-// returns the Context to the pool with its buffers retained.
+// releaseCtx zeroes the references a finished execution pinned — payloads,
+// the request, the container — and returns the Context to the pool with its
+// buffers retained. Field by field: assigning a whole Context would run the
+// write barrier over the ship backings it keeps.
 func releaseCtx(ctx *Context) {
-	inputs, valBuf := ctx.inputs, ctx.valBuf
-	clear(inputs)
-	clear(valBuf)
-	// shipBatch leaves the scratch batch empty; only its backings survive.
-	*ctx = Context{inputs: inputs[:0], valBuf: valBuf[:0], ship: ctx.ship}
+	clear(ctx.inputs)
+	clear(ctx.valBuf)
+	ctx.inputs, ctx.valBuf = ctx.inputs[:0], ctx.valBuf[:0]
+	ctx.Instance = dataflow.InstanceKey{}
+	ctx.sys, ctx.req, ctx.ctr, ctx.fst = nil, nil, nil, nil
+	ctx.gen, ctx.blocked, ctx.cont, ctx.next = 0, 0, false, instanceJob{}
+	// shipBatch leaves the scratch batch empty (flu nil); only its backings
+	// survive.
 	ctxPool.Put(ctx)
 }
+
+// ReqID returns the identifier of the request this run belongs to,
+// "req-<n>", formatted on first use (Invocation.ReqID).
+func (c *Context) ReqID() string { return c.req.inv.ReqID() }
 
 // inputVals returns the values of the named input and whether it exists.
 func (c *Context) inputVals(name string) ([]dataflow.Value, bool) {
@@ -102,8 +113,7 @@ func (c *Context) Input(name string) ([]byte, error) {
 	if len(vals) == 0 {
 		return nil, fmt.Errorf("core: input %q has no data", name)
 	}
-	b, _ := vals[0].Payload.([]byte)
-	return b, nil
+	return vals[0].Payload, nil
 }
 
 // InputList returns all values of a LIST (fan-in) input, ordered by the
@@ -115,8 +125,7 @@ func (c *Context) InputList(name string) ([][]byte, error) {
 	}
 	out := make([][]byte, 0, len(vals))
 	for _, v := range vals {
-		b, _ := v.Payload.([]byte)
-		out = append(out, b)
+		out = append(out, v.Payload)
 	}
 	return out, nil
 }
@@ -172,11 +181,12 @@ func recycleItems(task cluster.DLUTask) {
 }
 
 func (c *Context) put(output string, values []dataflow.Value, switchCase int) error {
-	inv, s := c.inv, c.sys
+	r, s := c.req, c.sys
+	r.live(c.gen)
 	box := itemsPool.Get().(*itemsBox)
-	inv.mu.Lock()
-	items, err := inv.tracker.RouteAppend(box.items[:0], c.Instance, output, values, switchCase)
-	inv.mu.Unlock()
+	r.mu.Lock()
+	items, err := r.tracker.RouteAppend(box.items[:0], c.Instance, output, values, switchCase)
+	r.mu.Unlock()
 	box.items = items
 	if err != nil {
 		recycleItems(cluster.DLUTask{Buf: box})
@@ -196,7 +206,7 @@ func (c *Context) put(output string, values []dataflow.Value, switchCase int) er
 			// Real socket backpressure: when a destination is remote, the
 			// measured wire throughput replaces the configured TC rate if it
 			// is the tighter constraint.
-			if obs := s.remoteBpsFloor(inv, items); obs > 0 && (bw <= 0 || obs < bw) {
+			if obs := s.remoteBpsFloor(r, items); obs > 0 && (bw <= 0 || obs < bw) {
 				bw = obs
 			}
 		}
@@ -207,17 +217,17 @@ func (c *Context) put(output string, values []dataflow.Value, switchCase int) er
 	if s.qos != nil {
 		// Transfer-size average for the QoS governor's Eq. 1 estimate
 		// (transferPressure).
-		c.fst.putBytes.Add(c.inv.stripe, totalSize)
-		c.fst.putCount.Add(c.inv.stripe, 1)
+		c.fst.putBytes.Add(r.stripe, totalSize)
+		c.fst.putCount.Add(r.stripe, 1)
 	}
-	task := cluster.DLUTask{Ref: inv, Items: items, Buf: box}
+	task := cluster.DLUTask{Ref: r, Gen: c.gen, Items: items, Buf: box}
 	if pressure <= 0 && c.shipsInline(items) {
 		// The DLU is asynchronous so that transmission never blocks compute
 		// (§5.1); a sub-microsecond in-process land blocks it for less than
 		// the hand-off to the daemon costs, so this goroutine ships. The
 		// container stays Busy throughout, hence no pending-byte accounting:
 		// the keep-alive rule cannot fire under it.
-		obsInlineShips.Inc(inv.stripe)
+		obsInlineShips.Inc(r.stripe)
 		c.cont = sampled && tflu < continuationMaxTFLU
 		b := &c.ship
 		b.flu = c
@@ -228,8 +238,10 @@ func (c *Context) put(output string, values []dataflow.Value, switchCase int) er
 	}
 	// Hand the items to the container's DLU daemon (FIFO) first: the DLU is
 	// asynchronous (§5.1), so the data ships during the pressure block below
-	// rather than after it.
+	// rather than after it. The queued task holds a request reference until
+	// it has shipped (an inline ship rides on this instance's).
 	c.ctr.AddDLUPending(totalSize)
+	r.refs.Add(1)
 	if !s.dluEnqueue(c.ctr, task) {
 		return nil // shutting down: nothing shipped, nothing to throttle for
 	}
@@ -267,7 +279,7 @@ func (c *Context) shipsInline(items []dataflow.Item) bool {
 			if s.ft {
 				return false
 			}
-			if node, _ := s.routeFor(c.inv, s.fns[fn], c.ctr.Node); node.Remote() {
+			if node, _ := s.routeFor(c.req, s.fns[fn], c.ctr.Node); node.Remote() {
 				return false
 			}
 		}
@@ -296,8 +308,9 @@ func (s *System) prewarm(st *fnState, node *cluster.Node) {
 // the queue and its close protocol; the system only supplies the daemon
 // goroutine (tracked in bg) when the enqueue reports a freshly created
 // queue. A refused enqueue means the DLU plane is shutting down: the task
-// is dropped and its pending-byte accounting unwound so the keep-alive rule
-// stays exact. It reports whether the task was accepted.
+// is dropped, its pending-byte accounting unwound so the keep-alive rule
+// stays exact, and its request reference released. It reports whether the
+// task was accepted.
 func (s *System) dluEnqueue(ctr *cluster.Container, task cluster.DLUTask) bool {
 	queue, ok := ctr.DLUEnqueue(task)
 	if !ok {
@@ -305,6 +318,7 @@ func (s *System) dluEnqueue(ctr *cluster.Container, task cluster.DLUTask) bool {
 			ctr.AddDLUPending(-it.Value.Size)
 		}
 		recycleItems(task)
+		task.Ref.(*request).release()
 		return false
 	}
 	if queue != nil {
@@ -321,7 +335,7 @@ func (s *System) dluEnqueue(ctr *cluster.Container, task cluster.DLUTask) bool {
 // remote nodes this Put's items are destined for (0 when none is measured
 // yet). Called only when the cluster has remote nodes, off the bench-gated
 // local hot path.
-func (s *System) remoteBpsFloor(inv *Invocation, items []dataflow.Item) float64 {
+func (s *System) remoteBpsFloor(r *request, items []dataflow.Item) float64 {
 	floor := 0.0
 	for i := range items {
 		fn := items[i].To.Fn
@@ -335,14 +349,14 @@ func (s *System) remoteBpsFloor(inv *Invocation, items []dataflow.Item) float64 
 		// The request's pin, when one exists, names the node the items will
 		// actually cross the wire to; otherwise the primary is the best guess.
 		node := st.primary()
-		inv.mu.Lock()
-		for j := range inv.route {
-			if inv.route[j].fn == fn {
-				node = inv.route[j].node
+		r.mu.Lock()
+		for j := range r.route {
+			if r.route[j].fn == fn {
+				node = r.route[j].node
 				break
 			}
 		}
-		inv.mu.Unlock()
+		r.mu.Unlock()
 		if !node.Remote() {
 			continue
 		}
@@ -353,13 +367,13 @@ func (s *System) remoteBpsFloor(inv *Invocation, items []dataflow.Item) float64 
 	return floor
 }
 
-// dluGroup is one (invocation, destination-replica) shipment edge of a
+// dluGroup is one (request, destination-replica) shipment edge of a
 // batch. node is nil for user-destined items, which never touch a sink.
 // items is what ships: the producing task's own backing while the edge has
 // a single run (one Put, one edge — the common case copies nothing), buf
 // once a second run joined it.
 type dluGroup struct {
-	inv   *Invocation
+	req   *request
 	node  *cluster.Node
 	items []dataflow.Item
 	buf   []dataflow.Item
@@ -378,13 +392,13 @@ type dluBatch struct {
 
 // addRun files a run of one task's items under its shipment edge. Batches
 // have a handful of edges, so a linear scan beats a map.
-func (b *dluBatch) addRun(inv *Invocation, node *cluster.Node, run []dataflow.Item) {
+func (b *dluBatch) addRun(r *request, node *cluster.Node, run []dataflow.Item) {
 	if len(run) == 0 {
 		return
 	}
 	for i := range b.groups {
 		g := &b.groups[i]
-		if g.inv == inv && g.node == node {
+		if g.req == r && g.node == node {
 			if len(g.buf) == 0 {
 				g.buf = append(g.buf, g.items...)
 			}
@@ -399,7 +413,7 @@ func (b *dluBatch) addRun(inv *Invocation, node *cluster.Node, run []dataflow.It
 		b.groups = append(b.groups, dluGroup{})
 	}
 	g := &b.groups[len(b.groups)-1]
-	g.inv, g.node, g.items = inv, node, run
+	g.req, g.node, g.items = r, node, run
 }
 
 // dropReqs empties the put scratch, dropping its payload references.
@@ -441,14 +455,16 @@ func (s *System) dluDaemon(ctr *cluster.Container, queue <-chan cluster.DLUTask)
 // edge, ships each edge with batched pipe/sink/accounting interactions, and
 // unwinds the whole batch's pending bytes in one call. It is the only ship
 // implementation; the DLU daemon calls it with a drained batch and
-// Context.put with a batch of its one task.
+// Context.put with a batch of its one task. The daemon drops each task's
+// request reference once the whole batch has shipped.
 func (s *System) shipBatch(ctr *cluster.Container, b *dluBatch) {
 	var pending int64
 	items, stripe := 0, uint32(0)
 	for ti := range b.tasks {
 		task := &b.tasks[ti]
-		inv := task.Ref.(*Invocation)
-		items, stripe = items+len(task.Items), inv.stripe
+		r := task.Ref.(*request)
+		r.live(task.Gen)
+		items, stripe = items+len(task.Items), r.stripe
 		// Split the task into runs of consecutive items sharing an edge;
 		// one Put's items almost always form a single run.
 		start := 0
@@ -464,14 +480,14 @@ func (s *System) shipBatch(ctr *cluster.Container, b *dluBatch) {
 			// function agree on the node.
 			var node *cluster.Node
 			if it.To.Fn != workflow.UserSource {
-				node, it.Replica = s.routeFor(inv, s.fns[it.To.Fn], ctr.Node)
+				node, it.Replica = s.routeFor(r, s.fns[it.To.Fn], ctr.Node)
 			}
 			if node != runNode {
-				b.addRun(inv, runNode, task.Items[start:i])
+				b.addRun(r, runNode, task.Items[start:i])
 				start, runNode = i, node
 			}
 		}
-		b.addRun(inv, runNode, task.Items[start:])
+		b.addRun(r, runNode, task.Items[start:])
 	}
 	obsBatchItems.Observe(stripe, int64(items))
 	for i := range b.groups {
@@ -486,6 +502,9 @@ func (s *System) shipBatch(ctr *cluster.Container, b *dluBatch) {
 	// Groups ship from the task backings, so those are free only now.
 	for ti := range b.tasks {
 		recycleItems(b.tasks[ti])
+		if b.flu == nil {
+			b.tasks[ti].Ref.(*request).release()
+		}
 		b.tasks[ti] = cluster.DLUTask{}
 	}
 	if b.flu == nil {
@@ -505,30 +524,30 @@ func (s *System) shipBatch(ctr *cluster.Container, b *dluBatch) {
 // lands the moment its own bytes are across, so a consumer never waits for
 // a sibling's stream.
 func (s *System) shipGroup(ctr *cluster.Container, g *dluGroup, b *dluBatch) {
-	if s.cfg.Trace != nil || g.inv.span != nil {
+	if s.cfg.Trace != nil || g.req.span != nil {
 		for i := range g.items {
 			it, note := &g.items[i], ""
 			if s.cfg.Trace != nil {
 				note = fmt.Sprintf("%s->%s %dB", it.Output, it.To, it.Value.Size)
 			}
-			s.event(g.inv, trace.DataSent, it.From.Fn, it.From.Idx, note)
+			s.event(g.req, trace.DataSent, it.From.Fn, it.From.Idx, note)
 		}
 	}
 	switch {
 	case g.node == nil:
-		s.deliverBatch(g.inv, g.items, nil, nil, b.flu)
+		s.deliverBatch(g.req, g.items, nil, nil, b.flu)
 	case g.node == ctr.Node:
 		// Local pipe connector: pump straight into the local data sink.
-		s.landBatch(g.inv, g.items, g.node, b, transport.Pacing{}, 0)
+		s.landBatch(g.req, g.items, g.node, b, transport.Pacing{}, 0)
 	case g.node.Remote() || !s.streams(g.items):
-		s.shipSocket(ctr, g.inv, g.items, g.node, b)
+		s.shipSocket(ctr, g.req, g.items, g.node, b)
 	default:
 		for i := range g.items {
 			one := g.items[i : i+1]
 			if !s.streams(one) {
-				s.shipSocket(ctr, g.inv, one, g.node, b)
-			} else if s.ship(ctr, g.inv, &one[0], g.node) {
-				s.landBatch(g.inv, one, g.node, b, transport.Pacing{}, 0)
+				s.shipSocket(ctr, g.req, one, g.node, b)
+			} else if s.ship(ctr, g.req, &one[0], g.node) {
+				s.landBatch(g.req, one, g.node, b, transport.Pacing{}, 0)
 			}
 		}
 	}
@@ -552,7 +571,7 @@ func (s *System) streams(items []dataflow.Item) bool {
 // shipSocket ships items over the socket path: one latency charge here and
 // one limiter charge for the whole edge inside the land (the transport is
 // the wire).
-func (s *System) shipSocket(ctr *cluster.Container, inv *Invocation, items []dataflow.Item, node *cluster.Node, b *dluBatch) {
+func (s *System) shipSocket(ctr *cluster.Container, r *request, items []dataflow.Item, node *cluster.Node, b *dluBatch) {
 	if s.cfg.TransferLatency > 0 {
 		ctr.Node.Clock().Sleep(s.cfg.TransferLatency)
 	}
@@ -564,12 +583,12 @@ func (s *System) shipSocket(ctr *cluster.Container, inv *Invocation, items []dat
 		Src:     ctr.Limiter,
 		Items:   len(items),
 		Bytes:   total,
-		TraceID: inv.span.ID(),
+		TraceID: r.span.ID(),
 	}
 	if b.flu != nil {
 		pace.Parked = &b.flu.blocked
 	}
-	s.landBatch(inv, items, node, b, pace, 0)
+	s.landBatch(r, items, node, b, pace, 0)
 }
 
 // ship pumps one payload through the streaming pipe: chunked through the
@@ -578,9 +597,8 @@ func (s *System) shipSocket(ctr *cluster.Container, inv *Invocation, items []dat
 // for injection, and record no checkpoints — an interrupted small send is
 // redone whole). It moves the bytes only — the caller lands the item — and
 // reports false after failing the request on an unrecoverable transfer.
-func (s *System) ship(ctr *cluster.Container, inv *Invocation, it *dataflow.Item, dstNode *cluster.Node) bool {
-	payload, _ := it.Value.Payload.([]byte)
-	streamID := streamIDOf(inv.ReqID, *it)
+func (s *System) ship(ctr *cluster.Container, r *request, it *dataflow.Item, dstNode *cluster.Node) bool {
+	streamID := streamIDOf(r.inv.ReqID(), *it)
 	var failAfter func() int64
 	if s.injector.Load() != nil {
 		failAfter = func() int64 { return s.failAfter(streamID) }
@@ -594,9 +612,9 @@ func (s *System) ship(ctr *cluster.Container, inv *Invocation, it *dataflow.Item
 		FailAfter: failAfter,
 		Retries:   s.cfg.RetryLimit,
 		Clock:     ctr.Node.Clock(),
-	}, payload)
+	}, it.Value.Payload)
 	if err != nil {
-		inv.fail(fmt.Errorf("core: transfer %s failed: %w", streamID, err))
+		r.fail(fmt.Errorf("core: transfer %s failed: %w", streamID, err))
 	}
 	return err == nil
 }
@@ -605,10 +623,10 @@ func (s *System) ship(ctr *cluster.Container, inv *Invocation, it *dataflow.Item
 // multi-put (a direct edge skips it), then advances the tracker under one lock hold.
 // pace carries the edge's source-side wire charge (zero for local pipes and
 // re-lands); attempt counts the re-lands this shipment already took.
-func (s *System) landBatch(inv *Invocation, items []dataflow.Item, node *cluster.Node, b *dluBatch, pace transport.Pacing, attempt int) {
+func (s *System) landBatch(r *request, items []dataflow.Item, node *cluster.Node, b *dluBatch, pace transport.Pacing, attempt int) {
 	if s.ft && attempt < s.cfg.RetryLimit && node.Health() == cluster.Down {
 		// The destination died while the shipment was in flight.
-		s.reland(inv, items, b, attempt+1)
+		s.reland(r, items, b, attempt+1)
 		return
 	}
 	b.reqs = b.reqs[:0]
@@ -619,14 +637,15 @@ func (s *System) landBatch(inv *Invocation, items []dataflow.Item, node *cluster
 	// and skips the sink: no key, no put, no arrived record, no residue, nothing
 	// for the consumer to fetch. Not under QoS: a continuation can wait in the
 	// fair queue, and data that waits belongs in the sink.
-	direct := b.flu != nil && b.flu.cont && b.flu.next.inv == nil && len(items) == 1 &&
+	direct := b.flu != nil && b.flu.cont && b.flu.next.req == nil && len(items) == 1 &&
 		attempt == 0 && s.qos == nil && s.fns[items[0].To.Fn].direct
 	if direct {
-		obsDirectEdges.Inc(inv.stripe)
+		obsDirectEdges.Inc(r.stripe)
 	} else {
+		id := r.inv.ReqID()
 		for i := range items {
 			b.reqs = append(b.reqs, wmm.PutReq{
-				Key:       sinkKey(inv.ReqID, items[i]),
+				Key:       sinkKey(id, items[i]),
 				Val:       items[i].Value,
 				Consumers: 1,
 			})
@@ -636,10 +655,10 @@ func (s *System) landBatch(inv *Invocation, items []dataflow.Item, node *cluster
 		b.dropReqs()
 		if s.noteUnreachable(node, err) && attempt < s.cfg.RetryLimit {
 			// The destination died under the shipment.
-			s.reland(inv, items, b, attempt+1)
+			s.reland(r, items, b, attempt+1)
 			return
 		}
-		inv.fail(fmt.Errorf("core: ship of %d items to %s failed: %w", len(items), node.Name, err))
+		r.fail(fmt.Errorf("core: ship of %d items to %s failed: %w", len(items), node.Name, err))
 		return
 	}
 	if s.ft && attempt < s.cfg.RetryLimit && node.Health() == cluster.Down {
@@ -648,30 +667,30 @@ func (s *System) landBatch(inv *Invocation, items []dataflow.Item, node *cluster
 		// landed behind the wipe, where no repair or teardown would ever look
 		// again: drop whatever this request left there and land elsewhere.
 		b.dropReqs()
-		node.SinkRelease(inv.ReqID) //nolint:errcheck // best effort: an unreachable sink holds nothing to release
-		s.reland(inv, items, b, attempt+1)
+		node.SinkRelease(r.inv.ReqID()) //nolint:errcheck // best effort: an unreachable sink holds nothing to release
+		s.reland(r, items, b, attempt+1)
 		return
 	}
-	inv.sinkResidue.Add(int64(len(b.reqs)))
-	if !direct && inv.torn.Load() {
+	r.sinkResidue.Add(int64(len(b.reqs)))
+	if !direct && r.torn.Load() {
 		// The request completed while this shipment was in flight (e.g. the
 		// user-facing item of the same DLU task finished the workflow), so
 		// its teardown ReleaseRequest has already run (or was skipped for
 		// zero residue) — or runs after our Put, in which case this extra
 		// release is a no-op. Either way the just-cached entries must not
 		// outlive the request.
-		node.SinkRelease(inv.ReqID) //nolint:errcheck // best effort: an unreachable sink holds nothing to release
+		node.SinkRelease(r.inv.ReqID()) //nolint:errcheck // best effort: an unreachable sink holds nothing to release
 	}
-	if s.cfg.Trace != nil || inv.span != nil {
+	if s.cfg.Trace != nil || r.span != nil {
 		for i := range items {
 			it, note := &items[i], ""
 			if s.cfg.Trace != nil {
 				note = fmt.Sprintf("%s %dB", it.Input, it.Value.Size)
 			}
-			s.event(inv, trace.DataArrived, it.To.Fn, it.To.Idx, note)
+			s.event(r, trace.DataArrived, it.To.Fn, it.To.Idx, note)
 		}
 	}
-	s.deliverBatch(inv, items, b.reqs, node, b.flu)
+	s.deliverBatch(r, items, b.reqs, node, b.flu)
 	b.dropReqs()
 }
 
@@ -679,11 +698,11 @@ func (s *System) landBatch(inv *Invocation, items []dataflow.Item, node *cluster
 // request's pins and land on the survivors instead. Repair is per item —
 // each pin rewrite may pick a different survivor — and unpaced: the wire
 // charge died with the connection.
-func (s *System) reland(inv *Invocation, items []dataflow.Item, b *dluBatch, attempt int) {
+func (s *System) reland(r *request, items []dataflow.Item, b *dluBatch, attempt int) {
 	for i := range items {
 		var node *cluster.Node
-		node, items[i].Replica = s.relandTarget(inv, items[i].To.Fn)
-		s.landBatch(inv, items[i:i+1], node, b, transport.Pacing{}, attempt)
+		node, items[i].Replica = s.relandTarget(r, items[i].To.Fn)
+		s.landBatch(r, items[i:i+1], node, b, transport.Pacing{}, attempt)
 	}
 }
 
@@ -691,29 +710,29 @@ func (s *System) reland(inv *Invocation, items []dataflow.Item, b *dluBatch, att
 // to readiness and completion. reqs carries the sink keys the items were
 // cached under, index-aligned with items, and node the node that cached
 // them (reqs is empty for user-destined and direct edges: nothing cached). The
-// whole reaction runs under one inv.mu hold — scheduling only hands jobs to
+// whole reaction runs under one r.mu hold — scheduling only hands jobs to
 // the executor. flu is the producer's Context when it is the one shipping
 // (scheduleReady may park a consumer in it).
-func (s *System) deliverBatch(inv *Invocation, items []dataflow.Item, reqs []wmm.PutReq, node *cluster.Node, flu *Context) {
+func (s *System) deliverBatch(r *request, items []dataflow.Item, reqs []wmm.PutReq, node *cluster.Node, flu *Context) {
 	var readyBuf [4]dataflow.InstanceKey // on the stack: a delivery readies a handful of instances
-	inv.mu.Lock()
+	r.mu.Lock()
 	for i := range items {
 		it := items[i]
 		if len(reqs) > 0 {
-			inv.recordArrived(s.arrivedKey(it), arrivedItem{item: it, key: reqs[i].Key, node: node})
+			r.recordArrived(s.arrivedKey(it), arrivedItem{item: it, key: reqs[i].Key, node: node})
 		}
-		newly, err := inv.tracker.DeliverInto(readyBuf[:0], it)
+		newly, err := r.tracker.DeliverInto(readyBuf[:0], it)
 		if err != nil {
-			inv.mu.Unlock()
-			inv.fail(err)
+			r.mu.Unlock()
+			r.fail(err)
 			return
 		}
-		s.scheduleReady(inv, newly, flu)
+		s.scheduleReady(r, newly, flu)
 	}
-	if inv.tracker.Complete() {
-		inv.finishLocked()
+	if r.tracker.Complete() {
+		r.finishLocked()
 	}
-	inv.mu.Unlock()
+	r.mu.Unlock()
 }
 
 // sinkKey derives the Wait-Match Memory key of an item deterministically
@@ -803,26 +822,26 @@ type arrivedBucket struct {
 }
 
 // arrivedFor returns the arrived items recorded under key. Caller holds
-// inv.mu.
-func (inv *Invocation) arrivedFor(key dataflow.InstanceKey) []arrivedItem {
-	for i := range inv.arrived {
-		if inv.arrived[i].key == key {
-			return inv.arrived[i].items
+// r.mu.
+func (r *request) arrivedFor(key dataflow.InstanceKey) []arrivedItem {
+	for i := range r.arrived {
+		if r.arrived[i].key == key {
+			return r.arrived[i].items
 		}
 	}
 	return nil
 }
 
-// recordArrived appends one landed item under key. Caller holds inv.mu.
-func (inv *Invocation) recordArrived(key dataflow.InstanceKey, ai arrivedItem) {
-	for i := range inv.arrived {
-		if inv.arrived[i].key == key {
-			inv.arrived[i].items = append(inv.arrived[i].items, ai)
+// recordArrived appends one landed item under key. Caller holds r.mu.
+func (r *request) recordArrived(key dataflow.InstanceKey, ai arrivedItem) {
+	for i := range r.arrived {
+		if r.arrived[i].key == key {
+			r.arrived[i].items = append(r.arrived[i].items, ai)
 			return
 		}
 	}
-	inv.arrived = append(inv.arrived, arrivedBucket{key: key})
-	b := &inv.arrived[len(inv.arrived)-1]
+	r.arrived = append(r.arrived, arrivedBucket{key: key})
+	b := &r.arrived[len(r.arrived)-1]
 	b.items = append(b.inline[:0], ai)
 }
 

@@ -10,7 +10,7 @@ import (
 // This file is the runtime plane's fault-tolerance plane (Config.
 // FaultTolerant). The recovery model follows the paper's data-flow
 // argument: an instance's inputs wait in a Wait-Match Memory only until it
-// fetches them, and the coordinator's own arrived log (Invocation.arrived)
+// fetches them, and the coordinator's own arrived log (request.arrived)
 // keeps every landed item with its payload until the request completes, so
 // losing a node loses only (a) the unfetched data cached in that node's sink
 // and (b) the instances pinned there — never the request's history.
@@ -56,28 +56,28 @@ func (s *System) noteUnreachable(n *cluster.Node, err error) bool {
 }
 
 // repairLocked rewrites every dead pin of the request onto a surviving
-// replica and replays the lost data there. Caller holds inv.mu. Pins are
-// updated in place so callers iterating inv.route by index stay valid.
-func (s *System) repairLocked(inv *Invocation) {
-	for i := range inv.route {
-		dead := inv.route[i].node
+// replica and replays the lost data there. Caller holds r.mu. Pins are
+// updated in place so callers iterating r.route by index stay valid.
+func (s *System) repairLocked(r *request) {
+	for i := range r.route {
+		dead := r.route[i].node
 		if dead.Health() != cluster.Down {
 			continue
 		}
-		st := s.fns[inv.route[i].fn]
-		next, ordinal, ok := s.selectReplica(st, nil, inv.tenant)
+		st := s.fns[r.route[i].fn]
+		next, ordinal, ok := s.selectReplica(st, nil, r.inv.tenant)
 		if !ok {
 			// Nothing is routable (whole cluster down): leave the pin rather
 			// than replay into another dead sink.
 			continue
 		}
-		inv.route[i].node = next
-		inv.route[i].ordinal = ordinal
-		n := s.replayLocked(inv, st.name, dead, next, ordinal)
-		inv.replays += n
+		r.route[i].node = next
+		r.route[i].ordinal = ordinal
+		n := s.replayLocked(r, st.name, dead, next, ordinal)
+		r.inv.replays.Add(int64(n))
 		s.replays.Add(int64(n))
-		obsReplays.Add(inv.stripe, int64(n))
-		s.event(inv, trace.Replay, st.name, n, dead.Name+"->"+next.Name)
+		obsReplays.Add(r.stripe, int64(n))
+		s.event(r, trace.Replay, st.name, n, dead.Name+"->"+next.Name)
 	}
 }
 
@@ -85,11 +85,11 @@ func (s *System) repairLocked(inv *Invocation) {
 // dead and not yet consumed by their instance — on the repaired node,
 // returning how many shipments were replayed. The arrived records are
 // updated in place (key, node, replica ordinal) so the consume path and
-// teardown address the survivor's sink. Caller holds inv.mu.
-func (s *System) replayLocked(inv *Invocation, fn string, dead, next *cluster.Node, ordinal int) int {
+// teardown address the survivor's sink. Caller holds r.mu.
+func (s *System) replayLocked(r *request, fn string, dead, next *cluster.Node, ordinal int) int {
 	replayed := 0
-	for b := range inv.arrived {
-		bucket := &inv.arrived[b]
+	for b := range r.arrived {
+		bucket := &r.arrived[b]
 		if bucket.key.Fn != fn || bucket.consumed {
 			continue
 		}
@@ -99,14 +99,14 @@ func (s *System) replayLocked(inv *Invocation, fn string, dead, next *cluster.No
 				continue
 			}
 			ai.item.Replica = ordinal
-			ai.key = sinkKey(inv.ReqID, ai.item)
+			ai.key = sinkKey(r.inv.ReqID(), ai.item)
 			ai.node = next
 			if err := next.SinkPut(ai.key, ai.item.Value, 1); err != nil {
 				// The survivor died too; the next pin touch repairs again.
 				s.noteUnreachable(next, err)
 				continue
 			}
-			inv.sinkResidue.Add(1)
+			r.sinkResidue.Add(1)
 			replayed++
 		}
 	}
@@ -117,27 +117,27 @@ func (s *System) replayLocked(inv *Invocation, fn string, dead, next *cluster.No
 // its destination died: repair the request's pins, then return fn's (now
 // healthy) pin. A missing pin can only mean the request never pinned fn on
 // this path (defensive); it is pinned fresh.
-func (s *System) relandTarget(inv *Invocation, fn string) (*cluster.Node, int) {
+func (s *System) relandTarget(r *request, fn string) (*cluster.Node, int) {
 	st := s.fns[fn]
-	inv.mu.Lock()
-	defer inv.mu.Unlock()
-	s.repairLocked(inv)
-	for i := range inv.route {
-		if inv.route[i].fn == fn {
-			return inv.route[i].node, inv.route[i].ordinal
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s.repairLocked(r)
+	for i := range r.route {
+		if r.route[i].fn == fn {
+			return r.route[i].node, r.route[i].ordinal
 		}
 	}
-	n, o, _ := s.selectReplica(st, nil, inv.tenant)
-	inv.route = append(inv.route, routePin{fn: fn, node: n, ordinal: o})
+	n, o, _ := s.selectReplica(st, nil, r.inv.tenant)
+	r.route = append(r.route, routePin{fn: fn, node: n, ordinal: o})
 	return n, o
 }
 
 // markConsumed flags the instance's arrived bucket as consumed. Caller
-// holds inv.mu.
-func (inv *Invocation) markConsumed(key dataflow.InstanceKey) {
-	for i := range inv.arrived {
-		if inv.arrived[i].key == key {
-			inv.arrived[i].consumed = true
+// holds r.mu.
+func (r *request) markConsumed(key dataflow.InstanceKey) {
+	for i := range r.arrived {
+		if r.arrived[i].key == key {
+			r.arrived[i].consumed = true
 			return
 		}
 	}
@@ -149,20 +149,14 @@ func (s *System) Replays() int64 { return s.replays.Load() }
 
 // Replays returns how many of this request's shipments were replayed after
 // node deaths. Valid any time; settles once Done is closed.
-func (inv *Invocation) Replays() int {
-	inv.mu.Lock()
-	defer inv.mu.Unlock()
-	return inv.replays
-}
+func (inv *Invocation) Replays() int { return int(inv.replays.Load()) }
 
 // PinnedNode returns the node name fn is currently pinned to for this
 // request, if pinned yet.
 func (inv *Invocation) PinnedNode(fn string) (string, bool) {
-	inv.mu.Lock()
-	defer inv.mu.Unlock()
-	for i := range inv.route {
-		if inv.route[i].fn == fn {
-			return inv.route[i].node.Name, true
+	for _, p := range inv.pinsNow() {
+		if p.fn == fn {
+			return p.node.Name, true
 		}
 	}
 	return "", false
@@ -171,11 +165,10 @@ func (inv *Invocation) PinnedNode(fn string) (string, bool) {
 // PinnedNodes returns the node names this request's route pins currently
 // address, in pin order (empty on the static path, which has no pins).
 func (inv *Invocation) PinnedNodes() []string {
-	inv.mu.Lock()
-	defer inv.mu.Unlock()
-	out := make([]string, len(inv.route))
-	for i := range inv.route {
-		out[i] = inv.route[i].node.Name
+	pins := inv.pinsNow()
+	out := make([]string, len(pins))
+	for i := range pins {
+		out[i] = pins[i].node.Name
 	}
 	return out
 }

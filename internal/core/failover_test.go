@@ -284,7 +284,7 @@ func TestFailoverRelandsMultiItemEdge(t *testing.T) {
 		t.Fatalf("b pinned to %q after %q was failed under its shipment", pin, dead)
 	}
 	arrived := map[int]int{}
-	for _, e := range log.ForRequest(inv.ReqID) {
+	for _, e := range log.ForRequest(inv.ReqID()) {
 		if e.Kind == trace.DataArrived && e.Fn == "b" {
 			arrived[e.Idx]++
 		}

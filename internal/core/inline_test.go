@@ -294,7 +294,7 @@ function tail
 			t.Fatal(err)
 		}
 		var order []string
-		for _, e := range log.ForRequest(inv.ReqID) {
+		for _, e := range log.ForRequest(inv.ReqID()) {
 			if e.Kind == trace.DataArrived && e.Fn != workflow.UserSource {
 				order = append(order, strings.Fields(e.Note)[0])
 			}

@@ -116,11 +116,11 @@ func publishRing(g *obs.SpanRing) {
 // request's sampled span. Two nil checks when neither is on — the common
 // case. Callers format a note only behind their own `s.cfg.Trace != nil`
 // guard (the tracegate analyzer holds hot-path files to that).
-func (s *System) event(inv *Invocation, kind trace.Kind, fn string, idx int, note string) {
+func (s *System) event(r *request, kind trace.Kind, fn string, idx int, note string) {
 	if s.cfg.Trace != nil {
-		s.cfg.Trace.Append(trace.Event{At: s.now(), Kind: kind, ReqID: inv.ReqID, Fn: fn, Idx: idx, Note: note})
+		s.cfg.Trace.Append(trace.Event{At: s.now(), Kind: kind, ReqID: r.inv.ReqID(), Fn: fn, Idx: idx, Note: note})
 	}
-	if inv.span != nil {
-		inv.span.Record(kind, s.now(), fn, idx)
+	if r.span != nil {
+		r.span.Record(kind, s.now(), fn, idx)
 	}
 }

@@ -87,7 +87,7 @@ func TestUnsampledRequestsCarryNoSpan(t *testing.T) {
 	want := 0
 	for i := 0; i < 20; i++ {
 		inv := runWC(t, sys, "a b")
-		if n, _ := strconv.Atoi(strings.TrimPrefix(inv.ReqID, "req-")); n%4 == 0 {
+		if n, _ := strconv.Atoi(strings.TrimPrefix(inv.ReqID(), "req-")); n%4 == 0 {
 			want++
 		}
 	}

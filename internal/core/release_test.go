@@ -245,7 +245,7 @@ func TestLandAcrossTeardownFlip(t *testing.T) {
 		sys := newCross(t,
 			func(*Context) error { return errBoom },
 			func(ctx *Context) error {
-				<-ctx.inv.Done()
+				<-ctx.req.inv.Done()
 				err := putX(ctx)
 				close(landed)
 				return err

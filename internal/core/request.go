@@ -1,0 +1,399 @@
+//repolint:hotpath every request takes and returns its engine state here; see tracegate
+
+package core
+
+import (
+	"slices"
+	"strconv"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/dataflow"
+	"repro/internal/obs"
+	"repro/internal/trace"
+)
+
+// A request has two halves. The Invocation is the caller's handle: small,
+// allocated once per request, valid forever. The request is the engine's
+// state for it — tracker, arrived log, route pins, sink residue, ReDo counts,
+// sampled span — taken from a per-stripe free-list and recycled.
+//
+// A request is recycled only when its last reference drops. Its own "not
+// finished" state holds one; so does every admitted instance job (running,
+// queued to the executor pool, or parked as its producer's continuation),
+// every task queued to a DLU daemon, InvokeWith while it registers the
+// request, and a handle reader looking into a live request (pinsNow). A
+// producer still computing after its Put finished the request therefore
+// keeps the state alive through its job's reference: its late Put routes on
+// a request that is torn down but not yet recycled. Each recycle bumps gen;
+// jobs and queued tasks carry the generation they were made under, and the
+// package's tests assert it wherever one is dereferenced (checkGen).
+
+// Invocation is the caller's handle on one workflow request: its id, latency,
+// terminal error and user outputs. It stays valid after the request finished
+// and the engine reused its state.
+type Invocation struct {
+	id     int64
+	tenant string
+	// wg is Wait's signal: one count, released when the request finishes.
+	wg sync.WaitGroup
+	// replays counts this request's shipments re-landed after node deaths
+	// (fault-tolerant mode only).
+	replays atomic.Int64
+
+	mu sync.Mutex // guards everything below; a leaf lock under request.mu
+	// idStr is the formatted id, made by the first ReqID call.
+	idStr string
+	// req is the engine state while the request runs; nil once it finished.
+	req  *request
+	done chan struct{} // Done's channel, made only when asked for in flight
+	err  error
+	lat  time.Duration
+	// outputs are the user items, copied in at finish; outBuf seeds them so
+	// a single-output workflow's copy allocates nothing. pins are the route
+	// pins as the request left them (none on the static path).
+	outputs []dataflow.Item
+	outBuf  [1]dataflow.Item
+	pins    []routePin
+}
+
+// ReqID returns the request's identifier, "req-<n>". It is formatted on the
+// first call: a warm direct-edge chain, which keys no sink entry and names
+// no stream, never makes the string.
+func (inv *Invocation) ReqID() string {
+	inv.mu.Lock()
+	defer inv.mu.Unlock()
+	if inv.idStr == "" {
+		var buf [24]byte
+		inv.idStr = string(strconv.AppendInt(append(buf[:0], "req-"...), inv.id, 10))
+	}
+	return inv.idStr
+}
+
+// Tenant returns the request's QoS tenant attribution ("" when the
+// admission plane is off).
+func (inv *Invocation) Tenant() string { return inv.tenant }
+
+// closedDone is the Done channel of a request that finished before anyone
+// asked for one.
+var closedDone = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+// Done is closed when the request completes (successfully or not). The
+// channel is made on the first call while the request runs; Wait needs none.
+func (inv *Invocation) Done() <-chan struct{} {
+	inv.mu.Lock()
+	defer inv.mu.Unlock()
+	if inv.req == nil {
+		return closedDone
+	}
+	if inv.done == nil {
+		inv.done = make(chan struct{})
+	}
+	return inv.done
+}
+
+// Err returns the terminal error, if any. Valid after Done is closed.
+func (inv *Invocation) Err() error {
+	inv.mu.Lock()
+	defer inv.mu.Unlock()
+	return inv.err
+}
+
+// Latency returns the end-to-end latency. Valid after Done is closed.
+func (inv *Invocation) Latency() time.Duration {
+	inv.mu.Lock()
+	defer inv.mu.Unlock()
+	return inv.lat
+}
+
+// Outputs returns the items delivered to the user. Valid after Done is
+// closed.
+func (inv *Invocation) Outputs() []dataflow.Item {
+	inv.mu.Lock()
+	defer inv.mu.Unlock()
+	return inv.outputs
+}
+
+// OutputBytes returns the payload of the first user item with the given
+// source function output name, for convenient assertions.
+func (inv *Invocation) OutputBytes(output string) ([]byte, bool) {
+	for _, it := range inv.Outputs() {
+		if it.Output == output {
+			return it.Value.Payload, true
+		}
+	}
+	return nil, false
+}
+
+// Wait blocks until completion and returns the terminal error.
+func (inv *Invocation) Wait() error {
+	inv.wg.Wait()
+	return inv.Err()
+}
+
+// finish records the request's outcome in the handle and releases its
+// waiters. request.finishLocked calls it once.
+func (inv *Invocation) finish(err error, lat time.Duration, outs []dataflow.Item, pins []routePin) {
+	inv.mu.Lock()
+	inv.req, inv.err, inv.lat = nil, err, lat
+	inv.outputs = append(inv.outBuf[:0], outs...)
+	if len(pins) > 0 {
+		inv.pins = slices.Clone(pins)
+	}
+	done := inv.done
+	inv.mu.Unlock()
+	if done != nil {
+		close(done)
+	}
+	inv.wg.Done()
+}
+
+// pinsNow returns the request's route pins: copied out of the live request,
+// or as finish left them.
+func (inv *Invocation) pinsNow() []routePin {
+	inv.mu.Lock()
+	r := inv.req
+	if r == nil {
+		defer inv.mu.Unlock()
+		return inv.pins
+	}
+	r.refs.Add(1) // unfinished, so the request's own reference is still held
+	inv.mu.Unlock()
+	r.mu.Lock()
+	pins := slices.Clone(r.route)
+	r.mu.Unlock()
+	r.release()
+	return pins
+}
+
+// request is one request's engine state (see the top of this file).
+type request struct {
+	sys *System
+	inv *Invocation // the handle; nil on the free-list
+	// refs counts the references that keep the state from being recycled;
+	// gen counts recycles.
+	refs   atomic.Int32
+	gen    atomic.Uint32
+	stripe uint32   // the request's lane of the striped engine counters
+	next   *request // free-list link
+	start  time.Time
+
+	tracker dataflow.Tracker // embedded by value, reused with the request
+	mu      sync.Mutex
+	err     error
+	// attempts counts ReDo attempts per instance (allocated on first
+	// failure; the clean path never touches it).
+	attempts map[dataflow.InstanceKey]int
+	// arrived records the items that landed for each instance, paired with
+	// the sink key they were cached under so consumers and teardown never
+	// re-derive it; an item every instance of a FOREACH-fanned function reads
+	// is recorded under {Fn, BroadcastIdx} (arrivedKey).
+	// A request touches a handful of instance keys, so a scanned slice
+	// beats a map (no per-request map allocation, no hashing).
+	arrived []arrivedBucket
+
+	// route holds the request's replica pins (none on the static fast
+	// path). A request touches a handful of functions, so a
+	// scanned slice beats a map, like arrived. Accessed under mu.
+	route []routePin
+
+	// sinkResidue counts sink entries this request may still own: +1 per
+	// landed Put, -1 per consuming Get that found its entry. A clean
+	// completion with zero residue left nothing in any sink (shared entries
+	// of a fanned function are fetched by no instance, TTL spills are only
+	// reclaimed by sweeping, so both keep the count positive) and teardown
+	// can skip the per-node ReleaseRequest sweep entirely.
+	sinkResidue atomic.Int64
+
+	// torn is set when the request finishes, before its teardown sweep. A
+	// shipment puts, then reads it: set means the sweep may already be over
+	// and the land cleans up after itself, clear means the sweep is still to
+	// come and covers the late Put.
+	torn atomic.Bool
+
+	// Inline backings for the slices above: a typical request touches a
+	// handful of instance keys and pins, so seeding the slices here keeps
+	// their first growth out of the heap. If a slice outgrows its seed,
+	// append reallocates and the copied headers keep the (heap-alive) old
+	// backing valid.
+	arrivedBuf [2]arrivedBucket
+	routeBuf   [4]routePin
+
+	// span is the request's sampled trace record (nil for the unsampled
+	// majority — every recording site is behind one nil check). Set in
+	// InvokeWith; SpanRec is internally synchronized.
+	span *obs.SpanRec
+}
+
+// reqFreeMax bounds each stripe's free-list: a burst's worth of engine state
+// waits for the next burst, the rest goes to the collector.
+const reqFreeMax = 64
+
+// reqFreeList is one stripe's recycled requests, on a cache line of its own.
+type reqFreeList struct {
+	mu   sync.Mutex
+	head *request
+	n    int
+	_    [40]byte
+}
+
+// newRequest takes engine state for the handle inv off the stripe's
+// free-list, or allocates it, for a request that started at start. It
+// returns holding two references: the request's own "not finished" one and
+// the caller's.
+func (s *System) newRequest(inv *Invocation, stripe uint32, start time.Time) *request {
+	fl := &s.freeReqs[stripe]
+	fl.mu.Lock()
+	r := fl.head
+	if r != nil {
+		fl.head, r.next = r.next, nil
+		fl.n--
+	}
+	fl.mu.Unlock()
+	if r == nil {
+		r = &request{sys: s}
+		r.arrived, r.route = r.arrivedBuf[:0], r.routeBuf[:0]
+	}
+	r.inv, r.stripe, r.start = inv, stripe, start
+	r.refs.Store(2)
+	r.tracker.Init(s.wf, "")
+	return r
+}
+
+// release drops one reference; the last one recycles the request.
+func (r *request) release() {
+	if n := r.refs.Add(-1); n > 0 {
+		return
+	} else if n < 0 {
+		panic("core: request reference count went negative")
+	}
+	r.recycle()
+}
+
+// recycle drops everything the finished request references — payloads, pins,
+// the handle — and files the state on its stripe's free-list.
+func (r *request) recycle() {
+	r.tracker.Reset()
+	// A slice that outgrew its seed left stale copies in the seed.
+	clear(r.arrived)
+	if cap(r.arrived) > len(r.arrivedBuf) {
+		clear(r.arrivedBuf[:])
+	}
+	clear(r.route)
+	if cap(r.route) > len(r.routeBuf) {
+		clear(r.routeBuf[:])
+	}
+	r.arrived, r.route = r.arrivedBuf[:0], r.routeBuf[:0]
+	r.inv, r.err, r.attempts, r.span = nil, nil, nil, nil
+	r.sinkResidue.Store(0)
+	r.torn.Store(false)
+	r.gen.Add(1)
+	fl := &r.sys.freeReqs[r.stripe]
+	fl.mu.Lock()
+	if fl.n < reqFreeMax {
+		r.next, fl.head = fl.head, r
+		fl.n++
+	}
+	fl.mu.Unlock()
+}
+
+// checkGen turns on the generation assert (live); the package's tests set it.
+var checkGen bool
+
+// live panics, under checkGen, if r was recycled since gen was read from it:
+// a job or queued task outlived the reference it should have held.
+func (r *request) live(gen uint32) {
+	if checkGen && r.gen.Load() != gen {
+		panic("core: request state used after it was recycled")
+	}
+}
+
+// fail terminates the request with err (first error wins).
+func (r *request) fail(err error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.err == nil {
+		r.err = err
+	}
+	r.finishLocked()
+}
+
+// finishLocked completes the request once: it tears the request down, hands
+// the outcome to the handle — so a returned Wait finds the request untracked
+// and its sweep done — and drops the "not finished" reference. Caller holds
+// r.mu, and a reference of its own, so the drop never recycles under the lock.
+func (r *request) finishLocked() {
+	if r.torn.Load() {
+		return
+	}
+	// Set before the sweep below: see torn.
+	r.torn.Store(true)
+	s, inv := r.sys, r.inv
+	end := s.clk.Now()
+	lat := end.Sub(r.start)
+	s.event(r, trace.ReqCompleted, "", 0, "")
+	obsReqLat.Observe(r.stripe, int64(lat))
+	if r.err != nil {
+		obsFailed.Inc(r.stripe)
+	} else {
+		obsCompleted.Inc(r.stripe)
+	}
+	s.pendingInvs.Add(r.stripe, -1)
+	r.teardown(end)
+	inv.finish(r.err, lat, r.tracker.UserItems(), r.route)
+	r.refs.Add(-1)
+}
+
+// teardown is the end-of-request GC: release the request's leftover sink
+// entries. Proactive release normally empties the memory tier earlier; this
+// is what reclaims the shared inputs of fanned functions (read by every
+// instance, fetched by none) and TTL-spilled disk copies, so a long-running
+// system does not grow with request count. Caller holds r.mu.
+func (r *request) teardown(end time.Time) {
+	s := r.sys
+	if r.err == nil {
+		// Clean completion: the only entries a balanced request leaves
+		// behind are those shared inputs, and we know their exact keys from
+		// the arrived log — consume them directly (one stripe lock each)
+		// instead of sweeping every stripe of every routed node. If the
+		// books still don't balance afterwards (an entry TTL-spilled, a
+		// re-put superseded a copy), fall through to the full sweep. A
+		// shipment still in flight self-sweeps when it lands and finds the
+		// request torn down, so skipping the sweep cannot strand it.
+		for i := range r.arrived {
+			b := &r.arrived[i]
+			if b.key.Idx != dataflow.BroadcastIdx {
+				continue
+			}
+			for _, ai := range b.items {
+				// ai.node is the node the item landed on (the request's
+				// pinned replica for that function).
+				if _, ok, err := ai.node.SinkGet(ai.key); err == nil && ok {
+					r.sinkResidue.Add(-1)
+				}
+			}
+		}
+		if r.sinkResidue.Load() == 0 {
+			return // nothing to sweep, so nothing to time: the histogram counts sweeps
+		}
+	}
+	id := r.inv.ReqID()
+	if s.static {
+		for _, n := range s.routedNodes {
+			n.SinkRelease(id) //nolint:errcheck // best effort: an unreachable sink holds nothing to release
+		}
+	} else {
+		// Pinned routing: every sink Put of this request happened on a pinned
+		// node (land routes through routeFor before touching a sink), so the
+		// sweep covers exactly the request's pins instead of the whole fleet.
+		for i := range r.route {
+			r.route[i].node.SinkRelease(id) //nolint:errcheck // best effort: an unreachable sink holds nothing to release
+		}
+	}
+	obsTeardownLat.Observe(r.stripe, int64(s.clk.Since(end)))
+}

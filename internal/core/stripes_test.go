@@ -16,8 +16,8 @@ import (
 func TestRequestIDsUniqueAndWellFormed(t *testing.T) {
 	sys, _ := newWCSystem(t, 1, nil)
 	defer sys.Shutdown()
-	if inv := runWC(t, sys, "a b"); inv.ReqID != "req-1" {
-		t.Fatalf("first invoke got ReqID %q, want req-1", inv.ReqID)
+	if inv := runWC(t, sys, "a b"); inv.ReqID() != "req-1" {
+		t.Fatalf("first invoke got ReqID %q, want req-1", inv.ReqID())
 	}
 
 	const goroutines, perG = 8, 100
@@ -33,7 +33,7 @@ func TestRequestIDsUniqueAndWellFormed(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				ids[g] = append(ids[g], inv.ReqID)
+				ids[g] = append(ids[g], inv.ReqID())
 				if err := inv.Wait(); err != nil {
 					t.Error(err)
 					return

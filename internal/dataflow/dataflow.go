@@ -32,11 +32,12 @@ func (k InstanceKey) String() string { return fmt.Sprintf("%s[%d]", k.Fn, k.Idx)
 // UserKey is the pseudo-instance representing the workflow invoker.
 var UserKey = InstanceKey{Fn: workflow.UserSource, Idx: 0}
 
-// Value is one datum produced by a function: an opaque payload plus its size
-// in bytes (the simulation plane uses only Size; the runtime plane carries
-// real payloads).
+// Value is one datum produced by a function: its bytes plus their size (the
+// simulation plane sets and reads only Size; the runtime plane carries real
+// payloads). Payload is a byte slice, not an interface, so routing a value
+// never boxes it.
 type Value struct {
-	Payload any
+	Payload []byte
 	Size    int64
 }
 
@@ -199,8 +200,8 @@ func NewTracker(wf *workflow.Workflow, reqID string) *Tracker {
 // the Tracker allocation, for callers that embed the tracker in a larger
 // per-request record. Any previous state is discarded.
 func (t *Tracker) Init(wf *workflow.Workflow, reqID string) {
-	if t.wf != nil { // reused; a tracker never initialized is zero, and clearing 1 KiB again is most of Init
-		*t = Tracker{}
+	if t.wf != nil {
+		t.Reset()
 	}
 	// switchChosen and foreachUser allocate lazily on first write; most
 	// requests never touch them.
@@ -224,6 +225,22 @@ func (t *Tracker) Init(wf *workflow.Workflow, reqID string) {
 	if n, ok := wf.StaticUserItems(); ok {
 		t.expectTotal, t.expectFinal = n, true
 	}
+}
+
+// Reset discards the request's state — every payload reference with it — so
+// t holds nothing until the next Init. It clears only what the request used
+// (the function entries and user items in play, and the seeds behind them),
+// not the whole inline-seeded record.
+func (t *Tracker) Reset() {
+	clear(t.fns)
+	clear(t.userItems)
+	if cap(t.userItems) > len(t.userBuf) {
+		clear(t.userBuf[:]) // a stale copy from before userItems outgrew it
+	}
+	t.wf, t.plan, t.reqID = nil, nil, ""
+	t.fns, t.userItems = nil, nil
+	t.switchChosen, t.foreachUser = nil, nil
+	t.expectTotal, t.expectFinal = 0, false
 }
 
 // track returns fn's tracking state, or nil for unknown functions.

@@ -121,8 +121,8 @@ function tail
 // TestChainRequestAllocatesNothing: a request over a handful of functions
 // with single items walks the plan inside the tracker's inline seeds — Init,
 // the entry input, and per instance inputs, route and delivery, with
-// caller-owned buffers as the runtime engine holds them, allocate no tracker
-// state. (One object remains: the entry's []byte boxed into Value.Payload.)
+// caller-owned buffers as the runtime engine holds them, allocate nothing:
+// Value.Payload is a byte slice, so the entry payload is not boxed either.
 func TestChainRequestAllocatesNothing(t *testing.T) {
 	w, err := workflow.ParseDSLString(`
 workflow chain
@@ -165,7 +165,7 @@ function b
 			t.Fatal("chain did not complete")
 		}
 	})
-	if allocs != 1 {
-		t.Fatalf("a chain request's tracker allocates %.1f objects, want 1 (the boxed entry payload)", allocs)
+	if allocs != 0 {
+		t.Fatalf("a chain request's tracker allocates %.1f objects, want 0", allocs)
 	}
 }

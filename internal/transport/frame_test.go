@@ -227,8 +227,7 @@ func TestPutBatchRoundTrip(t *testing.T) {
 		if got[i].Key != reqs[i].Key || got[i].Consumers != reqs[i].Consumers || got[i].Val.Size != reqs[i].Val.Size {
 			t.Fatalf("req %d: %+v vs %+v", i, got[i], reqs[i])
 		}
-		want, _ := reqs[i].Val.Payload.([]byte)
-		if p, _ := got[i].Val.Payload.([]byte); !bytes.Equal(p, want) {
+		if !bytes.Equal(got[i].Val.Payload, reqs[i].Val.Payload) {
 			t.Fatalf("req %d payload mismatch", i)
 		}
 	}
@@ -236,7 +235,7 @@ func TestPutBatchRoundTrip(t *testing.T) {
 	for i := range body {
 		body[i] = 0xff
 	}
-	if p, _ := got[0].Val.Payload.([]byte); !bytes.Equal(p, []byte("abc")) {
+	if !bytes.Equal(got[0].Val.Payload, []byte("abc")) {
 		t.Fatal("decoded payload aliases the frame buffer")
 	}
 }

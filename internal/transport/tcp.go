@@ -237,8 +237,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			g, fail = decodeGet(body)
 			if fail == nil {
 				v, _, ok := sink.Get(at, wmm.Key{ReqID: g.ReqID, Fn: g.Fn, Data: g.Data})
-				payload, _ := v.Payload.([]byte)
-				respT, resp = MsgFound, appendFound(wbuf[:0], Found{Found: ok, Payload: payload})
+				respT, resp = MsgFound, appendFound(wbuf[:0], Found{Found: ok, Payload: v.Payload})
 			}
 		case MsgRelease:
 			var rel Release

@@ -44,7 +44,7 @@ func TestTCPSinkOps(t *testing.T) {
 	if err := c.Land(ctx, Pacing{}, wmm.PutReq{Key: key, Val: dataflow.Value{Payload: []byte("hi"), Size: 2}, Consumers: 1}); err != nil {
 		t.Fatalf("Land: %v", err)
 	}
-	if v, ok, err := c.Get(ctx, key); err != nil || !ok || string(v.Payload.([]byte)) != "hi" {
+	if v, ok, err := c.Get(ctx, key); err != nil || !ok || string(v.Payload) != "hi" {
 		t.Fatalf("Get: %v %v %v", v, ok, err)
 	}
 	if _, ok, err := c.Get(ctx, key); err != nil || ok {

@@ -170,13 +170,12 @@ func appendPutItem(b []byte, m Put) []byte {
 // appendPutReq encodes one wmm.PutReq's datum fields directly (the ship
 // path never builds intermediate Put structs).
 func appendPutReq(b []byte, req wmm.PutReq) []byte {
-	payload, _ := req.Val.Payload.([]byte)
 	b = appendString(b, req.Key.ReqID)
 	b = appendString(b, req.Key.Fn)
 	b = appendString(b, req.Key.Data)
 	b = appendUvarint(b, uint64(req.Consumers))
 	b = appendVarint(b, req.Val.Size)
-	return appendBytes(b, payload)
+	return appendBytes(b, req.Val.Payload)
 }
 
 func appendPutBatch(b []byte, traceID uint64, reqs []wmm.PutReq) []byte {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"testing"
 	"time"
-
-	"repro/internal/dataflow"
 )
 
 // sinkState is a comparable fingerprint of a sink's observable contents.
@@ -64,7 +62,7 @@ func TestPutBatchEquivalentToSequentialPuts(t *testing.T) {
 		for _, r := range reqs {
 			gs, ts, oks := seq.Get(later, r.Key)
 			gb, tb, okb := bat.Get(later, r.Key)
-			if gs != gb || ts != tb || oks != okb {
+			if !sameValue(gs, gb) || ts != tb || oks != okb {
 				t.Fatalf("opts %+v: Get(%v) diverged: seq (%v,%v,%v) batch (%v,%v,%v)",
 					opts, r.Key, gs, ts, oks, gb, tb, okb)
 			}
@@ -155,10 +153,9 @@ func TestFreeListSafeAcrossTTLSkeletons(t *testing.T) {
 	if s.Len() != 0 || s.DiskBytes() != 0 {
 		t.Fatalf("len=%d disk=%d after full consumption", s.Len(), s.DiskBytes())
 	}
-	var val dataflow.Value
 	if got, _, ok := s.Get(at, k("r1", "f", "d0")); ok {
 		t.Fatalf("recycled record resurrected %v", got)
-	} else if got != val {
+	} else if got.Size != 0 || got.Payload != nil {
 		t.Fatalf("miss returned non-zero value %v", got)
 	}
 }

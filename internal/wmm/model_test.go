@@ -3,6 +3,7 @@ package wmm
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"testing"
 	"time"
 
@@ -150,7 +151,7 @@ func runModel(t testing.TB, opts Options, data []byte) Stats {
 		data = data[3:]
 		at += time.Duration([8]int{0, 0, 0, 0, 0, 1, 1, 3}[arg%8]) * time.Millisecond
 		key := modelKeys[kb%len(modelKeys)]
-		val := dataflow.Value{Size: 1 + int64(arg>>5), Payload: step}
+		val := dataflow.Value{Size: 1 + int64(arg>>5), Payload: strconv.AppendInt(nil, int64(step), 10)}
 		consumers := int(arg>>3) % 4 // 0 is clamped to 1 by the sink
 		op := "Put"
 		switch {
@@ -161,7 +162,7 @@ func runModel(t testing.TB, opts Options, data []byte) Stats {
 			op = "Get"
 			gv, gt, gok := s.Get(at, key)
 			wv, wt, wok := m.get(at, key)
-			if gv != wv || gt != wt || gok != wok {
+			if !sameValue(gv, wv) || gt != wt || gok != wok {
 				t.Fatalf("%+v step %d %s(%v, %v) = (%v, %v, %v), model (%v, %v, %v)",
 					opts, step, op, at, key, gv, gt, gok, wv, wt, wok)
 			}

@@ -1,7 +1,9 @@
 package wmm
 
 import (
+	"bytes"
 	"fmt"
+	"strconv"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -10,7 +12,16 @@ import (
 	"repro/internal/dataflow"
 )
 
-func v(size int64) dataflow.Value { return dataflow.Value{Size: size, Payload: size} }
+// v is a value of size bytes whose payload spells the size, so a test can
+// tell values apart by payload as well.
+func v(size int64) dataflow.Value {
+	return dataflow.Value{Size: size, Payload: strconv.AppendInt(nil, size, 10)}
+}
+
+// sameValue reports whether two values carry the same size and bytes.
+func sameValue(a, b dataflow.Value) bool {
+	return a.Size == b.Size && bytes.Equal(a.Payload, b.Payload)
+}
 
 func k(req, fn, data string) Key { return Key{ReqID: req, Fn: fn, Data: data} }
 
