@@ -38,6 +38,28 @@ func TestTreeIsRepolintClean(t *testing.T) {
 	}
 }
 
+// TestEveryInternalPackageIsImported fails on an internal package that only
+// tests reach: each must be imported by at least one non-test package of
+// the module. analysistest, the analyzers' fixture harness, is the one
+// test-helper package and is exempt.
+func TestEveryInternalPackageIsImported(t *testing.T) {
+	pkgs, err := analysis.Load("../../..", "./...")
+	if err != nil {
+		t.Fatalf("loading tree: %v", err)
+	}
+	imported := map[string]bool{"repro/internal/analysis/analysistest": true}
+	for _, p := range pkgs {
+		for _, imp := range p.Pkg.Imports() { // a source-checked package's own import list
+			imported[imp.Path()] = true
+		}
+	}
+	for _, p := range pkgs {
+		if strings.HasPrefix(p.ImportPath, "repro/internal/") && !imported[p.ImportPath] {
+			t.Errorf("%s is imported by no non-test package", p.ImportPath)
+		}
+	}
+}
+
 // TestSuiteNamesAreUnique guards the flag/directive namespace.
 func TestSuiteNamesAreUnique(t *testing.T) {
 	names := map[string]bool{}

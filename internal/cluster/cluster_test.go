@@ -127,8 +127,17 @@ func TestContainersCount(t *testing.T) {
 	}
 }
 
+// primaries maps each placed function to its primary replica's node.
+func primaries(snap *RoutingSnapshot) map[string]string {
+	rt := map[string]string{}
+	for _, fn := range snap.Functions() {
+		rt[fn], _ = snap.Primary(fn)
+	}
+	return rt
+}
+
 func TestRoundRobinPlacement(t *testing.T) {
-	rt := RoundRobin{}.Place([]string{"a", "b", "c", "d"}, []string{"n1", "n2", "n3"}).Table()
+	rt := primaries(RoundRobin{}.Place([]string{"a", "b", "c", "d"}, []string{"n1", "n2", "n3"}))
 	if rt["a"] != "n1" || rt["b"] != "n2" || rt["c"] != "n3" || rt["d"] != "n1" {
 		t.Fatalf("rt = %v", rt)
 	}
@@ -136,8 +145,8 @@ func TestRoundRobinPlacement(t *testing.T) {
 
 func TestRoundRobinNoNodes(t *testing.T) {
 	snap := RoundRobin{}.Place([]string{"a"}, nil)
-	if len(snap.Table()) != 0 {
-		t.Fatalf("rt = %v", snap.Table())
+	if rt := primaries(snap); len(rt) != 0 {
+		t.Fatalf("rt = %v", rt)
 	}
 	if reps := snap.Replicas("a"); len(reps) != 0 {
 		t.Fatalf("replicas = %v with no nodes", reps)
@@ -145,22 +154,13 @@ func TestRoundRobinNoNodes(t *testing.T) {
 }
 
 func TestSingleNodePlacement(t *testing.T) {
-	rt := SingleNode{Node: "n2"}.Place([]string{"a", "b"}, []string{"n1", "n2"}).Table()
+	rt := primaries(SingleNode{Node: "n2"}.Place([]string{"a", "b"}, []string{"n1", "n2"}))
 	if rt["a"] != "n2" || rt["b"] != "n2" {
 		t.Fatalf("rt = %v", rt)
 	}
-	rt = SingleNode{}.Place([]string{"a"}, []string{"n1", "n2"}).Table()
+	rt = primaries(SingleNode{}.Place([]string{"a"}, []string{"n1", "n2"}))
 	if rt["a"] != "n1" {
 		t.Fatalf("default single-node rt = %v", rt)
-	}
-}
-
-func TestRoutingTableClone(t *testing.T) {
-	rt := RoutingTable{"a": "n1"}
-	cp := rt.Clone()
-	cp["a"] = "n2"
-	if rt["a"] != "n1" {
-		t.Fatal("clone aliased")
 	}
 }
 
@@ -176,8 +176,7 @@ func TestClusterPlaceAndLookup(t *testing.T) {
 		t.Fatal("duplicate node accepted")
 	}
 	snap := c.Place([]string{"f", "g"})
-	rt := snap.Table()
-	if rt["f"] != "n1" || rt["g"] != "n2" {
+	if rt := primaries(snap); rt["f"] != "n1" || rt["g"] != "n2" {
 		t.Fatalf("rt = %v", rt)
 	}
 	if snap.Version == 0 {

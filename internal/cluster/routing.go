@@ -73,34 +73,10 @@ func (s *RoutingSnapshot) Functions() []string {
 	return out
 }
 
-// Table flattens the snapshot into the legacy single-owner routing table:
-// each function mapped to its primary replica's node.
-func (s *RoutingSnapshot) Table() RoutingTable {
-	if s == nil {
-		return RoutingTable{}
-	}
-	rt := make(RoutingTable, len(s.sets))
-	for fn, reps := range s.sets {
-		if len(reps) > 0 {
-			rt[fn] = reps[0].Node
-		}
-	}
-	return rt
-}
-
-// RoutingTable maps each function to the node hosting its primary replica —
-// the flattened, single-owner view of a RoutingSnapshot kept for callers
-// (CLI, control-flow baseline) that predate replica sets.
+// RoutingTable maps each function to the node hosting its primary replica:
+// the flattened, single-owner view of the routing plane that
+// core.System.Routing returns for the CLI to print.
 type RoutingTable map[string]string
-
-// Clone returns a copy of the table.
-func (rt RoutingTable) Clone() RoutingTable {
-	out := make(RoutingTable, len(rt))
-	for k, v := range rt {
-		out[k] = v
-	}
-	return out
-}
 
 // PlacementPolicy decides which nodes host each function. DataFlower
 // exposes this interface so custom balancers can plug in (§6.1).

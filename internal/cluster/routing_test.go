@@ -102,7 +102,7 @@ func TestPlaceDoesNotHoldClusterLockAcrossPolicy(t *testing.T) {
 	go func() { done <- c.Place([]string{"f"}) }()
 	snap := <-done
 	if p, _ := snap.Primary("f"); p != "n1" {
-		t.Fatalf("placement = %v", snap.Table())
+		t.Fatalf("placement = %v", snap.Replicas("f"))
 	}
 }
 

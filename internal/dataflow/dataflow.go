@@ -255,15 +255,6 @@ func (t *Tracker) track(fn string) *fnTrack {
 // ReqID returns the request identifier this tracker serves.
 func (t *Tracker) ReqID() string { return t.reqID }
 
-// Fanout returns the instance count of fn and whether it is known yet.
-func (t *Tracker) Fanout(fn string) (int, bool) {
-	ft := t.track(fn)
-	if ft == nil {
-		return 0, false
-	}
-	return ft.fanout.n, ft.fanout.known
-}
-
 // setFanout fixes the instance count of a FOREACH-targeted function.
 func (ft *fnTrack) setFanout(k int) error {
 	fn := ft.f.Name
@@ -595,39 +586,6 @@ func (t *Tracker) expectedListCount(ft *fnTrack, pos int) (int, bool) {
 	return total, true
 }
 
-// Inputs returns the values collected for each input of a ready instance.
-// List (fan-in) inputs are ordered deterministically by the producing
-// instance (function name, then instance index), so merge-style consumers
-// see branch outputs in branch order regardless of network arrival order.
-func (t *Tracker) Inputs(key InstanceKey) map[string][]Value {
-	ft := t.track(key.Fn)
-	if ft == nil {
-		return nil
-	}
-	out := make(map[string][]Value, len(ft.f.Inputs))
-	for pos, in := range ft.f.Inputs {
-		own, shared := ft.arrivedAt(key.Idx, pos), ft.broadcastAt(pos)
-		if in.Kind == workflow.List {
-			items := byProducer(own, shared)
-			vals := make([]Value, len(items))
-			for i, a := range items {
-				vals[i] = a.val
-			}
-			out[in.Name] = vals
-			continue
-		}
-		vals := make([]Value, 0, len(own)+len(shared))
-		for _, a := range own {
-			vals = append(vals, a.val)
-		}
-		for _, a := range shared {
-			vals = append(vals, a.val)
-		}
-		out[in.Name] = vals
-	}
-	return out
-}
-
 // byProducer merges a LIST input's arrivals in branch order: by producing
 // function, then instance, arrival order breaking ties.
 func byProducer(own, shared []arrival) []arrival {
@@ -650,9 +608,10 @@ type InputVals struct {
 }
 
 // InputsAppend appends one InputVals per declared input of the instance to
-// dst and returns it — the allocation-lean sibling of Inputs for engines
-// that look inputs up positionally. All values share one backing array;
-// List inputs are ordered by producing instance like Inputs.
+// dst and returns it. All values share one backing array. List (fan-in)
+// inputs are ordered deterministically by the producing instance (function
+// name, then instance index), so merge-style consumers see branch outputs
+// in branch order regardless of network arrival order.
 func (t *Tracker) InputsAppend(dst []InputVals, key InstanceKey) []InputVals {
 	out, _ := t.InputsAppendBacking(dst, nil, key)
 	return out

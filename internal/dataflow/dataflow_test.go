@@ -109,9 +109,7 @@ func TestForeachFanout(t *testing.T) {
 	if len(items) != 3 {
 		t.Fatalf("items = %d, want 3", len(items))
 	}
-	if k, known := tr.Fanout("count"); !known || k != 3 {
-		t.Fatalf("fanout(count) = %d/%v", k, known)
-	}
+	// The FOREACH degree is the number of count instances it made ready.
 	if len(newly) != 3 {
 		t.Fatalf("newly ready = %v, want 3 count instances", newly)
 	}
@@ -149,8 +147,8 @@ func TestMergeRequiresAllBranches(t *testing.T) {
 		t.Fatalf("merge not ready after all branches: %v", newly)
 	}
 	// Its List input must hold 3 values, ordered by producer instance.
-	ins := tr.Inputs(InstanceKey{Fn: "merge"})
-	if len(ins["counts"]) != 3 {
+	ins := tr.InputsAppend(nil, InstanceKey{Fn: "merge"})
+	if len(ins) != 1 || ins[0].Name != "counts" || len(ins[0].Values) != 3 {
 		t.Fatalf("merge inputs = %v", ins)
 	}
 }

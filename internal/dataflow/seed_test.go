@@ -98,7 +98,7 @@ function tail
 	if !reflect.DeepEqual(log, wantLog) {
 		t.Fatalf("ready sets:\n got %q\nwant %q", log, wantLog)
 	}
-	if got, want := tr.Inputs(InstanceKey{Fn: "gather"}), map[string][]Value{"rs": {val(11), val(22), val(33)}}; !reflect.DeepEqual(got, want) {
+	if got, want := tr.InputsAppend(nil, InstanceKey{Fn: "gather"}), []InputVals{{Name: "rs", Values: []Value{val(11), val(22), val(33)}}}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("gather inputs = %v, want %v", got, want)
 	}
 	if got := tr.InputsAppend(nil, InstanceKey{Fn: "tail"}); len(got) != 1 || got[0].Name != "x" || !reflect.DeepEqual(got[0].Values, []Value{val(66)}) {

@@ -277,8 +277,8 @@ func (s *Sink) Get(at time.Duration, key Key) (dataflow.Value, Tier, bool) {
 }
 
 // ReleaseRequest drops every entry of a request from both tiers (end-of-
-// request cleanup; the control-flow baselines use this as their only release
-// point, and core.Invocation teardown drives it as the spill tier's GC).
+// request cleanup: core's request teardown drives it through the transport
+// as the spill tier's GC, and the sim plane calls it when a request ends).
 // Cost is O(shards + entries of the request): each stripe chains a
 // request's entries, so other requests' entries are never scanned.
 func (s *Sink) ReleaseRequest(at time.Duration, reqID string) {
