@@ -27,8 +27,16 @@ type Wall struct{}
 // NewWall returns the wall clock.
 func NewWall() Wall { return Wall{} }
 
-// Now implements Clock.
-func (Wall) Now() time.Time { return time.Now() }
+// epoch anchors Wall.Now: the process's first reading of both clocks.
+var epoch = time.Now()
+
+// Now implements Clock with one monotonic reading: the epoch advanced by the
+// monotonic time since. time.Now reads the wall clock as well, which costs
+// as much again and which the runtime plane never uses — its readings only
+// ever meet each other through Sub, Since and Before. The wall part of the
+// result is therefore the epoch's, moved by elapsed time, and does not
+// follow a step of the system clock after start-up.
+func (Wall) Now() time.Time { return epoch.Add(time.Since(epoch)) }
 
 // Sleep implements Clock. On Linux it wakes at its deadline whether or not
 // the process is otherwise idle, which time.Sleep does not (park_linux.go).

@@ -1,6 +1,7 @@
 package clock
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -185,4 +186,57 @@ func TestManualPartialAdvanceKeepsLaterWaiters(t *testing.T) {
 	default:
 		t.Fatal("late waiter did not fire")
 	}
+}
+
+// TestWallNowIsOneMonotonicReading: Wall.Now never runs backwards, stays on
+// time.Now to within a millisecond and carries a monotonic reading, so the
+// engine's Sub and Since between two of its readings are immune to steps of
+// the system clock.
+func TestWallNowIsOneMonotonicReading(t *testing.T) {
+	w := NewWall()
+	prev := w.Now()
+	for i := 0; i < 10000; i++ {
+		now := w.Now()
+		if now.Before(prev) {
+			t.Fatalf("reading %d: %v precedes %v", i, now, prev)
+		}
+		prev = now
+	}
+	for i := 0; i < 100; i++ {
+		before := time.Now()
+		now := w.Now()
+		after := time.Now()
+		if now.Before(before.Add(-time.Millisecond)) || now.After(after.Add(time.Millisecond)) {
+			t.Fatalf("Wall.Now %v is more than 1ms outside [%v, %v]", now, before, after)
+		}
+	}
+	if s := prev.String(); !strings.Contains(s, "m=+") {
+		t.Fatalf("Wall.Now %v carries no monotonic reading", s)
+	}
+}
+
+// BenchmarkWallNow is the cost of one engine clock reading next to the two
+// time package calls it stands between: time.Now reads the wall and the
+// monotonic clock, time.Since the monotonic clock alone.
+func BenchmarkWallNow(b *testing.B) {
+	var sink time.Time
+	b.Run("Wall.Now", func(b *testing.B) {
+		w := NewWall()
+		for i := 0; i < b.N; i++ {
+			sink = w.Now()
+		}
+	})
+	b.Run("time.Now", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sink = time.Now()
+		}
+	})
+	b.Run("time.Since", func(b *testing.B) {
+		start, d := time.Now(), time.Duration(0)
+		for i := 0; i < b.N; i++ {
+			d += time.Since(start)
+		}
+		_ = d
+	})
+	_ = sink
 }

@@ -265,15 +265,10 @@ func TestHandlerInvokesWhileShutdownPends(t *testing.T) {
 		defer close(down)
 		sys.Shutdown()
 	}()
-	// Shutdown either holds or waits for the write lock (TryRLock fails on
-	// both), or is already past it.
+	// Shutdown has closed the admission gate, and waits for the chain.
 	waitFor(t, 10*time.Second, func() bool {
-		if !sys.closeMu.TryRLock() {
-			return true
-		}
-		defer sys.closeMu.RUnlock()
-		return sys.closed
-	}, "Shutdown never reached the admission lock")
+		return sys.gate.closed.Load()
+	}, "Shutdown never reached the admission gate")
 	close(proceed)
 	select {
 	case err := <-nested:
@@ -329,10 +324,10 @@ func (c *countingClock) Since(t time.Time) time.Duration {
 // TestWarmRequestSharesItsClockReadings pins how often a warm caller-run
 // a → b request reads the clock, engine and nodes counted together: Invoke's
 // start, which is also a's, a's end, which is also b's start, the request's
-// end, b's end, and a's TC class charging the one cross-node byte — five where
-// there were eight, and teardown's no-sweep exit none. The readings it shares
-// still measure the right stretch: a computes 10 µs of virtual time and b
-// none, and T_FLU says so exactly.
+// end and b's end — four where there were eight. a's TC class prices the one
+// cross-node byte at a's starting reading, and teardown's no-sweep exit reads
+// none. The readings it shares still measure the right stretch: a computes
+// 10 µs of virtual time and b none, and T_FLU says so exactly.
 func TestWarmRequestSharesItsClockReadings(t *testing.T) {
 	const compute = 10 * time.Microsecond
 	clk := &countingClock{Manual: clock.NewManual(time.Unix(0, 0))}
@@ -363,8 +358,8 @@ func TestWarmRequestSharesItsClockReadings(t *testing.T) {
 		if runs := obsCallerRuns.Load() - runs0; runs != 2 {
 			t.Fatalf("%d caller runs, want 2: not the warm path", runs)
 		}
-		if reads > 5 {
-			t.Fatalf("request %d read the clock %d times, want at most 5", i, reads)
+		if reads > 4 {
+			t.Fatalf("request %d read the clock %d times, want at most 4", i, reads)
 		}
 		if da, db := a.fluNanos.Load()-na, b.fluNanos.Load()-nb; da != int64(compute) || db != 0 {
 			t.Fatalf("T_FLU sums moved by %v for a and %v for b, want %v and 0", time.Duration(da), time.Duration(db), compute)
@@ -461,16 +456,16 @@ func TestCarriedReadingIsDroppedAtAWait(t *testing.T) {
 		t.Cleanup(sys.Shutdown)
 		warmChain(t, sys, 3)
 		b := sys.fns["b"]
-		b.cap.acquire() // the test holds b's one slot
+		b.cap.acquire(0) // the test holds b's one slot
 		runs := b.fluCount.Load()
 		done := make(chan *Invocation, 1)
 		go func() {
 			inv, _ := sys.Invoke(chainIn) // runs a, then parks at b's cap on this goroutine
 			done <- inv
 		}()
-		waitFor(t, 10*time.Second, func() bool { return b.cap.n.Load() == 2 }, "b never parked at its cap")
+		waitFor(t, 10*time.Second, func() bool { return b.cap.load() == 2 }, "b never parked at its cap")
 		clk.Advance(wait)
-		b.cap.release()
+		b.cap.release(0)
 		unwaited(t, sys, <-done, runs)
 	})
 

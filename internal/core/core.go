@@ -37,6 +37,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -120,26 +121,20 @@ type Config struct {
 	QoS *qos.Config
 }
 
-// System is one deployed workflow. Its control path is deliberately free of
-// any system-global mutex: per-request state lives in the request record
-// every engine site working on it holds a reference to (request.go),
-// per-function state is resolved once at NewSystem into immutable fnState
-// records whose counters are atomics, and each
-// container owns its DLU queue — so concurrent Invokes, handler completions,
-// Puts and DLU shipments never serialize on shared engine locks.
+// System is one deployed workflow. Its control path takes no system-global
+// lock: request state lives in a request record (request.go), function state
+// in fnState records fixed at NewSystem with striped counters, and each
+// container owns its DLU queue.
 type System struct {
 	cfg Config
 	wf  *workflow.Workflow
 
-	// fns is the per-function control-plane state. The map itself is
-	// immutable after NewSystem (the values carry the mutable atomics), so
-	// hot-path lookups are lock-free.
+	// fns is the per-function state; the map is immutable after NewSystem.
 	fns    map[string]*fnState
 	fnList []*fnState // declaration order, for deterministic error reporting
 
-	// static marks the single-owner fast path: every function has exactly
-	// one replica and the fault-tolerance plane is off, so routing decisions
-	// are the primaries and requests need no per-request pin bookkeeping.
+	// static marks the single-owner fast path: one replica per function and
+	// no fault tolerance, so every route is the primary and nothing is pinned.
 	static bool
 
 	// ft mirrors Config.FaultTolerant; replays counts replayed shipments
@@ -148,8 +143,7 @@ type System struct {
 	replays atomic.Int64
 
 	// Sampled request tracing (Config.Obs): every sampleEvery-th request
-	// records stage spans into ring. sampleEvery 0 means sampling is off
-	// and no request carries a span.
+	// records stage spans into ring (0: off).
 	ring        *obs.SpanRing
 	sampleEvery int64
 
@@ -166,21 +160,17 @@ type System struct {
 	rejShutdown  atomic.Int64
 	rejInvalid   atomic.Int64
 
-	// hasRemote is true when any cluster node's sink lives in another
-	// process: the Eq. 1 pressure signal then consults the measured wire
-	// throughput (remoteBpsFloor) alongside the configured TC rate.
+	// hasRemote: some node's sink lives in another process, so Eq. 1 also
+	// consults the measured wire throughput (remoteBpsFloor).
 	hasRemote bool
 
-	// routedNodes are the unique nodes hosting at least one function — on
-	// the static path, the only sinks a request can leave residue in, and
-	// therefore the only nodes its teardown needs to sweep. (Pinned
-	// requests instead sweep exactly the nodes they pinned.)
+	// routedNodes are the nodes hosting a function: on the static path the
+	// only sinks a request's teardown sweeps (pinned requests sweep their pins).
 	routedNodes []*cluster.Node
 
-	// allNodes is every cluster node known at NewSystem in registration
-	// order (the backfill universe past a replica set); nodeLoad holds the
-	// per-node in-flight instance counters replica selection reads (the
-	// "load" of locality-aware routing).
+	// allNodes is every node known at NewSystem, in registration order (the
+	// backfill universe past a replica set); nodeLoad holds the per-node
+	// in-flight instance counts replica selection reads.
 	allNodes []*cluster.Node
 	nodeLoad map[*cluster.Node]*obs.Counter
 
@@ -188,57 +178,46 @@ type System struct {
 	clk      clock.Clock
 	epoch    time.Time
 
-	// pendingInvs counts requests admitted and not yet torn down, moved on
-	// the request's stripe (see PendingInvocations).
-	pendingInvs obs.Counter
-
-	// freeReqs holds recycled engine state, one list per request stripe
-	// (request.go).
-	freeReqs [obs.NumStripes]reqFreeList
-
-	// Request-ID allocation: reqSeq is the shared sequence; idPool hands
-	// out idBlock runs so the hot path touches the shared atomic once per
-	// idBlockSize requests, and stripeSeq round-robins the stripe tags
-	// new blocks carry (see stripes.go).
+	// Request-ID allocation (stripes.go): reqSeq is the shared sequence,
+	// idPool hands out idBlocks, stripeSeq deals their stripe tags.
 	reqSeq    atomic.Int64
 	idPool    sync.Pool
 	stripeSeq atomic.Uint32
 
-	// handlersReady flips true once every function has a handler, so the
-	// steady-state Invoke validates with one atomic load instead of
-	// re-walking the function list under a lock.
+	// handlersReady flips once every function has a handler: Invoke then
+	// validates with one load.
 	handlersReady atomic.Bool
 	regMu         sync.Mutex // serializes Register bookkeeping (cold path)
 
 	injector atomic.Pointer[func(streamID string) int64]
 
-	// Executor pool: long-lived workers with warm stacks that run instance
-	// executions submitted by scheduleReady. execIdle counts workers
-	// guaranteed to pull the next job; submissions that cannot reserve one
-	// spawn a goroutine instead (see submitInstance).
+	// Executor pool (submitInstance): warm-stacked workers; execIdle counts
+	// those guaranteed to pull the next job.
 	execJobs chan instanceJob
 	execIdle atomic.Int64
 
-	// closeMu orders Invoke admission against Shutdown: Invoke holds the
-	// read side while it registers the request and spawns its first
-	// instances, so when Shutdown's write lock is granted every admitted
-	// request is already counted in bg and later Invokes observe closed.
-	closeMu sync.RWMutex
-	closed  bool
+	// paceAt: every node paces on the engine's clock, so an inline ship may
+	// price its wire charge at its run's starting reading.
+	paceAt bool
 
-	stopReaper   chan struct{}
-	stopGovernor chan struct{}
-	bg           sync.WaitGroup
+	stop chan struct{} // closed by Shutdown: the reaper and the governor return
+
+	// Below, every word is written on one request stripe and owns its cache
+	// line (TestStripedLayout): pendingInvs counts the requests admitted and
+	// not torn down, gate everything in flight (stripes.go), and freeReqs is
+	// each stripe's recycled engine state (request.go).
+	_           [56]byte
+	pendingInvs obs.Counter
+	gate        gate
+	freeReqs    [obs.NumStripes]reqFreeList
 }
 
 // fnState is one function's control-plane record, resolved at NewSystem:
-// replica set, container spec, concurrency cap, the registered handler and
-// the running FLU execution-time average (T_FLU in Eq. 1). The counters are
-// atomics so the post-handler update and the Put pressure read take no lock.
+// replica set, container spec, concurrency cap, handler and the running FLU
+// execution-time average (T_FLU in Eq. 1).
 type fnState struct {
 	name string
 	spec cluster.Spec
-	cap  instanceCap
 	// single is true when no FOREACH edge targets the function: exactly one
 	// instance per request, known immediately (dataflow.Tracker.Init's rule).
 	single bool
@@ -247,38 +226,32 @@ type fnState struct {
 	// fed by one workflow edge (landBatch's direct arm).
 	direct bool
 
-	// replicas is the function's replica set as the placement policy
-	// returned it at NewSystem (resolved node pointers, primary first). It
-	// never changes: health is a per-pick predicate (selectReplica), not an
-	// edit of the set.
+	// replicas is the replica set placement returned, primary first. It never
+	// changes: health is a per-pick predicate (selectReplica).
 	replicas []*cluster.Node
 
 	handler atomic.Pointer[Handler]
 
-	// All five accounting counters are striped (obs.Counter): writers tag
-	// by the request's stripe so concurrent cores do not ping a shared
-	// cache line; readers sum the lanes. The sums are torn across lanes,
-	// which every consumer tolerates — they feed pressure heuristics, not
-	// invariants.
+	// pools is the function's container pool on every node (immutable).
+	pools map[*cluster.Node]*cluster.FnPool
+
+	isBrief atomic.Bool // the caller-run gate's verdict, republished by observe
+	// tfluPub is T_FLU as observe last published it, mean<<1 | 1 (zero: no
+	// sample): Put reads Eq. 1's operand in one load of a read-mostly line.
+	tfluPub atomic.Int64
+
+	// Below, every word is written on one request stripe and owns its cache
+	// line (TestStripedLayout). The counters' sums are torn across lanes,
+	// which their pressure heuristics tolerate.
+	cap      instanceCap
 	fluNanos obs.Counter
 	fluCount obs.Counter
 	// blockedNanos is the time runs spent in the engine's throttle (Eq. 1
 	// blocks, limiter parks), kept out of T_FLU; only a throttled run adds.
 	blockedNanos obs.Counter
-	isBrief      atomic.Bool // the caller-run gate's verdict, republished by observe
-	// tfluPub is T_FLU as observe last published it, mean<<1 | 1; zero until
-	// the first sample. Put reads Eq. 1's operand here: one load of a line
-	// that is written once in sixteen runs, where summing fluNanos and
-	// fluCount reads sixteen lines the other cores are writing.
-	tfluPub atomic.Int64
 
-	// pools is the function's container pool on every node, immutable after
-	// NewSystem: an instance finds its container with no lookup by name.
-	pools map[*cluster.Node]*cluster.FnPool
-
-	// putBytes and putCount accumulate DLU output sizes for the Eq. 1
-	// transfer estimate the QoS governor reads (transferPressure); they are
-	// maintained only with the QoS plane on.
+	// putBytes and putCount feed the QoS governor's Eq. 1 transfer estimate
+	// (transferPressure), kept only with the QoS plane on.
 	putBytes obs.Counter
 	putCount obs.Counter
 }
@@ -294,9 +267,7 @@ func (f *fnState) handlerFn() Handler {
 	return nil
 }
 
-// avg returns the running average FLU execution time. The two loads are not
-// mutually atomic; T_FLU is a scaling heuristic and tolerates a one-sample
-// skew.
+// avg returns the running average FLU execution time (tflu).
 func (f *fnState) avg() time.Duration {
 	d, _ := f.tflu()
 	return d
@@ -331,7 +302,8 @@ func (f *fnState) brief() bool { return f.isBrief.Load() }
 // and republishes brief's verdict and T_FLU: on a stripe's first sample and
 // every 16th, and at once after a run that was throttled or alone reached the
 // gate — a function turning slow is seen by its next caller and its next Put,
-// turning brief in sixteen.
+// turning brief in sixteen. A word whose value holds is not rewritten: every
+// core reads both, and a store of the same value still takes the line away.
 func (f *fnState) observe(stripe uint32, d, blocked time.Duration) {
 	f.fluNanos.Add(stripe, int64(d-blocked))
 	if blocked > 0 {
@@ -339,36 +311,13 @@ func (f *fnState) observe(stripe uint32, d, blocked time.Duration) {
 	}
 	if n := f.fluCount.Add(stripe, 1); n == 1 || n&15 == 0 || blocked > 0 || d >= continuationMaxTFLU {
 		runs, nanos := f.fluCount.Load(), f.fluNanos.Load()
-		f.tfluPub.Store(nanos/runs<<1 | 1)
-		f.isBrief.Store(time.Duration((nanos+f.blockedNanos.Load())/runs) < continuationMaxTFLU)
+		if w := nanos/runs<<1 | 1; f.tfluPub.Load() != w {
+			f.tfluPub.Store(w)
+		}
+		if b := time.Duration((nanos+f.blockedNanos.Load())/runs) < continuationMaxTFLU; f.isBrief.Load() != b {
+			f.isBrief.Store(b)
+		}
 	}
-}
-
-// instanceCap bounds a function's running instances (MaxContainersPerFn). n
-// counts holders and waiters, so an acquire under the cap is one atomic add;
-// one past it parks, and a release that leaves a waiter behind wakes one.
-type instanceCap struct {
-	n    atomic.Int64
-	max  int64
-	wake chan struct{}
-}
-
-// acquire reports whether it parked.
-func (c *instanceCap) acquire() (parked bool) {
-	if c.n.Add(1) > c.max {
-		<-c.wake
-		return true
-	}
-	return false
-}
-
-// release reports whether it woke a waiter, which may have made it wait.
-func (c *instanceCap) release() (woke bool) {
-	if c.n.Add(-1) >= c.max {
-		c.wake <- struct{}{} // a waiter has counted itself in: it is at, or on its way to, the receive
-		return true
-	}
-	return false
 }
 
 // NewSystem validates the workflow, places functions on the cluster's nodes
@@ -407,7 +356,9 @@ func NewSystem(cfg Config) (*System, error) {
 		clk:      cfg.Clock,
 		epoch:    cfg.Clock.Now(),
 		fns:      make(map[string]*fnState, len(fns)),
+		paceAt:   reflect.TypeOf(cfg.Clock).Comparable(),
 	}
+	s.gate.wake, s.stop = make(chan struct{}, 1), make(chan struct{})
 	s.nodeLoad = make(map[*cluster.Node]*obs.Counter)
 	for _, name := range cfg.Cluster.Nodes() {
 		if n, ok := cfg.Cluster.Node(name); ok {
@@ -416,6 +367,7 @@ func NewSystem(cfg Config) (*System, error) {
 			if n.Remote() {
 				s.hasRemote = true
 			}
+			s.paceAt = s.paceAt && n.Clock() == cfg.Clock
 		}
 	}
 	s.ft = cfg.FaultTolerant
@@ -447,10 +399,10 @@ func NewSystem(cfg Config) (*System, error) {
 		st := &fnState{
 			name:     fn,
 			spec:     cfg.DefaultSpec,
-			cap:      instanceCap{max: int64(cfg.MaxContainersPerFn), wake: make(chan struct{})},
 			replicas: nodes,
 			pools:    make(map[*cluster.Node]*cluster.FnPool, len(s.allNodes)),
 		}
+		st.cap.init(cfg.MaxContainersPerFn)
 		for _, n := range s.allNodes {
 			st.pools[n] = n.Pool(fn)
 		}
@@ -473,14 +425,10 @@ func NewSystem(cfg Config) (*System, error) {
 		st.direct = st.single && len(f.Inputs) == 1 && f.Inputs[0].Kind != workflow.List &&
 			!f.Inputs[0].FromUser && fp.InDegree == 1
 	}
-	// A worker carries a request from its entry instance to completion when
-	// the chain runs to completion (runChain), so a closed loop of N clients
-	// holds N workers; below that the spawn fallback pays a goroutine and a
-	// fresh stack per request. Idle workers cost a parked goroutine each.
-	workers := 4 * runtime.GOMAXPROCS(0)
-	if workers < 32 {
-		workers = 32
-	}
+	// A worker carries a chain to completion (runChain), so a closed loop of
+	// N clients holds N workers; past them each request pays a fresh
+	// goroutine and stack. An idle worker costs a parked goroutine.
+	workers := max(4*runtime.GOMAXPROCS(0), 32)
 	s.execJobs = make(chan instanceJob, workers)
 	s.execIdle.Store(int64(workers))
 	for i := 0; i < workers; i++ {
@@ -495,14 +443,12 @@ func NewSystem(cfg Config) (*System, error) {
 			}
 		}
 		if s.qos.cfg.GovernorInterval > 0 {
-			s.stopGovernor = make(chan struct{})
-			s.bg.Add(1)
+			s.gate.add(0)
 			go s.governor()
 		}
 	}
 	if cfg.ReapInterval > 0 {
-		s.stopReaper = make(chan struct{})
-		s.bg.Add(1)
+		s.gate.add(0)
 		go s.reaper()
 	}
 	return s, nil
@@ -512,10 +458,10 @@ func NewSystem(cfg Config) (*System, error) {
 // node, honouring the data-consistency rule (containers with pending DLU
 // data are skipped by Node.ReapIdle).
 func (s *System) reaper() {
-	defer s.bg.Done()
+	defer s.gate.exit(0)
 	for {
 		select {
-		case <-s.stopReaper:
+		case <-s.stop:
 			return
 		case <-s.clk.After(s.cfg.ReapInterval):
 			for _, name := range s.cfg.Cluster.Nodes() {
@@ -590,13 +536,11 @@ type routePin struct {
 }
 
 // selectReplica picks fn's replica for a new pin: cluster.PickReplica over
-// the replica set with replicaLoad as the reading. Under the
-// fault-tolerance plane only Up nodes are pinnable (a draining node takes
-// no new pins, a dead one nothing), and a wholly unhealthy set is
-// backfilled from any Up cluster node under an ordinal past the set, which
-// keeps sink keys unique per node; the set itself never changes. ok=false
-// means nothing is routable at all: a new pin limps on the returned primary
-// until something recovers, a repair leaves its pin alone.
+// the replica set by replicaLoad. Under fault tolerance only Up nodes are
+// pinnable, and a wholly unhealthy set is backfilled from any Up node under
+// an ordinal past the set, which keeps sink keys unique per node. ok=false
+// means nothing is routable: a new pin limps on the returned primary, a
+// repair leaves its pin alone.
 func (s *System) selectReplica(st *fnState, prefer *cluster.Node, tenant string) (n *cluster.Node, ordinal int, ok bool) {
 	reps := st.replicas
 	routable := func(*cluster.Node) bool { return true }
@@ -613,10 +557,9 @@ func (s *System) selectReplica(st *fnState, prefer *cluster.Node, tenant string)
 	return reps[0], 0, false
 }
 
-// routeFor resolves the node serving fn for this request, pinning the
-// replica choice on first use (write-once per request+function). The
-// static fast path short-circuits to the frozen primary with no per-request
-// state. Caller must not hold r.mu.
+// routeFor resolves the node serving fn for this request, pinning the replica
+// on first use (the static path returns the primary). Caller must not hold
+// r.mu.
 func (s *System) routeFor(r *request, st *fnState, prefer *cluster.Node) (*cluster.Node, int) {
 	if s.static {
 		return st.primary(), 0
@@ -625,10 +568,8 @@ func (s *System) routeFor(r *request, st *fnState, prefer *cluster.Node) (*clust
 	for i := range r.route {
 		if r.route[i].fn == st.name {
 			if s.ft && r.route[i].node.Health() == cluster.Down {
-				// The pinned replica died: repair every dead pin of this
-				// request and replay the data its sink lost, then re-read
-				// the (now healthy) pin. repairLocked updates pins in
-				// place, so index i still addresses this function.
+				// The pin died: repair the request's dead pins (in place, so
+				// i still holds) and replay what their sinks lost.
 				s.repairLocked(r)
 			}
 			n, o := r.route[i].node, r.route[i].ordinal
@@ -672,26 +613,20 @@ func (s *System) SinkStats() wmm.Stats {
 // under the QoS plane it is attributed to qos.DefaultTenant.
 //
 // Invoke does not wait for the request, with one bounded exception: with QoS
-// off, a lone entry instance of a brief function (fnState.brief: sampled,
-// under 50 µs of wall time per run on average) runs on the calling goroutine,
-// and so does each consumer an inline ship parks there while its function is
-// brief too — a warm a → b → $USER chain is done when Invoke returns. Invoke
-// never runs an unsampled or non-brief function, so it never sits out an
-// Eq. 1 block, a limiter park, a wire or a container's cold start; all else
-// goes to the executor pool.
+// off, a lone entry instance of a brief function (fnState.brief: under 50 µs
+// of wall time per run on average) runs on the calling goroutine, and so does
+// each consumer an inline ship parks there while it is brief too — a warm
+// a → b → $USER chain is done when Invoke returns. Invoke never runs what may
+// sit out an Eq. 1 block, a limiter park, a wire or a cold start.
 func (s *System) Invoke(input map[string][]byte) (*Invocation, error) {
 	return s.InvokeWith(input, InvokeOpts{})
 }
 
 // InvokeWith is Invoke with per-request options (tenant attribution for the
-// QoS plane). With Config.QoS set the request passes admission first —
-// governor shed set, then the tenant's token bucket — and a refusal returns
-// a typed *qos.ErrOverloaded with a retry-after hint before any request
-// state is allocated.
+// QoS plane). With Config.QoS set the request passes admission first, and a
+// refusal returns a typed *qos.ErrOverloaded before any state is allocated.
 func (s *System) InvokeWith(input map[string][]byte, opts InvokeOpts) (*Invocation, error) {
-	// Steady-state validation is one atomic load; the slow path names the
-	// first unregistered function (or falls through if registration just
-	// completed but the flag is not yet visible).
+	// The slow path names the first unregistered function.
 	if !s.handlersReady.Load() {
 		for _, st := range s.fnList {
 			if st.handlerFn() == nil {
@@ -701,16 +636,21 @@ func (s *System) InvokeWith(input map[string][]byte, opts InvokeOpts) (*Invocati
 	}
 	start := s.clk.Now()
 	admitStart := start
-	// The read lock spans request registration and the first instance
-	// spawns, so Shutdown (write side) can only observe a fully admitted
-	// request or reject the next one — never a half-scheduled request whose
-	// goroutines escape bg.Wait.
-	s.closeMu.RLock()
-	if s.closed {
-		s.closeMu.RUnlock()
+	// Take the next request number from a pooled idBlock: the shared
+	// sequence is touched once per idBlockSize requests, and the block's
+	// stripe tag routes all of this request's counter updates to one lane.
+	blk, _ := s.idPool.Get().(*idBlock)
+	if blk == nil {
+		blk = &idBlock{stripe: s.stripeSeq.Add(1) & (obs.NumStripes - 1)}
+	}
+	stripe := blk.stripe
+	// The gate count spans registration and the first spawns, so Shutdown
+	// drains a whole request or refuses it; a caller-run chain keeps it.
+	if !s.gate.enter(stripe) {
+		s.idPool.Put(blk)
 		s.rejShutdown.Add(1)
-		obsRejShutdown.Inc(0)
-		return nil, errors.New("core: system is shut down")
+		obsRejShutdown.Inc(stripe)
+		return nil, errShutdown
 	}
 	var tenant string
 	if s.qos != nil {
@@ -719,25 +659,17 @@ func (s *System) InvokeWith(input map[string][]byte, opts InvokeOpts) (*Invocati
 			tenant = qos.DefaultTenant
 		}
 		if err := s.admit(tenant); err != nil {
-			s.closeMu.RUnlock()
+			s.idPool.Put(blk)
+			s.gate.exit(stripe)
 			return nil, err
 		}
-		// Without the plane there is no admission work to time and the
-		// request starts at the reading above.
-		start = s.clk.Now()
-	}
-	// Take the next request number from a pooled idBlock: the shared
-	// sequence is touched once per idBlockSize requests, and the block's
-	// stripe tag routes all of this request's counter updates to one lane.
-	blk, _ := s.idPool.Get().(*idBlock)
-	if blk == nil {
-		blk = &idBlock{stripe: s.stripeSeq.Add(1) & (obs.NumStripes - 1)}
+		start = s.clk.Now() // without the plane there is nothing to time
 	}
 	if blk.next == blk.end {
 		end := s.reqSeq.Add(idBlockSize)
 		blk.next, blk.end = end-idBlockSize+1, end+1
 	}
-	reqNum, stripe := blk.next, blk.stripe
+	reqNum := blk.next
 	blk.next++
 	s.idPool.Put(blk)
 	// The handle is the request's one allocation: its engine state comes off
@@ -759,9 +691,8 @@ func (s *System) InvokeWith(input map[string][]byte, opts InvokeOpts) (*Invocati
 	newly, err := r.tracker.StartBytesInto(entryBuf[:0], input)
 	r.mu.Unlock()
 	if err != nil {
-		// Run the normal teardown so the rejected invocation does not stay
-		// counted (and its waiters are released).
-		s.closeMu.RUnlock()
+		// The normal teardown uncounts the rejected request, releases waiters.
+		s.gate.exit(stripe)
 		s.rejInvalid.Add(1)
 		obsRejInvalid.Inc(0)
 		r.fail(err)
@@ -770,39 +701,36 @@ func (s *System) InvokeWith(input map[string][]byte, opts InvokeOpts) (*Invocati
 	}
 	if s.qos == nil && len(newly) == 1 {
 		// The caller finishes a brief entry instance before a worker would
-		// wake for it. The read lock goes first: the chain is in bg, and its
-		// handler may call Invoke while a Shutdown waits to write. Nothing
-		// since the reading of start can have slept, so it starts the instance.
+		// wake for it, under the gate count it entered with. Nothing since
+		// the reading of start can have slept, so it starts the instance.
 		job := s.admitInstance(r, newly[0])
 		r.release() // the job's reference covers the request from here
-		s.bg.Add(1)
-		s.closeMu.RUnlock()
 		s.runChain(job, true, start)
 		return inv, nil
 	}
 	s.scheduleReady(r, newly, nil)
 	r.release()
-	s.closeMu.RUnlock()
+	s.gate.exit(stripe)
 	return inv, nil
 }
 
+// errShutdown refuses an Invoke after Shutdown.
+var errShutdown = errors.New("core: system is shut down")
+
 // admitInstance records one triggered instance and makes its job, which holds
 // a reference to the request until it has run. The caller sees to it that a
-// bg count covers it: its own, or the chain's it is parked in.
+// gate count covers it: its own, or the chain's it is parked in.
 func (s *System) admitInstance(r *request, key dataflow.InstanceKey) instanceJob {
 	s.event(r, trace.InstanceTriggered, key.Fn, key.Idx, "")
 	r.refs.Add(1)
 	return instanceJob{req: r, gen: r.gen.Load(), key: key, st: s.fns[key.Fn]}
 }
 
-// scheduleReady triggers newly ready instances. The tracker's ready set
-// (consulted under r.mu by every deliverAll) hands each instance key out
-// exactly once across the request's lifetime, so no separate double-trigger
-// guard is needed here. flu is non-nil when the producer itself is shipping
-// (Context.put): if it passed the continuation gate, the first instance is
-// parked in it for its goroutine to run next, under the bg count that
-// goroutine's chain already holds, and only the rest (a fan-out) take a count
-// of their own and wake through the executor pool.
+// scheduleReady triggers newly ready instances; the tracker hands each key out
+// once. flu is non-nil when the producer itself is shipping (Context.put): if
+// it passed the continuation gate, the first instance is parked in it, to run
+// next under its chain's gate count, and only the rest (a fan-out) take a
+// count of their own and wake through the executor pool.
 func (s *System) scheduleReady(r *request, keys []dataflow.InstanceKey, flu *Context) {
 	for _, key := range keys {
 		job := s.admitInstance(r, key)
@@ -811,7 +739,7 @@ func (s *System) scheduleReady(r *request, keys []dataflow.InstanceKey, flu *Con
 			obsContinuations.Inc(r.stripe)
 			continue
 		}
-		s.bg.Add(1)
+		s.gate.add(r.stripe)
 		s.submitInstance(job)
 	}
 }
@@ -826,14 +754,10 @@ type instanceJob struct {
 	st  *fnState // key.Fn's record
 }
 
-// submitInstance dispatches one admitted instance, and the bg count held for
-// it, onto an idle executor worker when one is guaranteed to pull it, else
-// onto a fresh goroutine.
-// The pool exists to recycle warm goroutine stacks — the instance call
-// chain (handler -> Put -> ship -> deliver) grows a fresh stack every time
-// otherwise — but it must never make an instance wait behind another, since
-// instances block on each other through semaphores and data dependencies;
-// the spawn fallback preserves the goroutine-per-instance semantics.
+// submitInstance dispatches one admitted instance, and the gate count held
+// for it, onto an idle executor worker when one is guaranteed to pull it, else
+// onto a fresh goroutine. The pool recycles warm stacks, but an instance never
+// waits behind another: instances block on each other's data.
 func (s *System) submitInstance(job instanceJob) {
 	for {
 		n := s.execIdle.Load()
@@ -842,10 +766,7 @@ func (s *System) submitInstance(job instanceJob) {
 			return
 		}
 		if s.execIdle.CompareAndSwap(n, n-1) {
-			// Reserved one worker that is (or is about to be) pulling; the
-			// buffered send cannot block and the job cannot wait behind a
-			// blocked instance.
-			s.execJobs <- job
+			s.execJobs <- job // a reserved worker pulls it: the send cannot block
 			return
 		}
 	}
@@ -853,7 +774,7 @@ func (s *System) submitInstance(job instanceJob) {
 
 // execWorker is one executor-pool goroutine: it runs queued instances
 // serially, re-announcing itself idle after each. Workers exit when
-// Shutdown closes the queue (after bg.Wait, so no submitter remains).
+// Shutdown closes the queue (after the gate drained: no submitter remains).
 func (s *System) execWorker() {
 	for j := range s.execJobs {
 		s.runChain(j, false, time.Time{})
@@ -861,16 +782,17 @@ func (s *System) execWorker() {
 	}
 }
 
-// runChain runs one instance and then, run to completion, every consumer
-// its ships parked for this goroutine: a → b → $USER on one worker, under the
-// one bg count the chain was started with. An Invoke caller runs only what is
-// brief and has a container without a cold start: its chain ends at the first
-// instance that is not, which goes to the executor pool and takes the count
-// with it. A job that ran drops its request reference here, once runInstance
-// has returned. at is a clock reading this goroutine took with nothing that
-// can sleep since (zero: none): the first instance starts at it, and each
-// continuation at its producer's end.
+// runChain runs one instance and then, run to completion, every consumer its
+// ships parked for this goroutine — a → b → $USER on one worker — under the
+// gate count the chain started with, exited on the stripe it entered. An
+// Invoke caller runs only what is brief and has a warm container: its chain
+// ends at the first instance that is not, which goes to the executor pool
+// with the count. A job that ran drops its request reference once
+// runInstance returned. at is a reading this goroutine took with nothing that
+// can sleep since (zero: none), where the first instance starts; each
+// continuation starts at its producer's end.
 func (s *System) runChain(j instanceJob, caller bool, at time.Time) {
+	stripe := j.req.stripe
 	for j.req != nil {
 		next, end, ran := s.runInstance(j, caller, at)
 		if !ran {
@@ -880,21 +802,19 @@ func (s *System) runChain(j instanceJob, caller bool, at time.Time) {
 		j.req.release()
 		j, at = next, end
 	}
-	s.bg.Done()
+	s.gate.exit(stripe)
 }
 
 // runInstance executes one function instance: acquire a container, fetch
 // inputs from the local sink, run the handler (ReDo on failure), release
 // the container. It returns the consumer an inline ship of the handler
-// parked for this goroutine, if any; the deferred releases have run by the
-// time the caller sees it. ran is false when an Invoke caller may not run it
-// (not brief, or starting its container is a sleep): it stays admitted.
+// parked for this goroutine, if any. ran is false when an Invoke caller may
+// not run it (not brief, or its container needs a cold start).
 //
 // One clock reading serves two neighbours: the handler starts at at when the
-// caller carried one in, and end — the reading that closed its last run — is
-// the next instance's at. A reading is carried only across a stretch that
-// cannot sleep; a QoS grant, a parked instance cap and a cold start each
-// drop it, so T_FLU never contains the wait.
+// caller carried one in, and end, which closed its last run, is the next
+// instance's at. A QoS grant, a parked instance cap and a cold start each
+// drop the carried reading, so T_FLU never contains a wait.
 func (s *System) runInstance(j instanceJob, caller bool, at time.Time) (next instanceJob, end time.Time, ran bool) {
 	r, key, st := j.req, j.key, j.st
 	r.live(j.gen)
@@ -903,17 +823,14 @@ func (s *System) runInstance(j instanceJob, caller bool, at time.Time) (next ins
 		return instanceJob{}, time.Time{}, false
 	}
 	if s.qos != nil {
-		// Weighted-fair execution grant: immediate while the engine keeps
-		// up, drained by tenant weight once it saturates. Held for the whole
-		// execution — container acquisition included, so parked work cannot
-		// consume containers.
+		// Weighted-fair execution grant, held for the whole execution —
+		// container included, so parked work holds no container.
 		release := s.qos.queue.Acquire(r.inv.tenant)
 		defer release()
 		at = time.Time{}
 	}
-	// Replica selection: the node the request's data for fn was routed to
-	// (pinned at the first ship), or — for entry functions, which receive
-	// their input straight from the user — the least-loaded replica.
+	// The node the request's data for fn was routed to (pinned at the first
+	// ship), or for an entry function the least-loaded replica.
 	node, _ := s.routeFor(r, st, nil)
 	if !s.static {
 		ld := s.nodeLoad[node]
@@ -925,11 +842,11 @@ func (s *System) runInstance(j instanceJob, caller bool, at time.Time) (next ins
 			defer tc.Add(-1)
 		}
 	}
-	if st.cap.acquire() {
+	if st.cap.acquire(r.stripe) {
 		at = time.Time{}
 	}
 	defer func() {
-		if st.cap.release() {
+		if st.cap.release(r.stripe) {
 			end = time.Time{}
 		}
 	}()
@@ -949,30 +866,24 @@ func (s *System) runInstance(j instanceJob, caller bool, at time.Time) (next ins
 		obsCallerRuns.Inc(r.stripe)
 	}
 
-	// Consume the instance's data from the Wait-Match Memory so proactive
-	// release reclaims it at fetch. The shared inputs of a fanned function
-	// are not the instance's to consume: every instance reads them (from the
-	// tracker) and teardown drops them. Each arrived item carries the node
-	// it landed on (the request's pin for this function — node, in every
-	// normal flow). The sink calls nest under r.mu (shard mutexes are leaf
-	// locks, the same order teardown uses), which spares a defensive copy of
-	// the arrived list.
+	// Consume the instance's data from the Wait-Match Memory, so proactive
+	// release reclaims it at fetch (a fanned function's shared inputs are
+	// teardown's). The sink calls nest under r.mu — shard mutexes are leaf
+	// locks, as in teardown — which spares copying the arrived list.
 	ctx := ctxPool.Get().(*Context)
 	defer releaseCtx(ctx)
 	r.mu.Lock()
 	inputs, valBuf := r.tracker.InputsAppendBacking(ctx.inputs[:0], ctx.valBuf[:0], key)
 	for _, ai := range r.arrivedFor(key) {
-		// The consuming Get is accounting (proactive release): the input
-		// values themselves come from the tracker, so an unreachable
-		// remote sink costs residue, not correctness.
+		// Accounting only: the values come from the tracker, so an
+		// unreachable remote sink costs residue, not correctness.
 		if _, ok, err := ai.node.SinkGet(ai.key); err == nil && ok {
 			r.sinkResidue.Add(-1)
 		}
 	}
 	if s.ft {
-		// The instance now holds its inputs: a later death of the node they
-		// were cached on no longer needs them replayed (the shared buckets
-		// of fanned functions stay replayable until request completion).
+		// The instance holds its inputs: their node's death needs no replay
+		// (a fanned function's shared buckets stay replayable to the end).
 		r.markConsumed(key)
 	}
 	r.mu.Unlock()
@@ -989,7 +900,7 @@ func (s *System) runInstance(j instanceJob, caller bool, at time.Time) (next ins
 		if at.IsZero() {
 			at = s.clk.Now()
 		}
-		ctx.blocked = 0
+		ctx.at, ctx.blocked = at, 0
 		err := h(ctx)
 		end = s.clk.Now()
 		d := end.Sub(at)

@@ -443,7 +443,7 @@ func TestInstanceCapBoundsRunningInstances(t *testing.T) {
 		invs[i] = invokeReturns(t, sys, chainIn) // a is unsampled: every instance is the pool's
 	}
 	st := sys.fns["a"]
-	waitFor(t, 10*time.Second, func() bool { return running.Load() == limit && st.cap.n.Load() == 3*limit },
+	waitFor(t, 10*time.Second, func() bool { return running.Load() == limit && st.cap.load() == 3*limit },
 		"the cap never filled with the rest counted as waiting")
 	for i := 0; i < 2*limit; i++ {
 		barrier <- struct{}{} // one out, one waiter in
@@ -458,7 +458,7 @@ func TestInstanceCapBoundsRunningInstances(t *testing.T) {
 	if p := peak.Load(); p != limit {
 		t.Fatalf("%d instances of a ran at once under a cap of %d", p, limit)
 	}
-	if n := st.cap.n.Load(); n != 0 {
+	if n := st.cap.load(); n != 0 {
 		t.Fatalf("cap count reads %d after every instance finished", n)
 	}
 	sys.Shutdown()

@@ -40,6 +40,9 @@ type Context struct {
 	// out of T_FLU: a block that fed its own operand would settle at half. A
 	// limiter park taken while shipping inline is booked here as well.
 	blocked time.Duration
+	// at is the reading this run started at: an inline ship prices its wire
+	// charge there when that cannot make it park (pipe.Limiter.TakeNAt).
+	at time.Time
 
 	// ship is the scratch batch of an inline ship (put): the DLU daemon's own
 	// drain scratch, kept here so the backings ride the pooled Context.
@@ -58,16 +61,11 @@ type Context struct {
 // that keeps computing after its Put, or has no sample yet, wakes its
 // consumer through the pool — the paper's early triggering (§5.1).
 //
-// The value is set by what T_FLU reads for a handler that computes nothing:
-// T_FLU is a wall-clock mean, so under load it carries the box's scheduling
-// stalls — 1.3–1.6 µs with one client, 3–10 µs with sixteen on two vCPUs,
-// 14–19 µs while the consumers wake through the pool (their wake-ups are
-// stalls of their own) and 25–29 µs beside a second busy process. At the
-// 10 µs first tried, 2–5 × the wake-up a continuation saves, the engine was
-// bistable: whichever path the consumers took kept T_FLU on its own side of
-// the gate (README hot-path section). 50 µs clears every one of those
-// readings and is still ten wake-ups and two orders below a handler doing a
-// millisecond of work.
+// The value is set by what T_FLU, a wall-clock mean, reads for a handler that
+// computes nothing under load on two vCPUs: 1.3–29 µs of scheduling stalls,
+// by client count and neighbours (README hot-path section). At 10 µs the
+// engine was bistable, each path keeping T_FLU on its own side of the gate;
+// 50 µs clears every reading and is two orders below a millisecond of work.
 const continuationMaxTFLU = 50 * time.Microsecond
 
 // ctxPool recycles Context records and their input buffers across instance
@@ -87,7 +85,7 @@ func releaseCtx(ctx *Context) {
 	ctx.inputs, ctx.valBuf = ctx.inputs[:0], ctx.valBuf[:0]
 	ctx.Instance = dataflow.InstanceKey{}
 	ctx.sys, ctx.req, ctx.ctr, ctx.fst = nil, nil, nil, nil
-	ctx.gen, ctx.blocked, ctx.cont, ctx.next = 0, 0, false, instanceJob{}
+	ctx.gen, ctx.blocked, ctx.at, ctx.cont, ctx.next = 0, 0, time.Time{}, false, instanceJob{}
 	// shipBatch leaves the scratch batch empty (flu nil); only its backings
 	// survive.
 	ctxPool.Put(ctx)
@@ -203,9 +201,8 @@ func (c *Context) put(output string, values []dataflow.Value, switchCase int) er
 	if !s.cfg.DisablePressure && totalSize > 0 {
 		bw := c.ctr.Limiter.Rate()
 		if s.hasRemote {
-			// Real socket backpressure: when a destination is remote, the
-			// measured wire throughput replaces the configured TC rate if it
-			// is the tighter constraint.
+			// Real socket backpressure: a remote destination's measured
+			// throughput replaces the TC rate when it is tighter.
 			if obs := s.remoteBpsFloor(r, items); obs > 0 && (bw <= 0 || obs < bw) {
 				bw = obs
 			}
@@ -215,18 +212,15 @@ func (c *Context) put(output string, values []dataflow.Value, switchCase int) er
 		}
 	}
 	if s.qos != nil {
-		// Transfer-size average for the QoS governor's Eq. 1 estimate
-		// (transferPressure).
 		c.fst.putBytes.Add(r.stripe, totalSize)
 		c.fst.putCount.Add(r.stripe, 1)
 	}
 	task := cluster.DLUTask{Ref: r, Gen: c.gen, Items: items, Buf: box}
 	if pressure <= 0 && c.shipsInline(items) {
 		// The DLU is asynchronous so that transmission never blocks compute
-		// (§5.1); a sub-microsecond in-process land blocks it for less than
-		// the hand-off to the daemon costs, so this goroutine ships. The
-		// container stays Busy throughout, hence no pending-byte accounting:
-		// the keep-alive rule cannot fire under it.
+		// (§5.1); a sub-microsecond in-process land costs less than the
+		// hand-off to the daemon, so this goroutine ships. The container
+		// stays Busy throughout: no pending bytes for the keep-alive rule.
 		obsInlineShips.Inc(r.stripe)
 		c.cont = sampled && tflu < continuationMaxTFLU
 		b := &c.ship
@@ -236,10 +230,9 @@ func (c *Context) put(output string, values []dataflow.Value, switchCase int) er
 		b.flu, c.cont = nil, false
 		return nil
 	}
-	// Hand the items to the container's DLU daemon (FIFO) first: the DLU is
-	// asynchronous (§5.1), so the data ships during the pressure block below
-	// rather than after it. The queued task holds a request reference until
-	// it has shipped (an inline ship rides on this instance's).
+	// Hand the items to the container's DLU daemon (FIFO) first, so the data
+	// ships during the pressure block below, not after it. The queued task
+	// holds a request reference until it has shipped.
 	c.ctr.AddDLUPending(totalSize)
 	r.refs.Add(1)
 	if !s.dluEnqueue(c.ctr, task) {
@@ -247,10 +240,8 @@ func (c *Context) put(output string, values []dataflow.Value, switchCase int) er
 	}
 	if pressure > 0 {
 		s.prewarm(c.fst, c.ctr.Node)
-		// Callstack blocking: throttle this FLU so its producing rate
-		// matches the DLU's consuming rate. The block is timed on the engine
-		// clock, the one runInstance times the handler on, so it is always
-		// a part of that duration.
+		// Callstack blocking: throttle this FLU to the DLU's consuming rate,
+		// timed on the engine clock runInstance times the handler on.
 		blockStart := s.clk.Now()
 		c.ctr.Node.Clock().Sleep(pressure)
 		c.blocked += s.clk.Since(blockStart)
@@ -288,29 +279,25 @@ func (c *Context) shipsInline(items []dataflow.Item) bool {
 }
 
 // prewarm starts an extra idle container for st if none is idle, in the
-// background (the engine's reaction to a pressure notification). The
-// container is warmed on the node whose DLU backlog raised the pressure —
-// the replica this request (and every request pinned there) must keep
-// running on — mirroring the simulation plane's prewarm-on-own-node.
+// background (the reaction to a pressure notification), on the node whose DLU
+// backlog raised it — as the simulation plane's prewarm-on-own-node does.
 func (s *System) prewarm(st *fnState, node *cluster.Node) {
 	if st.pools[node].Idle() > 0 || node.Containers(st.name) >= s.cfg.MaxContainersPerFn {
 		return
 	}
-	s.bg.Add(1)
+	s.gate.add(0)
 	go func() {
-		defer s.bg.Done()
+		defer s.gate.exit(0)
 		c := node.StartContainer(st.name, st.spec)
 		node.Release(c)
 	}()
 }
 
-// dluEnqueue hands a task to the container's DLU daemon. The container owns
-// the queue and its close protocol; the system only supplies the daemon
-// goroutine (tracked in bg) when the enqueue reports a freshly created
-// queue. A refused enqueue means the DLU plane is shutting down: the task
-// is dropped, its pending-byte accounting unwound so the keep-alive rule
-// stays exact, and its request reference released. It reports whether the
-// task was accepted.
+// dluEnqueue hands a task to the container's DLU daemon and reports whether
+// it was accepted. The container owns the queue and its close protocol; the
+// system supplies the daemon goroutine, under a gate count, for a fresh
+// queue. A refusal means shutdown: the task is dropped, its pending bytes
+// unwound for the keep-alive rule and its request reference released.
 func (s *System) dluEnqueue(ctr *cluster.Container, task cluster.DLUTask) bool {
 	queue, ok := ctr.DLUEnqueue(task)
 	if !ok {
@@ -322,9 +309,9 @@ func (s *System) dluEnqueue(ctr *cluster.Container, task cluster.DLUTask) bool {
 		return false
 	}
 	if queue != nil {
-		s.bg.Add(1)
+		s.gate.add(0)
 		go func() {
-			defer s.bg.Done()
+			defer s.gate.exit(0)
 			s.dluDaemon(ctr, queue)
 		}()
 	}
@@ -513,16 +500,12 @@ func (s *System) shipBatch(ctr *cluster.Container, b *dluBatch) {
 }
 
 // shipGroup moves one shipment edge's items: straight to the user, through
-// the local pipe when src and dst share a node, or across nodes. Remote
-// edges and edges whose every payload fits the socket fast path ship whole
-// (the socket is the wire, so one frame per edge is exactly the batched
-// amortization the transport exists for; a payload larger than the frame
-// cap fails the request with transport.ErrFrameTooLarge rather than
-// silently splitting). Otherwise each item goes alone — through the
-// streaming pipe when it is streaming-sized or a failure injector is
-// installed (checkpoints and injection address individual streams), and
-// lands the moment its own bytes are across, so a consumer never waits for
-// a sibling's stream.
+// the local pipe when src and dst share a node, or across nodes. Remote edges
+// and edges whose every payload fits the socket fast path ship whole, one
+// frame per edge (a payload over the frame cap fails the request with
+// transport.ErrFrameTooLarge). Otherwise each item goes alone — streamed when
+// streaming-sized or under a failure injector, which addresses streams — and
+// lands once its own bytes are across, never waiting for a sibling's stream.
 func (s *System) shipGroup(ctr *cluster.Container, g *dluGroup, b *dluBatch) {
 	if s.cfg.Trace != nil || g.req.span != nil {
 		for i := range g.items {
@@ -587,34 +570,34 @@ func (s *System) shipSocket(ctr *cluster.Container, r *request, items []dataflow
 	}
 	if b.flu != nil {
 		pace.Parked = &b.flu.blocked
+		if s.paceAt {
+			pace.At = b.flu.at
+		}
 	}
 	s.landBatch(r, items, node, b, pace, 0)
 }
 
-// ship pumps one payload through the streaming pipe: chunked through the
-// source container's TC class and the destination node NIC, checkpointing
-// incrementally (payloads at or below the socket threshold reach here only
-// for injection, and record no checkpoints — an interrupted small send is
-// redone whole). It moves the bytes only — the caller lands the item — and
-// reports false after failing the request on an unrecoverable transfer.
+// ship pumps one payload through the streaming pipe, chunked through the
+// source container's TC class and the destination node NIC. It moves the
+// bytes only — the caller lands the item — and reports false after failing
+// the request on an unrecoverable transfer.
 func (s *System) ship(ctr *cluster.Container, r *request, it *dataflow.Item, dstNode *cluster.Node) bool {
-	streamID := streamIDOf(r.inv.ReqID(), *it)
-	var failAfter func() int64
-	if s.injector.Load() != nil {
-		failAfter = func() int64 { return s.failAfter(streamID) }
-	}
-	err := dstNode.Inproc().Stream(transport.StreamSpec{
-		ID:        streamID,
+	spec := transport.StreamSpec{
 		Src:       ctr.Limiter,
 		ChunkSize: s.cfg.ChunkSize,
 		Latency:   s.cfg.TransferLatency,
-		Log:       s.checkLog,
-		FailAfter: failAfter,
 		Retries:   s.cfg.RetryLimit,
 		Clock:     ctr.Node.Clock(),
-	}, it.Value.Payload)
+	}
+	if s.injector.Load() != nil {
+		// Only an injected failure resumes a stream from its checkpoints.
+		id := streamIDOf(r.inv.ReqID(), *it)
+		spec.ID, spec.Log = id, s.checkLog
+		spec.FailAfter = func() int64 { return s.failAfter(id) }
+	}
+	err := dstNode.Inproc().Stream(spec, it.Value.Payload)
 	if err != nil {
-		r.fail(fmt.Errorf("core: transfer %s failed: %w", streamID, err))
+		r.fail(fmt.Errorf("core: transfer %s failed: %w", streamIDOf(r.inv.ReqID(), *it), err))
 	}
 	return err == nil
 }
@@ -631,12 +614,10 @@ func (s *System) landBatch(r *request, items []dataflow.Item, node *cluster.Node
 	}
 	b.reqs = b.reqs[:0]
 	// The direct edge: the producer ships inline as a continuation with nothing
-	// parked yet, and this one item is all its consumer waits for — deliverBatch
-	// makes the consumer this goroutine's next job, so the datum neither waits
-	// nor has anything to match. It pays the wire (a ship with nothing to put)
-	// and skips the sink: no key, no put, no arrived record, no residue, nothing
-	// for the consumer to fetch. Not under QoS: a continuation can wait in the
-	// fair queue, and data that waits belongs in the sink.
+	// parked yet, and this one item is all its consumer waits for, so the
+	// consumer is this goroutine's next job and the datum never waits. It pays
+	// the wire and skips the sink — no key, put, arrived record or residue. Not
+	// under QoS: a continuation can wait in the fair queue.
 	direct := b.flu != nil && b.flu.cont && b.flu.next.req == nil && len(items) == 1 &&
 		attempt == 0 && s.qos == nil && s.fns[items[0].To.Fn].direct
 	if direct {
@@ -707,11 +688,9 @@ func (s *System) reland(r *request, items []dataflow.Item, b *dluBatch, attempt 
 }
 
 // deliverBatch advances the tracker with every item of one edge and reacts
-// to readiness and completion. reqs carries the sink keys the items were
-// cached under, index-aligned with items, and node the node that cached
-// them (reqs is empty for user-destined and direct edges: nothing cached). The
-// whole reaction runs under one r.mu hold — scheduling only hands jobs to
-// the executor. flu is the producer's Context when it is the one shipping
+// to readiness and completion, under one r.mu hold. reqs are the sink keys
+// the items were cached under on node, index-aligned (empty for user-destined
+// and direct edges); flu is the producer's Context when it is the one shipping
 // (scheduleReady may park a consumer in it).
 func (s *System) deliverBatch(r *request, items []dataflow.Item, reqs []wmm.PutReq, node *cluster.Node, flu *Context) {
 	var readyBuf [4]dataflow.InstanceKey // on the stack: a delivery readies a handful of instances
@@ -735,15 +714,10 @@ func (s *System) deliverBatch(r *request, items []dataflow.Item, reqs []wmm.PutR
 	r.mu.Unlock()
 }
 
-// sinkKey derives the Wait-Match Memory key of an item deterministically
-// from its addressing, so producers and consumers agree without extra
-// coordination. Items routed to a non-primary replica carry a
-// "#r<ordinal>" qualifier, so a key names both the datum and the replica
-// it was shipped to; primary-routed items (all of them, under a
-// single-replica snapshot) produce byte-identical keys to the pre-elastic
-// engine. Built by hand (one allocation for the key string) because it
-// runs once per shipped item and once per consumed input — the
-// fmt.Sprintf it replaces cost five extra allocations per call.
+// sinkKey derives the Wait-Match Memory key of an item from its addressing,
+// so producers and consumers agree without coordination. An item routed to a
+// non-primary replica carries a "#r<ordinal>" qualifier: a key names the
+// datum and its replica. Built by hand, one allocation for the key string.
 func sinkKey(reqID string, it dataflow.Item) wmm.Key {
 	var b strings.Builder
 	b.Grow(len(it.Input) + len(it.From.Fn) + len(it.Output) + 20)
@@ -780,9 +754,8 @@ func writeInstanceKey(b *strings.Builder, key dataflow.InstanceKey) {
 }
 
 // streamIDOf formats the cross-node stream identifier
-// (reqID/from.output->to) without the fmt machinery: the ID is needed on
-// every cross-node shipment even when tracing is off (checkpoint log and
-// failure-injector addressing).
+// (reqID/from.output->to) without the fmt machinery: the checkpoint log and
+// the failure injector address streams by it, and a failed one is named by it.
 func streamIDOf(reqID string, it dataflow.Item) string {
 	var b strings.Builder
 	b.Grow(len(reqID) + len(it.From.Fn) + len(it.Output) + len(it.To.Fn) + 16)
@@ -807,22 +780,19 @@ type arrivedItem struct {
 }
 
 // arrivedBucket collects the arrived items of one instance key. consumed is
-// set once the instance has fetched its inputs (fault-tolerant mode only):
-// from then on a death of the caching node loses nothing the instance still
-// needs, so repair skips the bucket. The {Fn, BroadcastIdx} bucket of a
-// fanned function is shared by all instances and is never marked consumed.
+// set once the instance fetched its inputs (fault-tolerant mode only), so
+// repair skips the bucket; a fanned function's {Fn, BroadcastIdx} bucket,
+// shared by all instances, is never marked consumed.
 type arrivedBucket struct {
 	key      dataflow.InstanceKey
 	items    []arrivedItem
 	consumed bool
-	// inline seeds items so a bucket's first arrival costs no allocation;
-	// if the outer arrived slice reallocates, the moved bucket's items
-	// header keeps the old element's (heap-alive) inline storage valid.
+	// inline seeds items: a bucket's first arrival allocates nothing (a moved
+	// bucket's header keeps the old, heap-alive, inline storage valid).
 	inline [1]arrivedItem
 }
 
-// arrivedFor returns the arrived items recorded under key. Caller holds
-// r.mu.
+// arrivedFor returns the arrived items recorded under key. Caller holds r.mu.
 func (r *request) arrivedFor(key dataflow.InstanceKey) []arrivedItem {
 	for i := range r.arrived {
 		if r.arrived[i].key == key {
@@ -866,41 +836,32 @@ func (s *System) failAfter(streamID string) int64 {
 	return -1
 }
 
-// SetTransferFailureInjector installs fn; for each (re)attempted transfer
-// it returns the byte offset at which to inject a failure, or -1 for none.
-// Used by fault-tolerance tests.
+// SetTransferFailureInjector installs fn, which returns for each (re)attempted
+// transfer the byte offset at which to inject a failure, or -1 for none.
 func (s *System) SetTransferFailureInjector(fn func(streamID string) int64) {
 	s.injector.Store(&fn)
 }
 
-// Shutdown drains the DLU daemons and waits for background work. The
-// system rejects new invocations afterwards; requests still in flight are
-// abandoned safely (their late Puts are refused, never panicked).
+// Shutdown closes the gate, so every later Invoke is refused, closes the DLU
+// queues and waits until nothing the engine started is in flight. Requests
+// still in flight are abandoned safely (their late Puts are refused, never
+// panicked).
 func (s *System) Shutdown() {
-	s.closeMu.Lock()
-	if s.closed {
-		s.closeMu.Unlock()
+	if s.gate.closed.Swap(true) {
 		return
 	}
-	s.closed = true
-	s.closeMu.Unlock()
-	if s.stopReaper != nil {
-		close(s.stopReaper)
-	}
-	if s.stopGovernor != nil {
-		close(s.stopGovernor)
-	}
+	close(s.stop)
 	// Close every container's DLU queue. Nodes mark themselves shut first,
 	// so a cold start racing this loop produces a container that is born
-	// closed — no daemon can appear after the sweep and dangle in bg.Wait.
+	// closed — no daemon can appear after the sweep and keep the gate open.
 	for _, name := range s.cfg.Cluster.Nodes() {
 		if n, ok := s.cfg.Cluster.Node(name); ok {
 			n.CloseDLUs()
 		}
 	}
-	s.bg.Wait()
-	// All submitters are inside bg (or behind the closed flag), so after the
-	// wait no send can race this close; the executor workers drain and exit.
+	s.gate.drain()
+	// Every submitter holds a gate count, so after the drain no send can race
+	// this close; the executor workers drain and exit.
 	close(s.execJobs)
 }
 

@@ -23,14 +23,10 @@ import (
 //     (locality and load rules unchanged, restricted to Up nodes, with a
 //     whole-cluster fallback when a function's entire replica set died);
 //  3. replay — exactly the shipments whose landed copies were lost (the
-//     un-consumed arrived items recorded on the dead node) are re-executed
-//     against the repaired replica. Handlers are deterministic, so the
-//     producer's re-execution would reproduce byte-identical outputs; the
-//     engine exploits that determinism by re-shipping the arrived log's
-//     copies of those outputs instead of burning the producer's FLU time
-//     again,
-//     which is also why only the lost functions' outputs — not their whole
-//     upstream cone — are replayed.
+//     un-consumed arrived items recorded on the dead node) are re-shipped
+//     from the arrived log to the repaired replica. Handlers are
+//     deterministic, so this equals re-executing the producers, without
+//     their FLU time or their upstream cone.
 //
 // Detection is best-effort per touch: a node that dies between a health
 // check and the following sink access simply yields a sink miss (the entry

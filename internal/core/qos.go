@@ -21,9 +21,8 @@ import (
 //     *qos.ErrOverloaded with a retry-after hint, counted in Rejections and
 //     traced as a Shed event.
 //   - runInstance: every instance execution holds a weighted-fair queue
-//     grant (qos.FairQueue) for its duration. While the executor pool and
-//     the container free-lists keep up, the grant is immediate; once they
-//     saturate, parked work drains by tenant weight instead of FIFO.
+//     grant (qos.FairQueue): immediate while the engine keeps up, drained by
+//     tenant weight instead of FIFO once it saturates.
 //   - a governor goroutine samples Eq. 1 transfer pressure, Wait-Match
 //     Memory occupancy and the fair queue's depth every GovernorInterval,
 //     and sheds over-limit tenants while the engine is overloaded.
@@ -88,7 +87,7 @@ func newQoSPlane(cfg qos.Config, executorWidth int) *qosPlane {
 }
 
 // admit runs the QoS admission gates for one invocation. Caller holds the
-// closeMu read lock; s.qos is non-nil.
+// invocation's gate count; s.qos is non-nil.
 func (s *System) admit(tenant string) error {
 	if ra, shed := s.qos.governor.Shedding(tenant); shed {
 		s.rejOverload.Add(1)
@@ -114,10 +113,10 @@ func (s *System) admit(tenant string) error {
 
 // governor is the background shedding loop: one Sample per tick.
 func (s *System) governor() {
-	defer s.bg.Done()
+	defer s.gate.exit(0)
 	for {
 		select {
-		case <-s.stopGovernor:
+		case <-s.stop:
 			return
 		case <-s.clk.After(s.qos.cfg.GovernorInterval):
 			s.governTick()

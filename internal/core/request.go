@@ -21,14 +21,11 @@ import (
 //
 // A request is recycled only when its last reference drops. Its own "not
 // finished" state holds one; so does every admitted instance job (running,
-// queued to the executor pool, or parked as its producer's continuation),
-// every task queued to a DLU daemon, InvokeWith while it registers the
-// request, and a handle reader looking into a live request (pinsNow). A
-// producer still computing after its Put finished the request therefore
-// keeps the state alive through its job's reference: its late Put routes on
-// a request that is torn down but not yet recycled. Each recycle bumps gen;
-// jobs and queued tasks carry the generation they were made under, and the
-// package's tests assert it wherever one is dereferenced (checkGen).
+// queued or parked as a continuation), every task queued to a DLU daemon,
+// InvokeWith while it registers the request, and pinsNow reading a live one:
+// a producer's late Put routes on a request torn down but not recycled. Each
+// recycle bumps gen; jobs and queued tasks carry the generation they were
+// made under, asserted under the package's tests (checkGen).
 
 // Invocation is the caller's handle on one workflow request: its id, latency,
 // terminal error and user outputs. It stays valid after the request finished
@@ -234,8 +231,10 @@ type request struct {
 // waits for the next burst, the rest goes to the collector.
 const reqFreeMax = 64
 
-// reqFreeList is one stripe's recycled requests, on a cache line of its own.
+// reqFreeList is one stripe's recycled requests. The pads keep its words off
+// every other stripe's line however the array is aligned.
 type reqFreeList struct {
+	_    [64]byte
 	mu   sync.Mutex
 	head *request
 	n    int
@@ -357,22 +356,17 @@ func (r *request) finishLocked() {
 func (r *request) teardown(end time.Time) {
 	s := r.sys
 	if r.err == nil {
-		// Clean completion: the only entries a balanced request leaves
-		// behind are those shared inputs, and we know their exact keys from
-		// the arrived log — consume them directly (one stripe lock each)
-		// instead of sweeping every stripe of every routed node. If the
-		// books still don't balance afterwards (an entry TTL-spilled, a
-		// re-put superseded a copy), fall through to the full sweep. A
-		// shipment still in flight self-sweeps when it lands and finds the
-		// request torn down, so skipping the sweep cannot strand it.
+		// Clean completion leaves only those shared inputs, whose keys the
+		// arrived log has: consume them instead of sweeping every node. If
+		// the books still don't balance (a TTL spill, a superseded re-put),
+		// fall through to the sweep. A shipment still in flight sweeps after
+		// itself when it lands on a torn request.
 		for i := range r.arrived {
 			b := &r.arrived[i]
 			if b.key.Idx != dataflow.BroadcastIdx {
 				continue
 			}
-			for _, ai := range b.items {
-				// ai.node is the node the item landed on (the request's
-				// pinned replica for that function).
+			for _, ai := range b.items { // ai.node: where the item landed
 				if _, ok, err := ai.node.SinkGet(ai.key); err == nil && ok {
 					r.sinkResidue.Add(-1)
 				}
@@ -388,9 +382,7 @@ func (r *request) teardown(end time.Time) {
 			n.SinkRelease(id) //nolint:errcheck // best effort: an unreachable sink holds nothing to release
 		}
 	} else {
-		// Pinned routing: every sink Put of this request happened on a pinned
-		// node (land routes through routeFor before touching a sink), so the
-		// sweep covers exactly the request's pins instead of the whole fleet.
+		// Every sink Put of a pinned request landed on one of its pins.
 		for i := range r.route {
 			r.route[i].node.SinkRelease(id) //nolint:errcheck // best effort: an unreachable sink holds nothing to release
 		}

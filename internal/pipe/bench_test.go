@@ -75,3 +75,23 @@ func BenchmarkStreamTransfer(b *testing.B) {
 		b.ReportMetric(float64(clk.parks.Load())/float64(b.N), "parks/transfer")
 	})
 }
+
+// BenchmarkParkLateness measures what one limiter park costs beyond its
+// deadline on the wall clock: the lateness of a wake, per park, at the
+// lengths the relay hop's pacing produces — one 64 KiB chunk through a 400
+// MB/s class (164 µs) and the whole 256 KiB transfer (655 µs). It is why
+// pacing stays per chunk (see the package doc).
+func BenchmarkParkLateness(b *testing.B) {
+	for _, d := range []time.Duration{164 * time.Microsecond, 655 * time.Microsecond} {
+		b.Run(d.String(), func(b *testing.B) {
+			clk := clock.NewWall()
+			var late time.Duration
+			for i := 0; i < b.N; i++ {
+				start := time.Now()
+				clk.Sleep(d)
+				late += time.Since(start) - d
+			}
+			b.ReportMetric(float64(late.Microseconds())/float64(b.N), "late-µs/park")
+		})
+	}
+}

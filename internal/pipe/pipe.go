@@ -22,6 +22,16 @@
 // its own length, so a timer that wakes late delays a stream once instead
 // of once per chunk. On a clock that wakes on time the two are the same.
 //
+// Pacing stays per chunk rather than one park per transfer, though a relay
+// hop then parks four times where it could park once. A park wakes later the
+// longer it is, and the credit a late wake leaves pays only the charges after
+// it — a transfer's last park has none. BenchmarkParkLateness reads 109 µs
+// of lateness per 164 µs park (one 64 KiB chunk at 400 MB/s) against 240 µs
+// per 655 µs park (the whole 256 KiB) in an idle process on a 2-vCPU
+// Firecracker guest; under relay-bulk on the same guest the two read 34 and
+// 142 µs, and charging each limiter once per transfer made relay-bulk's p50
+// 3–8 % worse over four alternating pairs.
+//
 // The engine no longer calls these primitives directly: ship/land go
 // through internal/transport, whose in-process implementation
 // (transport.Inproc) composes the limiters, the checkpointed streaming
@@ -138,6 +148,19 @@ func (l *Limiter) Take(n int64) { l.TakeN(1, n) }
 // that does not), so a caller pacing on a goroutine whose time is accounted
 // to someone else — an FLU shipping inline — can book the park as its own.
 func (l *Limiter) TakeN(count int, n int64) time.Duration {
+	return l.TakeNAt(count, n, time.Time{})
+}
+
+// TakeNAt is TakeN for a caller holding a reading of the limiter's clock
+// taken before the call (zero: none). A charge that cannot park even priced
+// at that reading — its debt stays under limiterGranularity past it, and no
+// oversleep credit is on the books — is priced there and reads no clock;
+// every other charge reads the clock as TakeN does, so whether and until
+// when a charge parks is unchanged. Priced at an earlier reading, a charge
+// into a bucket that drained since restarts it up to the reading's age early:
+// idle link time pays for at most the charge's own cost, so the stream runs
+// ahead of the rate by less than limiterGranularity beyond TakeN's bound.
+func (l *Limiter) TakeNAt(count int, n int64, at time.Time) time.Duration {
 	if l == nil || count <= 0 || n <= 0 {
 		return 0
 	}
@@ -153,20 +176,25 @@ func (l *Limiter) TakeN(count int, n int64) time.Duration {
 	if float64(n)*float64(time.Second) < rate {
 		return 0
 	}
-	return l.charge(n)
+	return l.charge(n, at)
 }
 
 // charge folds n bytes of debt into the bucket and parks until the bucket
 // deadline once the accumulated wait crosses the granularity, returning the
-// time it was parked. The rate is re-read under the lock (see TakeN).
-func (l *Limiter) charge(n int64) time.Duration {
+// time it was parked. The rate is re-read under the lock (see TakeN). now is
+// at only when the charge cannot park from there (TakeNAt).
+func (l *Limiter) charge(n int64, at time.Time) time.Duration {
 	l.mu.Lock()
 	rate := l.Rate()
 	if rate <= 0 {
 		l.mu.Unlock()
 		return 0
 	}
-	now := l.clk.Now()
+	cost := time.Duration(float64(n) / rate * float64(time.Second))
+	now := at
+	if at.IsZero() || l.woke.After(l.next) || max(l.next.Sub(at), 0)+cost >= limiterGranularity {
+		now = l.clk.Now()
+	}
 	if l.next.Before(now) {
 		// The bucket drained before this charge arrived. The time since is
 		// idle link time and is forgiven — except the stretch up to a late
@@ -180,7 +208,7 @@ func (l *Limiter) charge(n int64) time.Duration {
 		}
 		l.next, l.woke = now.Add(-credit), now
 	}
-	l.next = l.next.Add(time.Duration(float64(n) / rate * float64(time.Second)))
+	l.next = l.next.Add(cost)
 	wait := l.next.Sub(now)
 	l.mu.Unlock()
 	if wait < limiterGranularity {

@@ -11,7 +11,7 @@ import (
 )
 
 // Inproc is the in-process transport: a direct call into the node's sink
-// behind the interface. ShipBatch is one TakeN on the source TC class, one on
+// behind the interface. ShipBatch is one TakeNAt on the source TC class, one on
 // the node NIC and one sink multi-put under one clock read (both skipped when
 // the shipment carries nothing to put); Land mirrors the socket fast path's
 // per-limiter Take. No Inproc operation returns an error or consults a
@@ -38,7 +38,7 @@ func (t *Inproc) Sink() *wmm.Sink { return t.sink }
 // ShipBatch implements Transport.
 func (t *Inproc) ShipBatch(_ context.Context, pace Pacing, reqs []wmm.PutReq) error {
 	if pace.Bytes > 0 {
-		parked := pace.Src.TakeN(pace.Items, pace.Bytes) + t.nic.TakeN(pace.Items, pace.Bytes)
+		parked := pace.Src.TakeNAt(pace.Items, pace.Bytes, pace.At) + t.nic.TakeNAt(pace.Items, pace.Bytes, pace.At)
 		if pace.Parked != nil {
 			*pace.Parked += parked
 		}

@@ -38,14 +38,17 @@ const DefaultBatchTasks = 64
 // records its landing stages under the same id. Parked, when non-nil, is
 // credited with the time the charge spent parked in a limiter: the engine
 // sets it when it ships on an FLU's own goroutine, where a park is a block
-// the FLU's execution time must not absorb. Only Inproc honours it — a
-// remote shipment never runs on an FLU's goroutine.
+// the FLU's execution time must not absorb. At is a reading of the
+// limiters' clock that goroutine already took (pipe.Limiter.TakeNAt; zero:
+// none). Only Inproc honours Parked and At — a remote shipment never runs on
+// an FLU's goroutine.
 type Pacing struct {
 	Src     *pipe.Limiter
 	Items   int
 	Bytes   int64
 	TraceID uint64
 	Parked  *time.Duration
+	At      time.Time
 }
 
 // Transport is one engine's channel to one node's Wait-Match Memory. All
