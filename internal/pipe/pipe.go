@@ -28,9 +28,9 @@
 // it — a transfer's last park has none. BenchmarkParkLateness reads 109 µs
 // of lateness per 164 µs park (one 64 KiB chunk at 400 MB/s) against 240 µs
 // per 655 µs park (the whole 256 KiB) in an idle process on a 2-vCPU
-// Firecracker guest; under relay-bulk on the same guest the two read 34 and
-// 142 µs, and charging each limiter once per transfer made relay-bulk's p50
-// 3–8 % worse over four alternating pairs.
+// Firecracker guest, and on the same guest a copy charging each limiter once
+// per transfer read relay-bulk's p50 1.2–2.4 % worse in four alternating
+// 30 s pairs out of four.
 //
 // The engine no longer calls these primitives directly: ship/land go
 // through internal/transport, whose in-process implementation
