@@ -57,10 +57,6 @@ func (n *Node) SinkStats() (wmm.Stats, error) {
 	return n.dp.Stats(context.Background())
 }
 
-// SinkMemBytes returns the sink's resident bytes (remote nodes report the
-// gauge from the last heartbeat).
-func (n *Node) SinkMemBytes() int64 { return n.dp.MemBytes() }
-
 // Ping probes the node's data plane (the liveness prober's primitive).
 func (n *Node) Ping(ctx context.Context) error {
 	return n.dp.Ping(ctx)

@@ -8,7 +8,6 @@ import (
 	"repro/internal/clock"
 	"repro/internal/cluster"
 	"repro/internal/obs"
-	"repro/internal/qos"
 	"repro/internal/workflow"
 )
 
@@ -148,12 +147,6 @@ func TestInvokeNeverRunsWhatMayBlock(t *testing.T) {
 		if runs := obsCallerRuns.Load() - runs0; runs != 0 {
 			t.Fatalf("%d instances ran on the Invoke caller, want none", runs)
 		}
-	})
-	t.Run("QoS", func(t *testing.T) {
-		sys := newQoSSystem(t, &qos.Config{}, 0)
-		t.Cleanup(sys.Shutdown)
-		warmChain(t, sys, 20)
-		released(t, sys)
 	})
 }
 
@@ -372,8 +365,8 @@ func TestWarmRequestSharesItsClockReadings(t *testing.T) {
 
 // TestCarriedReadingIsDroppedAtAWait: a continuation starts at its producer's
 // end reading only if nothing can have slept in between. Each row parks b, as
-// a's continuation, behind something only the test releases — a cold start, a
-// full instance cap, the fair queue — moves the clock 5 ms meanwhile, and
+// a's continuation, behind something only the test releases — a cold start or
+// a full instance cap — moves the clock 5 ms meanwhile, and
 // requires that b, which computes nothing, still measures T_FLU = 0.
 func TestCarriedReadingIsDroppedAtAWait(t *testing.T) {
 	const wait = 5 * time.Millisecond
@@ -467,38 +460,5 @@ func TestCarriedReadingIsDroppedAtAWait(t *testing.T) {
 		clk.Advance(wait)
 		b.cap.release(0)
 		unwaited(t, sys, <-done, runs)
-	})
-
-	t.Run("QoS grant", func(t *testing.T) {
-		clk := clock.NewManual(time.Unix(0, 0))
-		sys := newChainSystem(t, 2, nil, func(c *Config) {
-			c.DisablePressure = true
-			c.Clock = clk
-			c.QoS = &qos.Config{Capacity: 1, GovernorInterval: -1}
-		})
-		t.Cleanup(sys.Shutdown)
-		warmChain(t, sys, 3)
-		entered, gate := make(chan struct{}), make(chan struct{})
-		_ = sys.Register("a", func(ctx *Context) error {
-			close(entered)
-			<-gate
-			in, _ := ctx.Input("in")
-			return ctx.Put("x", in)
-		})
-		runs := sys.fns["b"].fluCount.Load()
-		inv := invokeReturns(t, sys, chainIn)
-		waitClosed(t, entered, "a to take the one grant")
-		queued := func(n int) func() bool {
-			return func() bool { waiting, _, _ := sys.qos.queue.Snapshot(); return waiting == n }
-		}
-		grabbed := make(chan func(), 1)
-		go func() { grabbed <- sys.qos.queue.Acquire(qos.DefaultTenant) }()
-		waitFor(t, 10*time.Second, queued(1), "the test's waiter never queued behind a")
-		close(gate) // a ends, its grant goes to the waiter, and its continuation b queues
-		release := <-grabbed
-		waitFor(t, 10*time.Second, queued(1), "b never queued for a grant")
-		clk.Advance(wait)
-		release()
-		unwaited(t, sys, inv, runs)
 	})
 }

@@ -48,7 +48,6 @@ import (
 	"repro/internal/dataflow"
 	"repro/internal/obs"
 	"repro/internal/pipe"
-	"repro/internal/qos"
 	"repro/internal/trace"
 	"repro/internal/wmm"
 	"repro/internal/workflow"
@@ -108,17 +107,10 @@ type Config struct {
 	// fault-oblivious one (health states are simply never consulted).
 	FaultTolerant bool
 	// Clock is the engine's time source: invocation timestamps, the
-	// epoch-relative trace clock and the background reaper/governor
-	// tick loops all go through it, so a test (or the sim plane) can drive
-	// the engine in virtual time with clock.NewManual. Nil means the wall
-	// clock.
+	// epoch-relative trace clock and the background reaper's tick loop all
+	// go through it, so a test (or the sim plane) can drive the engine in
+	// virtual time with clock.NewManual. Nil means the wall clock.
 	Clock clock.Clock
-	// QoS enables the admission & QoS plane (qos.go): per-tenant
-	// token-bucket admission, a weighted-fair queue in front of instance
-	// execution, and a pressure-driven shedding governor. Nil — the default
-	// — keeps every QoS gate off every path; the engine is byte-for-byte
-	// the QoS-less one and Invoke admits unconditionally.
-	QoS *qos.Config
 }
 
 // System is one deployed workflow. Its control path takes no system-global
@@ -146,19 +138,6 @@ type System struct {
 	// records stage spans into ring (0: off).
 	ring        *obs.SpanRing
 	sampleEvery int64
-
-	// qos is the assembled admission & QoS plane, nil when Config.QoS is —
-	// every QoS gate in the engine is behind a nil check on it.
-	qos *qosPlane
-	// nodeTenantLoad breaks nodeLoad down per tenant (QoS with per-request
-	// pins only): the pinning tenant's own share, which replicaLoad adds.
-	nodeTenantLoad map[*cluster.Node]*tenantLoads
-
-	// Rejection counters (see Rejections).
-	rejAdmission atomic.Int64
-	rejOverload  atomic.Int64
-	rejShutdown  atomic.Int64
-	rejInvalid   atomic.Int64
 
 	// hasRemote: some node's sink lives in another process, so Eq. 1 also
 	// consults the measured wire throughput (remoteBpsFloor).
@@ -200,7 +179,7 @@ type System struct {
 	// price its wire charge at its run's starting reading.
 	paceAt bool
 
-	stop chan struct{} // closed by Shutdown: the reaper and the governor return
+	stop chan struct{} // closed by Shutdown: the reaper returns
 
 	// Below, every word is written on one request stripe and owns its cache
 	// line (TestStripedLayout): pendingInvs counts the requests admitted and
@@ -249,11 +228,6 @@ type fnState struct {
 	// blockedNanos is the time runs spent in the engine's throttle (Eq. 1
 	// blocks, limiter parks), kept out of T_FLU; only a throttled run adds.
 	blockedNanos obs.Counter
-
-	// putBytes and putCount feed the QoS governor's Eq. 1 transfer estimate
-	// (transferPressure), kept only with the QoS plane on.
-	putBytes obs.Counter
-	putCount obs.Counter
 }
 
 // primary returns the function's primary replica node.
@@ -275,7 +249,7 @@ func (f *fnState) avg() time.Duration {
 
 // tflu is avg plus whether any execution has been observed yet: an average
 // of zero is a measurement on a virtual clock and the lack of one otherwise.
-// It sums the lanes, so it is exact; the governor and FLUAvg read it.
+// It sums the lanes, so it is exact; FLUAvg reads it.
 func (f *fnState) tflu() (avg time.Duration, sampled bool) {
 	n := f.fluCount.Load()
 	if n == 0 {
@@ -434,19 +408,6 @@ func NewSystem(cfg Config) (*System, error) {
 	for i := 0; i < workers; i++ {
 		go s.execWorker()
 	}
-	if cfg.QoS != nil {
-		s.qos = newQoSPlane(*cfg.QoS, workers)
-		if !s.static {
-			s.nodeTenantLoad = make(map[*cluster.Node]*tenantLoads, len(s.allNodes))
-			for _, n := range s.allNodes {
-				s.nodeTenantLoad[n] = newTenantLoads()
-			}
-		}
-		if s.qos.cfg.GovernorInterval > 0 {
-			s.gate.add(0)
-			go s.governor()
-		}
-	}
 	if cfg.ReapInterval > 0 {
 		s.gate.add(0)
 		go s.reaper()
@@ -536,18 +497,19 @@ type routePin struct {
 }
 
 // selectReplica picks fn's replica for a new pin: cluster.PickReplica over
-// the replica set by replicaLoad. Under fault tolerance only Up nodes are
-// pinnable, and a wholly unhealthy set is backfilled from any Up node under
-// an ordinal past the set, which keeps sink keys unique per node. ok=false
+// the replica set by in-flight instance count (nodeLoad). Under fault
+// tolerance only Up nodes are pinnable, and a wholly unhealthy set is
+// backfilled from any Up node under an ordinal past the set, which keeps sink
+// keys unique per node. ok=false
 // means nothing is routable: a new pin limps on the returned primary, a
 // repair leaves its pin alone.
-func (s *System) selectReplica(st *fnState, prefer *cluster.Node, tenant string) (n *cluster.Node, ordinal int, ok bool) {
+func (s *System) selectReplica(st *fnState, prefer *cluster.Node) (n *cluster.Node, ordinal int, ok bool) {
 	reps := st.replicas
 	routable := func(*cluster.Node) bool { return true }
 	if s.ft {
 		routable = (*cluster.Node).Routable
 	}
-	load := func(n *cluster.Node) int64 { return s.replicaLoad(n, tenant) }
+	load := func(n *cluster.Node) int64 { return s.nodeLoad[n].Load() }
 	if i, ok := cluster.PickReplica(reps, prefer, routable, load); ok {
 		return reps[i], i, true
 	}
@@ -577,7 +539,7 @@ func (s *System) routeFor(r *request, st *fnState, prefer *cluster.Node) (*clust
 			return n, o
 		}
 	}
-	n, o, _ := s.selectReplica(st, prefer, r.inv.tenant)
+	n, o, _ := s.selectReplica(st, prefer)
 	r.route = append(r.route, routePin{fn: st.name, node: n, ordinal: o})
 	r.mu.Unlock()
 	return n, o
@@ -609,23 +571,15 @@ func (s *System) SinkStats() wmm.Stats {
 }
 
 // Invoke starts one workflow request. input maps "function.input" to the
-// payload for every user entry input. Traffic invoked this way is untagged:
-// under the QoS plane it is attributed to qos.DefaultTenant.
+// payload for every user entry input.
 //
-// Invoke does not wait for the request, with one bounded exception: with QoS
-// off, a lone entry instance of a brief function (fnState.brief: under 50 µs
-// of wall time per run on average) runs on the calling goroutine, and so does
-// each consumer an inline ship parks there while it is brief too — a warm
+// Invoke does not wait for the request, with one bounded exception: a lone
+// entry instance of a brief function (fnState.brief: under 50 µs of wall time
+// per run on average) runs on the calling goroutine, and so does each
+// consumer an inline ship parks there while it is brief too — a warm
 // a → b → $USER chain is done when Invoke returns. Invoke never runs what may
 // sit out an Eq. 1 block, a limiter park, a wire or a cold start.
 func (s *System) Invoke(input map[string][]byte) (*Invocation, error) {
-	return s.InvokeWith(input, InvokeOpts{})
-}
-
-// InvokeWith is Invoke with per-request options (tenant attribution for the
-// QoS plane). With Config.QoS set the request passes admission first, and a
-// refusal returns a typed *qos.ErrOverloaded before any state is allocated.
-func (s *System) InvokeWith(input map[string][]byte, opts InvokeOpts) (*Invocation, error) {
 	// The slow path names the first unregistered function.
 	if !s.handlersReady.Load() {
 		for _, st := range s.fnList {
@@ -635,7 +589,6 @@ func (s *System) InvokeWith(input map[string][]byte, opts InvokeOpts) (*Invocati
 		}
 	}
 	start := s.clk.Now()
-	admitStart := start
 	// Take the next request number from a pooled idBlock: the shared
 	// sequence is touched once per idBlockSize requests, and the block's
 	// stripe tag routes all of this request's counter updates to one lane.
@@ -648,22 +601,8 @@ func (s *System) InvokeWith(input map[string][]byte, opts InvokeOpts) (*Invocati
 	// drains a whole request or refuses it; a caller-run chain keeps it.
 	if !s.gate.enter(stripe) {
 		s.idPool.Put(blk)
-		s.rejShutdown.Add(1)
 		obsRejShutdown.Inc(stripe)
 		return nil, errShutdown
-	}
-	var tenant string
-	if s.qos != nil {
-		tenant = opts.Tenant
-		if tenant == "" {
-			tenant = qos.DefaultTenant
-		}
-		if err := s.admit(tenant); err != nil {
-			s.idPool.Put(blk)
-			s.gate.exit(stripe)
-			return nil, err
-		}
-		start = s.clk.Now() // without the plane there is nothing to time
 	}
 	if blk.next == blk.end {
 		end := s.reqSeq.Add(idBlockSize)
@@ -674,13 +613,12 @@ func (s *System) InvokeWith(input map[string][]byte, opts InvokeOpts) (*Invocati
 	s.idPool.Put(blk)
 	// The handle is the request's one allocation: its engine state comes off
 	// the stripe's free-list, and the id is formatted only if asked for.
-	inv := &Invocation{id: reqNum, tenant: tenant}
+	inv := &Invocation{id: reqNum}
 	inv.wg.Add(1)
 	r := s.newRequest(inv, stripe, start)
 	inv.req = r
 	var entryBuf [4]dataflow.InstanceKey
 	obsRequests.Inc(stripe)
-	obsAdmissionLat.Observe(stripe, int64(start.Sub(admitStart)))
 	if s.sampleEvery > 0 && reqNum%s.sampleEvery == 0 {
 		r.span = s.ring.Start(s.ring.NewTraceID(), inv.ReqID())
 	}
@@ -693,13 +631,12 @@ func (s *System) InvokeWith(input map[string][]byte, opts InvokeOpts) (*Invocati
 	if err != nil {
 		// The normal teardown uncounts the rejected request, releases waiters.
 		s.gate.exit(stripe)
-		s.rejInvalid.Add(1)
 		obsRejInvalid.Inc(0)
 		r.fail(err)
 		r.release()
 		return nil, err
 	}
-	if s.qos == nil && len(newly) == 1 {
+	if len(newly) == 1 {
 		// The caller finishes a brief entry instance before a worker would
 		// wake for it, under the gate count it entered with. Nothing since
 		// the reading of start can have slept, so it starts the instance.
@@ -813,21 +750,14 @@ func (s *System) runChain(j instanceJob, caller bool, at time.Time) {
 //
 // One clock reading serves two neighbours: the handler starts at at when the
 // caller carried one in, and end, which closed its last run, is the next
-// instance's at. A QoS grant, a parked instance cap and a cold start each
-// drop the carried reading, so T_FLU never contains a wait.
+// instance's at. A parked instance cap and a cold start each drop the
+// carried reading, so T_FLU never contains a wait.
 func (s *System) runInstance(j instanceJob, caller bool, at time.Time) (next instanceJob, end time.Time, ran bool) {
 	r, key, st := j.req, j.key, j.st
 	r.live(j.gen)
 	fn := key.Fn
 	if caller && !st.brief() {
 		return instanceJob{}, time.Time{}, false
-	}
-	if s.qos != nil {
-		// Weighted-fair execution grant, held for the whole execution —
-		// container included, so parked work holds no container.
-		release := s.qos.queue.Acquire(r.inv.tenant)
-		defer release()
-		at = time.Time{}
 	}
 	// The node the request's data for fn was routed to (pinned at the first
 	// ship), or for an entry function the least-loaded replica.
@@ -836,11 +766,6 @@ func (s *System) runInstance(j instanceJob, caller bool, at time.Time) (next ins
 		ld := s.nodeLoad[node]
 		ld.Add(r.stripe, 1)
 		defer ld.Add(r.stripe, -1)
-		if s.qos != nil {
-			tc := s.nodeTenantLoad[node].counter(r.inv.tenant)
-			tc.Add(1)
-			defer tc.Add(-1)
-		}
 	}
 	if st.cap.acquire(r.stripe) {
 		at = time.Time{}

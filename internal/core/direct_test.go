@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/cluster"
-	"repro/internal/qos"
 	"repro/internal/workflow"
 )
 
@@ -225,11 +224,6 @@ function j
 		}},
 		{name: "transfer latency", puts: 1, build: func(t *testing.T) *System {
 			return wallChain(t, func(c *Config) { c.TransferLatency = 50 * time.Microsecond })
-		}},
-		{name: "QoS configured", puts: 1, build: func(t *testing.T) *System {
-			sys := newQoSSystem(t, &qos.Config{}, 0)
-			t.Cleanup(sys.Shutdown)
-			return sys
 		}},
 		// Every node Down when a ships: b's fresh pin limps on its dead
 		// primary, so the land re-lands (twice, nothing is routable) and then

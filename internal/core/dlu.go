@@ -211,10 +211,6 @@ func (c *Context) put(output string, values []dataflow.Value, switchCase int) er
 			pressure = cluster.Pressure(s.cfg.Alpha, float64(totalSize), bw, tflu)
 		}
 	}
-	if s.qos != nil {
-		c.fst.putBytes.Add(r.stripe, totalSize)
-		c.fst.putCount.Add(r.stripe, 1)
-	}
 	task := cluster.DLUTask{Ref: r, Gen: c.gen, Items: items, Buf: box}
 	if pressure <= 0 && c.shipsInline(items) {
 		// The DLU is asynchronous so that transmission never blocks compute
@@ -616,10 +612,9 @@ func (s *System) landBatch(r *request, items []dataflow.Item, node *cluster.Node
 	// The direct edge: the producer ships inline as a continuation with nothing
 	// parked yet, and this one item is all its consumer waits for, so the
 	// consumer is this goroutine's next job and the datum never waits. It pays
-	// the wire and skips the sink — no key, put, arrived record or residue. Not
-	// under QoS: a continuation can wait in the fair queue.
+	// the wire and skips the sink — no key, put, arrived record or residue.
 	direct := b.flu != nil && b.flu.cont && b.flu.next.req == nil && len(items) == 1 &&
-		attempt == 0 && s.qos == nil && s.fns[items[0].To.Fn].direct
+		attempt == 0 && s.fns[items[0].To.Fn].direct
 	if direct {
 		obsDirectEdges.Inc(r.stripe)
 	} else {

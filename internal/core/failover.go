@@ -61,7 +61,7 @@ func (s *System) repairLocked(r *request) {
 			continue
 		}
 		st := s.fns[r.route[i].fn]
-		next, ordinal, ok := s.selectReplica(st, nil, r.inv.tenant)
+		next, ordinal, ok := s.selectReplica(st, nil)
 		if !ok {
 			// Nothing is routable (whole cluster down): leave the pin rather
 			// than replay into another dead sink.
@@ -123,7 +123,7 @@ func (s *System) relandTarget(r *request, fn string) (*cluster.Node, int) {
 			return r.route[i].node, r.route[i].ordinal
 		}
 	}
-	n, o, _ := s.selectReplica(st, nil, r.inv.tenant)
+	n, o, _ := s.selectReplica(st, nil)
 	r.route = append(r.route, routePin{fn: fn, node: n, ordinal: o})
 	return n, o
 }

@@ -220,7 +220,7 @@ func TestSelectReplicaBackfillsPastTheSet(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n, ordinal, ok := sys.selectReplica(sys.fns["c"], nil, "")
+	n, ordinal, ok := sys.selectReplica(sys.fns["c"], nil)
 	if !ok || n.Name != "w1" || ordinal != 2 {
 		t.Fatalf("selectReplica(c) = %s, %d, %v; want w1 under ordinal 2", n.Name, ordinal, ok)
 	}

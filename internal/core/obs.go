@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -38,19 +36,17 @@ var (
 	obsFailed    = obs.Default().Counter("core_failed_total")
 	obsReplays   = obs.Default().Counter("core_replays_total")
 
-	obsRejShutdown  = obs.Default().Counter(`core_rejections_total{reason="shutdown"}`)
-	obsRejInvalid   = obs.Default().Counter(`core_rejections_total{reason="invalid"}`)
-	obsRejAdmission = obs.Default().Counter(`core_rejections_total{reason="admission"}`)
-	obsRejOverload  = obs.Default().Counter(`core_rejections_total{reason="overload"}`)
+	// Invocations refused: Invoke after Shutdown, and input the tracker
+	// rejects (the request is registered and torn down at once).
+	obsRejShutdown = obs.Default().Counter(`core_rejections_total{reason="shutdown"}`)
+	obsRejInvalid  = obs.Default().Counter(`core_rejections_total{reason="invalid"}`)
 
-	// Stage latencies, in nanoseconds: admission (InvokeWith entry to
-	// request registration), exec (one handler run), request (end-to-end),
-	// teardown (the post-completion sink sweep; a request that left nothing
-	// to sweep records none).
-	obsAdmissionLat = obs.Default().Histogram("core_admission_latency_ns")
-	obsExecLat      = obs.Default().Histogram("core_exec_latency_ns")
-	obsReqLat       = obs.Default().Histogram("core_request_latency_ns")
-	obsTeardownLat  = obs.Default().Histogram("core_teardown_latency_ns")
+	// Stage latencies, in nanoseconds: exec (one handler run), request
+	// (end-to-end), teardown (the post-completion sink sweep; a request that
+	// left nothing to sweep records none).
+	obsExecLat     = obs.Default().Histogram("core_exec_latency_ns")
+	obsReqLat      = obs.Default().Histogram("core_request_latency_ns")
+	obsTeardownLat = obs.Default().Histogram("core_teardown_latency_ns")
 
 	// obsBatchItems is the per-shipment DLU batch size (items per drained
 	// batch), the batching-efficacy signal.
@@ -66,42 +62,6 @@ var (
 	obsContinuations = obs.Default().Counter("core_continuations_total")
 	obsCallerRuns    = obs.Default().Counter("core_caller_runs_total")
 	obsDirectEdges   = obs.Default().Counter("core_direct_edges_total")
-)
-
-// tenantCounterCache lazily resolves per-tenant series ("name{tenant=...}")
-// the same read-mostly way tenantLoads caches its counters: the tenant set
-// is small and stable, so steady state is one read-lock and one pointer
-// load per admission.
-type tenantCounterCache struct {
-	name string
-	mu   sync.RWMutex
-	m    map[string]*obs.Counter
-}
-
-func (c *tenantCounterCache) get(tenant string) *obs.Counter {
-	c.mu.RLock()
-	ctr := c.m[tenant]
-	c.mu.RUnlock()
-	if ctr != nil {
-		return ctr
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.m == nil {
-		c.m = make(map[string]*obs.Counter)
-	}
-	if ctr = c.m[tenant]; ctr == nil {
-		ctr = obs.Default().Counter(c.name + `{tenant="` + tenant + `"}`)
-		c.m[tenant] = ctr
-	}
-	return ctr
-}
-
-// Per-tenant QoS admission outcomes.
-var (
-	obsQoSAdmits    = &tenantCounterCache{name: "core_qos_admits_total"}
-	obsQoSThrottles = &tenantCounterCache{name: "core_qos_throttles_total"}
-	obsQoSSheds     = &tenantCounterCache{name: "core_qos_sheds_total"}
 )
 
 // publishRing attaches the System's span ring to the default registry so

@@ -96,20 +96,29 @@ func TestUnsampledRequestsCarryNoSpan(t *testing.T) {
 	}
 }
 
-// TestAdmissionLatencyIsZeroWithoutQoS: with the admission plane off there is
-// no admission work, so InvokeWith reads the clock once and the request
-// starts at that reading — core_admission_latency_ns still counts every
-// request, and observes zero for each.
-func TestAdmissionLatencyIsZeroWithoutQoS(t *testing.T) {
-	sys := newUntracedWCSystem(t, 2, nil)
-	defer sys.Shutdown()
-	before := obsAdmissionLat.Snapshot()
-	const requests = 20
-	for i := 0; i < requests; i++ {
-		runWC(t, sys, "a b")
+// TestRejectionsShutdownAndInvalid: a refused invocation is counted by cause.
+// Input the tracker rejects registers the request and tears it down at once;
+// an Invoke after Shutdown is refused before anything is registered.
+func TestRejectionsShutdownAndInvalid(t *testing.T) {
+	sys := newChainSystem(t, 2, nil, nil)
+	shutdown0, invalid0 := obsRejShutdown.Load(), obsRejInvalid.Load()
+	if _, err := sys.Invoke(map[string][]byte{"nope.in": []byte("x")}); err == nil {
+		t.Fatal("invalid input admitted")
 	}
-	after := obsAdmissionLat.Snapshot()
-	if n, sum := after.Count-before.Count, after.Sum-before.Sum; n != requests || sum != 0 {
-		t.Fatalf("core_admission_latency_ns observed %d requests totalling %d ns, want %d and 0", n, sum, requests)
+	if got := obsRejInvalid.Load() - invalid0; got != 1 {
+		t.Fatalf("invalid rejections = %d, want 1", got)
+	}
+	if got := sys.PendingInvocations(); got != 0 {
+		t.Fatalf("rejected invocation leaked: %d pending", got)
+	}
+	sys.Shutdown()
+	if _, err := sys.Invoke(map[string][]byte{"a.in": []byte("x")}); err == nil {
+		t.Fatal("post-shutdown Invoke admitted")
+	}
+	if got := obsRejShutdown.Load() - shutdown0; got != 1 {
+		t.Fatalf("shutdown rejections = %d, want 1", got)
+	}
+	if got := obsRejShutdown.Load() - shutdown0 + obsRejInvalid.Load() - invalid0; got != 2 {
+		t.Fatalf("rejections = %d, want 2", got)
 	}
 }

@@ -22,7 +22,7 @@ import (
 // A request is recycled only when its last reference drops. Its own "not
 // finished" state holds one; so does every admitted instance job (running,
 // queued or parked as a continuation), every task queued to a DLU daemon,
-// InvokeWith while it registers the request, and pinsNow reading a live one:
+// Invoke while it registers the request, and pinsNow reading a live one:
 // a producer's late Put routes on a request torn down but not recycled. Each
 // recycle bumps gen; jobs and queued tasks carry the generation they were
 // made under, asserted under the package's tests (checkGen).
@@ -31,8 +31,7 @@ import (
 // terminal error and user outputs. It stays valid after the request finished
 // and the engine reused its state.
 type Invocation struct {
-	id     int64
-	tenant string
+	id int64
 	// wg is Wait's signal: one count, released when the request finishes.
 	wg sync.WaitGroup
 	// replays counts this request's shipments re-landed after node deaths
@@ -67,10 +66,6 @@ func (inv *Invocation) ReqID() string {
 	}
 	return inv.idStr
 }
-
-// Tenant returns the request's QoS tenant attribution ("" when the
-// admission plane is off).
-func (inv *Invocation) Tenant() string { return inv.tenant }
 
 // closedDone is the Done channel of a request that finished before anyone
 // asked for one.
@@ -223,7 +218,7 @@ type request struct {
 
 	// span is the request's sampled trace record (nil for the unsampled
 	// majority — every recording site is behind one nil check). Set in
-	// InvokeWith; SpanRec is internally synchronized.
+	// Invoke; SpanRec is internally synchronized.
 	span *obs.SpanRec
 }
 

@@ -137,6 +137,55 @@ func TestLocalityFirstSelection(t *testing.T) {
 	}
 }
 
+// TestReplicaPickSteersByInFlightLoad: with no preference, a new pin goes to
+// the replica running the fewest instances. Two requests hold a executing on
+// w1 (w2 drains while they pin, so both land there); once w2 is back, a third
+// request pins a to w2.
+func TestReplicaPickSteersByInFlightLoad(t *testing.T) {
+	sys := newChainSystem(t, 2, cluster.RoundRobin{Replicas: 2}, func(c *Config) {
+		c.FaultTolerant = true // health is consulted at the pick
+	})
+	defer sys.Shutdown()
+	cl := sys.cfg.Cluster
+	block := make(chan struct{})
+	var started sync.WaitGroup
+	_ = sys.Register("a", func(ctx *Context) error {
+		started.Done()
+		<-block
+		in, _ := ctx.Input("in")
+		return ctx.Put("x", in)
+	})
+	invoke := func() *Invocation {
+		t.Helper()
+		started.Add(1)
+		inv, err := sys.Invoke(map[string][]byte{"a.in": []byte("x")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return inv
+	}
+	if err := cl.DrainNode("w2"); err != nil {
+		t.Fatal(err)
+	}
+	invs := []*Invocation{invoke(), invoke()}
+	started.Wait()
+	if err := cl.RecoverNode("w2"); err != nil {
+		t.Fatal(err)
+	}
+	invs = append(invs, invoke())
+	started.Wait()
+	pins := invs[2].PinnedNodes()
+	close(block)
+	for _, inv := range invs {
+		if err := inv.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(pins) != 1 || pins[0] != "w2" {
+		t.Fatalf("third request pinned a to %v, want the idle replica [w2]", pins)
+	}
+}
+
 func TestReplicaPinIsStablePerRequest(t *testing.T) {
 	// All items of one request addressed to the same function must land on
 	// one node: a FOREACH fan-out consumed by a MERGE exercises multiple

@@ -5,9 +5,8 @@ import (
 	"time"
 )
 
-// Sample is one observation of the engine's overload signals, assembled by
-// the plane driving the governor (the runtime engine's governor goroutine,
-// or the simulation's queue-transition hook).
+// Sample is one observation of the overload signals, assembled by the
+// simulation's queue-transition hook.
 type Sample struct {
 	// At is the plane timestamp of the observation.
 	At time.Duration
@@ -15,10 +14,7 @@ type Sample struct {
 	// (α·Size/Bw − T_FLU): positive means some function is transfer-bound.
 	Pressure time.Duration
 	// ResidentBytes is the Wait-Match Memory's memory-tier occupancy summed
-	// over the cluster: the entries still waiting to be matched. Nothing is
-	// kept resident for replay — the runtime plane re-lands lost data from
-	// the coordinator's arrived log — so straggler buildup is exactly the
-	// unfetched inputs this gauge counts.
+	// over the cluster: the entries still waiting to be matched.
 	ResidentBytes int64
 	// QueueDepth and InFlight are the fair queue's parked and granted
 	// counts; Capacity its grant capacity; Tenants the per-tenant breakdown.
@@ -29,7 +25,7 @@ type Sample struct {
 }
 
 // Governor turns overload samples into a per-tenant shed set. Update is
-// called from one sampling loop; Shedding sits on the Invoke path and reads
+// called from one sampling loop; Shedding sits on the admission path and reads
 // the current set through an atomic pointer, so admission never takes the
 // governor's view apart mid-swap and never blocks on it.
 type Governor struct {
@@ -57,22 +53,6 @@ func (g *Governor) Shedding(tenant string) (retryAfter time.Duration, shed bool)
 	}
 	ra, ok := m[tenant]
 	return ra, ok
-}
-
-// ShedSet returns the currently shed tenant ids (nil when none).
-func (g *Governor) ShedSet() []string {
-	if g == nil {
-		return nil
-	}
-	m := *g.shed.Load()
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(m))
-	for t := range m {
-		out = append(out, t)
-	}
-	return out
 }
 
 // Overloaded reports whether the sample crosses any of the engine's

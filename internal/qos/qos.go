@@ -1,30 +1,29 @@
 //repolint:plane optional plane: nil objects must stay inert; see planegate
 
-// Package qos is the admission & QoS plane: multi-tenant overload control
-// for the runtime engine. Under sustained overload a single hot tenant grows
-// every tenant's latency without bound; this package bounds that failure
-// mode per tenant with three cooperating mechanisms, all off unless a
-// deployment opts in:
+// Package qos is the simulation plane's admission & QoS model: multi-tenant
+// overload control (the QoS field of simcluster.Config, `benchrunner -exp
+// overload` and the qos scenarios). Under sustained overload a single hot
+// tenant grows every tenant's latency without bound; this package bounds
+// that failure mode per tenant with three cooperating mechanisms, all off
+// unless a simulation opts in:
 //
 //   - Admission (Limiter): a per-tenant token bucket, lock-striped like the
 //     Wait-Match Memory, refuses requests beyond a tenant's provisioned rate
 //     with a typed ErrOverloaded carrying a retry-after hint.
-//   - Scheduling (Stride, behind the runtime plane's blocking FairQueue):
-//     a weighted-fair queue in front of instance execution. While the
-//     executor pool and container free-lists keep up, a grant is one
-//     uncontended mutex; once they saturate, queued work drains by tenant
-//     weight (stride-scheduled virtual time) instead of FIFO, with
-//     optional per-tenant in-flight caps.
-//   - Shedding (Governor): a background governor samples the engine's
-//     overload signals — Eq. 1 transfer pressure, Wait-Match Memory
-//     occupancy, and pending-queue depth — and, while the engine is
-//     overloaded, sheds the tenants whose demand exceeds their fair share,
-//     again with ErrOverloaded, before they consume containers.
+//   - Scheduling (Stride): a weighted-fair queue in front of execution.
+//     While slots are free a grant is immediate; once they are taken,
+//     queued work drains by tenant weight (stride-scheduled virtual time)
+//     instead of FIFO, with optional per-tenant in-flight caps.
+//   - Shedding (Governor): the governor reads the overload signals — Eq. 1
+//     transfer pressure, Wait-Match Memory occupancy, and pending-queue
+//     depth — and, while the system is overloaded, sheds the tenants whose
+//     demand exceeds their fair share, again with ErrOverloaded, before
+//     they consume containers.
 //
-// The package is deliberately plane-agnostic: timestamps are explicit
-// time.Duration values (wall time since an epoch on the runtime plane,
-// virtual time on the simulation plane), and the Governor consumes an
-// explicit Sample instead of reaching into the engine.
+// Timestamps are explicit time.Duration values (virtual time), and the
+// Governor consumes an explicit Sample instead of reaching into the
+// simulation. The runtime engine (internal/core) has no tenants and no
+// admission gate.
 package qos
 
 import (
@@ -87,7 +86,8 @@ type Config struct {
 	// weight 1, no rate limit, no in-flight cap.
 	Default Tenant
 	// Capacity is the fair queue's total concurrent-execution grant count.
-	// Zero lets the engine substitute its executor width.
+	// Zero lets the simulation substitute a width derived from its worker
+	// count.
 	Capacity int
 	// GovernorInterval is the shedding governor's sampling tick
 	// (DefaultGovernorInterval when 0); negative disables the governor.
@@ -106,11 +106,11 @@ type Config struct {
 	RetryAfter time.Duration
 }
 
-// WithDefaults resolves the zero fields against the engine's executor
-// width (the fair queue capacity fallback).
-func (c Config) WithDefaults(executorWidth int) Config {
+// WithDefaults resolves the zero fields; width is the fair queue capacity
+// fallback (the simulation's worker-derived width).
+func (c Config) WithDefaults(width int) Config {
 	if c.Capacity <= 0 {
-		c.Capacity = executorWidth
+		c.Capacity = width
 	}
 	if c.Capacity <= 0 {
 		c.Capacity = 1

@@ -8,8 +8,8 @@ package qos
 // tenants drain proportionally to their weights, FIFO within a tenant.
 //
 // It never blocks and is not safe for concurrent use: W is the caller's
-// opaque handle for a parked acquisition (FairQueue parks channels under
-// its mutex, the simulation parks requests woken by sim.Events).
+// opaque handle for a parked acquisition (the simulation parks requests
+// woken by sim.Events).
 type Stride[W comparable] struct {
 	cfg      *Config
 	inflight int

@@ -1,13 +1,15 @@
 package qos
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
 
 // newTestStride returns a scheduler of capacity slots whose waiters are ints.
 func newTestStride(capacity int, tenants map[string]Tenant) *Stride[int] {
-	return NewStride[int](fqConfig(capacity, tenants))
+	c := Config{Capacity: capacity, Tenants: tenants}.WithDefaults(capacity)
+	return NewStride[int](&c)
 }
 
 // drain releases holder's slot and then keeps releasing whatever Next
@@ -59,6 +61,46 @@ func TestStrideWeightedDrain(t *testing.T) {
 		if heavy != 3 {
 			t.Fatalf("grants %d..%d = %v, want 3 heavy : 1 light", i, i+3, order[i:i+4])
 		}
+	}
+}
+
+func TestStrideFIFOWithinTenant(t *testing.T) {
+	s := newTestStride(1, nil)
+	s.Acquire("a")
+	owner := map[int]string{}
+	for w := 0; w < 8; w++ {
+		s.Park("a", w)
+		owner[w] = "a"
+	}
+	for want := 0; want < 8; want++ {
+		s.Release("a")
+		if w, ok := s.Next(); !ok || w != want {
+			t.Fatalf("grant %d went to waiter %d (ok %v): not FIFO within a tenant", want, w, ok)
+		}
+	}
+}
+
+// TestStrideEvictsIdleTenants pins the bounded-state property: a tenant's
+// scheduling state lives only while it has grants or waiters, so
+// high-cardinality tenant ids cannot grow the table — and the per-grant
+// dispatch scan — without bound.
+func TestStrideEvictsIdleTenants(t *testing.T) {
+	s := newTestStride(2, nil)
+	for i := 0; i < 1000; i++ {
+		name := fmt.Sprintf("user-%d", i)
+		s.Acquire(name)
+		s.Release(name)
+	}
+	if n := len(s.tenants); n != 0 {
+		t.Fatalf("%d idle tenants retained, want 0", n)
+	}
+	s.Acquire("busy")
+	if n := len(s.tenants); n != 1 {
+		t.Fatalf("active tenant table size %d, want 1", n)
+	}
+	s.Release("busy")
+	if n := len(s.tenants); n != 0 {
+		t.Fatal("tenant survived going idle")
 	}
 }
 

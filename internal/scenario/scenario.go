@@ -157,7 +157,7 @@ type TenantLoad struct {
 	Count int     `json:"count"`
 }
 
-// QoSSpec arms the admission & QoS plane (compiled onto Config.QoS).
+// QoSSpec arms the admission & QoS plane (compiled onto simcluster.Config's QoS field).
 type QoSSpec struct {
 	// Capacity bounds concurrently admitted requests (8 x workers when 0).
 	Capacity int `json:"capacity,omitempty"`

@@ -96,7 +96,7 @@ func (s *Sim) RunSkewedOpenLoop(rpm float64, count int, skew float64) *Result {
 // the primary profile: rpmByTenant maps tenant id to its arrival rate and
 // countByTenant to its request count (tenants missing a count issue
 // nothing). Arrivals use the same exponential inter-arrival discipline as
-// RunOpenLoop; each request is tenant-attributed, so with Config.QoS set it
+// RunOpenLoop; each request is tenant-attributed, so with cfg.QoS set it
 // passes per-tenant admission and the weighted-fair queue, and the Result's
 // Tenants map reports each tenant's shed counts, latency and goodput. This
 // is the multi-tenant overload workload the admission plane exists for: a

@@ -13,10 +13,8 @@ import (
 // This file drives the admission & QoS plane's own decision code
 // (internal/qos) from virtual time: the qos.Config tenant envelopes, the
 // qos.Limiter token buckets, the qos.Governor shed logic and the qos.Stride
-// weighted-fair scheduler are the objects the runtime plane (core/qos.go)
-// runs. Only the parking is sim-native: where qos.FairQueue blocks a
-// goroutine on a channel, a request process waits on a sim.Event. Two
-// deliberate differences, both forced by the simulation model:
+// weighted-fair scheduler. A parked request process waits on a sim.Event.
+// Two modelling choices, both forced by the simulation model:
 //
 //   - the unit of fair scheduling is the request, not the function
 //     instance (the sim's dispatchers own instance-level scheduling);
@@ -25,7 +23,7 @@ import (
 //     keep the event horizon open forever, and between transitions none of
 //     its inputs change.
 //
-// Every QoS code path is gated on Config.QoS being non-nil, so a QoS-less
+// Every QoS code path is gated on s.cfg.QoS being non-nil, so a QoS-less
 // run is event-for-event identical to the classic engine.
 
 // TenantResult is one tenant's slice of a Result.
@@ -57,7 +55,7 @@ type simTenant struct {
 	lat                                          *metrics.Sample
 }
 
-// simQoS is the assembled plane (nil on the Sim when Config.QoS is).
+// simQoS is the assembled plane (nil on the Sim when cfg.QoS is).
 type simQoS struct {
 	cfg      qos.Config
 	limiter  *qos.Limiter
@@ -68,7 +66,7 @@ type simQoS struct {
 }
 
 // defaultSimQoSCapacity derives the request-level admission capacity from
-// the worker count when Config.QoS leaves Capacity zero.
+// the worker count when cfg.QoS leaves Capacity zero.
 func defaultSimQoSCapacity(workers int) int { return 8 * workers }
 
 // armQoS assembles the plane (called from New).
@@ -96,8 +94,8 @@ func (q *simQoS) tenantOf(name string) *simTenant {
 // qosGovern refreshes the governor's shed set from the current overload
 // signals: worst Eq. 1 pressure estimate, sink occupancy, and the fair
 // queue's depth. Called at every queue transition. A negative
-// GovernorInterval disables the governor — the same admission-only
-// contract the runtime plane honours — leaving the shed set empty forever.
+// GovernorInterval disables the governor (admission only), leaving the
+// shed set empty forever.
 func (s *Sim) qosGovern() {
 	q := s.qos
 	if q.cfg.GovernorInterval < 0 {

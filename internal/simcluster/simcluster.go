@@ -284,7 +284,7 @@ type Result struct {
 	RecoveryLat *metrics.Sample
 	Replays     int64
 	// Tenants breaks the run down per QoS tenant (admission, shedding,
-	// latency, goodput). Nil unless Config.QoS was set and traffic was
+	// latency, goodput). Nil unless cfg.QoS was set and traffic was
 	// tenant-attributed.
 	Tenants map[string]*TenantResult
 	// OverlapSec is the total per-container time during which a container's
@@ -431,7 +431,7 @@ type Sim struct {
 	replays     int64
 	recoveryLat *metrics.Sample
 
-	// Admission & QoS plane (qos.go), nil when Config.QoS is.
+	// Admission & QoS plane (qos.go), nil when cfg.QoS is.
 	qos *simQoS
 }
 

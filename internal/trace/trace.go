@@ -28,9 +28,9 @@ const (
 	// Replay marks a fault-tolerance recovery action: a request's route pin
 	// was repaired off a dead node and lost data was re-shipped there.
 	Replay
-	// Shed marks an invocation refused by the admission & QoS plane (token
-	// bucket empty or governor shedding); Note carries the tenant and cause.
-	// No request id was assigned — the request never entered the engine.
+	// Shed marks a simulated request refused by the QoS plane (token bucket
+	// empty or governor shedding); Note carries the tenant and cause. The
+	// request never entered execution.
 	Shed
 )
 

@@ -71,8 +71,7 @@ type Transport interface {
 	// Stats reads the sink's cumulative counters.
 	Stats(ctx context.Context) (wmm.Stats, error)
 	// MemBytes returns the sink's resident bytes. Remote transports return
-	// the gauge piggybacked on the last heartbeat rather than issuing an RPC
-	// (the QoS governor reads this on a tick loop).
+	// the gauge piggybacked on the last heartbeat rather than issuing an RPC.
 	MemBytes() int64
 	// Ping probes liveness; the health prober turns its typed errors into
 	// Draining/Down transitions.
