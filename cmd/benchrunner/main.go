@@ -5,9 +5,10 @@
 //	benchrunner [-exp fig10] [-quick] [-seed 42]
 //
 // With no -exp flag it runs every paper experiment in figure order and
-// prints the reports; the output of a full run is recorded in
-// EXPERIMENTS.md. The experiment list in the help text and error messages
-// is generated from the experiments registry, so it can never drift.
+// prints the reports; the simulation plane runs on virtual time, so the same
+// flags print the same bytes every run. The experiment list in the help text
+// and error messages is generated from the experiments registry, so it can
+// never drift.
 // -obs appends the process's observability registry snapshot as JSON
 // after the reports — what the runtime's own instruments counted while
 // the experiments ran.

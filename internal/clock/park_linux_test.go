@@ -119,3 +119,67 @@ func TestParkFallsBackWhenTimerfdIsRefused(t *testing.T) {
 		t.Fatalf("refused parker left %d goroutines behind", after-before)
 	}
 }
+
+// The lead is a running mean of the lateness its sleepers report: it starts
+// at zero and settles on what the samples say.
+func TestLeadConvergesToTheLatenessItIsFed(t *testing.T) {
+	var p parker
+	if got := p.lead.Load(); got != 0 {
+		t.Fatalf("lead before the first wake = %v, want 0", time.Duration(got))
+	}
+	var lead int64
+	for _, want := range []time.Duration{15 * time.Microsecond, 40 * time.Microsecond, 3 * time.Microsecond} {
+		for i := 0; i < 200; i++ {
+			lead = nextLead(lead, int64(want))
+		}
+		if diff := time.Duration(lead) - want; diff < -leadWeight || diff > leadWeight {
+			t.Fatalf("after 200 samples of %v the lead is %v", want, time.Duration(lead))
+		}
+	}
+	// A noisy lateness settles on its mean.
+	rng := rand.New(rand.NewSource(1))
+	lead = 0
+	var sum, n int64
+	for i := 0; i < 5000; i++ {
+		late := int64(10*time.Microsecond) + rng.Int63n(int64(20*time.Microsecond))
+		lead = nextLead(lead, late)
+		if i >= 1000 {
+			sum, n = sum+lead, n+1
+		}
+	}
+	if mean := time.Duration(sum / n); mean < 18*time.Microsecond || mean > 22*time.Microsecond {
+		t.Fatalf("lead fed U[10µs,30µs) averaged %v, want about 20µs", mean)
+	}
+}
+
+func TestAimLeadIsAtMostAQuarterOfTheSleep(t *testing.T) {
+	for _, lead := range []time.Duration{0, time.Microsecond, 16 * time.Microsecond, time.Millisecond, time.Hour} {
+		for _, d := range []time.Duration{time.Nanosecond, 3, 50 * time.Microsecond, 164 * time.Microsecond, 20 * time.Millisecond} {
+			if got, want := time.Duration(aimLead(int64(lead), d)), min(lead, d/4); got != want {
+				t.Errorf("aimLead(%v, %v) = %v, want %v", lead, d, got, want)
+			}
+		}
+	}
+}
+
+// The yield after an early wake is what keeps a sleep from returning early:
+// with the lead forced past its cap, every park aims a quarter of its length
+// before the deadline and must still not return before it.
+func TestWallSleepIsNeverEarlyWithTheLeadAtItsCap(t *testing.T) {
+	p := wallParker()
+	if p == nil {
+		t.Skip("no timerfd: Wall.Sleep is time.Sleep")
+	}
+	saved := p.lead.Load()
+	defer p.lead.Store(saved)
+	for _, d := range []time.Duration{50 * time.Microsecond, 20 * time.Millisecond} {
+		for i := 0; i < 50; i++ {
+			p.lead.Store(int64(time.Hour)) // each wake moves it; force it back
+			start := time.Now()
+			Wall{}.Sleep(d)
+			if got := time.Since(start); got < d {
+				t.Fatalf("sleep %d: Sleep(%v) with the lead capped at %v returned after %v", i, d, d/4, got)
+			}
+		}
+	}
+}

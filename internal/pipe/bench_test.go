@@ -2,6 +2,7 @@ package pipe
 
 import (
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -77,21 +78,36 @@ func BenchmarkStreamTransfer(b *testing.B) {
 }
 
 // BenchmarkParkLateness measures what one limiter park costs beyond its
-// deadline on the wall clock: the lateness of a wake, per park, at the
-// lengths the relay hop's pacing produces — one 64 KiB chunk through a 400
-// MB/s class (164 µs) and the whole 256 KiB transfer (655 µs). It is why
-// pacing stays per chunk (see the package doc).
+// deadline on the wall clock: the lateness of a wake, per park, and the
+// process CPU each park burns (user + system, from getrusage), at the lengths
+// the relay hop produces — one 64 KiB chunk through a 400 MB/s class
+// (164 µs), the whole 256 KiB transfer (655 µs) and the Eq. 1 pressure block
+// in front of it (720 µs, 1.1 × 655 µs). One learned wake lead serves all
+// three, so the rows show whether it fits the chunk parks and the block
+// alike. It is why pacing stays per chunk (see the package doc).
 func BenchmarkParkLateness(b *testing.B) {
-	for _, d := range []time.Duration{164 * time.Microsecond, 655 * time.Microsecond} {
+	for _, d := range []time.Duration{164 * time.Microsecond, 655 * time.Microsecond, 720 * time.Microsecond} {
 		b.Run(d.String(), func(b *testing.B) {
 			clk := clock.NewWall()
 			var late time.Duration
+			cpu0 := processCPU(b)
 			for i := 0; i < b.N; i++ {
 				start := time.Now()
 				clk.Sleep(d)
 				late += time.Since(start) - d
 			}
+			cpu := processCPU(b) - cpu0
 			b.ReportMetric(float64(late.Microseconds())/float64(b.N), "late-µs/park")
+			b.ReportMetric(float64(cpu.Microseconds())/float64(b.N), "cpu-µs/park")
 		})
 	}
+}
+
+// processCPU is the process's user + system CPU time so far.
+func processCPU(b *testing.B) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		b.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }

@@ -25,12 +25,19 @@
 // Pacing stays per chunk rather than one park per transfer, though a relay
 // hop then parks four times where it could park once. A park wakes later the
 // longer it is, and the credit a late wake leaves pays only the charges after
-// it — a transfer's last park has none. BenchmarkParkLateness reads 109 µs
-// of lateness per 164 µs park (one 64 KiB chunk at 400 MB/s) against 240 µs
-// per 655 µs park (the whole 256 KiB) in an idle process on a 2-vCPU
-// Firecracker guest, and on the same guest a copy charging each limiter once
-// per transfer read relay-bulk's p50 1.2–2.4 % worse in four alternating
-// 30 s pairs out of four.
+// it — a transfer's last park has none. A copy charging each limiter once per
+// transfer read relay-bulk's p50 1.2–2.4 % worse in four alternating 30 s
+// pairs out of four.
+//
+// The wall clock's park aims early by its own learned wake latency and
+// yields out the rest (internal/clock), so what lateness is left is small.
+// BenchmarkParkLateness, medians of five 2000-park runs in an otherwise idle
+// process on a 2-vCPU Firecracker guest (go1.24.0), late-µs / cpu-µs per
+// park, without that lead → with it:
+//
+//	164 µs (one 64 KiB chunk at 400 MB/s)    13.8 / 19.7 →  2.1 / 22.5
+//	655 µs (the whole 256 KiB)               39.5 / 40.4 → 11.0 / 50.2
+//	720 µs (the Eq. 1 block, 1.1 × 655 µs)   40.2 / 45.5 → 11.5 / 45.7
 //
 // The engine no longer calls these primitives directly: ship/land go
 // through internal/transport, whose in-process implementation

@@ -11,7 +11,7 @@
 //   - StateMachine (a production-style centralized orchestrator, used for
 //     the §3 investigation and the §9.9 stateful experiment).
 //
-// Every experiment in EXPERIMENTS.md drives this package; absolute numbers
+// Every experiment cmd/benchrunner runs drives this package; absolute numbers
 // depend on the calibrated workload profiles, but the comparisons (who
 // wins, by how much, where crossovers sit) reproduce the paper's findings.
 package simcluster
