@@ -6,7 +6,7 @@
 //	scenario [-out report.json] [-seed N] [-v] scenarios/*.json
 //	scenario -list
 //
-// Each file describes a fleet, a workload, a timed fault/flood schedule,
+// Each file describes a fleet, a workload, a timed fault schedule,
 // and assertions over the run's result (see README.md "Scenario files").
 // The runner executes them in order on virtual time — runs are
 // deterministic, so the same files and seeds always produce byte-identical
@@ -110,11 +110,7 @@ func printReport(rep *scenario.Report, verbose bool) {
 		if !ar.Pass {
 			mark = "FAIL"
 		}
-		name := ar.Kind
-		if ar.Tenant != "" {
-			name += "[" + ar.Tenant + "]"
-		}
-		fmt.Fprintf(os.Stderr, "  %-4s %-28s %s\n", mark, name, ar.Detail)
+		fmt.Fprintf(os.Stderr, "  %-4s %-28s %s\n", mark, ar.Kind, ar.Detail)
 	}
 }
 
@@ -134,10 +130,6 @@ func printList() {
 		if a.Duration {
 			bound = "bound"
 		}
-		scope := ""
-		if a.Tenant {
-			scope = " (tenant-scoped)"
-		}
-		fmt.Printf("  %-22s %s [%s]%s\n", a.Name, a.Doc, bound, scope)
+		fmt.Printf("  %-22s %s [%s]\n", a.Name, a.Doc, bound)
 	}
 }

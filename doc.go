@@ -8,10 +8,7 @@
 // internal/experiments) regenerates every figure of the paper's evaluation.
 // Cross-cutting planes grow the reproduction toward production scale: a
 // routing plane (replica sets fixed at placement + locality-aware pinning), a
-// fault-tolerance plane (health states + deterministic replay), a
-// simulated admission & QoS plane (internal/qos: per-tenant token buckets,
-// weighted-fair queueing, pressure-driven overload shedding — off by
-// default, exercised by `benchrunner -exp overload`), and a
+// fault-tolerance plane (health states + deterministic replay), and a
 // real-transport plane (internal/transport: a Transport interface over
 // ship/land with an in-process implementation preserving the hot path and
 // a length-prefixed TCP framing, so cmd/node can split one cluster across

@@ -182,7 +182,7 @@ func (idx ignoreIndex) filter(fset *token.FileSet, diags []Diagnostic) []Diagnos
 	return out
 }
 
-// ---- file and package pragmas ----
+// ---- file pragmas ----
 
 // FileHasPragma reports whether the file carries a //repolint:<name> marker
 // comment (e.g. //repolint:hotpath declaring an allocation-budgeted file).
@@ -193,17 +193,6 @@ func FileHasPragma(f *ast.File, name string) bool {
 			if c.Text == want || strings.HasPrefix(c.Text, want+" ") {
 				return true
 			}
-		}
-	}
-	return false
-}
-
-// PackageHasPragma reports whether any file of the package carries the
-// marker (e.g. //repolint:plane declaring an optional-plane package).
-func PackageHasPragma(files []*ast.File, name string) bool {
-	for _, f := range files {
-		if FileHasPragma(f, name) {
-			return true
 		}
 	}
 	return false

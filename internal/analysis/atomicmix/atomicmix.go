@@ -2,8 +2,7 @@
 // sync/atomic in one place and by plain read/write in another.
 //
 // The engine publishes snapshots and counters through sync/atomic (lock-free
-// request state, striped counters, the QoS governor's shed set — PR 2/3
-// audited this by hand). A field is either always atomic or never atomic:
+// request state, striped counters, the in-flight gate). A field is either always atomic or never atomic:
 // one plain read of an atomically-written field is a data race the race
 // detector only catches if a test happens to interleave it. Constructors (New*, init) may
 // still initialize fields plainly before the value is published.

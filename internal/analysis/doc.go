@@ -1,9 +1,9 @@
 // Package analysis is a standard-library-only static-analysis framework
 // that enforces this repository's concurrency and determinism invariants.
 //
-// Five PRs of lock striping, atomic snapshot publication, virtual-time
-// simulation, and "byte-identical when disabled" plane gating built up
-// invariants that previously existed only in review discipline. This
+// Lock striping, atomic snapshot publication, virtual-time simulation, a
+// lookup-free metrics hot path and a versioned wire format carry
+// invariants that would otherwise exist only in review discipline. This
 // package turns them into machine-checked analyzers:
 //
 //   - wallclock: internal packages must go through internal/clock, never
@@ -15,9 +15,10 @@
 //   - tracegate: no fmt formatting or string concatenation in declared
 //     hot-path files (//repolint:hotpath) unless behind a trace/injector
 //     guard or on a cold error path, protecting the allocation budget.
-//   - planegate: exported pointer-receiver entry points of optional plane
-//     packages (//repolint:plane) must nil-gate their receiver, so a
-//     disabled plane stays byte-identical to its absence.
+//   - obsgate: no obs.Registry lookups in declared hot-path files; they
+//     resolve instrument pointers once, at init.
+//   - wiregate: the //wire:struct declarations must match the fingerprint
+//     pinned for the package's FrameVersion.
 //
 // The Analyzer/Pass API deliberately mirrors golang.org/x/tools/go/analysis
 // so the suite could migrate wholesale if that dependency became available;
@@ -34,8 +35,7 @@
 //
 // An unjustified directive does not suppress — it annotates the finding so
 // the omission is visible in CI. File pragma //repolint:hotpath opts a file
-// into tracegate; package pragma //repolint:plane opts a package into
-// planegate.
+// into tracegate and obsgate.
 //
 // The concrete analyzers live in subpackages (one each), the registry used
 // by cmd/repolint and the tree-wide regression test in

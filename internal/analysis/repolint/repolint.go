@@ -9,7 +9,6 @@ import (
 	"repro/internal/analysis/atomicmix"
 	"repro/internal/analysis/lockheld"
 	"repro/internal/analysis/obsgate"
-	"repro/internal/analysis/planegate"
 	"repro/internal/analysis/tracegate"
 	"repro/internal/analysis/wallclock"
 	"repro/internal/analysis/wiregate"
@@ -20,7 +19,6 @@ var Analyzers = []*analysis.Analyzer{
 	atomicmix.Analyzer,
 	lockheld.Analyzer,
 	obsgate.Analyzer,
-	planegate.Analyzer,
 	tracegate.Analyzer,
 	wallclock.Analyzer,
 	wiregate.Analyzer,

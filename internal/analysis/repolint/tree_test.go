@@ -31,7 +31,7 @@ func TestTreeIsRepolintClean(t *testing.T) {
 	}
 	// Sanity-check the load actually covered the planes the suite guards;
 	// a silently narrowed pattern would make this test vacuous.
-	for _, want := range []string{"repro/internal/core", "repro/internal/wmm", "repro/internal/qos", "repro/internal/clock"} {
+	for _, want := range []string{"repro/internal/core", "repro/internal/wmm", "repro/internal/simcluster", "repro/internal/clock"} {
 		if !seen[want] {
 			t.Errorf("tree load missed %s", want)
 		}

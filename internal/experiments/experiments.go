@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/qos"
 	"repro/internal/simcluster"
 	"repro/internal/workloads"
 )
@@ -642,104 +641,6 @@ func Skew(o Options) *Report {
 	return rep
 }
 
-// Overload demonstrates the admission & QoS plane (beyond the paper's
-// figures): two tenants share the wc workflow on the three workers — a
-// well-behaved tenant at a modest rate and a hot tenant arriving at 10x
-// that — under three regimes: the well-behaved tenant alone (its solo
-// baseline), both tenants with QoS off (the hot tenant drags the shared
-// cluster into overload and the well-behaved tail with it), and both with
-// QoS on (equal weights; the hot tenant's token bucket matches its fair
-// share, the weighted-fair queue bounds what slips through, and the
-// governor sheds it while the engine is overloaded). The isolation claim:
-// with QoS on, the well-behaved tenant's p99 stays within ~1.2x of its
-// solo baseline while the hot tenant is throttled/shed.
-func Overload(o Options) *Report {
-	rep := &Report{ID: "overload", Title: "Multi-tenant overload: admission, weighted-fair queueing and shedding (DataFlower)"}
-	const goodRPM, hotRPM = 60.0, 600.0
-	goodCount, hotCount := 40, 300
-	if o.Quick {
-		goodCount, hotCount = 20, 120
-	}
-	build := func(qcfg *qos.Config) *simcluster.Sim {
-		return simcluster.New(simcluster.Config{
-			Kind:               simcluster.DataFlower,
-			Profile:            workloads.WordCount(4, 0),
-			Seed:               o.seed(),
-			MaxContainersPerFn: 4,
-			QoS:                qcfg,
-		})
-	}
-	qosCfg := func() *qos.Config {
-		return &qos.Config{
-			Capacity: 4,
-			Tenants: map[string]qos.Tenant{
-				// Equal weights; hot arrives at 10x its fair-share rate with
-				// a bucket that admits a few multiples of the share, so the
-				// backlog the bucket lets through builds queue depth and the
-				// governor's shedding tier engages on top of throttling.
-				"hot":  {Weight: 1, Rate: 4, Burst: 6},
-				"good": {Weight: 1},
-			},
-			ShedQueueDepth: 8,
-		}
-	}
-
-	// The solo baseline runs under a transparently-generous QoS config (a
-	// plane that never refuses or queues consumes no virtual time, pinned
-	// by TestQoSGenerousPlaneIsTransparent) so all three scenarios report
-	// per-tenant samples under identical full-distribution rules.
-	solo := build(&qos.Config{Capacity: 1 << 20}).RunTenantOpenLoop(
-		map[string]float64{"good": goodRPM}, map[string]int{"good": goodCount})
-	soloT := solo.Tenants["good"]
-	soloP99 := soloT.Latencies.P99()
-
-	tab := &Table{
-		Title:  fmt.Sprintf("wc, two tenants (good %.0f rpm, hot %.0f rpm = 10x)", goodRPM, hotRPM),
-		Header: []string{"scenario", "tenant", "issued", "completed", "throttled", "shed", "avg (s)", "p99 (s)", "p99 / solo"},
-	}
-	tab.Rows = append(tab.Rows, []string{
-		"good solo", "good", fmt.Sprint(soloT.Issued), fmt.Sprint(soloT.Completed),
-		"0", "0", f3(soloT.Latencies.Mean()), f3(soloP99), "1.00x",
-	})
-	addRows := func(scenario string, res *simcluster.Result) {
-		for _, tenant := range []string{"good", "hot"} {
-			tr := res.Tenants[tenant]
-			if tr == nil {
-				continue
-			}
-			ratio := "-"
-			if tenant == "good" && soloP99 > 0 {
-				ratio = fmt.Sprintf("%.2fx", tr.Latencies.P99()/soloP99)
-			}
-			tab.Rows = append(tab.Rows, []string{
-				scenario, tenant, fmt.Sprint(tr.Issued), fmt.Sprint(tr.Completed),
-				fmt.Sprint(tr.Throttled), fmt.Sprint(tr.Shed),
-				f3(tr.Latencies.Mean()), f3(tr.Latencies.P99()), ratio,
-			})
-		}
-	}
-	rates := map[string]float64{"good": goodRPM, "hot": hotRPM}
-	counts := map[string]int{"good": goodCount, "hot": hotCount}
-	// QoS off: traffic still tenant-attributed (the plane accounts but
-	// never refuses with a generous config), so the breakdown is visible.
-	shared := build(&qos.Config{Capacity: 1 << 20}).RunTenantOpenLoop(rates, counts)
-	addRows("shared, QoS off", shared)
-	guarded := build(qosCfg()).RunTenantOpenLoop(rates, counts)
-	addRows("shared, QoS on", guarded)
-	rep.Tables = append(rep.Tables, tab)
-
-	good, hot := guarded.Tenants["good"], guarded.Tenants["hot"]
-	if good != nil && hot != nil && soloP99 > 0 {
-		rep.Notes = append(rep.Notes, fmt.Sprintf(
-			"isolation: good p99 %.3fs vs solo %.3fs (%.2fx, target ~1.2x); hot admitted %d/%d (throttled %d, shed %d), goodput %.1f rpm",
-			good.Latencies.P99(), soloP99, good.Latencies.P99()/soloP99,
-			hot.Admitted, hot.Issued, hot.Throttled, hot.Shed, hot.GoodputRPM))
-	}
-	rep.Notes = append(rep.Notes,
-		"not a paper figure: exercises the admission & QoS plane (per-tenant token buckets, weighted-fair queueing, pressure-driven shedding)")
-	return rep
-}
-
 // cloneProfile re-derives a fresh profile (profiles hold parsed workflows
 // that are safe to share, but distinct sims should not share tracker state;
 // re-deriving keeps runs independent).
@@ -817,7 +718,6 @@ var registry = []struct {
 	{"fig19", Fig19, true},
 	{"skew", Skew, false},
 	{"faults", Faults, false},
-	{"overload", Overload, false},
 	{"scenarios", Scenarios, false},
 }
 

@@ -7,30 +7,25 @@ import (
 )
 
 // scenariosSample is an embedded scenario exercising the declarative
-// harness end to end — fleet, QoS, a timed kill/recover, tenant load, and
+// harness end to end — fleet, open-loop load, a timed kill/recover, and
 // assertions — through exactly the loader/compiler path cmd/scenario uses
 // on the files in scenarios/. Inline so the experiment is
 // cwd-independent.
 const scenariosSample = `{
-  "name": "sample-chaos-qos",
-  "description": "embedded sample: tenants under QoS with a mid-run kill/recover",
+  "name": "sample-chaos-kill-recover-loaded",
+  "description": "embedded sample: open-loop load with a mid-run kill/recover",
   "seed": 13,
   "replicas": 2,
   "fleet": {"workers": 4},
-  "workload": {"profile": "img", "pattern": "tenants", "tenants": [
-    {"name": "gold", "rpm": 90, "count": 30},
-    {"name": "bronze", "rpm": 240, "count": 60}
-  ]},
-  "qos": {"capacity": 16, "tenants": {"gold": {"weight": 3}, "bronze": {"weight": 1}}},
+  "workload": {"profile": "img", "pattern": "open", "rpm": 330, "count": 90},
   "events": [
     {"at": "3s", "kind": "kill", "node": "w2"},
     {"at": "15s", "kind": "recover", "node": "w2"}
   ],
   "assertions": [
-    {"kind": "tenant_completed_min", "tenant": "gold", "value": 30},
+    {"kind": "completed_min", "value": 90},
     {"kind": "availability_min", "value": 0.9},
-    {"kind": "recovered_min", "value": 1},
-    {"kind": "goodput_share_min", "tenant": "gold", "value": 0.25}
+    {"kind": "recovered_min", "value": 1}
   ]
 }`
 
@@ -41,7 +36,7 @@ const scenariosSample = `{
 // from benchrunner like every other plane.
 func Scenarios(o Options) *Report {
 	rep := &Report{ID: "scenarios", Title: "declarative scenario harness (embedded sample)"}
-	sp, err := scenario.Parse([]byte(scenariosSample), "embedded/sample-chaos-qos.json")
+	sp, err := scenario.Parse([]byte(scenariosSample), "embedded/sample-chaos-kill-recover-loaded.json")
 	if err != nil {
 		rep.Notes = append(rep.Notes, "scenario parse failed: "+err.Error())
 		return rep
@@ -49,18 +44,18 @@ func Scenarios(o Options) *Report {
 	if o.Seed != 0 {
 		sp.Seed = o.Seed
 	}
-	out, err := scenario.Run(sp, "embedded/sample-chaos-qos.json")
+	out, err := scenario.Run(sp, "embedded/sample-chaos-kill-recover-loaded.json")
 	if err != nil {
 		rep.Notes = append(rep.Notes, "scenario run failed: "+err.Error())
 		return rep
 	}
 	at := &Table{
 		Title:  fmt.Sprintf("%s: assertions (pass=%v)", out.Name, out.Pass),
-		Header: []string{"kind", "tenant", "observed", "bound", "pass"},
+		Header: []string{"kind", "observed", "bound", "pass"},
 	}
 	for _, ar := range out.Assertions {
 		at.Rows = append(at.Rows, []string{
-			ar.Kind, ar.Tenant, fmt.Sprintf("%g", ar.Observed), fmt.Sprintf("%g", ar.Bound),
+			ar.Kind, fmt.Sprintf("%g", ar.Observed), fmt.Sprintf("%g", ar.Bound),
 			fmt.Sprintf("%v", ar.Pass),
 		})
 	}

@@ -26,7 +26,7 @@
 // Lookups take a lock, so hot paths must resolve their instruments once at
 // setup time and hold the returned pointers; the obsgate repolint analyzer
 // enforces this for files declaring //repolint:hotpath. Names may embed
-// Prometheus labels inline ("qos_admits_total{tenant=\"t1\"}").
+// Prometheus labels inline ("cluster_health_transitions_total{to=\"down\"}").
 // Default() is the process-wide registry every internal package registers
 // into, so one /metrics endpoint exposes the whole process.
 //

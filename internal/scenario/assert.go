@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/simcluster"
 )
@@ -11,8 +10,6 @@ import (
 type AssertionKind struct {
 	Name string
 	Doc  string
-	// Tenant marks kinds that need the assertion's tenant field.
-	Tenant bool
 	// Duration marks kinds whose bound is the `bound` duration field
 	// (compared in milliseconds); the rest bound the numeric `value`.
 	Duration bool
@@ -20,18 +17,18 @@ type AssertionKind struct {
 	// ceilings (observed <= bound).
 	Min bool
 
-	obs func(res *simcluster.Result, a AssertSpec) (float64, error)
+	obs func(res *simcluster.Result) (float64, error)
 }
 
 // kinds is the assertion registry, in -list order. Observed values for
 // duration kinds are milliseconds.
 var kinds = []AssertionKind{
 	{Name: "completed_min", Doc: "completed requests >= value", Min: true,
-		obs: func(r *simcluster.Result, _ AssertSpec) (float64, error) { return float64(r.Completed), nil }},
+		obs: func(r *simcluster.Result) (float64, error) { return float64(r.Completed), nil }},
 	{Name: "failed_max", Doc: "failed requests <= value",
-		obs: func(r *simcluster.Result, _ AssertSpec) (float64, error) { return float64(r.Failed), nil }},
+		obs: func(r *simcluster.Result) (float64, error) { return float64(r.Failed), nil }},
 	{Name: "availability_min", Doc: "completed/(completed+failed) >= value", Min: true,
-		obs: func(r *simcluster.Result, _ AssertSpec) (float64, error) {
+		obs: func(r *simcluster.Result) (float64, error) {
 			total := r.Completed + r.Failed
 			if total == 0 {
 				return 0, fmt.Errorf("no requests finished")
@@ -39,7 +36,7 @@ var kinds = []AssertionKind{
 			return float64(r.Completed) / float64(total), nil
 		}},
 	{Name: "throughput_min", Doc: "completed requests per simulated minute >= value", Min: true,
-		obs: func(r *simcluster.Result, _ AssertSpec) (float64, error) { return r.ThroughputRPM, nil }},
+		obs: func(r *simcluster.Result) (float64, error) { return r.ThroughputRPM, nil }},
 	{Name: "p50_max", Doc: "median end-to-end latency <= bound", Duration: true,
 		obs: latencyObs(func(r *simcluster.Result) float64 { return r.Latencies.P50() })},
 	{Name: "p99_max", Doc: "p99 end-to-end latency <= bound", Duration: true,
@@ -47,50 +44,20 @@ var kinds = []AssertionKind{
 	{Name: "avg_max", Doc: "mean end-to-end latency <= bound", Duration: true,
 		obs: latencyObs(func(r *simcluster.Result) float64 { return r.Latencies.Mean() })},
 	{Name: "containers_max", Doc: "containers started <= value",
-		obs: func(r *simcluster.Result, _ AssertSpec) (float64, error) { return float64(r.Containers), nil }},
+		obs: func(r *simcluster.Result) (float64, error) { return float64(r.Containers), nil }},
 	{Name: "mem_gbs_per_req_max", Doc: "container-memory GB*s per completed request <= value",
-		obs: func(r *simcluster.Result, _ AssertSpec) (float64, error) { return r.MemGBsPerReq, nil }},
+		obs: func(r *simcluster.Result) (float64, error) { return r.MemGBsPerReq, nil }},
 	{Name: "recovered_min", Doc: "requests that survived a node kill >= value", Min: true,
-		obs: func(r *simcluster.Result, _ AssertSpec) (float64, error) { return float64(r.Recovered), nil }},
+		obs: func(r *simcluster.Result) (float64, error) { return float64(r.Recovered), nil }},
 	{Name: "replays_max", Doc: "re-executed shipments <= value",
-		obs: func(r *simcluster.Result, _ AssertSpec) (float64, error) { return float64(r.Replays), nil }},
+		obs: func(r *simcluster.Result) (float64, error) { return float64(r.Replays), nil }},
 	{Name: "recovery_p99_max", Doc: "p99 kill-to-completion latency <= bound", Duration: true,
-		obs: func(r *simcluster.Result, _ AssertSpec) (float64, error) {
+		obs: func(r *simcluster.Result) (float64, error) {
 			if r.RecoveryLat == nil || r.RecoveryLat.Count() == 0 {
 				return 0, fmt.Errorf("no recoveries sampled")
 			}
 			return r.RecoveryLat.P99() * 1000, nil
 		}},
-	{Name: "goodput_share_min", Doc: "tenant's share of total goodput >= value", Tenant: true, Min: true,
-		obs: tenantObs(func(r *simcluster.Result, t *simcluster.TenantResult) (float64, error) {
-			total := 0.0
-			for _, other := range r.Tenants {
-				total += other.GoodputRPM
-			}
-			if total == 0 {
-				return 0, fmt.Errorf("zero total goodput")
-			}
-			return t.GoodputRPM / total, nil
-		})},
-	{Name: "shed_max", Doc: "tenant's governor-shed requests <= value", Tenant: true,
-		obs: tenantObs(func(_ *simcluster.Result, t *simcluster.TenantResult) (float64, error) {
-			return float64(t.Shed), nil
-		})},
-	{Name: "throttled_max", Doc: "tenant's token-bucket refusals <= value", Tenant: true,
-		obs: tenantObs(func(_ *simcluster.Result, t *simcluster.TenantResult) (float64, error) {
-			return float64(t.Throttled), nil
-		})},
-	{Name: "tenant_p99_max", Doc: "tenant's p99 latency <= bound", Tenant: true, Duration: true,
-		obs: tenantObs(func(_ *simcluster.Result, t *simcluster.TenantResult) (float64, error) {
-			if t.Latencies == nil || t.Latencies.Count() == 0 {
-				return 0, fmt.Errorf("no latencies sampled")
-			}
-			return t.Latencies.P99() * 1000, nil
-		})},
-	{Name: "tenant_completed_min", Doc: "tenant's completed requests >= value", Tenant: true, Min: true,
-		obs: tenantObs(func(_ *simcluster.Result, t *simcluster.TenantResult) (float64, error) {
-			return float64(t.Completed), nil
-		})},
 }
 
 // kindByName indexes the registry.
@@ -106,30 +73,12 @@ var kindByName = func() map[string]*AssertionKind {
 func Assertions() []AssertionKind { return kinds }
 
 // latencyObs samples the global latency distribution (seconds -> ms).
-func latencyObs(f func(*simcluster.Result) float64) func(*simcluster.Result, AssertSpec) (float64, error) {
-	return func(r *simcluster.Result, _ AssertSpec) (float64, error) {
+func latencyObs(f func(*simcluster.Result) float64) func(*simcluster.Result) (float64, error) {
+	return func(r *simcluster.Result) (float64, error) {
 		if r.Latencies == nil || r.Latencies.Count() == 0 {
 			return 0, fmt.Errorf("no latencies sampled")
 		}
 		return f(r) * 1000, nil
-	}
-}
-
-// tenantObs resolves the assertion's tenant and delegates. A missing tenant
-// is an error, not a trivially-passing zero: it usually means a typo or an
-// unarmed QoS plane, and a ceiling assertion must not mask that.
-func tenantObs(f func(*simcluster.Result, *simcluster.TenantResult) (float64, error)) func(*simcluster.Result, AssertSpec) (float64, error) {
-	return func(r *simcluster.Result, a AssertSpec) (float64, error) {
-		t := r.Tenants[a.Tenant]
-		if t == nil {
-			names := make([]string, 0, len(r.Tenants))
-			for n := range r.Tenants {
-				names = append(names, n)
-			}
-			sort.Strings(names)
-			return 0, fmt.Errorf("tenant %q not in result (have %v; is the qos block armed and the tenant driven?)", a.Tenant, names)
-		}
-		return f(r, t)
 	}
 }
 
@@ -138,12 +87,6 @@ func (a AssertSpec) validate() error {
 	k := kindByName[a.Kind]
 	if k == nil {
 		return fmt.Errorf("unknown assertion kind %q (run cmd/scenario -list)", a.Kind)
-	}
-	if k.Tenant && a.Tenant == "" {
-		return fmt.Errorf("kind %q needs a tenant", a.Kind)
-	}
-	if !k.Tenant && a.Tenant != "" {
-		return fmt.Errorf("kind %q takes no tenant (have %q)", a.Kind, a.Tenant)
 	}
 	if k.Duration && a.Bound <= 0 {
 		return fmt.Errorf("kind %q needs a positive `bound` duration", a.Kind)
@@ -169,7 +112,6 @@ func (a AssertSpec) bound(k *AssertionKind) float64 {
 // AssertionResult is one evaluated assertion in a report.
 type AssertionResult struct {
 	Kind     string  `json:"kind"`
-	Tenant   string  `json:"tenant,omitempty"`
 	Observed float64 `json:"observed"`
 	Bound    float64 `json:"bound"`
 	Pass     bool    `json:"pass"`
@@ -184,8 +126,8 @@ func evaluate(asserts []AssertSpec, res *simcluster.Result) []AssertionResult {
 	out := make([]AssertionResult, 0, len(asserts))
 	for _, a := range asserts {
 		k := kindByName[a.Kind]
-		ar := AssertionResult{Kind: a.Kind, Tenant: a.Tenant, Bound: a.bound(k)}
-		obs, err := k.obs(res, a)
+		ar := AssertionResult{Kind: a.Kind, Bound: a.bound(k)}
+		obs, err := k.obs(res)
 		if err != nil {
 			ar.Detail = "unevaluable: " + err.Error()
 			out = append(out, ar)

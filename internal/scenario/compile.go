@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/cluster"
-	"repro/internal/qos"
 	"repro/internal/simcluster"
 	"repro/internal/workloads"
 )
@@ -37,13 +36,11 @@ type EventKind struct {
 }
 
 // eventKinds is the timed-event registry: what a scenario's events[] may
-// schedule. Fault kinds compile onto Config.Faults; flood arms an extra
-// tenant stream.
+// schedule. Every kind compiles onto Config.Faults.
 var eventKinds = []EventKind{
 	{"kill", "take node down at `at`: containers die, sink wiped, lost work replayed (needs node)"},
 	{"recover", "return a killed/draining node to service, empty (needs node)"},
 	{"drain", "stop new request pins on node; in-flight work completes in place (needs node)"},
-	{"flood", "start an extra open-loop stream: count requests at rpm attributed to tenant (needs tenant, rpm, count)"},
 }
 
 // Events returns the registered event kinds.
@@ -57,7 +54,7 @@ var faultKinds = map[string]simcluster.FaultKind{
 }
 
 // patterns is the arrival-discipline set.
-var patterns = map[string]bool{"open": true, "skewed": true, "closed": true, "tenants": true}
+var patterns = map[string]bool{"open": true, "skewed": true, "closed": true}
 
 // profileFor builds the parameterized benchmark profile.
 func profileFor(name string, fanout int, inputSize int64) (*workloads.Profile, error) {
@@ -102,26 +99,6 @@ func (sp *Spec) validate(file string) error {
 		}
 		return serrf(file, "workload", "%v", err)
 	}
-	if sp.QoS != nil {
-		for name, t := range sp.QoS.Tenants {
-			field := fmt.Sprintf("qos.tenants[%q]", name)
-			if t.Weight < 0 {
-				return serrf(file, field+".weight", "negative weight %d", t.Weight)
-			}
-			if t.Rate < 0 {
-				return serrf(file, field+".rate", "negative rate %g", t.Rate)
-			}
-			if t.Burst < 0 {
-				return serrf(file, field+".burst", "negative burst %d", t.Burst)
-			}
-			if t.MaxInFlight < 0 {
-				return serrf(file, field+".max_in_flight", "negative cap %d", t.MaxInFlight)
-			}
-		}
-		if sp.QoS.Capacity < 0 {
-			return serrf(file, "qos.capacity", "negative capacity %d", sp.QoS.Capacity)
-		}
-	}
 	for i, ev := range sp.Events {
 		field := fmt.Sprintf("events[%d]", i)
 		if ev.At < 0 {
@@ -134,13 +111,6 @@ func (sp *Spec) validate(file string) error {
 			}
 			if k := systems[sp.systemName()]; k != simcluster.DataFlower && k != simcluster.DataFlowerNonAware {
 				return serrf(file, field+".kind", "fault events need a DataFlower system (have %q)", sp.systemName())
-			}
-		case "flood":
-			if ev.Tenant == "" {
-				return serrf(file, field+".tenant", "flood events need a tenant")
-			}
-			if ev.Rpm <= 0 || ev.Count <= 0 {
-				return serrf(file, field, "flood events need positive rpm and count (have rpm=%g count=%d)", ev.Rpm, ev.Count)
 			}
 		default:
 			return serrf(file, field+".kind", "unknown event kind %q (run cmd/scenario -list)", ev.Kind)
@@ -221,7 +191,7 @@ func (w *WorkloadSpec) validate() error {
 	}
 	p := w.pattern()
 	if !patterns[p] {
-		return serrf("", "workload.pattern", "unknown pattern %q (want open, skewed, closed or tenants)", w.Pattern)
+		return serrf("", "workload.pattern", "unknown pattern %q (want open, skewed or closed)", w.Pattern)
 	}
 	switch p {
 	case "open", "skewed":
@@ -234,24 +204,6 @@ func (w *WorkloadSpec) validate() error {
 	case "closed":
 		if w.Clients <= 0 || w.Window <= 0 {
 			return serrf("", "workload", "pattern \"closed\" needs positive clients and window")
-		}
-	case "tenants":
-		if len(w.Tenants) == 0 {
-			return serrf("", "workload.tenants", "pattern \"tenants\" needs at least one tenant stream")
-		}
-		seen := map[string]bool{}
-		for i, t := range w.Tenants {
-			field := fmt.Sprintf("workload.tenants[%d]", i)
-			if t.Name == "" {
-				return serrf("", field+".name", "required")
-			}
-			if seen[t.Name] {
-				return serrf("", field+".name", "duplicate tenant %q", t.Name)
-			}
-			seen[t.Name] = true
-			if t.Rpm <= 0 || t.Count <= 0 {
-				return serrf("", field, "need positive rpm and count (have rpm=%g count=%d)", t.Rpm, t.Count)
-			}
 		}
 	}
 	return nil
@@ -281,17 +233,10 @@ func (sp *Spec) seed() int64 {
 	return sp.Seed
 }
 
-// compiled is a spec lowered onto the engine surface: the config, plus the
-// flood events that arm extra streams at run time.
-type compiled struct {
-	cfg    simcluster.Config
-	floods []EventSpec
-}
-
 // compile lowers a validated spec onto simcluster.Config. Engine-level
 // config problems (fault targets out of range, duplicate colocated function
 // names) come back as *Error wrapping the simcluster.ConfigError's field.
-func (sp *Spec) compile(file string) (*compiled, error) {
+func (sp *Spec) compile(file string) (*simcluster.Config, error) {
 	prof, err := profileFor(sp.Workload.Profile, sp.Workload.Fanout, sp.Workload.InputSize)
 	if err != nil {
 		return nil, serrf(file, "workload.profile", "%v", err)
@@ -316,56 +261,26 @@ func (sp *Spec) compile(file string) (*compiled, error) {
 	if sp.Replicas > 1 {
 		cfg.Placement = cluster.RoundRobin{Replicas: sp.Replicas}
 	}
-	if sp.QoS != nil {
-		cfg.QoS = sp.QoS.compile()
-	}
-	c := &compiled{cfg: cfg}
 	for _, ev := range sp.Events {
-		if ev.Kind == "flood" {
-			c.floods = append(c.floods, ev)
-			continue
-		}
-		c.cfg.Faults = append(c.cfg.Faults, simcluster.FaultEvent{
+		cfg.Faults = append(cfg.Faults, simcluster.FaultEvent{
 			At: ev.At.D(), Node: ev.Node, Kind: faultKinds[ev.Kind],
 		})
 	}
 	if sp.Stress != nil {
-		sp.expandStress(c)
+		sp.expandStress(&cfg)
 	} else if len(sp.Fleet.Templates) > 0 {
 		workers := sp.Fleet.Workers
 		if workers == 0 {
 			workers = 3
 		}
-		c.cfg.Fleet = sp.Fleet.drawFleet(workers, stressRand(sp.seed()))
+		cfg.Fleet = sp.Fleet.drawFleet(workers, stressRand(sp.seed()))
 	}
-	if err := c.cfg.Validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		var ce *simcluster.ConfigError
 		if errors.As(err, &ce) {
 			return nil, &Error{File: file, Field: "config." + ce.Field, Msg: ce.Msg}
 		}
 		return nil, serrf(file, "config", "%v", err)
 	}
-	return c, nil
-}
-
-// compile lowers the QoS block onto qos.Config.
-func (q *QoSSpec) compile() *qos.Config {
-	cfg := &qos.Config{
-		Capacity:         q.Capacity,
-		ShedQueueDepth:   q.ShedQueueDepth,
-		OverFactor:       q.OverFactor,
-		MaxResidentBytes: q.MaxResidentBytes,
-	}
-	if q.GovernorDisabled {
-		cfg.GovernorInterval = -1
-	}
-	if len(q.Tenants) > 0 {
-		cfg.Tenants = make(map[string]qos.Tenant, len(q.Tenants))
-		for name, t := range q.Tenants {
-			cfg.Tenants[name] = qos.Tenant{
-				Weight: t.Weight, Rate: t.Rate, Burst: t.Burst, MaxInFlight: t.MaxInFlight,
-			}
-		}
-	}
-	return cfg
+	return &cfg, nil
 }

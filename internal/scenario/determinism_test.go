@@ -8,7 +8,7 @@ import (
 )
 
 // chaotic is a deliberately busy spec: weighted templates, a 1000-node
-// stress fleet with seeded chaos, tenant load, QoS, and a mid-run flood —
+// stress fleet with seeded chaos, replicas and seeded open-loop arrivals —
 // every source of scenario randomness at once.
 const chaotic = `{
   "name": "determinism-probe",
@@ -18,12 +18,7 @@ const chaotic = `{
     {"name": "big", "weight": 1, "nic_bps": 250e6},
     {"name": "small", "weight": 3, "nic_bps": 62.5e6}
   ]},
-  "workload": {"profile": "img", "pattern": "tenants", "tenants": [
-    {"name": "gold", "rpm": 120, "count": 15},
-    {"name": "bronze", "rpm": 240, "count": 30}
-  ]},
-  "qos": {"capacity": 64, "tenants": {"gold": {"weight": 3}}},
-  "events": [{"at": "2s", "kind": "flood", "tenant": "bronze", "rpm": 600, "count": 20}],
+  "workload": {"profile": "img", "pattern": "open", "rpm": 360, "count": 45},
   "stress": {"nodes": 1000, "failure_rate": 0.05, "start": "1s",
              "kill_spacing": "100ms", "recover_after": "3s"},
   "assertions": [{"kind": "completed_min", "value": 1}]
@@ -74,11 +69,11 @@ func TestDifferentSeedDifferentSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	same := len(a.cfg.Faults) == len(b.cfg.Faults)
+	same := len(a.Faults) == len(b.Faults)
 	if same {
 		diff := false
-		for i := range a.cfg.Faults {
-			if a.cfg.Faults[i] != b.cfg.Faults[i] {
+		for i := range a.Faults {
+			if a.Faults[i] != b.Faults[i] {
 				diff = true
 				break
 			}
@@ -100,12 +95,12 @@ func TestStressExpansion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c.cfg.Fleet) != 1000 {
-		t.Fatalf("fleet = %d nodes, want 1000", len(c.cfg.Fleet))
+	if len(c.Fleet) != 1000 {
+		t.Fatalf("fleet = %d nodes, want 1000", len(c.Fleet))
 	}
 	kills, recovers := 0, 0
 	seen := map[string]bool{}
-	for _, fe := range c.cfg.Faults {
+	for _, fe := range c.Faults {
 		switch fe.Kind {
 		case simcluster.KillNode:
 			kills++
@@ -126,7 +121,7 @@ func TestStressExpansion(t *testing.T) {
 	// Both templates must actually appear in the draw (weights 1:3 over
 	// 1000 nodes).
 	big, small := 0, 0
-	for _, sp := range c.cfg.Fleet {
+	for _, sp := range c.Fleet {
 		switch sp.NICBps {
 		case 250e6:
 			big++

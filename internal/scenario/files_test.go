@@ -13,8 +13,8 @@ func TestCommittedScenariosPass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(paths) < 6 {
-		t.Fatalf("found %d committed scenarios, want >= 6", len(paths))
+	if len(paths) < 5 {
+		t.Fatalf("found %d committed scenarios, want >= 5", len(paths))
 	}
 	suite, err := RunFiles(paths)
 	if err != nil {
@@ -24,7 +24,7 @@ func TestCommittedScenariosPass(t *testing.T) {
 		for _, rep := range suite.Scenarios {
 			for _, ar := range rep.Assertions {
 				if !ar.Pass {
-					t.Errorf("%s: %s[%s]: %s", rep.Name, ar.Kind, ar.Tenant, ar.Detail)
+					t.Errorf("%s: %s: %s", rep.Name, ar.Kind, ar.Detail)
 				}
 			}
 		}

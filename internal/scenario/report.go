@@ -3,18 +3,15 @@ package scenario
 import (
 	"encoding/json"
 	"math"
-	"sort"
 
 	"repro/internal/obs"
 	"repro/internal/simcluster"
 )
 
 // Report is one scenario's machine-readable outcome: identity, pass/fail,
-// the run's headline counters, the per-tenant breakdown, and every
-// assertion's observed-vs-bound. It contains no wall-clock timestamps or
-// absolute paths, and all maps marshal with sorted keys, so the same
-// scenario and seed always marshal to identical bytes — CI diffs reports
-// across runs.
+// the run's headline counters, and every assertion's observed-vs-bound. It
+// contains no wall-clock timestamps or absolute paths, so the same scenario
+// and seed always marshal to identical bytes — CI diffs reports across runs.
 type Report struct {
 	Name        string `json:"name"`
 	Description string `json:"description,omitempty"`
@@ -24,9 +21,8 @@ type Report struct {
 	Workers     int    `json:"workers"`
 	Pass        bool   `json:"pass"`
 
-	Counters   Counters                   `json:"counters"`
-	Tenants    map[string]*TenantCounters `json:"tenants,omitempty"`
-	Assertions []AssertionResult          `json:"assertions,omitempty"`
+	Counters   Counters          `json:"counters"`
+	Assertions []AssertionResult `json:"assertions,omitempty"`
 }
 
 // Counters are the run's headline metrics. Latencies are milliseconds.
@@ -46,20 +42,6 @@ type Counters struct {
 	RecoveryP99Ms float64 `json:"recovery_p99_ms"`
 	// SimDuration is the virtual makespan.
 	SimDuration string `json:"sim_duration"`
-}
-
-// TenantCounters are one tenant's slice of the run.
-type TenantCounters struct {
-	Issued       int64   `json:"issued"`
-	Admitted     int64   `json:"admitted"`
-	Throttled    int64   `json:"throttled"`
-	Shed         int64   `json:"shed"`
-	Abandoned    int64   `json:"abandoned"`
-	Completed    int64   `json:"completed"`
-	Failed       int64   `json:"failed"`
-	GoodputRPM   float64 `json:"goodput_rpm"`
-	GoodputShare float64 `json:"goodput_share"`
-	P99Ms        float64 `json:"p99_ms"`
 }
 
 // Suite wraps one runner invocation's reports (the CI artifact).
@@ -100,9 +82,6 @@ func buildReport(sp *Spec, workers int, res *simcluster.Result) *Report {
 		Workers:     workers,
 		Counters:    buildCounters(res),
 	}
-	if len(res.Tenants) > 0 {
-		rep.Tenants = buildTenants(res)
-	}
 	rep.Assertions = evaluate(sp.Asserts, res)
 	rep.Pass = true
 	for _, ar := range rep.Assertions {
@@ -137,35 +116,4 @@ func buildCounters(res *simcluster.Result) Counters {
 		c.RecoveryP99Ms = round3(res.RecoveryLat.P99() * 1000)
 	}
 	return c
-}
-
-// buildTenants extracts the per-tenant breakdown with goodput shares.
-func buildTenants(res *simcluster.Result) map[string]*TenantCounters {
-	total := 0.0
-	for _, t := range res.Tenants {
-		total += t.GoodputRPM
-	}
-	out := make(map[string]*TenantCounters, len(res.Tenants))
-	names := make([]string, 0, len(res.Tenants))
-	for name := range res.Tenants {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		t := res.Tenants[name]
-		tc := &TenantCounters{
-			Issued: t.Issued, Admitted: t.Admitted, Throttled: t.Throttled,
-			Shed: t.Shed, Abandoned: t.Abandoned,
-			Completed: t.Completed, Failed: t.Failed,
-			GoodputRPM: round3(t.GoodputRPM),
-		}
-		if total > 0 {
-			tc.GoodputShare = round3(t.GoodputRPM / total)
-		}
-		if t.Latencies != nil && t.Latencies.Count() > 0 {
-			tc.P99Ms = round3(t.Latencies.P99() * 1000)
-		}
-		out[name] = tc
-	}
-	return out
 }

@@ -1,6 +1,6 @@
 // Package scenario is the declarative robustness harness over the
 // simulation plane: JSON scenario files describe a fleet, a workload, a
-// timed fault/flood schedule, and assertions over the run's Result, and the
+// timed fault schedule, and assertions over the run's Result, and the
 // runner compiles them onto simcluster.Config, drives the run in virtual
 // time, and emits a machine-readable report. A seeded stress mode expands
 // weighted node templates into large fleets (1000+ nodes) with
@@ -78,7 +78,7 @@ type Spec struct {
 	Description string `json:"description,omitempty"`
 	// System selects the engine under test: "dataflower" (default),
 	// "dataflower-nonaware", "faasflow", "sonic", "statemachine". Fault
-	// and QoS events need the DataFlower kinds.
+	// events need the DataFlower kinds.
 	System string `json:"system,omitempty"`
 	// Seed drives arrivals and all scenario randomness (stress fleets,
 	// chaos times). Defaults to 42.
@@ -89,7 +89,6 @@ type Spec struct {
 
 	Fleet    FleetSpec    `json:"fleet,omitempty"`
 	Workload WorkloadSpec `json:"workload"`
-	QoS      *QoSSpec     `json:"qos,omitempty"`
 	Events   []EventSpec  `json:"events,omitempty"`
 	Asserts  []AssertSpec `json:"assertions,omitempty"`
 	Stress   *StressSpec  `json:"stress,omitempty"`
@@ -136,8 +135,7 @@ type WorkloadSpec struct {
 	Colocated []string `json:"colocated,omitempty"`
 	// Pattern is the arrival discipline: "open" (default; rpm+count),
 	// "skewed" (rpm+count+skew over primary+colocated), "closed"
-	// (clients+window), "tenants" (one open-loop stream per tenants[]
-	// entry).
+	// (clients+window).
 	Pattern string  `json:"pattern,omitempty"`
 	Rpm     float64 `json:"rpm,omitempty"`
 	Count   int     `json:"count,omitempty"`
@@ -146,65 +144,23 @@ type WorkloadSpec struct {
 	// Clients/Window drive "closed".
 	Clients int `json:"clients,omitempty"`
 	Window  Dur `json:"window,omitempty"`
-	// Tenants drive "tenants".
-	Tenants []TenantLoad `json:"tenants,omitempty"`
 }
 
-// TenantLoad is one tenant's open-loop stream.
-type TenantLoad struct {
-	Name  string  `json:"name"`
-	Rpm   float64 `json:"rpm"`
-	Count int     `json:"count"`
-}
-
-// QoSSpec arms the admission & QoS plane (compiled onto simcluster.Config's QoS field).
-type QoSSpec struct {
-	// Capacity bounds concurrently admitted requests (8 x workers when 0).
-	Capacity int `json:"capacity,omitempty"`
-	// ShedQueueDepth is the queue depth past which the engine sheds
-	// (4 x capacity when 0); OverFactor the demand-to-share overload ratio.
-	ShedQueueDepth int     `json:"shed_queue_depth,omitempty"`
-	OverFactor     float64 `json:"over_factor,omitempty"`
-	// GovernorDisabled turns pressure shedding off (admission and fair
-	// queueing stay armed).
-	GovernorDisabled bool `json:"governor_disabled,omitempty"`
-	// MaxResidentBytes sheds on Wait-Match Memory occupancy (0 disables).
-	MaxResidentBytes int64 `json:"max_resident_bytes,omitempty"`
-	// Tenants names per-tenant envelopes; unlisted tenants get weight 1,
-	// no rate limit.
-	Tenants map[string]TenantSpec `json:"tenants,omitempty"`
-}
-
-// TenantSpec is one tenant's QoS envelope.
-type TenantSpec struct {
-	Weight      int     `json:"weight,omitempty"`
-	Rate        float64 `json:"rate,omitempty"`
-	Burst       int     `json:"burst,omitempty"`
-	MaxInFlight int     `json:"max_in_flight,omitempty"`
-}
-
-// EventSpec is one timed event. Kind selects the shape: "kill", "recover"
-// and "drain" need Node; "flood" needs Tenant, Rpm and Count.
+// EventSpec is one timed fault event: Kind is "kill", "recover" or
+// "drain", and Node names its target ("w1".."wN").
 type EventSpec struct {
 	At   Dur    `json:"at"`
 	Kind string `json:"kind"`
-	// Node names the fault target ("w1".."wN").
 	Node string `json:"node,omitempty"`
-	// Tenant/Rpm/Count shape a flood: an extra open-loop stream starting
-	// at At.
-	Tenant string  `json:"tenant,omitempty"`
-	Rpm    float64 `json:"rpm,omitempty"`
-	Count  int     `json:"count,omitempty"`
 }
 
 // AssertSpec is one bound over the run's Result. Kind selects the observed
 // metric (see Assertions() for the registry); Value carries numeric bounds,
-// Bound duration bounds, Tenant scopes per-tenant kinds.
+// Bound duration bounds.
 type AssertSpec struct {
-	Kind   string  `json:"kind"`
-	Tenant string  `json:"tenant,omitempty"`
-	Value  float64 `json:"value,omitempty"`
-	Bound  Dur     `json:"bound,omitempty"`
+	Kind  string  `json:"kind"`
+	Value float64 `json:"value,omitempty"`
+	Bound Dur     `json:"bound,omitempty"`
 }
 
 // StressSpec expands the scenario into a seeded large-fleet chaos run: the

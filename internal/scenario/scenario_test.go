@@ -58,39 +58,48 @@ func TestParseFieldContext(t *testing.T) {
 	cases := []struct {
 		src   string
 		field string
+		names string // a word the message must contain, when set
 	}{
-		{`{"workload": {"profile": "nope", "rpm": 1, "count": 1}}`, "workload.profile"},
-		{`{"system": "xen", "workload": {"profile": "wc", "rpm": 1, "count": 1}}`, "system"},
-		{`{"workload": {"profile": "wc", "pattern": "poisson", "rpm": 1, "count": 1}}`, "workload.pattern"},
+		{`{"workload": {"profile": "nope", "rpm": 1, "count": 1}}`, "workload.profile", ""},
+		{`{"system": "xen", "workload": {"profile": "wc", "rpm": 1, "count": 1}}`, "system", ""},
+		{`{"workload": {"profile": "wc", "pattern": "poisson", "rpm": 1, "count": 1}}`, "workload.pattern", ""},
 		{`{"workload": {"profile": "wc", "rpm": 1, "count": 1},
-			"events": [{"at": "1s", "kind": "explode", "node": "w1"}]}`, "events[0].kind"},
+			"events": [{"at": "1s", "kind": "explode", "node": "w1"}]}`, "events[0].kind", ""},
 		{`{"workload": {"profile": "wc", "rpm": 1, "count": 1},
-			"events": [{"at": "1s", "kind": "kill"}]}`, "events[0].node"},
-		{`{"workload": {"profile": "wc", "rpm": 1, "count": 1},
-			"events": [{"at": "1s", "kind": "flood", "rpm": 5, "count": 5}]}`, "events[0].tenant"},
+			"events": [{"at": "1s", "kind": "kill"}]}`, "events[0].node", ""},
 		{`{"system": "sonic", "workload": {"profile": "wc", "rpm": 1, "count": 1},
-			"events": [{"at": "1s", "kind": "kill", "node": "w1"}]}`, "events[0].kind"},
+			"events": [{"at": "1s", "kind": "kill", "node": "w1"}]}`, "events[0].kind", ""},
 		{`{"workload": {"profile": "wc", "rpm": 1, "count": 1},
-			"assertions": [{"kind": "made_up"}]}`, "assertions[0]"},
+			"assertions": [{"kind": "made_up"}]}`, "assertions[0]", ""},
 		{`{"workload": {"profile": "wc", "rpm": 1, "count": 1},
-			"assertions": [{"kind": "goodput_share_min", "value": 0.5}]}`, "assertions[0]"},
+			"assertions": [{"kind": "p99_max"}]}`, "assertions[0]", ""},
 		{`{"workload": {"profile": "wc", "rpm": 1, "count": 1},
-			"assertions": [{"kind": "p99_max"}]}`, "assertions[0]"},
+			"stress": {"nodes": 0}}`, "stress.nodes", ""},
 		{`{"workload": {"profile": "wc", "rpm": 1, "count": 1},
-			"stress": {"nodes": 0}}`, "stress.nodes"},
+			"stress": {"nodes": 10, "failure_rate": 1.5}}`, "stress.failure_rate", ""},
+		{`{"replicas": -1, "workload": {"profile": "wc", "rpm": 1, "count": 1}}`, "replicas", ""},
+		// Files written for the tenant-and-QoS schema are refused by name,
+		// never run without the plane they asked for.
 		{`{"workload": {"profile": "wc", "rpm": 1, "count": 1},
-			"stress": {"nodes": 10, "failure_rate": 1.5}}`, "stress.failure_rate"},
+			"qos": {"capacity": 16, "tenants": {"a": {"weight": 3}}}}`, "qos", "qos"},
 		{`{"workload": {"profile": "wc", "pattern": "tenants",
-			"tenants": [{"name": "a", "rpm": 1, "count": 1}, {"name": "a", "rpm": 1, "count": 1}]}}`,
-			"workload.tenants[1].name"},
-		{`{"replicas": -1, "workload": {"profile": "wc", "rpm": 1, "count": 1}}`, "replicas"},
+			"tenants": [{"name": "a", "rpm": 1, "count": 1}]}}`, "workload.pattern", "tenants"},
 		{`{"workload": {"profile": "wc", "rpm": 1, "count": 1},
-			"qos": {"tenants": {"a": {"weight": -1}}}}`, `qos.tenants["a"].weight`},
+			"events": [{"at": "1s", "kind": "kill", "node": "w1"},
+				{"at": "2s", "kind": "flood", "tenant": "hot", "rpm": 600, "count": 20}]}`, "events[1].kind", "flood"},
+		{`{"workload": {"profile": "wc", "rpm": 1, "count": 1},
+			"assertions": [{"kind": "completed_min", "value": 1},
+				{"kind": "tenant_p99_max", "tenant": "gold", "bound": "2s"}]}`, "assertions[1].kind", "tenant_p99_max"},
+		{`{"workload": {"profile": "wc", "rpm": 1, "count": 1},
+			"assertions": [{"kind": "goodput_share_min", "tenant": "gold", "value": 0.25}]}`, "assertions[0].kind", "goodput_share_min"},
 	}
 	for _, c := range cases {
 		e := parseErr(t, c.src)
 		if e.Field != c.field {
 			t.Errorf("field = %q, want %q (msg: %s)", e.Field, c.field, e.Msg)
+		}
+		if !strings.Contains(e.Msg, c.names) {
+			t.Errorf("error %q does not name %q", e, c.names)
 		}
 	}
 }
@@ -157,20 +166,21 @@ func TestViolatedAssertionReportsObservedVsBound(t *testing.T) {
 	}
 }
 
-// TestUnevaluableAssertionFails pins that a tenant typo fails loudly
-// instead of passing a trivially-zero ceiling.
+// TestUnevaluableAssertionFails pins that a bound over a metric the run
+// never sampled (no kill, so no recovery latency) fails loudly instead of
+// passing a trivially-zero ceiling.
 func TestUnevaluableAssertionFails(t *testing.T) {
 	sp, err := Parse([]byte(`{"workload": {"profile": "wc", "rpm": 600, "count": 5},
-		"assertions": [{"kind": "shed_max", "tenant": "ghost", "value": 10}]}`), "ghost.json")
+		"assertions": [{"kind": "recovery_p99_max", "bound": "10s"}]}`), "unsampled.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(sp, "ghost.json")
+	rep, err := Run(sp, "unsampled.json")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Pass || rep.Assertions[0].Pass {
-		t.Fatal("an assertion on a missing tenant passed")
+		t.Fatal("an assertion over an unsampled metric passed")
 	}
 	if !strings.Contains(rep.Assertions[0].Detail, "unevaluable") {
 		t.Fatalf("detail %q does not mark the assertion unevaluable", rep.Assertions[0].Detail)
@@ -178,11 +188,11 @@ func TestUnevaluableAssertionFails(t *testing.T) {
 }
 
 func TestRegistriesNonEmpty(t *testing.T) {
-	if len(Events()) < 4 {
-		t.Fatalf("event registry has %d kinds, want >= 4", len(Events()))
+	if len(Events()) < 3 {
+		t.Fatalf("event registry has %d kinds, want >= 3", len(Events()))
 	}
-	if len(Assertions()) < 15 {
-		t.Fatalf("assertion registry has %d kinds, want >= 15", len(Assertions()))
+	if len(Assertions()) < 12 {
+		t.Fatalf("assertion registry has %d kinds, want >= 12", len(Assertions()))
 	}
 	for _, k := range Assertions() {
 		if k.Doc == "" {

@@ -62,13 +62,13 @@ func (t NodeTemplate) weight() float64 {
 // KillSpacing apart from Start, each recovering RecoverAfter later. The
 // declarative events[] schedule (already compiled) is kept — stress adds
 // chaos on top of it.
-func (sp *Spec) expandStress(c *compiled) {
+func (sp *Spec) expandStress(cfg *simcluster.Config) {
 	st := sp.Stress
 	r := stressRand(sp.seed())
 	if len(sp.Fleet.Templates) > 0 {
-		c.cfg.Fleet = sp.Fleet.drawFleet(st.Nodes, r)
+		cfg.Fleet = sp.Fleet.drawFleet(st.Nodes, r)
 	} else {
-		c.cfg.Workers = st.Nodes
+		cfg.Workers = st.Nodes
 	}
 	kills := int(st.FailureRate * float64(st.Nodes))
 	if kills == 0 {
@@ -82,11 +82,11 @@ func (sp *Spec) expandStress(c *compiled) {
 	at := st.Start.D()
 	for _, v := range victims {
 		node := fmt.Sprintf("w%d", v+1)
-		c.cfg.Faults = append(c.cfg.Faults, simcluster.FaultEvent{
+		cfg.Faults = append(cfg.Faults, simcluster.FaultEvent{
 			At: at, Node: node, Kind: simcluster.KillNode,
 		})
 		if st.RecoverAfter > 0 {
-			c.cfg.Faults = append(c.cfg.Faults, simcluster.FaultEvent{
+			cfg.Faults = append(cfg.Faults, simcluster.FaultEvent{
 				At: at + st.RecoverAfter.D(), Node: node, Kind: simcluster.RecoverNode,
 			})
 		}

@@ -31,16 +31,16 @@ func (s *Sim) RunOne() *Result {
 // openLoopGen launches one open-loop arrival generator process: count
 // requests at the given rate (requests per minute, exponential
 // inter-arrival gaps capped at 4x the mean — the shared arrival
-// discipline), each invoking pick(i)'s workflow under the given tenant in
-// its own request process. pick runs in the generator (its randomness
-// draws stay in arrival order).
-func (s *Sim) openLoopGen(name string, rpm float64, count int, pick func(i int) *workloads.Profile, tenant string) {
+// discipline), each invoking pick(i)'s workflow in its own request
+// process. pick runs in the generator (its randomness draws stay in arrival
+// order).
+func (s *Sim) openLoopGen(name string, rpm float64, count int, pick func(i int) *workloads.Profile) {
 	meanGap := time.Duration(60 / rpm * float64(time.Second))
 	s.env.Go(name, func(p *sim.Proc) {
 		for i := 0; i < count; i++ {
 			prof := pick(i)
 			s.env.Go("req", func(rp *sim.Proc) {
-				req := s.invokeTenant(rp, prof, tenant)
+				req := s.invoke(rp, prof)
 				rp.Wait(req.done)
 			})
 			gap := time.Duration(s.env.Rand().ExpFloat64() * float64(meanGap))
@@ -52,9 +52,9 @@ func (s *Sim) openLoopGen(name string, rpm float64, count int, pick func(i int) 
 	})
 }
 
-// openLoop is the shared asynchronous arrival driver: one untagged
-// generator, run to completion. Cold-start transients are excluded from
-// the latency sample (the paper's figures report steady-state latencies).
+// openLoop is the shared asynchronous arrival driver: one generator, run to
+// completion. Cold-start transients are excluded from the latency sample
+// (the paper's figures report steady-state latencies).
 func (s *Sim) openLoop(rpm float64, count int, pick func(i int) *workloads.Profile) *Result {
 	if rpm <= 0 || count <= 0 {
 		return s.result(0)
@@ -63,7 +63,7 @@ func (s *Sim) openLoop(rpm float64, count int, pick func(i int) *workloads.Profi
 	if s.warmupSeq > 12 {
 		s.warmupSeq = 12
 	}
-	s.openLoopGen("loadgen", rpm, count, pick, "")
+	s.openLoopGen("loadgen", rpm, count, pick)
 	s.env.Run()
 	return s.result(s.makespan())
 }
@@ -89,62 +89,6 @@ func (s *Sim) RunSkewedOpenLoop(rpm float64, count int, skew float64) *Result {
 	zipf := rand.NewZipf(s.env.Rand(), skew, 1, uint64(len(s.profs)-1))
 	return s.openLoop(rpm, count, func(int) *workloads.Profile {
 		return s.profs[int(zipf.Uint64())]
-	})
-}
-
-// RunTenantOpenLoop drives one open-loop arrival stream per tenant against
-// the primary profile: rpmByTenant maps tenant id to its arrival rate and
-// countByTenant to its request count (tenants missing a count issue
-// nothing). Arrivals use the same exponential inter-arrival discipline as
-// RunOpenLoop; each request is tenant-attributed, so with cfg.QoS set it
-// passes per-tenant admission and the weighted-fair queue, and the Result's
-// Tenants map reports each tenant's shed counts, latency and goodput. This
-// is the multi-tenant overload workload the admission plane exists for: a
-// hot tenant driving far past its share while a well-behaved one expects
-// its solo latency.
-func (s *Sim) RunTenantOpenLoop(rpmByTenant map[string]float64, countByTenant map[string]int) *Result {
-	tenants := make([]string, 0, len(rpmByTenant))
-	total := 0
-	for tenant := range rpmByTenant {
-		tenants = append(tenants, tenant)
-		if rpmByTenant[tenant] > 0 {
-			total += countByTenant[tenant]
-		}
-	}
-	sort.Strings(tenants) // deterministic generator launch order
-	// The global latency sample follows openLoop's steady-state discipline
-	// (cold-start transients excluded); the per-tenant samples in
-	// Result.Tenants keep the full distribution, so tenant-to-tenant
-	// comparisons are consistently full-tail on both sides.
-	s.warmupSeq = int64(total / 5)
-	if s.warmupSeq > 12 {
-		s.warmupSeq = 12
-	}
-	for _, tenant := range tenants {
-		rpm, count := rpmByTenant[tenant], countByTenant[tenant]
-		if rpm <= 0 || count <= 0 {
-			continue
-		}
-		s.openLoopGen("loadgen-"+tenant, rpm, count,
-			func(int) *workloads.Profile { return s.cfg.Profile }, tenant)
-	}
-	s.env.Run()
-	return s.result(s.makespan())
-}
-
-// ScheduleTenantFlood arms an extra open-loop arrival stream that starts at
-// the given virtual time: count requests at rpm against the primary profile,
-// attributed to tenant. It must be called before the Run* method that drives
-// the simulation (the event fires inside that run). This is the scenario
-// harness's "tenant flood" timed event: a tenant going hot mid-run while the
-// base streams are already flowing.
-func (s *Sim) ScheduleTenantFlood(at time.Duration, tenant string, rpm float64, count int) {
-	if rpm <= 0 || count <= 0 {
-		return
-	}
-	s.env.ScheduleAt(at, func() {
-		s.openLoopGen("flood-"+tenant, rpm, count,
-			func(int) *workloads.Profile { return s.cfg.Profile }, tenant)
 	})
 }
 
@@ -212,7 +156,7 @@ func (s *Sim) RunColocatedOpenLoop(rpmByName map[string]float64, defaultRPM floa
 			continue
 		}
 		s.openLoopGen("loadgen-"+prof.Name, rpm, countPerWorkflow,
-			func(int) *workloads.Profile { return prof }, "")
+			func(int) *workloads.Profile { return prof })
 	}
 	s.env.Run()
 	return s.result(s.makespan())
@@ -251,7 +195,6 @@ func (s *Sim) result(horizon time.Duration) *Result {
 	res.Recovered = s.recoveries
 	res.RecoveryLat = s.recoveryLat
 	res.Replays = s.replays
-	res.Tenants = s.tenantResults(horizon)
 	if horizon > 0 {
 		res.ThroughputRPM = float64(s.completed) / horizon.Minutes()
 	}

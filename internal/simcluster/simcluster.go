@@ -23,7 +23,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dataflow"
 	"repro/internal/metrics"
-	"repro/internal/qos"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/trace"
@@ -124,14 +123,6 @@ type Config struct {
 	// every code path — and therefore every experiment's output —
 	// bit-for-bit identical to the fault-free engine.
 	Faults []FaultEvent
-
-	// QoS enables the admission & QoS plane (qos.go): the same
-	// qos.Config the runtime plane takes — per-tenant token buckets,
-	// weighted-fair request admission, pressure-driven shedding. Nil (the
-	// default) leaves every QoS path unarmed, so the run is event-for-event
-	// identical to the QoS-less engine. Capacity here bounds concurrently
-	// admitted requests (8 x Workers when zero).
-	QoS *qos.Config
 
 	// Seed drives arrivals and any tie-breaking randomness.
 	Seed int64
@@ -283,10 +274,6 @@ type Result struct {
 	Recovered   int64
 	RecoveryLat *metrics.Sample
 	Replays     int64
-	// Tenants breaks the run down per QoS tenant (admission, shedding,
-	// latency, goodput). Nil unless cfg.QoS was set and traffic was
-	// tenant-attributed.
-	Tenants map[string]*TenantResult
 	// OverlapSec is the total per-container time during which a container's
 	// FLU was computing while its own network transfers were in flight —
 	// the computation/communication overlap of §3.2.2 (zero by construction
@@ -376,12 +363,6 @@ type request struct {
 	// recoverStart is the (first) kill's virtual time.
 	recovering   bool
 	recoverStart time.Duration
-	// tenant is the request's QoS attribution (empty when the plane is
-	// off); qosHeld marks a held fair-queue slot (released at completion);
-	// qosWake is what the request waits on while parked in the fair queue.
-	tenant  string
-	qosHeld bool
-	qosWake *sim.Event
 	// control-flow bookkeeping: remaining instances per function.
 	remaining   map[string]int
 	finished    map[string]bool
@@ -430,9 +411,6 @@ type Sim struct {
 	recoveries  int64
 	replays     int64
 	recoveryLat *metrics.Sample
-
-	// Admission & QoS plane (qos.go), nil when cfg.QoS is.
-	qos *simQoS
 }
 
 type avgTracker struct {
@@ -562,7 +540,6 @@ func New(cfg Config) *Sim {
 		s.fnStats[fn] = &FnStat{}
 	}
 	s.armFaults()
-	s.armQoS()
 	return s
 }
 
@@ -882,8 +859,6 @@ func (s *Sim) complete(req *request) {
 			s.recoveryLat.AddDuration(s.env.Now() - req.recoverStart)
 		}
 	}
-	s.qosComplete(req, lat)
-	s.qosRelease(req)
 }
 
 // fail finalizes a request as failed (timeout).
@@ -900,9 +875,6 @@ func (s *Sim) fail(req *request) {
 	if s.faulty {
 		delete(s.inflight, req)
 	}
-	s.qosAbandon(req)
-	s.qosFail(req)
-	s.qosRelease(req)
 }
 
 // noteComp charges compute seconds to fn and the CPU timeline.

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/dataflow"
-	"repro/internal/qos"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/wmm"
@@ -15,35 +14,13 @@ import (
 )
 
 // invoke starts one request: the user input is shipped to each entry
-// function's node and the entry instances are triggered. Untagged traffic
-// maps to qos.DefaultTenant when the QoS plane is armed.
+// function's node and the entry instances are triggered.
 func (s *Sim) invoke(p *sim.Proc, prof *workloads.Profile) *request {
-	return s.invokeTenant(p, prof, "")
-}
-
-// invokeTenant is invoke with tenant attribution: under the QoS plane the
-// request passes admission (and possibly parks in the weighted-fair queue)
-// before any input byte is shipped or container touched; a refusal triggers
-// the request's done event with a *qos.ErrOverloaded.
-func (s *Sim) invokeTenant(p *sim.Proc, prof *workloads.Profile, tenant string) *request {
 	req := s.newRequest(prof)
-	if s.qos != nil {
-		if tenant == "" {
-			tenant = qos.DefaultTenant
-		}
-		req.tenant = tenant
-	}
 	s.traceEvent(trace.ReqArrived, req, "", 0, "")
 	// Watchdog.
 	timeoutReq := req
 	s.env.ScheduleAt(s.env.Now()+s.cfg.RequestTimeout, func() { s.fail(timeoutReq) })
-	if s.qos != nil && !s.qosAdmit(p, req) {
-		return req // refused or failed while parked; done already triggered
-	}
-	// Fault-plane registration happens after admission: a refused request
-	// never executes, so a node kill has nothing of it to recover, and
-	// registering it would leak an inflight entry per refusal (only
-	// complete/fail delete, and neither runs for a refusal).
 	if s.faulty {
 		s.inflight[req] = struct{}{}
 	}

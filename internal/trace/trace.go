@@ -28,10 +28,6 @@ const (
 	// Replay marks a fault-tolerance recovery action: a request's route pin
 	// was repaired off a dead node and lost data was re-shipped there.
 	Replay
-	// Shed marks a simulated request refused by the QoS plane (token bucket
-	// empty or governor shedding); Note carries the tenant and cause. The
-	// request never entered execution.
-	Shed
 )
 
 // String names the kind.
@@ -39,7 +35,7 @@ func (k Kind) String() string {
 	names := [...]string{
 		"req-arrived", "ready", "triggered", "started", "finished",
 		"data-sent", "data-arrived", "container-cold", "req-completed",
-		"replay", "shed",
+		"replay",
 	}
 	if int(k) < len(names) {
 		return names[k]
