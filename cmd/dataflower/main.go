@@ -85,7 +85,6 @@ func buildSystem(prof *workloads.Profile, nodes, memMB, sample int) (*core.Syste
 	for i := 0; i < nodes; i++ {
 		node := cluster.NewNode(fmt.Sprintf("w%d", i+1), cluster.Options{
 			ColdStart: 5 * time.Millisecond,
-			KeepAlive: 15 * time.Minute,
 			SinkTTL:   time.Minute,
 		})
 		node.RegisterSinkGauges()

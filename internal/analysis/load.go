@@ -159,6 +159,8 @@ func checkPackage(importPath, dir string, goFiles []string, lookup func(string) 
 // testdata where go list does not reach, so the caller names the import
 // path the package should be checked as — path-sensitive analyzers
 // (wallclock's internal/clock exemption) are tested by varying it.
+//
+//repolint:testseam the analyzer fixture tests type-check their testdata packages through it
 func CheckSource(importPath, dir string, goFiles []string, deps []string) (*LoadedPackage, error) {
 	var lookup func(string) (io.ReadCloser, error)
 	if len(deps) > 0 {

@@ -1,6 +1,6 @@
 // Package obsgate keeps registry lookups off the declared hot paths.
 //
-// The obs registry is a locked map: Registry.Counter/Gauge/Histogram are
+// The obs registry is a locked map: Registry.Counter/Histogram are
 // get-or-create under an RWMutex, and Snapshot copies every instrument.
 // The metrics plane stays cheap enough to leave on only because hot-path
 // code never touches the registry — each package resolves its instrument

@@ -60,6 +60,26 @@ func TestEveryInternalPackageIsImported(t *testing.T) {
 	}
 }
 
+// TestNoTestOnlyExports fails on a name under internal/ that only tests
+// reach (testonly_test.go has the rules): delete it, give it a non-test
+// caller, or mark it "//repolint:testseam <reason>". analysistest, the
+// analyzers' fixture harness, is exempt as a whole.
+func TestNoTestOnlyExports(t *testing.T) {
+	pkgs, err := analysis.Load("../../..", "./...")
+	if err != nil {
+		t.Fatalf("loading tree: %v", err)
+	}
+	var tree []*analysis.LoadedPackage
+	for _, p := range pkgs {
+		if p.ImportPath != "repro/internal/analysis/analysistest" {
+			tree = append(tree, p)
+		}
+	}
+	for _, f := range testOnlyNames(tree, "repro/internal/") {
+		t.Error(f)
+	}
+}
+
 // TestSuiteNamesAreUnique guards the flag/directive namespace.
 func TestSuiteNamesAreUnique(t *testing.T) {
 	names := map[string]bool{}

@@ -63,6 +63,8 @@ type manualWaiter struct {
 }
 
 // NewManual returns a Manual clock starting at start.
+//
+//repolint:testseam tests drive the engine, nodes and limiters in virtual time
 func NewManual(start time.Time) *Manual {
 	return &Manual{now: start}
 }
@@ -106,6 +108,8 @@ func (m *Manual) Since(t time.Time) time.Duration {
 
 // Advance moves the clock forward by d, firing every waiter whose deadline is
 // reached. It never blocks.
+//
+//repolint:testseam tests drive the engine, nodes and limiters in virtual time
 func (m *Manual) Advance(d time.Duration) {
 	m.mu.Lock()
 	m.now = m.now.Add(d)
@@ -128,6 +132,8 @@ func (m *Manual) Advance(d time.Duration) {
 
 // Pending reports how many sleepers are waiting on the clock. Useful for
 // tests that need to know a goroutine has reached its Sleep.
+//
+//repolint:testseam tests wait on it to know a goroutine has parked
 func (m *Manual) Pending() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()

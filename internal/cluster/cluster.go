@@ -1,10 +1,9 @@
 // Package cluster provides the runtime plane's cluster substrate: worker
 // nodes hosting function containers with memory-proportional CPU and
 // network resources (the paper allocates 0.1 core and 40 Mbps per 128 MB of
-// container memory, enforced with cgroup and TC), container pools with
-// keep-alive recycling, and the routing plane — placement policies that map
-// each function to an ordered replica set, fixed at placement, and publish
-// it as a versioned, immutable RoutingSnapshot read lock-free (see
+// container memory, enforced with cgroup and TC), container pools, and the
+// routing plane — placement policies that map each function to an ordered
+// replica set, fixed at placement, as an immutable RoutingSnapshot (see
 // routing.go).
 //
 // A node keeps one FnPool per function: the live containers, one hand-back
@@ -13,8 +12,12 @@
 // node's lock and a warm request takes no lock at all. Invariant: a live
 // container has exactly one owner — a holder (Busy), one slot or the list
 // (Idle) — and only its owner changes its state. Lock order: Node.mu →
-// FnPool.mu → Container.mu; memory accounting and ReapIdle take Node.mu and
-// so stay exact.
+// FnPool.mu.
+//
+// The runtime plane never expires a warm container: the engine's
+// per-function cap bounds each pool. The paper's keep-alive is 15 minutes,
+// longer than any simulated run, so the simulation plane expires none
+// either.
 package cluster
 
 import (
@@ -25,7 +28,6 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/dataflow"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/pipe"
 	"repro/internal/transport"
@@ -41,25 +43,14 @@ type Spec struct {
 // BaseMemoryMB is the reference container size.
 const BaseMemoryMB = 128
 
-// BaseCPUShare is the CPU share of a 128 MB container (fraction of a core).
-const BaseCPUShare = 0.1
-
 // BaseBandwidthBps is the network bandwidth of a 128 MB container in
 // bytes/second (40 Mbit/s).
 const BaseBandwidthBps = 40e6 / 8
-
-// CPUShare returns the container's CPU allocation in cores.
-func (s Spec) CPUShare() float64 {
-	return float64(s.MemoryMB) / BaseMemoryMB * BaseCPUShare
-}
 
 // BandwidthBps returns the container's network bandwidth in bytes/second.
 func (s Spec) BandwidthBps() float64 {
 	return float64(s.MemoryMB) / BaseMemoryMB * BaseBandwidthBps
 }
-
-// MemoryBytes returns the container memory in bytes.
-func (s Spec) MemoryBytes() int64 { return int64(s.MemoryMB) << 20 }
 
 // DefaultAlpha is the transfer loss factor α of Eq. 1.
 const DefaultAlpha = 1.1
@@ -80,19 +71,14 @@ type State int
 const (
 	Idle State = iota
 	Busy
-	Recycled
 )
 
 // String names the state.
 func (s State) String() string {
-	switch s {
-	case Idle:
+	if s == Idle {
 		return "idle"
-	case Busy:
-		return "busy"
-	default:
-		return "recycled"
 	}
+	return "busy"
 }
 
 // DLUQueueDepth is the task buffer of a container's DLU daemon.
@@ -126,20 +112,13 @@ type Container struct {
 	Limiter *pipe.Limiter
 
 	// state and invocations are written only by the container's owner (see
-	// FnPool) and are atomics for the observers, State and Invocations.
-	// idleSince is plain: written by the releasing holder, read by the reaper
-	// once it owns the container, with the slot's swap or the pool's mutex
-	// between the two.
+	// FnPool); invocations is an atomic for its observer, Invocations.
 	state       atomic.Int32
 	invocations atomic.Int64
-	idleSince   time.Time
-
-	mu         sync.Mutex
-	dluPending int64 // bytes the DLU still has to pump (consistency rule)
 
 	// DLU daemon state. The container owns its queue and lifecycle — started
-	// lazily on first enqueue, closed when the container is recycled or the
-	// engine shuts down — so the engine needs no global channel registry.
+	// lazily on first enqueue, closed when the engine shuts down — so the
+	// engine needs no global channel registry.
 	// Senders hold dluMu across the channel send and DLUClose takes the same
 	// mutex, so an enqueue can never race a close into a send-on-closed-
 	// channel panic; a close issued while the queue is full simply waits for
@@ -156,9 +135,9 @@ type Container struct {
 // DLUEnqueue hands one task to the container's DLU daemon queue. queue is
 // non-nil for exactly the call that created it: that caller must start the
 // daemon goroutine draining it (under its own lifecycle tracking). ok is
-// false — and the task not enqueued — once the queue is closed (container
-// recycled or engine shut down); the caller is then responsible for
-// unwinding any accounting it did for the dropped task.
+// false — and the task not enqueued — once the queue is closed (engine shut
+// down); the caller is then responsible for unwinding any accounting it did
+// for the dropped task.
 func (c *Container) DLUEnqueue(task DLUTask) (queue <-chan DLUTask, ok bool) {
 	c.dluMu.Lock()
 	defer c.dluMu.Unlock()
@@ -202,47 +181,19 @@ func (c *Container) DLUClose() {
 	}
 }
 
-// State returns the container state.
-func (c *Container) State() State { return State(c.state.Load()) }
-
 // Invocations returns how many FLU invocations the container has served.
+//
+//repolint:testseam core's tests count which container ran an instance; no obs counter is per container
 func (c *Container) Invocations() int64 { return c.invocations.Load() }
-
-// AddDLUPending adjusts the bytes the DLU daemon still has to pump. A
-// container with pending DLU data must not be recycled (§6.2 data
-// consistency).
-func (c *Container) AddDLUPending(delta int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.dluPending += delta
-	if c.dluPending < 0 {
-		c.dluPending = 0
-	}
-}
-
-// DLUPending returns the outstanding DLU bytes.
-func (c *Container) DLUPending() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.dluPending
-}
 
 // Options configures a Node.
 type Options struct {
 	// ColdStart is the container cold-start delay.
 	ColdStart time.Duration
-	// KeepAlive is how long an idle container survives before recycling
-	// (the paper uses a fixed 15 min; experiments shorten it).
-	KeepAlive time.Duration
-	// NICBps caps the node NIC in bytes/second; <= 0 unlimited.
-	NICBps float64
 	// SinkTTL is the Wait-Match Memory passive-expire TTL.
 	SinkTTL time.Duration
-	// SinkShards is the sink's lock-stripe count (wmm.DefaultShards when
-	// 0); the runtime plane's engines hit the sink from many goroutines.
-	SinkShards int
 	// Clock defaults to the wall clock.
-	Clock clock.Clock
+	Clock clock.Clock //repolint:testseam tests drive nodes on clock.Manual
 }
 
 // Node is one worker node.
@@ -251,8 +202,6 @@ type Node struct {
 	clk  clock.Clock
 	opts Options
 
-	// NIC is the node's aggregate network limiter.
-	NIC *pipe.Limiter
 	// Sink is the node's Wait-Match Memory data sink. Nil for remote nodes
 	// (NewRemoteNode), whose sink lives in another process — the engine
 	// reaches every sink through the Sink* wrappers (dataplane.go), which
@@ -273,15 +222,12 @@ type Node struct {
 	// paths. The zero value is Up.
 	health atomic.Int32
 
-	// mu guards the pool table, the container ids and the memory accounting.
-	mu         sync.Mutex
-	pools      map[string]*FnPool // fn -> its containers on this node
-	dluShut    bool               // set by CloseDLUs: containers born afterwards start closed
-	nextID     int64
-	memInUse   int64
-	memInt     *metrics.Integral
-	coldStarts int64
-	started    time.Time
+	// mu guards the pool table and the container ids.
+	mu      sync.Mutex
+	pools   map[string]*FnPool // fn -> its containers on this node
+	dluShut bool               // set by CloseDLUs: containers born afterwards start closed
+	nextID  int64
+	started time.Time
 }
 
 // newNode is what local and remote nodes share: everything but the sink.
@@ -295,11 +241,7 @@ func newNode(name string, opts Options) *Node {
 		clk:     clk,
 		opts:    opts,
 		pools:   make(map[string]*FnPool),
-		memInt:  metrics.NewIntegral(),
 		started: clk.Now(),
-	}
-	if opts.NICBps > 0 {
-		n.NIC = pipe.NewLimiter(clk, opts.NICBps)
 	}
 	return n
 }
@@ -307,8 +249,8 @@ func newNode(name string, opts Options) *Node {
 // NewNode returns an empty node.
 func NewNode(name string, opts Options) *Node {
 	n := newNode(name, opts)
-	n.Sink = wmm.NewSink(wmm.Options{TTL: opts.SinkTTL, Shards: opts.SinkShards})
-	n.inproc = transport.NewInproc(n.Sink, n.NIC, n.Elapsed)
+	n.Sink = wmm.NewSink(wmm.Options{TTL: opts.SinkTTL})
+	n.inproc = transport.NewInproc(n.Sink, nil, n.Elapsed)
 	n.dp = n.inproc
 	return n
 }
@@ -349,16 +291,16 @@ type FnPool struct {
 	// the list: the holder that ran a stripe's last instance leaves its
 	// container here and the stripe's next instance takes it with one swap,
 	// so a warm request reads and writes no line another stripe writes. A
-	// resident belongs to whoever swaps it out — its stripe, an acquirer that
-	// found the list empty, or the reaper.
+	// resident belongs to whoever swaps it out — its stripe or an acquirer
+	// that found the list empty.
 	slots [obs.NumStripes]poolSlot
 
 	mu sync.Mutex
-	// live is every container not yet recycled. It changes only with the
+	// live is every container started on the node. It changes only with the
 	// node's mu held as well, so either lock reads it.
 	live []*Container
 	// idle is the free-list, kept LIFO so the most recently used container
-	// (warmest caches, freshest keep-alive) is acquired first.
+	// (warmest caches) is acquired first.
 	idle []*Container
 }
 
@@ -395,13 +337,7 @@ func (c *Container) hold() bool {
 // reports false, and the caller returns nothing, when the container is not
 // busy: a second Release of one hold.
 func (c *Container) handBack() bool {
-	if !c.state.CompareAndSwap(int32(Busy), int32(Idle)) {
-		return false
-	}
-	if n := c.Node; n.opts.KeepAlive > 0 {
-		c.idleSince = n.clk.Now()
-	}
-	return true
+	return c.state.CompareAndSwap(int32(Busy), int32(Idle))
 }
 
 // Acquire takes an idle container for a request on stripe, marking it busy:
@@ -415,8 +351,7 @@ func (p *FnPool) Acquire(stripe uint32) (*Container, bool) {
 }
 
 // acquireShared pops the list and, when it is empty, takes another stripe's
-// resident, so no caller cold-starts beside an idle container. The scan stays
-// under the pool's mutex: the reaper moves residents onto the list under it.
+// resident, so no caller cold-starts beside an idle container.
 func (p *FnPool) acquireShared() (*Container, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -496,9 +431,7 @@ func (n *Node) StartContainer(fn string, spec Spec) *Container {
 	pool.mu.Lock()
 	pool.live = append(pool.live, c)
 	pool.mu.Unlock()
-	n.coldStarts++
 	obsColdStarts.Inc(0)
-	n.adjustMemLocked(spec.MemoryBytes())
 	n.mu.Unlock()
 	return c
 }
@@ -528,62 +461,8 @@ func (n *Node) CloseDLUs() {
 	}
 }
 
-// ReapIdle recycles idle containers whose keep-alive expired, skipping any
-// with pending DLU data (data-consistency rule). It returns the number
-// recycled.
-func (n *Node) ReapIdle() int {
-	if n.opts.KeepAlive <= 0 {
-		return 0
-	}
-	now := n.clk.Now()
-	n.mu.Lock()
-	var recycled []*Container
-	for _, p := range n.pools {
-		p.mu.Lock()
-		// The reaper judges only what it owns: the list, under the pool's
-		// mutex, and every slot's resident, moved onto the list first. A
-		// container handed back after this is fresh by construction.
-		for i := range p.slots {
-			if c := p.slots[i].c.Swap(nil); c != nil {
-				p.idle = append(p.idle, c)
-			}
-		}
-		reaped := len(recycled)
-		keep := p.idle[:0]
-		for _, c := range p.idle {
-			if now.Sub(c.idleSince) >= n.opts.KeepAlive && c.DLUPending() == 0 {
-				c.state.Store(int32(Recycled))
-				recycled = append(recycled, c)
-				n.adjustMemLocked(-c.Spec.MemoryBytes())
-			} else {
-				keep = append(keep, c) // survivors keep their LIFO order
-			}
-		}
-		clear(p.idle[len(keep):])
-		p.idle = keep
-		if len(recycled) > reaped {
-			live := p.live[:0]
-			for _, c := range p.live {
-				if c.State() != Recycled {
-					live = append(live, c)
-				}
-			}
-			clear(p.live[len(live):])
-			p.live = live
-		}
-		p.mu.Unlock()
-	}
-	n.mu.Unlock()
-	// Stop the recycled containers' DLU daemons outside the locks (the reap
-	// rule guarantees their queues are already drained: dluPending was 0).
-	for _, c := range recycled {
-		c.DLUClose()
-	}
-	return len(recycled)
-}
-
-// Containers returns the number of live containers for fn (all states
-// except recycled), or all functions when fn is empty.
+// Containers returns the number of containers started for fn, or for all
+// functions when fn is empty.
 func (n *Node) Containers(fn string) int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -596,53 +475,14 @@ func (n *Node) Containers(fn string) int {
 	return total
 }
 
-// ColdStarts returns the number of containers ever cold-started.
-func (n *Node) ColdStarts() int64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.coldStarts
-}
-
-// MemInUse returns the memory held by live containers in bytes.
-func (n *Node) MemInUse() int64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.memInUse
-}
-
-// MemIntegralGBs returns the container-memory usage integral in GB·s.
-func (n *Node) MemIntegralGBs() float64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.memInt.Finish(n.clk.Since(n.started))
-}
-
-func (n *Node) adjustMemLocked(delta int64) {
-	n.memInUse += delta
-	n.memInt.Set(n.clk.Since(n.started), metrics.BytesToGB(n.memInUse))
-}
-
 // Cluster groups the worker nodes and the load balancer. The node registry
 // is read-mostly — AddNode is a deployment-time event, while Node/Nodes sit
-// on engine paths — so it is guarded by an RWMutex and the published
-// routing state lives behind an atomic pointer (readers never contend with
-// a registration or a republish).
+// on engine paths — so it is guarded by an RWMutex.
 type Cluster struct {
 	mu     sync.RWMutex
 	nodes  map[string]*Node
 	order  []string
 	policy PlacementPolicy
-
-	// snap is the atomically published routing snapshot; pubMu orders
-	// version assignment and the store so concurrent publishers can never
-	// leave a lower-versioned snapshot current (readers stay lock-free).
-	// desired is the last snapshot handed to Publish before health
-	// filtering — what the policy placed — so a node recovery can
-	// republish the full replica sets without re-running placement.
-	snap        atomic.Pointer[RoutingSnapshot]
-	pubMu       sync.Mutex
-	snapVersion uint64           // guarded by pubMu
-	desired     *RoutingSnapshot // guarded by pubMu
 }
 
 // NewCluster returns a cluster using the given placement policy
@@ -694,63 +534,10 @@ func (c *Cluster) nodeList() []*Node {
 	return out
 }
 
-// Place runs the placement policy over the given functions and publishes
-// the resulting snapshot. The policy callback runs without any cluster
-// lock held, so a policy is free to call back into the cluster (Nodes,
-// Node, Snapshot) while deciding.
+// Place runs the placement policy over the given functions and returns the
+// resulting snapshot with replicas on non-Up nodes excluded. The policy
+// callback runs without any cluster lock held, so a policy is free to call
+// back into the cluster (Nodes, Node) while deciding.
 func (c *Cluster) Place(functions []string) *RoutingSnapshot {
-	return c.Publish(c.policy.Place(functions, c.Nodes()))
-}
-
-// Publish stamps the snapshot with the next version and atomically makes
-// it the cluster's current routing state, with replicas on non-Up nodes
-// excluded (dead replicas are filtered at publish time, not at every read).
-// The caller hands over ownership: the snapshot must not be mutated after
-// Publish. The unfiltered snapshot is remembered as the desired state so a
-// later health transition (FailNode/DrainNode/RecoverNode) can republish
-// it under the new health filter. Publications are serialized so the
-// current snapshot's version is monotonic even under concurrent publishers.
-func (c *Cluster) Publish(s *RoutingSnapshot) *RoutingSnapshot {
-	c.pubMu.Lock()
-	defer c.pubMu.Unlock()
-	c.desired = s
-	return c.publishFilteredLocked()
-}
-
-// republish re-applies the health filter to the desired snapshot and makes
-// the result current — the snapshot-level reaction to a health transition.
-// No-op before the first Publish.
-func (c *Cluster) republish() {
-	c.pubMu.Lock()
-	defer c.pubMu.Unlock()
-	if c.desired == nil {
-		return
-	}
-	c.publishFilteredLocked()
-}
-
-// publishFilteredLocked stamps and stores the health-filtered view of the
-// desired snapshot. Caller holds pubMu.
-func (c *Cluster) publishFilteredLocked() *RoutingSnapshot {
-	cur := c.healthFilter(c.desired)
-	c.snapVersion++
-	cur.Version = c.snapVersion
-	c.snap.Store(cur)
-	return cur
-}
-
-// Snapshot returns the most recently published routing snapshot (nil
-// before the first Place/Publish).
-func (c *Cluster) Snapshot() *RoutingSnapshot { return c.snap.Load() }
-
-// TotalMemIntegralGBs sums the per-node memory integrals. The node
-// pointers are resolved under the read lock (the map itself must not be
-// read while AddNode writes it); the per-node integrals are read outside.
-func (c *Cluster) TotalMemIntegralGBs() float64 {
-	nodes := c.nodeList()
-	total := 0.0
-	for _, n := range nodes {
-		total += n.MemIntegralGBs()
-	}
-	return total
+	return c.healthFilter(c.policy.Place(functions, c.Nodes()))
 }

@@ -8,18 +8,12 @@ import (
 
 func TestSpecScaling(t *testing.T) {
 	base := Spec{MemoryMB: 128}
-	if got := base.CPUShare(); math.Abs(got-0.1) > 1e-9 {
-		t.Fatalf("cpu = %v, want 0.1", got)
-	}
 	if got := base.BandwidthBps(); math.Abs(got-5e6) > 1e-6 {
 		t.Fatalf("bw = %v, want 5e6 B/s (40 Mbps)", got)
 	}
 	double := Spec{MemoryMB: 256}
-	if got := double.CPUShare(); math.Abs(got-0.2) > 1e-9 {
-		t.Fatalf("cpu = %v, want 0.2", got)
-	}
-	if base.MemoryBytes() != 128<<20 {
-		t.Fatalf("bytes = %d", base.MemoryBytes())
+	if got := double.BandwidthBps(); math.Abs(got-10e6) > 1e-6 {
+		t.Fatalf("bw = %v, want 10e6 B/s", got)
 	}
 }
 
@@ -55,65 +49,8 @@ func TestColdStartDelay(t *testing.T) {
 	if time.Since(start) < 40*time.Millisecond {
 		t.Fatal("cold start delay not applied")
 	}
-	if n.ColdStarts() != 1 {
-		t.Fatalf("coldStarts = %d", n.ColdStarts())
-	}
-}
-
-func TestMemAccounting(t *testing.T) {
-	n := NewNode("w1", Options{KeepAlive: time.Nanosecond})
-	c := n.StartContainer("f", Spec{MemoryMB: 256})
-	if n.MemInUse() != 256<<20 {
-		t.Fatalf("mem = %d", n.MemInUse())
-	}
-	n.Release(c)
-	time.Sleep(time.Millisecond)
-	if reaped := n.ReapIdle(); reaped != 1 {
-		t.Fatalf("reaped = %d", reaped)
-	}
-	if n.MemInUse() != 0 {
-		t.Fatalf("mem = %d after reap", n.MemInUse())
-	}
-	if c.State() != Recycled {
-		t.Fatalf("state = %v", c.State())
-	}
-}
-
-func TestReapSkipsBusyAndPendingDLU(t *testing.T) {
-	n := NewNode("w1", Options{KeepAlive: time.Nanosecond})
-	busy := n.StartContainer("f", Spec{MemoryMB: 128})
-	pending := n.StartContainer("f", Spec{MemoryMB: 128})
-	n.Release(pending)
-	pending.AddDLUPending(1000)
-	time.Sleep(time.Millisecond)
-	if reaped := n.ReapIdle(); reaped != 0 {
-		t.Fatalf("reaped = %d, want 0 (busy + pending DLU)", reaped)
-	}
-	if busy.State() != Busy || pending.State() != Idle {
-		t.Fatal("states changed")
-	}
-	// Once the DLU drains, the container may be recycled.
-	pending.AddDLUPending(-1000)
-	if reaped := n.ReapIdle(); reaped != 1 {
-		t.Fatalf("reaped = %d, want 1", reaped)
-	}
-}
-
-func TestDLUPendingClampsAtZero(t *testing.T) {
-	n := NewNode("w1", Options{})
-	c := n.StartContainer("f", Spec{MemoryMB: 128})
-	c.AddDLUPending(-5)
-	if c.DLUPending() != 0 {
-		t.Fatalf("pending = %d", c.DLUPending())
-	}
-}
-
-func TestNoKeepAliveMeansNoReaping(t *testing.T) {
-	n := NewNode("w1", Options{})
-	c := n.StartContainer("f", Spec{MemoryMB: 128})
-	n.Release(c)
-	if reaped := n.ReapIdle(); reaped != 0 {
-		t.Fatalf("reaped = %d with KeepAlive=0", reaped)
+	if n.Containers("f") != 1 {
+		t.Fatalf("containers = %d", n.Containers("f"))
 	}
 }
 
@@ -130,8 +67,8 @@ func TestContainersCount(t *testing.T) {
 // primaries maps each placed function to its primary replica's node.
 func primaries(snap *RoutingSnapshot) map[string]string {
 	rt := map[string]string{}
-	for _, fn := range snap.Functions() {
-		rt[fn], _ = snap.Primary(fn)
+	for fn, reps := range snap.sets {
+		rt[fn] = reps[0].Node
 	}
 	return rt
 }
@@ -179,12 +116,6 @@ func TestClusterPlaceAndLookup(t *testing.T) {
 	if rt := primaries(snap); rt["f"] != "n1" || rt["g"] != "n2" {
 		t.Fatalf("rt = %v", rt)
 	}
-	if snap.Version == 0 {
-		t.Fatal("Place did not publish a versioned snapshot")
-	}
-	if got := c.Snapshot(); got != snap {
-		t.Fatalf("Snapshot() = %p, want the published %p", got, snap)
-	}
 	if _, ok := c.Node("n1"); !ok {
 		t.Fatal("node lookup failed")
 	}
@@ -193,20 +124,5 @@ func TestClusterPlaceAndLookup(t *testing.T) {
 	}
 	if got := c.Nodes(); len(got) != 2 || got[0] != "n1" {
 		t.Fatalf("nodes = %v", got)
-	}
-}
-
-func TestMemIntegralAccrues(t *testing.T) {
-	n := NewNode("w1", Options{})
-	n.StartContainer("f", Spec{MemoryMB: 1024}) // 1 GB
-	time.Sleep(20 * time.Millisecond)
-	got := n.MemIntegralGBs()
-	if got <= 0 {
-		t.Fatalf("integral = %v, want > 0", got)
-	}
-	c := NewCluster(nil)
-	_ = c.AddNode(n)
-	if tot := c.TotalMemIntegralGBs(); tot < got {
-		t.Fatalf("cluster total %v < node %v", tot, got)
 	}
 }

@@ -19,9 +19,6 @@ import (
 // Remote reports whether the node's sink lives in another process.
 func (n *Node) Remote() bool { return n.remote }
 
-// Transport returns the node's data plane.
-func (n *Node) Transport() transport.Transport { return n.dp }
-
 // Inproc returns the in-process transport of a local node (nil for remote
 // nodes) — the seam for the streaming-pipe path, which has no remote
 // equivalent.

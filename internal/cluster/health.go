@@ -6,11 +6,8 @@ import "fmt"
 // state machine (Up / Draining / Down) and the cluster-level transitions
 // that drive it. Health feeds the routing plane two ways: the engines check
 // it before pinning a request to a replica (and on every touch of an
-// existing pin), and Publish excludes unhealthy replicas from the snapshot
-// it makes current — so a dead node disappears from new placements the
-// moment its failure is recorded, while the policy-built "desired"
-// snapshot is kept so a recovery can restore the full replica sets without
-// re-running placement.
+// existing pin), and Place excludes unhealthy replicas from the snapshot it
+// returns.
 
 // NodeHealth is a node's position in the health state machine.
 type NodeHealth int32
@@ -53,11 +50,12 @@ func (n *Node) setHealth(h NodeHealth) {
 func (n *Node) Routable() bool { return n.Health() == Up }
 
 // FailNode marks the node Down and wipes its Wait-Match Memory — the data
-// loss of a real node death. The current routing snapshot is republished
-// with the dead node's replicas excluded, so placements made after the
-// failure never route to it. Requests already pinned to the node are the
-// engine's problem: it detects the dead pin at the next ship/land/consume
-// and repairs + replays (see core's fault-tolerance plane).
+// loss of a real node death. Placements made after the failure exclude it.
+// Requests already pinned to the node are the engine's problem: it detects
+// the dead pin at the next ship/land/consume and repairs + replays (see
+// core's fault-tolerance plane).
+//
+//repolint:testseam the failover and chaos tests kill nodes in process; cmd/node loses them for real
 func (c *Cluster) FailNode(name string) error {
 	n, ok := c.Node(name)
 	if !ok {
@@ -65,7 +63,6 @@ func (c *Cluster) FailNode(name string) error {
 	}
 	n.setHealth(Down)
 	n.SinkClear() //nolint:errcheck // the node is being declared dead; an unreachable sink is already "cleared"
-	c.republish()
 	return nil
 }
 
@@ -80,12 +77,11 @@ func (c *Cluster) MarkUnreachable(name string) error {
 		return fmt.Errorf("cluster: unknown node %q", name)
 	}
 	n.setHealth(Down)
-	c.republish()
 	return nil
 }
 
-// DrainNode marks the node Draining: its replicas leave the published
-// snapshot (no new pins), but the node stays alive so in-flight requests
+// DrainNode marks the node Draining: it takes no new pins, but the node
+// stays alive so in-flight requests
 // pinned to it complete normally and its sink keeps its data.
 func (c *Cluster) DrainNode(name string) error {
 	n, ok := c.Node(name)
@@ -93,13 +89,10 @@ func (c *Cluster) DrainNode(name string) error {
 		return fmt.Errorf("cluster: unknown node %q", name)
 	}
 	n.setHealth(Draining)
-	c.republish()
 	return nil
 }
 
-// RecoverNode returns a failed or draining node to Up and republishes the
-// desired snapshot, restoring any replicas the health filter had excluded.
-// A node recovering from Down comes back empty: its sink is cleared again
+// RecoverNode returns a failed or draining node to Up. A node recovering from Down comes back empty: its sink is cleared again
 // here, because a shipment that raced FailNode's wipe (health checked just
 // before the transition) may have landed afterwards — the request repaired
 // away from this node, so its teardown sweep no longer covers it, and the
@@ -114,20 +107,10 @@ func (c *Cluster) RecoverNode(name string) error {
 		n.SinkClear() //nolint:errcheck // best effort: a still-unreachable sink fails the next ship, not the recovery
 	}
 	n.setHealth(Up)
-	c.republish()
 	return nil
 }
 
-// NodeHealth returns the named node's health state.
-func (c *Cluster) NodeHealth(name string) (NodeHealth, bool) {
-	n, ok := c.Node(name)
-	if !ok {
-		return Up, false
-	}
-	return n.Health(), true
-}
-
-// healthFilter derives the publishable view of a desired snapshot: every
+// healthFilter derives the routable view of a placed snapshot: every
 // replica hosted on a non-Up node is excluded. A function whose whole
 // replica set is unhealthy keeps it unfiltered — dropping the function
 // entirely would make it silently unroutable, while keeping the set lets

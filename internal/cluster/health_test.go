@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/dataflow"
 	"repro/internal/wmm"
@@ -49,11 +48,8 @@ func TestHealthStateMachine(t *testing.T) {
 	if err := c.FailNode("nope"); err == nil {
 		t.Fatal("FailNode on unknown node did not error")
 	}
-	if _, ok := c.NodeHealth("nope"); ok {
-		t.Fatal("NodeHealth reported an unknown node")
-	}
-	if h, ok := c.NodeHealth("w2"); !ok || h != Up {
-		t.Fatalf("NodeHealth(w2) = %v,%v", h, ok)
+	if n2, _ := c.Node("w2"); n2.Health() != Up {
+		t.Fatalf("w2 health = %v after w1's failure", n2.Health())
 	}
 }
 
@@ -76,9 +72,9 @@ func TestFailNodeWipesSink(t *testing.T) {
 	}
 }
 
-// Publish must exclude replicas on non-Up nodes; a health transition
-// republishes (new version) and recovery restores the desired set.
-func TestPublishIsHealthAware(t *testing.T) {
+// Place must exclude replicas on non-Up nodes, keep an all-unhealthy set
+// whole, and place the full set again once its nodes recover.
+func TestPlaceIsHealthAware(t *testing.T) {
 	c := newHealthCluster(t, 3)
 	snap := c.Place([]string{"f"})
 	if got := len(snap.Replicas("f")); got != 2 {
@@ -87,15 +83,10 @@ func TestPublishIsHealthAware(t *testing.T) {
 	full := append([]Replica(nil), snap.Replicas("f")...)
 	dead := full[1].Node
 
-	v1 := snap.Version
 	if err := c.FailNode(dead); err != nil {
 		t.Fatal(err)
 	}
-	snap = c.Snapshot()
-	if snap.Version <= v1 {
-		t.Fatalf("FailNode did not republish: version %d <= %d", snap.Version, v1)
-	}
-	reps := snap.Replicas("f")
+	reps := c.Place([]string{"f"}).Replicas("f")
 	if len(reps) != 1 || reps[0].Node == dead {
 		t.Fatalf("dead replica not excluded: %v", reps)
 	}
@@ -106,7 +97,7 @@ func TestPublishIsHealthAware(t *testing.T) {
 	}
 	// Both replicas unhealthy: the set is kept unfiltered rather than
 	// leaving the function unroutable.
-	if got := len(c.Snapshot().Replicas("f")); got != 2 {
+	if got := len(c.Place([]string{"f"}).Replicas("f")); got != 2 {
 		t.Fatalf("all-unhealthy set filtered to %d replicas, want full 2", got)
 	}
 
@@ -116,53 +107,13 @@ func TestPublishIsHealthAware(t *testing.T) {
 	if err := c.RecoverNode(full[0].Node); err != nil {
 		t.Fatal(err)
 	}
-	reps = c.Snapshot().Replicas("f")
+	reps = c.Place([]string{"f"}).Replicas("f")
 	if len(reps) != 2 {
-		t.Fatalf("recovery did not restore desired set: %v", reps)
+		t.Fatalf("recovery did not restore the placed set: %v", reps)
 	}
 	for i := range reps {
 		if reps[i].Node != full[i].Node {
-			t.Fatalf("restored set %v != desired %v", reps, full)
+			t.Fatalf("restored set %v != placed %v", reps, full)
 		}
 	}
-}
-
-// A health transition before any Publish must not publish a snapshot.
-func TestRepublishBeforeFirstPublishIsNoop(t *testing.T) {
-	c := newHealthCluster(t, 2)
-	if err := c.FailNode("w1"); err != nil {
-		t.Fatal(err)
-	}
-	if c.Snapshot() != nil {
-		t.Fatal("republish created a snapshot before the first Publish")
-	}
-}
-
-// Version monotonicity must hold across health republishes racing Publish.
-func TestHealthRepublishVersionMonotonic(t *testing.T) {
-	c := newHealthCluster(t, 3)
-	c.Place([]string{"f"})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 200; i++ {
-			_ = c.FailNode("w2")
-			_ = c.RecoverNode("w2")
-		}
-	}()
-	last := uint64(0)
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		v := c.Snapshot().Version
-		if v < last {
-			t.Fatalf("version went backwards: %d after %d", v, last)
-		}
-		last = v
-		select {
-		case <-done:
-			return
-		default:
-		}
-	}
-	<-done
 }

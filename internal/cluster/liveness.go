@@ -18,18 +18,12 @@ import (
 
 // ProberOptions configures StartProber.
 type ProberOptions struct {
-	// Interval is the probe cadence (default 200ms).
+	// Interval is the probe cadence (default 200ms); it also bounds one
+	// probe.
 	Interval time.Duration
-	// Timeout bounds one probe (default Interval).
-	Timeout time.Duration
-	// DrainAfter is the consecutive-miss count that demotes an Up node to
-	// Draining (default 1: the first missed heartbeat stops new pins).
-	DrainAfter int
 	// DownAfter is the consecutive-miss count that marks the node Down
 	// (default 3).
 	DownAfter int
-	// Clock defaults to the wall clock.
-	Clock clock.Clock
 	// OnTransition, when non-nil, observes every health transition the
 	// prober makes (tests, logs).
 	OnTransition func(node string, to NodeHealth)
@@ -39,17 +33,8 @@ func (o ProberOptions) withDefaults() ProberOptions {
 	if o.Interval <= 0 {
 		o.Interval = 200 * time.Millisecond
 	}
-	if o.Timeout <= 0 {
-		o.Timeout = o.Interval
-	}
-	if o.DrainAfter <= 0 {
-		o.DrainAfter = 1
-	}
 	if o.DownAfter <= 0 {
 		o.DownAfter = 3
-	}
-	if o.Clock == nil {
-		o.Clock = clock.NewWall()
 	}
 	return o
 }
@@ -75,18 +60,19 @@ func (c *Cluster) StartProber(opts ProberOptions) (stop func()) {
 
 func (c *Cluster) probeLoop(opts ProberOptions, done, exited chan struct{}) {
 	defer close(exited)
+	clk := clock.NewWall()
 	misses := make(map[string]int)
 	for {
 		select {
 		case <-done:
 			return
-		case <-opts.Clock.After(opts.Interval):
+		case <-clk.After(opts.Interval):
 		}
 		for _, n := range c.nodeList() {
 			if !n.Remote() {
 				continue
 			}
-			ctx, cancel := context.WithTimeout(context.Background(), opts.Timeout)
+			ctx, cancel := context.WithTimeout(context.Background(), opts.Interval)
 			err := n.Ping(ctx)
 			cancel()
 			obsProbes.Inc(0)
@@ -110,7 +96,7 @@ func (c *Cluster) probeLoop(opts ProberOptions, done, exited chan struct{}) {
 				if opts.OnTransition != nil {
 					opts.OnTransition(n.Name, Down)
 				}
-			case misses[n.Name] >= opts.DrainAfter && n.Health() == Up:
+			case misses[n.Name] >= 1 && n.Health() == Up: // the first missed heartbeat stops new pins
 				c.DrainNode(n.Name) //nolint:errcheck // node came from nodeList
 				if opts.OnTransition != nil {
 					opts.OnTransition(n.Name, Draining)

@@ -72,8 +72,7 @@ func TestProberDrivesHealthFromTimeouts(t *testing.T) {
 
 	var log transitionLog
 	stop := cl.StartProber(ProberOptions{
-		Interval:     20 * time.Millisecond,
-		Timeout:      100 * time.Millisecond,
+		Interval:     50 * time.Millisecond,
 		DownAfter:    3,
 		OnTransition: log.note,
 	})

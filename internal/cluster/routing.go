@@ -1,45 +1,23 @@
 package cluster
 
-import "sort"
-
-// This file is the cluster's routing plane: the versioned RoutingSnapshot
-// (function -> ordered replica set), the placement policies that produce
-// it, and the replica pick both planes share. A function's replica set is
-// what its policy returned at placement and never changes afterwards; node
-// health is a per-pick predicate (PickReplica's routable) and a filter on
-// the published snapshot (Cluster.Publish), not an edit of the set.
-//
-// Snapshots are immutable after publication and are distributed through an
-// atomic pointer (Cluster.Publish / Cluster.Snapshot), so routing reads
-// never take a lock and never observe a half-written table — the same
-// publish-then-swap discipline disaggregated-memory programming models use
-// for shared metadata.
+// This file is the cluster's routing plane: the RoutingSnapshot (function
+// -> ordered replica set), the placement policies that produce it, and the
+// replica pick both planes share. A function's replica set is what its
+// policy returned at placement and never changes afterwards; node health is
+// a per-pick predicate (PickReplica's routable) and a filter applied once
+// at placement (Cluster.Place), not an edit of the set.
 
 // Replica is one placement of a function on a node.
 type Replica struct {
 	Node string
 }
 
-// RoutingSnapshot is one immutable, versioned state of the routing plane:
-// every function's ordered replica set (the first replica is the primary,
+// RoutingSnapshot is one immutable state of the routing plane: every
+// function's ordered replica set (the first replica is the primary,
 // preserving the single-owner semantics). Snapshots are built by placement
-// policies, stamped with a monotonically increasing version at
-// publication, and must never be mutated afterwards.
+// policies and must never be mutated afterwards.
 type RoutingSnapshot struct {
-	// Version is assigned by Cluster.Publish; 0 means unpublished.
-	Version uint64
-
 	sets map[string][]Replica
-}
-
-// NewRoutingSnapshot builds an unpublished snapshot from the given replica
-// sets, copying them so the caller's maps and slices stay free.
-func NewRoutingSnapshot(sets map[string][]Replica) *RoutingSnapshot {
-	cp := make(map[string][]Replica, len(sets))
-	for fn, reps := range sets {
-		cp[fn] = append([]Replica(nil), reps...)
-	}
-	return &RoutingSnapshot{sets: cp}
 }
 
 // Replicas returns fn's ordered replica set (primary first). Callers must
@@ -51,28 +29,6 @@ func (s *RoutingSnapshot) Replicas(fn string) []Replica {
 	return s.sets[fn]
 }
 
-// Primary returns the node hosting fn's primary replica.
-func (s *RoutingSnapshot) Primary(fn string) (string, bool) {
-	reps := s.Replicas(fn)
-	if len(reps) == 0 {
-		return "", false
-	}
-	return reps[0].Node, true
-}
-
-// Functions returns the placed function names in sorted order.
-func (s *RoutingSnapshot) Functions() []string {
-	if s == nil {
-		return nil
-	}
-	out := make([]string, 0, len(s.sets))
-	for fn := range s.sets {
-		out = append(out, fn)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // RoutingTable maps each function to the node hosting its primary replica:
 // the flattened, single-owner view of the routing plane that
 // core.System.Routing returns for the CLI to print.
@@ -82,7 +38,7 @@ type RoutingTable map[string]string
 // exposes this interface so custom balancers can plug in (§6.1).
 type PlacementPolicy interface {
 	// Place assigns every function an ordered, non-empty replica set drawn
-	// from nodes. The returned snapshot is unpublished (Version 0).
+	// from nodes.
 	Place(functions []string, nodes []string) *RoutingSnapshot
 }
 

@@ -267,23 +267,18 @@ function h3
 
 // BenchmarkSkewedInvoke drives a Zipf-skewed workload (s = 3 over four
 // switch branches: ~85% of requests hit h0) against a 5-node cluster with
-// paper-faithful resource shaping: 128 MB containers, capped node NICs,
-// and a producer with real FLU compute (srcCompute of wall time per
-// invocation, so concurrency grows the container pool and its DLU daemons
-// pump in parallel — the §5.1 compute/transfer overlap). The binding
-// resource is then the destination NIC: under the pinned single-owner
-// placement every hot ship converges on one node's 16 MB/s, no matter how
-// many producer containers scale out. replicas=4 gives every function
-// four replicas: requests pin across them by load, hot ships spread over
-// multiple NICs, and locality-first selection turns co-located ships into
-// local pipes (no network at all — 3 of the 4 producer replicas share a
-// node with a hot-function replica). Compare the hot-req/s metric between
-// the two sub-benchmarks (the PR that introduced the routing plane
-// records ~2.7x on the 1-core CI box: ~228 -> ~640 hot-req/s).
+// paper-faithful resource shaping: 128 MB containers, each shipping through
+// its own 5 MB/s TC class, and a producer with real FLU compute (srcCompute
+// of wall time per invocation, so concurrency grows the container pool and
+// its DLU daemons pump in parallel — the §5.1 compute/transfer overlap).
+// replicas=4 gives every function four replicas: requests pin across them
+// by load, and locality-first selection turns co-located ships into local
+// pipes, which skip the TC class (3 of the 4 producer replicas share a node
+// with a hot-function replica). Compare the hot-req/s metric between the
+// two sub-benchmarks.
 func BenchmarkSkewedInvoke(b *testing.B) {
 	const (
 		payloadSize = 64 << 10 // streaming-pipe path, transfer-dominated
-		nicBps      = 16e6     // 16 MB/s per node NIC: 244 hot ships/s max
 		branches    = 4
 		srcCompute  = 20 * time.Millisecond
 	)
@@ -306,9 +301,7 @@ func BenchmarkSkewedInvoke(b *testing.B) {
 			}
 			cl := cluster.NewCluster(tc.policy)
 			for i := 1; i <= 5; i++ {
-				if err := cl.AddNode(cluster.NewNode(fmt.Sprintf("w%d", i), cluster.Options{
-					NICBps: nicBps,
-				})); err != nil {
+				if err := cl.AddNode(cluster.NewNode(fmt.Sprintf("w%d", i), cluster.Options{})); err != nil {
 					b.Fatal(err)
 				}
 			}

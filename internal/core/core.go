@@ -30,8 +30,6 @@
 //   - fault tolerance: handler failures are ReDone up to a retry limit and
 //     interrupted transfers resume from the connector's incremental
 //     checkpoints (§6.2);
-//   - data-consistency keep-alive: a container is not recycled while its
-//     DLU holds unsent bytes (§6.2).
 package core
 
 import (
@@ -60,30 +58,26 @@ type Handler func(ctx *Context) error
 // DefaultMaxContainersPerFn bounds auto-scaling per function.
 const DefaultMaxContainersPerFn = 32
 
-// DefaultRetryLimit is the ReDo budget per function instance and transfer.
-const DefaultRetryLimit = 2
+// retryLimit is the ReDo budget per function instance and transfer.
+const retryLimit = 2
 
 // Config assembles a System.
 type Config struct {
 	Workflow *workflow.Workflow
 	Cluster  *cluster.Cluster
 
-	// Spec overrides the container specification per function.
-	Spec map[string]cluster.Spec
-	// DefaultSpec is used when Spec has no entry (128 MB when zero).
+	// DefaultSpec is every function's container specification (128 MB when
+	// zero).
 	DefaultSpec cluster.Spec
 
 	// Alpha is Eq. 1's loss factor (cluster.DefaultAlpha when 0).
-	Alpha float64
+	Alpha float64 //repolint:testseam the Eq. 1 tests vary the loss factor; ROADMAP item 17 decides the ablation
 	// DisablePressure turns off pressure-aware scaling (the
 	// DataFlower-Non-aware ablation).
-	DisablePressure bool
-	// MaxContainersPerFn bounds per-function scale-out.
-	MaxContainersPerFn int
-	// RetryLimit is the ReDo budget (DefaultRetryLimit when 0).
-	RetryLimit int
-	// TransferLatency is the fixed cross-node connector setup latency.
-	TransferLatency time.Duration
+	DisablePressure bool //repolint:testseam the DataFlower-Non-aware ablation; ROADMAP item 17 decides whether programs set it
+	// MaxContainersPerFn bounds per-function scale-out
+	// (DefaultMaxContainersPerFn when 0).
+	MaxContainersPerFn int //repolint:testseam the instance-cap tests need a cap small enough to reach
 	// ChunkSize overrides the streaming pipe chunk size.
 	ChunkSize int
 	// Trace receives every execution event when non-nil (the full event
@@ -93,11 +87,6 @@ type Config struct {
 	// Obs configures sampled request tracing (obs.go). The zero value
 	// disables sampling; the metric instruments are always on regardless.
 	Obs ObsConfig
-	// ReapInterval runs the keep-alive reaper periodically on every node
-	// (recycling idle containers whose keep-alive expired, §6.2). Zero
-	// disables the background reaper; callers may still invoke
-	// Node.ReapIdle manually.
-	ReapInterval time.Duration
 	// FaultTolerant enables the fault-tolerance plane (failover.go): replica
 	// selection skips non-Up nodes, a dead pinned replica is detected at
 	// ship/land/consume and repaired onto a survivor, and the data the dead
@@ -106,11 +95,10 @@ type Config struct {
 	// single-owner fast path; when false the engine is byte-for-byte the
 	// fault-oblivious one (health states are simply never consulted).
 	FaultTolerant bool
-	// Clock is the engine's time source: invocation timestamps, the
-	// epoch-relative trace clock and the background reaper's tick loop all
-	// go through it, so a test (or the sim plane) can drive the engine in
-	// virtual time with clock.NewManual. Nil means the wall clock.
-	Clock clock.Clock
+	// Clock is the engine's time source: invocation timestamps and the
+	// epoch-relative trace clock go through it, so a test can drive the
+	// engine in virtual time with clock.NewManual. Nil means the wall clock.
+	Clock clock.Clock //repolint:testseam tests drive the engine on clock.Manual
 }
 
 // System is one deployed workflow. Its control path takes no system-global
@@ -179,8 +167,6 @@ type System struct {
 	// price its wire charge at its run's starting reading.
 	paceAt bool
 
-	stop chan struct{} // closed by Shutdown: the reaper returns
-
 	// Below, every word is written on one request stripe and owns its cache
 	// line (TestStripedLayout): pendingInvs counts the requests admitted and
 	// not torn down, gate everything in flight (stripes.go), and freeReqs is
@@ -241,25 +227,9 @@ func (f *fnState) handlerFn() Handler {
 	return nil
 }
 
-// avg returns the running average FLU execution time (tflu).
-func (f *fnState) avg() time.Duration {
-	d, _ := f.tflu()
-	return d
-}
-
-// tflu is avg plus whether any execution has been observed yet: an average
-// of zero is a measurement on a virtual clock and the lack of one otherwise.
-// It sums the lanes, so it is exact; FLUAvg reads it.
-func (f *fnState) tflu() (avg time.Duration, sampled bool) {
-	n := f.fluCount.Load()
-	if n == 0 {
-		return 0, false
-	}
-	return time.Duration(f.fluNanos.Load() / n), true
-}
-
-// tfluPublished is tflu as of observe's last publication: at most fifteen
-// brief, unthrottled runs per stripe behind it.
+// tfluPublished is the running average FLU execution time (T_FLU) and
+// whether any run was sampled, as of observe's last publication: at most
+// fifteen brief, unthrottled runs per stripe behind the exact mean.
 func (f *fnState) tfluPublished() (avg time.Duration, sampled bool) {
 	w := f.tfluPub.Load()
 	return time.Duration(w >> 1), w != 0
@@ -309,9 +279,6 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.MaxContainersPerFn == 0 {
 		cfg.MaxContainersPerFn = DefaultMaxContainersPerFn
 	}
-	if cfg.RetryLimit == 0 {
-		cfg.RetryLimit = DefaultRetryLimit
-	}
 	if cfg.DefaultSpec.MemoryMB == 0 {
 		cfg.DefaultSpec = cluster.Spec{MemoryMB: cluster.BaseMemoryMB}
 	}
@@ -332,7 +299,7 @@ func NewSystem(cfg Config) (*System, error) {
 		fns:      make(map[string]*fnState, len(fns)),
 		paceAt:   reflect.TypeOf(cfg.Clock).Comparable(),
 	}
-	s.gate.wake, s.stop = make(chan struct{}, 1), make(chan struct{})
+	s.gate.wake = make(chan struct{}, 1)
 	s.nodeLoad = make(map[*cluster.Node]*obs.Counter)
 	for _, name := range cfg.Cluster.Nodes() {
 		if n, ok := cfg.Cluster.Node(name); ok {
@@ -380,9 +347,6 @@ func NewSystem(cfg Config) (*System, error) {
 		for _, n := range s.allNodes {
 			st.pools[n] = n.Pool(fn)
 		}
-		if sp, ok := cfg.Spec[fn]; ok {
-			st.spec = sp
-		}
 		s.fns[fn] = st
 		s.fnList = append(s.fnList, st)
 		for _, node := range nodes {
@@ -408,30 +372,7 @@ func NewSystem(cfg Config) (*System, error) {
 	for i := 0; i < workers; i++ {
 		go s.execWorker()
 	}
-	if cfg.ReapInterval > 0 {
-		s.gate.add(0)
-		go s.reaper()
-	}
 	return s, nil
-}
-
-// reaper periodically recycles keep-alive-expired idle containers on every
-// node, honouring the data-consistency rule (containers with pending DLU
-// data are skipped by Node.ReapIdle).
-func (s *System) reaper() {
-	defer s.gate.exit(0)
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-s.clk.After(s.cfg.ReapInterval):
-			for _, name := range s.cfg.Cluster.Nodes() {
-				if n, ok := s.cfg.Cluster.Node(name); ok {
-					n.ReapIdle()
-				}
-			}
-		}
-	}
 }
 
 // Routing returns the flattened routing table (function -> primary node),
@@ -442,25 +383,6 @@ func (s *System) Routing() cluster.RoutingTable {
 		rt[st.name] = st.primary().Name
 	}
 	return rt
-}
-
-// RoutingSnapshot returns the cluster's most recently published routing
-// snapshot (placement at NewSystem, republished under each health change).
-func (s *System) RoutingSnapshot() *cluster.RoutingSnapshot {
-	return s.cfg.Cluster.Snapshot()
-}
-
-// Replicas returns the node names hosting fn, primary first.
-func (s *System) Replicas(fn string) []string {
-	st, ok := s.fns[fn]
-	if !ok {
-		return nil
-	}
-	out := make([]string, len(st.replicas))
-	for i, n := range st.replicas {
-		out[i] = n.Name
-	}
-	return out
 }
 
 // Register installs the handler for a function. Every workflow function
@@ -813,7 +735,6 @@ func (s *System) runInstance(j instanceJob, caller bool, at time.Time) (next ins
 	}
 	r.mu.Unlock()
 
-	limit := s.cfg.RetryLimit
 	h := st.handlerFn()
 	// A pooled Context is zero but for its buffers (releaseCtx).
 	ctx.Instance = key
@@ -843,7 +764,7 @@ func (s *System) runInstance(j instanceJob, caller bool, at time.Time) (next ins
 		r.attempts[key]++
 		attempts := r.attempts[key]
 		r.mu.Unlock()
-		if attempts > limit {
+		if attempts > retryLimit {
 			r.fail(fmt.Errorf("core: %s failed after %d attempts: %w", key, attempts, err))
 			return ctx.next, end, true
 		}

@@ -146,47 +146,6 @@ function join
 	}
 }
 
-func TestKeepAliveReapRespectsDLUPending(t *testing.T) {
-	wf, err := workflow.ParseDSLString(`
-workflow k
-function f
-  input in from $USER
-  output out to $USER
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := cluster.NewCluster(nil)
-	node := cluster.NewNode("w1", cluster.Options{KeepAlive: time.Millisecond})
-	_ = cl.AddNode(node)
-	sys, err := NewSystem(Config{
-		Workflow:    wf,
-		Cluster:     cl,
-		DefaultSpec: cluster.Spec{MemoryMB: 8 * 1024},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Shutdown()
-	_ = sys.Register("f", func(ctx *Context) error {
-		in, _ := ctx.Input("in")
-		return ctx.Put("out", in)
-	})
-	inv, _ := sys.Invoke(map[string][]byte{"f.in": []byte("x")})
-	if err := inv.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	// DLU drained and keep-alive expired: the container is reclaimable.
-	deadline := time.Now().Add(2 * time.Second)
-	for node.Containers("f") != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("container not reaped (count=%d)", node.Containers("f"))
-		}
-		node.ReapIdle()
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
 func TestManyConcurrentRequestsStress(t *testing.T) {
 	sys := newSystemFromDSL(t, `
 workflow echo
@@ -270,44 +229,4 @@ function b
 	if !got["a:z"] || !got["b:z"] {
 		t.Fatalf("outputs = %v", got)
 	}
-}
-
-func TestBackgroundReaperRecyclesIdleContainers(t *testing.T) {
-	wf, err := workflow.ParseDSLString(`
-workflow k
-function f
-  input in from $USER
-  output out to $USER
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := cluster.NewCluster(nil)
-	node := cluster.NewNode("w1", cluster.Options{KeepAlive: time.Millisecond})
-	_ = cl.AddNode(node)
-	sys, err := NewSystem(Config{
-		Workflow:     wf,
-		Cluster:      cl,
-		DefaultSpec:  cluster.Spec{MemoryMB: 8 * 1024},
-		ReapInterval: 2 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = sys.Register("f", func(ctx *Context) error {
-		in, _ := ctx.Input("in")
-		return ctx.Put("out", in)
-	})
-	inv, _ := sys.Invoke(map[string][]byte{"f.in": []byte("x")})
-	if err := inv.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for node.Containers("f") != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("reaper never recycled the container (count=%d)", node.Containers("f"))
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	sys.Shutdown() // must stop the reaper goroutine cleanly
 }

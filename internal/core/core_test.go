@@ -323,9 +323,11 @@ func TestHandlerReDoOnFailure(t *testing.T) {
 }
 
 func TestHandlerFailsPermanently(t *testing.T) {
-	sys, _ := newWCSystem(t, 1, func(c *Config) { c.RetryLimit = 1 })
+	sys, _ := newWCSystem(t, 1, nil)
 	defer sys.Shutdown()
+	var runs atomic.Int32
 	_ = sys.Register("count", func(ctx *Context) error {
+		runs.Add(1)
 		return errors.New("always broken")
 	})
 	inv, err := sys.Invoke(map[string][]byte{"start.src": []byte("x")})
@@ -335,6 +337,9 @@ func TestHandlerFailsPermanently(t *testing.T) {
 	err = inv.Wait()
 	if err == nil || !strings.Contains(err.Error(), "always broken") {
 		t.Fatalf("err = %v", err)
+	}
+	if got := runs.Load(); got != 1+retryLimit {
+		t.Fatalf("handler ran %d times, want 1 + %d ReDos", got, retryLimit)
 	}
 }
 

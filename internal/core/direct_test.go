@@ -222,9 +222,6 @@ function j
 			sys.SetTransferFailureInjector(func(string) int64 { return -1 })
 			return sys
 		}},
-		{name: "transfer latency", puts: 1, build: func(t *testing.T) *System {
-			return wallChain(t, func(c *Config) { c.TransferLatency = 50 * time.Microsecond })
-		}},
 		// Every node Down when a ships: b's fresh pin limps on its dead
 		// primary, so the land re-lands (twice, nothing is routable) and then
 		// puts there — a re-land is never direct.

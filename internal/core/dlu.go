@@ -91,10 +91,6 @@ func releaseCtx(ctx *Context) {
 	ctxPool.Put(ctx)
 }
 
-// ReqID returns the identifier of the request this run belongs to,
-// "req-<n>", formatted on first use (Invocation.ReqID).
-func (c *Context) ReqID() string { return c.req.inv.ReqID() }
-
 // inputVals returns the values of the named input and whether it exists.
 func (c *Context) inputVals(name string) ([]dataflow.Value, bool) {
 	for i := range c.inputs {
@@ -152,6 +148,8 @@ func (c *Context) PutForeach(output string, payloads [][]byte) error {
 }
 
 // PutSwitch hands a SWITCH output to the DLU, selecting destination case.
+//
+//repolint:testseam the handler API for the SWITCH edges the DSL accepts; no shipped workflow has one yet
 func (c *Context) PutSwitch(output string, payload []byte, switchCase int) error {
 	one := [1]dataflow.Value{{Payload: payload, Size: int64(len(payload))}}
 	return c.put(output, one[:], switchCase)
@@ -229,7 +227,6 @@ func (c *Context) put(output string, values []dataflow.Value, switchCase int) er
 	// Hand the items to the container's DLU daemon (FIFO) first, so the data
 	// ships during the pressure block below, not after it. The queued task
 	// holds a request reference until it has shipped.
-	c.ctr.AddDLUPending(totalSize)
 	r.refs.Add(1)
 	if !s.dluEnqueue(c.ctr, task) {
 		return nil // shutting down: nothing shipped, nothing to throttle for
@@ -248,13 +245,13 @@ func (c *Context) put(output string, values []dataflow.Value, switchCase int) er
 // shipsInline reports whether a Put under no Eq. 1 pressure may ship on the
 // FLU's own goroutine instead of through the DLU daemon: nothing about the
 // shipment can wait on a wire (every payload fits the socket fast path, no
-// connector latency, no failure injector, no remote sink — an RPC never runs
-// on an FLU's goroutine, nor does a fault-tolerant re-land that might pick a
-// remote survivor), and the daemon holds no earlier task of this container
-// for the shipment to overtake.
+// failure injector, no remote sink — an RPC never runs on an FLU's
+// goroutine, nor does a fault-tolerant re-land that might pick a remote
+// survivor), and the daemon holds no earlier task of this container for the
+// shipment to overtake.
 func (c *Context) shipsInline(items []dataflow.Item) bool {
 	s := c.sys
-	if s.cfg.TransferLatency > 0 || s.streams(items) {
+	if s.streams(items) {
 		return false
 	}
 	if s.hasRemote {
@@ -292,14 +289,11 @@ func (s *System) prewarm(st *fnState, node *cluster.Node) {
 // dluEnqueue hands a task to the container's DLU daemon and reports whether
 // it was accepted. The container owns the queue and its close protocol; the
 // system supplies the daemon goroutine, under a gate count, for a fresh
-// queue. A refusal means shutdown: the task is dropped, its pending bytes
-// unwound for the keep-alive rule and its request reference released.
+// queue. A refusal means shutdown: the task is dropped and its request
+// reference released.
 func (s *System) dluEnqueue(ctr *cluster.Container, task cluster.DLUTask) bool {
 	queue, ok := ctr.DLUEnqueue(task)
 	if !ok {
-		for _, it := range task.Items {
-			ctr.AddDLUPending(-it.Value.Size)
-		}
 		recycleItems(task)
 		task.Ref.(*request).release()
 		return false
@@ -435,13 +429,11 @@ func (s *System) dluDaemon(ctr *cluster.Container, queue <-chan cluster.DLUTask)
 }
 
 // shipBatch resolves every item of the batch's tasks onto its shipment
-// edge, ships each edge with batched pipe/sink/accounting interactions, and
-// unwinds the whole batch's pending bytes in one call. It is the only ship
-// implementation; the DLU daemon calls it with a drained batch and
-// Context.put with a batch of its one task. The daemon drops each task's
+// edge and ships each edge with batched pipe/sink/accounting interactions.
+// It is the only ship implementation; the DLU daemon calls it with a drained
+// batch and Context.put with a batch of its one task. The daemon drops each task's
 // request reference once the whole batch has shipped.
 func (s *System) shipBatch(ctr *cluster.Container, b *dluBatch) {
-	var pending int64
 	items, stripe := 0, uint32(0)
 	for ti := range b.tasks {
 		task := &b.tasks[ti]
@@ -454,7 +446,6 @@ func (s *System) shipBatch(ctr *cluster.Container, b *dluBatch) {
 		var runNode *cluster.Node
 		for i := range task.Items {
 			it := &task.Items[i]
-			pending += it.Value.Size
 			// Replica selection, locality-first: when the destination
 			// function has a replica on the producer's own node the edge
 			// degenerates to the local pipe (no network); otherwise the
@@ -489,9 +480,6 @@ func (s *System) shipBatch(ctr *cluster.Container, b *dluBatch) {
 			b.tasks[ti].Ref.(*request).release()
 		}
 		b.tasks[ti] = cluster.DLUTask{}
-	}
-	if b.flu == nil {
-		ctr.AddDLUPending(-pending)
 	}
 }
 
@@ -547,13 +535,9 @@ func (s *System) streams(items []dataflow.Item) bool {
 	return false
 }
 
-// shipSocket ships items over the socket path: one latency charge here and
-// one limiter charge for the whole edge inside the land (the transport is
-// the wire).
+// shipSocket ships items over the socket path: one limiter charge for the
+// whole edge inside the land (the transport is the wire).
 func (s *System) shipSocket(ctr *cluster.Container, r *request, items []dataflow.Item, node *cluster.Node, b *dluBatch) {
-	if s.cfg.TransferLatency > 0 {
-		ctr.Node.Clock().Sleep(s.cfg.TransferLatency)
-	}
 	var total int64
 	for i := range items {
 		total += items[i].Value.Size
@@ -574,15 +558,14 @@ func (s *System) shipSocket(ctr *cluster.Container, r *request, items []dataflow
 }
 
 // ship pumps one payload through the streaming pipe, chunked through the
-// source container's TC class and the destination node NIC. It moves the
+// source container's TC class. It moves the
 // bytes only — the caller lands the item — and reports false after failing
 // the request on an unrecoverable transfer.
 func (s *System) ship(ctr *cluster.Container, r *request, it *dataflow.Item, dstNode *cluster.Node) bool {
 	spec := transport.StreamSpec{
 		Src:       ctr.Limiter,
 		ChunkSize: s.cfg.ChunkSize,
-		Latency:   s.cfg.TransferLatency,
-		Retries:   s.cfg.RetryLimit,
+		Retries:   retryLimit,
 		Clock:     ctr.Node.Clock(),
 	}
 	if s.injector.Load() != nil {
@@ -603,7 +586,7 @@ func (s *System) ship(ctr *cluster.Container, r *request, it *dataflow.Item, dst
 // pace carries the edge's source-side wire charge (zero for local pipes and
 // re-lands); attempt counts the re-lands this shipment already took.
 func (s *System) landBatch(r *request, items []dataflow.Item, node *cluster.Node, b *dluBatch, pace transport.Pacing, attempt int) {
-	if s.ft && attempt < s.cfg.RetryLimit && node.Health() == cluster.Down {
+	if s.ft && attempt < retryLimit && node.Health() == cluster.Down {
 		// The destination died while the shipment was in flight.
 		s.reland(r, items, b, attempt+1)
 		return
@@ -629,7 +612,7 @@ func (s *System) landBatch(r *request, items []dataflow.Item, node *cluster.Node
 	}
 	if err := node.SinkShip(pace, b.reqs); err != nil {
 		b.dropReqs()
-		if s.noteUnreachable(node, err) && attempt < s.cfg.RetryLimit {
+		if s.noteUnreachable(node, err) && attempt < retryLimit {
 			// The destination died under the shipment.
 			s.reland(r, items, b, attempt+1)
 			return
@@ -637,7 +620,7 @@ func (s *System) landBatch(r *request, items []dataflow.Item, node *cluster.Node
 		r.fail(fmt.Errorf("core: ship of %d items to %s failed: %w", len(items), node.Name, err))
 		return
 	}
-	if s.ft && attempt < s.cfg.RetryLimit && node.Health() == cluster.Down {
+	if s.ft && attempt < retryLimit && node.Health() == cluster.Down {
 		// The destination was declared dead between the check above and the
 		// put. Its sink is wiped after it is marked Down, so the put may have
 		// landed behind the wipe, where no repair or teardown would ever look
@@ -845,7 +828,6 @@ func (s *System) Shutdown() {
 	if s.gate.closed.Swap(true) {
 		return
 	}
-	close(s.stop)
 	// Close every container's DLU queue. Nodes mark themselves shut first,
 	// so a cold start racing this loop produces a container that is born
 	// closed — no daemon can appear after the sweep and keep the gate open.
@@ -858,12 +840,4 @@ func (s *System) Shutdown() {
 	// Every submitter holds a gate count, so after the drain no send can race
 	// this close; the executor workers drain and exit.
 	close(s.execJobs)
-}
-
-// FLUAvg returns the running average execution time of fn (T_FLU).
-func (s *System) FLUAvg(fn string) time.Duration {
-	if st, ok := s.fns[fn]; ok {
-		return st.avg()
-	}
-	return 0
 }

@@ -142,29 +142,3 @@ func (r *request) markConsumed(key dataflow.InstanceKey) {
 // Replays returns how many lost shipments the system has replayed onto
 // repaired replicas since start.
 func (s *System) Replays() int64 { return s.replays.Load() }
-
-// Replays returns how many of this request's shipments were replayed after
-// node deaths. Valid any time; settles once Done is closed.
-func (inv *Invocation) Replays() int { return int(inv.replays.Load()) }
-
-// PinnedNode returns the node name fn is currently pinned to for this
-// request, if pinned yet.
-func (inv *Invocation) PinnedNode(fn string) (string, bool) {
-	for _, p := range inv.pinsNow() {
-		if p.fn == fn {
-			return p.node.Name, true
-		}
-	}
-	return "", false
-}
-
-// PinnedNodes returns the node names this request's route pins currently
-// address, in pin order (empty on the static path, which has no pins).
-func (inv *Invocation) PinnedNodes() []string {
-	pins := inv.pinsNow()
-	out := make([]string, len(pins))
-	for i := range pins {
-		out[i] = pins[i].node.Name
-	}
-	return out
-}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -11,6 +12,8 @@ import (
 	"repro/internal/clock"
 	"repro/internal/cluster"
 	"repro/internal/trace"
+	"repro/internal/transport"
+	"repro/internal/wmm"
 	"repro/internal/workflow"
 )
 
@@ -36,6 +39,12 @@ function c
 // with piece 0 already landed on c's pin.
 func newFaultSystem(t testing.TB, nodes int, gate chan struct{}, cfgMut func(*Config)) *System {
 	t.Helper()
+	return newFaultSystemOf(t, nodes, gate, cfgMut, cluster.NewNode)
+}
+
+// newFaultSystemOf is newFaultSystem with each worker built by newNode.
+func newFaultSystemOf(t testing.TB, nodes int, gate chan struct{}, cfgMut func(*Config), newNode func(string, cluster.Options) *cluster.Node) *System {
+	t.Helper()
 	wf, err := workflow.ParseDSLString(fanDSL)
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +59,7 @@ func newFaultSystem(t testing.TB, nodes int, gate chan struct{}, cfgMut func(*Co
 	}
 	cl := cluster.NewCluster(cluster.RoundRobin{Replicas: 2})
 	for i := 1; i <= nodes; i++ {
-		if err := cl.AddNode(cluster.NewNode(fmt.Sprintf("w%d", i), cluster.Options{
+		if err := cl.AddNode(newNode(fmt.Sprintf("w%d", i), cluster.Options{
 			Clock: cfg.Clock, // one clock for engine and nodes
 		})); err != nil {
 			t.Fatal(err)
@@ -237,8 +246,7 @@ func TestSelectReplicaBackfillsPastTheSet(t *testing.T) {
 }
 
 // hookClock is the wall clock with a callback in front of every Sleep — the
-// seam for acting between a shipment's routing and its land: the socket
-// path sleeps Config.TransferLatency exactly there.
+// seam for acting inside the limiter park that paces a shipment.
 type hookClock struct {
 	clock.Wall
 	onSleep func(time.Duration)
@@ -246,28 +254,47 @@ type hookClock struct {
 
 func (h hookClock) Sleep(d time.Duration) { h.onSleep(d); h.Wall.Sleep(d) }
 
+// hookTransport runs a callback in front of every ShipBatch it delegates —
+// the seam for acting between a shipment's routing and its put.
+type hookTransport struct {
+	transport.Transport
+	onShip func(reqs []wmm.PutReq)
+}
+
+func (h hookTransport) ShipBatch(ctx context.Context, pace transport.Pacing, reqs []wmm.PutReq) error {
+	h.onShip(reqs)
+	return h.Transport.ShipBatch(ctx, pace, reqs)
+}
+
 // TestFailoverRelandsMultiItemEdge fails a's FOREACH destination after the
 // three-item edge was routed and before it lands: the batch must re-land
 // item by item on a survivor — each part arriving exactly once, nothing
 // replayed (nothing had landed) — and the request must complete and drain.
 func TestFailoverRelandsMultiItemEdge(t *testing.T) {
-	const latency = 1234 * time.Microsecond
 	var sys *System
 	var once sync.Once
 	var dead string
 	invCh := make(chan *Invocation, 1)
 	log := trace.NewLog()
-	sys = newFaultSystem(t, 3, nil, func(c *Config) {
-		c.Trace, c.TransferLatency = log, latency
-		c.Clock = hookClock{onSleep: func(d time.Duration) {
-			if d == latency {
+	sinks := map[string]*wmm.Sink{}
+	start := time.Now()
+	elapsed := func() time.Duration { return time.Since(start) }
+	newNode := func(name string, opts cluster.Options) *cluster.Node {
+		sinks[name] = wmm.NewSink(wmm.Options{})
+		return cluster.NewRemoteNode(name, hookTransport{
+			Transport: transport.NewInproc(sinks[name], nil, elapsed),
+			onShip: func(reqs []wmm.PutReq) {
+				if len(reqs) == 0 || reqs[0].Key.Fn != "b" {
+					return
+				}
 				once.Do(func() {
 					dead, _ = (<-invCh).PinnedNode("b")
 					_ = sys.cfg.Cluster.FailNode(dead)
 				})
-			}
-		}}
-	})
+			},
+		}, false, opts)
+	}
+	sys = newFaultSystemOf(t, 3, nil, func(c *Config) { c.Trace = log }, newNode)
 	defer sys.Shutdown()
 	inv, err := sys.Invoke(map[string][]byte{"a.in": []byte("head")})
 	if err != nil {
@@ -292,7 +319,14 @@ func TestFailoverRelandsMultiItemEdge(t *testing.T) {
 	if len(arrived) != 3 || arrived[0] != 1 || arrived[1] != 1 || arrived[2] != 1 || inv.Replays() != 0 {
 		t.Fatalf("parts arrived %v with %d replays, want each of 3 once and none replayed", arrived, inv.Replays())
 	}
-	requireSinksDrained(t, sys)
+	if got := sys.PendingInvocations(); got != 0 {
+		t.Fatalf("%d invocations still tracked", got)
+	}
+	for name, sink := range sinks {
+		if mem, disk := sink.MemBytes(), sink.DiskBytes(); mem != 0 || disk != 0 {
+			t.Fatalf("node %s holds %d mem / %d disk bytes after a clean completion", name, mem, disk)
+		}
+	}
 }
 
 // TestFailoverLandBehindTheWipeIsReclaimed fails a's destination after the

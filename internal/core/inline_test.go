@@ -331,15 +331,6 @@ func TestNothingShipsInlineWhenTheShipMayWait(t *testing.T) {
 		sys.SetTransferFailureInjector(func(string) int64 { return -1 })
 		run(t, sys, func() { invokeChain(t, sys) }, 0)
 	})
-	t.Run("latency", func(t *testing.T) {
-		// On the wall clock: the latency is slept.
-		sys := newChainSystem(t, 2, nil, func(c *Config) {
-			c.TransferLatency = 50 * time.Microsecond
-			c.DisablePressure = true
-		})
-		defer sys.Shutdown()
-		run(t, sys, func() { invokeChain(t, sys) }, 0)
-	})
 	t.Run("remote", func(t *testing.T) {
 		sys := newRemoteWCSystem(t, 2, func(c *Config) { c.DisablePressure = true })
 		defer sys.Shutdown()

@@ -22,7 +22,7 @@ func TestBatchedEquivalenceWithSampling(t *testing.T) {
 	if batches.Snapshot().Count <= before {
 		t.Fatal("batch-size histogram did not grow under sampling")
 	}
-	if sys.ring == nil || sys.ring.Len() == 0 {
+	if sys.ring == nil || len(sys.ring.Snapshot()) == 0 {
 		t.Fatal("span ring empty: sampling must record spans")
 	}
 	sys.Shutdown()
@@ -91,7 +91,7 @@ func TestUnsampledRequestsCarryNoSpan(t *testing.T) {
 			want++
 		}
 	}
-	if got := sys.ring.Len(); got != want || got == 20 {
+	if got := len(sys.ring.Snapshot()); got != want || got == 20 {
 		t.Fatalf("ring holds %d spans after 20 requests at 1-in-4, want %d", got, want)
 	}
 }

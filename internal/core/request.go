@@ -145,24 +145,6 @@ func (inv *Invocation) finish(err error, lat time.Duration, outs []dataflow.Item
 	inv.wg.Done()
 }
 
-// pinsNow returns the request's route pins: copied out of the live request,
-// or as finish left them.
-func (inv *Invocation) pinsNow() []routePin {
-	inv.mu.Lock()
-	r := inv.req
-	if r == nil {
-		defer inv.mu.Unlock()
-		return inv.pins
-	}
-	r.refs.Add(1) // unfinished, so the request's own reference is still held
-	inv.mu.Unlock()
-	r.mu.Lock()
-	pins := slices.Clone(r.route)
-	r.mu.Unlock()
-	r.release()
-	return pins
-}
-
 // request is one request's engine state (see the top of this file).
 type request struct {
 	sys *System

@@ -251,12 +251,11 @@ func TestReplicaQualifiedSinkKeys(t *testing.T) {
 	}
 }
 
-func TestSnapshotRepublishVsSelectionStorm(t *testing.T) {
-	// The -race storm of the routing plane: one goroutine keeps republishing
-	// the placement's snapshot (as every health transition does) while many
-	// goroutines run replica selection on the Invoke/ship hot path and read
-	// the current snapshot. Versions must only rise, replica sets must stay
-	// those fixed at placement, and every request must complete and drain.
+func TestPlaceVsSelectionStorm(t *testing.T) {
+	// The -race storm of the routing plane: one goroutine keeps re-running
+	// placement on the cluster while many goroutines run replica selection
+	// on the Invoke/ship hot path. Replica sets must stay those fixed at the
+	// system's placement, and every request must complete and drain.
 	if testing.Short() {
 		t.Skip("storm test")
 	}
@@ -264,7 +263,6 @@ func TestSnapshotRepublishVsSelectionStorm(t *testing.T) {
 	defer sys.Shutdown()
 	cl := sys.cfg.Cluster
 	wantA, wantB := sys.Replicas("a"), sys.Replicas("b")
-	startVersion := sys.RoutingSnapshot().Version
 
 	stop := make(chan struct{})
 	pubDone := make(chan struct{})
@@ -276,7 +274,7 @@ func TestSnapshotRepublishVsSelectionStorm(t *testing.T) {
 				return
 			default:
 			}
-			cl.Publish(cluster.RoundRobin{Replicas: 2}.Place([]string{"a", "b"}, cl.Nodes()))
+			cl.Place([]string{"a", "b"})
 		}
 	}()
 
@@ -287,14 +285,7 @@ func TestSnapshotRepublishVsSelectionStorm(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var lastVersion uint64
 			for i := 0; i < 100; i++ {
-				v := sys.RoutingSnapshot().Version
-				if v < lastVersion {
-					errs[g] = fmt.Errorf("snapshot version went back from %d to %d", lastVersion, v)
-					return
-				}
-				lastVersion = v
 				inv, err := sys.Invoke(map[string][]byte{"a.in": []byte("x")})
 				if err != nil {
 					errs[g] = err
@@ -319,14 +310,11 @@ func TestSnapshotRepublishVsSelectionStorm(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if v := sys.RoutingSnapshot().Version; v <= startVersion {
-		t.Fatalf("snapshot version %d did not advance past %d", v, startVersion)
-	}
 	if got := sys.Replicas("a"); fmt.Sprint(got) != fmt.Sprint(wantA) {
-		t.Fatalf("Replicas(a) = %v after republishing, want %v", got, wantA)
+		t.Fatalf("Replicas(a) = %v after re-placing, want %v", got, wantA)
 	}
 	if got := sys.Replicas("b"); fmt.Sprint(got) != fmt.Sprint(wantB) {
-		t.Fatalf("Replicas(b) = %v after republishing, want %v", got, wantB)
+		t.Fatalf("Replicas(b) = %v after re-placing, want %v", got, wantB)
 	}
 	for _, name := range cl.Nodes() {
 		node, _ := cl.Node(name)

@@ -40,9 +40,8 @@ func TestHighFanOutConcurrentInvocations(t *testing.T) {
 	cl := cluster.NewCluster(nil)
 	for i := 0; i < 3; i++ {
 		err := cl.AddNode(cluster.NewNode(fmt.Sprintf("w%d", i+1), cluster.Options{
-			ColdStart:  time.Millisecond,
-			SinkTTL:    20 * time.Millisecond,
-			SinkShards: 8,
+			ColdStart: time.Millisecond,
+			SinkTTL:   20 * time.Millisecond,
 		}))
 		if err != nil {
 			t.Fatal(err)

@@ -41,16 +41,16 @@ func BenchmarkFullRequestRouting(b *testing.B) {
 		if _, err := tr.Start(map[string]Value{"start.src": {Size: 4096}}); err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := tr.Emit(InstanceKey{Fn: "start"}, "filelist", vals, 0); err != nil {
+		if _, _, err := tr.emit(InstanceKey{Fn: "start"}, "filelist", vals, 0); err != nil {
 			b.Fatal(err)
 		}
 		for j := 0; j < 16; j++ {
-			if _, _, err := tr.Emit(InstanceKey{Fn: "count", Idx: j}, "result",
+			if _, _, err := tr.emit(InstanceKey{Fn: "count", Idx: j}, "result",
 				[]Value{{Size: 256}}, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
-		if _, _, err := tr.Emit(InstanceKey{Fn: "merge"}, "out", []Value{{Size: 128}}, 0); err != nil {
+		if _, _, err := tr.emit(InstanceKey{Fn: "merge"}, "out", []Value{{Size: 128}}, 0); err != nil {
 			b.Fatal(err)
 		}
 		if !tr.Complete() {

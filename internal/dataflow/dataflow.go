@@ -252,9 +252,6 @@ func (t *Tracker) track(fn string) *fnTrack {
 	return &t.fns[f.Index()]
 }
 
-// ReqID returns the request identifier this tracker serves.
-func (t *Tracker) ReqID() string { return t.reqID }
-
 // setFanout fixes the instance count of a FOREACH-targeted function.
 func (ft *fnTrack) setFanout(k int) error {
 	fn := ft.f.Name
@@ -326,30 +323,13 @@ func (t *Tracker) start(dst []InstanceKey, vals map[string]Value, bytes map[stri
 	return newly, nil
 }
 
-// Emit routes the values produced on one output of one instance and
-// delivers them immediately (Route followed by Deliver on every item). For a
-// FOREACH output, values carries one Value per fan-out element; for every
-// other kind it carries exactly one Value. switchCase selects the
-// destination for SWITCH outputs (ignored otherwise). It returns the routed
-// items (including user deliveries) and the instances that became ready.
-//
-// Engines that move data through a network use Route instead and call
-// Deliver when the bytes actually arrive.
-func (t *Tracker) Emit(from InstanceKey, output string, values []Value, switchCase int) ([]Item, []InstanceKey, error) {
-	items, err := t.Route(from, output, values, switchCase)
-	if err != nil {
-		return nil, nil, err
-	}
-	newly, err := t.deliverAll(items)
-	if err != nil {
-		return nil, nil, err
-	}
-	return items, newly, nil
-}
-
 // Route computes the destination items for one output emission without
-// delivering them. It fixes fan-out degrees (FOREACH) and records SWITCH
-// choices as a side effect, since both are known at emission time.
+// delivering them (the engine calls DeliverInto when the bytes land). It
+// fixes fan-out degrees (FOREACH) and records SWITCH choices as a side
+// effect, since both are known at emission time. For a FOREACH output,
+// values carries one Value per fan-out element; for every other kind it
+// carries exactly one Value. switchCase selects the destination for SWITCH
+// outputs (ignored otherwise).
 func (t *Tracker) Route(from InstanceKey, output string, values []Value, switchCase int) ([]Item, error) {
 	return t.RouteAppend(nil, from, output, values, switchCase)
 }
@@ -454,36 +434,6 @@ func (t *Tracker) DeliverInto(dst []InstanceKey, it Item) ([]InstanceKey, error)
 		return dst, err
 	}
 	return t.checkReady(dst, ft), nil
-}
-
-func (t *Tracker) deliverAll(items []Item) ([]InstanceKey, error) {
-	// Single-item fast path: network engines deliver item by item as bytes
-	// land, so the touched-set bookkeeping and the cross-function sort
-	// reduce to one delivery (whose keys are already in index order).
-	if len(items) == 1 {
-		return t.DeliverInto(nil, items[0])
-	}
-	touched := map[*fnTrack]bool{}
-	for i := range items {
-		ft, err := t.record(&items[i])
-		if err != nil {
-			return nil, err
-		}
-		if ft != nil {
-			touched[ft] = true
-		}
-	}
-	var newly []InstanceKey
-	for ft := range touched {
-		newly = t.checkReady(newly, ft)
-	}
-	sort.Slice(newly, func(i, j int) bool {
-		if newly[i].Fn != newly[j].Fn {
-			return newly[i].Fn < newly[j].Fn
-		}
-		return newly[i].Idx < newly[j].Idx
-	})
-	return newly, nil
 }
 
 // record files one delivered item under its destination slot and returns
@@ -656,12 +606,6 @@ func (t *Tracker) InputsAppendBacking(dst []InputVals, backing []Value, key Inst
 	return dst, backing
 }
 
-// IsReady reports whether the instance has become ready.
-func (t *Tracker) IsReady(key InstanceKey) bool {
-	ft := t.track(key.Fn)
-	return ft != nil && key.Idx >= 0 && ft.isReady(key.Idx)
-}
-
 // UserItems returns the items delivered to the user so far.
 func (t *Tracker) UserItems() []Item { return t.userItems }
 
@@ -750,20 +694,4 @@ func (t *Tracker) ExpectedUserItems() (int, bool) {
 func (t *Tracker) Complete() bool {
 	want, known := t.ExpectedUserItems()
 	return known && len(t.userItems) >= want
-}
-
-// Instances returns every instance key with known fan-out, in deterministic
-// order. Instances of functions with unknown fan-out are omitted.
-func (t *Tracker) Instances() []InstanceKey {
-	var out []InstanceKey
-	for i, f := range t.wf.Functions {
-		st := t.fns[i].fanout
-		if !st.known {
-			continue
-		}
-		for idx := 0; idx < st.n; idx++ {
-			out = append(out, InstanceKey{Fn: f.Name, Idx: idx})
-		}
-	}
-	return out
 }

@@ -101,7 +101,7 @@ func TestForeachFanout(t *testing.T) {
 		t.Fatal(err)
 	}
 	// start emits 3 files via FOREACH.
-	items, newly, err := tr.Emit(InstanceKey{Fn: "start"}, "filelist",
+	items, newly, err := tr.emit(InstanceKey{Fn: "start"}, "filelist",
 		[]Value{val(10), val(20), val(30)}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -125,13 +125,13 @@ func TestMergeRequiresAllBranches(t *testing.T) {
 	if _, err := tr.Start(map[string]Value{"start.src": val(1)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := tr.Emit(InstanceKey{Fn: "start"}, "filelist",
+	if _, _, err := tr.emit(InstanceKey{Fn: "start"}, "filelist",
 		[]Value{val(1), val(1), val(1)}, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Two of three count instances emit: merge must not be ready.
 	for i := 0; i < 2; i++ {
-		_, newly, err := tr.Emit(InstanceKey{Fn: "count", Idx: i}, "result", []Value{val(5)}, 0)
+		_, newly, err := tr.emit(InstanceKey{Fn: "count", Idx: i}, "result", []Value{val(5)}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func TestMergeRequiresAllBranches(t *testing.T) {
 			t.Fatalf("merge ready after %d/3 branches: %v", i+1, newly)
 		}
 	}
-	_, newly, err := tr.Emit(InstanceKey{Fn: "count", Idx: 2}, "result", []Value{val(5)}, 0)
+	_, newly, err := tr.emit(InstanceKey{Fn: "count", Idx: 2}, "result", []Value{val(5)}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,23 +176,23 @@ func TestDiamondNeedsBothInputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	aKey := InstanceKey{Fn: "a"}
-	_, newly, err := tr.Emit(aKey, "left", []Value{val(1)}, 0)
+	_, newly, err := tr.emit(aKey, "left", []Value{val(1)}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(newly) != 1 || newly[0].Fn != "b" {
 		t.Fatalf("b not ready: %v", newly)
 	}
-	_, newly, _ = tr.Emit(aKey, "right", []Value{val(1)}, 0)
+	_, newly, _ = tr.emit(aKey, "right", []Value{val(1)}, 0)
 	if len(newly) != 1 || newly[0].Fn != "c" {
 		t.Fatalf("c not ready: %v", newly)
 	}
 	// d needs both b and c.
-	_, newly, _ = tr.Emit(InstanceKey{Fn: "b"}, "o", []Value{val(1)}, 0)
+	_, newly, _ = tr.emit(InstanceKey{Fn: "b"}, "o", []Value{val(1)}, 0)
 	if len(newly) != 0 {
 		t.Fatalf("d ready with one input: %v", newly)
 	}
-	_, newly, _ = tr.Emit(InstanceKey{Fn: "c"}, "o", []Value{val(1)}, 0)
+	_, newly, _ = tr.emit(InstanceKey{Fn: "c"}, "o", []Value{val(1)}, 0)
 	if len(newly) != 1 || newly[0].Fn != "d" {
 		t.Fatalf("d not ready: %v", newly)
 	}
@@ -203,7 +203,7 @@ func TestSwitchRoutesOnlyChosen(t *testing.T) {
 	if _, err := tr.Start(map[string]Value{"gate.in": val(1)}); err != nil {
 		t.Fatal(err)
 	}
-	items, newly, err := tr.Emit(InstanceKey{Fn: "gate"}, "route", []Value{val(9)}, 1)
+	items, newly, err := tr.emit(InstanceKey{Fn: "gate"}, "route", []Value{val(9)}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,14 +213,14 @@ func TestSwitchRoutesOnlyChosen(t *testing.T) {
 	if len(newly) != 1 || newly[0].Fn != "large" {
 		t.Fatalf("newly = %v", newly)
 	}
-	if tr.IsReady(InstanceKey{Fn: "small"}) {
+	if tr.isReadyKey(InstanceKey{Fn: "small"}) {
 		t.Fatal("small should not be ready")
 	}
 	// Completion: expected user items decidable after switch fired.
 	if _, known := tr.ExpectedUserItems(); !known {
 		t.Fatal("expected user items should be known after switch fired")
 	}
-	_, _, err = tr.Emit(InstanceKey{Fn: "large"}, "o", []Value{val(1)}, 0)
+	_, _, err = tr.emit(InstanceKey{Fn: "large"}, "o", []Value{val(1)}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestSwitchExpectedUnknownBeforeFiring(t *testing.T) {
 
 func TestSwitchCaseOutOfRange(t *testing.T) {
 	tr := NewTracker(switchWorkflow(t), "r1")
-	_, _, err := tr.Emit(InstanceKey{Fn: "gate"}, "route", []Value{val(1)}, 5)
+	_, _, err := tr.emit(InstanceKey{Fn: "gate"}, "route", []Value{val(1)}, 5)
 	if err == nil {
 		t.Fatal("out-of-range switch case accepted")
 	}
@@ -250,14 +250,14 @@ func TestCompleteWordCount(t *testing.T) {
 		t.Fatal("complete before start")
 	}
 	_, _ = tr.Start(map[string]Value{"start.src": val(1)})
-	_, _, _ = tr.Emit(InstanceKey{Fn: "start"}, "filelist", []Value{val(1), val(2)}, 0)
+	_, _, _ = tr.emit(InstanceKey{Fn: "start"}, "filelist", []Value{val(1), val(2)}, 0)
 	for i := 0; i < 2; i++ {
-		_, _, _ = tr.Emit(InstanceKey{Fn: "count", Idx: i}, "result", []Value{val(1)}, 0)
+		_, _, _ = tr.emit(InstanceKey{Fn: "count", Idx: i}, "result", []Value{val(1)}, 0)
 	}
 	if tr.Complete() {
 		t.Fatal("complete before merge emitted")
 	}
-	_, _, err := tr.Emit(InstanceKey{Fn: "merge"}, "out", []Value{val(3)}, 0)
+	_, _, err := tr.emit(InstanceKey{Fn: "merge"}, "out", []Value{val(3)}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,16 +271,16 @@ func TestCompleteWordCount(t *testing.T) {
 
 func TestEmitErrors(t *testing.T) {
 	tr := NewTracker(wcWorkflow(t), "r1")
-	if _, _, err := tr.Emit(InstanceKey{Fn: "ghost"}, "o", []Value{val(1)}, 0); err == nil {
+	if _, _, err := tr.emit(InstanceKey{Fn: "ghost"}, "o", []Value{val(1)}, 0); err == nil {
 		t.Fatal("unknown function accepted")
 	}
-	if _, _, err := tr.Emit(InstanceKey{Fn: "start"}, "ghost", []Value{val(1)}, 0); err == nil {
+	if _, _, err := tr.emit(InstanceKey{Fn: "start"}, "ghost", []Value{val(1)}, 0); err == nil {
 		t.Fatal("unknown output accepted")
 	}
-	if _, _, err := tr.Emit(InstanceKey{Fn: "start"}, "filelist", nil, 0); err == nil {
+	if _, _, err := tr.emit(InstanceKey{Fn: "start"}, "filelist", nil, 0); err == nil {
 		t.Fatal("empty FOREACH accepted")
 	}
-	if _, _, err := tr.Emit(InstanceKey{Fn: "merge"}, "out", []Value{val(1), val(2)}, 0); err == nil {
+	if _, _, err := tr.emit(InstanceKey{Fn: "merge"}, "out", []Value{val(1), val(2)}, 0); err == nil {
 		t.Fatal("multi-value NORMAL accepted")
 	}
 }
@@ -288,11 +288,11 @@ func TestEmitErrors(t *testing.T) {
 func TestConflictingFanout(t *testing.T) {
 	tr := NewTracker(wcWorkflow(t), "r1")
 	_, _ = tr.Start(map[string]Value{"start.src": val(1)})
-	if _, _, err := tr.Emit(InstanceKey{Fn: "start"}, "filelist", []Value{val(1), val(2)}, 0); err != nil {
+	if _, _, err := tr.emit(InstanceKey{Fn: "start"}, "filelist", []Value{val(1), val(2)}, 0); err != nil {
 		t.Fatal(err)
 	}
 	// A second emission with a different degree must be rejected.
-	if _, _, err := tr.Emit(InstanceKey{Fn: "start"}, "filelist", []Value{val(1)}, 0); err == nil {
+	if _, _, err := tr.emit(InstanceKey{Fn: "start"}, "filelist", []Value{val(1)}, 0); err == nil {
 		t.Fatal("conflicting fan-out accepted")
 	}
 }
@@ -308,13 +308,13 @@ func TestDeliverToUnknownFunction(t *testing.T) {
 func TestInstancesEnumeration(t *testing.T) {
 	tr := NewTracker(wcWorkflow(t), "r1")
 	// Before fan-out: start and merge known (1 each), count unknown.
-	inst := tr.Instances()
+	inst := tr.instances()
 	if len(inst) != 2 {
 		t.Fatalf("instances = %v", inst)
 	}
 	_, _ = tr.Start(map[string]Value{"start.src": val(1)})
-	_, _, _ = tr.Emit(InstanceKey{Fn: "start"}, "filelist", []Value{val(1), val(1), val(1)}, 0)
-	inst = tr.Instances()
+	_, _, _ = tr.emit(InstanceKey{Fn: "start"}, "filelist", []Value{val(1), val(1), val(1)}, 0)
+	inst = tr.instances()
 	if len(inst) != 5 { // start, 3×count, merge
 		t.Fatalf("instances = %v", inst)
 	}
@@ -334,11 +334,11 @@ func TestFanoutCompletionProperty(t *testing.T) {
 		for i := range vals {
 			vals[i] = val(int64(i + 1))
 		}
-		if _, _, err := tr.Emit(InstanceKey{Fn: "start"}, "filelist", vals, 0); err != nil {
+		if _, _, err := tr.emit(InstanceKey{Fn: "start"}, "filelist", vals, 0); err != nil {
 			return false
 		}
 		for i := 0; i < k; i++ {
-			_, newly, err := tr.Emit(InstanceKey{Fn: "count", Idx: i}, "result", []Value{val(1)}, 0)
+			_, newly, err := tr.emit(InstanceKey{Fn: "count", Idx: i}, "result", []Value{val(1)}, 0)
 			if err != nil {
 				return false
 			}
@@ -353,7 +353,7 @@ func TestFanoutCompletionProperty(t *testing.T) {
 		if tr.Complete() {
 			return false
 		}
-		if _, _, err := tr.Emit(InstanceKey{Fn: "merge"}, "out", []Value{val(1)}, 0); err != nil {
+		if _, _, err := tr.emit(InstanceKey{Fn: "merge"}, "out", []Value{val(1)}, 0); err != nil {
 			return false
 		}
 		return tr.Complete()

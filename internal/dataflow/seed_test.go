@@ -112,7 +112,7 @@ function tail
 		t.Fatalf("user items = %v, want %v", users, want)
 	}
 	for _, fn := range []string{"src", "p1", "p2", "p3", "gather", "tail"} {
-		if !tr.IsReady(InstanceKey{Fn: fn}) {
+		if !tr.isReadyKey(InstanceKey{Fn: fn}) {
 			t.Fatalf("%s never became ready", fn)
 		}
 	}

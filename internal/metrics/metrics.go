@@ -46,24 +46,6 @@ func (s *Sample) Mean() float64 {
 	return sum / float64(len(s.vals))
 }
 
-// Min returns the smallest observation, or 0 for an empty sample.
-func (s *Sample) Min() float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	s.ensureSorted()
-	return s.vals[0]
-}
-
-// Max returns the largest observation, or 0 for an empty sample.
-func (s *Sample) Max() float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	s.ensureSorted()
-	return s.vals[len(s.vals)-1]
-}
-
 // StdDev returns the population standard deviation, or 0 when fewer than two
 // observations exist.
 func (s *Sample) StdDev() float64 {
@@ -110,46 +92,11 @@ func (s *Sample) P50() float64 { return s.Percentile(50) }
 // P99 returns the 99th percentile.
 func (s *Sample) P99() float64 { return s.Percentile(99) }
 
-// Values returns a copy of all observations, sorted ascending (insertion
-// order is not kept).
-func (s *Sample) Values() []float64 {
-	s.ensureSorted()
-	out := make([]float64, len(s.vals))
-	copy(out, s.vals)
-	return out
-}
-
 func (s *Sample) ensureSorted() {
 	if !s.sorted {
 		sort.Float64s(s.vals)
 		s.sorted = true
 	}
-}
-
-// CDFPoint is one point of a cumulative distribution function.
-type CDFPoint struct {
-	Value    float64 // observation value
-	Fraction float64 // fraction of observations <= Value, in (0,1]
-}
-
-// CDF returns the empirical CDF of the sample.
-func (s *Sample) CDF() []CDFPoint {
-	n := len(s.vals)
-	if n == 0 {
-		return nil
-	}
-	s.ensureSorted()
-	out := make([]CDFPoint, n)
-	for i, v := range s.vals {
-		out[i] = CDFPoint{Value: v, Fraction: float64(i+1) / float64(n)}
-	}
-	return out
-}
-
-// Merge adds all observations of other into s.
-func (s *Sample) Merge(other *Sample) {
-	s.vals = append(s.vals, other.vals...)
-	s.sorted = false
 }
 
 // String summarizes the sample.
@@ -162,11 +109,10 @@ func (s *Sample) String() string {
 // level, e.g. bytes of memory held over time. The result unit is
 // level-unit · seconds (the paper reports GB·s and MB·s).
 type Integral struct {
-	level    float64
-	lastAt   time.Duration
-	total    float64
-	started  bool
-	maxLevel float64
+	level   float64
+	lastAt  time.Duration
+	total   float64
+	started bool
 }
 
 // NewIntegral returns an integral starting at level 0 at time 0.
@@ -177,18 +123,12 @@ func NewIntegral() *Integral { return &Integral{} }
 func (g *Integral) Set(at time.Duration, level float64) {
 	g.advance(at)
 	g.level = level
-	if level > g.maxLevel {
-		g.maxLevel = level
-	}
 }
 
 // AddDelta changes the level by delta at virtual time at.
 func (g *Integral) AddDelta(at time.Duration, delta float64) {
 	g.advance(at)
 	g.level += delta
-	if g.level > g.maxLevel {
-		g.maxLevel = g.level
-	}
 }
 
 func (g *Integral) advance(at time.Duration) {
@@ -203,15 +143,6 @@ func (g *Integral) advance(at time.Duration) {
 	g.total += g.level * (at - g.lastAt).Seconds()
 	g.lastAt = at
 }
-
-// Total returns the integral up to the last Set/AddDelta/Finish call.
-func (g *Integral) Total() float64 { return g.total }
-
-// Level returns the current level.
-func (g *Integral) Level() float64 { return g.level }
-
-// Peak returns the maximum level observed.
-func (g *Integral) Peak() float64 { return g.maxLevel }
 
 // Finish extends the integral to time at without changing the level and
 // returns the total.
@@ -267,38 +198,8 @@ func (t *Timeline) SampleAt(at time.Duration) float64 {
 	return lvl
 }
 
-// MeanBetween returns the time-weighted mean level over [from, to].
-func (t *Timeline) MeanBetween(from, to time.Duration) float64 {
-	if to <= from {
-		return t.SampleAt(from)
-	}
-	total := 0.0
-	cur := t.SampleAt(from)
-	last := from
-	for _, p := range t.points {
-		if p.At <= from {
-			continue
-		}
-		if p.At >= to {
-			break
-		}
-		total += cur * (p.At - last).Seconds()
-		cur = p.Level
-		last = p.At
-	}
-	total += cur * (to - last).Seconds()
-	return total / (to - from).Seconds()
-}
-
-// Bytes helpers for readability in experiment code.
-const (
-	KB int64 = 1 << 10
-	MB int64 = 1 << 20
-	GB int64 = 1 << 30
-)
-
-// BytesToGB converts a byte count to gigabytes (GiB).
-func BytesToGB(b int64) float64 { return float64(b) / float64(GB) }
+// MB is a mebibyte, for readability in experiment code.
+const MB int64 = 1 << 20
 
 // BytesToMB converts a byte count to megabytes (MiB).
 func BytesToMB(b int64) float64 { return float64(b) / float64(MB) }

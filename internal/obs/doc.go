@@ -12,9 +12,7 @@
 // lanes. Histogram applies
 // the same striping to a fixed set of log2-spaced buckets (bucket i counts
 // values v with bits.Len64(v) == i, i.e. v < 2^i), so Observe is two
-// atomic adds and snapshots merge by element-wise addition — associative
-// and commutative, which is what lets per-process snapshots aggregate
-// across a cluster. Gauge is a single atomic (gauges are low-rate).
+// atomic adds. Gauges are pull-time functions (SetGaugeFunc).
 //
 // Reads are torn across lanes: a Snapshot taken during a storm can be
 // momentarily skewed by in-flight deltas. Every consumer tolerates this —

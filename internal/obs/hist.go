@@ -80,42 +80,3 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	}
 	return s
 }
-
-// Merge returns the element-wise sum of s and o. Merging is associative
-// and commutative, so snapshots from different processes (or different
-// times of the same process) aggregate in any grouping.
-func (s HistSnapshot) Merge(o HistSnapshot) HistSnapshot {
-	for i := range s.Counts {
-		s.Counts[i] += o.Counts[i]
-	}
-	s.Sum += o.Sum
-	s.Count += o.Count
-	return s
-}
-
-// Quantile returns the upper bound of the bucket containing the q-th
-// quantile (0 <= q <= 1) — an over-estimate by at most 2x, which is the
-// resolution log2 buckets buy. Returns 0 for an empty snapshot.
-func (s HistSnapshot) Quantile(q float64) int64 {
-	if s.Count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := int64(math.Ceil(q * float64(s.Count)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i := range s.Counts {
-		cum += s.Counts[i]
-		if cum >= rank {
-			return BucketBound(i)
-		}
-	}
-	return BucketBound(HistBuckets - 1)
-}

@@ -44,21 +44,6 @@ func (c *Counter) Load() int64 {
 	return sum
 }
 
-// Gauge is a single settable value. Gauges are low-rate (occupancy,
-// watermarks), so one atomic suffices.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add folds d in.
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
-
 // Registry is a named set of instruments. Lookup is get-or-create under a
 // lock — resolve instruments once at setup time and keep the pointers on
 // the hot path (the obsgate analyzer enforces this in //repolint:hotpath
@@ -67,7 +52,6 @@ func (g *Gauge) Load() int64 { return g.v.Load() }
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	fns      map[string]func() int64
 	hists    map[string]*Histogram
 
@@ -78,7 +62,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
 		fns:      make(map[string]func() int64),
 		hists:    make(map[string]*Histogram),
 	}
@@ -108,23 +91,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = new(Gauge)
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns the named histogram, creating it on first use.
@@ -178,9 +144,7 @@ func (r *Registry) Ring() *SpanRing {
 }
 
 // Snapshot is a point-in-time copy of every instrument. Gauge functions
-// are evaluated into Gauges. Histograms carry full bucket vectors and
-// merge associatively (HistSnapshot.Merge), so per-process snapshots
-// aggregate across a cluster.
+// are evaluated into Gauges. Histograms carry full bucket vectors.
 type Snapshot struct {
 	Counters   map[string]int64        `json:"counters,omitempty"`
 	Gauges     map[string]int64        `json:"gauges,omitempty"`
@@ -193,10 +157,6 @@ func (r *Registry) Snapshot() Snapshot {
 	counters := make(map[string]*Counter, len(r.counters))
 	for name, c := range r.counters {
 		counters[name] = c
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for name, g := range r.gauges {
-		gauges[name] = g
 	}
 	fns := make(map[string]func() int64, len(r.fns))
 	for name, fn := range r.fns {
@@ -213,14 +173,11 @@ func (r *Registry) Snapshot() Snapshot {
 	// inside ours.
 	s := Snapshot{
 		Counters:   make(map[string]int64, len(counters)),
-		Gauges:     make(map[string]int64, len(gauges)+len(fns)),
+		Gauges:     make(map[string]int64, len(fns)),
 		Histograms: make(map[string]HistSnapshot, len(hists)),
 	}
 	for name, c := range counters {
 		s.Counters[name] = c.Load()
-	}
-	for name, g := range gauges {
-		s.Gauges[name] = g.Load()
 	}
 	for name, fn := range fns {
 		s.Gauges[name] = fn()

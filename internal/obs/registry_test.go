@@ -18,12 +18,6 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	if got := r.Counter("a_total").Load(); got != 6 {
 		t.Fatalf("counter = %d, want 6", got)
 	}
-	g := r.Gauge("g")
-	g.Set(7)
-	g.Add(-2)
-	if g.Load() != 5 {
-		t.Fatalf("gauge = %d", g.Load())
-	}
 	if r.Histogram("h") != r.Histogram("h") {
 		t.Fatal("same name, different histograms")
 	}
@@ -87,12 +81,11 @@ func TestCounterConcurrentBalancedAddsCancel(t *testing.T) {
 func TestSnapshotAndGaugeFuncs(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c_total").Add(0, 2)
-	r.Gauge("g").Set(9)
 	r.SetGaugeFunc("fn_g", func() int64 { return 42 })
 	r.Histogram("h_ns").Observe(0, 100)
 
 	s := r.Snapshot()
-	if s.Counters["c_total"] != 2 || s.Gauges["g"] != 9 || s.Gauges["fn_g"] != 42 {
+	if s.Counters["c_total"] != 2 || s.Gauges["fn_g"] != 42 {
 		t.Fatalf("snapshot %+v", s)
 	}
 	if s.Histograms["h_ns"].Count != 1 {
@@ -114,7 +107,7 @@ func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter(`req_total{tenant="a"}`).Add(0, 3)
 	r.Counter(`req_total{tenant="b"}`).Add(0, 4)
-	r.Gauge("mem_bytes").Set(100)
+	r.SetGaugeFunc("mem_bytes", func() int64 { return 100 })
 	h := r.Histogram("lat_ns")
 	h.Observe(0, 1) // bucket 1, le 1
 	h.Observe(0, 3) // bucket 2, le 3

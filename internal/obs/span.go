@@ -146,13 +146,6 @@ func (g *SpanRing) Observe(traceID uint64, reqID string, kind trace.Kind, at tim
 	rec.Record(kind, at, fn, idx)
 }
 
-// Len returns the number of resident records.
-func (g *SpanRing) Len() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.recs)
-}
-
 // Evicted returns how many records were overwritten by newer ones.
 func (g *SpanRing) Evicted() int64 {
 	g.mu.Lock()

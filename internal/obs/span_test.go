@@ -18,12 +18,12 @@ func TestSpanRingEviction(t *testing.T) {
 	}
 	g.Start(id1, "req-1").Record(trace.ReqArrived, 10, "", 0)
 	g.Start(id2, "req-2")
-	if g.Len() != 2 || g.Evicted() != 0 {
-		t.Fatalf("len=%d evicted=%d", g.Len(), g.Evicted())
+	if len(g.recs) != 2 || g.Evicted() != 0 {
+		t.Fatalf("len=%d evicted=%d", len(g.recs), g.Evicted())
 	}
 	g.Start(id3, "req-3")
-	if g.Len() != 2 || g.Evicted() != 1 {
-		t.Fatalf("after eviction: len=%d evicted=%d", g.Len(), g.Evicted())
+	if len(g.recs) != 2 || g.Evicted() != 1 {
+		t.Fatalf("after eviction: len=%d evicted=%d", len(g.recs), g.Evicted())
 	}
 	snap := g.Snapshot()
 	if len(snap) != 2 || snap[0].ReqID != "req-2" || snap[1].ReqID != "req-3" {
@@ -56,8 +56,8 @@ func TestSpanRingObserveMergesById(t *testing.T) {
 	g.Observe(id, "req-9", trace.DataArrived, 100*time.Microsecond, "b", 1)
 	g.Observe(id, "req-9", trace.DataArrived, 200*time.Microsecond, "b", 2)
 	g.Observe(0, "req-9", trace.DataArrived, 1, "b", 0) // unsampled: ignored
-	if g.Len() != 1 {
-		t.Fatalf("len=%d, want 1", g.Len())
+	if len(g.recs) != 1 {
+		t.Fatalf("len=%d, want 1", len(g.recs))
 	}
 	snap := g.Snapshot()
 	if len(snap[0].Stages) != 2 || snap[0].Stages[0].Kind != trace.DataArrived.String() {

@@ -222,21 +222,6 @@ func TestCreditSharedByFIFOTakers(t *testing.T) {
 	<-done
 }
 
-func TestCreditSetRateMidCreditPricesOnlyFutureCharges(t *testing.T) {
-	clk := newLateClock(timerMs)
-	l := NewLimiter(clk, 1e6)       // 1 byte = 1µs
-	clk.run(func() { l.Take(200) }) // wakes 1ms late: 1000µs of credit
-	// Credit is link time, not bytes: at the doubled rate the same
-	// millisecond buys 2000 bytes, and the debt behind it is not repriced.
-	l.SetRate(2e6)
-	mustReturn(t, takeAsync(l, 2000), "charge covered by the credit at the new rate")
-	mustReturn(t, takeAsync(l, 199), "sub-granularity charge at the new rate") // 99.5µs
-	done := takeAsync(l, 1)                                                    // 100µs: parks
-	mustPark(t, clk.Manual, done, "first charge past the credit")
-	mustStep(t, clk)
-	<-done
-}
-
 // TestZeroLatenessMatchesPreCreditLimiter replays a mixed stream on a clock
 // that wakes on time next to a model of the limiter as it was before
 // credit existed (next = max(next, now) + cost; park when the wait reaches

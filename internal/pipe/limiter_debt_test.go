@@ -1,7 +1,6 @@
 package pipe
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -11,9 +10,8 @@ import (
 // These tests pin the Limiter's pacing-debt accumulator at its boundaries
 // (the kernel-TC-granularity semantics): sub-100µs charges accrue in the
 // bucket instead of parking on a timer, long idle forgets unpaid
-// micro-debt, a zero rate never blocks, and a mid-stream SetRate prices
-// future charges without repricing accrued debt. All on the manual clock,
-// so every deadline is asserted exactly.
+// micro-debt, and a zero rate never blocks. All on the manual clock, so
+// every deadline is asserted exactly.
 
 // takeAsync runs l.Take(n) in a goroutine and reports a channel that closes
 // when it returns.
@@ -59,17 +57,9 @@ func TestLimiterZeroRateNeverBlocksOrAccrues(t *testing.T) {
 	clk := clock.NewManual(time.Unix(0, 0))
 	l := NewLimiter(clk, 0)
 	mustReturn(t, takeAsync(l, 1<<30), "unlimited take")
-	// Dropping a shaped limiter's rate to zero stops assessing waits even
-	// with debt on the books.
-	l2 := NewLimiter(clk, 1e6)
-	done := takeAsync(l2, 300) // 300µs charge: parks
-	mustPark(t, clk, done, "shaped take")
-	l2.SetRate(0)
-	clk.Advance(300 * time.Microsecond) // release the parked sleeper
-	<-done
-	mustReturn(t, takeAsync(l2, 1<<30), "take after SetRate(0)")
-	if l2.Rate() != 0 {
-		t.Fatalf("rate = %v, want 0", l2.Rate())
+	mustReturn(t, takeAsync(l, 1<<30), "second unlimited take")
+	if clk.Pending() != 0 || l.Rate() != 0 {
+		t.Fatalf("unlimited limiter left %d sleepers, rate %v", clk.Pending(), l.Rate())
 	}
 }
 
@@ -116,61 +106,4 @@ func TestLimiterLongIdleForgetsMicroDebt(t *testing.T) {
 	}
 	clk.Advance(2 * time.Microsecond)
 	<-done
-}
-
-func TestLimiterSetRateMidStream(t *testing.T) {
-	clk := clock.NewManual(time.Unix(0, 0))
-	l := NewLimiter(clk, 1e6)
-	// First charge priced at 1 MB/s: 200 bytes = 200µs.
-	done := takeAsync(l, 200)
-	mustPark(t, clk, done, "pre-change charge")
-	clk.Advance(200 * time.Microsecond)
-	<-done
-	// Re-shape to 2 MB/s mid-stream: the same 200 bytes now cost 100µs,
-	// stacked on the (already paid) old-rate debt.
-	l.SetRate(2e6)
-	if l.Rate() != 2e6 {
-		t.Fatalf("rate = %v, want 2e6", l.Rate())
-	}
-	done = takeAsync(l, 200)
-	mustPark(t, clk, done, "post-change charge")
-	clk.Advance(99 * time.Microsecond)
-	select {
-	case <-done:
-		t.Fatal("post-change charge still priced at the old rate (woke early)")
-	default:
-	}
-	clk.Advance(2 * time.Microsecond)
-	<-done
-	// Sub-granularity semantics follow the new rate too: at 2 MB/s, 199
-	// bytes are 99.5µs — still under the granularity, no park.
-	mustReturn(t, takeAsync(l, 199), "post-change sub-granularity charge")
-}
-
-// TestLimiterSetRateConcurrentWithTake lets the race detector chew on
-// SetRate racing the lock-free fast path and the charging slow path.
-func TestLimiterSetRateConcurrentWithTake(t *testing.T) {
-	l := NewLimiter(clock.NewWall(), 1e12) // fast enough to never park long
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					l.Take(1 << 20)
-				}
-			}
-		}()
-	}
-	for i := 0; i < 2000; i++ {
-		l.SetRate(float64(1e9 + i*1e6))
-	}
-	l.SetRate(0)
-	close(stop)
-	wg.Wait()
 }

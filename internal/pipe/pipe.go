@@ -7,9 +7,9 @@
 //   - Local pipe: source and destination functions share a node; the data is
 //     pumped straight into the local data sink with no network shaping.
 //   - Streaming pipe: cross-node transfers are chunked; every chunk passes
-//     the source container's bandwidth limiter (Linux TC stand-in) and the
-//     destination node's limiter, and advances an incremental checkpoint so
-//     failed transfers can be resumed or ReDone from the last good offset.
+//     the source container's bandwidth limiter (Linux TC stand-in) and
+//     advances an incremental checkpoint so failed transfers can be resumed
+//     or ReDone from the last good offset.
 //   - Socket fast path: payloads at or below SmallDataThreshold (16 KB) skip
 //     the chunking machinery and travel as a single message.
 //
@@ -50,9 +50,7 @@ package pipe
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
@@ -70,10 +68,7 @@ var ErrInjectedFailure = errors.New("pipe: injected transfer failure")
 
 // Limiter paces bytes at a configured rate (a fluid token bucket):
 // concurrent takers queue in FIFO arrival order, like flows sharing a TC
-// class. A nil *Limiter is valid and imposes no limit. The rate may be
-// changed mid-stream with SetRate (a TC class re-shape): debt already
-// folded into the bucket keeps its old price, future charges pay the new
-// one.
+// class. A nil *Limiter is valid and imposes no limit.
 //
 // Pacing is by deadline, not by sleep: the bucket deadline (next) advances
 // by exactly bytes/rate per charge, and a taker parks until that deadline.
@@ -90,7 +85,7 @@ var ErrInjectedFailure = errors.New("pipe: injected transfer failure")
 type Limiter struct {
 	mu   sync.Mutex
 	clk  clock.Clock
-	rate atomic.Uint64 // math.Float64bits(bytes per second)
+	rate float64 // bytes per second; fixed at NewLimiter
 	// next is the bucket deadline: the instant the bytes charged so far
 	// have drained at the configured rate.
 	next time.Time
@@ -102,9 +97,7 @@ type Limiter struct {
 // NewLimiter returns a limiter enforcing bytesPerSec on clk. A
 // non-positive rate means unlimited.
 func NewLimiter(clk clock.Clock, bytesPerSec float64) *Limiter {
-	l := &Limiter{clk: clk}
-	l.rate.Store(math.Float64bits(bytesPerSec))
-	return l
+	return &Limiter{clk: clk, rate: bytesPerSec}
 }
 
 // Rate returns the configured rate in bytes/second (<=0 unlimited).
@@ -112,16 +105,7 @@ func (l *Limiter) Rate() float64 {
 	if l == nil {
 		return 0
 	}
-	return math.Float64frombits(l.rate.Load())
-}
-
-// SetRate re-shapes the limiter to bytesPerSec (<= 0 unlimited) for future
-// Takes. Accrued pacing debt is preserved, not repriced: bytes charged
-// before the change keep the wait they were already assessed, and a rate
-// drop to zero simply stops assessing new waits (a pending sub-granularity
-// debt is never paid). Safe concurrently with Take.
-func (l *Limiter) SetRate(bytesPerSec float64) {
-	l.rate.Store(math.Float64bits(bytesPerSec))
+	return l.rate
 }
 
 // limiterGranularity is the smallest wait a charge actually sleeps. Shorter
@@ -171,16 +155,13 @@ func (l *Limiter) TakeNAt(count int, n int64, at time.Time) time.Duration {
 	if l == nil || count <= 0 || n <= 0 {
 		return 0
 	}
-	rate := l.Rate()
-	if rate <= 0 {
+	if l.rate <= 0 {
 		return 0
 	}
 	// A charge that rounds to less than one nanosecond cannot advance the
 	// bucket (the duration truncates to zero in charge), so skip the lock
-	// and clock read entirely. The rate is re-read under the lock: a racing
-	// SetRate may price this charge at either rate, but never corrupts the
-	// bucket.
-	if float64(n)*float64(time.Second) < rate {
+	// and clock read entirely.
+	if float64(n)*float64(time.Second) < l.rate {
 		return 0
 	}
 	return l.charge(n, at)
@@ -188,16 +169,11 @@ func (l *Limiter) TakeNAt(count int, n int64, at time.Time) time.Duration {
 
 // charge folds n bytes of debt into the bucket and parks until the bucket
 // deadline once the accumulated wait crosses the granularity, returning the
-// time it was parked. The rate is re-read under the lock (see TakeN). now is
-// at only when the charge cannot park from there (TakeNAt).
+// time it was parked. now is at only when the charge cannot park from there
+// (TakeNAt).
 func (l *Limiter) charge(n int64, at time.Time) time.Duration {
+	cost := time.Duration(float64(n) / l.rate * float64(time.Second))
 	l.mu.Lock()
-	rate := l.Rate()
-	if rate <= 0 {
-		l.mu.Unlock()
-		return 0
-	}
-	cost := time.Duration(float64(n) / rate * float64(time.Second))
 	now := at
 	if at.IsZero() || l.woke.After(l.next) || max(l.next.Sub(at), 0)+cost >= limiterGranularity {
 		now = l.clk.Now()
@@ -277,13 +253,6 @@ func (c *CheckpointLog) Clear(streamID string) {
 	delete(c.last, streamID)
 }
 
-// Len returns the number of streams with recorded checkpoints.
-func (c *CheckpointLog) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.last)
-}
-
 // Transfer is one source-to-destination data movement.
 type Transfer struct {
 	// StreamID names the stream for checkpointing (Kafka topic+partition
@@ -293,18 +262,15 @@ type Transfer struct {
 	Payload []byte
 	// ChunkSize overrides DefaultChunkSize when > 0.
 	ChunkSize int
-	// Limiters are applied to every chunk in order (source container TC
-	// class, then destination node NIC). Nil entries are skipped.
+	// Limiters are applied to every chunk in order (the engine passes the
+	// source container's TC class). Nil entries are skipped.
 	Limiters []*Limiter
-	// Latency is a fixed per-transfer latency applied before the first byte
-	// (connection setup / broker hop).
-	Latency time.Duration
 	// Log receives incremental checkpoints after every chunk; nil disables.
 	Log *CheckpointLog
 	// FailAfter injects a failure once at least FailAfter bytes have been
 	// sent; negative disables injection.
 	FailAfter int64
-	// Clock paces Latency; defaults to the wall clock.
+	// Clock stamps checkpoints; defaults to the wall clock.
 	Clock clock.Clock
 }
 
@@ -325,9 +291,6 @@ func (t *Transfer) Run(fromOffset int64, deliver Deliver) (int64, error) {
 	}
 	if fromOffset < 0 || fromOffset > int64(len(t.Payload)) {
 		return 0, fmt.Errorf("pipe: resume offset %d out of range [0,%d]", fromOffset, len(t.Payload))
-	}
-	if t.Latency > 0 {
-		clk.Sleep(t.Latency)
 	}
 	total := int64(len(t.Payload))
 	// Socket fast path for small data: one message, no chunking, no
@@ -369,19 +332,6 @@ func (t *Transfer) Run(fromOffset int64, deliver Deliver) (int64, error) {
 		}
 	}
 	return sent, nil
-}
-
-// RunAll is Run from offset 0 collecting the whole payload into a buffer and
-// returning it; convenient for local pipes and tests.
-func (t *Transfer) RunAll() ([]byte, error) {
-	buf := make([]byte, len(t.Payload))
-	_, err := t.Run(0, func(off int64, chunk []byte, _ int64) {
-		copy(buf[off:], chunk)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return buf, nil
 }
 
 // Resume continues a failed transfer from its last checkpoint. It returns

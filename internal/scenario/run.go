@@ -123,31 +123,3 @@ func workers(cfg *simcluster.Config) int {
 	}
 	return 3
 }
-
-// RunFile loads, validates and runs one scenario file.
-func RunFile(path string) (*Report, error) {
-	sp, err := Load(path)
-	if err != nil {
-		return nil, err
-	}
-	return Run(sp, path)
-}
-
-// RunFiles runs the files in order into one Suite. A scenario that fails
-// to load or compile aborts the suite (broken files are bugs, not
-// assertion failures); assertion failures mark the suite failed but every
-// scenario still runs.
-func RunFiles(paths []string) (*Suite, error) {
-	suite := &Suite{Pass: true}
-	for _, p := range paths {
-		rep, err := RunFile(p)
-		if err != nil {
-			return nil, err
-		}
-		if !rep.Pass {
-			suite.Pass = false
-		}
-		suite.Scenarios = append(suite.Scenarios, rep)
-	}
-	return suite, nil
-}

@@ -11,7 +11,7 @@ func BenchmarkEventThroughput(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e := NewEnv(1)
-		e.Go("p", func(p *Proc) {
+		e.Go(func(p *Proc) {
 			for j := 0; j < 1000; j++ {
 				p.Sleep(time.Millisecond)
 			}
@@ -26,34 +26,16 @@ func BenchmarkQueueHandoff(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := NewEnv(1)
 		q := NewQueue(e, 0)
-		e.Go("prod", func(p *Proc) {
+		e.Go(func(p *Proc) {
 			for j := 0; j < 1000; j++ {
-				p.Put(q, j)
+				q.TryPut(j)
 			}
 		})
-		e.Go("cons", func(p *Proc) {
+		e.Go(func(p *Proc) {
 			for j := 0; j < 1000; j++ {
 				p.Get(q)
 			}
 		})
-		e.Run()
-	}
-}
-
-// BenchmarkResourceContention measures semaphore queueing with many
-// processes.
-func BenchmarkResourceContention(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e := NewEnv(1)
-		r := NewResource(e, 4)
-		for j := 0; j < 100; j++ {
-			e.Go("w", func(p *Proc) {
-				p.Acquire(r, 1)
-				p.Sleep(time.Microsecond)
-				r.Release(1)
-			})
-		}
 		e.Run()
 	}
 }

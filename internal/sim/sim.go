@@ -6,8 +6,8 @@
 // run in schedule order.
 //
 // The kernel provides virtual time (Env.Now), process spawning (Env.Go),
-// sleeping (Proc.Sleep), one-shot events (Event), FIFO queues (Queue) and
-// counting resources (Resource). The cluster simulation in
+// sleeping (Proc.Sleep), one-shot events (Event) and FIFO queues (Queue).
+// The cluster simulation in
 // internal/simcluster is built entirely on these primitives.
 //
 // Usage rules: after Env.Run* is called, the environment must only be
@@ -17,7 +17,6 @@ package sim
 
 import (
 	"container/heap"
-	"fmt"
 	"math/rand"
 	"time"
 )
@@ -28,8 +27,6 @@ type Env struct {
 	eq      eventHeap
 	seq     int64
 	yieldCh chan struct{}
-	live    int   // live (spawned, not yet finished) processes
-	spawned int64 // total processes ever spawned
 	rng     *rand.Rand
 }
 
@@ -48,10 +45,6 @@ func (e *Env) Now() time.Duration { return e.now }
 // Rand returns the environment's deterministic random source. Must only be
 // used from process context (single-threaded by construction).
 func (e *Env) Rand() *rand.Rand { return e.rng }
-
-// LiveProcs returns the number of spawned processes that have not finished.
-// Useful for detecting stuck simulations in tests.
-func (e *Env) LiveProcs() int { return e.live }
 
 // schedule enqueues fn to run at virtual time at (clamped to now).
 func (e *Env) schedule(at time.Duration, fn func()) {
@@ -73,18 +66,11 @@ func (e *Env) ScheduleAt(at time.Duration, fn func()) {
 // Go spawns a process executing fn. The process starts at the current
 // virtual time once the kernel reaches its start event. Go may be called
 // before Run or from inside another process.
-func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
-	e.spawned++
-	p := &Proc{
-		env:  e,
-		name: fmt.Sprintf("%s#%d", name, e.spawned),
-		wake: make(chan any),
-	}
-	e.live++
+func (e *Env) Go(fn func(p *Proc)) *Proc {
+	p := &Proc{env: e, wake: make(chan any)}
 	e.schedule(e.now, func() {
 		go func() {
 			fn(p)
-			p.env.live--
 			p.dead = true
 			p.env.yieldCh <- struct{}{}
 		}()
@@ -163,16 +149,9 @@ func (h *eventHeap) Pop() any {
 // process's own goroutine.
 type Proc struct {
 	env  *Env
-	name string
 	wake chan any
 	dead bool
 }
-
-// Name returns the process name (unique per environment).
-func (p *Proc) Name() string { return p.name }
-
-// Env returns the owning environment.
-func (p *Proc) Env() *Env { return p.env }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.env.now }
@@ -195,8 +174,8 @@ func (p *Proc) Sleep(d time.Duration) {
 }
 
 // waitReg is a registration of a waiting process. done guards against
-// double resume when the process is registered with several wakers (WaitAny,
-// timeouts); wrap transforms the delivered value before resuming.
+// double resume when the process is registered with several wakers (a
+// getter and its timeout); wrap transforms the delivered value before resuming.
 type waitReg struct {
 	p    *Proc
 	done *bool
@@ -233,9 +212,6 @@ func NewEvent(env *Env) *Event { return &Event{env: env} }
 // Triggered reports whether the event has fired.
 func (ev *Event) Triggered() bool { return ev.triggered }
 
-// Value returns the value the event was triggered with (nil before trigger).
-func (ev *Event) Value() any { return ev.val }
-
 // Trigger fires the event with value v, waking all waiters. Subsequent
 // triggers are no-ops.
 func (ev *Event) Trigger(v any) {
@@ -267,56 +243,6 @@ func (p *Proc) Wait(ev *Event) any {
 	return p.yield()
 }
 
-// anyResult is the value delivered by WaitAny and WaitTimeout internally.
-type anyResult struct {
-	idx int
-	val any
-}
-
-// WaitAny blocks until one of the events fires; it returns the index of the
-// event that fired first and its value. If several are already triggered,
-// the lowest index wins.
-func (p *Proc) WaitAny(evs ...*Event) (int, any) {
-	if len(evs) == 0 {
-		panic("sim: WaitAny with no events")
-	}
-	done := false
-	for i, ev := range evs {
-		i := i
-		ev.register(&waitReg{p: p, done: &done, wrap: func(v any) any {
-			return anyResult{idx: i, val: v}
-		}})
-		if done && ev.triggered {
-			// Registered on an already-triggered event: the resume is
-			// scheduled; stop registering further waiters.
-			break
-		}
-	}
-	r := p.yield().(anyResult)
-	return r.idx, r.val
-}
-
-// WaitTimeout waits for ev at most d of virtual time. It returns the event
-// value and true if the event fired, or (nil, false) on timeout.
-func (p *Proc) WaitTimeout(ev *Event, d time.Duration) (any, bool) {
-	done := false
-	ev.register(&waitReg{p: p, done: &done, wrap: func(v any) any {
-		return anyResult{idx: 0, val: v}
-	}})
-	if !done {
-		e := p.env
-		timeoutReg := &waitReg{p: p, done: &done, wrap: func(any) any {
-			return anyResult{idx: -1}
-		}}
-		e.schedule(e.now+d, func() { timeoutReg.fire(nil) })
-	}
-	r := p.yield().(anyResult)
-	if r.idx == -1 {
-		return nil, false
-	}
-	return r.val, true
-}
-
 // Queue is an unbounded-or-bounded FIFO channel between processes.
 // Cap <= 0 means unbounded.
 type Queue struct {
@@ -324,13 +250,7 @@ type Queue struct {
 	cap     int
 	items   []any
 	getters []*waitReg
-	putters []*pendingPut
 	closed  bool
-}
-
-type pendingPut struct {
-	reg  *waitReg
-	item any
 }
 
 // NewQueue returns a queue with the given capacity (<= 0 for unbounded).
@@ -341,11 +261,8 @@ func NewQueue(env *Env, capacity int) *Queue {
 // Len returns the number of buffered items.
 func (q *Queue) Len() int { return len(q.items) }
 
-// Closed reports whether Close has been called.
-func (q *Queue) Closed() bool { return q.closed }
-
 // Close marks the queue closed: blocked and future Get calls return
-// (nil, false) once the buffer drains; Put on a closed queue panics.
+// (nil, false) once the buffer drains; TryPut on a closed queue panics.
 func (q *Queue) Close() {
 	if q.closed {
 		return
@@ -369,7 +286,7 @@ type getResult struct {
 // at capacity.
 func (q *Queue) TryPut(item any) bool {
 	if q.closed {
-		panic("sim: Put on closed Queue")
+		panic("sim: TryPut on closed Queue")
 	}
 	// Hand directly to a waiting getter if any.
 	for len(q.getters) > 0 {
@@ -386,19 +303,6 @@ func (q *Queue) TryPut(item any) bool {
 	return true
 }
 
-// Put inserts item, blocking the calling process while the queue is full.
-func (p *Proc) Put(q *Queue, item any) {
-	if q.TryPut(item) {
-		return
-	}
-	done := false
-	q.putters = append(q.putters, &pendingPut{
-		reg:  &waitReg{p: p, done: &done},
-		item: item,
-	})
-	p.yield()
-}
-
 // TryGet removes and returns the head item without blocking.
 func (q *Queue) TryGet() (any, bool) {
 	if len(q.items) == 0 {
@@ -406,19 +310,7 @@ func (q *Queue) TryGet() (any, bool) {
 	}
 	it := q.items[0]
 	q.items = q.items[1:]
-	q.admitPutter()
 	return it, true
-}
-
-// admitPutter moves one blocked putter's item into the buffer.
-func (q *Queue) admitPutter() {
-	for len(q.putters) > 0 && (q.cap <= 0 || len(q.items) < q.cap) {
-		pp := q.putters[0]
-		q.putters = q.putters[1:]
-		if pp.reg.fire(nil) {
-			q.items = append(q.items, pp.item)
-		}
-	}
 }
 
 // Get removes and returns the head item, blocking while the queue is empty.
@@ -460,78 +352,4 @@ func (p *Proc) GetTimeout(q *Queue, d time.Duration) (item any, ok bool, timedOu
 		return nil, false, true
 	}
 	return r.item, r.ok, false
-}
-
-// Resource is a counting semaphore with FIFO waiters.
-type Resource struct {
-	env      *Env
-	capacity int
-	inUse    int
-	waiters  []*pendingAcq
-}
-
-type pendingAcq struct {
-	reg *waitReg
-	n   int
-}
-
-// NewResource returns a resource with the given capacity.
-func NewResource(env *Env, capacity int) *Resource {
-	if capacity <= 0 {
-		panic("sim: Resource capacity must be positive")
-	}
-	return &Resource{env: env, capacity: capacity}
-}
-
-// InUse returns the number of units currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
-// Capacity returns the total units.
-func (r *Resource) Capacity() int { return r.capacity }
-
-// Available returns capacity minus in-use units.
-func (r *Resource) Available() int { return r.capacity - r.inUse }
-
-// TryAcquire takes n units without blocking, reporting success. Acquisition
-// is FIFO: it fails if earlier acquirers are still waiting.
-func (r *Resource) TryAcquire(n int) bool {
-	if n > r.capacity {
-		panic("sim: acquire exceeds capacity")
-	}
-	if len(r.waiters) > 0 || r.inUse+n > r.capacity {
-		return false
-	}
-	r.inUse += n
-	return true
-}
-
-// Acquire takes n units, blocking the process until available.
-func (p *Proc) Acquire(r *Resource, n int) {
-	if r.TryAcquire(n) {
-		return
-	}
-	done := false
-	r.waiters = append(r.waiters, &pendingAcq{
-		reg: &waitReg{p: p, done: &done},
-		n:   n,
-	})
-	p.yield()
-}
-
-// Release returns n units and admits blocked acquirers in FIFO order.
-func (r *Resource) Release(n int) {
-	r.inUse -= n
-	if r.inUse < 0 {
-		panic("sim: Release below zero")
-	}
-	for len(r.waiters) > 0 {
-		w := r.waiters[0]
-		if r.inUse+w.n > r.capacity {
-			break
-		}
-		r.waiters = r.waiters[1:]
-		if w.reg.fire(nil) {
-			r.inUse += w.n
-		}
-	}
 }

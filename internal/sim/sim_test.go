@@ -9,7 +9,7 @@ import (
 func TestSleepAdvancesVirtualTime(t *testing.T) {
 	e := NewEnv(1)
 	var woke time.Duration
-	e.Go("sleeper", func(p *Proc) {
+	e.Go(func(p *Proc) {
 		p.Sleep(5 * time.Second)
 		woke = p.Now()
 	})
@@ -24,7 +24,7 @@ func TestSleepAdvancesVirtualTime(t *testing.T) {
 
 func TestNegativeSleepIsImmediate(t *testing.T) {
 	e := NewEnv(1)
-	e.Go("p", func(p *Proc) { p.Sleep(-time.Second) })
+	e.Go(func(p *Proc) { p.Sleep(-time.Second) })
 	if end := e.Run(); end != 0 {
 		t.Fatalf("ended at %v, want 0", end)
 	}
@@ -36,7 +36,7 @@ func TestDeterministicOrderingAtSameTime(t *testing.T) {
 		var order []int
 		for i := 0; i < 10; i++ {
 			i := i
-			e.Go("p", func(p *Proc) {
+			e.Go(func(p *Proc) {
 				p.Sleep(time.Second)
 				order = append(order, i)
 			})
@@ -58,9 +58,9 @@ func TestDeterministicOrderingAtSameTime(t *testing.T) {
 func TestGoFromInsideProcess(t *testing.T) {
 	e := NewEnv(1)
 	var childRan bool
-	e.Go("parent", func(p *Proc) {
+	e.Go(func(p *Proc) {
 		p.Sleep(time.Second)
-		e.Go("child", func(c *Proc) {
+		e.Go(func(c *Proc) {
 			c.Sleep(time.Second)
 			childRan = true
 		})
@@ -79,11 +79,11 @@ func TestEventWaitAndTrigger(t *testing.T) {
 	ev := NewEvent(e)
 	var got any
 	var at time.Duration
-	e.Go("waiter", func(p *Proc) {
+	e.Go(func(p *Proc) {
 		got = p.Wait(ev)
 		at = p.Now()
 	})
-	e.Go("trigger", func(p *Proc) {
+	e.Go(func(p *Proc) {
 		p.Sleep(3 * time.Second)
 		ev.Trigger("hello")
 	})
@@ -98,12 +98,12 @@ func TestEventAlreadyTriggered(t *testing.T) {
 	ev := NewEvent(e)
 	ev.Trigger(42)
 	var got any
-	e.Go("waiter", func(p *Proc) { got = p.Wait(ev) })
+	e.Go(func(p *Proc) { got = p.Wait(ev) })
 	e.Run()
 	if got != 42 {
 		t.Fatalf("got %v, want 42", got)
 	}
-	if !ev.Triggered() || ev.Value() != 42 {
+	if !ev.Triggered() {
 		t.Fatal("event state wrong")
 	}
 }
@@ -113,8 +113,11 @@ func TestEventDoubleTriggerKeepsFirstValue(t *testing.T) {
 	ev := NewEvent(e)
 	ev.Trigger(1)
 	ev.Trigger(2)
-	if ev.Value() != 1 {
-		t.Fatalf("value = %v, want 1", ev.Value())
+	var got any
+	e.Go(func(p *Proc) { got = p.Wait(ev) })
+	e.Run()
+	if got != 1 {
+		t.Fatalf("value = %v, want 1", got)
 	}
 }
 
@@ -123,12 +126,12 @@ func TestEventManyWaiters(t *testing.T) {
 	ev := NewEvent(e)
 	count := 0
 	for i := 0; i < 20; i++ {
-		e.Go("w", func(p *Proc) {
+		e.Go(func(p *Proc) {
 			p.Wait(ev)
 			count++
 		})
 	}
-	e.Go("t", func(p *Proc) {
+	e.Go(func(p *Proc) {
 		p.Sleep(time.Second)
 		ev.Trigger(nil)
 	})
@@ -138,84 +141,17 @@ func TestEventManyWaiters(t *testing.T) {
 	}
 }
 
-func TestWaitAnyFirstWins(t *testing.T) {
-	e := NewEnv(1)
-	a, b := NewEvent(e), NewEvent(e)
-	var idx int
-	var val any
-	e.Go("waiter", func(p *Proc) { idx, val = p.WaitAny(a, b) })
-	e.Go("tb", func(p *Proc) { p.Sleep(time.Second); b.Trigger("b") })
-	e.Go("ta", func(p *Proc) { p.Sleep(2 * time.Second); a.Trigger("a") })
-	e.Run()
-	if idx != 1 || val != "b" {
-		t.Fatalf("idx=%d val=%v, want 1/b", idx, val)
-	}
-}
-
-func TestWaitAnyAlreadyTriggeredLowestIndex(t *testing.T) {
-	e := NewEnv(1)
-	a, b := NewEvent(e), NewEvent(e)
-	a.Trigger("a")
-	b.Trigger("b")
-	var idx int
-	e.Go("waiter", func(p *Proc) { idx, _ = p.WaitAny(a, b) })
-	e.Run()
-	if idx != 0 {
-		t.Fatalf("idx = %d, want 0", idx)
-	}
-}
-
-func TestWaitTimeoutFires(t *testing.T) {
-	e := NewEnv(1)
-	ev := NewEvent(e)
-	var ok bool
-	var at time.Duration
-	e.Go("waiter", func(p *Proc) {
-		_, ok = p.WaitTimeout(ev, time.Second)
-		at = p.Now()
-	})
-	e.Run()
-	if ok || at != time.Second {
-		t.Fatalf("ok=%v at=%v, want timeout at 1s", ok, at)
-	}
-}
-
-func TestWaitTimeoutEventWins(t *testing.T) {
-	e := NewEnv(1)
-	ev := NewEvent(e)
-	var ok bool
-	var got any
-	e.Go("waiter", func(p *Proc) { got, ok = p.WaitTimeout(ev, 10*time.Second) })
-	e.Go("t", func(p *Proc) { p.Sleep(time.Second); ev.Trigger("x") })
-	e.Run()
-	if !ok || got != "x" {
-		t.Fatalf("ok=%v got=%v", ok, got)
-	}
-}
-
-func TestWaitTimeoutAlreadyTriggered(t *testing.T) {
-	e := NewEnv(1)
-	ev := NewEvent(e)
-	ev.Trigger("now")
-	var ok bool
-	e.Go("waiter", func(p *Proc) { _, ok = p.WaitTimeout(ev, time.Second) })
-	e.Run()
-	if !ok {
-		t.Fatal("should have returned triggered value")
-	}
-}
-
 func TestQueueFIFO(t *testing.T) {
 	e := NewEnv(1)
 	q := NewQueue(e, 0)
 	var got []int
-	e.Go("producer", func(p *Proc) {
+	e.Go(func(p *Proc) {
 		for i := 0; i < 5; i++ {
-			p.Put(q, i)
+			q.TryPut(i)
 			p.Sleep(time.Millisecond)
 		}
 	})
-	e.Go("consumer", func(p *Proc) {
+	e.Go(func(p *Proc) {
 		for i := 0; i < 5; i++ {
 			v, ok := p.Get(q)
 			if !ok {
@@ -240,40 +176,17 @@ func TestQueueBlockingGet(t *testing.T) {
 	e := NewEnv(1)
 	q := NewQueue(e, 0)
 	var at time.Duration
-	e.Go("consumer", func(p *Proc) {
+	e.Go(func(p *Proc) {
 		p.Get(q)
 		at = p.Now()
 	})
-	e.Go("producer", func(p *Proc) {
+	e.Go(func(p *Proc) {
 		p.Sleep(4 * time.Second)
-		p.Put(q, 1)
+		q.TryPut(1)
 	})
 	e.Run()
 	if at != 4*time.Second {
 		t.Fatalf("consumer resumed at %v", at)
-	}
-}
-
-func TestQueueCapacityBlocksPut(t *testing.T) {
-	e := NewEnv(1)
-	q := NewQueue(e, 2)
-	var putDone time.Duration
-	e.Go("producer", func(p *Proc) {
-		p.Put(q, 1)
-		p.Put(q, 2)
-		p.Put(q, 3) // blocks until consumer takes one
-		putDone = p.Now()
-	})
-	e.Go("consumer", func(p *Proc) {
-		p.Sleep(5 * time.Second)
-		p.Get(q)
-	})
-	e.Run()
-	if putDone != 5*time.Second {
-		t.Fatalf("third Put completed at %v, want 5s", putDone)
-	}
-	if q.Len() != 2 {
-		t.Fatalf("queue len = %d, want 2", q.Len())
 	}
 }
 
@@ -299,17 +212,14 @@ func TestQueueCloseWakesGetters(t *testing.T) {
 	e := NewEnv(1)
 	q := NewQueue(e, 0)
 	var ok bool = true
-	e.Go("consumer", func(p *Proc) { _, ok = p.Get(q) })
-	e.Go("closer", func(p *Proc) {
+	e.Go(func(p *Proc) { _, ok = p.Get(q) })
+	e.Go(func(p *Proc) {
 		p.Sleep(time.Second)
 		q.Close()
 	})
 	e.Run()
 	if ok {
 		t.Fatal("Get on closed queue should return ok=false")
-	}
-	if !q.Closed() {
-		t.Fatal("queue should report closed")
 	}
 }
 
@@ -318,7 +228,7 @@ func TestQueueGetTimeout(t *testing.T) {
 	q := NewQueue(e, 0)
 	var timedOut bool
 	var at time.Duration
-	e.Go("consumer", func(p *Proc) {
+	e.Go(func(p *Proc) {
 		_, _, timedOut = p.GetTimeout(q, 2*time.Second)
 		at = p.Now()
 	})
@@ -333,8 +243,8 @@ func TestQueueGetTimeoutItemWins(t *testing.T) {
 	q := NewQueue(e, 0)
 	var item any
 	var timedOut bool
-	e.Go("consumer", func(p *Proc) { item, _, timedOut = p.GetTimeout(q, 10*time.Second) })
-	e.Go("producer", func(p *Proc) { p.Sleep(time.Second); p.Put(q, "v") })
+	e.Go(func(p *Proc) { item, _, timedOut = p.GetTimeout(q, 10*time.Second) })
+	e.Go(func(p *Proc) { p.Sleep(time.Second); q.TryPut("v") })
 	e.Run()
 	if timedOut || item != "v" {
 		t.Fatalf("timedOut=%v item=%v", timedOut, item)
@@ -345,8 +255,8 @@ func TestQueueHandoffToWaitingGetter(t *testing.T) {
 	e := NewEnv(1)
 	q := NewQueue(e, 1)
 	var got any
-	e.Go("consumer", func(p *Proc) { got, _ = p.Get(q) })
-	e.Go("producer", func(p *Proc) {
+	e.Go(func(p *Proc) { got, _ = p.Get(q) })
+	e.Go(func(p *Proc) {
 		p.Sleep(time.Second)
 		if !q.TryPut("direct") {
 			t.Error("TryPut failed with waiting getter")
@@ -361,85 +271,10 @@ func TestQueueHandoffToWaitingGetter(t *testing.T) {
 	}
 }
 
-func TestResourceMutualExclusion(t *testing.T) {
-	e := NewEnv(1)
-	r := NewResource(e, 1)
-	var order []string
-	hold := func(name string, d time.Duration) func(p *Proc) {
-		return func(p *Proc) {
-			p.Acquire(r, 1)
-			order = append(order, name+"+")
-			p.Sleep(d)
-			order = append(order, name+"-")
-			r.Release(1)
-		}
-	}
-	e.Go("a", hold("a", 2*time.Second))
-	e.Go("b", hold("b", time.Second))
-	e.Run()
-	want := []string{"a+", "a-", "b+", "b-"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-}
-
-func TestResourceCountingAndFIFO(t *testing.T) {
-	e := NewEnv(1)
-	r := NewResource(e, 3)
-	var acquired []int
-	for i := 0; i < 5; i++ {
-		i := i
-		e.Go("w", func(p *Proc) {
-			p.Acquire(r, 2)
-			acquired = append(acquired, i)
-			p.Sleep(time.Second)
-			r.Release(2)
-		})
-	}
-	e.Run()
-	// Capacity 3, each takes 2 -> strictly serialized, FIFO order.
-	for i, v := range acquired {
-		if v != i {
-			t.Fatalf("FIFO violated: %v", acquired)
-		}
-	}
-	if r.InUse() != 0 {
-		t.Fatalf("in use = %d at end", r.InUse())
-	}
-}
-
-func TestResourceTryAcquire(t *testing.T) {
-	e := NewEnv(1)
-	r := NewResource(e, 2)
-	if !r.TryAcquire(2) {
-		t.Fatal("TryAcquire failed on free resource")
-	}
-	if r.TryAcquire(1) {
-		t.Fatal("TryAcquire succeeded beyond capacity")
-	}
-	r.Release(2)
-	if r.Available() != 2 {
-		t.Fatalf("available = %d", r.Available())
-	}
-}
-
-func TestResourceReleasePanicsBelowZero(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	e := NewEnv(1)
-	r := NewResource(e, 1)
-	r.Release(1)
-}
-
 func TestRunUntilStopsAtDeadline(t *testing.T) {
 	e := NewEnv(1)
 	var lateRan bool
-	e.Go("late", func(p *Proc) {
+	e.Go(func(p *Proc) {
 		p.Sleep(10 * time.Second)
 		lateRan = true
 	})
@@ -456,24 +291,11 @@ func TestRunUntilStopsAtDeadline(t *testing.T) {
 	}
 }
 
-func TestLiveProcsTracking(t *testing.T) {
-	e := NewEnv(1)
-	e.Go("a", func(p *Proc) { p.Sleep(time.Second) })
-	e.Go("b", func(p *Proc) { p.Sleep(2 * time.Second) })
-	if e.LiveProcs() != 2 {
-		t.Fatalf("live = %d before run", e.LiveProcs())
-	}
-	e.Run()
-	if e.LiveProcs() != 0 {
-		t.Fatalf("live = %d after run", e.LiveProcs())
-	}
-}
-
 func TestRandDeterminism(t *testing.T) {
 	seq := func(seed int64) []int64 {
 		e := NewEnv(seed)
 		var out []int64
-		e.Go("p", func(p *Proc) {
+		e.Go(func(p *Proc) {
 			for i := 0; i < 5; i++ {
 				out = append(out, e.Rand().Int63())
 			}
@@ -512,7 +334,7 @@ func TestSleepProperty(t *testing.T) {
 			if d > max {
 				max = d
 			}
-			e.Go("p", func(p *Proc) {
+			e.Go(func(p *Proc) {
 				p.Sleep(d)
 				woke[i] = p.Now()
 			})
@@ -540,12 +362,12 @@ func TestQueueFIFOProperty(t *testing.T) {
 		q := NewQueue(e, 0)
 		count := int(n%64) + 1
 		var got []int
-		e.Go("prod", func(p *Proc) {
+		e.Go(func(p *Proc) {
 			for i := 0; i < count; i++ {
-				p.Put(q, i)
+				q.TryPut(i)
 			}
 		})
-		e.Go("cons", func(p *Proc) {
+		e.Go(func(p *Proc) {
 			for i := 0; i < count; i++ {
 				v, _ := p.Get(q)
 				got = append(got, v.(int))
@@ -561,32 +383,6 @@ func TestQueueFIFOProperty(t *testing.T) {
 			}
 		}
 		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: resource never exceeds capacity under random hold patterns.
-func TestResourceCapacityProperty(t *testing.T) {
-	f := func(holds []uint8) bool {
-		e := NewEnv(1)
-		r := NewResource(e, 4)
-		violated := false
-		for _, h := range holds {
-			n := int(h%4) + 1
-			d := time.Duration(h%7+1) * time.Millisecond
-			e.Go("w", func(p *Proc) {
-				p.Acquire(r, n)
-				if r.InUse() > r.Capacity() {
-					violated = true
-				}
-				p.Sleep(d)
-				r.Release(n)
-			})
-		}
-		e.Run()
-		return !violated && r.InUse() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

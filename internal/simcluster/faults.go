@@ -217,7 +217,7 @@ func (s *Sim) killNode(n *node) {
 			req.recoverStart = now
 		}
 		req2, lost2, works2, ships2 := req, lost, works, ships
-		s.env.Go("recover-"+req.id, func(p *sim.Proc) {
+		s.env.Go(func(p *sim.Proc) {
 			s.recoverRequest(p, req2, lost2, works2, ships2)
 		})
 	}
@@ -250,7 +250,7 @@ func (s *Sim) ensureReplica(fn string, n *node) *fnState {
 	}
 	n.fns[fn] = fs
 	s.replicas[fn] = append(s.replicas[fn], n)
-	s.env.Go("dispatch-"+fn, func(p *sim.Proc) { s.dispatcher(p, fs) })
+	s.env.Go(func(p *sim.Proc) { s.dispatcher(p, fs) })
 	return fs
 }
 

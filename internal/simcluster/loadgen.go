@@ -20,7 +20,7 @@ func (s *Sim) recordCompletion(at time.Duration) {
 // RunOne executes a single request to completion and returns the result
 // (used by the investigation experiments and the Fig. 13 timeline).
 func (s *Sim) RunOne() *Result {
-	s.env.Go("gen", func(p *sim.Proc) {
+	s.env.Go(func(p *sim.Proc) {
 		req := s.invoke(p, s.cfg.Profile)
 		p.Wait(req.done)
 	})
@@ -34,12 +34,12 @@ func (s *Sim) RunOne() *Result {
 // discipline), each invoking pick(i)'s workflow in its own request
 // process. pick runs in the generator (its randomness draws stay in arrival
 // order).
-func (s *Sim) openLoopGen(name string, rpm float64, count int, pick func(i int) *workloads.Profile) {
+func (s *Sim) openLoopGen(rpm float64, count int, pick func(i int) *workloads.Profile) {
 	meanGap := time.Duration(60 / rpm * float64(time.Second))
-	s.env.Go(name, func(p *sim.Proc) {
+	s.env.Go(func(p *sim.Proc) {
 		for i := 0; i < count; i++ {
 			prof := pick(i)
-			s.env.Go("req", func(rp *sim.Proc) {
+			s.env.Go(func(rp *sim.Proc) {
 				req := s.invoke(rp, prof)
 				rp.Wait(req.done)
 			})
@@ -63,7 +63,7 @@ func (s *Sim) openLoop(rpm float64, count int, pick func(i int) *workloads.Profi
 	if s.warmupSeq > 12 {
 		s.warmupSeq = 12
 	}
-	s.openLoopGen("loadgen", rpm, count, pick)
+	s.openLoopGen(rpm, count, pick)
 	s.env.Run()
 	return s.result(s.makespan())
 }
@@ -95,12 +95,12 @@ func (s *Sim) RunSkewedOpenLoop(rpm float64, count int, skew float64) *Result {
 // RunBurst generates a low load followed by a sudden burst (§9.5: wc jumps
 // from 10 rpm to 100 rpm; 110 requests over two minutes).
 func (s *Sim) RunBurst(lowRPM, highRPM float64, lowDur, highDur time.Duration) *Result {
-	s.env.Go("burstgen", func(p *sim.Proc) {
+	s.env.Go(func(p *sim.Proc) {
 		phase := func(rpm float64, dur time.Duration) {
 			gap := time.Duration(60 / rpm * float64(time.Second))
 			end := p.Now() + dur
 			for p.Now() < end {
-				s.env.Go("req", func(rp *sim.Proc) {
+				s.env.Go(func(rp *sim.Proc) {
 					req := s.invoke(rp, s.cfg.Profile)
 					rp.Wait(req.done)
 				})
@@ -122,7 +122,7 @@ func (s *Sim) RunBurst(lowRPM, highRPM float64, lowDur, highDur time.Duration) *
 func (s *Sim) RunClosedLoop(clients int, window time.Duration) *Result {
 	for i := 0; i < clients; i++ {
 		prof := s.profs[i%len(s.profs)]
-		s.env.Go("client", func(p *sim.Proc) {
+		s.env.Go(func(p *sim.Proc) {
 			for p.Now() < window {
 				req := s.invoke(p, prof)
 				p.Wait(req.done)
@@ -155,7 +155,7 @@ func (s *Sim) RunColocatedOpenLoop(rpmByName map[string]float64, defaultRPM floa
 		if rpm <= 0 {
 			continue
 		}
-		s.openLoopGen("loadgen-"+prof.Name, rpm, countPerWorkflow,
+		s.openLoopGen(rpm, countPerWorkflow,
 			func(int) *workloads.Profile { return prof })
 	}
 	s.env.Run()

@@ -93,29 +93,12 @@ type Config struct {
 
 	// NodeNICBps is each worker's NIC bandwidth (default 1 Gbit/s).
 	NodeNICBps float64
-	// StorageBps is the backend storage node's aggregate bandwidth
-	// (default 1 Gbit/s shared by all clients — the control-flow choke
-	// point).
-	StorageBps float64
-	// StorageLatency is the per-operation storage access latency.
-	StorageLatency time.Duration
 	// DiskBps is host-local SSD bandwidth (SONIC's data path).
 	DiskBps float64
 
-	// ColdStart is the container cold-start delay.
-	ColdStart time.Duration
-	// Alpha is Eq. 1's loss factor.
-	Alpha float64
-	// SinkTTL is the Wait-Match Memory passive-expire TTL.
-	SinkTTL time.Duration
-	// SinkShards is the sink's lock-stripe count. The simulation's event
-	// loop is single-threaded, so the default is 1 (no striping overhead);
-	// raise it only to mirror a runtime-plane configuration.
-	SinkShards int
-
 	// RequestTimeout marks a request failed if exceeded (missing points in
-	// the paper's figures).
-	RequestTimeout time.Duration
+	// the paper's figures; default 120 s).
+	RequestTimeout time.Duration //repolint:testseam the timeout tests need a timeout short enough to reach
 
 	// Faults schedules node kill/recover/drain events at virtual times
 	// (faults.go). Supported for the DataFlower kinds (the control-flow
@@ -126,27 +109,33 @@ type Config struct {
 
 	// Seed drives arrivals and any tie-breaking randomness.
 	Seed int64
-	// CollectTrace enables the event log (needed by Fig. 2(c)/13).
+	// CollectTrace enables the event log (needed by Fig. 2(c)/13), capped
+	// at the most recent DefaultTraceBound events.
 	CollectTrace bool
-	// TraceBound caps the event log at the most recent N events (a ring
-	// with an eviction counter — trace.NewLogBounded), so long stress runs
-	// cannot grow the trace without limit. 0 applies DefaultTraceBound;
-	// negative keeps the log unbounded.
-	TraceBound int
-	// PrewarmOnArrival enables the paper's §10 future-work policy: when a
-	// request arrives, warm one container for every function of its
-	// workflow whose pool is still empty, because the data-flow graph
-	// guarantees their input data is coming. Cuts the cold-start chain on
-	// first/bursty requests.
-	PrewarmOnArrival bool
 }
 
-// DefaultTraceBound is the event-log cap applied when Config.CollectTrace
-// is set with TraceBound 0. A million events is far above what any
-// committed experiment or scenario emits — the bound only bites multi-hour
-// stress runs, where the most recent window plus the eviction counter is
-// the useful signal anyway.
+// DefaultTraceBound caps the event log (trace.NewLogBounded), so long
+// stress runs cannot grow the trace without limit. A million events is far
+// above what any committed experiment or scenario emits — the bound only
+// bites multi-hour stress runs, where the most recent window is the useful
+// signal anyway.
 const DefaultTraceBound = 1 << 20
+
+// The simulated platform's fixed parameters.
+const (
+	// storageBps is the backend storage node's aggregate bandwidth (1
+	// Gbit/s shared by all clients — the control-flow choke point).
+	storageBps = 125e6
+	// storageLatency is the per-operation storage access latency.
+	storageLatency = 3 * time.Millisecond
+	// coldStart is the container cold-start delay.
+	coldStart = 400 * time.Millisecond
+	// sinkTTL is the Wait-Match Memory passive-expire TTL.
+	sinkTTL = 60 * time.Second
+	// sinkShards is the sink's lock-stripe count: the simulation's event
+	// loop is single-threaded, so one stripe (no striping overhead).
+	sinkShards = 1
+)
 
 // NodeSpec is one worker's hardware shape in Config.Fleet. Zero fields fall
 // back to the cluster-wide Config.NodeNICBps/DiskBps defaults.
@@ -174,26 +163,8 @@ func (c Config) withDefaults() Config {
 	if c.NodeNICBps == 0 {
 		c.NodeNICBps = 125e6 // 1 Gbit/s
 	}
-	if c.StorageBps == 0 {
-		c.StorageBps = 125e6
-	}
-	if c.StorageLatency == 0 {
-		c.StorageLatency = 3 * time.Millisecond
-	}
 	if c.DiskBps == 0 {
 		c.DiskBps = 500e6
-	}
-	if c.ColdStart == 0 {
-		c.ColdStart = 400 * time.Millisecond
-	}
-	if c.Alpha == 0 {
-		c.Alpha = cluster.DefaultAlpha
-	}
-	if c.SinkTTL == 0 {
-		c.SinkTTL = 60 * time.Second
-	}
-	if c.SinkShards == 0 {
-		c.SinkShards = 1
 	}
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 120 * time.Second
@@ -440,8 +411,8 @@ func New(cfg Config) *Sim {
 		cfg:       cfg,
 		env:       env,
 		fabric:    fab,
-		storage:   fab.NewEndpoint("storage", cfg.StorageBps),
-		user:      fab.NewEndpoint("user", 0),
+		storage:   fab.NewEndpoint(storageBps),
+		user:      fab.NewEndpoint(0),
 		routing:   make(map[string]*node),
 		replicas:  make(map[string][]*node),
 		profOf:    make(map[string]*workloads.Profile),
@@ -454,11 +425,7 @@ func New(cfg Config) *Sim {
 		latByWf:   make(map[string]*metrics.Sample),
 	}
 	if cfg.CollectTrace {
-		bound := cfg.TraceBound
-		if bound == 0 {
-			bound = DefaultTraceBound
-		}
-		s.log = trace.NewLogBounded(bound) // unbounded when bound < 0
+		s.log = trace.NewLogBounded(DefaultTraceBound)
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		nicBps, diskBps := cfg.NodeNICBps, cfg.DiskBps
@@ -473,12 +440,12 @@ func New(cfg Config) *Sim {
 		n := &node{
 			idx:  i,
 			name: fmt.Sprintf("w%d", i+1),
-			nic:  fab.NewEndpoint(fmt.Sprintf("w%d-nic", i+1), nicBps),
-			disk: fab.NewEndpoint(fmt.Sprintf("w%d-disk", i+1), diskBps),
+			nic:  fab.NewEndpoint(nicBps),
+			disk: fab.NewEndpoint(diskBps),
 			sink: wmm.NewSink(wmm.Options{
-				TTL:              cfg.SinkTTL,
+				TTL:              sinkTTL,
 				DisableProactive: cfg.Kind == FaaSFlow || cfg.Kind == SONIC || cfg.Kind == StateMachine,
-				Shards:           cfg.SinkShards,
+				Shards:           sinkShards,
 			}),
 			fns: make(map[string]*fnState),
 		}
@@ -533,7 +500,7 @@ func New(cfg Config) *Sim {
 				fnStarted: fnStarted,
 			}
 			n.fns[fn] = fs
-			env.Go("dispatch-"+fn, func(p *sim.Proc) { s.dispatcher(p, fs) })
+			env.Go(func(p *sim.Proc) { s.dispatcher(p, fs) })
 		}
 		s.routing[fn] = s.replicas[fn][0]
 		s.fluAvg[fn] = &avgTracker{}
@@ -603,9 +570,6 @@ func (s *Sim) execTime(fn string) time.Duration {
 	return time.Duration(float64(ref) * 128 / float64(s.cfg.MemMB))
 }
 
-// Env exposes the simulation environment (experiments schedule arrivals).
-func (s *Sim) Env() *sim.Env { return s.env }
-
 // LatencyOf returns the latency sample of one co-located workflow by
 // benchmark name (empty sample if it never completed a request).
 func (s *Sim) LatencyOf(name string) *metrics.Sample {
@@ -639,7 +603,7 @@ func (s *Sim) dispatcher(p *sim.Proc, fs *fnState) {
 			continue // fault plane rerouted w off this dead replica
 		}
 		wi2, ci2 := w, c
-		s.env.Go("exec-"+fs.fn, func(ep *sim.Proc) {
+		s.env.Go(func(ep *sim.Proc) {
 			s.execute(ep, ci2, wi2)
 			if !ci2.dead {
 				fs.idleQ.TryPut(ci2)
@@ -735,12 +699,12 @@ func (s *Sim) coldStart(p *sim.Proc, fs *fnState) *container {
 	*fs.fnStarted++
 	s.containers++
 	s.memInt.AddDelta(s.env.Now(), float64(s.cfg.MemMB)/1024)
-	p.Sleep(s.cfg.ColdStart)
+	p.Sleep(coldStart)
 	c := &container{
 		id:   fmt.Sprintf("%s/%s-%d", fs.node.name, fs.fn, fs.started),
 		fn:   fs.fn,
 		node: fs.node,
-		ep:   s.fabric.NewEndpoint(fmt.Sprintf("%s-ep", fs.fn), s.cfg.containerBps()),
+		ep:   s.fabric.NewEndpoint(s.cfg.containerBps()),
 		dluQ: sim.NewQueue(s.env, 0),
 		born: s.env.Now(),
 		cpuT: metrics.NewTimeline(),
@@ -748,7 +712,7 @@ func (s *Sim) coldStart(p *sim.Proc, fs *fnState) *container {
 	}
 	s.ctrs = append(s.ctrs, c)
 	if s.kindIsDataflower() {
-		s.env.Go("dlu-"+c.id, func(dp *sim.Proc) { s.dluDaemon(dp, c) })
+		s.env.Go(func(dp *sim.Proc) { s.dluDaemon(dp, c) })
 	}
 	return c
 }
@@ -767,13 +731,13 @@ func (s *Sim) prewarm(fs *fnState) {
 	*fs.fnStarted++
 	s.containers++
 	s.memInt.AddDelta(s.env.Now(), float64(s.cfg.MemMB)/1024)
-	s.env.Go("prewarm-"+fs.fn, func(p *sim.Proc) {
-		p.Sleep(s.cfg.ColdStart)
+	s.env.Go(func(p *sim.Proc) {
+		p.Sleep(coldStart)
 		c := &container{
 			id:   fmt.Sprintf("%s/%s-pw%d", fs.node.name, fs.fn, fs.started),
 			fn:   fs.fn,
 			node: fs.node,
-			ep:   s.fabric.NewEndpoint(fmt.Sprintf("%s-ep", fs.fn), s.cfg.containerBps()),
+			ep:   s.fabric.NewEndpoint(s.cfg.containerBps()),
 			dluQ: sim.NewQueue(s.env, 0),
 			born: s.env.Now(),
 			cpuT: metrics.NewTimeline(),
@@ -781,7 +745,7 @@ func (s *Sim) prewarm(fs *fnState) {
 		}
 		s.ctrs = append(s.ctrs, c)
 		if s.kindIsDataflower() {
-			s.env.Go("dlu-"+c.id, func(dp *sim.Proc) { s.dluDaemon(dp, c) })
+			s.env.Go(func(dp *sim.Proc) { s.dluDaemon(dp, c) })
 		}
 		fs.idleQ.TryPut(c)
 	})

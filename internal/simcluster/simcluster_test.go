@@ -282,22 +282,3 @@ func TestKindString(t *testing.T) {
 		t.Fatal("Kind names broken")
 	}
 }
-
-func TestPrewarmOnArrivalCutsColdChain(t *testing.T) {
-	lat := func(prewarm bool) float64 {
-		s := New(Config{
-			Kind:             DataFlower,
-			Profile:          workloads.WordCount(4, 0),
-			PrewarmOnArrival: prewarm,
-			Seed:             17,
-		})
-		return s.RunOne().Latencies.Mean()
-	}
-	cold := lat(false)
-	warm := lat(true)
-	// The §10 policy warms downstream pools at arrival, removing most of
-	// the cold-start chain from the first request's critical path.
-	if warm >= cold-0.3 {
-		t.Fatalf("prewarm-on-arrival did not help: cold=%.3fs warm=%.3fs", cold, warm)
-	}
-}

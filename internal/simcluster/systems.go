@@ -49,25 +49,7 @@ func (s *Sim) invoke(p *sim.Proc, prof *workloads.Profile) *request {
 	if err != nil {
 		panic(fmt.Sprintf("simcluster: %v", err))
 	}
-	if s.cfg.PrewarmOnArrival {
-		// Data-dependency prewarming (§10): every function of this workflow
-		// will receive data; warm the empty pools now — on the request's
-		// pinned replica where one exists (entry functions), else the
-		// primary (downstream pins are not known yet).
-		for _, f := range prof.Workflow.Functions {
-			n := s.routing[f.Name]
-			if pinned, ok := req.pin[f.Name]; ok {
-				n = pinned
-			}
-			if s.faulty && n.down {
-				continue // dead nodes have zero capacity
-			}
-			fs := n.fns[f.Name]
-			if fs.started == 0 {
-				s.prewarm(fs)
-			}
-		}
-	}
+
 	switch s.cfg.Kind {
 	case DataFlower, DataFlowerNonAware:
 		s.dfTrigger(req, newly)
@@ -156,7 +138,7 @@ func (s *Sim) dfExecute(p *sim.Proc, c *container, w *work) {
 			// The container's node died mid-execution: its DLU daemon is
 			// gone (and its queue closed). The outputs are recovered by
 			// re-executing this producer on a surviving replica.
-			s.env.Go("zombie-ship-"+key.Fn, func(zp *sim.Proc) { s.recoverShipment(zp, sh) })
+			s.env.Go(func(zp *sim.Proc) { s.recoverShipment(zp, sh) })
 			continue
 		}
 		c.dluQ.TryPut(sh)
@@ -167,7 +149,7 @@ func (s *Sim) dfExecute(p *sim.Proc, c *container, w *work) {
 		// actually backlogged scale out — "even if the containers are
 		// enough in terms of computation ability" (§9.3).
 		if s.cfg.Kind == DataFlower && total > 0 {
-			pressure := cluster.Pressure(s.cfg.Alpha, float64(total), s.cfg.containerBps(), s.fluAvg[key.Fn].avg())
+			pressure := cluster.Pressure(cluster.DefaultAlpha, float64(total), s.cfg.containerBps(), s.fluAvg[key.Fn].avg())
 			if pressure > 0 {
 				if backlog {
 					// Prewarm on the container's own node: the replica this
@@ -435,17 +417,17 @@ func (s *Sim) ffExecute(p *sim.Proc, c *container, w *work) {
 				p.Sleep(cacheReadDelay)
 				s.noteComm(key.Fn, cacheReadDelay)
 			} else {
-				p.Sleep(s.cfg.StorageLatency)
+				p.Sleep(storageLatency)
 				d := s.transfer(p, c, size, s.storage, c.ep)
-				s.noteComm(key.Fn, d+s.cfg.StorageLatency)
+				s.noteComm(key.Fn, d+storageLatency)
 			}
 		}
 	}
 	// Entry input comes from the gateway/storage.
 	if len(req.prof.Workflow.Predecessors(key.Fn)) == 0 {
-		p.Sleep(s.cfg.StorageLatency)
+		p.Sleep(storageLatency)
 		d := s.transfer(p, c, req.prof.InputSize, s.storage, c.ep)
-		s.noteComm(key.Fn, d+s.cfg.StorageLatency)
+		s.noteComm(key.Fn, d+storageLatency)
 	}
 
 	s.compute(p, c, key.Fn)
@@ -468,7 +450,7 @@ func (s *Sim) ffExecute(p *sim.Proc, c *container, w *work) {
 				p.Sleep(cacheReadDelay)
 				c.node.sink.Put(s.env.Now(), cfCacheKey(req.id, it), it.Value, 1)
 			default:
-				p.Sleep(s.cfg.StorageLatency)
+				p.Sleep(storageLatency)
 				s.transfer(p, c, size, c.ep, s.storage)
 				c.node.sink.Put(s.env.Now(), cfCacheKey(req.id, it), it.Value, 1)
 			}
@@ -543,14 +525,14 @@ func (s *Sim) smExecute(p *sim.Proc, c *container, w *work) {
 		for range items {
 			size := s.profOf[e.From].SizeOf(e.From, e.Output)
 			start := s.env.Now()
-			p.Sleep(s.cfg.StorageLatency)
+			p.Sleep(storageLatency)
 			s.transfer(p, c, size, s.storage, c.ep)
 			s.noteComm(key.Fn, s.env.Now()-start)
 		}
 	}
 	if len(req.prof.Workflow.Predecessors(key.Fn)) == 0 {
 		start := s.env.Now()
-		p.Sleep(s.cfg.StorageLatency)
+		p.Sleep(storageLatency)
 		s.transfer(p, c, req.prof.InputSize, s.storage, c.ep)
 		s.noteComm(key.Fn, s.env.Now()-start)
 	}
@@ -565,7 +547,7 @@ func (s *Sim) smExecute(p *sim.Proc, c *container, w *work) {
 			if it.To.Fn == workflow.UserSource {
 				s.transfer(p, c, it.Value.Size, c.ep, s.user)
 			} else {
-				p.Sleep(s.cfg.StorageLatency)
+				p.Sleep(storageLatency)
 				s.transfer(p, c, it.Value.Size, c.ep, s.storage)
 			}
 			s.noteComm(key.Fn, s.env.Now()-start)

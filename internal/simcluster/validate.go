@@ -2,7 +2,6 @@ package simcluster
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/workloads"
 )
@@ -57,28 +56,15 @@ func (c Config) Validate() error {
 		field string
 		v     float64
 	}{
-		{"NodeNICBps", c.NodeNICBps}, {"StorageBps", c.StorageBps},
-		{"DiskBps", c.DiskBps}, {"Alpha", c.Alpha},
+		{"NodeNICBps", c.NodeNICBps}, {"DiskBps", c.DiskBps},
 	}
 	for _, r := range rates {
 		if r.v < 0 {
 			return errf(r.field, "negative rate %g", r.v)
 		}
 	}
-	durs := []struct {
-		field string
-		d     time.Duration
-	}{
-		{"StorageLatency", c.StorageLatency}, {"ColdStart", c.ColdStart},
-		{"SinkTTL", c.SinkTTL}, {"RequestTimeout", c.RequestTimeout},
-	}
-	for _, r := range durs {
-		if r.d < 0 {
-			return errf(r.field, "negative duration %s", r.d)
-		}
-	}
-	if c.SinkShards < 0 {
-		return errf("SinkShards", "negative shard count %d", c.SinkShards)
+	if c.RequestTimeout < 0 {
+		return errf("RequestTimeout", "negative duration %s", c.RequestTimeout)
 	}
 	seen := make(map[string]string)
 	profs := append([]*workloads.Profile{}, c.Profile)

@@ -100,14 +100,6 @@ func TestValidateNegativeRatesAndDurations(t *testing.T) {
 	wantConfigError(t, cfg, "NodeNICBps")
 
 	cfg = base()
-	cfg.StorageBps = -5
-	wantConfigError(t, cfg, "StorageBps")
-
-	cfg = base()
-	cfg.ColdStart = -time.Second
-	wantConfigError(t, cfg, "ColdStart")
-
-	cfg = base()
 	cfg.RequestTimeout = -time.Minute
 	wantConfigError(t, cfg, "RequestTimeout")
 

@@ -11,7 +11,6 @@
 package simnet
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -22,41 +21,17 @@ import (
 // Endpoint is a capacity constraint traversed by flows: a container NIC, a
 // node NIC, or a storage service's aggregate bandwidth.
 type Endpoint struct {
-	name     string
 	id       int64   // creation order; deterministic bottleneck tie-break
 	capacity float64 // bytes per second; <= 0 means unlimited
-	fabric   *Fabric
-	active   int // number of active flows through this endpoint
-}
-
-// Name returns the endpoint name.
-func (ep *Endpoint) Name() string { return ep.name }
-
-// Capacity returns the endpoint capacity in bytes/second (<=0 unlimited).
-func (ep *Endpoint) Capacity() float64 { return ep.capacity }
-
-// ActiveFlows returns the number of flows currently traversing the endpoint.
-func (ep *Endpoint) ActiveFlows() int { return ep.active }
-
-// SetCapacity changes the endpoint capacity; in-flight flows are re-shared
-// at the next recompute.
-func (ep *Endpoint) SetCapacity(bytesPerSec float64) {
-	ep.capacity = bytesPerSec
-	if ep.fabric != nil {
-		ep.fabric.advance()
-		ep.fabric.recompute()
-	}
 }
 
 // Flow is an in-flight transfer.
 type flow struct {
 	eps       []*Endpoint
 	seq       int64 // start order; deterministic completion ordering
-	size      float64
 	remaining float64
 	rate      float64
 	done      *sim.Event
-	started   time.Duration
 }
 
 // Fabric owns endpoints and flows. All methods must be called from
@@ -68,8 +43,6 @@ type Fabric struct {
 	gen        int64 // invalidates stale completion timers
 	flowSeq    int64
 	epSeq      int64
-	completed  int64
-	bytesMoved float64
 }
 
 // NewFabric returns an empty fabric on env.
@@ -79,19 +52,10 @@ func NewFabric(env *sim.Env) *Fabric {
 
 // NewEndpoint creates an endpoint with the given capacity in bytes/second
 // (<= 0 means unlimited).
-func (f *Fabric) NewEndpoint(name string, bytesPerSec float64) *Endpoint {
+func (f *Fabric) NewEndpoint(bytesPerSec float64) *Endpoint {
 	f.epSeq++
-	return &Endpoint{name: name, id: f.epSeq, capacity: bytesPerSec, fabric: f}
+	return &Endpoint{id: f.epSeq, capacity: bytesPerSec}
 }
-
-// ActiveFlows returns the number of in-flight flows.
-func (f *Fabric) ActiveFlows() int { return len(f.flows) }
-
-// CompletedFlows returns the total number of finished flows.
-func (f *Fabric) CompletedFlows() int64 { return f.completed }
-
-// BytesMoved returns the total bytes delivered by finished flows.
-func (f *Fabric) BytesMoved() float64 { return f.bytesMoved }
 
 // Transfer moves size bytes across the given endpoints, blocking the calling
 // process until the transfer completes. A zero or negative size completes
@@ -115,16 +79,11 @@ func (f *Fabric) StartTransfer(size int64, eps ...*Endpoint) *sim.Event {
 	fl := &flow{
 		eps:       eps,
 		seq:       f.flowSeq,
-		size:      float64(size),
 		remaining: float64(size),
 		done:      ev,
-		started:   f.env.Now(),
 	}
 	f.advance()
 	f.flows[fl] = struct{}{}
-	for _, ep := range eps {
-		ep.active++
-	}
 	f.recompute()
 	return ev
 }
@@ -200,11 +159,6 @@ func (f *Fabric) finishDone() {
 	sort.Slice(done, func(i, j int) bool { return done[i].seq < done[j].seq })
 	for _, fl := range done {
 		delete(f.flows, fl)
-		for _, ep := range fl.eps {
-			ep.active--
-		}
-		f.completed++
-		f.bytesMoved += fl.size
 		fl.done.Trigger(nil)
 	}
 }
@@ -297,9 +251,4 @@ func secondsToDuration(s float64) time.Duration {
 	// Guard against rounding making the timer fire a hair before the flow
 	// actually finishes: round up by one nanosecond.
 	return d + time.Nanosecond
-}
-
-// String summarizes fabric state for debugging.
-func (f *Fabric) String() string {
-	return fmt.Sprintf("fabric{flows=%d completed=%d}", len(f.flows), f.completed)
 }

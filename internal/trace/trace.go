@@ -55,16 +55,14 @@ type Event struct {
 
 // Log is an append-only, concurrency-safe event log. An unbounded log
 // (NewLog) keeps every event; a bounded one (NewLogBounded) keeps the most
-// recent n, evicting the oldest and counting the evictions so truncation
-// is visible to consumers.
+// recent n, evicting the oldest.
 type Log struct {
 	mu     sync.Mutex
 	events []Event
 	// bound > 0 makes events a ring of that capacity; head is the index of
 	// the oldest event once the ring has wrapped.
-	bound   int
-	head    int
-	evicted int64
+	bound int
+	head  int
 }
 
 // NewLog returns an empty unbounded log.
@@ -73,8 +71,7 @@ func NewLog() *Log { return &Log{} }
 // NewLogBounded returns an empty log that retains at most n events
 // (unbounded when n <= 0). Long scenario/stress runs and the simulation
 // plane default to a bounded log so a multi-hour storm cannot grow the
-// trace without limit; Evicted reports how much history was dropped.
-// Storage grows on demand up to n — a short run never pays for the bound.
+// trace without limit. Storage grows on demand up to n — a short run never pays for the bound.
 func NewLogBounded(n int) *Log {
 	if n <= 0 {
 		return NewLog()
@@ -91,7 +88,6 @@ func (l *Log) Append(e Event) {
 		if l.head == l.bound {
 			l.head = 0
 		}
-		l.evicted++
 	} else {
 		l.events = append(l.events, e)
 	}
@@ -108,13 +104,6 @@ func (l *Log) Events() []Event {
 	return out
 }
 
-// Evicted returns how many events a bounded log has dropped.
-func (l *Log) Evicted() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.evicted
-}
-
 // ForRequest returns the events of one request sorted by time.
 func (l *Log) ForRequest(reqID string) []Event {
 	var out []Event
@@ -125,13 +114,6 @@ func (l *Log) ForRequest(reqID string) []Event {
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
 	return out
-}
-
-// Len returns the number of events.
-func (l *Log) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.events)
 }
 
 // Span is one function instance's lifetime within a request.

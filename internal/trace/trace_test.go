@@ -120,8 +120,8 @@ func TestLenAndConcurrency(t *testing.T) {
 		l.Append(Event{At: time.Duration(i), Kind: DataArrived, ReqID: "r"})
 	}
 	<-done
-	if l.Len() != 200 {
-		t.Fatalf("len = %d", l.Len())
+	if n := len(l.Events()); n != 200 {
+		t.Fatalf("len = %d", n)
 	}
 }
 

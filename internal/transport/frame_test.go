@@ -163,7 +163,7 @@ func TestWriteFrameOversizeBody(t *testing.T) {
 }
 
 func TestWireVersionPinned(t *testing.T) {
-	pin := fingerprintAt(FrameVersion)
+	pin := wireVersions[FrameVersion]
 	if pin == "" {
 		t.Fatalf("no fingerprint pinned for FrameVersion %d", FrameVersion)
 	}
@@ -246,6 +246,18 @@ func TestDecodePutBatchHostileCount(t *testing.T) {
 	if _, _, err := decodePutBatch(body, nil); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("err = %v, want ErrBadFrame", err)
 	}
+}
+
+// appendPut encodes a whole Put message: the message-level TraceID, then
+// the datum.
+func appendPut(b []byte, m Put) []byte {
+	b = appendUvarint(b, m.TraceID)
+	b = appendString(b, m.ReqID)
+	b = appendString(b, m.Fn)
+	b = appendString(b, m.Data)
+	b = appendUvarint(b, uint64(m.Consumers))
+	b = appendVarint(b, m.Size)
+	return appendBytes(b, m.Payload)
 }
 
 // TestPutTraceContextRoundTrip pins the frame-v2 trace field: a sampled

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/clock"
 	"repro/internal/dataflow"
@@ -11,34 +10,29 @@ import (
 )
 
 // Inproc is the in-process transport: a direct call into the node's sink
-// behind the interface. ShipBatch is one TakeNAt on the source TC class, one on
-// the node NIC and one sink multi-put under one clock read (both skipped when
-// the shipment carries nothing to put); Land mirrors the socket fast path's
-// per-limiter Take. No Inproc operation returns an error or consults a
+// behind the interface. ShipBatch is one TakeNAt on the source TC class and
+// one sink multi-put under one clock read (the put skipped when the shipment
+// carries nothing to put); Land mirrors the socket fast path's Take. No Inproc operation returns an error or consults a
 // context, and the transport allocates nothing itself (a put allocates its
 // sink entry): the ship path stays inside the engine's 8 allocs/request.
 type Inproc struct {
 	sink    *wmm.Sink
-	nic     *pipe.Limiter
 	elapsed Elapsed
 }
 
 var _ Transport = (*Inproc)(nil)
 
-// NewInproc wraps a node's sink, NIC limiter (nil for an unlimited NIC) and
-// elapsed-time source as a Transport.
-func NewInproc(sink *wmm.Sink, nic *pipe.Limiter, elapsed Elapsed) *Inproc {
-	return &Inproc{sink: sink, nic: nic, elapsed: elapsed}
+// NewInproc wraps a node's sink and elapsed-time source as a Transport.
+// There is no node NIC limiter: the limiter argument is unused, and ROADMAP
+// item 1 (the bench/-only PR) drops it with bench/ladder.go's call.
+func NewInproc(sink *wmm.Sink, _ *pipe.Limiter, elapsed Elapsed) *Inproc {
+	return &Inproc{sink: sink, elapsed: elapsed}
 }
-
-// Sink exposes the wrapped sink (local bookkeeping that has no remote
-// equivalent, e.g. memory-integral reads).
-func (t *Inproc) Sink() *wmm.Sink { return t.sink }
 
 // ShipBatch implements Transport.
 func (t *Inproc) ShipBatch(_ context.Context, pace Pacing, reqs []wmm.PutReq) error {
 	if pace.Bytes > 0 {
-		parked := pace.Src.TakeNAt(pace.Items, pace.Bytes, pace.At) + t.nic.TakeNAt(pace.Items, pace.Bytes, pace.At)
+		parked := pace.Src.TakeNAt(pace.Items, pace.Bytes, pace.At)
 		if pace.Parked != nil {
 			*pace.Parked += parked
 		}
@@ -53,7 +47,6 @@ func (t *Inproc) ShipBatch(_ context.Context, pace Pacing, reqs []wmm.PutReq) er
 func (t *Inproc) Land(_ context.Context, pace Pacing, req wmm.PutReq) error {
 	if pace.Bytes > 0 {
 		pace.Src.Take(pace.Bytes)
-		t.nic.Take(pace.Bytes)
 	}
 	t.sink.Put(t.elapsed(), req.Key, req.Val, req.Consumers)
 	return nil
@@ -99,8 +92,6 @@ type StreamSpec struct {
 	Src *pipe.Limiter
 	// ChunkSize overrides pipe.DefaultChunkSize when > 0.
 	ChunkSize int
-	// Latency is the fixed connector setup latency.
-	Latency time.Duration
 	// Log records incremental checkpoints for streaming-sized payloads.
 	Log *pipe.CheckpointLog
 	// FailAfter, when non-nil, is re-asked before every (re)attempt for the
@@ -108,25 +99,24 @@ type StreamSpec struct {
 	FailAfter func() int64
 	// Retries is the ReDo budget after the first failed attempt.
 	Retries int
-	// Clock paces the latency sleep.
+	// Clock stamps the checkpoints.
 	Clock clock.Clock
 }
 
-// Stream pumps one payload through the streaming pipe: chunked, both
-// limiters charged per chunk, incremental checkpoints for streaming-sized
+// Stream pumps one payload through the streaming pipe: chunked, the source
+// limiter charged per chunk, incremental checkpoints for streaming-sized
 // payloads, optional fault injection, and ReDo from the last good
 // checkpoint. It moves the bytes only — the payload must still be landed
 // (Land) afterwards; Stream is the wire, not the sink. Inproc-only: a
 // remote destination's wire is the socket itself, which needs none of the
 // simulated chunking.
 func (t *Inproc) Stream(spec StreamSpec, payload []byte) error {
-	lims := [2]*pipe.Limiter{spec.Src, t.nic}
+	lims := [1]*pipe.Limiter{spec.Src}
 	tr := pipe.Transfer{
 		StreamID:  spec.ID,
 		Payload:   payload,
 		ChunkSize: spec.ChunkSize,
 		Limiters:  lims[:],
-		Latency:   spec.Latency,
 		FailAfter: -1,
 		Clock:     spec.Clock,
 	}

@@ -25,23 +25,17 @@ const DefaultOpTimeout = 2 * time.Second
 
 // ---- server ----
 
-// ServerOptions configures a Server.
-type ServerOptions struct {
-	// MaxFrame caps accepted and emitted frames (DefaultMaxFrame when 0).
-	MaxFrame int
-	// Clock stamps sink timestamps (per-host elapsed time). Real sockets
-	// imply real time; anything but a wall-backed clock is only useful in
-	// tests. Defaults to the wall clock.
-	Clock clock.Clock
-}
+// ServerOptions configures a Server. It has no fields: a server stamps its
+// sinks on the wall clock. ROADMAP item 1 (the bench/-only PR) drops it with
+// bench/worker.go's call.
+type ServerOptions struct{}
 
 // Server serves one or more nodes' Wait-Match Memories over TCP. Each
 // connection is bound to one hosted node by its Hello; frames then map 1:1
 // onto sink operations, stamped with the host's elapsed time so TTL
 // accounting matches a local sink's.
 type Server struct {
-	opts ServerOptions
-	clk  clock.Clock
+	clk clock.Clock
 
 	mu     sync.Mutex
 	hosts  map[string]*hostedSink
@@ -56,20 +50,10 @@ type hostedSink struct {
 	start time.Time
 }
 
-var _ Listener = (*Server)(nil)
-
 // NewServer returns a server with no hosts and no listener.
-func NewServer(opts ServerOptions) *Server {
-	clk := opts.Clock
-	if clk == nil {
-		clk = clock.NewWall()
-	}
-	if opts.MaxFrame <= 0 {
-		opts.MaxFrame = DefaultMaxFrame
-	}
+func NewServer(ServerOptions) *Server {
 	return &Server{
-		opts:  opts,
-		clk:   clk,
+		clk:   clock.NewWall(),
 		hosts: make(map[string]*hostedSink),
 		conns: make(map[net.Conn]struct{}),
 	}
@@ -105,16 +89,6 @@ func (s *Server) Listen(addr string) (string, error) {
 	s.wg.Add(1)
 	go s.acceptLoop(ln)
 	return ln.Addr().String(), nil
-}
-
-// Addr returns the bound listen address ("" before Listen).
-func (s *Server) Addr() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
 }
 
 // Close stops the listener, drops every connection and waits for the
@@ -173,7 +147,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	}()
 	var rbuf, wbuf []byte
 	var reqScratch []wmm.PutReq
-	t, body, err := ReadFrame(conn, &rbuf, s.opts.MaxFrame)
+	t, body, err := ReadFrame(conn, &rbuf, DefaultMaxFrame)
 	if err != nil || t != MsgHello {
 		return
 	}
@@ -186,16 +160,16 @@ func (s *Server) handleConn(conn net.Conn) {
 	s.mu.Unlock()
 	if host == nil {
 		body := appendErrMsg(wbuf[:0], ErrMsg{Code: codeUnknownNode, Msg: fmt.Sprintf("node %q not hosted", hello.Node)})
-		WriteFrame(conn, MsgErr, body, s.opts.MaxFrame)
+		WriteFrame(conn, MsgErr, body, DefaultMaxFrame)
 		return
 	}
-	if err := WriteFrame(conn, MsgHelloAck, nil, s.opts.MaxFrame); err != nil {
+	if err := WriteFrame(conn, MsgHelloAck, nil, DefaultMaxFrame); err != nil {
 		return
 	}
 	sink := host.sink
 	stripe := obsStripeSeq.Add(1)
 	for {
-		t, body, err := ReadFrame(conn, &rbuf, s.opts.MaxFrame)
+		t, body, err := ReadFrame(conn, &rbuf, DefaultMaxFrame)
 		if err != nil {
 			return
 		}
@@ -264,10 +238,10 @@ func (s *Server) handleConn(conn net.Conn) {
 			if errors.Is(fail, ErrFrameTooLarge) {
 				code = codeFrameTooLarge
 			}
-			WriteFrame(conn, MsgErr, appendErrMsg(wbuf[:0], ErrMsg{Code: code, Msg: fail.Error()}), s.opts.MaxFrame)
+			WriteFrame(conn, MsgErr, appendErrMsg(wbuf[:0], ErrMsg{Code: code, Msg: fail.Error()}), DefaultMaxFrame)
 			return
 		}
-		if err := WriteFrame(conn, respT, resp, s.opts.MaxFrame); err != nil {
+		if err := WriteFrame(conn, respT, resp, DefaultMaxFrame); err != nil {
 			return
 		}
 		wbuf = resp[:0]
@@ -276,48 +250,24 @@ func (s *Server) handleConn(conn net.Conn) {
 
 // ---- client ----
 
-// DialOptions configures a TCPDialer / Client.
+// DialOptions configures a Client.
 type DialOptions struct {
 	// Timeout bounds the dial, the handshake and each request/response
 	// exchange (DefaultOpTimeout when 0).
 	Timeout time.Duration
-	// MaxFrame caps frames in both directions (DefaultMaxFrame when 0).
-	MaxFrame int
-	// Clock computes operation deadlines and throughput observations; it
-	// must be wall-backed for real sockets. Defaults to the wall clock.
-	Clock clock.Clock
 }
 
 func (o DialOptions) withDefaults() DialOptions {
 	if o.Timeout <= 0 {
 		o.Timeout = DefaultOpTimeout
 	}
-	if o.MaxFrame <= 0 {
-		o.MaxFrame = DefaultMaxFrame
-	}
-	if o.Clock == nil {
-		o.Clock = clock.NewWall()
-	}
 	return o
-}
-
-// TCPDialer dials TCP transports.
-type TCPDialer struct {
-	Opts DialOptions
-}
-
-var _ Dialer = (*TCPDialer)(nil)
-
-// Dial implements Dialer: it connects to addr, Hellos the hosted node and
-// returns the bound client.
-func (d *TCPDialer) Dial(ctx context.Context, addr, node string) (Transport, error) {
-	return DialTCP(ctx, addr, node, d.Opts)
 }
 
 // DialTCP connects to a Server at addr, binding to the named hosted node.
 func DialTCP(ctx context.Context, addr, node string, opts DialOptions) (*Client, error) {
 	c := &Client{addr: addr, node: node, opts: opts.withDefaults(), stripe: obsStripeSeq.Add(1)}
-	c.clk = c.opts.Clock
+	c.clk = clock.NewWall()
 	c.mu.Lock()
 	err := c.connectLocked(ctx)
 	c.mu.Unlock()
@@ -361,12 +311,6 @@ var (
 	_ BpsMeter  = (*Client)(nil)
 )
 
-// Node returns the hosted node name this client is bound to.
-func (c *Client) Node() string { return c.node }
-
-// Addr returns the peer address.
-func (c *Client) Addr() string { return c.addr }
-
 // connectLocked dials and handshakes. Caller holds c.mu.
 func (c *Client) connectLocked(ctx context.Context) error {
 	if ctx == nil {
@@ -381,11 +325,11 @@ func (c *Client) connectLocked(ctx context.Context) error {
 		tc.SetNoDelay(true)
 	}
 	conn.SetDeadline(c.clk.Now().Add(c.opts.Timeout))
-	if err := WriteFrame(conn, MsgHello, appendHello(c.ebuf[:0], Hello{Node: c.node}), c.opts.MaxFrame); err != nil {
+	if err := WriteFrame(conn, MsgHello, appendHello(c.ebuf[:0], Hello{Node: c.node}), DefaultMaxFrame); err != nil {
 		conn.Close()
 		return classify("hello", c.addr, err)
 	}
-	t, body, err := ReadFrame(conn, &c.rbuf, c.opts.MaxFrame)
+	t, body, err := ReadFrame(conn, &c.rbuf, DefaultMaxFrame)
 	if err != nil {
 		conn.Close()
 		return classify("hello", c.addr, err)
@@ -468,16 +412,16 @@ func (c *Client) exchangeLocked(op string, t MsgType, body []byte, want MsgType)
 	conn := c.conn
 	conn.SetDeadline(c.clk.Now().Add(c.opts.Timeout))
 	c.wbuf = AppendFrame(c.wbuf[:0], t, body)
-	if len(c.wbuf)-4 > c.opts.MaxFrame {
+	if len(c.wbuf)-4 > DefaultMaxFrame {
 		return nil, wireErr(op, c.addr, ErrFrameTooLarge,
-			fmt.Errorf("%d byte %s frame exceeds cap %d", len(c.wbuf)-4, t, c.opts.MaxFrame))
+			fmt.Errorf("%d byte %s frame exceeds cap %d", len(c.wbuf)-4, t, DefaultMaxFrame))
 	}
 	if _, err := conn.Write(c.wbuf); err != nil {
 		return nil, classify(op, c.addr, err)
 	}
 	obsFramesSent.Inc(c.stripe)
 	obsBytesSent.Add(c.stripe, int64(len(c.wbuf)))
-	rt, resp, err := ReadFrame(conn, &c.rbuf, c.opts.MaxFrame)
+	rt, resp, err := ReadFrame(conn, &c.rbuf, DefaultMaxFrame)
 	if err != nil {
 		return nil, classify(op, c.addr, err)
 	}
@@ -619,7 +563,7 @@ func (c *Client) Stats(_ context.Context) (wmm.Stats, error) {
 }
 
 // MemBytes implements Transport: the gauge from the last Pong (heartbeats
-// refresh it continuously), so governor tick loops never block on an RPC.
+// refresh it continuously), so a reader never blocks on an RPC.
 func (c *Client) MemBytes() int64 { return c.memBytes.Load() }
 
 // Ping implements Transport.

@@ -153,12 +153,12 @@ func TestTCPErrorTaxonomy(t *testing.T) {
 
 	t.Run("oversize ship is ErrFrameTooLarge", func(t *testing.T) {
 		_, _, addr := startServer(t, "n1", wmm.Options{})
-		c, err := DialTCP(context.Background(), addr, "n1", DialOptions{Timeout: time.Second, MaxFrame: 256})
+		c, err := DialTCP(context.Background(), addr, "n1", DialOptions{Timeout: time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		big := make([]byte, 1024)
+		big := make([]byte, DefaultMaxFrame)
 		err = c.Land(context.Background(), Pacing{}, wmm.PutReq{
 			Key: wmm.Key{ReqID: "r", Fn: "f", Data: "d"},
 			Val: dataflow.Value{Payload: big, Size: int64(len(big))},

@@ -31,8 +31,8 @@ const DefaultBatchTasks = 64
 // Pacing is the source-side shaping of one shipment: the producing
 // container's TC-class limiter and the batch totals it is charged for.
 // Bytes == 0 means unpaced (a local pipe, or a replayed shipment whose wire
-// cost was already paid). The destination side paces itself: the Inproc
-// transport charges the node NIC limiter, a socket simply is the NIC.
+// cost was already paid). The destination side is not paced in process; a
+// socket simply is the NIC.
 // TraceID is the shipment's sampled-request trace context (0 = unsampled);
 // the TCP transport propagates it in the frame so the receiving process
 // records its landing stages under the same id. Parked, when non-nil, is
@@ -77,20 +77,6 @@ type Transport interface {
 	// Draining/Down transitions.
 	Ping(ctx context.Context) error
 	// Close releases the transport's resources.
-	Close() error
-}
-
-// Dialer opens Transports to named peers.
-type Dialer interface {
-	// Dial connects to the transport endpoint at addr and binds the
-	// connection to the named hosted node.
-	Dial(ctx context.Context, addr, node string) (Transport, error)
-}
-
-// Listener serves local sinks to remote peers (implemented by Server).
-type Listener interface {
-	// Addr returns the bound listen address.
-	Addr() string
 	Close() error
 }
 

@@ -24,9 +24,6 @@ var wireVersions = map[int]string{
 	3: "wire:v3:3cfe0a888072015d",
 }
 
-// fingerprintAt exposes the pinned fingerprint for tests.
-func fingerprintAt(v int) string { return wireVersions[v] }
-
 // ---- wire structs ----
 //
 // Every struct below is part of the wire contract (marked //wire:struct for
@@ -149,22 +146,6 @@ func appendHello(b []byte, m Hello) []byte { return appendString(b, m.Node) }
 func AppendRegister(b []byte, m Register) []byte {
 	b = appendString(b, m.Node)
 	return appendString(b, m.Addr)
-}
-
-func appendPut(b []byte, m Put) []byte {
-	b = appendUvarint(b, m.TraceID)
-	return appendPutItem(b, m)
-}
-
-// appendPutItem encodes the per-datum fields of a Put (everything but the
-// message-level TraceID, which PutBatch hoists onto its header).
-func appendPutItem(b []byte, m Put) []byte {
-	b = appendString(b, m.ReqID)
-	b = appendString(b, m.Fn)
-	b = appendString(b, m.Data)
-	b = appendUvarint(b, uint64(m.Consumers))
-	b = appendVarint(b, m.Size)
-	return appendBytes(b, m.Payload)
 }
 
 // appendPutReq encodes one wmm.PutReq's datum fields directly (the ship

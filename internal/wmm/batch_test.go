@@ -19,7 +19,7 @@ func stateOf(s *Sink) sinkState {
 		stats:     s.Stats(),
 		memBytes:  s.MemBytes(),
 		diskBytes: s.DiskBytes(),
-		entries:   s.Len(),
+		entries:   memEntries(s),
 	}
 }
 
@@ -82,7 +82,7 @@ func TestPutBatchEmptyAndSingleton(t *testing.T) {
 	if got, _, ok := s.Get(0, k("r1", "f", "x")); !ok || got.Size != 7 {
 		t.Fatalf("singleton batch not served: %v %v", got, ok)
 	}
-	if s.Len() != 0 {
+	if memEntries(s) != 0 {
 		t.Fatal("clamped single consumer did not proactively release")
 	}
 }
@@ -96,7 +96,7 @@ func TestPutBatchLargerThanScratch(t *testing.T) {
 		reqs = append(reqs, PutReq{Key: k("r1", "f", fmt.Sprintf("d%d", i)), Val: v(1), Consumers: 1})
 	}
 	s.PutBatch(0, reqs)
-	if got := s.Len(); got != 300 {
+	if got := memEntries(s); got != 300 {
 		t.Fatalf("len = %d, want 300", got)
 	}
 	if got := s.MemBytes(); got != 300 {
@@ -150,8 +150,8 @@ func TestFreeListSafeAcrossTTLSkeletons(t *testing.T) {
 	// Everything was consumed before its TTL; nothing may be left in either
 	// tier once every TTL of the run has passed.
 	s.ExpireSweep(at + time.Second)
-	if s.Len() != 0 || s.DiskBytes() != 0 {
-		t.Fatalf("len=%d disk=%d after full consumption", s.Len(), s.DiskBytes())
+	if memEntries(s) != 0 || s.DiskBytes() != 0 {
+		t.Fatalf("len=%d disk=%d after full consumption", memEntries(s), s.DiskBytes())
 	}
 	if got, _, ok := s.Get(at, k("r1", "f", "d0")); ok {
 		t.Fatalf("recycled record resurrected %v", got)

@@ -34,9 +34,9 @@ func TestParallelPutGetPeek(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if s.MemBytes() != 0 || s.DiskBytes() != 0 || s.Len() != 0 {
+	if s.MemBytes() != 0 || s.DiskBytes() != 0 || memEntries(s) != 0 {
 		t.Fatalf("mem=%d disk=%d len=%d after full consumption, want 0",
-			s.MemBytes(), s.DiskBytes(), s.Len())
+			s.MemBytes(), s.DiskBytes(), memEntries(s))
 	}
 }
 
@@ -144,8 +144,8 @@ func TestStatsMergeConsistency(t *testing.T) {
 	if st.PeakMemBytes < 4 || st.PeakMemBytes > 4*goroutines {
 		t.Fatalf("peak = %d, want within [4, %d]", st.PeakMemBytes, 4*goroutines)
 	}
-	if s.MemBytes() != 0 || s.Len() != 0 {
-		t.Fatalf("mem=%d len=%d, want drained", s.MemBytes(), s.Len())
+	if s.MemBytes() != 0 || memEntries(s) != 0 {
+		t.Fatalf("mem=%d len=%d, want drained", s.MemBytes(), memEntries(s))
 	}
 }
 
@@ -163,8 +163,8 @@ func TestCrossShardAggregates(t *testing.T) {
 	if s.MemBytes() != total {
 		t.Fatalf("mem = %d, want %d", s.MemBytes(), total)
 	}
-	if s.Len() != n {
-		t.Fatalf("len = %d, want %d", s.Len(), n)
+	if memEntries(s) != n {
+		t.Fatalf("len = %d, want %d", memEntries(s), n)
 	}
 	if got := s.Stats().PeakMemBytes; got != total {
 		t.Fatalf("peak = %d, want %d (single writer: peak is the sum)", got, total)
@@ -178,7 +178,7 @@ func TestCrossShardAggregates(t *testing.T) {
 		t.Fatalf("integral = %v MB·s, want ~%v", gotMBs, wantMBs)
 	}
 	s.ReleaseRequest(10*time.Second, "r1")
-	if s.MemBytes() != 0 || s.Len() != 0 {
-		t.Fatalf("mem=%d len=%d after release, want 0", s.MemBytes(), s.Len())
+	if s.MemBytes() != 0 || memEntries(s) != 0 {
+		t.Fatalf("mem=%d len=%d after release, want 0", s.MemBytes(), memEntries(s))
 	}
 }

@@ -131,7 +131,7 @@ var modelKeys = func() (keys []Key) {
 func runModel(t testing.TB, opts Options, data []byte) Stats {
 	s := NewSink(opts)
 	m := &modelSink{opts: opts, entries: make(map[Key]*modelEntry)}
-	exact := s.Shards() == 1
+	exact := len(s.shards) == 1
 	at := time.Duration(0)
 	compare := func(step int, op string, key Key) {
 		t.Helper()
@@ -141,9 +141,9 @@ func runModel(t testing.TB, opts Options, data []byte) Stats {
 		if !exact {
 			got.PeakMemBytes, want.PeakMemBytes = 0, 0
 		}
-		if s.MemBytes() != memB || s.DiskBytes() != diskB || s.Len() != memN || got != want {
+		if s.MemBytes() != memB || s.DiskBytes() != diskB || memEntries(s) != memN || got != want {
 			t.Fatalf("%+v step %d %s(%v, %v):\nsink  mem=%d disk=%d len=%d %+v\nmodel mem=%d disk=%d len=%d %+v",
-				opts, step, op, at, key, s.MemBytes(), s.DiskBytes(), s.Len(), got, memB, diskB, memN, want)
+				opts, step, op, at, key, s.MemBytes(), s.DiskBytes(), memEntries(s), got, memB, diskB, memN, want)
 		}
 	}
 	for step := 0; len(data) >= 3; step++ {

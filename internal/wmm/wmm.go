@@ -159,9 +159,6 @@ func NewSink(opts Options) *Sink {
 	return s
 }
 
-// Shards returns the number of lock stripes.
-func (s *Sink) Shards() int { return len(s.shards) }
-
 // Put caches v for key at virtual/wall time at. consumers is the number of
 // destination FLUs that will fetch the datum (>=1); once they all have, the
 // entry is proactively released. Re-putting an existing key replaces it.
@@ -317,6 +314,8 @@ func (s *Sink) Clear(at time.Duration) {
 // ExpireSweep runs the passive-expire policy on every shard at time at and
 // returns how many entries expired (spilled to disk or, when already fully
 // consumed, dropped).
+//
+//repolint:testseam the reference model and fuzz tests step expiry at chosen instants
 func (s *Sink) ExpireSweep(at time.Duration) int {
 	n := 0
 	for i := range s.shards {
@@ -361,20 +360,4 @@ func (s *Sink) Stats() Stats {
 	}
 	out.PeakMemBytes = s.peakMem.Load()
 	return out
-}
-
-// Len returns the number of memory-tier entries (for tests).
-func (s *Sink) Len() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for _, e := range sh.entries {
-			if e.tier == Memory {
-				n++
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return n
 }

@@ -216,6 +216,8 @@ func parseDest(s string) (Dest, error) {
 
 // FormatDSL renders the workflow back into DSL text (round-trippable with
 // ParseDSL for valid workflows).
+//
+//repolint:testseam the DSL round-trip property tests use it as the parser's reference
 func FormatDSL(w *Workflow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "workflow %s\n", w.Name)

@@ -133,16 +133,6 @@ func (f *Function) Input(name string) (Input, bool) {
 	return Input{}, false
 }
 
-// Output returns the output declaration with the given name.
-func (f *Function) Output(name string) (Output, bool) {
-	for _, out := range f.Outputs {
-		if out.Name == name {
-			return out, true
-		}
-	}
-	return Output{}, false
-}
-
 // Workflow is a named data-flow graph of functions. Once a workflow starts
 // serving requests it must not be structurally modified: the derived index
 // (name lookup, edge list, entries, static user-item count) is built once

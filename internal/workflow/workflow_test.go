@@ -305,12 +305,6 @@ func TestFunctionLookups(t *testing.T) {
 	if _, ok := f.Input("nope"); ok {
 		t.Fatal("phantom input found")
 	}
-	if _, ok := f.Output("result"); !ok {
-		t.Fatal("output result not found")
-	}
-	if _, ok := f.Output("nope"); ok {
-		t.Fatal("phantom output found")
-	}
 	if _, ok := w.Function("nope"); ok {
 		t.Fatal("phantom function found")
 	}

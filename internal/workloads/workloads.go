@@ -268,18 +268,3 @@ func All() []*Profile {
 		WordCount(4, 0),
 	}
 }
-
-// ByName returns a default-parameter profile by benchmark name.
-func ByName(name string) (*Profile, error) {
-	switch name {
-	case "img":
-		return ImageProcessing(0), nil
-	case "vid":
-		return VideoFFmpeg(0, 0), nil
-	case "svd":
-		return SVD(0, 0), nil
-	case "wc":
-		return WordCount(4, 0), nil
-	}
-	return nil, fmt.Errorf("workloads: unknown benchmark %q", name)
-}

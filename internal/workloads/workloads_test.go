@@ -29,18 +29,6 @@ func TestAllProfilesValid(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	for _, name := range []string{"img", "vid", "svd", "wc"} {
-		p, err := ByName(name)
-		if err != nil || p.Name != name {
-			t.Fatalf("ByName(%s) = %v, %v", name, p, err)
-		}
-	}
-	if _, err := ByName("bogus"); err == nil {
-		t.Fatal("bogus accepted")
-	}
-}
-
 func TestWordCountParameterization(t *testing.T) {
 	small := WordCount(4, 1<<20)
 	big := WordCount(4, 16<<20)
@@ -111,10 +99,7 @@ func TestCommunicationShareOrdering(t *testing.T) {
 		}
 		return comm / (comm + comp)
 	}
-	img, _ := ByName("img")
-	vid, _ := ByName("vid")
-	svd, _ := ByName("svd")
-	wc, _ := ByName("wc")
+	img, vid, svd, wc := ImageProcessing(0), VideoFFmpeg(0, 0), SVD(0, 0), WordCount(4, 0)
 	rImg, rVid, rSvd, rWc := ratio(img), ratio(vid), ratio(svd), ratio(wc)
 	if !(rWc > rVid && rVid > rSvd && rSvd > rImg) {
 		t.Fatalf("comm share ordering broken: img=%.2f vid=%.2f svd=%.2f wc=%.2f",
