@@ -111,10 +111,8 @@ type Container struct {
 	// through it.
 	Limiter *pipe.Limiter
 
-	// state and invocations are written only by the container's owner (see
-	// FnPool); invocations is an atomic for its observer, Invocations.
-	state       atomic.Int32
-	invocations atomic.Int64
+	// state is written only by the container's owner (see FnPool).
+	state atomic.Int32
 
 	// DLU daemon state. The container owns its queue and lifecycle — started
 	// lazily on first enqueue, closed when the engine shuts down — so the
@@ -123,14 +121,16 @@ type Container struct {
 	// mutex, so an enqueue can never race a close into a send-on-closed-
 	// channel panic; a close issued while the queue is full simply waits for
 	// the daemon to drain the blocked send.
-	dluMu     sync.Mutex
-	dluCh     chan DLUTask
-	dluClosed bool
-	// dluTasks counts tasks enqueued and not yet reported shipped. Atomic,
-	// not under dluMu: the daemon reports while a sender may be holding
-	// dluMu across a send into the full queue only the daemon drains.
+	dluMu sync.Mutex
+	dluCh chan DLUTask
+	// dluTasks counts tasks enqueued and not yet reported shipped, plus
+	// dluClosedBit once the queue is closed (under dluMu), so DLUQuiet is one
+	// load. Atomic, not under dluMu: the daemon reports while a sender may be
+	// holding dluMu across a send into the full queue only the daemon drains.
 	dluTasks atomic.Int32
 }
+
+const dluClosedBit = 1 << 30 // far above any DLUQueueDepth task count
 
 // DLUEnqueue hands one task to the container's DLU daemon queue. queue is
 // non-nil for exactly the call that created it: that caller must start the
@@ -141,7 +141,7 @@ type Container struct {
 func (c *Container) DLUEnqueue(task DLUTask) (queue <-chan DLUTask, ok bool) {
 	c.dluMu.Lock()
 	defer c.dluMu.Unlock()
-	if c.dluClosed {
+	if c.dluTasks.Load()&dluClosedBit != 0 {
 		return nil, false
 	}
 	if c.dluCh == nil {
@@ -160,11 +160,7 @@ func (c *Container) DLUShipped(n int) { c.dluTasks.Add(int32(-n)) }
 // shipping. Only then may the FLU ship an output itself without overtaking
 // one it handed to the daemon earlier (per-container FIFO); a closed plane
 // is never quiet, so a late Put still reaches DLUEnqueue and is refused.
-func (c *Container) DLUQuiet() bool {
-	c.dluMu.Lock()
-	defer c.dluMu.Unlock()
-	return !c.dluClosed && c.dluTasks.Load() == 0
-}
+func (c *Container) DLUQuiet() bool { return c.dluTasks.Load() == 0 }
 
 // DLUClose closes the container's DLU queue; the daemon exits once it has
 // drained the remaining tasks. Idempotent and safe concurrently with
@@ -172,19 +168,14 @@ func (c *Container) DLUQuiet() bool {
 func (c *Container) DLUClose() {
 	c.dluMu.Lock()
 	defer c.dluMu.Unlock()
-	if c.dluClosed {
+	if c.dluTasks.Load()&dluClosedBit != 0 {
 		return
 	}
-	c.dluClosed = true
+	c.dluTasks.Add(dluClosedBit)
 	if c.dluCh != nil {
 		close(c.dluCh)
 	}
 }
-
-// Invocations returns how many FLU invocations the container has served.
-//
-//repolint:testseam core's tests count which container ran an instance; no obs counter is per container
-func (c *Container) Invocations() int64 { return c.invocations.Load() }
 
 // Options configures a Node.
 type Options struct {
@@ -326,11 +317,7 @@ func (p *FnPool) slot(stripe uint32) *atomic.Pointer[Container] {
 // or off the list. It reports false for one that is not idle: ownership says
 // that cannot happen, and such an entry is dropped rather than handed out.
 func (c *Container) hold() bool {
-	if !c.state.CompareAndSwap(int32(Idle), int32(Busy)) {
-		return false
-	}
-	c.invocations.Add(1)
-	return true
+	return c.state.CompareAndSwap(int32(Idle), int32(Busy))
 }
 
 // handBack marks a busy container idle ahead of its return to the pool. It
@@ -424,10 +411,11 @@ func (n *Node) StartContainer(fn string, spec Spec) *Container {
 		Limiter: pipe.NewLimiter(n.clk, spec.BandwidthBps()),
 	}
 	c.state.Store(int32(Busy))
-	c.invocations.Store(1)
 	// A container born after CloseDLUs (engine shutdown racing a cold
 	// start) must never open a DLU queue nobody will drain.
-	c.dluClosed = n.dluShut
+	if n.dluShut {
+		c.dluTasks.Store(dluClosedBit)
+	}
 	pool.mu.Lock()
 	pool.live = append(pool.live, c)
 	pool.mu.Unlock()

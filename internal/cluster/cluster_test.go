@@ -26,19 +26,16 @@ func TestStartAcquireRelease(t *testing.T) {
 	if c.State() != Busy {
 		t.Fatalf("state = %v", c.State())
 	}
-	if c.Invocations() != 1 {
-		t.Fatalf("invocations = %d", c.Invocations())
-	}
 	n.Release(c)
 	if c.State() != Idle {
 		t.Fatalf("state after release = %v", c.State())
 	}
 	got, ok := n.AcquireIdle("f")
-	if !ok || got != c {
+	if !ok || got != c || got.State() != Busy {
 		t.Fatal("warm container not reused")
 	}
-	if got.Invocations() != 2 {
-		t.Fatalf("invocations = %d", got.Invocations())
+	if n.Containers("f") != 1 || n.Pool("f").Idle() != 0 {
+		t.Fatalf("%d containers started, %d idle, want 1 and 0", n.Containers("f"), n.Pool("f").Idle())
 	}
 }
 

@@ -74,8 +74,8 @@ func TestIdleFreeListConcurrency(t *testing.T) {
 }
 
 // TestDLUCloseRefusesLateEnqueue pins the container-owned close protocol:
-// an enqueue racing a close must be refused, never panic, and the daemon
-// must drain what was accepted.
+// an enqueue racing a close must be refused, never panic, the daemon must
+// drain what was accepted, and a closed plane is never quiet.
 func TestDLUCloseRefusesLateEnqueue(t *testing.T) {
 	n := NewNode("w1", Options{})
 	c := n.StartContainer("f", Spec{MemoryMB: 128})
@@ -125,6 +125,28 @@ func TestDLUCloseRefusesLateEnqueue(t *testing.T) {
 	daemon.Wait()
 	if drained.Load() != accepted {
 		t.Fatalf("daemon drained %d tasks, %d accepted", drained.Load(), accepted)
+	}
+
+	// DLUQuiet is one word: open with nothing queued or shipping. A closed
+	// plane is never quiet, with nothing queued or born closed.
+	g := n.StartContainer("g", Spec{MemoryMB: 128})
+	if !g.DLUQuiet() {
+		t.Fatal("an open, empty DLU plane is not quiet")
+	}
+	if _, ok := g.DLUEnqueue(DLUTask{}); !ok || g.DLUQuiet() {
+		t.Fatal("a queued task left the plane quiet")
+	}
+	if g.DLUShipped(1); !g.DLUQuiet() {
+		t.Fatal("the plane is not quiet once its task shipped")
+	}
+	n.CloseDLUs()
+	for _, c := range []*Container{c, g, n.StartContainer("g", Spec{MemoryMB: 128})} {
+		if c.DLUQuiet() {
+			t.Fatalf("%s: a closed DLU plane is quiet", c.ID)
+		}
+		if _, ok := c.DLUEnqueue(DLUTask{}); ok {
+			t.Fatalf("%s: enqueue accepted after close", c.ID)
+		}
 	}
 }
 
@@ -256,8 +278,8 @@ func TestPoolSlotsAndList(t *testing.T) {
 		if got, ok := n.AcquireIdle("f"); !ok || got != c {
 			t.Fatal("AcquireIdle missed although a slot held an idle container")
 		}
-		if c.Invocations() != 3 || n.Containers("f") != 1 {
-			t.Fatalf("%d invocations, %d containers started, want 3 and 1", c.Invocations(), n.Containers("f"))
+		if c.State() != Busy || p.Idle() != 0 || n.Containers("f") != 1 {
+			t.Fatalf("%v, %d idle, %d containers started, want busy, 0 and 1", c.State(), p.Idle(), n.Containers("f"))
 		}
 	})
 

@@ -275,8 +275,8 @@ func TestHandlerInvokesWhileShutdownPends(t *testing.T) {
 }
 
 // TestPrewarmProbeDoesNotTouchTheIdleContainer: a pressure notification that
-// finds a container idle must leave it alone — not count a run on it that
-// never happened, and start nothing.
+// finds a container idle must leave it alone — idle, in its pool — and start
+// nothing.
 func TestPrewarmProbeDoesNotTouchTheIdleContainer(t *testing.T) {
 	sys := virtualChain(t, 2)
 	var ctr atomic.Pointer[cluster.Container]
@@ -288,11 +288,17 @@ func TestPrewarmProbeDoesNotTouchTheIdleContainer(t *testing.T) {
 	warmChain(t, sys, 1)
 	c := ctr.Load()
 	waitFor(t, 5*time.Second, func() bool { return c.Node.Pool("a").Idle() == 1 }, "a's container never went idle")
-	runs, colds := c.Invocations(), obs.Default().Snapshot().Counters["cluster_cold_starts_total"]
+	colds := obs.Default().Snapshot().Counters["cluster_cold_starts_total"]
 	sys.prewarm(sys.fns["a"], c.Node)
-	if got := c.Invocations(); got != runs {
-		t.Fatalf("the probe counted %d invocations on the idle container", got-runs)
+	pool := c.Node.Pool("a")
+	if got := pool.Idle(); got != 1 {
+		t.Fatalf("the probe took the idle container: %d idle", got)
 	}
+	got, ok := pool.Acquire(0)
+	if !ok || got != c {
+		t.Fatal("the pool no longer holds the container the request ran on")
+	}
+	pool.Release(got, 0)
 	if got := obs.Default().Snapshot().Counters["cluster_cold_starts_total"]; got != colds || c.Node.Containers("a") != 1 {
 		t.Fatalf("the probe started a container: %d cold starts, %d containers of a", got-colds, c.Node.Containers("a"))
 	}
@@ -424,7 +430,7 @@ func TestCarriedReadingIsDroppedAtAWait(t *testing.T) {
 		// is no longer brief: a pool worker runs the chain, and may cold-start.
 		a.observe(0, 10*time.Millisecond, 10*time.Millisecond)
 		node := b.primary()
-		held, ok := b.pools[node].Acquire(0)
+		held, ok := b.pools[0].Acquire(0) // the primary's pool
 		if !ok {
 			t.Fatal("b has no idle container after the warm-up")
 		}

@@ -109,9 +109,9 @@ type System struct {
 	cfg Config
 	wf  *workflow.Workflow
 
-	// fns is the per-function state; the map is immutable after NewSystem.
+	// fns is the per-function state by name (Register); immutable.
 	fns    map[string]*fnState
-	fnList []*fnState // declaration order, for deterministic error reporting
+	fnList []*fnState // indexed by workflow.Function.Index (declaration order)
 
 	// static marks the single-owner fast path: one replica per function and
 	// no fault tolerance, so every route is the primary and nothing is pinned.
@@ -182,6 +182,7 @@ type System struct {
 // execution-time average (T_FLU in Eq. 1).
 type fnState struct {
 	name string
+	idx  int // workflow.Function.Index: the tracker's handle on the function
 	spec cluster.Spec
 	// single is true when no FOREACH edge targets the function: exactly one
 	// instance per request, known immediately (dataflow.Tracker.Init's rule).
@@ -197,8 +198,10 @@ type fnState struct {
 
 	handler atomic.Pointer[Handler]
 
-	// pools is the function's container pool on every node (immutable).
-	pools map[*cluster.Node]*cluster.FnPool
+	// pools is the function's container pool on every node it may run on,
+	// indexed by the replica ordinal selectReplica deals: the replica set,
+	// then every node as a backfill (immutable).
+	pools []*cluster.FnPool
 
 	isBrief atomic.Bool // the caller-run gate's verdict, republished by observe
 	// tfluPub is T_FLU as observe last published it, mean<<1 | 1 (zero: no
@@ -339,13 +342,13 @@ func NewSystem(cfg Config) (*System, error) {
 		}
 		st := &fnState{
 			name:     fn,
+			idx:      len(s.fnList),
 			spec:     cfg.DefaultSpec,
 			replicas: nodes,
-			pools:    make(map[*cluster.Node]*cluster.FnPool, len(s.allNodes)),
 		}
 		st.cap.init(cfg.MaxContainersPerFn)
-		for _, n := range s.allNodes {
-			st.pools[n] = n.Pool(fn)
+		for _, n := range append(nodes[:len(nodes):len(nodes)], s.allNodes...) {
+			st.pools = append(st.pools, n.Pool(fn))
 		}
 		s.fns[fn] = st
 		s.fnList = append(s.fnList, st)
@@ -441,9 +444,9 @@ func (s *System) selectReplica(st *fnState, prefer *cluster.Node) (n *cluster.No
 	return reps[0], 0, false
 }
 
-// routeFor resolves the node serving fn for this request, pinning the replica
-// on first use (the static path returns the primary). Caller must not hold
-// r.mu.
+// routeFor resolves the node serving fn for this request and its replica
+// ordinal, pinning the replica on first use (the static path returns the
+// primary). Caller must not hold r.mu.
 func (s *System) routeFor(r *request, st *fnState, prefer *cluster.Node) (*cluster.Node, int) {
 	if s.static {
 		return st.primary(), 0
@@ -539,7 +542,7 @@ func (s *System) Invoke(input map[string][]byte) (*Invocation, error) {
 	inv.wg.Add(1)
 	r := s.newRequest(inv, stripe, start)
 	inv.req = r
-	var entryBuf [4]dataflow.InstanceKey
+	var entryBuf [4]dataflow.Ready
 	obsRequests.Inc(stripe)
 	if s.sampleEvery > 0 && reqNum%s.sampleEvery == 0 {
 		r.span = s.ring.Start(s.ring.NewTraceID(), inv.ReqID())
@@ -560,11 +563,10 @@ func (s *System) Invoke(input map[string][]byte) (*Invocation, error) {
 	}
 	if len(newly) == 1 {
 		// The caller finishes a brief entry instance before a worker would
-		// wake for it, under the gate count it entered with. Nothing since
-		// the reading of start can have slept, so it starts the instance.
-		job := s.admitInstance(r, newly[0])
-		r.release() // the job's reference covers the request from here
-		s.runChain(job, true, start)
+		// wake for it, under the gate count it entered with, and Invoke's
+		// reference becomes the job's. Nothing since the reading of start can
+		// have slept, so it starts the instance.
+		s.runChain(s.admitInstance(r, newly[0]), true, start)
 		return inv, nil
 	}
 	s.scheduleReady(r, newly, nil)
@@ -576,28 +578,29 @@ func (s *System) Invoke(input map[string][]byte) (*Invocation, error) {
 // errShutdown refuses an Invoke after Shutdown.
 var errShutdown = errors.New("core: system is shut down")
 
-// admitInstance records one triggered instance and makes its job, which holds
-// a reference to the request until it has run. The caller sees to it that a
-// gate count covers it: its own, or the chain's it is parked in.
-func (s *System) admitInstance(r *request, key dataflow.InstanceKey) instanceJob {
-	s.event(r, trace.InstanceTriggered, key.Fn, key.Idx, "")
-	r.refs.Add(1)
-	return instanceJob{req: r, gen: r.gen.Load(), key: key, st: s.fns[key.Fn]}
+// admitInstance records one triggered instance and makes its job. The caller
+// hands the job a reference to the request, held until it has run, and sees
+// to it that a gate count covers it: its own, or the chain's it is parked in.
+func (s *System) admitInstance(r *request, rd dataflow.Ready) instanceJob {
+	s.event(r, trace.InstanceTriggered, rd.Key.Fn, rd.Key.Idx, "")
+	return instanceJob{req: r, gen: r.gen.Load(), key: rd.Key, st: s.fnList[rd.Fn]}
 }
 
 // scheduleReady triggers newly ready instances; the tracker hands each key out
 // once. flu is non-nil when the producer itself is shipping (Context.put): if
 // it passed the continuation gate, the first instance is parked in it, to run
-// next under its chain's gate count, and only the rest (a fan-out) take a
-// count of their own and wake through the executor pool.
-func (s *System) scheduleReady(r *request, keys []dataflow.InstanceKey, flu *Context) {
-	for _, key := range keys {
-		job := s.admitInstance(r, key)
+// next under its chain's gate count with its producer job's reference, and
+// only the rest (a fan-out) take a count and a reference of their own and wake
+// through the executor pool.
+func (s *System) scheduleReady(r *request, ready []dataflow.Ready, flu *Context) {
+	for _, rd := range ready {
+		job := s.admitInstance(r, rd)
 		if flu != nil && flu.cont && flu.next.req == nil {
 			flu.next = job
 			obsContinuations.Inc(r.stripe)
 			continue
 		}
+		r.refs.Add(1)
 		s.gate.add(r.stripe)
 		s.submitInstance(job)
 	}
@@ -605,7 +608,7 @@ func (s *System) scheduleReady(r *request, keys []dataflow.InstanceKey, flu *Con
 
 // instanceJob is one instance execution handed to the executor pool, or
 // parked in its producer's Context (req nil = none). It holds a reference to
-// req, made under generation gen.
+// req, made under generation gen: its own, or, parked, its producer's.
 type instanceJob struct {
 	req *request
 	gen uint32
@@ -646,10 +649,10 @@ func (s *System) execWorker() {
 // gate count the chain started with, exited on the stripe it entered. An
 // Invoke caller runs only what is brief and has a warm container: its chain
 // ends at the first instance that is not, which goes to the executor pool
-// with the count. A job that ran drops its request reference once
-// runInstance returned. at is a reading this goroutine took with nothing that
-// can sleep since (zero: none), where the first instance starts; each
-// continuation starts at its producer's end.
+// with the count. A job that ran hands its request reference to the
+// continuation it parked, or drops it. at is a reading this goroutine took
+// with nothing that can sleep since (zero: none), where the first instance
+// starts; each continuation starts at its producer's end.
 func (s *System) runChain(j instanceJob, caller bool, at time.Time) {
 	stripe := j.req.stripe
 	for j.req != nil {
@@ -658,7 +661,9 @@ func (s *System) runChain(j instanceJob, caller bool, at time.Time) {
 			s.submitInstance(j)
 			return
 		}
-		j.req.release()
+		if next.req == nil {
+			j.req.release()
+		}
 		j, at = next, end
 	}
 	s.gate.exit(stripe)
@@ -673,7 +678,8 @@ func (s *System) runChain(j instanceJob, caller bool, at time.Time) {
 // One clock reading serves two neighbours: the handler starts at at when the
 // caller carried one in, and end, which closed its last run, is the next
 // instance's at. A parked instance cap and a cold start each drop the
-// carried reading, so T_FLU never contains a wait.
+// carried reading, so T_FLU never contains a wait. Three returns keep every
+// defer open-coded.
 func (s *System) runInstance(j instanceJob, caller bool, at time.Time) (next instanceJob, end time.Time, ran bool) {
 	r, key, st := j.req, j.key, j.st
 	r.live(j.gen)
@@ -683,7 +689,7 @@ func (s *System) runInstance(j instanceJob, caller bool, at time.Time) (next ins
 	}
 	// The node the request's data for fn was routed to (pinned at the first
 	// ship), or for an entry function the least-loaded replica.
-	node, _ := s.routeFor(r, st, nil)
+	node, ordinal := s.routeFor(r, st, nil)
 	if !s.static {
 		ld := s.nodeLoad[node]
 		ld.Add(r.stripe, 1)
@@ -698,7 +704,7 @@ func (s *System) runInstance(j instanceJob, caller bool, at time.Time) (next ins
 		}
 	}()
 
-	pool := st.pools[node]
+	pool := st.pools[ordinal]
 	ctr, warm := pool.Acquire(r.stripe)
 	if !warm {
 		if caller && node.ColdStart() > 0 {
@@ -720,7 +726,7 @@ func (s *System) runInstance(j instanceJob, caller bool, at time.Time) (next ins
 	ctx := ctxPool.Get().(*Context)
 	defer releaseCtx(ctx)
 	r.mu.Lock()
-	inputs, valBuf := r.tracker.InputsAppendBacking(ctx.inputs[:0], ctx.valBuf[:0], key)
+	inputs, valBuf := r.tracker.InputsAppendBacking(ctx.inputs[:0], ctx.valBuf[:0], st.idx, key)
 	for _, ai := range r.arrivedFor(key) {
 		// Accounting only: the values come from the tracker, so an
 		// unreachable remote sink costs residue, not correctness.
@@ -754,7 +760,7 @@ func (s *System) runInstance(j instanceJob, caller bool, at time.Time) (next ins
 		obsExecLat.Observe(r.stripe, int64(d))
 		if err == nil {
 			s.event(r, trace.InstanceFinished, fn, key.Idx, "")
-			return ctx.next, end, true
+			break
 		}
 		at = end // the ReDo starts where this run ended
 		r.mu.Lock()
@@ -766,10 +772,11 @@ func (s *System) runInstance(j instanceJob, caller bool, at time.Time) (next ins
 		r.mu.Unlock()
 		if attempts > retryLimit {
 			r.fail(fmt.Errorf("core: %s failed after %d attempts: %w", key, attempts, err))
-			return ctx.next, end, true
+			break
 		}
 		if s.cfg.Trace != nil {
 			note = fmt.Sprintf("redo-%d", attempts)
 		}
 	}
+	return ctx.next, end, true
 }

@@ -322,12 +322,17 @@ func TestHandlerReDoOnFailure(t *testing.T) {
 	}
 }
 
+// TestHandlerFailsPermanently: every instance of a failing function is ReDone
+// to the retry limit, and the request fails with the handler's error. count
+// fans out to three instances that ReDo independently; the first out of
+// attempts fails the request while the others may still run, so their runs
+// are counted once Shutdown has drained them.
 func TestHandlerFailsPermanently(t *testing.T) {
 	sys, _ := newWCSystem(t, 1, nil)
 	defer sys.Shutdown()
-	var runs atomic.Int32
+	var runs [3]atomic.Int32
 	_ = sys.Register("count", func(ctx *Context) error {
-		runs.Add(1)
+		runs[ctx.Instance.Idx].Add(1)
 		return errors.New("always broken")
 	})
 	inv, err := sys.Invoke(map[string][]byte{"start.src": []byte("x")})
@@ -338,8 +343,11 @@ func TestHandlerFailsPermanently(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "always broken") {
 		t.Fatalf("err = %v", err)
 	}
-	if got := runs.Load(); got != 1+retryLimit {
-		t.Fatalf("handler ran %d times, want 1 + %d ReDos", got, retryLimit)
+	sys.Shutdown()
+	for idx := range runs {
+		if got := runs[idx].Load(); got != 1+retryLimit {
+			t.Fatalf("count[%d] ran %d times, want 1 + %d ReDos", idx, got, retryLimit)
+		}
 	}
 }
 

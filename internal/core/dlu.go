@@ -181,7 +181,7 @@ func (c *Context) put(output string, values []dataflow.Value, switchCase int) er
 	r.live(c.gen)
 	box := itemsPool.Get().(*itemsBox)
 	r.mu.Lock()
-	items, err := r.tracker.RouteAppend(box.items[:0], c.Instance, output, values, switchCase)
+	items, err := r.tracker.RouteIndexed(box.items[:0], c.fst.idx, c.Instance, output, values, switchCase)
 	r.mu.Unlock()
 	box.items = items
 	if err != nil {
@@ -256,14 +256,13 @@ func (c *Context) shipsInline(items []dataflow.Item) bool {
 	}
 	if s.hasRemote {
 		for i := range items {
-			fn := items[i].To.Fn
-			if fn == workflow.UserSource {
+			if items[i].To.Fn == workflow.UserSource {
 				continue
 			}
 			if s.ft {
 				return false
 			}
-			if node, _ := s.routeFor(c.req, s.fns[fn], c.ctr.Node); node.Remote() {
+			if node, _ := s.routeFor(c.req, s.fnList[items[i].ToFn()], c.ctr.Node); node.Remote() {
 				return false
 			}
 		}
@@ -275,7 +274,7 @@ func (c *Context) shipsInline(items []dataflow.Item) bool {
 // background (the reaction to a pressure notification), on the node whose DLU
 // backlog raised it — as the simulation plane's prewarm-on-own-node does.
 func (s *System) prewarm(st *fnState, node *cluster.Node) {
-	if st.pools[node].Idle() > 0 || node.Containers(st.name) >= s.cfg.MaxContainersPerFn {
+	if node.Pool(st.name).Idle() > 0 || node.Containers(st.name) >= s.cfg.MaxContainersPerFn {
 		return
 	}
 	s.gate.add(0)
@@ -315,20 +314,16 @@ func (s *System) dluEnqueue(ctr *cluster.Container, task cluster.DLUTask) bool {
 func (s *System) remoteBpsFloor(r *request, items []dataflow.Item) float64 {
 	floor := 0.0
 	for i := range items {
-		fn := items[i].To.Fn
-		if fn == workflow.UserSource {
+		if items[i].To.Fn == workflow.UserSource {
 			continue
 		}
-		st, ok := s.fns[fn]
-		if !ok {
-			continue
-		}
+		st := s.fnList[items[i].ToFn()]
 		// The request's pin, when one exists, names the node the items will
 		// actually cross the wire to; otherwise the primary is the best guess.
 		node := st.primary()
 		r.mu.Lock()
 		for j := range r.route {
-			if r.route[j].fn == fn {
+			if r.route[j].fn == st.name {
 				node = r.route[j].node
 				break
 			}
@@ -454,7 +449,7 @@ func (s *System) shipBatch(ctr *cluster.Container, b *dluBatch) {
 			// function agree on the node.
 			var node *cluster.Node
 			if it.To.Fn != workflow.UserSource {
-				node, it.Replica = s.routeFor(r, s.fns[it.To.Fn], ctr.Node)
+				node, it.Replica = s.routeFor(r, s.fnList[it.ToFn()], ctr.Node)
 			}
 			if node != runNode {
 				b.addRun(r, runNode, task.Items[start:i])
@@ -597,7 +592,7 @@ func (s *System) landBatch(r *request, items []dataflow.Item, node *cluster.Node
 	// consumer is this goroutine's next job and the datum never waits. It pays
 	// the wire and skips the sink — no key, put, arrived record or residue.
 	direct := b.flu != nil && b.flu.cont && b.flu.next.req == nil && len(items) == 1 &&
-		attempt == 0 && s.fns[items[0].To.Fn].direct
+		attempt == 0 && s.fnList[items[0].ToFn()].direct
 	if direct {
 		obsDirectEdges.Inc(r.stripe)
 	} else {
@@ -630,15 +625,17 @@ func (s *System) landBatch(r *request, items []dataflow.Item, node *cluster.Node
 		s.reland(r, items, b, attempt+1)
 		return
 	}
-	r.sinkResidue.Add(int64(len(b.reqs)))
-	if !direct && r.torn.Load() {
-		// The request completed while this shipment was in flight (e.g. the
-		// user-facing item of the same DLU task finished the workflow), so
-		// its teardown ReleaseRequest has already run (or was skipped for
-		// zero residue) — or runs after our Put, in which case this extra
-		// release is a no-op. Either way the just-cached entries must not
-		// outlive the request.
-		node.SinkRelease(r.inv.ReqID()) //nolint:errcheck // best effort: an unreachable sink holds nothing to release
+	if !direct {
+		r.sinkResidue.Add(int64(len(b.reqs)))
+		if r.torn.Load() {
+			// The request completed while this shipment was in flight (e.g.
+			// the user-facing item of the same DLU task finished the
+			// workflow), so its teardown ReleaseRequest has already run (or
+			// was skipped for zero residue) — or runs after our Put, in which
+			// case this extra release is a no-op. Either way the just-cached
+			// entries must not outlive the request.
+			node.SinkRelease(r.inv.ReqID()) //nolint:errcheck // best effort: an unreachable sink holds nothing to release
+		}
 	}
 	if s.cfg.Trace != nil || r.span != nil {
 		for i := range items {
@@ -671,14 +668,14 @@ func (s *System) reland(r *request, items []dataflow.Item, b *dluBatch, attempt 
 // and direct edges); flu is the producer's Context when it is the one shipping
 // (scheduleReady may park a consumer in it).
 func (s *System) deliverBatch(r *request, items []dataflow.Item, reqs []wmm.PutReq, node *cluster.Node, flu *Context) {
-	var readyBuf [4]dataflow.InstanceKey // on the stack: a delivery readies a handful of instances
+	var readyBuf [4]dataflow.Ready // on the stack: a delivery readies a handful of instances
 	r.mu.Lock()
 	for i := range items {
 		it := items[i]
 		if len(reqs) > 0 {
 			r.recordArrived(s.arrivedKey(it), arrivedItem{item: it, key: reqs[i].Key, node: node})
 		}
-		newly, err := r.tracker.DeliverInto(readyBuf[:0], it)
+		newly, err := r.tracker.DeliverReady(readyBuf[:0], it)
 		if err != nil {
 			r.mu.Unlock()
 			r.fail(err)
@@ -800,7 +797,7 @@ func (r *request) recordArrived(key dataflow.InstanceKey, ai arrivedItem) {
 // Only a FOREACH-fanned function's shared input keeps the {Fn, BroadcastIdx}
 // bucket, which no instance consumes and teardown reclaims.
 func (s *System) arrivedKey(it dataflow.Item) dataflow.InstanceKey {
-	if it.To.Idx == dataflow.BroadcastIdx && s.fns[it.To.Fn].single {
+	if it.To.Idx == dataflow.BroadcastIdx && s.fnList[it.ToFn()].single {
 		return dataflow.InstanceKey{Fn: it.To.Fn}
 	}
 	return it.To

@@ -172,3 +172,95 @@ func TestRecycleLifetimeStorm(t *testing.T) {
 	t.Run("torn-stream", func(t *testing.T) { recycleStorm(t, requests, 20<<10, false) })
 	t.Run("injected-failure", func(t *testing.T) { recycleStorm(t, requests, 64, true) })
 }
+
+// TestHandleReadersSeeNothingOrTheOutcome: once a request finished, the
+// handle's accessors read its outcome without a lock — finish writes it, then
+// publishes it with one atomic store. Readers racing finish see each
+// accessor's pre-finish zero value or its final value, never a torn one, and
+// only final values from the first they see on (every one, once Done is
+// closed); under -race the detector checks the publication itself. Half the
+// requests succeed, half fail.
+func TestHandleReadersSeeNothingOrTheOutcome(t *testing.T) {
+	const dsl = `
+workflow one
+function a
+  input in from $USER
+  output out to $USER
+`
+	clk := clock.NewManual(time.Unix(0, 0))
+	sys := dslSystem(t, dsl, 1, func(c *Config) { c.Clock = clk })
+	const lat = time.Millisecond // each request's first run lasts 1 ms of virtual time: a stays off the caller
+	for i := 0; i < 40; i++ {
+		started, release, fail := make(chan struct{}), make(chan struct{}), i%2 == 1
+		_ = sys.Register("a", func(ctx *Context) error {
+			select {
+			case <-started: // a ReDo
+			default:
+				close(started)
+			}
+			<-release
+			if fail {
+				return errors.New("always broken")
+			}
+			in, _ := ctx.Input("in")
+			return ctx.Put("out", in)
+		})
+		payload := []byte("req-" + strconv.Itoa(i))
+		inv := invokeReturns(t, sys, map[string][]byte{"a.in": payload})
+		// read checks one pass over the accessors; seen says a final value
+		// has been read (or Done was closed), so every value must be final.
+		read := func(seen bool) (bool, error) {
+			err, l, outs := inv.Err(), inv.Latency(), inv.Outputs()
+			out, ok := inv.OutputBytes("out")
+			for _, v := range []struct {
+				name        string
+				zero, final bool
+			}{
+				{"Err", err == nil, (err == nil) == !fail && (err == nil || strings.Contains(err.Error(), "always broken"))},
+				{"Latency", l == 0, l == lat},
+				{"Outputs", outs == nil, outs != nil && (fail && len(outs) == 0 || !fail && len(outs) == 1 && bytes.Equal(outs[0].Value.Payload, payload))},
+				{"OutputBytes", !ok && out == nil, ok == !fail && (fail || bytes.Equal(out, payload))},
+			} {
+				if !v.final && (seen || !v.zero) {
+					return seen, fmt.Errorf("request %d: %s read neither %s (err=%v lat=%v outputs=%d out=%q ok=%v)",
+						i, v.name, map[bool]string{false: "its zero nor its final value", true: "its final value after one was seen"}[seen],
+						err, l, len(outs), out, ok)
+				}
+				seen = seen || v.final && !v.zero
+			}
+			return seen, nil
+		}
+		var wg sync.WaitGroup
+		errs := make(chan error, 2)
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for seen := false; ; runtime.Gosched() {
+					var finished bool
+					select {
+					case <-inv.Done():
+						finished = true
+					default:
+					}
+					var err error
+					if seen, err = read(seen || finished); err != nil {
+						errs <- err
+						return
+					}
+					if finished {
+						return
+					}
+				}
+			}()
+		}
+		<-started // the run's reading is taken: it lasts lat
+		clk.Advance(lat)
+		close(release)
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+	}
+}

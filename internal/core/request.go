@@ -23,13 +23,16 @@ import (
 // finished" state holds one; so does every admitted instance job (running,
 // queued or parked as a continuation), every task queued to a DLU daemon,
 // Invoke while it registers the request, and pinsNow reading a live one:
-// a producer's late Put routes on a request torn down but not recycled. Each
-// recycle bumps gen; jobs and queued tasks carry the generation they were
-// made under, asserted under the package's tests (checkGen).
+// a producer's late Put routes on a request torn down but not recycled. A
+// reference moves where it can: Invoke's becomes its lone entry job's, and a
+// continuation inherits its producer's. Under the package's tests (checkGen)
+// each recycle bumps gen, and jobs and queued tasks carry the generation they
+// were made under, asserted where they use the request.
 
 // Invocation is the caller's handle on one workflow request: its id, latency,
 // terminal error and user outputs. It stays valid after the request finished
-// and the engine reused its state.
+// and the engine reused its state. Until the request finished, Err, Latency
+// and Outputs return zero values; after, they read it without a lock.
 type Invocation struct {
 	id int64
 	// wg is Wait's signal: one count, released when the request finishes.
@@ -38,20 +41,23 @@ type Invocation struct {
 	// (fault-tolerant mode only).
 	replays atomic.Int64
 
-	mu sync.Mutex // guards everything below; a leaf lock under request.mu
-	// idStr is the formatted id, made by the first ReqID call.
-	idStr string
-	// req is the engine state while the request runs; nil once it finished.
-	req  *request
-	done chan struct{} // Done's channel, made only when asked for in flight
-	err  error
-	lat  time.Duration
+	// finished publishes the outcome below, which finish writes once before.
+	finished atomic.Bool
+	err      error
+	lat      time.Duration
 	// outputs are the user items, copied in at finish; outBuf seeds them so
 	// a single-output workflow's copy allocates nothing. pins are the route
 	// pins as the request left them (none on the static path).
 	outputs []dataflow.Item
 	outBuf  [1]dataflow.Item
 	pins    []routePin
+
+	mu sync.Mutex // guards the three below; a leaf lock under request.mu
+	// idStr is the formatted id, made by the first ReqID call.
+	idStr string
+	// req is the engine state while the request runs; nil once it finished.
+	req  *request
+	done chan struct{} // Done's channel, made only when asked for in flight
 }
 
 // ReqID returns the request's identifier, "req-<n>". It is formatted on the
@@ -89,27 +95,25 @@ func (inv *Invocation) Done() <-chan struct{} {
 	return inv.done
 }
 
-// Err returns the terminal error, if any. Valid after Done is closed.
-func (inv *Invocation) Err() error {
-	inv.mu.Lock()
-	defer inv.mu.Unlock()
-	return inv.err
+// outcome is inv once its request finished, else a handle of zero values.
+func (inv *Invocation) outcome() *Invocation {
+	if inv.finished.Load() {
+		return inv
+	}
+	return &unfinished
 }
 
+var unfinished Invocation
+
+// Err returns the terminal error, if any. Valid after Done is closed.
+func (inv *Invocation) Err() error { return inv.outcome().err }
+
 // Latency returns the end-to-end latency. Valid after Done is closed.
-func (inv *Invocation) Latency() time.Duration {
-	inv.mu.Lock()
-	defer inv.mu.Unlock()
-	return inv.lat
-}
+func (inv *Invocation) Latency() time.Duration { return inv.outcome().lat }
 
 // Outputs returns the items delivered to the user. Valid after Done is
 // closed.
-func (inv *Invocation) Outputs() []dataflow.Item {
-	inv.mu.Lock()
-	defer inv.mu.Unlock()
-	return inv.outputs
-}
+func (inv *Invocation) Outputs() []dataflow.Item { return inv.outcome().outputs }
 
 // OutputBytes returns the payload of the first user item with the given
 // source function output name, for convenient assertions.
@@ -128,15 +132,17 @@ func (inv *Invocation) Wait() error {
 	return inv.Err()
 }
 
-// finish records the request's outcome in the handle and releases its
-// waiters. request.finishLocked calls it once.
+// finish records the request's outcome in the handle, publishes it and
+// releases its waiters. request.finishLocked calls it once.
 func (inv *Invocation) finish(err error, lat time.Duration, outs []dataflow.Item, pins []routePin) {
-	inv.mu.Lock()
-	inv.req, inv.err, inv.lat = nil, err, lat
+	inv.err, inv.lat = err, lat
 	inv.outputs = append(inv.outBuf[:0], outs...)
 	if len(pins) > 0 {
 		inv.pins = slices.Clone(pins)
 	}
+	inv.finished.Store(true)
+	inv.mu.Lock()
+	inv.req = nil
 	done := inv.done
 	inv.mu.Unlock()
 	if done != nil {
@@ -150,7 +156,7 @@ type request struct {
 	sys *System
 	inv *Invocation // the handle; nil on the free-list
 	// refs counts the references that keep the state from being recycled;
-	// gen counts recycles.
+	// gen counts recycles (only under checkGen, the tests' assert on it).
 	refs   atomic.Int32
 	gen    atomic.Uint32
 	stripe uint32   // the request's lane of the striped engine counters
@@ -221,7 +227,7 @@ type reqFreeList struct {
 // newRequest takes engine state for the handle inv off the stripe's
 // free-list, or allocates it, for a request that started at start. It
 // returns holding two references: the request's own "not finished" one and
-// the caller's.
+// the caller's (Invoke's, which its lone entry job inherits).
 func (s *System) newRequest(inv *Invocation, stripe uint32, start time.Time) *request {
 	fl := &s.freeReqs[stripe]
 	fl.mu.Lock()
@@ -266,9 +272,13 @@ func (r *request) recycle() {
 	}
 	r.arrived, r.route = r.arrivedBuf[:0], r.routeBuf[:0]
 	r.inv, r.err, r.attempts, r.span = nil, nil, nil, nil
-	r.sinkResidue.Store(0)
+	if r.sinkResidue.Load() != 0 {
+		r.sinkResidue.Store(0)
+	}
 	r.torn.Store(false)
-	r.gen.Add(1)
+	if checkGen {
+		r.gen.Add(1)
+	}
 	fl := &r.sys.freeReqs[r.stripe]
 	fl.mu.Lock()
 	if fl.n < reqFreeMax {

@@ -57,9 +57,26 @@ type Item struct {
 
 	// toFn and toPos stamp the destination's function index plus one and the
 	// position of Input among its inputs, from the workflow plan where the
-	// item is made (RouteAppend, start): a delivery indexes instead of hashing
-	// names. toFn 0 marks an item built by hand; record resolves it by name.
+	// item is made (RouteIndexed, start): a delivery indexes instead of hashing
+	// names, and refuses an item built by hand (toFn 0).
 	toFn, toPos int32
+}
+
+// ToFn returns the destination's workflow.Function.Index (-1: the user).
+func (it *Item) ToFn() int { return int(it.toFn) - 1 }
+
+// Ready is an instance that became ready and its workflow.Function.Index.
+type Ready struct {
+	Key InstanceKey
+	Fn  int
+}
+
+// keysOf appends the keys of ready to dst (the by-name entry points).
+func keysOf(dst []InstanceKey, ready []Ready) []InstanceKey {
+	for _, r := range ready {
+		dst = append(dst, r.Key)
+	}
+	return dst
 }
 
 // Tracker tracks one request's data-flow state. It is not safe for
@@ -243,15 +260,6 @@ func (t *Tracker) Reset() {
 	t.expectTotal, t.expectFinal = 0, false
 }
 
-// track returns fn's tracking state, or nil for unknown functions.
-func (t *Tracker) track(fn string) *fnTrack {
-	f, ok := t.wf.Function(fn)
-	if !ok {
-		return nil
-	}
-	return &t.fns[f.Index()]
-}
-
 // setFanout fixes the instance count of a FOREACH-targeted function.
 func (ft *fnTrack) setFanout(k int) error {
 	fn := ft.f.Name
@@ -272,24 +280,25 @@ func (ft *fnTrack) setFanout(k int) error {
 // became ready. userInput provides a value for every entry input, keyed by
 // "function.input".
 func (t *Tracker) Start(userInput map[string]Value) ([]InstanceKey, error) {
-	return t.start(nil, userInput, nil)
+	ready, err := t.start(nil, userInput, nil)
+	return keysOf(nil, ready), err
 }
 
-// StartBytes is Start for raw byte payloads keyed by "function.input" — the
-// runtime plane's entry path, spared the intermediate Value map.
+// StartBytes is Start for raw byte payloads keyed by "function.input".
 func (t *Tracker) StartBytes(userInput map[string][]byte) ([]InstanceKey, error) {
-	return t.start(nil, nil, userInput)
+	ready, err := t.start(nil, nil, userInput)
+	return keysOf(nil, ready), err
 }
 
 // StartBytesInto is StartBytes appending the ready instances to the caller's
 // dst. On error dst is returned ungrown.
-func (t *Tracker) StartBytesInto(dst []InstanceKey, userInput map[string][]byte) ([]InstanceKey, error) {
+func (t *Tracker) StartBytesInto(dst []Ready, userInput map[string][]byte) ([]Ready, error) {
 	return t.start(dst, nil, userInput)
 }
 
 // start routes the plan's entry inputs from whichever of the two maps is
 // non-nil (two parameters, not a lookup closure: this runs per request).
-func (t *Tracker) start(dst []InstanceKey, vals map[string]Value, bytes map[string][]byte) ([]InstanceKey, error) {
+func (t *Tracker) start(dst []Ready, vals map[string]Value, bytes map[string][]byte) ([]Ready, error) {
 	newly := dst
 	for i := range t.plan.Entries {
 		e := &t.plan.Entries[i]
@@ -323,25 +332,24 @@ func (t *Tracker) start(dst []InstanceKey, vals map[string]Value, bytes map[stri
 	return newly, nil
 }
 
-// Route computes the destination items for one output emission without
-// delivering them (the engine calls DeliverInto when the bytes land). It
-// fixes fan-out degrees (FOREACH) and records SWITCH choices as a side
-// effect, since both are known at emission time. For a FOREACH output,
+// RouteAppend appends to dst the destination items of one output emission,
+// without delivering them (the engine calls DeliverReady when the bytes
+// land). It fixes fan-out degrees (FOREACH) and records SWITCH choices as a
+// side effect, since both are known at emission time. For a FOREACH output,
 // values carries one Value per fan-out element; for every other kind it
 // carries exactly one Value. switchCase selects the destination for SWITCH
-// outputs (ignored otherwise).
-func (t *Tracker) Route(from InstanceKey, output string, values []Value, switchCase int) ([]Item, error) {
-	return t.RouteAppend(nil, from, output, values, switchCase)
-}
-
-// RouteAppend is Route appending the items to dst, so an engine routing a
-// stream of emissions can reuse one buffer instead of allocating a slice
-// per Put. On error dst is returned ungrown.
+// outputs (ignored otherwise). On error dst is returned ungrown.
 func (t *Tracker) RouteAppend(dst []Item, from InstanceKey, output string, values []Value, switchCase int) ([]Item, error) {
 	f, ok := t.wf.Function(from.Fn)
 	if !ok {
 		return dst, fmt.Errorf("dataflow: unknown function %s", from.Fn)
 	}
+	return t.RouteIndexed(dst, f.Index(), from, output, values, switchCase)
+}
+
+// RouteIndexed is RouteAppend for the producer of workflow.Function.Index fn.
+func (t *Tracker) RouteIndexed(dst []Item, fn int, from InstanceKey, output string, values []Value, switchCase int) ([]Item, error) {
+	f := t.fns[fn].f
 	oi := 0
 	for oi < len(f.Outputs) && f.Outputs[oi].Name != output {
 		oi++
@@ -418,17 +426,17 @@ func broadcastItem(from InstanceKey, output string, d workflow.Dest, ref workflo
 	return Item{From: from, Output: output, To: to, Input: d.Input, Value: v, toFn: int32(ref.Fn + 1), toPos: int32(ref.Pos)}
 }
 
-// Deliver records the arrival of one item at its destination and returns the
-// instances that became ready as a result. Engines that move items through
-// the network call Deliver when the bytes land in the destination data sink.
-func (t *Tracker) Deliver(it Item) ([]InstanceKey, error) {
-	return t.DeliverInto(nil, it)
+// DeliverInto records the arrival of one item at its destination and appends
+// the instances that became ready as a result to dst. Engines that move items
+// through the network call it when the bytes land in the destination sink.
+func (t *Tracker) DeliverInto(dst []InstanceKey, it Item) ([]InstanceKey, error) {
+	var buf [4]Ready
+	ready, err := t.DeliverReady(buf[:0], it)
+	return keysOf(dst, ready), err
 }
 
-// DeliverInto is Deliver appending the newly ready instances to dst, so an
-// engine delivering a stream of items can reuse one buffer instead of
-// allocating a slice per arrival.
-func (t *Tracker) DeliverInto(dst []InstanceKey, it Item) ([]InstanceKey, error) {
+// DeliverReady is DeliverInto handing out Ready instances.
+func (t *Tracker) DeliverReady(dst []Ready, it Item) ([]Ready, error) {
 	ft, err := t.record(&it)
 	if err != nil || ft == nil {
 		return dst, err
@@ -448,18 +456,7 @@ func (t *Tracker) record(it *Item) (*fnTrack, error) {
 	}
 	fi, pos := int(it.toFn)-1, int(it.toPos)
 	if fi < 0 {
-		// Built by hand (tests), or to a function the plan could not index: by name.
-		f, ok := t.wf.Function(it.To.Fn)
-		if !ok {
-			return nil, fmt.Errorf("dataflow: item to unknown function %s", it.To.Fn)
-		}
-		fi, pos = f.Index(), -1
-		for i := range f.Inputs {
-			if f.Inputs[i].Name == it.Input {
-				pos = i
-				break
-			}
-		}
+		return nil, fmt.Errorf("dataflow: item to %s was not routed by the plan", it.To)
 	}
 	ft := &t.fns[fi]
 	if pos < 0 {
@@ -485,7 +482,7 @@ func (t *Tracker) record(it *Item) (*fnTrack, error) {
 }
 
 // checkReady appends the newly satisfied instances of ft's function to dst.
-func (t *Tracker) checkReady(dst []InstanceKey, ft *fnTrack) []InstanceKey {
+func (t *Tracker) checkReady(dst []Ready, ft *fnTrack) []Ready {
 	if !ft.fanout.known {
 		return dst // fan-out degree not fixed yet: no instance may start
 	}
@@ -495,7 +492,7 @@ func (t *Tracker) checkReady(dst []InstanceKey, ft *fnTrack) []InstanceKey {
 		}
 		if t.inputsSatisfied(ft, idx) {
 			ft.markReady(idx)
-			dst = append(dst, InstanceKey{Fn: ft.f.Name, Idx: idx})
+			dst = append(dst, Ready{Key: InstanceKey{Fn: ft.f.Name, Idx: idx}, Fn: ft.f.Index()})
 		}
 	}
 	return dst
@@ -563,20 +560,21 @@ type InputVals struct {
 // name, then instance index), so merge-style consumers see branch outputs
 // in branch order regardless of network arrival order.
 func (t *Tracker) InputsAppend(dst []InputVals, key InstanceKey) []InputVals {
-	out, _ := t.InputsAppendBacking(dst, nil, key)
+	f, ok := t.wf.Function(key.Fn)
+	if !ok {
+		return dst
+	}
+	out, _ := t.InputsAppendBacking(dst, nil, f.Index(), key)
 	return out
 }
 
 // InputsAppendBacking is InputsAppend reusing a caller-supplied value
 // backing array too, so an engine recycling both buffers across instance
-// runs fetches inputs without allocating. It returns the grown dst and
-// backing; the caller must keep them together and may only reuse them once
-// it is done with the returned values.
-func (t *Tracker) InputsAppendBacking(dst []InputVals, backing []Value, key InstanceKey) ([]InputVals, []Value) {
-	ft := t.track(key.Fn)
-	if ft == nil {
-		return dst, backing
-	}
+// runs fetches inputs without allocating; fn is key.Fn's Function.Index. It
+// returns the grown dst and backing; the caller must keep them together and
+// may only reuse them once it is done with the returned values.
+func (t *Tracker) InputsAppendBacking(dst []InputVals, backing []Value, fn int, key InstanceKey) ([]InputVals, []Value) {
+	ft := &t.fns[fn]
 	total := 0
 	for pos := range ft.f.Inputs {
 		total += len(ft.arrivedAt(key.Idx, pos)) + len(ft.broadcastAt(pos))

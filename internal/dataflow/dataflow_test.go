@@ -156,12 +156,11 @@ func TestMergeRequiresAllBranches(t *testing.T) {
 func TestListNotReadyBeforeFanoutKnown(t *testing.T) {
 	tr := NewTracker(wcWorkflow(t), "r1")
 	// Deliver a merge item directly before the FOREACH fixed the degree.
-	newly, err := tr.Deliver(Item{
-		From:  InstanceKey{Fn: "count", Idx: 0},
-		To:    InstanceKey{Fn: "merge", Idx: 0},
-		Input: "counts",
-		Value: val(1),
-	})
+	items, err := tr.RouteAppend(nil, InstanceKey{Fn: "count", Idx: 0}, "result", []Value{val(1)}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newly, err := tr.DeliverInto(nil, items[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,9 +298,14 @@ func TestConflictingFanout(t *testing.T) {
 
 func TestDeliverToUnknownFunction(t *testing.T) {
 	tr := NewTracker(wcWorkflow(t), "r1")
-	_, err := tr.Deliver(Item{To: InstanceKey{Fn: "ghost"}, Input: "x", Value: val(1)})
+	_, err := tr.DeliverInto(nil, Item{To: InstanceKey{Fn: "ghost"}, Input: "x", Value: val(1)})
 	if err == nil {
 		t.Fatal("unknown destination accepted")
+	}
+	// An item built by hand is refused even to a declared function: the
+	// tracker files only what its plan routed.
+	if _, err := tr.DeliverInto(nil, Item{To: InstanceKey{Fn: "merge"}, Input: "counts", Value: val(1)}); err == nil {
+		t.Fatal("an unrouted item was accepted")
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 
 // TestTrackerOutgrowsItsInlineSeeds walks a request larger than every inline
 // seed — six functions (the seed holds four), three broadcast items on one
-// input and three user items (one each) — through Route and Deliver item by
+// input and three user items (one each) — through RouteAppend and DeliverInto item by
 // item and compares the ready sets, the collected inputs and the user items
 // with what the tracker recorded before it had seeds: outgrowing one must
 // not lose, reorder or alias anything.
@@ -51,12 +51,12 @@ function tail
 	log = append(log, fmt.Sprint("start ", ready))
 	emit := func(from, output string, size int64) {
 		t.Helper()
-		items, err := tr.Route(InstanceKey{Fn: from}, output, []Value{val(size)}, 0)
+		items, err := tr.RouteAppend(nil, InstanceKey{Fn: from}, output, []Value{val(size)}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, it := range items {
-			newly, err := tr.Deliver(it)
+			newly, err := tr.DeliverInto(nil, it)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -138,7 +138,7 @@ function b
 	}
 	var (
 		tr     Tracker
-		ready  = make([]InstanceKey, 0, 4)
+		ready  = make([]Ready, 0, 4)
 		items  = make([]Item, 0, 4)
 		inputs = make([]InputVals, 0, 4)
 		vals   = make([]Value, 0, 4)
@@ -152,12 +152,12 @@ function b
 			t.Fatal(err)
 		}
 		for _, out := range []string{"x", "out"} {
-			key := queue[0]
-			inputs, vals = tr.InputsAppendBacking(inputs[:0], vals[:0], key)
-			if items, err = tr.RouteAppend(items[:0], key, out, one, 0); err != nil {
+			rd := queue[0]
+			inputs, vals = tr.InputsAppendBacking(inputs[:0], vals[:0], rd.Fn, rd.Key)
+			if items, err = tr.RouteIndexed(items[:0], rd.Fn, rd.Key, out, one, 0); err != nil {
 				t.Fatal(err)
 			}
-			if queue, err = tr.DeliverInto(queue[:0], items[0]); err != nil {
+			if queue, err = tr.DeliverReady(queue[:0], items[0]); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -2,16 +2,16 @@ package dataflow
 
 import "sort"
 
-// Test conveniences over the engine-facing API (RouteAppend, DeliverInto).
+// Test conveniences over the by-name API (Route, DeliverInto).
 
 // emit routes the values produced on one output of one instance and
-// delivers them immediately (Route followed by deliverAll). For a
+// delivers them immediately (RouteAppend followed by deliverAll). For a
 // FOREACH output, values carries one Value per fan-out element; for every
 // other kind it carries exactly one Value. switchCase selects the
 // destination for SWITCH outputs (ignored otherwise). It returns the routed
 // items (including user deliveries) and the instances that became ready.
 func (t *Tracker) emit(from InstanceKey, output string, values []Value, switchCase int) ([]Item, []InstanceKey, error) {
-	items, err := t.Route(from, output, values, switchCase)
+	items, err := t.RouteAppend(nil, from, output, values, switchCase)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -41,10 +41,11 @@ func (t *Tracker) deliverAll(items []Item) ([]InstanceKey, error) {
 			touched[ft] = true
 		}
 	}
-	var newly []InstanceKey
+	var ready []Ready
 	for ft := range touched {
-		newly = t.checkReady(newly, ft)
+		ready = t.checkReady(ready, ft)
 	}
+	newly := keysOf(nil, ready)
 	sort.Slice(newly, func(i, j int) bool {
 		if newly[i].Fn != newly[j].Fn {
 			return newly[i].Fn < newly[j].Fn
@@ -56,8 +57,8 @@ func (t *Tracker) deliverAll(items []Item) ([]InstanceKey, error) {
 
 // isReadyKey reports whether the instance has become ready.
 func (t *Tracker) isReadyKey(key InstanceKey) bool {
-	ft := t.track(key.Fn)
-	return ft != nil && key.Idx >= 0 && ft.isReady(key.Idx)
+	f, ok := t.wf.Function(key.Fn)
+	return ok && key.Idx >= 0 && t.fns[f.Index()].isReady(key.Idx)
 }
 
 // instances returns every instance key with known fan-out, in deterministic

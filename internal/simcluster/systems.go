@@ -120,7 +120,7 @@ func (s *Sim) dfExecute(p *sim.Proc, c *container, w *work) {
 		if o.Kind == workflow.Switch {
 			switchCase = s.env.Rand().Intn(len(o.Dests))
 		}
-		items, err := req.tracker.Route(key, o.Name, values, switchCase)
+		items, err := req.tracker.RouteAppend(nil, key, o.Name, values, switchCase)
 		if err != nil {
 			// A concurrent FOREACH conflict cannot happen in the profiles;
 			// treat as fatal configuration error.
@@ -281,7 +281,7 @@ func (s *Sim) dfShip(p *sim.Proc, c *container, req *request, it dataflow.Item) 
 
 // dfDeliver advances the tracker and triggers newly ready instances.
 func (s *Sim) dfDeliver(req *request, it dataflow.Item) {
-	newly, err := req.tracker.Deliver(it)
+	newly, err := req.tracker.DeliverInto(nil, it)
 	if err != nil {
 		panic(fmt.Sprintf("simcluster: deliver: %v", err))
 	}
@@ -581,7 +581,7 @@ func (s *Sim) routeForCF(req *request, key dataflow.InstanceKey, o workflow.Outp
 	if o.Kind == workflow.Switch {
 		switchCase = s.env.Rand().Intn(len(o.Dests))
 	}
-	items, err := req.tracker.Route(key, o.Name, values, switchCase)
+	items, err := req.tracker.RouteAppend(nil, key, o.Name, values, switchCase)
 	if err != nil {
 		panic(fmt.Sprintf("simcluster: cf route: %v", err))
 	}

@@ -32,7 +32,7 @@ type Profile struct {
 	// OutSize is the per-item output size in bytes, keyed "fn.output".
 	// FOREACH outputs list the size of each element.
 	OutSize map[string]int64
-	// Fanout is the FOREACH degree used by Route emissions.
+	// Fanout is the FOREACH degree used by RouteAppend emissions.
 	Fanout int
 	// InputSize is the user input payload in bytes.
 	InputSize int64
