@@ -374,18 +374,23 @@ func (p *FnPool) push(c *Container) {
 	p.mu.Unlock()
 }
 
-// Idle returns how many of the pool's containers are idle, slot residents
-// included.
-func (p *FnPool) Idle() int {
+// PoolExhausted reports whether the container's pool — its function on its
+// node — has no idle container, slot residents included, and fewer than max
+// live ones: the next instance there would cold-start, and one more
+// container fits under max. One hold of the pool's mutex answers both.
+func (c *Container) PoolExhausted(max int) bool {
+	p := c.pool
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	n := len(p.idle)
+	if len(p.idle) > 0 || len(p.live) >= max {
+		return false
+	}
 	for i := range p.slots {
 		if p.slots[i].c.Load() != nil {
-			n++
+			return false
 		}
 	}
-	return n
+	return true
 }
 
 // AcquireIdle returns an idle container for fn, marking it busy. ok is
@@ -451,6 +456,8 @@ func (n *Node) CloseDLUs() {
 
 // Containers returns the number of containers started for fn, or for all
 // functions when fn is empty.
+//
+//repolint:testseam the runtime's routing and failover tests count what each node started
 func (n *Node) Containers(fn string) int {
 	n.mu.Lock()
 	defer n.mu.Unlock()

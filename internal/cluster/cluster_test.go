@@ -39,6 +39,29 @@ func TestStartAcquireRelease(t *testing.T) {
 	}
 }
 
+// TestPoolExhausted pins prewarm's question: the container's own pool has
+// nothing idle — list or slot — and room for one more under the cap.
+func TestPoolExhausted(t *testing.T) {
+	n := NewNode("w1", Options{})
+	c := n.StartContainer("f", Spec{MemoryMB: 128})
+	n.StartContainer("g", Spec{MemoryMB: 128}) // another function's pool
+	if !c.PoolExhausted(2) {
+		t.Fatal("one busy container under a cap of 2: want exhausted")
+	}
+	if c.PoolExhausted(1) {
+		t.Fatal("a pool at its cap reported room for a prewarm")
+	}
+	n.Release(c)
+	if c.PoolExhausted(2) {
+		t.Fatal("an idle container on the list: want not exhausted")
+	}
+	got, _ := n.AcquireIdle("f")
+	n.Pool("f").Release(got, 3)
+	if c.PoolExhausted(2) {
+		t.Fatal("an idle container in a slot: want not exhausted")
+	}
+}
+
 func TestColdStartDelay(t *testing.T) {
 	n := NewNode("w1", Options{ColdStart: 50 * time.Millisecond})
 	start := time.Now()

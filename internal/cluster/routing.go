@@ -42,13 +42,30 @@ type PlacementPolicy interface {
 	Place(functions []string, nodes []string) *RoutingSnapshot
 }
 
-// PickReplica is the replica decision both planes make: among reps that
-// pass routable, prefer itself when it is a member (locality-first — the
+// SelectReplica is the pick both planes make for a new or repaired pin:
+// PickReplica over reps, and when no member is routable a backfill —
+// PickReplica over all with no preference — that serves under ordinal
+// len(reps)+i, past the set, so a backfilled pin never shares a member's
+// ordinal (nor, on the runtime plane, its sink keys). The set itself is
+// not touched. With nothing routable in either it returns reps[0], 0 and
+// ok=false: a new pin limps on the primary, a repair leaves its pin alone.
+func SelectReplica[N comparable](reps, all []N, prefer N, routable func(N) bool, load func(N) int64) (n N, ordinal int, ok bool) {
+	if i, ok := PickReplica(reps, prefer, routable, load); ok {
+		return reps[i], i, true
+	}
+	var none N
+	if i, ok := PickReplica(all, none, routable, load); ok {
+		return all[i], len(reps) + i, true
+	}
+	return reps[0], 0, false
+}
+
+// PickReplica is one pass of the replica decision: among reps that pass
+// routable, prefer itself when it is a member (locality-first — the
 // producer's output skips the network ship), else the lowest load reading
 // (the earlier replica wins a tie). It returns the chosen index, or
 // ok=false when nothing is routable. A fault-oblivious caller passes an
-// always-true predicate; a backfill is a second call over the node
-// universe with N's zero value as prefer.
+// always-true predicate.
 func PickReplica[N comparable](reps []N, prefer N, routable func(N) bool, load func(N) int64) (idx int, ok bool) {
 	for i, n := range reps {
 		if n == prefer && routable(n) {

@@ -119,35 +119,46 @@ func TestClusterReadersDoNotContend(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPickReplica pins the replica decision both planes share. Nodes are
-// names; down lists the unroutable ones and load their readings.
+// TestPickReplica pins the replica decision both planes share, through
+// SelectReplica. Nodes are names; all is the backfill universe, down lists
+// the unroutable nodes and load their readings; want is the chosen node and
+// ordinal (a backfill's ordinal is len(reps) plus its index in all).
 func TestPickReplica(t *testing.T) {
 	cases := []struct {
-		name   string
-		reps   []string
-		prefer string
-		down   []string
-		load   map[string]int64
-		want   int
-		wantOK bool
+		name    string
+		reps    []string
+		all     []string
+		prefer  string
+		down    []string
+		load    map[string]int64
+		want    string
+		wantOrd int
+		wantOK  bool
 	}{
 		{name: "preferred member routable wins over lower load",
-			reps: []string{"a", "b", "c"}, prefer: "c", load: map[string]int64{"a": 0, "b": 1, "c": 9}, want: 2, wantOK: true},
+			reps: []string{"a", "b", "c"}, prefer: "c", load: map[string]int64{"a": 0, "b": 1, "c": 9}, want: "c", wantOrd: 2, wantOK: true},
 		{name: "preferred member unroutable falls to least loaded",
-			reps: []string{"a", "b", "c"}, prefer: "c", down: []string{"c"}, load: map[string]int64{"a": 5, "b": 1}, want: 1, wantOK: true},
+			reps: []string{"a", "b", "c"}, prefer: "c", down: []string{"c"}, load: map[string]int64{"a": 5, "b": 1}, want: "b", wantOrd: 1, wantOK: true},
 		{name: "preferred not a member falls to least loaded",
-			reps: []string{"a", "b"}, prefer: "z", load: map[string]int64{"a": 3, "b": 2}, want: 1, wantOK: true},
+			reps: []string{"a", "b"}, all: []string{"a", "b", "z"}, prefer: "z", load: map[string]int64{"a": 3, "b": 2}, want: "b", wantOrd: 1, wantOK: true},
 		{name: "load tie goes to the first",
-			reps: []string{"a", "b", "c"}, load: map[string]int64{"a": 4, "b": 2, "c": 2}, want: 1, wantOK: true},
+			reps: []string{"a", "b", "c"}, load: map[string]int64{"a": 4, "b": 2, "c": 2}, want: "b", wantOrd: 1, wantOK: true},
 		{name: "least loaded skips the unroutable",
-			reps: []string{"a", "b", "c"}, down: []string{"a"}, load: map[string]int64{"a": 0, "b": 7, "c": 3}, want: 2, wantOK: true},
+			reps: []string{"a", "b", "c"}, down: []string{"a"}, load: map[string]int64{"a": 0, "b": 7, "c": 3}, want: "c", wantOrd: 2, wantOK: true},
 		{name: "single replica",
-			reps: []string{"a"}, load: map[string]int64{"a": 100}, want: 0, wantOK: true},
-		{name: "single replica unroutable",
-			reps: []string{"a"}, down: []string{"a"}},
-		{name: "nothing routable",
-			reps: []string{"a", "b"}, prefer: "a", down: []string{"a", "b"}},
-		{name: "empty set"},
+			reps: []string{"a"}, all: []string{"a", "b"}, load: map[string]int64{"a": 100}, want: "a", wantOrd: 0, wantOK: true},
+		{name: "routable member beats an idle backfill",
+			reps: []string{"b"}, all: []string{"a", "b", "c"}, down: []string{"a"}, load: map[string]int64{"b": 9}, want: "b", wantOrd: 0, wantOK: true},
+		{name: "single replica unroutable backfills past the set",
+			reps: []string{"a"}, all: []string{"a", "b", "c"}, down: []string{"a"}, load: map[string]int64{"b": 3, "c": 1}, want: "c", wantOrd: 1 + 2, wantOK: true},
+		{name: "backfill ignores the preference and ties go to the first",
+			reps: []string{"a", "b"}, all: []string{"a", "b", "c", "d", "e"}, prefer: "e", down: []string{"a", "b"}, want: "c", wantOrd: 2 + 2, wantOK: true},
+		{name: "backfill skips the unroutable",
+			reps: []string{"b"}, all: []string{"a", "b", "c"}, down: []string{"a", "b"}, want: "c", wantOrd: 1 + 2, wantOK: true},
+		{name: "single replica unroutable without a universe",
+			reps: []string{"a"}, down: []string{"a"}, want: "a"},
+		{name: "nothing routable returns the head",
+			reps: []string{"a", "b"}, all: []string{"a", "b", "c"}, prefer: "b", down: []string{"a", "b", "c"}, want: "a"},
 	}
 	for _, tc := range cases {
 		down := map[string]bool{}
@@ -156,9 +167,12 @@ func TestPickReplica(t *testing.T) {
 		}
 		routable := func(n string) bool { return !down[n] }
 		load := func(n string) int64 { return tc.load[n] }
-		got, ok := PickReplica(tc.reps, tc.prefer, routable, load)
-		if ok != tc.wantOK || (ok && got != tc.want) {
-			t.Errorf("%s: PickReplica = %d, %v; want %d, %v", tc.name, got, ok, tc.want, tc.wantOK)
+		got, ord, ok := SelectReplica(tc.reps, tc.all, tc.prefer, routable, load)
+		if got != tc.want || ord != tc.wantOrd || ok != tc.wantOK {
+			t.Errorf("%s: SelectReplica = %s, %d, %v; want %s, %d, %v", tc.name, got, ord, ok, tc.want, tc.wantOrd, tc.wantOK)
 		}
+	}
+	if _, ok := PickReplica(nil, "a", func(string) bool { return true }, func(string) int64 { return 0 }); ok {
+		t.Error("PickReplica over an empty set answered")
 	}
 }

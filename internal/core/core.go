@@ -421,27 +421,16 @@ type routePin struct {
 	ordinal int // replica ordinal at pin time (stamps Item.Replica)
 }
 
-// selectReplica picks fn's replica for a new pin: cluster.PickReplica over
-// the replica set by in-flight instance count (nodeLoad). Under fault
-// tolerance only Up nodes are pinnable, and a wholly unhealthy set is
-// backfilled from any Up node under an ordinal past the set, which keeps sink
-// keys unique per node. ok=false
-// means nothing is routable: a new pin limps on the returned primary, a
-// repair leaves its pin alone.
+// selectReplica picks fn's replica for a new pin: cluster.SelectReplica by
+// in-flight instance count (nodeLoad), backfilling from every node. Under
+// fault tolerance only Up nodes are pinnable.
 func (s *System) selectReplica(st *fnState, prefer *cluster.Node) (n *cluster.Node, ordinal int, ok bool) {
-	reps := st.replicas
 	routable := func(*cluster.Node) bool { return true }
 	if s.ft {
 		routable = (*cluster.Node).Routable
 	}
 	load := func(n *cluster.Node) int64 { return s.nodeLoad[n].Load() }
-	if i, ok := cluster.PickReplica(reps, prefer, routable, load); ok {
-		return reps[i], i, true
-	}
-	if i, ok := cluster.PickReplica(s.allNodes, nil, routable, load); ok {
-		return s.allNodes[i], len(reps) + i, true
-	}
-	return reps[0], 0, false
+	return cluster.SelectReplica(st.replicas, s.allNodes, prefer, routable, load)
 }
 
 // routeFor resolves the node serving fn for this request and its replica

@@ -232,7 +232,7 @@ func (c *Context) put(output string, values []dataflow.Value, switchCase int) er
 		return nil // shutting down: nothing shipped, nothing to throttle for
 	}
 	if pressure > 0 {
-		s.prewarm(c.fst, c.ctr.Node)
+		s.prewarm(c.fst, c.ctr)
 		// Callstack blocking: throttle this FLU to the DLU's consuming rate,
 		// timed on the engine clock runInstance times the handler on.
 		blockStart := s.clk.Now()
@@ -270,13 +270,15 @@ func (c *Context) shipsInline(items []dataflow.Item) bool {
 	return c.ctr.DLUQuiet()
 }
 
-// prewarm starts an extra idle container for st if none is idle, in the
-// background (the reaction to a pressure notification), on the node whose DLU
-// backlog raised it — as the simulation plane's prewarm-on-own-node does.
-func (s *System) prewarm(st *fnState, node *cluster.Node) {
-	if node.Pool(st.name).Idle() > 0 || node.Containers(st.name) >= s.cfg.MaxContainersPerFn {
+// prewarm starts an extra idle container for st if the producer's own pool
+// has none idle, in the background (the reaction to a pressure
+// notification), on the node whose DLU backlog raised it — as the
+// simulation plane's prewarm-on-own-node does.
+func (s *System) prewarm(st *fnState, producer *cluster.Container) {
+	if !producer.PoolExhausted(s.cfg.MaxContainersPerFn) {
 		return
 	}
+	node := producer.Node
 	s.gate.add(0)
 	go func() {
 		defer s.gate.exit(0)

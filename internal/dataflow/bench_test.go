@@ -37,7 +37,7 @@ func BenchmarkFullRequestRouting(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr := NewTracker(w, "r")
+		tr := NewTracker(w)
 		if _, err := tr.Start(map[string]Value{"start.src": {Size: 4096}}); err != nil {
 			b.Fatal(err)
 		}

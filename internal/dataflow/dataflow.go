@@ -83,9 +83,8 @@ func keysOf(dst []InstanceKey, ready []Ready) []InstanceKey {
 // concurrent use; callers serialize access (the DES is single-threaded, the
 // runtime engine guards it with a mutex).
 type Tracker struct {
-	wf    *workflow.Workflow
-	plan  *workflow.Plan
-	reqID string
+	wf   *workflow.Workflow
+	plan *workflow.Plan
 
 	// fns holds the per-function tracking state, indexed by
 	// workflow.Function.Index: item recording and readiness checks address
@@ -207,22 +206,23 @@ func (ft *fnTrack) arrivedAt(idx, pos int) []arrival {
 
 // NewTracker returns a tracker for one request over wf. The workflow must be
 // valid (workflow.Validate).
-func NewTracker(wf *workflow.Workflow, reqID string) *Tracker {
+func NewTracker(wf *workflow.Workflow) *Tracker {
 	t := new(Tracker)
-	t.Init(wf, reqID)
+	t.Init(wf, "")
 	return t
 }
 
 // Init initializes t in place for one request over wf — NewTracker without
 // the Tracker allocation, for callers that embed the tracker in a larger
-// per-request record. Any previous state is discarded.
-func (t *Tracker) Init(wf *workflow.Workflow, reqID string) {
+// per-request record. Any previous state is discarded. The string is
+// unused: the tracker never names its request.
+func (t *Tracker) Init(wf *workflow.Workflow, _ string) {
 	if t.wf != nil {
 		t.Reset()
 	}
 	// switchChosen and foreachUser allocate lazily on first write; most
 	// requests never touch them.
-	t.wf, t.plan, t.reqID, t.userItems = wf, wf.Plan(), reqID, t.userBuf[:0]
+	t.wf, t.plan, t.userItems = wf, wf.Plan(), t.userBuf[:0]
 	if n := len(wf.Functions); n <= len(t.fnsBuf) {
 		t.fns = t.fnsBuf[:n]
 	} else {
@@ -254,7 +254,7 @@ func (t *Tracker) Reset() {
 	if cap(t.userItems) > len(t.userBuf) {
 		clear(t.userBuf[:]) // a stale copy from before userItems outgrew it
 	}
-	t.wf, t.plan, t.reqID = nil, nil, ""
+	t.wf, t.plan = nil, nil
 	t.fns, t.userItems = nil, nil
 	t.switchChosen, t.foreachUser = nil, nil
 	t.expectTotal, t.expectFinal = 0, false

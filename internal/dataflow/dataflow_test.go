@@ -77,7 +77,7 @@ function large
 func val(size int64) Value { return Value{Size: size} }
 
 func TestStartReadiesEntry(t *testing.T) {
-	tr := NewTracker(wcWorkflow(t), "r1")
+	tr := NewTracker(wcWorkflow(t))
 	newly, err := tr.Start(map[string]Value{"start.src": val(100)})
 	if err != nil {
 		t.Fatal(err)
@@ -88,14 +88,14 @@ func TestStartReadiesEntry(t *testing.T) {
 }
 
 func TestStartMissingInput(t *testing.T) {
-	tr := NewTracker(wcWorkflow(t), "r1")
+	tr := NewTracker(wcWorkflow(t))
 	if _, err := tr.Start(map[string]Value{}); err == nil {
 		t.Fatal("missing user input accepted")
 	}
 }
 
 func TestForeachFanout(t *testing.T) {
-	tr := NewTracker(wcWorkflow(t), "r1")
+	tr := NewTracker(wcWorkflow(t))
 	_, err := tr.Start(map[string]Value{"start.src": val(100)})
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestForeachFanout(t *testing.T) {
 }
 
 func TestMergeRequiresAllBranches(t *testing.T) {
-	tr := NewTracker(wcWorkflow(t), "r1")
+	tr := NewTracker(wcWorkflow(t))
 	if _, err := tr.Start(map[string]Value{"start.src": val(1)}); err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestMergeRequiresAllBranches(t *testing.T) {
 }
 
 func TestListNotReadyBeforeFanoutKnown(t *testing.T) {
-	tr := NewTracker(wcWorkflow(t), "r1")
+	tr := NewTracker(wcWorkflow(t))
 	// Deliver a merge item directly before the FOREACH fixed the degree.
 	items, err := tr.RouteAppend(nil, InstanceKey{Fn: "count", Idx: 0}, "result", []Value{val(1)}, 0)
 	if err != nil {
@@ -170,7 +170,7 @@ func TestListNotReadyBeforeFanoutKnown(t *testing.T) {
 }
 
 func TestDiamondNeedsBothInputs(t *testing.T) {
-	tr := NewTracker(diamondWorkflow(t), "r1")
+	tr := NewTracker(diamondWorkflow(t))
 	if _, err := tr.Start(map[string]Value{"a.in": val(1)}); err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestDiamondNeedsBothInputs(t *testing.T) {
 }
 
 func TestSwitchRoutesOnlyChosen(t *testing.T) {
-	tr := NewTracker(switchWorkflow(t), "r1")
+	tr := NewTracker(switchWorkflow(t))
 	if _, err := tr.Start(map[string]Value{"gate.in": val(1)}); err != nil {
 		t.Fatal(err)
 	}
@@ -229,14 +229,14 @@ func TestSwitchRoutesOnlyChosen(t *testing.T) {
 }
 
 func TestSwitchExpectedUnknownBeforeFiring(t *testing.T) {
-	tr := NewTracker(switchWorkflow(t), "r1")
+	tr := NewTracker(switchWorkflow(t))
 	if _, known := tr.ExpectedUserItems(); known {
 		t.Fatal("expectation should be unknown before switch fires")
 	}
 }
 
 func TestSwitchCaseOutOfRange(t *testing.T) {
-	tr := NewTracker(switchWorkflow(t), "r1")
+	tr := NewTracker(switchWorkflow(t))
 	_, _, err := tr.emit(InstanceKey{Fn: "gate"}, "route", []Value{val(1)}, 5)
 	if err == nil {
 		t.Fatal("out-of-range switch case accepted")
@@ -244,7 +244,7 @@ func TestSwitchCaseOutOfRange(t *testing.T) {
 }
 
 func TestCompleteWordCount(t *testing.T) {
-	tr := NewTracker(wcWorkflow(t), "r1")
+	tr := NewTracker(wcWorkflow(t))
 	if tr.Complete() {
 		t.Fatal("complete before start")
 	}
@@ -269,7 +269,7 @@ func TestCompleteWordCount(t *testing.T) {
 }
 
 func TestEmitErrors(t *testing.T) {
-	tr := NewTracker(wcWorkflow(t), "r1")
+	tr := NewTracker(wcWorkflow(t))
 	if _, _, err := tr.emit(InstanceKey{Fn: "ghost"}, "o", []Value{val(1)}, 0); err == nil {
 		t.Fatal("unknown function accepted")
 	}
@@ -285,7 +285,7 @@ func TestEmitErrors(t *testing.T) {
 }
 
 func TestConflictingFanout(t *testing.T) {
-	tr := NewTracker(wcWorkflow(t), "r1")
+	tr := NewTracker(wcWorkflow(t))
 	_, _ = tr.Start(map[string]Value{"start.src": val(1)})
 	if _, _, err := tr.emit(InstanceKey{Fn: "start"}, "filelist", []Value{val(1), val(2)}, 0); err != nil {
 		t.Fatal(err)
@@ -297,7 +297,7 @@ func TestConflictingFanout(t *testing.T) {
 }
 
 func TestDeliverToUnknownFunction(t *testing.T) {
-	tr := NewTracker(wcWorkflow(t), "r1")
+	tr := NewTracker(wcWorkflow(t))
 	_, err := tr.DeliverInto(nil, Item{To: InstanceKey{Fn: "ghost"}, Input: "x", Value: val(1)})
 	if err == nil {
 		t.Fatal("unknown destination accepted")
@@ -310,7 +310,7 @@ func TestDeliverToUnknownFunction(t *testing.T) {
 }
 
 func TestInstancesEnumeration(t *testing.T) {
-	tr := NewTracker(wcWorkflow(t), "r1")
+	tr := NewTracker(wcWorkflow(t))
 	// Before fan-out: start and merge known (1 each), count unknown.
 	inst := tr.instances()
 	if len(inst) != 2 {
@@ -330,7 +330,7 @@ func TestFanoutCompletionProperty(t *testing.T) {
 	w := wcWorkflow(t)
 	f := func(kRaw uint8) bool {
 		k := int(kRaw%16) + 1
-		tr := NewTracker(w, "r")
+		tr := NewTracker(w)
 		if _, err := tr.Start(map[string]Value{"start.src": val(1)}); err != nil {
 			return false
 		}

@@ -42,7 +42,7 @@ function tail
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewTracker(w, "r1")
+	tr := NewTracker(w)
 	var log []string
 	ready, err := tr.Start(map[string]Value{"src.in": val(1)})
 	if err != nil {

@@ -595,8 +595,8 @@ func Fig19(o Options) *Report {
 	return rep
 }
 
-// Skew demonstrates the elastic routing plane on the simulation plane
-// (beyond the paper's figures): the four benchmarks co-located on the
+// Skew demonstrates replica routing on the simulation plane (beyond the
+// paper's figures): the four benchmarks co-located on the
 // three workers with arrivals Zipf-skewed toward wc, comparing the pinned
 // single-replica placement against replicated round-robin placement under
 // DataFlower. With replicas, the hot workflow's functions can run on more
@@ -637,7 +637,7 @@ func Skew(o Options) *Report {
 	}
 	rep.Tables = append(rep.Tables, tab)
 	rep.Notes = append(rep.Notes,
-		"not a paper figure: exercises the elastic routing plane (replica sets + locality-first selection)")
+		"not a paper figure: exercises replica routing (fixed replica sets + locality-first, load-steered selection)")
 	return rep
 }
 
@@ -661,9 +661,10 @@ func cloneProfile(p *workloads.Profile) *workloads.Profile {
 // figures): each of the four benchmarks runs an open loop with every
 // function on two replicas while one worker is killed mid-run and recovered
 // later. Availability is completed/issued; recovered requests were in
-// flight across the kill and completed anyway, via pin repair and
-// deterministic re-execution of the shipments the dead node's Wait-Match
-// Memory lost.
+// flight across the kill and completed anyway, via pin repair and replay:
+// the items the dead node's Wait-Match Memory lost before their instance
+// fetched them are re-shipped from the coordinator's log, and no function
+// runs again. Replays counts those items.
 func Faults(o Options) *Report {
 	rep := &Report{ID: "faults", Title: "Availability under a node-kill schedule (DataFlower, 2 replicas/function)"}
 	tab := &Table{
@@ -699,7 +700,7 @@ func Faults(o Options) *Report {
 	}
 	rep.Tables = append(rep.Tables, tab)
 	rep.Notes = append(rep.Notes,
-		"not a paper figure: recovery is replay from WMM-retained inputs (kill at t=2s, recover at t=6s)")
+		"not a paper figure: recovery re-ships lost, unfetched items from the coordinator's log; nothing is recomputed (kill at t=2s, recover at t=6s)")
 	return rep
 }
 

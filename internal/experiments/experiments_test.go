@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"flag"
 	"fmt"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -251,6 +253,13 @@ func TestFig19StatefulReduction(t *testing.T) {
 	}
 }
 
+var update = flag.Bool("update", false, "rewrite testdata/quick.golden from this run")
+
+// TestByIDAndAll runs every registered experiment under Options{Quick: true}
+// and compares the reports, in IDs() order, with testdata/quick.golden: the
+// simulation plane runs on virtual time, so any byte that moves is a change
+// in what the simulator computes. `go test ./internal/experiments -update`
+// rewrites the file; its diff is the change's effect on every figure.
 func TestByIDAndAll(t *testing.T) {
 	if _, ok := ByID("fig13"); !ok {
 		t.Fatal("fig13 missing")
@@ -258,14 +267,51 @@ func TestByIDAndAll(t *testing.T) {
 	if _, ok := ByID("bogus"); ok {
 		t.Fatal("bogus present")
 	}
-	// All with Quick touches every experiment end to end.
+	// All with Quick touches every paper experiment end to end; the extras
+	// run by id.
 	reports := All(quick)
 	if len(reports) != 13 {
 		t.Fatalf("reports = %d, want 13", len(reports))
 	}
+	byID := make(map[string]*Report, len(reports))
 	for _, r := range reports {
+		byID[r.ID] = r
+	}
+	var got strings.Builder
+	for _, id := range IDs() {
+		r, ok := byID[id]
+		if !ok {
+			run, _ := ByID(id)
+			r = run(quick)
+		}
 		if r.String() == "" || len(r.Tables) == 0 {
-			t.Fatalf("empty report %s", r.ID)
+			t.Fatalf("empty report %s", id)
+		}
+		got.WriteString(r.String())
+		got.WriteByte('\n')
+	}
+	const golden = "testdata/quick.golden"
+	if *update {
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
+		var g, w string
+		if i < len(gotLines) {
+			g = gotLines[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Fatalf("%s:%d differs (rerun with -update and diff the file):\n got: %q\nwant: %q", golden, i+1, g, w)
 		}
 	}
 }

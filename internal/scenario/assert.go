@@ -49,7 +49,7 @@ var kinds = []AssertionKind{
 		obs: func(r *simcluster.Result) (float64, error) { return r.MemGBsPerReq, nil }},
 	{Name: "recovered_min", Doc: "requests that survived a node kill >= value", Min: true,
 		obs: func(r *simcluster.Result) (float64, error) { return float64(r.Recovered), nil }},
-	{Name: "replays_max", Doc: "re-executed shipments <= value",
+	{Name: "replays_max", Doc: "lost items re-landed on a repaired pin <= value",
 		obs: func(r *simcluster.Result) (float64, error) { return float64(r.Replays), nil }},
 	{Name: "recovery_p99_max", Doc: "p99 kill-to-completion latency <= bound", Duration: true,
 		obs: func(r *simcluster.Result) (float64, error) {

@@ -25,7 +25,7 @@ func BenchmarkQueueHandoff(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e := NewEnv(1)
-		q := NewQueue(e, 0)
+		q := NewQueue()
 		e.Go(func(p *Proc) {
 			for j := 0; j < 1000; j++ {
 				q.TryPut(j)

@@ -175,24 +175,20 @@ func (p *Proc) Sleep(d time.Duration) {
 
 // waitReg is a registration of a waiting process. done guards against
 // double resume when the process is registered with several wakers (a
-// getter and its timeout); wrap transforms the delivered value before resuming.
+// getter and its timeout).
 type waitReg struct {
 	p    *Proc
 	done *bool
-	wrap func(any) any
 }
 
-// fire resumes the registered process with v (transformed by wrap) unless
-// another registration sharing the same done flag fired first. It reports
-// whether it resumed the process.
+// fire resumes the registered process with v unless another registration
+// sharing the same done flag fired first. It reports whether it resumed the
+// process.
 func (w *waitReg) fire(v any) bool {
 	if *w.done {
 		return false
 	}
 	*w.done = true
-	if w.wrap != nil {
-		v = w.wrap(v)
-	}
 	w.p.env.scheduleResume(w.p, v)
 	return true
 }
@@ -243,64 +239,29 @@ func (p *Proc) Wait(ev *Event) any {
 	return p.yield()
 }
 
-// Queue is an unbounded-or-bounded FIFO channel between processes.
-// Cap <= 0 means unbounded.
+// Queue is an unbounded FIFO channel between processes.
 type Queue struct {
-	env     *Env
-	cap     int
 	items   []any
 	getters []*waitReg
-	closed  bool
 }
 
-// NewQueue returns a queue with the given capacity (<= 0 for unbounded).
-func NewQueue(env *Env, capacity int) *Queue {
-	return &Queue{env: env, cap: capacity}
-}
+// NewQueue returns an empty queue.
+func NewQueue() *Queue { return &Queue{} }
 
 // Len returns the number of buffered items.
 func (q *Queue) Len() int { return len(q.items) }
 
-// Close marks the queue closed: blocked and future Get calls return
-// (nil, false) once the buffer drains; TryPut on a closed queue panics.
-func (q *Queue) Close() {
-	if q.closed {
-		return
-	}
-	q.closed = true
-	if len(q.items) == 0 {
-		gs := q.getters
-		q.getters = nil
-		for _, g := range gs {
-			g.fire(getResult{nil, false})
-		}
-	}
-}
-
-type getResult struct {
-	item any
-	ok   bool
-}
-
-// TryPut inserts item without blocking. It reports false when the queue is
-// at capacity.
-func (q *Queue) TryPut(item any) bool {
-	if q.closed {
-		panic("sim: TryPut on closed Queue")
-	}
-	// Hand directly to a waiting getter if any.
+// TryPut inserts item without blocking, handing it straight to the first
+// waiting getter if there is one.
+func (q *Queue) TryPut(item any) {
 	for len(q.getters) > 0 {
 		g := q.getters[0]
 		q.getters = q.getters[1:]
-		if g.fire(getResult{item, true}) {
-			return true
+		if g.fire(item) {
+			return
 		}
 	}
-	if q.cap > 0 && len(q.items) >= q.cap {
-		return false
-	}
 	q.items = append(q.items, item)
-	return true
 }
 
 // TryGet removes and returns the head item without blocking.
@@ -314,42 +275,33 @@ func (q *Queue) TryGet() (any, bool) {
 }
 
 // Get removes and returns the head item, blocking while the queue is empty.
-// ok is false if the queue was closed and drained.
-func (p *Proc) Get(q *Queue) (any, bool) {
+func (p *Proc) Get(q *Queue) any {
 	if it, ok := q.TryGet(); ok {
-		return it, true
-	}
-	if q.closed {
-		return nil, false
+		return it
 	}
 	done := false
 	q.getters = append(q.getters, &waitReg{p: p, done: &done})
-	r := p.yield().(getResult)
-	return r.item, r.ok
+	return p.yield()
 }
 
-// GetTimeout is Get with a virtual-time timeout; timedOut is true when the
-// timeout elapsed first.
-func (p *Proc) GetTimeout(q *Queue, d time.Duration) (item any, ok bool, timedOut bool) {
+// timedOut is what a GetTimeout's timer resumes it with; no caller can put
+// one in a queue.
+type timedOut struct{}
+
+// GetTimeout is Get with a virtual-time timeout: ok is false when d elapsed
+// before an item arrived.
+func (p *Proc) GetTimeout(q *Queue, d time.Duration) (item any, ok bool) {
 	if it, got := q.TryGet(); got {
-		return it, true, false
-	}
-	if q.closed {
-		return nil, false, false
+		return it, true
 	}
 	done := false
-	q.getters = append(q.getters, &waitReg{p: p, done: &done, wrap: func(v any) any { return v }})
-	timeoutReg := &waitReg{p: p, done: &done, wrap: func(any) any { return getResult{nil, false} }}
-	timedOutFlag := false
+	q.getters = append(q.getters, &waitReg{p: p, done: &done})
+	timer := &waitReg{p: p, done: &done}
 	e := p.env
-	e.schedule(e.now+d, func() {
-		if timeoutReg.fire(nil) {
-			timedOutFlag = true
-		}
-	})
-	r := p.yield().(getResult)
-	if timedOutFlag {
-		return nil, false, true
+	e.schedule(e.now+d, func() { timer.fire(timedOut{}) })
+	v := p.yield()
+	if _, late := v.(timedOut); late {
+		return nil, false
 	}
-	return r.item, r.ok, false
+	return v, true
 }

@@ -143,7 +143,7 @@ func TestEventManyWaiters(t *testing.T) {
 
 func TestQueueFIFO(t *testing.T) {
 	e := NewEnv(1)
-	q := NewQueue(e, 0)
+	q := NewQueue()
 	var got []int
 	e.Go(func(p *Proc) {
 		for i := 0; i < 5; i++ {
@@ -153,12 +153,7 @@ func TestQueueFIFO(t *testing.T) {
 	})
 	e.Go(func(p *Proc) {
 		for i := 0; i < 5; i++ {
-			v, ok := p.Get(q)
-			if !ok {
-				t.Error("unexpected closed")
-				return
-			}
-			got = append(got, v.(int))
+			got = append(got, p.Get(q).(int))
 		}
 	})
 	e.Run()
@@ -174,7 +169,7 @@ func TestQueueFIFO(t *testing.T) {
 
 func TestQueueBlockingGet(t *testing.T) {
 	e := NewEnv(1)
-	q := NewQueue(e, 0)
+	q := NewQueue()
 	var at time.Duration
 	e.Go(func(p *Proc) {
 		p.Get(q)
@@ -191,14 +186,8 @@ func TestQueueBlockingGet(t *testing.T) {
 }
 
 func TestQueueTryPutTryGet(t *testing.T) {
-	e := NewEnv(1)
-	q := NewQueue(e, 1)
-	if !q.TryPut(1) {
-		t.Fatal("TryPut on empty bounded queue failed")
-	}
-	if q.TryPut(2) {
-		t.Fatal("TryPut on full queue succeeded")
-	}
+	q := NewQueue()
+	q.TryPut(1)
 	v, ok := q.TryGet()
 	if !ok || v != 1 {
 		t.Fatalf("TryGet = %v/%v", v, ok)
@@ -208,59 +197,42 @@ func TestQueueTryPutTryGet(t *testing.T) {
 	}
 }
 
-func TestQueueCloseWakesGetters(t *testing.T) {
-	e := NewEnv(1)
-	q := NewQueue(e, 0)
-	var ok bool = true
-	e.Go(func(p *Proc) { _, ok = p.Get(q) })
-	e.Go(func(p *Proc) {
-		p.Sleep(time.Second)
-		q.Close()
-	})
-	e.Run()
-	if ok {
-		t.Fatal("Get on closed queue should return ok=false")
-	}
-}
-
 func TestQueueGetTimeout(t *testing.T) {
 	e := NewEnv(1)
-	q := NewQueue(e, 0)
-	var timedOut bool
+	q := NewQueue()
+	got := true
 	var at time.Duration
 	e.Go(func(p *Proc) {
-		_, _, timedOut = p.GetTimeout(q, 2*time.Second)
+		_, got = p.GetTimeout(q, 2*time.Second)
 		at = p.Now()
 	})
 	e.Run()
-	if !timedOut || at != 2*time.Second {
-		t.Fatalf("timedOut=%v at=%v", timedOut, at)
+	if got || at != 2*time.Second {
+		t.Fatalf("got=%v at=%v", got, at)
 	}
 }
 
 func TestQueueGetTimeoutItemWins(t *testing.T) {
 	e := NewEnv(1)
-	q := NewQueue(e, 0)
+	q := NewQueue()
 	var item any
-	var timedOut bool
-	e.Go(func(p *Proc) { item, _, timedOut = p.GetTimeout(q, 10*time.Second) })
+	var got bool
+	e.Go(func(p *Proc) { item, got = p.GetTimeout(q, 10*time.Second) })
 	e.Go(func(p *Proc) { p.Sleep(time.Second); q.TryPut("v") })
 	e.Run()
-	if timedOut || item != "v" {
-		t.Fatalf("timedOut=%v item=%v", timedOut, item)
+	if !got || item != "v" {
+		t.Fatalf("got=%v item=%v", got, item)
 	}
 }
 
 func TestQueueHandoffToWaitingGetter(t *testing.T) {
 	e := NewEnv(1)
-	q := NewQueue(e, 1)
+	q := NewQueue()
 	var got any
-	e.Go(func(p *Proc) { got, _ = p.Get(q) })
+	e.Go(func(p *Proc) { got = p.Get(q) })
 	e.Go(func(p *Proc) {
 		p.Sleep(time.Second)
-		if !q.TryPut("direct") {
-			t.Error("TryPut failed with waiting getter")
-		}
+		q.TryPut("direct")
 	})
 	e.Run()
 	if got != "direct" {
@@ -359,7 +331,7 @@ func TestSleepProperty(t *testing.T) {
 func TestQueueFIFOProperty(t *testing.T) {
 	f := func(n uint8) bool {
 		e := NewEnv(1)
-		q := NewQueue(e, 0)
+		q := NewQueue()
 		count := int(n%64) + 1
 		var got []int
 		e.Go(func(p *Proc) {
@@ -369,7 +341,7 @@ func TestQueueFIFOProperty(t *testing.T) {
 		})
 		e.Go(func(p *Proc) {
 			for i := 0; i < count; i++ {
-				v, _ := p.Get(q)
+				v := p.Get(q)
 				got = append(got, v.(int))
 			}
 		})

@@ -8,28 +8,33 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/wmm"
-	"repro/internal/workflow"
 )
 
-// This file is the simulation plane's fault-tolerance mirror of the runtime
-// plane (core/failover.go): scheduled node kills/recoveries/drains, request
-// pin repair, and deterministic re-execution of exactly the work a dead
-// node lost — replaying producers from their WMM-retained inputs and
-// re-shipping only the lost outputs. Every fault-only code path is gated on
-// s.faulty (set iff Config.Faults is non-empty), so a fault-free run is
-// event-for-event identical to the classic engine and the paper figures
-// stay byte-stable.
+// This file is the simulation plane's fault-tolerance plane, the recovery
+// the runtime plane runs (core/failover.go): scheduled node kills,
+// recoveries and drains. A kill loses what cluster.FailNode loses — the
+// node's Wait-Match Memory and the request pins that point at it — and
+// nothing else: containers, their DLU queues and queued instances survive,
+// and no function runs again. Recovery repairs each touched request's pins
+// with the pick both planes share (cluster.SelectReplica) and re-ships every
+// lost, still unfetched item from the coordinator's log (the load
+// generator's endpoint) to the repaired pin. Every fault-only code path is
+// gated on s.faulty (set iff Config.Faults is non-empty), so a fault-free
+// run is event-for-event identical to the classic engine and the paper
+// figures stay byte-stable.
 
 // FaultKind classifies a scheduled fault event.
 type FaultKind int
 
 // Fault kinds.
 const (
-	// KillNode takes the node down: its containers die, its Wait-Match
-	// Memory is wiped, queued work and shipments are replayed elsewhere.
+	// KillNode takes the node down, as cluster.FailNode does: its Wait-Match
+	// Memory is wiped and pins to it are repaired; the unfetched items it
+	// held are re-shipped from the coordinator to the repaired pins. Its
+	// containers, DLU queues and queued instances run on.
 	KillNode FaultKind = iota
-	// RecoverNode returns a killed or draining node to service (empty: its
-	// state died with it).
+	// RecoverNode returns a killed or draining node to service; a killed
+	// node's sink comes back empty.
 	RecoverNode
 	// DrainNode stops new request pins; in-flight work completes in place.
 	DrainNode
@@ -119,10 +124,10 @@ func (s *Sim) applyFault(fe FaultEvent) {
 	}
 }
 
-// killNode applies a node death: the sink's data is lost, containers die
-// (memory freed, DLU daemons stopped), queued work and shipments are
-// collected, every in-flight request's pins to the node are cleared, and a
-// recovery process per touched request replays what was lost.
+// killNode applies a node death: the sink's data is lost and every
+// in-flight request's pins to the node are cleared (the next touch re-pins
+// it through pickNode); a recovery process per touched request replays what
+// the sink lost.
 func (s *Sim) killNode(n *node) {
 	if n.down {
 		return
@@ -130,61 +135,9 @@ func (s *Sim) killNode(n *node) {
 	n.down = true
 	now := s.env.Now()
 	n.sink.Clear(now)
-
-	lostWork := make(map[*request][]*work)
-	lostShip := make(map[*request][]*dluShipment)
-	for _, c := range s.ctrs {
-		if c.node != n || c.dead {
-			continue
-		}
-		c.dead = true
-		s.memInt.AddDelta(now, -float64(s.cfg.MemMB)/1024)
-		for {
-			v, ok := c.dluQ.TryGet()
-			if !ok {
-				break
-			}
-			sh := v.(*dluShipment)
-			lostShip[sh.req] = append(lostShip[sh.req], sh)
-		}
-		c.dluQ.Close()
-	}
-	// Map iteration order is randomized; every loop below walks sorted keys
-	// so the recovery work a kill spawns is ordered identically run to run
-	// (the determinism the scenario harness's byte-identical reports pin).
-	for _, fn := range sortedFnKeys(n.fns) {
-		fs := n.fns[fn]
-		for {
-			if _, ok := fs.idleQ.TryGet(); !ok {
-				break // corpses; acquire also skips any that slip back in
-			}
-		}
-		for {
-			wi, ok := fs.workQ.TryGet()
-			if !ok {
-				break
-			}
-			w := wi.(*work)
-			lostWork[w.req] = append(lostWork[w.req], w)
-		}
-		*fs.fnStarted -= fs.started
-		fs.started = 0
-	}
-	// Primaries hosted on the dead node move to a survivor (the prewarm and
-	// control-flow paths route through s.routing).
-	routed := make([]string, 0, len(s.routing))
-	for fn := range s.routing {
-		routed = append(routed, fn)
-	}
-	sort.Strings(routed)
-	for _, fn := range routed {
-		if s.routing[fn] == n {
-			// The first routable replica (a constant load makes every pick a
-			// tie, and the earliest wins), backfilled like any other pick.
-			s.routing[fn] = s.pickNode(fn, nil, func(*node) int64 { return 0 })
-		}
-	}
-
+	// Map iteration order is randomized; requests are walked in arrival
+	// order so the recovery work a kill spawns is ordered identically run to
+	// run (the determinism the scenario harness's byte-identical reports pin).
 	inflight := make([]*request, 0, len(s.inflight))
 	for req := range s.inflight {
 		inflight = append(inflight, req)
@@ -208,138 +161,33 @@ func (s *Sim) killNode(n *node) {
 				lost = append(lost, i)
 			}
 		}
-		works, ships := lostWork[req], lostShip[req]
-		if !touched && len(lost) == 0 && len(works) == 0 && len(ships) == 0 {
+		if !touched && len(lost) == 0 {
 			continue
 		}
 		if !req.recovering {
 			req.recovering = true
 			req.recoverStart = now
 		}
-		req2, lost2, works2, ships2 := req, lost, works, ships
-		s.env.Go(func(p *sim.Proc) {
-			s.recoverRequest(p, req2, lost2, works2, ships2)
-		})
+		req2, lost2 := req, lost
+		s.env.Go(func(p *sim.Proc) { s.recoverRequest(p, req2, lost2) })
 	}
 }
 
-// sortedFnKeys returns a node's hosted function names in sorted order, for
-// deterministic iteration.
-func sortedFnKeys(fns map[string]*fnState) []string {
-	keys := make([]string, 0, len(fns))
-	for fn := range fns {
-		keys = append(keys, fn)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// ensureReplica makes sure n hosts a replica of fn (fnState + dispatcher),
-// sharing the function's global container counter.
-func (s *Sim) ensureReplica(fn string, n *node) *fnState {
-	if fs, ok := n.fns[fn]; ok {
-		return fs
-	}
-	shared := s.replicas[fn][0].fns[fn].fnStarted
-	fs := &fnState{
-		fn:        fn,
-		node:      n,
-		workQ:     sim.NewQueue(s.env, 0),
-		idleQ:     sim.NewQueue(s.env, 0),
-		fnStarted: shared,
-	}
-	n.fns[fn] = fs
-	s.replicas[fn] = append(s.replicas[fn], n)
-	s.env.Go(func(p *sim.Proc) { s.dispatcher(p, fs) })
-	return fs
-}
-
-// recoverRequest replays what a node death cost one request, in dependency
-// order: first the landed-but-unconsumed items (deterministically
-// re-executing their producers — whose own inputs the WMM retained — and
-// re-shipping onto the repaired replicas), then the instance triggers that
-// were queued on the dead node, then the shipments its DLU daemons never
-// pumped (their producers re-execute and the items take the normal deliver
-// path, since the tracker never saw them).
-func (s *Sim) recoverRequest(p *sim.Proc, req *request, lost []int, works []*work, ships []*dluShipment) {
+// recoverRequest replays what a node death cost one request: each lost item
+// is re-shipped from the coordinator to its function's repaired pin and
+// lands there under its old key.
+func (s *Sim) recoverRequest(p *sim.Proc, req *request, lost []int) {
 	for _, i := range lost {
 		if req.failed || req.done.Triggered() {
 			return
 		}
 		rec := &req.landed[i]
 		dst := s.replicaFor(req, rec.to.Fn, nil)
-		if rec.it.From.Fn == workflow.UserSource {
-			// The entry input is replayed from the load generator.
-			s.transfer(p, nil, rec.it.Value.Size, s.user, dst.nic)
-		} else {
-			// Re-execute the producer on its (repaired) replica, reading its
-			// retained inputs locally, then re-ship the lost output.
-			src := s.replicaFor(req, rec.it.From.Fn, nil)
-			d := s.execTime(rec.it.From.Fn)
-			p.Sleep(d)
-			s.noteComp(rec.it.From.Fn, d)
-			if src == dst {
-				p.Sleep(localPipeDelay)
-			} else {
-				p.Sleep(remotePipeDelay)
-				s.transfer(p, nil, rec.it.Value.Size, src.nic, dst.nic)
-			}
-		}
+		s.transfer(p, nil, rec.it.Value.Size, s.user, dst.nic)
 		dst.sink.Put(s.env.Now(), rec.key, rec.it.Value, 1)
 		rec.node = dst
 		s.replays++
 	}
-	for _, w := range works {
-		if req.failed || req.done.Triggered() {
-			return
-		}
-		fs := s.replicaFor(req, w.key.Fn, nil).fns[w.key.Fn]
-		fs.workQ.TryPut(w)
-	}
-	for _, sh := range ships {
-		s.recoverShipment(p, sh)
-	}
-}
-
-// recoverShipment re-executes a producer whose routed-but-unshipped outputs
-// died with its DLU daemon, then ships the items through the normal deliver
-// path (the tracker never saw them, so delivery bookkeeping is exact).
-func (s *Sim) recoverShipment(p *sim.Proc, sh *dluShipment) {
-	req := sh.req
-	if req.failed || req.done.Triggered() {
-		return
-	}
-	src := s.replicaFor(req, sh.from.Fn, nil)
-	d := s.execTime(sh.from.Fn)
-	p.Sleep(d)
-	s.noteComp(sh.from.Fn, d)
-	for _, it := range sh.items {
-		if req.failed || req.done.Triggered() {
-			return
-		}
-		if it.To.Fn == workflow.UserSource {
-			p.Sleep(remotePipeDelay)
-			s.transfer(p, nil, it.Value.Size, src.nic, s.user)
-			s.dfDeliver(req, it)
-			continue
-		}
-		dst := s.replicaFor(req, it.To.Fn, src)
-		if dst == src {
-			p.Sleep(localPipeDelay)
-		} else {
-			p.Sleep(remotePipeDelay)
-			s.transfer(p, nil, it.Value.Size, src.nic, dst.nic)
-		}
-		toIdx := it.To.Idx
-		if toIdx == dataflow.BroadcastIdx {
-			toIdx = 0
-		}
-		key := dfSinkKey(req.id, dataflow.InstanceKey{Fn: it.To.Fn, Idx: toIdx}, it.Input, it.From.Fn, it.From.Idx, it.Output)
-		dst.sink.Put(s.env.Now(), key, it.Value, 1)
-		s.recordLanded(req, dst, key, it)
-		s.dfDeliver(req, it)
-	}
-	s.replays++
 }
 
 // recordLanded appends a landed-item record (fault runs only).

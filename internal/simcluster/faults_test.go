@@ -131,3 +131,85 @@ func TestFaultFreeRunIsUntouched(t *testing.T) {
 		t.Fatalf("fault-free run reported recovery: %+v", res)
 	}
 }
+
+// TestKillRecomputesNothing runs the -exp faults schedule (two replicas per
+// function, w1 killed at 2 s and recovered at 6 s) for every benchmark:
+// recovery replays lost data from the coordinator's log, so every function
+// instance runs exactly once per completed request, kill or not.
+func TestKillRecomputesNothing(t *testing.T) {
+	for _, prof := range workloads.All() {
+		s := New(Config{
+			Kind:      DataFlower,
+			Profile:   prof,
+			Placement: cluster.RoundRobin{Replicas: 2},
+			Faults: []FaultEvent{
+				{At: 2 * time.Second, Node: "w1", Kind: KillNode},
+				{At: 6 * time.Second, Node: "w1", Kind: RecoverNode},
+			},
+		})
+		res := s.RunOpenLoop(360, 40)
+		if res.Recovered == 0 {
+			t.Fatalf("%s: the kill touched no request", prof.Name)
+		}
+		perReq := 0
+		for _, f := range prof.Workflow.Functions {
+			perReq += s.instancesOf(f.Name)
+		}
+		var runs int64
+		for _, st := range res.FnStats {
+			runs += st.Count
+		}
+		if want := res.Completed * int64(perReq); runs != want {
+			t.Errorf("%s: %d instance runs for %d completed requests, want %d", prof.Name, runs, res.Completed, want)
+		}
+	}
+}
+
+// TestKillBackfillsWithoutGrowingTheSet kills every replica of one function
+// while requests are in flight: the repaired pins land on a node outside the
+// set, which serves them without joining it, and every request completes.
+func TestKillBackfillsWithoutGrowingTheSet(t *testing.T) {
+	s := New(Config{
+		Kind:      DataFlower,
+		Profile:   workloads.WordCount(3, 1<<20),
+		Placement: cluster.RoundRobin{Replicas: 2},
+	})
+	const fn = "count"
+	set := append([]*node(nil), s.replicas[fn]...)
+	var events []FaultEvent
+	for _, n := range set {
+		events = append(events, FaultEvent{At: 2 * time.Second, Node: n.name, Kind: KillNode})
+	}
+	s = New(Config{
+		Kind:      DataFlower,
+		Profile:   workloads.WordCount(3, 1<<20),
+		Placement: cluster.RoundRobin{Replicas: 2},
+		Faults:    events,
+	})
+	const count = 40
+	res := s.RunOpenLoop(600, count)
+	if res.Completed != count {
+		t.Fatalf("completed %d/%d with %s's whole set down", res.Completed, count, fn)
+	}
+	if got := len(s.replicas[fn]); got != len(set) {
+		t.Fatalf("%s's replica set grew from %d to %d", fn, len(set), got)
+	}
+	var backfill *node
+	for _, n := range s.nodes {
+		if n.fns[fn] != nil && !n.down {
+			backfill = n
+		}
+	}
+	if backfill == nil {
+		t.Fatalf("no live node hosts %s after its set died", fn)
+	}
+	for _, n := range set {
+		if n == backfill {
+			t.Fatalf("backfill %s is a member of the dead set", n.name)
+		}
+	}
+	req := s.newRequest(s.cfg.Profile)
+	if n := s.replicaFor(req, fn, nil); n != backfill {
+		t.Fatalf("a new pin for %s lands on %s, want the backfill %s", fn, n.name, backfill.name)
+	}
+}

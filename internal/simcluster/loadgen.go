@@ -80,8 +80,8 @@ func (s *Sim) RunOpenLoop(rpm float64, count int) *Result {
 // the primary profile is rank 0 and therefore the hot workflow. skew is
 // the Zipf s parameter (values <= 1 default to 1.5; larger is hotter).
 // With a single deployed workflow it degenerates to RunOpenLoop. This is
-// the workload the elastic routing plane exists for: popularity skew
-// concentrating load on one workflow's functions.
+// the workload replica sets exist for: popularity skew concentrating load
+// on one workflow's functions.
 func (s *Sim) RunSkewedOpenLoop(rpm float64, count int, skew float64) *Result {
 	if skew <= 1 {
 		skew = 1.5

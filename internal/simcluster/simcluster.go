@@ -240,8 +240,10 @@ type Result struct {
 	Containers int64
 	// Recovered counts requests that were in flight across a node kill and
 	// still completed; RecoveryLat samples their kill-to-completion
-	// latency; Replays counts the shipments re-executed onto surviving
-	// replicas. All zero when Config.Faults is empty.
+	// latency; Replays counts the items a kill made land again on a
+	// repaired pin — re-shipped from the coordinator's log, or an in-flight
+	// ship re-landed when its destination died under it. No function runs
+	// again. All zero when Config.Faults is empty.
 	Recovered   int64
 	RecoveryLat *metrics.Sample
 	Replays     int64
@@ -264,8 +266,8 @@ type node struct {
 	sink *wmm.Sink // DataFlower Wait-Match Memory / FaaSFlow local cache
 	fns  map[string]*fnState
 
-	// Health (faults.go): down nodes lost their containers and sink
-	// contents; draining nodes take no new request pins.
+	// Health (faults.go): down nodes lost their sink contents and take no
+	// pins; draining nodes take no new request pins.
 	down     bool
 	draining bool
 }
@@ -273,8 +275,8 @@ type node struct {
 // routable reports whether new request pins may select the node.
 func (n *node) routable() bool { return !n.down && !n.draining }
 
-// fnState is the per-function scheduling state on one of its replica
-// nodes (one fnState per function-replica pair).
+// fnState is the per-function scheduling state on one node that serves the
+// function: a replica, or a node a pin was backfilled onto (pickNode).
 type fnState struct {
 	fn      string
 	node    *node
@@ -301,7 +303,6 @@ type container struct {
 	ep      *simnet.Endpoint
 	dluQ    *sim.Queue // DataFlower: queued DLU shipments
 	dluBusy bool       // DLU daemon is mid-transfer
-	dead    bool       // its node was killed (faults.go)
 	born    time.Duration
 	// cpuT and netT are this container's own busy timelines; their overlap
 	// is the §3.2.2/Fig. 2(b) metric (sequential vs overlapped phases).
@@ -327,8 +328,8 @@ type request struct {
 	// (allocated lazily; single-replica functions never touch it).
 	pin map[string]*node
 	// landed logs every item cached in a node's sink with its key and
-	// consumption state — what a node kill must replay (faults.go).
-	// Maintained only when faults are scheduled.
+	// consumption state — the coordinator's log a node kill replays from
+	// (faults.go). Maintained only when faults are scheduled.
 	landed []landRec
 	// recovering marks the request as touched by a node kill;
 	// recoverStart is the (first) kill's virtual time.
@@ -495,8 +496,8 @@ func New(cfg Config) *Sim {
 			fs := &fnState{
 				fn:        fn,
 				node:      n,
-				workQ:     sim.NewQueue(env, 0),
-				idleQ:     sim.NewQueue(env, 0),
+				workQ:     sim.NewQueue(),
+				idleQ:     sim.NewQueue(),
 				fnStarted: fnStarted,
 			}
 			n.fns[fn] = fs
@@ -524,7 +525,7 @@ func (s *Sim) replicaFor(req *request, fn string, prefer *node) *node {
 	if n, ok := req.pin[fn]; ok {
 		return n
 	}
-	chosen := s.pickNode(fn, prefer, func(n *node) int64 { return n.fns[fn].load() })
+	chosen := s.pickNode(fn, prefer)
 	if req.pin == nil {
 		req.pin = make(map[string]*node)
 	}
@@ -532,36 +533,38 @@ func (s *Sim) replicaFor(req *request, fn string, prefer *node) *node {
 	return chosen
 }
 
-// pickNode applies cluster.PickReplica to fn's replica set and, when none of
-// it is routable, backfills a fresh replica on the least busy routable node
-// (the runtime plane's selectReplica backfills per pin instead and leaves
-// its replica set as placed). With nothing routable in
-// the whole cluster the set's head is returned to limp along on. Without
-// faults every node is routable, so the first pick always answers.
-func (s *Sim) pickNode(fn string, prefer *node, load func(*node) int64) *node {
+// pickNode is cluster.SelectReplica over fn's replica set by each node's
+// outstanding work for fn, backfilling from the whole cluster when no member
+// is routable; with nothing routable at all the set's head limps along.
+// Without faults every node is routable, so a member always answers. A
+// backfilled node serves the pin without joining s.replicas[fn], as the
+// runtime plane serves a backfill ordinal from that node's pool: its
+// fnState is made on first use.
+func (s *Sim) pickNode(fn string, prefer *node) *node {
 	reps := s.replicas[fn]
-	if i, ok := cluster.PickReplica(reps, prefer, (*node).routable, load); ok {
-		return reps[i]
+	n, ordinal, _ := cluster.SelectReplica(reps, s.nodes, prefer, (*node).routable, func(n *node) int64 { return n.fns[fn].load() })
+	if ordinal >= len(reps) && n.fns[fn] == nil {
+		fs := &fnState{
+			fn:        fn,
+			node:      n,
+			workQ:     sim.NewQueue(),
+			idleQ:     sim.NewQueue(),
+			fnStarted: reps[0].fns[fn].fnStarted,
+		}
+		n.fns[fn] = fs
+		s.env.Go(func(p *sim.Proc) { s.dispatcher(p, fs) })
 	}
-	if i, ok := cluster.PickReplica(s.nodes, nil, (*node).routable, (*node).busy); ok {
-		s.ensureReplica(fn, s.nodes[i])
-		return s.nodes[i]
-	}
-	return reps[0]
+	return n
 }
 
 // load estimates a replica's outstanding work: queued instances plus
-// containers that are started and not idle.
+// containers that are started and not idle (none on a node that does not
+// host the function).
 func (fs *fnState) load() int64 {
-	return int64(fs.workQ.Len() + fs.started - fs.idleQ.Len())
-}
-
-// busy is a node's outstanding work summed over every function it hosts.
-func (n *node) busy() (load int64) {
-	for _, fs := range n.fns {
-		load += fs.load()
+	if fs == nil {
+		return 0
 	}
-	return load
+	return int64(fs.workQ.Len() + fs.started - fs.idleQ.Len())
 }
 
 // execTime scales the function's reference execution time by container size.
@@ -590,105 +593,35 @@ const scaleOutDelay = 50 * time.Millisecond
 // per-function cap after scaleOutDelay of waiting.
 func (s *Sim) dispatcher(p *sim.Proc, fs *fnState) {
 	for {
-		wi, ok := p.Get(fs.workQ)
-		if !ok {
-			return
-		}
-		w := wi.(*work)
-		c, ok := s.acquire(p, fs, w)
-		if !ok {
-			return // queue closed
-		}
-		if c == nil {
-			continue // fault plane rerouted w off this dead replica
-		}
-		wi2, ci2 := w, c
+		w := p.Get(fs.workQ).(*work)
+		c := s.acquire(p, fs)
 		s.env.Go(func(ep *sim.Proc) {
-			s.execute(ep, ci2, wi2)
-			if !ci2.dead {
-				fs.idleQ.TryPut(ci2)
-			}
+			s.execute(ep, c, w)
+			fs.idleQ.TryPut(c)
 		})
 	}
 }
 
-// acquire obtains a container for w on fs's replica: idle reuse first, then
-// the scale-out policy (cold start when concurrency demands it, else wait
-// scaleOutDelay for a warm one). ok is false on queue close. Under the
-// fault plane a dead replica's work is rerouted (nil container, ok true)
-// and corpse containers left by a kill are discarded; without faults the
-// control flow is exactly the classic dispatcher's.
-func (s *Sim) acquire(p *sim.Proc, fs *fnState, w *work) (*container, bool) {
-	for {
-		if ci, ok := fs.idleQ.TryGet(); ok {
-			c := ci.(*container)
-			if s.faulty && c.dead {
-				continue
-			}
-			return c, true
-		}
-		if s.faulty && fs.node.down {
-			if tgt := s.failoverState(w, fs); tgt != nil {
-				tgt.workQ.TryPut(w)
-				return nil, true
-			}
-			// Whole cluster unroutable: fall through and run here so the
-			// request still progresses.
-		}
-		if fs.atFnCap(s.cfg.MaxContainersPerFn) {
-			if !s.faulty {
-				ci, ok := p.Get(fs.idleQ)
-				if !ok {
-					return nil, false
-				}
-				return ci.(*container), true
-			}
-			// Wake periodically so a kill cannot strand this work item on a
-			// dead replica's idle queue forever.
-			ci, got, timedOut := p.GetTimeout(fs.idleQ, scaleOutDelay)
-			switch {
-			case got:
-				if c := ci.(*container); !c.dead {
-					return c, true
-				}
-			case timedOut:
-			default:
-				return nil, false
-			}
-			continue
-		}
-		if fs.workQ.Len()+1 > fs.started {
-			// Concurrency-based scale-out: more invocations in flight than
-			// containers. This is the standard serverless reaction to FLU
-			// (compute) demand; DLU (transfer) demand is invisible to it.
-			return s.coldStart(p, fs), true
-		}
-		ci, got, timedOut := p.GetTimeout(fs.idleQ, scaleOutDelay)
-		switch {
-		case got:
-			c := ci.(*container)
-			if s.faulty && c.dead {
-				continue
-			}
-			return c, true
-		case timedOut:
-			return s.coldStart(p, fs), true
-		default:
-			return nil, false
-		}
+// acquire obtains a container on fs's replica: idle reuse first, then the
+// scale-out policy (cold start when concurrency demands it, else wait
+// scaleOutDelay for a warm one).
+func (s *Sim) acquire(p *sim.Proc, fs *fnState) *container {
+	if ci, ok := fs.idleQ.TryGet(); ok {
+		return ci.(*container)
 	}
-}
-
-// failoverState resolves a healthy replica to send a dead node's work item
-// to, or nil when none exists (pin already cleared by the kill; replicaFor
-// re-pins among routable nodes).
-func (s *Sim) failoverState(w *work, from *fnState) *fnState {
-	delete(w.req.pin, w.key.Fn)
-	n := s.replicaFor(w.req, w.key.Fn, nil)
-	if n == from.node {
-		return nil
+	if fs.atFnCap(s.cfg.MaxContainersPerFn) {
+		return p.Get(fs.idleQ).(*container)
 	}
-	return n.fns[w.key.Fn]
+	if fs.workQ.Len()+1 > fs.started {
+		// Concurrency-based scale-out: more invocations in flight than
+		// containers. This is the standard serverless reaction to FLU
+		// (compute) demand; DLU (transfer) demand is invisible to it.
+		return s.coldStart(p, fs)
+	}
+	if ci, ok := p.GetTimeout(fs.idleQ, scaleOutDelay); ok {
+		return ci.(*container)
+	}
+	return s.coldStart(p, fs)
 }
 
 // coldStart creates a container (charging the cold-start delay to the
@@ -705,7 +638,7 @@ func (s *Sim) coldStart(p *sim.Proc, fs *fnState) *container {
 		fn:   fs.fn,
 		node: fs.node,
 		ep:   s.fabric.NewEndpoint(s.cfg.containerBps()),
-		dluQ: sim.NewQueue(s.env, 0),
+		dluQ: sim.NewQueue(),
 		born: s.env.Now(),
 		cpuT: metrics.NewTimeline(),
 		netT: metrics.NewTimeline(),
@@ -723,9 +656,6 @@ func (s *Sim) prewarm(fs *fnState) {
 	if fs.atFnCap(s.cfg.MaxContainersPerFn) {
 		return
 	}
-	if s.faulty && fs.node.down {
-		return // dead nodes have zero capacity
-	}
 	s.prewarms++
 	fs.started++
 	*fs.fnStarted++
@@ -738,7 +668,7 @@ func (s *Sim) prewarm(fs *fnState) {
 			fn:   fs.fn,
 			node: fs.node,
 			ep:   s.fabric.NewEndpoint(s.cfg.containerBps()),
-			dluQ: sim.NewQueue(s.env, 0),
+			dluQ: sim.NewQueue(),
 			born: s.env.Now(),
 			cpuT: metrics.NewTimeline(),
 			netT: metrics.NewTimeline(),
@@ -770,7 +700,7 @@ func (s *Sim) newRequest(prof *workloads.Profile) *request {
 		id:        fmt.Sprintf("r%d", s.reqSeq),
 		seq:       s.reqSeq,
 		prof:      prof,
-		tracker:   dataflow.NewTracker(prof.Workflow, fmt.Sprintf("r%d", s.reqSeq)),
+		tracker:   dataflow.NewTracker(prof.Workflow),
 		arrived:   s.env.Now(),
 		done:      sim.NewEvent(s.env),
 		remaining: make(map[string]int),

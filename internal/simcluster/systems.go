@@ -133,15 +133,7 @@ func (s *Sim) dfExecute(p *sim.Proc, c *container, w *work) {
 		// Hand the shipment to the DLU daemon first: it pumps asynchronously
 		// while the FLU is (possibly) callstack-blocked below.
 		backlog := c.dluBusy || c.dluQ.Len() > 0
-		sh := &dluShipment{req: req, from: key, items: items}
-		if c.dead {
-			// The container's node died mid-execution: its DLU daemon is
-			// gone (and its queue closed). The outputs are recovered by
-			// re-executing this producer on a surviving replica.
-			s.env.Go(func(zp *sim.Proc) { s.recoverShipment(zp, sh) })
-			continue
-		}
-		c.dluQ.TryPut(sh)
+		c.dluQ.TryPut(&dluShipment{req: req, items: items})
 		// Pressure-aware scaling (Eq. 1): when the DLU cannot keep up with
 		// the FLU's producing rate, block this FLU for the pressure duration
 		// (it cannot serve subsequent invocations, which throttles the
@@ -207,18 +199,13 @@ func dfSinkKey(reqID string, to dataflow.InstanceKey, input, fromFn string, from
 // dluShipment is one batch of routed items queued on a container's DLU.
 type dluShipment struct {
 	req   *request
-	from  dataflow.InstanceKey
 	items []dataflow.Item
 }
 
 // dluDaemon pumps shipments through pipe connectors in FIFO order (§5.1).
 func (s *Sim) dluDaemon(p *sim.Proc, c *container) {
 	for {
-		v, ok := p.Get(c.dluQ)
-		if !ok {
-			return
-		}
-		sh := v.(*dluShipment)
+		sh := p.Get(c.dluQ).(*dluShipment)
 		c.dluBusy = true
 		for _, it := range sh.items {
 			s.dfShip(p, c, sh.req, it)
