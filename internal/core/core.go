@@ -530,7 +530,6 @@ func (s *System) Invoke(input map[string][]byte) (*Invocation, error) {
 	inv := &Invocation{id: reqNum}
 	inv.wg.Add(1)
 	r := s.newRequest(inv, stripe, start)
-	inv.req = r
 	var entryBuf [4]dataflow.Ready
 	obsRequests.Inc(stripe)
 	if s.sampleEvery > 0 && reqNum%s.sampleEvery == 0 {
@@ -539,9 +538,9 @@ func (s *System) Invoke(input map[string][]byte) (*Invocation, error) {
 	s.pendingInvs.Add(stripe, 1)
 
 	s.event(r, trace.ReqArrived, "", 0, "")
-	r.mu.Lock()
+	// No lock: r came off the free-list under its mutex, and no other
+	// goroutine can reach it until its first job is admitted below.
 	newly, err := r.tracker.StartBytesInto(entryBuf[:0], input)
-	r.mu.Unlock()
 	if err != nil {
 		// The normal teardown uncounts the rejected request, releases waiters.
 		s.gate.exit(stripe)
@@ -641,11 +640,14 @@ func (s *System) execWorker() {
 // with the count. A job that ran hands its request reference to the
 // continuation it parked, or drops it. at is a reading this goroutine took
 // with nothing that can sleep since (zero: none), where the first instance
-// starts; each continuation starts at its producer's end.
+// starts; each continuation starts at its producer's end. Every instance of
+// the chain runs on one pooled Context.
 func (s *System) runChain(j instanceJob, caller bool, at time.Time) {
 	stripe := j.req.stripe
+	ctx := ctxPool.Get().(*Context)
+	defer releaseCtx(ctx)
 	for j.req != nil {
-		next, end, ran := s.runInstance(j, caller, at)
+		next, end, ran := s.runInstance(ctx, j, caller, at)
 		if !ran {
 			s.submitInstance(j)
 			return
@@ -668,8 +670,9 @@ func (s *System) runChain(j instanceJob, caller bool, at time.Time) {
 // caller carried one in, and end, which closed its last run, is the next
 // instance's at. A parked instance cap and a cold start each drop the
 // carried reading, so T_FLU never contains a wait. Three returns keep every
-// defer open-coded.
-func (s *System) runInstance(j instanceJob, caller bool, at time.Time) (next instanceJob, end time.Time, ran bool) {
+// defer open-coded. ctx is the chain's Context; this run overwrites its
+// per-run fields and inputs.
+func (s *System) runInstance(ctx *Context, j instanceJob, caller bool, at time.Time) (next instanceJob, end time.Time, ran bool) {
 	r, key, st := j.req, j.key, j.st
 	r.live(j.gen)
 	fn := key.Fn
@@ -712,8 +715,6 @@ func (s *System) runInstance(j instanceJob, caller bool, at time.Time) (next ins
 	// release reclaims it at fetch (a fanned function's shared inputs are
 	// teardown's). The sink calls nest under r.mu — shard mutexes are leaf
 	// locks, as in teardown — which spares copying the arrived list.
-	ctx := ctxPool.Get().(*Context)
-	defer releaseCtx(ctx)
 	r.mu.Lock()
 	inputs, valBuf := r.tracker.InputsAppendBacking(ctx.inputs[:0], ctx.valBuf[:0], st.idx, key)
 	for _, ai := range r.arrivedFor(key) {
@@ -731,8 +732,7 @@ func (s *System) runInstance(j instanceJob, caller bool, at time.Time) (next ins
 	r.mu.Unlock()
 
 	h := st.handlerFn()
-	// A pooled Context is zero but for its buffers (releaseCtx).
-	ctx.Instance = key
+	ctx.Instance, ctx.next = key, instanceJob{}
 	ctx.inputs, ctx.valBuf = inputs, valBuf
 	ctx.sys, ctx.req, ctx.gen, ctx.ctr, ctx.fst = s, r, j.gen, ctr, st
 	note := "" // "redo-N" on the event log once the handler is being ReDone

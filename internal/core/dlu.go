@@ -44,6 +44,9 @@ type Context struct {
 	// charge there when that cannot make it park (pipe.Limiter.TakeNAt).
 	at time.Time
 
+	// items is the buffer a Put routes into: an inline ship ships from it, a
+	// task queued to the DLU daemon copies it into an itemsBox.
+	items []dataflow.Item
 	// ship is the scratch batch of an inline ship (put): the DLU daemon's own
 	// drain scratch, kept here so the backings ride the pooled Context.
 	ship dluBatch
@@ -68,21 +71,23 @@ type Context struct {
 // 50 µs clears every reading and is two orders below a millisecond of work.
 const continuationMaxTFLU = 50 * time.Microsecond
 
-// ctxPool recycles Context records and their input buffers across instance
-// executions. The pooling contract (see the README hot-path section): a
-// handler must not retain the Context, nor the slices returned by Input or
-// InputList, past its return — the payload bytes themselves are the user's
-// and may be kept.
+// ctxPool recycles Context records and their buffers, one per chain
+// (runChain): every instance the chain runs reuses it. The pooling contract
+// (see the README hot-path section): a handler must not retain the Context,
+// nor the slices returned by Input or InputList, past its return — the
+// payload bytes themselves are the user's and may be kept.
 var ctxPool = sync.Pool{New: func() any { return new(Context) }}
 
-// releaseCtx zeroes the references a finished execution pinned — payloads,
-// the request, the container — and returns the Context to the pool with its
-// buffers retained. Field by field: assigning a whole Context would run the
-// write barrier over the ship backings it keeps.
+// releaseCtx ends a chain: it zeroes the references its runs pinned —
+// payloads in every buffer's whole backing, the request, the container — and
+// returns the Context to the pool with its buffers retained. Field by field:
+// assigning a whole Context would run the write barrier over the ship
+// backings it keeps.
 func releaseCtx(ctx *Context) {
-	clear(ctx.inputs)
-	clear(ctx.valBuf)
-	ctx.inputs, ctx.valBuf = ctx.inputs[:0], ctx.valBuf[:0]
+	clear(ctx.inputs[:cap(ctx.inputs)])
+	clear(ctx.valBuf[:cap(ctx.valBuf)])
+	clear(ctx.items[:cap(ctx.items)])
+	ctx.inputs, ctx.valBuf, ctx.items = ctx.inputs[:0], ctx.valBuf[:0], ctx.items[:0]
 	ctx.Instance = dataflow.InstanceKey{}
 	ctx.sys, ctx.req, ctx.ctr, ctx.fst = nil, nil, nil, nil
 	ctx.gen, ctx.blocked, ctx.at, ctx.cont, ctx.next = 0, 0, time.Time{}, false, instanceJob{}
@@ -155,11 +160,11 @@ func (c *Context) PutSwitch(output string, payload []byte, switchCase int) error
 	return c.put(output, one[:], switchCase)
 }
 
-// itemsBox is a recyclable backing array for one Put's routed items. Boxes
+// itemsBox is a recyclable copy of one queued Put's routed items. Boxes
 // travel to the DLU daemon through cluster.DLUTask.Buf and return to the
 // pool once the items are shipped; every consumer of a routed item copies
-// it by value (recordArrived, tracker bookkeeping, sink puts), so the
-// backing is free the moment the daemon is done with the task.
+// it by value (recordArrived, tracker bookkeeping, sink puts), so a backing
+// — box or Context buffer — is free the moment its task has shipped.
 type itemsBox struct{ items []dataflow.Item }
 
 var itemsPool = sync.Pool{New: func() any { return new(itemsBox) }}
@@ -179,18 +184,16 @@ func recycleItems(task cluster.DLUTask) {
 func (c *Context) put(output string, values []dataflow.Value, switchCase int) error {
 	r, s := c.req, c.sys
 	r.live(c.gen)
-	box := itemsPool.Get().(*itemsBox)
 	r.mu.Lock()
-	items, err := r.tracker.RouteIndexed(box.items[:0], c.fst.idx, c.Instance, output, values, switchCase)
+	items, err := r.tracker.RouteIndexed(c.items[:0], c.fst.idx, c.Instance, output, values, switchCase)
 	r.mu.Unlock()
-	box.items = items
+	c.items = items
 	if err != nil {
-		recycleItems(cluster.DLUTask{Buf: box})
 		return err
 	}
 	var totalSize int64
-	for _, it := range items {
-		totalSize += it.Value.Size
+	for i := range items {
+		totalSize += items[i].Value.Size
 	}
 	// Pressure-aware scaling (Eq. 1): Pressure = α·Size/Bw − T_FLU. Computed
 	// before the items (and their backing) are handed on.
@@ -209,7 +212,7 @@ func (c *Context) put(output string, values []dataflow.Value, switchCase int) er
 			pressure = cluster.Pressure(s.cfg.Alpha, float64(totalSize), bw, tflu)
 		}
 	}
-	task := cluster.DLUTask{Ref: r, Gen: c.gen, Items: items, Buf: box}
+	task := cluster.DLUTask{Ref: r, Gen: c.gen, Items: items}
 	if pressure <= 0 && c.shipsInline(items) {
 		// The DLU is asynchronous so that transmission never blocks compute
 		// (§5.1); a sub-microsecond in-process land costs less than the
@@ -226,7 +229,11 @@ func (c *Context) put(output string, values []dataflow.Value, switchCase int) er
 	}
 	// Hand the items to the container's DLU daemon (FIFO) first, so the data
 	// ships during the pressure block below, not after it. The queued task
+	// owns a copy of the items, since the next Put reuses the buffer, and
 	// holds a request reference until it has shipped.
+	box := itemsPool.Get().(*itemsBox)
+	box.items = append(box.items[:0], items...)
+	task.Items, task.Buf = box.items, box
 	r.refs.Add(1)
 	if !s.dluEnqueue(c.ctr, task) {
 		return nil // shutting down: nothing shipped, nothing to throttle for
@@ -673,9 +680,9 @@ func (s *System) deliverBatch(r *request, items []dataflow.Item, reqs []wmm.PutR
 	var readyBuf [4]dataflow.Ready // on the stack: a delivery readies a handful of instances
 	r.mu.Lock()
 	for i := range items {
-		it := items[i]
+		it := &items[i]
 		if len(reqs) > 0 {
-			r.recordArrived(s.arrivedKey(it), arrivedItem{item: it, key: reqs[i].Key, node: node})
+			r.recordArrived(s.arrivedKey(it), arrivedItem{item: *it, key: reqs[i].Key, node: node})
 		}
 		newly, err := r.tracker.DeliverReady(readyBuf[:0], it)
 		if err != nil {
@@ -798,7 +805,7 @@ func (r *request) recordArrived(key dataflow.InstanceKey, ai arrivedItem) {
 // instance and released at its fetch — the paper's proactive release (§7).
 // Only a FOREACH-fanned function's shared input keeps the {Fn, BroadcastIdx}
 // bucket, which no instance consumes and teardown reclaims.
-func (s *System) arrivedKey(it dataflow.Item) dataflow.InstanceKey {
+func (s *System) arrivedKey(it *dataflow.Item) dataflow.InstanceKey {
 	if it.To.Idx == dataflow.BroadcastIdx && s.fnList[it.ToFn()].single {
 		return dataflow.InstanceKey{Fn: it.To.Fn}
 	}

@@ -70,7 +70,6 @@ func (s *System) repairLocked(r *request) {
 		r.route[i].node = next
 		r.route[i].ordinal = ordinal
 		n := s.replayLocked(r, st.name, dead, next, ordinal)
-		r.inv.replays.Add(int64(n))
 		s.replays.Add(int64(n))
 		obsReplays.Add(r.stripe, int64(n))
 		s.event(r, trace.Replay, st.name, n, dead.Name+"->"+next.Name)

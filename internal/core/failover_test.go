@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -34,16 +35,16 @@ function c
 `
 
 // newFaultSystem builds the fan workflow on nodes workers with two replicas
-// per function and the fault-tolerance plane on. gate, when non-nil, blocks
-// every b instance except index 0 until closed — holding the request open
+// per function and the fault-tolerance plane on. gate, when non-nil, holds
+// every b instance except index 0 until released — holding the request open
 // with piece 0 already landed on c's pin.
-func newFaultSystem(t testing.TB, nodes int, gate chan struct{}, cfgMut func(*Config)) *System {
+func newFaultSystem(t testing.TB, nodes int, gate *faultGate, cfgMut func(*Config)) *System {
 	t.Helper()
 	return newFaultSystemOf(t, nodes, gate, cfgMut, cluster.NewNode)
 }
 
 // newFaultSystemOf is newFaultSystem with each worker built by newNode.
-func newFaultSystemOf(t testing.TB, nodes int, gate chan struct{}, cfgMut func(*Config), newNode func(string, cluster.Options) *cluster.Node) *System {
+func newFaultSystemOf(t testing.TB, nodes int, gate *faultGate, cfgMut func(*Config), newNode func(string, cluster.Options) *cluster.Node) *System {
 	t.Helper()
 	wf, err := workflow.ParseDSLString(fanDSL)
 	if err != nil {
@@ -93,7 +94,7 @@ func newFaultSystemOf(t testing.TB, nodes int, gate chan struct{}, cfgMut func(*
 			return err
 		}
 		if gate != nil && ctx.Instance.Idx != 0 {
-			<-gate
+			gate.hold(ctx)
 		}
 		return ctx.Put("piece", part)
 	}))
@@ -111,31 +112,112 @@ func newFaultSystemOf(t testing.TB, nodes int, gate chan struct{}, cfgMut func(*
 	return sys
 }
 
-// waitPinned polls until fn is pinned for the request and returns the node.
-func waitPinned(t *testing.T, inv *Invocation, fn string) string {
+// faultGate holds b runs until released and keeps each held run's Context
+// by request: while a run is held its request is live, so a test reads the
+// request's pins through it (Context.pinnedNode).
+type faultGate struct {
+	open chan struct{}
+	mu   sync.Mutex
+	held map[string]*Context // a held run's Context, by request id
+}
+
+func newFaultGate() *faultGate {
+	return &faultGate{open: make(chan struct{}), held: map[string]*Context{}}
+}
+
+// hold parks the run until the gate is released.
+func (g *faultGate) hold(ctx *Context) {
+	g.mu.Lock()
+	if g.held != nil {
+		g.held[ctx.ReqID()] = ctx
+	}
+	g.mu.Unlock()
+	<-g.open
+}
+
+// release lets every held run go; their Contexts are no longer readable.
+func (g *faultGate) release() {
+	g.mu.Lock()
+	g.held = nil
+	g.mu.Unlock()
+	close(g.open)
+}
+
+// waitPinned polls, through a held run of the request, until fn is pinned
+// for it and returns the node.
+func waitPinned(t *testing.T, g *faultGate, inv *Invocation, fn string) string {
 	t.Helper()
 	var pinned string
 	waitFor(t, 5*time.Second, func() bool {
-		n, ok := inv.PinnedNode(fn)
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		ctx := g.held[inv.ReqID()]
+		if ctx == nil {
+			return false
+		}
+		n, ok := ctx.pinnedNode(fn)
 		pinned = n
 		return ok
 	}, fn+" never pinned")
 	return pinned
 }
 
+// runNodes records the node every run of the wrapped functions executed on,
+// by request id and function.
+type runNodes struct {
+	mu    sync.Mutex
+	nodes map[string][]string // "<req id>/<fn>" -> run nodes, in run order
+}
+
+// recordRuns wraps the registered handlers of fns to record where each run
+// executed.
+func recordRuns(sys *System, fns ...string) *runNodes {
+	rn := &runNodes{nodes: map[string][]string{}}
+	for _, fn := range fns {
+		h := sys.fns[fn].handlerFn()
+		_ = sys.Register(fn, func(ctx *Context) error {
+			rn.mu.Lock()
+			k := ctx.ReqID() + "/" + ctx.Instance.Fn
+			rn.nodes[k] = append(rn.nodes[k], ctx.node())
+			rn.mu.Unlock()
+			return h(ctx)
+		})
+	}
+	return rn
+}
+
+// of returns the nodes fn's runs of the request executed on.
+func (rn *runNodes) of(inv *Invocation, fn string) []string {
+	rn.mu.Lock()
+	defer rn.mu.Unlock()
+	return slices.Clone(rn.nodes[inv.ReqID()+"/"+fn])
+}
+
+// ranOnlyOff fails the test unless fn ran want times for the request, none
+// of them on node.
+func ranOnlyOff(t *testing.T, rn *runNodes, inv *Invocation, fn string, want int, node string) {
+	t.Helper()
+	ran := rn.of(inv, fn)
+	if len(ran) != want || slices.Contains(ran, node) {
+		t.Fatalf("%s ran on %v, want %d runs, none on %s", fn, ran, want, node)
+	}
+}
+
 // TestFailoverReplaysLostShipment kills the node holding a request's only
 // landed-but-unconsumed piece and requires the engine to repair the pin and
 // replay exactly that piece onto a survivor.
 func TestFailoverReplaysLostShipment(t *testing.T) {
-	gate := make(chan struct{})
+	gate := newFaultGate()
 	sys := newFaultSystem(t, 3, gate, nil)
 	defer sys.Shutdown()
+	runs := recordRuns(sys, "c")
+	replays0 := sys.Replays()
 
 	inv, err := sys.Invoke(map[string][]byte{"a.in": []byte("head")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cPin := waitPinned(t, inv, "c")
+	cPin := waitPinned(t, gate, inv, "c")
 	cNode, _ := sys.cfg.Cluster.Node(cPin)
 	// Make sure b[0]'s piece has actually landed in c's pinned sink before
 	// the kill, so the kill demonstrably loses data.
@@ -145,7 +227,7 @@ func TestFailoverReplaysLostShipment(t *testing.T) {
 	if err := sys.cfg.Cluster.FailNode(cPin); err != nil {
 		t.Fatal(err)
 	}
-	close(gate) // release b[1], b[2]; their ships detect the dead pin
+	gate.release() // release b[1], b[2]; their ships detect the dead pin
 
 	if err := inv.Wait(); err != nil {
 		t.Fatalf("request did not survive the node kill: %v", err)
@@ -154,15 +236,10 @@ func TestFailoverReplaysLostShipment(t *testing.T) {
 	if string(out) != "head,mid,tail" {
 		t.Fatalf("out = %q after replay", out)
 	}
-	if inv.Replays() < 1 {
+	if sys.Replays()-replays0 < 1 {
 		t.Fatal("no shipment was replayed")
 	}
-	if got, _ := inv.PinnedNode("c"); got == cPin {
-		t.Fatalf("c still pinned to dead node %s", got)
-	}
-	if sys.Replays() < 1 {
-		t.Fatal("system replay counter did not advance")
-	}
+	ranOnlyOff(t, runs, inv, "c", 1, cPin)
 }
 
 // TestFailoverLeavesPinWhenNothingRoutable pins c on its non-primary
@@ -171,9 +248,11 @@ func TestFailoverReplaysLostShipment(t *testing.T) {
 // routable a repair has nowhere better to go: the pin must stay put and
 // nothing may be "replayed" into the equally dead primary's sink.
 func TestFailoverLeavesPinWhenNothingRoutable(t *testing.T) {
-	gate := make(chan struct{})
+	gate := newFaultGate()
 	sys := newFaultSystem(t, 3, gate, nil)
 	defer sys.Shutdown()
+	runs := recordRuns(sys, "c")
+	replays0 := sys.Replays()
 	cl := sys.cfg.Cluster
 	must := func(err error) {
 		t.Helper()
@@ -185,7 +264,7 @@ func TestFailoverLeavesPinWhenNothingRoutable(t *testing.T) {
 	must(cl.DrainNode("w3"))
 	inv, err := sys.Invoke(map[string][]byte{"a.in": []byte("head")})
 	must(err)
-	if cPin := waitPinned(t, inv, "c"); cPin != "w1" {
+	if cPin := waitPinned(t, gate, inv, "c"); cPin != "w1" {
 		t.Fatalf("c pinned to %s, want the non-primary w1", cPin)
 	}
 	w1, _ := cl.Node("w1")
@@ -198,22 +277,19 @@ func TestFailoverLeavesPinWhenNothingRoutable(t *testing.T) {
 	for _, name := range []string{"w1", "w2", "w3"} {
 		must(cl.FailNode(name))
 	}
-	close(gate) // b[1], b[2] ship towards c and touch the dead pin
+	gate.release() // b[1], b[2] ship towards c and touch the dead pin
 
 	// In-process sinks still answer while marked Down, so the request limps
 	// to an end either way; what matters is what the repairs did meanwhile.
 	_ = inv.Wait()
-	if got, _ := inv.PinnedNode("c"); got != "w1" {
-		t.Fatalf("c's pin moved to %s with nothing routable", got)
+	if ran := runs.of(inv, "c"); len(ran) != 1 || ran[0] != "w1" {
+		t.Fatalf("c ran on %v with nothing routable, want its unmoved pin [w1]", ran)
 	}
-	if n := inv.Replays(); n != 0 {
+	if n := sys.Replays() - replays0; n != 0 {
 		t.Fatalf("%d pieces replayed into a dead sink", n)
 	}
 	if got := w3.Sink.Stats().Puts; got != putsBefore {
 		t.Fatalf("dead primary's sink took %d puts", got-putsBefore)
-	}
-	if sys.Replays() != 0 {
-		t.Fatal("system replay counter advanced")
 	}
 }
 
@@ -233,6 +309,7 @@ func TestSelectReplicaBackfillsPastTheSet(t *testing.T) {
 	if !ok || n.Name != "w1" || ordinal != 2 {
 		t.Fatalf("selectReplica(c) = %s, %d, %v; want w1 under ordinal 2", n.Name, ordinal, ok)
 	}
+	runs := recordRuns(sys, "c")
 	inv, err := sys.Invoke(map[string][]byte{"a.in": []byte("head")})
 	if err != nil {
 		t.Fatal(err)
@@ -240,8 +317,8 @@ func TestSelectReplicaBackfillsPastTheSet(t *testing.T) {
 	if err := inv.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if pin, _ := inv.PinnedNode("c"); pin != "w1" && pin != "w2" {
-		t.Fatalf("c pinned to %s, want a live node outside its dead replica set", pin)
+	if ran := runs.of(inv, "c"); len(ran) != 1 || ran[0] != "w1" && ran[0] != "w2" {
+		t.Fatalf("c ran on %v, want one run on a live node outside its dead replica set", ran)
 	}
 }
 
@@ -274,7 +351,6 @@ func TestFailoverRelandsMultiItemEdge(t *testing.T) {
 	var sys *System
 	var once sync.Once
 	var dead string
-	invCh := make(chan *Invocation, 1)
 	log := trace.NewLog()
 	sinks := map[string]*wmm.Sink{}
 	start := time.Now()
@@ -287,8 +363,8 @@ func TestFailoverRelandsMultiItemEdge(t *testing.T) {
 				if len(reqs) == 0 || reqs[0].Key.Fn != "b" {
 					return
 				}
-				once.Do(func() {
-					dead, _ = (<-invCh).PinnedNode("b")
+				once.Do(func() { // this node takes b's items: it is b's pin
+					dead = name
 					_ = sys.cfg.Cluster.FailNode(dead)
 				})
 			},
@@ -296,28 +372,30 @@ func TestFailoverRelandsMultiItemEdge(t *testing.T) {
 	}
 	sys = newFaultSystemOf(t, 3, nil, func(c *Config) { c.Trace = log }, newNode)
 	defer sys.Shutdown()
+	runs := recordRuns(sys, "b")
+	replays0 := sys.Replays()
 	inv, err := sys.Invoke(map[string][]byte{"a.in": []byte("head")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	invCh <- inv
 	if err := inv.Wait(); err != nil {
 		t.Fatalf("request did not survive the kill between ship and land: %v", err)
 	}
 	if out, _ := inv.OutputBytes("out"); string(out) != "head,mid,tail" {
 		t.Fatalf("out = %q", out)
 	}
-	if pin, _ := inv.PinnedNode("b"); dead == "" || pin == dead {
-		t.Fatalf("b pinned to %q after %q was failed under its shipment", pin, dead)
+	if dead == "" {
+		t.Fatal("b's pin was never failed under its shipment")
 	}
+	ranOnlyOff(t, runs, inv, "b", 3, dead)
 	arrived := map[int]int{}
 	for _, e := range log.ForRequest(inv.ReqID()) {
 		if e.Kind == trace.DataArrived && e.Fn == "b" {
 			arrived[e.Idx]++
 		}
 	}
-	if len(arrived) != 3 || arrived[0] != 1 || arrived[1] != 1 || arrived[2] != 1 || inv.Replays() != 0 {
-		t.Fatalf("parts arrived %v with %d replays, want each of 3 once and none replayed", arrived, inv.Replays())
+	if replays := sys.Replays() - replays0; len(arrived) != 3 || arrived[0] != 1 || arrived[1] != 1 || arrived[2] != 1 || replays != 0 {
+		t.Fatalf("parts arrived %v with %d replays, want each of 3 once and none replayed", arrived, replays)
 	}
 	if got := sys.PendingInvocations(); got != 0 {
 		t.Fatalf("%d invocations still tracked", got)
@@ -338,34 +416,45 @@ func TestFailoverLandBehindTheWipeIsReclaimed(t *testing.T) {
 	var sys *System
 	var once sync.Once
 	var dead string
-	invCh := make(chan *Invocation, 1)
+	// a's running Context: the park is its inline ship's, on its goroutine.
+	var aRun atomic.Pointer[Context]
 	sys = newFaultSystem(t, 3, nil, func(c *Config) {
 		c.DefaultSpec = cluster.Spec{MemoryMB: 128} // 5 MB/s: 16 KiB parks the TC class for 3.3 ms
 		c.DisablePressure = true                    // the only sleeper is the limiter
 		c.Clock = hookClock{onSleep: func(time.Duration) {
 			once.Do(func() {
-				dead, _ = (<-invCh).PinnedNode("b")
-				_ = sys.cfg.Cluster.FailNode(dead)
+				if ctx := aRun.Load(); ctx != nil {
+					dead, _ = ctx.pinnedNode("b")
+					_ = sys.cfg.Cluster.FailNode(dead)
+				}
 			})
 		}}
 	})
 	defer sys.Shutdown()
+	a := sys.fns["a"].handlerFn()
+	_ = sys.Register("a", func(ctx *Context) error {
+		aRun.Store(ctx)
+		defer aRun.Store(nil)
+		return a(ctx)
+	})
+	runs := recordRuns(sys, "b")
+	replays0 := sys.Replays()
 	head := strings.Repeat("h", 16<<10)
 	inv, err := sys.Invoke(map[string][]byte{"a.in": []byte(head)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	invCh <- inv
 	if err := inv.Wait(); err != nil {
 		t.Fatalf("request did not survive the kill between check and put: %v", err)
 	}
 	if out, _ := inv.OutputBytes("out"); string(out) != head+",mid,tail" {
 		t.Fatalf("out = %d bytes, want the three parts joined", len(out))
 	}
-	if pin, _ := inv.PinnedNode("b"); dead == "" || pin == dead {
-		t.Fatalf("b pinned to %q after %q was failed under its shipment", pin, dead)
+	if dead == "" {
+		t.Fatal("b's pin was never failed inside the park")
 	}
-	if n := inv.Replays(); n != 0 {
+	ranOnlyOff(t, runs, inv, "b", 3, dead)
+	if n := sys.Replays() - replays0; n != 0 {
 		t.Fatalf("%d replays: the shipment was recorded on the dead node instead of re-landed", n)
 	}
 	requireSinksDrained(t, sys)
@@ -390,7 +479,7 @@ func requireSinksDrained(t *testing.T, sys *System) {
 // requests held open, killing one node must not fail any of them — every
 // in-flight request completes (>= 95% required; replay delivers 100%).
 func TestFailoverNodeKillMidRun(t *testing.T) {
-	gate := make(chan struct{})
+	gate := newFaultGate()
 	sys := newFaultSystem(t, 3, gate, func(c *Config) {
 		// Plenty of containers for the gated b instances of all requests.
 		c.MaxContainersPerFn = 256
@@ -409,13 +498,13 @@ func TestFailoverNodeKillMidRun(t *testing.T) {
 	// Every request must have pinned c (piece 0 shipped) before the kill.
 	var victim string
 	for _, inv := range invs {
-		victim = waitPinned(t, inv, "c")
+		victim = waitPinned(t, gate, inv, "c")
 	}
 
 	if err := sys.cfg.Cluster.FailNode(victim); err != nil {
 		t.Fatal(err)
 	}
-	close(gate)
+	gate.release()
 
 	completed := 0
 	for i, inv := range invs {
@@ -476,7 +565,9 @@ func TestFailoverKillPinnedReplicaMidTransfer(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	var bRanOn atomic.Value // string: the node b's run executed on
 	if err := sys.Register("b", func(ctx *Context) error {
+		bRanOn.Store(ctx.node())
 		x, err := ctx.Input("x")
 		if err != nil {
 			return err
@@ -527,8 +618,8 @@ func TestFailoverKillPinnedReplicaMidTransfer(t *testing.T) {
 		t.Fatalf("out = %q", out)
 	}
 	if dead, ok := killed.Load().(string); ok {
-		if pin, pinned := inv.PinnedNode("b"); pinned && pin == dead {
-			t.Fatalf("b still pinned to the node killed mid-transfer (%s)", dead)
+		if ran := bRanOn.Load(); ran == dead {
+			t.Fatalf("b ran on the node killed mid-transfer (%s)", dead)
 		}
 	} else {
 		t.Fatal("injector never fired")
@@ -539,11 +630,12 @@ func TestFailoverKillPinnedReplicaMidTransfer(t *testing.T) {
 // open: those requests must complete on the draining node (its data stays),
 // and no request admitted after the drain may pin it.
 func TestDrainUnderLoad(t *testing.T) {
-	gate := make(chan struct{})
+	gate := newFaultGate()
 	sys := newFaultSystem(t, 3, gate, func(c *Config) {
 		c.MaxContainersPerFn = 256
 	})
 	defer sys.Shutdown()
+	runs := recordRuns(sys, "a", "b", "c")
 
 	const n = 12
 	invs := make([]*Invocation, n)
@@ -554,8 +646,8 @@ func TestDrainUnderLoad(t *testing.T) {
 		}
 		invs[i] = inv
 	}
-	victim := waitPinned(t, invs[0], "c")
-	before := invs[0].Replays()
+	victim := waitPinned(t, gate, invs[0], "c")
+	before := sys.Replays()
 
 	if err := sys.cfg.Cluster.DrainNode(victim); err != nil {
 		t.Fatal(err)
@@ -564,7 +656,7 @@ func TestDrainUnderLoad(t *testing.T) {
 	// Release the held-open work, then check that no request admitted after
 	// the drain pins the draining node — even with its replicas still in
 	// every function's set.
-	close(gate)
+	gate.release()
 	for i := 0; i < 8; i++ {
 		inv, err := sys.Invoke(map[string][]byte{"a.in": []byte("late")})
 		if err != nil {
@@ -573,9 +665,9 @@ func TestDrainUnderLoad(t *testing.T) {
 		if err := inv.Wait(); err != nil {
 			t.Fatal(err)
 		}
-		for _, node := range inv.PinnedNodes() {
-			if node == victim {
-				t.Fatalf("request admitted after drain pinned draining node %s (pins %v)", victim, inv.PinnedNodes())
+		for _, fn := range []string{"a", "b", "c"} {
+			if ran := runs.of(inv, fn); len(ran) == 0 || slices.Contains(ran, victim) {
+				t.Fatalf("request admitted after drain ran %s on %v, want it run and never on draining node %s", fn, ran, victim)
 			}
 		}
 	}
@@ -586,7 +678,7 @@ func TestDrainUnderLoad(t *testing.T) {
 			t.Fatalf("in-flight req %d failed under drain: %v", i, err)
 		}
 	}
-	if invs[0].Replays() != before {
+	if sys.Replays() != before {
 		t.Fatal("drain triggered replays; draining must finish in place")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -306,6 +307,103 @@ function tail
 		if ships, _ := pathCounts(); ships-ships0 != 2 {
 			t.Fatalf("request %d: %d inline ships, want 2", req, ships-ships0)
 		}
+	}
+}
+
+// TestQueuedTaskOwnsItsItems: a Put routes into its Context's item buffer,
+// which the next Put reuses, so a task queued to the DLU daemon must ship a
+// copy. The producer's streaming-sized Put queues; the daemon is held in its
+// first limiter park until the producer's second, small Put (on another
+// output, into the same buffer) has returned. The queued consumer must
+// still receive the first payload intact. A daemon task that kept the
+// buffer would ship whatever the Context holds by then: the small item, or
+// the zeroes its chain's end leaves.
+func TestQueuedTaskOwnsItsItems(t *testing.T) {
+	wf, err := workflow.ParseDSLString(`
+workflow own
+function producer
+  input in from $USER
+  output big to sink.x
+  output small to tail.y
+function sink
+  input x
+  output got to $USER
+function tail
+  input y
+  output got to $USER
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	secondPut := make(chan struct{})
+	var once sync.Once
+	clk := hookClock{onSleep: func(time.Duration) {
+		once.Do(func() { // the daemon's park in the big stream
+			select {
+			case <-secondPut:
+			case <-time.After(5 * time.Second):
+			}
+		})
+	}}
+	cl := cluster.NewCluster(nil)
+	for _, name := range []string{"w1", "w2"} {
+		_ = cl.AddNode(cluster.NewNode(name, cluster.Options{Clock: clk}))
+	}
+	sys, err := NewSystem(Config{
+		Workflow:        wf,
+		Cluster:         cl,
+		DefaultSpec:     cluster.Spec{MemoryMB: 128}, // 5 MB/s: the 64 KiB stream parks
+		DisablePressure: true,                        // Put(big) returns at once
+		Clock:           clk,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Shutdown()
+	big := make([]byte, 64<<10)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	_ = sys.Register("producer", func(ctx *Context) error {
+		if err := ctx.Put("big", big); err != nil {
+			return err
+		}
+		err := ctx.Put("small", []byte("s"))
+		close(secondPut)
+		return err
+	})
+	_ = sys.Register("sink", func(ctx *Context) error {
+		x, err := ctx.Input("x")
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(x, big) {
+			return fmt.Errorf("sink received %d bytes, not the producer's big payload", len(x))
+		}
+		return ctx.Put("got", []byte("big"))
+	})
+	_ = sys.Register("tail", func(ctx *Context) error {
+		y, _ := ctx.Input("y")
+		return ctx.Put("got", y)
+	})
+	inv, err := sys.Invoke(map[string][]byte{"producer.in": []byte("go")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-inv.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("the request never completed: the queued Put's items were lost")
+	}
+	if err := inv.Err(); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, it := range inv.Outputs() {
+		got = append(got, it.From.Fn+"="+string(it.Value.Payload))
+	}
+	if len(got) != 2 || !slices.Contains(got, "sink=big") || !slices.Contains(got, "tail=s") {
+		t.Fatalf("user outputs %v, want [sink=big tail=s]", got)
 	}
 }
 

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"slices"
-	"time"
-)
+import "time"
 
 // Observers the package's tests read; the engine never calls them.
 
@@ -32,54 +29,28 @@ func (s *System) FLUAvg(fn string) time.Duration {
 	return 0
 }
 
-// Replays returns how many of this request's shipments were replayed after
-// node deaths. Valid any time; settles once Done is closed.
-func (inv *Invocation) Replays() int { return int(inv.replays.Load()) }
+// node returns the name of the node this run executes on: an instance runs
+// on its function's pin, so this is where the pin pointed when it started.
+func (c *Context) node() string { return c.ctr.Node.Name }
 
-// PinnedNode returns the node name fn is currently pinned to for this
-// request, if pinned yet.
-func (inv *Invocation) PinnedNode(fn string) (string, bool) {
-	for _, p := range inv.pinsNow() {
-		if p.fn == fn {
-			return p.node.Name, true
+// pinnedNode returns the node fn is pinned to for this run's request, if
+// pinned yet. Valid while the handler runs (its job holds a reference).
+func (c *Context) pinnedNode(fn string) (string, bool) {
+	r := c.req
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i := range r.route {
+		if r.route[i].fn == fn {
+			return r.route[i].node.Name, true
 		}
 	}
 	return "", false
-}
-
-// PinnedNodes returns the node names this request's route pins currently
-// address, in pin order (empty on the static path, which has no pins).
-func (inv *Invocation) PinnedNodes() []string {
-	pins := inv.pinsNow()
-	out := make([]string, len(pins))
-	for i := range pins {
-		out[i] = pins[i].node.Name
-	}
-	return out
 }
 
 // avg returns the running average FLU execution time (tflu).
 func (f *fnState) avg() time.Duration {
 	d, _ := f.tflu()
 	return d
-}
-
-// pinsNow returns the request's route pins: copied out of the live request,
-// or as finish left them.
-func (inv *Invocation) pinsNow() []routePin {
-	inv.mu.Lock()
-	r := inv.req
-	if r == nil {
-		defer inv.mu.Unlock()
-		return inv.pins
-	}
-	r.refs.Add(1) // unfinished, so the request's own reference is still held
-	inv.mu.Unlock()
-	r.mu.Lock()
-	pins := slices.Clone(r.route)
-	r.mu.Unlock()
-	r.release()
-	return pins
 }
 
 // tflu is the running average FLU execution time plus whether any execution

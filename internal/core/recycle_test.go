@@ -264,3 +264,60 @@ function a
 		}
 	}
 }
+
+// TestDoneRacesFinish: Done makes its channel on first use and finish closes
+// whichever channel it finds, so the two race. Several goroutines call Done
+// while finish runs, over a few hundred handles: once Wait returned, every
+// channel any Done returned is closed, and a Done after the finish returns a
+// closed channel — also on a handle nobody asked before. A finish that only
+// loads the channel, leaving nothing for a later Done to find, fails it.
+func TestDoneRacesFinish(t *testing.T) {
+	closed := func(ch <-chan struct{}) bool {
+		select {
+		case <-ch:
+			return true
+		default:
+			return false
+		}
+	}
+	const requests, callers = 300, 4
+	for i := 0; i < requests; i++ {
+		inv := &Invocation{id: int64(i)}
+		inv.wg.Add(1)
+		got := make([][]<-chan struct{}, callers)
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for g := range got {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				for k := 0; k < 1+i%8; k++ {
+					got[g] = append(got[g], inv.Done())
+					runtime.Gosched()
+				}
+			}(g)
+		}
+		if i%3 != 0 { // every third handle finishes before anyone asks
+			close(start)
+		}
+		go inv.finish(nil, time.Duration(i), nil)
+		if err := inv.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if !closed(inv.Done()) {
+			t.Fatalf("request %d: Done after finish returned an open channel", i)
+		}
+		if i%3 == 0 {
+			close(start)
+		}
+		wg.Wait()
+		for g := range got {
+			for k, ch := range got[g] {
+				if !closed(ch) {
+					t.Fatalf("request %d: caller %d's Done #%d returned a channel finish never closed", i, g, k)
+				}
+			}
+		}
+	}
+}

@@ -3,7 +3,6 @@
 package core
 
 import (
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -22,12 +21,12 @@ import (
 // A request is recycled only when its last reference drops. Its own "not
 // finished" state holds one; so does every admitted instance job (running,
 // queued or parked as a continuation), every task queued to a DLU daemon,
-// Invoke while it registers the request, and pinsNow reading a live one:
-// a producer's late Put routes on a request torn down but not recycled. A
-// reference moves where it can: Invoke's becomes its lone entry job's, and a
-// continuation inherits its producer's. Under the package's tests (checkGen)
-// each recycle bumps gen, and jobs and queued tasks carry the generation they
-// were made under, asserted where they use the request.
+// and Invoke while it registers the request: a producer's late Put routes on
+// a request torn down but not recycled. A reference moves where it can:
+// Invoke's becomes its lone entry job's, and a continuation inherits its
+// producer's. Under the package's tests (checkGen) each recycle bumps gen,
+// and jobs and queued tasks carry the generation they were made under,
+// asserted where they use the request.
 
 // Invocation is the caller's handle on one workflow request: its id, latency,
 // terminal error and user outputs. It stays valid after the request finished
@@ -37,27 +36,22 @@ type Invocation struct {
 	id int64
 	// wg is Wait's signal: one count, released when the request finishes.
 	wg sync.WaitGroup
-	// replays counts this request's shipments re-landed after node deaths
-	// (fault-tolerant mode only).
-	replays atomic.Int64
 
 	// finished publishes the outcome below, which finish writes once before.
 	finished atomic.Bool
 	err      error
 	lat      time.Duration
 	// outputs are the user items, copied in at finish; outBuf seeds them so
-	// a single-output workflow's copy allocates nothing. pins are the route
-	// pins as the request left them (none on the static path).
+	// a single-output workflow's copy allocates nothing.
 	outputs []dataflow.Item
 	outBuf  [1]dataflow.Item
-	pins    []routePin
+	// done is Done's channel: made by the first Done in flight, swapped for
+	// closedDone (and closed) by finish.
+	done atomic.Pointer[chan struct{}]
 
-	mu sync.Mutex // guards the three below; a leaf lock under request.mu
+	mu sync.Mutex // guards idStr
 	// idStr is the formatted id, made by the first ReqID call.
 	idStr string
-	// req is the engine state while the request runs; nil once it finished.
-	req  *request
-	done chan struct{} // Done's channel, made only when asked for in flight
 }
 
 // ReqID returns the request's identifier, "req-<n>". It is formatted on the
@@ -73,8 +67,8 @@ func (inv *Invocation) ReqID() string {
 	return inv.idStr
 }
 
-// closedDone is the Done channel of a request that finished before anyone
-// asked for one.
+// closedDone is the Done channel of a request that finished: finish swaps
+// it in, so a Done after the finish needs no channel of its own.
 var closedDone = func() chan struct{} {
 	c := make(chan struct{})
 	close(c)
@@ -84,15 +78,14 @@ var closedDone = func() chan struct{} {
 // Done is closed when the request completes (successfully or not). The
 // channel is made on the first call while the request runs; Wait needs none.
 func (inv *Invocation) Done() <-chan struct{} {
-	inv.mu.Lock()
-	defer inv.mu.Unlock()
-	if inv.req == nil {
-		return closedDone
+	if p := inv.done.Load(); p != nil {
+		return *p
 	}
-	if inv.done == nil {
-		inv.done = make(chan struct{})
+	c := make(chan struct{})
+	if inv.done.CompareAndSwap(nil, &c) {
+		return c
 	}
-	return inv.done
+	return *inv.done.Load() // another Done's channel, or finish's closedDone
 }
 
 // outcome is inv once its request finished, else a handle of zero values.
@@ -118,9 +111,10 @@ func (inv *Invocation) Outputs() []dataflow.Item { return inv.outcome().outputs 
 // OutputBytes returns the payload of the first user item with the given
 // source function output name, for convenient assertions.
 func (inv *Invocation) OutputBytes(output string) ([]byte, bool) {
-	for _, it := range inv.Outputs() {
-		if it.Output == output {
-			return it.Value.Payload, true
+	outs := inv.Outputs()
+	for i := range outs {
+		if outs[i].Output == output {
+			return outs[i].Value.Payload, true
 		}
 	}
 	return nil, false
@@ -133,20 +127,14 @@ func (inv *Invocation) Wait() error {
 }
 
 // finish records the request's outcome in the handle, publishes it and
-// releases its waiters. request.finishLocked calls it once.
-func (inv *Invocation) finish(err error, lat time.Duration, outs []dataflow.Item, pins []routePin) {
+// releases its waiters. request.finishLocked calls it once. The swap closes
+// a channel an earlier Done made; a later Done finds closedDone.
+func (inv *Invocation) finish(err error, lat time.Duration, outs []dataflow.Item) {
 	inv.err, inv.lat = err, lat
 	inv.outputs = append(inv.outBuf[:0], outs...)
-	if len(pins) > 0 {
-		inv.pins = slices.Clone(pins)
-	}
 	inv.finished.Store(true)
-	inv.mu.Lock()
-	inv.req = nil
-	done := inv.done
-	inv.mu.Unlock()
-	if done != nil {
-		close(done)
+	if p := inv.done.Swap(&closedDone); p != nil {
+		close(*p)
 	}
 	inv.wg.Done()
 }
@@ -331,7 +319,7 @@ func (r *request) finishLocked() {
 	}
 	s.pendingInvs.Add(r.stripe, -1)
 	r.teardown(end)
-	inv.finish(r.err, lat, r.tracker.UserItems(), r.route)
+	inv.finish(r.err, lat, r.tracker.UserItems())
 	r.refs.Add(-1)
 }
 

@@ -431,13 +431,14 @@ func broadcastItem(from InstanceKey, output string, d workflow.Dest, ref workflo
 // through the network call it when the bytes land in the destination sink.
 func (t *Tracker) DeliverInto(dst []InstanceKey, it Item) ([]InstanceKey, error) {
 	var buf [4]Ready
-	ready, err := t.DeliverReady(buf[:0], it)
+	ready, err := t.DeliverReady(buf[:0], &it)
 	return keysOf(dst, ready), err
 }
 
-// DeliverReady is DeliverInto handing out Ready instances.
-func (t *Tracker) DeliverReady(dst []Ready, it Item) ([]Ready, error) {
-	ft, err := t.record(&it)
+// DeliverReady is DeliverInto handing out Ready instances, reading the item
+// in place: the engine delivers from its shipping backing without a copy.
+func (t *Tracker) DeliverReady(dst []Ready, it *Item) ([]Ready, error) {
+	ft, err := t.record(it)
 	if err != nil || ft == nil {
 		return dst, err
 	}

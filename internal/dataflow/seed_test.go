@@ -157,7 +157,7 @@ function b
 			if items, err = tr.RouteIndexed(items[:0], rd.Fn, rd.Key, out, one, 0); err != nil {
 				t.Fatal(err)
 			}
-			if queue, err = tr.DeliverReady(queue[:0], items[0]); err != nil {
+			if queue, err = tr.DeliverReady(queue[:0], &items[0]); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -247,10 +247,11 @@ func (s *Sim) dfShip(p *sim.Proc, c *container, req *request, it dataflow.Item) 
 	if s.faulty && dst.down {
 		// The destination died while this shipment was in flight: repair
 		// the pin and land on the survivor (the kill already cleared pins
-		// to the dead node, so replicaFor re-selects among the living).
+		// to the dead node, so replicaFor re-selects among the living). A
+		// re-land is no replay: as on the engine, replays count only items
+		// re-shipped from the landed log (recoverRequest).
 		delete(req.pin, it.To.Fn)
 		dst = s.replicaFor(req, it.To.Fn, nil)
-		s.replays++
 	}
 	// Land in the destination Wait-Match Memory.
 	toIdx := it.To.Idx
