@@ -82,11 +82,15 @@ var ctxPool = sync.Pool{New: func() any { return new(Context) }}
 // payloads in every buffer's whole backing, the request, the container — and
 // returns the Context to the pool with its buffers retained. Field by field:
 // assigning a whole Context would run the write barrier over the ship
-// backings it keeps.
+// backings it keeps. The inputs are views into the request's tracker, which
+// drops their payloads when the request is recycled; of a routed item only
+// the payload is not the workflow's own.
 func releaseCtx(ctx *Context) {
-	clear(ctx.inputs[:cap(ctx.inputs)])
 	clear(ctx.valBuf[:cap(ctx.valBuf)])
-	clear(ctx.items[:cap(ctx.items)])
+	items := ctx.items[:cap(ctx.items)]
+	for i := range items {
+		items[i].Value.Payload = nil
+	}
 	ctx.inputs, ctx.valBuf, ctx.items = ctx.inputs[:0], ctx.valBuf[:0], ctx.items[:0]
 	ctx.Instance = dataflow.InstanceKey{}
 	ctx.sys, ctx.req, ctx.ctr, ctx.fst = nil, nil, nil, nil
@@ -471,10 +475,18 @@ func (s *System) shipBatch(ctr *cluster.Container, b *dluBatch) {
 	for i := range b.groups {
 		s.shipGroup(ctr, &b.groups[i], b)
 	}
+	// Reset the scratch without whole-struct stores, which run the write
+	// barrier over every pointer field while the collector is active. A
+	// merged run's buf holds item copies: drop their payloads and keep the
+	// backing. Nothing else needs a nil: the next batch's tasks and addRun's
+	// reuse of a group overwrite the rest, and until then a retired entry
+	// pins only pooled engine state — a request, a node, an items backing
+	// whose payloads its owner cleared (recycleItems, releaseCtx).
 	for i := range b.groups {
-		g := &b.groups[i]
-		clear(g.buf) // drop payload references
-		*g = dluGroup{buf: g.buf[:0]}
+		if g := &b.groups[i]; len(g.buf) > 0 {
+			clear(g.buf)
+			g.buf = g.buf[:0]
+		}
 	}
 	b.groups = b.groups[:0]
 	// Groups ship from the task backings, so those are free only now.
@@ -483,7 +495,6 @@ func (s *System) shipBatch(ctr *cluster.Container, b *dluBatch) {
 		if b.flu == nil {
 			b.tasks[ti].Ref.(*request).release()
 		}
-		b.tasks[ti] = cluster.DLUTask{}
 	}
 }
 

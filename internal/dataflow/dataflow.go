@@ -4,6 +4,14 @@
 // instance's inputs are all available (the data-availability triggering rule
 // at the heart of DataFlower).
 //
+// The rule is a count. Every instance holds the number of its declared
+// inputs still missing. A delivery that satisfies one — a NORMAL input's
+// first value, or the value that brings a LIST input's count to the sum of
+// its feeders' fan-out degrees — decrements it, and the instance fires at
+// zero. An item addressed to every instance of a function (a broadcast)
+// counts for each of them; a FOREACH-fanned function has no instances to
+// count for until its degree is fixed.
+//
 // Terminology: a *function instance* is one invocation of a function for one
 // workflow request; Foreach fan-out creates several instances of the
 // destination function. An *item* is one piece of data addressed to one
@@ -12,7 +20,8 @@ package dataflow
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"repro/internal/workflow"
 )
@@ -55,11 +64,13 @@ type Item struct {
 	Replica int
 	Value   Value
 
-	// toFn and toPos stamp the destination's function index plus one and the
-	// position of Input among its inputs, from the workflow plan where the
-	// item is made (RouteIndexed, start): a delivery indexes instead of hashing
-	// names, and refuses an item built by hand (toFn 0).
-	toFn, toPos int32
+	// toFn, toPos and fromFn stamp the plan's addressing where the item is
+	// made (RouteIndexed): the destination's function index plus one (0: the
+	// user), the position of Input among its inputs and the producer's
+	// function index plus one. A delivery indexes instead of hashing names,
+	// and refuses an item built by hand (nothing stamped).
+	toFn          int32
+	toPos, fromFn int16
 }
 
 // ToFn returns the destination's workflow.Function.Index (-1: the user).
@@ -81,24 +92,28 @@ func keysOf(dst []InstanceKey, ready []Ready) []InstanceKey {
 
 // Tracker tracks one request's data-flow state. It is not safe for
 // concurrent use; callers serialize access (the DES is single-threaded, the
-// runtime engine guards it with a mutex).
+// runtime engine guards it with a mutex). The state is laid out by the
+// workflow's plan: a cell per (function, input) slot, then, once a FOREACH
+// fixes a function's degree, a cell per (instance, input) of it; a
+// missing-input counter per instance; a record per output. Cells hold their
+// values in one arena, a LIST's in branch order, so inputs are views.
 type Tracker struct {
 	wf   *workflow.Workflow
-	plan *workflow.Plan
+	plan *workflow.Plan // wf's, read once per workflow, not per request
 
-	// fns holds the per-function tracking state, indexed by
-	// workflow.Function.Index: item recording and readiness checks address
-	// state by function, input and instance position instead of hashing
-	// nested string-keyed maps on every delivery.
-	fns []fnTrack
-
-	userItems []Item
-
-	// switchChosen[fn.output] records the chosen case for SWITCH outputs.
-	switchChosen map[string]int
-	// foreachUser[fn.output] records, for FOREACH outputs that target the
-	// user, how many elements each producing instance emitted.
-	foreachUser map[string]int
+	fns   []fnRun  // by workflow.Function.Index
+	cells []cell   // [0, plan.Slots): the slots; then fanned instances' cells
+	miss  []int32  // missing inputs: [0, len(fns)) single instances; then fanned ones
+	vals  []Value  // the cells' values
+	keys  []uint64 // vals' branch-order keys: producer rank<<32 | instance
+	// outs[plan.Fns[fn].Out0+o] records output o of fn: the SWITCH case taken
+	// plus one, or how many elements a FOREACH sent the user (0: not yet).
+	outs []int32
+	// said[plan.Fns[fn].Out0+o] is the string a caller last named output o of
+	// fn by, kept across requests: the same string again matches by pointer.
+	said  []string
+	user  []userItem // what reached the user, rebuilt into users on demand
+	users []Item
 
 	// expectTotal/expectFinal memoize ExpectedUserItems once it becomes
 	// final: switch choices and fan-out degrees are write-once, so a final
@@ -107,102 +122,46 @@ type Tracker struct {
 	expectTotal int
 	expectFinal bool
 
-	// Inline seeds of fns and userItems (and fnTrack.bc0Buf of bc0): a small
-	// request allocates no tracker state, a slice that outgrows its seed
-	// reallocates. An initialized Tracker points into itself: do not copy it.
-	fnsBuf  [4]fnTrack
-	userBuf [1]Item
+	// Inline seeds of the blocks above: a small request on a fresh tracker
+	// allocates nothing, a block that outgrows its seed reallocates and is
+	// kept for the next request. An initialized Tracker points into itself:
+	// do not copy it.
+	fnBuf   [4]fnRun
+	cellBuf [4]cell
+	missBuf [4]int32
+	valBuf  [4]Value
+	keyBuf  [4]uint64
+	outBuf  [4]int32
+	saidBuf [4]string
+	userBuf [1]userItem
+	itemBuf [1]Item
 }
 
-// fanoutState is the instance count of one function plus whether the count
-// is final (functions targeted by FOREACH outputs are unknown until the
-// producer emits).
-type fanoutState struct {
-	n     int
-	known bool
+// fnRun is one function's n instances (0 until a FOREACH fixes the degree):
+// instance i's input pos is cells[cell+i*ins+pos], its missing count
+// miss[miss+i]. A single-instance function's cells are its slots.
+type fnRun struct {
+	n, ins, cell, miss int32
 }
 
-// arrival is what the tracker keeps of a delivered item: the value, and the
-// producer that orders a LIST input. The rest of an Item addresses the
-// delivery, and the slot it is filed under says the same.
-type arrival struct {
-	from InstanceKey
-	val  Value
+// cell is the values one input slot holds — vals[off:off+n], with room for
+// cap — and, in an instance's cell, whether the input is satisfied.
+type cell struct {
+	off, n, cap int32
+	sat         bool
 }
 
-// fnTrack is one function's per-request tracking state.
-type fnTrack struct {
-	f      *workflow.Function
-	fanout fanoutState
-	// readyBits marks instances 0..63 that became ready at some point;
-	// readyOver spills the (rare) instances beyond 64. The split keeps the
-	// dominant small-fan-out case allocation-free.
-	readyBits uint64
-	readyOver []bool
-	// Broadcast items addressed to all instances: input position 0 is
-	// inlined (most functions declare one input), positions >= 1 live in
-	// bcMore, allocated on first such arrival.
-	bc0    []arrival
-	bc0Buf [1]arrival
-	bcMore [][]arrival
-	// arrived[idx][inputPos] holds instance-addressed items; the outer
-	// slice grows with the instance index, inner slices on first arrival.
-	arrived [][][]arrival
+// userItem is what the tracker keeps of an item delivered to the user: its
+// producer (function index, instance, output name) and value.
+type userItem struct {
+	fn  int32
+	idx int32
+	out string
+	val Value
 }
 
-// isReady reports whether instance idx has become ready.
-func (ft *fnTrack) isReady(idx int) bool {
-	if idx < 64 {
-		return ft.readyBits&(1<<uint(idx)) != 0
-	}
-	over := idx - 64
-	return over < len(ft.readyOver) && ft.readyOver[over]
-}
-
-// markReady records instance idx as ready.
-func (ft *fnTrack) markReady(idx int) {
-	if idx < 64 {
-		ft.readyBits |= 1 << uint(idx)
-		return
-	}
-	over := idx - 64
-	for len(ft.readyOver) <= over {
-		ft.readyOver = append(ft.readyOver, false)
-	}
-	ft.readyOver[over] = true
-}
-
-// broadcastAt returns the broadcast items of the input at pos.
-func (ft *fnTrack) broadcastAt(pos int) []arrival {
-	if pos == 0 {
-		return ft.bc0
-	}
-	if ft.bcMore == nil {
-		return nil
-	}
-	return ft.bcMore[pos-1]
-}
-
-// broadcastAppend files a broadcast item under the input at pos.
-func (ft *fnTrack) broadcastAppend(pos int, a arrival) {
-	if pos == 0 {
-		ft.bc0 = append(ft.bc0, a)
-		return
-	}
-	if ft.bcMore == nil {
-		ft.bcMore = make([][]arrival, len(ft.f.Inputs)-1)
-	}
-	ft.bcMore[pos-1] = append(ft.bcMore[pos-1], a)
-}
-
-// arrivedAt returns the instance-addressed items of (instance idx, input
-// pos).
-func (ft *fnTrack) arrivedAt(idx, pos int) []arrival {
-	if idx < 0 || idx >= len(ft.arrived) || ft.arrived[idx] == nil {
-		return nil
-	}
-	return ft.arrived[idx][pos]
-}
+// unknown is the need of a LIST input a feeder's unfixed degree leaves open.
+const unknown = math.MaxInt32
 
 // NewTracker returns a tracker for one request over wf. The workflow must be
 // valid (workflow.Validate).
@@ -212,67 +171,111 @@ func NewTracker(wf *workflow.Workflow) *Tracker {
 	return t
 }
 
-// Init initializes t in place for one request over wf — NewTracker without
-// the Tracker allocation, for callers that embed the tracker in a larger
-// per-request record. Any previous state is discarded. The string is
-// unused: the tracker never names its request.
+// seeded returns s resliced to n, or the inline seed, or a new array,
+// whichever first holds n.
+func seeded[T any](s, seed []T, n int) []T {
+	if s != nil && cap(s) >= n {
+		return s[:n]
+	}
+	if len(seed) >= n {
+		return seed[:n]
+	}
+	return make([]T, n)
+}
+
+// Init initializes t in place for one request over wf, discarding any
+// previous state — NewTracker for callers that embed the tracker in a
+// per-request record. The string is unused. The plan is read, and the blocks
+// sized, only when wf changes: a recycled tracker re-lengthens its blocks.
 func (t *Tracker) Init(wf *workflow.Workflow, _ string) {
-	if t.wf != nil {
-		t.Reset()
+	t.Reset()
+	if t.wf != wf || t.plan == nil {
+		t.wf, t.plan = wf, wf.Plan()
+		n, slots, outs := len(t.plan.Fns), t.plan.Slots, t.plan.Outs
+		t.fns, t.miss = seeded(t.fns, t.fnBuf[:], n), seeded(t.miss, t.missBuf[:], n)
+		t.cells, t.outs = seeded(t.cells, t.cellBuf[:], slots), seeded(t.outs, t.outBuf[:], outs)
+		t.said = seeded(t.said, t.saidBuf[:], outs)
+		clear(t.said)
+		t.vals, t.keys = seeded(t.vals, t.valBuf[:], slots), seeded(t.keys, t.keyBuf[:], slots)
+		t.user, t.users = seeded(t.user, t.userBuf[:], 0), seeded(t.users, t.itemBuf[:], 0)
 	}
-	// switchChosen and foreachUser allocate lazily on first write; most
-	// requests never touch them.
-	t.wf, t.plan, t.userItems = wf, wf.Plan(), t.userBuf[:0]
-	if n := len(wf.Functions); n <= len(t.fnsBuf) {
-		t.fns = t.fnsBuf[:n]
-	} else {
-		t.fns = make([]fnTrack, n)
+	p := t.plan
+	// One statement each: re-slicing a field to itself writes only its length.
+	t.miss = t.miss[:len(p.Fns)]
+	t.cells = t.cells[:p.Slots]
+	t.vals = t.vals[:p.Slots]
+	t.keys = t.keys[:p.Slots]
+	// Slot i's first value goes to vals[i]: a NORMAL input never moves.
+	for i := range t.cells {
+		t.cells[i] = cell{off: int32(i), cap: 1}
 	}
-	// Functions not targeted by any FOREACH output have exactly one
-	// instance, known immediately.
-	for i, f := range wf.Functions {
-		ft := &t.fns[i]
-		ft.f, ft.bc0 = f, ft.bc0Buf[:0]
-		if !t.plan.Fns[i].Fanned {
-			ft.fanout = fanoutState{n: 1, known: true}
+	clear(t.outs)
+	for i := range p.Fns {
+		fp := &p.Fns[i]
+		ins := int32(len(fp.Feeders))
+		t.fns[i] = fnRun{n: 1, ins: ins, cell: int32(fp.Slot0), miss: int32(i)}
+		if fp.Fanned {
+			t.fns[i].n = 0
 		}
+		t.miss[i] = ins
 	}
 	// Switch- and foreach-free workflows deliver a topology-determined item
 	// count; seeding the memo spares every request the expectation walk.
-	if n, ok := wf.StaticUserItems(); ok {
-		t.expectTotal, t.expectFinal = n, true
-	}
+	t.expectTotal, t.expectFinal = p.StaticUser, p.StaticUser >= 0
 }
 
 // Reset discards the request's state — every payload reference with it — so
-// t holds nothing until the next Init. It clears only what the request used
-// (the function entries and user items in play, and the seeds behind them),
-// not the whole inline-seeded record.
+// t holds no payload until the next Init. It drops only the payloads; Init
+// rewrites the rest.
 func (t *Tracker) Reset() {
-	clear(t.fns)
-	clear(t.userItems)
-	if cap(t.userItems) > len(t.userBuf) {
-		clear(t.userBuf[:]) // a stale copy from before userItems outgrew it
+	for i := range t.vals {
+		t.vals[i].Payload = nil
 	}
-	t.wf, t.plan = nil, nil
-	t.fns, t.userItems = nil, nil
-	t.switchChosen, t.foreachUser = nil, nil
+	for i := range t.user {
+		t.user[i].val.Payload = nil
+	}
+	for i := range t.users {
+		t.users[i].Value.Payload = nil
+	}
+	if cap(t.vals) > len(t.valBuf) || cap(t.user) > len(t.userBuf) || cap(t.users) > len(t.itemBuf) {
+		t.valBuf, t.userBuf, t.itemBuf = [4]Value{}, [1]userItem{}, [1]Item{} // a grown block's stale copies
+	}
+	t.vals = t.vals[:0]
+	t.keys = t.keys[:0]
+	t.user = t.user[:0]
+	t.users = t.users[:0]
 	t.expectTotal, t.expectFinal = 0, false
 }
 
-// setFanout fixes the instance count of a FOREACH-targeted function.
-func (ft *fnTrack) setFanout(k int) error {
-	fn := ft.f.Name
-	if ft.fanout.known {
-		if ft.fanout.n != k {
-			return fmt.Errorf("dataflow: conflicting fan-out for %s: %d then %d", fn, ft.fanout.n, k)
+// setFanout fixes the instance count of a FOREACH-targeted function and lays
+// out its instances' cells and counters.
+func (t *Tracker) setFanout(fn, k int) error {
+	f := &t.fns[fn]
+	if f.n != 0 {
+		if int(f.n) != k {
+			return fmt.Errorf("dataflow: conflicting fan-out for %s: %d then %d", t.wf.Functions[fn].Name, f.n, k)
 		}
 		return nil
 	}
 	if k < 1 {
-		return fmt.Errorf("dataflow: fan-out for %s must be >= 1, got %d", fn, k)
+		return fmt.Errorf("dataflow: fan-out for %s must be >= 1, got %d", t.wf.Functions[fn].Name, k)
 	}
-	ft.fanout = fanoutState{n: k, known: true}
+	f.n, f.cell, f.miss = int32(k), int32(len(t.cells)), int32(len(t.miss))
+	t.cells = append(t.cells, make([]cell, k*int(f.ins))...)
+	for i := 0; i < k; i++ {
+		t.miss = append(t.miss, f.ins)
+	}
+	// Broadcasts that came first count for every instance. None fires one: a
+	// FOREACH item for it is yet to come.
+	slot0 := t.plan.Fns[fn].Slot0
+	for pos := 0; pos < int(f.ins); pos++ {
+		if got := t.cells[slot0+pos].n; got > 0 {
+			need, _ := t.need(fn, pos)
+			for i := 0; i < k; i++ {
+				t.satisfy(nil, fn, i, pos, got, need)
+			}
+		}
+	}
 	return nil
 }
 
@@ -314,20 +317,7 @@ func (t *Tracker) start(dst []Ready, vals map[string]Value, bytes map[string][]b
 		if !ok {
 			return dst, fmt.Errorf("dataflow: missing user input %s", e.Key)
 		}
-		it := Item{
-			From:   UserKey,
-			Output: "input",
-			To:     InstanceKey{Fn: e.Fn.Name, Idx: BroadcastIdx},
-			Input:  e.Fn.Inputs[e.Pos].Name,
-			Value:  v,
-			toFn:   int32(e.Fn.Index() + 1),
-			toPos:  int32(e.Pos),
-		}
-		ft, err := t.record(&it)
-		if err != nil {
-			return dst, err
-		}
-		newly = t.checkReady(newly, ft)
+		newly = t.deliver(newly, e.Fn.Index(), e.Pos, BroadcastIdx, 0, v)
 	}
 	return newly, nil
 }
@@ -349,49 +339,41 @@ func (t *Tracker) RouteAppend(dst []Item, from InstanceKey, output string, value
 
 // RouteIndexed is RouteAppend for the producer of workflow.Function.Index fn.
 func (t *Tracker) RouteIndexed(dst []Item, fn int, from InstanceKey, output string, values []Value, switchCase int) ([]Item, error) {
-	f := t.fns[fn].f
+	f, fp := t.wf.Functions[fn], &t.plan.Fns[fn]
 	oi := 0
-	for oi < len(f.Outputs) && f.Outputs[oi].Name != output {
+	for oi < len(f.Outputs) && t.said[fp.Out0+oi] != output {
 		oi++
 	}
-	if oi == len(f.Outputs) {
-		return dst, fmt.Errorf("dataflow: %s has no output %s", from.Fn, output)
+	if oi == len(f.Outputs) { // not named this way before: compare the names
+		for oi = 0; oi < len(f.Outputs) && f.Outputs[oi].Name != output; oi++ {
+		}
+		if oi == len(f.Outputs) {
+			return dst, fmt.Errorf("dataflow: %s has no output %s", from.Fn, output)
+		}
+		t.said[fp.Out0+oi] = output
 	}
-	o, refs := &f.Outputs[oi], t.plan.Fns[f.Index()].Dests[oi]
+	o, refs, rec := &f.Outputs[oi], fp.Dests[oi], &t.outs[fp.Out0+oi]
 	items := dst
 	switch o.Kind {
 	case workflow.Foreach:
 		if len(values) == 0 {
 			return dst, fmt.Errorf("dataflow: FOREACH output %s.%s emitted no values", from.Fn, output)
 		}
-		for di, d := range o.Dests {
-			if d.Function == workflow.UserSource {
-				if t.foreachUser == nil {
-					t.foreachUser = make(map[string]int)
-				}
-				t.foreachUser[from.Fn+"."+output] = len(values)
-				for _, v := range values {
-					items = append(items, Item{From: from, Output: output, To: UserKey, Value: v})
-				}
-				continue
-			}
-			ref := refs[di]
-			if ref.Fn < 0 {
+		items = slices.Grow(items, len(values)*len(refs))
+		for di := range o.Dests {
+			d, ref := &o.Dests[di], refs[di]
+			switch {
+			case d.Function == workflow.UserSource:
+				*rec = int32(len(values))
+			case ref.Fn < 0:
 				return dst, fmt.Errorf("dataflow: unknown function %s", d.Function)
+			default:
+				if err := t.setFanout(ref.Fn, len(values)); err != nil {
+					return dst, err
+				}
 			}
-			if err := t.fns[ref.Fn].setFanout(len(values)); err != nil {
-				return dst, err
-			}
-			for i, v := range values {
-				items = append(items, Item{
-					From:   from,
-					Output: output,
-					To:     InstanceKey{Fn: d.Function, Idx: i},
-					Input:  d.Input,
-					Value:  v,
-					toFn:   int32(ref.Fn + 1),
-					toPos:  int32(ref.Pos),
-				})
+			for i := range values {
+				items = addItem(items, &from, output, fn, d, ref, i, &values[i])
 			}
 		}
 	case workflow.Switch:
@@ -401,29 +383,35 @@ func (t *Tracker) RouteIndexed(dst []Item, fn int, from InstanceKey, output stri
 		if switchCase < 0 || switchCase >= len(o.Dests) {
 			return dst, fmt.Errorf("dataflow: SWITCH case %d out of range for %s.%s", switchCase, from.Fn, output)
 		}
-		if t.switchChosen == nil {
-			t.switchChosen = make(map[string]int)
-		}
-		t.switchChosen[from.Fn+"."+output] = switchCase
-		items = append(items, broadcastItem(from, output, o.Dests[switchCase], refs[switchCase], values[0]))
+		*rec = int32(switchCase + 1)
+		items = addItem(items, &from, output, fn, &o.Dests[switchCase], refs[switchCase], BroadcastIdx, &values[0])
 	default: // Normal, Merge
 		if len(values) != 1 {
 			return dst, fmt.Errorf("dataflow: output %s.%s needs exactly one value, got %d", from.Fn, output, len(values))
 		}
-		for di, d := range o.Dests {
-			items = append(items, broadcastItem(from, output, d, refs[di], values[0]))
+		items = slices.Grow(items, len(refs))
+		for di := range o.Dests {
+			items = addItem(items, &from, output, fn, &o.Dests[di], refs[di], BroadcastIdx, &values[0])
 		}
 	}
 	return items, nil
 }
 
-// broadcastItem addresses v to every instance of d (resolved as ref), or to the user.
-func broadcastItem(from InstanceKey, output string, d workflow.Dest, ref workflow.DestRef, v Value) Item {
-	to := InstanceKey{Fn: d.Function, Idx: BroadcastIdx}
+// addItem appends the item addressing *v from instance *from of function fn,
+// its output named output (the caller's string), to instance idx of d
+// (resolved as ref) or to the user. It fills the item in place, field by
+// field, rather than copying a built one in.
+func addItem(items []Item, from *InstanceKey, output string, fn int, d *workflow.Dest, ref workflow.DestRef, idx int, v *Value) []Item {
+	n := len(items)
+	items = slices.Grow(items, 1)[:n+1]
+	it := &items[n]
+	it.From.Fn, it.From.Idx, it.Output, it.Input, it.Replica = from.Fn, from.Idx, output, d.Input, 0
+	it.Value.Payload, it.Value.Size = v.Payload, v.Size
+	it.To.Fn, it.To.Idx, it.toFn, it.toPos, it.fromFn = d.Function, idx, int32(ref.Fn+1), int16(ref.Pos), int16(fn+1)
 	if d.Function == workflow.UserSource {
-		to = UserKey
+		it.To.Idx = 0
 	}
-	return Item{From: from, Output: output, To: to, Input: d.Input, Value: v, toFn: int32(ref.Fn + 1), toPos: int32(ref.Pos)}
+	return items
 }
 
 // DeliverInto records the arrival of one item at its destination and appends
@@ -437,115 +425,122 @@ func (t *Tracker) DeliverInto(dst []InstanceKey, it Item) ([]InstanceKey, error)
 
 // DeliverReady is DeliverInto handing out Ready instances, reading the item
 // in place: the engine delivers from its shipping backing without a copy.
+// An item for an input its destination does not declare is dropped.
 func (t *Tracker) DeliverReady(dst []Ready, it *Item) ([]Ready, error) {
-	ft, err := t.record(it)
-	if err != nil || ft == nil {
-		return dst, err
+	if it.fromFn == 0 || (it.toFn == 0) != (it.To.Fn == workflow.UserSource) {
+		return dst, fmt.Errorf("dataflow: item to %s was not routed by the plan", it.To)
 	}
-	return t.checkReady(dst, ft), nil
+	from := int(it.fromFn) - 1
+	if it.toFn == 0 {
+		n := len(t.user)
+		if n < cap(t.user) {
+			t.user = t.user[:n+1]
+		} else {
+			t.user = append(t.user, userItem{})
+		}
+		u := &t.user[n]
+		u.fn, u.idx, u.out, u.val.Payload, u.val.Size = int32(from), int32(it.From.Idx), it.Output, it.Value.Payload, it.Value.Size
+		return dst, nil
+	}
+	if it.toPos < 0 {
+		return dst, nil
+	}
+	if idx := it.To.Idx; idx != BroadcastIdx && (idx < 0 || idx >= int(t.fns[it.toFn-1].n)) {
+		return dst, fmt.Errorf("dataflow: item to invalid instance %s", it.To)
+	}
+	key := uint64(t.plan.Fns[from].Rank)<<32 | uint64(uint32(it.From.Idx))
+	return t.deliver(dst, int(it.toFn)-1, int(it.toPos), it.To.Idx, key, it.Value), nil
 }
 
-// record files one delivered item under its destination slot and returns
-// the destination's tracking state (nil for a user item). Items for
-// undeclared inputs are dropped (they could never satisfy a readiness
-// check, matching the previous map-based behaviour where they were stored
-// but never consulted).
-func (t *Tracker) record(it *Item) (*fnTrack, error) {
-	if it.To.Fn == workflow.UserSource {
-		t.userItems = append(t.userItems, *it)
-		return nil, nil
+// deliver files v, keyed for branch order, under input pos of fn's instance
+// idx or every instance (BroadcastIdx); it appends the readied ones to dst.
+func (t *Tracker) deliver(dst []Ready, fn, pos, idx int, key uint64, v Value) []Ready {
+	fp, f := &t.plan.Fns[fn], &t.fns[fn]
+	slot := &t.cells[fp.Slot0+pos]
+	need, list := t.need(fn, pos)
+	if !list {
+		key = 0 // a NORMAL input keeps arrival order
 	}
-	fi, pos := int(it.toFn)-1, int(it.toPos)
-	if fi < 0 {
-		return nil, fmt.Errorf("dataflow: item to %s was not routed by the plan", it.To)
+	if idx != BroadcastIdx {
+		own := t.instCell(f, idx, pos)
+		t.push(own, v, key, need)
+		return t.satisfy(dst, fn, idx, pos, slot.n+own.n, need)
 	}
-	ft := &t.fns[fi]
-	if pos < 0 {
-		return ft, nil
+	t.push(slot, v, key, need)
+	if !fp.Fanned {
+		return t.satisfy(dst, fn, 0, pos, slot.n, need) // the one instance's cell is the slot
 	}
-	a := arrival{from: it.From, val: it.Value}
-	if it.To.Idx == BroadcastIdx {
-		ft.broadcastAppend(pos, a)
-		return ft, nil
-	}
-	idx := it.To.Idx
-	if idx < 0 {
-		return nil, fmt.Errorf("dataflow: item to invalid instance %s", it.To)
-	}
-	for len(ft.arrived) <= idx {
-		ft.arrived = append(ft.arrived, nil)
-	}
-	if ft.arrived[idx] == nil {
-		ft.arrived[idx] = make([][]arrival, len(ft.f.Inputs))
-	}
-	ft.arrived[idx][pos] = append(ft.arrived[idx][pos], a)
-	return ft, nil
-}
-
-// checkReady appends the newly satisfied instances of ft's function to dst.
-func (t *Tracker) checkReady(dst []Ready, ft *fnTrack) []Ready {
-	if !ft.fanout.known {
-		return dst // fan-out degree not fixed yet: no instance may start
-	}
-	for idx := 0; idx < ft.fanout.n; idx++ {
-		if ft.isReady(idx) {
-			continue
-		}
-		if t.inputsSatisfied(ft, idx) {
-			ft.markReady(idx)
-			dst = append(dst, Ready{Key: InstanceKey{Fn: ft.f.Name, Idx: idx}, Fn: ft.f.Index()})
-		}
+	for i := 0; i < int(f.n); i++ {
+		dst = t.satisfy(dst, fn, i, pos, slot.n+t.instCell(f, i, pos).n, need)
 	}
 	return dst
 }
 
-// inputsSatisfied reports whether every declared input of the instance has
-// arrived (Normal: >= 1 value counting broadcasts; List: the full fan-in).
-func (t *Tracker) inputsSatisfied(ft *fnTrack, idx int) bool {
-	for pos, in := range ft.f.Inputs {
-		got := len(ft.arrivedAt(idx, pos)) + len(ft.broadcastAt(pos))
-		switch in.Kind {
-		case workflow.List:
-			want, known := t.expectedListCount(ft, pos)
-			if !known || got < want {
-				return false
-			}
-		default:
-			if got < 1 {
-				return false
-			}
-		}
-	}
-	return true
+// instCell is instance i's cell for input pos of f.
+func (t *Tracker) instCell(f *fnRun, i, pos int) *cell {
+	return &t.cells[int(f.cell)+i*int(f.ins)+pos]
 }
 
-// expectedListCount returns how many items the List input at pos of ft must
-// collect: the sum of the instance counts of every producer feeding it. The
-// count is unknown until every producer's fan-out degree is known.
-func (t *Tracker) expectedListCount(ft *fnTrack, pos int) (int, bool) {
-	total := 0
-	for _, from := range t.plan.Fns[ft.f.Index()].Feeders[pos] {
-		fanout := t.fns[from].fanout
-		if !fanout.known {
-			return 0, false
-		}
-		total += fanout.n
+// need is how many values satisfy input pos of fn, and whether it is a LIST:
+// one, or the sum of its feeders' degrees (unknown until all are fixed).
+func (t *Tracker) need(fn, pos int) (int32, bool) {
+	if t.wf.Functions[fn].Inputs[pos].Kind != workflow.List {
+		return 1, false
 	}
-	return total, true
+	var n int32
+	for _, p := range t.plan.Fns[fn].Feeders[pos] {
+		if t.fns[p].n == 0 {
+			return unknown, true
+		}
+		n += t.fns[p].n
+	}
+	return n, true
 }
 
-// byProducer merges a LIST input's arrivals in branch order: by producing
-// function, then instance, arrival order breaking ties.
-func byProducer(own, shared []arrival) []arrival {
-	items := make([]arrival, 0, len(own)+len(shared))
-	items = append(append(items, own...), shared...)
-	sort.SliceStable(items, func(i, j int) bool {
-		if items[i].from.Fn != items[j].from.Fn {
-			return items[i].from.Fn < items[j].from.Fn
+// satisfy marks input pos of fn's instance i satisfied once it holds need
+// values (got), and fires the instance when that was its last missing input.
+func (t *Tracker) satisfy(dst []Ready, fn, i, pos int, got, need int32) []Ready {
+	f := &t.fns[fn]
+	c := t.instCell(f, i, pos)
+	if c.sat || got < need {
+		return dst
+	}
+	c.sat = true
+	m := &t.miss[int(f.miss)+i]
+	if *m--; *m != 0 {
+		return dst
+	}
+	return append(dst, Ready{Key: InstanceKey{Fn: t.wf.Functions[fn].Name, Idx: i}, Fn: fn})
+}
+
+// push files v in c, a LIST's in branch order (key; ties by arrival). A cell
+// out of room moves to the arena's end, sized for the need when it is known.
+func (t *Tracker) push(c *cell, v Value, key uint64, need int32) {
+	if c.n == c.cap {
+		room := max(2*c.cap, 1)
+		if need != unknown && need > room {
+			room = need
 		}
-		return items[i].from.Idx < items[j].from.Idx
-	})
-	return items
+		off := len(t.vals)
+		t.vals = slices.Grow(t.vals, int(room))[:off+int(room)]
+		t.keys = slices.Grow(t.keys, int(room))[:off+int(room)]
+		if c.n > 0 {
+			copy(t.vals[off:], t.vals[c.off:c.off+c.n])
+			copy(t.keys[off:], t.keys[c.off:c.off+c.n])
+		}
+		c.off, c.cap = int32(off), room
+	}
+	i := c.off + c.n
+	for ; i > c.off && t.keys[i-1] > key; i-- {
+		t.vals[i], t.keys[i] = t.vals[i-1], t.keys[i-1]
+	}
+	t.vals[i], t.keys[i] = v, key
+	c.n++
+}
+
+// view is c's values, capped so an append cannot write into the arena.
+func (t *Tracker) view(c *cell) []Value {
+	return t.vals[c.off : c.off+c.n : c.off+c.n]
 }
 
 // InputVals is one declared input's collected values, in declaration order
@@ -556,10 +551,11 @@ type InputVals struct {
 }
 
 // InputsAppend appends one InputVals per declared input of the instance to
-// dst and returns it. All values share one backing array. List (fan-in)
-// inputs are ordered deterministically by the producing instance (function
-// name, then instance index), so merge-style consumers see branch outputs
-// in branch order regardless of network arrival order.
+// dst and returns it. List (fan-in) inputs are ordered deterministically by
+// the producing instance (function name, then instance index), so
+// merge-style consumers see branch outputs in branch order regardless of
+// network arrival order. The values are views into the request's state,
+// valid until Reset; the caller must not modify them.
 func (t *Tracker) InputsAppend(dst []InputVals, key InstanceKey) []InputVals {
 	f, ok := t.wf.Function(key.Fn)
 	if !ok {
@@ -569,44 +565,60 @@ func (t *Tracker) InputsAppend(dst []InputVals, key InstanceKey) []InputVals {
 	return out
 }
 
-// InputsAppendBacking is InputsAppend reusing a caller-supplied value
-// backing array too, so an engine recycling both buffers across instance
-// runs fetches inputs without allocating; fn is key.Fn's Function.Index. It
-// returns the grown dst and backing; the caller must keep them together and
-// may only reuse them once it is done with the returned values.
+// InputsAppendBacking is InputsAppend with a caller-supplied backing for
+// values that are not a view: an input both per instance and for all (a
+// fanned function's LIST fed by FOREACH and MERGE edges alike). fn is key.Fn's
+// Function.Index. The caller keeps the grown dst and backing together and
+// may reuse them once it is done with the returned values.
 func (t *Tracker) InputsAppendBacking(dst []InputVals, backing []Value, fn int, key InstanceKey) ([]InputVals, []Value) {
-	ft := &t.fns[fn]
-	total := 0
-	for pos := range ft.f.Inputs {
-		total += len(ft.arrivedAt(key.Idx, pos)) + len(ft.broadcastAt(pos))
-	}
-	if cap(backing) < total {
-		backing = make([]Value, 0, total)
-	} else {
-		backing = backing[:0]
-	}
-	for pos, in := range ft.f.Inputs {
-		own, shared := ft.arrivedAt(key.Idx, pos), ft.broadcastAt(pos)
-		start := len(backing)
-		if in.Kind == workflow.List {
-			for _, a := range byProducer(own, shared) {
-				backing = append(backing, a.val)
-			}
-		} else {
-			for _, a := range own {
-				backing = append(backing, a.val)
-			}
-			for _, a := range shared {
-				backing = append(backing, a.val)
+	f, fp, inputs := &t.fns[fn], &t.plan.Fns[fn], t.wf.Functions[fn].Inputs
+	n := len(dst)
+	dst = slices.Grow(dst, len(inputs))[:n+len(inputs)]
+	for pos := range inputs {
+		in, slot := &inputs[pos], &t.cells[fp.Slot0+pos]
+		vals := t.view(slot)
+		if fp.Fanned && key.Idx >= 0 && key.Idx < int(f.n) {
+			own := t.instCell(f, key.Idx, pos)
+			switch {
+			case slot.n == 0:
+				vals = t.view(own)
+			case own.n > 0: // own values first, a LIST's merged by key
+				start, i, j := len(backing), own.off, slot.off
+				for i < own.off+own.n || j < slot.off+slot.n {
+					if j == slot.off+slot.n || (i < own.off+own.n && (in.Kind != workflow.List || t.keys[i] <= t.keys[j])) {
+						backing, i = append(backing, t.vals[i]), i+1
+					} else {
+						backing, j = append(backing, t.vals[j]), j+1
+					}
+				}
+				vals = backing[start:len(backing):len(backing)]
 			}
 		}
-		dst = append(dst, InputVals{Name: in.Name, Values: backing[start:len(backing):len(backing)]})
+		dst[n+pos].Name, dst[n+pos].Values = in.Name, vals
 	}
 	return dst, backing
 }
 
-// UserItems returns the items delivered to the user so far.
-func (t *Tracker) UserItems() []Item { return t.userItems }
+// UserItems returns the items delivered to the user so far, rebuilt into a
+// buffer the next call reuses. A recycled tracker rebuilds the same
+// producers request after request: it stores only the fields that differ.
+func (t *Tracker) UserItems() []Item {
+	t.users = t.users[:0]
+	for i := range t.user {
+		u, f := &t.user[i], t.wf.Functions[t.user[i].fn]
+		if i < cap(t.users) {
+			t.users = t.users[:i+1]
+		} else {
+			t.users = append(t.users, Item{})
+		}
+		it := &t.users[i]
+		if it.From.Fn != f.Name || it.Output != u.out || it.To != UserKey || it.Input != "" {
+			it.From.Fn, it.Output, it.To, it.Input = f.Name, u.out, UserKey, ""
+		}
+		it.From.Idx, it.Replica, it.Value.Payload, it.Value.Size = int(u.idx), 0, u.val.Payload, u.val.Size
+	}
+	return t.users
+}
 
 // ExpectedUserItems returns the total number of items the user should
 // eventually receive and whether that number is final. The expectation is
@@ -616,71 +628,59 @@ func (t *Tracker) ExpectedUserItems() (int, bool) {
 	if t.expectFinal {
 		return t.expectTotal, true
 	}
-	// Compute the set of functions that will execute, following all edges
-	// except un-taken SWITCH branches. If a reachable SWITCH has not fired
-	// yet, the expectation is not final.
-	reachable := make([]bool, len(t.wf.Functions))
-	var stack []*workflow.Function
-	stack = append(stack, t.wf.Entries()...)
+	// The functions that will run: every edge but the SWITCH cases not taken.
+	// A reachable SWITCH that has not fired leaves the expectation open.
+	fns := t.wf.Functions
+	reachBuf, stackBuf := [16]bool{}, [16]int{}
+	reachable, stack := seeded(nil, reachBuf[:], len(fns)), stackBuf[:0]
+	for _, e := range t.plan.Entries {
+		stack = append(stack, e.Fn.Index())
+	}
 	for len(stack) > 0 {
-		f := stack[len(stack)-1]
+		fn := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if reachable[f.Index()] {
+		if reachable[fn] {
 			continue
 		}
-		reachable[f.Index()] = true
-		for _, o := range f.Outputs {
-			if o.Kind == workflow.Switch {
-				chosen, fired := t.switchChosen[f.Name+"."+o.Name]
-				if !fired {
-					return 0, false
-				}
-				if d := o.Dests[chosen]; d.Function != workflow.UserSource {
-					if df, ok := t.wf.Function(d.Function); ok {
-						stack = append(stack, df)
-					}
-				}
-				continue
+		reachable[fn] = true
+		fp := &t.plan.Fns[fn]
+		for oi, o := range fns[fn].Outputs {
+			refs := fp.Dests[oi]
+			if c := t.outs[fp.Out0+oi]; o.Kind == workflow.Switch && c == 0 {
+				return 0, false
+			} else if o.Kind == workflow.Switch {
+				refs = refs[c-1 : c]
 			}
-			for _, d := range o.Dests {
-				if d.Function != workflow.UserSource {
-					if df, ok := t.wf.Function(d.Function); ok {
-						stack = append(stack, df)
-					}
+			for _, ref := range refs {
+				if ref.Fn >= 0 {
+					stack = append(stack, ref.Fn)
 				}
 			}
 		}
 	}
 	total := 0
-	for i, f := range t.wf.Functions {
-		if !reachable[i] {
+	for fn, f := range fns {
+		if !reachable[fn] {
 			continue
 		}
-		st := t.fns[i].fanout
-		if !st.known {
+		n := int(t.fns[fn].n)
+		if n == 0 {
 			return 0, false
 		}
-		for _, o := range f.Outputs {
+		for oi, o := range f.Outputs {
+			dests, rec := o.Dests, int(t.outs[t.plan.Fns[fn].Out0+oi])
 			if o.Kind == workflow.Switch {
-				chosen := t.switchChosen[f.Name+"."+o.Name]
-				if o.Dests[chosen].Function == workflow.UserSource {
-					total += st.n
-				}
-				continue
+				dests = dests[rec-1 : rec]
 			}
-			for _, d := range o.Dests {
-				if d.Function == workflow.UserSource {
-					if o.Kind == workflow.Foreach {
-						// Each element reaches the user separately; the count
-						// is known only after the output has been emitted.
-						n, fired := t.foreachUser[f.Name+"."+o.Name]
-						if !fired {
-							return 0, false
-						}
-						total += st.n * n
-						continue
-					}
-					total += st.n
+			for _, d := range dests {
+				switch {
+				case d.Function != workflow.UserSource:
+				case o.Kind != workflow.Foreach:
+					total += n
+				case rec == 0: // the element count comes with the emission
+					return 0, false
+				default:
+					total += n * rec
 				}
 			}
 		}
@@ -692,5 +692,5 @@ func (t *Tracker) ExpectedUserItems() (int, bool) {
 // Complete reports whether the user has received every expected item.
 func (t *Tracker) Complete() bool {
 	want, known := t.ExpectedUserItems()
-	return known && len(t.userItems) >= want
+	return known && len(t.user) >= want
 }

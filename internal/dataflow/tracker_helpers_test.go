@@ -25,27 +25,13 @@ func (t *Tracker) emit(from InstanceKey, output string, values []Value, switchCa
 // deliverAll delivers a batch of items and returns the instances that
 // became ready, sorted by function name then index.
 func (t *Tracker) deliverAll(items []Item) ([]InstanceKey, error) {
-	// Single-item fast path: network engines deliver item by item as bytes
-	// land, so the touched-set bookkeeping and the cross-function sort
-	// reduce to one delivery (whose keys are already in index order).
-	if len(items) == 1 {
-		return t.DeliverInto(nil, items[0])
-	}
-	touched := map[*fnTrack]bool{}
-	for i := range items {
-		ft, err := t.record(&items[i])
-		if err != nil {
+	var newly []InstanceKey
+	for _, it := range items {
+		var err error
+		if newly, err = t.DeliverInto(newly, it); err != nil {
 			return nil, err
 		}
-		if ft != nil {
-			touched[ft] = true
-		}
 	}
-	var ready []Ready
-	for ft := range touched {
-		ready = t.checkReady(ready, ft)
-	}
-	newly := keysOf(nil, ready)
 	sort.Slice(newly, func(i, j int) bool {
 		if newly[i].Fn != newly[j].Fn {
 			return newly[i].Fn < newly[j].Fn
@@ -55,10 +41,15 @@ func (t *Tracker) deliverAll(items []Item) ([]InstanceKey, error) {
 	return newly, nil
 }
 
-// isReadyKey reports whether the instance has become ready.
+// isReadyKey reports whether the instance has become ready: it has inputs,
+// and none is missing.
 func (t *Tracker) isReadyKey(key InstanceKey) bool {
 	f, ok := t.wf.Function(key.Fn)
-	return ok && key.Idx >= 0 && t.fns[f.Index()].isReady(key.Idx)
+	if !ok {
+		return false
+	}
+	fr := &t.fns[f.Index()]
+	return key.Idx >= 0 && key.Idx < int(fr.n) && fr.ins > 0 && t.miss[int(fr.miss)+key.Idx] == 0
 }
 
 // instances returns every instance key with known fan-out, in deterministic
@@ -66,11 +57,7 @@ func (t *Tracker) isReadyKey(key InstanceKey) bool {
 func (t *Tracker) instances() []InstanceKey {
 	var out []InstanceKey
 	for i, f := range t.wf.Functions {
-		st := t.fns[i].fanout
-		if !st.known {
-			continue
-		}
-		for idx := 0; idx < st.n; idx++ {
+		for idx := 0; idx < int(t.fns[i].n); idx++ {
 			out = append(out, InstanceKey{Fn: f.Name, Idx: idx})
 		}
 	}

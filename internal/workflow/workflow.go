@@ -151,13 +151,11 @@ type Workflow struct {
 
 // wfIndex is the immutable derived data of a workflow snapshot.
 type wfIndex struct {
-	n          int // len(Functions) this snapshot was built for
-	byName     map[string]*Function
-	edges      []Edge
-	entries    []*Function
-	staticUser int
-	staticOK   bool
-	plan       Plan
+	n       int // len(Functions) this snapshot was built for
+	byName  map[string]*Function
+	edges   []Edge
+	entries []*Function
+	plan    Plan
 }
 
 // Plan is the part of the index a request walks instead of re-deriving it
@@ -165,6 +163,15 @@ type wfIndex struct {
 type Plan struct {
 	Fns     []FnPlan     // indexed by Function.Index
 	Entries []EntryInput // the invoker's inputs, in declaration order
+	// Slots and Outs are the request layout: input pos of function i is slot
+	// Fns[i].Slot0+pos and its output o is Fns[i].Out0+o, so a request's
+	// per-input and per-output state are two flat blocks addressed by offset.
+	Slots, Outs int
+	// StaticUser is the number of items every request delivers to the user
+	// when topology alone fixes it — no SWITCH and no FOREACH output anywhere
+	// in the workflow — and -1 otherwise. Trackers skip the per-request
+	// expectation walk on it.
+	StaticUser int
 }
 
 // FnPlan is one function's share of the Plan.
@@ -173,6 +180,9 @@ type FnPlan struct {
 	InDegree int         // workflow edges into it (the invoker's inputs are not edges)
 	Feeders  [][]int     // Feeders[pos]: the producing function's index, per edge into the input at pos
 	Dests    [][]DestRef // Dests[o][d] resolves Outputs[o].Dests[d]
+	// Slot0 and Out0 place the function's inputs and outputs in the layout;
+	// Rank is its position in name order, the branch order of a LIST input.
+	Slot0, Out0, Rank int
 }
 
 // DestRef is a resolved Dest: the destination's function index (-1 for $USER
@@ -249,8 +259,8 @@ func (w *Workflow) reindex() *wfIndex {
 		ix.entries = []*Function{}
 	}
 	ix.edges = buildEdges(w.Functions, ix.byName)
-	ix.staticUser, ix.staticOK = buildStaticUserItems(w.Functions, ix)
 	ix.plan = buildPlan(w.Functions, ix.byName)
+	ix.plan.StaticUser = staticUserItems(w.Functions, ix)
 	w.index.Store(ix)
 	return ix
 }
@@ -261,22 +271,17 @@ func (w *Workflow) Entries() []*Function {
 	return w.reindex().entries
 }
 
-// StaticUserItems returns the number of items every request delivers to the
-// user when that count is fixed by topology alone — no SWITCH and no
-// FOREACH output anywhere in the workflow — and whether it is. Trackers use
-// it to skip the per-request expectation walk; cached in the index.
-func (w *Workflow) StaticUserItems() (int, bool) {
-	ix := w.reindex()
-	return ix.staticUser, ix.staticOK
-}
-
 // Plan returns the request plan of the current index snapshot.
 func (w *Workflow) Plan() *Plan { return &w.reindex().plan }
 
 // buildPlan resolves the Plan for a snapshot (Function.idx already set).
 func buildPlan(fns []*Function, byName map[string]*Function) Plan {
 	p := Plan{Fns: make([]FnPlan, len(fns))}
+	byRank := make([]int, len(fns))
 	for i, f := range fns {
+		byRank[i] = i
+		p.Fns[i].Slot0, p.Fns[i].Out0 = p.Slots, p.Outs
+		p.Slots, p.Outs = p.Slots+len(f.Inputs), p.Outs+len(f.Outputs)
 		p.Fns[i].Feeders = make([][]int, len(f.Inputs))
 		for pos, in := range f.Inputs {
 			if in.FromUser {
@@ -309,15 +314,19 @@ func buildPlan(fns []*Function, byName map[string]*Function) Plan {
 			p.Fns[i].Dests[oi] = refs
 		}
 	}
+	sort.Slice(byRank, func(a, b int) bool { return fns[byRank[a]].Name < fns[byRank[b]].Name })
+	for rank, i := range byRank {
+		p.Fns[i].Rank = rank
+	}
 	return p
 }
 
-// buildStaticUserItems computes the StaticUserItems answer for a snapshot.
-func buildStaticUserItems(fns []*Function, ix *wfIndex) (int, bool) {
+// staticUserItems computes Plan.StaticUser for a snapshot.
+func staticUserItems(fns []*Function, ix *wfIndex) int {
 	for _, f := range fns {
 		for _, o := range f.Outputs {
 			if o.Kind == Switch || o.Kind == Foreach {
-				return 0, false
+				return -1
 			}
 		}
 	}
@@ -357,7 +366,7 @@ func buildStaticUserItems(fns []*Function, ix *wfIndex) (int, bool) {
 			}
 		}
 	}
-	return total, true
+	return total
 }
 
 // Terminals returns the functions with at least one output to the user.
