@@ -202,14 +202,14 @@ func TestInvokeAllocsCeilingWithSampling(t *testing.T) {
 // a → b → c across nodes, Eq. 1 on, each hop through the DLU daemon, the
 // streaming pipe and a sink entry. It measures 6 objects a request, as a
 // steady-state heap profile of the same loop names them: the handle, the
-// request id string (landBatch's sink keys name it; an 8-byte string shares
-// a 16-byte tiny block, so a profile shows one sample per two requests),
-// and per streamed hop (a → b, b → c) the sink key's data string (sinkKey's
-// strings.Builder) and the one-element limiter array transport.Inproc.Stream
-// hands the pipe, which escapes. No stream id is formatted: only a failure
-// injector names streams. The ceiling is the 13 the same shape allocated
-// while the engine state was allocated with the handle and payloads were
-// boxed: it may only go down.
+// request id string (landBatch's sink keys name it; a tiny allocation, which
+// a heap profile samples once per 16-byte block it opens, about every second
+// request), and per streamed hop (a → b, b → c) the sink key's data string
+// (sinkKey's strings.Builder) and the one-element limiter array
+// transport.Inproc.Stream hands the pipe, which escapes. No stream id is
+// formatted: only a failure injector names streams. The ceiling is the 13
+// the same shape allocated while the engine state was allocated with the
+// handle and payloads were boxed: it may only go down.
 func TestRelayAllocsCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")

@@ -115,17 +115,14 @@ type Tracker struct {
 	user  []userItem // what reached the user, rebuilt into users on demand
 	users []Item
 
-	// expectTotal/expectFinal memoize ExpectedUserItems once it becomes
-	// final: switch choices and fan-out degrees are write-once, so a final
-	// expectation can never change — and engines re-check completion on
-	// every delivered item, which would otherwise re-walk the graph.
+	// expectTotal/expectFinal memoize ExpectedUserItems once it is final;
+	// engines check completion on every delivery.
 	expectTotal int
 	expectFinal bool
 
 	// Inline seeds of the blocks above: a small request on a fresh tracker
-	// allocates nothing, a block that outgrows its seed reallocates and is
-	// kept for the next request. An initialized Tracker points into itself:
-	// do not copy it.
+	// allocates nothing; a block that outgrows its seed is kept for the next
+	// request. An initialized Tracker points into itself: do not copy it.
 	fnBuf   [4]fnRun
 	cellBuf [4]cell
 	missBuf [4]int32
@@ -262,9 +259,12 @@ func (t *Tracker) setFanout(fn, k int) error {
 	}
 	f.n, f.cell, f.miss = int32(k), int32(len(t.cells)), int32(len(t.miss))
 	t.cells = append(t.cells, make([]cell, k*int(f.ins))...)
+	t.miss = slices.Grow(t.miss, k)
 	for i := 0; i < k; i++ {
 		t.miss = append(t.miss, f.ins)
 	}
+	// Room in the arena for a value per instance cell, in one growth.
+	t.vals, t.keys = slices.Grow(t.vals, k*int(f.ins)), slices.Grow(t.keys, k*int(f.ins))
 	// Broadcasts that came first count for every instance. None fires one: a
 	// FOREACH item for it is yet to come.
 	slot0 := t.plan.Fns[fn].Slot0
