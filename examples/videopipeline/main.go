@@ -37,7 +37,6 @@ func main() {
 		// A modest container: transfers are visibly paced, so the pressure
 		// mechanism engages on the large chunks.
 		DefaultSpec: cluster.Spec{MemoryMB: 4 * 1024},
-		ChunkSize:   64 << 10,
 	})
 	if err != nil {
 		log.Fatal(err)

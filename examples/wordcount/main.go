@@ -1,5 +1,5 @@
 // WordCount: the paper's Figure 7 benchmark on the real runtime, with the
-// execution trace printed as a Fig. 13-style timeline to show
+// request's sampled span printed as a Fig. 13-style timeline to show
 // data-availability triggering.
 //
 //	go run ./examples/wordcount
@@ -13,7 +13,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/trace"
+	"repro/internal/obs"
 	"repro/internal/workloads"
 )
 
@@ -30,12 +30,11 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	events := trace.NewLog()
 	sys, err := core.NewSystem(core.Config{
 		Workflow:    prof.Workflow,
 		Cluster:     cl,
 		DefaultSpec: cluster.Spec{MemoryMB: 2048},
-		Trace:       events,
+		Obs:         core.ObsConfig{SampleEvery: 1}, // record every request's span
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -60,8 +59,9 @@ func main() {
 	fmt.Printf("end-to-end latency: %v\n\n", inv.Latency().Round(time.Microsecond))
 
 	fmt.Println("function timeline (data-availability triggering):")
-	spans := events.Spans(inv.ReqID())
-	fmt.Print(trace.FormatTimeline(spans))
+	// The System publishes its span ring to the process's registry.
+	spans := obs.Spans(obs.Default().Ring().Stages(inv.ReqID()))
+	fmt.Print(obs.FormatTimeline(spans))
 	fmt.Println()
-	fmt.Print(trace.Gantt(spans, 60))
+	fmt.Print(obs.Gantt(spans, 60))
 }

@@ -13,8 +13,8 @@
 //   - lockheld: no channel operations, WaitGroup waits, or blocking I/O
 //     while a sync.Mutex/RWMutex acquired in the same function is held.
 //   - tracegate: no fmt formatting or string concatenation in declared
-//     hot-path files (//repolint:hotpath) unless behind a trace/injector
-//     guard or on a cold error path, protecting the allocation budget.
+//     hot-path files (//repolint:hotpath) except fmt.Errorf on a cold
+//     error path, protecting the allocation budget.
 //   - obsgate: no obs.Registry lookups in declared hot-path files; they
 //     resolve instrument pointers once, at init.
 //   - wiregate: the //wire:struct declarations must match the fingerprint

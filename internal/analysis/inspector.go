@@ -5,9 +5,9 @@ import "go/ast"
 // Inspect walks the tree rooted at root in depth-first order, calling fn
 // with each node and the path of its ancestors (outermost first, root's
 // ancestors empty). Returning false skips the node's children. Several
-// analyzers need the ancestor path — tracegate to find dominating guard
-// conditions, atomicmix to find the enclosing function — which ast.Inspect
-// alone does not provide.
+// analyzers need the ancestor path — tracegate to find an enclosing return
+// or fail() call, atomicmix to find the enclosing function — which
+// ast.Inspect alone does not provide.
 func Inspect(root ast.Node, fn func(n ast.Node, path []ast.Node) bool) {
 	var stack []ast.Node
 	ast.Inspect(root, func(n ast.Node) bool {

@@ -22,18 +22,19 @@ func ungatedErrorf(n int) {
 	_ = err
 }
 
-// The repo's gating idiom: zero-cost when tracing is disabled.
+// A trace or injector guard does not exempt formatting: the hot path
+// records stages, never formatted notes.
 func gated(c *config, key string) {
 	if c.Trace != nil {
-		c.Trace(fmt.Sprintf("ship key=%s", key))
-		c.Trace("land " + key)
+		c.Trace(fmt.Sprintf("ship key=%s", key)) // want `fmt\.Sprintf allocates on a declared hot-path file`
+		c.Trace("land " + key)                   // want `string concatenation allocates on a declared hot-path file`
 	}
 }
 
 func gatedByInjector(c *config, key string) {
 	injecting := c.Trace != nil
 	if injecting {
-		c.Trace("inject " + key)
+		c.Trace("inject " + key) // want `string concatenation allocates on a declared hot-path file`
 	}
 }
 

@@ -8,21 +8,19 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/trace"
 	"repro/internal/wmm"
 )
 
-// newUntracedWCSystem is newWCSystem without the full event log, for
-// storms that would only fill it.
+// newUntracedWCSystem is newWCSystem with sampling off, for storms that
+// would only churn the span ring.
 func newUntracedWCSystem(t testing.TB, nodes int, cfgMut func(*Config)) *System {
 	t.Helper()
-	sys, _ := newWCSystem(t, nodes, func(cfg *Config) {
-		cfg.Trace = nil
+	return newWCSystem(t, nodes, func(cfg *Config) {
+		cfg.Obs = ObsConfig{}
 		if cfgMut != nil {
 			cfgMut(cfg)
 		}
 	})
-	return sys
 }
 
 // runWC runs one wordcount request over text to completion.
@@ -146,31 +144,31 @@ func TestBatchedShutdownVsDrainStorm(t *testing.T) {
 	}
 }
 
-// TestTraceLogsPerItemEventsFromBatches: the full event log selects no DLU
+// TestSpanRecordsPerItemStagesFromBatches: a sampled span selects no DLU
 // path. A request whose FOREACH emits three items still ships them as one
-// edge batch (the batch-size histogram grows), and the log gets one DataSent
-// and one DataArrived per item, addressed and sized per item, every item
-// sent before it arrived.
-func TestTraceLogsPerItemEventsFromBatches(t *testing.T) {
+// edge batch (the batch-size histogram grows), and the span gets one
+// DataSent and one DataArrived stage per item, the arrivals addressed per
+// item, every item sent before it arrived.
+func TestSpanRecordsPerItemStagesFromBatches(t *testing.T) {
 	batches := obs.Default().Histogram("core_dlu_batch_items")
 	before := batches.Snapshot().Count
-	sys, log := newWCSystem(t, 2, nil)
+	sys := newWCSystem(t, 2, nil)
 	defer sys.Shutdown()
 	inv := runWC(t, sys, "x yy x")
 	if batches.Snapshot().Count <= before {
 		t.Fatal("core_dlu_batch_items did not grow: tracing must not disable batching")
 	}
 	var got []string
-	for _, e := range log.ForRequest(inv.ReqID()) {
-		if e.Kind == trace.DataSent && e.Fn == "start" || e.Kind == trace.DataArrived && e.Fn == "count" {
-			got = append(got, fmt.Sprintf("%s %s[%d] %s", e.Kind, e.Fn, e.Idx, e.Note))
+	for _, st := range sys.ring.Stages(inv.ReqID()) {
+		if st.Kind == obs.DataSent && st.Fn == "start" || st.Kind == obs.DataArrived && st.Fn == "count" {
+			got = append(got, fmt.Sprintf("%s %s[%d]", st.Kind, st.Fn, st.Idx))
 		}
 	}
 	want := []string{
-		"data-sent start[0] filelist->count[0] 1B", "data-sent start[0] filelist->count[1] 2B", "data-sent start[0] filelist->count[2] 1B",
-		"data-arrived count[0] file 1B", "data-arrived count[1] file 2B", "data-arrived count[2] file 1B",
+		"data-sent start[0]", "data-sent start[0]", "data-sent start[0]",
+		"data-arrived count[0]", "data-arrived count[1]", "data-arrived count[2]",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
-		t.Fatalf("FOREACH edge logged\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+		t.Fatalf("FOREACH edge recorded\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

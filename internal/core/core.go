@@ -46,7 +46,6 @@ import (
 	"repro/internal/dataflow"
 	"repro/internal/obs"
 	"repro/internal/pipe"
-	"repro/internal/trace"
 	"repro/internal/wmm"
 	"repro/internal/workflow"
 )
@@ -78,12 +77,6 @@ type Config struct {
 	// MaxContainersPerFn bounds per-function scale-out
 	// (DefaultMaxContainersPerFn when 0).
 	MaxContainersPerFn int //repolint:testseam the instance-cap tests need a cap small enough to reach
-	// ChunkSize overrides the streaming pipe chunk size.
-	ChunkSize int
-	// Trace receives every execution event when non-nil (the full event
-	// log). It selects no code path: shipments batch per edge either way and
-	// the log gets its per-item events from inside the batch loops.
-	Trace *trace.Log
 	// Obs configures sampled request tracing (obs.go). The zero value
 	// disables sampling; the metric instruments are always on regardless.
 	Obs ObsConfig
@@ -537,7 +530,7 @@ func (s *System) Invoke(input map[string][]byte) (*Invocation, error) {
 	}
 	s.pendingInvs.Add(stripe, 1)
 
-	s.event(r, trace.ReqArrived, "", 0, "")
+	s.event(r, obs.ReqArrived, "", 0)
 	// No lock: r came off the free-list under its mutex, and no other
 	// goroutine can reach it until its first job is admitted below.
 	newly, err := r.tracker.StartBytesInto(entryBuf[:0], input)
@@ -570,7 +563,7 @@ var errShutdown = errors.New("core: system is shut down")
 // hands the job a reference to the request, held until it has run, and sees
 // to it that a gate count covers it: its own, or the chain's it is parked in.
 func (s *System) admitInstance(r *request, rd dataflow.Ready) instanceJob {
-	s.event(r, trace.InstanceTriggered, rd.Key.Fn, rd.Key.Idx, "")
+	s.event(r, obs.InstanceTriggered, rd.Key.Fn, rd.Key.Idx)
 	return instanceJob{req: r, gen: r.gen.Load(), key: rd.Key, st: s.fnList[rd.Fn]}
 }
 
@@ -703,7 +696,7 @@ func (s *System) runInstance(ctx *Context, j instanceJob, caller bool, at time.T
 			return instanceJob{}, time.Time{}, false
 		}
 		ctr = node.StartContainer(fn, st.spec)
-		s.event(r, trace.ContainerCold, fn, key.Idx, ctr.ID)
+		s.event(r, obs.ContainerCold, fn, key.Idx)
 		at = time.Time{}
 	}
 	defer pool.Release(ctr, r.stripe)
@@ -735,9 +728,8 @@ func (s *System) runInstance(ctx *Context, j instanceJob, caller bool, at time.T
 	ctx.Instance, ctx.next = key, instanceJob{}
 	ctx.inputs, ctx.valBuf = inputs, valBuf
 	ctx.sys, ctx.req, ctx.gen, ctx.ctr, ctx.fst = s, r, j.gen, ctr, st
-	note := "" // "redo-N" on the event log once the handler is being ReDone
 	for {
-		s.event(r, trace.InstanceStarted, fn, key.Idx, note)
+		s.event(r, obs.InstanceStarted, fn, key.Idx)
 		if at.IsZero() {
 			at = s.clk.Now()
 		}
@@ -748,7 +740,7 @@ func (s *System) runInstance(ctx *Context, j instanceJob, caller bool, at time.T
 		st.observe(r.stripe, d, ctx.blocked)
 		obsExecLat.Observe(r.stripe, int64(d))
 		if err == nil {
-			s.event(r, trace.InstanceFinished, fn, key.Idx, "")
+			s.event(r, obs.InstanceFinished, fn, key.Idx)
 			break
 		}
 		at = end // the ReDo starts where this run ended
@@ -762,9 +754,6 @@ func (s *System) runInstance(ctx *Context, j instanceJob, caller bool, at time.T
 		if attempts > retryLimit {
 			r.fail(fmt.Errorf("core: %s failed after %d attempts: %w", key, attempts, err))
 			break
-		}
-		if s.cfg.Trace != nil {
-			note = fmt.Sprintf("redo-%d", attempts)
 		}
 	}
 	return ctx.next, end, true

@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/trace"
+	"repro/internal/obs"
 	"repro/internal/workflow"
 )
 
@@ -29,8 +29,9 @@ function merge
   output out to $USER
 `
 
-// newWCSystem builds a wordcount system over n nodes with fast containers.
-func newWCSystem(t testing.TB, nodes int, cfgMut func(*Config)) (*System, *trace.Log) {
+// newWCSystem builds a wordcount system over n nodes with fast containers
+// that records every request's stages into its span ring.
+func newWCSystem(t testing.TB, nodes int, cfgMut func(*Config)) *System {
 	t.Helper()
 	wf, err := workflow.ParseDSLString(wcDSL)
 	if err != nil {
@@ -44,13 +45,12 @@ func newWCSystem(t testing.TB, nodes int, cfgMut func(*Config)) (*System, *trace
 			t.Fatal(err)
 		}
 	}
-	log := trace.NewLog()
 	cfg := Config{
 		Workflow: wf,
 		Cluster:  cl,
 		// Large spec so transfers are fast in tests.
 		DefaultSpec: cluster.Spec{MemoryMB: 10 * 1024},
-		Trace:       log,
+		Obs:         ObsConfig{SampleEvery: 1},
 	}
 	if cfgMut != nil {
 		cfgMut(&cfg)
@@ -60,7 +60,7 @@ func newWCSystem(t testing.TB, nodes int, cfgMut func(*Config)) (*System, *trace
 		t.Fatal(err)
 	}
 	registerWC(t, sys)
-	return sys, log
+	return sys
 }
 
 // registerWC installs real word-count handlers.
@@ -136,7 +136,7 @@ func registerWC(t testing.TB, sys *System) {
 }
 
 func TestEndToEndWordCount(t *testing.T) {
-	sys, _ := newWCSystem(t, 3, nil)
+	sys := newWCSystem(t, 3, nil)
 	defer sys.Shutdown()
 	inv, err := sys.Invoke(map[string][]byte{
 		"start.src": []byte("a b a c b a d a b c"),
@@ -161,7 +161,7 @@ func TestEndToEndWordCount(t *testing.T) {
 }
 
 func TestSingleNodeLocalPipes(t *testing.T) {
-	sys, _ := newWCSystem(t, 1, nil)
+	sys := newWCSystem(t, 1, nil)
 	defer sys.Shutdown()
 	inv, err := sys.Invoke(map[string][]byte{"start.src": []byte("x y x")})
 	if err != nil {
@@ -177,7 +177,7 @@ func TestSingleNodeLocalPipes(t *testing.T) {
 }
 
 func TestConcurrentInvocations(t *testing.T) {
-	sys, _ := newWCSystem(t, 2, nil)
+	sys := newWCSystem(t, 2, nil)
 	defer sys.Shutdown()
 	const n = 10
 	invs := make([]*Invocation, n)
@@ -223,12 +223,11 @@ function consumer
 	}
 	cl := cluster.NewCluster(nil)
 	_ = cl.AddNode(cluster.NewNode("w1", cluster.Options{}))
-	log := trace.NewLog()
 	sys, err := NewSystem(Config{
 		Workflow:    wf,
 		Cluster:     cl,
 		DefaultSpec: cluster.Spec{MemoryMB: 10 * 1024},
-		Trace:       log,
+		Obs:         ObsConfig{SampleEvery: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -256,10 +255,10 @@ function consumer
 		}
 		// The request completes when the consumer's output lands, during the
 		// producer's trailing compute; its Finished is logged after that.
-		var prod, cons *trace.Span
+		var prod, cons *obs.Span
 		waitFor(t, 5*time.Second, func() bool {
 			prod, cons = nil, nil
-			spans := log.Spans(inv.ReqID())
+			spans := obs.Spans(sys.ring.Stages(inv.ReqID()))
 			for i := range spans {
 				switch spans[i].Fn {
 				case "producer":
@@ -295,7 +294,7 @@ function consumer
 }
 
 func TestHandlerReDoOnFailure(t *testing.T) {
-	sys, _ := newWCSystem(t, 1, nil)
+	sys := newWCSystem(t, 1, nil)
 	defer sys.Shutdown()
 	var fails int32
 	// Wrap merge with a once-failing handler.
@@ -328,7 +327,7 @@ func TestHandlerReDoOnFailure(t *testing.T) {
 // attempts fails the request while the others may still run, so their runs
 // are counted once Shutdown has drained them.
 func TestHandlerFailsPermanently(t *testing.T) {
-	sys, _ := newWCSystem(t, 1, nil)
+	sys := newWCSystem(t, 1, nil)
 	defer sys.Shutdown()
 	var runs [3]atomic.Int32
 	_ = sys.Register("count", func(ctx *Context) error {
@@ -353,17 +352,19 @@ func TestHandlerFailsPermanently(t *testing.T) {
 
 func TestTransferFailureResumesFromCheckpoint(t *testing.T) {
 	// Two nodes force a cross-node streaming transfer; inject one failure.
-	sys, _ := newWCSystem(t, 2, func(c *Config) { c.ChunkSize = 4 << 10 })
+	sys := newWCSystem(t, 2, nil)
 	defer sys.Shutdown()
 	var injected int32
 	sys.SetTransferFailureInjector(func(streamID string) int64 {
 		if strings.Contains(streamID, "start") && atomic.CompareAndSwapInt32(&injected, 0, 1) {
-			return 20 << 10 // fail 20 KB into the first start->count stream
+			// Fail 96 KiB into the first start->count stream: its first
+			// 64 KiB chunk has landed and checkpointed, its second fails.
+			return 96 << 10
 		}
 		return -1
 	})
-	// Big enough payload to use the streaming path (> 16 KB per shard).
-	word := strings.Repeat("lorem ", 4096) // ~24 KB per shard after split
+	// Each shard streams over two default-size chunks (> 128 KiB).
+	word := strings.Repeat("lorem ", 6*4096) // ~144 KiB per shard after split
 	inv, err := sys.Invoke(map[string][]byte{"start.src": []byte(word + word + word)})
 	if err != nil {
 		t.Fatal(err)
@@ -396,8 +397,61 @@ func TestUnregisteredHandlerRejected(t *testing.T) {
 	}
 }
 
+// TestFannedForeachToUserRefused: the tracker keeps one FOREACH degree per
+// output, so a FOREACH to the user from a FOREACH-fanned function cannot be
+// counted — its expectation would freeze at n × the first instance's degree.
+// NewSystem refuses the shape by function and output. Were it admitted, the
+// request below (instance 2 emits two elements first, the others one each
+// later) would wait for six user items and get four.
+func TestFannedForeachToUserRefused(t *testing.T) {
+	wf := workflow.New("fanuser")
+	for _, f := range []*workflow.Function{{
+		Name:    "a",
+		Inputs:  []workflow.Input{{Name: "in", FromUser: true}},
+		Outputs: []workflow.Output{{Name: "parts", Kind: workflow.Foreach, Dests: []workflow.Dest{{Function: "b", Input: "x"}}}},
+	}, {
+		Name:    "b",
+		Inputs:  []workflow.Input{{Name: "x"}},
+		Outputs: []workflow.Output{{Name: "out", Kind: workflow.Foreach, Dests: []workflow.Dest{{Function: workflow.UserSource}}}},
+	}} {
+		if err := wf.AddFunction(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl := cluster.NewCluster(nil)
+	_ = cl.AddNode(cluster.NewNode("w1", cluster.Options{}))
+	sys, err := NewSystem(Config{Workflow: wf, Cluster: cl, DefaultSpec: cluster.Spec{MemoryMB: 10 * 1024}})
+	if err != nil {
+		if !strings.Contains(err.Error(), "function b output out") {
+			t.Fatalf("refused without naming b.out: %v", err)
+		}
+		return
+	}
+	defer sys.Shutdown()
+	_ = sys.Register("a", func(ctx *Context) error {
+		return ctx.PutForeach("parts", [][]byte{{0}, {1}, {2}})
+	})
+	_ = sys.Register("b", func(ctx *Context) error {
+		if ctx.Instance.Idx == 2 {
+			return ctx.PutForeach("out", [][]byte{{2}, {2}})
+		}
+		time.Sleep(20 * time.Millisecond)
+		return ctx.PutForeach("out", [][]byte{{byte(ctx.Instance.Idx)}})
+	})
+	inv, err := sys.Invoke(map[string][]byte{"a.in": []byte("go")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-inv.Done():
+		t.Fatalf("admitted a FOREACH to the user from a fanned function (err %v)", inv.Err())
+	case <-time.After(2 * time.Second):
+		t.Fatal("admitted a FOREACH to the user from a fanned function: the request hung")
+	}
+}
+
 func TestShutdownRejectsInvoke(t *testing.T) {
-	sys, _ := newWCSystem(t, 1, nil)
+	sys := newWCSystem(t, 1, nil)
 	sys.Shutdown()
 	if _, err := sys.Invoke(map[string][]byte{"start.src": []byte("x")}); err == nil {
 		t.Fatal("invoke after shutdown accepted")
@@ -499,7 +553,7 @@ function sink
 }
 
 func TestRoutingTablePublished(t *testing.T) {
-	sys, _ := newWCSystem(t, 3, nil)
+	sys := newWCSystem(t, 3, nil)
 	defer sys.Shutdown()
 	rt := sys.Routing()
 	if len(rt) != 3 {
@@ -512,7 +566,7 @@ func TestRoutingTablePublished(t *testing.T) {
 }
 
 func TestFLUAvgTracked(t *testing.T) {
-	sys, _ := newWCSystem(t, 1, nil)
+	sys := newWCSystem(t, 1, nil)
 	defer sys.Shutdown()
 	inv, _ := sys.Invoke(map[string][]byte{"start.src": []byte("a b c")})
 	if err := inv.Wait(); err != nil {
@@ -527,7 +581,7 @@ func TestFLUAvgTracked(t *testing.T) {
 }
 
 func TestSinkDrainedAfterCompletion(t *testing.T) {
-	sys, _ := newWCSystem(t, 2, nil)
+	sys := newWCSystem(t, 2, nil)
 	defer sys.Shutdown()
 	inv, _ := sys.Invoke(map[string][]byte{"start.src": []byte("a b c d e f")})
 	if err := inv.Wait(); err != nil {

@@ -10,8 +10,8 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/dataflow"
+	"repro/internal/obs"
 	"repro/internal/pipe"
-	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/wmm"
 	"repro/internal/workflow"
@@ -506,13 +506,9 @@ func (s *System) shipBatch(ctr *cluster.Container, b *dluBatch) {
 // streaming-sized or under a failure injector, which addresses streams — and
 // lands once its own bytes are across, never waiting for a sibling's stream.
 func (s *System) shipGroup(ctr *cluster.Container, g *dluGroup, b *dluBatch) {
-	if s.cfg.Trace != nil || g.req.span != nil {
+	if g.req.span != nil {
 		for i := range g.items {
-			it, note := &g.items[i], ""
-			if s.cfg.Trace != nil {
-				note = fmt.Sprintf("%s->%s %dB", it.Output, it.To, it.Value.Size)
-			}
-			s.event(g.req, trace.DataSent, it.From.Fn, it.From.Idx, note)
+			s.event(g.req, obs.DataSent, g.items[i].From.Fn, g.items[i].From.Idx)
 		}
 	}
 	switch {
@@ -578,10 +574,9 @@ func (s *System) shipSocket(ctr *cluster.Container, r *request, items []dataflow
 // the request on an unrecoverable transfer.
 func (s *System) ship(ctr *cluster.Container, r *request, it *dataflow.Item, dstNode *cluster.Node) bool {
 	spec := transport.StreamSpec{
-		Src:       ctr.Limiter,
-		ChunkSize: s.cfg.ChunkSize,
-		Retries:   retryLimit,
-		Clock:     ctr.Node.Clock(),
+		Src:     ctr.Limiter,
+		Retries: retryLimit,
+		Clock:   ctr.Node.Clock(),
 	}
 	if s.injector.Load() != nil {
 		// Only an injected failure resumes a stream from its checkpoints.
@@ -657,13 +652,9 @@ func (s *System) landBatch(r *request, items []dataflow.Item, node *cluster.Node
 			node.SinkRelease(r.inv.ReqID()) //nolint:errcheck // best effort: an unreachable sink holds nothing to release
 		}
 	}
-	if s.cfg.Trace != nil || r.span != nil {
+	if r.span != nil {
 		for i := range items {
-			it, note := &items[i], ""
-			if s.cfg.Trace != nil {
-				note = fmt.Sprintf("%s %dB", it.Input, it.Value.Size)
-			}
-			s.event(r, trace.DataArrived, it.To.Fn, it.To.Idx, note)
+			s.event(r, obs.DataArrived, items[i].To.Fn, items[i].To.Idx)
 		}
 	}
 	s.deliverBatch(r, items, b.reqs, node, b.flu)

@@ -3,7 +3,7 @@ package core
 import (
 	"repro/internal/cluster"
 	"repro/internal/dataflow"
-	"repro/internal/trace"
+	"repro/internal/obs"
 	"repro/internal/transport"
 )
 
@@ -72,7 +72,7 @@ func (s *System) repairLocked(r *request) {
 		n := s.replayLocked(r, st.name, dead, next, ordinal)
 		s.replays.Add(int64(n))
 		obsReplays.Add(r.stripe, int64(n))
-		s.event(r, trace.Replay, st.name, n, dead.Name+"->"+next.Name)
+		s.event(r, obs.Replay, st.name, n)
 	}
 }
 

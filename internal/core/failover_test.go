@@ -12,7 +12,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/cluster"
-	"repro/internal/trace"
+	"repro/internal/obs"
 	"repro/internal/transport"
 	"repro/internal/wmm"
 	"repro/internal/workflow"
@@ -351,7 +351,6 @@ func TestFailoverRelandsMultiItemEdge(t *testing.T) {
 	var sys *System
 	var once sync.Once
 	var dead string
-	log := trace.NewLog()
 	sinks := map[string]*wmm.Sink{}
 	start := time.Now()
 	elapsed := func() time.Duration { return time.Since(start) }
@@ -370,7 +369,7 @@ func TestFailoverRelandsMultiItemEdge(t *testing.T) {
 			},
 		}, false, opts)
 	}
-	sys = newFaultSystemOf(t, 3, nil, func(c *Config) { c.Trace = log }, newNode)
+	sys = newFaultSystemOf(t, 3, nil, func(c *Config) { c.Obs = ObsConfig{SampleEvery: 1} }, newNode)
 	defer sys.Shutdown()
 	runs := recordRuns(sys, "b")
 	replays0 := sys.Replays()
@@ -389,9 +388,9 @@ func TestFailoverRelandsMultiItemEdge(t *testing.T) {
 	}
 	ranOnlyOff(t, runs, inv, "b", 3, dead)
 	arrived := map[int]int{}
-	for _, e := range log.ForRequest(inv.ReqID()) {
-		if e.Kind == trace.DataArrived && e.Fn == "b" {
-			arrived[e.Idx]++
+	for _, st := range sys.ring.Stages(inv.ReqID()) {
+		if st.Kind == obs.DataArrived && st.Fn == "b" {
+			arrived[st.Idx]++
 		}
 	}
 	if replays := sys.Replays() - replays0; len(arrived) != 3 || arrived[0] != 1 || arrived[1] != 1 || arrived[2] != 1 || replays != 0 {

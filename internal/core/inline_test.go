@@ -6,14 +6,13 @@ import (
 	"runtime"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/clock"
 	"repro/internal/cluster"
-	"repro/internal/trace"
+	"repro/internal/obs"
 	"repro/internal/workflow"
 )
 
@@ -264,13 +263,12 @@ function tail
 	for _, name := range []string{"w1", "w2"} {
 		_ = cl.AddNode(cluster.NewNode(name, cluster.Options{}))
 	}
-	log := trace.NewLog()
 	sys, err := NewSystem(Config{
 		Workflow:        wf,
 		Cluster:         cl,
 		DefaultSpec:     cluster.Spec{MemoryMB: 128}, // 5 MB/s: the 64 KiB stream takes 13 ms
 		DisablePressure: true,                        // Put(big) returns at once
-		Trace:           log,
+		Obs:             ObsConfig{SampleEvery: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -295,13 +293,15 @@ function tail
 			t.Fatal(err)
 		}
 		var order []string
-		for _, e := range log.ForRequest(inv.ReqID()) {
-			if e.Kind == trace.DataArrived && e.Fn != workflow.UserSource {
-				order = append(order, strings.Fields(e.Note)[0])
+		// x goes only to sink and y only to tail: the destination names the
+		// output.
+		for _, st := range sys.ring.Stages(inv.ReqID()) {
+			if st.Kind == obs.DataArrived && st.Fn != workflow.UserSource {
+				order = append(order, st.Fn)
 			}
 		}
-		if len(order) != 2 || order[0] != "x" || order[1] != "y" {
-			t.Fatalf("request %d: the producer's outputs landed in order %v, want [x y]", req, order)
+		if len(order) != 2 || order[0] != "sink" || order[1] != "tail" {
+			t.Fatalf("request %d: the producer's outputs landed at %v, want [sink tail] (x before y)", req, order)
 		}
 		// Only the two consumers' own $USER edges shipped inline.
 		if ships, _ := pathCounts(); ships-ships0 != 2 {

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/obs"
-	"repro/internal/trace"
-)
+import "repro/internal/obs"
 
 // This file is the engine's observability surface: the always-on metric
 // instruments (resolved once at init from the process-wide registry, so
@@ -16,10 +13,10 @@ import (
 // any process that mounts obs.Handler shows the engine's sampled spans.
 
 // ObsConfig configures the engine's sampled request tracing: a sampled
-// request records the same stage events Config.Trace logs (without notes)
-// into a ring of obs.DefaultSpanRingSize records (the oldest is evicted when
-// a new one starts past it), and its trace context rides the shipment
-// headers so a remote sink's landing stages correlate.
+// request records its stages (obs.StageKind) into a ring of
+// obs.DefaultSpanRingSize records (the oldest is evicted when a new one
+// starts past it), and its trace context rides the shipment headers so a
+// remote sink's landing stages correlate.
 type ObsConfig struct {
 	// SampleEvery records spans for one request in every SampleEvery
 	// (request numbers divisible by it). 0 disables sampling; 1 samples
@@ -71,15 +68,10 @@ func publishRing(g *obs.SpanRing) {
 	obs.Default().SetRing(g)
 }
 
-// event records one engine stage of a request on both tracing planes: the
-// full event log (Config.Trace, which alone keeps the note) and the
-// request's sampled span. Two nil checks when neither is on — the common
-// case. Callers format a note only behind their own `s.cfg.Trace != nil`
-// guard (the tracegate analyzer holds hot-path files to that).
-func (s *System) event(r *request, kind trace.Kind, fn string, idx int, note string) {
-	if s.cfg.Trace != nil {
-		s.cfg.Trace.Append(trace.Event{At: s.now(), Kind: kind, ReqID: r.inv.ReqID(), Fn: fn, Idx: idx, Note: note})
-	}
+// event records one engine stage of a request into its sampled span, the
+// engine's one record of a request's stages (SpanRing.Stages reads it
+// back). One nil check on an unsampled request.
+func (s *System) event(r *request, kind obs.StageKind, fn string, idx int) {
 	if r.span != nil {
 		r.span.Record(kind, s.now(), fn, idx)
 	}

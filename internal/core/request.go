@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/dataflow"
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 // A request has two halves. The Invocation is the caller's handle: small,
@@ -310,7 +309,7 @@ func (r *request) finishLocked() {
 	s, inv := r.sys, r.inv
 	end := s.clk.Now()
 	lat := end.Sub(r.start)
-	s.event(r, trace.ReqCompleted, "", 0, "")
+	s.event(r, obs.ReqCompleted, "", 0)
 	obsReqLat.Observe(r.stripe, int64(lat))
 	if r.err != nil {
 		obsFailed.Inc(r.stripe)

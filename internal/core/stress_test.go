@@ -142,7 +142,7 @@ func TestHighFanOutConcurrentInvocations(t *testing.T) {
 // TestRejectedInvokeDoesNotLeak pins the error path of Invoke: a request
 // whose inputs fail validation must not stay in the invocation table.
 func TestRejectedInvokeDoesNotLeak(t *testing.T) {
-	sys, _ := newWCSystem(t, 1, nil)
+	sys := newWCSystem(t, 1, nil)
 	defer sys.Shutdown()
 	if _, err := sys.Invoke(map[string][]byte{"no.such": []byte("x")}); err == nil {
 		t.Fatal("Invoke accepted an unknown input key")
@@ -156,7 +156,7 @@ func TestRejectedInvokeDoesNotLeak(t *testing.T) {
 // of concurrent requests is tracked while in flight and the table returns
 // to empty after completion, with request IDs spanning many stripes.
 func TestPendingInvocationsAcrossStripes(t *testing.T) {
-	sys, _ := newWCSystem(t, 2, nil)
+	sys := newWCSystem(t, 2, nil)
 	defer sys.Shutdown()
 	const n = 40
 	invs := make([]*Invocation, 0, n)

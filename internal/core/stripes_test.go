@@ -20,7 +20,7 @@ import (
 // Dense numbering is NOT guaranteed: a block dropped by the pool skips
 // its unused range.
 func TestRequestIDsUniqueAndWellFormed(t *testing.T) {
-	sys, _ := newWCSystem(t, 1, nil)
+	sys := newWCSystem(t, 1, nil)
 	defer sys.Shutdown()
 	if inv := runWC(t, sys, "a b"); inv.ReqID() != "req-1" {
 		t.Fatalf("first invoke got ReqID %q, want req-1", inv.ReqID())

@@ -371,13 +371,15 @@ func fuzzWorkflow(b *fuzzBytes) *workflow.Workflow {
 
 // fuzzRequest drives one request through tr and ref alike, in the order the
 // bytes choose — which routed item lands next, which ready instance runs
-// next, which SWITCH case it takes — and fails on the first disagreement. A
-// FOREACH emits k elements everywhere (conflicting degrees are an error of
-// the emitter's, not a firing rule), and every instance of a function takes
-// the same SWITCH case: the tracker keeps one choice per output. byIndex selects the engine's entry
-// points (StartBytesInto, InputsAppendBacking, RouteIndexed, DeliverReady,
-// with recycled buffers) over the by-name ones.
-func fuzzRequest(t *testing.T, tr *Tracker, w *workflow.Workflow, b *fuzzBytes, k int, byIndex bool) {
+// next, which SWITCH case and FOREACH degree each emission takes — and
+// fails on the first disagreement. A FOREACH into a function emits the
+// degree the first emission into it drew (conflicting degrees are an error
+// of the emitter's, not a firing rule). Validate refuses SWITCH and FOREACH
+// on a FOREACH-fanned function, so the per-emission draws are per instance.
+// byIndex selects the engine's entry points (StartBytesInto,
+// InputsAppendBacking, RouteIndexed, DeliverReady, with recycled buffers)
+// over the by-name ones.
+func fuzzRequest(t *testing.T, tr *Tracker, w *workflow.Workflow, b *fuzzBytes, byIndex bool) {
 	ref := newRefTracker(w)
 	var seq int64
 	value := func() Value { seq++; return Value{Payload: []byte{byte(seq)}, Size: seq} }
@@ -402,7 +404,7 @@ func fuzzRequest(t *testing.T, tr *Tracker, w *workflow.Workflow, b *fuzzBytes, 
 		inBuf    []InputVals
 		valBuf   []Value
 		fetched  = map[InstanceKey][2][]InputVals{} // as handed out, and a copy
-		cases    = map[string]int{}
+		degree   = map[string]int{}                 // a FOREACH target's fan-out, once drawn
 	)
 	var newly []InstanceKey
 	var err error
@@ -491,15 +493,23 @@ func fuzzRequest(t *testing.T, tr *Tracker, w *workflow.Workflow, b *fuzzBytes, 
 		f, _ := w.Function(key.Fn)
 		for _, o := range f.Outputs {
 			vals := []Value{value()}
-			if o.Kind == workflow.Foreach {
+			sc := 0
+			switch o.Kind {
+			case workflow.Foreach:
+				k := 1 + b.pick(4)
+				for _, d := range o.Dests {
+					if d.Function != workflow.UserSource {
+						if n, ok := degree[d.Function]; ok {
+							k = n
+						}
+						degree[d.Function] = k
+					}
+				}
 				for len(vals) < k {
 					vals = append(vals, value())
 				}
-			}
-			sc, ok := cases[key.Fn+"."+o.Name]
-			if !ok {
+			case workflow.Switch:
 				sc = b.pick(len(o.Dests))
-				cases[key.Fn+"."+o.Name] = sc
 			}
 			var items []Item
 			if byIndex {
@@ -556,6 +566,10 @@ func FuzzTrackerModel(f *testing.F) {
 		{3, 1, 2, 0, 0, 0, 1, 3, 2, 1, 0, 0, 2, 5, 1, 4, 3, 2, 1, 0, 7, 7},
 		{4, 3, 2, 1, 0, 0, 1, 0, 3, 1, 2, 2, 0, 1, 2, 1, 1, 0, 3, 3, 1, 0, 2, 2, 9, 8, 7, 6, 5, 4},
 		{1, 0, 0, 3, 0, 0, 1, 1, 2, 2, 3, 3, 0, 1, 0, 1},
+		// A fanned function's own per-instance emissions, which Validate
+		// refuses: admitted, the tracker's expected user-item count
+		// disagrees with the reference's.
+		[]byte("0+0x*'1)1c7001001000100001201007B10001010"),
 	} {
 		f.Add(seed)
 	}
@@ -565,12 +579,11 @@ func FuzzTrackerModel(f *testing.F) {
 		if w == nil {
 			return
 		}
-		k := 1 + b.pick(4)
 		var tr Tracker
 		tr.Init(w, "")
-		fuzzRequest(t, &tr, w, &b, k, false)
+		fuzzRequest(t, &tr, w, &b, false)
 		tr.Reset()
 		tr.Init(w, "")
-		fuzzRequest(t, &tr, w, &b, k, true)
+		fuzzRequest(t, &tr, w, &b, true)
 	})
 }

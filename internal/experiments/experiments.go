@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/obs"
 	"repro/internal/simcluster"
 	"repro/internal/workloads"
 )
@@ -191,14 +192,14 @@ func Fig2c(o Options) *Report {
 	tab := &Table{Header: []string{"benchmark", "avg trigger overhead (ms)"}}
 	for _, prof := range benchProfiles() {
 		s := simcluster.New(simcluster.Config{
-			Kind: simcluster.StateMachine, Profile: prof, Seed: o.seed(), CollectTrace: true,
+			Kind: simcluster.StateMachine, Profile: prof, Seed: o.seed(),
 		})
 		res := s.RunOne()
 		preds := map[string][]string{}
 		for _, f := range prof.Workflow.Functions {
 			preds[f.Name] = prof.Workflow.Predecessors(f.Name)
 		}
-		gaps := res.Trace.TriggerGaps("r1", preds)
+		gaps := obs.TriggerGaps(res.Trace, preds)
 		total, n := 0.0, 0
 		for _, g := range gaps {
 			if g.Gap > 0 {
@@ -345,14 +346,14 @@ func Fig13(o Options) *Report {
 	for _, kind := range threeSystems {
 		s := simcluster.New(simcluster.Config{
 			Kind: kind, Profile: workloads.WordCount(4, 0),
-			SingleNode: true, CollectTrace: true, Seed: o.seed(),
+			SingleNode: true, Seed: o.seed(),
 		})
 		res := s.RunOne()
 		tab := &Table{
 			Title:  kind.String(),
 			Header: []string{"function", "idx", "triggered (s)", "started (s)", "finished (s)"},
 		}
-		for _, sp := range res.Trace.Spans("r1") {
+		for _, sp := range obs.Spans(res.Trace) {
 			tab.Rows = append(tab.Rows, []string{
 				sp.Fn, fmt.Sprint(sp.Idx),
 				f3(sp.Triggered.Seconds()), f3(sp.Started.Seconds()), f3(sp.Finished.Seconds()),

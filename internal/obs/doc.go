@@ -30,10 +30,14 @@
 //
 // # Sampled request spans
 //
-// SpanRing holds the last N sampled request span records (stage
-// timestamps reusing trace.Kind). Sampling is 1-in-N by request number:
-// unsampled requests cost one modulo and carry a nil *SpanRec (all SpanRec
-// methods are nil-safe no-ops), so the unsampled path does not allocate.
+// SpanRing holds the last N sampled request span records: timestamped
+// stages (StageKind), the one record of a request's stages on both planes —
+// the simulation records its single-request runs into the same []Stage.
+// Spans, TriggerGaps, FormatTimeline and Gantt turn one request's stages
+// (SpanRing.Stages) into the paper's Fig. 13 timeline and Fig. 2(c) trigger
+// gaps. Sampling is 1-in-N by request number: unsampled requests cost one
+// modulo and carry a nil *SpanRec (all SpanRec methods are nil-safe
+// no-ops), so the unsampled path does not allocate.
 // The trace id propagates across the TCP transport (transport.Pacing) so a
 // remote worker's DataArrived stages correlate with the coordinator's
 // spans by trace id in the two processes' /debug/requests outputs.

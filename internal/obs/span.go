@@ -4,21 +4,19 @@ import (
 	crand "crypto/rand"
 	"encoding/binary"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/trace"
 )
 
 // DefaultSpanRingSize is the record capacity used when NewSpanRing is
 // given a non-positive size.
 const DefaultSpanRingSize = 256
 
-// Stage is one timestamped step of a sampled request, reusing the trace
-// plane's event vocabulary.
+// Stage is one timestamped step of a request.
 type Stage struct {
-	Kind trace.Kind
+	Kind StageKind
 	At   time.Duration // virtual/wall offset, as the engine's clock reports it
 	Fn   string
 	Idx  int
@@ -46,7 +44,7 @@ func (r *SpanRec) ID() uint64 {
 }
 
 // Record appends a stage. No-op on a nil record.
-func (r *SpanRec) Record(kind trace.Kind, at time.Duration, fn string, idx int) {
+func (r *SpanRec) Record(kind StageKind, at time.Duration, fn string, idx int) {
 	if r == nil {
 		return
 	}
@@ -133,7 +131,7 @@ func (g *SpanRing) Start(traceID uint64, reqID string) *SpanRec {
 // Observe records a stage under traceID, starting a record if the id is
 // unknown — the receive side of wire trace propagation, where a worker
 // sees a coordinator-minted id for the first time. traceID 0 is ignored.
-func (g *SpanRing) Observe(traceID uint64, reqID string, kind trace.Kind, at time.Duration, fn string, idx int) {
+func (g *SpanRing) Observe(traceID uint64, reqID string, kind StageKind, at time.Duration, fn string, idx int) {
 	if g == nil || traceID == 0 {
 		return
 	}
@@ -151,6 +149,27 @@ func (g *SpanRing) Evicted() int64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.evicted
+}
+
+// Stages returns a copy of reqID's recorded stages, from every resident
+// record of it, sorted by At (stable, so stages of one instant keep their
+// record order); nil when none is resident.
+func (g *SpanRing) Stages(reqID string) []Stage {
+	if g == nil {
+		return nil
+	}
+	g.mu.Lock()
+	var out []Stage
+	for _, rec := range g.recs {
+		if rec.reqID == reqID {
+			rec.mu.Lock()
+			out = append(out, rec.stages...)
+			rec.mu.Unlock()
+		}
+	}
+	g.mu.Unlock()
+	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
+	return out
 }
 
 // StageSnapshot is the JSON shape of one recorded stage.

@@ -6,8 +6,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/trace"
 )
 
 func TestSpanRingEviction(t *testing.T) {
@@ -16,7 +14,7 @@ func TestSpanRingEviction(t *testing.T) {
 	if id1 == 0 || id1 == id2 || id2 == id3 {
 		t.Fatal("trace ids must be nonzero and distinct")
 	}
-	g.Start(id1, "req-1").Record(trace.ReqArrived, 10, "", 0)
+	g.Start(id1, "req-1").Record(ReqArrived, 10, "", 0)
 	g.Start(id2, "req-2")
 	if len(g.recs) != 2 || g.Evicted() != 0 {
 		t.Fatalf("len=%d evicted=%d", len(g.recs), g.Evicted())
@@ -30,7 +28,7 @@ func TestSpanRingEviction(t *testing.T) {
 		t.Fatalf("snapshot order %+v", snap)
 	}
 	// The evicted record must no longer be reachable by id.
-	g.Observe(id1, "req-1", trace.ReqCompleted, 20, "", 0)
+	g.Observe(id1, "req-1", ReqCompleted, 20, "", 0)
 	if g.Evicted() != 2 {
 		t.Fatal("Observe of an evicted id should start a fresh record, evicting again")
 	}
@@ -38,12 +36,12 @@ func TestSpanRingEviction(t *testing.T) {
 
 func TestSpanRecNilSafe(t *testing.T) {
 	var rec *SpanRec
-	rec.Record(trace.ReqArrived, 1, "f", 0) // must not panic
+	rec.Record(ReqArrived, 1, "f", 0) // must not panic
 	if rec.ID() != 0 {
 		t.Fatal("nil record must report trace id 0")
 	}
 	var ring *SpanRing
-	ring.Observe(1, "r", trace.ReqArrived, 1, "", 0) // must not panic
+	ring.Observe(1, "r", ReqArrived, 1, "", 0) // must not panic
 	if ring.Snapshot() != nil {
 		t.Fatal("nil ring snapshot must be nil")
 	}
@@ -53,14 +51,14 @@ func TestSpanRingObserveMergesById(t *testing.T) {
 	g := NewSpanRing(4)
 	g.SetOrigin("worker:w1")
 	id := g.NewTraceID()
-	g.Observe(id, "req-9", trace.DataArrived, 100*time.Microsecond, "b", 1)
-	g.Observe(id, "req-9", trace.DataArrived, 200*time.Microsecond, "b", 2)
-	g.Observe(0, "req-9", trace.DataArrived, 1, "b", 0) // unsampled: ignored
+	g.Observe(id, "req-9", DataArrived, 100*time.Microsecond, "b", 1)
+	g.Observe(id, "req-9", DataArrived, 200*time.Microsecond, "b", 2)
+	g.Observe(0, "req-9", DataArrived, 1, "b", 0) // unsampled: ignored
 	if len(g.recs) != 1 {
 		t.Fatalf("len=%d, want 1", len(g.recs))
 	}
 	snap := g.Snapshot()
-	if len(snap[0].Stages) != 2 || snap[0].Stages[0].Kind != trace.DataArrived.String() {
+	if len(snap[0].Stages) != 2 || snap[0].Stages[0].Kind != DataArrived.String() {
 		t.Fatalf("stages %+v", snap[0].Stages)
 	}
 }
@@ -71,7 +69,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	ring := NewSpanRing(8)
 	ring.SetOrigin("coord")
 	id := ring.NewTraceID()
-	ring.Start(id, "req-1").Record(trace.ReqArrived, 5, "", 0)
+	ring.Start(id, "req-1").Record(ReqArrived, 5, "", 0)
 	r.SetRing(ring)
 
 	srv := httptest.NewServer(Handler(r, HandlerOpts{

@@ -1,22 +1,19 @@
-// Package trace records execution events from both planes and extracts the
-// timelines the paper plots: function triggering timelines (Fig. 13) and
-// control-plane triggering overheads (Fig. 2(c)).
-package trace
+package obs
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
-// Kind classifies an event.
-type Kind int
+// StageKind classifies a recorded stage of a request.
+type StageKind int
 
-// Event kinds.
+// Stage kinds, shared by the engine, the TCP transport's receive side and
+// the simulation plane.
 const (
-	ReqArrived Kind = iota
+	ReqArrived StageKind = iota
 	InstanceReady
 	InstanceTriggered
 	InstanceStarted
@@ -31,7 +28,7 @@ const (
 )
 
 // String names the kind.
-func (k Kind) String() string {
+func (k StageKind) String() string {
 	names := [...]string{
 		"req-arrived", "ready", "triggered", "started", "finished",
 		"data-sent", "data-arrived", "container-cold", "req-completed",
@@ -43,78 +40,10 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
-// Event is one recorded occurrence.
-type Event struct {
-	At    time.Duration
-	Kind  Kind
-	ReqID string
-	Fn    string
-	Idx   int
-	Note  string
-}
-
-// Log is an append-only, concurrency-safe event log. An unbounded log
-// (NewLog) keeps every event; a bounded one (NewLogBounded) keeps the most
-// recent n, evicting the oldest.
-type Log struct {
-	mu     sync.Mutex
-	events []Event
-	// bound > 0 makes events a ring of that capacity; head is the index of
-	// the oldest event once the ring has wrapped.
-	bound int
-	head  int
-}
-
-// NewLog returns an empty unbounded log.
-func NewLog() *Log { return &Log{} }
-
-// NewLogBounded returns an empty log that retains at most n events
-// (unbounded when n <= 0). Long scenario/stress runs and the simulation
-// plane default to a bounded log so a multi-hour storm cannot grow the
-// trace without limit. Storage grows on demand up to n — a short run never pays for the bound.
-func NewLogBounded(n int) *Log {
-	if n <= 0 {
-		return NewLog()
-	}
-	return &Log{bound: n}
-}
-
-// Append records an event, evicting the oldest when a bounded log is full.
-func (l *Log) Append(e Event) {
-	l.mu.Lock()
-	if l.bound > 0 && len(l.events) == l.bound {
-		l.events[l.head] = e
-		l.head++
-		if l.head == l.bound {
-			l.head = 0
-		}
-	} else {
-		l.events = append(l.events, e)
-	}
-	l.mu.Unlock()
-}
-
-// Events returns a copy of the retained events in append order.
-func (l *Log) Events() []Event {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]Event, 0, len(l.events))
-	out = append(out, l.events[l.head:]...)
-	out = append(out, l.events[:l.head]...)
-	return out
-}
-
-// ForRequest returns the events of one request sorted by time.
-func (l *Log) ForRequest(reqID string) []Event {
-	var out []Event
-	for _, e := range l.Events() {
-		if e.ReqID == reqID {
-			out = append(out, e)
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
-	return out
-}
+// The functions below read one request's stages sorted by At, as
+// SpanRing.Stages returns them (the simulation records in time order).
+// They extract the timelines the paper plots: function triggering
+// timelines (Fig. 13) and control-plane triggering overheads (Fig. 2(c)).
 
 // Span is one function instance's lifetime within a request.
 type Span struct {
@@ -125,32 +54,33 @@ type Span struct {
 	Finished  time.Duration
 }
 
-// Spans extracts per-instance spans for a request (the Fig. 13 timeline).
-func (l *Log) Spans(reqID string) []Span {
+// Spans extracts per-instance spans from a request's stages (the Fig. 13
+// timeline).
+func Spans(stages []Stage) []Span {
 	type key struct {
 		fn  string
 		idx int
 	}
 	m := map[key]*Span{}
 	var order []key
-	for _, e := range l.ForRequest(reqID) {
-		k := key{e.Fn, e.Idx}
+	for _, st := range stages {
+		if st.Kind != InstanceTriggered && st.Kind != InstanceStarted && st.Kind != InstanceFinished {
+			continue
+		}
+		k := key{st.Fn, st.Idx}
 		s, ok := m[k]
 		if !ok {
-			if e.Kind != InstanceTriggered && e.Kind != InstanceStarted && e.Kind != InstanceFinished {
-				continue
-			}
-			s = &Span{Fn: e.Fn, Idx: e.Idx}
+			s = &Span{Fn: st.Fn, Idx: st.Idx}
 			m[k] = s
 			order = append(order, k)
 		}
-		switch e.Kind {
+		switch st.Kind {
 		case InstanceTriggered:
-			s.Triggered = e.At
+			s.Triggered = st.At
 		case InstanceStarted:
-			s.Started = e.At
+			s.Started = st.At
 		case InstanceFinished:
-			s.Finished = e.At
+			s.Finished = st.At
 		}
 	}
 	out := make([]Span, 0, len(order))
@@ -176,19 +106,17 @@ type TriggerGap struct {
 	Gap  time.Duration
 }
 
-// TriggerGaps pairs each instance trigger with the finish time of its
-// latest-finishing predecessor instance, per request. preds maps a function
-// to its predecessor functions.
-func (l *Log) TriggerGaps(reqID string, preds map[string][]string) []TriggerGap {
-	spans := l.Spans(reqID)
+// TriggerGaps pairs each function's first trigger with the finish time of
+// its latest-finishing predecessor instance. preds maps a function to its
+// predecessor functions.
+func TriggerGaps(stages []Stage, preds map[string][]string) []TriggerGap {
+	spans := Spans(stages)
 	finishedAt := map[string]time.Duration{}
+	triggeredAt := map[string]time.Duration{}
 	for _, s := range spans {
 		if s.Finished > finishedAt[s.Fn] {
 			finishedAt[s.Fn] = s.Finished
 		}
-	}
-	triggeredAt := map[string]time.Duration{}
-	for _, s := range spans {
 		if cur, ok := triggeredAt[s.Fn]; !ok || s.Triggered < cur {
 			triggeredAt[s.Fn] = s.Triggered
 		}

@@ -1,4 +1,4 @@
-package trace
+package obs
 
 import (
 	"strings"
@@ -8,39 +8,44 @@ import (
 
 func sec(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
 
-func buildLog() *Log {
-	l := NewLog()
-	// wc-like: start, two counts (one early-triggered), merge.
-	l.Append(Event{At: 0, Kind: InstanceTriggered, ReqID: "r", Fn: "start", Idx: 0})
-	l.Append(Event{At: sec(0.01), Kind: InstanceStarted, ReqID: "r", Fn: "start", Idx: 0})
-	l.Append(Event{At: sec(0.03), Kind: InstanceFinished, ReqID: "r", Fn: "start", Idx: 0})
-	l.Append(Event{At: sec(0.02), Kind: InstanceTriggered, ReqID: "r", Fn: "count", Idx: 0}) // early!
-	l.Append(Event{At: sec(0.05), Kind: InstanceStarted, ReqID: "r", Fn: "count", Idx: 0})
-	l.Append(Event{At: sec(0.20), Kind: InstanceFinished, ReqID: "r", Fn: "count", Idx: 0})
-	l.Append(Event{At: sec(0.22), Kind: InstanceTriggered, ReqID: "r", Fn: "merge", Idx: 0})
-	l.Append(Event{At: sec(0.23), Kind: InstanceStarted, ReqID: "r", Fn: "merge", Idx: 0})
-	l.Append(Event{At: sec(0.30), Kind: InstanceFinished, ReqID: "r", Fn: "merge", Idx: 0})
-	// A different request interleaved.
-	l.Append(Event{At: sec(0.01), Kind: InstanceTriggered, ReqID: "other", Fn: "start", Idx: 0})
-	return l
+// wcStages records a wc-like request "r" (start, one early-triggered count,
+// merge) out of time order, beside a second request, and returns r's
+// stages as the ring hands them out.
+func wcStages(t *testing.T) []Stage {
+	t.Helper()
+	g := NewSpanRing(4)
+	r := g.Start(g.NewTraceID(), "r")
+	r.Record(InstanceTriggered, 0, "start", 0)
+	r.Record(InstanceStarted, sec(0.01), "start", 0)
+	r.Record(InstanceFinished, sec(0.03), "start", 0)
+	r.Record(InstanceTriggered, sec(0.02), "count", 0) // early!
+	r.Record(InstanceStarted, sec(0.05), "count", 0)
+	r.Record(InstanceFinished, sec(0.20), "count", 0)
+	r.Record(InstanceTriggered, sec(0.22), "merge", 0)
+	r.Record(InstanceStarted, sec(0.23), "merge", 0)
+	r.Record(InstanceFinished, sec(0.30), "merge", 0)
+	g.Start(g.NewTraceID(), "other").Record(InstanceTriggered, sec(0.01), "start", 0)
+	return g.Stages("r")
 }
 
-func TestForRequestFiltersAndSorts(t *testing.T) {
-	l := buildLog()
-	evs := l.ForRequest("r")
-	if len(evs) != 9 {
-		t.Fatalf("events = %d, want 9", len(evs))
+func TestRingStagesFiltersAndSorts(t *testing.T) {
+	stages := wcStages(t)
+	if len(stages) != 9 {
+		t.Fatalf("stages = %d, want 9", len(stages))
 	}
-	for i := 1; i < len(evs); i++ {
-		if evs[i].At < evs[i-1].At {
+	for i := 1; i < len(stages); i++ {
+		if stages[i].At < stages[i-1].At {
 			t.Fatal("not sorted by time")
 		}
+	}
+	var ring *SpanRing
+	if ring.Stages("r") != nil || NewSpanRing(1).Stages("r") != nil {
+		t.Fatal("a request with no resident record must have no stages")
 	}
 }
 
 func TestSpansExtraction(t *testing.T) {
-	l := buildLog()
-	spans := l.Spans("r")
+	spans := Spans(wcStages(t))
 	if len(spans) != 3 {
 		t.Fatalf("spans = %d, want 3", len(spans))
 	}
@@ -53,12 +58,11 @@ func TestSpansExtraction(t *testing.T) {
 }
 
 func TestTriggerGapsDetectEarlyTriggering(t *testing.T) {
-	l := buildLog()
 	preds := map[string][]string{
 		"count": {"start"},
 		"merge": {"count"},
 	}
-	gaps := l.TriggerGaps("r", preds)
+	gaps := TriggerGaps(wcStages(t), preds)
 	if len(gaps) != 2 {
 		t.Fatalf("gaps = %v", gaps)
 	}
@@ -77,8 +81,7 @@ func TestTriggerGapsDetectEarlyTriggering(t *testing.T) {
 }
 
 func TestTriggerGapsMissingFunctions(t *testing.T) {
-	l := buildLog()
-	gaps := l.TriggerGaps("r", map[string][]string{
+	gaps := TriggerGaps(wcStages(t), map[string][]string{
 		"ghost": {"start"},
 		"count": {"never-ran"},
 	})
@@ -88,8 +91,7 @@ func TestTriggerGapsMissingFunctions(t *testing.T) {
 }
 
 func TestFormatTimeline(t *testing.T) {
-	l := buildLog()
-	text := FormatTimeline(l.Spans("r"))
+	text := FormatTimeline(Spans(wcStages(t)))
 	if !strings.Contains(text, "start") || !strings.Contains(text, "merge") {
 		t.Fatalf("timeline missing functions:\n%s", text)
 	}
@@ -98,36 +100,40 @@ func TestFormatTimeline(t *testing.T) {
 	}
 }
 
-func TestKindString(t *testing.T) {
+func TestStageKindString(t *testing.T) {
 	if ReqArrived.String() != "req-arrived" || ReqCompleted.String() != "req-completed" {
 		t.Fatal("kind names wrong")
 	}
-	if !strings.Contains(Kind(99).String(), "99") {
+	if !strings.Contains(StageKind(99).String(), "99") {
 		t.Fatal("unknown kind formatting")
 	}
 }
 
-func TestLenAndConcurrency(t *testing.T) {
-	l := NewLog()
+// TestSpanRecConcurrentRecord: two writers append to one record at once
+// (the engine's FLU and DLU goroutines and the TCP server do); every stage
+// is kept.
+func TestSpanRecConcurrentRecord(t *testing.T) {
+	g := NewSpanRing(1)
+	rec := g.Start(g.NewTraceID(), "r")
 	done := make(chan struct{})
 	go func() {
 		for i := 0; i < 100; i++ {
-			l.Append(Event{At: time.Duration(i), Kind: DataSent, ReqID: "r"})
+			rec.Record(DataSent, time.Duration(i), "a", 0)
 		}
 		close(done)
 	}()
 	for i := 0; i < 100; i++ {
-		l.Append(Event{At: time.Duration(i), Kind: DataArrived, ReqID: "r"})
+		g.Observe(rec.ID(), "r", DataArrived, time.Duration(i), "b", 0)
 	}
 	<-done
-	if n := len(l.Events()); n != 200 {
+	if n := len(g.Stages("r")); n != 200 {
 		t.Fatalf("len = %d", n)
 	}
 }
 
 func TestGanttRendersAllSpans(t *testing.T) {
-	l := buildLog()
-	out := Gantt(l.Spans("r"), 40)
+	spans := Spans(wcStages(t))
+	out := Gantt(spans, 40)
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 4 { // 3 spans + axis
 		t.Fatalf("lines = %d:\n%s", len(lines), out)
@@ -142,7 +148,7 @@ func TestGanttRendersAllSpans(t *testing.T) {
 	if Gantt(nil, 40) != "" {
 		t.Fatal("empty spans should render empty")
 	}
-	if out := Gantt(l.Spans("r"), 1); !strings.Contains(out, "#") {
+	if out := Gantt(spans, 1); !strings.Contains(out, "#") {
 		t.Fatal("tiny width should clamp, not break")
 	}
 }

@@ -18,8 +18,10 @@ func (s *Sim) recordCompletion(at time.Duration) {
 }
 
 // RunOne executes a single request to completion and returns the result
-// (used by the investigation experiments and the Fig. 13 timeline).
+// with the request's stages (used by the investigation experiments and the
+// Fig. 2(c) and Fig. 13 timelines).
 func (s *Sim) RunOne() *Result {
+	s.recording = true
 	s.env.Go(func(p *sim.Proc) {
 		req := s.invoke(p, s.cfg.Profile)
 		p.Wait(req.done)
@@ -189,7 +191,7 @@ func (s *Sim) result(horizon time.Duration) *Result {
 		FnStats:     s.fnStats,
 		CPUBusy:     s.cpuBusy,
 		NetBusy:     s.netBusy,
-		Trace:       s.log,
+		Trace:       s.stages,
 		Containers:  s.containers,
 	}
 	res.Recovered = s.recoveries

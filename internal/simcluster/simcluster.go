@@ -23,9 +23,9 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dataflow"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/simnet"
-	"repro/internal/trace"
 	"repro/internal/wmm"
 	"repro/internal/workflow"
 	"repro/internal/workloads"
@@ -109,17 +109,7 @@ type Config struct {
 
 	// Seed drives arrivals and any tie-breaking randomness.
 	Seed int64
-	// CollectTrace enables the event log (needed by Fig. 2(c)/13), capped
-	// at the most recent DefaultTraceBound events.
-	CollectTrace bool
 }
-
-// DefaultTraceBound caps the event log (trace.NewLogBounded), so long
-// stress runs cannot grow the trace without limit. A million events is far
-// above what any committed experiment or scenario emits — the bound only
-// bites multi-hour stress runs, where the most recent window is the useful
-// signal anyway.
-const DefaultTraceBound = 1 << 20
 
 // The simulated platform's fixed parameters.
 const (
@@ -234,8 +224,9 @@ type Result struct {
 	// number of containers computing / flows in flight over time.
 	CPUBusy *metrics.Timeline
 	NetBusy *metrics.Timeline
-	// Trace is non-nil when Config.CollectTrace was set.
-	Trace *trace.Log
+	// Trace is the request's stages, in time order, after RunOne (the
+	// Fig. 2(c) and Fig. 13 timelines); load runs record none.
+	Trace []obs.Stage
 	// Containers is the total number of containers started.
 	Containers int64
 	// Recovered counts requests that were in flight across a node kill and
@@ -360,7 +351,9 @@ type Sim struct {
 
 	fluAvg map[string]*avgTracker
 
-	log         *trace.Log
+	// recording is set by RunOne: its one request records its stages.
+	recording   bool
+	stages      []obs.Stage
 	memInt      *metrics.Integral
 	cpuBusy     *metrics.Timeline
 	netBusy     *metrics.Timeline
@@ -424,9 +417,6 @@ func New(cfg Config) *Sim {
 		fnStats:   make(map[string]*FnStat),
 		latencies: metrics.NewSample(),
 		latByWf:   make(map[string]*metrics.Sample),
-	}
-	if cfg.CollectTrace {
-		s.log = trace.NewLogBounded(DefaultTraceBound)
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		nicBps, diskBps := cfg.NodeNICBps, cfg.DiskBps
@@ -685,12 +675,11 @@ func (s *Sim) kindIsDataflower() bool {
 	return s.cfg.Kind == DataFlower || s.cfg.Kind == DataFlowerNonAware
 }
 
-// traceEvent appends to the log when tracing is on.
-func (s *Sim) traceEvent(kind trace.Kind, req *request, fn string, idx int, note string) {
-	if s.log == nil {
-		return
+// stage records one stage of RunOne's request.
+func (s *Sim) stage(kind obs.StageKind, fn string, idx int) {
+	if s.recording {
+		s.stages = append(s.stages, obs.Stage{Kind: kind, At: s.env.Now(), Fn: fn, Idx: idx})
 	}
-	s.log.Append(trace.Event{At: s.env.Now(), Kind: kind, ReqID: req.id, Fn: fn, Idx: idx, Note: note})
 }
 
 // newRequest creates the bookkeeping for one invocation of prof.
@@ -741,7 +730,7 @@ func (s *Sim) complete(req *request) {
 	}
 	wfLat.AddDuration(lat)
 	s.recordCompletion(s.env.Now())
-	s.traceEvent(trace.ReqCompleted, req, "", 0, "")
+	s.stage(obs.ReqCompleted, "", 0)
 	req.done.Trigger(lat)
 	for _, n := range s.nodes {
 		n.sink.ReleaseRequest(s.env.Now(), req.id)

@@ -4,12 +4,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/workloads"
 )
 
 func run1(t *testing.T, kind Kind, prof *workloads.Profile) *Result {
 	t.Helper()
-	s := New(Config{Kind: kind, Profile: prof, CollectTrace: true})
+	s := New(Config{Kind: kind, Profile: prof})
 	res := s.RunOne()
 	if res.Completed != 1 || res.Failed != 0 {
 		t.Fatalf("%v: completed=%d failed=%d", kind, res.Completed, res.Failed)
@@ -91,9 +92,8 @@ func TestTriggerOverheadsMatchFig2c(t *testing.T) {
 		"merge": {"count"},
 	}
 	gapOf := func(kind Kind) (countGap, mergeGap time.Duration) {
-		s := New(Config{Kind: kind, Profile: prof, SingleNode: true, CollectTrace: true})
-		s.RunOne()
-		gaps := s.log.TriggerGaps("r1", preds)
+		s := New(Config{Kind: kind, Profile: prof, SingleNode: true})
+		gaps := obs.TriggerGaps(s.RunOne().Trace, preds)
 		for _, g := range gaps {
 			switch g.To {
 			case "count":

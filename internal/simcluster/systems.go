@@ -6,8 +6,8 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/dataflow"
+	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/wmm"
 	"repro/internal/workflow"
 	"repro/internal/workloads"
@@ -17,7 +17,7 @@ import (
 // function's node and the entry instances are triggered.
 func (s *Sim) invoke(p *sim.Proc, prof *workloads.Profile) *request {
 	req := s.newRequest(prof)
-	s.traceEvent(trace.ReqArrived, req, "", 0, "")
+	s.stage(obs.ReqArrived, "", 0)
 	// Watchdog.
 	timeoutReq := req
 	s.env.ScheduleAt(s.env.Now()+s.cfg.RequestTimeout, func() { s.fail(timeoutReq) })
@@ -71,9 +71,9 @@ func (s *Sim) invoke(p *sim.Proc, prof *workloads.Profile) *request {
 func (s *Sim) dfTrigger(req *request, keys []dataflow.InstanceKey) {
 	for _, key := range keys {
 		key := key
-		s.traceEvent(trace.InstanceReady, req, key.Fn, key.Idx, "")
+		s.stage(obs.InstanceReady, key.Fn, key.Idx)
 		s.env.ScheduleAt(s.env.Now()+dfTriggerDelay, func() {
-			s.traceEvent(trace.InstanceTriggered, req, key.Fn, key.Idx, "")
+			s.stage(obs.InstanceTriggered, key.Fn, key.Idx)
 			// The request's pinned replica (set when its data landed), or —
 			// for entry functions — the least-loaded replica.
 			fs := s.replicaFor(req, key.Fn, nil).fns[key.Fn]
@@ -104,7 +104,7 @@ func (s *Sim) execute(p *sim.Proc, c *container, w *work) {
 // pressure check (Eq. 1) potentially callstack-blocking the FLU.
 func (s *Sim) dfExecute(p *sim.Proc, c *container, w *work) {
 	req, key := w.req, w.key
-	s.traceEvent(trace.InstanceStarted, req, key.Fn, key.Idx, "")
+	s.stage(obs.InstanceStarted, key.Fn, key.Idx)
 	// Fetch inputs from the Wait-Match Memory (a disk hit charges the
 	// spill-read penalty); consumption drives proactive release.
 	s.consumeSinkInputs(p, req, key, c.node)
@@ -152,7 +152,7 @@ func (s *Sim) dfExecute(p *sim.Proc, c *container, w *work) {
 			}
 		}
 	}
-	s.traceEvent(trace.InstanceFinished, req, key.Fn, key.Idx, "")
+	s.stage(obs.InstanceFinished, key.Fn, key.Idx)
 }
 
 // consumeSinkInputs performs the Wait-Match Memory reads for an instance.
@@ -263,7 +263,7 @@ func (s *Sim) dfShip(p *sim.Proc, c *container, req *request, it dataflow.Item) 
 	if s.faulty {
 		s.recordLanded(req, dst, key, it)
 	}
-	s.traceEvent(trace.DataArrived, req, it.To.Fn, it.To.Idx, it.Input)
+	s.stage(obs.DataArrived, it.To.Fn, it.To.Idx)
 	s.dfDeliver(req, it)
 }
 
@@ -306,7 +306,7 @@ func (s *Sim) cfTriggerFn(req *request, fn string) {
 			if req.failed {
 				return
 			}
-			s.traceEvent(trace.InstanceTriggered, req, fn, i, "")
+			s.stage(obs.InstanceTriggered, fn, i)
 			fs := s.routing[fn].fns[fn]
 			fs.workQ.TryPut(&work{req: req, key: dataflow.InstanceKey{Fn: fn, Idx: i}})
 		})
@@ -393,7 +393,7 @@ func (s *Sim) inputEdges(fn string) []workflow.Edge {
 // the sequential resource usage of §3.2.2.
 func (s *Sim) ffExecute(p *sim.Proc, c *container, w *work) {
 	req, key := w.req, w.key
-	s.traceEvent(trace.InstanceStarted, req, key.Fn, key.Idx, "")
+	s.stage(obs.InstanceStarted, key.Fn, key.Idx)
 
 	// Get phase.
 	for _, e := range s.inputEdges(key.Fn) {
@@ -445,7 +445,7 @@ func (s *Sim) ffExecute(p *sim.Proc, c *container, w *work) {
 			s.noteComm(key.Fn, s.env.Now()-start)
 		}
 	}
-	s.traceEvent(trace.InstanceFinished, req, key.Fn, key.Idx, "")
+	s.stage(obs.InstanceFinished, key.Fn, key.Idx)
 	s.cfComplete(req, key)
 }
 
@@ -454,7 +454,7 @@ func (s *Sim) ffExecute(p *sim.Proc, c *container, w *work) {
 // local host storage.
 func (s *Sim) sonicExecute(p *sim.Proc, c *container, w *work) {
 	req, key := w.req, w.key
-	s.traceEvent(trace.InstanceStarted, req, key.Fn, key.Idx, "")
+	s.stage(obs.InstanceStarted, key.Fn, key.Idx)
 
 	for _, e := range s.inputEdges(key.Fn) {
 		items := s.itemsOnEdge(e, key)
@@ -498,7 +498,7 @@ func (s *Sim) sonicExecute(p *sim.Proc, c *container, w *work) {
 			s.noteComm(key.Fn, s.env.Now()-start)
 		}
 	}
-	s.traceEvent(trace.InstanceFinished, req, key.Fn, key.Idx, "")
+	s.stage(obs.InstanceFinished, key.Fn, key.Idx)
 	s.cfComplete(req, key)
 }
 
@@ -506,7 +506,7 @@ func (s *Sim) sonicExecute(p *sim.Proc, c *container, w *work) {
 // datum crosses the backend storage, no local-cache shortcut.
 func (s *Sim) smExecute(p *sim.Proc, c *container, w *work) {
 	req, key := w.req, w.key
-	s.traceEvent(trace.InstanceStarted, req, key.Fn, key.Idx, "")
+	s.stage(obs.InstanceStarted, key.Fn, key.Idx)
 
 	for _, e := range s.inputEdges(key.Fn) {
 		items := s.itemsOnEdge(e, key)
@@ -541,7 +541,7 @@ func (s *Sim) smExecute(p *sim.Proc, c *container, w *work) {
 			s.noteComm(key.Fn, s.env.Now()-start)
 		}
 	}
-	s.traceEvent(trace.InstanceFinished, req, key.Fn, key.Idx, "")
+	s.stage(obs.InstanceFinished, key.Fn, key.Idx)
 	s.cfComplete(req, key)
 }
 

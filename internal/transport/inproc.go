@@ -90,8 +90,6 @@ type StreamSpec struct {
 	ID string
 	// Src is the source container's TC-class limiter.
 	Src *pipe.Limiter
-	// ChunkSize overrides pipe.DefaultChunkSize when > 0.
-	ChunkSize int
 	// Log records incremental checkpoints for streaming-sized payloads.
 	Log *pipe.CheckpointLog
 	// FailAfter, when non-nil, is re-asked before every (re)attempt for the
@@ -115,7 +113,6 @@ func (t *Inproc) Stream(spec StreamSpec, payload []byte) error {
 	tr := pipe.Transfer{
 		StreamID:  spec.ID,
 		Payload:   payload,
-		ChunkSize: spec.ChunkSize,
 		Limiters:  lims[:],
 		FailAfter: -1,
 		Clock:     spec.Clock,

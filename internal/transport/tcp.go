@@ -13,7 +13,6 @@ import (
 	"repro/internal/clock"
 	"repro/internal/dataflow"
 	"repro/internal/obs"
-	"repro/internal/trace"
 	"repro/internal/wmm"
 )
 
@@ -191,7 +190,7 @@ func (s *Server) handleConn(conn net.Conn) {
 				if p.TraceID != 0 {
 					// Sampled request: record the landing under the sender's
 					// trace id so both processes' span dumps correlate.
-					obs.Default().Ring().Observe(p.TraceID, p.ReqID, trace.DataArrived, at, p.Fn, 1)
+					obs.Default().Ring().Observe(p.TraceID, p.ReqID, obs.DataArrived, at, p.Fn, 1)
 				}
 			}
 		case MsgPutBatch:
@@ -201,7 +200,7 @@ func (s *Server) handleConn(conn net.Conn) {
 				sink.PutBatch(at, reqScratch)
 				if traceID != 0 && len(reqScratch) > 0 {
 					first := reqScratch[0].Key
-					obs.Default().Ring().Observe(traceID, first.ReqID, trace.DataArrived, at, first.Fn, len(reqScratch))
+					obs.Default().Ring().Observe(traceID, first.ReqID, obs.DataArrived, at, first.Fn, len(reqScratch))
 				}
 			}
 			clear(reqScratch) // drop payload references

@@ -12,6 +12,10 @@ import (
 //   - Foreach/Merge outputs target List inputs, Normal outputs target
 //     Normal inputs;
 //   - Switch outputs have at least two destinations;
+//   - a FOREACH-fanned function's outputs are each a MERGE into LIST
+//     inputs or a NORMAL to the user: its instances share one record per
+//     output, which can count neither a per-instance SWITCH case or FOREACH
+//     degree nor several values landing in one NORMAL input;
 //   - every non-entry input is fed by at least one output, and no Normal
 //     input is fed by more than one output;
 //   - the graph is acyclic and every function is reachable from an entry.
@@ -37,6 +41,14 @@ func (w *Workflow) Validate() error {
 	// Track feeders of every (function, input).
 	type slot struct{ fn, in string }
 	feeders := map[slot]int{}
+	fanned := map[string]bool{}
+	for _, f := range w.Functions {
+		for _, o := range f.Outputs {
+			for _, d := range o.Dests {
+				fanned[d.Function] = fanned[d.Function] || o.Kind == Foreach
+			}
+		}
+	}
 
 	for _, f := range w.Functions {
 		if len(f.Outputs) == 0 {
@@ -72,6 +84,10 @@ func (w *Workflow) Validate() error {
 			}
 			if o.Kind == List {
 				add("function %s output %s: LIST is an input-side kind", f.Name, o.Name)
+			}
+			if fanned[f.Name] && !fannedOutputOK(o) {
+				add("function %s output %s: a FOREACH-fanned function may only MERGE into a LIST or send NORMAL to %s, got %s",
+					f.Name, o.Name, UserSource, o.Kind)
 			}
 			for _, d := range o.Dests {
 				if d.Function == UserSource {
@@ -150,4 +166,18 @@ func (w *Workflow) Validate() error {
 		}
 	}
 	return errors.Join(errs...)
+}
+
+// fannedOutputOK reports whether a FOREACH-fanned function may declare o:
+// a MERGE with no user destination, or a NORMAL to the user alone.
+func fannedOutputOK(o Output) bool {
+	if o.Kind != Merge && o.Kind != Normal {
+		return false
+	}
+	for _, d := range o.Dests {
+		if (d.Function == UserSource) != (o.Kind == Normal) {
+			return false
+		}
+	}
+	return true
 }

@@ -369,3 +369,67 @@ func TestPlanResolvesTheGraph(t *testing.T) {
 		t.Fatalf("large.o -> join.nope resolves to %+v, want join with no input", d)
 	}
 }
+
+// TestValidateFannedFunctionOutputs: a FOREACH-fanned function (b, fed by
+// a's FOREACH) may only MERGE into a LIST or send NORMAL to the user; every
+// other output is refused by function and output name. A single-instance
+// function keeps every kind.
+func TestValidateFannedFunctionOutputs(t *testing.T) {
+	const head = `
+workflow fan
+function a
+  input in from $USER
+  output parts type FOREACH to b.x
+function b
+  input x
+`
+	const merger = `
+function c
+  input l type LIST
+  output o to $USER
+`
+	const single = `
+function d
+  input n
+  output o to $USER
+`
+	for _, tc := range []struct {
+		name, outputs string
+		refused       bool
+	}{
+		{"merge into a LIST", "  output o type MERGE to c.l\n", false},
+		{"normal to the user", "  output o to $USER\n  output m type MERGE to c.l\n", false},
+		{"merge and normal to the user", "  output o type MERGE to c.l\n  output u to $USER\n", false},
+		{"foreach to the user", "  output o type FOREACH to $USER\n  output m type MERGE to c.l\n", true},
+		{"switch", "  output o type SWITCH to d.n, $USER\n  output m type MERGE to c.l\n", true},
+		{"normal into a NORMAL input", "  output o to d.n\n  output m type MERGE to c.l\n", true},
+		{"normal to the user and a function", "  output o to $USER, d.n\n  output m type MERGE to c.l\n", true},
+		{"nested foreach", "  output o type FOREACH to d.n\n  output m type MERGE to c.l\n", true},
+		{"merge to the user", "  output o type MERGE to c.l, $USER\n", true},
+	} {
+		src := head + tc.outputs + merger
+		if strings.Contains(tc.outputs, "d.n") {
+			src += single
+		}
+		_, err := ParseDSLString(src)
+		switch {
+		case !tc.refused && err != nil:
+			t.Errorf("%s: refused: %v", tc.name, err)
+		case tc.refused && (err == nil || !strings.Contains(err.Error(), "function b output o: a FOREACH-fanned function")):
+			t.Errorf("%s: want b.o refused as a fanned function's output, got %v", tc.name, err)
+		}
+	}
+	// The same kinds on a function FOREACH does not fan are accepted.
+	if _, err := ParseDSLString(`
+workflow single
+function a
+  input in from $USER
+  output parts type FOREACH to $USER
+  output route type SWITCH to d.n, $USER
+function d
+  input n
+  output o to $USER
+`); err != nil {
+		t.Fatalf("single-instance FOREACH and SWITCH refused: %v", err)
+	}
+}
