@@ -157,6 +157,103 @@ func BenchmarkInvokeThroughput(b *testing.B) {
 	}
 }
 
+// newFanSystem builds the fan-out benchmark system: fanoutDSL over a 4-node
+// cluster, split sending k parts FOREACH, each work instance passing its part
+// on, and join, which checks it got k, returning the first. The parts are
+// made once: the handlers allocate nothing the engine does not ask for.
+func newFanSystem(tb testing.TB, k int) *System {
+	tb.Helper()
+	wf, err := workflow.ParseDSLString(fanoutDSL)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cl := cluster.NewCluster(nil)
+	for i := 1; i <= 4; i++ {
+		if err := cl.AddNode(cluster.NewNode(fmt.Sprintf("w%d", i), cluster.Options{})); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	sys, err := NewSystem(Config{Workflow: wf, Cluster: cl, DefaultSpec: cluster.Spec{MemoryMB: 10 * 1024}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	parts := make([][]byte, k)
+	for i := range parts {
+		parts[i] = benchPayload
+	}
+	reg := func(err error) {
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	reg(sys.Register("split", func(ctx *Context) error { return ctx.PutForeach("parts", parts) }))
+	reg(sys.Register("work", func(ctx *Context) error {
+		part, err := ctx.Input("part")
+		if err != nil {
+			return err
+		}
+		return ctx.Put("out", part)
+	}))
+	reg(sys.Register("join", func(ctx *Context) error {
+		got, err := ctx.InputList("parts")
+		if err != nil {
+			return err
+		}
+		if len(got) != k {
+			return fmt.Errorf("join got %d parts, want %d", len(got), k)
+		}
+		return ctx.Put("result", got[0])
+	}))
+	return sys
+}
+
+// BenchmarkFanRequest measures one FOREACH request of k instances end to end,
+// one client back to back: split → k × work → join, in process on 4 nodes.
+// Its B/op is the per-request engine state a fan-out grows, the number the
+// recycled request state should keep flat.
+func BenchmarkFanRequest(b *testing.B) {
+	for _, k := range []int{4, 16, 64} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			sys := newFanSystem(b, k)
+			defer sys.Shutdown()
+			in := map[string][]byte{"split.src": benchPayload}
+			for i := 0; i < 20; i++ { // warm the pools
+				if _, err := invokeWait(sys, in); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := invokeWait(sys, in); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// invokeWait runs one request to its end.
+func invokeWait(sys *System, in map[string][]byte) (*Invocation, error) {
+	inv, err := sys.Invoke(in)
+	if err != nil {
+		return nil, err
+	}
+	return inv, inv.Wait()
+}
+
+// TestFanAllocsCeiling pins BenchmarkFanRequest's k = 16 shape. It measures
+// 43 objects a request, the arrived log's regrown buckets among them; the
+// ceiling may only go down.
+func TestFanAllocsCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	sys := newFanSystem(t, 16)
+	defer sys.Shutdown()
+	measureInvokeAllocs(t, sys, map[string][]byte{"split.src": benchPayload}, 43)
+}
+
 // TestInvokeAllocsCeiling gates the pooling work: one complete request on
 // the bench chain must stay within the allocation budget. The warm chain
 // measures 1 object a request — the Invocation handle Invoke returns. The
