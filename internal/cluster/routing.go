@@ -46,7 +46,7 @@ type PlacementPolicy interface {
 // PickReplica over reps, and when no member is routable a backfill —
 // PickReplica over all with no preference — that serves under ordinal
 // len(reps)+i, past the set, so a backfilled pin never shares a member's
-// ordinal (nor, on the runtime plane, its sink keys). The set itself is
+// ordinal (on the runtime plane, its container pool). The set itself is
 // not touched. With nothing routable in either it returns reps[0], 0 and
 // ok=false: a new pin limps on the primary, a repair leaves its pin alone.
 func SelectReplica[N comparable](reps, all []N, prefer N, routable func(N) bool, load func(N) int64) (n N, ordinal int, ok bool) {

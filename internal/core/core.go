@@ -411,7 +411,7 @@ func (s *System) Register(fn string, h Handler) error {
 type routePin struct {
 	fn      string
 	node    *cluster.Node
-	ordinal int // replica ordinal at pin time (stamps Item.Replica)
+	ordinal int // replica ordinal at pin time: the function's container pool there
 }
 
 // selectReplica picks fn's replica for a new pin: cluster.SelectReplica by
@@ -434,17 +434,15 @@ func (s *System) routeFor(r *request, st *fnState, prefer *cluster.Node) (*clust
 		return st.primary(), 0
 	}
 	r.mu.Lock()
-	for i := range r.route {
-		if r.route[i].fn == st.name {
-			if s.ft && r.route[i].node.Health() == cluster.Down {
-				// The pin died: repair the request's dead pins (in place, so
-				// i still holds) and replay what their sinks lost.
-				s.repairLocked(r)
-			}
-			n, o := r.route[i].node, r.route[i].ordinal
-			r.mu.Unlock()
-			return n, o
+	if p := r.pin(st.name); p != nil {
+		if s.ft && p.node.Health() == cluster.Down {
+			// The pin died: repair the request's dead pins (in place, so p
+			// still holds) and replay what their sinks lost.
+			s.repairLocked(r)
 		}
+		n, o := p.node, p.ordinal
+		r.mu.Unlock()
+		return n, o
 	}
 	n, o, _ := s.selectReplica(st, prefer)
 	r.route = append(r.route, routePin{fn: st.name, node: n, ordinal: o})
@@ -706,21 +704,19 @@ func (s *System) runInstance(ctx *Context, j instanceJob, caller bool, at time.T
 
 	// Consume the instance's data from the Wait-Match Memory, so proactive
 	// release reclaims it at fetch (a fanned function's shared inputs are
-	// teardown's). The sink calls nest under r.mu — shard mutexes are leaf
-	// locks, as in teardown — which spares copying the arrived list.
+	// teardown's), and its node's death needs no replay. The sink calls nest
+	// under r.mu — shard mutexes are leaf locks, as in teardown.
 	r.mu.Lock()
 	inputs, valBuf := r.tracker.InputsAppendBacking(ctx.inputs[:0], ctx.valBuf[:0], st.idx, key)
-	for _, ai := range r.arrivedFor(key) {
-		// Accounting only: the values come from the tracker, so an
-		// unreachable remote sink costs residue, not correctness.
-		if _, ok, err := ai.node.SinkGet(ai.key); err == nil && ok {
-			r.sinkResidue.Add(-1)
+	if r.arrivals.Len() > 0 {
+		for i := r.arrivals.Fetch(r.tracker.Fetcher(st.idx, key.Idx)); i >= 0; i = r.arrivals.Next(i) {
+			// Accounting only: the values come from the tracker, so an
+			// unreachable remote sink costs residue, not correctness.
+			a := r.arrivals.At(i)
+			if _, ok, err := a.Node.SinkGet(a.Key); err == nil && ok {
+				r.sinkResidue.Add(-1)
+			}
 		}
-	}
-	if s.ft {
-		// The instance holds its inputs: their node's death needs no replay
-		// (a fanned function's shared buckets stay replayable to the end).
-		r.markConsumed(key)
 	}
 	r.mu.Unlock()
 

@@ -167,7 +167,7 @@ func (c *Context) PutSwitch(output string, payload []byte, switchCase int) error
 // itemsBox is a recyclable copy of one queued Put's routed items. Boxes
 // travel to the DLU daemon through cluster.DLUTask.Buf and return to the
 // pool once the items are shipped; every consumer of a routed item copies
-// it by value (recordArrived, tracker bookkeeping, sink puts), so a backing
+// it by value (the arrival log, tracker bookkeeping, sink puts), so a backing
 // — box or Context buffer — is free the moment its task has shipped.
 type itemsBox struct{ items []dataflow.Item }
 
@@ -462,7 +462,7 @@ func (s *System) shipBatch(ctr *cluster.Container, b *dluBatch) {
 			// function agree on the node.
 			var node *cluster.Node
 			if it.To.Fn != workflow.UserSource {
-				node, it.Replica = s.routeFor(r, s.fnList[it.ToFn()], ctr.Node)
+				node, _ = s.routeFor(r, s.fnList[it.ToFn()], ctr.Node)
 			}
 			if node != runNode {
 				b.addRun(r, runNode, task.Items[start:i])
@@ -605,7 +605,7 @@ func (s *System) landBatch(r *request, items []dataflow.Item, node *cluster.Node
 	// The direct edge: the producer ships inline as a continuation with nothing
 	// parked yet, and this one item is all its consumer waits for, so the
 	// consumer is this goroutine's next job and the datum never waits. It pays
-	// the wire and skips the sink — no key, put, arrived record or residue.
+	// the wire and skips the sink — no key, put, arrival record or residue.
 	direct := b.flu != nil && b.flu.cont && b.flu.next.req == nil && len(items) == 1 &&
 		attempt == 0 && s.fnList[items[0].ToFn()].direct
 	if direct {
@@ -667,9 +667,7 @@ func (s *System) landBatch(r *request, items []dataflow.Item, node *cluster.Node
 // charge died with the connection.
 func (s *System) reland(r *request, items []dataflow.Item, b *dluBatch, attempt int) {
 	for i := range items {
-		var node *cluster.Node
-		node, items[i].Replica = s.relandTarget(r, items[i].To.Fn)
-		s.landBatch(r, items[i:i+1], node, b, transport.Pacing{}, attempt)
+		s.landBatch(r, items[i:i+1], s.relandTarget(r, items[i].To.Fn), b, transport.Pacing{}, attempt)
 	}
 }
 
@@ -684,7 +682,7 @@ func (s *System) deliverBatch(r *request, items []dataflow.Item, reqs []wmm.PutR
 	for i := range items {
 		it := &items[i]
 		if len(reqs) > 0 {
-			r.recordArrived(s.arrivedKey(it), arrivedItem{item: *it, key: reqs[i].Key, node: node})
+			r.arrivals.Add(r.tracker.Fetcher(it.ToFn(), it.To.Idx), reqs[i].Key, it.Value, node)
 		}
 		newly, err := r.tracker.DeliverReady(readyBuf[:0], it)
 		if err != nil {
@@ -700,10 +698,9 @@ func (s *System) deliverBatch(r *request, items []dataflow.Item, reqs []wmm.PutR
 	r.mu.Unlock()
 }
 
-// sinkKey derives the Wait-Match Memory key of an item from its addressing,
-// so producers and consumers agree without coordination. An item routed to a
-// non-primary replica carries a "#r<ordinal>" qualifier: a key names the
-// datum and its replica. Built by hand, one allocation for the key string.
+// sinkKey derives the Wait-Match Memory key of an item from its addressing.
+// The arrival log keeps it for the fetch, replay and teardown, which never
+// derive it again. Built by hand, one allocation for the key string.
 func sinkKey(reqID string, it dataflow.Item) wmm.Key {
 	var b strings.Builder
 	b.Grow(len(it.Input) + len(it.From.Fn) + len(it.Output) + 20)
@@ -714,10 +711,6 @@ func sinkKey(reqID string, it dataflow.Item) wmm.Key {
 	writeInstanceKey(&b, it.From)
 	b.WriteByte('.')
 	b.WriteString(it.Output)
-	if it.Replica > 0 {
-		b.WriteString("#r")
-		writeInt(&b, it.Replica)
-	}
 	return wmm.Key{
 		ReqID: reqID,
 		Fn:    it.To.Fn,
@@ -753,65 +746,6 @@ func streamIDOf(reqID string, it dataflow.Item) string {
 	b.WriteString("->")
 	writeInstanceKey(&b, it.To)
 	return b.String()
-}
-
-// arrivedItem pairs a landed item with the sink key it was cached under and
-// the node whose sink holds it, so the consume side (instance Gets,
-// teardown's shared-input reclaim) never rebuilds the key string and never
-// re-derives the routing decision.
-type arrivedItem struct {
-	item dataflow.Item
-	key  wmm.Key
-	node *cluster.Node
-}
-
-// arrivedBucket collects the arrived items of one instance key. consumed is
-// set once the instance fetched its inputs (fault-tolerant mode only), so
-// repair skips the bucket; a fanned function's {Fn, BroadcastIdx} bucket,
-// shared by all instances, is never marked consumed.
-type arrivedBucket struct {
-	key      dataflow.InstanceKey
-	items    []arrivedItem
-	consumed bool
-	// inline seeds items: a bucket's first arrival allocates nothing (a moved
-	// bucket's header keeps the old, heap-alive, inline storage valid).
-	inline [1]arrivedItem
-}
-
-// arrivedFor returns the arrived items recorded under key. Caller holds r.mu.
-func (r *request) arrivedFor(key dataflow.InstanceKey) []arrivedItem {
-	for i := range r.arrived {
-		if r.arrived[i].key == key {
-			return r.arrived[i].items
-		}
-	}
-	return nil
-}
-
-// recordArrived appends one landed item under key. Caller holds r.mu.
-func (r *request) recordArrived(key dataflow.InstanceKey, ai arrivedItem) {
-	for i := range r.arrived {
-		if r.arrived[i].key == key {
-			r.arrived[i].items = append(r.arrived[i].items, ai)
-			return
-		}
-	}
-	r.arrived = append(r.arrived, arrivedBucket{key: key})
-	b := &r.arrived[len(r.arrived)-1]
-	b.items = append(b.inline[:0], ai)
-}
-
-// arrivedKey maps an item to the arrived bucket of the instance that fetches
-// it. An item addressed to every instance of a function (BroadcastIdx) has
-// one reader when the function has one instance, so it is filed under that
-// instance and released at its fetch — the paper's proactive release (§7).
-// Only a FOREACH-fanned function's shared input keeps the {Fn, BroadcastIdx}
-// bucket, which no instance consumes and teardown reclaims.
-func (s *System) arrivedKey(it *dataflow.Item) dataflow.InstanceKey {
-	if it.To.Idx == dataflow.BroadcastIdx && s.fnList[it.ToFn()].single {
-		return dataflow.InstanceKey{Fn: it.To.Fn}
-	}
-	return it.To
 }
 
 // failAfter consults the system's failure injector for a stream.

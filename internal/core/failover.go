@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/cluster"
-	"repro/internal/dataflow"
 	"repro/internal/obs"
 	"repro/internal/transport"
 )
@@ -10,11 +9,12 @@ import (
 // This file is the runtime plane's fault-tolerance plane (Config.
 // FaultTolerant). The recovery model follows the paper's data-flow
 // argument: an instance's inputs wait in a Wait-Match Memory only until it
-// fetches them, and the coordinator's own arrived log (request.arrived)
-// keeps every landed item with its payload until the request completes, so
-// losing a node loses only (a) the unfetched data cached in that node's sink
-// and (b) the instances pinned there — never the request's history.
-// Recovery is therefore replay from that log, not checkpointing:
+// fetches them, and the request's arrival log (request.arrivals, the
+// cluster.ArrivalLog the sim keeps too) holds every landed datum with its key
+// and value until the request completes, so losing a node loses only (a) the
+// unfetched data cached in that node's sink and (b) the request pins to it —
+// never the request's history. Recovery is therefore replay from that log,
+// not checkpointing:
 //
 //  1. detect — every touch of a route pin (ship's routeFor, land's
 //     destination check, the consume path's routeFor) notices a pin whose
@@ -22,11 +22,13 @@ import (
 //  2. repair — the request's dead pins are rewritten to surviving replicas
 //     (locality and load rules unchanged, restricted to Up nodes, with a
 //     whole-cluster fallback when a function's entire replica set died);
-//  3. replay — exactly the shipments whose landed copies were lost (the
-//     un-consumed arrived items recorded on the dead node) are re-shipped
-//     from the arrived log to the repaired replica. Handlers are
-//     deterministic, so this equals re-executing the producers, without
-//     their FLU time or their upstream cone.
+//  3. replay — the log's replay plan, the unfetched records on dead nodes in
+//     landing order, is re-put on each record's function's repaired pin under
+//     the record's own key. A function's replicas are distinct nodes and a
+//     dead node's sink is wiped before it can hold a pin again, so the key
+//     names the datum wherever it lands. Handlers are deterministic, so this
+//     equals re-executing the producers, without their FLU time or their
+//     upstream cone.
 //
 // Detection is best-effort per touch: a node that dies between a health
 // check and the following sink access simply yields a sink miss (the entry
@@ -52,90 +54,73 @@ func (s *System) noteUnreachable(n *cluster.Node, err error) bool {
 }
 
 // repairLocked rewrites every dead pin of the request onto a surviving
-// replica and replays the lost data there. Caller holds r.mu. Pins are
-// updated in place so callers iterating r.route by index stay valid.
+// replica, then replays the lost data onto the repaired pins in one pass over
+// the arrival log. Caller holds r.mu. Pins are updated in place so callers
+// iterating r.route by index stay valid.
 func (s *System) repairLocked(r *request) {
+	repaired := false
 	for i := range r.route {
-		dead := r.route[i].node
-		if dead.Health() != cluster.Down {
+		p := &r.route[i]
+		if p.node.Health() != cluster.Down {
 			continue
 		}
-		st := s.fns[r.route[i].fn]
-		next, ordinal, ok := s.selectReplica(st, nil)
-		if !ok {
-			// Nothing is routable (whole cluster down): leave the pin rather
-			// than replay into another dead sink.
-			continue
+		// With nothing routable (whole cluster down) the pin stays, rather
+		// than replay into another dead sink.
+		if next, ordinal, ok := s.selectReplica(s.fns[p.fn], nil); ok {
+			p.node, p.ordinal, repaired = next, ordinal, true
 		}
-		r.route[i].node = next
-		r.route[i].ordinal = ordinal
-		n := s.replayLocked(r, st.name, dead, next, ordinal)
-		s.replays.Add(int64(n))
-		obsReplays.Add(r.stripe, int64(n))
-		s.event(r, obs.Replay, st.name, n)
 	}
+	if !repaired {
+		return
+	}
+	n := 0
+	for i := r.arrivals.NextUnfetched(-1, down); i >= 0; i = r.arrivals.NextUnfetched(i, down) {
+		a := r.arrivals.At(i)
+		p := r.pin(a.Key.Fn)
+		if p == nil || down(p.node) {
+			continue // not repaired this time: the next repair retries
+		}
+		if err := p.node.SinkPut(a.Key, a.Val, 1); err != nil {
+			// The survivor died too; the next pin touch repairs again.
+			s.noteUnreachable(p.node, err)
+			continue
+		}
+		a.Node = p.node
+		r.sinkResidue.Add(1)
+		n++
+	}
+	s.replays.Add(int64(n))
+	obsReplays.Add(r.stripe, int64(n))
+	s.event(r, obs.Replay, "", n)
 }
 
-// replayLocked re-lands the request's lost items for fn — those recorded on
-// dead and not yet consumed by their instance — on the repaired node,
-// returning how many shipments were replayed. The arrived records are
-// updated in place (key, node, replica ordinal) so the consume path and
-// teardown address the survivor's sink. Caller holds r.mu.
-func (s *System) replayLocked(r *request, fn string, dead, next *cluster.Node, ordinal int) int {
-	replayed := 0
-	for b := range r.arrived {
-		bucket := &r.arrived[b]
-		if bucket.key.Fn != fn || bucket.consumed {
-			continue
-		}
-		for j := range bucket.items {
-			ai := &bucket.items[j]
-			if ai.node != dead {
-				continue
-			}
-			ai.item.Replica = ordinal
-			ai.key = sinkKey(r.inv.ReqID(), ai.item)
-			ai.node = next
-			if err := next.SinkPut(ai.key, ai.item.Value, 1); err != nil {
-				// The survivor died too; the next pin touch repairs again.
-				s.noteUnreachable(next, err)
-				continue
-			}
-			r.sinkResidue.Add(1)
-			replayed++
-		}
-	}
-	return replayed
-}
+// down reports whether n is Down: the replay plan's dead nodes.
+func down(n *cluster.Node) bool { return n.Health() == cluster.Down }
 
 // relandTarget resolves where an in-flight shipment for fn must land after
 // its destination died: repair the request's pins, then return fn's (now
 // healthy) pin. A missing pin can only mean the request never pinned fn on
 // this path (defensive); it is pinned fresh.
-func (s *System) relandTarget(r *request, fn string) (*cluster.Node, int) {
-	st := s.fns[fn]
+func (s *System) relandTarget(r *request, fn string) *cluster.Node {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s.repairLocked(r)
-	for i := range r.route {
-		if r.route[i].fn == fn {
-			return r.route[i].node, r.route[i].ordinal
-		}
+	if p := r.pin(fn); p != nil {
+		return p.node
 	}
-	n, o, _ := s.selectReplica(st, nil)
+	n, o, _ := s.selectReplica(s.fns[fn], nil)
 	r.route = append(r.route, routePin{fn: fn, node: n, ordinal: o})
-	return n, o
+	return n
 }
 
-// markConsumed flags the instance's arrived bucket as consumed. Caller
-// holds r.mu.
-func (r *request) markConsumed(key dataflow.InstanceKey) {
-	for i := range r.arrived {
-		if r.arrived[i].key == key {
-			r.arrived[i].consumed = true
-			return
+// pin is the request's pin for fn, or nil. Caller holds r.mu.
+func (r *request) pin(fn string) *routePin {
+	for i := range r.route {
+		if r.route[i].fn == fn {
+			return &r.route[i]
 		}
 	}
+	return nil
 }
 
 // Replays returns how many lost shipments the system has replayed onto

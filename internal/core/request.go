@@ -8,13 +8,14 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/dataflow"
 	"repro/internal/obs"
 )
 
 // A request has two halves. The Invocation is the caller's handle: small,
 // allocated once per request, valid forever. The request is the engine's
-// state for it — tracker, arrived log, route pins, sink residue, ReDo counts,
+// state for it — tracker, arrival log, route pins, sink residue, ReDo counts,
 // sampled span — taken from a per-stripe free-list and recycled.
 //
 // A request is recycled only when its last reference drops. Its own "not
@@ -156,17 +157,15 @@ type request struct {
 	// attempts counts ReDo attempts per instance (allocated on first
 	// failure; the clean path never touches it).
 	attempts map[dataflow.InstanceKey]int
-	// arrived records the items that landed for each instance, paired with
-	// the sink key they were cached under so consumers and teardown never
-	// re-derive it; an item every instance of a FOREACH-fanned function reads
-	// is recorded under {Fn, BroadcastIdx} (arrivedKey).
-	// A request touches a handful of instance keys, so a scanned slice
-	// beats a map (no per-request map allocation, no hashing).
-	arrived []arrivedBucket
+	// arrivals records every datum landed in a sink with its key, value and
+	// node, under the instance that fetches it (Tracker.Fetcher): the fetch,
+	// teardown and replay read keys from it. Its backing is kept with the
+	// request. Accessed under mu.
+	arrivals cluster.ArrivalLog[*cluster.Node]
 
 	// route holds the request's replica pins (none on the static fast
 	// path). A request touches a handful of functions, so a
-	// scanned slice beats a map, like arrived. Accessed under mu.
+	// scanned slice beats a map. Accessed under mu.
 	route []routePin
 
 	// sinkResidue counts sink entries this request may still own: +1 per
@@ -183,13 +182,11 @@ type request struct {
 	// come and covers the late Put.
 	torn atomic.Bool
 
-	// Inline backings for the slices above: a typical request touches a
-	// handful of instance keys and pins, so seeding the slices here keeps
-	// their first growth out of the heap. If a slice outgrows its seed,
-	// append reallocates and the copied headers keep the (heap-alive) old
+	// routeBuf seeds route: a typical request pins a handful of functions,
+	// so its first growth stays out of the heap. If route outgrows it,
+	// append reallocates and the copied header keeps the (heap-alive) old
 	// backing valid.
-	arrivedBuf [2]arrivedBucket
-	routeBuf   [4]routePin
+	routeBuf [4]routePin
 
 	// span is the request's sampled trace record (nil for the unsampled
 	// majority — every recording site is behind one nil check). Set in
@@ -226,7 +223,7 @@ func (s *System) newRequest(inv *Invocation, stripe uint32, start time.Time) *re
 	fl.mu.Unlock()
 	if r == nil {
 		r = &request{sys: s}
-		r.arrived, r.route = r.arrivedBuf[:0], r.routeBuf[:0]
+		r.route = r.routeBuf[:0]
 	}
 	r.inv, r.stripe, r.start = inv, stripe, start
 	r.refs.Store(2)
@@ -248,16 +245,13 @@ func (r *request) release() {
 // the handle — and files the state on its stripe's free-list.
 func (r *request) recycle() {
 	r.tracker.Reset()
-	// A slice that outgrew its seed left stale copies in the seed.
-	clear(r.arrived)
-	if cap(r.arrived) > len(r.arrivedBuf) {
-		clear(r.arrivedBuf[:])
-	}
+	r.arrivals.Reset()
+	// A route that outgrew its seed left stale copies in the seed.
 	clear(r.route)
 	if cap(r.route) > len(r.routeBuf) {
 		clear(r.routeBuf[:])
 	}
-	r.arrived, r.route = r.arrivedBuf[:0], r.routeBuf[:0]
+	r.route = r.routeBuf[:0]
 	r.inv, r.err, r.attempts, r.span = nil, nil, nil, nil
 	if r.sinkResidue.Load() != 0 {
 		r.sinkResidue.Store(0)
@@ -274,6 +268,9 @@ func (r *request) recycle() {
 	}
 	fl.mu.Unlock()
 }
+
+// anyNode passes every node: teardown reclaims whatever no instance fetched.
+func anyNode(*cluster.Node) bool { return true }
 
 // checkGen turns on the generation assert (live); the package's tests set it.
 var checkGen bool
@@ -330,18 +327,16 @@ func (r *request) finishLocked() {
 func (r *request) teardown(end time.Time) {
 	s := r.sys
 	if r.err == nil {
-		// Clean completion leaves only those shared inputs, whose keys the
-		// arrived log has: consume them instead of sweeping every node. If
-		// the books still don't balance (a TTL spill, a superseded re-put),
-		// fall through to the sweep. A shipment still in flight sweeps after
-		// itself when it lands on a torn request.
-		for i := range r.arrived {
-			b := &r.arrived[i]
-			if b.key.Idx != dataflow.BroadcastIdx {
-				continue
-			}
-			for _, ai := range b.items { // ai.node: where the item landed
-				if _, ok, err := ai.node.SinkGet(ai.key); err == nil && ok {
+		// Clean completion leaves only the data no instance fetched — those
+		// shared inputs — whose keys and nodes the arrival log has: consume
+		// them instead of sweeping every node. If the books still don't
+		// balance (a TTL spill, a superseded re-put), fall through to the
+		// sweep. A shipment still in flight sweeps after itself when it lands
+		// on a torn request.
+		if r.sinkResidue.Load() != 0 {
+			for i := r.arrivals.NextUnfetched(-1, anyNode); i >= 0; i = r.arrivals.NextUnfetched(i, anyNode) {
+				a := r.arrivals.At(i)
+				if _, ok, err := a.Node.SinkGet(a.Key); err == nil && ok {
 					r.sinkResidue.Add(-1)
 				}
 			}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/dataflow"
 	"repro/internal/workflow"
 )
 
@@ -239,22 +238,6 @@ func TestReplicaPinIsStablePerRequest(t *testing.T) {
 	}
 	if hosts != 1 {
 		t.Fatalf("count containers spread over %d nodes within one request, want 1", hosts)
-	}
-}
-
-func TestReplicaQualifiedSinkKeys(t *testing.T) {
-	it := dataflow.Item{
-		From:   dataflow.InstanceKey{Fn: "a", Idx: 0},
-		Output: "x",
-		To:     dataflow.InstanceKey{Fn: "b", Idx: 0},
-		Input:  "x",
-	}
-	if got := sinkKey("req-1", it).Data; got != "x@0<-a[0].x" {
-		t.Fatalf("primary key = %q (must stay byte-identical to the pre-elastic form)", got)
-	}
-	it.Replica = 2
-	if got := sinkKey("req-1", it).Data; got != "x@0<-a[0].x#r2" {
-		t.Fatalf("replica key = %q", got)
 	}
 }
 

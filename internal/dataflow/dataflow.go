@@ -56,13 +56,7 @@ type Item struct {
 	Output string
 	To     InstanceKey // To.Idx may be BroadcastIdx
 	Input  string      // empty when To is the user
-	// Replica is the ordinal of the destination replica the routing plane
-	// selected for this item (0 = primary). The tracker routes items with
-	// Replica 0; an engine shipping to a non-primary replica stamps the
-	// ordinal so sink keys are replica-qualified and a consumer landing on
-	// the same replica derives the identical key.
-	Replica int
-	Value   Value
+	Value  Value
 
 	// toFn, toPos and fromFn stamp the plan's addressing where the item is
 	// made (RouteIndexed): the destination's function index plus one (0: the
@@ -405,7 +399,7 @@ func addItem(items []Item, from *InstanceKey, output string, fn int, d *workflow
 	n := len(items)
 	items = slices.Grow(items, 1)[:n+1]
 	it := &items[n]
-	it.From.Fn, it.From.Idx, it.Output, it.Input, it.Replica = from.Fn, from.Idx, output, d.Input, 0
+	it.From.Fn, it.From.Idx, it.Output, it.Input = from.Fn, from.Idx, output, d.Input
 	it.Value.Payload, it.Value.Size = v.Payload, v.Size
 	it.To.Fn, it.To.Idx, it.toFn, it.toPos, it.fromFn = d.Function, idx, int32(ref.Fn+1), int16(ref.Pos), int16(fn+1)
 	if d.Function == workflow.UserSource {
@@ -474,6 +468,20 @@ func (t *Tracker) deliver(dst []Ready, fn, pos, idx int, key uint64, v Value) []
 		dst = t.satisfy(dst, fn, i, pos, slot.n+t.instCell(f, i, pos).n, need)
 	}
 	return dst
+}
+
+// Fetcher numbers the instance that fetches a datum landed for instance idx
+// of function fn (idx may be BroadcastIdx), densely by the request's layout:
+// a single-instance function's one instance is fn, whichever it is addressed
+// by; instance i of a FOREACH-fanned function is its missing counter's index;
+// a fanned function's shared inputs (BroadcastIdx) get fn, which none of its
+// instances fetches. A FOREACH fixes the degree before its items land, so a
+// number never moves within a request.
+func (t *Tracker) Fetcher(fn, idx int) int {
+	if idx == BroadcastIdx {
+		return fn
+	}
+	return int(t.fns[fn].miss) + idx
 }
 
 // instCell is instance i's cell for input pos of f.
@@ -615,7 +623,7 @@ func (t *Tracker) UserItems() []Item {
 		if it.From.Fn != f.Name || it.Output != u.out || it.To != UserKey || it.Input != "" {
 			it.From.Fn, it.Output, it.To, it.Input = f.Name, u.out, UserKey, ""
 		}
-		it.From.Idx, it.Replica, it.Value.Payload, it.Value.Size = int(u.idx), 0, u.val.Payload, u.val.Size
+		it.From.Idx, it.Value.Payload, it.Value.Size = int(u.idx), u.val.Payload, u.val.Size
 	}
 	return t.users
 }

@@ -22,8 +22,8 @@ const (
 	DataArrived
 	ContainerCold
 	ReqCompleted
-	// Replay marks a fault-tolerance recovery action: a request's route pin
-	// was repaired off a dead node and lost data was re-shipped there.
+	// Replay marks a fault-tolerance recovery action: a request's dead route
+	// pins were repaired and Idx lost data re-shipped to them.
 	Replay
 )
 

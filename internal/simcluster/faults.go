@@ -4,10 +4,8 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/dataflow"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/wmm"
 )
 
 // This file is the simulation plane's fault-tolerance plane, the recovery
@@ -59,17 +57,6 @@ type FaultEvent struct {
 	At   time.Duration
 	Node string
 	Kind FaultKind
-}
-
-// landRec is one sink-cached item of a request: where it landed, under
-// which key, for which instance, and whether that instance has already
-// fetched it (consumed data needs no replay).
-type landRec struct {
-	node     *node
-	key      wmm.Key
-	it       dataflow.Item
-	to       dataflow.InstanceKey
-	consumed bool
 }
 
 // armFaults schedules the configured fault events (called from New).
@@ -135,6 +122,7 @@ func (s *Sim) killNode(n *node) {
 	n.down = true
 	now := s.env.Now()
 	n.sink.Clear(now)
+	dead := func(m *node) bool { return m == n }
 	// Map iteration order is randomized; requests are walked in arrival
 	// order so the recovery work a kill spawns is ordered identically run to
 	// run (the determinism the scenario harness's byte-identical reports pin).
@@ -155,11 +143,8 @@ func (s *Sim) killNode(n *node) {
 			}
 		}
 		var lost []int
-		for i := range req.landed {
-			rec := &req.landed[i]
-			if rec.node == n && !rec.consumed {
-				lost = append(lost, i)
-			}
+		for i := req.arrivals.NextUnfetched(-1, dead); i >= 0; i = req.arrivals.NextUnfetched(i, dead) {
+			lost = append(lost, i)
 		}
 		if !touched && len(lost) == 0 {
 			continue
@@ -181,33 +166,11 @@ func (s *Sim) recoverRequest(p *sim.Proc, req *request, lost []int) {
 		if req.failed || req.done.Triggered() {
 			return
 		}
-		rec := &req.landed[i]
-		dst := s.replicaFor(req, rec.to.Fn, nil)
-		s.transfer(p, nil, rec.it.Value.Size, s.user, dst.nic)
-		dst.sink.Put(s.env.Now(), rec.key, rec.it.Value, 1)
-		rec.node = dst
+		a := req.arrivals.At(i)
+		dst := s.replicaFor(req, a.Key.Fn, nil)
+		s.transfer(p, nil, a.Val.Size, s.user, dst.nic)
+		dst.sink.Put(s.env.Now(), a.Key, a.Val, 1)
+		a.Node = dst
 		s.replays++
-	}
-}
-
-// recordLanded appends a landed-item record (fault runs only).
-func (s *Sim) recordLanded(req *request, n *node, key wmm.Key, it dataflow.Item) {
-	toIdx := it.To.Idx
-	if toIdx == dataflow.BroadcastIdx {
-		toIdx = 0
-	}
-	req.landed = append(req.landed, landRec{
-		node: n, key: key, it: it,
-		to: dataflow.InstanceKey{Fn: it.To.Fn, Idx: toIdx},
-	})
-}
-
-// markConsumed flags the instance's landed records as fetched.
-func (s *Sim) markConsumed(req *request, key dataflow.InstanceKey) {
-	for i := range req.landed {
-		rec := &req.landed[i]
-		if rec.to == key {
-			rec.consumed = true
-		}
 	}
 }

@@ -318,10 +318,10 @@ type request struct {
 	// pin records the replica chosen per function for this request
 	// (allocated lazily; single-replica functions never touch it).
 	pin map[string]*node
-	// landed logs every item cached in a node's sink with its key and
-	// consumption state — the coordinator's log a node kill replays from
-	// (faults.go). Maintained only when faults are scheduled.
-	landed []landRec
+	// arrivals logs every item cached in a node's sink — the coordinator's
+	// log a node kill replays from (faults.go). Kept only when faults are
+	// scheduled.
+	arrivals cluster.ArrivalLog[*node]
 	// recovering marks the request as touched by a node kill;
 	// recoverStart is the (first) kill's virtual time.
 	recovering   bool

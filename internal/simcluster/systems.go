@@ -183,7 +183,7 @@ func (s *Sim) consumeSinkInputs(p *sim.Proc, req *request, key dataflow.Instance
 	if s.faulty {
 		// The instance holds its inputs now: a later kill of the caching
 		// node no longer needs them replayed.
-		s.markConsumed(req, key)
+		req.arrivals.Fetch(req.tracker.Fetcher(f.Index(), key.Idx))
 	}
 }
 
@@ -261,7 +261,7 @@ func (s *Sim) dfShip(p *sim.Proc, c *container, req *request, it dataflow.Item) 
 	key := dfSinkKey(req.id, dataflow.InstanceKey{Fn: it.To.Fn, Idx: toIdx}, it.Input, it.From.Fn, it.From.Idx, it.Output)
 	dst.sink.Put(s.env.Now(), key, it.Value, 1)
 	if s.faulty {
-		s.recordLanded(req, dst, key, it)
+		req.arrivals.Add(req.tracker.Fetcher(it.ToFn(), it.To.Idx), key, it.Value, dst)
 	}
 	s.stage(obs.DataArrived, it.To.Fn, it.To.Idx)
 	s.dfDeliver(req, it)

@@ -60,7 +60,7 @@ type Transport interface {
 	// the boundary crossing).
 	ShipBatch(ctx context.Context, pace Pacing, reqs []wmm.PutReq) error
 	// Land lands a single datum outside a shipment (the failover replay
-	// re-lands the lost items of the coordinator's arrived log one at a time).
+	// re-lands the lost items of the coordinator's arrival log one at a time).
 	Land(ctx context.Context, pace Pacing, req wmm.PutReq) error
 	// Get consumes one datum (proactive-release accounting applies).
 	Get(ctx context.Context, key wmm.Key) (dataflow.Value, bool, error)

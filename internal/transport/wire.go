@@ -46,9 +46,8 @@ type Register struct {
 	Addr string
 }
 
-// Put lands one datum in the hosted sink. The replica ordinal of an
-// elastic-routed item rides inside Data (the "#r<ordinal>" qualifier of the
-// sink key), exactly as in the in-process engine. TraceID (since frame v2)
+// Put lands one datum in the hosted sink under the key the in-process engine
+// uses. TraceID (since frame v2)
 // is the sampled-request trace context: 0 means unsampled; a nonzero id
 // asks the receiver to record its landing stages under that id so both
 // processes' span dumps correlate.
