@@ -158,14 +158,17 @@ func (s *Sim) dfExecute(p *sim.Proc, c *container, w *work) {
 // consumeSinkInputs performs the Wait-Match Memory reads for an instance.
 func (s *Sim) consumeSinkInputs(p *sim.Proc, req *request, key dataflow.InstanceKey, n *node) {
 	f, _ := req.prof.Workflow.Function(key.Fn)
+	fanned := req.prof.Workflow.Plan().Fns[f.Index()].Fanned
 	for _, in := range f.Inputs {
 		if in.FromUser {
 			continue
 		}
 		// Keys were recorded at delivery; consume all entries addressed to
-		// this instance.
+		// this instance. A fanned function's shared inputs (its non-FOREACH
+		// edges) are fetched by none of its instances: the request's
+		// release reclaims them, as on the engine.
 		for _, e := range req.prof.Workflow.Edges() {
-			if e.To != key.Fn || e.ToInput != in.Name {
+			if e.To != key.Fn || e.ToInput != in.Name || (fanned && e.Kind != workflow.Foreach) {
 				continue
 			}
 			srcInstances := 1

@@ -466,12 +466,13 @@ func (w *Workflow) TopoOrder() ([]string, error) {
 	for _, f := range w.Functions {
 		indeg[f.Name] = 0
 	}
-	for _, e := range w.Edges() {
-		if e.To == UserSource {
-			continue
-		}
-		if _, ok := indeg[e.To]; ok {
-			indeg[e.To]++
+	// Counted per distinct successor, as the walk below decrements: a
+	// function feeding two inputs of one consumer is one dependency.
+	for _, f := range w.Functions {
+		for _, s := range w.Successors(f.Name) {
+			if _, ok := indeg[s]; ok {
+				indeg[s]++
+			}
 		}
 	}
 	// Deterministic: seed queue in declaration order.

@@ -91,6 +91,28 @@ func TestTopoOrder(t *testing.T) {
 	}
 }
 
+// TestTopoOrderTwoEdgesToOneConsumer: a function feeding two inputs of one
+// consumer is one dependency, not a cycle.
+func TestTopoOrderTwoEdgesToOneConsumer(t *testing.T) {
+	w, err := ParseDSLString(`
+workflow two
+function split
+  input src from $USER
+  output parts type FOREACH to work.part
+  output conf to work.conf
+function work
+  input part
+  input conf
+  output out to $USER
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if order, err := w.TopoOrder(); err != nil || len(order) != 2 || order[0] != "split" {
+		t.Fatalf("order %v, err %v", order, err)
+	}
+}
+
 func TestCriticalPathLen(t *testing.T) {
 	w := buildWordCount(t)
 	if got := w.CriticalPathLen(); got != 3 {
