@@ -193,7 +193,8 @@ func TestBriefChainCompletesInsideInvoke(t *testing.T) {
 // TestCallerHandsNonBriefConsumerToPool: a brief a feeding a b whose runs
 // average over a millisecond. The caller runs a, the ship parks b for it as a
 // continuation, and the caller hands b to the executor pool instead of
-// running it — Invoke is back while b is still parked.
+// running it — Invoke is back while b is still parked, and no continuation
+// is counted.
 func TestCallerHandsNonBriefConsumerToPool(t *testing.T) {
 	sys := virtualChain(t, 2)
 	warmChain(t, sys, 3)
@@ -226,8 +227,8 @@ func TestCallerHandsNonBriefConsumerToPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, conts := pathCounts()
-	if runs := obsCallerRuns.Load() - runs0; runs != 1 || conts-conts0 != 1 {
-		t.Fatalf("%d caller runs and %d continuations, want 1 (a) and 1 (b, parked then handed to the pool)", runs, conts-conts0)
+	if runs := obsCallerRuns.Load() - runs0; runs != 1 || conts-conts0 != 0 {
+		t.Fatalf("%d caller runs and %d continuations, want 1 (a) and 0 (b, parked, ran on the pool)", runs, conts-conts0)
 	}
 }
 

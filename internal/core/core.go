@@ -576,7 +576,6 @@ func (s *System) scheduleReady(r *request, ready []dataflow.Ready, flu *Context)
 		job := s.admitInstance(r, rd)
 		if flu != nil && flu.cont && flu.next.req == nil {
 			flu.next = job
-			obsContinuations.Inc(r.stripe)
 			continue
 		}
 		r.refs.Add(1)
@@ -637,8 +636,8 @@ func (s *System) runChain(j instanceJob, caller bool, at time.Time) {
 	stripe := j.req.stripe
 	ctx := ctxPool.Get().(*Context)
 	defer releaseCtx(ctx)
-	for j.req != nil {
-		next, end, ran := s.runInstance(ctx, j, caller, at)
+	for cont := false; j.req != nil; cont = true {
+		next, end, ran := s.runInstance(ctx, j, caller, cont, at)
 		if !ran {
 			s.submitInstance(j)
 			return
@@ -655,7 +654,8 @@ func (s *System) runChain(j instanceJob, caller bool, at time.Time) {
 // inputs from the local sink, run the handler (ReDo on failure), release
 // the container. It returns the consumer an inline ship of the handler
 // parked for this goroutine, if any. ran is false when an Invoke caller may
-// not run it (not brief, or its container needs a cold start).
+// not run it (not brief, or its container needs a cold start). cont marks a
+// consumer its producer parked: one that runs is a continuation.
 //
 // One clock reading serves two neighbours: the handler starts at at when the
 // caller carried one in, and end, which closed its last run, is the next
@@ -663,7 +663,7 @@ func (s *System) runChain(j instanceJob, caller bool, at time.Time) {
 // carried reading, so T_FLU never contains a wait. Three returns keep every
 // defer open-coded. ctx is the chain's Context; this run overwrites its
 // per-run fields and inputs.
-func (s *System) runInstance(ctx *Context, j instanceJob, caller bool, at time.Time) (next instanceJob, end time.Time, ran bool) {
+func (s *System) runInstance(ctx *Context, j instanceJob, caller, cont bool, at time.Time) (next instanceJob, end time.Time, ran bool) {
 	r, key, st := j.req, j.key, j.st
 	r.live(j.gen)
 	fn := key.Fn
@@ -700,6 +700,9 @@ func (s *System) runInstance(ctx *Context, j instanceJob, caller bool, at time.T
 	defer pool.Release(ctr, r.stripe)
 	if caller {
 		obsCallerRuns.Inc(r.stripe)
+	}
+	if cont {
+		obsContinuations.Inc(r.stripe)
 	}
 
 	// Consume the instance's data from the Wait-Match Memory, so proactive

@@ -118,7 +118,8 @@ func TestWarmChainCountsItsPaths(t *testing.T) {
 // TestWarmZeroComputeChainRunsOnOneGoroutine is the mirror of
 // TestEarlyTriggeringBeforePredecessorCompletes, in the default
 // configuration on the wall clock: once the producer's measured T_FLU is
-// under the gate, its consumer runs on the producer's goroutine.
+// under the gate and its consumer is brief, the consumer runs on the
+// producer's goroutine, and only such a run counts as a continuation.
 func TestWarmZeroComputeChainRunsOnOneGoroutine(t *testing.T) {
 	sys := newChainSystem(t, 2, nil, nil)
 	defer sys.Shutdown()
@@ -143,23 +144,48 @@ func TestWarmZeroComputeChainRunsOnOneGoroutine(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		invokeChain(t, sys)
 	}
+	a, b := sys.fns["a"], sys.fns["b"]
+	// settled reports whether every container of both functions is idle:
+	// the last request's runs are over, observed and published (a run is
+	// observed before its container goes back), so nothing in flight moves
+	// what decides want, and no cold start refuses the caller.
+	idle := func(st *fnState) bool {
+		var held []*cluster.Container
+		for {
+			c, ok := st.pools[0].Acquire(0)
+			if !ok {
+				break
+			}
+			held = append(held, c)
+		}
+		for _, c := range held {
+			st.pools[0].Release(c, 0)
+		}
+		return len(held) == st.primary().Containers(st.name)
+	}
+	settled := func() bool { return idle(a) && idle(b) }
 	probe = true
 	continued := 0
 	for i := 0; i < 20; i++ {
-		// The gate reads the average the producer's earlier runs left, and
-		// no other request is in flight to move it. (A box busy enough to
-		// push a zero-compute handler over the gate takes the pool, rightly.)
-		tflu := sys.FLUAvg("a")
+		waitFor(t, 5*time.Second, settled, "the last request never handed its containers back")
+		// a parks b when a's published T_FLU is under the gate, and b then
+		// runs on a's goroutine: on a pool worker's when a is not brief (a
+		// limiter park counts in wall time, not in T_FLU), on the caller's
+		// only if b is brief too. All are read before the invoke, with no
+		// other request in flight to move them. (A box busy enough to push
+		// a zero-compute handler over the gate takes the pool, rightly.)
+		tflu, sampled := a.tfluPublished()
+		briefA, briefB := a.brief(), b.brief()
 		want := int64(0)
-		if tflu < continuationMaxTFLU {
+		if sampled && tflu < continuationMaxTFLU && (!briefA || briefB) {
 			want = 1
 		}
 		_, conts0 := pathCounts()
 		invokeChain(t, sys)
 		_, conts := pathCounts()
 		if conts-conts0 != want || (want == 1 && ga != gb) {
-			t.Fatalf("T_FLU %v: %d continuations, a on goroutine %d and b on %d, want %d (and one goroutine if continued)",
-				tflu, conts-conts0, ga, gb, want)
+			t.Fatalf("T_FLU %v, brief(a)=%v, brief(b)=%v: %d continuations, a on goroutine %d and b on %d, want %d (and one goroutine if continued)",
+				tflu, briefA, briefB, conts-conts0, ga, gb, want)
 		}
 		continued += int(want)
 	}
