@@ -177,12 +177,10 @@ type fnState struct {
 	name string
 	idx  int // workflow.Function.Index: the tracker's handle on the function
 	spec cluster.Spec
-	// single is true when no FOREACH edge targets the function: exactly one
-	// instance per request, known immediately (dataflow.Tracker.Init's rule).
-	single bool
 	// direct is true when one delivery, and only it, completes an instance's
-	// input set: single, one declared input, neither LIST nor from the user,
-	// fed by one workflow edge (landBatch's direct arm).
+	// input set: one instance per request (no FOREACH edge targets the
+	// function), one declared input, neither LIST nor from the user, fed by
+	// one workflow edge (landBatch's direct arm).
 	direct bool
 
 	// replicas is the replica set placement returned, primary first. It never
@@ -355,8 +353,7 @@ func NewSystem(cfg Config) (*System, error) {
 	plan := cfg.Workflow.Plan()
 	for i, f := range cfg.Workflow.Functions {
 		st, fp := s.fnList[i], &plan.Fns[i]
-		st.single = !fp.Fanned
-		st.direct = st.single && len(f.Inputs) == 1 && f.Inputs[0].Kind != workflow.List &&
+		st.direct = !fp.Fanned && len(f.Inputs) == 1 && f.Inputs[0].Kind != workflow.List &&
 			!f.Inputs[0].FromUser && fp.InDegree == 1
 	}
 	// A worker carries a chain to completion (runChain), so a closed loop of

@@ -58,27 +58,23 @@ func (s *System) noteUnreachable(n *cluster.Node, err error) bool {
 // the arrival log. Caller holds r.mu. Pins are updated in place so callers
 // iterating r.route by index stay valid.
 func (s *System) repairLocked(r *request) {
-	repaired := false
 	for i := range r.route {
 		p := &r.route[i]
-		if p.node.Health() != cluster.Down {
+		if !down(p.node) {
 			continue
 		}
 		// With nothing routable (whole cluster down) the pin stays, rather
 		// than replay into another dead sink.
 		if next, ordinal, ok := s.selectReplica(s.fns[p.fn], nil); ok {
-			p.node, p.ordinal, repaired = next, ordinal, true
+			p.node, p.ordinal = next, ordinal
 		}
-	}
-	if !repaired {
-		return
 	}
 	n := 0
 	for i := r.arrivals.NextUnfetched(-1, down); i >= 0; i = r.arrivals.NextUnfetched(i, down) {
 		a := r.arrivals.At(i)
-		p := r.pin(a.Key.Fn)
-		if p == nil || down(p.node) {
-			continue // not repaired this time: the next repair retries
+		p := r.pin(a.Key.Fn) // a datum lands only on its function's pin
+		if down(p.node) {
+			continue // left dead above: a later repair retries
 		}
 		if err := p.node.SinkPut(a.Key, a.Val, 1); err != nil {
 			// The survivor died too; the next pin touch repairs again.
@@ -89,9 +85,11 @@ func (s *System) repairLocked(r *request) {
 		r.sinkResidue.Add(1)
 		n++
 	}
-	s.replays.Add(int64(n))
-	obsReplays.Add(r.stripe, int64(n))
-	s.event(r, obs.Replay, "", n)
+	if n > 0 {
+		s.replays.Add(int64(n))
+		obsReplays.Add(r.stripe, int64(n))
+		s.event(r, obs.Replay, "", n)
+	}
 }
 
 // down reports whether n is Down: the replay plan's dead nodes.

@@ -120,6 +120,35 @@ func TestForeachFanout(t *testing.T) {
 	}
 }
 
+// TestFetcherNumbersEachReader: every item of a wc request gets the number of
+// the instance that fetches it — distinct per instance, and shared by the two
+// addresses of a single-instance function.
+func TestFetcherNumbersEachReader(t *testing.T) {
+	tr := NewTracker(wcWorkflow(t))
+	if _, err := tr.Start(map[string]Value{"start.src": val(1)}); err != nil {
+		t.Fatal(err)
+	}
+	items, _, err := tr.emit(InstanceKey{Fn: "start"}, "filelist", []Value{val(1), val(1), val(1)}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start, count, merge := 0, 1, 2 // Function.Index, in declaration order
+	seen := map[int]bool{start: true, count: true, merge: true}
+	for _, it := range items {
+		n := tr.Fetcher(it.ToFn(), it.To.Idx)
+		if seen[n] || n != tr.Fetcher(count, it.To.Idx) {
+			t.Fatalf("count[%d] fetches under %d, taken or not its own", it.To.Idx, n)
+		}
+		seen[n] = true
+	}
+	if tr.Fetcher(count, BroadcastIdx) != count {
+		t.Fatal("a fanned function's shared input is not filed under the function")
+	}
+	if tr.Fetcher(merge, BroadcastIdx) != merge || tr.Fetcher(merge, 0) != merge {
+		t.Fatal("a single-instance function's two addresses fetch under different numbers")
+	}
+}
+
 func TestMergeRequiresAllBranches(t *testing.T) {
 	tr := NewTracker(wcWorkflow(t))
 	if _, err := tr.Start(map[string]Value{"start.src": val(1)}); err != nil {

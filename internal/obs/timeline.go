@@ -22,8 +22,8 @@ const (
 	DataArrived
 	ContainerCold
 	ReqCompleted
-	// Replay marks a fault-tolerance recovery action: a request's dead route
-	// pins were repaired and Idx lost data re-shipped to them.
+	// Replay marks a fault-tolerance recovery action: Idx data a dead node
+	// lost were re-shipped to their functions' repaired pins.
 	Replay
 )
 
