@@ -206,7 +206,6 @@ type Node struct {
 	dp     transport.Transport
 	inproc *transport.Inproc
 	remote bool
-	meter  transport.BpsMeter
 
 	// health is the node's position in the Up/Draining/Down state machine
 	// (health.go); an atomic because the engines consult it on routing hot
@@ -248,15 +247,15 @@ func NewNode(name string, opts Options) *Node {
 
 // NewRemoteNode returns a node whose Wait-Match Memory lives in another
 // process, reached through dp. The node still hosts local containers (FLU
-// threads run wherever the engine runs); only the data sink is remote. dp
-// implementations that measure throughput (BpsMeter) feed the engine's
-// pressure signal. The bool is unused; ROADMAP item 1 (the bench/-only PR)
-// drops it with bench/workload.go's positional call.
+// threads run wherever the engine runs); only the data sink is remote. The
+// engine prices Eq. 1 for a Put toward it as toward a local node, at the
+// source container's TC rate: nothing about dp enters the pressure signal.
+// The bool is unused; ROADMAP item 1 drops it with bench/workload.go's
+// positional call.
 func NewRemoteNode(name string, dp transport.Transport, _ bool, opts Options) *Node {
 	n := newNode(name, opts)
 	n.dp = dp
 	n.remote = true
-	n.meter, _ = dp.(transport.BpsMeter)
 	return n
 }
 

@@ -58,13 +58,3 @@ func (n *Node) SinkStats() (wmm.Stats, error) {
 func (n *Node) Ping(ctx context.Context) error {
 	return n.dp.Ping(ctx)
 }
-
-// ObservedBps returns the measured wire throughput to this node (0 for
-// local nodes and unmeasured remotes) — the real-backpressure input to the
-// engine's Eq. 1 pressure signal.
-func (n *Node) ObservedBps() float64 {
-	if n.meter == nil {
-		return 0
-	}
-	return n.meter.ObservedBps()
-}

@@ -120,8 +120,8 @@ type System struct {
 	ring        *obs.SpanRing
 	sampleEvery int64
 
-	// hasRemote: some node's sink lives in another process, so Eq. 1 also
-	// consults the measured wire throughput (remoteBpsFloor).
+	// hasRemote: some node's sink lives in another process, so shipsInline
+	// checks each Put's destinations: an RPC never runs on an FLU's goroutine.
 	hasRemote bool
 
 	// routedNodes are the nodes hosting a function: on the static path the

@@ -204,15 +204,7 @@ func (c *Context) put(output string, values []dataflow.Value, switchCase int) er
 	tflu, sampled := c.fst.tfluPublished()
 	var pressure time.Duration
 	if !s.cfg.DisablePressure && totalSize > 0 {
-		bw := c.ctr.Limiter.Rate()
-		if s.hasRemote {
-			// Real socket backpressure: a remote destination's measured
-			// throughput replaces the TC rate when it is tighter.
-			if obs := s.remoteBpsFloor(r, items); obs > 0 && (bw <= 0 || obs < bw) {
-				bw = obs
-			}
-		}
-		if bw > 0 {
+		if bw := c.ctr.Limiter.Rate(); bw > 0 {
 			pressure = cluster.Pressure(s.cfg.Alpha, float64(totalSize), bw, tflu)
 		}
 	}
@@ -318,38 +310,6 @@ func (s *System) dluEnqueue(ctr *cluster.Container, task cluster.DLUTask) bool {
 		}()
 	}
 	return true
-}
-
-// remoteBpsFloor returns the lowest observed wire throughput among the
-// remote nodes this Put's items are destined for (0 when none is measured
-// yet). Called only when the cluster has remote nodes, off the bench-gated
-// local hot path.
-func (s *System) remoteBpsFloor(r *request, items []dataflow.Item) float64 {
-	floor := 0.0
-	for i := range items {
-		if items[i].To.Fn == workflow.UserSource {
-			continue
-		}
-		st := s.fnList[items[i].ToFn()]
-		// The request's pin, when one exists, names the node the items will
-		// actually cross the wire to; otherwise the primary is the best guess.
-		node := st.primary()
-		r.mu.Lock()
-		for j := range r.route {
-			if r.route[j].fn == st.name {
-				node = r.route[j].node
-				break
-			}
-		}
-		r.mu.Unlock()
-		if !node.Remote() {
-			continue
-		}
-		if obs := node.ObservedBps(); obs > 0 && (floor == 0 || obs < floor) {
-			floor = obs
-		}
-	}
-	return floor
 }
 
 // dluGroup is one (request, destination-replica) shipment edge of a

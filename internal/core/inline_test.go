@@ -145,25 +145,10 @@ func TestWarmZeroComputeChainRunsOnOneGoroutine(t *testing.T) {
 		invokeChain(t, sys)
 	}
 	a, b := sys.fns["a"], sys.fns["b"]
-	// settled reports whether every container of both functions is idle:
-	// the last request's runs are over, observed and published (a run is
-	// observed before its container goes back), so nothing in flight moves
-	// what decides want, and no cold start refuses the caller.
-	idle := func(st *fnState) bool {
-		var held []*cluster.Container
-		for {
-			c, ok := st.pools[0].Acquire(0)
-			if !ok {
-				break
-			}
-			held = append(held, c)
-		}
-		for _, c := range held {
-			st.pools[0].Release(c, 0)
-		}
-		return len(held) == st.primary().Containers(st.name)
-	}
-	settled := func() bool { return idle(a) && idle(b) }
+	// settled: the last request's runs are over, observed and published, so
+	// nothing in flight moves what decides want, and no cold start refuses
+	// the caller.
+	settled := func() bool { return a.idle() && b.idle() }
 	probe = true
 	continued := 0
 	for i := 0; i < 20; i++ {

@@ -1,6 +1,10 @@
 package core
 
-import "time"
+import (
+	"time"
+
+	"repro/internal/cluster"
+)
 
 // Observers the package's tests read; the engine never calls them.
 
@@ -15,6 +19,24 @@ func (s *System) Replicas(fn string) []string {
 		out[i] = n.Name
 	}
 	return out
+}
+
+// idle reports whether every container of f on its primary node is idle,
+// so its runs are over, observed and published (a run is observed before its
+// container goes back). It takes each idle container and hands it back.
+func (f *fnState) idle() bool {
+	var held []*cluster.Container
+	for {
+		c, ok := f.pools[0].Acquire(0)
+		if !ok {
+			break
+		}
+		held = append(held, c)
+	}
+	for _, c := range held {
+		f.pools[0].Release(c, 0)
+	}
+	return len(held) == f.primary().Containers(f.name)
 }
 
 // ReqID returns the identifier of the request this run belongs to,

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/clock"
 	"repro/internal/cluster"
 	"repro/internal/obs"
+	"repro/internal/transport"
+	"repro/internal/wmm"
 	"repro/internal/workflow"
 )
 
@@ -65,16 +69,11 @@ func TestPressureBlockIsNotPartOfTFLU(t *testing.T) {
 				t.Fatalf("run %d: Put still blocked after its %v pressure block", run+1, pressure)
 			}
 		}
-		// A run that was not blocked left the shipment parked; let it land.
-		waitFor(t, 10*time.Second, func() bool {
-			select {
-			case <-inv.Done():
-				return true
-			default:
-				clk.Advance(wire)
-				return false
-			}
-		}, "timed out waiting for the request to complete")
+		// A run that was not blocked left the shipment parked; let it land,
+		// and let the sink leave its own block before the next run counts
+		// sleepers.
+		waitFor(t, 5*time.Second, func() bool { return sys.fns["producer"].fluCount.Load() == int64(run+1) }, "the producer's run was never observed")
+		settle(t, sys, clk, inv, wire)
 		if err := inv.Wait(); err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +200,7 @@ func TestPublishedTFLUIsAtMostSixteenRunsBehind(t *testing.T) {
 func TestNextPutSeesAThrottledRunsTFLU(t *testing.T) {
 	const ms = time.Millisecond
 	clk := clock.NewManual(time.Unix(0, 0))
-	sys := newPressureSystem(t, clk, 2.0)
+	sys, blocks := newBlockSystem(t, clk, nil)
 	payload := make([]byte, 64<<10)
 	wire := time.Duration(float64(len(payload)) / 5e6 * float64(time.Second))
 	pressure := 2 * wire
@@ -227,14 +226,11 @@ func TestNextPutSeesAThrottledRunsTFLU(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// TestPressureBlockIsNotPartOfTFLU's protocol: the clock moves only
-		// while the producer sits in its block beside another sleeper — the
-		// daemon pacing the chunk, then the sink in its own block — and the
-		// second step ends exactly where the producer's block does.
-		for _, d := range []time.Duration{wire, want - wire} {
-			waitParked(t, clk, 2, "the producer to sit in its block beside another sleeper")
-			clk.Advance(d)
-		}
+		// The clock moves only while the producer sits in its own block, so
+		// no virtual time passes in its run but its compute, and it moves to
+		// exactly where that block should end.
+		waitBlock(t, blocks)
+		clk.Advance(want)
 		var got time.Duration
 		select {
 		case got = <-blocked:
@@ -242,6 +238,7 @@ func TestNextPutSeesAThrottledRunsTFLU(t *testing.T) {
 			t.Fatalf("run %d: Put still blocked after %v", run+1, want)
 		}
 		waitFor(t, 5*time.Second, func() bool { return producer.fluCount.Load() == int64(obs.NumStripes+run+1) }, "the producer's run was never observed")
+		settle(t, sys, clk, inv, wire)
 		if err := inv.Wait(); err != nil {
 			t.Fatal(err)
 		}
@@ -249,4 +246,183 @@ func TestNextPutSeesAThrottledRunsTFLU(t *testing.T) {
 			t.Fatalf("run %d: Put blocked %v, want %v (T_FLU now %v)", run+1, got, want, sys.FLUAvg("producer"))
 		}
 	}
+}
+
+// TestRemotePutIsPricedAtTheContainersRate pins Eq. 1's Bw: the producing
+// container's TC rate, whichever node the consumer is on. The remote
+// consumer's node reaches its sink through a transport that also reports a
+// throughput of 1 B/s. A producer with T_FLU 0 that puts S bytes must block
+// α·S/Bw at the container's 5 MB/s toward it, exactly as toward a local
+// node — not α·S seconds.
+func TestRemotePutIsPricedAtTheContainersRate(t *testing.T) {
+	const ms = time.Millisecond
+	payload := make([]byte, 64<<10)
+	wire := time.Duration(float64(len(payload)) / 5e6 * float64(time.Second))
+	want := 2 * wire
+	for _, tc := range []struct {
+		name     string
+		consumer func(clk *clock.Manual, opts cluster.Options) *cluster.Node
+	}{
+		{"local", nil},
+		{"remote", func(clk *clock.Manual, opts cluster.Options) *cluster.Node {
+			start := clk.Now()
+			in := transport.NewInproc(wmm.NewSink(wmm.Options{}), nil, func() time.Duration { return clk.Since(start) })
+			return cluster.NewRemoteNode("w2", meteredInproc{in}, false, opts)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := clock.NewManual(time.Unix(0, 0))
+			sys, blocks := newBlockSystem(t, clk, tc.consumer)
+			blocked := make(chan time.Duration, 1)
+			_ = sys.Register("producer", func(ctx *Context) error {
+				start := clk.Now()
+				err := ctx.Put("big", payload)
+				blocked <- clk.Now().Sub(start)
+				return err
+			})
+			_ = sys.Register("sink", func(ctx *Context) error { return ctx.Put("done", []byte("ok")) })
+			producer := sys.fns["producer"]
+			for stripe := uint32(0); stripe < obs.NumStripes; stripe++ {
+				producer.observe(stripe, 10*ms, 10*ms)
+			}
+			inv, err := sys.Invoke(map[string][]byte{"producer.in": []byte("x")})
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitBlock(t, blocks)
+			clk.Advance(want)
+			var got time.Duration
+			select {
+			case got = <-blocked:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("Put toward the %s consumer still blocked after the %v it takes at 5 MB/s", tc.name, want)
+			}
+			waitFor(t, 5*time.Second, func() bool { return producer.fluCount.Load() == int64(obs.NumStripes+1) }, "the producer's run was never observed")
+			settle(t, sys, clk, inv, wire)
+			if err := inv.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("Put toward the %s consumer blocked %v, want α·S/Bw = %v", tc.name, got, want)
+			}
+		})
+	}
+}
+
+// meteredInproc is an in-process sink whose transport also reports a wire
+// throughput — 1 B/s, so a Bw taken from it would be unmistakable.
+type meteredInproc struct{ *transport.Inproc }
+
+func (meteredInproc) ObservedBps() float64 { return 1 }
+
+// blockClock is the manual clock with each Eq. 1 block announced: a Sleep
+// that Context.put makes signals blocks once its deadline is set, so a test
+// moves the clock knowing the Put sits in its block. The DLU daemon's
+// limiter parks on the same clock, from pipe, and is not announced.
+type blockClock struct {
+	*clock.Manual
+	blocks chan struct{}
+}
+
+// putFn names Context.put as the runtime reports its frames.
+var putFn = runtime.FuncForPC(reflect.ValueOf((*Context).put).Pointer()).Name()
+
+func (c *blockClock) Sleep(d time.Duration) {
+	if d <= 0 {
+		return
+	}
+	woke := c.Manual.After(d)
+	var pc [1]uintptr
+	if runtime.Callers(2, pc[:]) == 1 {
+		if f, _ := runtime.CallersFrames(pc[:]).Next(); f.Function == putFn {
+			select {
+			case c.blocks <- struct{}{}:
+			default: // a block nobody waits for
+			}
+		}
+	}
+	<-woke
+}
+
+// newBlockSystem is newPressureSystem's producer→sink system (α = 2, 5 MB/s
+// per container, engine and nodes on clk) with the producer's node w1 on a
+// blockClock, whose announcements it returns. The sink's node w2 is local,
+// or consumer's node when consumer is not nil. Placement is round robin in
+// registration order: producer on w1, sink on w2.
+func newBlockSystem(t *testing.T, clk *clock.Manual, consumer func(*clock.Manual, cluster.Options) *cluster.Node) (*System, <-chan struct{}) {
+	t.Helper()
+	wf, err := workflow.ParseDSLString(pressureDSL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bc := &blockClock{Manual: clk, blocks: make(chan struct{}, 1)}
+	w2 := cluster.NewNode("w2", cluster.Options{Clock: clk})
+	if consumer != nil {
+		w2 = consumer(clk, cluster.Options{Clock: clk})
+	}
+	cl := cluster.NewCluster(nil)
+	for _, n := range []*cluster.Node{cluster.NewNode("w1", cluster.Options{Clock: bc}), w2} {
+		if err := cl.AddNode(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys, err := NewSystem(Config{
+		Workflow:    wf,
+		Cluster:     cl,
+		DefaultSpec: cluster.Spec{MemoryMB: 128}, // 5 MB/s
+		Alpha:       2.0,
+		Clock:       clk,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		down := make(chan struct{})
+		go func() {
+			defer close(down)
+			sys.Shutdown()
+		}()
+		for {
+			select {
+			case <-down:
+				return
+			case <-time.After(time.Millisecond):
+				clk.Advance(time.Hour)
+			}
+		}
+	})
+	return sys, bc.blocks
+}
+
+// waitBlock waits for the producer's Eq. 1 block to be announced.
+func waitBlock(t *testing.T, blocks <-chan struct{}) {
+	t.Helper()
+	select {
+	case <-blocks:
+	case <-time.After(10 * time.Second):
+		t.Fatal("timed out waiting for the producer to sit in its Eq. 1 block")
+	}
+}
+
+// settle runs the clock on, a step per poll while something sleeps on it,
+// until inv is done and every container of the producer and the sink is back
+// in its pool: the request's runs are over, observed and published, so
+// nothing of it is left to move the clock or read it once the next request
+// starts. A run's clock moves only while that run sleeps, so its T_FLU stays
+// its compute. Call it only once the producer's run is observed.
+func settle(t *testing.T, sys *System, clk *clock.Manual, inv *Invocation, step time.Duration) {
+	t.Helper()
+	waitFor(t, 10*time.Second, func() bool {
+		select {
+		case <-inv.Done():
+			if sys.fns["producer"].idle() && sys.fns["sink"].idle() {
+				return true
+			}
+		default:
+		}
+		if clk.Pending() > 0 { // the daemon pacing the chunk, or the sink in its block
+			clk.Advance(step)
+		}
+		return false
+	}, "timed out waiting for the request to complete and hand its containers back")
 }

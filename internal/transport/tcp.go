@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -273,11 +272,6 @@ func DialTCP(ctx context.Context, addr, node string, opts DialOptions) (*Client,
 	if err != nil {
 		return nil, err
 	}
-	// Expose the EWMA throughput toward this node; a redial to the same
-	// node replaces the gauge, which is the freshness we want.
-	obs.Default().SetGaugeFunc(`transport_observed_bps{node="`+node+`"}`, func() int64 {
-		return int64(c.ObservedBps())
-	})
 	return c, nil
 }
 
@@ -302,13 +296,9 @@ type Client struct {
 	closed bool
 
 	memBytes atomic.Int64
-	bpsBits  atomic.Uint64 // math.Float64bits of the EWMA throughput
 }
 
-var (
-	_ Transport = (*Client)(nil)
-	_ BpsMeter  = (*Client)(nil)
-)
+var _ Transport = (*Client)(nil)
 
 // connectLocked dials and handshakes. Caller holds c.mu.
 func (c *Client) connectLocked(ctx context.Context) error {
@@ -444,33 +434,6 @@ func (c *Client) exchangeLocked(op string, t MsgType, body []byte, want MsgType)
 	return resp, nil
 }
 
-// observe folds one shipment's achieved throughput into the EWMA gauge.
-func (c *Client) observe(bytes int64, dt time.Duration) {
-	if bytes <= 0 || dt <= 0 {
-		return
-	}
-	inst := float64(bytes) / dt.Seconds()
-	for {
-		old := c.bpsBits.Load()
-		prev := math.Float64frombits(old)
-		next := inst
-		if prev > 0 {
-			next = 0.2*inst + 0.8*prev
-		}
-		if c.bpsBits.CompareAndSwap(old, math.Float64bits(next)) {
-			return
-		}
-	}
-}
-
-// ObservedBps implements BpsMeter: the EWMA of achieved ship throughput —
-// the socket's real backpressure signal, substituted into the engine's
-// Eq. 1 pressure estimate for remote destinations. Zero until the first
-// shipment completes.
-func (c *Client) ObservedBps() float64 {
-	return math.Float64frombits(c.bpsBits.Load())
-}
-
 // ShipBatch implements Transport. The source container's TC class is
 // charged locally (it shapes this host's egress); the wire itself is the
 // destination NIC.
@@ -478,15 +441,9 @@ func (c *Client) ShipBatch(_ context.Context, pace Pacing, reqs []wmm.PutReq) er
 	if pace.Bytes > 0 {
 		pace.Src.TakeN(pace.Items, pace.Bytes)
 	}
-	start := c.clk.Now()
-	err := c.rpc("ship", MsgPutBatch, func(dst []byte) []byte {
+	return c.rpc("ship", MsgPutBatch, func(dst []byte) []byte {
 		return appendPutBatch(dst, pace.TraceID, reqs)
 	}, MsgAck, nil)
-	if err != nil {
-		return err
-	}
-	c.observe(pace.Bytes, c.clk.Since(start))
-	return nil
 }
 
 // Land implements Transport.
@@ -494,16 +451,10 @@ func (c *Client) Land(_ context.Context, pace Pacing, req wmm.PutReq) error {
 	if pace.Bytes > 0 {
 		pace.Src.Take(pace.Bytes)
 	}
-	start := c.clk.Now()
-	err := c.rpc("land", MsgPut, func(dst []byte) []byte {
+	return c.rpc("land", MsgPut, func(dst []byte) []byte {
 		dst = appendUvarint(dst, pace.TraceID)
 		return appendPutReq(dst, req)
 	}, MsgAck, nil)
-	if err != nil {
-		return err
-	}
-	c.observe(pace.Bytes, c.clk.Since(start))
-	return nil
 }
 
 // Get implements Transport.

@@ -62,9 +62,6 @@ func TestTCPSinkOps(t *testing.T) {
 	if got := sink.MemBytes(); got != 3 {
 		t.Fatalf("server sink holds %d bytes, want 3", got)
 	}
-	if c.ObservedBps() <= 0 {
-		t.Fatal("ShipBatch left no throughput observation")
-	}
 	if err := c.Release(ctx, "req-2"); err != nil {
 		t.Fatalf("Release: %v", err)
 	}

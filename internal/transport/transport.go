@@ -80,13 +80,6 @@ type Transport interface {
 	Close() error
 }
 
-// BpsMeter is implemented by transports that measure achieved wire
-// throughput; the engine substitutes the observation for the configured TC
-// rate in the Eq. 1 pressure signal once the destination is remote.
-type BpsMeter interface {
-	ObservedBps() float64
-}
-
 // Elapsed is a node-relative timestamp source (time since the node
 // started); sink timestamps are derived from it so TTL accounting matches
 // the in-process engine's.
