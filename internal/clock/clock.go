@@ -9,17 +9,21 @@ import (
 	"time"
 )
 
-// Clock is the minimal time source used by the runtime plane.
+// Clock is the minimal time source used by the runtime plane. A reading is
+// one integer, the time since the clock's own start, so two readings meet
+// by subtraction and carry no location.
 type Clock interface {
-	// Now returns the current time.
-	Now() time.Time
+	// Now returns the current reading.
+	Now() time.Duration
 	// Sleep blocks the calling goroutine for d.
 	Sleep(d time.Duration)
 	// After returns a channel that receives the time after d has elapsed.
 	After(d time.Duration) <-chan time.Time
-	// Since returns the elapsed time since t.
-	Since(t time.Time) time.Duration
 }
+
+// NoReading stands in for a reading not taken. Every reading is at or after
+// its clock's start, so 0 is a reading like any other.
+const NoReading time.Duration = -1
 
 // Wall is the real-time clock backed by the time package.
 type Wall struct{}
@@ -30,13 +34,16 @@ func NewWall() Wall { return Wall{} }
 // epoch anchors Wall.Now: the process's first reading of both clocks.
 var epoch = time.Now()
 
-// Now implements Clock with one monotonic reading: the epoch advanced by the
-// monotonic time since. time.Now reads the wall clock as well, which costs
-// as much again and which the runtime plane never uses — its readings only
-// ever meet each other through Sub, Since and Before. The wall part of the
-// result is therefore the epoch's, moved by elapsed time, and does not
-// follow a step of the system clock after start-up.
-func (Wall) Now() time.Time { return epoch.Add(time.Since(epoch)) }
+// Now implements Clock with one monotonic reading: the time since the
+// epoch. time.Now reads the wall clock as well, which costs as much again
+// and which the runtime plane never uses, and a time.Time result would cost
+// its Add, Sub and Before arithmetic at every use. A step of the system
+// clock after start-up does not move the reading.
+func (Wall) Now() time.Duration { return time.Since(epoch) }
+
+// Deadline returns the wall instant d from now, for the one place an instant
+// leaves the process: a socket deadline, which the poller reads.
+func Deadline(d time.Duration) time.Time { return time.Now().Add(d) }
 
 // Sleep implements Clock. On Linux it wakes at its deadline whether or not
 // the process is otherwise idle, which time.Sleep does not (park_linux.go).
@@ -45,32 +52,30 @@ func (Wall) Sleep(d time.Duration) { park(d) }
 // After implements Clock.
 func (Wall) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
-// Since implements Clock.
-func (Wall) Since(t time.Time) time.Duration { return time.Since(t) }
-
 // Manual is a test clock advanced explicitly with Advance. Sleepers and After
-// channels fire when the clock passes their deadline. The zero value is not
-// usable; construct with NewManual.
+// channels fire when the clock passes their deadline; an After channel
+// receives the zero time moved by the reading it fired at. The zero value is
+// not usable; construct with NewManual.
 type Manual struct {
 	mu      sync.Mutex
-	now     time.Time
+	now     time.Duration
 	waiters []*manualWaiter
 }
 
 type manualWaiter struct {
-	deadline time.Time
+	deadline time.Duration
 	ch       chan time.Time
 }
 
-// NewManual returns a Manual clock starting at start.
+// NewManual returns a Manual clock reading 0.
 //
 //repolint:testseam tests drive the engine, nodes and limiters in virtual time
-func NewManual(start time.Time) *Manual {
-	return &Manual{now: start}
+func NewManual() *Manual {
+	return &Manual{}
 }
 
 // Now implements Clock.
-func (m *Manual) Now() time.Time {
+func (m *Manual) Now() time.Duration {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.now
@@ -88,8 +93,8 @@ func (m *Manual) Sleep(d time.Duration) {
 // After implements Clock.
 func (m *Manual) After(d time.Duration) <-chan time.Time {
 	m.mu.Lock()
-	w := &manualWaiter{deadline: m.now.Add(d), ch: make(chan time.Time, 1)}
-	fireAt := m.now
+	w := &manualWaiter{deadline: m.now + d, ch: make(chan time.Time, 1)}
+	fireAt := time.Time{}.Add(m.now)
 	immediate := d <= 0
 	if !immediate {
 		m.waiters = append(m.waiters, w)
@@ -101,23 +106,18 @@ func (m *Manual) After(d time.Duration) <-chan time.Time {
 	return w.ch
 }
 
-// Since implements Clock.
-func (m *Manual) Since(t time.Time) time.Duration {
-	return m.Now().Sub(t)
-}
-
 // Advance moves the clock forward by d, firing every waiter whose deadline is
 // reached. It never blocks.
 //
 //repolint:testseam tests drive the engine, nodes and limiters in virtual time
 func (m *Manual) Advance(d time.Duration) {
 	m.mu.Lock()
-	m.now = m.now.Add(d)
+	m.now += d
 	now := m.now
 	var keep []*manualWaiter
 	var fire []*manualWaiter
 	for _, w := range m.waiters {
-		if !w.deadline.After(now) {
+		if w.deadline <= now {
 			fire = append(fire, w)
 		} else {
 			keep = append(keep, w)
@@ -126,7 +126,7 @@ func (m *Manual) Advance(d time.Duration) {
 	m.waiters = keep
 	m.mu.Unlock()
 	for _, w := range fire {
-		w.ch <- now
+		w.ch <- time.Time{}.Add(now)
 	}
 }
 

@@ -42,7 +42,7 @@ import (
 // included, so a park allocates nothing. In the pool a waiter's timer is
 // stopped and both channels are empty.
 type waiter struct {
-	deadline int64         // aimed wake, nanoseconds since parkEpoch
+	deadline int64         // aimed wake, a Wall reading
 	index    int           // position in the parker's heap, -1 once out of it
 	wake     chan struct{} // buffered 1: the service's "your deadline passed"
 	timer    *time.Timer   // the runtime timer raced against the service
@@ -54,10 +54,8 @@ var waiters = sync.Pool{New: func() any {
 	return &waiter{wake: make(chan struct{}, 1), timer: t}
 }}
 
-// parkEpoch anchors waiter deadlines to the monotonic clock.
-var parkEpoch = time.Now()
-
-func sinceEpoch() int64 { return int64(time.Since(parkEpoch)) }
+// sinceEpoch is Wall.Now in nanoseconds: waiter deadlines are Wall readings.
+func sinceEpoch() int64 { return int64(time.Since(epoch)) }
 
 // deadlineHeap is a min-heap of waiters by deadline (container/heap).
 type deadlineHeap []*waiter

@@ -217,7 +217,7 @@ type Node struct {
 	pools   map[string]*FnPool // fn -> its containers on this node
 	dluShut bool               // set by CloseDLUs: containers born afterwards start closed
 	nextID  int64
-	started time.Time
+	started time.Duration
 }
 
 // newNode is what local and remote nodes share: everything but the sink.
@@ -264,7 +264,7 @@ func (n *Node) Clock() clock.Clock { return n.clk }
 
 // Elapsed returns the time since the node started (used as the sink's
 // virtual timestamp).
-func (n *Node) Elapsed() time.Duration { return n.clk.Since(n.started) }
+func (n *Node) Elapsed() time.Duration { return n.clk.Now() - n.started }
 
 // ColdStart returns the delay StartContainer sleeps on its caller's goroutine.
 func (n *Node) ColdStart() time.Duration { return n.opts.ColdStart }

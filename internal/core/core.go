@@ -136,7 +136,7 @@ type System struct {
 
 	checkLog *pipe.CheckpointLog
 	clk      clock.Clock
-	epoch    time.Time
+	epoch    time.Duration
 
 	// Request-ID allocation (stripes.go): reqSeq is the shared sequence,
 	// idPool hands out idBlocks, stripeSeq deals their stripe tags.
@@ -188,6 +188,9 @@ type fnState struct {
 	replicas []*cluster.Node
 
 	handler atomic.Pointer[Handler]
+	// said[i] is the string the handler first named declared input i by
+	// (Context.inputVals), set once.
+	said []atomic.Pointer[string]
 
 	// pools is the function's container pool on every node it may run on,
 	// indexed by the replica ordinal selectReplica deals: the replica set,
@@ -353,6 +356,7 @@ func NewSystem(cfg Config) (*System, error) {
 	plan := cfg.Workflow.Plan()
 	for i, f := range cfg.Workflow.Functions {
 		st, fp := s.fnList[i], &plan.Fns[i]
+		st.said = make([]atomic.Pointer[string], len(f.Inputs))
 		st.direct = !fp.Fanned && len(f.Inputs) == 1 && f.Inputs[0].Kind != workflow.List &&
 			!f.Inputs[0].FromUser && fp.InDegree == 1
 	}
@@ -448,7 +452,7 @@ func (s *System) routeFor(r *request, st *fnState, prefer *cluster.Node) (*clust
 }
 
 // now returns time since system epoch (trace/sink timestamps).
-func (s *System) now() time.Duration { return s.clk.Since(s.epoch) }
+func (s *System) now() time.Duration { return s.clk.Now() - s.epoch }
 
 // PendingInvocations returns the number of requests still tracked by the
 // system (in flight, or failed before their teardown ran). The counter's
@@ -599,7 +603,7 @@ func (s *System) submitInstance(job instanceJob) {
 	for {
 		n := s.execIdle.Load()
 		if n <= 0 {
-			go s.runChain(job, false, time.Time{})
+			go s.runChain(job, false, clock.NoReading)
 			return
 		}
 		if s.execIdle.CompareAndSwap(n, n-1) {
@@ -614,7 +618,7 @@ func (s *System) submitInstance(job instanceJob) {
 // Shutdown closes the queue (after the gate drained: no submitter remains).
 func (s *System) execWorker() {
 	for j := range s.execJobs {
-		s.runChain(j, false, time.Time{})
+		s.runChain(j, false, clock.NoReading)
 		s.execIdle.Add(1)
 	}
 }
@@ -626,10 +630,10 @@ func (s *System) execWorker() {
 // ends at the first instance that is not, which goes to the executor pool
 // with the count. A job that ran hands its request reference to the
 // continuation it parked, or drops it. at is a reading this goroutine took
-// with nothing that can sleep since (zero: none), where the first instance
-// starts; each continuation starts at its producer's end. Every instance of
-// the chain runs on one pooled Context.
-func (s *System) runChain(j instanceJob, caller bool, at time.Time) {
+// with nothing that can sleep since (clock.NoReading: none), where the first
+// instance starts; each continuation starts at its producer's end. Every
+// instance of the chain runs on one pooled Context.
+func (s *System) runChain(j instanceJob, caller bool, at time.Duration) {
 	stripe := j.req.stripe
 	ctx := ctxPool.Get().(*Context)
 	defer releaseCtx(ctx)
@@ -660,12 +664,12 @@ func (s *System) runChain(j instanceJob, caller bool, at time.Time) {
 // carried reading, so T_FLU never contains a wait. Three returns keep every
 // defer open-coded. ctx is the chain's Context; this run overwrites its
 // per-run fields and inputs.
-func (s *System) runInstance(ctx *Context, j instanceJob, caller, cont bool, at time.Time) (next instanceJob, end time.Time, ran bool) {
+func (s *System) runInstance(ctx *Context, j instanceJob, caller, cont bool, at time.Duration) (next instanceJob, end time.Duration, ran bool) {
 	r, key, st := j.req, j.key, j.st
 	r.live(j.gen)
 	fn := key.Fn
 	if caller && !st.brief() {
-		return instanceJob{}, time.Time{}, false
+		return instanceJob{}, clock.NoReading, false
 	}
 	// The node the request's data for fn was routed to (pinned at the first
 	// ship), or for an entry function the least-loaded replica.
@@ -676,11 +680,11 @@ func (s *System) runInstance(ctx *Context, j instanceJob, caller, cont bool, at 
 		defer ld.Add(r.stripe, -1)
 	}
 	if st.cap.acquire(r.stripe) {
-		at = time.Time{}
+		at = clock.NoReading
 	}
 	defer func() {
 		if st.cap.release(r.stripe) {
-			end = time.Time{}
+			end = clock.NoReading
 		}
 	}()
 
@@ -688,11 +692,11 @@ func (s *System) runInstance(ctx *Context, j instanceJob, caller, cont bool, at 
 	ctr, warm := pool.Acquire(r.stripe)
 	if !warm {
 		if caller && node.ColdStart() > 0 {
-			return instanceJob{}, time.Time{}, false
+			return instanceJob{}, clock.NoReading, false
 		}
 		ctr = node.StartContainer(fn, st.spec)
 		s.event(r, obs.ContainerCold, fn, key.Idx)
-		at = time.Time{}
+		at = clock.NoReading
 	}
 	defer pool.Release(ctr, r.stripe)
 	if caller {
@@ -726,13 +730,13 @@ func (s *System) runInstance(ctx *Context, j instanceJob, caller, cont bool, at 
 	ctx.sys, ctx.req, ctx.gen, ctx.ctr, ctx.fst = s, r, j.gen, ctr, st
 	for {
 		s.event(r, obs.InstanceStarted, fn, key.Idx)
-		if at.IsZero() {
+		if at < 0 {
 			at = s.clk.Now()
 		}
 		ctx.at, ctx.blocked = at, 0
 		err := h(ctx)
 		end = s.clk.Now()
-		d := end.Sub(at)
+		d := end - at
 		st.observe(r.stripe, d, ctx.blocked)
 		obsExecLat.Observe(r.stripe, int64(d))
 		if err == nil {

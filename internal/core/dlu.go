@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/cluster"
 	"repro/internal/dataflow"
 	"repro/internal/obs"
@@ -42,7 +43,7 @@ type Context struct {
 	blocked time.Duration
 	// at is the reading this run started at: an inline ship prices its wire
 	// charge there when that cannot make it park (pipe.Limiter.TakeNAt).
-	at time.Time
+	at time.Duration
 
 	// items is the buffer a Put routes into: an inline ship ships from it, a
 	// task queued to the DLU daemon copies it into an itemsBox.
@@ -94,16 +95,24 @@ func releaseCtx(ctx *Context) {
 	ctx.inputs, ctx.valBuf, ctx.items = ctx.inputs[:0], ctx.valBuf[:0], ctx.items[:0]
 	ctx.Instance = dataflow.InstanceKey{}
 	ctx.sys, ctx.req, ctx.ctr, ctx.fst = nil, nil, nil, nil
-	ctx.gen, ctx.blocked, ctx.at, ctx.cont, ctx.next = 0, 0, time.Time{}, false, instanceJob{}
+	ctx.gen, ctx.blocked, ctx.cont, ctx.next = 0, 0, false, instanceJob{}
 	// shipBatch leaves the scratch batch empty (flu nil); only its backings
 	// survive.
 	ctxPool.Put(ctx)
 }
 
 // inputVals returns the values of the named input and whether it exists.
+// An input is matched by the string its function's handler first named it
+// with (fnState.said), so a handler that names it the same way again
+// matches at the string's data pointer and compares no bytes.
 func (c *Context) inputVals(name string) ([]dataflow.Value, bool) {
 	for i := range c.inputs {
-		if c.inputs[i].Name == name {
+		said := &c.fst.said[i]
+		if p := said.Load(); p != nil && *p == name {
+			return c.inputs[i].Values, true
+		} else if p == nil && c.inputs[i].Name == name {
+			s := name
+			said.CompareAndSwap(nil, &s)
 			return c.inputs[i].Values, true
 		}
 	}
@@ -240,7 +249,7 @@ func (c *Context) put(output string, values []dataflow.Value, switchCase int) er
 		// timed on the engine clock runInstance times the handler on.
 		blockStart := s.clk.Now()
 		c.ctr.Node.Clock().Sleep(pressure)
-		c.blocked += s.clk.Since(blockStart)
+		c.blocked += s.clk.Now() - blockStart
 	}
 	return nil
 }
@@ -518,6 +527,7 @@ func (s *System) shipSocket(ctr *cluster.Container, r *request, items []dataflow
 		Items:   len(items),
 		Bytes:   total,
 		TraceID: r.span.ID(),
+		At:      clock.NoReading,
 	}
 	if b.flu != nil {
 		pace.Parked = &b.flu.blocked
@@ -536,7 +546,6 @@ func (s *System) ship(ctr *cluster.Container, r *request, it *dataflow.Item, dst
 	spec := transport.StreamSpec{
 		Src:     ctr.Limiter,
 		Retries: retryLimit,
-		Clock:   ctr.Node.Clock(),
 	}
 	if s.injector.Load() != nil {
 		// Only an injected failure resumes a stream from its checkpoints.

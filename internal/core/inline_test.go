@@ -6,9 +6,11 @@ import (
 	"runtime"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/clock"
 	"repro/internal/cluster"
@@ -43,7 +45,7 @@ func virtualChain(t *testing.T, nodes int) *System {
 	t.Helper()
 	sys := newChainSystem(t, nodes, nil, func(c *Config) {
 		c.DisablePressure = true
-		c.Clock = clock.NewManual(time.Unix(0, 0))
+		c.Clock = clock.NewManual()
 	})
 	t.Cleanup(sys.Shutdown)
 	return sys
@@ -57,6 +59,47 @@ func invokeChain(t *testing.T, sys *System) {
 	}
 	if err := inv.Wait(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestInputNameMatchesByPointer: a handler's input is matched by the string
+// the handler first named it with, learned while requests run concurrently,
+// and a name with the same bytes in other storage, or a name that is no
+// input, still resolves as by bytes.
+func TestInputNameMatchesByPointer(t *testing.T) {
+	sys := newChainSystem(t, 1, nil, nil)
+	t.Cleanup(sys.Shutdown)
+	first, other := strings.Clone("x"), strings.Clone("x")
+	_ = sys.Register("a", func(ctx *Context) error { return ctx.Put("x", []byte("v")) })
+	_ = sys.Register("b", func(ctx *Context) error {
+		v1, err1 := ctx.Input(first)
+		v2, err2 := ctx.Input(other)
+		_, err3 := ctx.InputList("y")
+		if err1 != nil || err2 != nil || string(v1) != "v" || string(v2) != "v" || err3 == nil {
+			return fmt.Errorf("inputs %q %v, %q %v, unknown input %v", v1, err1, v2, err2, err3)
+		}
+		return ctx.Put("out", v1)
+	})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				inv, err := sys.Invoke(chainIn)
+				if err == nil {
+					err = inv.Wait()
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if p := sys.fns["b"].said[0].Load(); p == nil || unsafe.StringData(*p) != unsafe.StringData(first) {
+		t.Fatal("b's input is not kept under the string b first named it with")
 	}
 }
 
@@ -183,7 +226,7 @@ func TestWarmZeroComputeChainRunsOnOneGoroutine(t *testing.T) {
 // instance on the producer's goroutine and hands seven to the pool — the
 // eight still run side by side (they meet at a barrier), none behind another.
 func TestForeachContinuesOneInstance(t *testing.T) {
-	clk := clock.NewManual(time.Unix(0, 0))
+	clk := clock.NewManual()
 	wf, err := workflow.ParseDSLString(fanoutDSL)
 	if err != nil {
 		t.Fatal(err)
@@ -503,7 +546,7 @@ func TestInlineShipStormVsShutdownVsFailNode(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	sys := newFaultSystem(t, 4, nil, func(c *Config) {
 		c.DisablePressure = true
-		c.Clock = frozenClock{clock.NewManual(time.Unix(0, 0))}
+		c.Clock = frozenClock{clock.NewManual()}
 	})
 	cl := sys.cfg.Cluster
 

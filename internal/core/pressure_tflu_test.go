@@ -20,7 +20,7 @@ import (
 // α·S/Bw on every run; when the block fed its own T_FLU the second run was
 // not blocked at all and later runs by about half.
 func TestPressureBlockIsNotPartOfTFLU(t *testing.T) {
-	clk := clock.NewManual(time.Unix(0, 0))
+	clk := clock.NewManual()
 	sys := newPressureSystem(t, clk, 2.0)
 	payload := make([]byte, 64<<10)
 	wire := time.Duration(float64(len(payload)) / 5e6 * float64(time.Second))
@@ -32,7 +32,7 @@ func TestPressureBlockIsNotPartOfTFLU(t *testing.T) {
 	_ = sys.Register("producer", func(ctx *Context) error {
 		start := clk.Now()
 		err := ctx.Put("big", payload)
-		blocked <- clk.Now().Sub(start)
+		blocked <- clk.Now() - start
 		return err
 	})
 	_ = sys.Register("sink", func(ctx *Context) error { return ctx.Put("done", []byte("ok")) })
@@ -91,7 +91,7 @@ func TestPressureBlockIsNotPartOfTFLU(t *testing.T) {
 // handler's compute — a producer that computes nothing must still measure
 // T_FLU = 0, while its Put took the whole wire time to return.
 func TestLimiterParkOnFLUGoroutineIsNotPartOfTFLU(t *testing.T) {
-	clk := clock.NewManual(time.Unix(0, 0))
+	clk := clock.NewManual()
 	wf, err := workflow.ParseDSLString(pressureDSL)
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestLimiterParkOnFLUGoroutineIsNotPartOfTFLU(t *testing.T) {
 	_ = sys.Register("producer", func(ctx *Context) error {
 		start := clk.Now()
 		err := ctx.Put("big", payload)
-		took <- clk.Now().Sub(start)
+		took <- clk.Now() - start
 		return err
 	})
 	_ = sys.Register("sink", func(ctx *Context) error { return ctx.Put("done", []byte("ok")) })
@@ -199,7 +199,7 @@ func TestPublishedTFLUIsAtMostSixteenRunsBehind(t *testing.T) {
 // it, not fourteen runs later.
 func TestNextPutSeesAThrottledRunsTFLU(t *testing.T) {
 	const ms = time.Millisecond
-	clk := clock.NewManual(time.Unix(0, 0))
+	clk := clock.NewManual()
 	sys, blocks := newBlockSystem(t, clk, nil)
 	payload := make([]byte, 64<<10)
 	wire := time.Duration(float64(len(payload)) / 5e6 * float64(time.Second))
@@ -209,7 +209,7 @@ func TestNextPutSeesAThrottledRunsTFLU(t *testing.T) {
 		clk.Advance(<-compute) // between requests nothing is parked on the clock
 		start := clk.Now()
 		err := ctx.Put("big", payload)
-		blocked <- clk.Now().Sub(start)
+		blocked <- clk.Now() - start
 		return err
 	})
 	_ = sys.Register("sink", func(ctx *Context) error { return ctx.Put("done", []byte("ok")) })
@@ -266,18 +266,18 @@ func TestRemotePutIsPricedAtTheContainersRate(t *testing.T) {
 		{"local", nil},
 		{"remote", func(clk *clock.Manual, opts cluster.Options) *cluster.Node {
 			start := clk.Now()
-			in := transport.NewInproc(wmm.NewSink(wmm.Options{}), nil, func() time.Duration { return clk.Since(start) })
+			in := transport.NewInproc(wmm.NewSink(wmm.Options{}), nil, func() time.Duration { return clk.Now() - start })
 			return cluster.NewRemoteNode("w2", meteredInproc{in}, false, opts)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			clk := clock.NewManual(time.Unix(0, 0))
+			clk := clock.NewManual()
 			sys, blocks := newBlockSystem(t, clk, tc.consumer)
 			blocked := make(chan time.Duration, 1)
 			_ = sys.Register("producer", func(ctx *Context) error {
 				start := clk.Now()
 				err := ctx.Put("big", payload)
-				blocked <- clk.Now().Sub(start)
+				blocked <- clk.Now() - start
 				return err
 			})
 			_ = sys.Register("sink", func(ctx *Context) error { return ctx.Put("done", []byte("ok")) })

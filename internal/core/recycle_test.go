@@ -187,7 +187,7 @@ function a
   input in from $USER
   output out to $USER
 `
-	clk := clock.NewManual(time.Unix(0, 0))
+	clk := clock.NewManual()
 	sys := dslSystem(t, dsl, 1, func(c *Config) { c.Clock = clk })
 	const lat = time.Millisecond // each request's first run lasts 1 ms of virtual time: a stays off the caller
 	for i := 0; i < 40; i++ {

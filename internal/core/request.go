@@ -149,7 +149,7 @@ type request struct {
 	gen    atomic.Uint32
 	stripe uint32   // the request's lane of the striped engine counters
 	next   *request // free-list link
-	start  time.Time
+	start  time.Duration
 
 	tracker dataflow.Tracker // embedded by value, reused with the request
 	mu      sync.Mutex
@@ -212,7 +212,7 @@ type reqFreeList struct {
 // free-list, or allocates it, for a request that started at start. It
 // returns holding two references: the request's own "not finished" one and
 // the caller's (Invoke's, which its lone entry job inherits).
-func (s *System) newRequest(inv *Invocation, stripe uint32, start time.Time) *request {
+func (s *System) newRequest(inv *Invocation, stripe uint32, start time.Duration) *request {
 	fl := &s.freeReqs[stripe]
 	fl.mu.Lock()
 	r := fl.head
@@ -305,7 +305,7 @@ func (r *request) finishLocked() {
 	r.torn.Store(true)
 	s, inv := r.sys, r.inv
 	end := s.clk.Now()
-	lat := end.Sub(r.start)
+	lat := end - r.start
 	s.event(r, obs.ReqCompleted, "", 0)
 	obsReqLat.Observe(r.stripe, int64(lat))
 	if r.err != nil {
@@ -324,7 +324,7 @@ func (r *request) finishLocked() {
 // is what reclaims the shared inputs of fanned functions (read by every
 // instance, fetched by none) and TTL-spilled disk copies, so a long-running
 // system does not grow with request count. Caller holds r.mu.
-func (r *request) teardown(end time.Time) {
+func (r *request) teardown(end time.Duration) {
 	s := r.sys
 	if r.err == nil {
 		// Clean completion leaves only the data no instance fetched — those
@@ -356,5 +356,5 @@ func (r *request) teardown(end time.Time) {
 			r.route[i].node.SinkRelease(id) //nolint:errcheck // best effort: an unreachable sink holds nothing to release
 		}
 	}
-	obsTeardownLat.Observe(r.stripe, int64(s.clk.Since(end)))
+	obsTeardownLat.Observe(r.stripe, int64(s.clk.Now()-end))
 }

@@ -9,8 +9,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
+	"repro/internal/pipe"
+	"repro/internal/transport"
 )
 
 // TestRequestIDsUniqueAndWellFormed pins the ID contract the block
@@ -202,5 +205,33 @@ func TestStripedLayout(t *testing.T) {
 		if lanes == 0 {
 			t.Fatalf("%s: no striped words found", rt.Name())
 		}
+	}
+}
+
+// TestRequestPathHoldsNoTimeTime pins that a clock reading on the warm path
+// is one integer: no field of the records a request writes its readings
+// into — nor of a struct or array they hold by value — is a time.Time, whose
+// location pointer costs a write barrier per store and whose arithmetic
+// costs what the reading does.
+func TestRequestPathHoldsNoTimeTime(t *testing.T) {
+	timeT := reflect.TypeOf(time.Time{})
+	var walk func(rt reflect.Type, path string)
+	walk = func(rt reflect.Type, path string) {
+		switch {
+		case rt == timeT:
+			t.Errorf("%s is a time.Time", path)
+		case rt.Kind() == reflect.Struct:
+			for i := 0; i < rt.NumField(); i++ {
+				walk(rt.Field(i).Type, path+"."+rt.Field(i).Name)
+			}
+		case rt.Kind() == reflect.Array:
+			walk(rt.Elem(), path+"[]")
+		}
+	}
+	for _, rt := range []reflect.Type{
+		reflect.TypeOf(request{}), reflect.TypeOf(Context{}),
+		reflect.TypeOf(pipe.Limiter{}), reflect.TypeOf(transport.Pacing{}),
+	} {
+		walk(rt, rt.String())
 	}
 }

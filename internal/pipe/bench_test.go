@@ -67,7 +67,7 @@ func BenchmarkStreamTransfer(b *testing.B) {
 		deliver := func(int64, []byte, int64) {}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			tr := &Transfer{Payload: p, Limiters: lims, FailAfter: -1, Clock: clk}
+			tr := &Transfer{Payload: p, Limiters: lims, FailAfter: -1}
 			if _, err := tr.Run(0, deliver); err != nil {
 				b.Fatal(err)
 			}

@@ -19,14 +19,15 @@ type readCounter struct {
 	reads atomic.Int64
 }
 
-func (c *readCounter) Now() time.Time {
+func (c *readCounter) Now() time.Duration {
 	c.reads.Add(1)
 	return c.Manual.Now()
 }
 
 func TestTakeNAtReadsNoClockForAChargeThatCannotPark(t *testing.T) {
-	clk := &readCounter{Manual: clock.NewManual(time.Unix(0, 0))}
+	clk := &readCounter{Manual: clock.NewManual()}
 	l := NewLimiter(clk, 1e6) // 1 byte = 1µs
+	// 0, the clock's start: a reading like any other, not clock.NoReading.
 	at := clk.Manual.Now()
 	for i := 0; i < 9; i++ { // 99µs past the reading: under the granularity
 		l.TakeNAt(1, 11, at)
@@ -48,10 +49,10 @@ func TestTakeNAtReadsNoClockForAChargeThatCannotPark(t *testing.T) {
 	}
 }
 
-func TestTakeNAtWithZeroReadingIsTakeN(t *testing.T) {
-	clk := &readCounter{Manual: clock.NewManual(time.Unix(0, 0))}
+func TestTakeNAtWithNoReadingIsTakeN(t *testing.T) {
+	clk := &readCounter{Manual: clock.NewManual()}
 	l := NewLimiter(clk, 1e6)
-	l.TakeNAt(1, 10, time.Time{})
+	l.TakeNAt(1, 10, clock.NoReading)
 	if n := clk.reads.Load(); n != 1 {
 		t.Fatalf("%d clock reads without a reading, want 1", n)
 	}
@@ -74,7 +75,7 @@ func TestTakeNAtReadsTheClockWhileCreditIsOnTheBooks(t *testing.T) {
 // passes no prefix sooner than its wire time less two granularities — one
 // more than TakeN's bound.
 func TestTakeNAtStaleReadingRunsAheadLessThanAGranularity(t *testing.T) {
-	clk := clock.NewManual(time.Unix(0, 0))
+	clk := clock.NewManual()
 	l := NewLimiter(clk, 1e6)
 	start := clk.Now()
 	var sent int64
@@ -97,8 +98,8 @@ func TestTakeNAtStaleReadingRunsAheadLessThanAGranularity(t *testing.T) {
 			}
 		}
 		sent += 90
-		if floor := costOf(sent, 1e6) - 2*limiterGranularity; clk.Now().Sub(start) < floor {
-			t.Fatalf("%d bytes passed in %v, sooner than %v", sent, clk.Now().Sub(start), floor)
+		if floor := costOf(sent, 1e6) - 2*limiterGranularity; clk.Now()-start < floor {
+			t.Fatalf("%d bytes passed in %v, sooner than %v", sent, clk.Now()-start, floor)
 		}
 	}
 }

@@ -25,7 +25,7 @@ func takeNAsync(l *Limiter, count int, n int64) <-chan struct{} {
 }
 
 func TestTakeNZeroRateOrEmptyBatchNeverBlocks(t *testing.T) {
-	clk := clock.NewManual(time.Unix(0, 0))
+	clk := clock.NewManual()
 	l := NewLimiter(clk, 0)
 	mustReturn(t, takeNAsync(l, 64, 1<<30), "unlimited batch")
 	// A nil limiter and degenerate batches are no-ops too.
@@ -42,7 +42,7 @@ func TestTakeNZeroRateOrEmptyBatchNeverBlocks(t *testing.T) {
 func TestTakeNDeadlineEquivalentToSummedTake(t *testing.T) {
 	// Per-item charging: 4 items x 100 bytes at 1 MB/s, each driven to
 	// completion, pace the stream to 400µs total.
-	clk := clock.NewManual(time.Unix(0, 0))
+	clk := clock.NewManual()
 	perItem := NewLimiter(clk, 1e6) // 1 byte = 1µs
 	for i := 0; i < 4; i++ {
 		done := takeAsync(perItem, 100)
@@ -50,12 +50,12 @@ func TestTakeNDeadlineEquivalentToSummedTake(t *testing.T) {
 		clk.Advance(100 * time.Microsecond)
 		<-done
 	}
-	if got := clk.Now().Sub(time.Unix(0, 0)); got != 400*time.Microsecond {
+	if got := clk.Now(); got != 400*time.Microsecond {
 		t.Fatalf("per-item stream took %v, want 400µs", got)
 	}
 	// One TakeN of the same 4-item total on a fresh clock must park for the
 	// identical cumulative 400µs — same long-run rate, one debt computation.
-	clk2 := clock.NewManual(time.Unix(0, 0))
+	clk2 := clock.NewManual()
 	batched := NewLimiter(clk2, 1e6)
 	doneN := takeNAsync(batched, 4, 400)
 	mustPark(t, clk2, doneN, "batch charge")
@@ -70,7 +70,7 @@ func TestTakeNDeadlineEquivalentToSummedTake(t *testing.T) {
 }
 
 func TestTakeNSubGranularityBatchAccrues(t *testing.T) {
-	clk := clock.NewManual(time.Unix(0, 0))
+	clk := clock.NewManual()
 	l := NewLimiter(clk, 1e6) // granularity = 100 bytes
 	// A whole batch under the park threshold returns immediately but leaves
 	// its debt in the bucket.
@@ -91,7 +91,7 @@ func TestTakeNSubGranularityBatchAccrues(t *testing.T) {
 }
 
 func TestTakeNChargesSubNanosecondItemsOncePooled(t *testing.T) {
-	clk := clock.NewManual(time.Unix(0, 0))
+	clk := clock.NewManual()
 	// At 10 GB/s a 1-byte item is 0.1ns: per-item Take skips it entirely
 	// (sub-nanosecond truncation), but a 4096-item batch is 409.6ns of real
 	// debt and must reach the bucket.

@@ -26,18 +26,18 @@ type lateClock struct {
 	late time.Duration
 
 	mu    sync.Mutex
-	wakes []time.Time // pending wake-ups (deadline + late)
+	wakes []time.Duration // pending wake-ups (deadline + late)
 	parks int
 }
 
 func newLateClock(late time.Duration) *lateClock {
-	return &lateClock{Manual: clock.NewManual(time.Unix(0, 0)), late: late}
+	return &lateClock{Manual: clock.NewManual(), late: late}
 }
 
 func (c *lateClock) Sleep(d time.Duration) {
 	c.mu.Lock()
 	c.parks++
-	c.wakes = append(c.wakes, c.Now().Add(d+c.late))
+	c.wakes = append(c.wakes, c.Now()+d+c.late)
 	c.mu.Unlock()
 	c.Manual.Sleep(d + c.late)
 }
@@ -58,14 +58,14 @@ func (c *lateClock) step() bool {
 	}
 	first := 0
 	for i, w := range c.wakes {
-		if w.Before(c.wakes[first]) {
+		if w < c.wakes[first] {
 			first = i
 		}
 	}
 	wake := c.wakes[first]
 	c.wakes = append(c.wakes[:first], c.wakes[first+1:]...)
 	c.mu.Unlock()
-	c.Advance(wake.Sub(c.Now()))
+	c.Advance(wake - c.Now())
 	return true
 }
 
@@ -123,7 +123,7 @@ func TestCreditSustainsRateUnderLateWakeups(t *testing.T) {
 		}
 	})
 	ideal := costOf(charges*chunk, tcRate)
-	elapsed := clk.Now().Sub(start)
+	elapsed := clk.Now() - start
 	// Without credit every 164µs charge parks for 164µs + 1ms: ≈14% of the
 	// rate. With it the lateness of one park pays for the next charges.
 	if got := float64(ideal) / float64(elapsed); got < 0.9 {
@@ -151,8 +151,8 @@ func TestCreditNeverBeatsRateFromIdle(t *testing.T) {
 				sent += n
 				// Every prefix of the transfer: the bytes so far took at
 				// least their wire time, less the unparked debt.
-				if floor := costOf(sent, tcRate) - limiterGranularity; clk.Now().Sub(start) < floor-time.Duration(i+1) {
-					t.Errorf("late=%v: %d bytes passed in %v, sooner than %v", late, sent, clk.Now().Sub(start), floor)
+				if floor := costOf(sent, tcRate) - limiterGranularity; clk.Now()-start < floor-time.Duration(i+1) {
+					t.Errorf("late=%v: %d bytes passed in %v, sooner than %v", late, sent, clk.Now()-start, floor)
 					return
 				}
 			}
@@ -239,19 +239,19 @@ func TestZeroLatenessMatchesPreCreditLimiter(t *testing.T) {
 				// The stream pauses: idle link time, forgiven by both.
 				gap := time.Duration(rng.Intn(300)) * time.Microsecond
 				clk.Advance(gap)
-				modelNow = modelNow.Add(gap)
+				modelNow += gap
 			}
 			l.Take(n)
-			if modelNext.Before(modelNow) {
+			if modelNext < modelNow {
 				modelNext = modelNow
 			}
-			modelNext = modelNext.Add(costOf(n, tcRate))
-			if modelNext.Sub(modelNow) >= limiterGranularity {
+			modelNext += costOf(n, tcRate)
+			if modelNext-modelNow >= limiterGranularity {
 				modelNow = modelNext
 				modelParks++
 			}
-			if got := clk.Now(); !got.Equal(modelNow) {
-				t.Errorf("charge %d returned at +%v, pre-credit limiter at +%v", i, got.Sub(start), modelNow.Sub(start))
+			if got := clk.Now(); got != modelNow {
+				t.Errorf("charge %d returned at +%v, pre-credit limiter at +%v", i, got-start, modelNow-start)
 				return
 			}
 		}

@@ -54,7 +54,7 @@ func mustPark(t *testing.T, clk *clock.Manual, done <-chan struct{}, what string
 }
 
 func TestLimiterZeroRateNeverBlocksOrAccrues(t *testing.T) {
-	clk := clock.NewManual(time.Unix(0, 0))
+	clk := clock.NewManual()
 	l := NewLimiter(clk, 0)
 	mustReturn(t, takeAsync(l, 1<<30), "unlimited take")
 	mustReturn(t, takeAsync(l, 1<<30), "second unlimited take")
@@ -64,7 +64,7 @@ func TestLimiterZeroRateNeverBlocksOrAccrues(t *testing.T) {
 }
 
 func TestLimiterSubGranularityDebtAccumulates(t *testing.T) {
-	clk := clock.NewManual(time.Unix(0, 0))
+	clk := clock.NewManual()
 	l := NewLimiter(clk, 1e6) // 1 byte = 1µs; granularity = 100 bytes
 	// Two sub-granularity charges accrue 99µs of debt without a single
 	// timer park.
@@ -85,7 +85,7 @@ func TestLimiterSubGranularityDebtAccumulates(t *testing.T) {
 }
 
 func TestLimiterLongIdleForgetsMicroDebt(t *testing.T) {
-	clk := clock.NewManual(time.Unix(0, 0))
+	clk := clock.NewManual()
 	l := NewLimiter(clk, 1e6)
 	// Accrue 99µs of unpaid sub-granularity debt...
 	mustReturn(t, takeAsync(l, 99), "99µs charge")

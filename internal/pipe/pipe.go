@@ -86,12 +86,12 @@ type Limiter struct {
 	mu   sync.Mutex
 	clk  clock.Clock
 	rate float64 // bytes per second; fixed at NewLimiter
-	// next is the bucket deadline: the instant the bytes charged so far
-	// have drained at the configured rate.
-	next time.Time
-	// woke is the instant credit was last granted (a late wake-up) or drawn
-	// on; the credit itself is woke - next while that is positive.
-	woke time.Time
+	// next is the bucket deadline: the reading at which the bytes charged
+	// so far have drained at the configured rate.
+	next time.Duration
+	// woke is the reading credit was last granted at (a late wake-up) or
+	// drawn on; the credit itself is woke - next while that is positive.
+	woke time.Duration
 }
 
 // NewLimiter returns a limiter enforcing bytesPerSec on clk. A
@@ -139,19 +139,19 @@ func (l *Limiter) Take(n int64) { l.TakeN(1, n) }
 // that does not), so a caller pacing on a goroutine whose time is accounted
 // to someone else — an FLU shipping inline — can book the park as its own.
 func (l *Limiter) TakeN(count int, n int64) time.Duration {
-	return l.TakeNAt(count, n, time.Time{})
+	return l.TakeNAt(count, n, clock.NoReading)
 }
 
 // TakeNAt is TakeN for a caller holding a reading of the limiter's clock
-// taken before the call (zero: none). A charge that cannot park even priced
-// at that reading — its debt stays under limiterGranularity past it, and no
-// oversleep credit is on the books — is priced there and reads no clock;
-// every other charge reads the clock as TakeN does, so whether and until
-// when a charge parks is unchanged. Priced at an earlier reading, a charge
-// into a bucket that drained since restarts it up to the reading's age early:
-// idle link time pays for at most the charge's own cost, so the stream runs
-// ahead of the rate by less than limiterGranularity beyond TakeN's bound.
-func (l *Limiter) TakeNAt(count int, n int64, at time.Time) time.Duration {
+// taken before the call (clock.NoReading: none). A charge that cannot park
+// even priced at that reading — its debt stays under limiterGranularity past
+// it, and no oversleep credit is on the books — is priced there and reads no
+// clock; every other charge reads the clock as TakeN does, so whether and
+// until when a charge parks is unchanged. Priced at an earlier reading, a
+// charge into a bucket that drained since restarts it up to the reading's age
+// early: idle link time pays for at most the charge's own cost, so the stream
+// runs ahead of the rate by less than limiterGranularity beyond TakeN's bound.
+func (l *Limiter) TakeNAt(count int, n int64, at time.Duration) time.Duration {
 	if l == nil || count <= 0 || n <= 0 {
 		return 0
 	}
@@ -171,28 +171,28 @@ func (l *Limiter) TakeNAt(count int, n int64, at time.Time) time.Duration {
 // deadline once the accumulated wait crosses the granularity, returning the
 // time it was parked. now is at only when the charge cannot park from there
 // (TakeNAt).
-func (l *Limiter) charge(n int64, at time.Time) time.Duration {
+func (l *Limiter) charge(n int64, at time.Duration) time.Duration {
 	cost := time.Duration(float64(n) / l.rate * float64(time.Second))
 	l.mu.Lock()
 	now := at
-	if at.IsZero() || l.woke.After(l.next) || max(l.next.Sub(at), 0)+cost >= limiterGranularity {
+	if at < 0 || l.woke > l.next || max(l.next-at, 0)+cost >= limiterGranularity {
 		now = l.clk.Now()
 	}
-	if l.next.Before(now) {
+	if l.next < now {
 		// The bucket drained before this charge arrived. The time since is
 		// idle link time and is forgiven — except the stretch up to a late
 		// wake-up, which was the timer, not the stream: that much stays as
 		// credit while the stream keeps the limiter busy.
-		credit := l.woke.Sub(l.next)
-		if credit <= 0 || now.Sub(l.woke) >= limiterGranularity {
+		credit := l.woke - l.next
+		if credit <= 0 || now-l.woke >= limiterGranularity {
 			credit = 0
 		} else if credit > limiterMaxCredit {
 			credit = limiterMaxCredit
 		}
-		l.next, l.woke = now.Add(-credit), now
+		l.next, l.woke = now-credit, now
 	}
-	l.next = l.next.Add(cost)
-	wait := l.next.Sub(now)
+	l.next += cost
+	wait := l.next - now
 	l.mu.Unlock()
 	if wait < limiterGranularity {
 		return 0
@@ -200,20 +200,19 @@ func (l *Limiter) charge(n int64, at time.Time) time.Duration {
 	l.clk.Sleep(wait)
 	l.mu.Lock()
 	woke := l.clk.Now()
-	if woke.After(l.next) {
+	if woke > l.next {
 		l.woke = woke // overslept past every queued deadline: grant credit
 	}
 	l.mu.Unlock()
 	obsParks.Inc(0)
-	obsParkLate.Observe(0, int64(woke.Sub(now)-wait))
-	return woke.Sub(now)
+	obsParkLate.Observe(0, int64(woke-now-wait))
+	return woke - now
 }
 
 // Checkpoint is one incremental progress record of a stream.
 type Checkpoint struct {
 	StreamID string
 	Offset   int64
-	At       time.Time
 }
 
 // CheckpointLog records the furthest checkpoint per stream. It stands in
@@ -270,8 +269,6 @@ type Transfer struct {
 	// FailAfter injects a failure once at least FailAfter bytes have been
 	// sent; negative disables injection.
 	FailAfter int64
-	// Clock stamps checkpoints; defaults to the wall clock.
-	Clock clock.Clock
 }
 
 // Deliver is called for every chunk that arrives at the destination.
@@ -282,10 +279,6 @@ type Deliver func(offset int64, chunk []byte, total int64)
 // It returns the number of bytes delivered in this run (not counting the
 // resumed prefix) and the first error.
 func (t *Transfer) Run(fromOffset int64, deliver Deliver) (int64, error) {
-	clk := t.Clock
-	if clk == nil {
-		clk = clock.NewWall()
-	}
 	if t.Log != nil && t.StreamID == "" {
 		return 0, fmt.Errorf("pipe: transfer with Log requires StreamID")
 	}
@@ -328,7 +321,7 @@ func (t *Transfer) Run(fromOffset int64, deliver Deliver) (int64, error) {
 		sent += n
 		off = end
 		if t.Log != nil {
-			t.Log.Record(Checkpoint{StreamID: t.StreamID, Offset: off, At: clk.Now()})
+			t.Log.Record(Checkpoint{StreamID: t.StreamID, Offset: off})
 		}
 	}
 	return sent, nil

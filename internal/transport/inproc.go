@@ -3,7 +3,6 @@ package transport
 import (
 	"context"
 
-	"repro/internal/clock"
 	"repro/internal/dataflow"
 	"repro/internal/pipe"
 	"repro/internal/wmm"
@@ -11,10 +10,11 @@ import (
 
 // Inproc is the in-process transport: a direct call into the node's sink
 // behind the interface. ShipBatch is one TakeNAt on the source TC class and
-// one sink multi-put under one clock read (the put skipped when the shipment
-// carries nothing to put); Land mirrors the socket fast path's Take. No Inproc operation returns an error or consults a
-// context, and the transport allocates nothing itself (a put allocates its
-// sink entry): the ship path stays inside the engine's 8 allocs/request.
+// one sink multi-put under one clock read (none when the shipment carries
+// nothing to put); Land mirrors the socket fast path's Take. No operation
+// fails or consults a context, and the transport allocates nothing itself (a
+// put allocates its sink entry): a warm chain request allocates 1 object, a
+// relay request 6 (TestInvokeAllocsCeiling, TestRelayAllocsCeiling).
 type Inproc struct {
 	sink    *wmm.Sink
 	elapsed Elapsed
@@ -97,8 +97,6 @@ type StreamSpec struct {
 	FailAfter func() int64
 	// Retries is the ReDo budget after the first failed attempt.
 	Retries int
-	// Clock stamps the checkpoints.
-	Clock clock.Clock
 }
 
 // Stream pumps one payload through the streaming pipe: chunked, the source
@@ -115,7 +113,6 @@ func (t *Inproc) Stream(spec StreamSpec, payload []byte) error {
 		Payload:   payload,
 		Limiters:  lims[:],
 		FailAfter: -1,
-		Clock:     spec.Clock,
 	}
 	if int64(len(payload)) > pipe.SmallDataThreshold {
 		// Small payloads record no checkpoints: an interrupted small send is

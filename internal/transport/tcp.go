@@ -45,7 +45,7 @@ type Server struct {
 
 type hostedSink struct {
 	sink  *wmm.Sink
-	start time.Time
+	start time.Duration
 }
 
 // NewServer returns a server with no hosts and no listener.
@@ -173,7 +173,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 		obsServerFrames.Inc(stripe)
 		obsServerBytes.Add(stripe, int64(len(body)+frameHeaderLen))
-		at := s.clk.Since(host.start)
+		at := s.clk.Now() - host.start
 		var (
 			respT MsgType = MsgAck
 			resp  []byte  = wbuf[:0]
@@ -265,7 +265,6 @@ func (o DialOptions) withDefaults() DialOptions {
 // DialTCP connects to a Server at addr, binding to the named hosted node.
 func DialTCP(ctx context.Context, addr, node string, opts DialOptions) (*Client, error) {
 	c := &Client{addr: addr, node: node, opts: opts.withDefaults(), stripe: obsStripeSeq.Add(1)}
-	c.clk = clock.NewWall()
 	c.mu.Lock()
 	err := c.connectLocked(ctx)
 	c.mu.Unlock()
@@ -285,7 +284,6 @@ type Client struct {
 	addr   string
 	node   string
 	opts   DialOptions
-	clk    clock.Clock
 	stripe uint32 // obs instrument lane
 
 	mu     sync.Mutex
@@ -313,7 +311,7 @@ func (c *Client) connectLocked(ctx context.Context) error {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	conn.SetDeadline(c.clk.Now().Add(c.opts.Timeout))
+	conn.SetDeadline(clock.Deadline(c.opts.Timeout))
 	if err := WriteFrame(conn, MsgHello, appendHello(c.ebuf[:0], Hello{Node: c.node}), DefaultMaxFrame); err != nil {
 		conn.Close()
 		return classify("hello", c.addr, err)
@@ -399,7 +397,7 @@ func (c *Client) rpc(op string, t MsgType, enc func([]byte) []byte, want MsgType
 
 func (c *Client) exchangeLocked(op string, t MsgType, body []byte, want MsgType) ([]byte, error) {
 	conn := c.conn
-	conn.SetDeadline(c.clk.Now().Add(c.opts.Timeout))
+	conn.SetDeadline(clock.Deadline(c.opts.Timeout))
 	c.wbuf = AppendFrame(c.wbuf[:0], t, body)
 	if len(c.wbuf)-4 > DefaultMaxFrame {
 		return nil, wireErr(op, c.addr, ErrFrameTooLarge,

@@ -39,16 +39,16 @@ const DefaultBatchTasks = 64
 // credited with the time the charge spent parked in a limiter: the engine
 // sets it when it ships on an FLU's own goroutine, where a park is a block
 // the FLU's execution time must not absorb. At is a reading of the
-// limiters' clock that goroutine already took (pipe.Limiter.TakeNAt; zero:
-// none). Only Inproc honours Parked and At — a remote shipment never runs on
-// an FLU's goroutine.
+// limiters' clock that goroutine already took (pipe.Limiter.TakeNAt;
+// clock.NoReading: none). Only Inproc honours Parked and At — a remote
+// shipment never runs on an FLU's goroutine.
 type Pacing struct {
 	Src     *pipe.Limiter
 	Items   int
 	Bytes   int64
 	TraceID uint64
 	Parked  *time.Duration
-	At      time.Time
+	At      time.Duration
 }
 
 // Transport is one engine's channel to one node's Wait-Match Memory. All
