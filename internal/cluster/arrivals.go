@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"slices"
+	"strconv"
+	"strings"
 
 	"repro/internal/dataflow"
 	"repro/internal/wmm"
@@ -15,6 +17,32 @@ import (
 // is what recovery re-ships them from. Fetchers are numbered densely by the
 // request's layout (dataflow.Tracker.Fetcher), so neither a record nor a
 // fetch looks at another instance's records.
+
+// SinkKey is the Wait-Match Memory key of an item, derived from its
+// addressing: input@idx<-from[idx].output under the consumer's function, idx
+// as the tracker routed it (BroadcastIdx for a datum every instance reads).
+// Both planes land data under it; the arrival log keeps it for the fetch,
+// replay and teardown, which never derive it again. Built by hand, one
+// allocation for the key string.
+func SinkKey(reqID string, it dataflow.Item) wmm.Key {
+	var (
+		b   strings.Builder
+		buf [20]byte
+	)
+	b.Grow(len(it.Input) + len(it.From.Fn) + len(it.Output) + 20)
+	b.WriteString(it.Input)
+	b.WriteByte('@')
+	b.Write(strconv.AppendInt(buf[:0], int64(it.To.Idx), 10))
+	b.WriteString("<-")
+	it.From.AppendTo(&b)
+	b.WriteByte('.')
+	b.WriteString(it.Output)
+	return wmm.Key{
+		ReqID: reqID,
+		Fn:    it.To.Fn,
+		Data:  b.String(),
+	}
+}
 
 // Arrival is one datum a request landed in a node's sink: the key it is
 // cached under, its value and the node whose sink holds it.

@@ -49,3 +49,23 @@ func TestArrivalLogReplayPlan(t *testing.T) {
 		t.Fatal("a reset log did not reuse its backing, or lost its fetch state")
 	}
 }
+
+// BenchmarkSinkKeyFormat pins the allocation cost of deriving a Wait-Match
+// Memory key from an item's addressing — paid once per item the engine ships
+// through a sink, and once per item the simulation plane lands.
+func BenchmarkSinkKeyFormat(b *testing.B) {
+	it := dataflow.Item{
+		From:   dataflow.InstanceKey{Fn: "resize", Idx: 7},
+		Output: "frames",
+		To:     dataflow.InstanceKey{Fn: "encode", Idx: 12},
+		Input:  "chunks",
+		Value:  dataflow.Value{Size: 64},
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		k := SinkKey("req-123456", it)
+		if k.Fn != "encode" {
+			b.Fatal("bad key")
+		}
+	}
+}

@@ -11,7 +11,6 @@ import (
 	"unsafe"
 
 	"repro/internal/cluster"
-	"repro/internal/dataflow"
 	"repro/internal/workflow"
 )
 
@@ -303,7 +302,7 @@ func TestInvokeAllocsCeilingWithSampling(t *testing.T) {
 // request id string (landBatch's sink keys name it; a tiny allocation, which
 // a heap profile samples once per 16-byte block it opens, about every second
 // request), and per streamed hop (a → b, b → c) the sink key's data string
-// (sinkKey's strings.Builder) and the one-element limiter array
+// (cluster.SinkKey's strings.Builder) and the one-element limiter array
 // transport.Inproc.Stream hands the pipe, which escapes. No stream id is
 // formatted: only a failure injector names streams. The ceiling is the 13
 // the same shape allocated while the engine state was allocated with the
@@ -499,26 +498,6 @@ func BenchmarkSkewedInvoke(b *testing.B) {
 			b.ReportMetric(float64(hot.Load())/b.Elapsed().Seconds(), "hot-req/s")
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
 		})
-	}
-}
-
-// BenchmarkSinkKeyFormat pins the allocation cost of deriving a Wait-Match
-// Memory key from an item's addressing — paid once per shipped item on the
-// ship/land hot path plus once per consumed input in runInstance.
-func BenchmarkSinkKeyFormat(b *testing.B) {
-	it := dataflow.Item{
-		From:   dataflow.InstanceKey{Fn: "resize", Idx: 7},
-		Output: "frames",
-		To:     dataflow.InstanceKey{Fn: "encode", Idx: 12},
-		Input:  "chunks",
-		Value:  dataflow.Value{Size: 64},
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		k := sinkKey("req-123456", it)
-		if k.Fn != "encode" {
-			b.Fatal("bad key")
-		}
 	}
 }
 

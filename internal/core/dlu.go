@@ -3,7 +3,6 @@ package core
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -583,7 +582,7 @@ func (s *System) landBatch(r *request, items []dataflow.Item, node *cluster.Node
 		id := r.inv.ReqID()
 		for i := range items {
 			b.reqs = append(b.reqs, wmm.PutReq{
-				Key:       sinkKey(id, items[i]),
+				Key:       cluster.SinkKey(id, items[i]),
 				Val:       items[i].Value,
 				Consumers: 1,
 			})
@@ -667,40 +666,6 @@ func (s *System) deliverBatch(r *request, items []dataflow.Item, reqs []wmm.PutR
 	r.mu.Unlock()
 }
 
-// sinkKey derives the Wait-Match Memory key of an item from its addressing.
-// The arrival log keeps it for the fetch, replay and teardown, which never
-// derive it again. Built by hand, one allocation for the key string.
-func sinkKey(reqID string, it dataflow.Item) wmm.Key {
-	var b strings.Builder
-	b.Grow(len(it.Input) + len(it.From.Fn) + len(it.Output) + 20)
-	b.WriteString(it.Input)
-	b.WriteByte('@')
-	writeInt(&b, it.To.Idx)
-	b.WriteString("<-")
-	writeInstanceKey(&b, it.From)
-	b.WriteByte('.')
-	b.WriteString(it.Output)
-	return wmm.Key{
-		ReqID: reqID,
-		Fn:    it.To.Fn,
-		Data:  b.String(),
-	}
-}
-
-// writeInt appends n in decimal through a stack buffer (no allocation).
-func writeInt(b *strings.Builder, n int) {
-	var buf [20]byte
-	b.Write(strconv.AppendInt(buf[:0], int64(n), 10))
-}
-
-// writeInstanceKey appends key's fn[idx] form without the fmt machinery.
-func writeInstanceKey(b *strings.Builder, key dataflow.InstanceKey) {
-	b.WriteString(key.Fn)
-	b.WriteByte('[')
-	writeInt(b, key.Idx)
-	b.WriteByte(']')
-}
-
 // streamIDOf formats the cross-node stream identifier
 // (reqID/from.output->to) without the fmt machinery: the checkpoint log and
 // the failure injector address streams by it, and a failed one is named by it.
@@ -709,11 +674,11 @@ func streamIDOf(reqID string, it dataflow.Item) string {
 	b.Grow(len(reqID) + len(it.From.Fn) + len(it.Output) + len(it.To.Fn) + 16)
 	b.WriteString(reqID)
 	b.WriteByte('/')
-	writeInstanceKey(&b, it.From)
+	it.From.AppendTo(&b)
 	b.WriteByte('.')
 	b.WriteString(it.Output)
 	b.WriteString("->")
-	writeInstanceKey(&b, it.To)
+	it.To.AppendTo(&b)
 	return b.String()
 }
 

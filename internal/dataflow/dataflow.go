@@ -22,6 +22,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
+	"strings"
 
 	"repro/internal/workflow"
 )
@@ -36,7 +38,22 @@ type InstanceKey struct {
 }
 
 // String formats the key as fn[idx].
-func (k InstanceKey) String() string { return fmt.Sprintf("%s[%d]", k.Fn, k.Idx) }
+func (k InstanceKey) String() string {
+	var b strings.Builder
+	k.AppendTo(&b)
+	return b.String()
+}
+
+// AppendTo writes the key's fn[idx] form to b without the fmt machinery (the
+// index goes through a stack buffer): sink keys and stream ids name
+// instances by it on the ship path.
+func (k InstanceKey) AppendTo(b *strings.Builder) {
+	var buf [20]byte
+	b.WriteString(k.Fn)
+	b.WriteByte('[')
+	b.Write(strconv.AppendInt(buf[:0], int64(k.Idx), 10))
+	b.WriteByte(']')
+}
 
 // UserKey is the pseudo-instance representing the workflow invoker.
 var UserKey = InstanceKey{Fn: workflow.UserSource, Idx: 0}

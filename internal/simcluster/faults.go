@@ -16,8 +16,11 @@ import (
 // and no function runs again. Recovery repairs each touched request's pins
 // with the pick both planes share (cluster.SelectReplica) and re-ships every
 // lost, still unfetched item from the coordinator's log (the load
-// generator's endpoint) to the repaired pin. Every fault-only code path is
-// gated on s.faulty (set iff Config.Faults is non-empty), so a fault-free
+// generator's endpoint) to the repaired pin. That log is the request's
+// arrival log, which every run keeps: instances fetch their inputs from it.
+// s.faulty (set iff Config.Faults is non-empty) gates the fault-only code
+// paths — the in-flight request set, the pin of a single-replica function
+// and the re-land of a shipment whose destination died — so a fault-free
 // run is event-for-event identical to the classic engine and the paper
 // figures stay byte-stable.
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/dataflow"
 	"repro/internal/obs"
 	"repro/internal/workflow"
@@ -63,7 +64,9 @@ func TestFannedSharedInputReleasedAtCompletion(t *testing.T) {
 	if fetched < 0 {
 		t.Fatal("work[0] never finished")
 	}
-	shared := dfSinkKey("r1", dataflow.InstanceKey{Fn: "work"}, "cfg", "split", 0, "cfg")
+	// The tracker routes the shared input to every instance (BroadcastIdx).
+	shared := cluster.SinkKey("r1", dataflow.Item{From: dataflow.InstanceKey{Fn: "split"}, Output: "cfg",
+		To: dataflow.InstanceKey{Fn: "work", Idx: dataflow.BroadcastIdx}, Input: "cfg"})
 
 	s := New(cfg)
 	resident := false
@@ -81,5 +84,33 @@ func TestFannedSharedInputReleasedAtCompletion(t *testing.T) {
 	s.RunOne()
 	if _, _, ok := s.replicas["work"][0].sink.Get(s.env.Now(), shared); ok {
 		t.Fatal("work's shared input outlived the request")
+	}
+}
+
+// TestSinkConsumesWhatLanded: in fault-free DataFlower runs each instance
+// reads exactly the data the arrival log chains to it. Every datum landed in
+// a sink is read once and no read misses, except a FOREACH-fanned function's
+// shared inputs, which none of its instances fetches.
+func TestSinkConsumesWhatLanded(t *testing.T) {
+	const requests = 8
+	for _, prof := range append(workloads.All(), sharedInputProfile(t)) {
+		t.Run(prof.Name, func(t *testing.T) {
+			s := New(Config{Kind: DataFlower, Profile: prof})
+			res := s.RunOpenLoop(60, requests)
+			if res.Completed != requests || res.Failed != 0 {
+				t.Fatalf("completed %d, failed %d of %d", res.Completed, res.Failed, requests)
+			}
+			wf := prof.Workflow
+			var shared int64 // per request
+			for _, e := range wf.Edges() {
+				if f, ok := wf.Function(e.To); ok && e.Kind != workflow.Foreach && wf.Plan().Fns[f.Index()].Fanned {
+					shared += int64(s.instancesOf(e.From))
+				}
+			}
+			st := res.SinkStats
+			if st.Misses != 0 || st.MemHits+st.DiskHits != st.Puts-requests*shared {
+				t.Fatalf("%+v: want no misses and %d puts - %d shared read", st, st.Puts, requests*shared)
+			}
+		})
 	}
 }

@@ -318,9 +318,9 @@ type request struct {
 	// pin records the replica chosen per function for this request
 	// (allocated lazily; single-replica functions never touch it).
 	pin map[string]*node
-	// arrivals logs every item cached in a node's sink — the coordinator's
-	// log a node kill replays from (faults.go). Kept only when faults are
-	// scheduled.
+	// arrivals logs every item cached in a node's sink under its key: what
+	// each instance fetches (consumeSinkInputs) and the coordinator's log a
+	// node kill replays from (faults.go).
 	arrivals cluster.ArrivalLog[*node]
 	// recovering marks the request as touched by a node kill;
 	// recoverStart is the (first) kill's virtual time.

@@ -105,15 +105,13 @@ func (s *Sim) execute(p *sim.Proc, c *container, w *work) {
 func (s *Sim) dfExecute(p *sim.Proc, c *container, w *work) {
 	req, key := w.req, w.key
 	s.stage(obs.InstanceStarted, key.Fn, key.Idx)
-	// Fetch inputs from the Wait-Match Memory (a disk hit charges the
-	// spill-read penalty); consumption drives proactive release.
-	s.consumeSinkInputs(p, req, key, c.node)
+	f, _ := req.prof.Workflow.Function(key.Fn)
+	s.consumeSinkInputs(p, req, f.Index(), key.Idx)
 
 	start := s.env.Now()
 	s.compute(p, c, key.Fn)
 	s.fluAvg[key.Fn].add(s.env.Now() - start)
 
-	f, _ := req.prof.Workflow.Function(key.Fn)
 	for _, o := range f.Outputs {
 		values := s.outputValues(key.Fn, o.Name, o.Kind)
 		switchCase := 0
@@ -155,47 +153,19 @@ func (s *Sim) dfExecute(p *sim.Proc, c *container, w *work) {
 	s.stage(obs.InstanceFinished, key.Fn, key.Idx)
 }
 
-// consumeSinkInputs performs the Wait-Match Memory reads for an instance.
-func (s *Sim) consumeSinkInputs(p *sim.Proc, req *request, key dataflow.InstanceKey, n *node) {
-	f, _ := req.prof.Workflow.Function(key.Fn)
-	fanned := req.prof.Workflow.Plan().Fns[f.Index()].Fanned
-	for _, in := range f.Inputs {
-		if in.FromUser {
-			continue
+// consumeSinkInputs performs the Wait-Match Memory reads for instance idx of
+// function fn, as the engine's runInstance does: it fetches the instance's
+// records from the arrival log and reads each from the node that holds it, so
+// proactive release reclaims each at its read and a later kill of that node
+// no longer needs it replayed. A fanned function's shared inputs are fetched
+// by none of its instances: the request's release reclaims them. A disk hit
+// charges the spill-read penalty.
+func (s *Sim) consumeSinkInputs(p *sim.Proc, req *request, fn, idx int) {
+	for i := req.arrivals.Fetch(req.tracker.Fetcher(fn, idx)); i >= 0; i = req.arrivals.Next(i) {
+		a := req.arrivals.At(i)
+		if _, tier, ok := a.Node.sink.Get(s.env.Now(), a.Key); ok && tier == wmm.Disk {
+			p.Sleep(diskOpDelay) // spilled entry re-read from SSD
 		}
-		// Keys were recorded at delivery; consume all entries addressed to
-		// this instance. A fanned function's shared inputs (its non-FOREACH
-		// edges) are fetched by none of its instances: the request's
-		// release reclaims them, as on the engine.
-		for _, e := range req.prof.Workflow.Edges() {
-			if e.To != key.Fn || e.ToInput != in.Name || (fanned && e.Kind != workflow.Foreach) {
-				continue
-			}
-			srcInstances := 1
-			if e.Kind == workflow.Merge {
-				srcInstances = s.instancesOf(e.From)
-			}
-			for i := 0; i < srcInstances; i++ {
-				k := dfSinkKey(req.id, key, in.Name, e.From, i, e.Output)
-				if _, tier, ok := n.sink.Get(s.env.Now(), k); ok && tier == wmm.Disk {
-					p.Sleep(diskOpDelay) // spilled entry re-read from SSD
-				}
-			}
-		}
-	}
-	if s.faulty {
-		// The instance holds its inputs now: a later kill of the caching
-		// node no longer needs them replayed.
-		req.arrivals.Fetch(req.tracker.Fetcher(f.Index(), key.Idx))
-	}
-}
-
-// dfSinkKey is the deterministic Wait-Match key for an item.
-func dfSinkKey(reqID string, to dataflow.InstanceKey, input, fromFn string, fromIdx int, output string) wmm.Key {
-	return wmm.Key{
-		ReqID: reqID,
-		Fn:    to.Fn,
-		Data:  fmt.Sprintf("%s@%d<-%s[%d].%s", input, to.Idx, fromFn, fromIdx, output),
 	}
 }
 
@@ -257,15 +227,9 @@ func (s *Sim) dfShip(p *sim.Proc, c *container, req *request, it dataflow.Item) 
 		dst = s.replicaFor(req, it.To.Fn, nil)
 	}
 	// Land in the destination Wait-Match Memory.
-	toIdx := it.To.Idx
-	if toIdx == dataflow.BroadcastIdx {
-		toIdx = 0
-	}
-	key := dfSinkKey(req.id, dataflow.InstanceKey{Fn: it.To.Fn, Idx: toIdx}, it.Input, it.From.Fn, it.From.Idx, it.Output)
+	key := cluster.SinkKey(req.id, it)
 	dst.sink.Put(s.env.Now(), key, it.Value, 1)
-	if s.faulty {
-		req.arrivals.Add(req.tracker.Fetcher(it.ToFn(), it.To.Idx), key, it.Value, dst)
-	}
+	req.arrivals.Add(req.tracker.Fetcher(it.ToFn(), it.To.Idx), key, it.Value, dst)
 	s.stage(obs.DataArrived, it.To.Fn, it.To.Idx)
 	s.dfDeliver(req, it)
 }
