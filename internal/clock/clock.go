@@ -5,6 +5,7 @@
 package clock
 
 import (
+	"slices"
 	"sync"
 	"time"
 )
@@ -52,19 +53,28 @@ func (Wall) Sleep(d time.Duration) { park(d) }
 // After implements Clock.
 func (Wall) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
-// Manual is a test clock advanced explicitly with Advance. Sleepers and After
-// channels fire when the clock passes their deadline; an After channel
-// receives the zero time moved by the reading it fired at. The zero value is
-// not usable; construct with NewManual.
+// Manual is a test clock moved explicitly, by Advance or Step. Sleepers and
+// After channels fire when the clock reaches their deadline; an After channel
+// receives the zero time moved by the reading it fired at. A test knows what
+// is parked on it without polling: Parked announces the n-th sleeper,
+// Deadlines says when each wakes, and Step wakes only the earliest. The zero
+// value is not usable; construct with NewManual.
 type Manual struct {
 	mu      sync.Mutex
 	now     time.Duration
 	waiters []*manualWaiter
+	watches []parkWatch // Parked channels not yet closed
 }
 
 type manualWaiter struct {
 	deadline time.Duration
 	ch       chan time.Time
+}
+
+// parkWatch is one Parked call waiting for n sleepers.
+type parkWatch struct {
+	n  int
+	ch chan struct{}
 }
 
 // NewManual returns a Manual clock reading 0.
@@ -81,8 +91,7 @@ func (m *Manual) Now() time.Duration {
 	return m.now
 }
 
-// Sleep implements Clock: it blocks until Advance moves the clock past the
-// deadline.
+// Sleep implements Clock: it blocks until the clock reaches the deadline.
 func (m *Manual) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
@@ -98,12 +107,27 @@ func (m *Manual) After(d time.Duration) <-chan time.Time {
 	immediate := d <= 0
 	if !immediate {
 		m.waiters = append(m.waiters, w)
+		m.announceLocked()
 	}
 	m.mu.Unlock()
 	if immediate {
 		w.ch <- fireAt // buffered, and w has not escaped yet
 	}
 	return w.ch
+}
+
+// announceLocked closes every Parked channel whose count is reached.
+func (m *Manual) announceLocked() {
+	keep := m.watches[:0]
+	for _, w := range m.watches {
+		if len(m.waiters) >= w.n {
+			close(w.ch)
+		} else {
+			keep = append(keep, w)
+		}
+	}
+	clear(m.watches[len(keep):])
+	m.watches = keep
 }
 
 // Advance moves the clock forward by d, firing every waiter whose deadline is
@@ -113,29 +137,97 @@ func (m *Manual) After(d time.Duration) <-chan time.Time {
 func (m *Manual) Advance(d time.Duration) {
 	m.mu.Lock()
 	m.now += d
-	now := m.now
-	var keep []*manualWaiter
-	var fire []*manualWaiter
+	now, due := m.now, m.dueLocked()
+	m.mu.Unlock()
+	wake(due, now)
+}
+
+// Step moves the clock to the earliest deadline a sleeper is parked at and
+// wakes the sleepers due then, and only those; a later sleeper stays parked
+// until the next Step. It reports false, and moves nothing, when nothing is
+// parked. It never blocks.
+//
+//repolint:testseam tests move virtual time one wake-up at a time
+func (m *Manual) Step() bool {
+	m.mu.Lock()
+	if len(m.waiters) == 0 {
+		m.mu.Unlock()
+		return false
+	}
+	next := m.waiters[0].deadline
+	for _, w := range m.waiters[1:] {
+		next = min(next, w.deadline)
+	}
+	m.now = next
+	due := m.dueLocked()
+	m.mu.Unlock()
+	wake(due, next)
+	return true
+}
+
+// dueLocked removes and returns the waiters due at the current reading.
+// Caller holds m.mu.
+func (m *Manual) dueLocked() []*manualWaiter {
+	var due []*manualWaiter
+	keep := m.waiters[:0]
 	for _, w := range m.waiters {
-		if w.deadline <= now {
-			fire = append(fire, w)
+		if w.deadline <= m.now {
+			due = append(due, w)
 		} else {
 			keep = append(keep, w)
 		}
 	}
+	clear(m.waiters[len(keep):])
 	m.waiters = keep
-	m.mu.Unlock()
-	for _, w := range fire {
+	return due
+}
+
+// wake fires the waiters at reading now. Each channel has a free slot: a
+// waiter fires once.
+func wake(due []*manualWaiter, now time.Duration) {
+	for _, w := range due {
 		w.ch <- time.Time{}.Add(now)
 	}
 }
 
-// Pending reports how many sleepers are waiting on the clock. Useful for
-// tests that need to know a goroutine has reached its Sleep.
+// Pending reports how many sleepers are waiting on the clock.
 //
-//repolint:testseam tests wait on it to know a goroutine has parked
+//repolint:testseam tests read it to know what a step would wake
 func (m *Manual) Pending() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.waiters)
+}
+
+// Parked returns a channel that is closed once at least n sleepers are
+// parked on the clock at one instant: at once if they already are, else by
+// the After or Sleep that parks the n-th. Receiving from it is how a test
+// blocks until the goroutines it expects have reached the clock.
+//
+//repolint:testseam tests block on it until the sleepers they expect have parked
+func (m *Manual) Parked(n int) <-chan struct{} {
+	ch := make(chan struct{})
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if len(m.waiters) >= n {
+		close(ch)
+	} else {
+		m.watches = append(m.watches, parkWatch{n: n, ch: ch})
+	}
+	return ch
+}
+
+// Deadlines returns the readings the parked sleepers wake at, earliest
+// first, so a test tells sleepers apart by when they wake.
+//
+//repolint:testseam tests tell an Eq. 1 block from a limiter park by its deadline
+func (m *Manual) Deadlines() []time.Duration {
+	m.mu.Lock()
+	out := make([]time.Duration, 0, len(m.waiters))
+	for _, w := range m.waiters {
+		out = append(out, w.deadline)
+	}
+	m.mu.Unlock()
+	slices.Sort(out)
+	return out
 }

@@ -1,6 +1,7 @@
 package clock
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -89,13 +90,7 @@ func TestManualSleepBlocksUntilAdvance(t *testing.T) {
 		m.Sleep(3 * time.Second)
 		close(done)
 	}()
-	// Wait for the sleeper to register.
-	for i := 0; i < 1000 && m.Pending() == 0; i++ {
-		time.Sleep(time.Millisecond)
-	}
-	if m.Pending() != 1 {
-		t.Fatal("sleeper never registered")
-	}
+	parked(t, m, 1)
 	select {
 	case <-done:
 		t.Fatal("Sleep returned before Advance")
@@ -135,9 +130,7 @@ func TestManualManyWaitersFireInOneAdvance(t *testing.T) {
 			m.Sleep(d)
 		}()
 	}
-	for i := 0; i < 5000 && m.Pending() < n; i++ {
-		time.Sleep(time.Millisecond)
-	}
+	parked(t, m, n)
 	if m.Pending() != n {
 		t.Fatalf("registered %d waiters, want %d", m.Pending(), n)
 	}
@@ -184,6 +177,138 @@ func TestManualPartialAdvanceKeepsLaterWaiters(t *testing.T) {
 	case <-late:
 	default:
 		t.Fatal("late waiter did not fire")
+	}
+}
+
+// parked blocks until n sleepers are parked on m.
+func parked(t *testing.T, m *Manual, n int) {
+	t.Helper()
+	select {
+	case <-m.Parked(n):
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%d of %d sleepers parked", m.Pending(), n)
+	}
+}
+
+// sleepers parks one goroutine per deadline on m and returns a channel each
+// sends its deadline on when it wakes.
+func sleepers(t *testing.T, m *Manual, ds ...time.Duration) <-chan time.Duration {
+	t.Helper()
+	woke := make(chan time.Duration, len(ds))
+	for _, d := range ds {
+		go func(d time.Duration) {
+			m.Sleep(d)
+			woke <- d
+		}(d)
+	}
+	parked(t, m, len(ds))
+	return woke
+}
+
+// woken receives n wake-ups from woke and returns them in order received.
+func woken(t *testing.T, woke <-chan time.Duration, n int) []time.Duration {
+	t.Helper()
+	var got []time.Duration
+	for len(got) < n {
+		select {
+		case d := <-woke:
+			got = append(got, d)
+		case <-time.After(5 * time.Second):
+			t.Fatalf("woke %v, want %d sleepers", got, n)
+		}
+	}
+	return got
+}
+
+// TestManualStepWakesOnlyTheEarliest: Step moves the clock to the earliest
+// deadline and wakes every sleeper due then — two at one instant — and no
+// other; the next Step takes the next deadline, and a Step with nothing
+// parked moves nothing.
+func TestManualStepWakesOnlyTheEarliest(t *testing.T) {
+	m := NewManual()
+	m.Advance(time.Second)
+	woke := sleepers(t, m, 3*time.Second, time.Second, time.Second)
+	if got, want := m.Deadlines(), []time.Duration{2 * time.Second, 2 * time.Second, 4 * time.Second}; !slices.Equal(got, want) {
+		t.Fatalf("Deadlines = %v, want %v", got, want)
+	}
+	if !m.Step() {
+		t.Fatal("Step with three sleepers reported nothing parked")
+	}
+	if now := m.Now(); now != 2*time.Second {
+		t.Fatalf("first Step moved the clock to %v, want the earliest deadline 2s", now)
+	}
+	if got := woken(t, woke, 2); got[0] != time.Second || got[1] != time.Second {
+		t.Fatalf("first Step woke %v, want the two 1s sleepers", got)
+	}
+	select {
+	case d := <-woke:
+		t.Fatalf("first Step woke the %v sleeper as well", d)
+	default:
+	}
+	if n := m.Pending(); n != 1 {
+		t.Fatalf("Pending = %d after the first Step, want 1", n)
+	}
+	if !m.Step() || m.Now() != 4*time.Second {
+		t.Fatalf("second Step moved the clock to %v, want 4s", m.Now())
+	}
+	if got := woken(t, woke, 1); got[0] != 3*time.Second {
+		t.Fatalf("second Step woke %v, want the 3s sleeper", got)
+	}
+	if m.Step() || m.Now() != 4*time.Second || len(m.Deadlines()) != 0 {
+		t.Fatalf("Step with nothing parked moved the clock to %v", m.Now())
+	}
+}
+
+// TestManualParkedClosesAtTheNthSleeper: Parked(n) is closed at once when n
+// sleepers are parked, and otherwise by the park of the n-th — not the
+// n-1-th — whether it sleeps or waits on After; a step that wakes sleepers
+// closes nothing.
+func TestManualParkedClosesAtTheNthSleeper(t *testing.T) {
+	closed := func(ch <-chan struct{}) bool {
+		select {
+		case <-ch:
+			return true
+		default:
+			return false
+		}
+	}
+	m := NewManual()
+	if !closed(m.Parked(0)) {
+		t.Fatal("Parked(0) is open")
+	}
+	two, three := m.Parked(2), m.Parked(3)
+	woke := sleepers(t, m, time.Second)
+	if closed(two) || closed(three) {
+		t.Fatal("one sleeper closed Parked(2) or Parked(3)")
+	}
+	m.Step()
+	woken(t, woke, 1)
+	sleepers(t, m, time.Second)
+	if closed(two) {
+		t.Fatal("Parked(2) closed with one sleeper parked after one woke")
+	}
+	m.After(time.Hour)
+	if !closed(two) || closed(three) {
+		t.Fatalf("second sleeper: Parked(2) closed %v, Parked(3) closed %v, want true and false", closed(two), closed(three))
+	}
+	if !closed(m.Parked(2)) {
+		t.Fatal("Parked(2) with two sleepers parked is open")
+	}
+}
+
+// TestManualAdvanceWakesEveryDueSleeper: Advance still moves by its argument
+// and wakes every sleeper due by then, however many deadlines that spans,
+// leaving the rest parked.
+func TestManualAdvanceWakesEveryDueSleeper(t *testing.T) {
+	m := NewManual()
+	woke := sleepers(t, m, time.Second, 2*time.Second, 2*time.Second, 5*time.Second)
+	m.Advance(3 * time.Second)
+	if now := m.Now(); now != 3*time.Second {
+		t.Fatalf("Now = %v after Advance(3s), want 3s", now)
+	}
+	woken(t, woke, 3)
+	if got := m.Deadlines(); !slices.Equal(got, []time.Duration{5 * time.Second}) {
+		t.Fatalf("Deadlines = %v after Advance(3s), want [5s]", got)
 	}
 }
 

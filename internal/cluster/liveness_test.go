@@ -10,16 +10,22 @@ import (
 	"repro/internal/wmm"
 )
 
-// transitionLog records the prober's health transitions for assertion.
+// transitionLog records the prober's health transitions for assertion, and
+// announces each on moved.
 type transitionLog struct {
-	mu  sync.Mutex
-	seq []NodeHealth
+	mu    sync.Mutex
+	seq   []NodeHealth
+	moved chan struct{} // one slot: a transition since the last wait
 }
 
 func (l *transitionLog) note(_ string, to NodeHealth) {
 	l.mu.Lock()
 	l.seq = append(l.seq, to)
 	l.mu.Unlock()
+	select {
+	case l.moved <- struct{}{}:
+	default:
+	}
 }
 
 func (l *transitionLog) snapshot() []NodeHealth {
@@ -28,16 +34,34 @@ func (l *transitionLog) snapshot() []NodeHealth {
 	return append([]NodeHealth(nil), l.seq...)
 }
 
-func waitHealth(t *testing.T, n *Node, want NodeHealth) {
+// waitHealth waits for the prober to move n to want: the prober sets a
+// node's health before it notes the transition.
+func (l *transitionLog) waitHealth(t *testing.T, n *Node, want NodeHealth) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if n.Health() == want {
-			return
+	timeout := time.After(5 * time.Second)
+	for n.Health() != want {
+		select {
+		case <-l.moved:
+		case <-timeout:
+			t.Fatalf("node %s stuck at %v, want %v", n.Name, n.Health(), want)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("node %s stuck at %v, want %v", n.Name, n.Health(), want)
+}
+
+// heartbeats is a node's transport with each of the prober's pings
+// announced on pinged once it returns.
+type heartbeats struct {
+	transport.Transport
+	pinged chan struct{}
+}
+
+func (h heartbeats) Ping(ctx context.Context) error {
+	err := h.Transport.Ping(ctx)
+	select {
+	case h.pinged <- struct{}{}:
+	default:
+	}
+	return err
 }
 
 // TestProberDrivesHealthFromTimeouts: a killed worker process (here: a
@@ -61,7 +85,8 @@ func TestProberDrivesHealthFromTimeouts(t *testing.T) {
 	defer c.Close()
 
 	cl := NewCluster(nil)
-	remote := NewRemoteNode("r1", c, false, Options{})
+	beats := heartbeats{Transport: c, pinged: make(chan struct{}, 3)} // the three the test reads
+	remote := NewRemoteNode("r1", beats, false, Options{})
 	if err := cl.AddNode(remote); err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +95,7 @@ func TestProberDrivesHealthFromTimeouts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var log transitionLog
+	log := transitionLog{moved: make(chan struct{}, 1)}
 	stop := cl.StartProber(ProberOptions{
 		Interval:     50 * time.Millisecond,
 		DownAfter:    3,
@@ -79,7 +104,15 @@ func TestProberDrivesHealthFromTimeouts(t *testing.T) {
 	defer stop()
 
 	// Healthy server: the node must stay Up across several probe rounds.
-	time.Sleep(100 * time.Millisecond)
+	// The prober acts on a heartbeat before it sends the next, so two
+	// rounds are over once the third has returned.
+	for i := 0; i < 3; i++ {
+		select {
+		case <-beats.pinged:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d heartbeats in 5s", i)
+		}
+	}
 	if got := remote.Health(); got != Up {
 		t.Fatalf("healthy remote probed to %v", got)
 	}
@@ -89,8 +122,8 @@ func TestProberDrivesHealthFromTimeouts(t *testing.T) {
 
 	// Kill the worker. Missed probes must walk the state machine down.
 	srv.Close()
-	waitHealth(t, remote, Draining)
-	waitHealth(t, remote, Down)
+	log.waitHealth(t, remote, Draining)
+	log.waitHealth(t, remote, Down)
 
 	// Resurrect on the same address; the prober must recover the node.
 	srv2 := transport.NewServer(transport.ServerOptions{})
@@ -99,7 +132,7 @@ func TestProberDrivesHealthFromTimeouts(t *testing.T) {
 		t.Skipf("could not rebind %s: %v", addr, err)
 	}
 	defer srv2.Close()
-	waitHealth(t, remote, Up)
+	log.waitHealth(t, remote, Up)
 
 	seq := log.snapshot()
 	want := []NodeHealth{Draining, Down, Up}

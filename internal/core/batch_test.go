@@ -126,7 +126,7 @@ func TestBatchFlushOnIdle(t *testing.T) {
 func TestBatchedShutdownVsDrainStorm(t *testing.T) {
 	for round := 0; round < 4; round++ {
 		sys := newUntracedWCSystem(t, 2, nil)
-		invs := stormUntilShutdown(sys, time.Duration(round+1)*time.Millisecond, func(g, i int) map[string][]byte {
+		invs := stormUntilShutdown(sys, 64*(round+1), func(g, i int) map[string][]byte {
 			return map[string][]byte{"start.src": []byte(fmt.Sprintf("a%d b%d", g, i))}
 		})
 		// Completed requests resolved with the right answer; abandoned ones

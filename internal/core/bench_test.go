@@ -432,7 +432,9 @@ func BenchmarkSkewedInvoke(b *testing.B) {
 				if err != nil {
 					return err
 				}
-				time.Sleep(srcCompute) // FLU compute; holds the container
+				// FLU compute in wall time: it holds the container, so
+				// concurrency grows the pool, and leaves the CPU to the DLUs.
+				time.Sleep(srcCompute)
 				return ctx.PutSwitch("pick", in, int(in[0]))
 			}); err != nil {
 				b.Fatal(err)

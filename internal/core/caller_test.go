@@ -43,17 +43,14 @@ func invokeReturns(t *testing.T, sys *System, in map[string][]byte) *Invocation 
 	}
 }
 
-// warmChain runs n requests one at a time, each to the point where its runs
-// of a and b have been observed: the clock reads of one request never fall
-// inside a run of the next, and the next Invoke reads settled means.
+// warmChain runs n requests one at a time, each settled: the clock reads of
+// one request never fall inside a run of the next, and the next Invoke reads
+// settled means. Nothing sleeps on the clocks it is used with.
 func warmChain(t *testing.T, sys *System, n int) {
 	t.Helper()
-	a, b := sys.fns["a"], sys.fns["b"]
 	for i := 0; i < n; i++ {
-		na, nb := a.fluCount.Load(), b.fluCount.Load()
 		invokeChain(t, sys)
-		waitFor(t, 5*time.Second, func() bool { return a.fluCount.Load() > na && b.fluCount.Load() > nb },
-			"a warm-up run was never observed")
+		settle(t, sys, nil)
 	}
 }
 
@@ -111,39 +108,27 @@ func TestInvokeNeverRunsWhatMayBlock(t *testing.T) {
 		// The producer computes nothing — T_FLU reads zero — and its Put
 		// sleeps Eq. 1's block on a clock only this test advances.
 		clk := clock.NewManual()
-		sys := newPressureSystem(t, clk, 2.0)
+		sys := newPressureSystem(t, clk, 2.0, nil)
 		payload := make([]byte, 64<<10)
 		_ = sys.Register("producer", func(ctx *Context) error { return ctx.Put("big", payload) })
 		_ = sys.Register("sink", func(ctx *Context) error { return ctx.Put("done", []byte("ok")) })
 		in := map[string][]byte{"producer.in": []byte("x")}
-		// TestPressureBlockIsNotPartOfTFLU's protocol: until the producer's run
-		// is observed the clock moves only while two sleepers are parked — the
-		// producer in its block beside the daemon pacing the chunk, then beside
-		// the sink in its own — so no time passes while it is outside the block.
-		wire := time.Duration(float64(len(payload)) / 5e6 * float64(time.Second))
-		finish := func(inv *Invocation, runs int64) {
-			waitFor(t, 10*time.Second, func() bool {
-				if sys.fns["producer"].fluCount.Load() < runs {
-					if clk.Pending() >= 2 {
-						clk.Advance(wire)
-					}
-					return false
-				}
-				select {
-				case <-inv.Done():
-					return true
-				default:
-					clk.Advance(wire)
-					return false
-				}
-			}, "the request never completed")
+		// throttled's protocol: the daemon pacing the chunk wakes first, and
+		// from there the clock moves only while every run sleeps — the
+		// producer in its block, the sink in its own — so no time passes
+		// while the producer is outside its block.
+		run := func() {
+			invokeReturns(t, sys, in)
+			waitClosed(t, clk.Parked(2), "the producer to block beside the daemon pacing its chunk")
+			clk.Step()
+			settle(t, sys, clk)
 		}
-		finish(invokeReturns(t, sys, in), 1)
+		run()
 		if got := sys.FLUAvg("producer"); got != 0 {
 			t.Fatalf("T_FLU(producer) = %v, want 0: the block is not compute", got)
 		}
 		runs0 := obsCallerRuns.Load()
-		finish(invokeReturns(t, sys, in), 2)
+		run()
 		if runs := obsCallerRuns.Load() - runs0; runs != 0 {
 			t.Fatalf("%d instances ran on the Invoke caller, want none", runs)
 		}
@@ -213,7 +198,7 @@ func TestCallerHandsNonBriefConsumerToPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 10*time.Second, func() bool { return gb.Load() != 0 }, "b never started")
+	until(t, func() bool { return gb.Load() != 0 }, "b never started")
 	if gb.Load() == goid() {
 		t.Fatal("b ran on the Invoke caller")
 	}
@@ -260,9 +245,7 @@ func TestHandlerInvokesWhileShutdownPends(t *testing.T) {
 		sys.Shutdown()
 	}()
 	// Shutdown has closed the admission gate, and waits for the chain.
-	waitFor(t, 10*time.Second, func() bool {
-		return sys.gate.closed.Load()
-	}, "Shutdown never reached the admission gate")
+	until(t, sys.gate.closed.Load, "Shutdown never reached the admission gate")
 	close(proceed)
 	select {
 	case err := <-nested:
@@ -286,9 +269,8 @@ func TestPrewarmProbeDoesNotTouchTheIdleContainer(t *testing.T) {
 		in, _ := ctx.Input("in")
 		return ctx.Put("x", in)
 	})
-	warmChain(t, sys, 1)
+	warmChain(t, sys, 1) // a's container is back in its pool
 	c := ctr.Load()
-	waitFor(t, 5*time.Second, func() bool { return !c.PoolExhausted(2) }, "a's container never went idle")
 	colds := obs.Default().Snapshot().Counters["cluster_cold_starts_total"]
 	sys.prewarm(sys.fns["a"], c)
 	if c.PoolExhausted(2) {
@@ -372,14 +354,14 @@ func TestWarmRequestSharesItsClockReadings(t *testing.T) {
 // requires that b, which computes nothing, still measures T_FLU = 0.
 func TestCarriedReadingIsDroppedAtAWait(t *testing.T) {
 	const wait = 5 * time.Millisecond
-	// unwaited checks the one run of b the row made.
-	unwaited := func(t *testing.T, sys *System, inv *Invocation, runs int64) {
+	// unwaited checks the one run of b the row made, once it is observed.
+	unwaited := func(t *testing.T, sys *System, inv *Invocation) {
 		t.Helper()
 		if err := inv.Wait(); err != nil {
 			t.Fatal(err)
 		}
+		settle(t, sys, nil)
 		b := sys.fns["b"]
-		waitFor(t, 5*time.Second, func() bool { return b.fluCount.Load() == runs+1 }, "b's run was never observed")
 		if got := b.fluNanos.Load(); got != 0 {
 			t.Fatalf("b's T_FLU sum reads %v after a run that only waited: the wait was measured as compute", time.Duration(got))
 		}
@@ -403,24 +385,9 @@ func TestCarriedReadingIsDroppedAtAWait(t *testing.T) {
 		relay(sys, "a", "in", "x")
 		relay(sys, "b", "x", "out")
 		a, b := sys.fns["a"], sys.fns["b"]
-		coldStarted := func(inv *Invocation) {
-			t.Helper()
-			waitFor(t, 10*time.Second, func() bool {
-				select {
-				case <-inv.Done():
-					return true
-				default:
-					if clk.Pending() > 0 {
-						clk.Advance(wait)
-					}
-					return false
-				}
-			}, "the request never completed")
-		}
-		for i := 0; i < 2; i++ {
-			na, nb := a.fluCount.Load(), b.fluCount.Load()
-			coldStarted(invokeReturns(t, sys, chainIn))
-			waitFor(t, 5*time.Second, func() bool { return a.fluCount.Load() > na && b.fluCount.Load() > nb }, "a warm-up run was never observed")
+		for i := 0; i < 2; i++ { // settle steps each cold start
+			invokeReturns(t, sys, chainIn)
+			settle(t, sys, clk)
 		}
 		// a keeps T_FLU = 0, so its consumer continues on its goroutine, but
 		// is no longer brief: a pool worker runs the chain, and may cold-start.
@@ -430,15 +397,15 @@ func TestCarriedReadingIsDroppedAtAWait(t *testing.T) {
 		if !ok {
 			t.Fatal("b has no idle container after the warm-up")
 		}
-		runs, conts0 := b.fluCount.Load(), obsContinuations.Load()
+		conts0 := obsContinuations.Load()
 		inv := invokeReturns(t, sys, chainIn)
-		waitParked(t, clk, 1, "b's cold start")
+		waitClosed(t, clk.Parked(1), "b's cold start")
 		clk.Advance(wait)
-		unwaited(t, sys, inv, runs)
+		node.Release(held)
+		unwaited(t, sys, inv)
 		if obsContinuations.Load() == conts0 {
 			t.Fatal("b was not a's continuation: the row tested nothing")
 		}
-		node.Release(held)
 	})
 
 	t.Run("instance cap", func(t *testing.T) {
@@ -452,15 +419,14 @@ func TestCarriedReadingIsDroppedAtAWait(t *testing.T) {
 		warmChain(t, sys, 3)
 		b := sys.fns["b"]
 		b.cap.acquire(0) // the test holds b's one slot
-		runs := b.fluCount.Load()
 		done := make(chan *Invocation, 1)
 		go func() {
 			inv, _ := sys.Invoke(chainIn) // runs a, then parks at b's cap on this goroutine
 			done <- inv
 		}()
-		waitFor(t, 10*time.Second, func() bool { return b.cap.load() == 2 }, "b never parked at its cap")
+		until(t, func() bool { return b.cap.load() == 2 }, "b never parked at its cap")
 		clk.Advance(wait)
 		b.cap.release(0)
-		unwaited(t, sys, <-done, runs)
+		unwaited(t, sys, <-done)
 	})
 }

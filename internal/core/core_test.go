@@ -238,7 +238,9 @@ function consumer
 		if err := ctx.Put("early", []byte("now")); err != nil {
 			return err
 		}
-		time.Sleep(trailing) // trailing compute after the Put
+		// Trailing compute on the wall clock, where T_FLU is wall time: a
+		// hundred runs must measure it over the continuation gate.
+		time.Sleep(trailing)
 		return nil
 	})
 	_ = sys.Register("consumer", func(ctx *Context) error {
@@ -256,7 +258,7 @@ function consumer
 		// The request completes when the consumer's output lands, during the
 		// producer's trailing compute; its Finished is logged after that.
 		var prod, cons *obs.Span
-		waitFor(t, 5*time.Second, func() bool {
+		until(t, func() bool {
 			prod, cons = nil, nil
 			spans := obs.Spans(sys.ring.Stages(inv.ReqID()))
 			for i := range spans {
@@ -289,7 +291,7 @@ function consumer
 		}
 	}
 	// Every warm producer has returned (and been observed) before the check.
-	waitFor(t, 5*time.Second, func() bool { return sys.fns["producer"].fluCount.Load() >= 101 }, "warm producers never finished")
+	settle(t, sys, nil)
 	checkEarly("after 100 warm requests")
 }
 
@@ -431,11 +433,13 @@ func TestFannedForeachToUserRefused(t *testing.T) {
 	_ = sys.Register("a", func(ctx *Context) error {
 		return ctx.PutForeach("parts", [][]byte{{0}, {1}, {2}})
 	})
+	first := make(chan struct{})
 	_ = sys.Register("b", func(ctx *Context) error {
 		if ctx.Instance.Idx == 2 {
+			defer close(first)
 			return ctx.PutForeach("out", [][]byte{{2}, {2}})
 		}
-		time.Sleep(20 * time.Millisecond)
+		<-first
 		return ctx.PutForeach("out", [][]byte{{byte(ctx.Instance.Idx)}})
 	})
 	inv, err := sys.Invoke(map[string][]byte{"a.in": []byte("go")})

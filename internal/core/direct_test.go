@@ -53,7 +53,8 @@ func TestDirectEdgeSkipsSink(t *testing.T) {
 }
 
 // dslSystem builds dsl over nodes workers sharing the engine's clock
-// (virtual unless cfgMut says otherwise, with Eq. 1 off like virtualChain).
+// (virtual unless cfgMut says otherwise, with Eq. 1 off like virtualChain:
+// nothing sleeps on it, so nothing needs to step it).
 func dslSystem(t *testing.T, dsl string, nodes int, cfgMut func(*Config)) *System {
 	t.Helper()
 	wf, err := workflow.ParseDSLString(dsl)
@@ -130,9 +131,10 @@ func TestDirectEdgeFallsBack(t *testing.T) {
 		after func(*System)     // runs after every request
 	}{
 		{name: "producer not brief", puts: 1, build: func(t *testing.T) *System {
-			sys := wallChain(t, nil)
+			clk := clock.NewManual()
+			sys := wallChain(t, func(c *Config) { c.Clock = clk })
 			_ = sys.Register("a", func(ctx *Context) error {
-				time.Sleep(5 * time.Millisecond)
+				clk.Advance(5 * time.Millisecond) // a's compute, in virtual time
 				in, _ := ctx.Input("in")
 				return ctx.Put("x", in)
 			})
@@ -285,14 +287,7 @@ function j
 			for i := 0; i < 3; i++ { // sample every function: only the rule under test keeps the edge in the sink
 				run()
 			}
-			waitFor(t, 5*time.Second, func() bool {
-				for _, st := range sys.fnList {
-					if st.fluCount.Load() < 3 {
-						return false
-					}
-				}
-				return true
-			}, "a warm-up run was never observed")
+			settle(t, sys, nil) // every warm-up run observed
 			const requests = 10
 			puts0, direct0 := sinkPuts(sys), obsDirectEdges.Load()
 			for i := 0; i < requests; i++ {
@@ -325,29 +320,7 @@ func TestDirectEdgeStormVsFailNodeVsShutdown(t *testing.T) {
 	})
 	cl := sys.cfg.Cluster
 
-	stopChaos := make(chan struct{})
-	var chaosWG sync.WaitGroup
-	chaosWG.Add(1)
-	go func() {
-		defer chaosWG.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stopChaos:
-				_ = cl.RecoverNode("w3")
-				_ = cl.RecoverNode("w4")
-				return
-			default:
-			}
-			victim := "w3"
-			if i%2 == 1 {
-				victim = "w4"
-			}
-			_ = cl.FailNode(victim)
-			time.Sleep(time.Millisecond)
-			_ = cl.RecoverNode(victim)
-			time.Sleep(500 * time.Microsecond)
-		}
-	}()
+	stopChaos := flapNodes(cl, time.Millisecond, false)
 
 	direct0 := obsDirectEdges.Load()
 	const goroutines, perG = 8, 400
@@ -393,13 +366,12 @@ func TestDirectEdgeStormVsFailNodeVsShutdown(t *testing.T) {
 		t.Fatalf("%d invocations still tracked", n)
 	}
 
-	invs := stormUntilShutdown(sys, 3*time.Millisecond, func(g, i int) map[string][]byte {
+	invs := stormUntilShutdown(sys, 256, func(g, i int) map[string][]byte {
 		return map[string][]byte{"a.in": []byte(fmt.Sprintf("s%d-%d", g, i))}
 	})
-	close(stopChaos)
-	chaosWG.Wait()
+	stopChaos()
 	t.Logf("phase 2: %d/%d requests completed before shutdown", len(completedOf(invs)), len(invs))
-	waitFor(t, 10*time.Second, func() bool { return runtime.NumGoroutine() <= baseline },
+	until(t, func() bool { return runtime.NumGoroutine() <= baseline },
 		fmt.Sprintf("goroutines did not return to the baseline of %d", baseline))
 }
 
@@ -434,11 +406,11 @@ func TestInstanceCapBoundsRunningInstances(t *testing.T) {
 		invs[i] = invokeReturns(t, sys, chainIn) // a is unsampled: every instance is the pool's
 	}
 	st := sys.fns["a"]
-	waitFor(t, 10*time.Second, func() bool { return running.Load() == limit && st.cap.load() == 3*limit },
+	until(t, func() bool { return running.Load() == limit && st.cap.load() == 3*limit },
 		"the cap never filled with the rest counted as waiting")
 	for i := 0; i < 2*limit; i++ {
 		barrier <- struct{}{} // one out, one waiter in
-		waitFor(t, 10*time.Second, func() bool { return running.Load() == limit }, "a released slot was not handed to a waiter")
+		until(t, func() bool { return running.Load() == limit }, "a released slot was not handed to a waiter")
 	}
 	close(barrier)
 	for _, inv := range invs {
@@ -453,7 +425,7 @@ func TestInstanceCapBoundsRunningInstances(t *testing.T) {
 		t.Fatalf("cap count reads %d after every instance finished", n)
 	}
 	sys.Shutdown()
-	waitFor(t, 10*time.Second, func() bool { return runtime.NumGoroutine() <= baseline },
+	until(t, func() bool { return runtime.NumGoroutine() <= baseline },
 		fmt.Sprintf("goroutines did not return to the baseline of %d", baseline))
 }
 
@@ -483,24 +455,6 @@ func TestCallerDoesNotSleepOutAColdStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Shutdown()
-	// coldStarted lets every parked cold start finish until inv completes.
-	coldStarted := func(inv *Invocation) {
-		t.Helper()
-		waitFor(t, 10*time.Second, func() bool {
-			select {
-			case <-inv.Done():
-				return true
-			default:
-				if clk.Pending() > 0 {
-					clk.Advance(coldStart)
-				}
-				return false
-			}
-		}, "the request never completed")
-		if err := inv.Err(); err != nil {
-			t.Fatal(err)
-		}
-	}
 	var hold atomic.Bool
 	entered, gate := make(chan struct{}), make(chan struct{})
 	_ = sys.Register("a", func(ctx *Context) error {
@@ -514,10 +468,11 @@ func TestCallerDoesNotSleepOutAColdStart(t *testing.T) {
 	relay(sys, "b", "x", "out")
 	a, b := sys.fns["a"], sys.fns["b"]
 	for i := 0; i < 2; i++ { // one container each, both functions sampled at zero
-		na, nb := a.fluCount.Load(), b.fluCount.Load()
-		coldStarted(invokeReturns(t, sys, chainIn))
-		waitFor(t, 5*time.Second, func() bool { return a.fluCount.Load() > na && b.fluCount.Load() > nb },
-			"a warm-up run was never observed")
+		inv := invokeReturns(t, sys, chainIn)
+		settle(t, sys, clk) // steps each cold start
+		if err := inv.Err(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if !a.brief() || !b.brief() {
 		t.Fatalf("brief(a) = %v, brief(b) = %v after two runs of no virtual time", a.brief(), b.brief())
@@ -544,11 +499,21 @@ func TestCallerDoesNotSleepOutAColdStart(t *testing.T) {
 	if runs := obsCallerRuns.Load() - runs0; runs != 0 {
 		t.Fatalf("%d instances ran on the Invoke caller, want none: a had no container", runs)
 	}
-	waitParked(t, clk, 1, "the pool's cold start of a")
-	coldStarted(inv)
+	// The holder keeps its request open, so the clock moves by hand: the
+	// pool's cold start of a is the one sleeper.
+	waitClosed(t, clk.Parked(1), "the pool's cold start of a")
+	clk.Step()
+	waitClosed(t, inv.Done(), "the request to complete")
+	if err := inv.Err(); err != nil {
+		t.Fatal(err)
+	}
 	if out, _ := inv.OutputBytes("out"); string(out) != "x" {
 		t.Fatalf("out = %q", out)
 	}
+	// The request is done once b's answer lands, before b's container is
+	// back: the holder's b must find it there, or it cold-starts on a clock
+	// nobody moves any more.
+	until(t, b.idle, "b's container never came back")
 	close(gate)
 	if inv := <-held; inv != nil {
 		if err := inv.Wait(); err != nil {

@@ -220,8 +220,7 @@ func (c *Context) put(output string, values []dataflow.Value, switchCase int) er
 	if pressure <= 0 && c.shipsInline(items) {
 		// The DLU is asynchronous so that transmission never blocks compute
 		// (§5.1); a sub-microsecond in-process land costs less than the
-		// hand-off to the daemon, so this goroutine ships. The container
-		// stays Busy throughout: no pending bytes for the keep-alive rule.
+		// hand-off to the daemon, so this goroutine ships.
 		obsInlineShips.Inc(r.stripe)
 		c.cont = sampled && tflu < continuationMaxTFLU
 		b := &c.ship

@@ -148,7 +148,7 @@ func (g *faultGate) release() {
 func waitPinned(t *testing.T, g *faultGate, inv *Invocation, fn string) string {
 	t.Helper()
 	var pinned string
-	waitFor(t, 5*time.Second, func() bool {
+	until(t, func() bool {
 		g.mu.Lock()
 		defer g.mu.Unlock()
 		ctx := g.held[inv.ReqID()]
@@ -160,6 +160,25 @@ func waitPinned(t *testing.T, g *faultGate, inv *Invocation, fn string) string {
 		return ok
 	}, fn+" never pinned")
 	return pinned
+}
+
+// waitLanded waits, through a held run of the request, until piece 0 is in
+// node's sink and on the request's arrival log, unfetched: what a node death
+// loses and a repair replays.
+func waitLanded(t *testing.T, g *faultGate, inv *Invocation, node *cluster.Node) {
+	t.Helper()
+	until(t, func() bool {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		ctx := g.held[inv.ReqID()]
+		if ctx == nil {
+			return false
+		}
+		r := ctx.req
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return r.arrivals.NextUnfetched(-1, func(n *cluster.Node) bool { return n == node }) >= 0
+	}, "piece 0 never landed on c's pin")
 }
 
 // runNodes records the node every run of the wrapped functions executed on,
@@ -221,8 +240,7 @@ func TestFailoverReplaysLostShipment(t *testing.T) {
 	cNode, _ := sys.cfg.Cluster.Node(cPin)
 	// Make sure b[0]'s piece has actually landed in c's pinned sink before
 	// the kill, so the kill demonstrably loses data.
-	waitFor(t, 5*time.Second, func() bool { return cNode.Sink.MemBytes() > 0 },
-		"piece 0 never landed on c's pin")
+	waitLanded(t, gate, inv, cNode)
 
 	if err := sys.cfg.Cluster.FailNode(cPin); err != nil {
 		t.Fatal(err)
@@ -268,8 +286,7 @@ func TestFailoverLeavesPinWhenNothingRoutable(t *testing.T) {
 		t.Fatalf("c pinned to %s, want the non-primary w1", cPin)
 	}
 	w1, _ := cl.Node("w1")
-	waitFor(t, 5*time.Second, func() bool { return w1.Sink.MemBytes() > 0 },
-		"piece 0 never landed on c's pin")
+	waitLanded(t, gate, inv, w1)
 	must(cl.RecoverNode("w3"))
 	w3, _ := cl.Node("w3")
 	putsBefore := w3.Sink.Stats().Puts
@@ -694,37 +711,7 @@ func TestChaosInvokeVsFailRecover(t *testing.T) {
 	defer sys.Shutdown()
 	cl := sys.cfg.Cluster
 
-	stopChaos := make(chan struct{})
-	var chaosWG sync.WaitGroup
-	chaosWG.Add(1)
-	go func() {
-		// w3/w4 flap; w1/w2 stay up so there is always healthy capacity.
-		defer chaosWG.Done()
-		i := 0
-		for {
-			select {
-			case <-stopChaos:
-				_ = cl.RecoverNode("w3")
-				_ = cl.RecoverNode("w4")
-				return
-			default:
-			}
-			victim := "w3"
-			if i%2 == 1 {
-				victim = "w4"
-			}
-			switch i % 3 {
-			case 0, 1:
-				_ = cl.FailNode(victim)
-			case 2:
-				_ = cl.DrainNode(victim)
-			}
-			time.Sleep(2 * time.Millisecond)
-			_ = cl.RecoverNode(victim)
-			time.Sleep(time.Millisecond)
-			i++
-		}
-	}()
+	stopChaos := flapNodes(cl, 2*time.Millisecond, true)
 
 	const goroutines, perG = 8, 40
 	var wg sync.WaitGroup
@@ -754,12 +741,50 @@ func TestChaosInvokeVsFailRecover(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	close(stopChaos)
-	chaosWG.Wait()
+	stopChaos()
 	for _, err := range errs {
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
 	requireSinksDrained(t, sys)
+}
+
+// flapNodes flaps w3 and w4 in turn until the returned stop is called, and
+// recovers both before stop returns; w1 and w2 stay up, so there is always
+// healthy capacity. Each flap fails its node — or drains it, every third
+// flap, when drain is set — for down, then recovers it for half that.
+func flapNodes(cl *cluster.Cluster, down time.Duration, drain bool) (stop func()) {
+	quit, exited := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		for i := 0; ; i++ {
+			select {
+			case <-quit:
+				_ = cl.RecoverNode("w3")
+				_ = cl.RecoverNode("w4")
+				return
+			default:
+			}
+			flap, pause := i/2, down
+			victim := [2]string{"w3", "w4"}[flap%2]
+			switch {
+			case i%2 == 1:
+				_ = cl.RecoverNode(victim)
+				pause = down / 2
+			case drain && flap%3 == 2:
+				_ = cl.DrainNode(victim)
+			default:
+				_ = cl.FailNode(victim)
+			}
+			// The chaos keeps wall time beside a storm that never waits for
+			// it: how long a node stays down is what varies the failure mix,
+			// and no assertion reads it.
+			time.Sleep(pause)
+		}
+	}()
+	return func() {
+		close(quit)
+		<-exited
+	}
 }

@@ -40,7 +40,9 @@ func goid() uint64 {
 // virtualChain is newChainSystem with engine and nodes on one virtual clock
 // nobody advances and Eq. 1 off: T_FLU then reads exactly zero, sampled from
 // the second run on, so which path an edge takes is decided by the engine's
-// rules alone and not by how fast the box runs a handler.
+// rules alone and not by how fast the box runs a handler. Nothing sleeps on
+// the clock — no block, no cold start, no park — so a test settles it with a
+// nil clock.
 func virtualChain(t *testing.T, nodes int) *System {
 	t.Helper()
 	sys := newChainSystem(t, nodes, nil, func(c *Config) {
@@ -134,21 +136,26 @@ func TestWarmChainCountsItsPaths(t *testing.T) {
 		t.Fatalf("core_dlu_batch_items observed %d batches, want %d", got, 2*(requests+1))
 	}
 
-	// Trailing compute, on the wall clock and in the default configuration.
-	slow := newChainSystem(t, 2, nil, nil)
+	// Trailing compute: a millisecond of virtual time after the Put, so a's
+	// T_FLU reads exactly that.
+	clk := clock.NewManual()
+	slow := newChainSystem(t, 2, nil, func(c *Config) {
+		c.DisablePressure = true
+		c.Clock = clk
+	})
 	defer slow.Shutdown()
 	_ = slow.Register("a", func(ctx *Context) error {
 		in, _ := ctx.Input("in")
 		if err := ctx.Put("x", in); err != nil {
 			return err
 		}
-		time.Sleep(time.Millisecond)
+		clk.Advance(time.Millisecond)
 		return nil
 	})
-	// A request completes during a's trailing compute: wait for the run to be
-	// observed, so that the gate and not the missing sample is what decides.
+	// A request completes during a's trailing compute: settle, so that a's
+	// run is observed and the gate and not the missing sample is what decides.
 	invokeChain(t, slow)
-	waitFor(t, 5*time.Second, func() bool { return slow.fns["a"].fluCount.Load() > 0 }, "a's first run was never observed")
+	settle(t, slow, nil)
 	_, conts0 = pathCounts()
 	for i := 0; i < 20; i++ {
 		invokeChain(t, slow)
@@ -188,14 +195,13 @@ func TestWarmZeroComputeChainRunsOnOneGoroutine(t *testing.T) {
 		invokeChain(t, sys)
 	}
 	a, b := sys.fns["a"], sys.fns["b"]
-	// settled: the last request's runs are over, observed and published, so
-	// nothing in flight moves what decides want, and no cold start refuses
-	// the caller.
-	settled := func() bool { return a.idle() && b.idle() }
 	probe = true
 	continued := 0
 	for i := 0; i < 20; i++ {
-		waitFor(t, 5*time.Second, settled, "the last request never handed its containers back")
+		// Settled, the last request's runs are over, observed and published,
+		// so nothing in flight moves what decides want, and no cold start
+		// refuses the caller.
+		settle(t, sys, nil)
 		// a parks b when a's published T_FLU is under the gate, and b then
 		// runs on a's goroutine: on a pool worker's when a is not brief (a
 		// limiter park counts in wall time, not in T_FLU), on the caller's
@@ -226,7 +232,7 @@ func TestWarmZeroComputeChainRunsOnOneGoroutine(t *testing.T) {
 // instance on the producer's goroutine and hands seven to the pool — the
 // eight still run side by side (they meet at a barrier), none behind another.
 func TestForeachContinuesOneInstance(t *testing.T) {
-	clk := clock.NewManual()
+	clk := clock.NewManual() // Eq. 1 off and no cold start: nothing sleeps on it
 	wf, err := workflow.ParseDSLString(fanoutDSL)
 	if err != nil {
 		t.Fatal(err)
@@ -550,30 +556,7 @@ func TestInlineShipStormVsShutdownVsFailNode(t *testing.T) {
 	})
 	cl := sys.cfg.Cluster
 
-	stopChaos := make(chan struct{})
-	var chaosWG sync.WaitGroup
-	chaosWG.Add(1)
-	go func() {
-		// w3/w4 flap; w1/w2 stay up so there is always healthy capacity.
-		defer chaosWG.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stopChaos:
-				_ = cl.RecoverNode("w3")
-				_ = cl.RecoverNode("w4")
-				return
-			default:
-			}
-			victim := "w3"
-			if i%2 == 1 {
-				victim = "w4"
-			}
-			_ = cl.FailNode(victim)
-			time.Sleep(time.Millisecond)
-			_ = cl.RecoverNode(victim)
-			time.Sleep(500 * time.Microsecond)
-		}
-	}()
+	stopChaos := flapNodes(cl, time.Millisecond, false)
 
 	ships0, conts0 := pathCounts()
 	const goroutines, perG = 8, 60
@@ -614,13 +597,12 @@ func TestInlineShipStormVsShutdownVsFailNode(t *testing.T) {
 	t.Logf("phase 1: %d requests, %d inline ships, %d continuations, %d replays", goroutines*perG, ships-ships0, conts-conts0, sys.Replays())
 	requireSinksDrained(t, sys)
 
-	invs := stormUntilShutdown(sys, 3*time.Millisecond, func(g, i int) map[string][]byte {
+	invs := stormUntilShutdown(sys, 256, func(g, i int) map[string][]byte {
 		return map[string][]byte{"a.in": []byte(fmt.Sprintf("s%d-%d", g, i))}
 	})
-	close(stopChaos)
-	chaosWG.Wait()
+	stopChaos()
 	t.Logf("phase 2: %d/%d requests completed before shutdown", len(completedOf(invs)), len(invs))
-	waitFor(t, 10*time.Second, func() bool { return runtime.NumGoroutine() <= baseline },
+	until(t, func() bool { return runtime.NumGoroutine() <= baseline },
 		fmt.Sprintf("goroutines did not return to the baseline of %d", baseline))
 }
 

@@ -27,18 +27,24 @@ function sink
 `
 
 // newPressureSystem builds the two-node producer→sink system at 5 MB/s per
-// container, engine and nodes all on clk. Its cleanup shuts the system down,
-// running the clock forward meanwhile so a failed test's sleepers cannot
-// wedge the shutdown.
-func newPressureSystem(t *testing.T, clk *clock.Manual, alpha float64) *System {
+// container, engine and nodes all on clk. Placement is round robin in
+// registration order: producer on w1, sink on w2 — local, or consumer's
+// node when consumer is not nil. Its cleanup shuts the system down, running
+// the clock on whenever something parks meanwhile, so a failed test's
+// sleepers cannot wedge the shutdown.
+func newPressureSystem(t *testing.T, clk *clock.Manual, alpha float64, consumer func(*clock.Manual, cluster.Options) *cluster.Node) *System {
 	t.Helper()
 	wf, err := workflow.ParseDSLString(pressureDSL)
 	if err != nil {
 		t.Fatal(err)
 	}
+	w2 := cluster.NewNode("w2", cluster.Options{Clock: clk})
+	if consumer != nil {
+		w2 = consumer(clk, cluster.Options{Clock: clk})
+	}
 	cl := cluster.NewCluster(nil)
-	for _, name := range []string{"w1", "w2"} {
-		if err := cl.AddNode(cluster.NewNode(name, cluster.Options{Clock: clk})); err != nil {
+	for _, n := range []*cluster.Node{cluster.NewNode("w1", cluster.Options{Clock: clk}), w2} {
+		if err := cl.AddNode(n); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -62,7 +68,7 @@ func newPressureSystem(t *testing.T, clk *clock.Manual, alpha float64) *System {
 			select {
 			case <-down:
 				return
-			case <-time.After(time.Millisecond):
+			case <-clk.Parked(1):
 				clk.Advance(time.Hour)
 			}
 		}
@@ -80,15 +86,9 @@ func waitClosed(t *testing.T, ch <-chan struct{}, what string) {
 	}
 }
 
-// waitParked blocks until n sleepers are parked on clk.
-func waitParked(t *testing.T, clk *clock.Manual, n int, what string) {
-	t.Helper()
-	waitFor(t, 10*time.Second, func() bool { return clk.Pending() >= n }, "timed out waiting for "+what)
-}
-
 func TestPressureBlockOverlapsShip(t *testing.T) {
 	clk := clock.NewManual()
-	sys := newPressureSystem(t, clk, 2.0)
+	sys := newPressureSystem(t, clk, 2.0, nil)
 	// One streaming chunk: 64 KiB at 5 MB/s is 13.1 ms on the wire, and with
 	// α = 2 and T_FLU = 0 the Eq. 1 block is twice that.
 	payload := make([]byte, 64<<10)
@@ -114,21 +114,19 @@ func TestPressureBlockOverlapsShip(t *testing.T) {
 	}
 	// Two sleepers: the producer inside its pressure block, and the DLU
 	// daemon pacing the chunk — the ship started without waiting for the
-	// block to end.
-	waitParked(t, clk, 2, "the ship to start during the pressure block")
-	clk.Advance(wire)
+	// block to end. The chunk's wire time is the earlier deadline.
+	waitClosed(t, clk.Parked(2), "the ship to start during the pressure block")
+	clk.Step()
 	waitClosed(t, sinkStarted, "the consumer to be triggered")
 	select {
 	case <-putDone:
 		t.Fatalf("Put returned after %v, before its %v pressure block ended", clk.Now()-start, pressure)
 	default:
 	}
-	// The consumer ran while the producer was still throttled; the block
-	// itself is as long as ever. (The consumer's own two-byte Put has a
-	// sub-microsecond block of its own; let it park so one advance frees
-	// both.)
-	waitParked(t, clk, 2, "the consumer's own Put")
-	clk.Advance(pressure - wire)
+	// The consumer ran while the producer was still throttled, and the
+	// request is done once its answer lands; the block itself is as long as
+	// ever, and the request's runs are over only once it has been slept out.
+	settle(t, sys, clk)
 	waitClosed(t, putDone, "Put to return")
 	if got := putReturned - start; got < pressure {
 		t.Fatalf("Put returned after %v, want no sooner than the %v pressure block", got, pressure)
@@ -141,7 +139,7 @@ func TestPressureBlockOverlapsShip(t *testing.T) {
 
 func TestRefusedPutDoesNotBlock(t *testing.T) {
 	clk := clock.NewManual()
-	sys := newPressureSystem(t, clk, 2.0)
+	sys := newPressureSystem(t, clk, 2.0, nil)
 	putDone := make(chan struct{})
 	var putErr error
 	_ = sys.Register("producer", func(ctx *Context) error {
@@ -250,6 +248,8 @@ function c
 	floors := make([]time.Duration, 50)
 	for i := range floors {
 		start := time.Now()
+		// The bound is stated in this box's own sleep floor, so the test
+		// measures it: a time.Sleep is what it reads.
 		time.Sleep(50 * time.Microsecond)
 		floors[i] = time.Since(start)
 	}

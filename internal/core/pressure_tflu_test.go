@@ -1,8 +1,7 @@
 package core
 
 import (
-	"reflect"
-	"runtime"
+	"fmt"
 	"testing"
 	"time"
 
@@ -21,13 +20,12 @@ import (
 // not blocked at all and later runs by about half.
 func TestPressureBlockIsNotPartOfTFLU(t *testing.T) {
 	clk := clock.NewManual()
-	sys := newPressureSystem(t, clk, 2.0)
+	sys := newPressureSystem(t, clk, 2.0, nil)
 	payload := make([]byte, 64<<10)
 	wire := time.Duration(float64(len(payload)) / 5e6 * float64(time.Second))
 	pressure := 2 * wire
 
-	// Each run's Put, on the virtual clock. (The request completes when the
-	// sink answers, which is before the producer's block ends.)
+	// Each run's Put, on the virtual clock.
 	blocked := make(chan time.Duration, 1)
 	_ = sys.Register("producer", func(ctx *Context) error {
 		start := clk.Now()
@@ -39,44 +37,7 @@ func TestPressureBlockIsNotPartOfTFLU(t *testing.T) {
 
 	blocks := make([]time.Duration, 10)
 	for run := range blocks {
-		inv, err := sys.Invoke(map[string][]byte{"producer.in": []byte("x")})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The clock moves only while two sleepers are parked — the producer
-		// in its block beside first the daemon pacing the chunk, then the
-		// sink's own sub-microsecond block — so no virtual time passes while
-		// the handler is outside its block: T_compute is exactly zero.
-		returned := false
-		for _, d := range []time.Duration{wire, pressure - wire} {
-			waitFor(t, 10*time.Second, func() bool {
-				select {
-				case blocks[run] = <-blocked:
-					returned = true
-				default:
-				}
-				return returned || clk.Pending() >= 2
-			}, "timed out waiting for the producer to block or return")
-			if returned {
-				break
-			}
-			clk.Advance(d)
-		}
-		if !returned {
-			select {
-			case blocks[run] = <-blocked:
-			case <-time.After(10 * time.Second):
-				t.Fatalf("run %d: Put still blocked after its %v pressure block", run+1, pressure)
-			}
-		}
-		// A run that was not blocked left the shipment parked; let it land,
-		// and let the sink leave its own block before the next run counts
-		// sleepers.
-		waitFor(t, 5*time.Second, func() bool { return sys.fns["producer"].fluCount.Load() == int64(run+1) }, "the producer's run was never observed")
-		settle(t, sys, clk, inv, wire)
-		if err := inv.Wait(); err != nil {
-			t.Fatal(err)
-		}
+		blocks[run] = throttled(t, sys, clk, blocked, fmt.Sprintf("run %d", run+1))
 	}
 	for _, run := range []int{2, 10} {
 		if got := blocks[run-1]; got != pressure {
@@ -131,7 +92,7 @@ func TestLimiterParkOnFLUGoroutineIsNotPartOfTFLU(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		waitParked(t, clk, 1, "the producer's Put to park in the limiter")
+		waitClosed(t, clk.Parked(1), "the producer's Put to park in the limiter")
 		clk.Advance(wire)
 		if got := <-took; got != wire {
 			t.Fatalf("run %d: Put returned after %v, want the %v the FLU itself paced the shipment for", run, got, wire)
@@ -139,8 +100,10 @@ func TestLimiterParkOnFLUGoroutineIsNotPartOfTFLU(t *testing.T) {
 		if err := inv.Wait(); err != nil {
 			t.Fatal(err)
 		}
+		// The request can be done before the producer's run is observed:
+		// the next run's step must not fall inside this one.
+		settle(t, sys, clk)
 	}
-	waitFor(t, 5*time.Second, func() bool { return sys.fns["producer"].fluCount.Load() == 5 }, "the producer's runs were never observed")
 	if got := sys.FLUAvg("producer"); got != 0 {
 		t.Fatalf("T_FLU = %v after five zero-compute runs that each parked %v in the limiter, want 0", got, wire)
 	}
@@ -200,7 +163,7 @@ func TestPublishedTFLUIsAtMostSixteenRunsBehind(t *testing.T) {
 func TestNextPutSeesAThrottledRunsTFLU(t *testing.T) {
 	const ms = time.Millisecond
 	clk := clock.NewManual()
-	sys, blocks := newBlockSystem(t, clk, nil)
+	sys := newPressureSystem(t, clk, 2.0, nil)
 	payload := make([]byte, 64<<10)
 	wire := time.Duration(float64(len(payload)) / 5e6 * float64(time.Second))
 	pressure := 2 * wire
@@ -220,29 +183,9 @@ func TestNextPutSeesAThrottledRunsTFLU(t *testing.T) {
 	for run, step := range []struct{ compute, want time.Duration }{
 		{10 * ms, pressure}, {4 * ms, pressure - 10*ms/9}, {4 * ms, pressure - 14*ms/10},
 	} {
-		want := step.want
 		compute <- step.compute
-		inv, err := sys.Invoke(map[string][]byte{"producer.in": []byte("x")})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The clock moves only while the producer sits in its own block, so
-		// no virtual time passes in its run but its compute, and it moves to
-		// exactly where that block should end.
-		waitBlock(t, blocks)
-		clk.Advance(want)
-		var got time.Duration
-		select {
-		case got = <-blocked:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("run %d: Put still blocked after %v", run+1, want)
-		}
-		waitFor(t, 5*time.Second, func() bool { return producer.fluCount.Load() == int64(obs.NumStripes+run+1) }, "the producer's run was never observed")
-		settle(t, sys, clk, inv, wire)
-		if err := inv.Wait(); err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
+		got := throttled(t, sys, clk, blocked, fmt.Sprintf("run %d", run+1))
+		if want := step.want; got != want {
 			t.Fatalf("run %d: Put blocked %v, want %v (T_FLU now %v)", run+1, got, want, sys.FLUAvg("producer"))
 		}
 	}
@@ -272,7 +215,7 @@ func TestRemotePutIsPricedAtTheContainersRate(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			clk := clock.NewManual()
-			sys, blocks := newBlockSystem(t, clk, tc.consumer)
+			sys := newPressureSystem(t, clk, 2.0, tc.consumer)
 			blocked := make(chan time.Duration, 1)
 			_ = sys.Register("producer", func(ctx *Context) error {
 				start := clk.Now()
@@ -285,23 +228,7 @@ func TestRemotePutIsPricedAtTheContainersRate(t *testing.T) {
 			for stripe := uint32(0); stripe < obs.NumStripes; stripe++ {
 				producer.observe(stripe, 10*ms, 10*ms)
 			}
-			inv, err := sys.Invoke(map[string][]byte{"producer.in": []byte("x")})
-			if err != nil {
-				t.Fatal(err)
-			}
-			waitBlock(t, blocks)
-			clk.Advance(want)
-			var got time.Duration
-			select {
-			case got = <-blocked:
-			case <-time.After(10 * time.Second):
-				t.Fatalf("Put toward the %s consumer still blocked after the %v it takes at 5 MB/s", tc.name, want)
-			}
-			waitFor(t, 5*time.Second, func() bool { return producer.fluCount.Load() == int64(obs.NumStripes+1) }, "the producer's run was never observed")
-			settle(t, sys, clk, inv, wire)
-			if err := inv.Wait(); err != nil {
-				t.Fatal(err)
-			}
+			got := throttled(t, sys, clk, blocked, "Put toward the "+tc.name+" consumer")
 			if got != want {
 				t.Fatalf("Put toward the %s consumer blocked %v, want α·S/Bw = %v", tc.name, got, want)
 			}
@@ -315,114 +242,39 @@ type meteredInproc struct{ *transport.Inproc }
 
 func (meteredInproc) ObservedBps() float64 { return 1 }
 
-// blockClock is the manual clock with each Eq. 1 block announced: a Sleep
-// that Context.put makes signals blocks once its deadline is set, so a test
-// moves the clock knowing the Put sits in its block. The DLU daemon's
-// limiter parks on the same clock, from pipe, and is not announced.
-type blockClock struct {
-	*clock.Manual
-	blocks chan struct{}
-}
-
-// putFn names Context.put as the runtime reports its frames.
-var putFn = runtime.FuncForPC(reflect.ValueOf((*Context).put).Pointer()).Name()
-
-func (c *blockClock) Sleep(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	woke := c.Manual.After(d)
-	var pc [1]uintptr
-	if runtime.Callers(2, pc[:]) == 1 {
-		if f, _ := runtime.CallersFrames(pc[:]).Next(); f.Function == putFn {
-			select {
-			case c.blocks <- struct{}{}:
-			default: // a block nobody waits for
-			}
-		}
-	}
-	<-woke
-}
-
-// newBlockSystem is newPressureSystem's producer→sink system (α = 2, 5 MB/s
-// per container, engine and nodes on clk) with the producer's node w1 on a
-// blockClock, whose announcements it returns. The sink's node w2 is local,
-// or consumer's node when consumer is not nil. Placement is round robin in
-// registration order: producer on w1, sink on w2.
-func newBlockSystem(t *testing.T, clk *clock.Manual, consumer func(*clock.Manual, cluster.Options) *cluster.Node) (*System, <-chan struct{}) {
+// throttled runs one request of the producer→sink system, whose producer
+// puts under Eq. 1 pressure and sends how long its Put took on blocked, and
+// returns that. The DLU daemon pacing the chunk parks beside the producer in
+// its block and wakes first, at the chunk's wire time; from there settle
+// moves the clock only while every run sleeps — the producer in its block,
+// the sink in its own sub-microsecond one — so no virtual time passes in the
+// producer's run but its own compute, and the block's end is its deadline.
+// A Put that was not blocked leaves the daemon alone on the clock.
+func throttled(t *testing.T, sys *System, clk *clock.Manual, blocked <-chan time.Duration, what string) time.Duration {
 	t.Helper()
-	wf, err := workflow.ParseDSLString(pressureDSL)
+	inv, err := sys.Invoke(map[string][]byte{"producer.in": []byte("x")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bc := &blockClock{Manual: clk, blocks: make(chan struct{}, 1)}
-	w2 := cluster.NewNode("w2", cluster.Options{Clock: clk})
-	if consumer != nil {
-		w2 = consumer(clk, cluster.Options{Clock: clk})
-	}
-	cl := cluster.NewCluster(nil)
-	for _, n := range []*cluster.Node{cluster.NewNode("w1", cluster.Options{Clock: bc}), w2} {
-		if err := cl.AddNode(n); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sys, err := NewSystem(Config{
-		Workflow:    wf,
-		Cluster:     cl,
-		DefaultSpec: cluster.Spec{MemoryMB: 128}, // 5 MB/s
-		Alpha:       2.0,
-		Clock:       clk,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		down := make(chan struct{})
-		go func() {
-			defer close(down)
-			sys.Shutdown()
-		}()
-		for {
-			select {
-			case <-down:
-				return
-			case <-time.After(time.Millisecond):
-				clk.Advance(time.Hour)
-			}
-		}
-	})
-	return sys, bc.blocks
-}
-
-// waitBlock waits for the producer's Eq. 1 block to be announced.
-func waitBlock(t *testing.T, blocks <-chan struct{}) {
-	t.Helper()
+	got, returned := time.Duration(0), false
 	select {
-	case <-blocks:
+	case <-clk.Parked(2):
+		clk.Step()
+	case got = <-blocked:
+		returned = true
 	case <-time.After(10 * time.Second):
-		t.Fatal("timed out waiting for the producer to sit in its Eq. 1 block")
+		t.Fatalf("%s: timed out waiting for the producer to block or return", what)
 	}
-}
-
-// settle runs the clock on, a step per poll while something sleeps on it,
-// until inv is done and every container of the producer and the sink is back
-// in its pool: the request's runs are over, observed and published, so
-// nothing of it is left to move the clock or read it once the next request
-// starts. A run's clock moves only while that run sleeps, so its T_FLU stays
-// its compute. Call it only once the producer's run is observed.
-func settle(t *testing.T, sys *System, clk *clock.Manual, inv *Invocation, step time.Duration) {
-	t.Helper()
-	waitFor(t, 10*time.Second, func() bool {
+	settle(t, sys, clk)
+	if !returned {
 		select {
-		case <-inv.Done():
-			if sys.fns["producer"].idle() && sys.fns["sink"].idle() {
-				return true
-			}
+		case got = <-blocked:
 		default:
+			t.Fatalf("%s: Put still blocked once the request settled", what)
 		}
-		if clk.Pending() > 0 { // the daemon pacing the chunk, or the sink in its block
-			clk.Advance(step)
-		}
-		return false
-	}, "timed out waiting for the request to complete and hand its containers back")
+	}
+	if err := inv.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	return got
 }

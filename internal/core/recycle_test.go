@@ -156,7 +156,7 @@ func recycleStorm(t *testing.T, requests, size int, inject bool) {
 	if recycled == 0 {
 		t.Fatal("no request state came back to a free-list")
 	}
-	waitFor(t, 10*time.Second, func() bool { return runtime.NumGoroutine() <= baseline },
+	until(t, func() bool { return runtime.NumGoroutine() <= baseline },
 		fmt.Sprintf("goroutines did not return to the baseline of %d", baseline))
 }
 
@@ -189,7 +189,10 @@ function a
 `
 	clk := clock.NewManual()
 	sys := dslSystem(t, dsl, 1, func(c *Config) { c.Clock = clk })
-	const lat = time.Millisecond // each request's first run lasts 1 ms of virtual time: a stays off the caller
+	// Each request's first run lasts 1 ms of virtual time, a step the test
+	// takes while the run is held, so a stays off the caller; nothing sleeps
+	// on the clock.
+	const lat = time.Millisecond
 	for i := 0; i < 40; i++ {
 		started, release, fail := make(chan struct{}), make(chan struct{}), i%2 == 1
 		_ = sys.Register("a", func(ctx *Context) error {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/workflow"
@@ -312,17 +311,4 @@ func TestPlaceVsSelectionStorm(t *testing.T) {
 			t.Fatalf("node %s sink holds %d bytes after the storm", name, node.Sink.MemBytes())
 		}
 	}
-}
-
-// waitFor polls cond until it holds or the deadline expires.
-func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
-	t.Helper()
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatal(msg)
 }

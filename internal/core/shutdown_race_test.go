@@ -15,12 +15,17 @@ import (
 )
 
 // stormUntilShutdown runs eight closed-loop invokers against sys, shuts it
-// down delay after they start — concurrently with the storm — and returns
-// every admitted invocation once the invokers have seen the shutdown.
-func stormUntilShutdown(sys *System, delay time.Duration, input func(g, i int) map[string][]byte) []*Invocation {
+// down once they have been admitted after requests — concurrently with the
+// storm — and returns every admitted invocation once the invokers have seen
+// the shutdown.
+func stormUntilShutdown(sys *System, after int, input func(g, i int) map[string][]byte) []*Invocation {
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var invs []*Invocation
+	built := make(chan struct{})
+	if after == 0 {
+		close(built)
+	}
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -31,12 +36,14 @@ func stormUntilShutdown(sys *System, delay time.Duration, input func(g, i int) m
 					return // shutdown observed
 				}
 				mu.Lock()
-				invs = append(invs, inv)
+				if invs = append(invs, inv); len(invs) == after {
+					close(built)
+				}
 				mu.Unlock()
 			}
 		}(g)
 	}
-	time.Sleep(delay)
+	<-built
 	sys.Shutdown()
 	wg.Wait()
 	return invs
@@ -100,7 +107,7 @@ function b
 
 		// Let the storm build, then shut down concurrently with it.
 		in := map[string][]byte{"a.in": []byte("x")}
-		invs := stormUntilShutdown(sys, time.Duration(round)*time.Millisecond, func(int, int) map[string][]byte { return in })
+		invs := stormUntilShutdown(sys, 128*round, func(int, int) map[string][]byte { return in })
 		sys.Shutdown() // idempotent
 		if _, err := sys.Invoke(in); err == nil {
 			t.Fatal("Invoke accepted after Shutdown")
@@ -126,13 +133,18 @@ func TestGateStormVsShutdown(t *testing.T) {
 		var mu sync.Mutex
 		var admitted []*Invocation
 		var refused []error
+		// The shutdown comes once a random number of requests was admitted.
+		target, built := rng.Intn(300), make(chan struct{})
+		if target == 0 {
+			close(built)
+		}
 		record := func(inv *Invocation, err error) {
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {
 				refused = append(refused, err)
-			} else {
-				admitted = append(admitted, inv)
+			} else if admitted = append(admitted, inv); len(admitted) == target {
+				close(built)
 			}
 		}
 		_ = sys.Register("a", func(ctx *Context) error {
@@ -176,14 +188,17 @@ func TestGateStormVsShutdown(t *testing.T) {
 				}
 			}()
 		}
-		time.Sleep(time.Duration(rng.Intn(3000)) * time.Microsecond)
+		<-built
 		sys.Shutdown()
 		wg.Wait()
 		if f, n := sys.gate.finished.Load(), sys.gate.started.Load(); n != f {
 			t.Fatalf("round %d: %d gate counts still in flight after Shutdown", round, n-f)
 		}
 		resolved := len(completedOf(admitted))
-		time.Sleep(10 * time.Millisecond)
+		// Once the round's goroutines are gone, nothing is left that could
+		// resolve a request.
+		until(t, func() bool { return runtime.NumGoroutine() <= baseline },
+			fmt.Sprintf("round %d: goroutines did not return to the baseline of %d", round, baseline))
 		for _, err := range refused {
 			if !errors.Is(err, errShutdown) {
 				t.Fatalf("round %d: Invoke refused with %v, want the shut-down error", round, err)
@@ -203,6 +218,6 @@ func TestGateStormVsShutdown(t *testing.T) {
 		}
 		t.Logf("round %d: %d admitted (%d resolved, %d of them failed), %d refused", round, len(admitted), resolved, failed, len(refused))
 	}
-	waitFor(t, 10*time.Second, func() bool { return runtime.NumGoroutine() <= baseline },
+	until(t, func() bool { return runtime.NumGoroutine() <= baseline },
 		fmt.Sprintf("goroutines did not return to the baseline of %d", baseline))
 }

@@ -35,8 +35,7 @@ type idBlock struct {
 
 // gate is the engine's one admission and drain mechanism. Everything the
 // engine runs — an Invoke registering its request, a chain of instances, a
-// DLU daemon, a prewarm, the reaper — holds a count, entered
-// and exited on one stripe. Shutdown closes the gate; enter is refused from
+// DLU daemon, a prewarm — holds a count, entered and exited on one stripe. Shutdown closes the gate; enter is refused from
 // then on, and add, for work a holder starts, needs no check.
 type gate struct {
 	started, finished obs.Counter

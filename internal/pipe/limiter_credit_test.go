@@ -89,15 +89,19 @@ func (c *lateClock) run(fn func()) {
 	}
 }
 
-// mustStep waits for the next parked sleeper and wakes it (late).
+// mustStep waits for the next parked sleeper and wakes it (late): until
+// every sleeper step knows of has parked on the clock.
 func mustStep(t *testing.T, c *lateClock) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
 	for !c.step() {
-		if time.Now().After(deadline) {
+		c.mu.Lock()
+		n := max(len(c.wakes), 1)
+		c.mu.Unlock()
+		select {
+		case <-c.Parked(n):
+		case <-time.After(5 * time.Second):
 			t.Fatal("no sleeper parked on the clock")
 		}
-		time.Sleep(100 * time.Microsecond)
 	}
 }
 
@@ -203,10 +207,10 @@ func TestCreditSharedByFIFOTakers(t *testing.T) {
 	a := takeAsync(l, 200)    // deadline 200µs
 	mustPark(t, clk.Manual, a, "first taker")
 	b := takeAsync(l, 200) // queued behind it: deadline 400µs
-	for deadline := time.Now().Add(5 * time.Second); clk.Pending() < 2; runtime.Gosched() {
-		if time.Now().After(deadline) {
-			t.Fatal("second taker never parked")
-		}
+	select {
+	case <-clk.Parked(2):
+	case <-time.After(5 * time.Second):
+		t.Fatal("second taker never parked")
 	}
 	mustStep(t, clk) // a wakes at 1200µs
 	<-a

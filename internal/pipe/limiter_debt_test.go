@@ -39,17 +39,12 @@ func mustReturn(t *testing.T, done <-chan struct{}, what string) {
 // clock.
 func mustPark(t *testing.T, clk *clock.Manual, done <-chan struct{}, what string) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for clk.Pending() == 0 {
-		select {
-		case <-done:
-			t.Fatalf("%s: Take returned, want it parked on the clock", what)
-		default:
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%s: Take never parked", what)
-		}
-		time.Sleep(100 * time.Microsecond)
+	select {
+	case <-clk.Parked(1):
+	case <-done:
+		t.Fatalf("%s: Take returned, want it parked on the clock", what)
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s: Take never parked", what)
 	}
 }
 

@@ -23,7 +23,9 @@ func TestIdleLimiterPacesOneHopAtWireTime(t *testing.T) {
 	l := NewLimiter(clock.NewWall(), tcRate)
 	took := make([]time.Duration, 20)
 	for i := range took {
-		time.Sleep(2 * time.Millisecond) // drain the bucket, expire any credit
+		// Idle wall time drains the bucket and expires any credit; the test
+		// measures the wall clock, so only wall time can.
+		time.Sleep(2 * time.Millisecond)
 		start := time.Now()
 		for sent := 0; sent < hop; sent += chunk {
 			l.Take(chunk)
