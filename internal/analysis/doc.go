@@ -12,11 +12,10 @@
 //     accessed through sync/atomic everywhere (outside constructors).
 //   - lockheld: no channel operations, WaitGroup waits, or blocking I/O
 //     while a sync.Mutex/RWMutex acquired in the same function is held.
-//   - tracegate: no fmt formatting or string concatenation in declared
-//     hot-path files (//repolint:hotpath) except fmt.Errorf on a cold
-//     error path, protecting the allocation budget.
-//   - obsgate: no obs.Registry lookups in declared hot-path files; they
-//     resolve instrument pointers once, at init.
+//   - hotpath: in declared hot-path files (//repolint:hotpath), no fmt
+//     formatting or string concatenation except fmt.Errorf on a cold error
+//     path, protecting the allocation budget, and no obs.Registry lookups;
+//     they resolve instrument pointers once, at init.
 //   - wiregate: the //wire:struct declarations must match the fingerprint
 //     pinned for the package's FrameVersion.
 //
@@ -35,7 +34,7 @@
 //
 // An unjustified directive does not suppress — it annotates the finding so
 // the omission is visible in CI. File pragma //repolint:hotpath opts a file
-// into tracegate and obsgate.
+// into hotpath.
 //
 // The concrete analyzers live in subpackages (one each), the registry used
 // by cmd/repolint and the tree-wide regression test in

@@ -5,7 +5,7 @@ import "go/ast"
 // Inspect walks the tree rooted at root in depth-first order, calling fn
 // with each node and the path of its ancestors (outermost first, root's
 // ancestors empty). Returning false skips the node's children. Several
-// analyzers need the ancestor path — tracegate to find an enclosing return
+// analyzers need the ancestor path — hotpath to find an enclosing return
 // or fail() call, atomicmix to find the enclosing function — which
 // ast.Inspect alone does not provide.
 func Inspect(root ast.Node, fn func(n ast.Node, path []ast.Node) bool) {

@@ -7,9 +7,8 @@ package repolint
 import (
 	"repro/internal/analysis"
 	"repro/internal/analysis/atomicmix"
+	"repro/internal/analysis/hotpath"
 	"repro/internal/analysis/lockheld"
-	"repro/internal/analysis/obsgate"
-	"repro/internal/analysis/tracegate"
 	"repro/internal/analysis/wallclock"
 	"repro/internal/analysis/wiregate"
 )
@@ -17,9 +16,8 @@ import (
 // Analyzers is the suite cmd/repolint runs, in diagnostic-name order.
 var Analyzers = []*analysis.Analyzer{
 	atomicmix.Analyzer,
+	hotpath.Analyzer,
 	lockheld.Analyzer,
-	obsgate.Analyzer,
-	tracegate.Analyzer,
 	wallclock.Analyzer,
 	wiregate.Analyzer,
 }

@@ -282,6 +282,26 @@ func TestHandleFitsItsSizeClass(t *testing.T) {
 	}
 }
 
+// TestFirstDoneAllocatesOnlyItsChannel: the first Done on a request still
+// running makes its channel and nothing else. A channel is pointer-shaped,
+// so the handle stores it without a heap box; a pointer to the channel
+// would cost a second allocation.
+func TestFirstDoneAllocatesOnlyItsChannel(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	const runs = 100
+	invs := make([]Invocation, runs+1) // AllocsPerRun makes one warm-up call
+	next := 0
+	avg := testing.AllocsPerRun(runs, func() {
+		invs[next].Done()
+		next++
+	})
+	if avg != 1 {
+		t.Fatalf("first Done in flight allocates %.1f objects, want 1 (its channel)", avg)
+	}
+}
+
 // TestInvokeAllocsCeilingWithSampling pins the obs plane's alloc claim: the
 // metric instruments plus 1-in-1024 sampled tracing fit the same budget —
 // unsampled requests allocate nothing for observability, and the sampled

@@ -1,4 +1,4 @@
-//repolint:hotpath the Invoke/schedule path holds the 2 allocs/req ceiling (1 measured on the warm chain, TestInvokeAllocsCeiling); see tracegate
+//repolint:hotpath the Invoke/schedule path holds the 2 allocs/req ceiling (1 measured on the warm chain, TestInvokeAllocsCeiling); see the hotpath analyzer
 
 // Package core is the runtime-plane implementation of the DataFlower
 // scheme: the paper's primary contribution as an embeddable Go library.

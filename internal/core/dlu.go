@@ -1,4 +1,4 @@
-//repolint:hotpath ship/land/put run per request item; see tracegate
+//repolint:hotpath ship/land/put run per request item; see the hotpath analyzer
 package core
 
 import (

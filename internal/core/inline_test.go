@@ -173,6 +173,30 @@ func TestWarmChainCountsItsPaths(t *testing.T) {
 func TestWarmZeroComputeChainRunsOnOneGoroutine(t *testing.T) {
 	sys := newChainSystem(t, 2, nil, nil)
 	defer sys.Shutdown()
+	if continuesOnOneGoroutine(t, sys, 1000) == 0 {
+		t.Skipf("T_FLU never came under the gate on this box (a=%v)", sys.FLUAvg("a"))
+	}
+}
+
+// TestWarmZeroComputeChainOnManualClock is the same check on clock.Manual,
+// where every T_FLU and wall reading is 0: every checked request continues,
+// so the one-goroutine assertion runs on each and the test never skips.
+func TestWarmZeroComputeChainOnManualClock(t *testing.T) {
+	sys := virtualChain(t, 2)
+	if n := continuesOnOneGoroutine(t, sys, 2); n != continuesChecked {
+		t.Fatalf("T_FLU %v: %d of %d requests continued, want all", sys.FLUAvg("a"), n, continuesChecked)
+	}
+}
+
+// continuesChecked is how many requests continuesOnOneGoroutine checks.
+const continuesChecked = 20
+
+// continuesOnOneGoroutine runs warm requests of the chain a → b, then
+// checks continuesChecked more one at a time: each continues exactly when
+// a's published T_FLU and the two brief verdicts say it should, and a
+// continued b runs on a's goroutine. It returns how many continued.
+func continuesOnOneGoroutine(t *testing.T, sys *System, warm int) int {
+	t.Helper()
 	// Reading a goroutine's id costs ten microseconds, a good part of the
 	// gate, so only the checked requests do it, on top of a warm average.
 	var probe bool
@@ -191,16 +215,16 @@ func TestWarmZeroComputeChainRunsOnOneGoroutine(t *testing.T) {
 		x, _ := ctx.Input("x")
 		return ctx.Put("out", x)
 	})
-	for i := 0; i < 1000; i++ {
+	for i := 0; i < warm; i++ {
 		invokeChain(t, sys)
 	}
 	a, b := sys.fns["a"], sys.fns["b"]
 	probe = true
 	continued := 0
-	for i := 0; i < 20; i++ {
+	for i := 0; i < continuesChecked; i++ {
 		// Settled, the last request's runs are over, observed and published,
 		// so nothing in flight moves what decides want, and no cold start
-		// refuses the caller.
+		// refuses the caller. Nothing sleeps on either system's clock.
 		settle(t, sys, nil)
 		// a parks b when a's published T_FLU is under the gate, and b then
 		// runs on a's goroutine: on a pool worker's when a is not brief (a
@@ -223,9 +247,7 @@ func TestWarmZeroComputeChainRunsOnOneGoroutine(t *testing.T) {
 		}
 		continued += int(want)
 	}
-	if continued == 0 {
-		t.Skipf("T_FLU never came under the gate on this box (a=%v)", sys.FLUAvg("a"))
-	}
+	return continued
 }
 
 // TestForeachContinuesOneInstance: a FOREACH×8 fan-out continues one

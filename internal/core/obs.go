@@ -4,7 +4,7 @@ import "repro/internal/obs"
 
 // This file is the engine's observability surface: the always-on metric
 // instruments (resolved once at init from the process-wide registry, so
-// hot-path updates are striped atomic adds — see the obsgate analyzer) and
+// hot-path updates are striped atomic adds — see the hotpath analyzer) and
 // the sampled request-tracing plane (ObsConfig).
 //
 // The instruments are process-wide, prometheus-style: several Systems in

@@ -193,10 +193,9 @@ func TestNextPutSeesAThrottledRunsTFLU(t *testing.T) {
 
 // TestRemotePutIsPricedAtTheContainersRate pins Eq. 1's Bw: the producing
 // container's TC rate, whichever node the consumer is on. The remote
-// consumer's node reaches its sink through a transport that also reports a
-// throughput of 1 B/s. A producer with T_FLU 0 that puts S bytes must block
-// α·S/Bw at the container's 5 MB/s toward it, exactly as toward a local
-// node — not α·S seconds.
+// consumer's node reaches its sink through an in-process transport. A
+// producer with T_FLU 0 that puts S bytes must block α·S/Bw at the
+// container's 5 MB/s toward it, exactly as toward a local node.
 func TestRemotePutIsPricedAtTheContainersRate(t *testing.T) {
 	const ms = time.Millisecond
 	payload := make([]byte, 64<<10)
@@ -210,7 +209,7 @@ func TestRemotePutIsPricedAtTheContainersRate(t *testing.T) {
 		{"remote", func(clk *clock.Manual, opts cluster.Options) *cluster.Node {
 			start := clk.Now()
 			in := transport.NewInproc(wmm.NewSink(wmm.Options{}), nil, func() time.Duration { return clk.Now() - start })
-			return cluster.NewRemoteNode("w2", meteredInproc{in}, false, opts)
+			return cluster.NewRemoteNode("w2", in, false, opts)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -235,12 +234,6 @@ func TestRemotePutIsPricedAtTheContainersRate(t *testing.T) {
 		})
 	}
 }
-
-// meteredInproc is an in-process sink whose transport also reports a wire
-// throughput — 1 B/s, so a Bw taken from it would be unmistakable.
-type meteredInproc struct{ *transport.Inproc }
-
-func (meteredInproc) ObservedBps() float64 { return 1 }
 
 // throttled runs one request of the producer→sink system, whose producer
 // puts under Eq. 1 pressure and sends how long its Put took on blocked, and

@@ -1,4 +1,4 @@
-//repolint:hotpath every request takes and returns its engine state here; see tracegate
+//repolint:hotpath every request takes and returns its engine state here; see the hotpath analyzer
 
 package core
 
@@ -45,9 +45,9 @@ type Invocation struct {
 	// a single-output workflow's copy allocates nothing.
 	outputs []dataflow.Item
 	outBuf  [1]dataflow.Item
-	// done is Done's channel: made by the first Done in flight, swapped for
-	// closedDone (and closed) by finish.
-	done atomic.Pointer[chan struct{}]
+	// done holds Done's channel, unboxed (a channel is pointer-shaped): made
+	// by the first Done in flight, closed and swapped for closedDone at finish.
+	done atomic.Value
 
 	mu sync.Mutex // guards idStr
 	// idStr is the formatted id, made by the first ReqID call.
@@ -67,8 +67,8 @@ func (inv *Invocation) ReqID() string {
 	return inv.idStr
 }
 
-// closedDone is the Done channel of a request that finished: finish swaps
-// it in, so a Done after the finish needs no channel of its own.
+// closedDone is the Done channel of a request that finished: a Done after
+// the finish needs no channel of its own.
 var closedDone = func() chan struct{} {
 	c := make(chan struct{})
 	close(c)
@@ -78,14 +78,28 @@ var closedDone = func() chan struct{} {
 // Done is closed when the request completes (successfully or not). The
 // channel is made on the first call while the request runs; Wait needs none.
 func (inv *Invocation) Done() <-chan struct{} {
-	if p := inv.done.Load(); p != nil {
-		return *p
+	c, _ := inv.done.Load().(chan struct{})
+	if c == nil && !inv.finished.Load() {
+		c = make(chan struct{})
+		if !inv.done.CompareAndSwap(nil, c) {
+			c = inv.done.Load().(chan struct{}) // another Done's channel, or closedDone
+		}
 	}
-	c := make(chan struct{})
-	if inv.done.CompareAndSwap(nil, &c) {
-		return c
+	// finish stores finished before it loads done, and Done the reverse, so
+	// one of the two sees the other and closes the channel.
+	if inv.finished.Load() {
+		inv.closeDone()
+		return closedDone
 	}
-	return *inv.done.Load() // another Done's channel, or finish's closedDone
+	return c
+}
+
+// closeDone swaps closedDone in and closes the channel it displaced, if any:
+// of finish and a racing Done, the one that takes it out closes it.
+func (inv *Invocation) closeDone() {
+	if c, _ := inv.done.Swap(closedDone).(chan struct{}); c != nil && c != closedDone {
+		close(c)
+	}
 }
 
 // outcome is inv once its request finished, else a handle of zero values.
@@ -127,14 +141,15 @@ func (inv *Invocation) Wait() error {
 }
 
 // finish records the request's outcome in the handle, publishes it and
-// releases its waiters. request.finishLocked calls it once. The swap closes
-// a channel an earlier Done made; a later Done finds closedDone.
+// releases its waiters. request.finishLocked calls it once. It closes a
+// channel an earlier Done made; a later Done sees finished. A request nobody
+// called Done on costs one load here: done is never stored.
 func (inv *Invocation) finish(err error, lat time.Duration, outs []dataflow.Item) {
 	inv.err, inv.lat = err, lat
 	inv.outputs = append(inv.outBuf[:0], outs...)
 	inv.finished.Store(true)
-	if p := inv.done.Swap(&closedDone); p != nil {
-		close(*p)
+	if inv.done.Load() != nil {
+		inv.closeDone()
 	}
 	inv.wg.Done()
 }

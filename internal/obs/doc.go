@@ -22,7 +22,7 @@
 //
 // A Registry is a named set of instruments with get-or-create lookup.
 // Lookups take a lock, so hot paths must resolve their instruments once at
-// setup time and hold the returned pointers; the obsgate repolint analyzer
+// setup time and hold the returned pointers; the hotpath repolint analyzer
 // enforces this for files declaring //repolint:hotpath. Names may embed
 // Prometheus labels inline ("cluster_health_transitions_total{to=\"down\"}").
 // Default() is the process-wide registry every internal package registers
@@ -41,6 +41,13 @@
 // The trace id propagates across the TCP transport (transport.Pacing) so a
 // remote worker's DataArrived stages correlate with the coordinator's
 // spans by trace id in the two processes' /debug/requests outputs.
+//
+// # Time-weighted integrals
+//
+// Integral accumulates level × seconds of a piecewise-constant level: the
+// sink's per-shard cache occupancy (Fig. 14's MB·s) and the simulation's
+// container memory (GB·s). Its zero value is ready; it takes no lock, so
+// its owner serializes the updates.
 //
 // # Exposition
 //

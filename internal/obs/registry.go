@@ -46,7 +46,7 @@ func (c *Counter) Load() int64 {
 
 // Registry is a named set of instruments. Lookup is get-or-create under a
 // lock — resolve instruments once at setup time and keep the pointers on
-// the hot path (the obsgate analyzer enforces this in //repolint:hotpath
+// the hot path (the hotpath analyzer enforces this in //repolint:hotpath
 // files). Instrument names may carry Prometheus labels inline:
 // `wmm_mem_bytes{node="w1"}`.
 type Registry struct {

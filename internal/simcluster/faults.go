@@ -4,7 +4,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -65,7 +64,6 @@ type FaultEvent struct {
 // armFaults schedules the configured fault events (called from New).
 func (s *Sim) armFaults() {
 	s.faulty = len(s.cfg.Faults) > 0
-	s.recoveryLat = metrics.NewSample()
 	if !s.faulty {
 		return
 	}

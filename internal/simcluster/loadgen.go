@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
@@ -183,19 +182,19 @@ func (s *Sim) result(horizon time.Duration) *Result {
 	res := &Result{
 		System:      s.cfg.Kind.String(),
 		Benchmark:   s.cfg.Profile.Name,
-		Latencies:   s.latencies,
+		Latencies:   &s.latencies,
 		Completed:   s.completed,
 		Failed:      s.failed,
 		SimDuration: horizon,
 		MemGBs:      s.memInt.Finish(horizon),
 		FnStats:     s.fnStats,
-		CPUBusy:     s.cpuBusy,
-		NetBusy:     s.netBusy,
+		CPUBusy:     &s.cpuBusy,
+		NetBusy:     &s.netBusy,
 		Trace:       s.stages,
 		Containers:  s.containers,
 	}
 	res.Recovered = s.recoveries
-	res.RecoveryLat = s.recoveryLat
+	res.RecoveryLat = &s.recoveryLat
 	res.Replays = s.replays
 	if horizon > 0 {
 		res.ThroughputRPM = float64(s.completed) / horizon.Minutes()
@@ -215,25 +214,25 @@ func (s *Sim) result(horizon time.Duration) *Result {
 		res.ThroughputRPM = 0
 	}
 	for _, c := range s.ctrs {
-		res.OverlapSec += timelineOverlapSec(c.cpuT, c.netT, horizon)
-		res.CPUBusySec += timelineBusySec(c.cpuT, horizon)
+		res.OverlapSec += timelineOverlapSec(&c.cpuT, &c.netT, horizon)
+		res.CPUBusySec += timelineBusySec(&c.cpuT, horizon)
 	}
 	return res
 }
 
 // timelineOverlapSec integrates the time both timelines are positive.
-func timelineOverlapSec(a, b *metrics.Timeline, horizon time.Duration) float64 {
+func timelineOverlapSec(a, b *Timeline, horizon time.Duration) float64 {
 	type edge struct {
 		at    time.Duration
 		isA   bool
 		level float64
 	}
 	var edges []edge
-	for _, pt := range a.Points() {
-		edges = append(edges, edge{at: pt.At, isA: true, level: pt.Level})
+	for _, pt := range a.points {
+		edges = append(edges, edge{at: pt.at, isA: true, level: pt.level})
 	}
-	for _, pt := range b.Points() {
-		edges = append(edges, edge{at: pt.At, isA: false, level: pt.Level})
+	for _, pt := range b.points {
+		edges = append(edges, edge{at: pt.at, isA: false, level: pt.level})
 	}
 	sort.Slice(edges, func(i, j int) bool { return edges[i].at < edges[j].at })
 	var la, lb float64
@@ -260,19 +259,19 @@ func timelineOverlapSec(a, b *metrics.Timeline, horizon time.Duration) float64 {
 }
 
 // timelineBusySec integrates the time the timeline is positive.
-func timelineBusySec(a *metrics.Timeline, horizon time.Duration) float64 {
+func timelineBusySec(a *Timeline, horizon time.Duration) float64 {
 	var level float64
 	var last time.Duration
 	total := 0.0
-	for _, pt := range a.Points() {
-		if pt.At > horizon {
+	for _, pt := range a.points {
+		if pt.at > horizon {
 			break
 		}
 		if level > 0 {
-			total += (pt.At - last).Seconds()
+			total += (pt.at - last).Seconds()
 		}
-		last = pt.At
-		level = pt.Level
+		last = pt.at
+		level = pt.level
 	}
 	if level > 0 && horizon > last {
 		total += (horizon - last).Seconds()

@@ -5,14 +5,13 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/workloads"
 )
 
 func sec(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
 
 func TestTimelineBusySec(t *testing.T) {
-	tl := metrics.NewTimeline()
+	tl := new(Timeline)
 	tl.Set(sec(1), 1)
 	tl.Set(sec(3), 0)
 	tl.Set(sec(5), 2)
@@ -25,14 +24,14 @@ func TestTimelineBusySec(t *testing.T) {
 		t.Fatalf("busy = %v, want 1", got)
 	}
 	// Empty timeline.
-	if got := timelineBusySec(metrics.NewTimeline(), sec(10)); got != 0 {
+	if got := timelineBusySec(new(Timeline), sec(10)); got != 0 {
 		t.Fatalf("busy = %v, want 0", got)
 	}
 }
 
 func TestTimelineOverlapSec(t *testing.T) {
-	a := metrics.NewTimeline()
-	b := metrics.NewTimeline()
+	a := new(Timeline)
+	b := new(Timeline)
 	a.Set(sec(0), 1)
 	a.Set(sec(4), 0)
 	b.Set(sec(2), 1)
@@ -48,8 +47,8 @@ func TestTimelineOverlapSec(t *testing.T) {
 }
 
 func TestTimelineOverlapDisjoint(t *testing.T) {
-	a := metrics.NewTimeline()
-	b := metrics.NewTimeline()
+	a := new(Timeline)
+	b := new(Timeline)
 	a.Set(sec(0), 1)
 	a.Set(sec(1), 0)
 	b.Set(sec(2), 1)
@@ -60,8 +59,8 @@ func TestTimelineOverlapDisjoint(t *testing.T) {
 }
 
 func TestTimelineOverlapOpenEnded(t *testing.T) {
-	a := metrics.NewTimeline()
-	b := metrics.NewTimeline()
+	a := new(Timeline)
+	b := new(Timeline)
 	a.Set(sec(1), 1) // never drops
 	b.Set(sec(2), 1)
 	if got := timelineOverlapSec(a, b, sec(5)); math.Abs(got-3) > 1e-9 {

@@ -1,4 +1,4 @@
-package metrics
+package simcluster
 
 import (
 	"math"
@@ -10,7 +10,7 @@ import (
 func almost(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
 func TestSampleEmpty(t *testing.T) {
-	s := NewSample()
+	var s Sample
 	if s.Count() != 0 || s.Mean() != 0 || s.P99() != 0 || s.StdDev() != 0 {
 		t.Fatal("empty sample should report zeros")
 	}
@@ -20,7 +20,7 @@ func TestSampleEmpty(t *testing.T) {
 }
 
 func TestSampleMeanMinMax(t *testing.T) {
-	s := NewSample()
+	var s Sample
 	for _, v := range []float64{4, 1, 3, 2} {
 		s.Add(v)
 	}
@@ -33,7 +33,7 @@ func TestSampleMeanMinMax(t *testing.T) {
 }
 
 func TestSamplePercentileInterpolation(t *testing.T) {
-	s := NewSample()
+	var s Sample
 	for _, v := range []float64{10, 20, 30, 40} {
 		s.Add(v)
 	}
@@ -55,7 +55,7 @@ func TestSamplePercentileInterpolation(t *testing.T) {
 }
 
 func TestSampleSingleValue(t *testing.T) {
-	s := NewSample()
+	var s Sample
 	s.Add(7)
 	for _, p := range []float64{0, 50, 99, 100} {
 		if got := s.Percentile(p); got != 7 {
@@ -65,7 +65,7 @@ func TestSampleSingleValue(t *testing.T) {
 }
 
 func TestSampleStdDev(t *testing.T) {
-	s := NewSample()
+	var s Sample
 	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		s.Add(v)
 	}
@@ -75,7 +75,7 @@ func TestSampleStdDev(t *testing.T) {
 }
 
 func TestSampleAddDuration(t *testing.T) {
-	s := NewSample()
+	var s Sample
 	s.AddDuration(1500 * time.Millisecond)
 	if got := s.Mean(); !almost(got, 1.5, 1e-12) {
 		t.Fatalf("mean = %v, want 1.5", got)
@@ -88,7 +88,7 @@ func TestSamplePercentileMonotoneProperty(t *testing.T) {
 		if len(raw) == 0 {
 			return true
 		}
-		s := NewSample()
+		var s Sample
 		lo, hi := math.Inf(1), math.Inf(-1)
 		for _, v := range raw {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -110,76 +110,8 @@ func TestSamplePercentileMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestIntegralConstantLevel(t *testing.T) {
-	g := NewIntegral()
-	g.Set(0, 2)
-	got := g.Finish(10 * time.Second)
-	if !almost(got, 20, 1e-9) {
-		t.Fatalf("integral = %v, want 20", got)
-	}
-}
-
-func TestIntegralSteps(t *testing.T) {
-	g := NewIntegral()
-	g.Set(0, 1)
-	g.Set(2*time.Second, 3)          // 1*2 = 2
-	g.AddDelta(4*time.Second, -2)    // 3*2 = 6
-	got := g.Finish(6 * time.Second) // 1*2 = 2
-	if !almost(got, 10, 1e-9) {
-		t.Fatalf("integral = %v, want 10", got)
-	}
-	if got := g.Finish(8 * time.Second); !almost(got, 12, 1e-9) { // level 1 holds
-		t.Fatalf("extended integral = %v, want 12", got)
-	}
-}
-
-func TestIntegralClampsBackwardsTime(t *testing.T) {
-	g := NewIntegral()
-	g.Set(5*time.Second, 1)
-	g.Set(3*time.Second, 2) // clamped to t=5
-	got := g.Finish(6 * time.Second)
-	if !almost(got, 2, 1e-9) {
-		t.Fatalf("integral = %v, want 2", got)
-	}
-}
-
-func TestIntegralFirstEventSetsOrigin(t *testing.T) {
-	g := NewIntegral()
-	g.Set(10*time.Second, 5)
-	got := g.Finish(12 * time.Second)
-	if !almost(got, 10, 1e-9) {
-		t.Fatalf("integral = %v, want 10 (no accumulation before first event)", got)
-	}
-}
-
-// Property: integral of a non-negative level is non-negative and additive in
-// time extension.
-func TestIntegralNonNegativeProperty(t *testing.T) {
-	f := func(levels []uint16, gaps []uint16) bool {
-		g := NewIntegral()
-		at := time.Duration(0)
-		n := len(levels)
-		if len(gaps) < n {
-			n = len(gaps)
-		}
-		for i := 0; i < n; i++ {
-			at += time.Duration(gaps[i]) * time.Millisecond
-			g.Set(at, float64(levels[i]))
-			if g.Finish(at) < -1e-9 {
-				return false
-			}
-		}
-		before := g.Finish(at + time.Second)
-		after := g.Finish(at + 2*time.Second)
-		return after >= before-1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTimelineSampleAt(t *testing.T) {
-	tl := NewTimeline()
+	var tl Timeline
 	tl.Set(time.Second, 1)
 	tl.Set(3*time.Second, 5)
 	if got := tl.SampleAt(0); got != 0 {
@@ -194,26 +126,10 @@ func TestTimelineSampleAt(t *testing.T) {
 }
 
 func TestTimelineAddDelta(t *testing.T) {
-	tl := NewTimeline()
+	var tl Timeline
 	tl.AddDelta(0, 2)
 	tl.AddDelta(time.Second, 3)
 	if got := tl.SampleAt(2 * time.Second); got != 5 {
 		t.Fatalf("level = %v, want 5", got)
-	}
-}
-
-func TestTimelinePointsCopy(t *testing.T) {
-	tl := NewTimeline()
-	tl.Set(0, 1)
-	pts := tl.Points()
-	pts[0].Level = 99
-	if tl.SampleAt(0) != 1 {
-		t.Fatal("Points did not return a copy")
-	}
-}
-
-func TestByteConversions(t *testing.T) {
-	if !almost(BytesToMB(5*MB), 5, 1e-12) {
-		t.Fatal("BytesToMB")
 	}
 }

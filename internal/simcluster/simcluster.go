@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/dataflow"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/simnet"
@@ -200,7 +199,7 @@ type Result struct {
 	System    string
 	Benchmark string
 
-	Latencies *metrics.Sample
+	Latencies *Sample
 	Completed int64
 	Failed    int64
 	// SimDuration is the virtual time at which the run ended.
@@ -222,8 +221,8 @@ type Result struct {
 	FnStats map[string]*FnStat
 	// CPUBusy and NetBusy are resource usage timelines (Fig. 2(b)): the
 	// number of containers computing / flows in flight over time.
-	CPUBusy *metrics.Timeline
-	NetBusy *metrics.Timeline
+	CPUBusy *Timeline
+	NetBusy *Timeline
 	// Trace is the request's stages, in time order, after RunOne (the
 	// Fig. 2(c) and Fig. 13 timelines); load runs record none.
 	Trace []obs.Stage
@@ -236,7 +235,7 @@ type Result struct {
 	// ship re-landed when its destination died under it. No function runs
 	// again. All zero when Config.Faults is empty.
 	Recovered   int64
-	RecoveryLat *metrics.Sample
+	RecoveryLat *Sample
 	Replays     int64
 	// OverlapSec is the total per-container time during which a container's
 	// FLU was computing while its own network transfers were in flight —
@@ -297,8 +296,7 @@ type container struct {
 	born    time.Duration
 	// cpuT and netT are this container's own busy timelines; their overlap
 	// is the §3.2.2/Fig. 2(b) metric (sequential vs overlapped phases).
-	cpuT *metrics.Timeline
-	netT *metrics.Timeline
+	cpuT, netT Timeline
 }
 
 // work is one function-instance execution.
@@ -354,17 +352,17 @@ type Sim struct {
 	// recording is set by RunOne: its one request records its stages.
 	recording   bool
 	stages      []obs.Stage
-	memInt      *metrics.Integral
-	cpuBusy     *metrics.Timeline
-	netBusy     *metrics.Timeline
+	memInt      obs.Integral
+	cpuBusy     Timeline
+	netBusy     Timeline
 	fnStats     map[string]*FnStat
 	prewarms    int64
 	ctrs        []*container
 	warmupSeq   int64
-	latByWf     map[string]*metrics.Sample
+	latByWf     map[string]*Sample
 	completed   int64
 	failed      int64
-	latencies   *metrics.Sample
+	latencies   Sample
 	completions []time.Duration
 	reqSeq      int64
 	containers  int64
@@ -375,7 +373,7 @@ type Sim struct {
 	inflight    map[*request]struct{}
 	recoveries  int64
 	replays     int64
-	recoveryLat *metrics.Sample
+	recoveryLat Sample
 }
 
 type avgTracker struct {
@@ -402,21 +400,17 @@ func New(cfg Config) *Sim {
 	env := sim.NewEnv(cfg.Seed)
 	fab := simnet.NewFabric(env)
 	s := &Sim{
-		cfg:       cfg,
-		env:       env,
-		fabric:    fab,
-		storage:   fab.NewEndpoint(storageBps),
-		user:      fab.NewEndpoint(0),
-		routing:   make(map[string]*node),
-		replicas:  make(map[string][]*node),
-		profOf:    make(map[string]*workloads.Profile),
-		fluAvg:    make(map[string]*avgTracker),
-		memInt:    metrics.NewIntegral(),
-		cpuBusy:   metrics.NewTimeline(),
-		netBusy:   metrics.NewTimeline(),
-		fnStats:   make(map[string]*FnStat),
-		latencies: metrics.NewSample(),
-		latByWf:   make(map[string]*metrics.Sample),
+		cfg:      cfg,
+		env:      env,
+		fabric:   fab,
+		storage:  fab.NewEndpoint(storageBps),
+		user:     fab.NewEndpoint(0),
+		routing:  make(map[string]*node),
+		replicas: make(map[string][]*node),
+		profOf:   make(map[string]*workloads.Profile),
+		fluAvg:   make(map[string]*avgTracker),
+		fnStats:  make(map[string]*FnStat),
+		latByWf:  make(map[string]*Sample),
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		nicBps, diskBps := cfg.NodeNICBps, cfg.DiskBps
@@ -565,11 +559,11 @@ func (s *Sim) execTime(fn string) time.Duration {
 
 // LatencyOf returns the latency sample of one co-located workflow by
 // benchmark name (empty sample if it never completed a request).
-func (s *Sim) LatencyOf(name string) *metrics.Sample {
+func (s *Sim) LatencyOf(name string) *Sample {
 	if l, ok := s.latByWf[name]; ok {
 		return l
 	}
-	return metrics.NewSample()
+	return new(Sample)
 }
 
 // scaleOutDelay is how long an invocation waits for a warm container before
@@ -630,8 +624,6 @@ func (s *Sim) coldStart(p *sim.Proc, fs *fnState) *container {
 		ep:   s.fabric.NewEndpoint(s.cfg.containerBps()),
 		dluQ: sim.NewQueue(),
 		born: s.env.Now(),
-		cpuT: metrics.NewTimeline(),
-		netT: metrics.NewTimeline(),
 	}
 	s.ctrs = append(s.ctrs, c)
 	if s.kindIsDataflower() {
@@ -660,8 +652,6 @@ func (s *Sim) prewarm(fs *fnState) {
 			ep:   s.fabric.NewEndpoint(s.cfg.containerBps()),
 			dluQ: sim.NewQueue(),
 			born: s.env.Now(),
-			cpuT: metrics.NewTimeline(),
-			netT: metrics.NewTimeline(),
 		}
 		s.ctrs = append(s.ctrs, c)
 		if s.kindIsDataflower() {
@@ -725,7 +715,7 @@ func (s *Sim) complete(req *request) {
 	}
 	wfLat := s.latByWf[req.prof.Name]
 	if wfLat == nil {
-		wfLat = metrics.NewSample()
+		wfLat = new(Sample)
 		s.latByWf[req.prof.Name] = wfLat
 	}
 	wfLat.AddDuration(lat)

@@ -7,7 +7,7 @@ import (
 )
 
 // Process-wide transport instruments, resolved once at init (registry
-// lookups are setup-time only — see the obsgate analyzer). Client counters
+// lookups are setup-time only — see the hotpath analyzer). Client counters
 // cover the dialing side of every exchange, server counters the serving
 // side, so a process that is both (a coordinator with a local worker)
 // reports both views.

@@ -3,7 +3,7 @@ package wmm
 import "repro/internal/obs"
 
 // Process-wide sink instruments, resolved once at init (registry lookups are
-// setup-time only — see the obsgate analyzer). They mirror the per-sink
+// setup-time only — see the hotpath analyzer). They mirror the per-sink
 // Stats counters but are cumulative across every sink in the process and
 // readable lock-free from /metrics; each shard updates its own stripe
 // alongside the locked per-shard counter, so the hot path pays one extra

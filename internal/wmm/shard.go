@@ -1,4 +1,4 @@
-//repolint:hotpath sink shard ops run per data item; see tracegate
+//repolint:hotpath sink shard ops run per data item; see the hotpath analyzer
 package wmm
 
 import (
@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"repro/internal/dataflow"
-	"repro/internal/metrics"
+	"repro/internal/obs"
 )
 
 // entry is one cached datum. It sits in exactly one stripe's index and on
@@ -111,7 +111,7 @@ type shard struct {
 	// true peak) and filled in when Stats merges the shards.
 	stats    Stats
 	memBytes int64
-	memInt   *metrics.Integral // MB·s of this stripe's memory occupancy
+	memInt   obs.Integral // MB·s of this stripe's memory occupancy
 
 	// obsStripe is this shard's lane in the process-wide striped obs
 	// counters (obs.go); set once at NewSink so hot-path updates never
@@ -126,7 +126,6 @@ const freeEntCap = 256
 func (sh *shard) init() {
 	sh.entries = make(map[Key]*entry)
 	sh.reqs = make(map[string]*entry)
-	sh.memInt = metrics.NewIntegral()
 }
 
 // insert indexes a new memory-tier entry {key, val, consumers} and chains it
@@ -213,7 +212,7 @@ func (s *Sink) expireLocked(sh *shard, at time.Duration) int {
 // sink, not a sum of unsynchronized per-shard peaks. Caller holds sh.mu.
 func (s *Sink) adjustMem(sh *shard, at time.Duration, delta int64) {
 	sh.memBytes += delta
-	sh.memInt.Set(at, metrics.BytesToMB(sh.memBytes))
+	sh.memInt.Set(at, float64(sh.memBytes)/(1<<20))
 	total := s.memBytes.Add(delta)
 	for {
 		peak := s.peakMem.Load()

@@ -1,4 +1,4 @@
-//repolint:hotpath sink Land/Get/Consume run per data item; see tracegate
+//repolint:hotpath sink Land/Get/Consume run per data item; see the hotpath analyzer
 
 // Package wmm implements the Wait-Match Memory: the per-node data sink of
 // DataFlower's host-container collaborative communication mechanism (§7).
