@@ -139,7 +139,7 @@ func TestObsEndpointsDuringStorm(t *testing.T) {
 	time.Sleep(500 * time.Millisecond)
 
 	coordMetrics := httpGet(t, "http://"+coordObs+"/metrics")
-	// core_dlu_batch_items_count: the real cluster ships edge-batched.
+	// core_dlu_batch_items_count: the real cluster observes its shipped tasks.
 	for _, series := range []string{"core_requests_total", "core_completed_total",
 		"transport_frames_sent_total", "core_request_latency_ns_count", "core_dlu_batch_items_count"} {
 		if v := metricValue(coordMetrics, series); v <= 0 {

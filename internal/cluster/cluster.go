@@ -153,8 +153,8 @@ func (c *Container) DLUEnqueue(task DLUTask) (queue <-chan DLUTask, ok bool) {
 	return queue, true
 }
 
-// DLUShipped tells the container its daemon finished shipping n tasks.
-func (c *Container) DLUShipped(n int) { c.dluTasks.Add(int32(-n)) }
+// DLUShipped tells the container its daemon finished shipping one task.
+func (c *Container) DLUShipped() { c.dluTasks.Add(-1) }
 
 // DLUQuiet reports whether the DLU plane is open with no task queued or
 // shipping. Only then may the FLU ship an output itself without overtaking

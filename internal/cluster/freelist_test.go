@@ -136,7 +136,7 @@ func TestDLUCloseRefusesLateEnqueue(t *testing.T) {
 	if _, ok := g.DLUEnqueue(DLUTask{}); !ok || g.DLUQuiet() {
 		t.Fatal("a queued task left the plane quiet")
 	}
-	if g.DLUShipped(1); !g.DLUQuiet() {
+	if g.DLUShipped(); !g.DLUQuiet() {
 		t.Fatal("the plane is not quiet once its task shipped")
 	}
 	n.CloseDLUs()

@@ -31,7 +31,7 @@ func TestHealthStateMachine(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := n.Health(); got != Draining || n.Routable() {
-		t.Fatalf("after drain: health=%v routable=%v", got, n.Routable())
+		t.Fatalf("after DrainNode: health=%v routable=%v", got, n.Routable())
 	}
 	if err := c.FailNode("w1"); err != nil {
 		t.Fatal(err)

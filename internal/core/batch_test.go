@@ -102,8 +102,8 @@ func TestBatchedSinkStateEquivalence(t *testing.T) {
 	}
 }
 
-// TestBatchFlushOnIdle pins the flush-on-idle rule: a lone request never
-// waits for peers to fill a batch.
+// TestBatchFlushOnIdle: the daemon ships each task as it arrives, so a lone
+// request never waits for peers.
 func TestBatchFlushOnIdle(t *testing.T) {
 	sys := newUntracedWCSystem(t, 2, nil)
 	defer sys.Shutdown()
@@ -118,11 +118,11 @@ func TestBatchFlushOnIdle(t *testing.T) {
 }
 
 // TestBatchedShutdownVsDrainStorm races Shutdown against invokers of a
-// fan-out workflow: a half-drained batch must be shipped (closed queues
-// still deliver buffered tasks), refused late Puts must unwind cleanly, and
-// the run must be race-free (the CI race job runs this at -count=2). As in
-// TestShutdownDuringInvokeStorm, requests abandoned mid-flight stay open;
-// Shutdown itself guarantees quiescence.
+// fan-out workflow: tasks still queued at the close must be shipped (closed
+// queues still deliver buffered tasks), refused late Puts must unwind
+// cleanly, and the run must be race-free (the CI race job runs this at
+// -count=2). As in TestShutdownDuringInvokeStorm, requests abandoned
+// mid-flight stay open; Shutdown itself guarantees quiescence.
 func TestBatchedShutdownVsDrainStorm(t *testing.T) {
 	for round := 0; round < 4; round++ {
 		sys := newUntracedWCSystem(t, 2, nil)
@@ -146,7 +146,7 @@ func TestBatchedShutdownVsDrainStorm(t *testing.T) {
 
 // TestSpanRecordsPerItemStagesFromBatches: a sampled span selects no DLU
 // path. A request whose FOREACH emits three items still ships them as one
-// edge batch (the batch-size histogram grows), and the span gets one
+// task (the items-per-task histogram grows), and the span gets one
 // DataSent and one DataArrived stage per item, the arrivals addressed per
 // item, every item sent before it arrived.
 func TestSpanRecordsPerItemStagesFromBatches(t *testing.T) {

@@ -47,9 +47,9 @@ type Context struct {
 	// items is the buffer a Put routes into: an inline ship ships from it, a
 	// task queued to the DLU daemon copies it into an itemsBox.
 	items []dataflow.Item
-	// ship is the scratch batch of an inline ship (put): the DLU daemon's own
-	// drain scratch, kept here so the backings ride the pooled Context.
-	ship dluBatch
+	// ship is the scratch of an inline ship (put), the one the DLU daemon
+	// keeps for its tasks, here so the backings ride the pooled Context.
+	ship dluShip
 	// cont is set for the span of an inline ship whose producer passed the
 	// continuationMaxTFLU gate; next is the consumer that ship parked here
 	// instead of waking through the executor pool. runInstance returns it.
@@ -95,8 +95,7 @@ func releaseCtx(ctx *Context) {
 	ctx.Instance = dataflow.InstanceKey{}
 	ctx.sys, ctx.req, ctx.ctr, ctx.fst = nil, nil, nil, nil
 	ctx.gen, ctx.blocked, ctx.cont, ctx.next = 0, 0, false, instanceJob{}
-	// shipBatch leaves the scratch batch empty (flu nil); only its backings
-	// survive.
+	// shipTask leaves the ship scratch's flu nil; only its backings survive.
 	ctxPool.Put(ctx)
 }
 
@@ -225,8 +224,7 @@ func (c *Context) put(output string, values []dataflow.Value, switchCase int) er
 		c.cont = sampled && tflu < continuationMaxTFLU
 		b := &c.ship
 		b.flu = c
-		b.tasks = append(b.tasks[:0], task)
-		s.shipBatch(c.ctr, b)
+		s.shipTask(c.ctr, &task, b)
 		b.flu, c.cont = nil, false
 		return nil
 	}
@@ -319,149 +317,80 @@ func (s *System) dluEnqueue(ctr *cluster.Container, task cluster.DLUTask) bool {
 	return true
 }
 
-// dluGroup is one (request, destination-replica) shipment edge of a
-// batch. node is nil for user-destined items, which never touch a sink.
-// items is what ships: the producing task's own backing while the edge has
-// a single run (one Put, one edge — the common case copies nothing), buf
-// once a second run joined it.
+// dluGroup is one shipment edge of a task: a run of its consecutive items
+// bound for one node (nil for user-destined items, which never touch a
+// sink). items is a view of the task's own backing; nothing is copied.
 type dluGroup struct {
-	req   *request
 	node  *cluster.Node
 	items []dataflow.Item
-	buf   []dataflow.Item
 }
 
-// dluBatch is the daemon's reusable drain scratch; its backings survive
-// across batches so steady-state shipping allocates nothing.
-type dluBatch struct {
-	tasks  []cluster.DLUTask
+// dluShip is the reusable scratch of one task's shipment; its backings
+// survive across tasks so steady-state shipping allocates nothing.
+type dluShip struct {
 	groups []dluGroup
 	reqs   []wmm.PutReq
-	// flu is the producer's Context while it ships this batch on its own
+	// flu is the producer's Context while it ships its task on its own
 	// goroutine (Context.put), nil on the daemon's.
 	flu *Context
 }
 
-// addRun files a run of one task's items under its shipment edge. Batches
-// have a handful of edges, so a linear scan beats a map.
-func (b *dluBatch) addRun(r *request, node *cluster.Node, run []dataflow.Item) {
-	if len(run) == 0 {
-		return
-	}
-	for i := range b.groups {
-		g := &b.groups[i]
-		if g.req == r && g.node == node {
-			if len(g.buf) == 0 {
-				g.buf = append(g.buf, g.items...)
-			}
-			g.buf = append(g.buf, run...)
-			g.items = g.buf
-			return
-		}
-	}
-	if n := len(b.groups); n < cap(b.groups) {
-		b.groups = b.groups[:n+1] // reuse the retired group's buf backing
-	} else {
-		b.groups = append(b.groups, dluGroup{})
-	}
-	g := &b.groups[len(b.groups)-1]
-	g.req, g.node, g.items = r, node, run
-}
-
 // dropReqs empties the put scratch, dropping its payload references.
-func (b *dluBatch) dropReqs() {
+func (b *dluShip) dropReqs() {
 	clear(b.reqs)
 	b.reqs = b.reqs[:0]
 }
 
-// dluDaemon is the container's Data Logic Unit (§5.1): it drains whatever
-// the queue already holds into one batch and ships per shipment edge. The
-// drain never waits — a batch is whatever accumulated while the previous
-// one shipped — so an idle system flushes every task immediately and a lone
-// request pays no batching latency.
+// dluDaemon is the container's Data Logic Unit (§5.1): it ships each queued
+// task as it arrives, then reports it shipped and drops its request
+// reference, so no task waits on the shipment of the tasks behind it.
 func (s *System) dluDaemon(ctr *cluster.Container, queue <-chan cluster.DLUTask) {
-	var b dluBatch
+	var b dluShip
 	for task := range queue {
-		b.tasks = append(b.tasks[:0], task)
-	drain:
-		for len(b.tasks) < transport.DefaultBatchTasks {
-			select {
-			case task, more := <-queue:
-				if !more {
-					// Closed mid-drain: the buffered tasks all arrived
-					// before the close, so ship them; the next receive exits.
-					break drain
-				}
-				b.tasks = append(b.tasks, task)
-			default:
-				break drain // flush-on-idle
-			}
-		}
-		n := len(b.tasks)
-		s.shipBatch(ctr, &b)
-		ctr.DLUShipped(n)
+		s.shipTask(ctr, &task, &b)
+		recycleItems(task)
+		task.Ref.(*request).release()
+		ctr.DLUShipped()
 	}
 }
 
-// shipBatch resolves every item of the batch's tasks onto its shipment
-// edge and ships each edge with batched pipe/sink/accounting interactions.
-// It is the only ship implementation; the DLU daemon calls it with a drained
-// batch and Context.put with a batch of its one task. The daemon drops each task's
-// request reference once the whole batch has shipped.
-func (s *System) shipBatch(ctr *cluster.Container, b *dluBatch) {
-	items, stripe := 0, uint32(0)
-	for ti := range b.tasks {
-		task := &b.tasks[ti]
-		r := task.Ref.(*request)
-		r.live(task.Gen)
-		items, stripe = items+len(task.Items), r.stripe
-		// Split the task into runs of consecutive items sharing an edge;
-		// one Put's items almost always form a single run.
-		start := 0
-		var runNode *cluster.Node
-		for i := range task.Items {
-			it := &task.Items[i]
-			// Replica selection, locality-first: when the destination
-			// function has a replica on the producer's own node the edge
-			// degenerates to the local pipe (no network); otherwise the
-			// request pins the least-loaded replica. The pin is write-once
-			// per request+function, so every item and every instance of the
-			// function agree on the node.
-			var node *cluster.Node
-			if it.To.Fn != workflow.UserSource {
-				node, _ = s.routeFor(r, s.fnList[it.ToFn()], ctr.Node)
-			}
-			if node != runNode {
-				b.addRun(r, runNode, task.Items[start:i])
-				start, runNode = i, node
-			}
-		}
-		b.addRun(r, runNode, task.Items[start:])
-	}
-	obsBatchItems.Observe(stripe, int64(items))
-	for i := range b.groups {
-		s.shipGroup(ctr, &b.groups[i], b)
-	}
-	// Reset the scratch without whole-struct stores, which run the write
-	// barrier over every pointer field while the collector is active. A
-	// merged run's buf holds item copies: drop their payloads and keep the
-	// backing. Nothing else needs a nil: the next batch's tasks and addRun's
-	// reuse of a group overwrite the rest, and until then a retired entry
-	// pins only pooled engine state — a request, a node, an items backing
-	// whose payloads its owner cleared (recycleItems, releaseCtx).
-	for i := range b.groups {
-		if g := &b.groups[i]; len(g.buf) > 0 {
-			clear(g.buf)
-			g.buf = g.buf[:0]
-		}
-	}
+// shipTask routes every item of one task onto its shipment edge, then ships
+// edge by edge with batched pipe/sink/accounting interactions. It is the
+// only ship implementation: the DLU daemon calls it for each queued task and
+// Context.put for its inline one.
+func (s *System) shipTask(ctr *cluster.Container, task *cluster.DLUTask, b *dluShip) {
+	r := task.Ref.(*request)
+	r.live(task.Gen)
+	items := task.Items
+	obsBatchItems.Observe(r.stripe, int64(len(items)))
+	// Split the task into runs of consecutive items sharing a node; one
+	// Put's items almost always form a single run. The retired groups pin
+	// only nodes and the task's backing, whose payloads its owner clears
+	// (recycleItems, releaseCtx).
 	b.groups = b.groups[:0]
-	// Groups ship from the task backings, so those are free only now.
-	for ti := range b.tasks {
-		recycleItems(b.tasks[ti])
-		if b.flu == nil {
-			b.tasks[ti].Ref.(*request).release()
+	start := 0
+	var runNode *cluster.Node
+	for i := range items {
+		// Replica selection, locality-first: when the destination function
+		// has a replica on the producer's own node the edge degenerates to
+		// the local pipe (no network); otherwise the request pins the
+		// least-loaded replica. The pin is write-once per request+function,
+		// so every item and every instance of the function agree on the node.
+		var node *cluster.Node
+		if items[i].To.Fn != workflow.UserSource {
+			node, _ = s.routeFor(r, s.fnList[items[i].ToFn()], ctr.Node)
 		}
+		if i > 0 && node != runNode {
+			b.groups = append(b.groups, dluGroup{runNode, items[start:i]})
+			start = i
+		}
+		runNode = node
+	}
+	if len(items) > 0 {
+		b.groups = append(b.groups, dluGroup{runNode, items[start:]})
+	}
+	for i := range b.groups {
+		s.shipGroup(ctr, r, &b.groups[i], b)
 	}
 }
 
@@ -472,27 +401,27 @@ func (s *System) shipBatch(ctr *cluster.Container, b *dluBatch) {
 // transport.ErrFrameTooLarge). Otherwise each item goes alone — streamed when
 // streaming-sized or under a failure injector, which addresses streams — and
 // lands once its own bytes are across, never waiting for a sibling's stream.
-func (s *System) shipGroup(ctr *cluster.Container, g *dluGroup, b *dluBatch) {
-	if g.req.span != nil {
+func (s *System) shipGroup(ctr *cluster.Container, r *request, g *dluGroup, b *dluShip) {
+	if r.span != nil {
 		for i := range g.items {
-			s.event(g.req, obs.DataSent, g.items[i].From.Fn, g.items[i].From.Idx)
+			s.event(r, obs.DataSent, g.items[i].From.Fn, g.items[i].From.Idx)
 		}
 	}
 	switch {
 	case g.node == nil:
-		s.deliverBatch(g.req, g.items, nil, nil, b.flu)
+		s.deliverBatch(r, g.items, nil, nil, b.flu)
 	case g.node == ctr.Node:
 		// Local pipe connector: pump straight into the local data sink.
-		s.landBatch(g.req, g.items, g.node, b, transport.Pacing{}, 0)
+		s.landBatch(r, g.items, g.node, b, transport.Pacing{}, 0)
 	case g.node.Remote() || !s.streams(g.items):
-		s.shipSocket(ctr, g.req, g.items, g.node, b)
+		s.shipSocket(ctr, r, g.items, g.node, b)
 	default:
 		for i := range g.items {
 			one := g.items[i : i+1]
 			if !s.streams(one) {
-				s.shipSocket(ctr, g.req, one, g.node, b)
-			} else if s.ship(ctr, g.req, &one[0], g.node) {
-				s.landBatch(g.req, one, g.node, b, transport.Pacing{}, 0)
+				s.shipSocket(ctr, r, one, g.node, b)
+			} else if s.ship(ctr, r, &one[0], g.node) {
+				s.landBatch(r, one, g.node, b, transport.Pacing{}, 0)
 			}
 		}
 	}
@@ -515,7 +444,7 @@ func (s *System) streams(items []dataflow.Item) bool {
 
 // shipSocket ships items over the socket path: one limiter charge for the
 // whole edge inside the land (the transport is the wire).
-func (s *System) shipSocket(ctr *cluster.Container, r *request, items []dataflow.Item, node *cluster.Node, b *dluBatch) {
+func (s *System) shipSocket(ctr *cluster.Container, r *request, items []dataflow.Item, node *cluster.Node, b *dluShip) {
 	var total int64
 	for i := range items {
 		total += items[i].Value.Size
@@ -562,7 +491,7 @@ func (s *System) ship(ctr *cluster.Container, r *request, it *dataflow.Item, dst
 // multi-put (a direct edge skips it), then advances the tracker under one lock hold.
 // pace carries the edge's source-side wire charge (zero for local pipes and
 // re-lands); attempt counts the re-lands this shipment already took.
-func (s *System) landBatch(r *request, items []dataflow.Item, node *cluster.Node, b *dluBatch, pace transport.Pacing, attempt int) {
+func (s *System) landBatch(r *request, items []dataflow.Item, node *cluster.Node, b *dluShip, pace transport.Pacing, attempt int) {
 	if s.ft && attempt < retryLimit && node.Health() == cluster.Down {
 		// The destination died while the shipment was in flight.
 		s.reland(r, items, b, attempt+1)
@@ -632,7 +561,7 @@ func (s *System) landBatch(r *request, items []dataflow.Item, node *cluster.Node
 // request's pins and land on the survivors instead. Repair is per item —
 // each pin rewrite may pick a different survivor — and unpaced: the wire
 // charge died with the connection.
-func (s *System) reland(r *request, items []dataflow.Item, b *dluBatch, attempt int) {
+func (s *System) reland(r *request, items []dataflow.Item, b *dluShip, attempt int) {
 	for i := range items {
 		s.landBatch(r, items[i:i+1], s.relandTarget(r, items[i].To.Fn), b, transport.Pacing{}, attempt)
 	}

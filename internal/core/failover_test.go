@@ -691,7 +691,7 @@ func TestDrainUnderLoad(t *testing.T) {
 	// The held-open requests complete in place: no replays, no failures.
 	for i, inv := range invs {
 		if err := inv.Wait(); err != nil {
-			t.Fatalf("in-flight req %d failed under drain: %v", i, err)
+			t.Fatalf("in-flight req %d failed under DrainNode: %v", i, err)
 		}
 	}
 	if sys.Replays() != before {

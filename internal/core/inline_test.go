@@ -131,7 +131,7 @@ func TestWarmChainCountsItsPaths(t *testing.T) {
 		t.Fatalf("%d warm requests: %d inline ships, %d continuations and %d caller runs, want %d, %d and %d",
 			requests, ships-ships0, conts-conts0, runs, 2*requests, requests, 2*requests)
 	}
-	// An inline ship is still a shipment: a batch of its one task.
+	// An inline ship is still a shipment of its one task.
 	if got := obsBatchItems.Snapshot().Count - batches; got != 2*(requests+1) {
 		t.Fatalf("core_dlu_batch_items observed %d batches, want %d", got, 2*(requests+1))
 	}

@@ -45,8 +45,9 @@ var (
 	obsReqLat      = obs.Default().Histogram("core_request_latency_ns")
 	obsTeardownLat = obs.Default().Histogram("core_teardown_latency_ns")
 
-	// obsBatchItems is the per-shipment DLU batch size (items per drained
-	// batch), the batching-efficacy signal.
+	// obsBatchItems is the items per shipped DLU task, the daemon's and the
+	// inline ships' alike. The series keeps its batch name: the benchmark's
+	// traced report and cmd/node's end-to-end test read it by that name.
 	obsBatchItems = obs.Default().Histogram("core_dlu_batch_items")
 
 	// Which path the edges take: Puts shipped on the FLU's own goroutine

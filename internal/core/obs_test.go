@@ -12,8 +12,8 @@ import (
 
 // TestBatchedEquivalenceWithSampling: sampled request tracing changes
 // nothing about what ships. The storm must leave the per-item engine's
-// recorded sink state, the daemon must have observed its batches (the DLU
-// batch-size histogram grows), and the span ring must hold sampled requests.
+// recorded sink state, the daemon must have observed its shipped tasks (the
+// items-per-task histogram grows), and the span ring must hold sampled requests.
 func TestBatchedEquivalenceWithSampling(t *testing.T) {
 	batches := obs.Default().Histogram("core_dlu_batch_items")
 	before := batches.Snapshot().Count

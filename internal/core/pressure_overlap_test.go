@@ -29,10 +29,10 @@ function sink
 // newPressureSystem builds the two-node producer→sink system at 5 MB/s per
 // container, engine and nodes all on clk. Placement is round robin in
 // registration order: producer on w1, sink on w2 — local, or consumer's
-// node when consumer is not nil. Its cleanup shuts the system down, running
-// the clock on whenever something parks meanwhile, so a failed test's
-// sleepers cannot wedge the shutdown.
-func newPressureSystem(t *testing.T, clk *clock.Manual, alpha float64, consumer func(*clock.Manual, cluster.Options) *cluster.Node) *System {
+// node when consumer is not nil; cfgMut edits the engine's Config. Its
+// cleanup shuts the system down, running the clock on whenever something
+// parks meanwhile, so a failed test's sleepers cannot wedge the shutdown.
+func newPressureSystem(t *testing.T, clk *clock.Manual, alpha float64, consumer func(*clock.Manual, cluster.Options) *cluster.Node, cfgMut ...func(*Config)) *System {
 	t.Helper()
 	wf, err := workflow.ParseDSLString(pressureDSL)
 	if err != nil {
@@ -48,13 +48,17 @@ func newPressureSystem(t *testing.T, clk *clock.Manual, alpha float64, consumer 
 			t.Fatal(err)
 		}
 	}
-	sys, err := NewSystem(Config{
+	cfg := Config{
 		Workflow:    wf,
 		Cluster:     cl,
 		DefaultSpec: cluster.Spec{MemoryMB: 128}, // 5 MB/s
 		Alpha:       alpha,
 		Clock:       clk,
-	})
+	}
+	for _, mut := range cfgMut {
+		mut(&cfg)
+	}
+	sys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

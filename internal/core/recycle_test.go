@@ -324,3 +324,65 @@ func TestDoneRacesFinish(t *testing.T) {
 		}
 	}
 }
+
+// TestTaskReleasesItsRequestOnceShipped: the DLU daemon ships one task at a
+// time and drops its request reference as soon as that task has shipped,
+// not once the tasks queued behind it have. Three requests queue a streaming
+// Put each on the producer's one container while the daemon is parked in
+// the first stream; once the second task has shipped and the third parks,
+// the second request, finished, must be back on its stripe's free-list.
+func TestTaskReleasesItsRequestOnceShipped(t *testing.T) {
+	clk := clock.NewManual()
+	sys := newPressureSystem(t, clk, 0, nil, func(c *Config) {
+		c.MaxContainersPerFn = 1
+		c.DisablePressure = true
+	})
+	payload := make([]byte, 64<<10) // one chunk: one limiter park per task
+	reqs := make(chan *request, 3)
+	_ = sys.Register("producer", func(ctx *Context) error {
+		err := ctx.Put("big", payload)
+		reqs <- ctx.req
+		return err
+	})
+	_ = sys.Register("sink", func(ctx *Context) error { return ctx.Put("done", []byte("ok")) })
+	var invs [3]*Invocation
+	var rs [3]*request
+	for i := range invs {
+		invs[i] = invokeReturns(t, sys, map[string][]byte{"producer.in": []byte("x")})
+		select {
+		case rs[i] = <-reqs:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("request %d's producer never queued its Put", i)
+		}
+	}
+	onFreeList := func(r *request) bool {
+		fl := &sys.freeReqs[r.stripe]
+		fl.mu.Lock()
+		defer fl.mu.Unlock()
+		for q := fl.head; q != nil; q = q.next {
+			if q == r {
+				return true
+			}
+		}
+		return false
+	}
+	for i := 0; i < 2; i++ {
+		waitClosed(t, clk.Parked(1), fmt.Sprintf("the daemon to park in task %d's stream", i))
+		clk.Step() // task i's chunk is across
+		waitClosed(t, invs[i].Done(), fmt.Sprintf("request %d to complete", i))
+	}
+	waitClosed(t, clk.Parked(1), "the daemon to park in task 2's stream")
+	until(t, func() bool { return onFreeList(rs[1]) },
+		"request 1 finished and its task shipped, but its state stays off the free-list while task 2 ships")
+	select {
+	case <-invs[2].Done():
+		t.Fatal("request 2 completed before its task's stream was stepped")
+	default:
+	}
+	settle(t, sys, clk)
+	for i, inv := range invs {
+		if err := inv.Wait(); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+}

@@ -346,7 +346,7 @@ func Fig13(o Options) *Report {
 	for _, kind := range threeSystems {
 		s := simcluster.New(simcluster.Config{
 			Kind: kind, Profile: workloads.WordCount(4, 0),
-			SingleNode: true, Seed: o.seed(),
+			Placement: cluster.SingleNode{}, Seed: o.seed(),
 		})
 		res := s.RunOne()
 		tab := &Table{
@@ -720,7 +720,6 @@ var registry = []struct {
 	{"fig19", Fig19, true},
 	{"skew", Skew, false},
 	{"faults", Faults, false},
-	{"scenarios", Scenarios, false},
 }
 
 // All runs every paper experiment in figure order.

@@ -318,8 +318,8 @@ func TestByIDAndAll(t *testing.T) {
 
 func TestIDsCoverRegistry(t *testing.T) {
 	ids := IDs()
-	if len(ids) != 16 {
-		t.Fatalf("IDs() = %d entries, want 16", len(ids))
+	if len(ids) != 15 {
+		t.Fatalf("IDs() = %d entries, want 15", len(ids))
 	}
 	for _, id := range ids {
 		if _, ok := ByID(id); !ok {
@@ -327,7 +327,7 @@ func TestIDsCoverRegistry(t *testing.T) {
 		}
 	}
 	// The extras must be addressable even though All skips them.
-	for _, extra := range []string{"skew", "faults", "scenarios"} {
+	for _, extra := range []string{"skew", "faults"} {
 		if _, ok := ByID(extra); !ok {
 			t.Fatalf("extra experiment %q missing from registry", extra)
 		}

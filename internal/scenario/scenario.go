@@ -5,9 +5,7 @@
 // time, and emits a machine-readable report. A seeded stress mode expands
 // weighted node templates into large fleets (1000+ nodes) with
 // randomized-but-deterministic chaos, so the same scenario file and seed
-// always produce a byte-identical report. cmd/scenario is the CLI;
-// `-exp scenarios` on cmd/benchrunner runs an embedded sample through the
-// same path.
+// always produce a byte-identical report. cmd/scenario is the CLI.
 package scenario
 
 import (

@@ -53,13 +53,12 @@ func TestReplicatedPlacementCompletes(t *testing.T) {
 }
 
 func TestSingleNodePlacementViaPolicy(t *testing.T) {
-	// Config.SingleNode resolves to cluster.SingleNode{} and keeps every
-	// function on worker 0.
+	// cluster.SingleNode{} keeps every function on worker 0.
 	s := New(Config{
-		Kind:       DataFlower,
-		Profile:    workloads.WordCount(4, 0),
-		SingleNode: true,
-		Seed:       7,
+		Kind:      DataFlower,
+		Profile:   workloads.WordCount(4, 0),
+		Placement: cluster.SingleNode{},
+		Seed:      7,
 	})
 	for fn, n := range s.routing {
 		if n != s.nodes[0] {

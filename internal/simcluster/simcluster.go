@@ -76,14 +76,13 @@ type Config struct {
 	// NodeNICBps/DiskBps. The scenario harness generates large fleets from
 	// weighted templates onto this surface.
 	Fleet []NodeSpec
-	// SingleNode forces all functions onto one worker (§9.4 setup).
-	SingleNode bool
 	// Placement overrides the placement policy: the same snapshot/policy
 	// types the runtime plane's cluster uses (nil defaults to
-	// cluster.RoundRobin{} — or cluster.SingleNode{} when SingleNode is
-	// set — which reproduces the classic one-node-per-function placement
-	// exactly). Replica sets beyond the primary are honoured by the
-	// DataFlower kinds only; control-flow baselines route to primaries.
+	// cluster.RoundRobin{}, which reproduces the classic
+	// one-node-per-function placement exactly; cluster.SingleNode{} puts
+	// every function on one worker, the §9.4 setup). Replica sets beyond
+	// the primary are honoured by the DataFlower kinds only; control-flow
+	// baselines route to primaries.
 	Placement cluster.PlacementPolicy
 	// MemMB is the container memory spec (default 128; §9.7 scales it).
 	MemMB int
@@ -183,9 +182,6 @@ const (
 	diskOpDelay       = 1 * time.Millisecond
 	cacheReadDelay    = 500 * time.Microsecond
 )
-
-// smallData is the socket fast-path threshold (§7).
-const smallData = 16 << 10
 
 // FnStat aggregates per-function computation and communication time.
 type FnStat struct {
@@ -287,7 +283,6 @@ func (fs *fnState) atFnCap(max int) bool { return *fs.fnStarted >= max }
 
 // container is one simulated function container.
 type container struct {
-	id      string
 	fn      string
 	node    *node
 	ep      *simnet.Endpoint
@@ -438,7 +433,7 @@ func New(cfg Config) *Sim {
 	}
 	// Placement: the same snapshot/policy types the runtime plane uses. The
 	// defaults reproduce the classic placement exactly — round-robin in
-	// declaration order, or everything on worker 0 under SingleNode.
+	// declaration order.
 	s.profs = append(s.profs, cfg.Profile)
 	s.profs = append(s.profs, cfg.Colocated...)
 	var fnNames []string
@@ -452,11 +447,7 @@ func New(cfg Config) *Sim {
 	}
 	pol := cfg.Placement
 	if pol == nil {
-		if cfg.SingleNode {
-			pol = cluster.SingleNode{}
-		} else {
-			pol = cluster.RoundRobin{}
-		}
+		pol = cluster.RoundRobin{}
 	}
 	nodeNames := make([]string, len(s.nodes))
 	nodeByName := make(map[string]*node, len(s.nodes))
@@ -612,13 +603,35 @@ func (s *Sim) acquire(p *sim.Proc, fs *fnState) *container {
 // dispatcher, which stalls subsequent triggers of the same function — the
 // serverless reality that makes prewarming valuable).
 func (s *Sim) coldStart(p *sim.Proc, fs *fnState) *container {
+	s.bookStart(fs)
+	return s.boot(p, fs)
+}
+
+// prewarm starts an extra container in the background in response to a
+// pressure notification from a DLU.
+func (s *Sim) prewarm(fs *fnState) {
+	if fs.atFnCap(s.cfg.MaxContainersPerFn) {
+		return
+	}
+	s.prewarms++
+	s.bookStart(fs)
+	s.env.Go(func(p *sim.Proc) { fs.idleQ.TryPut(s.boot(p, fs)) })
+}
+
+// bookStart counts a container of fs as started and charges its memory
+// from now on.
+func (s *Sim) bookStart(fs *fnState) {
 	fs.started++
 	*fs.fnStarted++
 	s.containers++
 	s.memInt.AddDelta(s.env.Now(), float64(s.cfg.MemMB)/1024)
+}
+
+// boot sleeps out the cold start and returns the new container of fs,
+// registered and, on the DataFlower kinds, with its DLU daemon running.
+func (s *Sim) boot(p *sim.Proc, fs *fnState) *container {
 	p.Sleep(coldStart)
 	c := &container{
-		id:   fmt.Sprintf("%s/%s-%d", fs.node.name, fs.fn, fs.started),
 		fn:   fs.fn,
 		node: fs.node,
 		ep:   s.fabric.NewEndpoint(s.cfg.containerBps()),
@@ -630,35 +643,6 @@ func (s *Sim) coldStart(p *sim.Proc, fs *fnState) *container {
 		s.env.Go(func(dp *sim.Proc) { s.dluDaemon(dp, c) })
 	}
 	return c
-}
-
-// prewarm starts an extra container in the background in response to a
-// pressure notification from a DLU.
-func (s *Sim) prewarm(fs *fnState) {
-	if fs.atFnCap(s.cfg.MaxContainersPerFn) {
-		return
-	}
-	s.prewarms++
-	fs.started++
-	*fs.fnStarted++
-	s.containers++
-	s.memInt.AddDelta(s.env.Now(), float64(s.cfg.MemMB)/1024)
-	s.env.Go(func(p *sim.Proc) {
-		p.Sleep(coldStart)
-		c := &container{
-			id:   fmt.Sprintf("%s/%s-pw%d", fs.node.name, fs.fn, fs.started),
-			fn:   fs.fn,
-			node: fs.node,
-			ep:   s.fabric.NewEndpoint(s.cfg.containerBps()),
-			dluQ: sim.NewQueue(),
-			born: s.env.Now(),
-		}
-		s.ctrs = append(s.ctrs, c)
-		if s.kindIsDataflower() {
-			s.env.Go(func(dp *sim.Proc) { s.dluDaemon(dp, c) })
-		}
-		fs.idleQ.TryPut(c)
-	})
 }
 
 func (s *Sim) kindIsDataflower() bool {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/workloads"
 )
@@ -92,7 +93,7 @@ func TestTriggerOverheadsMatchFig2c(t *testing.T) {
 		"merge": {"count"},
 	}
 	gapOf := func(kind Kind) (countGap, mergeGap time.Duration) {
-		s := New(Config{Kind: kind, Profile: prof, SingleNode: true})
+		s := New(Config{Kind: kind, Profile: prof, Placement: cluster.SingleNode{}})
 		gaps := obs.TriggerGaps(s.RunOne().Trace, preds)
 		for _, g := range gaps {
 			switch g.To {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dataflow"
 	"repro/internal/obs"
+	"repro/internal/pipe"
 	"repro/internal/sim"
 	"repro/internal/wmm"
 	"repro/internal/workflow"
@@ -207,7 +208,7 @@ func (s *Sim) dfShip(p *sim.Proc, c *container, req *request, it dataflow.Item) 
 	case dst == c.node:
 		// Local pipe connector: pump straight into the local sink.
 		p.Sleep(localPipeDelay)
-	case it.Value.Size <= smallData:
+	case it.Value.Size <= pipe.SmallDataThreshold:
 		// Direct socket path for small data.
 		p.Sleep(socketDelay)
 		s.transfer(p, c, it.Value.Size, c.ep, dst.nic)

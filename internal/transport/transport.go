@@ -23,11 +23,6 @@ import (
 	"repro/internal/wmm"
 )
 
-// DefaultBatchTasks caps how many queued DLU tasks the engine's DLU daemon
-// drains into one shipment batch. A constant, not an option: no caller
-// ever needed another value.
-const DefaultBatchTasks = 64
-
 // Pacing is the source-side shaping of one shipment: the producing
 // container's TC-class limiter and the batch totals it is charged for.
 // Bytes == 0 means unpaced (a local pipe, or a replayed shipment whose wire

@@ -14,8 +14,8 @@
 //   - Switch:  exactly one of the declared destinations receives the data,
 //     selected at run time by the producing function.
 //
-// The package provides a builder API, a text DSL parser (ParseDSL), a JSON
-// codec, structural validation and graph utilities (topological order,
+// The package provides a builder API, a text DSL parser (ParseDSL),
+// structural validation and graph utilities (topological order,
 // predecessor/successor sets). The execution semantics live in
 // internal/dataflow.
 package workflow
@@ -81,8 +81,8 @@ const UserSource = "$USER"
 // Dest is one destination of an output: an input slot of a function, or the
 // user (Function == UserSource).
 type Dest struct {
-	Function string `json:"function"`        // destination function name or $USER
-	Input    string `json:"input,omitempty"` // destination input name (empty for $USER)
+	Function string // destination function name or $USER
+	Input    string // destination input name (empty for $USER)
 }
 
 // String formats the destination as function.input.
@@ -95,25 +95,25 @@ func (d Dest) String() string {
 
 // Output declares one named output of a function and where it flows.
 type Output struct {
-	Name  string   `json:"name"`
-	Kind  EdgeKind `json:"kind"`
-	Dests []Dest   `json:"dests"`
+	Name  string
+	Kind  EdgeKind
+	Dests []Dest
 }
 
 // Input declares one named input of a function.
 type Input struct {
-	Name string   `json:"name"`
-	Kind EdgeKind `json:"kind"` // Normal (single item) or List (fan-in)
+	Name string
+	Kind EdgeKind // Normal (single item) or List (fan-in)
 	// FromUser marks an entry input supplied by the invoker.
-	FromUser bool `json:"fromUser,omitempty"`
+	FromUser bool
 }
 
 // Function is one node of the workflow: a FLU definition with declared
 // inputs and outputs.
 type Function struct {
-	Name    string   `json:"name"`
-	Inputs  []Input  `json:"inputs"`
-	Outputs []Output `json:"outputs"`
+	Name    string
+	Inputs  []Input
+	Outputs []Output
 
 	idx int // position in the owning workflow's Functions list
 }
@@ -139,8 +139,8 @@ func (f *Function) Input(name string) (Input, bool) {
 // and shared by every request, rebuilt only when the function count
 // changes.
 type Workflow struct {
-	Name      string      `json:"name"`
-	Functions []*Function `json:"functions"`
+	Name      string
+	Functions []*Function
 
 	// index is the atomically published derived-data snapshot; indexMu
 	// serializes (re)builds. Concurrent readers load the pointer, which
@@ -229,7 +229,7 @@ func (w *Workflow) Function(name string) (*Function, bool) {
 }
 
 // reindex returns the current index snapshot, building it if the function
-// count changed (needed after JSON decoding). Safe for concurrent use.
+// count changed. Safe for concurrent use.
 func (w *Workflow) reindex() *wfIndex {
 	if ix := w.index.Load(); ix != nil && ix.n == len(w.Functions) {
 		return ix

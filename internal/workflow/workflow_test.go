@@ -1,7 +1,6 @@
 package workflow
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -282,36 +281,6 @@ func TestEdgeKindStringRoundTrip(t *testing.T) {
 	}
 	if k, err := ParseEdgeKind(""); err != nil || k != Normal {
 		t.Fatal("empty string should default to NORMAL")
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	w := buildWordCount(t)
-	data, err := json.Marshal(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Workflow
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Name != w.Name || len(back.Functions) != len(w.Functions) {
-		t.Fatalf("round trip mismatch: name=%q functions=%d", back.Name, len(back.Functions))
-	}
-	f, ok := back.Function("count")
-	if !ok {
-		t.Fatal("count missing after round trip")
-	}
-	if f.Outputs[0].Kind != Merge {
-		t.Fatalf("kind lost: %v", f.Outputs[0].Kind)
-	}
-}
-
-func TestJSONRejectsInvalid(t *testing.T) {
-	var w Workflow
-	err := json.Unmarshal([]byte(`{"name":"x","functions":[{"name":"a","inputs":[],"outputs":[]}]}`), &w)
-	if err == nil {
-		t.Fatal("invalid workflow accepted from JSON")
 	}
 }
 
