@@ -36,11 +36,12 @@ func runWC(t *testing.T, sys *System, text string) *Invocation {
 	return inv
 }
 
-// wcStormStats is what a 200-request runWCStorm leaves in the merged sink
-// counters (PeakMemBytes zeroed: it depends on goroutine interleaving), as
-// recorded from the per-item DLU daemon before it was deleted: six puts per
-// request (three FOREACH shards, three MERGE results), each consumed from
-// memory and proactively released.
+// wcStormStats is what a 200-request runWCStorm over remote sinks leaves in
+// the merged sink counters (PeakMemBytes zeroed: it depends on goroutine
+// interleaving), as recorded from the per-item DLU daemon before it was
+// deleted: six puts per request (three FOREACH shards, three MERGE results),
+// each consumed from memory and proactively released. In process the same
+// storm leaves every counter at zero.
 var wcStormStats = wmm.Stats{Puts: 1200, MemHits: 1200, ProactiveReleases: 1200}
 
 // runWCStorm drives n concurrent wordcount requests and returns the merged
@@ -84,11 +85,11 @@ func runWCStorm(t *testing.T, sys *System, n int) wmm.Stats {
 // per-item engine's recorded sink state: outputs (runWCStorm checks each),
 // cumulative sink counters and post-completion residue must match exactly —
 // batching may only change how many lock acquisitions the same puts cost,
-// never what was put.
+// never what was put. The sinks are remote (sinkNode), where the puts are.
 func TestBatchedSinkStateEquivalence(t *testing.T) {
 	for _, nodes := range []int{1, 3} {
 		t.Run(fmt.Sprintf("nodes=%d", nodes), func(t *testing.T) {
-			sys := newUntracedWCSystem(t, nodes, nil)
+			sys := newWCSystemOf(t, nodes, sinkNode, func(cfg *Config) { cfg.Obs = ObsConfig{} })
 			stats := runWCStorm(t, sys, 200)
 			sys.Shutdown()
 			stats.PeakMemBytes = 0

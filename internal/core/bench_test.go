@@ -242,16 +242,17 @@ func invokeWait(sys *System, in map[string][]byte) (*Invocation, error) {
 }
 
 // TestFanAllocsCeiling pins BenchmarkFanRequest's k = 16 shape. It measures
-// 36 objects a request: the arrival log's backing is kept with the recycled
-// request, where a log that regrew every request made it 43. The ceiling may
-// only go down.
+// 3 objects a request: the handle, split's PutForeach values and join's
+// InputList slice. Every edge lands in the request's tracker, not a sink, so
+// there is no sink key, entry or arrival record; with them it was 36 (43
+// while the arrival log regrew every request). The ceiling may only go down.
 func TestFanAllocsCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
 	}
 	sys := newFanSystem(t, 16)
 	defer sys.Shutdown()
-	measureInvokeAllocs(t, sys, map[string][]byte{"split.src": benchPayload}, 36)
+	measureInvokeAllocs(t, sys, map[string][]byte{"split.src": benchPayload}, 3)
 }
 
 // TestInvokeAllocsCeiling gates the pooling work: one complete request on
@@ -316,17 +317,14 @@ func TestInvokeAllocsCeilingWithSampling(t *testing.T) {
 }
 
 // TestRelayAllocsCeiling pins the streaming shape: a 256 KiB payload relayed
-// a → b → c across nodes, Eq. 1 on, each hop through the DLU daemon, the
-// streaming pipe and a sink entry. It measures 6 objects a request, as a
-// steady-state heap profile of the same loop names them: the handle, the
-// request id string (landBatch's sink keys name it; a tiny allocation, which
-// a heap profile samples once per 16-byte block it opens, about every second
-// request), and per streamed hop (a → b, b → c) the sink key's data string
-// (cluster.SinkKey's strings.Builder) and the one-element limiter array
-// transport.Inproc.Stream hands the pipe, which escapes. No stream id is
-// formatted: only a failure injector names streams. The ceiling is the 13
-// the same shape allocated while the engine state was allocated with the
-// handle and payloads were boxed: it may only go down.
+// a → b → c across nodes, Eq. 1 on, each hop through the DLU daemon and the
+// streaming pipe into the request's tracker. It measures 3 objects a
+// request: the handle and, per streamed hop (a → b, b → c), the one-element
+// limiter array transport.Inproc.Stream hands the pipe, which escapes. No
+// sink key names the request (6 while each hop was put in the sink, 13 while
+// the engine state was allocated with the handle and payloads were boxed),
+// and no stream id is formatted: only a failure injector names streams. The
+// ceiling may only go down.
 func TestRelayAllocsCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
@@ -336,7 +334,7 @@ func TestRelayAllocsCeiling(t *testing.T) {
 	relay(sys, "b", "x", "y")
 	relay(sys, "c", "y", "out")
 	defer sys.Shutdown()
-	measureInvokeAllocs(t, sys, map[string][]byte{"a.in": make([]byte, 256<<10)}, 13)
+	measureInvokeAllocs(t, sys, map[string][]byte{"a.in": make([]byte, 256<<10)}, 3)
 }
 
 const relayAllocsDSL = `

@@ -7,11 +7,11 @@
 // Each function's container is abstracted into a Function Logic Unit (the
 // registered Handler, executed by the FLU executor) and a Data Logic Unit
 // (a per-container daemon that ships the handler's outputs asynchronously
-// through pipe connectors into the destination node's Wait-Match Memory).
+// through pipe connectors into the destination's Wait-Match Memory).
 // Functions are triggered by data availability — an instance runs as soon
-// as all of its input data has landed in the local data sink — with no
-// central orchestrator: each node's engine reacts to arrivals, mirroring
-// the decentralized workflow engine of §6.
+// as all of its input data has landed — with no central orchestrator: each
+// node's engine reacts to arrivals, mirroring the decentralized workflow
+// engine of §6.
 //
 // The engine implements the paper's mechanisms:
 //
@@ -24,9 +24,10 @@
 //   - pressure-aware function scaling: Pressure = α·Size/Bw − T_FLU; when
 //     positive the FLU is callstack-blocked for that long and the engine
 //     pre-warms an extra container (§5.2, Eq. 1);
-//   - host-container collaborative communication: data lands in the
-//     destination node's wmm.Sink before the destination container exists;
-//     local pipe, streaming pipe and <16 KB socket paths (§7);
+//   - host-container collaborative communication: data lands before the
+//     destination container exists — in process in the request's tracker,
+//     the Wait-Match Memory of one address space, and on a remote node in
+//     its wmm.Sink; local pipe, streaming pipe and <16 KB socket paths (§7);
 //   - fault tolerance: handler failures are ReDone up to a retry limit and
 //     interrupted transfers resume from the connector's incremental
 //     checkpoints (§6.2);
@@ -177,11 +178,6 @@ type fnState struct {
 	name string
 	idx  int // workflow.Function.Index: the tracker's handle on the function
 	spec cluster.Spec
-	// direct is true when one delivery, and only it, completes an instance's
-	// input set: one instance per request (no FOREACH edge targets the
-	// function), one declared input, neither LIST nor from the user, fed by
-	// one workflow edge (landBatch's direct arm).
-	direct bool
 
 	// replicas is the replica set placement returned, primary first. It never
 	// changes: health is a per-pick predicate (selectReplica).
@@ -353,12 +349,8 @@ func NewSystem(cfg Config) (*System, error) {
 			}
 		}
 	}
-	plan := cfg.Workflow.Plan()
 	for i, f := range cfg.Workflow.Functions {
-		st, fp := s.fnList[i], &plan.Fns[i]
-		st.said = make([]atomic.Pointer[string], len(f.Inputs))
-		st.direct = !fp.Fanned && len(f.Inputs) == 1 && f.Inputs[0].Kind != workflow.List &&
-			!f.Inputs[0].FromUser && fp.InDegree == 1
+		s.fnList[i].said = make([]atomic.Pointer[string], len(f.Inputs))
 	}
 	// A worker carries a chain to completion (runChain), so a closed loop of
 	// N clients holds N workers; past them each request pays a fresh
@@ -462,8 +454,10 @@ func (s *System) PendingInvocations() int {
 	return int(s.pendingInvs.Load())
 }
 
-// SinkStats merges the Wait-Match Memory counters of every cluster node
-// (unreachable remote sinks contribute nothing).
+// SinkStats merges the Wait-Match Memory counters of every cluster node.
+// Only remote sinks count anything: in process a datum lives in its request's
+// tracker and never enters the node's sink. Unreachable remote sinks
+// contribute nothing.
 func (s *System) SinkStats() wmm.Stats {
 	var out wmm.Stats
 	for _, name := range s.cfg.Cluster.Nodes() {
@@ -652,7 +646,7 @@ func (s *System) runChain(j instanceJob, caller bool, at time.Duration) {
 }
 
 // runInstance executes one function instance: acquire a container, fetch
-// inputs from the local sink, run the handler (ReDo on failure), release
+// inputs from the request's tracker, run the handler (ReDo on failure), release
 // the container. It returns the consumer an inline ship of the handler
 // parked for this goroutine, if any. ran is false when an Invoke caller may
 // not run it (not brief, or its container needs a cold start). cont marks a
@@ -706,10 +700,11 @@ func (s *System) runInstance(ctx *Context, j instanceJob, caller, cont bool, at 
 		obsContinuations.Inc(r.stripe)
 	}
 
-	// Consume the instance's data from the Wait-Match Memory, so proactive
-	// release reclaims it at fetch (a fanned function's shared inputs are
-	// teardown's), and its node's death needs no replay. The sink calls nest
-	// under r.mu — shard mutexes are leaf locks, as in teardown.
+	// Consume the instance's data from the remote sinks it landed in, so
+	// proactive release reclaims it at fetch (a fanned function's shared
+	// inputs are teardown's), and its node's death needs no replay; an
+	// in-process land recorded no arrival. The sink calls nest under r.mu —
+	// shard mutexes are leaf locks, as in teardown.
 	r.mu.Lock()
 	inputs, valBuf := r.tracker.InputsAppendBacking(ctx.inputs[:0], ctx.valBuf[:0], st.idx, key)
 	if r.arrivals.Len() > 0 {

@@ -13,13 +13,19 @@ import (
 // newSystemFromDSL builds a system over n fast nodes.
 func newSystemFromDSL(t *testing.T, dsl string, nodes int, cfgMut ...func(*Config)) *System {
 	t.Helper()
+	return newSystemFromDSLOf(t, dsl, nodes, cluster.NewNode, cfgMut...)
+}
+
+// newSystemFromDSLOf is newSystemFromDSL with each node built by newNode.
+func newSystemFromDSLOf(t *testing.T, dsl string, nodes int, newNode nodeFunc, cfgMut ...func(*Config)) *System {
+	t.Helper()
 	wf, err := workflow.ParseDSLString(dsl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cl := cluster.NewCluster(nil)
 	for i := 1; i <= nodes; i++ {
-		if err := cl.AddNode(cluster.NewNode(fmt.Sprintf("w%d", i), cluster.Options{
+		if err := cl.AddNode(newNode(fmt.Sprintf("w%d", i), cluster.Options{
 			ColdStart: time.Millisecond,
 		})); err != nil {
 			t.Fatal(err)

@@ -33,13 +33,19 @@ function merge
 // that records every request's stages into its span ring.
 func newWCSystem(t testing.TB, nodes int, cfgMut func(*Config)) *System {
 	t.Helper()
+	return newWCSystemOf(t, nodes, cluster.NewNode, cfgMut)
+}
+
+// newWCSystemOf is newWCSystem with each node built by newNode.
+func newWCSystemOf(t testing.TB, nodes int, newNode nodeFunc, cfgMut func(*Config)) *System {
+	t.Helper()
 	wf, err := workflow.ParseDSLString(wcDSL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cl := cluster.NewCluster(nil)
 	for i := 0; i < nodes; i++ {
-		if err := cl.AddNode(cluster.NewNode(fmt.Sprintf("w%d", i+1), cluster.Options{
+		if err := cl.AddNode(newNode(fmt.Sprintf("w%d", i+1), cluster.Options{
 			ColdStart: time.Millisecond,
 		})); err != nil {
 			t.Fatal(err)

@@ -487,8 +487,11 @@ func (s *System) ship(ctr *cluster.Container, r *request, it *dataflow.Item, dst
 	return err == nil
 }
 
-// landBatch caches one edge's items in the destination sink with a single
-// multi-put (a direct edge skips it), then advances the tracker under one lock hold.
+// landBatch lands one edge's items on node, then advances the tracker under
+// one lock hold. On a remote node the items are cached in its sink with a
+// single multi-put; in process the request's tracker is the Wait-Match
+// Memory — the consumer reads its inputs there — so the edge pays its wire
+// charge and puts nothing: no key, arrival record or residue.
 // pace carries the edge's source-side wire charge (zero for local pipes and
 // re-lands); attempt counts the re-lands this shipment already took.
 func (s *System) landBatch(r *request, items []dataflow.Item, node *cluster.Node, b *dluShip, pace transport.Pacing, attempt int) {
@@ -498,15 +501,7 @@ func (s *System) landBatch(r *request, items []dataflow.Item, node *cluster.Node
 		return
 	}
 	b.reqs = b.reqs[:0]
-	// The direct edge: the producer ships inline as a continuation with nothing
-	// parked yet, and this one item is all its consumer waits for, so the
-	// consumer is this goroutine's next job and the datum never waits. It pays
-	// the wire and skips the sink — no key, put, arrival record or residue.
-	direct := b.flu != nil && b.flu.cont && b.flu.next.req == nil && len(items) == 1 &&
-		attempt == 0 && s.fnList[items[0].ToFn()].direct
-	if direct {
-		obsDirectEdges.Inc(r.stripe)
-	} else {
+	if node.Remote() {
 		id := r.inv.ReqID()
 		for i := range items {
 			b.reqs = append(b.reqs, wmm.PutReq{
@@ -526,17 +521,18 @@ func (s *System) landBatch(r *request, items []dataflow.Item, node *cluster.Node
 		r.fail(fmt.Errorf("core: ship of %d items to %s failed: %w", len(items), node.Name, err))
 		return
 	}
-	if s.ft && attempt < retryLimit && node.Health() == cluster.Down {
-		// The destination was declared dead between the check above and the
-		// put. Its sink is wiped after it is marked Down, so the put may have
-		// landed behind the wipe, where no repair or teardown would ever look
-		// again: drop whatever this request left there and land elsewhere.
-		b.dropReqs()
-		node.SinkRelease(r.inv.ReqID()) //nolint:errcheck // best effort: an unreachable sink holds nothing to release
-		s.reland(r, items, b, attempt+1)
-		return
-	}
-	if !direct {
+	if node.Remote() {
+		if s.ft && attempt < retryLimit && node.Health() == cluster.Down {
+			// The destination was declared dead between the check above and
+			// the put. Its sink is wiped after it is marked Down, so the put
+			// may have landed behind the wipe, where no repair or teardown
+			// would ever look again: drop whatever this request left there
+			// and land elsewhere.
+			b.dropReqs()
+			node.SinkRelease(r.inv.ReqID()) //nolint:errcheck // best effort: an unreachable sink holds nothing to release
+			s.reland(r, items, b, attempt+1)
+			return
+		}
 		r.sinkResidue.Add(int64(len(b.reqs)))
 		if r.torn.Load() {
 			// The request completed while this shipment was in flight (e.g.
@@ -570,8 +566,8 @@ func (s *System) reland(r *request, items []dataflow.Item, b *dluShip, attempt i
 // deliverBatch advances the tracker with every item of one edge and reacts
 // to readiness and completion, under one r.mu hold. reqs are the sink keys
 // the items were cached under on node, index-aligned (empty for user-destined
-// and direct edges); flu is the producer's Context when it is the one shipping
-// (scheduleReady may park a consumer in it).
+// and in-process edges); flu is the producer's Context when it is the one
+// shipping (scheduleReady may park a consumer in it).
 func (s *System) deliverBatch(r *request, items []dataflow.Item, reqs []wmm.PutReq, node *cluster.Node, flu *Context) {
 	var readyBuf [4]dataflow.Ready // on the stack: a delivery readies a handful of instances
 	r.mu.Lock()

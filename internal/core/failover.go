@@ -10,11 +10,12 @@ import (
 // FaultTolerant). The recovery model follows the paper's data-flow
 // argument: an instance's inputs wait in a Wait-Match Memory only until it
 // fetches them, and the request's arrival log (request.arrivals, the
-// cluster.ArrivalLog the sim keeps too) holds every landed datum with its key
-// and value until the request completes, so losing a node loses only (a) the
-// unfetched data cached in that node's sink and (b) the request pins to it —
-// never the request's history. Recovery is therefore replay from that log,
-// not checkpointing:
+// cluster.ArrivalLog the sim keeps too) holds every datum landed in a remote
+// sink with its key and value until the request completes, so losing a node
+// loses only (a) the unfetched data cached in that node's sink — none for an
+// in-process node, whose data waits in the request's tracker — and (b) the
+// request pins to it — never the request's history. Recovery is therefore
+// replay from that log, not checkpointing:
 //
 //  1. detect — every touch of a route pin (ship's routeFor, land's
 //     destination check, the consume path's routeFor) notices a pin whose

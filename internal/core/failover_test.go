@@ -44,7 +44,7 @@ func newFaultSystem(t testing.TB, nodes int, gate *faultGate, cfgMut func(*Confi
 }
 
 // newFaultSystemOf is newFaultSystem with each worker built by newNode.
-func newFaultSystemOf(t testing.TB, nodes int, gate *faultGate, cfgMut func(*Config), newNode func(string, cluster.Options) *cluster.Node) *System {
+func newFaultSystemOf(t testing.TB, nodes int, gate *faultGate, cfgMut func(*Config), newNode nodeFunc) *System {
 	t.Helper()
 	wf, err := workflow.ParseDSLString(fanDSL)
 	if err != nil {
@@ -224,10 +224,11 @@ func ranOnlyOff(t *testing.T, rn *runNodes, inv *Invocation, fn string, want int
 
 // TestFailoverReplaysLostShipment kills the node holding a request's only
 // landed-but-unconsumed piece and requires the engine to repair the pin and
-// replay exactly that piece onto a survivor.
+// replay exactly that piece onto a survivor. The sinks are remote: only a
+// remote land leaves a datum a node death can lose.
 func TestFailoverReplaysLostShipment(t *testing.T) {
 	gate := newFaultGate()
-	sys := newFaultSystem(t, 3, gate, nil)
+	sys := newFaultSystemOf(t, 3, gate, nil, sinkNode)
 	defer sys.Shutdown()
 	runs := recordRuns(sys, "c")
 	replays0 := sys.Replays()
@@ -264,10 +265,11 @@ func TestFailoverReplaysLostShipment(t *testing.T) {
 // replica (w1 of [w3 w1]: w3 drains while the request pins, then recovers),
 // lands a piece there and fails the whole cluster. While nothing is
 // routable a repair has nowhere better to go: the pin must stay put and
-// nothing may be "replayed" into the equally dead primary's sink.
+// nothing may be "replayed" into the equally dead primary's sink. The sinks
+// are remote, where a piece lands.
 func TestFailoverLeavesPinWhenNothingRoutable(t *testing.T) {
 	gate := newFaultGate()
-	sys := newFaultSystem(t, 3, gate, nil)
+	sys := newFaultSystemOf(t, 3, gate, nil, sinkNode)
 	defer sys.Shutdown()
 	runs := recordRuns(sys, "c")
 	replays0 := sys.Replays()
@@ -289,15 +291,16 @@ func TestFailoverLeavesPinWhenNothingRoutable(t *testing.T) {
 	waitLanded(t, gate, inv, w1)
 	must(cl.RecoverNode("w3"))
 	w3, _ := cl.Node("w3")
-	putsBefore := w3.Sink.Stats().Puts
+	putsBefore := sinkOf(w3).Stats().Puts
 
 	for _, name := range []string{"w1", "w2", "w3"} {
 		must(cl.FailNode(name))
 	}
 	gate.release() // b[1], b[2] ship towards c and touch the dead pin
 
-	// In-process sinks still answer while marked Down, so the request limps
-	// to an end either way; what matters is what the repairs did meanwhile.
+	// The sinks behind transport.Inproc still answer while marked Down, so the
+	// request limps to an end either way; what matters is what the repairs
+	// did meanwhile.
 	_ = inv.Wait()
 	if ran := runs.of(inv, "c"); len(ran) != 1 || ran[0] != "w1" {
 		t.Fatalf("c ran on %v with nothing routable, want its unmoved pin [w1]", ran)
@@ -305,7 +308,7 @@ func TestFailoverLeavesPinWhenNothingRoutable(t *testing.T) {
 	if n := sys.Replays() - replays0; n != 0 {
 		t.Fatalf("%d pieces replayed into a dead sink", n)
 	}
-	if got := w3.Sink.Stats().Puts; got != putsBefore {
+	if got := sinkOf(w3).Stats().Puts; got != putsBefore {
 		t.Fatalf("dead primary's sink took %d puts", got-putsBefore)
 	}
 }
@@ -361,9 +364,11 @@ func (h hookTransport) ShipBatch(ctx context.Context, pace transport.Pacing, req
 }
 
 // TestFailoverRelandsMultiItemEdge fails a's FOREACH destination after the
-// three-item edge was routed and before it lands: the batch must re-land
-// item by item on a survivor — each part arriving exactly once, nothing
-// replayed (nothing had landed) — and the request must complete and drain.
+// three-item edge was routed and before it lands: FailNode wipes the sink
+// first, so the put lands behind the wipe. The land must reclaim it and
+// re-land the batch item by item on a survivor — each part arriving exactly
+// once, nothing replayed (nothing had landed) — and the request must
+// complete and drain.
 func TestFailoverRelandsMultiItemEdge(t *testing.T) {
 	var sys *System
 	var once sync.Once
@@ -424,10 +429,10 @@ func TestFailoverRelandsMultiItemEdge(t *testing.T) {
 }
 
 // TestFailoverLandBehindTheWipeIsReclaimed fails a's destination after the
-// land's health check and before its put — inside the limiter park that
-// paces the edge. FailNode marks the node Down and then wipes its sink, so
-// the put lands behind the wipe, on a node no repair or teardown would look
-// at again: the land must notice, reclaim it and land on a survivor.
+// land's health check — inside the limiter park that paces the edge. In
+// process the land puts nothing, so nothing lands behind FailNode's wipe: b
+// must run off the dead node, with nothing replayed and nothing left. A
+// remote put that lands behind the wipe is TestFailoverRelandsMultiItemEdge's.
 func TestFailoverLandBehindTheWipeIsReclaimed(t *testing.T) {
 	var sys *System
 	var once sync.Once
@@ -476,6 +481,34 @@ func TestFailoverLandBehindTheWipeIsReclaimed(t *testing.T) {
 	requireSinksDrained(t, sys)
 }
 
+// nodeFunc builds one worker node: cluster.NewNode, or sinkNode.
+type nodeFunc = func(name string, opts cluster.Options) *cluster.Node
+
+// sinkNodes holds the sink behind every node sinkNode built, which as a
+// remote node has no Sink field of its own.
+var sinkNodes sync.Map // *cluster.Node -> *wmm.Sink
+
+// sinkNode builds a node whose sink sits behind a plain transport.Inproc
+// addressed as remote (cluster.NewRemoteNode): the engine lands, records,
+// consumes, sweeps and replays there as toward a worker process — in process
+// nothing enters a sink — while the test reads the sink in place (sinkOf).
+func sinkNode(name string, opts cluster.Options) *cluster.Node {
+	sink := wmm.NewSink(wmm.Options{TTL: opts.SinkTTL})
+	var n *cluster.Node
+	n = cluster.NewRemoteNode(name, transport.NewInproc(sink, nil, func() time.Duration { return n.Elapsed() }), false, opts)
+	sinkNodes.Store(n, sink)
+	return n
+}
+
+// sinkOf is the node's sink: its own, or the one sinkNode put behind it.
+func sinkOf(n *cluster.Node) *wmm.Sink {
+	if n.Sink != nil {
+		return n.Sink
+	}
+	sink, _ := sinkNodes.Load(n)
+	return sink.(*wmm.Sink)
+}
+
 // requireSinksDrained fails the test if a request is still tracked or any
 // node's sink still holds bytes in either tier (resident or spilled).
 func requireSinksDrained(t *testing.T, sys *System) {
@@ -485,7 +518,7 @@ func requireSinksDrained(t *testing.T, sys *System) {
 	}
 	for _, name := range sys.cfg.Cluster.Nodes() {
 		node, _ := sys.cfg.Cluster.Node(name)
-		if mem, disk := node.Sink.MemBytes(), node.Sink.DiskBytes(); mem != 0 || disk != 0 {
+		if mem, disk := sinkOf(node).MemBytes(), sinkOf(node).DiskBytes(); mem != 0 || disk != 0 {
 			t.Fatalf("node %s holds %d mem / %d disk bytes after clean completions", name, mem, disk)
 		}
 	}
@@ -493,17 +526,66 @@ func requireSinksDrained(t *testing.T, sys *System) {
 
 // TestFailoverNodeKillMidRun is the availability criterion: with a fleet of
 // requests held open, killing one node must not fail any of them — every
-// in-flight request completes (>= 95% required; replay delivers 100%).
+// in-flight request completes (>= 95% required; replay delivers 100%). The
+// sinks are remote, so the kill loses landed pieces the repair replays.
 func TestFailoverNodeKillMidRun(t *testing.T) {
+	sys, invs := killMidRun(t, sinkNode)
+	completed := 0
+	for i, inv := range invs {
+		if err := inv.Wait(); err != nil {
+			t.Errorf("req %d failed: %v", i, err)
+			continue
+		}
+		out, _ := inv.OutputBytes("out")
+		if want := fmt.Sprintf("p%d,mid,tail", i); string(out) != want {
+			t.Errorf("req %d out = %q, want %q", i, out, want)
+			continue
+		}
+		completed++
+	}
+	if completed < len(invs)*95/100 {
+		t.Fatalf("only %d/%d in-flight requests completed", completed, len(invs))
+	}
+	if sys.Replays() == 0 {
+		t.Fatal("node kill mid-run triggered no replays")
+	}
+}
+
+// TestInprocNodeKillMidRunLosesNothing is the same kill in process, where a
+// landed piece waits in its request's tracker, not in the node's sink: the
+// kill loses nothing, so every request completes with the right output,
+// nothing is replayed and nothing is left behind.
+func TestInprocNodeKillMidRunLosesNothing(t *testing.T) {
+	sys, invs := killMidRun(t, cluster.NewNode)
+	for i, inv := range invs {
+		if err := inv.Wait(); err != nil {
+			t.Fatalf("req %d failed: %v", i, err)
+		}
+		if out, _ := inv.OutputBytes("out"); string(out) != fmt.Sprintf("p%d,mid,tail", i) {
+			t.Fatalf("req %d out = %q", i, out)
+		}
+	}
+	if n := sys.Replays(); n != 0 {
+		t.Fatalf("%d replays: an in-process kill has nothing to replay", n)
+	}
+	if puts := sys.SinkStats().Puts; puts != 0 {
+		t.Fatalf("%d sink puts in process", puts)
+	}
+	requireSinksDrained(t, sys)
+}
+
+// killMidRun holds 40 fan requests open over nodes built by newNode, each
+// with c pinned, kills the last one's c pin and releases the held runs.
+func killMidRun(t *testing.T, newNode nodeFunc) (*System, []*Invocation) {
+	t.Helper()
 	gate := newFaultGate()
-	sys := newFaultSystem(t, 3, gate, func(c *Config) {
+	sys := newFaultSystemOf(t, 3, gate, func(c *Config) {
 		// Plenty of containers for the gated b instances of all requests.
 		c.MaxContainersPerFn = 256
-	})
-	defer sys.Shutdown()
+	}, newNode)
+	t.Cleanup(sys.Shutdown)
 
-	const n = 40
-	invs := make([]*Invocation, n)
+	invs := make([]*Invocation, 40)
 	for i := range invs {
 		inv, err := sys.Invoke(map[string][]byte{"a.in": []byte(fmt.Sprintf("p%d", i))})
 		if err != nil {
@@ -521,26 +603,7 @@ func TestFailoverNodeKillMidRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	gate.release()
-
-	completed := 0
-	for i, inv := range invs {
-		if err := inv.Wait(); err != nil {
-			t.Errorf("req %d failed: %v", i, err)
-			continue
-		}
-		out, _ := inv.OutputBytes("out")
-		if want := fmt.Sprintf("p%d,mid,tail", i); string(out) != want {
-			t.Errorf("req %d out = %q, want %q", i, out, want)
-			continue
-		}
-		completed++
-	}
-	if completed < n*95/100 {
-		t.Fatalf("only %d/%d in-flight requests completed", completed, n)
-	}
-	if sys.Replays() == 0 {
-		t.Fatal("node kill mid-run triggered no replays")
-	}
+	return sys, invs
 }
 
 // TestFailoverKillPinnedReplicaMidTransfer combines the transfer-failure

@@ -14,23 +14,24 @@ import (
 	"repro/internal/workflow"
 )
 
-// These tests pin the direct edge (landBatch's early arm): which items skip
-// the Wait-Match Memory, that every other edge lands in it exactly as
-// before, and the two rules that ride along — the instance cap without
-// channel traffic and the cold start an Invoke caller never sleeps out.
+// These tests pin where a datum lands: in process the request's tracker is
+// the Wait-Match Memory, so no edge enters a node's sink, whatever its shape
+// or path; toward a remote sink every edge item is put there as before. Two
+// rules ride along: the instance cap without channel traffic and the cold
+// start an Invoke caller never sleeps out.
 
 // sinkPuts is the merged put count of every node's sink.
 func sinkPuts(sys *System) int64 { return sys.SinkStats().Puts }
 
-// TestDirectEdgeSkipsSink: on the warm chain b waits for a's one item and is
-// a's continuation, so the item is handed over without a put, a key or a
-// fetch — and the request still drains clean with the right output.
-func TestDirectEdgeSkipsSink(t *testing.T) {
+// TestInprocChainSkipsSink: on the warm chain b is a's continuation and
+// reads a's item from the tracker — no put, no key, no fetch — and the
+// request still drains clean with the right output.
+func TestInprocChainSkipsSink(t *testing.T) {
 	sys := virtualChain(t, 2)
 	warmChain(t, sys, 2)
 	const requests = 200
 	payload := bytes.Repeat([]byte("d"), 64)
-	puts0, direct0 := sinkPuts(sys), obsDirectEdges.Load()
+	puts0 := sinkPuts(sys)
 	_, conts0 := pathCounts()
 	for i := 0; i < requests; i++ {
 		inv, err := sys.Invoke(map[string][]byte{"a.in": payload})
@@ -45,9 +46,9 @@ func TestDirectEdgeSkipsSink(t *testing.T) {
 		}
 	}
 	_, conts := pathCounts()
-	if puts, direct := sinkPuts(sys)-puts0, obsDirectEdges.Load()-direct0; puts != 0 || direct != requests || conts-conts0 != requests {
-		t.Fatalf("%d warm requests: %d sink puts, %d direct edges, %d continuations, want 0, %d and %d",
-			requests, puts, direct, conts-conts0, requests, requests)
+	if puts := sinkPuts(sys) - puts0; puts != 0 || conts-conts0 != requests {
+		t.Fatalf("%d warm requests: %d sink puts, %d continuations, want 0 and %d",
+			requests, puts, conts-conts0, requests)
 	}
 	requireSinksDrained(t, sys)
 }
@@ -56,6 +57,12 @@ func TestDirectEdgeSkipsSink(t *testing.T) {
 // (virtual unless cfgMut says otherwise, with Eq. 1 off like virtualChain:
 // nothing sleeps on it, so nothing needs to step it).
 func dslSystem(t *testing.T, dsl string, nodes int, cfgMut func(*Config)) *System {
+	t.Helper()
+	return dslSystemOf(t, dsl, nodes, cfgMut, cluster.NewNode)
+}
+
+// dslSystemOf is dslSystem with each worker built by newNode.
+func dslSystemOf(t *testing.T, dsl string, nodes int, cfgMut func(*Config), newNode nodeFunc) *System {
 	t.Helper()
 	wf, err := workflow.ParseDSLString(dsl)
 	if err != nil {
@@ -72,7 +79,7 @@ func dslSystem(t *testing.T, dsl string, nodes int, cfgMut func(*Config)) *Syste
 	}
 	cfg.Cluster = cluster.NewCluster(nil)
 	for i := 1; i <= nodes; i++ {
-		_ = cfg.Cluster.AddNode(cluster.NewNode(fmt.Sprintf("w%d", i), cluster.Options{Clock: cfg.Clock}))
+		_ = cfg.Cluster.AddNode(newNode(fmt.Sprintf("w%d", i), cluster.Options{Clock: cfg.Clock}))
 	}
 	sys, err := NewSystem(cfg)
 	if err != nil {
@@ -109,30 +116,33 @@ func join(sys *System, fn, in, out string) {
 	})
 }
 
-// TestDirectEdgeFallsBack: every edge the direct rule does not cover lands
-// in the Wait-Match Memory item for item, and counts no direct edge.
+// TestDirectEdgeFallsBack runs every edge shape on two legs. In process an
+// edge goes direct to the request's tracker whatever its shape, and whether
+// or not its consumer continues on the producer's goroutine: no sink put.
+// Toward remote sinks (sinkNode) the same shape falls back to one put per
+// edge item. Each leg delivers the right output and drains.
 func TestDirectEdgeFallsBack(t *testing.T) {
-	wallChain := func(t *testing.T, mut func(*Config)) *System {
-		sys := newChainSystem(t, 2, nil, func(c *Config) {
+	wallChain := func(t *testing.T, newNode nodeFunc, mut func(*Config)) *System {
+		sys := newChainSystemOf(t, 2, nil, func(c *Config) {
 			c.DisablePressure = true
 			if mut != nil {
 				mut(c)
 			}
-		})
+		}, newNode)
 		t.Cleanup(sys.Shutdown)
 		return sys
 	}
 	rows := []struct {
 		name  string
-		build func(t *testing.T) *System
+		build func(t *testing.T, newNode nodeFunc) *System
 		input map[string][]byte // chainIn when nil
 		out   string            // the expected "out" item; the input's payload when empty
-		puts  int64             // sink-bound items per request
+		puts  int64             // sink-bound items per request, toward remote sinks
 		after func(*System)     // runs after every request
 	}{
-		{name: "producer not brief", puts: 1, build: func(t *testing.T) *System {
+		{name: "producer not brief", puts: 1, build: func(t *testing.T, newNode nodeFunc) *System {
 			clk := clock.NewManual()
-			sys := wallChain(t, func(c *Config) { c.Clock = clk })
+			sys := wallChain(t, newNode, func(c *Config) { c.Clock = clk })
 			_ = sys.Register("a", func(ctx *Context) error {
 				clk.Advance(5 * time.Millisecond) // a's compute, in virtual time
 				in, _ := ctx.Input("in")
@@ -142,8 +152,8 @@ func TestDirectEdgeFallsBack(t *testing.T) {
 		}},
 		{name: "two inputs", puts: 1, out: "xk",
 			input: map[string][]byte{"a.in": []byte("x"), "b.k": []byte("k")},
-			build: func(t *testing.T) *System {
-				sys := dslSystem(t, `
+			build: func(t *testing.T, newNode nodeFunc) *System {
+				sys := dslSystemOf(t, `
 workflow two
 function a
   input in from $USER
@@ -152,7 +162,7 @@ function b
   input x
   input k from $USER
   output out to $USER
-`, 2, nil)
+`, 2, nil, newNode)
 				relay(sys, "a", "in", "x")
 				_ = sys.Register("b", func(ctx *Context) error {
 					x, _ := ctx.Input("x")
@@ -161,8 +171,8 @@ function b
 				})
 				return sys
 			}},
-		{name: "FOREACH-fanned consumer", puts: 1, build: func(t *testing.T) *System {
-			sys := dslSystem(t, `
+		{name: "FOREACH-fanned consumer", puts: 1, build: func(t *testing.T, newNode nodeFunc) *System {
+			sys := dslSystemOf(t, `
 workflow fanned
 function a
   input in from $USER
@@ -170,7 +180,7 @@ function a
 function b
   input part
   output out to $USER
-`, 2, nil)
+`, 2, nil, newNode)
 			_ = sys.Register("a", func(ctx *Context) error {
 				in, _ := ctx.Input("in")
 				return ctx.PutForeach("parts", [][]byte{in})
@@ -178,8 +188,8 @@ function b
 			relay(sys, "b", "part", "out")
 			return sys
 		}},
-		{name: "LIST input", puts: 1, build: func(t *testing.T) *System {
-			sys := dslSystem(t, `
+		{name: "LIST input", puts: 1, build: func(t *testing.T, newNode nodeFunc) *System {
+			sys := dslSystemOf(t, `
 workflow list
 function a
   input in from $USER
@@ -187,16 +197,15 @@ function a
 function b
   input xs type LIST
   output out to $USER
-`, 2, nil)
+`, 2, nil, newNode)
 			relay(sys, "a", "in", "x")
 			join(sys, "b", "xs", "out")
 			return sys
 		}},
 		// Validate refuses a NORMAL input fed by two outputs, so two producers
-		// meet only in a LIST; workflow's TestPlanResolvesTheGraph pins the
-		// in-degree itself. One node: a's two items share an edge.
-		{name: "two producers into one input", puts: 4, out: "xx", build: func(t *testing.T) *System {
-			sys := dslSystem(t, `
+		// meet only in a LIST. One node: a's two items share an edge.
+		{name: "two producers into one input", puts: 4, out: "xx", build: func(t *testing.T, newNode nodeFunc) *System {
+			sys := dslSystemOf(t, `
 workflow meet
 function a
   input in from $USER
@@ -210,7 +219,7 @@ function q
 function j
   input rs type LIST
   output out to $USER
-`, 1, nil)
+`, 1, nil, newNode)
 			relay(sys, "a", "in", "x")
 			relay(sys, "p", "x", "r")
 			relay(sys, "q", "x", "r")
@@ -218,29 +227,21 @@ function j
 			return sys
 		}},
 		{name: "64 KiB payload", puts: 1, input: map[string][]byte{"a.in": make([]byte, 64<<10)},
-			build: func(t *testing.T) *System { return wallChain(t, nil) }},
-		{name: "injector installed", puts: 1, build: func(t *testing.T) *System {
-			sys := virtualChain(t, 2)
+			build: func(t *testing.T, newNode nodeFunc) *System { return wallChain(t, newNode, nil) }},
+		{name: "injector installed", puts: 1, build: func(t *testing.T, newNode nodeFunc) *System {
+			sys := wallChain(t, newNode, func(c *Config) { c.Clock = clock.NewManual() })
 			sys.SetTransferFailureInjector(func(string) int64 { return -1 })
 			return sys
 		}},
 		// Every node Down when a ships: b's fresh pin limps on its dead
 		// primary, so the land re-lands (twice, nothing is routable) and then
-		// puts there — a re-land is never direct.
+		// lands there.
 		{name: "fault-tolerant, destination Down", puts: 1,
-			build: func(t *testing.T) *System {
-				sys := newChainSystem(t, 2, nil, func(c *Config) {
+			build: func(t *testing.T, newNode nodeFunc) *System {
+				sys := wallChain(t, newNode, func(c *Config) {
 					c.FaultTolerant = true
-					c.DisablePressure = true
 					c.Clock = clock.NewManual()
 				})
-				t.Cleanup(sys.Shutdown)
-				warmChain(t, sys, 2)
-				direct0 := obsDirectEdges.Load()
-				invokeChain(t, sys)
-				if direct := obsDirectEdges.Load() - direct0; direct != 1 {
-					t.Fatalf("healthy fault-tolerant chain: %d direct edges, want 1", direct)
-				}
 				_ = sys.Register("a", func(ctx *Context) error {
 					_ = sys.cfg.Cluster.FailNode("w1")
 					_ = sys.cfg.Cluster.FailNode("w2")
@@ -254,60 +255,74 @@ function j
 				_ = sys.cfg.Cluster.RecoverNode("w2")
 			}},
 	}
+	legs := []struct {
+		name    string
+		newNode nodeFunc
+		remote  bool
+	}{{"inproc", cluster.NewNode, false}, {"remote", sinkNode, true}}
 	for _, row := range rows {
 		row := row
 		t.Run(row.name, func(t *testing.T) {
-			sys := row.build(t)
-			in := row.input
-			if in == nil {
-				in = chainIn
+			for _, leg := range legs {
+				t.Run(leg.name, func(t *testing.T) {
+					sys := row.build(t, leg.newNode)
+					in := row.input
+					if in == nil {
+						in = chainIn
+					}
+					want := row.out
+					if want == "" {
+						for _, v := range in {
+							want = string(v)
+						}
+					}
+					run := func() {
+						t.Helper()
+						inv, err := sys.Invoke(in)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := inv.Wait(); err != nil {
+							t.Fatal(err)
+						}
+						if out, _ := inv.OutputBytes("out"); string(out) != want {
+							t.Fatalf("out = %d bytes, want %d", len(out), len(want))
+						}
+						if row.after != nil {
+							row.after(sys)
+						}
+					}
+					for i := 0; i < 3; i++ { // sample every function: a continuation takes the edges it may
+						run()
+					}
+					settle(t, sys, nil) // every warm-up run observed
+					const requests = 10
+					puts0 := sinkPuts(sys)
+					for i := 0; i < requests; i++ {
+						run()
+					}
+					settle(t, sys, nil) // every ship landed
+					wantPuts := int64(0)
+					if leg.remote {
+						wantPuts = row.puts * requests
+					}
+					if puts := sinkPuts(sys) - puts0; puts != wantPuts {
+						t.Fatalf("%d requests: %d sink puts, want %d", requests, puts, wantPuts)
+					}
+					requireSinksDrained(t, sys)
+				})
 			}
-			want := row.out
-			if want == "" {
-				for _, v := range in {
-					want = string(v)
-				}
-			}
-			run := func() {
-				t.Helper()
-				inv, err := sys.Invoke(in)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := inv.Wait(); err != nil {
-					t.Fatal(err)
-				}
-				if out, _ := inv.OutputBytes("out"); string(out) != want {
-					t.Fatalf("out = %d bytes, want %d", len(out), len(want))
-				}
-				if row.after != nil {
-					row.after(sys)
-				}
-			}
-			for i := 0; i < 3; i++ { // sample every function: only the rule under test keeps the edge in the sink
-				run()
-			}
-			settle(t, sys, nil) // every warm-up run observed
-			const requests = 10
-			puts0, direct0 := sinkPuts(sys), obsDirectEdges.Load()
-			for i := 0; i < requests; i++ {
-				run()
-			}
-			if puts, direct := sinkPuts(sys)-puts0, obsDirectEdges.Load()-direct0; puts != row.puts*requests || direct != 0 {
-				t.Fatalf("%d requests: %d sink puts and %d direct edges, want %d and 0", requests, puts, direct, row.puts*requests)
-			}
-			requireSinksDrained(t, sys)
 		})
 	}
 }
 
-// TestDirectEdgeStormVsFailNodeVsShutdown is the run-to-completion storm
-// (TestInlineShipStormVsShutdownVsFailNode) over a chain whose one edge is
-// direct: fault-tolerant, two replicas per function, two nodes flapping,
-// T_FLU zero on a frozen clock. Phase one completes every request and must
-// leave nothing tracked and no sink byte; phase two shuts down under load
-// and every goroutine must exit. Run with -race in CI.
-func TestDirectEdgeStormVsFailNodeVsShutdown(t *testing.T) {
+// TestInprocStormVsFailNodeVsShutdown is the run-to-completion storm
+// (TestInlineShipStormVsShutdownVsFailNode) over an in-process chain:
+// fault-tolerant, two replicas per function, two nodes flapping, T_FLU zero
+// on a frozen clock. Phase one completes every request, and must put nothing
+// in any sink and leave nothing tracked; phase two shuts down under load and
+// every goroutine must exit. Run with -race in CI.
+func TestInprocStormVsFailNodeVsShutdown(t *testing.T) {
 	if testing.Short() {
 		t.Skip("storm test")
 	}
@@ -322,7 +337,7 @@ func TestDirectEdgeStormVsFailNodeVsShutdown(t *testing.T) {
 
 	stopChaos := flapNodes(cl, time.Millisecond, false)
 
-	direct0 := obsDirectEdges.Load()
+	_, conts0 := pathCounts()
 	const goroutines, perG = 8, 400
 	var wg sync.WaitGroup
 	errs := make([]error, goroutines)
@@ -354,11 +369,14 @@ func TestDirectEdgeStormVsFailNodeVsShutdown(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	direct := obsDirectEdges.Load() - direct0
-	if direct == 0 {
-		t.Fatal("the storm took no direct edge: it did not exercise the path")
+	_, conts := pathCounts()
+	if conts == conts0 {
+		t.Fatal("the storm continued no consumer: it did not exercise run to completion")
 	}
-	t.Logf("phase 1: %d requests, %d direct edges, %d replays", goroutines*perG, direct, sys.Replays())
+	if puts := sinkPuts(sys); puts != 0 {
+		t.Fatalf("the storm put %d entries in a sink", puts)
+	}
+	t.Logf("phase 1: %d requests, %d continuations, %d replays", goroutines*perG, conts-conts0, sys.Replays())
 	// The flapping goes on: a node recovering from Down is wiped again, and
 	// nothing this phase shipped is still in flight.
 	requireSinksDrained(t, sys)

@@ -12,12 +12,13 @@ import (
 
 // TestBatchedEquivalenceWithSampling: sampled request tracing changes
 // nothing about what ships. The storm must leave the per-item engine's
-// recorded sink state, the daemon must have observed its shipped tasks (the
-// items-per-task histogram grows), and the span ring must hold sampled requests.
+// recorded state in the remote sinks, the daemon must have observed its
+// shipped tasks (the items-per-task histogram grows), and the span ring must
+// hold sampled requests.
 func TestBatchedEquivalenceWithSampling(t *testing.T) {
 	batches := obs.Default().Histogram("core_dlu_batch_items")
 	before := batches.Snapshot().Count
-	sys := newUntracedWCSystem(t, 3, func(cfg *Config) { cfg.Obs = ObsConfig{SampleEvery: 4} })
+	sys := newWCSystemOf(t, 3, sinkNode, func(cfg *Config) { cfg.Obs = ObsConfig{SampleEvery: 4} })
 	stats := runWCStorm(t, sys, 200)
 	if batches.Snapshot().Count <= before {
 		t.Fatal("batch-size histogram did not grow under sampling")

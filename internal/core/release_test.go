@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 )
@@ -19,12 +21,15 @@ func hostOf(t *testing.T, sys *System, fn string) *cluster.Node {
 	return n
 }
 
+// These tests pin when an entry leaves a remote sink (sinkNode); in process
+// nothing enters one.
+
 // TestSingleInstanceInputReleasedAtFetch pins the release rule for an input
 // of a function no FOREACH edge targets: it leaves the Wait-Match Memory when
 // its one instance fetches it, not at request teardown. With c parked in its
 // handler, b has long fetched a's 64 KiB and b's node must hold none of it.
 func TestSingleInstanceInputReleasedAtFetch(t *testing.T) {
-	sys := newSystemFromDSL(t, `
+	sys := newSystemFromDSLOf(t, `
 workflow relay
 function a
   input in from $USER
@@ -35,7 +40,7 @@ function b
 function c
   input x
   output out to $USER
-`, 3)
+`, 3, sinkNode)
 	defer sys.Shutdown()
 	relay := func(ctx *Context) error {
 		x, err := ctx.Input("x")
@@ -69,10 +74,10 @@ function c
 	}
 	<-parked
 	bNode := hostOf(t, sys, "b")
-	if held := bNode.Sink.MemBytes(); held != 0 {
+	if held := sinkOf(bNode).MemBytes(); held != 0 {
 		t.Errorf("b's node holds %d bytes while c runs; a -> b was fetched and must be gone", held)
 	}
-	if st := bNode.Sink.Stats(); st.ProactiveReleases != 1 || st.MemHits != 1 {
+	if st := sinkOf(bNode).Stats(); st.ProactiveReleases != 1 || st.MemHits != 1 {
 		t.Errorf("b's node sink stats %+v, want the a -> b entry proactively released by its one Get", st)
 	}
 	if st := sys.SinkStats(); st.Puts != 2 || st.ProactiveReleases != 2 {
@@ -93,7 +98,7 @@ function c
 // it stays resident while they run and teardown reclaims it. Each instance's
 // own FOREACH element still leaves at fetch.
 func TestSharedInputOfFannedFunctionReleasedAtTeardown(t *testing.T) {
-	sys := newSystemFromDSL(t, `
+	sys := newSystemFromDSLOf(t, `
 workflow fanshared
 function a
   input in from $USER
@@ -109,7 +114,7 @@ function b
 function c
   input list type LIST
   output out to $USER
-`, 3)
+`, 3, sinkNode)
 	defer sys.Shutdown()
 	const fan = 4
 	cfg := bytes.Repeat([]byte("c"), 64<<10)
@@ -157,7 +162,7 @@ function c
 	}
 	running.Wait()
 	bNode := hostOf(t, sys, "b")
-	if held := bNode.Sink.MemBytes(); held != int64(len(cfg)) {
+	if held := sinkOf(bNode).MemBytes(); held != int64(len(cfg)) {
 		t.Errorf("b's node holds %d bytes while its %d instances run, want the shared %d (elements fetched, shared input resident)", held, fan, len(cfg))
 	}
 	close(gate)
@@ -197,9 +202,9 @@ function c
 func TestLandAcrossTeardownFlip(t *testing.T) {
 	errBoom := errors.New("boom")
 	newCross := func(t *testing.T, a, b Handler) *System {
-		// No Eq. 1 block: every Put of these 7 bytes ships inline, so it has
-		// landed when the handler's Put returns and the subtests can order it.
-		sys := newSystemFromDSL(t, crossDSL, 3, func(c *Config) { c.DisablePressure = true })
+		// No Eq. 1 block: every Put ships through its container's DLU daemon
+		// toward the remote sinks without holding its handler.
+		sys := newSystemFromDSLOf(t, crossDSL, 3, sinkNode, func(c *Config) { c.DisablePressure = true })
 		_ = sys.Register("src", func(ctx *Context) error {
 			in, _ := ctx.Input("in")
 			return ctx.Put("o", in)
@@ -225,14 +230,17 @@ func TestLandAcrossTeardownFlip(t *testing.T) {
 	}
 
 	t.Run("land-then-flip", func(t *testing.T) {
-		landed := make(chan struct{})
-		sys := newCross(t,
-			func(*Context) error { <-landed; return errBoom },
-			func(ctx *Context) error {
-				err := putX(ctx)
-				close(landed)
-				return err
-			})
+		var sys *System
+		// a fails once the sinks took all three puts: src's two and b's.
+		landed := func(*Context) error {
+			for deadline := time.Now().Add(10 * time.Second); sys.SinkStats().Puts < 3; runtime.Gosched() {
+				if time.Now().After(deadline) {
+					return errors.New("b's shipment never landed")
+				}
+			}
+			return errBoom
+		}
+		sys = newCross(t, landed, putX)
 		defer sys.Shutdown()
 		if err := invoke(t, sys).Wait(); !errors.Is(err, errBoom) {
 			t.Fatalf("Wait = %v, want the handler's error", err)
@@ -255,6 +263,7 @@ func TestLandAcrossTeardownFlip(t *testing.T) {
 			t.Fatalf("Wait = %v, want the handler's error", err)
 		}
 		<-landed
+		settle(t, sys, nil) // b's daemon has shipped
 		requireSinksDrained(t, sys)
 	})
 

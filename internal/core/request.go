@@ -55,8 +55,8 @@ type Invocation struct {
 }
 
 // ReqID returns the request's identifier, "req-<n>". It is formatted on the
-// first call: a warm direct-edge chain, which keys no sink entry and names
-// no stream, never makes the string.
+// first call: a request that stays in process keys no sink entry and, unless
+// it streams, names no stream, so it never makes the string.
 func (inv *Invocation) ReqID() string {
 	inv.mu.Lock()
 	defer inv.mu.Unlock()
@@ -172,10 +172,10 @@ type request struct {
 	// attempts counts ReDo attempts per instance (allocated on first
 	// failure; the clean path never touches it).
 	attempts map[dataflow.InstanceKey]int
-	// arrivals records every datum landed in a sink with its key, value and
-	// node, under the instance that fetches it (Tracker.Fetcher): the fetch,
-	// teardown and replay read keys from it. Its backing is kept with the
-	// request. Accessed under mu.
+	// arrivals records every datum landed in a remote sink with its key,
+	// value and node, under the instance that fetches it (Tracker.Fetcher):
+	// the fetch, teardown and replay read keys from it. Its backing is kept
+	// with the request. Accessed under mu.
 	arrivals cluster.ArrivalLog[*cluster.Node]
 
 	// route holds the request's replica pins (none on the static fast

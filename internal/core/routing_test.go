@@ -23,6 +23,12 @@ function b
 // and config mutation (which must leave Cluster alone: it is built here).
 func newChainSystem(t testing.TB, nodes int, policy cluster.PlacementPolicy, cfgMut func(*Config)) *System {
 	t.Helper()
+	return newChainSystemOf(t, nodes, policy, cfgMut, cluster.NewNode)
+}
+
+// newChainSystemOf is newChainSystem with each worker built by newNode.
+func newChainSystemOf(t testing.TB, nodes int, policy cluster.PlacementPolicy, cfgMut func(*Config), newNode nodeFunc) *System {
+	t.Helper()
 	wf, err := workflow.ParseDSLString(chainDSL)
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +43,7 @@ func newChainSystem(t testing.TB, nodes int, policy cluster.PlacementPolicy, cfg
 	cfg.Cluster = cluster.NewCluster(policy)
 	for i := 1; i <= nodes; i++ {
 		// One clock for engine and nodes.
-		if err := cfg.Cluster.AddNode(cluster.NewNode(fmt.Sprintf("w%d", i), cluster.Options{Clock: cfg.Clock})); err != nil {
+		if err := cfg.Cluster.AddNode(newNode(fmt.Sprintf("w%d", i), cluster.Options{Clock: cfg.Clock})); err != nil {
 			t.Fatal(err)
 		}
 	}

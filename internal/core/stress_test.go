@@ -26,10 +26,11 @@ function join
 `
 
 // TestHighFanOutConcurrentInvocations stresses the engine with many
-// simultaneous requests, each fanning out to 16 instances, over a sink with
-// a short TTL so passive expiry churns while instances consume. It pins the
-// end-of-request GC: after every request completes, the invocation table and
-// both sink tiers on every node must be empty. Run with -race in CI.
+// simultaneous requests, each fanning out to 16 instances, over remote sinks
+// (sinkNode) with a short TTL so passive expiry churns while instances
+// consume. It pins the end-of-request GC: after every request completes, the
+// invocation table and both sink tiers on every node must be empty. Run with
+// -race in CI.
 func TestHighFanOutConcurrentInvocations(t *testing.T) {
 	const fanout = 16
 	const requests = 24
@@ -39,7 +40,7 @@ func TestHighFanOutConcurrentInvocations(t *testing.T) {
 	}
 	cl := cluster.NewCluster(nil)
 	for i := 0; i < 3; i++ {
-		err := cl.AddNode(cluster.NewNode(fmt.Sprintf("w%d", i+1), cluster.Options{
+		err := cl.AddNode(sinkNode(fmt.Sprintf("w%d", i+1), cluster.Options{
 			ColdStart: time.Millisecond,
 			SinkTTL:   20 * time.Millisecond,
 		}))
@@ -129,7 +130,7 @@ func TestHighFanOutConcurrentInvocations(t *testing.T) {
 	}
 	for _, name := range cl.Nodes() {
 		n, _ := cl.Node(name)
-		if mem, disk := n.Sink.MemBytes(), n.Sink.DiskBytes(); mem != 0 || disk != 0 {
+		if mem, disk := sinkOf(n).MemBytes(), sinkOf(n).DiskBytes(); mem != 0 || disk != 0 {
 			t.Fatalf("node %s sink not drained: mem=%d disk=%d", name, mem, disk)
 		}
 	}

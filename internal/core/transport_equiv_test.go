@@ -61,23 +61,28 @@ func newRemoteWCSystem(t testing.TB, nodes int, cfgMut func(*Config)) *System {
 }
 
 // TestTransportEquivalence: a 200-request wordcount storm produces
-// byte-identical outputs (runWCStorm checks each one) and identical merged
-// sink statistics whether the data plane is the inproc transport or TCP
-// framing to per-node sink servers. PeakMemBytes is excluded — it depends
-// on scheduling interleavings, not on the op stream.
+// byte-identical outputs (runWCStorm checks each one) whether the data plane
+// is the inproc transport or TCP framing to per-node sink servers. Over TCP
+// the sinks balance — every put fetched from memory and proactively released
+// (wcStormStats); in process nothing enters a sink at all, with the
+// fault-tolerance plane off or on. PeakMemBytes is excluded — it depends on
+// scheduling interleavings, not on the op stream.
 func TestTransportEquivalence(t *testing.T) {
 	const requests = 200
-	local := newUntracedWCSystem(t, 3, nil)
-	defer local.Shutdown()
-	localStats := runWCStorm(t, local, requests)
-	localStats.PeakMemBytes = 0
+	for _, ft := range []bool{false, true} {
+		local := newUntracedWCSystem(t, 3, func(c *Config) { c.FaultTolerant = ft })
+		localStats := runWCStorm(t, local, requests)
+		local.Shutdown()
+		if localStats != (wmm.Stats{}) {
+			t.Fatalf("inproc sink stats (fault-tolerant %v) %+v, want none", ft, localStats)
+		}
+	}
 
 	remote := newRemoteWCSystem(t, 3, nil)
 	defer remote.Shutdown()
 	remoteStats := runWCStorm(t, remote, requests)
 	remoteStats.PeakMemBytes = 0
-
-	if localStats != remoteStats {
-		t.Fatalf("sink stats diverge:\ninproc %+v\ntcp    %+v", localStats, remoteStats)
+	if remoteStats != wcStormStats {
+		t.Fatalf("tcp sink stats do not balance:\ngot  %+v\nwant %+v", remoteStats, wcStormStats)
 	}
 }

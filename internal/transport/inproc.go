@@ -11,10 +11,10 @@ import (
 // Inproc is the in-process transport: a direct call into the node's sink
 // behind the interface. ShipBatch is one TakeNAt on the source TC class and
 // one sink multi-put under one clock read (none when the shipment carries
-// nothing to put); Land mirrors the socket fast path's Take. No operation
-// fails or consults a context, and the transport allocates nothing itself (a
-// put allocates its sink entry): a warm chain request allocates 1 object, a
-// relay request 6 (TestInvokeAllocsCeiling, TestRelayAllocsCeiling).
+// nothing to put, as every engine land on an in-process node does: there
+// the request's tracker holds the data); Land mirrors the socket fast path's
+// Take. No operation fails or consults a context, and the transport
+// allocates nothing itself (a put allocates its sink entry).
 type Inproc struct {
 	sink    *wmm.Sink
 	elapsed Elapsed
@@ -37,7 +37,7 @@ func (t *Inproc) ShipBatch(_ context.Context, pace Pacing, reqs []wmm.PutReq) er
 			*pace.Parked += parked
 		}
 	}
-	if len(reqs) > 0 { // none: the engine's direct edge pays the wire only
+	if len(reqs) > 0 { // none: an engine land on an in-process node pays the wire only
 		t.sink.PutBatch(t.elapsed(), reqs)
 	}
 	return nil

@@ -176,10 +176,9 @@ type Plan struct {
 
 // FnPlan is one function's share of the Plan.
 type FnPlan struct {
-	Fanned   bool        // a FOREACH output targets it: its instance count is fixed at run time
-	InDegree int         // workflow edges into it (the invoker's inputs are not edges)
-	Feeders  [][]int     // Feeders[pos]: the producing function's index, per edge into the input at pos
-	Dests    [][]DestRef // Dests[o][d] resolves Outputs[o].Dests[d]
+	Fanned  bool        // a FOREACH output targets it: its instance count is fixed at run time
+	Feeders [][]int     // Feeders[pos]: the producing function's index, per edge into the input at pos (the invoker's inputs are not edges)
+	Dests   [][]DestRef // Dests[o][d] resolves Outputs[o].Dests[d]
 	// Slot0 and Out0 place the function's inputs and outputs in the layout;
 	// Rank is its position in name order, the branch order of a LIST input.
 	Slot0, Out0, Rank int
@@ -305,7 +304,6 @@ func buildPlan(fns []*Function, byName map[string]*Function) Plan {
 				for pos := range dst.Inputs {
 					if dst.Inputs[pos].Name == d.Input {
 						refs[di].Pos = pos
-						to.InDegree++
 						to.Feeders[pos] = append(to.Feeders[pos], i)
 						break
 					}

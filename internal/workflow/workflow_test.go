@@ -303,7 +303,7 @@ func TestFunctionLookups(t *testing.T) {
 
 // TestPlanResolvesTheGraph pins what a request walks instead of looking up
 // by name: destinations as (function index, input position), the producers
-// behind each input, the FOREACH-target flag, the in-degree, and the entry
+// behind each input, the FOREACH-target flag, and the entry
 // inputs with their map keys — also for a graph Validate would refuse (a
 // NORMAL input fed by both arms of a SWITCH, an unknown destination), which
 // the plan must describe rather than trip over.
@@ -317,8 +317,8 @@ func TestPlanResolvesTheGraph(t *testing.T) {
 	if start.Fanned || !count.Fanned || merge.Fanned {
 		t.Fatalf("fanned = %v %v %v, want only count", start.Fanned, count.Fanned, merge.Fanned)
 	}
-	if start.InDegree != 0 || count.InDegree != 1 || merge.InDegree != 1 {
-		t.Fatalf("in-degrees = %d %d %d, want 0 1 1", start.InDegree, count.InDegree, merge.InDegree)
+	if len(start.Feeders[0]) != 0 || len(count.Feeders[0]) != 1 || len(merge.Feeders[0]) != 1 {
+		t.Fatalf("feeders = %v %v %v, want 0, 1 and 1 edges", start.Feeders, count.Feeders, merge.Feeders)
 	}
 	if d := start.Dests[0][0]; d != (DestRef{Fn: 1, Pos: 0}) {
 		t.Fatalf("start.filelist resolves to %+v, want count's input 0", d)
@@ -350,8 +350,8 @@ func TestPlanResolvesTheGraph(t *testing.T) {
 		t.Fatalf("entries = %+v", p.Entries)
 	}
 	join := &p.Fns[3]
-	if join.InDegree != 2 || len(join.Feeders[0]) != 0 || len(join.Feeders[1]) != 2 {
-		t.Fatalf("join: in-degree %d, feeders %v; want 2, both on input 1", join.InDegree, join.Feeders)
+	if len(join.Feeders[0]) != 0 || len(join.Feeders[1]) != 2 {
+		t.Fatalf("join: feeders %v; want 2 edges, both on input 1", join.Feeders)
 	}
 	if d := p.Fns[1].Dests[0]; d[0] != (DestRef{Fn: 3, Pos: 1}) || d[1].Fn != -1 {
 		t.Fatalf("small.o resolves to %+v, want join's input 1 and an unknown function", d)
